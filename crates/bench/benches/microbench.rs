@@ -375,7 +375,7 @@ fn bench_cache_invalidation(c: &mut Criterion) {
     let closed = [spider_types::ChannelId(11)];
     let mut g = c.benchmark_group("cache-invalidation");
     g.bench_function("reverse_index", |b| {
-        b.iter(|| black_box(cache.pairs_traversing(black_box(&closed))))
+        b.iter(|| black_box(cache.pairs_traversing(&topo, &table, black_box(&closed))))
     });
     g.bench_function("full_cache_scan", |b| {
         b.iter(|| black_box(cache.pairs_traversing_scan(&table, black_box(&closed))))

@@ -226,6 +226,38 @@ impl CsrGraph {
         !bit_get(&self.disabled_bits, c.index() as u32)
     }
 
+    /// Number of `u`'s incident channels that are enabled.
+    pub fn live_degree(&self, u: NodeId) -> usize {
+        self.row(u.0).len() - self.disabled_at(u.0)
+    }
+
+    /// Hop distance from `src` to every node over the enabled channels
+    /// (`None` where no live path exists) — one plain BFS, the masked
+    /// counterpart of [`Topology::bfs_distances`].
+    pub fn hop_distances(&self, src: NodeId) -> Vec<Option<u32>> {
+        let mut dist: Vec<Option<u32>> = vec![None; self.node_count()];
+        let mut fifo = Vec::with_capacity(self.node_count());
+        if let Some(root) = dist.get_mut(src.index()) {
+            *root = Some(0);
+            fifo.push((src.0, 0));
+        }
+        let mut head = 0;
+        while let Some(&(u, d)) = fifo.get(head) {
+            head += 1;
+            for &e in self.row(u) {
+                if self.is_disabled(Self::channel(e)) {
+                    continue;
+                }
+                let v = Self::neighbor(e);
+                if let Some(unseen) = dist.get_mut(v as usize).filter(|d| d.is_none()) {
+                    *unseen = Some(d + 1);
+                    fifo.push((v, d + 1));
+                }
+            }
+        }
+        dist
+    }
+
     /// Disabled-channel probe by raw channel index.
     #[inline]
     fn is_disabled(&self, c: u32) -> bool {
@@ -1455,6 +1487,8 @@ mod tests {
                 for _ in 0..40 {
                     let src = NodeId(rng.index(t.node_count()) as u32);
                     let dst = NodeId(rng.index(t.node_count()) as u32);
+                    assert_eq!(csr.live_degree(src), filtered.degree(src));
+                    assert_eq!(csr.hop_distances(src), filtered.bfs_distances(src));
                     if src == dst {
                         continue;
                     }

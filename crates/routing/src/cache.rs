@@ -8,12 +8,21 @@
 //! exactly once and thereafter trades in copyable [`PathId`]s.
 //!
 //! Under topology churn ([`PathCache::on_topology_change`]) the cache
-//! repairs itself **incrementally**: a channel close drops only the pairs
-//! whose cached candidates traverse it (removing an edge no candidate uses
-//! provably cannot change any oracle's answer — see the module tests), a
-//! channel open invalidates every cached pair (a new edge can improve any
-//! pair), and a capacity resize invalidates nothing (the oracles are
-//! hop-count-based). Dropped pairs are batch-refilled through
+//! repairs itself **incrementally**, dropping and refilling only the
+//! pairs whose answer the oracle could now give differently:
+//!
+//! * a channel **close** drops the pairs whose cached candidates traverse
+//!   it (removing an edge no candidate uses provably cannot change any
+//!   oracle's answer — see the module tests);
+//! * a channel **open** drops the pairs the new edge can reach: those
+//!   with an `s–t` route through it no longer than their longest cached
+//!   candidate, or with fewer candidates than the policy asks for (the
+//!   exact rule and its argument are on
+//!   [`PathCache::on_topology_change`]);
+//! * a capacity **resize** drops nothing (the oracles are
+//!   hop-count-based).
+//!
+//! Dropped pairs are batch-refilled through
 //! [`PathOracle`](crate::PathOracle) over one retained
 //! [`CsrGraph`] whose channels are enabled/disabled in O(1) per event —
 //! the graph is flattened exactly once per cache lifetime.
@@ -55,11 +64,12 @@ pub struct PathCache {
     /// in sync with `closed` through O(1) channel toggles.
     csr: Option<CsrGraph>,
     /// Reverse index: `rev[c]` = the cached pairs with a candidate
-    /// traversing channel `c` (lazily sized to the channel count).
-    /// A close then invalidates exactly `∪ rev[closed]` instead of
-    /// scanning every cached pair's candidates — the difference between
-    /// O(affected) and O(pairs × k × hops) per event at Ripple scale.
-    rev: Vec<HashSet<(NodeId, NodeId)>>,
+    /// traversing channel `c`. A close then invalidates exactly
+    /// `∪ rev[closed]` instead of scanning every cached pair's candidates
+    /// — the difference between O(affected) and O(pairs × k × hops) per
+    /// event at Ripple scale. `None` until something asks for it (the
+    /// first connectivity change): a static network never pays for it.
+    rev: Option<Vec<HashSet<(NodeId, NodeId)>>>,
     /// Lifetime counters surfaced through [`PathCache::counters`].
     hits: u64,
     misses: u64,
@@ -76,7 +86,7 @@ impl PathCache {
             bfs_trees: HashMap::new(),
             closed: Vec::new(),
             csr: None,
-            rev: Vec::new(),
+            rev: None,
             hits: 0,
             misses: 0,
             prefilled: 0,
@@ -95,8 +105,8 @@ impl PathCache {
     ) -> &[PathId] {
         // Split borrows so the hit path stays one hash lookup (the
         // `entry` API) while the miss closure computes through the other
-        // fields; the reverse index registers freshly cached pairs after
-        // the insertion.
+        // fields; the reverse index (once built) registers freshly cached
+        // pairs after the insertion.
         let PathCache {
             policy,
             cache,
@@ -119,7 +129,9 @@ impl PathCache {
         });
         if fresh {
             *misses += 1;
-            Self::register(rev, topo, paths, (src, dst), ids);
+            if let Some(rev) = rev {
+                Self::register(rev, paths, (src, dst), ids);
+            }
         } else {
             *hits += 1;
         }
@@ -129,15 +141,11 @@ impl PathCache {
     /// Adds `pair` to the reverse index of every channel its candidates
     /// traverse.
     fn register(
-        rev: &mut Vec<HashSet<(NodeId, NodeId)>>,
-        topo: &Topology,
+        rev: &mut [HashSet<(NodeId, NodeId)>],
         paths: &PathTable,
         pair: (NodeId, NodeId),
         ids: &[PathId],
     ) {
-        if rev.is_empty() {
-            rev.resize_with(topo.channel_count(), HashSet::new);
-        }
         for &id in ids {
             for &(c, _) in paths.entry(id).hops() {
                 rev[c.index()].insert(pair);
@@ -146,12 +154,35 @@ impl PathCache {
     }
 
     /// Removes `pair` (with candidate set `ids`) from the reverse index.
-    fn unregister(&mut self, paths: &PathTable, pair: (NodeId, NodeId), ids: &[PathId]) {
+    fn unregister(
+        rev: &mut [HashSet<(NodeId, NodeId)>],
+        paths: &PathTable,
+        pair: (NodeId, NodeId),
+        ids: &[PathId],
+    ) {
         for &id in ids {
             for &(c, _) in paths.entry(id).hops() {
-                self.rev[c.index()].remove(&pair);
+                rev[c.index()].remove(&pair);
             }
         }
+    }
+
+    /// The reverse index, built from the whole cache on first use and
+    /// kept current by every later insertion and removal.
+    fn rev_index<'a>(
+        rev: &'a mut Option<Vec<HashSet<(NodeId, NodeId)>>>,
+        cache: &HashMap<(NodeId, NodeId), Vec<PathId>>,
+        topo: &Topology,
+        paths: &PathTable,
+    ) -> &'a mut [HashSet<(NodeId, NodeId)>] {
+        rev.get_or_insert_with(|| {
+            let mut rev = vec![HashSet::new(); topo.channel_count()];
+            // lint: allow(unordered-iter): set insertions commute.
+            for (&pair, ids) in cache {
+                Self::register(&mut rev, paths, pair, ids);
+            }
+            rev
+        })
     }
 
     /// One pair's candidate node sequences under the live mask.
@@ -268,7 +299,9 @@ impl PathCache {
         let mut cursor = ids.into_iter();
         for (&pair, candidates) in todo.iter().zip(filled) {
             let ids: Vec<_> = cursor.by_ref().take(candidates.len()).collect();
-            Self::register(&mut self.rev, topo, paths, pair, &ids);
+            if let Some(rev) = self.rev.as_mut() {
+                Self::register(rev, paths, pair, &ids);
+            }
             self.cache.insert(pair, ids);
         }
     }
@@ -279,72 +312,140 @@ impl PathCache {
     /// batch-refills them. Returns the repaired pairs (sorted, so callers
     /// migrating per-path state iterate deterministically).
     ///
-    /// Invalidation rules, each exact for the hop-count oracles:
+    /// Invalidation rules, each exact for the hop-count oracles (a pair
+    /// that is kept would have been refilled to the same node sequences):
     ///
     /// * **close** — only pairs whose cached candidates traverse a closed
     ///   channel: removing an edge used by no candidate leaves every
     ///   successively-chosen lex-min path both feasible and minimal, so
     ///   the oracle's answer is unchanged;
-    /// * **open** — every cached pair: a new edge can shorten or add a
-    ///   candidate for pairs whose current candidates never touch it;
+    /// * **open** — with candidates `P₁..P_m` of `L₁ ≤ … ≤ L_m` hops under
+    ///   a policy asking for `k`, and `D` the hop count of the shortest
+    ///   `s–t` walk through an opened channel `(u, v)`, measured on the
+    ///   graph *after* the update as
+    ///   `min(d(s,u) + 1 + d(v,t), d(s,v) + 1 + d(u,t))`: only pairs with
+    ///   `D ≤ L_m`, or with `m < k` and `D` finite. Every path through the
+    ///   new edge has at least `D` hops, so when `D > L_m` the `i`-th
+    ///   lex-min search still sees the same set of `≤ L_i`-hop paths in
+    ///   its residual graph and returns the same `P_i`; only a search
+    ///   that had *failed* (`m < k`) can be rescued by a longer route.
+    ///   For [`PathPolicy::EdgeDisjoint`] that search stays failed when
+    ///   `s` or `t` already spends every live channel on `P₁..P_m` (live
+    ///   degree `= m`) — the oracle's own pruning — so such pairs are kept;
     /// * **resize** — nothing: candidate selection ignores capacity.
+    ///
+    /// An update carrying both applies the close rule to the cached
+    /// candidates and the open rule on the final graph. Cost beyond the
+    /// refills: two BFS and one pass over the cached pairs per opened
+    /// channel, `O(opened × (E + cached pairs))`.
     pub fn on_topology_change(
         &mut self,
         topo: &Topology,
         paths: &PathTable,
         update: &TopologyUpdate,
     ) -> Vec<(NodeId, NodeId)> {
-        if update.connectivity_changed() && self.closed.is_empty() {
-            self.closed = vec![false; topo.channel_count()];
-        }
-        for &c in &update.closed {
-            self.closed[c.index()] = true;
-            if let Some(csr) = self.csr.as_mut() {
-                csr.set_channel_enabled(topo, c, false);
-            }
-        }
-        for &c in &update.opened {
-            self.closed[c.index()] = false;
-            if let Some(csr) = self.csr.as_mut() {
-                csr.set_channel_enabled(topo, c, true);
-            }
-        }
         if !update.connectivity_changed() {
             return Vec::new();
+        }
+        if self.closed.is_empty() {
+            self.closed = vec![false; topo.channel_count()];
+        }
+        for (channels, close) in [(&update.closed, true), (&update.opened, false)] {
+            for &c in channels {
+                self.closed[c.index()] = close;
+                if let Some(csr) = self.csr.as_mut() {
+                    csr.set_channel_enabled(topo, c, !close);
+                }
+            }
         }
         // Per-source BFS trees are a whole-graph cache; any connectivity
         // change invalidates them wholesale (they are cheap to rebuild).
         self.bfs_trees.clear();
-        let mut dropped: Vec<(NodeId, NodeId)> = if !update.opened.is_empty() {
-            self.cache.keys().copied().collect()
-        } else {
-            // Exactly the pairs whose candidates traverse a closed
-            // channel, straight from the reverse index (maintained on
-            // every insertion/removal, so it equals what a full scan of
-            // the cache would find — see `pairs_traversing_scan`).
-            self.pairs_traversing(&update.closed)
-        };
+        let mut dropped = self.pairs_traversing(topo, paths, &update.closed);
+        dropped.extend(self.pairs_reached_by(topo, paths, &update.opened));
         // Set/map iteration order is arbitrary; sort so the refill (and
         // therefore PathId interning) order is deterministic.
         dropped.sort_unstable();
+        dropped.dedup();
         self.repairs += dropped.len() as u64;
+        let rev = Self::rev_index(&mut self.rev, &self.cache, topo, paths);
         for pair in &dropped {
             if let Some(ids) = self.cache.remove(pair) {
-                self.unregister(paths, *pair, &ids);
+                Self::unregister(rev, paths, *pair, &ids);
             }
         }
         self.fill_pairs(topo, paths, &dropped);
         dropped
     }
 
-    /// The cached pairs with a candidate traversing any of `channels`,
-    /// answered from the reverse index in O(affected) — unsorted.
-    pub fn pairs_traversing(&self, channels: &[ChannelId]) -> Vec<(NodeId, NodeId)> {
-        let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-        for &c in channels {
-            if let Some(set) = self.rev.get(c.index()) {
-                seen.extend(set.iter().copied());
+    /// The cached pairs whose candidate set one of the `opened` channels
+    /// (already live in the mask) may change — the open rule of
+    /// [`PathCache::on_topology_change`]. Unsorted.
+    fn pairs_reached_by(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        opened: &[ChannelId],
+    ) -> Vec<(NodeId, NodeId)> {
+        if opened.is_empty() || self.cache.is_empty() {
+            return Vec::new();
+        }
+        let (k, disjoint) = match self.policy {
+            PathPolicy::EdgeDisjoint(k) => (k, true),
+            PathPolicy::KShortest(k) => (k, false),
+            PathPolicy::Shortest => (1, false),
+        };
+        let csr = Self::synced_csr(&mut self.csr, topo, &self.closed);
+        // lint: allow(unordered-iter): audited — the caller sorts the
+        // pairs before refilling.
+        let entries: Vec<(&(NodeId, NodeId), &Vec<PathId>)> = self.cache.iter().collect();
+        // Per entry: hops of the shortest s–t walk through any opened
+        // channel (`None` = no such walk).
+        let mut detour: Vec<Option<u32>> = vec![None; entries.len()];
+        let at = |dist: &[Option<u32>], n: NodeId| dist.get(n.index()).copied().flatten();
+        let through = |near: Option<u32>, far: Option<u32>| Some(near? + 1 + far?);
+        for &c in opened {
+            let ch = topo.channel(c);
+            let (from_u, from_v) = (csr.hop_distances(ch.u), csr.hop_distances(ch.v));
+            for (best, (&(s, t), _)) in detour.iter_mut().zip(&entries) {
+                *best = [
+                    *best,
+                    through(at(&from_u, s), at(&from_v, t)),
+                    through(at(&from_v, s), at(&from_u, t)),
+                ]
+                .into_iter()
+                .flatten()
+                .min();
             }
+        }
+        entries
+            .into_iter()
+            .zip(detour)
+            .filter_map(|((&(s, t), ids), detour)| {
+                let detour = detour? as usize;
+                let m = ids.len();
+                let displaces = ids
+                    .last()
+                    .is_some_and(|&longest| detour <= paths.entry(longest).hops().len());
+                let exhausted = disjoint && (csr.live_degree(s) == m || csr.live_degree(t) == m);
+                (displaces || (m < k && !exhausted)).then_some((s, t))
+            })
+            .collect()
+    }
+
+    /// The cached pairs with a candidate traversing any of `channels`,
+    /// answered from the reverse index in O(affected) — unsorted. The
+    /// first call builds the index from the cache.
+    pub fn pairs_traversing(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        channels: &[ChannelId],
+    ) -> Vec<(NodeId, NodeId)> {
+        let rev = Self::rev_index(&mut self.rev, &self.cache, topo, paths);
+        let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+        for set in channels.iter().filter_map(|c| rev.get(c.index())) {
+            seen.extend(set.iter().copied());
         }
         // lint: allow(unordered-iter): audited — the one non-test caller
         // (`on_topology_change`) sorts the pairs before refilling, and the
@@ -544,13 +645,20 @@ mod tests {
                 assert!(table.entry(id).hops().iter().all(|&(c, _)| c != victim));
             }
         }
-        // Reopen: everything returns to the unmasked answers.
+        // Reopen: only the pairs the channel can reach are refilled, and
+        // everything returns to the unmasked answers.
         let update = TopologyUpdate {
             opened: vec![victim],
             ..TopologyUpdate::default()
         };
         let repaired = warm.on_topology_change(&t, &table, &update);
-        assert_eq!(repaired.len(), pairs.len(), "opens invalidate every pair");
+        assert!(!repaired.is_empty(), "the rerouted pair must be repaired");
+        assert!(
+            repaired.len() < pairs.len(),
+            "an open must not invalidate everything ({} of {})",
+            repaired.len(),
+            pairs.len()
+        );
         let fresh_table = PathTable::new();
         let mut fresh = PathCache::new(PathPolicy::EdgeDisjoint(4));
         fresh.prefill(&t, &fresh_table, &pairs);
@@ -572,13 +680,17 @@ mod tests {
             (0..12u32).map(|s| (NodeId(s), NodeId(31 - s))).collect();
         c.prefill(&t, &table, &pairs);
         let mut rng = spider_types::DetRng::new(21);
-        let check = |c: &PathCache, table: &PathTable, probe: &[ChannelId]| {
-            let mut indexed = c.pairs_traversing(probe);
+        let check = |c: &mut PathCache, table: &PathTable, probe: &[ChannelId]| {
+            let mut indexed = c.pairs_traversing(&t, table, probe);
             let mut scanned = c.pairs_traversing_scan(table, probe);
             indexed.sort_unstable();
             scanned.sort_unstable();
             assert_eq!(indexed, scanned, "probe {probe:?}");
         };
+        // Before any change the index does not exist yet; the first
+        // question builds it from the prefilled cache.
+        let all: Vec<ChannelId> = t.channels().map(|(id, _)| id).collect();
+        check(&mut c, &table, &all);
         for round in 0..30 {
             let ch = ChannelId(rng.index(t.channel_count()) as u32);
             let update = if round % 3 == 2 && c.channel_closed(ch) {
@@ -600,7 +712,7 @@ mod tests {
             let probe: Vec<ChannelId> = (0..3)
                 .map(|_| ChannelId(rng.index(t.channel_count()) as u32))
                 .collect();
-            check(&c, &table, &probe);
+            check(&mut c, &table, &probe);
         }
     }
 

@@ -136,6 +136,8 @@ impl Router for SpiderPricing {
     fn observability(&self) -> spider_sim::RouterObs {
         let mut obs = spider_sim::RouterObs::default();
         obs.counters
+            .extend(self.cache.counters().map(|(k, v)| (k.to_string(), v)));
+        obs.counters
             .extend(self.penalties.counters().map(|(k, v)| (k.to_string(), v)));
         obs
     }

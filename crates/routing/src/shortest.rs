@@ -167,6 +167,15 @@ impl Router for ShortestPath {
 
     fn observability(&self) -> spider_sim::RouterObs {
         let mut obs = spider_sim::RouterObs::default();
+        // One set of cache counters: the failover cache's work is added
+        // to the primary's.
+        let mut cache = self.cache.counters();
+        if let Some(alt) = &self.alt {
+            for (total, (_, n)) in cache.iter_mut().zip(alt.counters()) {
+                total.1 += n;
+            }
+        }
+        obs.counters.extend(cache.map(|(k, v)| (k.to_string(), v)));
         obs.counters
             .extend(self.penalties.counters().map(|(k, v)| (k.to_string(), v)));
         obs.counters

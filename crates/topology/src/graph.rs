@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 use spider_types::{Amount, ChannelId, Direction, NodeId, Result, SpiderError};
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// An undirected payment channel with its total escrowed capacity.
 ///
@@ -293,6 +294,10 @@ impl Topology {
 pub struct TopologyBuilder {
     node_count: usize,
     channels: Vec<Channel>,
+    /// Canonical `(u, v)` → position in `channels`, so the duplicate check
+    /// is one lookup instead of a scan of every channel added so far.
+    /// Never iterated.
+    index: HashMap<(NodeId, NodeId), usize>,
 }
 
 impl TopologyBuilder {
@@ -301,6 +306,7 @@ impl TopologyBuilder {
         TopologyBuilder {
             node_count: nodes,
             channels: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
@@ -321,35 +327,36 @@ impl TopologyBuilder {
     /// nodes, or duplicate pairs.
     pub fn channel(&mut self, a: NodeId, b: NodeId, capacity: Amount) -> Result<&mut Self> {
         let (u, v) = self.canonical(a, b)?;
-        if self.find(u, v).is_some() {
-            return Err(SpiderError::InvalidConfig(format!(
+        match self.index.entry((u, v)) {
+            Entry::Occupied(_) => Err(SpiderError::InvalidConfig(format!(
                 "duplicate channel {u}-{v}"
-            )));
+            ))),
+            Entry::Vacant(slot) => {
+                slot.insert(self.channels.len());
+                self.channels.push(Channel { u, v, capacity });
+                Ok(self)
+            }
         }
-        self.channels.push(Channel { u, v, capacity });
-        Ok(self)
     }
 
     /// Adds a channel, or adds `capacity` to the existing channel between
     /// the same pair (used when collapsing trace multigraphs).
     pub fn merge_channel(&mut self, a: NodeId, b: NodeId, capacity: Amount) -> Result<&mut Self> {
         let (u, v) = self.canonical(a, b)?;
-        if let Some(i) = self.find(u, v) {
-            self.channels[i].capacity += capacity;
-        } else {
-            self.channels.push(Channel { u, v, capacity });
+        match self.index.entry((u, v)) {
+            Entry::Occupied(slot) => self.channels[*slot.get()].capacity += capacity,
+            Entry::Vacant(slot) => {
+                slot.insert(self.channels.len());
+                self.channels.push(Channel { u, v, capacity });
+            }
         }
         Ok(self)
-    }
-
-    fn find(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.channels.iter().position(|c| c.u == u && c.v == v)
     }
 
     /// True if a channel between `a` and `b` has been added.
     pub fn has_channel(&self, a: NodeId, b: NodeId) -> bool {
         match self.canonical(a, b) {
-            Ok((u, v)) => self.find(u, v).is_some(),
+            Ok((u, v)) => self.index.contains_key(&(u, v)),
             Err(_) => false,
         }
     }
@@ -464,6 +471,47 @@ mod tests {
         let t = b.build();
         assert_eq!(t.channel_count(), 1);
         assert_eq!(t.channel(ChannelId(0)).capacity, Amount::from_xrp(12));
+    }
+
+    #[test]
+    fn builder_lookups_hold_at_ten_thousand_channels() {
+        // Ring plus chords: 12,000 distinct channels over 4,000 nodes,
+        // added with alternating endpoint order.
+        let nodes = 4_000u32;
+        let mut b = Topology::builder(nodes as usize);
+        for i in 0..nodes {
+            for step in [1, 7, 31] {
+                let (x, y) = (n(i), n((i + step) % nodes));
+                let (x, y) = if i % 2 == 0 { (x, y) } else { (y, x) };
+                assert!(b.channel(x, y, Amount::from_xrp(1)).is_ok());
+            }
+        }
+        assert_eq!(b.channel_count(), 12_000);
+        for i in (0..nodes).step_by(97) {
+            let (x, y) = (n(i), n((i + 7) % nodes));
+            assert!(b.has_channel(x, y) && b.has_channel(y, x));
+            assert!(!b.has_channel(x, n((i + 2) % nodes)));
+            assert!(matches!(
+                b.channel(y, x, Amount::ZERO),
+                Err(SpiderError::InvalidConfig(_))
+            ));
+            assert!(b.merge_channel(y, x, Amount::from_xrp(2)).is_ok());
+        }
+        assert!(!b.has_channel(n(0), n(0)) && !b.has_channel(n(0), n(nodes)));
+        // A merge on an absent pair adds it; a second merge accumulates.
+        assert!(b.merge_channel(n(2), n(0), Amount::from_xrp(3)).is_ok());
+        assert!(b.merge_channel(n(0), n(2), Amount::from_xrp(4)).is_ok());
+        assert_eq!(b.channel_count(), 12_001);
+        let t = b.build();
+        let cap = |x: u32, y: u32| {
+            t.channel_between(n(x), n(y))
+                .map(|id| t.channel(id).capacity.drops())
+        };
+        assert_eq!(cap(0, 7), Some(3_000_000));
+        assert_eq!(cap(97, 104), Some(3_000_000));
+        assert_eq!(cap(1, 8), Some(1_000_000));
+        assert_eq!(cap(0, 2), Some(7_000_000));
+        assert_eq!(cap(0, 3), None);
     }
 
     #[test]

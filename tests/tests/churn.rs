@@ -4,10 +4,11 @@
 //! for every scheme.
 
 use proptest::prelude::*;
+use spider_core::experiment::demand_graph;
 use spider_core::{run_sweep, ExperimentConfig, SchemeConfig, SweepJob, TopologyConfig};
 use spider_dynamics::{ChurnSchedule, DynamicsConfig};
 use spider_routing::{PathCache, PathPolicy};
-use spider_sim::{PathTable, SimConfig, TopologyUpdate, WorkloadConfig};
+use spider_sim::{PathTable, SimConfig, Simulation, TopologyUpdate, Workload, WorkloadConfig};
 use spider_topology::{gen, Topology};
 use spider_types::{Amount, ChannelId, DetRng, NodeId, SimDuration};
 
@@ -31,57 +32,77 @@ fn resolved(
         .collect()
 }
 
-/// One churn step: close / open / (ignored-by-cache) resize over a channel.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    Close(usize),
-    Open(usize),
-    Resize(usize),
+/// Folds one step's mutations — `(kind, index)` with kind 0 = close a
+/// live channel, 1 = reopen one that was closed before the step, 2 =
+/// resize — into the single update the engine would hand the router. A
+/// step can therefore open several channels at once and mix closes with
+/// opens; no channel changes state twice within one update.
+fn update_for(step: &[(usize, usize)], live: &mut [bool]) -> TopologyUpdate {
+    let before = live.to_vec();
+    let closed_before: Vec<usize> = (0..live.len()).filter(|&c| !before[c]).collect();
+    let mut update = TopologyUpdate::default();
+    for &(kind, i) in step {
+        let c = i % live.len();
+        match kind {
+            0 if before[c] && live[c] => {
+                live[c] = false;
+                update.closed.push(ChannelId::from_index(c));
+            }
+            1 if !closed_before.is_empty() => {
+                let c = closed_before[i % closed_before.len()];
+                if !live[c] {
+                    live[c] = true;
+                    update.opened.push(ChannelId::from_index(c));
+                }
+            }
+            2 => update.resized.push(ChannelId::from_index(c)),
+            // Idempotent no-op: the engine would not report it.
+            _ => {}
+        }
+    }
+    update
 }
 
-fn apply_step(
-    step: Step,
-    live: &mut [bool],
+/// Candidate sets of a cold cache told the mask in one update, then
+/// prewarmed — the ground truth an incremental repair must reproduce.
+fn cold_rebuild(
     topo: &Topology,
-    table: &PathTable,
-    cache: &mut PathCache,
-) {
-    let m = topo.channel_count();
-    let update = match step {
-        Step::Close(i) if live[i % m] => {
-            live[i % m] = false;
-            TopologyUpdate {
-                closed: vec![ChannelId::from_index(i % m)],
-                ..Default::default()
-            }
-        }
-        Step::Open(i) if !live[i % m] => {
-            live[i % m] = true;
-            TopologyUpdate {
-                opened: vec![ChannelId::from_index(i % m)],
-                ..Default::default()
-            }
-        }
-        Step::Resize(i) => TopologyUpdate {
-            resized: vec![ChannelId::from_index(i % m)],
+    policy: PathPolicy,
+    live: &[bool],
+    pairs: &[(NodeId, NodeId)],
+) -> Vec<Vec<Vec<NodeId>>> {
+    let closed: Vec<ChannelId> = (0..live.len())
+        .filter(|&c| !live[c])
+        .map(ChannelId::from_index)
+        .collect();
+    let table = PathTable::new();
+    let mut cold = PathCache::new(policy);
+    cold.on_topology_change(
+        topo,
+        &table,
+        &TopologyUpdate {
+            closed,
             ..Default::default()
         },
-        // Idempotent no-op: the engine would not emit an update at all.
-        _ => return,
-    };
-    cache.on_topology_change(topo, table, &update);
+    );
+    cold.prefill(topo, &table, pairs);
+    resolved(&mut cold, topo, &table, pairs)
 }
 
 proptest! {
-    /// After an arbitrary churn sequence, the incrementally-repaired
-    /// cache's candidate sets (resolved to node sequences) are
-    /// bit-identical to a cold cache prewarmed on the final topology —
-    /// across every `PathPolicy` variant.
+    /// After *every* update of an arbitrary churn sequence (single and
+    /// batched closes and opens, mixed updates, resizes), the
+    /// incrementally-repaired cache's candidate sets (resolved to node
+    /// sequences) are bit-identical to a cold cache prewarmed on the
+    /// current topology — across every `PathPolicy` variant. Checking each
+    /// step, not just the last, keeps a missed invalidation from being
+    /// masked by a later drop of the same pair.
     #[test]
     fn incremental_repair_equals_cold_rebuild(
         seed in 0u64..1_000,
         steps in proptest::collection::vec(
-            (0usize..3, 0usize..64), 1..12,
+            proptest::collection::vec((0usize..3, 0usize..4096), 1..5),
+            1..10,
         ),
         policy_idx in 0usize..3,
     ) {
@@ -91,12 +112,12 @@ proptest! {
             PathPolicy::Shortest,
         ][policy_idx];
         let mut rng = DetRng::new(seed);
-        let topo = gen::barabasi_albert(60, 2, Amount::from_xrp(100), &mut rng);
+        let topo = gen::barabasi_albert(200, 2, Amount::from_xrp(100), &mut rng);
         let mut pairs = Vec::new();
-        for _ in 0..24 {
+        while pairs.len() < 150 {
             let s = NodeId(rng.index(topo.node_count()) as u32);
             let d = NodeId(rng.index(topo.node_count()) as u32);
-            if s != d {
+            if s != d && !pairs.contains(&(s, d)) {
                 pairs.push((s, d));
             }
         }
@@ -104,34 +125,35 @@ proptest! {
         let mut warm = PathCache::new(policy);
         warm.prefill(&topo, &table, &pairs);
         let mut live = vec![true; topo.channel_count()];
-        for &(kind, i) in &steps {
-            let step = match kind {
-                0 => Step::Close(i),
-                1 => Step::Open(i),
-                _ => Step::Resize(i),
-            };
-            apply_step(step, &mut live, &topo, &table, &mut warm);
+        // The random steps, then one forced close + reopen of a channel
+        // some candidate uses, so every case exercises the open rule.
+        let first = warm.get(&topo, &table, pairs[0].0, pairs[0].1)[0];
+        let used = table.entry(first).hops()[0].0;
+        let mut steps = steps;
+        steps.push(vec![(0, used.index())]);
+        for (n, step) in steps.iter().enumerate() {
+            let update = update_for(step, &mut live);
+            warm.on_topology_change(&topo, &table, &update);
+            prop_assert_eq!(
+                resolved(&mut warm, &topo, &table, &pairs),
+                cold_rebuild(&topo, policy, &live, &pairs),
+                "policy {:?}, after step {} of {:?}", policy, n, steps
+            );
         }
-        // Cold cache: tell it the final mask in one update, then prewarm.
-        let closed: Vec<ChannelId> = live
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| !l)
-            .map(|(i, _)| ChannelId::from_index(i))
-            .collect();
-        let cold_table = PathTable::new();
-        let mut cold = PathCache::new(policy);
-        if !closed.is_empty() {
-            cold.on_topology_change(&topo, &cold_table, &TopologyUpdate {
-                closed,
-                ..Default::default()
-            });
-        }
-        cold.prefill(&topo, &cold_table, &pairs);
+        // `used` is closed now (by the last step if not before): reopen it.
+        live[used.index()] = true;
+        let repaired = warm.on_topology_change(&topo, &table, &TopologyUpdate {
+            opened: vec![used],
+            ..Default::default()
+        });
         prop_assert_eq!(
             resolved(&mut warm, &topo, &table, &pairs),
-            resolved(&mut cold, &topo, &cold_table, &pairs),
-            "policy {:?}, steps {:?}", policy, steps
+            cold_rebuild(&topo, policy, &live, &pairs),
+            "policy {:?}, after the forced reopen", policy
+        );
+        prop_assert!(
+            repaired.len() < pairs.len(),
+            "an open must leave most pairs alone ({} of {})", repaired.len(), pairs.len()
         );
         // No surviving candidate traverses a closed channel.
         for &(s, d) in &pairs {
@@ -212,6 +234,80 @@ fn all_schemes_deterministic_and_conserving_under_churn() {
             "{}: full workload attempted",
             a.scheme
         );
+    }
+}
+
+/// Outcomes under churn (closes, reopens, node leaves/joins, flaps) for
+/// the four schemes that repair a `PathCache`, pinned to the values the
+/// drop-everything-on-open cache produced: `(attempted, completed,
+/// delivered drops, units locked, events executed)` on a 300-node
+/// Ripple-like graph. A repair rule that keeps a pair whose candidates
+/// should have changed moves these. Each scheme must also export its
+/// cache counters through `Router::observability`.
+#[test]
+fn churn_outcomes_are_pinned_for_cache_repairing_schemes() {
+    let pins = [
+        (
+            SchemeConfig::ShortestPath,
+            (1500, 358, 3_580_000_000, 374, 1989),
+        ),
+        (
+            SchemeConfig::SpiderWaterfilling { paths: 4 },
+            (1500, 470, 4_735_000_000, 519, 2127),
+        ),
+        (
+            SchemeConfig::SpiderPricing { paths: 4 },
+            (1500, 453, 4_530_000_000, 475, 2084),
+        ),
+        (
+            SchemeConfig::spider_protocol(4),
+            (1500, 377, 3_770_000_000, 406, 4045),
+        ),
+    ];
+    for (scheme, pinned) in pins {
+        let mut cfg = churn_experiment(scheme, 11);
+        cfg.topology = TopologyConfig::RippleLike {
+            nodes: 300,
+            capacity_xrp: 150,
+        };
+        cfg.workload = WorkloadConfig::small(1_500, 300.0);
+        // `ExperimentConfig::run`, unrolled to keep the `Simulation` (the
+        // event count lives on it, not in the report).
+        let rng = DetRng::new(cfg.seed);
+        let topo = cfg.topology.build(&rng).expect("topology builds");
+        let n = topo.node_count();
+        let workload = Workload::generate(n, &cfg.workload, &mut rng.fork("workload"));
+        let router = cfg.scheme.build(
+            &topo,
+            &demand_graph(&workload, n),
+            cfg.sim.confirmation_delay.as_secs_f64(),
+        );
+        let mut sim =
+            Simulation::new(topo, workload, router, cfg.effective_sim()).expect("sim builds");
+        let dynamics = cfg.dynamics.as_ref().expect("churn configured");
+        let schedule = ChurnSchedule::generate(sim.topology(), dynamics, &mut rng.fork("dynamics"))
+            .expect("schedule generates");
+        sim.set_topology_events(schedule.events);
+        let r = sim.run();
+        sim.check_conservation();
+        assert!(r.churn_channels_opened > 0, "{}: opens must fire", r.scheme);
+        // Every one of them reports its cache's repair work.
+        assert!(
+            r.router_counters
+                .iter()
+                .any(|(k, v)| k == "path_cache_repairs" && *v > 0),
+            "{}: no path_cache_repairs in {:?}",
+            r.scheme,
+            r.router_counters
+        );
+        let outcome = (
+            r.attempted_payments,
+            r.completed_payments,
+            r.delivered_volume.drops(),
+            r.units_locked,
+            sim.slab_stats().events_executed,
+        );
+        assert_eq!(outcome, pinned, "{}", r.scheme);
     }
 }
 
