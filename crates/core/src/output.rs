@@ -38,7 +38,9 @@ pub struct FigureRow {
     /// Arrivals the shaping admission gate paced to a later slot
     /// (deferral is not a drop — the payment still runs).
     pub admission_deferred: u64,
-    /// Routing retry attempts beyond each payment's first.
+    /// Routing retry attempts actually made beyond each payment's first
+    /// (polls the engine proved would lock nothing are not attempts —
+    /// see `SimReport::retries`).
     pub retries: u64,
     /// Mean completion time (s), when any payment completed.
     pub avg_completion_s: Option<f64>,

@@ -75,7 +75,9 @@ pub struct DropRecord {
     pub bal_fwd_drops: u64,
     /// The failing channel's backward-direction balance at failure.
     pub bal_rev_drops: u64,
-    /// Route attempts the payment had made when the unit died.
+    /// Route attempts the payment had actually made when the unit died
+    /// (polls at which the engine proved an attempt would lock nothing
+    /// and skipped it are not counted).
     pub retries: u32,
     /// Why the unit died.
     pub reason: DropReason,

@@ -73,6 +73,17 @@ impl Router for ShortestPath {
         false
     }
 
+    /// With no cooldown and no breaker on record, `route` is the pair's
+    /// one cached path for the whole remainder, and only a topology
+    /// callback can change that path — so the engine may skip retries
+    /// that provably lock nothing. The first fault or shed strike
+    /// arrives through a callback (which ends the promise already given)
+    /// and leaves a table non-empty, after which failover may pick a
+    /// different path from poll to poll: no promise from then on.
+    fn pins_single_path(&self) -> bool {
+        self.penalties.is_empty() && self.breakers.is_empty()
+    }
+
     fn name(&self) -> &'static str {
         "shortest-path"
     }

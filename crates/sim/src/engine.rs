@@ -9,7 +9,22 @@
 //!   deadline has passed in the meantime, the sender withholds the key and
 //!   the hops are refunded instead (§4.1's non-atomic cancellation).
 //! * **Poll** — every `poll_interval`, incomplete non-atomic payments are
-//!   re-attempted in scheduling-policy order (SRPT by default).
+//!   re-attempted in scheduling-policy order (SRPT by default) — except
+//!   those whose attempt provably locks nothing. When the router pinned
+//!   the payment to one path ([`Router::pins_single_path`]) and some hop
+//!   of that path has less available than the smallest chunk of the
+//!   payment's remainder, every chunk fails at that hop and the failed
+//!   lock rolls back the hops before it: the attempt would leave
+//!   balances, payments and the calendar untouched, so it is skipped.
+//!   Attempts within one poll only *lower* availability, so "blocked
+//!   when tested" implies "blocked at its turn": the test runs over the
+//!   whole queue before the sort (only survivors are sorted, and they
+//!   keep the relative policy order they had among all pending
+//!   payments) and once more at each survivor's turn. A pin is
+//!   forgotten the moment the router receives any callback, and
+//!   balances are read at poll time, so no credit site (settle, refund,
+//!   deposit, resize, reopen) needs a hook. `retries`, `units_failed`
+//!   and `RouteRequest::attempt` therefore count attempts actually made.
 //!
 //! Ties in event time are broken by insertion sequence, so runs are fully
 //! deterministic.
@@ -100,6 +115,18 @@ impl PaymentState {
     fn active(&self) -> bool {
         !self.completed && !self.expired && !self.unassigned().is_zero()
     }
+}
+
+/// One slot of the lockstep retry queue.
+#[derive(Debug, Clone, Copy)]
+struct PendingEntry {
+    payment: usize,
+    /// The path the payment's last attempt was pinned to: the router
+    /// promised [`Router::pins_single_path`] and proposed exactly this
+    /// path for the whole remainder. While it stands, a poll skips the
+    /// payment if the path cannot carry its smallest chunk. `None` when
+    /// no promise was given, or since the router's last callback.
+    pinned: Option<PathId>,
 }
 
 #[derive(Debug)]
@@ -320,7 +347,9 @@ pub struct Simulation {
     /// Next reserved arrival sequence number (see [`RUNTIME_SEQ_BASE`]).
     arrival_seq: u64,
     payments: Vec<PaymentState>,
-    pending: Vec<usize>,
+    /// Incomplete non-atomic payments awaiting the next poll, in the
+    /// order they joined.
+    pending: Vec<PendingEntry>,
     /// `in_pending[pid]` ⇔ `pid ∈ pending` — O(1) membership for the
     /// drop/failback paths that re-queue payments.
     in_pending: Vec<bool>,
@@ -418,8 +447,9 @@ pub struct Simulation {
     router_observes: bool,
     /// Reusable released-direction worklist for `drain`/drop cascades.
     drain_scratch: VecDeque<(ChannelId, Direction)>,
-    /// Reusable hit list for indexed churn closes.
-    close_scratch: Vec<u32>,
+    /// Reusable id list: the hit list of an indexed churn close, or the
+    /// positions in `pending` a poll re-offers.
+    id_scratch: Vec<u32>,
     events_scheduled: u64,
     events_executed: u64,
     live_events: usize,
@@ -521,7 +551,7 @@ impl Simulation {
             monitor,
             router_observes: true,
             drain_scratch: VecDeque::new(),
-            close_scratch: Vec::new(),
+            id_scratch: Vec::new(),
             events_scheduled: 0,
             events_executed: 0,
             live_events: 0,
@@ -1220,10 +1250,10 @@ impl Simulation {
         if policing && !self.admit_payment(pid) {
             return;
         }
-        self.attempt_payment(pid);
+        let pinned = self.attempt_payment(pid);
         // Queue the remainder for retries (non-atomic only).
         if !self.router.atomic() && self.payments[pid].active() {
-            self.pending_push(pid);
+            self.pending_push(pid, pinned);
         }
     }
 
@@ -1268,22 +1298,57 @@ impl Simulation {
     }
 
     /// Appends `pid` to the pending retry queue unless already present.
-    fn pending_push(&mut self, pid: usize) {
+    fn pending_push(&mut self, pid: usize, pinned: Option<PathId>) {
         if !self.in_pending[pid] {
             self.in_pending[pid] = true;
-            self.pending.push(pid);
+            self.pending.push(PendingEntry {
+                payment: pid,
+                pinned,
+            });
         }
     }
 
+    /// Forgets every pinned path. Called wherever lockstep mode hands
+    /// the router a callback that ends its [`Router::pins_single_path`]
+    /// promise (fault and griefing outcomes, topology updates — rare, so
+    /// a sweep is fine). Queueing mode never pins, so its outcome and
+    /// ack sites need no sweep.
+    fn forget_pins(&mut self) {
+        for e in &mut self.pending {
+            e.pinned = None;
+        }
+    }
+
+    /// True when re-offering the payment would provably lock nothing: it
+    /// is pinned to a path some hop of which cannot carry even the
+    /// smallest chunk of what is unassigned (a closed hop has nothing
+    /// available).
+    fn locks_nothing(&self, e: PendingEntry) -> bool {
+        let Some(path) = e.pinned else {
+            return false;
+        };
+        let least = self.payments[e.payment]
+            .unassigned()
+            .smallest_mtu_chunk(self.config.mtu);
+        self.paths.map_entry(path, |entry| {
+            entry
+                .hops()
+                .iter()
+                .any(|&(c, dir)| self.channels[c.index()].available(dir) < least)
+        })
+    }
+
     /// One routing attempt for the payment's currently unassigned amount.
-    fn attempt_payment(&mut self, pid: usize) {
+    /// Returns the path the attempt was pinned to, if the router promised
+    /// one (see [`PendingEntry::pinned`]).
+    fn attempt_payment(&mut self, pid: usize) -> Option<PathId> {
         let p = &self.payments[pid];
         if p.completed || p.expired {
-            return;
+            return None;
         }
         let unassigned = p.unassigned();
         if unassigned.is_zero() {
-            return;
+            return None;
         }
         let req = RouteRequest {
             payment: PaymentId(pid as u64),
@@ -1319,12 +1384,24 @@ impl Simulation {
         }
         if self.hop_by_hop() {
             self.inject_proposals(pid, proposals, unassigned);
-            return;
+            return None;
         }
+        // A router that observes lock outcomes gets a callback from this
+        // very attempt, which ends any promise before it could be used.
+        let pinned = match proposals.as_slice() {
+            &[only]
+                if only.amount == unassigned
+                    && !self.router_observes
+                    && self.router.pins_single_path() =>
+            {
+                Some(only.path)
+            }
+            _ => None,
+        };
         let atomic = self.router.atomic();
         let mut budget = unassigned;
         // Units locked in this attempt: (amount, path, settle event id),
-        // kept for atomic rollback.
+        // kept for atomic rollback only.
         let mut locked_units: Vec<(Amount, PathId, usize)> = Vec::new();
         let mut aborted = false;
 
@@ -1346,7 +1423,9 @@ impl Simulation {
             while let Some(unit) = chunks.next() {
                 match self.try_lock_unit(pid, unit, prop.path) {
                     Some(event_id) => {
-                        locked_units.push((unit, prop.path, event_id));
+                        if atomic {
+                            locked_units.push((unit, prop.path, event_id));
+                        }
                         budget -= unit;
                     }
                     None if atomic => {
@@ -1386,6 +1465,7 @@ impl Simulation {
             }
             self.payments[pid].expired = true;
         }
+        pinned
     }
 
     /// Attempts to lock one unit along the path; on success schedules its
@@ -1540,8 +1620,9 @@ impl Simulation {
                 now: self.now,
             };
             self.router.on_unit_outcome(&outcome, &view);
+            self.forget_pins();
             if !self.router.atomic() && self.payments[pid].active() {
-                self.pending_push(pid);
+                self.pending_push(pid, None);
             }
             return;
         }
@@ -1581,8 +1662,9 @@ impl Simulation {
                     now: self.now,
                 };
                 self.router.on_unit_outcome(&outcome, &view);
+                self.forget_pins();
                 if !self.router.atomic() && self.payments[pid].active() {
-                    self.pending_push(pid);
+                    self.pending_push(pid, None);
                 }
                 return;
             }
@@ -2255,7 +2337,7 @@ impl Simulation {
         // make sure the pending queue will retry it (the payment may have
         // been fully in flight and therefore absent from the queue).
         if self.payments[pid].active() {
-            self.pending_push(pid);
+            self.pending_push(pid, None);
         }
         self.retire_unit(uid);
     }
@@ -2372,7 +2454,7 @@ impl Simulation {
         let t0 = self.profiler.start();
         // Expire overdue payments and drop finished ones from the queue.
         let now = self.now;
-        for &pid in &self.pending {
+        for &PendingEntry { payment: pid, .. } in &self.pending {
             let p = &mut self.payments[pid];
             if !p.completed && now > p.deadline && !p.unassigned().is_zero() {
                 p.expired = true;
@@ -2388,38 +2470,62 @@ impl Simulation {
             }
         }
         self.pending_retain_active();
+        // Re-offer only payments whose attempt can lock something: one
+        // pinned to a path that cannot carry its smallest chunk is
+        // skipped (see the module docs for why that is exact).
+        let mut order = std::mem::take(&mut self.id_scratch);
+        order.clear();
+        for (i, &e) in self.pending.iter().enumerate() {
+            if !self.locks_nothing(e) {
+                order.push(i as u32);
+            }
+        }
         // Scheduling order: each policy's comparator is a strict total
         // order (index tie-break), so the unstable key sorts below yield
         // exactly the order the old dynamic comparator produced — without
-        // re-matching the policy on every comparison.
+        // re-matching the policy on every comparison — and sorting the
+        // survivors alone leaves them in the order a sort of the whole
+        // queue would.
         let payments = &self.payments;
-        let pending = &mut self.pending;
+        let pending = &self.pending;
+        let at = |&i: &u32| {
+            let pid = pending[i as usize].payment;
+            (&payments[pid], pid)
+        };
         match self.config.scheduling {
-            SchedulingPolicy::Srpt => pending.sort_unstable_by_key(|&pid| {
-                let p = &payments[pid];
+            SchedulingPolicy::Srpt => order.sort_unstable_by_key(|i| {
+                let (p, pid) = at(i);
                 (p.unassigned(), p.arrival, pid)
             }),
-            SchedulingPolicy::Fifo => {
-                pending.sort_unstable_by_key(|&pid| (payments[pid].arrival, pid))
-            }
-            SchedulingPolicy::Lifo => {
-                pending.sort_unstable_by_key(|&pid| (Reverse(payments[pid].arrival), pid))
-            }
-            SchedulingPolicy::EarliestDeadline => {
-                pending.sort_unstable_by_key(|&pid| (payments[pid].deadline, pid))
-            }
-            SchedulingPolicy::LargestRemaining => pending.sort_unstable_by_key(|&pid| {
-                let p = &payments[pid];
+            SchedulingPolicy::Fifo => order.sort_unstable_by_key(|i| {
+                let (p, pid) = at(i);
+                (p.arrival, pid)
+            }),
+            SchedulingPolicy::Lifo => order.sort_unstable_by_key(|i| {
+                let (p, pid) = at(i);
+                (Reverse(p.arrival), pid)
+            }),
+            SchedulingPolicy::EarliestDeadline => order.sort_unstable_by_key(|i| {
+                let (p, pid) = at(i);
+                (p.deadline, pid)
+            }),
+            SchedulingPolicy::LargestRemaining => order.sort_unstable_by_key(|i| {
+                let (p, pid) = at(i);
                 (Reverse(p.unassigned()), p.arrival, pid)
             }),
         }
-        let order: Vec<usize> = self.pending.clone();
-        for pid in order {
-            if self.payments[pid].active() {
+        // Attempts only append to `pending` (queueing-mode drops may
+        // re-queue a payment), so the positions stay valid.
+        for &i in &order {
+            let e = self.pending[i as usize];
+            // Tested again at its turn: an earlier attempt of this poll
+            // may have taken what the scan saw.
+            if self.payments[e.payment].active() && !self.locks_nothing(e) {
                 self.metrics.retry();
-                self.attempt_payment(pid);
+                self.pending[i as usize].pinned = self.attempt_payment(e.payment);
             }
         }
+        self.id_scratch = order;
         self.pending_retain_active();
         self.profiler.stop(Phase::Routing, t0);
     }
@@ -2479,10 +2585,10 @@ impl Simulation {
     fn pending_retain_active(&mut self) {
         let payments = &self.payments;
         let in_pending = &mut self.in_pending;
-        self.pending.retain(|&pid| {
-            let keep = payments[pid].active();
+        self.pending.retain(|e| {
+            let keep = payments[e.payment].active();
             if !keep {
-                in_pending[pid] = false;
+                in_pending[e.payment] = false;
             }
             keep
         });
@@ -2563,6 +2669,7 @@ impl Simulation {
             now: self.now,
         };
         self.router.on_topology_change(&update, &view);
+        self.forget_pins();
     }
 
     /// Applies one [`TopologyChange`], recording what actually toggled in
@@ -2645,7 +2752,7 @@ impl Simulation {
             // Only this channel's in-flight units, from the per-channel
             // index — ascending slab order, exactly the order the old
             // full-slab scan dropped them in.
-            let mut hit = std::mem::take(&mut self.close_scratch);
+            let mut hit = std::mem::take(&mut self.id_scratch);
             {
                 let units = &self.units;
                 let gens = &self.unit_gen;
@@ -2664,12 +2771,12 @@ impl Simulation {
                 }
                 self.drop_unit(uid, DropReason::ChannelClosed);
             }
-            self.close_scratch = hit;
+            self.id_scratch = hit;
         } else {
             let atomic = self.router.atomic();
             // Only this channel's pending settles (index entries are
             // generation-checked, so recycled slots cannot alias).
-            let mut hit = std::mem::take(&mut self.close_scratch);
+            let mut hit = std::mem::take(&mut self.id_scratch);
             {
                 let store = &self.event_store;
                 let gens = &self.event_gen;
@@ -2713,10 +2820,10 @@ impl Simulation {
                     // All-or-nothing schemes cannot partially retry.
                     self.payments[payment].expired = true;
                 } else if self.payments[payment].active() {
-                    self.pending_push(payment);
+                    self.pending_push(payment, None);
                 }
             }
-            self.close_scratch = hit;
+            self.id_scratch = hit;
         }
     }
 
@@ -2866,19 +2973,23 @@ mod tests {
         }
     }
 
+    fn new_sim(
+        topo: Topology,
+        txns: Vec<TxnSpec>,
+        router: Box<dyn Router>,
+        config: SimConfig,
+    ) -> Simulation {
+        Simulation::new(topo, Workload { txns }, router, config)
+            .expect("test topology and config are valid")
+    }
+
     fn run_sim(
         topo: Topology,
         txns: Vec<TxnSpec>,
         atomic: bool,
         config: SimConfig,
     ) -> (SimReport, Simulation) {
-        let mut sim = Simulation::new(
-            topo,
-            Workload { txns },
-            Box::new(DirectRouter { atomic }),
-            config,
-        )
-        .expect("test topology and config are valid");
+        let mut sim = new_sim(topo, txns, Box::new(DirectRouter { atomic }), config);
         let report = sim.run();
         sim.check_conservation();
         (report, sim)
@@ -2990,6 +3101,186 @@ mod tests {
         let (r, _) = run_sim(t, txns, false, cfg);
         assert_eq!(r.completed_payments, 3);
         assert!(r.retries > 0);
+    }
+
+    /// [`DirectRouter`] (non-atomic) that also gives the
+    /// `pins_single_path` promise — until its first fault outcome, after
+    /// which it withdraws it for good, as `ShortestPath` does.
+    #[derive(Default)]
+    struct PinningRouter {
+        faulted: bool,
+    }
+
+    impl Router for PinningRouter {
+        fn name(&self) -> &'static str {
+            "pinning-test"
+        }
+        fn route(
+            &mut self,
+            req: &RouteRequest,
+            view: &NetworkView<'_>,
+        ) -> Vec<crate::router::RouteProposal> {
+            DirectRouter { atomic: false }.route(req, view)
+        }
+        fn observes_unit_outcomes(&self) -> bool {
+            false
+        }
+        fn on_unit_outcome(&mut self, outcome: &UnitOutcome, _view: &NetworkView<'_>) {
+            self.faulted |= outcome.fault.is_some();
+        }
+        fn pins_single_path(&self) -> bool {
+            !self.faulted
+        }
+    }
+
+    fn pinned_sim(topo: Topology, txns: Vec<TxnSpec>, config: SimConfig) -> Simulation {
+        new_sim(topo, txns, Box::new(PinningRouter::default()), config)
+    }
+
+    fn run_pinned(topo: Topology, txns: Vec<TxnSpec>, config: SimConfig) -> SimReport {
+        let mut sim = pinned_sim(topo, txns, config);
+        let report = sim.run();
+        sim.check_conservation();
+        report
+    }
+
+    #[test]
+    fn blocked_payment_is_not_retried_until_opposing_flow_refills_its_hop() {
+        // As `pending_queue_retries_after_refill`, with a pinning router:
+        // the queued payment sits out every poll while 0→1 is empty and
+        // is re-offered exactly once, after the 1→0 payment settles.
+        let mut cfg = base_config();
+        cfg.mtu = xrp(1);
+        cfg.deadline = Some(spider_types::SimDuration::from_secs(10));
+        let txns = vec![
+            txn(0, 0, 1, xrp(5)),    // drains forward side
+            txn(100, 0, 1, xrp(3)),  // queued: nothing available
+            txn(2000, 1, 0, xrp(4)), // settles at 2500: forward side has 4
+        ];
+        let r = run_pinned(gen::line(2, xrp(10)), txns.clone(), cfg.clone());
+        assert_eq!(r.completed_payments, 3);
+        assert_eq!(r.retries, 1);
+        // Only the arrival attempt failed: 3 one-XRP chunks.
+        assert_eq!(r.units_failed, 3);
+        // The same run without the promise polls 24 times before the
+        // refill and fails 3 chunks each time; the outcome is the same.
+        let (polled, _) = run_sim(gen::line(2, xrp(10)), txns, false, cfg);
+        assert_eq!(polled.retries, 25);
+        assert_eq!(polled.units_failed, 3 * 25);
+        assert_eq!(polled.completed_payments, r.completed_payments);
+        assert_eq!(polled.delivered_volume, r.delivered_volume);
+        assert_eq!(polled.units_locked, r.units_locked);
+    }
+
+    #[test]
+    fn skip_tests_the_smallest_chunk_not_the_mtu() {
+        // remaining = 45, MTU = 20: chunks 20, 20, 5. A bottleneck of 7
+        // fails both full chunks but carries the 5, so the payment must
+        // be re-offered; what is left (40) then needs a full 20.
+        let mut cfg = base_config();
+        cfg.mtu = xrp(20);
+        cfg.deadline = None;
+        let txns = vec![
+            txn(0, 0, 1, xrp(10)),   // drains forward side (10 of 20)
+            txn(100, 0, 1, xrp(45)), // queued whole: 3 failed chunks
+            txn(1000, 1, 0, xrp(7)), // settles at 1500: forward side has 7
+        ];
+        let r = run_pinned(gen::line(2, xrp(20)), txns, cfg);
+        assert_eq!(r.retries, 1);
+        assert_eq!(r.units_failed, 3 + 2);
+        assert_eq!(r.delivered_volume, xrp(10 + 7 + 5));
+    }
+
+    #[test]
+    fn skip_boundary_is_strictly_below_the_chunk() {
+        // remaining = 40, MTU = 20: a bottleneck of 19 is skipped at
+        // every poll, a bottleneck of exactly 20 is not.
+        let mut cfg = base_config();
+        cfg.mtu = xrp(20);
+        cfg.deadline = None;
+        let txns = vec![
+            txn(0, 0, 1, xrp(20)),    // drains forward side (20 of 40)
+            txn(100, 0, 1, xrp(40)),  // queued whole: 2 failed chunks
+            txn(1000, 1, 0, xrp(19)), // settles at 1500: forward side has 19
+            txn(3000, 1, 0, xrp(1)),  // settles at 3500: forward side has 20
+        ];
+        let r = run_pinned(gen::line(2, xrp(40)), txns, cfg);
+        // One re-offer, after 3500: locks one 20, fails the other.
+        assert_eq!(r.retries, 1);
+        assert_eq!(r.units_failed, 2 + 1);
+        assert_eq!(r.delivered_volume, xrp(20 + 19 + 1 + 20));
+    }
+
+    #[test]
+    fn closed_hop_counts_as_empty_and_reopening_lets_the_next_poll_through() {
+        // The channel is closed when the payment arrives, with 5 XRP
+        // frozen on the sender's side: availability, not the frozen
+        // balance, is what the skip reads. The reopen is a topology
+        // callback, which forgets the pin.
+        let at = |ms: u64| SimTime::from_micros(ms * 1000);
+        let channel = ChannelId(0);
+        let mut sim = pinned_sim(
+            gen::line(2, xrp(10)),
+            vec![txn(100, 0, 1, xrp(3))],
+            base_config(),
+        );
+        sim.set_topology_events(vec![
+            TopologyEvent {
+                at: at(50),
+                change: TopologyChange::ChannelClose { channel },
+            },
+            TopologyEvent {
+                at: at(2000),
+                change: TopologyChange::ChannelOpen { channel },
+            },
+        ]);
+        let r = sim.run();
+        sim.check_conservation();
+        assert_eq!(r.completed_payments, 1);
+        assert_eq!(r.retries, 1);
+    }
+
+    #[test]
+    fn payment_whose_own_unit_a_fault_refunds_is_reoffered_at_the_next_poll() {
+        // 0→1→2 carries 5: an 8 XRP payment locks 5, fails 3 and is
+        // pinned behind an empty path. Node 1 is down when the 5 would
+        // settle (500 ms), so the unit is refunded: `unassigned` grows
+        // to 8, the router hears of the fault and withdraws its promise,
+        // and the poll at 500 ms locks the 5 again. From then on the
+        // router pins nothing and every poll re-offers the remainder.
+        let at = |ms: u64| SimTime::from_micros(ms * 1000);
+        let mut cfg = base_config();
+        cfg.mtu = xrp(5);
+        cfg.horizon = spider_types::SimDuration::from_secs(1);
+        let mut sim = pinned_sim(gen::line(3, xrp(10)), vec![txn(0, 0, 2, xrp(8))], cfg);
+        sim.set_fault_plan(FaultPlan {
+            message_loss: vec![0.0; 2],
+            ack_loss_prob: 0.0,
+            stuck_prob: 0.0,
+            jitter_range_ms: None,
+            spike_prob: 0.0,
+            spike_ms: 0.0,
+            hop_timeout: spider_types::SimDuration::from_secs(1),
+            events: vec![
+                spider_faults::FaultEvent {
+                    at: at(400),
+                    change: FaultChange::NodeCrash { node: NodeId(1) },
+                },
+                spider_faults::FaultEvent {
+                    at: at(600),
+                    change: FaultChange::NodeRecover { node: NodeId(1) },
+                },
+            ],
+            runtime_seed: 1,
+        });
+        let r = sim.run();
+        sim.check_conservation();
+        assert_eq!(r.faults_injected, 1);
+        assert_eq!(r.units_locked, 2);
+        // Polls at 100–400 ms skip; 500 ms re-offers and locks; 600 ms
+        // to 1 s re-offer the unpinned 3 XRP remainder in vain.
+        assert_eq!(r.retries, 6);
+        assert_eq!(r.delivered_volume, xrp(5));
     }
 
     #[test]

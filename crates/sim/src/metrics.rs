@@ -103,9 +103,16 @@ pub struct SimReport {
     pub admission_deferred: u64,
     /// Transaction units whose path lock succeeded.
     pub units_locked: u64,
-    /// Transaction units that failed to lock (insufficient balance).
+    /// Transaction units that failed to lock (insufficient balance) in
+    /// attempts actually made — see [`SimReport::retries`].
     pub units_failed: u64,
-    /// Total retries (payment re-attempts from the pending queue).
+    /// Re-attempts actually made from the pending queue. A poll does not
+    /// re-offer a payment whose router pinned it to one path
+    /// ([`Router::pins_single_path`](crate::Router::pins_single_path))
+    /// while that path cannot carry the payment's smallest chunk: the
+    /// attempt would lock nothing, so neither it nor its failed units
+    /// are counted. Outcomes are unaffected; this counter and
+    /// `units_failed` measure work done, not polls elapsed.
     pub retries: u64,
     /// Sum of hop counts over all locked units (for average path length).
     pub unit_hops_sum: u64,

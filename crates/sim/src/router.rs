@@ -97,7 +97,9 @@ pub struct RouteRequest {
     /// Maximum transaction-unit size; proposals larger than this are split
     /// by the engine.
     pub mtu: Amount,
-    /// Number of times this payment has been (re)attempted.
+    /// Number of attempts actually made for this payment before this
+    /// one (polls at which the engine proved the attempt would lock
+    /// nothing — see [`Router::pins_single_path`] — are not attempts).
     pub attempt: u32,
 }
 
@@ -271,6 +273,30 @@ pub trait Router {
     /// themselves).
     fn observes_unit_outcomes(&self) -> bool {
         true
+    }
+
+    /// The promise lockstep retry elision rests on: *until the next
+    /// [`Router::on_unit_outcome`], [`Router::on_unit_ack`] or
+    /// [`Router::on_topology_change`] this router receives,
+    /// [`Router::route`] answers every request of a `(src, dst)` pair
+    /// with the same single path for the whole `remaining`, whatever the
+    /// balances.* When the promise holds and an attempt proposed exactly
+    /// `[(path, remaining)]`, the engine remembers `path` and, at later
+    /// polls, does not re-offer the payment while some hop of it has
+    /// less available than the smallest chunk the attempt would try to
+    /// lock — that attempt would lock nothing (see the engine's `Poll`
+    /// docs for why this is exact).
+    ///
+    /// Only a scheme whose proposal is a function of the pair alone may
+    /// give it: for multi-path or balance-reading schemes (waterfilling,
+    /// pricing, LP, max-flow) a balance *decrease* elsewhere can change
+    /// the proposal, so "nothing on the old path rose" proves nothing.
+    /// Wrappers must **not** forward it unless they are stateless —
+    /// a window, a price or a retry counter that shapes the proposal
+    /// breaks the promise even when the inner scheme keeps it. Default:
+    /// `false` — the payment is re-offered at every poll.
+    fn pins_single_path(&self) -> bool {
+        false
     }
 
     /// Acknowledgement hook for the §5 queueing mode: called exactly once

@@ -160,6 +160,19 @@ impl Amount {
         }
     }
 
+    /// The smallest chunk [`Amount::mtu_chunks`] yields for this (non-zero)
+    /// amount: the final partial unit when `mtu` does not divide it, else
+    /// `mtu` itself. A path that cannot carry this much cannot carry any
+    /// chunk of the amount. Panics if `mtu` is zero.
+    #[inline]
+    pub fn smallest_mtu_chunk(self, mtu: Amount) -> Amount {
+        assert!(!mtu.is_zero(), "MTU must be positive");
+        match self.0 % mtu.0 {
+            0 => mtu,
+            partial => Amount(partial),
+        }
+    }
+
     /// Converts to a signed amount. Panics if the value exceeds `i64::MAX`
     /// drops (≈ 9.2 trillion XRP — far beyond any simulated economy).
     #[inline]
@@ -444,6 +457,23 @@ mod tests {
             let iter: Vec<Amount> = total.mtu_chunks(mtu).collect();
             assert_eq!(iter, total.split_mtu(mtu));
             assert_eq!(total.mtu_chunks(mtu).len(), iter.len());
+        }
+    }
+
+    #[test]
+    fn smallest_mtu_chunk_is_the_minimum_over_mtu_chunks() {
+        for (total, mtu) in [
+            (Amount::from_xrp(45), Amount::from_xrp(20)),
+            (Amount::from_xrp(40), Amount::from_xrp(20)),
+            (Amount::from_drops(10_500_000), Amount::from_xrp(3)),
+            (Amount::from_drops(1), Amount::from_xrp(10)),
+            (Amount::from_xrp(10), Amount::from_xrp(10)),
+        ] {
+            assert_eq!(
+                Some(total.smallest_mtu_chunk(mtu)),
+                total.mtu_chunks(mtu).min(),
+                "{total} at MTU {mtu}"
+            );
         }
     }
 

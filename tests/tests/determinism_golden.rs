@@ -6,6 +6,17 @@
 //! observable outcomes: it changes how fast decisions are computed, never
 //! which decisions are made. Any drift in these numbers means a semantic
 //! change snuck into the refactor.
+//!
+//! Two columns of the three `ShortestPath` rows are *not* the
+//! pre-refactor values: `units_failed` and `retries` count work actually
+//! done, and the engine no longer re-offers a pending payment whose
+//! pinned path cannot carry its smallest chunk (`Router::pins_single_path`
+//! — such an attempt locks nothing, so skipping it changes no balance, no
+//! payment and no event). ISP seed 7 went 166,992 → 10,395 failed units
+//! and 7,628 → 427 retries; seed 23 228,159 → 13,410 and 10,377 → 538;
+//! Ripple-like seed 13 1,266,798 → 53,935 and 33,942 → 518. Every other
+//! column of those rows, and every column of every other row (no other
+//! scheme gives the promise), is the value originally recorded.
 
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_sim::{SimConfig, SizeDistribution, WorkloadConfig};
@@ -80,8 +91,8 @@ fn shortest_path_outcomes_match_pre_refactor_goldens() {
                 completed: 1271,
                 delivered_drops: 192_064_151_469,
                 units_locked: 19_900,
-                units_failed: 166_992,
-                retries: 7_628,
+                units_failed: 10_395,
+                retries: 427,
                 units_acked: 0,
                 units_marked: 0,
                 units_dropped: 0,
@@ -92,8 +103,8 @@ fn shortest_path_outcomes_match_pre_refactor_goldens() {
                 completed: 1210,
                 delivered_drops: 179_990_858_251,
                 units_locked: 18_695,
-                units_failed: 228_159,
-                retries: 10_377,
+                units_failed: 13_410,
+                retries: 538,
                 units_acked: 0,
                 units_marked: 0,
                 units_dropped: 0,
@@ -209,8 +220,8 @@ fn ripple_like_outcomes_match_recorded_goldens() {
                 completed: 925,
                 delivered_drops: 253_841_755_436,
                 units_locked: 26_312,
-                units_failed: 1_266_798,
-                retries: 33_942,
+                units_failed: 53_935,
+                retries: 518,
                 units_acked: 0,
                 units_marked: 0,
                 units_dropped: 0,
