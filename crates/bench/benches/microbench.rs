@@ -355,34 +355,6 @@ fn bench_channel_index_close(c: &mut Criterion) {
     g.finish();
 }
 
-/// Churn cache invalidation: the reverse channel→pairs index vs scanning
-/// every cached pair's candidate hops (what `on_topology_change` did
-/// before the index).
-fn bench_cache_invalidation(c: &mut Criterion) {
-    use spider_routing::{PathCache, PathPolicy};
-    use spider_sim::PathTable;
-    let topo = gen::isp_topology(Amount::from_xrp(30_000));
-    let table = PathTable::new();
-    let mut cache = PathCache::new(PathPolicy::EdgeDisjoint(4));
-    let pairs: Vec<(NodeId, NodeId)> = (0..32u32)
-        .flat_map(|s| {
-            (0..32u32)
-                .filter(move |&d| d != s)
-                .map(move |d| (NodeId(s), NodeId(d)))
-        })
-        .collect();
-    cache.prefill(&topo, &table, &pairs);
-    let closed = [spider_types::ChannelId(11)];
-    let mut g = c.benchmark_group("cache-invalidation");
-    g.bench_function("reverse_index", |b| {
-        b.iter(|| black_box(cache.pairs_traversing(&topo, &table, black_box(&closed))))
-    });
-    g.bench_function("full_cache_scan", |b| {
-        b.iter(|| black_box(cache.pairs_traversing_scan(&table, black_box(&closed))))
-    });
-    g.finish();
-}
-
 /// Trace-event record cost, backing the "zero-cost when disabled" claim:
 /// `enabled` records into a live sink through the engine's
 /// `Option<TraceSink>` pattern; `disabled` takes the identical loop with
@@ -458,7 +430,6 @@ criterion_group!(
     bench_path_bottleneck,
     bench_calendar,
     bench_channel_index_close,
-    bench_cache_invalidation,
     bench_trace_record,
     bench_engine_step,
     bench_end_to_end

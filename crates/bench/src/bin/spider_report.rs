@@ -16,7 +16,7 @@
 //! Each record is reduced to a [`RunRecord`]: deterministic outcome
 //! fields (payments, units, drops, latency percentiles, the per-reason
 //! drop breakdown) become *gated* metrics, wall-clock-dependent fields
-//! (wall seconds, rates, speedups, profile phase timings) become
+//! (wall seconds, rates, profile phase timings) become
 //! *informational*, and hotspot attribution collapses to its channel-id
 //! set. The diff prints one line per finding (`GATE …` / `info …`) and
 //! exits:
@@ -63,14 +63,7 @@ const GATED: &[&str] = &[
 ];
 
 /// Wall-clock-dependent fields: reported when they drift, never gating.
-const INFO: &[&str] = &[
-    "wall_seconds",
-    "events_per_sec",
-    "units_per_sec",
-    "baseline_wall_seconds",
-    "baseline_events_per_sec",
-    "speedup",
-];
+const INFO: &[&str] = &["wall_seconds", "events_per_sec", "units_per_sec"];
 
 /// Deterministic `FigureRow` outcome fields (JSONL artifacts).
 const ROW_GATED: &[&str] = &[

@@ -14,8 +14,7 @@
 //! | `ablation_packet_switching` | §6.2 — packet switching + SRPT vs atomic delivery |
 //! | `fig8_queue_protocol` | §5 protocol under queueing vs transport baselines |
 //! | `fig10_queue_dynamics` | Fig. 10 — per-channel queue depths over time |
-//! | `engine_throughput` | engine events/sec vs the pre-refactor baseline |
-//! | `pathfill_throughput` | batched candidate prefill vs the lazy per-pair fill |
+//! | `engine_throughput` | engine events/sec on a fixed grid; CI's quick-grid outcome gate |
 //!
 //! Every binary accepts `--full` (paper-scale parameters — slower),
 //! `--seed N`, and `--out DIR` (write CSV + JSON-lines there). Defaults are

@@ -177,123 +177,63 @@ impl ExperimentConfig {
         sim
     }
 
-    /// Runs the experiment end to end: build topology, generate workload,
-    /// estimate the demand matrix (for Spider (LP)), instantiate the
-    /// scheme, simulate, and verify fund conservation.
+    /// Builds the ready-to-run [`Simulation`]: topology, workload, demand
+    /// matrix (estimated before the overload transform — the offline
+    /// schemes plan for normal traffic; the attack is a surprise), router,
+    /// and the churn / fault / overload plans installed. Every plan draws
+    /// from its own fork of the experiment RNG, so none perturbs another's
+    /// draws.
+    ///
+    /// `router: None` instantiates [`ExperimentConfig::scheme`] from the
+    /// registry and runs it under [`ExperimentConfig::effective_sim`];
+    /// `Some` runs a caller-built router (a scheme outside the registry,
+    /// e.g. the AIMD [`Windowed`](crate::congestion::Windowed) wrapper)
+    /// under `self.sim` verbatim, ignoring the `scheme` field.
     ///
     /// Simulations start with warm candidate caches: the engine hands the
     /// workload's distinct (src, dst) pairs to
     /// [`Router::prewarm`](spider_sim::Router::prewarm), and the
     /// source-routed schemes batch-fill their per-pair path sets through
-    /// `spider_routing::PathCache::prefill` instead of paying k BFS
-    /// traversals per pair on the routing hot path (see
-    /// `BENCH_pathfill.json`).
-    pub fn run(&self) -> Result<SimReport> {
+    /// `spider_routing::PathCache::prefill`.
+    pub fn simulation(&self, router: Option<Box<dyn spider_sim::Router>>) -> Result<Simulation> {
         let rng = DetRng::new(self.seed);
         let topo = self.topology.build(&rng)?;
         let mut wrng = rng.fork("workload");
         let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let demands = demand_graph(&workload, topo.node_count());
+        let (router, sim_cfg) = match router {
+            Some(router) => (router, self.sim.clone()),
+            None => {
+                let demands = demand_graph(&workload, topo.node_count());
+                let delta = self.sim.confirmation_delay.as_secs_f64();
+                (
+                    self.scheme.build(&topo, &demands, delta),
+                    self.effective_sim(),
+                )
+            }
+        };
         let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let router = self
-            .scheme
-            .build(&topo, &demands, self.sim.confirmation_delay.as_secs_f64());
-        let mut sim = Simulation::new(topo, workload, router, self.effective_sim())?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        Ok(report)
-    }
-
-    /// [`ExperimentConfig::run`] with payment-lifecycle tracing forced on:
-    /// returns the report together with the sealed
-    /// [`Trace`](spider_sim::Trace) (JSONL / Chrome-renderable). The
-    /// engine run is otherwise identical — tracing records observations
-    /// without touching event order — so the report matches what
-    /// [`ExperimentConfig::run`] produces for the same seed.
-    pub fn run_traced(&self) -> Result<(SimReport, spider_sim::Trace)> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let demands = demand_graph(&workload, topo.node_count());
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let router = self
-            .scheme
-            .build(&topo, &demands, self.sim.confirmation_delay.as_secs_f64());
-        let mut cfg = self.effective_sim();
-        cfg.obs.trace = true;
-        let mut sim = Simulation::new(topo, workload, router, cfg)?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        let trace = sim.take_trace().expect("tracing was enabled");
-        Ok((report, trace))
-    }
-
-    /// [`ExperimentConfig::run`] with the drop-forensics flight recorder
-    /// forced on: returns the report together with the sealed
-    /// [`FlightRecorder`](spider_sim::FlightRecorder) holding one
-    /// structured record per dropped unit plus the exact reason×channel
-    /// root-cause table. A configured `obs.forensics_capacity` is
-    /// respected; when left at `0` (disabled) the recorder ring holds the
-    /// last 65 536 drops. Recording observes drops without touching event
-    /// order, so the report matches what [`ExperimentConfig::run`]
-    /// produces for the same seed.
-    pub fn run_forensics(&self) -> Result<(SimReport, spider_sim::FlightRecorder)> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let demands = demand_graph(&workload, topo.node_count());
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let router = self
-            .scheme
-            .build(&topo, &demands, self.sim.confirmation_delay.as_secs_f64());
-        let mut cfg = self.effective_sim();
-        if cfg.obs.forensics_capacity == 0 {
-            cfg.obs.forensics_capacity = 65_536;
-        }
-        let mut sim = Simulation::new(topo, workload, router, cfg)?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        let forensics = sim.take_forensics().expect("forensics was enabled");
-        Ok((report, forensics))
-    }
-
-    /// Generates and installs the churn schedule, when configured.
-    fn install_dynamics(&self, sim: &mut Simulation, rng: &DetRng) -> Result<()> {
+        let mut sim = Simulation::new(topo, workload, router, sim_cfg)?;
         if let Some(dyn_cfg) = &self.dynamics {
             let mut drng = rng.fork("dynamics");
             let schedule = ChurnSchedule::generate(sim.topology(), dyn_cfg, &mut drng)?;
             sim.set_topology_events(schedule.events);
         }
-        Ok(())
-    }
-
-    /// Generates and installs the fault plan, when configured. The plan
-    /// derives from the `faults` fork of the experiment RNG, so fault
-    /// schedules never perturb topology, workload or churn draws.
-    fn install_faults(&self, sim: &mut Simulation, rng: &DetRng) -> Result<()> {
         if let Some(fault_cfg) = &self.faults {
             let mut frng = rng.fork("faults");
             let plan = FaultPlan::generate(sim.topology(), fault_cfg, &mut frng)?;
             sim.set_fault_plan(plan);
         }
-        Ok(())
+        if let Some(plan) = overload {
+            sim.set_overload_plan(plan);
+        }
+        Ok(sim)
+    }
+
+    /// Runs the experiment end to end and returns the report:
+    /// [`execute`] over [`ExperimentConfig::simulation`] with the
+    /// registry scheme, artifacts dropped.
+    pub fn run(&self) -> Result<SimReport> {
+        Ok(execute(self.simulation(None)?).report)
     }
 
     /// Generates the overload plan (when configured) and applies its
@@ -302,9 +242,7 @@ impl ExperimentConfig {
     /// drain redirects rewrite (src, dst) with draws from the plan's
     /// dedicated transform stream. Returns the plan so the caller can
     /// hand it to [`Simulation::set_overload_plan`] for the runtime
-    /// (griefing) half. The plan derives from the `overload` fork of the
-    /// experiment RNG, so it never perturbs topology, workload, churn or
-    /// fault draws.
+    /// (griefing) half.
     fn apply_overload(
         &self,
         rng: &DetRng,
@@ -326,54 +264,6 @@ impl ExperimentConfig {
         Ok(Some(plan))
     }
 
-    /// Runs the experiment's topology and workload against a caller-built
-    /// router (for schemes outside the [`SchemeConfig`] registry, e.g. the
-    /// AIMD [`Windowed`](crate::congestion::Windowed) wrapper), using
-    /// `self.sim` verbatim.
-    pub fn run_with_router(&self, router: Box<dyn spider_sim::Router>) -> Result<SimReport> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let mut sim = Simulation::new(topo, workload, router, self.sim.clone())?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        Ok(report)
-    }
-
-    /// [`ExperimentConfig::run_with_router`] with payment-lifecycle tracing
-    /// force-enabled, returning the sealed [`Trace`](spider_sim::Trace)
-    /// alongside the report (the traced twin of
-    /// [`ExperimentConfig::run_traced`] for caller-built routers).
-    pub fn run_with_router_traced(
-        &self,
-        router: Box<dyn spider_sim::Router>,
-    ) -> Result<(SimReport, spider_sim::Trace)> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let mut cfg = self.sim.clone();
-        cfg.obs.trace = true;
-        let mut sim = Simulation::new(topo, workload, router, cfg)?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        let trace = sim.take_trace().expect("tracing was enabled");
-        Ok((report, trace))
-    }
-
     /// Runs several schemes on the *identical* topology and workload (same
     /// seed), in parallel, returning reports in scheme order.
     pub fn run_schemes(&self, schemes: &[SchemeConfig]) -> Result<Vec<SimReport>> {
@@ -387,6 +277,35 @@ impl ExperimentConfig {
             })
             .collect();
         run_sweep(&jobs)
+    }
+}
+
+/// What [`execute`] hands back: the report, plus each observability
+/// artifact the simulation's [`ObsConfig`](spider_sim::ObsConfig) asked
+/// for (`None` when the sink was off).
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The run's aggregate metrics.
+    pub report: SimReport,
+    /// The sealed payment-lifecycle trace (`obs.trace`).
+    pub trace: Option<spider_sim::Trace>,
+    /// The drop-forensics flight recorder (`obs.forensics_capacity > 0`).
+    pub forensics: Option<spider_sim::FlightRecorder>,
+    /// The runtime invariant monitor's report (`obs.invariants_every > 0`).
+    pub invariants: Option<spider_sim::InvariantReport>,
+}
+
+/// Runs a built simulation to its horizon, asserts per-channel fund
+/// conservation, and collects the artifacts. The sinks observe without
+/// touching event order, so the report is the same whichever are on.
+pub fn execute(mut sim: Simulation) -> RunOutput {
+    let report = sim.run();
+    sim.check_conservation();
+    RunOutput {
+        report,
+        trace: sim.take_trace(),
+        forensics: sim.take_forensics(),
+        invariants: sim.take_invariant_report(),
     }
 }
 
@@ -411,7 +330,7 @@ impl SweepJob {
     fn run(&self) -> Result<SimReport> {
         match self {
             SweepJob::Scheme(cfg) => cfg.run(),
-            SweepJob::Custom { cfg, build } => cfg.run_with_router(build()),
+            SweepJob::Custom { cfg, build } => Ok(execute(cfg.simulation(Some(build()))?).report),
         }
     }
 }
@@ -653,6 +572,57 @@ mod tests {
         .unwrap();
         assert_eq!(custom.len(), 1);
         assert_eq!(custom[0].scheme, "shortest-path");
+    }
+
+    /// Each artifact is `Some` exactly when its `sim.obs` field asked for
+    /// it, and no sink moves the report: every sink on, every sink off and
+    /// `run()` serialize identically.
+    #[test]
+    fn artifacts_follow_obs_and_never_move_the_report() -> Result<()> {
+        let base = |scheme| ExperimentConfig {
+            topology: TopologyConfig::Isp {
+                capacity_xrp: 1_000,
+            },
+            workload: WorkloadConfig::small(400, 200.0),
+            sim: quick_sim(),
+            scheme,
+            seed: 13,
+            ..ExperimentConfig::default()
+        };
+        let lockstep = base(SchemeConfig::ShortestPath);
+        // `effective_sim` switches the §5 queues on for the protocol.
+        let queueing = base(SchemeConfig::spider_protocol(4));
+        let stressed = ExperimentConfig {
+            faults: Some(FaultConfig::default().scaled(5.0)),
+            overload: Some(OverloadConfig::default()),
+            ..base(SchemeConfig::SpiderWaterfilling { paths: 4 })
+        };
+        let json = |r: &SimReport| serde_json::to_string(r).expect("report serializes");
+        for cfg in [lockstep, queueing, stressed] {
+            let name = cfg.scheme.name();
+            let want = json(&cfg.run()?);
+            // Bit i of `mask` switches sink i on: none, each alone, all.
+            for mask in [0b000, 0b001, 0b010, 0b100, 0b111] {
+                let mut observed = cfg.clone();
+                observed.sim.obs.trace = mask & 1 != 0;
+                observed.sim.obs.forensics_capacity = if mask & 2 != 0 { 512 } else { 0 };
+                observed.sim.obs.invariants_every = if mask & 4 != 0 { 64 } else { 0 };
+                let out = execute(observed.simulation(None)?);
+                assert_eq!(out.trace.is_some(), mask & 1 != 0, "{name}: trace");
+                assert_eq!(out.forensics.is_some(), mask & 2 != 0, "{name}: forensics");
+                assert_eq!(
+                    out.invariants.is_some(),
+                    mask & 4 != 0,
+                    "{name}: invariants"
+                );
+                assert_eq!(
+                    json(&out.report),
+                    want,
+                    "{name}: sinks {mask:03b} moved the report"
+                );
+            }
+        }
+        Ok(())
     }
 
     #[test]

@@ -31,5 +31,7 @@ pub mod experiment;
 pub mod output;
 pub mod scheme;
 
-pub use experiment::{run_sweep, seed_scheme_grid, ExperimentConfig, SweepJob, TopologyConfig};
+pub use experiment::{
+    execute, run_sweep, seed_scheme_grid, ExperimentConfig, RunOutput, SweepJob, TopologyConfig,
+};
 pub use scheme::{ProtocolTuning, SchemeConfig};

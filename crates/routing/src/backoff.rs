@@ -16,11 +16,63 @@
 //! circuit breaker that trips on sustained *shedding* ([`DropReason::
 //! Shed`] acks — never ordinary faults or congestion), blocks routes
 //! over the tripped channel while open, and recovers through a
-//! half-open probing window. Like the penalty table it is sparse: a run
-//! that never sheds keeps it empty, so always-on wiring cannot perturb
+//! half-open probing window. Like the penalty table it stays empty in a
+//! run that never sheds, so always-on wiring cannot perturb
 //! overload-free outcomes.
+//!
+//! Both tables are dense: one slot per `PathId` / `ChannelId` seen so
+//! far, so every routing-time query is one index, however many paths
+//! have faulted.
 
 use spider_types::{ChannelId, DropReason, PathId, SimDuration, SimTime};
+
+/// One `Option<T>` slot per dense id, plus the count of occupied slots
+/// so "no entry at all" — the fault-free fast path every query
+/// short-circuits on — stays O(1).
+#[derive(Debug)]
+struct IdTable<T> {
+    slots: Vec<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for IdTable<T> {
+    fn default() -> Self {
+        IdTable {
+            slots: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> IdTable<T> {
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    fn get(&self, id: usize) -> Option<&T> {
+        self.slots.get(id)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: usize) -> Option<&mut T> {
+        self.slots.get_mut(id)?.as_mut()
+    }
+
+    /// Occupies `id`'s slot with `value`, replacing any previous entry.
+    fn insert(&mut self, id: usize, value: T) {
+        if id >= self.slots.len() {
+            self.slots.resize_with(id + 1, || None);
+        }
+        if self.slots[id].replace(value).is_none() {
+            self.live += 1;
+        }
+    }
+
+    fn remove(&mut self, id: usize) {
+        if self.slots.get_mut(id).and_then(Option::take).is_some() {
+            self.live -= 1;
+        }
+    }
+}
 
 /// Cooldown shape for [`PathPenalties`].
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +105,7 @@ pub struct PathPenalties {
     cfg: BackoffConfig,
     /// Only ever holds paths that faulted at least once — empty for the
     /// whole run unless fault injection is active.
-    entries: Vec<(PathId, Penalty)>,
+    entries: IdTable<Penalty>,
     faults_seen: u64,
     cooldowns_started: u64,
     paths_skipped: u64,
@@ -78,35 +130,22 @@ impl PathPenalties {
     /// of `base · 2^min(strikes, max_exponent)` starting now.
     pub fn on_fault(&mut self, path: PathId, now: SimTime) {
         self.faults_seen += 1;
-        let i = match self.entries.iter().position(|&(p, _)| p == path) {
-            Some(i) => {
-                self.entries[i].1.strikes += 1;
-                i
-            }
-            None => {
-                self.entries.push((
-                    path,
-                    Penalty {
-                        until: SimTime::ZERO,
-                        strikes: 0,
-                    },
-                ));
-                self.entries.len() - 1
-            }
-        };
-        let exp = self.entries[i].1.strikes.min(self.cfg.max_exponent);
+        let strikes = self
+            .entries
+            .get(path.index())
+            .map_or(0, |pen| pen.strikes + 1);
+        let exp = strikes.min(self.cfg.max_exponent);
         let cooldown = SimDuration::from_micros(self.cfg.base_cooldown.micros() << exp);
-        self.entries[i].1.until = now + cooldown;
+        let until = now + cooldown;
+        self.entries
+            .insert(path.index(), Penalty { until, strikes });
         self.cooldowns_started += 1;
     }
 
     /// Records a successful delivery on `path`: the path is healthy
     /// again, so its strikes (and any remaining cooldown) are dropped.
     pub fn on_delivery(&mut self, path: PathId) {
-        if self.entries.is_empty() {
-            return;
-        }
-        self.entries.retain(|&(p, _)| p != path);
+        self.entries.remove(path.index());
     }
 
     /// Digests a queueing-mode ack: fault reasons strike the path,
@@ -133,12 +172,9 @@ impl PathPenalties {
     /// True when `path` is inside a fault cooldown window at `now`.
     #[inline]
     pub fn is_cooled(&self, path: PathId, now: SimTime) -> bool {
-        if self.entries.is_empty() {
-            return false;
-        }
         self.entries
-            .iter()
-            .any(|&(p, pen)| p == path && now < pen.until)
+            .get(path.index())
+            .is_some_and(|pen| now < pen.until)
     }
 
     /// Removes currently-cooled candidates from `paths` (preserving
@@ -154,8 +190,7 @@ impl PathPenalties {
             return;
         }
         self.paths_skipped += cooled as u64;
-        let entries = &self.entries;
-        paths.retain(|&p| !entries.iter().any(|&(q, pen)| q == p && now < pen.until));
+        paths.retain(|&p| !self.is_cooled(p, now));
     }
 
     /// Counts one externally-detected skip (for routers that gate
@@ -233,12 +268,12 @@ enum BreakerState {
 /// Per-channel shed-driven circuit breakers (closed → open → half-open),
 /// plus the counters a router surfaces through `Router::observability`.
 ///
-/// Sparse by construction: only channels that shed at least once get an
-/// entry, and every query short-circuits on the empty table.
+/// Only channels that shed at least once get an entry, and every query
+/// short-circuits on the empty table.
 #[derive(Debug, Default)]
 pub struct ChannelBreakers {
     cfg: BreakerConfig,
-    entries: Vec<(ChannelId, BreakerState)>,
+    entries: IdTable<BreakerState>,
     strikes_seen: u64,
     trips: u64,
     probes_allowed: u64,
@@ -259,10 +294,6 @@ impl ChannelBreakers {
         self.entries.is_empty()
     }
 
-    fn position(&self, channel: ChannelId) -> Option<usize> {
-        self.entries.iter().position(|&(c, _)| c == channel)
-    }
-
     /// Records one shed strike against `channel`: a closed breaker
     /// accumulates toward its threshold, a half-open breaker's failed
     /// probe re-opens it, an open breaker's cooldown is refreshed
@@ -272,83 +303,50 @@ impl ChannelBreakers {
         let open = BreakerState::Open {
             until: now + self.cfg.open_cooldown,
         };
-        match self.position(channel) {
-            None => {
-                if self.cfg.strike_threshold <= 1 {
-                    self.trips += 1;
-                    self.entries.push((channel, open));
-                } else {
-                    self.entries
-                        .push((channel, BreakerState::Closed { strikes: 1 }));
+        let state = self.entries.get(channel.index()).copied();
+        let next = match state.unwrap_or(BreakerState::Closed { strikes: 0 }) {
+            BreakerState::Closed { strikes } if strikes + 1 < self.cfg.strike_threshold => {
+                BreakerState::Closed {
+                    strikes: strikes + 1,
                 }
             }
-            Some(i) => match self.entries[i].1 {
-                BreakerState::Closed { strikes } => {
-                    if strikes + 1 >= self.cfg.strike_threshold {
-                        self.trips += 1;
-                        self.entries[i].1 = open;
-                    } else {
-                        self.entries[i].1 = BreakerState::Closed {
-                            strikes: strikes + 1,
-                        };
-                    }
-                }
-                BreakerState::HalfOpen { .. } => {
-                    self.trips += 1;
-                    self.entries[i].1 = open;
-                }
-                BreakerState::Open { .. } => self.entries[i].1 = open,
-            },
-        }
+            BreakerState::Open { .. } => open,
+            BreakerState::Closed { .. } | BreakerState::HalfOpen { .. } => {
+                self.trips += 1;
+                open
+            }
+        };
+        self.entries.insert(channel.index(), next);
     }
 
     /// Records a successful delivery over `channel`: the breaker closes
     /// and its strikes are forgotten, whatever state it was in.
     pub fn on_success(&mut self, channel: ChannelId) {
-        if self.entries.is_empty() {
-            return;
-        }
-        self.entries.retain(|&(c, _)| c != channel);
+        self.entries.remove(channel.index());
     }
 
     /// The routing-time gate: may a unit cross `channel` at `now`?
     /// An open breaker whose cooldown elapsed transitions to half-open
     /// here and starts handing out its probe allowance.
     pub fn allow(&mut self, channel: ChannelId, now: SimTime) -> bool {
-        if self.entries.is_empty() {
-            return true;
-        }
-        let Some(i) = self.position(channel) else {
+        let Some(state) = self.entries.get_mut(channel.index()) else {
             return true;
         };
-        match self.entries[i].1 {
-            BreakerState::Closed { .. } => true,
-            BreakerState::Open { until } => {
-                if now < until {
-                    return false;
-                }
-                let left = self.cfg.half_open_probes.max(1) - 1;
-                self.entries[i].1 = BreakerState::HalfOpen { left };
-                self.probes_allowed += 1;
-                true
-            }
-            BreakerState::HalfOpen { left } => {
-                if left == 0 {
-                    return false;
-                }
-                self.entries[i].1 = BreakerState::HalfOpen { left: left - 1 };
-                self.probes_allowed += 1;
-                true
-            }
-        }
+        let left = match *state {
+            BreakerState::Closed { .. } => return true,
+            BreakerState::Open { until } if now < until => return false,
+            BreakerState::Open { .. } => self.cfg.half_open_probes.max(1),
+            BreakerState::HalfOpen { left: 0 } => return false,
+            BreakerState::HalfOpen { left } => left,
+        };
+        *state = BreakerState::HalfOpen { left: left - 1 };
+        self.probes_allowed += 1;
+        true
     }
 
     /// True when every channel in `hops` may be crossed at `now`
     /// (convenience for whole-path gating).
     pub fn allow_path(&mut self, hops: &[ChannelId], now: SimTime) -> bool {
-        if self.entries.is_empty() {
-            return true;
-        }
         hops.iter().all(|&c| self.allow(c, now))
     }
 
@@ -414,6 +412,36 @@ mod tests {
         // The next fault starts over at the base cooldown.
         p.on_fault(PathId(7), at(1_000));
         assert!(!p.is_cooled(PathId(7), at(1_250)));
+    }
+
+    /// `ShortestPath::pins_single_path` reads `is_empty()`: it must turn
+    /// true again once the last entry clears, and stay false while any
+    /// other entry (at a lower or higher id) is live.
+    #[test]
+    fn tables_read_empty_again_after_the_last_entry_clears() {
+        let mut p = PathPenalties::default();
+        p.on_fault(PathId(9), T0);
+        p.on_fault(PathId(2), T0);
+        p.on_fault(PathId(9), T0);
+        p.on_delivery(PathId(9));
+        assert!(!p.is_empty(), "path 2 is still penalized");
+        p.on_delivery(PathId(9));
+        p.on_delivery(PathId(40));
+        assert!(!p.is_empty(), "clearing absent entries changes nothing");
+        p.on_delivery(PathId(2));
+        assert!(p.is_empty());
+
+        let mut b = ChannelBreakers::default();
+        b.on_strike(ChannelId(5), T0);
+        b.on_strike(ChannelId(0), T0);
+        b.on_strike(ChannelId(5), T0);
+        b.on_success(ChannelId(5));
+        assert!(!b.is_empty(), "channel 0 still has a strike");
+        b.on_success(ChannelId(5));
+        b.on_success(ChannelId(77));
+        assert!(!b.is_empty(), "clearing absent entries changes nothing");
+        b.on_success(ChannelId(0));
+        assert!(b.is_empty());
     }
 
     #[test]

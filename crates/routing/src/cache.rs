@@ -27,7 +27,7 @@
 //! [`CsrGraph`] whose channels are enabled/disabled in O(1) per event —
 //! the graph is flattened exactly once per cache lifetime.
 
-use spider_lp::paths::{k_edge_disjoint_paths, k_shortest_paths, CsrGraph, SourceOracle};
+use spider_lp::paths::CsrGraph;
 use spider_sim::{PathTable, TopologyUpdate};
 use spider_topology::Topology;
 use spider_types::{ChannelId, NodeId, PathId};
@@ -44,19 +44,11 @@ pub enum PathPolicy {
     Shortest,
 }
 
-/// Lazily computed per-pair candidate paths, churn-repairable.
+/// Per-pair candidate paths, batch-filled and churn-repairable.
 #[derive(Debug, Clone)]
 pub struct PathCache {
     policy: PathPolicy,
     cache: HashMap<(NodeId, NodeId), Vec<PathId>>,
-    /// Per-source BFS parent trees ([`PathPolicy::Shortest`] only,
-    /// computed by [`Topology::bfs_parents`] — the same traversal
-    /// `Topology::shortest_path` derives from): one tree yields the
-    /// identical smallest-id shortest path to *every* destination, so a
-    /// sender pays for one traversal no matter how many receivers it
-    /// routes to. Only usable while no channel is closed (trees are a
-    /// full-graph cache; churn invalidates them wholesale).
-    bfs_trees: HashMap<NodeId, Vec<u32>>,
     /// Channels currently closed by churn (`true` = closed). Empty until
     /// the first topology change.
     closed: Vec<bool>,
@@ -83,7 +75,6 @@ impl PathCache {
         PathCache {
             policy,
             cache: HashMap::new(),
-            bfs_trees: HashMap::new(),
             closed: Vec::new(),
             csr: None,
             rev: None,
@@ -94,8 +85,19 @@ impl PathCache {
         }
     }
 
-    /// The candidate paths for `(src, dst)`, computing and interning them
-    /// on first use (against the current channel-liveness mask).
+    /// Empty cache with the given policy that starts from `other`'s
+    /// channel-liveness mask — for a cache created mid-run, which would
+    /// otherwise only hear about topology changes made after its creation.
+    pub fn with_mask_of(policy: PathPolicy, other: &PathCache) -> Self {
+        PathCache {
+            closed: other.closed.clone(),
+            ..PathCache::new(policy)
+        }
+    }
+
+    /// The candidate paths for `(src, dst)`. A pair not cached yet is
+    /// filled on the spot — a one-pair [`PathCache::prefill`] against the
+    /// current channel-liveness mask, counted as a miss.
     pub fn get(
         &mut self,
         topo: &Topology,
@@ -103,39 +105,14 @@ impl PathCache {
         src: NodeId,
         dst: NodeId,
     ) -> &[PathId] {
-        // Split borrows so the hit path stays one hash lookup (the
-        // `entry` API) while the miss closure computes through the other
-        // fields; the reverse index (once built) registers freshly cached
-        // pairs after the insertion.
-        let PathCache {
-            policy,
-            cache,
-            bfs_trees,
-            closed,
-            csr,
-            rev,
-            hits,
-            misses,
-            ..
-        } = self;
-        let mut fresh = false;
-        let ids = cache.entry((src, dst)).or_insert_with(|| {
-            fresh = true;
-            let candidates = Self::compute(*policy, bfs_trees, closed, csr, topo, src, dst);
-            candidates
-                .iter()
-                .map(|nodes| paths.intern(topo, nodes))
-                .collect()
-        });
-        if fresh {
-            *misses += 1;
-            if let Some(rev) = rev {
-                Self::register(rev, paths, (src, dst), ids);
-            }
+        let pair = (src, dst);
+        if self.cache.contains_key(&pair) {
+            self.hits += 1;
         } else {
-            *hits += 1;
+            self.misses += 1;
+            self.fill_pairs(topo, paths, &[pair]);
         }
-        ids
+        &self.cache[&pair]
     }
 
     /// Adds `pair` to the reverse index of every channel its candidates
@@ -185,56 +162,6 @@ impl PathCache {
         })
     }
 
-    /// One pair's candidate node sequences under the live mask.
-    #[allow(clippy::too_many_arguments)]
-    fn compute(
-        policy: PathPolicy,
-        bfs_trees: &mut HashMap<NodeId, Vec<u32>>,
-        closed: &[bool],
-        csr: &mut Option<CsrGraph>,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Vec<Vec<NodeId>> {
-        if !closed.iter().any(|&c| c) {
-            // Static topology: the PR 3 fast paths, bit-identical to the
-            // masked oracle with an empty mask.
-            return match policy {
-                PathPolicy::EdgeDisjoint(k) => k_edge_disjoint_paths(topo, src, dst, k)
-                    .into_iter()
-                    .map(|p| p.nodes)
-                    .collect(),
-                PathPolicy::KShortest(k) => k_shortest_paths(topo, src, dst, k)
-                    .into_iter()
-                    .map(|p| p.nodes)
-                    .collect(),
-                PathPolicy::Shortest => {
-                    let tree = bfs_trees
-                        .entry(src)
-                        .or_insert_with(|| topo.bfs_parents(src));
-                    Topology::path_from_parents(tree, src, dst)
-                        .into_iter()
-                        .collect()
-                }
-            };
-        }
-        let csr = Self::synced_csr(csr, topo, closed);
-        let mut oracle = SourceOracle::new(topo, csr, src);
-        match policy {
-            PathPolicy::EdgeDisjoint(k) => oracle
-                .edge_disjoint(dst, k)
-                .into_iter()
-                .map(|p| p.nodes)
-                .collect(),
-            PathPolicy::KShortest(k) => oracle
-                .k_shortest(dst, k)
-                .into_iter()
-                .map(|p| p.nodes)
-                .collect(),
-            PathPolicy::Shortest => oracle.shortest(dst).map(|p| p.nodes).into_iter().collect(),
-        }
-    }
-
     /// The retained CSR graph, built on first use and synced to `closed`.
     fn synced_csr<'a>(
         slot: &'a mut Option<CsrGraph>,
@@ -259,10 +186,9 @@ impl PathCache {
     /// [`PathOracle`](crate::PathOracle) — one BFS tree and one reusable
     /// workspace per source, sources fanned across worker threads — then
     /// interned into `paths` on this thread in pair order (first
-    /// occurrence wins; already-cached pairs are skipped). Candidate sets,
-    /// and the `PathId`s a given get-order produces, are bit-identical to
-    /// the lazy path; only the fill cost changes (see
-    /// `BENCH_pathfill.json`).
+    /// occurrence wins; already-cached pairs are skipped). Filling pairs
+    /// one at a time through [`PathCache::get`] yields the same candidate
+    /// sets and, in the same order, the same `PathId`s.
     pub fn prefill(&mut self, topo: &Topology, paths: &PathTable, pairs: &[(NodeId, NodeId)]) {
         let mut todo: Vec<(NodeId, NodeId)> = Vec::new();
         let mut queued: std::collections::HashSet<(NodeId, NodeId)> =
@@ -358,9 +284,6 @@ impl PathCache {
                 }
             }
         }
-        // Per-source BFS trees are a whole-graph cache; any connectivity
-        // change invalidates them wholesale (they are cheap to rebuild).
-        self.bfs_trees.clear();
         let mut dropped = self.pairs_traversing(topo, paths, &update.closed);
         dropped.extend(self.pairs_reached_by(topo, paths, &update.opened));
         // Set/map iteration order is arbitrary; sort so the refill (and
@@ -436,7 +359,7 @@ impl PathCache {
     /// The cached pairs with a candidate traversing any of `channels`,
     /// answered from the reverse index in O(affected) — unsorted. The
     /// first call builds the index from the cache.
-    pub fn pairs_traversing(
+    pub(crate) fn pairs_traversing(
         &mut self,
         topo: &Topology,
         paths: &PathTable,
@@ -454,16 +377,14 @@ impl PathCache {
     }
 
     /// Reference implementation of [`PathCache::pairs_traversing`]: the
-    /// full cache scan the reverse index replaced. Kept for the
-    /// equivalence tests and the invalidation microbenchmark — unsorted.
-    pub fn pairs_traversing_scan(
+    /// full cache scan the reverse index replaced — unsorted.
+    #[cfg(test)]
+    fn pairs_traversing_scan(
         &self,
         paths: &PathTable,
         channels: &[ChannelId],
     ) -> Vec<(NodeId, NodeId)> {
-        // lint: allow(unordered-iter): audited — reference implementation
-        // used only by set-equality tests and the invalidation microbench,
-        // never by the engine.
+        // lint: allow(unordered-iter): audited — compared as a set.
         self.cache
             .iter()
             .filter(|(_, ids)| {
@@ -496,7 +417,7 @@ impl PathCache {
 
     /// Lifetime counters, in a fixed order suitable for
     /// [`RouterObs::counters`](spider_sim::RouterObs): cache hits (get on
-    /// a cached pair), misses (lazy computes), pairs filled by
+    /// a cached pair), misses (one-pair fills), pairs filled by
     /// [`PathCache::prefill`], and pairs repaired after churn.
     pub fn counters(&self) -> [(&'static str, u64); 4] {
         [
@@ -552,7 +473,7 @@ mod tests {
 
     #[test]
     fn shortest_policy_matches_topology_bfs() {
-        // The per-source BFS tree must reproduce `Topology::shortest_path`
+        // The oracle's shortest path must reproduce `Topology::shortest_path`
         // exactly (same smallest-id tie-breaks) for every destination.
         let t = gen::isp_topology(Amount::from_xrp(100));
         let table = PathTable::new();

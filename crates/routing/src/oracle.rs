@@ -1,21 +1,21 @@
-//! Batched candidate-path precomputation: the workload's whole pair list
-//! filled per source, fanned across worker threads.
+//! Batched candidate-path computation: a whole pair list filled per
+//! source, fanned across worker threads.
 //!
-//! The lazy [`PathCache`](crate::PathCache) computes each pair's candidate
-//! set on first use — 4 BFS traversals plus a workspace allocation per
-//! pair, which dominates wall time at Ripple scale (3,774 nodes, ~10k
-//! pairs). [`PathOracle`] computes the same sets ahead of time: pairs are
-//! grouped by source, each source is answered by one
+//! Computing each pair's candidate set on its own costs k BFS traversals
+//! plus a workspace allocation per pair, which dominates wall time at
+//! Ripple scale (3,774 nodes, ~10k pairs). [`PathOracle`] groups pairs by
+//! source, answers each source with one
 //! [`SourceOracle`](spider_lp::paths::SourceOracle) (one shared BFS tree,
-//! one reusable epoch-stamped workspace), and sources are pulled from an
-//! atomic work queue by `spider_core::run_sweep`-style scoped worker
-//! threads. Candidate sets are bit-identical to the lazy oracle's — only
-//! the wall time changes (see `BENCH_pathfill.json`).
+//! one reusable epoch-stamped workspace), and lets scoped worker threads
+//! pull sources from an atomic work queue (`spider_core::run_sweep`
+//! style). Every entry is exactly what the per-pair reference oracles in
+//! `spider_lp::paths` return (pinned by this module's tests). It is the
+//! one fill path behind [`PathCache`](crate::PathCache): prefill, churn
+//! repair and single-pair misses all come through here.
 //!
 //! Workers produce plain node sequences; interning into the simulation's
 //! shared (single-threaded) [`PathTable`](spider_sim::PathTable) happens
-//! afterwards on the calling thread, in pair order, exactly as the lazy
-//! path would have interned them.
+//! afterwards on the calling thread, in pair order.
 
 use crate::cache::PathPolicy;
 use spider_lp::paths::{CsrGraph, Path, SourceOracle};

@@ -25,7 +25,8 @@ pub struct ShortestPath {
     breakers: ChannelBreakers,
     /// Alternate candidates for failover while the shortest path is
     /// cooling down (or breaker-blocked). Built lazily on the first
-    /// hit, so fault-free runs never pay for (or observe) it.
+    /// hit (from the primary cache's liveness mask), so fault-free runs
+    /// never pay for (or observe) it.
     alt: Option<PathCache>,
 }
 
@@ -50,6 +51,15 @@ impl ShortestPath {
             breakers: ChannelBreakers::default(),
             alt: None,
         }
+    }
+
+    /// The pair's edge-disjoint failover candidates.
+    fn alternates(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<PathId> {
+        let primary = &self.cache;
+        self.alt
+            .get_or_insert_with(|| PathCache::with_mask_of(PathPolicy::EdgeDisjoint(2), primary))
+            .get(view.topo, view.paths, req.src, req.dst)
+            .to_vec()
     }
 
     /// True when every hop of `path` may be crossed at `view.now`
@@ -119,10 +129,7 @@ impl Router for ShortestPath {
         if self.penalties.is_cooled(primary, view.now) {
             // Fail over to an edge-disjoint alternate while the shortest
             // path cools down; all-cooled falls back to the primary.
-            let alt = self
-                .alt
-                .get_or_insert_with(|| PathCache::new(PathPolicy::EdgeDisjoint(2)));
-            let candidates = alt.get(view.topo, view.paths, req.src, req.dst).to_vec();
+            let candidates = self.alternates(req, view);
             path = self
                 .penalties
                 .choose(&candidates, view.now)
@@ -131,10 +138,7 @@ impl Router for ShortestPath {
         if !self.breakers.is_empty() && !Self::breakers_allow(&mut self.breakers, path, view) {
             // The chosen path crosses a tripped channel: fail over to an
             // edge-disjoint alternate whose breakers all allow traffic.
-            let alt = self
-                .alt
-                .get_or_insert_with(|| PathCache::new(PathPolicy::EdgeDisjoint(2)));
-            let candidates = alt.get(view.topo, view.paths, req.src, req.dst).to_vec();
+            let candidates = self.alternates(req, view);
             match candidates
                 .into_iter()
                 .filter(|&p| p != path)
@@ -266,5 +270,64 @@ mod tests {
             attempt: 0,
         };
         assert!(ShortestPath::new().route(&req, &view).is_empty());
+    }
+
+    /// The failover cache is created at the first cooled primary; channels
+    /// closed before that moment must still be closed to it.
+    #[test]
+    fn failover_cache_inherits_closed_channels() {
+        let t = spider_topology::gen::isp_topology(Amount::from_xrp(100));
+        let channels: Vec<ChannelState> = t
+            .channels()
+            .map(|(_, c)| ChannelState::split_equally(c.capacity))
+            .collect();
+        let paths = PathTable::new();
+        let view = NetworkView {
+            topo: &t,
+            channels: &channels,
+            paths: &paths,
+            now: SimTime::ZERO,
+        };
+        let (src, dst) = (NodeId(8), NodeId(20));
+        let nodes = |ids: &[PathId]| -> Vec<Vec<NodeId>> {
+            ids.iter().map(|&p| view.path(p).nodes().to_vec()).collect()
+        };
+        // Close the first hop of the unmasked second alternate: the
+        // primary survives, the failover set must change.
+        let mut unmasked = PathCache::new(PathPolicy::EdgeDisjoint(2));
+        let second = unmasked.get(&t, &paths, src, dst)[1];
+        let victim = view.path(second).hops()[0].0;
+        let update = TopologyUpdate {
+            closed: vec![victim],
+            ..TopologyUpdate::default()
+        };
+        let req = RouteRequest {
+            payment: PaymentId(0),
+            src,
+            dst,
+            remaining: Amount::from_xrp(2),
+            total: Amount::from_xrp(2),
+            mtu: Amount::from_xrp(1),
+            attempt: 0,
+        };
+        let mut r = ShortestPath::new();
+        let primary = r.route(&req, &view)[0].path;
+        r.on_topology_change(&update, &view);
+        assert_eq!(r.route(&req, &view)[0].path, primary, "primary untouched");
+        r.penalties.on_fault(primary, view.now);
+        let failover = r.route(&req, &view)[0].path;
+        assert_ne!(failover, primary, "cooled primary must fail over");
+        let alternates = r.alternates(&req, &view);
+        for &p in alternates.iter().chain([&failover]) {
+            assert!(
+                view.path(p).hops().iter().all(|&(c, _)| c != victim),
+                "alternate {:?} crosses the closed channel",
+                view.path(p).nodes()
+            );
+        }
+        let mut cold = PathCache::new(PathPolicy::EdgeDisjoint(2));
+        cold.on_topology_change(&t, &paths, &update);
+        let want = cold.get(&t, &paths, src, dst).to_vec();
+        assert_eq!(nodes(&alternates), nodes(&want));
     }
 }

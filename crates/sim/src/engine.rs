@@ -727,11 +727,10 @@ impl Simulation {
                 self.router.on_topology_change(&initial, &view);
             }
             // Hand the router the distinct pairs it will be asked to
-            // route, in first-arrival order (the order the lazy per-pair
-            // caches would have seen them), so candidate sets are
-            // precomputed in one batched pass instead of per pair on the
-            // routing hot path. Skipped when the scheme keeps the
-            // default no-op hook.
+            // route, in first-arrival order (the order `route` will first
+            // see them), so candidate sets are precomputed in one batched
+            // pass instead of per pair on the routing hot path. Skipped
+            // when the scheme keeps the default no-op hook.
             if let Some(pairs) = prewarm_pairs {
                 self.router.prewarm(&pairs, &view);
             }

@@ -161,8 +161,8 @@ impl Workload {
     /// The distinct `(src, dst)` pairs of arrivals at or before `horizon`
     /// (every arrival when `None`), in first-arrival order — the list
     /// [`Simulation::run`](crate::Simulation::run) hands to
-    /// [`Router::prewarm`](crate::Router::prewarm), shared with the
-    /// pathfill benchmark so both measure the same fill.
+    /// [`Router::prewarm`](crate::Router::prewarm), shared with the repo
+    /// benchmark's path-layer replay so both measure the same fill.
     pub fn distinct_pairs(&self, horizon: Option<SimTime>) -> Vec<(NodeId, NodeId)> {
         let mut seen = std::collections::HashSet::new();
         self.txns

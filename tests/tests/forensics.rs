@@ -9,10 +9,10 @@
 //! *intentional* schema change.
 
 use proptest::prelude::*;
-use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_sim::{
-    DropRecord, FlightRecorder, SimConfig, SizeDistribution, WorkloadConfig, FORENSICS_HEADER,
-    ROOTCAUSE_HEADER,
+    DropRecord, FlightRecorder, SimConfig, SimReport, SizeDistribution, WorkloadConfig,
+    FORENSICS_HEADER, ROOTCAUSE_HEADER,
 };
 use spider_types::{DropReason, SimDuration};
 use std::path::PathBuf;
@@ -55,6 +55,15 @@ fn faulted_tiny_experiment(seed: u64) -> ExperimentConfig {
     }
 }
 
+/// One run of `cfg` with the flight recorder on (a ring far larger than
+/// the tiny run's drop count): the report and the sealed recorder.
+fn forensic_run(cfg: &ExperimentConfig) -> (SimReport, FlightRecorder) {
+    let mut cfg = cfg.clone();
+    cfg.sim.obs.forensics_capacity = 65_536;
+    let out = execute(cfg.simulation(None).expect("builds"));
+    (out.report, out.forensics.expect("forensics is on"))
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/goldens")
@@ -92,8 +101,8 @@ fn check_golden(name: &str, content: &str) {
 #[test]
 fn fault_injected_forensics_is_reproducible_and_matches_golden() {
     let cfg = faulted_tiny_experiment(11);
-    let (r1, f1) = cfg.run_forensics().expect("runs");
-    let (r2, f2) = cfg.run_forensics().expect("runs");
+    let (r1, f1) = forensic_run(&cfg);
+    let (r2, f2) = forensic_run(&cfg);
     assert_eq!(r1.units_dropped, r2.units_dropped);
     assert_eq!(
         f1.to_jsonl(),
@@ -109,7 +118,7 @@ fn fault_injected_forensics_is_reproducible_and_matches_golden() {
         r1.units_dropped_fault > 0,
         "no unit lost to a fault; golden is vacuous"
     );
-    assert!(f1.evicted() == 0, "tiny run must fit the default ring");
+    assert!(f1.evicted() == 0, "tiny run must fit the ring");
     assert_eq!(
         f1.len() as u64,
         r1.units_dropped,
@@ -158,7 +167,7 @@ fn fault_injected_forensics_is_reproducible_and_matches_golden() {
 #[test]
 fn recorder_totals_partition_the_report_breakdown() {
     let cfg = faulted_tiny_experiment(11);
-    let (r, f) = cfg.run_forensics().expect("runs");
+    let (r, f) = forensic_run(&cfg);
     let d = &r.drops_by_reason;
     assert_eq!(f.reason_total(DropReason::QueueTimeout), d.queue_timeout);
     assert_eq!(f.reason_total(DropReason::QueueOverflow), d.queue_overflow);

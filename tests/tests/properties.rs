@@ -123,7 +123,9 @@ proptest! {
     /// purely lazy cache produces for the same get order, each path is
     /// interned exactly once (table sizes match, and a second prefill or
     /// the subsequent gets intern nothing new), and degenerate
-    /// `src == dst` pairs resolve to empty candidate sets.
+    /// `src == dst` pairs resolve to empty candidate sets. Then the same
+    /// comparison after close+open topology updates, against a cold cache
+    /// rebuilt on the final mask.
     #[test]
     fn prefill_matches_lazy_path_cache(
         seed in 0u64..400,
@@ -182,6 +184,53 @@ proptest! {
             }
         }
         prop_assert_eq!(table.len(), interned_after_prefill, "gets are pure lookups");
+
+        // The same equivalence under churn: close two channels, then
+        // close a third while reopening the first; pairs first asked for
+        // after that are filled one at a time vs batched on the masked
+        // graph. Both must equal a cold cache built on the final mask.
+        use spider_sim::TopologyUpdate;
+        let first = rng.index(topo.channel_count());
+        let chan = |i: usize| spider_types::ChannelId(((first + i) % topo.channel_count()) as u32);
+        let updates = [
+            TopologyUpdate { closed: vec![chan(0), chan(1)], ..TopologyUpdate::default() },
+            TopologyUpdate { closed: vec![chan(2)], opened: vec![chan(0)], ..TopologyUpdate::default() },
+        ];
+        for update in &updates {
+            let repaired = lazy.on_topology_change(&topo, &lazy_table, update);
+            prop_assert_eq!(warm.on_topology_change(&topo, &table, update), repaired);
+        }
+        let late: Vec<(NodeId, NodeId)> = (0..n_pairs)
+            .map(|_| {
+                (
+                    NodeId(rng.index(topo.node_count()) as u32),
+                    NodeId(rng.index(topo.node_count()) as u32),
+                )
+            })
+            .collect();
+        let all: Vec<(NodeId, NodeId)> = pairs.iter().chain(&late).copied().collect();
+        warm.prefill(&topo, &table, &late);
+        let cold_table = PathTable::new();
+        let mut cold = PathCache::new(policy);
+        let mask = TopologyUpdate { closed: vec![chan(1), chan(2)], ..TopologyUpdate::default() };
+        cold.on_topology_change(&topo, &cold_table, &mask);
+        cold.prefill(&topo, &cold_table, &all);
+        for &(s, d) in &all {
+            let one = lazy.get(&topo, &lazy_table, s, d).to_vec();
+            let batched = warm.get(&topo, &table, s, d).to_vec();
+            let rebuilt = cold.get(&topo, &cold_table, s, d).to_vec();
+            prop_assert_eq!(&one, &batched, "pair {}->{} after churn", s, d);
+            prop_assert_eq!(one.len(), rebuilt.len(), "pair {}->{} after churn", s, d);
+            for ((&o, &b), &r) in one.iter().zip(&batched).zip(&rebuilt) {
+                let want = cold_table.entry(r);
+                prop_assert_eq!(lazy_table.entry(o).nodes(), want.nodes(), "pair {}->{}", s, d);
+                prop_assert_eq!(table.entry(b).nodes(), want.nodes(), "pair {}->{}", s, d);
+                prop_assert!(
+                    want.hops().iter().all(|&(c, _)| c != chan(1) && c != chan(2)),
+                    "pair {}->{} crosses a closed channel", s, d
+                );
+            }
+        }
     }
 
     /// Yen's paths are simple, ordered by length, and within k.

@@ -2,7 +2,7 @@
 //! price marking, and per-path source rate control (`spider-protocol`).
 
 use spider_core::congestion::{WindowConfig, Windowed};
-use spider_core::SchemeConfig;
+use spider_core::{execute, SchemeConfig};
 use spider_routing::ShortestPath;
 use spider_sim::{QueueConfig, QueueingMode, SimReport};
 use spider_tests::small_isp_experiment;
@@ -76,12 +76,9 @@ fn protocol_matches_or_beats_windowed_aimd_baseline() {
         cfg.scheme = SchemeConfig::spider_protocol(4);
         cfg.sim.queueing = QueueingMode::PerChannelFifo(QueueConfig::default());
         let protocol = cfg.run().expect("protocol runs");
-        let windowed: SimReport = cfg
-            .run_with_router(Box::new(Windowed::new(
-                ShortestPath::new(),
-                WindowConfig::default(),
-            )))
-            .expect("baseline runs");
+        let baseline = Box::new(Windowed::new(ShortestPath::new(), WindowConfig::default()));
+        let windowed: SimReport =
+            execute(cfg.simulation(Some(baseline)).expect("baseline builds")).report;
         assert!(
             protocol.success_volume() >= windowed.success_volume(),
             "seed {seed}: protocol {:.4} < windowed {:.4}",

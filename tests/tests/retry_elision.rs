@@ -16,7 +16,7 @@
 //! (`route` proposals — which also carry the attempt ordinal — and failed
 //! `lock` outcomes).
 
-use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_dynamics::DynamicsConfig;
 use spider_faults::FaultConfig;
 use spider_overload::{GriefingConfig, OverloadConfig};
@@ -157,12 +157,14 @@ fn outcome_lines(trace: &Trace) -> Vec<String> {
 /// Runs `cfg` with and without the promise and checks that nothing but the
 /// work counters tells the two apart. Returns `(elided, polled)` reports.
 fn assert_elision_is_invisible(label: &str, cfg: &ExperimentConfig) -> (SimReport, SimReport) {
-    let (elided, elided_trace) = cfg
-        .run_with_router_traced(Box::new(ShortestPath::new()))
-        .expect("runs");
-    let (polled, polled_trace) = cfg
-        .run_with_router_traced(Box::new(Polled(ShortestPath::new())))
-        .expect("runs");
+    let mut cfg = cfg.clone();
+    cfg.sim.obs.trace = true;
+    let traced = |router: Box<dyn Router>| {
+        let out = execute(cfg.simulation(Some(router)).expect("builds"));
+        (out.report, out.trace.expect("obs.trace is set"))
+    };
+    let (elided, elided_trace) = traced(Box::new(ShortestPath::new()));
+    let (polled, polled_trace) = traced(Box::new(Polled(ShortestPath::new())));
     assert!(
         elided.retries <= polled.retries && elided.units_failed <= polled.units_failed,
         "{label}: elision cannot add work"

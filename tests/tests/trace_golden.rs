@@ -10,14 +10,18 @@
 //! an *intentional* trace-schema change.
 
 use spider_core::congestion::{WindowConfig, Windowed};
-use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_routing::ShortestPath;
-use spider_sim::{QueueConfig, QueueingMode, SimConfig, SizeDistribution, Trace, WorkloadConfig};
+use spider_sim::{
+    ObsConfig, QueueConfig, QueueingMode, Router, SimConfig, SimReport, SizeDistribution, Trace,
+    WorkloadConfig,
+};
 use spider_types::SimDuration;
 use std::path::PathBuf;
 
 /// A run small enough that its golden stays a few KB: the 5-node §5.1
-/// example topology, a dozen constant-size payments, a short horizon.
+/// example topology, a dozen constant-size payments, a short horizon,
+/// traced.
 fn tiny_experiment(seed: u64, scheme: SchemeConfig) -> ExperimentConfig {
     ExperimentConfig {
         topology: TopologyConfig::PaperExample { capacity_xrp: 200 },
@@ -29,6 +33,10 @@ fn tiny_experiment(seed: u64, scheme: SchemeConfig) -> ExperimentConfig {
         },
         sim: SimConfig {
             horizon: SimDuration::from_secs(4),
+            obs: ObsConfig {
+                trace: true,
+                ..ObsConfig::default()
+            },
             ..SimConfig::default()
         },
         scheme,
@@ -37,6 +45,13 @@ fn tiny_experiment(seed: u64, scheme: SchemeConfig) -> ExperimentConfig {
         overload: None,
         seed,
     }
+}
+
+/// One run of `cfg` (through the registry scheme, or `router` when
+/// given): the report and the sealed trace.
+fn traced_run(cfg: &ExperimentConfig, router: Option<Box<dyn Router>>) -> (SimReport, Trace) {
+    let out = execute(cfg.simulation(router).expect("builds"));
+    (out.report, out.trace.expect("obs.trace is set"))
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -83,8 +98,8 @@ fn check_golden(name: &str, trace: &Trace) {
 #[test]
 fn lockstep_shortest_path_trace_is_reproducible_and_matches_golden() {
     let cfg = tiny_experiment(11, SchemeConfig::ShortestPath);
-    let (r1, t1) = cfg.run_traced().expect("runs");
-    let (r2, t2) = cfg.run_traced().expect("runs");
+    let (r1, t1) = traced_run(&cfg, None);
+    let (r2, t2) = traced_run(&cfg, None);
     assert_eq!(r1.completed_payments, r2.completed_payments);
     assert_eq!(
         t1.to_jsonl(),
@@ -109,8 +124,8 @@ fn windowed_aimd_trace_is_reproducible_and_matches_golden() {
         ..WindowConfig::default()
     };
     let windowed = || Box::new(Windowed::new(ShortestPath::new(), wcfg.clone()));
-    let (r1, t1) = cfg.run_with_router_traced(windowed()).expect("runs");
-    let (_, t2) = cfg.run_with_router_traced(windowed()).expect("runs");
+    let (r1, t1) = traced_run(&cfg, Some(windowed()));
+    let (_, t2) = traced_run(&cfg, Some(windowed()));
     assert_eq!(
         t1.to_jsonl(),
         t2.to_jsonl(),
@@ -151,8 +166,8 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
         }),
         horizon_secs: 4.0,
     });
-    let (r1, t1) = cfg.run_traced().expect("runs");
-    let (r2, t2) = cfg.run_traced().expect("runs");
+    let (r1, t1) = traced_run(&cfg, None);
+    let (r2, t2) = traced_run(&cfg, None);
     assert_eq!(r1.faults_injected, r2.faults_injected);
     assert_eq!(
         t1.to_jsonl(),
@@ -178,8 +193,8 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
 fn spider_protocol_trace_is_reproducible_and_matches_golden() {
     let mut cfg = tiny_experiment(11, SchemeConfig::spider_protocol(4));
     cfg.sim.queueing = QueueingMode::PerChannelFifo(QueueConfig::default());
-    let (r1, t1) = cfg.run_traced().expect("runs");
-    let (_, t2) = cfg.run_traced().expect("runs");
+    let (r1, t1) = traced_run(&cfg, None);
+    let (_, t2) = traced_run(&cfg, None);
     assert_eq!(
         t1.to_jsonl(),
         t2.to_jsonl(),
