@@ -74,6 +74,27 @@ fn bench_paths(c: &mut Criterion) {
             }
         })
     });
+    // The same kernel at paper scale (59-word bitset rows, hubs with
+    // hundreds of channels, 5-6-hop detours for candidates 2-4): a search
+    // regression shows here without running the repo benchmark.
+    let mut rng = DetRng::new(42);
+    let ripple = gen::ripple_like(gen::RIPPLE_NODES, Amount::from_xrp(30_000), &mut rng);
+    let csr = spider_lp::paths::CsrGraph::new(&ripple);
+    let pairs: Vec<(NodeId, NodeId)> = (0..256)
+        .map(|_| {
+            let pick = |rng: &mut DetRng| NodeId(rng.index(ripple.node_count()) as u32);
+            (pick(&mut rng), pick(&mut rng))
+        })
+        .collect();
+    g.bench_function("edge_disjoint_k4_ripple_256_pairs", |b| {
+        let mut oracle = spider_lp::paths::SourceOracle::new(&ripple, &csr, NodeId(0));
+        b.iter(|| {
+            for &(s, d) in &pairs {
+                oracle.retarget(s);
+                black_box(oracle.edge_disjoint(d, 4));
+            }
+        })
+    });
     g.finish();
 }
 

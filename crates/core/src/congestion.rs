@@ -59,6 +59,9 @@ pub struct Windowed<R> {
     inner: R,
     cfg: WindowConfig,
     windows: HashMap<(NodeId, NodeId), Amount>,
+    /// Sum of `windows`' values, kept current by [`Self::store`] so the
+    /// sampler's gauge is O(1). Integer drops: exact and order-free.
+    window_total: Amount,
     /// Insertion order of tracked pairs, for deterministic FIFO eviction
     /// once `max_tracked_pairs` is exceeded.
     insertion_order: VecDeque<(NodeId, NodeId)>,
@@ -83,6 +86,7 @@ impl<R: Router> Windowed<R> {
             inner,
             cfg,
             windows: HashMap::new(),
+            window_total: Amount::ZERO,
             insertion_order: VecDeque::new(),
             ack_driven: false,
         }
@@ -105,11 +109,16 @@ impl<R: Router> Windowed<R> {
     /// table is full. Eviction order is insertion order, so it is
     /// deterministic regardless of the map's internal layout.
     fn store(&mut self, key: (NodeId, NodeId), window: Amount) {
-        if self.windows.insert(key, window).is_none() {
-            self.insertion_order.push_back(key);
-            if self.windows.len() > self.cfg.max_tracked_pairs {
-                if let Some(evict) = self.insertion_order.pop_front() {
-                    self.windows.remove(&evict);
+        self.window_total += window;
+        match self.windows.insert(key, window) {
+            Some(old) => self.window_total -= old,
+            None => {
+                self.insertion_order.push_back(key);
+                if self.windows.len() > self.cfg.max_tracked_pairs {
+                    let evicted = self.insertion_order.pop_front();
+                    if let Some(old) = evicted.and_then(|key| self.windows.remove(&key)) {
+                        self.window_total -= old;
+                    }
                 }
             }
         }
@@ -194,13 +203,8 @@ impl<R: Router> Router for Windowed<R> {
     fn window_gauge(&self) -> Option<f64> {
         // Sum of the wrapper's own tracked windows plus whatever the
         // inner scheme reports (per-path controllers, when wrapping the
-        // §5 protocol). Sorted by pair key before reducing: float
-        // addition is not associative, so summing in hash order would
-        // make the sampled series differ run to run.
-        let mut windows: Vec<_> = self.windows.iter().collect();
-        windows.sort_unstable_by_key(|(&k, _)| k);
-        let own: f64 = windows.iter().map(|(_, w)| w.as_xrp()).sum();
-        Some(own + self.inner.window_gauge().unwrap_or(0.0))
+        // §5 protocol).
+        Some(self.window_total.as_xrp() + self.inner.window_gauge().unwrap_or(0.0))
     }
 
     fn observability(&self) -> spider_sim::RouterObs {
@@ -330,6 +334,8 @@ mod tests {
             w.on_unit_outcome(&outcome(&view, false), &view);
         }
         assert_eq!(w.window(NodeId(0), NodeId(2)), xrp(5));
+        // One tracked pair: the O(1) gauge is that pair's window.
+        assert_eq!(w.window_gauge(), Some(5.0));
     }
 
     #[test]
@@ -410,6 +416,8 @@ mod tests {
             w.on_unit_outcome(&o, &view);
         }
         assert_eq!(w.tracked_pairs(), 4, "table bounded at the cap");
+        // The running total dropped the evicted pairs' windows with them.
+        assert_eq!(w.window_total, w.windows.values().sum::<Amount>());
         // Oldest pairs were evicted and read back as the initial window.
         assert_eq!(
             w.window(NodeId(0), NodeId(10)),

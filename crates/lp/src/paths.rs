@@ -14,6 +14,18 @@
 //!   source, which is what makes precomputing a whole workload's candidate
 //!   sets affordable (see `spider_routing::PathOracle`).
 //!
+//! Every search behind the first two and the batched form is one routine,
+//! `BfsWorkspace::lexmin_path`: an exact *bidirectional* layer search over
+//! bitsets. "The BFS path over id-sorted adjacency" is the
+//! lexicographically smallest shortest path, a characterization that does
+//! not care in which order the graph is explored — so instead of growing
+//! one ball from an endpoint until it swallows the other (most of a
+//! hub-dominated payment-channel graph, for the 5–6-hop detours that
+//! candidates 2–4 of an edge-disjoint set are), two balls grow from both
+//! endpoints, meet after a few dozen node expansions, and a greedy walk
+//! reads the lex-min path off their layers. The invariants that make this
+//! exact are on that function.
+//!
 //! All oracles are deterministic: ties break toward fewer hops, then the
 //! lexicographically smallest node sequence. A degenerate `src == dst`
 //! query has no usable candidate paths: the multi-path oracles
@@ -92,9 +104,9 @@ impl Path {
 }
 
 /// Nodes at or above this degree get an adjacency *bitset* row next to
-/// their CSR row: the reverse layer sweep ORs 64 neighbors per word
-/// instead of scanning the row edge by edge, which is where the hub-heavy
-/// scale-free graphs spend most of their BFS time.
+/// their CSR row: a layer expansion ORs 64 neighbors per word instead of
+/// scanning the row edge by edge, which is where the hub-heavy scale-free
+/// graphs spend most of their BFS time.
 const HUB_MIN_DEG: usize = 16;
 
 /// Upper bound on the hub-bitset arena (in 8-byte words, 32 MiB) so giant
@@ -108,8 +120,8 @@ const HUB_BITS_MAX_WORDS: usize = 1 << 22;
 /// the same static graph, so they scan this single contiguous
 /// `(neighbor, channel)` array instead — same entries, same per-node
 /// sorted order (traversal order, and therefore every result, is
-/// unchanged) — plus adjacency *bitset* rows for hubs, which the reverse
-/// layer sweep folds in 64 neighbors at a time. Build it once and share
+/// unchanged) — plus adjacency *bitset* rows for hubs, which a layer
+/// expansion folds in 64 neighbors at a time. Build it once and share
 /// it across every [`SourceOracle`] of a batch; it is immutable and
 /// `Sync`.
 #[derive(Debug, Clone)]
@@ -120,13 +132,13 @@ pub struct CsrGraph {
     /// channel index in the high 32 — one sequential load per edge
     /// instead of two parallel-array loads.
     entries: Vec<u64>,
-    /// Neighbor indices alone (parallel to `entries`): the ban-free sweep
-    /// tiers touch half the bytes per edge.
+    /// Neighbor indices alone (parallel to `entries`): the check-free
+    /// expansion tier touches half the bytes per edge.
     neighbors: Vec<u32>,
     /// Bitset words per node set (`ceil(node_count / 64)`).
     words: usize,
     /// Per node: word offset of its adjacency bitset row in `hub_bits`,
-    /// or `u32::MAX` for nodes swept through their CSR row.
+    /// or `u32::MAX` for nodes expanded through their CSR row.
     hub_row: Vec<u32>,
     /// Adjacency bitset rows of high-degree nodes.
     hub_bits: Vec<u64>,
@@ -184,7 +196,7 @@ impl CsrGraph {
 
     /// Enables or disables one channel in O(1) — no reflattening. A
     /// disabled channel is invisible to every oracle rooted on this graph:
-    /// CSR-row sweeps skip it, hub bitset rows have its endpoint bits
+    /// CSR-row scans skip it, hub bitset rows have its endpoint bits
     /// cleared, feasibility probes discount it. Results over the enabled
     /// subgraph are bit-identical (as node sequences) to a cold build of
     /// the filtered topology.
@@ -332,8 +344,59 @@ fn bit_clear(bits: &mut [u64], i: u32) {
     bits[(i / 64) as usize] &= !(1u64 << (i % 64));
 }
 
+/// One side of the bidirectional search: exact distance layers grown from
+/// a root (`src` forward, `dst` backward) on the residual graph.
+#[derive(Debug, Default)]
+struct Ball {
+    /// `inner[t]` holds the nodes at residual distance exactly `t` from
+    /// the root, for every `t` short of the frontier's.
+    inner: Vec<Vec<u64>>,
+    /// The outermost layer (distance `inner.len()`). Layers are only ever
+    /// added whole.
+    frontier: Vec<u64>,
+    /// Popcount of `frontier`.
+    frontier_len: u32,
+    /// Nodes this side may still discover: in none of its layers and not
+    /// node-banned (masking a layer against the bans is exactly BFS
+    /// refusing to visit those nodes).
+    open: Vec<u64>,
+}
+
+impl Ball {
+    /// Restarts the ball at `root`: the frontier is `{root}` and every
+    /// other node outside `banned_nodes` is open. Old layers go to `spare`.
+    fn restart(
+        &mut self,
+        root: u32,
+        words: usize,
+        banned_nodes: Option<&[u64]>,
+        spare: &mut Vec<Vec<u64>>,
+    ) {
+        spare.append(&mut self.inner);
+        self.frontier.clear();
+        self.frontier.resize(words, 0);
+        bit_set(&mut self.frontier, root);
+        self.frontier_len = 1;
+        self.open.clear();
+        match banned_nodes {
+            Some(mask) => self.open.extend(mask.iter().map(|m| !m)),
+            None => self.open.resize(words, !0),
+        }
+        bit_clear(&mut self.open, root);
+    }
+}
+
+/// A cleared bitset buffer of `words` words, recycled from `spare` when
+/// possible.
+fn grab_bits(spare: &mut Vec<Vec<u64>>, words: usize) -> Vec<u64> {
+    let mut bits = spare.pop().unwrap_or_default();
+    bits.clear();
+    bits.resize(words, 0);
+    bits
+}
+
 /// Reusable search state: epoch-stamped ban flags, the tree-build BFS
-/// buffers, and the reverse layer sweep's bitsets.
+/// buffers, and the two balls of the bidirectional layer search.
 ///
 /// The oracles run several searches per destination and serve many
 /// destinations per source. Instead of clearing ban/visited arrays
@@ -342,30 +405,29 @@ fn bit_clear(bits: &mut [u64], i: u32) {
 /// invalidates them in O(1) (with a full clear every 255 generations) —
 /// and the arrays are small enough to stay cache-resident at Ripple
 /// scale. Bans accumulate across the successive searches of one
-/// destination (edge disjointness) while each search gets fresh visited
-/// state. The membership *semantics* are the ones BFS over sorted
-/// adjacency always had, so results are bit-identical to the per-pair
-/// oracles of earlier trees.
+/// destination (edge disjointness) while each search gets fresh layers
+/// (bitset buffers recycled through `spare_bits`; restarting a search is
+/// a handful of word writes). The membership *semantics* are the ones BFS
+/// over sorted adjacency always had, so results are bit-identical to the
+/// per-pair oracles of earlier trees.
 #[derive(Debug)]
 struct BfsWorkspace {
     banned_channel: Vec<u8>,
-    /// Banned nodes (bitset; Yen's spur roots). Swept layers are masked
-    /// against it, which is exactly BFS refusing to visit those nodes.
+    /// Banned nodes (bitset; Yen's spur roots). Neither ball may discover
+    /// them.
     banned_node_bits: Vec<u64>,
     seen: Vec<u8>,
     /// Fixed-size FIFO for the tree build (manual length, one slot of
     /// slack).
     fifo: Vec<u32>,
-    /// Nodes discovered by the reverse layer sweep (bitset, cleared per
-    /// search — a handful of word writes).
-    visited_bits: Vec<u64>,
     /// Endpoints of currently banned channels (bitset, cleared per ban
-    /// epoch). A swept node outside this set has only unbanned channels,
-    /// so its row is folded in without per-edge ban checks.
+    /// epoch). An expanded node outside this set has only unbanned
+    /// channels, so its row is folded in without per-edge ban checks.
     ban_touched_bits: Vec<u64>,
-    /// Distance layers of the reverse sweep: `layer_bits[t]` holds the
-    /// nodes at residual distance `t` from the sweep's root.
-    layer_bits: Vec<Vec<u64>>,
+    /// The `src`-rooted ball of the current search.
+    fwd: Ball,
+    /// The `dst`-rooted ball of the current search.
+    bwd: Ball,
     /// Recycled layer buffers.
     spare_bits: Vec<Vec<u64>>,
     ban_epoch: u8,
@@ -382,9 +444,9 @@ impl BfsWorkspace {
             banned_node_bits: vec![0; n_nodes.div_ceil(64)],
             seen: vec![0; n_nodes],
             fifo: vec![0; n_nodes + 1],
-            visited_bits: vec![0; n_nodes.div_ceil(64)],
             ban_touched_bits: vec![0; n_nodes.div_ceil(64)],
-            layer_bits: Vec::new(),
+            fwd: Ball::default(),
+            bwd: Ball::default(),
             spare_bits: Vec::new(),
             // Stamps start at 0, so the first valid epoch is 1.
             ban_epoch: 1,
@@ -419,8 +481,8 @@ impl BfsWorkspace {
     }
 
     /// Bans channel `c` (endpoints `a`, `b`) for this epoch. Endpoint
-    /// tracking powers the sweep's check-free row tier: a node outside
-    /// `ban_touched_bits` provably has no banned channel.
+    /// tracking powers the check-free row tier of [`Residual::expand`]: a
+    /// node outside `ban_touched_bits` provably has no banned channel.
     #[inline]
     fn ban_channel(&mut self, c: u32, a: u32, b: u32) {
         self.banned_channel[c as usize] = self.ban_epoch;
@@ -449,32 +511,11 @@ impl BfsWorkspace {
             })
     }
 
-    /// A cleared bitset buffer of `words` words, recycled when possible.
-    fn grab_bits(&mut self, words: usize) -> Vec<u64> {
-        match self.spare_bits.pop() {
-            Some(mut b) => {
-                b.clear();
-                b.resize(words, 0);
-                b
-            }
-            None => vec![0; words],
-        }
-    }
-
-    /// True when `node` has an unbanned channel to a node of `frontier`
-    /// — the exact membership test for the next reverse-sweep layer.
-    fn linked_to_frontier(&self, csr: &CsrGraph, node: u32, frontier: &[u64]) -> bool {
-        csr.row(node).iter().any(|&e| {
-            let c = CsrGraph::channel(e);
-            self.banned_channel[c as usize] != self.ban_epoch
-                && !csr.is_disabled(c)
-                && bit_get(frontier, CsrGraph::neighbor(e))
-        })
-    }
-
-    /// The shortest path from `src` to `dst` on the channel-banned
-    /// residual graph, with the exact tie-breaks of [`BfsWorkspace::bfs`]
-    /// — computed without simulating the BFS.
+    /// The shortest path from `src` to `dst` on the residual graph
+    /// (enabled channels minus this epoch's channel and node bans), with
+    /// the exact tie-breaks of a BFS over id-sorted adjacency — computed
+    /// without simulating that BFS. `banned_edges` lists `(channel,
+    /// endpoint, endpoint)` of every channel banned this epoch.
     ///
     /// BFS over id-sorted adjacency returns *the lexicographically
     /// smallest (by node sequence) shortest path*: discovery order within
@@ -484,24 +525,43 @@ impl BfsWorkspace {
     /// lex-smallest, and the chain reaching `dst` is the lex-min shortest
     /// path (this is the documented tie-break contract of this module,
     /// and the reference tests pin it against a literal BFS). That
-    /// characterization is order-free, which unlocks a much cheaper
-    /// computation:
+    /// characterization is order-free: any way of learning, for every
+    /// node, whether it lies on a shortest path and how far from `dst`,
+    /// supports the same greedy walk. So the search meets in the middle:
     ///
-    /// 1. a *reverse* layer-synchronous sweep from `dst` records the
-    ///    distance layers of the residual graph as bitsets — no visited
-    ///    checks or parent bookkeeping per edge, and hub rows
-    ///    ([`HUB_MIN_DEG`]) are folded in as whole-word ORs, 64 neighbors
-    ///    at a time (the bulk of all edges in a scale-free graph);
-    /// 2. a forward greedy walk picks, at each step, the smallest-id
-    ///    unbanned neighbor one layer closer to `dst` — the lex-min path.
+    /// 1. **Grow.** Keep exact distance layers `F_0..F_a` from `src` and
+    ///    `B_0..B_b` from `dst` ([`Ball`]). Expand whichever ball has the
+    ///    smaller frontier by one *complete* layer
+    ///    ([`Residual::expand`]) and stop the first time a new layer
+    ///    touches the other ball. On a hub-dominated graph two balls of
+    ///    radius `d / 2` hold a few dozen nodes where one ball of radius
+    ///    `d` holds almost the whole component.
+    /// 2. **Meet.** Say the new layer is `F_a` and `x ∈ F_a` lies in some
+    ///    `B_j`. If `j < b`, `x`'s predecessor `y ∈ F_{a−1}` is adjacent
+    ///    to `B_j`, hence in a layer `B_i` with `i ≤ j + 1 ≤ b` — and
+    ///    whichever of `F_{a−1}` and `B_i` was added later would have
+    ///    touched the other ball then, because layers are added whole. So
+    ///    the first contact lies in the two outermost layers; a path
+    ///    shorter than `a + b` would likewise have put one of its nodes in
+    ///    both balls a layer earlier, so the distance is `d = a + b`, and
+    ///    the contact set `F_a ∩ B_b` is every node at distance `a` from
+    ///    `src` on a shortest path (symmetrically when the new layer is
+    ///    `B_b`).
+    /// 3. **Pull back.** `M_a = F_a ∩ B_b`, `M_j = F_j ∩ N(M_{j+1})` for
+    ///    `j = a−1 … 1` (the same `expand`, kept to `F_j`): `M_j` is the
+    ///    set of nodes `j` from `src` and `d − j` from `dst`.
+    /// 4. **Walk.** From `src`, at position `p = 1..=d`, take the
+    ///    smallest-id neighbor over an unbanned channel that is one layer
+    ///    closer to `dst`: a member of `M_p` while `p ≤ a`, of `B_{d−p}`
+    ///    after. For a neighbor `v` of a node of `M_{p−1}` the two tests
+    ///    agree — `v` is at most `p` from `src`, and `d − p` from `dst`
+    ///    forces at least `p` — so the walk is the one a full `dst`-rooted
+    ///    layering would drive: the lex-min path.
     ///
-    /// Hub ORs ignore bans, so each swept layer is corrected against
-    /// `banned_edges` (`(channel, endpoint, endpoint)` of every banned
-    /// channel): an endpoint set by a hub OR keeps its bit only if some
-    /// unbanned channel really links it to the frontier. A destination
-    /// cut off in a small residual pocket exhausts the sweep after a few
-    /// tiny layers — failure costs the *pocket's* size, not a sweep of
-    /// `src`'s whole component.
+    /// A root sealed in a small residual pocket (by bans or disabled
+    /// channels) exhausts *its* ball after a few tiny layers whichever
+    /// side it is on — failure costs the pocket's size, not a traversal
+    /// of the other endpoint's whole component.
     fn lexmin_path(
         &mut self,
         csr: &CsrGraph,
@@ -516,134 +576,77 @@ impl BfsWorkspace {
             return None;
         }
         let words = csr.words;
-        let ban = self.ban_epoch;
-        // Recycle the previous search's layers.
-        self.spare_bits.append(&mut self.layer_bits);
-        self.visited_bits.clear();
-        self.visited_bits.resize(words, 0);
-        let mut frontier = self.grab_bits(words);
-        bit_set(&mut frontier, dst);
-        bit_set(&mut self.visited_bits, dst);
-        let depth = loop {
-            let t = self.layer_bits.len();
-            let mut next = self.grab_bits(words);
-            // Sweep the frontier into `next`. `src`'s bit is polled once
-            // per frontier *word* (at most 63 nodes of overshoot — the
-            // layer stays exact either way, see below).
-            let mut src_settled = false;
-            let mut found = false;
-            'sweep: for w_idx in 0..words {
-                let mut word = frontier[w_idx];
-                if word == 0 {
-                    continue;
-                }
-                while word != 0 {
-                    let u = (w_idx * 64) as u32 + word.trailing_zeros();
-                    word &= word - 1;
-                    match csr.hub_bits_row(u) {
-                        Some(row) => {
-                            for (n, &r) in next.iter_mut().zip(row) {
-                                *n |= r;
-                            }
-                        }
-                        None if !bit_get(&self.ban_touched_bits, u) && csr.disabled_at(u) == 0 => {
-                            // Neither a ban nor a disabled channel touches
-                            // `u`: fold its row in without per-edge checks.
-                            for &v in csr.neighbor_row(u) {
-                                bit_set(&mut next, v);
-                            }
-                        }
-                        None => {
-                            for &e in csr.row(u) {
-                                let c = CsrGraph::channel(e);
-                                if self.banned_channel[c as usize] != ban && !csr.is_disabled(c) {
-                                    bit_set(&mut next, CsrGraph::neighbor(e));
-                                }
-                            }
-                        }
-                    }
-                }
-                // `src` reached? Its bit is trustworthy unless a banned
-                // channel at `src` leads to a frontier hub (whose OR
-                // ignores bans) — only then arbitrate against the
-                // (complete) frontier, once per layer.
-                if !src_settled && bit_get(&next, src) {
-                    src_settled = true;
-                    let maybe_spurious = banned_edges.iter().any(|&(_, a, b)| {
-                        (a == src && csr.hub_row[b as usize] != u32::MAX && bit_get(&frontier, b))
-                            || (b == src
-                                && csr.hub_row[a as usize] != u32::MAX
-                                && bit_get(&frontier, a))
-                    });
-                    if !maybe_spurious || self.linked_to_frontier(csr, src, &frontier) {
-                        found = true;
-                        break 'sweep;
-                    }
-                    bit_clear(&mut next, src);
-                }
+        let banned_nodes = self.node_bans.then_some(self.banned_node_bits.as_slice());
+        self.fwd
+            .restart(src, words, banned_nodes, &mut self.spare_bits);
+        self.bwd
+            .restart(dst, words, banned_nodes, &mut self.spare_bits);
+        let BfsWorkspace {
+            banned_channel,
+            ban_touched_bits,
+            ban_epoch,
+            fwd,
+            bwd,
+            spare_bits,
+            ..
+        } = self;
+        let residual = Residual {
+            csr,
+            banned_channel,
+            ban_epoch: *ban_epoch,
+            ban_touched_bits,
+            banned_edges,
+        };
+        loop {
+            let (ball, other) = if fwd.frontier_len < bwd.frontier_len {
+                (&mut *fwd, &*bwd)
+            } else {
+                (&mut *bwd, &*fwd)
+            };
+            let mut next = grab_bits(spare_bits, words);
+            residual.expand(&ball.frontier, &ball.open, &mut next);
+            // `other.open` lacks exactly the other ball's nodes and the
+            // banned ones, and `next` holds no banned node.
+            let mut len = 0;
+            let mut met = false;
+            for ((&n, open), &other_open) in next.iter().zip(&mut ball.open).zip(&other.open) {
+                *open &= !n;
+                len += n.count_ones();
+                met |= n & !other_open != 0;
             }
-            if found {
-                // Layers 1..=t (the greedy walk's working set) are
-                // complete; `src` sits in the partial layer t + 1.
-                self.layer_bits.push(frontier);
-                self.spare_bits.push(next);
-                break t + 2;
-            }
-            // The verification above is definitive for this layer: a
-            // re-set of `src`'s bit by a later hub OR is equally
-            // spurious, and must not leak into the layer (it would mark
-            // `src` visited and hide it from every later layer).
-            if src_settled {
-                bit_clear(&mut next, src);
-            }
-            // Keep only genuinely new nodes — and never banned ones
-            // (masking a layer is exactly BFS refusing to visit them) —
-            // then audit hub-OR bits that may exist only through a banned
-            // channel.
-            for (n, v) in next.iter_mut().zip(&self.visited_bits) {
-                *n &= !v;
-            }
-            if self.node_bans {
-                for (n, b) in next.iter_mut().zip(&self.banned_node_bits) {
-                    *n &= !b;
-                }
-            }
-            for &(_, a, b) in banned_edges {
-                for (x, y) in [(a, b), (b, a)] {
-                    if csr.hub_row[x as usize] != u32::MAX
-                        && bit_get(&frontier, x)
-                        && bit_get(&next, y)
-                        && !self.linked_to_frontier(csr, y, &frontier)
-                    {
-                        bit_clear(&mut next, y);
-                    }
-                }
-            }
-            let mut any = 0u64;
-            for (v, n) in self.visited_bits.iter_mut().zip(&next) {
-                *v |= n;
-                any |= n;
-            }
-            if any == 0 {
-                // `dst`'s residual component is exhausted: unreachable.
-                self.layer_bits.push(frontier);
-                self.spare_bits.push(next);
+            if len == 0 {
+                // This root's residual component is exhausted: unreachable.
+                spare_bits.push(next);
                 return None;
             }
-            self.layer_bits.push(frontier);
-            frontier = next;
-        };
-        // Forward greedy walk: from `src`, repeatedly take the
-        // smallest-id unbanned neighbor one layer closer to `dst`.
-        // `layer_bits[t]` holds distance-t nodes; `src` is at `depth - 1`.
-        // Bitset order and sorted-row order are both ascending node id,
-        // so a hub step can AND its adjacency bitset against the layer
-        // instead of scanning hundreds of entries.
+            ball.inner.push(std::mem::replace(&mut ball.frontier, next));
+            ball.frontier_len = len;
+            if met {
+                break;
+            }
+        }
+        for (f, &b) in fwd.frontier.iter_mut().zip(&bwd.frontier) {
+            *f &= b;
+        }
+        // Pull back in place, outermost first: `F_j` is not needed once
+        // `M_j` is known, and `M_0 = F_0`.
+        let mut outer = &fwd.frontier;
+        for layer in fwd.inner.iter_mut().skip(1).rev() {
+            let mut on_path = grab_bits(spare_bits, words);
+            residual.expand(outer, layer, &mut on_path);
+            std::mem::swap(layer, &mut on_path);
+            spare_bits.push(on_path);
+            outer = layer;
+        }
+        // Forward greedy walk over `M_1..M_a`, then `B_{b−1}..B_0`. Bitset
+        // order and sorted-row order are both ascending node id, so a hub
+        // step can AND its adjacency bitset against the layer instead of
+        // scanning hundreds of entries.
         let mut nodes = vec![NodeId(src)];
         let mut channels = Vec::new();
         let mut cur = src;
-        for t in (0..depth - 1).rev() {
-            let layer = &self.layer_bits[t];
+        let fwd_layers = fwd.inner.iter().chain([&fwd.frontier]).skip(1);
+        for layer in fwd_layers.chain(bwd.inner.iter().rev()) {
             let mut step = None;
             match csr.hub_bits_row(cur) {
                 Some(hubrow) => {
@@ -655,7 +658,7 @@ impl BfsWorkspace {
                             let row = csr.neighbor_row(cur);
                             let idx = row.binary_search(&v).expect("bitset row matches CSR");
                             let c = CsrGraph::channel(csr.row(cur)[idx]);
-                            if self.banned_channel[c as usize] != ban {
+                            if !residual.banned(c) {
                                 step = Some((v, c));
                                 break 'hub;
                             }
@@ -666,23 +669,111 @@ impl BfsWorkspace {
                     for &e in csr.row(cur) {
                         let v = CsrGraph::neighbor(e);
                         let c = CsrGraph::channel(e);
-                        if self.banned_channel[c as usize] != ban
-                            && !csr.is_disabled(c)
-                            && bit_get(layer, v)
-                        {
+                        if !residual.banned(c) && !csr.is_disabled(c) && bit_get(layer, v) {
                             step = Some((v, c));
                             break;
                         }
                     }
                 }
             }
-            let (v, c) = step.expect("complete layer precedes the walk");
+            let (v, c) = step.expect("every walked node lies on a shortest path");
             nodes.push(NodeId(v));
             channels.push(c);
             cur = v;
         }
         debug_assert_eq!(cur, dst);
         Some((nodes, channels))
+    }
+}
+
+/// The residual graph of one search, as [`BfsWorkspace::lexmin_path`]
+/// sees it: the enabled channels of `csr` minus this epoch's channel bans.
+/// (Node bans are not here — they live in each [`Ball`]'s `open` set.)
+struct Residual<'s> {
+    csr: &'s CsrGraph,
+    banned_channel: &'s [u8],
+    ban_epoch: u8,
+    ban_touched_bits: &'s [u64],
+    /// `(channel, endpoint, endpoint)` of every channel banned this epoch.
+    banned_edges: &'s [(u32, u32, u32)],
+}
+
+impl Residual<'_> {
+    #[inline]
+    fn banned(&self, c: u32) -> bool {
+        self.banned_channel[c as usize] == self.ban_epoch
+    }
+
+    /// True when `node` has an unbanned, enabled channel to a node of
+    /// `frontier` — the exact adjacency test behind [`Self::expand`].
+    fn linked_to_frontier(&self, node: u32, frontier: &[u64]) -> bool {
+        self.csr.row(node).iter().any(|&e| {
+            let c = CsrGraph::channel(e);
+            !self.banned(c) && !self.csr.is_disabled(c) && bit_get(frontier, CsrGraph::neighbor(e))
+        })
+    }
+
+    /// Sets in `next` (all zero on entry) exactly the nodes of `keep` that
+    /// an unbanned, enabled channel links to a node of `frontier` — one
+    /// BFS step on the residual graph, in either direction (channels and
+    /// bans are symmetric). It serves the forward step, the backward step
+    /// and the pull-back alike.
+    ///
+    /// No visited checks or parent bookkeeping per edge: hub rows
+    /// ([`HUB_MIN_DEG`]) are folded in as whole-word ORs, 64 neighbors at a
+    /// time (the bulk of all edges in a scale-free graph); a row that
+    /// neither a ban nor a disabled channel touches is folded in without
+    /// per-edge checks; only the remaining rows test each channel. Hub
+    /// rows are kept exact for *disabled* channels but know nothing of
+    /// *bans*, so wherever a hub row was OR-ed the result is audited
+    /// against `banned_edges`: the far endpoint of a banned channel at a
+    /// frontier hub keeps its bit only if some unbanned channel really
+    /// links it to the frontier. Every caller needs that audit — a
+    /// spurious bit in a growth layer fakes a distance, one in a
+    /// pulled-back set sends the greedy walk into a dead end.
+    fn expand(&self, frontier: &[u64], keep: &[u64], next: &mut [u64]) {
+        let csr = self.csr;
+        for (w_idx, &frontier_word) in frontier.iter().enumerate() {
+            let mut word = frontier_word;
+            while word != 0 {
+                let u = (w_idx * 64) as u32 + word.trailing_zeros();
+                word &= word - 1;
+                match csr.hub_bits_row(u) {
+                    Some(row) => {
+                        for (n, &r) in next.iter_mut().zip(row) {
+                            *n |= r;
+                        }
+                    }
+                    None if !bit_get(self.ban_touched_bits, u) && csr.disabled_at(u) == 0 => {
+                        for &v in csr.neighbor_row(u) {
+                            bit_set(next, v);
+                        }
+                    }
+                    None => {
+                        for &e in csr.row(u) {
+                            let c = CsrGraph::channel(e);
+                            if !self.banned(c) && !csr.is_disabled(c) {
+                                bit_set(next, CsrGraph::neighbor(e));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for (n, k) in next.iter_mut().zip(keep) {
+            *n &= k;
+        }
+        for &(_, a, b) in self.banned_edges {
+            for (hub, far) in [(a, b), (b, a)] {
+                if csr.hub_bits_row(hub).is_some()
+                    && bit_get(frontier, hub)
+                    && bit_get(next, far)
+                    && !self.linked_to_frontier(far, frontier)
+                {
+                    bit_clear(next, far);
+                }
+            }
+        }
     }
 }
 
@@ -710,8 +801,8 @@ pub struct SourceOracle<'a> {
     /// Unbanned BFS parent tree from `src`, as [`Topology::bfs_parents`]
     /// builds it: packed `(parent, via-channel)` per node (`u64::MAX` =
     /// unreached; the source points at itself). Built lazily: a source
-    /// asked about only a destination or two gets per-destination reverse
-    /// sweeps (identical results — both compute the lex-min shortest
+    /// asked about only a destination or two gets per-destination
+    /// searches (identical results — both compute the lex-min shortest
     /// path) instead of paying a full-graph traversal up front.
     tree: Vec<u64>,
     tree_built: bool,
@@ -720,7 +811,19 @@ pub struct SourceOracle<'a> {
 }
 
 /// After this many first-path queries for one source, amortizing a full
-/// BFS tree beats per-destination sweeps.
+/// BFS tree beats per-destination searches.
+///
+/// Re-measured for the bidirectional search (PR 18; 2-core host, full
+/// Ripple, `routing.oracle.fill_s`, median of 5 at 0 / 1 / 3 / 8 / never):
+/// the lockstep prewarm (172,076 pairs over ≈ 3.8 k sources, `Shortest`)
+/// reads 0.225 / 0.207 / 0.190 / 0.181 / 0.232 s, the k = 4 fifo prewarm
+/// (104,247 pairs; only the first of a pair's four searches can use the
+/// tree) 0.69 / 0.67 / 0.65 / 0.64 / 0.64 s. A ban-free search costs
+/// ≈ 2.5 µs against ≈ 20 µs for `build_tree`, so the arithmetic break-even
+/// is ≈ 8 queries and the curve is flat from 4 to 16 — but 3 → 8 is worth
+/// ≈ 9 ms of a 0.93 s run, and ten alternating `ripple-lockstep-shortest`
+/// pairs could not tell the two apart (8 won 6; medians 0.937 / 0.939 s).
+/// The value stays.
 const TREE_AFTER_QUERIES: u32 = 3;
 
 impl<'a> SourceOracle<'a> {
@@ -750,7 +853,7 @@ impl<'a> SourceOracle<'a> {
     }
 
     /// The unbanned lex-min shortest path to `dst` with its hop channels:
-    /// from the tree when built, by one reverse sweep otherwise (building
+    /// from the tree when built, by one search otherwise (building
     /// the tree once a source proves hot). Requires a fresh ban epoch.
     fn first_path(&mut self, dst: u32) -> Option<(Vec<NodeId>, Vec<u32>)> {
         self.queries += 1;
@@ -845,7 +948,7 @@ impl<'a> SourceOracle<'a> {
         };
         let mut out = Vec::with_capacity(k);
         // Channels every accepted path used, with their endpoints (the
-        // sweep corrects hub-OR overreach against this list).
+        // search audits hub-row ORs against this list).
         let mut banned_edges: Vec<(u32, u32, u32)> = Vec::new();
         for (i, c) in channels.into_iter().enumerate() {
             self.ws.ban_channel(c, nodes[i].0, nodes[i + 1].0);
@@ -1095,15 +1198,18 @@ mod tests {
         NodeId(i)
     }
 
+    /// A topology of `nodes` nodes with the given channels, in order.
+    fn graph(nodes: usize, edges: &[(u32, u32)]) -> Topology {
+        let mut b = Topology::builder(nodes);
+        for &(u, v) in edges {
+            b.channel(n(u), n(v), CAP).unwrap();
+        }
+        b.build()
+    }
+
     /// Diamond: 0-1-3, 0-2-3, plus direct 0-3.
     fn diamond() -> Topology {
-        let mut b = Topology::builder(4);
-        b.channel(n(0), n(1), CAP).unwrap();
-        b.channel(n(1), n(3), CAP).unwrap();
-        b.channel(n(0), n(2), CAP).unwrap();
-        b.channel(n(2), n(3), CAP).unwrap();
-        b.channel(n(0), n(3), CAP).unwrap();
-        b.build()
+        graph(4, &[(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)])
     }
 
     #[test]
@@ -1157,10 +1263,7 @@ mod tests {
 
     #[test]
     fn yen_on_disconnected_pair() {
-        let mut b = Topology::builder(4);
-        b.channel(n(0), n(1), CAP).unwrap();
-        b.channel(n(2), n(3), CAP).unwrap();
-        let t = b.build();
+        let t = graph(4, &[(0, 1), (2, 3)]);
         assert!(k_shortest_paths(&t, n(0), n(3), 3).is_empty());
     }
 
@@ -1249,9 +1352,9 @@ mod tests {
 
     /// Literal successive-shortest-path BFS, kept deliberately naive: one
     /// `VecDeque` BFS per path over `HashSet` bans. The production oracle
-    /// computes the same paths through the reverse layer sweep; this
-    /// reference pins the "BFS over sorted adjacency = lex-min shortest
-    /// path" equivalence the sweep relies on.
+    /// computes the same paths through the bidirectional layer search;
+    /// this reference pins the "BFS over sorted adjacency = lex-min
+    /// shortest path" equivalence that search relies on.
     fn reference_edge_disjoint(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
         use std::collections::VecDeque;
         if k == 0 || src == dst {
@@ -1529,12 +1632,237 @@ mod tests {
         }
     }
 
+    /// Bans channel `u`–`v` in `oracle`'s current epoch and records it in
+    /// `banned_edges`, as the oracles do for every accepted path.
+    fn ban(oracle: &mut SourceOracle<'_>, banned_edges: &mut Vec<(u32, u32, u32)>, u: u32, v: u32) {
+        let c = oracle.topo.channel_between(n(u), n(v)).unwrap().0;
+        oracle.ws.ban_channel(c, u, v);
+        banned_edges.push((c, u, v));
+    }
+
+    /// One direct search on `oracle`'s current ban epoch.
+    fn search(
+        oracle: &mut SourceOracle<'_>,
+        dst: u32,
+        banned_edges: &[(u32, u32, u32)],
+    ) -> Option<Vec<NodeId>> {
+        let (csr, src) = (oracle.csr, oracle.src);
+        oracle
+            .ws
+            .lexmin_path(csr, src, dst, banned_edges)
+            .map(|(nodes, _)| nodes)
+    }
+
+    /// Nodes the last search left in its two balls: the tests' measure of
+    /// how much of the graph it touched.
+    fn ball_nodes(oracle: &SourceOracle<'_>) -> u32 {
+        let ws = &oracle.ws;
+        [&ws.fwd, &ws.bwd]
+            .into_iter()
+            .flat_map(|ball| ball.inner.iter().chain([&ball.frontier]))
+            .flatten()
+            .map(|word| word.count_ones())
+            .sum()
+    }
+
+    /// `Some` of the path through the given node ids.
+    fn via<const N: usize>(nodes: [u32; N]) -> Option<Vec<NodeId>> {
+        Some(nodes.map(NodeId).to_vec())
+    }
+
+    /// Adjacent and distance-2 pairs are the corners of the walk's layer
+    /// selection: `dst`'s ball always grows first, so `d = 1` meets with
+    /// no forward layer at all (`a = 0`, every step read off `B`), and
+    /// `d = 2` meets with either one layer a side or two backward ones.
+    #[test]
+    fn adjacent_and_two_hop_pairs_match_literal_bfs() {
+        use spider_types::DetRng;
+        let mut rng = DetRng::new(5);
+        let graphs = vec![
+            diamond(),
+            gen::isp_topology(CAP),
+            gen::star(20, CAP),
+            gen::barabasi_albert(120, 2, CAP, &mut rng),
+        ];
+        for t in &graphs {
+            let (mut adjacent, mut two_hop) = (0, 0);
+            for src in t.nodes() {
+                for (dst, d) in t.nodes().zip(t.bfs_distances(src)) {
+                    let Some(d @ 1..=2) = d else {
+                        continue;
+                    };
+                    if d == 1 {
+                        adjacent += 1;
+                    } else {
+                        two_hop += 1;
+                    }
+                    let got = k_edge_disjoint_paths(t, src, dst, 4);
+                    assert_eq!(got.first().map(Path::hop_count), Some(d as usize));
+                    assert_eq!(got, reference_edge_disjoint(t, src, dst, 4), "{src}->{dst}");
+                    assert_eq!(
+                        k_shortest_paths(t, src, dst, 3),
+                        reference_k_shortest(t, src, dst, 3),
+                        "yen {src}->{dst}"
+                    );
+                }
+            }
+            assert!(adjacent > 0 && two_hop > 0);
+        }
+    }
+
+    /// A root sealed in a small residual pocket — by a disabled channel or
+    /// by a ban, as `src` or as `dst` — fails the search after expanding
+    /// about the pocket, never the 300-node component the other root
+    /// sits in.
+    #[test]
+    fn sealed_pocket_fails_at_the_pockets_size() {
+        use spider_types::DetRng;
+        const GIANT: usize = 300;
+        let giant = gen::barabasi_albert(GIANT, 3, CAP, &mut DetRng::new(9));
+        // Pocket: triangle 300-301-302, bridged to the giant by 301-7.
+        let mut edges: Vec<(u32, u32)> = giant.channels().map(|(_, ch)| (ch.u.0, ch.v.0)).collect();
+        edges.extend([(300, 301), (300, 302), (301, 302), (301, 7)]);
+        let t = graph(GIANT + 3, &edges);
+        let bridge = t.channel_between(n(301), n(7));
+        let far = 250;
+        for by_ban in [false, true] {
+            for (src, dst) in [(300, far), (far, 300)] {
+                let mut csr = CsrGraph::new(&t);
+                {
+                    let mut open = SourceOracle::new(&t, &csr, n(src));
+                    assert_eq!(search(&mut open, dst, &[]), t.shortest_path(n(src), n(dst)));
+                    assert!(ball_nodes(&open) < 100, "an open search stays local");
+                }
+                if !by_ban {
+                    csr.set_channel_enabled(&t, bridge.unwrap(), false);
+                }
+                let mut oracle = SourceOracle::new(&t, &csr, n(src));
+                let mut banned_edges = Vec::new();
+                if by_ban {
+                    ban(&mut oracle, &mut banned_edges, 301, 7);
+                }
+                assert_eq!(search(&mut oracle, dst, &banned_edges), None);
+                // Three pocket nodes, plus the giant-side layers grown
+                // while they were no larger than the pocket's: the far
+                // root and its neighbors.
+                let touched = ball_nodes(&oracle) as usize;
+                assert!(
+                    touched <= 3 + 1 + t.degree(n(far)),
+                    "{src}->{dst} by_ban={by_ban}: touched {touched}"
+                );
+            }
+        }
+    }
+
+    /// Hub rows are OR-ed without looking at bans, so `expand` must audit
+    /// them — in a growth layer and in the pull-back alike.
+    #[test]
+    fn hub_reached_only_over_a_banned_channel_is_audited() {
+        // Growth. 0 - 1(hub) - {2..=17}; 2 - 18 - 19(dst);
+        // 3 - 20 - 22 - 19; 19 - 21. With 1-2 banned the hub's row still
+        // ORs node 2 into F_2; unaudited, it meets B_2 there and fakes a
+        // 4-hop distance over the banned channel (the real one is 5).
+        let mut edges = vec![
+            (0, 1),
+            (2, 18),
+            (18, 19),
+            (3, 20),
+            (20, 22),
+            (22, 19),
+            (19, 21),
+        ];
+        edges.extend((2..=17).map(|leaf| (1, leaf)));
+        let t = graph(23, &edges);
+        let csr = CsrGraph::new(&t);
+        assert!(csr.hub_bits_row(1).is_some());
+        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        assert_eq!(search(&mut oracle, 19, &[]), via([0, 1, 2, 18, 19]));
+        let mut banned_edges = Vec::new();
+        ban(&mut oracle, &mut banned_edges, 1, 2);
+        assert_eq!(
+            search(&mut oracle, 19, &banned_edges),
+            via([0, 1, 3, 20, 22, 19])
+        );
+
+        // Pull-back. 0 - {1, 2}; {1, 2} - 3(hub, also 4..=17); 3 - 18(dst);
+        // 18 - {19, 20, 21}. The meeting set is {3}; with 1-3 banned the
+        // hub's row still pulls node 1 back into M_1, and the walk would
+        // step to it (smallest id) and find no way on.
+        let mut edges = vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 18)];
+        edges.extend((4..=17).map(|leaf| (3, leaf)));
+        edges.extend((19..=21).map(|leaf| (18, leaf)));
+        let t = graph(22, &edges);
+        let csr = CsrGraph::new(&t);
+        assert!(csr.hub_bits_row(3).is_some());
+        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        assert_eq!(search(&mut oracle, 18, &[]), via([0, 1, 3, 18]));
+        let mut banned_edges = Vec::new();
+        ban(&mut oracle, &mut banned_edges, 1, 3);
+        assert_eq!(search(&mut oracle, 18, &banned_edges), via([0, 2, 3, 18]));
+        assert_eq!(oracle.ws.fwd.inner.len(), 2, "met after two forward layers");
+    }
+
+    /// Yen bans the spur root's nodes; they must cut the *forward* ball
+    /// exactly as they cut the backward one.
+    #[test]
+    fn node_bans_cut_the_forward_ball() {
+        // 0 - {1, 2}; 1 - 3; 2 - 4 - 3; 3 - {5..=9} (a fat last layer, so
+        // the forward ball is the one that grows).
+        let mut edges = vec![(0, 1), (0, 2), (1, 3), (2, 4), (4, 3)];
+        edges.extend((5..=9).map(|leaf| (3, leaf)));
+        let t = graph(10, &edges);
+        let csr = CsrGraph::new(&t);
+        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        assert_eq!(search(&mut oracle, 3, &[]), via([0, 1, 3]));
+        oracle.ws.ban_node(1);
+        assert_eq!(search(&mut oracle, 3, &[]), via([0, 2, 4, 3]));
+        assert_eq!(oracle.ws.fwd.inner.len(), 2, "the forward ball grew twice");
+        oracle.ws.ban_node(2);
+        assert_eq!(search(&mut oracle, 3, &[]), None);
+        assert!(oracle.ws.fwd.inner.is_empty(), "src's ball could not grow");
+        oracle.ws.new_ban_epoch();
+        assert_eq!(search(&mut oracle, 3, &[]), via([0, 1, 3]));
+        // Grids are all ties: Yen's spur searches run under many node bans.
+        let grid = gen::grid(6, 5, CAP);
+        for (src, dst) in [(0, 29), (7, 22), (29, 3), (12, 17)] {
+            assert_eq!(
+                k_shortest_paths(&grid, n(src), n(dst), 8),
+                reference_k_shortest(&grid, n(src), n(dst), 8),
+                "grid {src}->{dst}"
+            );
+        }
+    }
+
+    /// Paper scale: on the 3,774-node Ripple-like graph a bitset row is 59
+    /// words and the top hubs have hundreds of channels — neither is
+    /// reached by the < 320-node graphs above.
+    #[test]
+    fn edge_disjoint_matches_literal_bfs_at_ripple_scale() {
+        use spider_types::DetRng;
+        let mut rng = DetRng::new(42);
+        let t = gen::ripple_like(gen::RIPPLE_NODES, CAP, &mut rng);
+        let csr = CsrGraph::new(&t);
+        assert_eq!(csr.words, 59);
+        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        let mut long_paths = 0;
+        for _ in 0..300 {
+            let src = NodeId(rng.index(t.node_count()) as u32);
+            let dst = NodeId(rng.index(t.node_count()) as u32);
+            oracle.retarget(src);
+            let got = oracle.edge_disjoint(dst, 4);
+            assert_eq!(
+                got,
+                reference_edge_disjoint(&t, src, dst, 4),
+                "{src}->{dst}"
+            );
+            long_paths += got.iter().filter(|p| p.hop_count() >= 5).count();
+        }
+        assert!(long_paths > 100, "5-hop-plus detours covered: {long_paths}");
+    }
+
     #[test]
     fn source_oracle_on_disconnected_graph() {
-        let mut b = Topology::builder(4);
-        b.channel(n(0), n(1), CAP).unwrap();
-        b.channel(n(2), n(3), CAP).unwrap();
-        let t = b.build();
+        let t = graph(4, &[(0, 1), (2, 3)]);
         let csr = CsrGraph::new(&t);
         let mut oracle = SourceOracle::new(&t, &csr, n(0));
         assert!(oracle.edge_disjoint(n(3), 4).is_empty());
@@ -1563,11 +1891,7 @@ mod tests {
     #[test]
     fn widest_path_prefers_capacity_over_hops() {
         // 0-1 thin direct; 0-2-1 fat detour.
-        let mut b = Topology::builder(3);
-        b.channel(n(0), n(1), CAP).unwrap();
-        b.channel(n(0), n(2), CAP).unwrap();
-        b.channel(n(2), n(1), CAP).unwrap();
-        let t = b.build();
+        let t = graph(3, &[(0, 1), (0, 2), (2, 1)]);
         let thin = t.channel_between(n(0), n(1)).unwrap();
         let width = |c: ChannelId, _d: Direction| if c == thin { 5 } else { 50 };
         let p = widest_path(&t, n(0), n(1), width).unwrap();

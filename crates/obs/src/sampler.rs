@@ -27,7 +27,10 @@ pub const NUM_SERIES: usize = 6;
 /// * `inflight_units` — live hop-by-hop units in the slab (0 in lockstep).
 /// * `calendar_events` — events pending in the calendar queue.
 /// * `window_sum_xrp` — sum of live AIMD window sizes (0 for windowless
-///   schemes).
+///   schemes). Routers keep the sum as a running total in integer drops
+///   and convert once, so it is exact and independent of pair order; it
+///   can differ in the last ulp from the per-window `f64` sum trees before
+///   PR 18 sampled. No test, golden or digest pins this series.
 /// * `mean_channel_price` — mean per-channel imbalance price component
 ///   over open channels (queueing mode; 0 in lockstep).
 pub const SERIES_NAMES: [&str; NUM_SERIES] = [

@@ -71,6 +71,11 @@ pub struct ProtocolRouter {
     cfg: ProtocolConfig,
     cache: PathCache,
     pairs: HashMap<(NodeId, NodeId), PairState>,
+    /// Sum of every controller's window, kept current wherever a window
+    /// is created, dropped or moved — the sampler reads it every simulated
+    /// second, and recounting ~10⁵ pairs there cost more than routing.
+    /// Integer drops, so the running total is exact and order-free.
+    window_total: Amount,
     /// Fault cooldowns (empty for the whole run unless faults fire).
     penalties: PathPenalties,
     /// Per-channel shed breakers (empty for the whole run unless
@@ -97,6 +102,7 @@ impl ProtocolRouter {
             cfg,
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
             pairs: HashMap::new(),
+            window_total: Amount::ZERO,
             penalties,
             breakers: ChannelBreakers::default(),
         }
@@ -149,6 +155,8 @@ impl ProtocolRouter {
                 }
             }
         }
+        self.window_total += window_sum(&controllers);
+        self.window_total -= window_sum(&old.controllers);
         self.pairs.insert(
             pair,
             PairState {
@@ -158,6 +166,23 @@ impl ProtocolRouter {
             },
         );
     }
+}
+
+/// Sum of a pair's controller windows.
+fn window_sum(controllers: &[PathController]) -> Amount {
+    controllers.iter().map(|c| c.window()).sum()
+}
+
+/// Runs `step` on `controller` and carries its window change into `total`.
+fn tracked(
+    total: &mut Amount,
+    controller: &mut PathController,
+    step: impl FnOnce(&mut PathController),
+) {
+    let before = controller.window();
+    step(controller);
+    *total += controller.window();
+    *total -= before;
 }
 
 impl Router for ProtocolRouter {
@@ -193,15 +218,17 @@ impl Router for ProtocolRouter {
             cfg,
             cache,
             pairs,
+            window_total,
             penalties,
             breakers,
         } = self;
         let state = pairs.entry((req.src, req.dst)).or_insert_with(|| {
             let paths = cache.get(view.topo, view.paths, req.src, req.dst).to_vec();
-            let controllers = paths
+            let controllers: Vec<_> = paths
                 .iter()
                 .map(|_| PathController::new(&cfg.rate))
                 .collect();
+            *window_total += window_sum(&controllers);
             let prices = paths
                 .iter()
                 .map(|_| PathPriceEstimator::new(cfg.price_gamma, cfg.nack_price))
@@ -304,10 +331,13 @@ impl Router for ProtocolRouter {
         let Some(i) = Self::path_index(state, outcome.path) else {
             return;
         };
+        let controller = &mut state.controllers[i];
         if outcome.locked {
-            state.controllers[i].on_send(outcome.amount);
+            controller.on_send(outcome.amount);
         } else {
-            state.controllers[i].on_reject(&self.cfg.rate);
+            tracked(&mut self.window_total, controller, |c| {
+                c.on_reject(&self.cfg.rate)
+            });
         }
     }
 
@@ -330,23 +360,14 @@ impl Router for ProtocolRouter {
         let Some(i) = Self::path_index(state, ack.path) else {
             return;
         };
-        state.controllers[i].on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.cfg.rate);
+        tracked(&mut self.window_total, &mut state.controllers[i], |c| {
+            c.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.cfg.rate)
+        });
         state.prices[i].observe(ack.delivered, &ack.stamp);
     }
 
     fn window_gauge(&self) -> Option<f64> {
-        // Sorted by pair key before reducing: float addition is not
-        // associative, so summing controller windows in hash order would
-        // make the sampled window_sum_xrp series differ run to run.
-        let mut pairs: Vec<_> = self.pairs.iter().collect();
-        pairs.sort_unstable_by_key(|(&k, _)| k);
-        Some(
-            pairs
-                .iter()
-                .flat_map(|(_, s)| s.controllers.iter())
-                .map(|c| c.window().as_xrp())
-                .sum(),
-        )
+        Some(self.window_total.as_xrp())
     }
 
     fn observability(&self) -> spider_sim::RouterObs {
@@ -609,6 +630,66 @@ mod tests {
         );
         let fresh = 1 - i0;
         assert_eq!(r.path_price(NodeId(0), NodeId(3), fresh), Some(0.0));
+    }
+
+    /// The O(1) gauge is a running total; it must equal a recount of every
+    /// controller after windows were created (first route), shrunk
+    /// (marked ack, reject), grown (clean ack), dropped and re-created
+    /// (close / reopen migration).
+    #[test]
+    fn window_gauge_running_total_equals_recount() {
+        fn recount(r: &ProtocolRouter) -> Amount {
+            r.pairs.values().map(|s| window_sum(&s.controllers)).sum()
+        }
+        let (t, ch) = two_routes();
+        let paths = PathTable::new();
+        let view = NetworkView {
+            topo: &t,
+            channels: &ch,
+            paths: &paths,
+            now: SimTime::ZERO,
+        };
+        let mut r = ProtocolRouter::new(4);
+        assert_eq!(r.window_gauge(), Some(0.0));
+        r.route(&req(0, 3, xrp(1), xrp(1)), &view);
+        r.route(&req(3, 0, xrp(1), xrp(1)), &view);
+        assert_eq!(r.window_total, xrp(800), "two pairs x two paths x 200");
+        let candidates = r.pairs[&(NodeId(0), NodeId(3))].paths.clone();
+        assert_eq!(candidates.len(), 2);
+        for (k, &path) in candidates.iter().enumerate() {
+            r.on_unit_ack(&ack(path, xrp(1), true, marked_stamp()), &view);
+            r.on_unit_ack(&ack(path, xrp(1), k == 0, MarkStamp::CLEAR), &view);
+            let rejected = UnitOutcome {
+                payment: PaymentId(0),
+                path,
+                amount: xrp(1),
+                locked: false,
+                fault: None,
+            };
+            r.on_unit_outcome(&rejected, &view);
+            assert_eq!(r.window_total, recount(&r));
+        }
+        assert_ne!(r.window_total, xrp(800), "the sequence moved windows");
+        // Close, then reopen, one candidate's first hop; acks for a
+        // retired path must not touch the total either.
+        let hop: Vec<_> = t
+            .channel_between(NodeId(0), NodeId(2))
+            .into_iter()
+            .collect();
+        for (closed, opened) in [(hop.clone(), vec![]), (vec![], hop)] {
+            let update = spider_sim::TopologyUpdate {
+                closed,
+                opened,
+                ..Default::default()
+            };
+            r.on_topology_change(&update, &view);
+            assert_eq!(r.window_total, recount(&r));
+            for &path in &candidates {
+                r.on_unit_ack(&ack(path, xrp(1), true, MarkStamp::CLEAR), &view);
+            }
+            assert_eq!(r.window_total, recount(&r));
+        }
+        assert_eq!(r.window_gauge(), Some(recount(&r).as_xrp()));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Computing each pair's candidate set on its own costs k BFS traversals
 //! plus a workspace allocation per pair, which dominates wall time at
-//! Ripple scale (3,774 nodes, ~10k pairs). [`PathOracle`] groups pairs by
-//! source, answers each source with one
+//! Ripple scale (3,774 nodes, 1–2 × 10⁵ distinct pairs a run).
+//! [`PathOracle`] groups pairs by source, answers each source with one
 //! [`SourceOracle`](spider_lp::paths::SourceOracle) (one shared BFS tree,
 //! one reusable epoch-stamped workspace), and lets scoped worker threads
 //! pull sources from an atomic work queue (`spider_core::run_sweep`
