@@ -60,6 +60,11 @@ impl HarnessArgs {
             seed: 42,
             out_dir: None,
         };
+        const USAGE: &str = "options: --full  --smoke  --seed N  --out DIR";
+        let usage_error = |what: &str| -> ! {
+            eprintln!("{what}\n{USAGE}");
+            std::process::exit(2)
+        };
         let mut iter = std::env::args().skip(1);
         while let Some(a) = iter.next() {
             match a.as_str() {
@@ -69,23 +74,19 @@ impl HarnessArgs {
                     args.full = true;
                 }
                 "--smoke" => args.smoke = true,
-                "--seed" => {
-                    args.seed = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed requires an integer");
-                }
-                "--out" => {
-                    args.out_dir = Some(PathBuf::from(iter.next().expect("--out requires a path")));
-                }
+                "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
+                    Some(seed) => args.seed = seed,
+                    None => usage_error("--seed requires an integer"),
+                },
+                "--out" => match iter.next() {
+                    Some(dir) => args.out_dir = Some(PathBuf::from(dir)),
+                    None => usage_error("--out requires a path"),
+                },
                 "--help" | "-h" => {
-                    eprintln!("options: --full  --smoke  --seed N  --out DIR");
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => {
-                    eprintln!("unknown option {other}; try --help");
-                    std::process::exit(2);
-                }
+                other => usage_error(&format!("unknown option {other}")),
             }
         }
         args

@@ -10,8 +10,6 @@
 //! * the JSONL `"ev"` event-name set emitted by `Trace::to_jsonl` must
 //!   equal the allowlist embedded in `.github/workflows/ci.yml`'s trace
 //!   schema smoke;
-//! * every `EventKind` variant in the engine must actually be referenced
-//!   (a declared-but-never-scheduled kind is dead protocol surface);
 //! * `FigureRow`'s field list must match `CSV_HEADER` in
 //!   `crates/core/src/output.rs` column for column;
 //! * the hotspot table (`crates/obs/src/attribution.rs`): the
@@ -169,7 +167,6 @@ pub const INPUTS: &[&str] = &[
     "crates/types/src/unit.rs",
     "crates/sim/src/metrics.rs",
     "crates/obs/src/trace.rs",
-    "crates/sim/src/engine.rs",
     "crates/core/src/output.rs",
     ".github/workflows/ci.yml",
     "crates/obs/src/attribution.rs",
@@ -194,7 +191,7 @@ pub fn check(root: &Path) -> Vec<Finding> {
             }
         }
     }
-    let [unit_src, metrics_src, trace_src, engine_src, output_src, ci_src, attribution_src, forensics_src] =
+    let [unit_src, metrics_src, trace_src, output_src, ci_src, attribution_src, forensics_src] =
         &sources[..]
     else {
         unreachable!("sources has INPUTS.len() elements");
@@ -203,7 +200,6 @@ pub fn check(root: &Path) -> Vec<Finding> {
         unit_src,
         metrics_src,
         trace_src,
-        engine_src,
         output_src,
         ci_src,
         attribution_src,
@@ -219,7 +215,6 @@ pub fn check_sources(
     unit_src: &str,
     metrics_src: &str,
     trace_src: &str,
-    engine_src: &str,
     output_src: &str,
     ci_src: &str,
     attribution_src: &str,
@@ -229,7 +224,6 @@ pub fn check_sources(
     let unit = lex(unit_src);
     let metrics = lex(metrics_src);
     let trace = lex(trace_src);
-    let engine = lex(engine_src);
     let output = lex(output_src);
     let attribution = lex(attribution_src);
     let forensics = lex(forensics_src);
@@ -309,28 +303,6 @@ pub fn check_sources(
                         "CI allowlists trace event \"{extra}\" that Trace::to_jsonl never emits"
                     ),
                 ));
-            }
-        }
-    }
-
-    // Every EventKind variant must be referenced beyond its declaration.
-    match enum_variants(&engine, "EventKind") {
-        None => out.push(Finding::new(
-            "crates/sim/src/engine.rs",
-            0,
-            "consistency",
-            "enum EventKind not found".to_string(),
-        )),
-        Some(variants) => {
-            for v in &variants {
-                if !references_variant(&engine, "EventKind", v) {
-                    out.push(Finding::new(
-                        "crates/sim/src/engine.rs",
-                        0,
-                        "consistency",
-                        format!("EventKind::{v} is declared but never scheduled or matched"),
-                    ));
-                }
             }
         }
     }
@@ -509,13 +481,12 @@ mod tests {
 
     /// A consistent set of fixture sources; each drift case below breaks
     /// exactly one of them.
-    fn fixtures() -> [&'static str; 8] {
+    fn fixtures() -> [&'static str; 7] {
         let unit = "pub enum DropReason { Expired, Lost }";
         let metrics =
             "fn c(r: DropReason) { match r { DropReason::Expired => {}, DropReason::Lost => {} } }";
         let trace = r#"fn r(x: DropReason) -> &'static str { match x { DropReason::Expired => "expired", DropReason::Lost => "lost" } }
                        fn j() { w("\"ev\":\"drop\""); w("{\"ev\":\"path\""); }"#;
-        let engine = "enum EventKind { Poll } fn f() { let e = EventKind::Poll; }";
         let output =
             "pub struct FigureRow { pub a: u32, pub b: u32 } pub const CSV_HEADER: &str = \"a,b\";";
         let ci = "events = {\"drop\", \"path\"}";
@@ -528,22 +499,13 @@ mod tests {
             pub struct RootCauseRow { pub reason: &'static str, pub count: u64 }
             fn o(r: DropReason) -> u8 { match r { DropReason::Expired => 0, DropReason::Lost => 1 } }
             fn j() { w("{\"t_us\":{},\"reason\":\"{}\"}"); w("{\"reason\":\"{}\",\"count\":{}}"); }"#;
-        [
-            unit,
-            metrics,
-            trace,
-            engine,
-            output,
-            ci,
-            attribution,
-            forensics,
-        ]
+        [unit, metrics, trace, output, ci, attribution, forensics]
     }
 
-    fn run_check(srcs: &[&str; 8]) -> Vec<Finding> {
+    fn run_check(srcs: &[&str; 7]) -> Vec<Finding> {
         let mut out = Vec::new();
         check_sources(
-            srcs[0], srcs[1], srcs[2], srcs[3], srcs[4], srcs[5], srcs[6], srcs[7], &mut out,
+            srcs[0], srcs[1], srcs[2], srcs[3], srcs[4], srcs[5], srcs[6], &mut out,
         );
         out
     }
@@ -562,14 +524,14 @@ mod tests {
 
         // Drift the CI allowlist → the phantom event is reported.
         let mut bad = good;
-        bad[5] = "events = {\"drop\", \"path\", \"ghost\"}";
+        bad[4] = "events = {\"drop\", \"path\", \"ghost\"}";
         let out = run_check(&bad);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("ghost"));
 
         // CSV header drift.
         let mut bad = good;
-        bad[4] =
+        bad[3] =
             "pub struct FigureRow { pub a: u32, pub b: u32 } pub const CSV_HEADER: &str = \"a\";";
         let out = run_check(&bad);
         assert_eq!(out.len(), 1);
@@ -582,7 +544,7 @@ mod tests {
 
         // Hotspot header gains a column the struct and renderer lack.
         let mut bad = good;
-        bad[6] = r#"pub const HOTSPOT_HEADER: &str = "channel,score,ghost";
+        bad[5] = r#"pub const HOTSPOT_HEADER: &str = "channel,score,ghost";
             pub struct ChannelHotspot { pub channel: u32, pub score: f64 }
             fn j() { w("{\"channel\":{},\"score\":{:.6}}"); }"#;
         let out = run_check(&bad);
@@ -592,7 +554,7 @@ mod tests {
 
         // Forensics renderer writes a field no header declares.
         let mut bad = good;
-        bad[7] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
+        bad[6] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
             pub const ROOTCAUSE_HEADER: &str = "reason,count";
             pub struct DropRecord { pub t_us: u64, pub reason: DropReason }
             pub struct RootCauseRow { pub reason: &'static str, pub count: u64 }
@@ -604,7 +566,7 @@ mod tests {
 
         // The root-cause key stops covering a DropReason variant.
         let mut bad = good;
-        bad[7] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
+        bad[6] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
             pub const ROOTCAUSE_HEADER: &str = "reason,count";
             pub struct DropRecord { pub t_us: u64, pub reason: DropReason }
             pub struct RootCauseRow { pub reason: &'static str, pub count: u64 }

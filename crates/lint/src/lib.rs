@@ -14,9 +14,9 @@
 //!    unwrap/expect/panic/index counts against a committed
 //!    `baseline.toml`; new sites fail, removals tighten via
 //!    `--update-baseline`.
-//! 3. **Cross-file consistency** ([`consistency`]): `DropReason` and
-//!    `EventKind` exhaustiveness, trace event names vs the CI allowlist,
-//!    `FigureRow` vs `CSV_HEADER`.
+//! 3. **Cross-file consistency** ([`consistency`]): `DropReason`
+//!    exhaustiveness, trace event names vs the CI allowlist, `FigureRow`
+//!    vs `CSV_HEADER`.
 //! 4. **Vendored-shim guard** ([`rules`]): serde derives on generic
 //!    types, which the vendored shim cannot expand.
 //!

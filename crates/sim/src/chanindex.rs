@@ -24,11 +24,9 @@ pub struct ChannelIndex {
     /// Entries examined by **queries** ([`ChannelIndex::collect_live_sorted`])
     /// — the observable the churn-cost regression tests assert stays
     /// O(the channel's live work), not O(total slab). Compaction scans are
-    /// counted separately: they are amortized insertion cost, already
-    /// visible in the throughput benchmarks.
+    /// not counted: they are amortized insertion cost, already visible in
+    /// the throughput benchmarks.
     scan_steps: u64,
-    /// Entries examined by amortized compaction during inserts.
-    compact_steps: u64,
 }
 
 impl ChannelIndex {
@@ -38,7 +36,6 @@ impl ChannelIndex {
             entries: (0..n).map(|_| Vec::new()).collect(),
             live: vec![0; n],
             scan_steps: 0,
-            compact_steps: 0,
         }
     }
 
@@ -47,7 +44,6 @@ impl ChannelIndex {
     pub fn insert(&mut self, c: usize, slot: u32, gen: u32, alive: impl Fn(u32, u32) -> bool) {
         let list = &mut self.entries[c];
         if list.len() >= 16 && list.len() as u32 > 2 * self.live[c] {
-            self.compact_steps += list.len() as u64;
             list.retain(|&(s, g)| alive(s, g));
         }
         list.push((slot, gen));
@@ -91,14 +87,26 @@ impl ChannelIndex {
         debug_assert_eq!(out.len(), self.live[c] as usize, "live count drifted");
     }
 
+    /// Debug-build audit against the slab this index mirrors. `members`
+    /// yields `(slot, generation, channel)` for every live slab entry and
+    /// each channel it traverses: each must be a generation-valid entry of
+    /// that channel's list, and the live counters must match the recount.
+    #[cfg(debug_assertions)]
+    pub fn debug_check(&self, what: &str, members: impl Iterator<Item = (u32, u32, usize)>) {
+        let mut live = vec![0u32; self.live.len()];
+        for (slot, gen, c) in members {
+            live[c] += 1;
+            assert!(
+                self.entries[c].contains(&(slot, gen)),
+                "live {what} {slot} missing from channel {c} index"
+            );
+        }
+        assert_eq!(live, self.live, "{what} index live counts drifted");
+    }
+
     /// Total entries examined across all queries.
     pub fn scan_steps(&self) -> u64 {
         self.scan_steps
-    }
-
-    /// Total entries examined by amortized compaction (insert-side cost).
-    pub fn compact_steps(&self) -> u64 {
-        self.compact_steps
     }
 }
 

@@ -1,0 +1,178 @@
+//! Topology churn: live channel open/close/resize mid-run.
+
+use super::Simulation;
+use crate::router::TopologyUpdate;
+use spider_obs::trace::TraceEventKind;
+use spider_types::{ChannelId, Direction, TopologyChange, TopologyEvent};
+
+impl Simulation {
+    /// Installs a topology-churn schedule (see
+    /// [`TopologyEvent`]); call before [`Simulation::run`]. Events are
+    /// applied in `(at, list-order)` order. Entries at `t = 0` describe the
+    /// initial liveness state (channels that exist in the union topology
+    /// but have not opened yet) and are applied before any routing or
+    /// prewarm; later entries fire from the calendar mid-run.
+    ///
+    /// Panics when an event names a channel or node the topology lacks.
+    pub fn set_topology_events(&mut self, mut events: Vec<TopologyEvent>) {
+        let (channels, nodes) = (self.net.topo.channel_count(), self.net.topo.node_count());
+        for e in &events {
+            let known = match e.change {
+                TopologyChange::ChannelClose { channel }
+                | TopologyChange::ChannelOpen { channel }
+                | TopologyChange::ChannelResize { channel, .. } => channel.index() < channels,
+                TopologyChange::NodeLeave { node } | TopologyChange::NodeJoin { node } => {
+                    node.index() < nodes
+                }
+            };
+            assert!(
+                known,
+                "churn schedule was generated for a different topology: {:?}",
+                e.change
+            );
+        }
+        // Stable by instant: same-instant events keep their list order.
+        events.sort_by_key(|e| e.at);
+        self.topo_events = events;
+    }
+
+    /// Applies one scheduled churn event: mutate the channel states, fail
+    /// back in-flight units crossing closed channels, then notify the
+    /// router (which repairs its candidate caches incrementally).
+    pub(super) fn on_topology_event(&mut self, i: usize) {
+        let change = self.topo_events[i].change;
+        let mut update = TopologyUpdate::default();
+        self.apply_topology_change(change, &mut update, true);
+        if update.is_empty() {
+            // Idempotent no-op (e.g. closing an already-closed channel).
+            return;
+        }
+        let (closed, opened, resized) = (
+            update.closed.len(),
+            update.opened.len(),
+            update.resized.len(),
+        );
+        self.metrics
+            .topology_event(closed, opened, resized, self.net.now);
+        self.obs
+            .trace(self.net.now, || TraceEventKind::TopologyChanged {
+                closed: closed as u32,
+                opened: opened as u32,
+                resized: resized as u32,
+            });
+        self.router.on_topology_change(&update, &self.net.view());
+        self.lockstep.forget_pins();
+    }
+
+    /// Applies one [`TopologyChange`], recording what actually toggled in
+    /// `update`. `failback` is false only for `t = 0` initial-state
+    /// application, when nothing can be in flight.
+    pub(super) fn apply_topology_change(
+        &mut self,
+        change: TopologyChange,
+        update: &mut TopologyUpdate,
+        failback: bool,
+    ) {
+        match change {
+            TopologyChange::ChannelClose { channel } => {
+                self.close_channel(channel, update, failback)
+            }
+            TopologyChange::ChannelOpen { channel } => self.open_channel(channel, update),
+            TopologyChange::ChannelResize {
+                channel,
+                new_capacity,
+            } => {
+                let ch = &mut self.net.channels[channel.index()];
+                let (deposited, withdrawn) = ch.resize(new_capacity);
+                if deposited.is_zero() && withdrawn.is_zero() {
+                    return;
+                }
+                update.resized.push(channel);
+                // Fresh balance may unblock queued units.
+                if !deposited.is_zero() && !ch.is_closed() {
+                    self.drain_both_directions(channel);
+                }
+            }
+            TopologyChange::NodeLeave { node } => {
+                for c in self.incident_channels(node) {
+                    self.close_channel(c, update, failback);
+                }
+            }
+            TopologyChange::NodeJoin { node } => {
+                for c in self.incident_channels(node) {
+                    self.open_channel(c, update);
+                }
+            }
+        }
+    }
+
+    fn incident_channels(&self, node: spider_types::NodeId) -> Vec<ChannelId> {
+        let adjacent = self.net.topo.neighbors(node);
+        adjacent.iter().map(|a| a.channel).collect()
+    }
+
+    fn drain_both_directions(&mut self, channel: ChannelId) {
+        self.drain_released([
+            (channel, Direction::Forward),
+            (channel, Direction::Backward),
+        ]);
+    }
+
+    /// Closes a channel and fails back every in-flight unit whose path
+    /// traverses it: hop-by-hop units are dropped wherever they are
+    /// (queued or mid-path) with every locked hop refunded; lockstep
+    /// units have their pending settlement canceled and refunded. Either
+    /// way the value returns to the payment's unassigned pool (atomic
+    /// payments cancel outright), so conservation holds at every instant.
+    fn close_channel(&mut self, channel: ChannelId, update: &mut TopologyUpdate, failback: bool) {
+        let ch = &mut self.net.channels[channel.index()];
+        if ch.is_closed() {
+            return;
+        }
+        ch.close();
+        update.closed.push(channel);
+        if !failback {
+            return;
+        }
+        debug_assert!(self.track_channels, "closes imply a churn schedule");
+        if self.hop_by_hop() {
+            self.fail_back_units(channel.index());
+        } else {
+            self.fail_back_settles(channel);
+        }
+    }
+
+    /// Reopens a closed channel; its frozen balances become spendable
+    /// again and its directions are drained in case senders are waiting.
+    fn open_channel(&mut self, channel: ChannelId, update: &mut TopologyUpdate) {
+        let ch = &mut self.net.channels[channel.index()];
+        if !ch.is_closed() {
+            return;
+        }
+        ch.reopen();
+        update.opened.push(channel);
+        self.drain_both_directions(channel);
+    }
+
+    /// Debug-build invariant: the per-channel indices exactly mirror the
+    /// slabs (see [`ChannelIndex::debug_check`](crate::chanindex::ChannelIndex)).
+    /// Runs after every engine step while the
+    /// slabs are small, and on a stride once they grow (the check itself
+    /// is O(slab), so per-step checking at scale would be quadratic).
+    #[cfg(debug_assertions)]
+    pub(super) fn debug_check_channel_indices(&self) {
+        if !self.track_channels {
+            return;
+        }
+        let stats = self.slab_stats();
+        if stats.event_slots + stats.unit_slots > 512 && !stats.events_executed.is_multiple_of(256)
+        {
+            return;
+        }
+        if let Some(q) = &self.queueing {
+            q.debug_check_index();
+        }
+        self.lockstep
+            .debug_check_index(&self.events, &self.net.paths);
+    }
+}

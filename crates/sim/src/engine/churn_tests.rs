@@ -1,0 +1,381 @@
+use super::test_util::{new_sim, shortest_path_proposal, txn, xrp, Direct};
+use crate::config::{QueueConfig, SimConfig};
+use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate};
+use crate::workload::Workload;
+use spider_topology::{gen, Topology};
+use spider_types::{
+    Amount, ChannelId, Direction, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
+};
+
+/// `(closed, opened)` channel lists of one recorded notification.
+type RecordedUpdate = (Vec<ChannelId>, Vec<ChannelId>);
+
+/// Records topology-change notifications for assertions.
+struct ChangeRecorder {
+    updates: std::rc::Rc<std::cell::RefCell<Vec<RecordedUpdate>>>,
+}
+impl Router for ChangeRecorder {
+    fn name(&self) -> &'static str {
+        "change-recorder"
+    }
+    fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+        shortest_path_proposal(req, view)
+    }
+    fn on_topology_change(&mut self, update: &TopologyUpdate, _view: &NetworkView<'_>) {
+        self.updates
+            .borrow_mut()
+            .push((update.closed.clone(), update.opened.clone()));
+    }
+}
+
+fn close_at(t_ms: u64, c: u32) -> TopologyEvent {
+    TopologyEvent {
+        at: SimTime::from_micros(t_ms * 1000),
+        change: TopologyChange::ChannelClose {
+            channel: ChannelId(c),
+        },
+    }
+}
+
+fn open_at(t_ms: u64, c: u32) -> TopologyEvent {
+    TopologyEvent {
+        at: SimTime::from_micros(t_ms * 1000),
+        change: TopologyChange::ChannelOpen {
+            channel: ChannelId(c),
+        },
+    }
+}
+
+#[test]
+fn lockstep_close_fails_back_inflight_and_blocks_traffic() {
+    // Payment locks at t=100ms; the only channel closes at t=300ms,
+    // before the 500ms settle: the unit must refund, the payment
+    // expire at its deadline, and conservation hold throughout.
+    let t = gen::line(2, xrp(10));
+    let mut cfg = SimConfig {
+        horizon: SimDuration::from_secs(10),
+        deadline: Some(SimDuration::from_secs(2)),
+        ..SimConfig::default()
+    };
+    cfg.mtu = xrp(5);
+    let mut sim = new_sim(
+        t,
+        Workload {
+            txns: vec![txn(100, 0, 1, xrp(3))],
+        },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![close_at(300, 0)]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.completed_payments, 0);
+    assert_eq!(r.delivered_volume, Amount::ZERO);
+    assert_eq!(r.topology_events, 1);
+    assert_eq!(r.churn_channels_closed, 1);
+    assert_eq!(r.units_dropped_churn, 1);
+    assert_eq!(r.drops_by_reason.channel_closed, 1);
+    assert_eq!(r.drops_by_reason.total(), r.units_dropped);
+    assert_eq!(r.payments_failed_churn, 1);
+    assert!(sim.channel_states()[0].is_closed());
+    assert_eq!(
+        sim.channel_states()[0].inflight(Direction::Forward),
+        Amount::ZERO,
+        "failback refunded the lock"
+    );
+}
+
+#[test]
+fn reopen_restores_service_and_flap_is_counted() {
+    // Close 400ms..1s; a payment arriving at 500ms retries from the
+    // pending queue and completes after the reopen.
+    let t = gen::line(2, xrp(10));
+    let cfg = SimConfig {
+        horizon: SimDuration::from_secs(10),
+        deadline: Some(SimDuration::from_secs(5)),
+        ..SimConfig::default()
+    };
+    let mut sim = new_sim(
+        t,
+        Workload {
+            txns: vec![txn(500, 0, 1, xrp(2))],
+        },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![close_at(400, 0), open_at(1_000, 0)]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.completed_payments, 1, "service resumes after reopen");
+    assert!(r.retries > 0, "the closed window forces retries");
+    assert_eq!(r.topology_events, 2);
+    assert_eq!(r.churn_channels_opened, 1);
+    assert!(!sim.channel_states()[0].is_closed());
+}
+
+#[test]
+fn queueing_close_drops_queued_and_traveling_units() {
+    // Wide first hop, narrow second: units queue at hop 1 holding
+    // hop-0 locks; closing channel 1 mid-run must fail them all back.
+    let mut b = Topology::builder(3);
+    b.channel(NodeId(0), NodeId(1), xrp(20))
+        .expect("channel endpoints are distinct known nodes");
+    b.channel(NodeId(1), NodeId(2), xrp(10))
+        .expect("channel endpoints are distinct known nodes");
+    let t = b.build();
+    let cfg = SimConfig {
+        horizon: SimDuration::from_secs(5),
+        mtu: xrp(1),
+        deadline: None,
+        queueing: crate::config::QueueingMode::PerChannelFifo(QueueConfig {
+            max_queue_delay: SimDuration::from_secs(3_600),
+            marking_delay: SimDuration::from_secs(3_000),
+            ..QueueConfig::default()
+        }),
+        ..SimConfig::default()
+    };
+    let mut sim = new_sim(
+        t,
+        Workload {
+            txns: vec![txn(0, 0, 2, xrp(8))],
+        },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![close_at(700, 1)]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.delivered_volume, xrp(5), "only pre-close units settle");
+    assert!(r.units_dropped_churn > 0, "queued units failed back");
+    assert_eq!(sim.queued_units(), 0, "the closed channel's queue drained");
+    for c in sim.channel_states() {
+        assert_eq!(c.inflight(Direction::Forward), Amount::ZERO);
+        assert_eq!(c.inflight(Direction::Backward), Amount::ZERO);
+    }
+    // Reason accounting under churn: close-drops carry ChannelClosed
+    // and the per-reason counts still partition the total.
+    assert_eq!(r.drops_by_reason.total(), r.units_dropped);
+    assert_eq!(
+        r.drops_by_reason.channel_closed, r.units_dropped_churn,
+        "churn drops all carry the ChannelClosed reason"
+    );
+}
+
+#[test]
+fn resize_event_grows_capacity_midrun() {
+    let t = gen::line(2, xrp(10));
+    let cfg = SimConfig {
+        horizon: SimDuration::from_secs(10),
+        deadline: Some(SimDuration::from_secs(6)),
+        ..SimConfig::default()
+    };
+    // 8 XRP wants to cross a 5-XRP side; the resize to 30 XRP at t=1s
+    // deposits enough for the remainder to complete on retry.
+    let mut sim = new_sim(
+        t,
+        Workload {
+            txns: vec![txn(0, 0, 1, xrp(8))],
+        },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![TopologyEvent {
+        at: SimTime::from_secs(1),
+        change: TopologyChange::ChannelResize {
+            channel: ChannelId(0),
+            new_capacity: xrp(30),
+        },
+    }]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.completed_payments, 1);
+    assert_eq!(r.churn_channels_resized, 1);
+    assert_eq!(sim.channel_states()[0].capacity(), xrp(30));
+}
+
+#[test]
+fn node_leave_closes_all_incident_channels_and_join_reopens() {
+    // Line 0-1-2: node 1 leaving severs everything.
+    let t = gen::line(3, xrp(10));
+    let updates = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let router = ChangeRecorder {
+        updates: std::rc::Rc::clone(&updates),
+    };
+    let cfg = SimConfig {
+        horizon: SimDuration::from_secs(8),
+        deadline: Some(SimDuration::from_secs(6)),
+        ..SimConfig::default()
+    };
+    let mut sim = new_sim(
+        t,
+        Workload {
+            txns: vec![txn(1_500, 0, 2, xrp(2))],
+        },
+        Box::new(router),
+        cfg,
+    );
+    sim.set_topology_events(vec![
+        TopologyEvent {
+            at: SimTime::from_secs(1),
+            change: TopologyChange::NodeLeave { node: NodeId(1) },
+        },
+        TopologyEvent {
+            at: SimTime::from_secs(3),
+            change: TopologyChange::NodeJoin { node: NodeId(1) },
+        },
+    ]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.completed_payments, 1, "completes after the rejoin");
+    assert_eq!(r.churn_channels_closed, 2);
+    assert_eq!(r.churn_channels_opened, 2);
+    let got = updates.borrow();
+    assert_eq!(got.len(), 2);
+    assert_eq!(got[0].0.len(), 2, "leave closed both incident channels");
+    assert_eq!(got[1].1.len(), 2, "join reopened both");
+}
+
+#[test]
+fn initial_closes_apply_before_prewarm_without_counting_as_events() {
+    // Channel closed at t=0 (a mid-run spawn): traffic fails until the
+    // open event, and the t=0 slice is not a mid-run topology event.
+    let t = gen::line(2, xrp(10));
+    let cfg = SimConfig {
+        horizon: SimDuration::from_secs(10),
+        deadline: Some(SimDuration::from_secs(4)),
+        ..SimConfig::default()
+    };
+    let mut sim = new_sim(
+        t,
+        Workload {
+            txns: vec![txn(100, 0, 1, xrp(2))],
+        },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![close_at(0, 0), open_at(2_000, 0)]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.completed_payments, 1);
+    assert_eq!(r.topology_events, 1, "only the open is a mid-run event");
+    assert_eq!(r.churn_channels_closed, 1);
+    assert_eq!(r.churn_channels_opened, 1);
+}
+
+#[test]
+fn churn_close_cost_is_indexed_not_slab_scan() {
+    // Thousands of pending settles spread across the ISP graph, three
+    // mid-run closes: handling them must examine only the closed
+    // channels' index entries (plus amortized compaction), far below
+    // the old cost of walking the whole event slab once per close.
+    let t = gen::isp_topology(xrp(100_000));
+    let mut rng = spider_types::DetRng::new(23);
+    let w = Workload::generate(
+        32,
+        &crate::workload::WorkloadConfig::small(4_000, 2_000.0),
+        &mut rng,
+    );
+    let mut cfg = SimConfig {
+        horizon: SimDuration::from_secs(10),
+        ..SimConfig::default()
+    };
+    cfg.mtu = xrp(1); // 10 units per payment → many pending settles
+    let mut sim = new_sim(t, w, Box::new(Direct), cfg);
+    sim.set_topology_events(vec![close_at(500, 3), close_at(700, 11), close_at(900, 27)]);
+    let r = sim.run();
+    sim.check_conservation();
+    let stats = sim.slab_stats();
+    assert_eq!(r.topology_events, 3);
+    assert!(
+        stats.events_scheduled > 20_000,
+        "needs a busy calendar: {stats:?}"
+    );
+    // What the pre-index engine paid: one full event-slab walk per
+    // close. The indexed cost must be well below it — and nowhere
+    // near the O(total events scheduled) the pre-recycling engine
+    // paid with every arrival pre-seeded.
+    let slab_scan_cost = 3 * stats.event_slots as u64;
+    assert!(
+        stats.churn_scan_steps * 4 < slab_scan_cost,
+        "indexed close cost {} not ≪ slab scan cost {slab_scan_cost}: {stats:?}",
+        stats.churn_scan_steps,
+    );
+    assert!(
+        stats.churn_scan_steps < stats.events_scheduled / 8,
+        "close cost grew with total events: {stats:?}"
+    );
+}
+
+#[test]
+fn churn_runs_are_deterministic() {
+    let mut rng = spider_types::DetRng::new(17);
+    let w = Workload::generate(
+        32,
+        &crate::workload::WorkloadConfig::small(1_500, 400.0),
+        &mut rng,
+    );
+    let events = vec![
+        close_at(500, 3),
+        close_at(900, 20),
+        open_at(1_400, 3),
+        TopologyEvent {
+            at: SimTime::from_secs(2),
+            change: TopologyChange::NodeLeave { node: NodeId(5) },
+        },
+        open_at(2_600, 20),
+        TopologyEvent {
+            at: SimTime::from_secs(3),
+            change: TopologyChange::NodeJoin { node: NodeId(5) },
+        },
+    ];
+    let run = |w: Workload| {
+        let mut cfg = SimConfig {
+            horizon: SimDuration::from_secs(6),
+            ..SimConfig::default()
+        };
+        cfg.mtu = xrp(5);
+        let mut sim = new_sim(gen::isp_topology(xrp(400)), w, Box::new(Direct), cfg);
+        sim.set_topology_events(events.clone());
+        let r = sim.run();
+        sim.check_conservation();
+        r
+    };
+    let r1 = run(w.clone());
+    let r2 = run(w);
+    assert_eq!(r1.completed_payments, r2.completed_payments);
+    assert_eq!(r1.delivered_volume, r2.delivered_volume);
+    assert_eq!(r1.units_dropped_churn, r2.units_dropped_churn);
+    assert_eq!(r1.payments_failed_churn, r2.payments_failed_churn);
+    assert_eq!(r1.topology_event_times_s, r2.topology_event_times_s);
+    assert!(r1.units_dropped_churn > 0 || r1.retries > 0);
+}
+
+#[test]
+#[should_panic(expected = "churn schedule was generated for a different topology")]
+fn schedule_for_a_larger_graph_is_refused_at_install() {
+    // A 3-node line has channels 0 and 1; the schedule names channel 5.
+    let cfg = SimConfig::default();
+    let mut sim = new_sim(
+        gen::line(3, xrp(10)),
+        Workload { txns: Vec::new() },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![close_at(1_000, 1), close_at(2_000, 5)]);
+}
+
+#[test]
+#[should_panic(expected = "churn schedule was generated for a different topology")]
+fn node_event_for_a_larger_graph_is_refused_at_install() {
+    let cfg = SimConfig::default();
+    let mut sim = new_sim(
+        gen::line(3, xrp(10)),
+        Workload { txns: Vec::new() },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![TopologyEvent {
+        at: SimTime::from_secs(1),
+        change: TopologyChange::NodeLeave { node: NodeId(3) },
+    }]);
+}

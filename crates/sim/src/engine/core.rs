@@ -1,0 +1,220 @@
+//! The event core — calendar, event slab and sequence bands — plus the
+//! arrival cursor that feeds it and the network state every handler reads.
+
+use super::{EventKind, SlabStats};
+use crate::calendar::CalendarQueue;
+use crate::channel::ChannelState;
+use crate::paths::PathTable;
+use crate::router::NetworkView;
+use crate::workload::{ArrivalSource, TxnSpec};
+use spider_topology::Topology;
+use spider_types::SimTime;
+
+/// First sequence number handed to events scheduled mid-run. Arrivals
+/// draw from a reserved band below this (starting right after the churn
+/// schedule's seqs), so a streamed arrival keeps exactly the tie-break
+/// rank the old pre-seeded calendar gave it: at equal instants, topology
+/// changes beat arrivals, and arrivals beat every event scheduled while
+/// the run is underway.
+const RUNTIME_SEQ_BASE: u64 = 1 << 32;
+
+/// The calendar and the slab of pending events it refers to.
+#[derive(Default)]
+pub(super) struct EventCore {
+    calendar: CalendarQueue,
+    store: Vec<Option<EventKind>>,
+    /// Slot generation, bumped on every (re)allocation: per-channel index
+    /// entries are validated against it so recycled slots cannot alias.
+    gen: Vec<u32>,
+    /// Event slots whose calendar entry has been consumed; reused by the
+    /// next `schedule`. Slots canceled in place (`store[id] = None`) are
+    /// reclaimed when their calendar entry pops, never earlier, so a
+    /// pending calendar entry always refers to the event that scheduled it.
+    free: Vec<usize>,
+    seq: u64,
+    /// Next reserved arrival sequence number (see [`RUNTIME_SEQ_BASE`]).
+    arrival_seq: u64,
+    /// The event-loop counters of [`SlabStats`]; the unit and path
+    /// counters stay zero here.
+    stats: SlabStats,
+}
+
+impl EventCore {
+    /// Schedules an event with the next sequence number of the current
+    /// band and returns its id (needed by callers that may cancel it).
+    pub(super) fn schedule(&mut self, at: SimTime, kind: EventKind) -> usize {
+        let seq = self.seq;
+        self.seq += 1;
+        self.schedule_at(at, seq, kind)
+    }
+
+    /// Merges one arrival into the calendar under its reserved sequence
+    /// number.
+    pub(super) fn schedule_arrival(&mut self, spec: TxnSpec) {
+        let seq = self.arrival_seq;
+        self.arrival_seq += 1;
+        debug_assert!(
+            self.arrival_seq <= RUNTIME_SEQ_BASE,
+            "arrival seqs overflow"
+        );
+        self.schedule_at(spec.time, seq, EventKind::Arrival(spec));
+    }
+
+    /// Partitions the sequence space once the pre-run schedule (churn,
+    /// faults) is in: arrivals draw reserved seqs right after it, runtime
+    /// events from a disjoint upper band.
+    pub(super) fn open_runtime_band(&mut self) {
+        debug_assert!(self.seq < RUNTIME_SEQ_BASE, "churn schedule too large");
+        self.arrival_seq = self.seq;
+        self.seq = RUNTIME_SEQ_BASE;
+    }
+
+    /// Schedules an event under an explicit sequence number, reusing a
+    /// retired slab slot when one is free.
+    fn schedule_at(&mut self, at: SimTime, seq: u64, kind: EventKind) -> usize {
+        let id = match self.free.pop() {
+            Some(id) => {
+                debug_assert!(self.store[id].is_none());
+                self.store[id] = Some(kind);
+                self.gen[id] = self.gen[id].wrapping_add(1);
+                id
+            }
+            None => {
+                self.store.push(Some(kind));
+                self.gen.push(0);
+                self.stats.event_slots = self.store.len();
+                self.store.len() - 1
+            }
+        };
+        self.calendar.push(at, seq, id);
+        self.stats.events_scheduled += 1;
+        self.stats.live_events += 1;
+        self.stats.peak_live_events = self.stats.peak_live_events.max(self.stats.live_events);
+        id
+    }
+
+    /// Cancels a pending event in place and hands back what it was. The
+    /// slot itself is reclaimed when the calendar entry pops (so the
+    /// calendar never refers to a reused slot).
+    pub(super) fn cancel(&mut self, id: usize) -> Option<EventKind> {
+        let kind = self.store[id].take();
+        debug_assert!(kind.is_some(), "double cancel");
+        self.stats.live_events -= 1;
+        kind
+    }
+
+    /// Consumes the next calendar entry due at or before `horizon`: its
+    /// instant, and the event unless it was canceled (atomic rollback,
+    /// serviced timeouts). The slot is reusable from here on.
+    pub(super) fn pop(&mut self, horizon: SimTime) -> Option<(SimTime, Option<EventKind>)> {
+        let (t, _, id) = self.calendar.pop()?;
+        if t > horizon {
+            return None;
+        }
+        let kind = self.store[id].take();
+        self.free.push(id);
+        if kind.is_some() {
+            self.stats.live_events -= 1;
+            self.stats.events_executed += 1;
+        }
+        Some((t, kind))
+    }
+
+    /// Generation of slot `id` (paired with the id in per-channel indices).
+    pub(super) fn generation(&self, id: usize) -> u32 {
+        self.gen[id]
+    }
+
+    /// True while `(slot, gen)` still names a pending, uncanceled event.
+    pub(super) fn is_live(&self, slot: u32, gen: u32) -> bool {
+        self.gen[slot as usize] == gen && self.store[slot as usize].is_some()
+    }
+
+    /// Pending events as `(id, generation, kind)`, for the debug-build
+    /// index audit.
+    #[cfg(debug_assertions)]
+    pub(super) fn pending(&self) -> impl Iterator<Item = (usize, u32, &EventKind)> {
+        self.store
+            .iter()
+            .enumerate()
+            .filter_map(|(id, slot)| slot.as_ref().map(|kind| (id, self.gen[id], kind)))
+    }
+
+    /// Event-loop counters: scheduled, executed, slots, live, peak live.
+    pub(super) fn stats(&self) -> SlabStats {
+        self.stats
+    }
+}
+
+/// Where arrivals come from (materialized list or lazy stream), handed
+/// out one due arrival at a time.
+pub(super) struct ArrivalCursor {
+    /// Read it (count, distinct pairs) before the first
+    /// [`Self::next_due`]: a streaming source is consumed as it goes.
+    pub(super) source: ArrivalSource,
+    /// In-horizon arrival indices in `(time, index)` order
+    /// ([`ArrivalSource::Fixed`] only).
+    order: Vec<u32>,
+    next: usize,
+}
+
+impl ArrivalCursor {
+    pub(super) fn new(source: ArrivalSource) -> Self {
+        ArrivalCursor {
+            source,
+            order: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Orders a fixed workload by `(time, index)`. Generated workloads are
+    /// already time-sorted (identity permutation); hand-built ones are
+    /// normalized here so lazy merging cannot reorder them. Ties keep
+    /// index order — the seq rank the pre-seeded calendar assigned.
+    pub(super) fn start(&mut self, horizon: SimTime) {
+        if let ArrivalSource::Fixed(w) = &self.source {
+            let mut order: Vec<u32> = (0..w.txns.len() as u32)
+                .filter(|&i| w.txns[i as usize].time <= horizon)
+                .collect();
+            order.sort_by_key(|&i| (w.txns[i as usize].time, i));
+            self.order = order;
+            self.next = 0;
+        }
+    }
+
+    /// The next arrival due at or before `horizon`, if any.
+    pub(super) fn next_due(&mut self, horizon: SimTime) -> Option<TxnSpec> {
+        match &mut self.source {
+            ArrivalSource::Fixed(w) => {
+                let &i = self.order.get(self.next)?;
+                self.next += 1;
+                Some(w.txns[i as usize])
+            }
+            // Arrival times are non-decreasing: the first one past the
+            // horizon ends the stream.
+            ArrivalSource::Streaming(s) => s.next_txn().filter(|spec| spec.time <= horizon),
+        }
+    }
+}
+
+/// The network as routers see it: topology, live channel balances, the
+/// shared path interner and the clock.
+pub(super) struct Net {
+    pub(super) topo: Topology,
+    pub(super) channels: Vec<ChannelState>,
+    /// The shared path interner (routers reach it via [`NetworkView`]).
+    pub(super) paths: PathTable,
+    pub(super) now: SimTime,
+}
+
+impl Net {
+    /// The read-only view handed to every router callback.
+    pub(super) fn view(&self) -> NetworkView<'_> {
+        NetworkView {
+            topo: &self.topo,
+            channels: &self.channels,
+            paths: &self.paths,
+            now: self.now,
+        }
+    }
+}

@@ -1,0 +1,529 @@
+//! Lockstep mode — a unit locks its whole path at once and settles Δ
+//! later — and the retry queue both modes poll.
+
+use super::core::EventCore;
+use super::{EventKind, PaymentState, Simulation};
+use crate::chanindex::ChannelIndex;
+use crate::config::SchedulingPolicy;
+use crate::paths::PathEntry;
+use crate::router::{RouteRequest, UnitOutcome};
+use spider_obs::trace::TraceEventKind;
+use spider_obs::Phase;
+use spider_types::{Amount, ChannelId, DropReason, PathId, PaymentId, SimTime};
+
+/// One slot of the retry queue.
+#[derive(Debug, Clone, Copy)]
+struct PendingEntry {
+    payment: usize,
+    /// The path the payment's last attempt was pinned to: the router
+    /// promised [`Router::pins_single_path`](crate::router::Router::pins_single_path)
+    /// and proposed exactly this path for the whole remainder. While it
+    /// stands, a poll skips the payment if the path cannot carry its
+    /// smallest chunk. `None` when no promise was given, or since the
+    /// router's last callback.
+    pinned: Option<PathId>,
+}
+
+/// The retry queue and the per-channel index of pending settles.
+pub(super) struct Lockstep {
+    /// Incomplete non-atomic payments awaiting the next poll, in the
+    /// order they joined.
+    pending: Vec<PendingEntry>,
+    /// `in_pending[pid]` ⇔ `pid ∈ pending` — O(1) membership for the
+    /// drop/failback paths that re-queue payments.
+    in_pending: Vec<bool>,
+    /// Pending `Settle` event ids indexed by traversed channel
+    /// (maintained only while a churn schedule is installed).
+    pub(super) settle_index: ChannelIndex,
+}
+
+impl Lockstep {
+    pub(super) fn new(n_payments: usize, n_channels: usize) -> Self {
+        Lockstep {
+            pending: Vec::new(),
+            in_pending: Vec::with_capacity(n_payments),
+            settle_index: ChannelIndex::new(n_channels),
+        }
+    }
+
+    /// Extends the membership flags for a newly arrived payment.
+    pub(super) fn note_arrival(&mut self) {
+        self.in_pending.push(false);
+    }
+
+    /// Appends `pid` to the retry queue unless already present.
+    pub(super) fn push(&mut self, pid: usize, pinned: Option<PathId>) {
+        if !self.in_pending[pid] {
+            self.in_pending[pid] = true;
+            self.pending.push(PendingEntry {
+                payment: pid,
+                pinned,
+            });
+        }
+    }
+
+    /// Forgets every pinned path. Called wherever lockstep mode hands
+    /// the router a callback that ends its `pins_single_path` promise
+    /// (fault and griefing outcomes, topology updates — rare, so a sweep
+    /// is fine). Queueing mode never pins, so its outcome and ack sites
+    /// need no sweep.
+    pub(super) fn forget_pins(&mut self) {
+        for e in &mut self.pending {
+            e.pinned = None;
+        }
+    }
+
+    /// Drops inactive payments from the queue, keeping the O(1)
+    /// membership flags in sync.
+    fn retain_active(&mut self, payments: &[PaymentState]) {
+        let in_pending = &mut self.in_pending;
+        self.pending.retain(|e| {
+            let keep = payments[e.payment].active();
+            if !keep {
+                in_pending[e.payment] = false;
+            }
+            keep
+        });
+    }
+
+    /// Indexes pending settle `event_id` under every channel of `entry`.
+    fn index_settle(&mut self, entry: &PathEntry, event_id: usize, events: &EventCore) {
+        let gen = events.generation(event_id);
+        for &(c, _) in entry.hops() {
+            self.settle_index
+                .insert(c.index(), event_id as u32, gen, |s, g| events.is_live(s, g));
+        }
+    }
+
+    /// Notes that a settle over `entry` was consumed or canceled: its
+    /// index entries are dead.
+    fn unindex_settle(&mut self, entry: &PathEntry) {
+        for &(c, _) in entry.hops() {
+            self.settle_index.note_removed(c.index());
+        }
+    }
+
+    /// Debug-build audit of the settle index against the event slab.
+    #[cfg(debug_assertions)]
+    pub(super) fn debug_check_index(&self, events: &EventCore, paths: &crate::paths::PathTable) {
+        let settles = events.pending().filter_map(|(id, gen, kind)| match kind {
+            EventKind::Settle { path, .. } => Some((id as u32, gen, paths.entry(*path))),
+            _ => None,
+        });
+        self.settle_index.debug_check(
+            "pending settle",
+            settles.flat_map(|(id, gen, entry)| {
+                let channels: Vec<_> = entry.hops().iter().map(|&(c, _)| c.index()).collect();
+                channels.into_iter().map(move |c| (id, gen, c))
+            }),
+        );
+    }
+}
+
+impl Simulation {
+    /// True when re-offering the payment would provably lock nothing: it
+    /// is pinned to a path some hop of which cannot carry even the
+    /// smallest chunk of what is unassigned (a closed hop has nothing
+    /// available).
+    fn locks_nothing(&self, e: PendingEntry) -> bool {
+        let Some(path) = e.pinned else {
+            return false;
+        };
+        let least = self.payments[e.payment]
+            .unassigned()
+            .smallest_mtu_chunk(self.config.mtu);
+        self.net.paths.map_entry(path, |entry| {
+            entry
+                .hops()
+                .iter()
+                .any(|&(c, dir)| self.net.channels[c.index()].available(dir) < least)
+        })
+    }
+
+    /// Samples telemetry when due, then re-offers the retry queue in
+    /// scheduling-policy order; schedules the next poll if one fits the
+    /// horizon.
+    pub(super) fn on_poll(&mut self, horizon: SimTime) {
+        self.sample_if_due();
+        let t0 = self.obs.profiler.start();
+        // Expire overdue payments and drop finished ones from the queue.
+        let now = self.net.now;
+        for &PendingEntry { payment: pid, .. } in &self.lockstep.pending {
+            let p = &mut self.payments[pid];
+            if !p.completed && now > p.deadline && !p.unassigned().is_zero() {
+                p.expired = true;
+                self.obs.trace(now, || TraceEventKind::PaymentExpired {
+                    payment: PaymentId(pid as u64),
+                    remaining: p.unassigned(),
+                });
+            }
+        }
+        self.lockstep.retain_active(&self.payments);
+        // Re-offer only payments whose attempt can lock something: one
+        // pinned to a path that cannot carry its smallest chunk is
+        // skipped (see the module docs for why that is exact).
+        let mut order = std::mem::take(&mut self.id_scratch);
+        order.clear();
+        for (i, &e) in self.lockstep.pending.iter().enumerate() {
+            if !self.locks_nothing(e) {
+                order.push(i as u32);
+            }
+        }
+        // Scheduling order: one key shape serves every policy (`!` reverses
+        // an unsigned order). Each is a strict total order (payment-id
+        // tie-break), so the unstable sort is deterministic, and sorting
+        // the survivors alone leaves them in the order a sort of the
+        // whole queue would.
+        let (payments, pending) = (&self.payments, &self.lockstep.pending);
+        let policy = self.config.scheduling;
+        order.sort_unstable_by_key(|&i| {
+            let pid = pending[i as usize].payment;
+            let p = &payments[pid];
+            let (remaining, arrival) = (p.unassigned().drops(), p.arrival.micros());
+            let key = match policy {
+                SchedulingPolicy::Srpt => (remaining, arrival),
+                SchedulingPolicy::Fifo => (arrival, 0),
+                SchedulingPolicy::Lifo => (!arrival, 0),
+                SchedulingPolicy::EarliestDeadline => (p.deadline.micros(), 0),
+                SchedulingPolicy::LargestRemaining => (!remaining, arrival),
+            };
+            (key, pid)
+        });
+        // Attempts only append to the queue (queueing-mode drops may
+        // re-queue a payment), so the positions stay valid.
+        for &i in &order {
+            let e = self.lockstep.pending[i as usize];
+            // Tested again at its turn: an earlier attempt of this poll
+            // may have taken what the scan saw.
+            if self.payments[e.payment].active() && !self.locks_nothing(e) {
+                self.metrics.retry();
+                self.lockstep.pending[i as usize].pinned = self.attempt_payment(e.payment);
+            }
+        }
+        self.id_scratch = order;
+        self.lockstep.retain_active(&self.payments);
+        self.obs.profiler.stop(Phase::Routing, t0);
+        let next = now + self.config.poll_interval;
+        if next <= horizon {
+            self.events.schedule(next, EventKind::Poll);
+        }
+    }
+
+    /// One routing attempt for the payment's currently unassigned amount.
+    /// Returns the path the attempt was pinned to, if the router promised
+    /// one (see [`PendingEntry::pinned`]).
+    pub(super) fn attempt_payment(&mut self, pid: usize) -> Option<PathId> {
+        let p = &self.payments[pid];
+        if !p.active() {
+            return None;
+        }
+        let unassigned = p.unassigned();
+        let req = RouteRequest {
+            payment: PaymentId(pid as u64),
+            src: p.src,
+            dst: p.dst,
+            remaining: unassigned,
+            total: p.total,
+            mtu: self.config.mtu,
+            attempt: p.attempts,
+        };
+        self.payments[pid].attempts += 1;
+        let proposals = self.router.route(&req, &self.net.view());
+        for prop in proposals.iter().take(self.config.max_proposals_per_poll) {
+            self.obs
+                .trace(self.net.now, || TraceEventKind::RouteProposal {
+                    payment: req.payment,
+                    attempt: req.attempt,
+                    path: prop.path,
+                    amount: prop.amount,
+                });
+        }
+        let hop_by_hop = self.hop_by_hop();
+        // A router that observes lock outcomes gets a callback from this
+        // very attempt, which ends any promise before it could be used;
+        // hop-by-hop units always report theirs.
+        let pinned = match proposals.as_slice() {
+            &[only]
+                if only.amount == unassigned
+                    && !hop_by_hop
+                    && !self.router_observes
+                    && self.router.pins_single_path() =>
+            {
+                Some(only.path)
+            }
+            _ => None,
+        };
+        let atomic = self.router.atomic();
+        let mut budget = unassigned;
+        // Units locked in this attempt: (amount, path, settle event id),
+        // kept for atomic rollback only.
+        let mut locked_units: Vec<(Amount, PathId, usize)> = Vec::new();
+        let mut aborted = false;
+
+        'proposals: for prop in proposals
+            .into_iter()
+            .take(self.config.max_proposals_per_poll)
+        {
+            if budget.is_zero() {
+                break;
+            }
+            {
+                let entry = self.net.paths.entry(prop.path);
+                if entry.hop_count() == 0 || entry.source() != self.payments[pid].src {
+                    continue;
+                }
+            }
+            let want = prop.amount.min(budget);
+            let mut chunks = want.mtu_chunks(self.config.mtu);
+            while let Some(unit) = chunks.next() {
+                if hop_by_hop {
+                    let accepted = self.inject_unit(pid, unit, prop.path);
+                    if accepted {
+                        budget -= unit;
+                    }
+                    self.report_outcome(pid, prop.path, unit, accepted, None);
+                    continue;
+                }
+                match self.try_lock_unit(pid, unit, prop.path) {
+                    Some(event_id) => {
+                        if atomic {
+                            locked_units.push((unit, prop.path, event_id));
+                        }
+                        budget -= unit;
+                    }
+                    None if atomic => {
+                        aborted = true;
+                        break 'proposals;
+                    }
+                    None => {
+                        // A failed lock rolled back completely, so every
+                        // further full-MTU chunk on this path fails the
+                        // same way. When no router hook observes per-unit
+                        // outcomes, count those failures instead of
+                        // re-walking the path for each.
+                        if !self.router_observes && unit == self.config.mtu {
+                            let skipped = chunks.skip_full_chunks();
+                            if skipped > 0 {
+                                self.metrics.unit_lock_failures(skipped);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        if atomic && (aborted || !budget.is_zero()) {
+            // All-or-nothing: roll back every unit locked in this attempt
+            // and cancel its scheduled settlement.
+            for (amount, path, event_id) in locked_units {
+                self.events.cancel(event_id);
+                self.refund_path(pid, &self.net.paths.entry(path), amount);
+            }
+            self.payments[pid].expired = true;
+        }
+        pinned
+    }
+
+    /// Attempts to lock one unit along the path; on success schedules its
+    /// settlement (returning the settle event's id) and updates payment
+    /// accounting.
+    fn try_lock_unit(&mut self, pid: usize, amount: Amount, path: PathId) -> Option<usize> {
+        let entry = self.net.paths.entry(path);
+        let hops = entry.hops();
+        // Lock hop by hop; roll back on the first failure.
+        let channels = &mut self.net.channels;
+        let failed_at = hops
+            .iter()
+            .position(|&(c, dir)| !channels[c.index()].lock(dir, amount));
+        for &(c, dir) in failed_at.map_or(&[][..], |n| &hops[..n]) {
+            channels[c.index()].refund(dir, amount);
+        }
+        let ok = failed_at.is_none();
+        self.metrics.unit_lock(hops.len(), ok);
+        self.obs
+            .trace(self.net.now, || TraceEventKind::LockOutcome {
+                payment: PaymentId(pid as u64),
+                path,
+                amount,
+                ok,
+            });
+        if self.router_observes {
+            self.report_outcome(pid, path, amount, ok, None);
+        }
+        if !ok {
+            return None;
+        }
+        self.payments[pid].inflight += amount;
+        let event_id = self.events.schedule(
+            self.net.now + self.config.confirmation_delay,
+            EventKind::Settle {
+                payment: pid,
+                amount,
+                path,
+            },
+        );
+        if self.track_channels {
+            self.lockstep.index_settle(&entry, event_id, &self.events);
+        }
+        Some(event_id)
+    }
+
+    /// Tells the router how one unit fared.
+    fn report_outcome(
+        &mut self,
+        pid: usize,
+        path: PathId,
+        amount: Amount,
+        locked: bool,
+        fault: Option<DropReason>,
+    ) {
+        let outcome = UnitOutcome {
+            payment: PaymentId(pid as u64),
+            path,
+            amount,
+            locked,
+            fault,
+        };
+        self.router.on_unit_outcome(&outcome, &self.net.view());
+    }
+
+    /// Returns a canceled or refunded unit's funds to every hop of its
+    /// path, takes it out of the payment's in-flight total, and retires
+    /// its pending settle from the channel index.
+    fn refund_path(&mut self, pid: usize, entry: &PathEntry, amount: Amount) {
+        for &(c, dir) in entry.hops() {
+            self.net.channels[c.index()].refund(dir, amount);
+        }
+        self.payments[pid].inflight -= amount;
+        if self.track_channels {
+            self.lockstep.unindex_settle(entry);
+        }
+    }
+
+    pub(super) fn on_settle(&mut self, pid: usize, amount: Amount, path: PathId) {
+        let entry = self.net.paths.entry(path);
+        let p = &self.payments[pid];
+        // A unit whose payment deadline passed between lock and settle is
+        // a real drop (counted and traced, exactly like the queueing-mode
+        // expiry path); an atomic rollback is pure bookkeeping and stays
+        // silent.
+        let deadline_expired = self.net.now > p.deadline;
+        let refund = if p.expired || deadline_expired {
+            Some((deadline_expired.then_some(DropReason::Expired), false))
+        } else if p.griefing {
+            // Overload griefing: the receiver withholds the key — a stuck
+            // unit driven by the overload plan rather than a fault draw
+            // (which it preempts).
+            Some((Some(DropReason::HopTimeout), true))
+        } else if let Some(reason) = self
+            .faults
+            .as_mut()
+            .and_then(|f| f.lockstep_verdict(&entry))
+        {
+            self.metrics.fault_injected();
+            Some((Some(reason), true))
+        } else {
+            None
+        };
+        match refund {
+            Some((reason, retry)) => self.refund_settling(pid, amount, path, &entry, reason, retry),
+            None => {
+                if self.track_channels {
+                    self.lockstep.unindex_settle(&entry);
+                }
+                self.deliver(pid, amount, &entry, || TraceEventKind::UnitSettled {
+                    payment: PaymentId(pid as u64),
+                    amount,
+                });
+            }
+        }
+    }
+
+    /// Refunds a settling unit instead of delivering it: every hop gets
+    /// its funds back and the payment's in-flight total shrinks. With a
+    /// `reason` the refund is a drop — counted, recorded and traced;
+    /// without one it is the silent tail of an atomic rollback. `retry`
+    /// separates a failure the sender can route around (griefing, a
+    /// fault: the router hears of it — bypassing the `router_observes`
+    /// gate, so backoff sees failures even for routers that skip ordinary
+    /// lock outcomes — and the remainder is re-queued) from the end of
+    /// the payment (expiry).
+    fn refund_settling(
+        &mut self,
+        pid: usize,
+        amount: Amount,
+        path: PathId,
+        entry: &PathEntry,
+        reason: Option<DropReason>,
+        retry: bool,
+    ) {
+        self.refund_path(pid, entry, amount);
+        self.payments[pid].expired |= !retry;
+        if let Some(reason) = reason {
+            // Whole-path lockstep refund: no single failing hop.
+            self.record_drop(
+                pid,
+                path,
+                None,
+                reason,
+                Some(|| TraceEventKind::UnitRefunded {
+                    payment: PaymentId(pid as u64),
+                    amount,
+                    reason,
+                }),
+            );
+        }
+        if retry {
+            self.report_outcome(pid, path, amount, true, reason);
+            self.lockstep.forget_pins();
+            self.requeue(pid, None);
+        }
+    }
+
+    /// A churn close of `channel`: cancels only this channel's pending
+    /// settles (index entries are generation-checked, so recycled slots
+    /// cannot alias) and unwinds their locks. The value returns to the
+    /// payment's unassigned pool, except that all-or-nothing schemes
+    /// cannot partially retry and cancel outright.
+    pub(super) fn fail_back_settles(&mut self, channel: ChannelId) {
+        let atomic = self.router.atomic();
+        let mut hit = std::mem::take(&mut self.id_scratch);
+        let events = &self.events;
+        self.lockstep.settle_index.collect_live_sorted(
+            channel.index(),
+            |s, g| events.is_live(s, g),
+            &mut hit,
+        );
+        for &id in &hit {
+            // Cancel in place (the calendar entry reclaims the slot).
+            let Some(EventKind::Settle {
+                payment,
+                amount,
+                path,
+            }) = self.events.cancel(id as usize)
+            else {
+                unreachable!("settle index entries are validated live");
+            };
+            self.refund_path(payment, &self.net.paths.entry(path), amount);
+            self.payments[payment].churn_hit = true;
+            // Counted in both the total and the churn-specific drop
+            // counters, so `units_dropped_churn <= units_dropped`
+            // holds in every engine mode. The lockstep trace has no
+            // record for a churn-canceled settle.
+            self.metrics.unit_dropped_churn();
+            self.record_drop(
+                payment,
+                path,
+                Some(channel),
+                DropReason::ChannelClosed,
+                None::<fn() -> TraceEventKind>,
+            );
+            if atomic {
+                self.payments[payment].expired = true;
+            } else {
+                self.requeue(payment, None);
+            }
+        }
+        self.id_scratch = hit;
+    }
+}

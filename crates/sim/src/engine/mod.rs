@@ -1,0 +1,660 @@
+//! The discrete-event simulation engine.
+//!
+//! Event model (matching §6.1's simulator):
+//!
+//! * **Arrival** — a transaction arrives and is routed immediately; funds
+//!   are locked along every hop of each accepted `(path, amount)` unit.
+//! * **Settle** — Δ seconds after locking, the hash-lock key has propagated
+//!   and each hop's funds move to the downstream party. If the payment's
+//!   deadline has passed in the meantime, the sender withholds the key and
+//!   the hops are refunded instead (§4.1's non-atomic cancellation).
+//! * **Poll** — every `poll_interval`, incomplete non-atomic payments are
+//!   re-attempted in scheduling-policy order (SRPT by default) — except
+//!   those whose attempt provably locks nothing. When the router pinned
+//!   the payment to one path ([`Router::pins_single_path`]) and some hop
+//!   of that path has less available than the smallest chunk of the
+//!   payment's remainder, every chunk fails at that hop and the failed
+//!   lock rolls back the hops before it: the attempt would leave
+//!   balances, payments and the calendar untouched, so it is skipped.
+//!   Attempts within one poll only *lower* availability, so "blocked
+//!   when tested" implies "blocked at its turn": the test runs over the
+//!   whole queue before the sort (only survivors are sorted, and they
+//!   keep the relative policy order they had among all pending
+//!   payments) and once more at each survivor's turn. A pin is
+//!   forgotten the moment the router receives any callback, and
+//!   balances are read at poll time, so no credit site (settle, refund,
+//!   deposit, resize, reopen) needs a hook. `retries`, `units_failed`
+//!   and `RouteRequest::attempt` therefore count attempts actually made.
+//!
+//! Ties in event time are broken by insertion sequence, so runs are fully
+//! deterministic.
+//!
+//! ## Hot-path layout
+//!
+//! Paths are interned once into the shared [`PathTable`]: every event,
+//! unit, and router callback carries a copyable [`PathId`] whose hops were
+//! resolved to `(ChannelId, Direction)` exactly once. Event and unit slab
+//! slots are recycled through free lists as soon as their last reference
+//! (the pending calendar entry, the in-flight unit) dies, so resident
+//! memory is bounded by *in-flight* work rather than by everything ever
+//! scheduled; [`Simulation::slab_stats`] exposes the high-water marks the
+//! throughput benchmarks track.
+//!
+//! Scheduling runs through a bucketed
+//! [`CalendarQueue`](crate::CalendarQueue) (O(1) amortized push/pop;
+//! exact `(time, seq)` order). Arrivals are **streamed**: the
+//! workload is merged into the calendar one arrival at a time (each
+//! arrival schedules its successor from a reserved seq band that keeps
+//! tie-breaks bit-identical to the old pre-seeded calendar), so the live
+//! event population is bounded by in-flight work, not total payments.
+//! Pending lockstep settles and in-flight hop-by-hop units are also
+//! indexed per channel ([`ChannelIndex`](crate::ChannelIndex)), so a
+//! topology-churn close touches only its own channel's work instead of
+//! walking the slabs.
+
+mod churn;
+mod core;
+mod lockstep;
+mod obs;
+mod perturb;
+mod queueing;
+
+#[cfg(test)]
+mod churn_tests;
+#[cfg(test)]
+mod queueing_tests;
+#[cfg(test)]
+mod rebalancing_tests;
+#[cfg(test)]
+mod test_util;
+#[cfg(test)]
+mod tests;
+
+use self::core::{ArrivalCursor, EventCore, Net};
+use self::lockstep::Lockstep;
+use self::obs::Obs;
+use self::perturb::{AdmissionState, Faults, Overload};
+use self::queueing::Queueing;
+use crate::channel::ChannelState;
+use crate::config::{QueueingMode, SimConfig};
+use crate::metrics::{MetricsCollector, SimReport};
+use crate::paths::{PathEntry, PathTable};
+use crate::router::{Router, TopologyUpdate};
+use crate::workload::{ArrivalSource, TxnSpec};
+use spider_obs::trace::TraceEventKind;
+use spider_obs::Phase;
+use spider_topology::Topology;
+use spider_types::{
+    Amount, ChannelId, Direction, DropReason, NodeId, PathId, PaymentId, SimTime, TopologyEvent,
+};
+
+/// Internal payment bookkeeping.
+#[derive(Debug, Clone)]
+struct PaymentState {
+    src: NodeId,
+    dst: NodeId,
+    total: Amount,
+    delivered: Amount,
+    inflight: Amount,
+    arrival: SimTime,
+    deadline: SimTime,
+    attempts: u32,
+    completed: bool,
+    /// Deadline passed with work outstanding; remainder canceled.
+    expired: bool,
+    /// Lost at least one in-flight unit to a channel close (topology
+    /// churn); if the payment never completes it counts as failed-by-churn.
+    churn_hit: bool,
+    /// Overload injection: the payment griefs — its units are silently
+    /// held at the final hop until the sender-side timeout refunds them,
+    /// pinning the whole path's liquidity. Drawn once per arrival from
+    /// the installed overload plan's runtime stream, so it is only ever
+    /// set under a plan.
+    griefing: bool,
+}
+
+impl PaymentState {
+    fn unassigned(&self) -> Amount {
+        self.total - self.delivered - self.inflight
+    }
+    fn active(&self) -> bool {
+        !self.completed && !self.expired && !self.unassigned().is_zero()
+    }
+    /// True once nothing in flight for this payment may still settle:
+    /// it was canceled, or its deadline has passed.
+    fn lapsed(&self, now: SimTime) -> bool {
+        self.expired || now > self.deadline
+    }
+}
+
+#[derive(Debug)]
+enum EventKind {
+    /// A transaction arrives (streamed from the workload source; each
+    /// arrival schedules its successor).
+    Arrival(TxnSpec),
+    /// An arrival the shaping admission gate deferred, re-offered at the
+    /// bucket's promised slot (does *not* advance the workload stream —
+    /// its original `Arrival` already did).
+    DeferredArrival(TxnSpec),
+    Settle {
+        payment: usize,
+        amount: Amount,
+        path: PathId,
+    },
+    Poll,
+    /// Periodic scan for depleted channel directions (on-chain
+    /// rebalancing enabled).
+    RebalanceScan,
+    /// An on-chain deposit confirms after the blockchain delay.
+    RebalanceSettle {
+        channel: ChannelId,
+        dir: Direction,
+        amount: Amount,
+    },
+    /// Queueing mode: a unit (slab index) arrives at the node before hop
+    /// `next_hop` after the per-hop forwarding delay and attempts to cross.
+    HopArrive(usize),
+    /// Queueing mode: a fully locked unit settles Δ after reaching its
+    /// destination (or is refunded if its payment expired meanwhile).
+    UnitDeliver(usize),
+    /// Queueing mode: the sender gives up on a unit — it waited past the
+    /// maximum queueing delay ([`DropReason::QueueTimeout`]), or, under
+    /// fault or griefing injection, its forwarding message (or delivery
+    /// ack) was lost or a hop silently holds it and the per-hop timeout
+    /// fired. The unit is canceled wherever it nominally is and every
+    /// locked upstream hop refunded.
+    UnitTimeout {
+        unit: usize,
+        reason: DropReason,
+    },
+    /// A scheduled topology-churn event (index into
+    /// `Simulation::topo_events`) takes effect.
+    Topology(usize),
+    /// A scheduled fault-plan event (index into the installed fault
+    /// plan's events — a node crash or recovery) takes effect.
+    Fault(usize),
+}
+
+impl EventKind {
+    /// The profiler phase the event's handler is charged to. `Poll`
+    /// splits itself between sampling and routing; rebalancing is left
+    /// unattributed.
+    fn phase(&self) -> Option<Phase> {
+        match self {
+            EventKind::Arrival(_) | EventKind::DeferredArrival(_) => Some(Phase::Routing),
+            EventKind::Settle { .. } => Some(Phase::Settlement),
+            EventKind::HopArrive(_) | EventKind::UnitDeliver(_) | EventKind::UnitTimeout { .. } => {
+                Some(Phase::Forwarding)
+            }
+            EventKind::Topology(_) | EventKind::Fault(_) => Some(Phase::ChurnRepair),
+            EventKind::Poll | EventKind::RebalanceScan | EventKind::RebalanceSettle { .. } => None,
+        }
+    }
+}
+
+/// Slab occupancy and lifetime counters (see [`Simulation::slab_stats`]).
+///
+/// The invariant the regression tests assert: `event_slots` and
+/// `unit_slots` track the *peak in-flight* population, not the total ever
+/// scheduled — a long run must not grow them linearly with
+/// `events_scheduled` / `units_injected`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SlabStats {
+    /// Events ever pushed onto the calendar.
+    pub events_scheduled: u64,
+    /// Events popped and executed (canceled events excluded).
+    pub events_executed: u64,
+    /// Event slab slots allocated (recycled slots are not re-counted).
+    pub event_slots: usize,
+    /// Events scheduled but not yet executed or canceled — the **true**
+    /// live population (canceled-in-place entries whose calendar slot has
+    /// not popped yet are excluded; they occupy a slab slot but are dead).
+    pub live_events: usize,
+    /// High-water mark of `live_events` — with streamed arrivals this is
+    /// bounded by in-flight work, not by total payments.
+    pub peak_live_events: usize,
+    /// Hop-by-hop units ever injected (queueing mode).
+    pub units_injected: u64,
+    /// Unit slab slots allocated.
+    pub unit_slots: usize,
+    /// Unit slots occupied right now.
+    pub live_units: usize,
+    /// High-water mark of occupied unit slots.
+    pub peak_live_units: usize,
+    /// Distinct paths interned into the shared table.
+    pub interned_paths: usize,
+    /// Index entries examined while handling topology-churn closes (and
+    /// amortized index compaction). The churn regression tests assert
+    /// this scales with the closed channels' *live* work, not with the
+    /// slab sizes the pre-index engine scanned.
+    pub churn_scan_steps: u64,
+}
+
+/// The simulator.
+pub struct Simulation {
+    net: Net,
+    config: SimConfig,
+    router: Box<dyn Router>,
+    /// Cached `Router::observes_unit_outcomes` for the run.
+    router_observes: bool,
+    arrivals: ArrivalCursor,
+    events: EventCore,
+    payments: Vec<PaymentState>,
+    metrics: MetricsCollector,
+    /// The retry queue both modes poll, and lockstep's settle index.
+    lockstep: Lockstep,
+    /// Hop-by-hop state; `Some` exactly when the config asks for
+    /// [`QueueingMode::PerChannelFifo`].
+    queueing: Option<Queueing>,
+    /// Per (channel, direction): an on-chain deposit is in flight, so
+    /// don't schedule another.
+    rebalance_pending: Vec<[bool; 2]>,
+    /// Topology-churn schedule (sorted by instant; see
+    /// [`Simulation::set_topology_events`]).
+    topo_events: Vec<TopologyEvent>,
+    /// True while the per-channel indices are maintained — exactly when
+    /// the run has a churn schedule that could close channels.
+    track_channels: bool,
+    /// Installed fault plan (see [`Simulation::set_fault_plan`]).
+    faults: Option<Faults>,
+    /// Installed overload plan (see [`Simulation::set_overload_plan`]).
+    overload: Option<Overload>,
+    /// Sender-side admission gate; `None` unless [`SimConfig::admission`]
+    /// is set.
+    admission: Option<AdmissionState>,
+    obs: Obs,
+    /// Reusable id list: the hit list of an indexed churn close, or the
+    /// positions in the retry queue a poll re-offers.
+    id_scratch: Vec<u32>,
+}
+
+impl Simulation {
+    /// Builds a simulation. Channels start equally split
+    /// (paper §6.2). Fails on invalid configuration.
+    ///
+    /// `workload` accepts a materialized [`Workload`](crate::Workload) or
+    /// a lazy [`StreamingWorkload`](crate::StreamingWorkload); either way
+    /// arrivals are merged into the calendar as they become due.
+    pub fn new(
+        topo: Topology,
+        workload: impl Into<ArrivalSource>,
+        router: Box<dyn Router>,
+        config: SimConfig,
+    ) -> spider_types::Result<Self> {
+        config.validate()?;
+        let arrivals = ArrivalCursor::new(workload.into());
+        let channels: Vec<ChannelState> = topo
+            .channels()
+            .map(|(_, c)| ChannelState::split_equally(c.capacity))
+            .collect();
+        let n_channels = channels.len();
+        let queueing = match &config.queueing {
+            QueueingMode::Lockstep => None,
+            QueueingMode::PerChannelFifo(qc) => Some(Queueing::new(qc.clone(), n_channels)),
+        };
+        // Payments accumulate per arrival; the event slab only ever holds
+        // in-flight work (arrivals are streamed), so it sizes itself.
+        let n_txns = arrivals.source.count();
+        Ok(Simulation {
+            net: Net {
+                topo,
+                channels,
+                paths: PathTable::new(),
+                now: SimTime::ZERO,
+            },
+            router,
+            router_observes: true,
+            arrivals,
+            events: EventCore::default(),
+            payments: Vec::with_capacity(n_txns),
+            metrics: MetricsCollector::new(),
+            lockstep: Lockstep::new(n_txns, n_channels),
+            queueing,
+            rebalance_pending: vec![[false; 2]; n_channels],
+            topo_events: Vec::new(),
+            track_channels: false,
+            faults: None,
+            overload: None,
+            admission: config.admission.clone().map(AdmissionState::new),
+            obs: Obs::new(&config.obs, n_channels),
+            id_scratch: Vec::new(),
+            config,
+        })
+    }
+
+    /// True when units travel hop by hop through router queues: queueing
+    /// mode is configured and the scheme is non-atomic (atomic schemes keep
+    /// lockstep all-or-nothing semantics).
+    fn hop_by_hop(&self) -> bool {
+        self.queueing.is_some() && !self.router.atomic()
+    }
+
+    /// Runs to the horizon and produces the report. The simulation object
+    /// remains inspectable afterwards (channel states, conservation).
+    pub fn run(&mut self) -> SimReport {
+        let horizon = SimTime::ZERO + self.config.horizon;
+        // The per-channel indices are maintained exactly when the run has
+        // a churn schedule (the only source of channel closes).
+        self.track_channels = !self.topo_events.is_empty();
+        self.router_observes = self.router.observes_unit_outcomes();
+        // The initial-state slice of the churn schedule (t = 0) applies
+        // before anything routes: nothing is in flight, so no failback.
+        // Mid-run churn fires from the calendar; sequenced before the
+        // arrivals so a change at instant t applies before payments
+        // arriving at t are routed.
+        let mut initial = TopologyUpdate::default();
+        for i in 0..self.topo_events.len() {
+            let TopologyEvent { at, change } = self.topo_events[i];
+            if at == SimTime::ZERO {
+                self.apply_topology_change(change, &mut initial, false);
+            } else if at <= horizon {
+                self.events.schedule(at, EventKind::Topology(i));
+            }
+        }
+        if !initial.is_empty() {
+            self.metrics.initial_topology_state(
+                initial.closed.len(),
+                initial.opened.len(),
+                initial.resized.len(),
+            );
+        }
+        // Fault-plan crash/recover toggles fire from the calendar too,
+        // sequenced after same-instant churn but before same-instant
+        // arrivals.
+        if let Some(faults) = &self.faults {
+            for (i, ev) in faults.plan.events.iter().enumerate() {
+                if ev.at <= horizon {
+                    self.events.schedule(ev.at, EventKind::Fault(i));
+                }
+            }
+        }
+        self.events.open_runtime_band();
+        // Snapshot the prewarm pairs before any arrival is consumed.
+        let prewarm_pairs = self
+            .router
+            .wants_prewarm()
+            .then(|| self.arrivals.source.distinct_pairs(Some(horizon)));
+        // Merge the first arrival; each arrival schedules its successor.
+        self.arrivals.start(horizon);
+        if let Some(first) = self.arrivals.next_due(horizon) {
+            self.events.schedule_arrival(first);
+        }
+        self.events
+            .schedule(SimTime::ZERO + self.config.poll_interval, EventKind::Poll);
+        if let Some(rb) = &self.config.rebalancing {
+            self.events
+                .schedule(SimTime::ZERO + rb.check_interval, EventKind::RebalanceScan);
+        }
+
+        self.router.configure(self.hop_by_hop());
+        {
+            let view = self.net.view();
+            self.router.initialize(&view);
+            // The schedule's initial closes happened before the router
+            // existed; tell it now, so prewarmed candidate sets respect
+            // the t = 0 liveness state.
+            if !initial.is_empty() {
+                self.router.on_topology_change(&initial, &view);
+            }
+            // Hand the router the distinct pairs it will be asked to
+            // route, in first-arrival order (the order `route` will first
+            // see them), so candidate sets are precomputed in one batched
+            // pass instead of per pair on the routing hot path. Skipped
+            // when the scheme keeps the default no-op hook.
+            if let Some(pairs) = prewarm_pairs {
+                self.router.prewarm(&pairs, &view);
+            }
+        }
+
+        loop {
+            let t0 = self.obs.profiler.start();
+            let popped = self.events.pop(horizon);
+            self.obs.profiler.stop(Phase::CalendarPop, t0);
+            let Some((t, kind)) = popped else {
+                break;
+            };
+            self.net.now = t;
+            let Some(kind) = kind else {
+                continue;
+            };
+            let phase = kind.phase();
+            let t0 = phase.and_then(|_| self.obs.profiler.start());
+            match kind {
+                EventKind::Arrival(spec) => {
+                    if let Some(next) = self.arrivals.next_due(horizon) {
+                        self.events.schedule_arrival(next);
+                    }
+                    self.on_arrival(spec, false);
+                }
+                EventKind::DeferredArrival(spec) => self.on_arrival(spec, true),
+                EventKind::Settle {
+                    payment,
+                    amount,
+                    path,
+                } => self.on_settle(payment, amount, path),
+                EventKind::Poll => self.on_poll(horizon),
+                EventKind::RebalanceScan => self.on_rebalance_scan(horizon),
+                EventKind::RebalanceSettle {
+                    channel,
+                    dir,
+                    amount,
+                } => {
+                    self.net.channels[channel.index()].deposit(dir, amount);
+                    self.rebalance_pending[channel.index()][dir.index()] = false;
+                    self.metrics.rebalanced(amount);
+                    self.drain_released([(channel, dir)]);
+                }
+                EventKind::HopArrive(unit) => self.on_hop_arrive(unit),
+                EventKind::UnitDeliver(unit) => self.on_unit_deliver(unit),
+                EventKind::UnitTimeout { unit, reason } => self.on_unit_timeout(unit, reason),
+                EventKind::Topology(i) => self.on_topology_event(i),
+                EventKind::Fault(i) => self.on_fault_event(i),
+            }
+            if let Some(phase) = phase {
+                self.obs.profiler.stop(phase, t0);
+            }
+            #[cfg(debug_assertions)]
+            self.debug_check_channel_indices();
+            self.monitor_step();
+        }
+        let failed_by_churn = self
+            .payments
+            .iter()
+            .filter(|p| p.churn_hit && !p.completed)
+            .count() as u64;
+        self.metrics.payments_failed_churn(failed_by_churn);
+        self.metrics.set_router_obs(self.router.observability());
+        self.obs
+            .finish(&self.config.obs, &self.net, &mut self.metrics);
+        std::mem::take(&mut self.metrics).finish(self.router.name(), self.config.horizon)
+    }
+
+    /// Channel states (for inspection after a run).
+    pub fn channel_states(&self) -> &[ChannelState] {
+        &self.net.channels
+    }
+
+    /// The topology being simulated.
+    pub fn topology(&self) -> &Topology {
+        &self.net.topo
+    }
+
+    /// The shared path interner (for inspection after a run).
+    pub fn paths(&self) -> &PathTable {
+        &self.net.paths
+    }
+
+    /// Slab occupancy and event-loop counters: the quantities the
+    /// engine-throughput benchmark and the slab-bound regression tests
+    /// observe.
+    pub fn slab_stats(&self) -> SlabStats {
+        let mut stats = SlabStats {
+            interned_paths: self.net.paths.len(),
+            churn_scan_steps: self.lockstep.settle_index.scan_steps(),
+            ..self.events.stats()
+        };
+        if let Some(q) = &self.queueing {
+            q.add_stats(&mut stats);
+        }
+        stats
+    }
+
+    /// Units currently resident in router queues (queueing mode; zero in
+    /// lockstep mode). Inspectable after a run: units may legitimately end
+    /// the horizon still queued, with their upstream locks conserved.
+    pub fn queued_units(&self) -> usize {
+        self.queueing.as_ref().map_or(0, Queueing::queued_units)
+    }
+
+    fn on_arrival(&mut self, mut spec: TxnSpec, deferred: bool) {
+        // Shaping admission (defer mode) acts before any payment state
+        // exists. The re-offered spec carries the deferred time, so the
+        // payment's arrival stamp — and therefore its deadline — runs
+        // from when it actually enters the network. A deferred re-offer
+        // bypasses the gate: its slot already spent its token when it
+        // was promised.
+        let gate = self.admission.as_mut().filter(|a| a.cfg.defer && !deferred);
+        if let Some(at) = gate.and_then(|a| a.defer_until(self.net.now)) {
+            self.metrics.admission_deferred();
+            spec.time = at;
+            self.events.schedule(at, EventKind::DeferredArrival(spec));
+            return;
+        }
+        let deadline = match self.config.deadline {
+            Some(d) => spec.time + d,
+            None => SimTime::FAR_FUTURE,
+        };
+        // Overload griefing: one draw per arrival (no plan, no draw).
+        let griefing = self
+            .overload
+            .as_mut()
+            .is_some_and(|o| o.rng.chance(o.plan.griefing_prob));
+        let pid = self.payments.len();
+        self.payments.push(PaymentState {
+            src: spec.src,
+            dst: spec.dst,
+            total: spec.amount,
+            delivered: Amount::ZERO,
+            inflight: Amount::ZERO,
+            arrival: spec.time,
+            deadline,
+            attempts: 0,
+            completed: false,
+            expired: false,
+            churn_hit: false,
+            griefing,
+        });
+        self.lockstep.note_arrival();
+        self.metrics.payment_arrived(spec.amount);
+        self.obs
+            .trace(self.net.now, || TraceEventKind::PaymentArrival {
+                payment: PaymentId(pid as u64),
+                src: spec.src,
+                dst: spec.dst,
+                amount: spec.amount,
+            });
+        // Policing admission: fail-fast before any routing work, so a
+        // rejected payment never occupies a queue. Shaping mode already
+        // made its decision above — by deferral, never by rejection.
+        if !self.admit_payment(pid) {
+            return;
+        }
+        let pinned = self.attempt_payment(pid);
+        self.requeue(pid, pinned);
+    }
+
+    /// Queues what is left of a non-atomic payment for the next poll.
+    fn requeue(&mut self, pid: usize, pinned: Option<PathId>) {
+        if !self.router.atomic() && self.payments[pid].active() {
+            self.lockstep.push(pid, pinned);
+        }
+    }
+
+    /// The delivery tail both modes share: settles every hop of a unit
+    /// whose key came back, charges the path's bottleneck, credits the
+    /// payment, and records completion. `settled` is the mode's own
+    /// trace record for the unit.
+    fn deliver(
+        &mut self,
+        pid: usize,
+        amount: Amount,
+        entry: &PathEntry,
+        settled: impl FnOnce() -> TraceEventKind,
+    ) {
+        let now = self.net.now;
+        for &(c, dir) in entry.hops() {
+            self.net.channels[c.index()].settle(dir, amount);
+        }
+        self.obs.bottleneck(entry, &self.net.channels);
+        let p = &mut self.payments[pid];
+        p.inflight -= amount;
+        p.delivered += amount;
+        self.metrics.unit_settled(amount, now);
+        self.obs.trace(now, settled);
+        if p.delivered == p.total {
+            p.completed = true;
+            let latency = now - p.arrival;
+            self.metrics.payment_completed(p.total, latency);
+            self.obs.trace(now, || TraceEventKind::PaymentCompleted {
+                payment: PaymentId(pid as u64),
+                latency_us: latency.micros(),
+            });
+        }
+    }
+
+    /// Periodic depletion scan (§5.2.3): any channel direction whose
+    /// available balance fell below the trigger gets an on-chain top-up
+    /// back to the target fraction, arriving after the blockchain delay.
+    /// Schedules the next scan if one fits the horizon.
+    fn on_rebalance_scan(&mut self, horizon: SimTime) {
+        let Some(rb) = &self.config.rebalancing else {
+            return;
+        };
+        for (i, ch) in self.net.channels.iter().enumerate() {
+            if ch.is_closed() {
+                // A closed channel's zero availability is not depletion;
+                // topping it up on-chain would strand the deposit.
+                continue;
+            }
+            let capacity = ch.capacity();
+            for dir in [Direction::Forward, Direction::Backward] {
+                if self.rebalance_pending[i][dir.index()] {
+                    continue;
+                }
+                let avail = ch.available(dir);
+                if avail < capacity.mul_f64(rb.trigger_fraction) {
+                    let target = capacity.mul_f64(rb.target_fraction);
+                    let amount = target.saturating_sub(avail);
+                    if amount.is_zero() {
+                        continue;
+                    }
+                    self.rebalance_pending[i][dir.index()] = true;
+                    self.events.schedule(
+                        self.net.now + rb.confirmation_delay,
+                        EventKind::RebalanceSettle {
+                            channel: ChannelId::from_index(i),
+                            dir,
+                            amount,
+                        },
+                    );
+                }
+            }
+        }
+        let next = self.net.now + rb.check_interval;
+        if next <= horizon {
+            self.events.schedule(next, EventKind::RebalanceScan);
+        }
+    }
+
+    /// Verifies fund conservation on every channel (available + in-flight
+    /// equals escrowed capacity). Panics on violation.
+    pub fn check_conservation(&self) {
+        for (i, ch) in self.net.channels.iter().enumerate() {
+            assert_eq!(
+                ch.total(),
+                ch.capacity(),
+                "channel {i} violates conservation"
+            );
+        }
+    }
+}

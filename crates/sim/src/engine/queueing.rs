@@ -1,0 +1,732 @@
+//! §5 queueing mode: units travel hop by hop through per-channel router
+//! queues under [`QueueingMode::PerChannelFifo`](crate::config::QueueingMode).
+
+use super::perturb::is_crashed;
+use super::{EventKind, Simulation, SlabStats};
+use crate::chanindex::ChannelIndex;
+use crate::channel::ChannelState;
+use crate::config::QueueConfig;
+use crate::monitor::InvariantMonitor;
+use crate::paths::PathEntry;
+use crate::queue::{flow_imbalance, local_signal};
+use crate::router::UnitAck;
+use spider_obs::trace::TraceEventKind;
+use spider_obs::NUM_SERIES;
+use spider_types::{
+    Amount, ChannelId, Direction, DropReason, MarkStamp, PathId, PaymentId, SimDuration, SimTime,
+};
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+/// A transaction unit traveling hop by hop.
+///
+/// An alive unit always has exactly one pending event (`HopArrive`,
+/// `UnitTimeout`, or `UnitDeliver`); retiring a unit therefore happens
+/// only after that event was consumed or canceled, which is what makes
+/// the slab slot safely recyclable.
+#[derive(Debug)]
+struct UnitState {
+    payment: usize,
+    amount: Amount,
+    /// Interned path; hops resolve through the shared path table.
+    path: PathId,
+    /// The resolved entry for `path`, pinned once at injection so the
+    /// per-hop events skip the table lookup.
+    entry: Rc<PathEntry>,
+    /// Stable per-run id for trace records: the injection ordinal (slab
+    /// slots recycle, trace ids don't).
+    trace_id: u64,
+    /// Hops already locked; the unit currently sits before hop `next_hop`
+    /// (or at the destination when `next_hop == hop_count`).
+    next_hop: usize,
+    injected_at: SimTime,
+    /// When the unit joined its current queue (valid while queued).
+    enqueued_at: SimTime,
+    /// The unit's one pending event — its queue-wait `UnitTimeout` while
+    /// queued (canceled on service), else the `HopArrive`/`UnitDeliver`/
+    /// per-hop `UnitTimeout` that carries it on (canceled when a channel
+    /// close fails the unit back mid-flight). `None` only while that
+    /// event's handler runs, and once the unit is done.
+    event: Option<usize>,
+    /// True once the unit has waited in any queue (for metrics).
+    waited: bool,
+    stamp: MarkStamp,
+    /// Why the unit was dropped (set just before its nack).
+    drop_reason: Option<DropReason>,
+    /// Settled or dropped; the slot is back on the free list.
+    done: bool,
+}
+
+/// What a unit reaching a hop does there.
+enum HopDecision {
+    /// Nothing is queued ahead and the balance covers it: lock and go on.
+    Cross,
+    /// Wait at the tail of the hop's queue.
+    Enqueue,
+    /// The queue is at its bound.
+    Full,
+}
+
+/// Everything hop-by-hop forwarding owns.
+pub(super) struct Queueing {
+    cfg: QueueConfig,
+    /// Per channel, per direction: FIFO of queued unit indices.
+    queues: Vec<[VecDeque<usize>; 2]>,
+    /// Units resident in router queues right now, across every channel
+    /// direction — O(1) occupancy, audited against a recount by the
+    /// invariant monitor.
+    queued_total: usize,
+    units: Vec<UnitState>,
+    /// Unit-slot generation, bumped on every reuse: per-channel index
+    /// entries are validated against it so recycled slots cannot alias.
+    unit_gen: Vec<u32>,
+    /// Retired unit slots awaiting reuse.
+    free_units: Vec<usize>,
+    /// Cumulative volume serviced per channel direction (the `x_u − x_v`
+    /// flow-imbalance observable of §5.3).
+    flow: Vec<[Amount; 2]>,
+    /// In-flight unit ids indexed by traversed channel (maintained only
+    /// while a churn schedule is installed).
+    unit_index: ChannelIndex,
+    injected: u64,
+    peak_live: usize,
+    /// Channel directions whose balance just grew and whose queues may
+    /// now be serviceable; [`Simulation::drain`] works it off, so it is
+    /// empty between cascades.
+    released: VecDeque<(ChannelId, Direction)>,
+}
+
+impl Queueing {
+    pub(super) fn new(cfg: QueueConfig, n_channels: usize) -> Self {
+        Queueing {
+            cfg,
+            queues: (0..n_channels)
+                .map(|_| [VecDeque::new(), VecDeque::new()])
+                .collect(),
+            queued_total: 0,
+            units: Vec::new(),
+            unit_gen: Vec::new(),
+            free_units: Vec::new(),
+            flow: vec![[Amount::ZERO; 2]; n_channels],
+            unit_index: ChannelIndex::new(n_channels),
+            injected: 0,
+            peak_live: 0,
+            released: VecDeque::new(),
+        }
+    }
+
+    /// The one "cross now / enqueue / queue full" rule, for a unit of
+    /// `amount` reaching channel `c` (state `ch`) in direction `d`.
+    fn decide(&self, ch: &ChannelState, c: ChannelId, d: Direction, amount: Amount) -> HopDecision {
+        let queue_len = self.queues[c.index()][d.index()].len();
+        if queue_len == 0 && ch.available(d) >= amount {
+            HopDecision::Cross
+        } else if queue_len >= self.cfg.max_queue_units {
+            HopDecision::Full
+        } else {
+            HopDecision::Enqueue
+        }
+    }
+
+    /// Claims a slab slot for a fresh unit at the head of `entry`,
+    /// recycling a retired one when available, and (under churn) indexes
+    /// it by every channel it will traverse.
+    fn alloc_unit(
+        &mut self,
+        payment: usize,
+        amount: Amount,
+        path: PathId,
+        entry: &Rc<PathEntry>,
+        now: SimTime,
+        track_channels: bool,
+    ) -> usize {
+        let unit = UnitState {
+            payment,
+            amount,
+            path,
+            entry: Rc::clone(entry),
+            trace_id: self.injected,
+            next_hop: 0,
+            injected_at: now,
+            enqueued_at: now,
+            event: None,
+            waited: false,
+            stamp: MarkStamp::CLEAR,
+            drop_reason: None,
+            done: false,
+        };
+        self.injected += 1;
+        let uid = match self.free_units.pop() {
+            Some(i) => {
+                debug_assert!(self.units[i].done, "free list holds only dead units");
+                self.units[i] = unit;
+                self.unit_gen[i] = self.unit_gen[i].wrapping_add(1);
+                i
+            }
+            None => {
+                self.units.push(unit);
+                self.unit_gen.push(0);
+                self.units.len() - 1
+            }
+        };
+        self.peak_live = self.peak_live.max(self.live_units());
+        if track_channels {
+            let gen = self.unit_gen[uid];
+            let (units, gens) = (&self.units, &self.unit_gen);
+            for &(c, _) in entry.hops() {
+                self.unit_index.insert(c.index(), uid as u32, gen, |s, g| {
+                    gens[s as usize] == g && !units[s as usize].done
+                });
+            }
+        }
+        uid
+    }
+
+    /// Marks a settled or dropped unit done and returns its slab slot to
+    /// the free list. Safe because an alive unit has exactly one pending
+    /// event, and every retirement site runs only after that event was
+    /// consumed or canceled — no stale calendar entry can reach a
+    /// recycled slot.
+    fn retire(&mut self, uid: usize, track_channels: bool) {
+        let u = &mut self.units[uid];
+        debug_assert!(u.event.is_none());
+        u.done = true;
+        if track_channels {
+            for &(c, _) in u.entry.hops() {
+                self.unit_index.note_removed(c.index());
+            }
+        }
+        self.free_units.push(uid);
+    }
+
+    /// Units waiting in router queues right now.
+    pub(super) fn queued_units(&self) -> usize {
+        self.queued_total
+    }
+
+    fn live_units(&self) -> usize {
+        self.units.len() - self.free_units.len()
+    }
+
+    /// Global queue occupancy in [0, 1] over `n_channels` channels.
+    pub(super) fn occupancy_fraction(&self, n_channels: usize) -> f64 {
+        let capacity = self.cfg.max_queue_units * n_channels * 2;
+        self.queued_total as f64 / capacity.max(1) as f64
+    }
+
+    /// Fills the queue-dependent probes of one sample row (see
+    /// [`spider_obs::SERIES_NAMES`]).
+    pub(super) fn sample(&self, channels: &[ChannelState], row: &mut [f64; NUM_SERIES]) {
+        // queue_occupancy: total units waiting in per-channel queues.
+        row[1] = self.queued_total as f64;
+        // inflight_units: live slab population (locked or queued).
+        row[2] = self.live_units() as f64;
+        // mean_channel_price: the imbalance component of the stamped
+        // price (`local_signal`'s steering term), averaged over open
+        // channels.
+        let mut price = 0.0;
+        let mut open = 0usize;
+        for (ch, flow) in channels.iter().zip(&self.flow) {
+            if !ch.is_closed() {
+                open += 1;
+                price += self.cfg.imbalance_price_weight * flow_imbalance(flow[0], flow[1]).abs();
+            }
+        }
+        row[5] = price / open.max(1) as f64;
+    }
+
+    /// Per-channel queue depth (both directions), in dense-id order.
+    pub(super) fn queue_depths(&self) -> Vec<u32> {
+        self.queues
+            .iter()
+            .map(|q| (q[0].len() + q[1].len()) as u32)
+            .collect()
+    }
+
+    /// Adds the unit slab's share of [`SlabStats`].
+    pub(super) fn add_stats(&self, stats: &mut SlabStats) {
+        stats.units_injected = self.injected;
+        stats.unit_slots = self.units.len();
+        stats.live_units = self.live_units();
+        stats.peak_live_units = self.peak_live;
+        stats.churn_scan_steps += self.unit_index.scan_steps();
+    }
+
+    /// Invariant sweep over this component's own state. Queue bounds:
+    /// per-direction occupancy within the configured cap, and the O(1)
+    /// occupancy counter consistent with a recount. Unit-state legality:
+    /// an alive unit has its pending event and a hop cursor inside its
+    /// path.
+    pub(super) fn audit(&self, mon: &mut InvariantMonitor, t_us: u64) {
+        let cap = self.cfg.max_queue_units;
+        let mut total = 0usize;
+        for (i, q) in self.queues.iter().enumerate() {
+            for (dir, dq) in q.iter().enumerate() {
+                let len = dq.len();
+                total += len;
+                if len > cap {
+                    let what = format!("channel {i} dir {dir}: {len} queued > cap {cap}");
+                    mon.record(t_us, "queue_bounds", what);
+                }
+            }
+        }
+        if total != self.queued_total {
+            let what = format!("occupancy counter {} != recount {total}", self.queued_total);
+            mon.record(t_us, "queue_bounds", what);
+        }
+        for (uid, u) in self.units.iter().enumerate().filter(|(_, u)| !u.done) {
+            if u.event.is_none() {
+                let what = format!("unit {uid}: alive without a pending event");
+                mon.record(t_us, "unit_state", what);
+            }
+            let (at, len) = (u.next_hop, u.entry.hop_count());
+            if at > len {
+                let what = format!("unit {uid}: hop cursor {at} past path length {len}");
+                mon.record(t_us, "unit_state", what);
+            }
+        }
+    }
+
+    /// Debug-build audit of the unit index against the unit slab.
+    #[cfg(debug_assertions)]
+    pub(super) fn debug_check_index(&self) {
+        let live = self.units.iter().enumerate().filter(|(_, u)| !u.done);
+        self.unit_index.debug_check(
+            "unit",
+            live.flat_map(|(uid, u)| {
+                let hops = u.entry.hops().iter();
+                hops.map(move |&(c, _)| (uid as u32, self.unit_gen[uid], c.index()))
+            }),
+        );
+    }
+}
+
+impl Simulation {
+    /// Injects one unit at its first hop: it either starts forwarding,
+    /// joins the first hop's queue, or is rejected outright — never
+    /// accepted, so no ack follows. Returns whether the unit was accepted.
+    pub(super) fn inject_unit(&mut self, pid: usize, amount: Amount, path: PathId) -> bool {
+        let Some(q) = self.queueing.as_mut() else {
+            return false;
+        };
+        let now = self.net.now;
+        let channels = &self.net.channels;
+        let entry = self.net.paths.entry(path);
+        let (c, d) = entry.hops()[0];
+        let decision = q.decide(&channels[c.index()], c, d, amount);
+        // Rejected at the ingress: a path crossing a closed channel (stale
+        // proposals can arrive in the same instant as a churn event;
+        // injecting would only convert the unit into a drop), a crashed
+        // sender (it can't originate traffic), or a full first queue.
+        if entry
+            .hops()
+            .iter()
+            .any(|&(c, _)| channels[c.index()].is_closed())
+            || is_crashed(&self.faults, entry.source())
+            || matches!(decision, HopDecision::Full)
+        {
+            self.metrics.unit_lock(entry.hop_count(), false);
+            return false;
+        }
+        let uid = q.alloc_unit(pid, amount, path, &entry, now, self.track_channels);
+        let trace_id = q.units[uid].trace_id;
+        self.payments[pid].inflight += amount;
+        self.obs.trace(now, || TraceEventKind::UnitInjected {
+            payment: PaymentId(pid as u64),
+            unit: trace_id,
+            path,
+            amount,
+        });
+        match decision {
+            HopDecision::Cross => self.lock_hop(uid, SimDuration::ZERO),
+            _ => self.enqueue_unit(uid, c, d),
+        }
+        true
+    }
+
+    /// Puts a unit at the tail of `(c, d)`'s queue and arms its timeout.
+    /// The caller has verified the queue has room.
+    fn enqueue_unit(&mut self, uid: usize, c: ChannelId, d: Direction) {
+        let Some(q) = self.queueing.as_mut() else {
+            return;
+        };
+        let now = self.net.now;
+        let queue = &mut q.queues[c.index()][d.index()];
+        queue.push_back(uid);
+        let qlen = queue.len() as u32;
+        q.queued_total += 1;
+        let event_id = self.events.schedule(
+            now + q.cfg.max_queue_delay,
+            EventKind::UnitTimeout {
+                unit: uid,
+                reason: DropReason::QueueTimeout,
+            },
+        );
+        let u = &mut q.units[uid];
+        u.enqueued_at = now;
+        u.event = Some(event_id);
+        let trace_id = u.trace_id;
+        self.obs.trace(now, || TraceEventKind::UnitEnqueued {
+            unit: trace_id,
+            channel: c,
+            qlen,
+        });
+    }
+
+    /// Locks the unit's next hop (the caller has verified balance), stamps
+    /// the router's local price signal, and schedules the unit onward.
+    fn lock_hop(&mut self, uid: usize, queue_delay: SimDuration) {
+        let Some(q) = self.queueing.as_mut() else {
+            return;
+        };
+        let now = self.net.now;
+        let u = &mut q.units[uid];
+        let entry = Rc::clone(&u.entry);
+        let (c, d) = entry.hops()[u.next_hop];
+        let ch = &mut self.net.channels[c.index()];
+        let locked = ch.lock(d, u.amount);
+        debug_assert!(locked, "lock_hop caller must verify balance");
+        let flow = &mut q.flow[c.index()];
+        flow[d.index()] += u.amount;
+        let available_fraction =
+            ch.available(d).drops() as f64 / ch.capacity().drops().max(1) as f64;
+        let signal = local_signal(
+            queue_delay,
+            flow[d.index()],
+            flow[d.reverse().index()],
+            available_fraction,
+            &q.cfg,
+        );
+        u.stamp.absorb(signal.price, signal.marked, queue_delay);
+        if !queue_delay.is_zero() {
+            let first_wait = !u.waited;
+            u.waited = true;
+            self.metrics
+                .unit_queued(queue_delay.as_secs_f64(), first_wait);
+            self.obs.queue_wait(c, queue_delay.as_secs_f64());
+        }
+        let hop = u.next_hop as u32;
+        u.next_hop += 1;
+        let trace_id = u.trace_id;
+        self.obs.trace(now, || TraceEventKind::UnitForwarded {
+            unit: trace_id,
+            channel: c,
+            hop,
+        });
+        let final_hop = u.next_hop == entry.hop_count();
+        if final_hop {
+            self.metrics.unit_lock(entry.hop_count(), true);
+        }
+        // Overload griefing: the final hop silently holds the unit — with
+        // the whole path now locked — until the sender-side timeout
+        // refunds it. It preempts the fault draws, so a griefing unit
+        // consumes none of the fault stream.
+        let griefing = final_hop && self.payments[u.payment].griefing;
+        let held = self.overload.as_ref().filter(|_| griefing);
+        let mut timeout = held.map(|o| (o.plan.griefing_hold, DropReason::HopTimeout));
+        let mut hop_delay = q.cfg.hop_delay;
+        if let (None, Some(faults)) = (timeout, self.faults.as_mut()) {
+            if let Some(reason) = faults.hop_loss(c, final_hop) {
+                self.metrics.fault_injected();
+                timeout = Some((faults.plan.hop_timeout, reason));
+            } else if !final_hop {
+                hop_delay += faults.hop_jitter();
+            }
+        }
+        let (at, kind) = match timeout {
+            Some((after, reason)) => (now + after, EventKind::UnitTimeout { unit: uid, reason }),
+            None if final_hop => (
+                now + self.config.confirmation_delay,
+                EventKind::UnitDeliver(uid),
+            ),
+            None => (now + hop_delay, EventKind::HopArrive(uid)),
+        };
+        u.event = Some(self.events.schedule(at, kind));
+    }
+
+    /// A unit arrives at an intermediate node and attempts its next hop.
+    pub(super) fn on_hop_arrive(&mut self, uid: usize) {
+        let Some(q) = self.queueing.as_mut() else {
+            return;
+        };
+        let u = &mut q.units[uid];
+        if u.done {
+            return;
+        }
+        // This event just fired; it is no longer cancelable.
+        u.event = None;
+        let (pid, amount) = (u.payment, u.amount);
+        let forwarder = u.entry.nodes()[u.next_hop];
+        let (c, d) = u.entry.hops()[u.next_hop];
+        let ch = &self.net.channels[c.index()];
+        let decision = q.decide(ch, c, d, amount);
+        if self.payments[pid].lapsed(self.net.now) {
+            self.drop_unit(uid, DropReason::Expired);
+        } else if is_crashed(&self.faults, forwarder) {
+            // The node that should forward this unit crashed while the
+            // unit was traveling toward it.
+            self.metrics.fault_injected();
+            self.drop_unit(uid, DropReason::NodeCrashed);
+        } else if ch.is_closed() {
+            // The next hop closed while the unit was traveling toward it.
+            self.drop_unit(uid, DropReason::ChannelClosed);
+        } else {
+            match decision {
+                HopDecision::Cross => self.lock_hop(uid, SimDuration::ZERO),
+                HopDecision::Enqueue => self.enqueue_unit(uid, c, d),
+                HopDecision::Full if self.config.shedding => self.shed_into_queue(uid, c, d),
+                HopDecision::Full => self.drop_unit(uid, DropReason::QueueOverflow),
+            }
+        }
+    }
+
+    /// Deadline-aware shedding: the queue at `(c, d)` is full. Among the
+    /// queued units and the newcomer `uid`, evict the one least likely
+    /// to meet its deadline — the earliest payment deadline, front-most
+    /// on queue ties (it has waited longest for nothing). The newcomer
+    /// is dropped when its own deadline is earliest-or-tied; otherwise
+    /// the victim is shed and the newcomer takes its place.
+    fn shed_into_queue(&mut self, uid: usize, c: ChannelId, d: Direction) {
+        let Some(q) = self.queueing.as_ref() else {
+            return;
+        };
+        let deadline_of = |u: usize| self.payments[q.units[u].payment].deadline;
+        let victim = q.queues[c.index()][d.index()]
+            .iter()
+            .copied()
+            .min_by_key(|&queued| deadline_of(queued))
+            .filter(|&v| deadline_of(v) < deadline_of(uid));
+        let Some(victim) = victim else {
+            self.drop_unit(uid, DropReason::Shed);
+            return;
+        };
+        self.drop_unit(victim, DropReason::Shed);
+        // The eviction's refunds can cascade (upstream queues drain,
+        // drop, refund further); re-admit the newcomer against the
+        // queue's state as it stands now.
+        let Some(q) = self.queueing.as_ref() else {
+            return;
+        };
+        let ch = &self.net.channels[c.index()];
+        match q.decide(ch, c, d, q.units[uid].amount) {
+            HopDecision::Cross => self.lock_hop(uid, SimDuration::ZERO),
+            HopDecision::Enqueue => self.enqueue_unit(uid, c, d),
+            HopDecision::Full => self.drop_unit(uid, DropReason::Shed),
+        }
+    }
+
+    /// A fully locked unit settles (or is refunded when its payment
+    /// expired while the key was in flight).
+    pub(super) fn on_unit_deliver(&mut self, uid: usize) {
+        let Some(q) = self.queueing.as_mut() else {
+            return;
+        };
+        let u = &mut q.units[uid];
+        if u.done {
+            return;
+        }
+        // This event just fired; it is no longer cancelable.
+        u.event = None;
+        let (pid, amount, trace_id) = (u.payment, u.amount, u.trace_id);
+        if self.payments[pid].lapsed(self.net.now) {
+            self.drop_unit(uid, DropReason::Expired);
+            return;
+        }
+        let entry = Rc::clone(&u.entry);
+        self.deliver(pid, amount, &entry, || TraceEventKind::UnitDelivered {
+            unit: trace_id,
+        });
+        self.ack_unit(uid, true);
+        self.retire_unit(uid);
+        self.drain_released(entry.hops().iter().map(|&(c, d)| (c, d.reverse())));
+    }
+
+    /// The sender gives up on a unit (see [`EventKind::UnitTimeout`]).
+    pub(super) fn on_unit_timeout(&mut self, uid: usize, reason: DropReason) {
+        let Some(q) = self.queueing.as_mut() else {
+            return;
+        };
+        let u = &mut q.units[uid];
+        if u.done {
+            return;
+        }
+        // This event just fired; it is no longer cancelable.
+        u.event = None;
+        self.drop_unit(uid, reason);
+    }
+
+    /// Drops a unit wherever it is: leaves its queue if queued, refunds
+    /// every locked hop, nacks the sender, and drains refilled directions.
+    fn drop_unit(&mut self, uid: usize, reason: DropReason) {
+        self.drop_unit_collect(uid, reason);
+        self.drain();
+    }
+
+    /// [`Self::drop_unit`] without the drain step, for the drain loop
+    /// itself: the released directions join the list it is working off.
+    fn drop_unit_collect(&mut self, uid: usize, reason: DropReason) {
+        let Some(q) = self.queueing.as_mut() else {
+            return;
+        };
+        let u = &mut q.units[uid];
+        // Its pending event must not fire on a recycled slab slot.
+        if let Some(ev) = u.event.take() {
+            self.events.cancel(ev);
+        }
+        u.stamp.marked = true;
+        u.drop_reason = Some(reason);
+        let (pid, amount, path, trace_id) = (u.payment, u.amount, u.path, u.trace_id);
+        let entry = Rc::clone(&u.entry);
+        let (locked, ahead) = entry.hops().split_at(u.next_hop);
+        // The failing hop is the one the unit was queued at or traveling
+        // toward; a unit that had fully locked its path has none.
+        let failing_hop = ahead.first().map(|&(c, _)| c);
+        if let Some(&(c, d)) = ahead.first() {
+            // Remove from that hop's queue, if present.
+            let queue = &mut q.queues[c.index()][d.index()];
+            let before = queue.len();
+            queue.retain(|&queued| queued != uid);
+            q.queued_total -= before - queue.len();
+        }
+        for &(c, d) in locked {
+            self.net.channels[c.index()].refund(d, amount);
+            q.released.push_back((c, d));
+        }
+        self.payments[pid].inflight -= amount;
+        if reason == DropReason::ChannelClosed {
+            self.payments[pid].churn_hit = true;
+            self.metrics.unit_dropped_churn();
+        }
+        // A unit that never finished locking its path counts as a failed
+        // lock; one that fully locked was already counted as a success
+        // (it reached the destination) and is only recorded as dropped.
+        if failing_hop.is_some() {
+            self.metrics.unit_lock(entry.hop_count(), false);
+        }
+        self.record_drop(
+            pid,
+            path,
+            failing_hop,
+            reason,
+            Some(|| TraceEventKind::UnitDropped {
+                unit: trace_id,
+                reason,
+            }),
+        );
+        self.ack_unit(uid, false);
+        // The returned value made part of the payment unassigned again;
+        // make sure the retry queue will offer it (the payment may have
+        // been fully in flight and therefore absent from the queue).
+        if self.payments[pid].active() {
+            self.lockstep.push(pid, None);
+        }
+        self.retire_unit(uid);
+    }
+
+    fn retire_unit(&mut self, uid: usize) {
+        if let Some(q) = self.queueing.as_mut() {
+            q.retire(uid, self.track_channels);
+        }
+    }
+
+    /// Sends the unit's end-to-end acknowledgement to the router.
+    fn ack_unit(&mut self, uid: usize, delivered: bool) {
+        let Some(q) = self.queueing.as_ref() else {
+            return;
+        };
+        let u = &q.units[uid];
+        self.metrics.unit_acked(u.stamp.marked);
+        // The failing hop of a dropped unit, mirroring the forensics
+        // attribution: the channel it was queued at or traveling toward.
+        // A unit that fully locked its path (expiry/griefing) has none.
+        let drop_channel = (u.drop_reason.is_some() && u.next_hop < u.entry.hop_count())
+            .then(|| u.entry.hops()[u.next_hop].0);
+        let ack = UnitAck {
+            payment: PaymentId(u.payment as u64),
+            path: u.path,
+            amount: u.amount,
+            delivered,
+            stamp: u.stamp,
+            drop_reason: u.drop_reason,
+            drop_channel,
+            rtt: self.net.now - u.injected_at,
+        };
+        self.router.on_unit_ack(&ack, &self.net.view());
+        self.obs.trace(self.net.now, || TraceEventKind::UnitAcked {
+            payment: ack.payment,
+            unit: u.trace_id,
+            delivered,
+            marked: u.stamp.marked,
+        });
+    }
+
+    /// Services the queues of directions that just gained balance. A
+    /// no-op in lockstep mode, where nothing is ever queued.
+    pub(super) fn drain_released(
+        &mut self,
+        released: impl IntoIterator<Item = (ChannelId, Direction)>,
+    ) {
+        if let Some(q) = self.queueing.as_mut() {
+            q.released.extend(released);
+            self.drain();
+        }
+    }
+
+    /// Services the queues of the released directions, in FIFO order,
+    /// until each blocks again. Servicing can release further directions
+    /// (drops refund upstream hops), so this works through the list.
+    fn drain(&mut self) {
+        let now = self.net.now;
+        let next = |q: &mut Queueing| q.released.pop_front();
+        while let Some((c, d)) = self.queueing.as_mut().and_then(next) {
+            while let Some(q) = self.queueing.as_mut() {
+                let Some(&uid) = q.queues[c.index()][d.index()].front() else {
+                    break;
+                };
+                let u = &mut q.units[uid];
+                if self.payments[u.payment].lapsed(now) {
+                    self.drop_unit_collect(uid, DropReason::Expired);
+                    continue;
+                }
+                // A crashed servicing node freezes the whole queue until
+                // recovery (or each unit's timeout); otherwise the head
+                // waits for balance.
+                if is_crashed(&self.faults, u.entry.nodes()[u.next_hop])
+                    || self.net.channels[c.index()].available(d) < u.amount
+                {
+                    break;
+                }
+                if let Some(ev) = u.event.take() {
+                    self.events.cancel(ev);
+                }
+                let queue_delay = now - u.enqueued_at;
+                q.queues[c.index()][d.index()].pop_front();
+                q.queued_total -= 1;
+                self.lock_hop(uid, queue_delay);
+            }
+        }
+    }
+
+    /// A churn close of channel `ci`: drops only this channel's in-flight
+    /// units, wherever they are (queued or mid-path), every locked hop
+    /// refunded.
+    pub(super) fn fail_back_units(&mut self, ci: usize) {
+        let mut hit = std::mem::take(&mut self.id_scratch);
+        if let Some(q) = self.queueing.as_mut() {
+            // Ascending slab order — exactly the order a full-slab scan
+            // would visit them.
+            let (units, gens) = (&q.units, &q.unit_gen);
+            let alive = |s: u32, g: u32| gens[s as usize] == g && !units[s as usize].done;
+            q.unit_index.collect_live_sorted(ci, alive, &mut hit);
+        }
+        for &uid in &hit {
+            // A drain cascade from an earlier drop may have already
+            // retired this unit.
+            let done = |q: &Queueing| q.units[uid as usize].done;
+            if !self.queueing.as_ref().is_some_and(done) {
+                self.drop_unit(uid as usize, DropReason::ChannelClosed);
+            }
+        }
+        self.id_scratch = hit;
+    }
+}

@@ -1,0 +1,378 @@
+use super::test_util::{new_sim, run_checked, shortest_path_proposal, txn, xrp, Direct};
+use super::Simulation;
+use crate::config::{QueueConfig, SimConfig};
+use crate::metrics::SimReport;
+use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, UnitAck, UnitOutcome};
+use crate::workload::{TxnSpec, Workload};
+use spider_topology::{gen, Topology};
+use spider_types::{Amount, Direction, NodeId, SimDuration};
+
+/// Records every ack for assertion.
+struct AckRecorder {
+    acks: std::rc::Rc<std::cell::RefCell<Vec<UnitAck>>>,
+    outcomes: std::rc::Rc<std::cell::RefCell<Vec<bool>>>,
+}
+impl Router for AckRecorder {
+    fn name(&self) -> &'static str {
+        "ack-recorder"
+    }
+    fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+        shortest_path_proposal(req, view)
+    }
+    fn on_unit_outcome(&mut self, outcome: &UnitOutcome, _view: &NetworkView<'_>) {
+        self.outcomes.borrow_mut().push(outcome.locked);
+    }
+    fn on_unit_ack(&mut self, ack: &UnitAck, _view: &NetworkView<'_>) {
+        self.acks.borrow_mut().push(*ack);
+    }
+}
+
+fn qconfig(qc: QueueConfig) -> SimConfig {
+    SimConfig {
+        horizon: SimDuration::from_secs(30),
+        mtu: xrp(1),
+        deadline: Some(SimDuration::from_secs(10)),
+        queueing: crate::config::QueueingMode::PerChannelFifo(qc),
+        ..SimConfig::default()
+    }
+}
+
+fn run_queue_sim(topo: Topology, txns: Vec<TxnSpec>, cfg: SimConfig) -> (SimReport, Simulation) {
+    run_checked(new_sim(topo, Workload { txns }, Box::new(Direct), cfg))
+}
+
+#[test]
+fn queued_unit_completes_after_refill() {
+    // 5 XRP forward; the first payment drains it, the second queues at
+    // the router instead of failing, and the opposing payment's
+    // settlement releases it.
+    let t = gen::line(2, xrp(10));
+    let txns = vec![
+        txn(0, 0, 1, xrp(5)),
+        txn(100, 0, 1, xrp(3)),
+        txn(1_000, 1, 0, xrp(4)),
+    ];
+    let (r, sim) = run_queue_sim(t, txns, qconfig(QueueConfig::default()));
+    assert_eq!(r.completed_payments, 3);
+    assert!(
+        r.units_queued > 0,
+        "second payment's units must have queued"
+    );
+    assert!(r.avg_queue_delay().expect("queue delays were recorded") > 0.0);
+    assert_eq!(sim.queued_units(), 0);
+}
+
+#[test]
+fn conservation_holds_with_units_resident_in_queues() {
+    // Nothing ever refills the forward direction: the remainder stays
+    // queued at the horizon, and every drop is still accounted for.
+    let t = gen::line(2, xrp(10));
+    let mut cfg = qconfig(QueueConfig {
+        max_queue_delay: SimDuration::from_secs(3_600),
+        marking_delay: SimDuration::from_secs(3_000),
+        ..QueueConfig::default()
+    });
+    cfg.horizon = SimDuration::from_secs(2);
+    cfg.deadline = None;
+    let (r, sim) = run_queue_sim(t, vec![txn(0, 0, 1, xrp(8))], cfg);
+    assert_eq!(r.delivered_volume, xrp(5));
+    assert!(sim.queued_units() > 0, "remainder must sit in the queue");
+    sim.check_conservation(); // with units resident in queues
+}
+
+#[test]
+fn multihop_queues_hold_upstream_locks() {
+    // Wide first channel, narrow second: units lock hop 0, queue at
+    // hop 1, and the locks show up as in-flight on channel 0 while
+    // they wait.
+    let mut b = Topology::builder(3);
+    b.channel(NodeId(0), NodeId(1), xrp(20))
+        .expect("channel endpoints are distinct known nodes"); // 10 per side
+    b.channel(NodeId(1), NodeId(2), xrp(10))
+        .expect("channel endpoints are distinct known nodes"); // 5 per side
+    let t = b.build();
+    let mut cfg = qconfig(QueueConfig {
+        max_queue_delay: SimDuration::from_secs(3_600),
+        marking_delay: SimDuration::from_secs(3_000),
+        ..QueueConfig::default()
+    });
+    cfg.horizon = SimDuration::from_secs(2);
+    cfg.deadline = None;
+    // 8 XRP: all units cross hop 0, 5 deliver through hop 1, 3 queue
+    // there holding their hop-0 locks.
+    let (r, sim) = run_queue_sim(t, vec![txn(0, 0, 2, xrp(8))], cfg);
+    assert_eq!(r.delivered_volume, xrp(5));
+    assert!(sim.queued_units() > 0);
+    let inflight_upstream = sim.channel_states()[0].inflight(Direction::Forward);
+    assert_eq!(
+        inflight_upstream,
+        xrp(3),
+        "queued units keep their upstream locks"
+    );
+}
+
+#[test]
+fn overload_marks_units() {
+    let t = gen::line(2, xrp(10));
+    let qc = QueueConfig {
+        marking_delay: SimDuration::from_millis(50),
+        ..QueueConfig::default()
+    };
+    // Sustained one-way overload with periodic refills so queued units
+    // eventually cross (delayed → marked).
+    let mut txns: Vec<TxnSpec> = (0..8).map(|i| txn(i * 100, 0, 1, xrp(1))).collect();
+    txns.push(txn(3_000, 1, 0, xrp(4)));
+    let (r, _) = run_queue_sim(t, txns, qconfig(qc));
+    assert!(r.units_marked > 0, "delayed units must be marked");
+    assert!(r.marking_rate() > 0.0);
+}
+
+#[test]
+fn queue_timeout_drops_and_refunds() {
+    let t = gen::line(3, xrp(10));
+    let qc = QueueConfig {
+        max_queue_delay: SimDuration::from_millis(300),
+        marking_delay: SimDuration::from_millis(100),
+        ..QueueConfig::default()
+    };
+    let mut cfg = qconfig(qc);
+    // With no deadline, the payment keeps retrying: dropped units
+    // return their value to the unassigned pool and the pending queue
+    // re-injects it on a later poll (so some units may sit queued
+    // again at the horizon — conservation must hold regardless).
+    cfg.deadline = None;
+    let (r, sim) = run_queue_sim(t, vec![txn(0, 0, 2, xrp(9))], cfg);
+    assert_eq!(r.delivered_volume, xrp(5), "only the channel's funds ship");
+    assert!(r.units_dropped > 0, "the stuck remainder must time out");
+    assert!(r.retries > 0, "dropped value must be re-queued for retry");
+    // With a deadline, the remainder expires and everything unwinds.
+    let mut cfg = qconfig(QueueConfig {
+        max_queue_delay: SimDuration::from_millis(300),
+        marking_delay: SimDuration::from_millis(100),
+        ..QueueConfig::default()
+    });
+    cfg.deadline = Some(SimDuration::from_secs(2));
+    let (r, sim2) = run_queue_sim(gen::line(3, xrp(10)), vec![txn(0, 0, 2, xrp(9))], cfg);
+    assert_eq!(r.delivered_volume, xrp(5));
+    assert_eq!(sim2.queued_units(), 0, "expiry unwinds the queues");
+    for c in sim2.channel_states() {
+        assert_eq!(c.inflight(Direction::Forward), Amount::ZERO);
+        assert_eq!(c.inflight(Direction::Backward), Amount::ZERO);
+    }
+    let _ = sim;
+}
+
+#[test]
+fn ingress_overflow_rejects_without_ack() {
+    let t = gen::line(2, xrp(4));
+    let qc = QueueConfig {
+        max_queue_units: 2,
+        max_queue_delay: SimDuration::from_secs(5),
+        ..QueueConfig::default()
+    };
+    let acks = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let outcomes = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let router = AckRecorder {
+        acks: std::rc::Rc::clone(&acks),
+        outcomes: std::rc::Rc::clone(&outcomes),
+    };
+    // 10 one-XRP units against 2 XRP of balance and a 2-deep queue:
+    // some are rejected at the ingress.
+    let mut cfg = qconfig(qc);
+    cfg.deadline = None;
+    cfg.horizon = SimDuration::from_secs(3);
+    let mut sim = new_sim(
+        t,
+        Workload {
+            txns: vec![txn(0, 0, 1, xrp(10))],
+        },
+        Box::new(router),
+        cfg,
+    );
+    let r = sim.run();
+    sim.check_conservation();
+    let rejected = outcomes.borrow().iter().filter(|ok| !**ok).count();
+    assert!(rejected > 0, "ingress must reject beyond the queue bound");
+    assert!(r.units_failed >= rejected as u64);
+    // Every *accepted* unit acks exactly once; rejected ones never do.
+    let accepted = outcomes.borrow().iter().filter(|ok| **ok).count();
+    let settled_or_queued = accepted - sim.queued_units();
+    assert_eq!(acks.borrow().len(), settled_or_queued);
+    assert!(acks.borrow().iter().all(|a| a.delivered));
+}
+
+#[test]
+fn queueing_runs_are_deterministic() {
+    let _t = gen::isp_topology(xrp(500));
+    let mut rng = spider_types::DetRng::new(11);
+    let w = Workload::generate(
+        32,
+        &crate::workload::WorkloadConfig::small(2_000, 500.0),
+        &mut rng,
+    );
+    let run = |w: Workload| {
+        let mut cfg = qconfig(QueueConfig::default());
+        cfg.mtu = xrp(5);
+        let mut sim = new_sim(gen::isp_topology(xrp(500)), w, Box::new(Direct), cfg);
+        let r = sim.run();
+        sim.check_conservation();
+        r
+    };
+    let r1 = run(w.clone());
+    let r2 = run(w);
+    assert_eq!(r1.completed_payments, r2.completed_payments);
+    assert_eq!(r1.delivered_volume, r2.delivered_volume);
+    assert_eq!(r1.units_locked, r2.units_locked);
+    assert_eq!(r1.units_marked, r2.units_marked);
+    assert_eq!(r1.units_dropped, r2.units_dropped);
+    assert_eq!(r1.units_queued, r2.units_queued);
+}
+
+#[test]
+fn queueing_beats_lockstep_on_bursty_one_way_load() {
+    // The whole point of router queues: a burst that exceeds the
+    // instantaneous balance waits for the opposing flow instead of
+    // failing. Same workload, same seeds, queueing on vs off.
+    let txns = vec![
+        txn(0, 0, 1, xrp(5)),
+        txn(10, 0, 1, xrp(4)), // lockstep: fails now; queueing: waits
+        txn(1_000, 1, 0, xrp(5)),
+    ];
+    let t = gen::line(2, xrp(10));
+    let (queued, _) = run_queue_sim(t, txns.clone(), qconfig(QueueConfig::default()));
+    let mut lockstep_cfg = SimConfig {
+        horizon: SimDuration::from_secs(30),
+        mtu: xrp(1),
+        deadline: Some(SimDuration::from_secs(10)),
+        ..SimConfig::default()
+    };
+    // Disable retries-driven catchup to isolate the queueing effect:
+    // poll quickly in both, rely on deadline.
+    lockstep_cfg.poll_interval = SimDuration::from_millis(100);
+    let mut sim = new_sim(
+        gen::line(2, xrp(10)),
+        Workload { txns },
+        Box::new(Direct),
+        lockstep_cfg,
+    );
+    let lockstep = sim.run();
+    sim.check_conservation();
+    assert!(
+        queued.delivered_volume >= lockstep.delivered_volume,
+        "queueing {} < lockstep {}",
+        queued.delivered_volume,
+        lockstep.delivered_volume
+    );
+    assert_eq!(queued.completed_payments, 3);
+}
+
+#[test]
+fn unit_slab_recycles_dead_slots() {
+    // Heavy churn through a narrow line: far more units are injected
+    // than are ever simultaneously alive, so the slab must stay small.
+    let t = gen::line(3, xrp(40));
+    let mut txns = Vec::new();
+    for i in 0..60 {
+        txns.push(txn(i * 250, 0, 2, xrp(4)));
+        txns.push(txn(i * 250 + 100, 2, 0, xrp(4)));
+    }
+    let (r, sim) = run_queue_sim(t, txns, qconfig(QueueConfig::default()));
+    let stats = sim.slab_stats();
+    assert!(r.units_locked > 100);
+    assert!(stats.units_injected > 200, "{stats:?}");
+    assert_eq!(stats.unit_slots, stats.peak_live_units, "{stats:?}");
+    assert!(
+        stats.unit_slots < (stats.units_injected / 2) as usize,
+        "unit slab grew with total units: {stats:?}"
+    );
+    assert_eq!(stats.live_units, sim.queued_units());
+}
+
+#[test]
+fn queue_depth_sampling_is_off_by_default_and_per_channel_when_on() {
+    let t = gen::line(3, xrp(10));
+    let txns = vec![txn(0, 0, 2, xrp(9))];
+    let mut cfg = qconfig(QueueConfig {
+        max_queue_delay: SimDuration::from_secs(3_600),
+        marking_delay: SimDuration::from_secs(3_000),
+        ..QueueConfig::default()
+    });
+    cfg.horizon = SimDuration::from_secs(3);
+    cfg.deadline = None;
+    let (r, _) = run_queue_sim(gen::line(3, xrp(10)), txns.clone(), cfg.clone());
+    assert!(
+        r.queue_depth_series().is_empty(),
+        "sampling must cost nothing when off"
+    );
+    cfg.obs.sampler.queue_depths = true;
+    let (r, sim) = run_queue_sim(t, txns, cfg);
+    assert!(!r.queue_depth_series().is_empty());
+    for sample in r.queue_depth_series() {
+        assert_eq!(sample.len(), sim.topology().channel_count());
+    }
+    // The stuck remainder sits in channel 1's queue at the horizon.
+    let last = r
+        .queue_depth_series()
+        .last()
+        .expect("queue-depth series is non-empty");
+    assert_eq!(last.iter().sum::<u32>() as usize, sim.queued_units());
+}
+
+#[test]
+fn drop_reasons_partition_the_drop_counter() {
+    // Timeouts: the forward direction never refills, so queued units
+    // hit max_queue_delay; the payment then expires at its deadline
+    // with the remainder undelivered.
+    let t = gen::line(2, xrp(10));
+    let txns = vec![txn(0, 0, 1, xrp(9)), txn(100, 0, 1, xrp(9))];
+    let mut cfg = qconfig(QueueConfig {
+        max_queue_delay: SimDuration::from_secs(1),
+        marking_delay: SimDuration::from_millis(500),
+        max_queue_units: 4,
+        ..QueueConfig::default()
+    });
+    cfg.deadline = Some(SimDuration::from_secs(3));
+    let (r, _) = run_queue_sim(t, txns, cfg);
+    assert!(r.units_dropped > 0, "scenario must produce drops");
+    assert_eq!(
+        r.drops_by_reason.total(),
+        r.units_dropped,
+        "every dropped unit must carry exactly one reason: {:?}",
+        r.drops_by_reason
+    );
+    assert!(
+        r.drops_by_reason.queue_timeout > 0 || r.drops_by_reason.queue_overflow > 0,
+        "stuck queue must time out or overflow: {:?}",
+        r.drops_by_reason
+    );
+    assert_eq!(r.drops_by_reason.channel_closed, 0, "no churn here");
+}
+
+#[test]
+fn trace_capture_records_the_unit_lifecycle() {
+    let t = gen::line(3, xrp(10));
+    let txns = vec![txn(0, 0, 2, xrp(3))];
+    let mut cfg = qconfig(QueueConfig::default());
+    cfg.obs.trace = true;
+    cfg.obs.profile = true;
+    let mut sim = new_sim(t, Workload { txns }, Box::new(Direct), cfg);
+    let r = sim.run();
+    assert_eq!(r.completed_payments, 1);
+    assert!(r.profile.enabled);
+    assert!(r.profile.total_ns() > 0);
+    let trace = sim.take_trace().expect("tracing was enabled");
+    let jsonl = trace.to_jsonl();
+    for ev in [
+        "arrival", "route", "inject", "forward", "deliver", "ack", "complete", "path",
+    ] {
+        assert!(
+            jsonl.contains(&format!("\"ev\":\"{ev}\"")),
+            "missing {ev} in:\n{jsonl}"
+        );
+    }
+    // Exactly one arrival and one completion for the single payment.
+    assert_eq!(jsonl.matches("\"ev\":\"arrival\"").count(), 1);
+    assert_eq!(jsonl.matches("\"ev\":\"complete\"").count(), 1);
+    // Second take returns nothing (the sink moved out).
+    assert!(sim.take_trace().is_none());
+}

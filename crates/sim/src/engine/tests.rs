@@ -1,0 +1,523 @@
+use super::test_util::{new_sim, run_checked, shortest_path_proposal, txn, xrp};
+use super::Simulation;
+use crate::config::SimConfig;
+use crate::metrics::SimReport;
+use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, UnitOutcome};
+use crate::workload::{TxnSpec, Workload};
+use spider_faults::{FaultChange, FaultPlan};
+use spider_topology::{gen, Topology};
+use spider_types::{Amount, ChannelId, Direction, NodeId, SimTime, TopologyChange, TopologyEvent};
+
+/// Test router: always proposes the single BFS shortest path for the
+/// full remaining amount.
+struct DirectRouter {
+    atomic: bool,
+}
+
+impl Router for DirectRouter {
+    fn name(&self) -> &'static str {
+        "direct-test"
+    }
+    fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+        shortest_path_proposal(req, view)
+    }
+    fn atomic(&self) -> bool {
+        self.atomic
+    }
+    fn observes_unit_outcomes(&self) -> bool {
+        false // exercise the engine's batched failed-lock fast path
+    }
+}
+
+fn base_config() -> SimConfig {
+    SimConfig {
+        horizon: spider_types::SimDuration::from_secs(30),
+        ..SimConfig::default()
+    }
+}
+
+fn run_sim(
+    topo: Topology,
+    txns: Vec<TxnSpec>,
+    atomic: bool,
+    config: SimConfig,
+) -> (SimReport, Simulation) {
+    let router = Box::new(DirectRouter { atomic });
+    run_checked(new_sim(topo, Workload { txns }, router, config))
+}
+
+#[test]
+fn single_payment_direct_channel() {
+    let t = gen::line(2, xrp(10));
+    let (r, _) = run_sim(t, vec![txn(100, 0, 1, xrp(3))], false, base_config());
+    assert_eq!(r.attempted_payments, 1);
+    assert_eq!(r.completed_payments, 1);
+    assert_eq!(r.success_ratio(), 1.0);
+    assert_eq!(r.success_volume(), 1.0);
+    // Latency = confirmation delay.
+    assert!((r.avg_completion_time().expect("at least one txn completed") - 0.5).abs() < 1e-9);
+}
+
+#[test]
+fn payment_larger_than_balance_fails_atomically() {
+    // Channel 10 XRP → 5 XRP per side; an 8 XRP atomic payment fails.
+    let t = gen::line(2, xrp(10));
+    let (r, sim) = run_sim(t, vec![txn(100, 0, 1, xrp(8))], true, base_config());
+    assert_eq!(r.completed_payments, 0);
+    assert_eq!(r.delivered_volume, Amount::ZERO);
+    // Rollback restored the initial split.
+    assert_eq!(
+        sim.channel_states()[0].available(Direction::Forward),
+        xrp(5)
+    );
+    assert_eq!(
+        sim.channel_states()[0].available(Direction::Backward),
+        xrp(5)
+    );
+}
+
+#[test]
+fn multihop_locks_every_hop() {
+    let t = gen::line(3, xrp(10));
+    let (r, sim) = run_sim(t, vec![txn(50, 0, 2, xrp(4))], false, base_config());
+    assert_eq!(r.completed_payments, 1);
+    // Both channels moved 4 XRP downstream.
+    for c in sim.channel_states() {
+        assert_eq!(c.available(Direction::Forward), xrp(1));
+        assert_eq!(c.available(Direction::Backward), xrp(9));
+    }
+    // Two hops per unit, 4 XRP / 10 MTU = one unit.
+    assert_eq!(r.units_locked, 1);
+    assert_eq!(r.avg_path_length(), Some(2.0));
+}
+
+#[test]
+fn mtu_splits_units() {
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    let t = gen::line(2, xrp(20));
+    let (r, _) = run_sim(t, vec![txn(10, 0, 1, xrp(5))], false, cfg);
+    assert_eq!(r.units_locked, 5);
+    assert_eq!(r.completed_payments, 1);
+}
+
+#[test]
+fn opposing_payments_rebalance_each_other() {
+    // 6 XRP per side. 0→1 5 XRP, then 1→0 5 XRP, then 0→1 5 XRP again:
+    // each leg is only possible because the previous one refilled it.
+    let t = gen::line(2, xrp(12));
+    let txns = vec![
+        txn(0, 0, 1, xrp(5)),
+        txn(1000, 1, 0, xrp(5)),
+        txn(2000, 0, 1, xrp(5)),
+    ];
+    let (r, _) = run_sim(t, txns, false, base_config());
+    assert_eq!(r.completed_payments, 3);
+}
+
+#[test]
+fn unidirectional_traffic_exhausts_channel() {
+    // 5 XRP forward budget; three 2-XRP payments: the third finds only
+    // 1 XRP available and completes partially (non-atomic), leaving
+    // success ratio 2/3.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = Some(spider_types::SimDuration::from_secs(2));
+    let t = gen::line(2, xrp(10));
+    let txns = vec![
+        txn(0, 0, 1, xrp(2)),
+        txn(100, 0, 1, xrp(2)),
+        txn(200, 0, 1, xrp(2)),
+    ];
+    let (r, _) = run_sim(t, txns, false, cfg);
+    assert_eq!(r.completed_payments, 2);
+    // 5 of 6 XRP delivered (the stranded 1 XRP was sendable).
+    assert_eq!(r.delivered_volume, xrp(5));
+    assert!((r.success_volume() - 5.0 / 6.0).abs() < 1e-9);
+}
+
+#[test]
+fn pending_queue_retries_after_refill() {
+    // 0→1 drains; payment 1→0 then refills; queued remainder completes
+    // on a later poll.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = Some(spider_types::SimDuration::from_secs(10));
+    let t = gen::line(2, xrp(10));
+    let txns = vec![
+        txn(0, 0, 1, xrp(5)),    // drains forward side
+        txn(100, 0, 1, xrp(3)),  // queued: nothing available
+        txn(2000, 1, 0, xrp(4)), // refills forward side
+    ];
+    let (r, _) = run_sim(t, txns, false, cfg);
+    assert_eq!(r.completed_payments, 3);
+    assert!(r.retries > 0);
+}
+
+/// [`DirectRouter`] (non-atomic) that also gives the
+/// `pins_single_path` promise — until its first fault outcome, after
+/// which it withdraws it for good, as `ShortestPath` does.
+#[derive(Default)]
+struct PinningRouter {
+    faulted: bool,
+}
+
+impl Router for PinningRouter {
+    fn name(&self) -> &'static str {
+        "pinning-test"
+    }
+    fn route(
+        &mut self,
+        req: &RouteRequest,
+        view: &NetworkView<'_>,
+    ) -> Vec<crate::router::RouteProposal> {
+        DirectRouter { atomic: false }.route(req, view)
+    }
+    fn observes_unit_outcomes(&self) -> bool {
+        false
+    }
+    fn on_unit_outcome(&mut self, outcome: &UnitOutcome, _view: &NetworkView<'_>) {
+        self.faulted |= outcome.fault.is_some();
+    }
+    fn pins_single_path(&self) -> bool {
+        !self.faulted
+    }
+}
+
+fn pinned_sim(topo: Topology, txns: Vec<TxnSpec>, config: SimConfig) -> Simulation {
+    let router = Box::new(PinningRouter::default());
+    new_sim(topo, Workload { txns }, router, config)
+}
+
+fn run_pinned(topo: Topology, txns: Vec<TxnSpec>, config: SimConfig) -> SimReport {
+    run_checked(pinned_sim(topo, txns, config)).0
+}
+
+#[test]
+fn blocked_payment_is_not_retried_until_opposing_flow_refills_its_hop() {
+    // As `pending_queue_retries_after_refill`, with a pinning router:
+    // the queued payment sits out every poll while 0→1 is empty and
+    // is re-offered exactly once, after the 1→0 payment settles.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = Some(spider_types::SimDuration::from_secs(10));
+    let txns = vec![
+        txn(0, 0, 1, xrp(5)),    // drains forward side
+        txn(100, 0, 1, xrp(3)),  // queued: nothing available
+        txn(2000, 1, 0, xrp(4)), // settles at 2500: forward side has 4
+    ];
+    let r = run_pinned(gen::line(2, xrp(10)), txns.clone(), cfg.clone());
+    assert_eq!(r.completed_payments, 3);
+    assert_eq!(r.retries, 1);
+    // Only the arrival attempt failed: 3 one-XRP chunks.
+    assert_eq!(r.units_failed, 3);
+    // The same run without the promise polls 24 times before the
+    // refill and fails 3 chunks each time; the outcome is the same.
+    let (polled, _) = run_sim(gen::line(2, xrp(10)), txns, false, cfg);
+    assert_eq!(polled.retries, 25);
+    assert_eq!(polled.units_failed, 3 * 25);
+    assert_eq!(polled.completed_payments, r.completed_payments);
+    assert_eq!(polled.delivered_volume, r.delivered_volume);
+    assert_eq!(polled.units_locked, r.units_locked);
+}
+
+#[test]
+fn skip_tests_the_smallest_chunk_not_the_mtu() {
+    // remaining = 45, MTU = 20: chunks 20, 20, 5. A bottleneck of 7
+    // fails both full chunks but carries the 5, so the payment must
+    // be re-offered; what is left (40) then needs a full 20.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(20);
+    cfg.deadline = None;
+    let txns = vec![
+        txn(0, 0, 1, xrp(10)),   // drains forward side (10 of 20)
+        txn(100, 0, 1, xrp(45)), // queued whole: 3 failed chunks
+        txn(1000, 1, 0, xrp(7)), // settles at 1500: forward side has 7
+    ];
+    let r = run_pinned(gen::line(2, xrp(20)), txns, cfg);
+    assert_eq!(r.retries, 1);
+    assert_eq!(r.units_failed, 3 + 2);
+    assert_eq!(r.delivered_volume, xrp(10 + 7 + 5));
+}
+
+#[test]
+fn skip_boundary_is_strictly_below_the_chunk() {
+    // remaining = 40, MTU = 20: a bottleneck of 19 is skipped at
+    // every poll, a bottleneck of exactly 20 is not.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(20);
+    cfg.deadline = None;
+    let txns = vec![
+        txn(0, 0, 1, xrp(20)),    // drains forward side (20 of 40)
+        txn(100, 0, 1, xrp(40)),  // queued whole: 2 failed chunks
+        txn(1000, 1, 0, xrp(19)), // settles at 1500: forward side has 19
+        txn(3000, 1, 0, xrp(1)),  // settles at 3500: forward side has 20
+    ];
+    let r = run_pinned(gen::line(2, xrp(40)), txns, cfg);
+    // One re-offer, after 3500: locks one 20, fails the other.
+    assert_eq!(r.retries, 1);
+    assert_eq!(r.units_failed, 2 + 1);
+    assert_eq!(r.delivered_volume, xrp(20 + 19 + 1 + 20));
+}
+
+#[test]
+fn closed_hop_counts_as_empty_and_reopening_lets_the_next_poll_through() {
+    // The channel is closed when the payment arrives, with 5 XRP
+    // frozen on the sender's side: availability, not the frozen
+    // balance, is what the skip reads. The reopen is a topology
+    // callback, which forgets the pin.
+    let at = |ms: u64| SimTime::from_micros(ms * 1000);
+    let channel = ChannelId(0);
+    let mut sim = pinned_sim(
+        gen::line(2, xrp(10)),
+        vec![txn(100, 0, 1, xrp(3))],
+        base_config(),
+    );
+    sim.set_topology_events(vec![
+        TopologyEvent {
+            at: at(50),
+            change: TopologyChange::ChannelClose { channel },
+        },
+        TopologyEvent {
+            at: at(2000),
+            change: TopologyChange::ChannelOpen { channel },
+        },
+    ]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.completed_payments, 1);
+    assert_eq!(r.retries, 1);
+}
+
+#[test]
+fn payment_whose_own_unit_a_fault_refunds_is_reoffered_at_the_next_poll() {
+    // 0→1→2 carries 5: an 8 XRP payment locks 5, fails 3 and is
+    // pinned behind an empty path. Node 1 is down when the 5 would
+    // settle (500 ms), so the unit is refunded: `unassigned` grows
+    // to 8, the router hears of the fault and withdraws its promise,
+    // and the poll at 500 ms locks the 5 again. From then on the
+    // router pins nothing and every poll re-offers the remainder.
+    let at = |ms: u64| SimTime::from_micros(ms * 1000);
+    let mut cfg = base_config();
+    cfg.mtu = xrp(5);
+    cfg.horizon = spider_types::SimDuration::from_secs(1);
+    let mut sim = pinned_sim(gen::line(3, xrp(10)), vec![txn(0, 0, 2, xrp(8))], cfg);
+    sim.set_fault_plan(FaultPlan {
+        message_loss: vec![0.0; 2],
+        ack_loss_prob: 0.0,
+        stuck_prob: 0.0,
+        jitter_range_ms: None,
+        spike_prob: 0.0,
+        spike_ms: 0.0,
+        hop_timeout: spider_types::SimDuration::from_secs(1),
+        events: vec![
+            spider_faults::FaultEvent {
+                at: at(400),
+                change: FaultChange::NodeCrash { node: NodeId(1) },
+            },
+            spider_faults::FaultEvent {
+                at: at(600),
+                change: FaultChange::NodeRecover { node: NodeId(1) },
+            },
+        ],
+        runtime_seed: 1,
+    });
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.faults_injected, 1);
+    assert_eq!(r.units_locked, 2);
+    // Polls at 100–400 ms skip; 500 ms re-offers and locks; 600 ms
+    // to 1 s re-offer the unpinned 3 XRP remainder in vain.
+    assert_eq!(r.retries, 6);
+    assert_eq!(r.delivered_volume, xrp(5));
+}
+
+#[test]
+fn deadline_cancels_remainder() {
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = Some(spider_types::SimDuration::from_millis(800));
+    let t = gen::line(2, xrp(10));
+    // 5 available; 8 requested; 5 deliver, 3 can never arrive; after
+    // the deadline the payment stops retrying.
+    let (r, _) = run_sim(t, vec![txn(0, 0, 1, xrp(8))], false, cfg);
+    assert_eq!(r.completed_payments, 0);
+    assert_eq!(r.delivered_volume, xrp(5));
+}
+
+#[test]
+fn disconnected_destination_fails_cleanly() {
+    let mut b = Topology::builder(3);
+    b.channel(NodeId(0), NodeId(1), xrp(10))
+        .expect("channel endpoints are distinct known nodes");
+    let t = b.build();
+    let (r, _) = run_sim(t, vec![txn(0, 0, 2, xrp(1))], false, base_config());
+    assert_eq!(r.completed_payments, 0);
+    assert_eq!(r.delivered_volume, Amount::ZERO);
+}
+
+#[test]
+fn determinism_across_runs() {
+    let t = gen::cycle(6, xrp(50));
+    let mut rng = spider_types::DetRng::new(42);
+    let w = Workload::generate(
+        6,
+        &crate::workload::WorkloadConfig::small(200, 50.0),
+        &mut rng,
+    );
+    let run = |w: Workload| {
+        let mut sim = new_sim(
+            gen::cycle(6, xrp(50)),
+            w,
+            Box::new(DirectRouter { atomic: false }),
+            base_config(),
+        );
+        sim.run()
+    };
+    let r1 = run(w.clone());
+    let r2 = run(w);
+    assert_eq!(r1.completed_payments, r2.completed_payments);
+    assert_eq!(r1.delivered_volume, r2.delivered_volume);
+    assert_eq!(r1.units_locked, r2.units_locked);
+    let _ = t;
+}
+
+#[test]
+fn horizon_cuts_off_late_arrivals() {
+    let mut cfg = base_config();
+    cfg.horizon = spider_types::SimDuration::from_secs(1);
+    let t = gen::line(2, xrp(100));
+    let txns = vec![txn(0, 0, 1, xrp(1)), txn(5_000, 0, 1, xrp(1))];
+    let (r, _) = run_sim(t, txns, false, cfg);
+    assert_eq!(r.attempted_payments, 1);
+}
+
+#[test]
+fn conservation_under_random_load() {
+    let t = gen::isp_topology(xrp(200));
+    let mut rng = spider_types::DetRng::new(7);
+    let w = Workload::generate(
+        32,
+        &crate::workload::WorkloadConfig::small(2_000, 500.0),
+        &mut rng,
+    );
+    let mut cfg = base_config();
+    cfg.mtu = xrp(5);
+    let mut sim = new_sim(t, w, Box::new(DirectRouter { atomic: false }), cfg);
+    let r = sim.run();
+    sim.check_conservation();
+    assert!(r.attempted_payments == 2_000);
+    assert!(r.delivered_volume <= r.attempted_volume);
+}
+
+#[test]
+fn streaming_source_runs_identically_to_materialized() {
+    // The same generator seed, fed once as a materialized Workload
+    // and once as a lazy stream: every observable must match.
+    let cfg = crate::workload::WorkloadConfig::small(1_500, 400.0);
+    let run = |src: crate::workload::ArrivalSource| {
+        let mut sim = new_sim(
+            gen::isp_topology(xrp(200)),
+            src,
+            Box::new(DirectRouter { atomic: false }),
+            base_config(),
+        );
+        let r = sim.run();
+        sim.check_conservation();
+        (r, sim.slab_stats())
+    };
+    let w = Workload::generate(32, &cfg, &mut spider_types::DetRng::new(5));
+    let stream = crate::workload::StreamingWorkload::new(32, cfg, spider_types::DetRng::new(5));
+    let (r1, s1) = run(w.into());
+    let (r2, s2) = run(stream.into());
+    assert_eq!(r1.completed_payments, r2.completed_payments);
+    assert_eq!(r1.delivered_volume, r2.delivered_volume);
+    assert_eq!(r1.units_locked, r2.units_locked);
+    assert_eq!(r1.units_failed, r2.units_failed);
+    assert_eq!(r1.retries, r2.retries);
+    assert_eq!(s1.events_scheduled, s2.events_scheduled);
+    assert_eq!(s1.peak_live_events, s2.peak_live_events);
+}
+
+#[test]
+fn failed_lock_batching_preserves_outcomes() {
+    // A router with a no-op outcome hook lets the engine batch-count
+    // identical failed chunks. Forcing the hook "observed" disables
+    // the fast path; every outcome must be unchanged.
+    struct Observing;
+    impl Router for Observing {
+        fn name(&self) -> &'static str {
+            "direct-observing"
+        }
+        fn route(
+            &mut self,
+            req: &RouteRequest,
+            view: &NetworkView<'_>,
+        ) -> Vec<crate::router::RouteProposal> {
+            match view.topo.shortest_path(req.src, req.dst) {
+                Some(path) => vec![crate::router::RouteProposal {
+                    path: view.intern(&path),
+                    amount: req.remaining,
+                }],
+                None => Vec::new(),
+            }
+        }
+        fn on_unit_outcome(&mut self, _o: &UnitOutcome, _v: &NetworkView<'_>) {
+            // Still a no-op, but overriding flips `observes` to true:
+            // the engine must then walk every chunk individually.
+        }
+    }
+    // Repeated over-sized payments at 1-XRP MTU: most chunks fail.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = Some(spider_types::SimDuration::from_secs(3));
+    let txns: Vec<TxnSpec> = (0..20).map(|i| txn(i * 200, 0, 1, xrp(9))).collect();
+    let (fast, fast_sim) = run_sim(gen::line(2, xrp(10)), txns.clone(), false, cfg.clone());
+    let mut slow_sim = new_sim(
+        gen::line(2, xrp(10)),
+        Workload { txns },
+        Box::new(Observing),
+        cfg,
+    );
+    let slow = slow_sim.run();
+    slow_sim.check_conservation();
+    assert!(fast.units_failed > 100, "needs failing chunks to batch");
+    assert_eq!(fast.units_failed, slow.units_failed);
+    assert_eq!(fast.units_locked, slow.units_locked);
+    assert_eq!(fast.completed_payments, slow.completed_payments);
+    assert_eq!(fast.delivered_volume, slow.delivered_volume);
+    assert_eq!(fast.retries, slow.retries);
+    assert_eq!(
+        fast_sim.channel_states()[0],
+        slow_sim.channel_states()[0],
+        "channel state must be bit-identical"
+    );
+}
+
+#[test]
+fn event_slab_is_bounded_by_in_flight_events() {
+    // A long run whose unit churn (one settle event per MTU unit)
+    // vastly exceeds the in-flight population: the slab must recycle
+    // dead slots instead of growing with the total ever scheduled.
+    // 60 alternating 100-XRP payments at 1-XRP MTU → ~6,000 settle
+    // events, of which only a confirmation-window's worth is ever
+    // simultaneously pending.
+    let t = gen::line(2, xrp(20_000));
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.horizon = spider_types::SimDuration::from_secs(40);
+    let txns: Vec<TxnSpec> = (0..60)
+        .map(|i| txn(i * 500, (i % 2) as u32, ((i + 1) % 2) as u32, xrp(100)))
+        .collect();
+    let (r, sim) = run_sim(t, txns, false, cfg);
+    assert_eq!(r.completed_payments, 60);
+    let stats = sim.slab_stats();
+    assert!(stats.events_scheduled > 6_000, "{stats:?}");
+    assert!(
+        stats.event_slots < (stats.events_scheduled / 4) as usize,
+        "event slab grew with total events: {stats:?}"
+    );
+    assert_eq!(stats.event_slots, stats.peak_live_events, "{stats:?}");
+    // The interner deduplicates: both directions of the one pair.
+    assert_eq!(stats.interned_paths, 2, "{stats:?}");
+}

@@ -232,3 +232,72 @@ proptest! {
         prop_assert_eq!(f.root_cause_to_jsonl().lines().count(), rows.len());
     }
 }
+
+/// Lockstep refunds for all three causes in one run: a deadline short
+/// enough that retried units expire between lock and settle, griefing
+/// payments whose receiver withholds the key, and message loss. Stuck
+/// units are off, so every `hop_timeout` refund is a griefing one.
+fn lockstep_refund_experiment() -> ExperimentConfig {
+    ExperimentConfig {
+        workload: WorkloadConfig {
+            count: 40,
+            ..faulted_tiny_experiment(0).workload
+        },
+        sim: SimConfig {
+            horizon: SimDuration::from_secs(6),
+            deadline: Some(SimDuration::from_millis(800)),
+            ..SimConfig::default()
+        },
+        faults: Some(spider_faults::FaultConfig {
+            message_loss_prob: 0.1,
+            ack_loss_prob: 0.0,
+            stuck_unit_prob: 0.0,
+            crash: None,
+            horizon_secs: 6.0,
+            ..faulted_tiny_experiment(0).faults.expect("fault config")
+        }),
+        overload: Some(spider_overload::OverloadConfig {
+            flash_crowd: None,
+            hot_pairs: None,
+            drain: None,
+            griefing: Some(spider_overload::GriefingConfig {
+                fraction: 0.2,
+                hold_secs: 1.0,
+            }),
+            horizon_secs: 6.0,
+        }),
+        ..faulted_tiny_experiment(7)
+    }
+}
+
+/// The lockstep engine refunds a settling unit for three causes —
+/// expiry, griefing, fault — through one path; this pins what that path
+/// counts, records and traces for each cause (golden recorded before the
+/// three branches were merged).
+#[test]
+fn lockstep_refunds_count_record_and_trace_every_cause() {
+    let mut cfg = lockstep_refund_experiment();
+    cfg.sim.obs.forensics_capacity = 65_536;
+    cfg.sim.obs.trace = true;
+    let out = execute(cfg.simulation(None).expect("builds"));
+    let drops = out.report.drops_by_reason;
+    assert!(
+        drops.expired > 0 && drops.hop_timeout > 0 && drops.message_lost > 0,
+        "golden is vacuous unless every refund cause occurs: {drops:?}"
+    );
+    let forensics = out.forensics.expect("forensics is on");
+    assert_eq!(forensics.len() as u64, out.report.units_dropped);
+    let refunds: String = out
+        .trace
+        .expect("tracing is on")
+        .to_jsonl()
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"refund\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(refunds.lines().count() as u64, out.report.units_dropped);
+    check_golden(
+        "lockstep_refunds.txt",
+        &format!("{drops:?}\n{}{refunds}", forensics.to_jsonl()),
+    );
+}
