@@ -67,10 +67,12 @@ fn bench_paths(c: &mut Criterion) {
     });
     g.bench_function("edge_disjoint_k4_all_dsts_source_oracle", |b| {
         let csr = spider_lp::paths::CsrGraph::new(&topo);
+        let mut out = spider_lp::paths::FlatPaths::new();
         b.iter(|| {
-            let mut oracle = spider_lp::paths::SourceOracle::new(&topo, &csr, NodeId(8));
+            let mut oracle = spider_lp::paths::SourceOracle::new(&csr, NodeId(8));
+            out.clear();
             for &d in &dsts {
-                black_box(oracle.edge_disjoint(d, 4));
+                black_box(oracle.edge_disjoint(d, 4, &mut out));
             }
         })
     });
@@ -87,11 +89,13 @@ fn bench_paths(c: &mut Criterion) {
         })
         .collect();
     g.bench_function("edge_disjoint_k4_ripple_256_pairs", |b| {
-        let mut oracle = spider_lp::paths::SourceOracle::new(&ripple, &csr, NodeId(0));
+        let mut oracle = spider_lp::paths::SourceOracle::new(&csr, NodeId(0));
+        let mut out = spider_lp::paths::FlatPaths::new();
         b.iter(|| {
+            out.clear();
             for &(s, d) in &pairs {
                 oracle.retarget(s);
-                black_box(oracle.edge_disjoint(d, 4));
+                black_box(oracle.edge_disjoint(d, 4, &mut out));
             }
         })
     });

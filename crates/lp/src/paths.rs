@@ -12,7 +12,9 @@
 //! * [`SourceOracle`] — the batched per-source form of the first two: one
 //!   BFS tree and one reusable workspace answer *every* destination of a
 //!   source, which is what makes precomputing a whole workload's candidate
-//!   sets affordable (see `spider_routing::PathOracle`).
+//!   sets affordable (see `spider_routing::PathOracle`). It writes into a
+//!   [`FlatPaths`] buffer — node ids *and* the hop channel ids the search
+//!   already knows — so a batch costs no allocation per pair or per path.
 //!
 //! Every search behind the first two and the batched form is one routine,
 //! `BfsWorkspace::lexmin_path`: an exact *bidirectional* layer search over
@@ -100,6 +102,104 @@ impl Path {
                 .expect("path follows topology edges");
             (id, topo.channel(id).direction_from(w[0]))
         })
+    }
+}
+
+/// Many paths in one flat buffer: every path's node ids in one vector,
+/// every hop's channel id in another, and one end offset per path.
+///
+/// This is what the batched oracles write: a search already knows which
+/// channel each hop crosses, so the buffer keeps it and whoever interns
+/// the path never has to look the hop up again. Appending a path costs no
+/// allocation beyond the vectors' amortized growth.
+#[derive(Debug, Default)]
+pub struct FlatPaths {
+    nodes: Vec<NodeId>,
+    /// Path `i`'s hops start `i` entries before its nodes do (each path
+    /// has one hop fewer than nodes).
+    channels: Vec<ChannelId>,
+    /// Per path: end offset into `nodes`. Nodes and channels past the last
+    /// end belong to a path still being written.
+    ends: Vec<u32>,
+}
+
+impl FlatPaths {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        FlatPaths::default()
+    }
+
+    /// Number of paths.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when no path has been written.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Forgets every path, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.channels.clear();
+        self.ends.clear();
+    }
+
+    /// Path `i`: its nodes (source first) and the channel of each hop.
+    pub fn get(&self, i: usize) -> (&[NodeId], &[ChannelId]) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        let end = self.ends[i] as usize;
+        (
+            &self.nodes[start..end],
+            &self.channels[start - i..end - i - 1],
+        )
+    }
+
+    /// Paths `range`, in order.
+    pub fn range(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_ {
+        range.map(|i| self.get(i))
+    }
+
+    /// Every path, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_ {
+        self.range(0..self.len())
+    }
+
+    /// Appends a copy of a path.
+    fn push(&mut self, nodes: &[NodeId], channels: &[ChannelId]) {
+        self.nodes.extend_from_slice(nodes);
+        self.channels.extend_from_slice(channels);
+        self.seal();
+    }
+
+    /// Closes the path whose nodes and channels were just appended.
+    fn seal(&mut self) {
+        debug_assert_eq!(self.nodes.len() - self.channels.len(), self.ends.len() + 1);
+        let end = u32::try_from(self.nodes.len()).expect("path buffer exceeds u32 offsets");
+        self.ends.push(end);
+    }
+
+    /// The nodes appended since the last [`Self::seal`].
+    fn open_nodes(&self) -> &[NodeId] {
+        &self.nodes[self.ends.last().map_or(0, |&e| e as usize)..]
+    }
+
+    /// Drops whatever was appended since the last [`Self::seal`].
+    fn discard_open(&mut self) {
+        let end = self.ends.last().map_or(0, |&e| e as usize);
+        self.nodes.truncate(end);
+        self.channels.truncate(end - self.ends.len());
+    }
+
+    /// The paths as owned [`Path`]s (the per-pair oracles' return form).
+    fn to_paths(&self) -> Vec<Path> {
+        self.iter()
+            .map(|(nodes, _)| Path::new(nodes.to_vec()))
+            .collect()
     }
 }
 
@@ -515,7 +615,11 @@ impl BfsWorkspace {
     /// (enabled channels minus this epoch's channel and node bans), with
     /// the exact tie-breaks of a BFS over id-sorted adjacency — computed
     /// without simulating that BFS. `banned_edges` lists `(channel,
-    /// endpoint, endpoint)` of every channel banned this epoch.
+    /// endpoint, endpoint)` of every channel banned this epoch. On success
+    /// the path's nodes and hop channels are appended to `out` — left
+    /// *open*, so a caller can have put a prefix there first, and seals or
+    /// discards the result — and `true` is returned; a failed search
+    /// appends nothing.
     ///
     /// BFS over id-sorted adjacency returns *the lexicographically
     /// smallest (by node sequence) shortest path*: discovery order within
@@ -568,12 +672,13 @@ impl BfsWorkspace {
         src: u32,
         dst: u32,
         banned_edges: &[(u32, u32, u32)],
-    ) -> Option<(Vec<NodeId>, Vec<u32>)> {
+        out: &mut FlatPaths,
+    ) -> bool {
         debug_assert_ne!(src, dst);
         if self.node_bans
             && (bit_get(&self.banned_node_bits, src) || bit_get(&self.banned_node_bits, dst))
         {
-            return None;
+            return false;
         }
         let words = csr.words;
         let banned_nodes = self.node_bans.then_some(self.banned_node_bits.as_slice());
@@ -617,7 +722,7 @@ impl BfsWorkspace {
             if len == 0 {
                 // This root's residual component is exhausted: unreachable.
                 spare_bits.push(next);
-                return None;
+                return false;
             }
             ball.inner.push(std::mem::replace(&mut ball.frontier, next));
             ball.frontier_len = len;
@@ -642,8 +747,7 @@ impl BfsWorkspace {
         // order and sorted-row order are both ascending node id, so a hub
         // step can AND its adjacency bitset against the layer instead of
         // scanning hundreds of entries.
-        let mut nodes = vec![NodeId(src)];
-        let mut channels = Vec::new();
+        out.nodes.push(NodeId(src));
         let mut cur = src;
         let fwd_layers = fwd.inner.iter().chain([&fwd.frontier]).skip(1);
         for layer in fwd_layers.chain(bwd.inner.iter().rev()) {
@@ -677,12 +781,12 @@ impl BfsWorkspace {
                 }
             }
             let (v, c) = step.expect("every walked node lies on a shortest path");
-            nodes.push(NodeId(v));
-            channels.push(c);
+            out.nodes.push(NodeId(v));
+            out.channels.push(ChannelId(c));
             cur = v;
         }
         debug_assert_eq!(cur, dst);
-        Some((nodes, channels))
+        true
     }
 }
 
@@ -789,12 +893,14 @@ impl Residual<'_> {
 /// workspace with its epoch-stamped flags is reused across destinations
 /// and, via [`SourceOracle::retarget`], across sources.
 ///
-/// Candidate sets produced here are bit-identical to [`k_shortest_paths`]
-/// and [`k_edge_disjoint_paths`] — the per-pair functions are themselves
-/// thin wrappers over a single-destination oracle.
+/// Every query appends its paths to a caller-owned [`FlatPaths`] and
+/// returns how many it appended; the searches write there directly and
+/// every scratch list lives on the oracle, so a warmed-up oracle answers
+/// without allocating. Candidate sets produced here are bit-identical to
+/// [`k_shortest_paths`] and [`k_edge_disjoint_paths`] — the per-pair
+/// functions are themselves thin wrappers over a single-destination oracle.
 #[derive(Debug)]
 pub struct SourceOracle<'a> {
-    topo: &'a Topology,
     csr: &'a CsrGraph,
     ws: BfsWorkspace,
     src: u32,
@@ -808,37 +914,49 @@ pub struct SourceOracle<'a> {
     tree_built: bool,
     /// First-path queries served for this source (drives tree laziness).
     queries: u32,
+    /// Scratch: `(channel, endpoint, endpoint)` of every channel banned in
+    /// the current ban epoch (the search audits hub-row ORs against it).
+    banned_edges: Vec<(u32, u32, u32)>,
+    /// Scratch: every candidate Yen's algorithm pooled for the current
+    /// destination, accepted ones included.
+    pool: FlatPaths,
+    /// Scratch: indices into `pool` of the candidates not yet accepted.
+    live: Vec<u32>,
 }
 
 /// After this many first-path queries for one source, amortizing a full
 /// BFS tree beats per-destination searches.
 ///
-/// Re-measured for the bidirectional search (PR 18; 2-core host, full
-/// Ripple, `routing.oracle.fill_s`, median of 5 at 0 / 1 / 3 / 8 / never):
-/// the lockstep prewarm (172,076 pairs over ≈ 3.8 k sources, `Shortest`)
-/// reads 0.225 / 0.207 / 0.190 / 0.181 / 0.232 s, the k = 4 fifo prewarm
-/// (104,247 pairs; only the first of a pair's four searches can use the
-/// tree) 0.69 / 0.67 / 0.65 / 0.64 / 0.64 s. A ban-free search costs
-/// ≈ 2.5 µs against ≈ 20 µs for `build_tree`, so the arithmetic break-even
-/// is ≈ 8 queries and the curve is flat from 4 to 16 — but 3 → 8 is worth
-/// ≈ 9 ms of a 0.93 s run, and ten alternating `ripple-lockstep-shortest`
-/// pairs could not tell the two apart (8 won 6; medians 0.937 / 0.939 s).
-/// The value stays.
-const TREE_AFTER_QUERIES: u32 = 3;
+/// Re-measured with the flat hand-off, where neither a tree walk nor a
+/// search allocates (PR 20; 2-core host, full Ripple, `PathOracle::fill`
+/// alone, median of 3 at 0 / 1 / 3 / 8 / 16 / never): the lockstep prewarm
+/// (172 k pairs over ≈ 3.0 k sources, `Shortest`) reads 164 / 144 / 125 /
+/// 114 / 110 / 158 ms, the k = 4 fifo prewarm (104 k pairs; only the first
+/// of a pair's four searches can use the tree) 557 / 539 / 524 / 503 / 505
+/// / 498 ms. A ban-free search costs ≈ 2.5 µs against ≈ 40 µs for
+/// `build_tree` with both cores building, so the break-even sits near 16
+/// queries and the curve is flat from 8 up. PR 18 measured the same shape
+/// and kept 3 because 3 → 8 was 9 ms of a 0.93 s run; with the allocations
+/// gone it is 11 ms of 0.75 s on one workload and 20 ms on the other, every
+/// repetition of both — still under what ten alternating benchmark pairs
+/// resolve, so no gain is claimed for it, but the measurements all point
+/// one way.
+const TREE_AFTER_QUERIES: u32 = 8;
 
 impl<'a> SourceOracle<'a> {
-    /// Roots an oracle at `src`. `csr` must be [`CsrGraph::new`] of `topo`.
-    pub fn new(topo: &'a Topology, csr: &'a CsrGraph, src: NodeId) -> Self {
-        debug_assert_eq!(csr.node_count(), topo.node_count());
-        let n = topo.node_count();
+    /// Roots an oracle at `src` over `csr`.
+    pub fn new(csr: &'a CsrGraph, src: NodeId) -> Self {
+        let n = csr.node_count();
         SourceOracle {
-            topo,
             csr,
-            ws: BfsWorkspace::new(n, topo.channel_count()),
+            ws: BfsWorkspace::new(n, csr.channel_count()),
             src: src.0,
             tree: vec![u64::MAX; n],
             tree_built: false,
             queries: 0,
+            banned_edges: Vec::new(),
+            pool: FlatPaths::new(),
+            live: Vec::new(),
         }
     }
 
@@ -852,18 +970,19 @@ impl<'a> SourceOracle<'a> {
         self.queries = 0;
     }
 
-    /// The unbanned lex-min shortest path to `dst` with its hop channels:
-    /// from the tree when built, by one search otherwise (building
-    /// the tree once a source proves hot). Requires a fresh ban epoch.
-    fn first_path(&mut self, dst: u32) -> Option<(Vec<NodeId>, Vec<u32>)> {
+    /// Appends (open, as [`BfsWorkspace::lexmin_path`] does) the unbanned
+    /// lex-min shortest path to `dst`: from the tree when built, by one
+    /// search otherwise (building the tree once a source proves hot).
+    /// Requires a fresh ban epoch.
+    fn first_path(&mut self, dst: u32, out: &mut FlatPaths) -> bool {
         self.queries += 1;
         if !self.tree_built && self.queries > TREE_AFTER_QUERIES {
             self.build_tree();
         }
         if self.tree_built {
-            self.tree_path(dst)
+            self.tree_path(dst, out)
         } else {
-            self.ws.lexmin_path(self.csr, self.src, dst, &[])
+            self.ws.lexmin_path(self.csr, self.src, dst, &[], out)
         }
     }
 
@@ -904,165 +1023,181 @@ impl<'a> SourceOracle<'a> {
         }
     }
 
-    /// The tree path to `dst` (nodes plus hop channels), or `None` when
-    /// unreached. `dst == src` yields the single-node path, as
-    /// [`Topology::shortest_path`] does.
-    fn tree_path(&self, dst: u32) -> Option<(Vec<NodeId>, Vec<u32>)> {
+    /// Appends (open) the tree path to `dst`, nodes and hop channels —
+    /// walked from `dst` up straight into `out`, then reversed in place.
+    /// `false`, nothing appended, when `dst` is unreached. `dst == src`
+    /// yields the single-node path, as [`Topology::shortest_path`] does.
+    fn tree_path(&self, dst: u32, out: &mut FlatPaths) -> bool {
         if self.tree[dst as usize] == u64::MAX {
-            return None;
+            return false;
         }
-        let mut nodes = vec![NodeId(dst)];
-        let mut channels = Vec::new();
+        let (first_node, first_channel) = (out.nodes.len(), out.channels.len());
+        out.nodes.push(NodeId(dst));
         let mut cur = dst;
         while cur != self.src {
             let packed = self.tree[cur as usize];
-            channels.push((packed >> 32) as u32);
+            out.channels.push(ChannelId((packed >> 32) as u32));
             cur = packed as u32;
-            nodes.push(NodeId(cur));
+            out.nodes.push(NodeId(cur));
         }
-        nodes.reverse();
-        channels.reverse();
-        Some((nodes, channels))
+        out.nodes[first_node..].reverse();
+        out.channels[first_channel..].reverse();
+        true
+    }
+
+    /// Bans every hop of `out`'s last path for the current ban epoch.
+    fn ban_last_path(&mut self, out: &FlatPaths) {
+        let (nodes, channels) = out.get(out.len() - 1);
+        for ((from, to), c) in nodes.iter().zip(&nodes[1..]).zip(channels) {
+            self.ws.ban_channel(c.0, from.0, to.0);
+            self.banned_edges.push((c.0, from.0, to.0));
+        }
     }
 
     /// The single BFS shortest path to `dst`, exactly as
     /// [`Topology::shortest_path`] computes it (including the single-node
-    /// `dst == src` path).
-    pub fn shortest(&mut self, dst: NodeId) -> Option<Path> {
+    /// `dst == src` path). Appends it to `out` and returns 1, or 0 when
+    /// `dst` is unreachable.
+    pub fn shortest(&mut self, dst: NodeId, out: &mut FlatPaths) -> usize {
         if dst.0 == self.src {
-            return Some(Path::new(vec![dst]));
+            out.push(&[dst], &[]);
+            return 1;
         }
         self.ws.new_ban_epoch();
-        self.first_path(dst.0).map(|(nodes, _)| Path::new(nodes))
+        if !self.first_path(dst.0, out) {
+            return 0;
+        }
+        out.seal();
+        1
     }
 
     /// Up to `k` pairwise edge-disjoint paths to `dst` — bit-identical to
-    /// [`k_edge_disjoint_paths`].
-    pub fn edge_disjoint(&mut self, dst: NodeId, k: usize) -> Vec<Path> {
+    /// [`k_edge_disjoint_paths`]. Appends them to `out`, shortest first,
+    /// and returns how many.
+    pub fn edge_disjoint(&mut self, dst: NodeId, k: usize, out: &mut FlatPaths) -> usize {
         if k == 0 || dst.0 == self.src {
-            return Vec::new();
+            return 0;
         }
         self.ws.new_ban_epoch();
-        let Some((nodes, channels)) = self.first_path(dst.0) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(k);
-        // Channels every accepted path used, with their endpoints (the
-        // search audits hub-row ORs against this list).
-        let mut banned_edges: Vec<(u32, u32, u32)> = Vec::new();
-        for (i, c) in channels.into_iter().enumerate() {
-            self.ws.ban_channel(c, nodes[i].0, nodes[i + 1].0);
-            banned_edges.push((c, nodes[i].0, nodes[i + 1].0));
+        if !self.first_path(dst.0, out) {
+            return 0;
         }
-        out.push(Path::new(nodes));
-        while out.len() < k {
+        out.seal();
+        // Channels every accepted path used, with their endpoints.
+        self.banned_edges.clear();
+        self.ban_last_path(out);
+        let mut found = 1;
+        while found < k {
             // Exact pruning: a further edge-disjoint path must leave `src`
             // and enter `dst` over channels no earlier path used. When
             // either endpoint is exhausted — the overwhelmingly common way
             // low-degree pairs run out of paths — the search below could
             // only fail; skip it.
-            if !self
-                .ws
-                .has_unbanned_channel(self.csr, self.src, banned_edges.len())
+            let banned = self.banned_edges.len();
+            if !self.ws.has_unbanned_channel(self.csr, self.src, banned)
+                || !self.ws.has_unbanned_channel(self.csr, dst.0, banned)
                 || !self
                     .ws
-                    .has_unbanned_channel(self.csr, dst.0, banned_edges.len())
+                    .lexmin_path(self.csr, self.src, dst.0, &self.banned_edges, out)
             {
                 break;
             }
-            let Some((nodes, channels)) =
-                self.ws
-                    .lexmin_path(self.csr, self.src, dst.0, &banned_edges)
-            else {
-                break;
-            };
-            for (i, c) in channels.into_iter().enumerate() {
-                self.ws.ban_channel(c, nodes[i].0, nodes[i + 1].0);
-                banned_edges.push((c, nodes[i].0, nodes[i + 1].0));
-            }
-            out.push(Path::new(nodes));
+            out.seal();
+            self.ban_last_path(out);
+            found += 1;
         }
-        out
+        found
     }
 
     /// Yen's algorithm: up to `k` loopless shortest paths to `dst`, in
     /// non-decreasing length — bit-identical to [`k_shortest_paths`].
-    pub fn k_shortest(&mut self, dst: NodeId, k: usize) -> Vec<Path> {
+    /// Appends them to `out` and returns how many.
+    pub fn k_shortest(&mut self, dst: NodeId, k: usize, out: &mut FlatPaths) -> usize {
         if k == 0 || dst.0 == self.src {
-            return Vec::new();
+            return 0;
         }
         self.ws.new_ban_epoch();
-        let Some((nodes, _)) = self.first_path(dst.0) else {
-            return Vec::new();
-        };
-        let first = Path::new(nodes);
-        let mut accepted: Vec<Path> = vec![first.clone()];
-        // Hashed membership of every path ever accepted or pooled: the
-        // per-spur dedup used to scan `accepted` and `candidates` linearly
-        // (quadratic in the candidate pool at Ripple scale); one set
-        // membership test admits exactly the same candidates.
-        let mut seen: HashSet<Path> = HashSet::new();
-        seen.insert(first);
-        // Candidate pool, kept sorted by (hops, nodes).
-        let mut candidates: Vec<Path> = Vec::new();
-        while accepted.len() < k {
-            let prev = accepted.last().expect("at least one accepted").clone();
-            for i in 0..prev.hop_count() {
-                let spur_node = prev.nodes[i];
-                let root = &prev.nodes[..=i];
+        if !self.first_path(dst.0, out) {
+            return 0;
+        }
+        out.seal();
+        // The accepted paths are `out[first..]`; everything else ever
+        // considered is in `pool`, and `live` lists what is still on offer.
+        let first = out.len() - 1;
+        self.pool.clear();
+        self.live.clear();
+        while out.len() - first < k {
+            let (prev_nodes, prev_channels) = out.get(out.len() - 1);
+            for i in 0..prev_channels.len() {
+                let root = &prev_nodes[..=i];
                 // Ban the outgoing channel of every accepted path sharing
                 // this root, and the root nodes except the spur node
                 // (looplessness). A fresh epoch clears the previous spur's
                 // bans.
                 self.ws.new_ban_epoch();
-                let mut banned_edges: Vec<(u32, u32, u32)> = Vec::new();
-                for p in &accepted {
-                    if p.nodes.len() > i + 1 && p.nodes[..=i] == *root {
-                        if let Some(c) = self.topo.channel_between(p.nodes[i], p.nodes[i + 1]) {
-                            self.ws.ban_channel(c.0, p.nodes[i].0, p.nodes[i + 1].0);
-                            banned_edges.push((c.0, p.nodes[i].0, p.nodes[i + 1].0));
-                        }
+                self.banned_edges.clear();
+                for (nodes, channels) in out.range(first..out.len()) {
+                    if nodes.len() > i + 1 && nodes.starts_with(root) {
+                        let hop = (channels[i].0, nodes[i].0, nodes[i + 1].0);
+                        self.ws.ban_channel(hop.0, hop.1, hop.2);
+                        self.banned_edges.push(hop);
                     }
                 }
                 for n in &root[..i] {
                     self.ws.ban_node(n.0);
                 }
-                if let Some((spur_nodes, _)) =
-                    self.ws
-                        .lexmin_path(self.csr, spur_node.0, dst.0, &banned_edges)
+                // The candidate: the root up to the spur node, then the
+                // spur path, searched straight onto that prefix.
+                self.pool.nodes.extend_from_slice(&root[..i]);
+                self.pool.channels.extend_from_slice(&prev_channels[..i]);
+                let spurred = self.ws.lexmin_path(
+                    self.csr,
+                    root[i].0,
+                    dst.0,
+                    &self.banned_edges,
+                    &mut self.pool,
+                );
+                // Admit it unless it was accepted or pooled before. The
+                // pool holds every accepted path but the first, and at most
+                // `k` rounds of one spur per hop — a scan, not a hash set.
+                let candidate = self.pool.open_nodes();
+                if spurred
+                    && candidate != out.get(first).0
+                    && self.pool.iter().all(|(nodes, _)| nodes != candidate)
                 {
-                    let mut nodes = root[..i].to_vec();
-                    nodes.extend(spur_nodes);
-                    let cand = Path::new(nodes);
-                    if seen.insert(cand.clone()) {
-                        candidates.push(cand);
-                    }
+                    self.live.push(self.pool.len() as u32);
+                    self.pool.seal();
+                } else {
+                    self.pool.discard_open();
                 }
             }
             // Leave no stale bans behind for the next caller.
             self.ws.new_ban_epoch();
-            if candidates.is_empty() {
+            // Accept the best candidate on offer: fewest hops, then
+            // lexicographically smallest (candidates are distinct, so the
+            // minimum is unique).
+            let pool = &self.pool;
+            let on_offer = self.live.iter().map(|&i| pool.get(i as usize).0);
+            let Some((best, _)) = on_offer
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.len().cmp(&b.len()).then_with(|| a.cmp(b)))
+            else {
                 break;
-            }
-            candidates.sort_by(|a, b| {
-                a.hop_count()
-                    .cmp(&b.hop_count())
-                    .then_with(|| a.nodes.cmp(&b.nodes))
-            });
-            accepted.push(candidates.remove(0));
+            };
+            let (nodes, channels) = pool.get(self.live.swap_remove(best) as usize);
+            out.push(nodes, channels);
         }
-        accepted
+        out.len() - first
     }
 }
 
 /// Yen's algorithm: up to `k` loopless shortest paths by hop count, in
 /// non-decreasing length (ties: lexicographic node order).
 pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    if k == 0 || src == dst {
-        return Vec::new();
-    }
     let csr = CsrGraph::new(topo);
-    SourceOracle::new(topo, &csr, src).k_shortest(dst, k)
+    let mut out = FlatPaths::new();
+    SourceOracle::new(&csr, src).k_shortest(dst, k, &mut out);
+    out.to_paths()
 }
 
 /// Up to `k` pairwise edge-disjoint paths, found by repeatedly taking the
@@ -1074,11 +1209,10 @@ pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> 
 /// channels to delete, so the successive-shortest-path loop never made
 /// progress).
 pub fn k_edge_disjoint_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    if k == 0 || src == dst {
-        return Vec::new();
-    }
     let csr = CsrGraph::new(topo);
-    SourceOracle::new(topo, &csr, src).edge_disjoint(dst, k)
+    let mut out = FlatPaths::new();
+    SourceOracle::new(&csr, src).edge_disjoint(dst, k, &mut out);
+    out.to_paths()
 }
 
 /// The widest path from `src` to `dst`, where a path's width is the minimum
@@ -1212,6 +1346,22 @@ mod tests {
         graph(4, &[(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)])
     }
 
+    /// What one oracle query appends to a fresh buffer, as owned paths —
+    /// after checking the flat form itself: the returned count is what was
+    /// appended, and every carried hop channel is the one `topo` resolves
+    /// between the hop's nodes.
+    fn answer(topo: &Topology, query: impl FnOnce(&mut FlatPaths) -> usize) -> Vec<Path> {
+        let mut out = FlatPaths::new();
+        let count = query(&mut out);
+        assert_eq!(count, out.len());
+        for (nodes, channels) in out.iter() {
+            let resolved = topo.path_channels(nodes);
+            let resolved = resolved.map(|hops| Vec::from_iter(hops.into_iter().map(|hop| hop.0)));
+            assert_eq!(Ok(channels.to_vec()), resolved, "carried hops of {nodes:?}");
+        }
+        out.to_paths()
+    }
+
     #[test]
     fn path_basics() {
         let p = Path::new(vec![n(0), n(1), n(3)]);
@@ -1294,9 +1444,12 @@ mod tests {
         let t = diamond();
         assert!(k_edge_disjoint_paths(&t, n(0), n(0), 4).is_empty());
         let csr = CsrGraph::new(&t);
-        assert!(SourceOracle::new(&t, &csr, n(2))
-            .edge_disjoint(n(2), 4)
-            .is_empty());
+        let mut out = FlatPaths::new();
+        assert_eq!(
+            SourceOracle::new(&csr, n(2)).edge_disjoint(n(2), 4, &mut out),
+            0
+        );
+        assert!(out.is_empty());
     }
 
     /// Regression: `k_widest_paths(s, s, …)` used to panic unwrapping the
@@ -1326,28 +1479,55 @@ mod tests {
     fn source_oracle_matches_per_pair_oracles() {
         let t = gen::isp_topology(CAP);
         let csr = CsrGraph::new(&t);
-        let mut oracle = SourceOracle::new(&t, &csr, n(8));
+        let mut oracle = SourceOracle::new(&csr, n(8));
         for src in [8u32, 0, 31] {
             oracle.retarget(n(src));
             assert_eq!(oracle.source(), n(src));
             for dst in 0..t.node_count() as u32 {
                 assert_eq!(
-                    oracle.edge_disjoint(n(dst), 4),
+                    answer(&t, |out| oracle.edge_disjoint(n(dst), 4, out)),
                     k_edge_disjoint_paths(&t, n(src), n(dst), 4),
                     "edge-disjoint {src}->{dst}"
                 );
                 assert_eq!(
-                    oracle.k_shortest(n(dst), 4),
+                    answer(&t, |out| oracle.k_shortest(n(dst), 4, out)),
                     k_shortest_paths(&t, n(src), n(dst), 4),
                     "yen {src}->{dst}"
                 );
                 assert_eq!(
-                    oracle.shortest(n(dst)).map(|p| p.nodes),
-                    t.shortest_path(n(src), n(dst)),
+                    answer(&t, |out| oracle.shortest(n(dst), out)),
+                    Vec::from_iter(t.shortest_path(n(src), n(dst)).map(Path::new)),
                     "shortest {src}->{dst}"
                 );
             }
         }
+    }
+
+    /// Queries append: a buffer that already holds paths keeps them, and
+    /// each answer lands behind the last — the form a batch fill uses.
+    #[test]
+    fn queries_append_to_a_shared_buffer() {
+        let t = gen::isp_topology(CAP);
+        let csr = CsrGraph::new(&t);
+        let mut oracle = SourceOracle::new(&csr, n(8));
+        let mut out = FlatPaths::new();
+        let mut want: Vec<Path> = Vec::new();
+        for dst in [20u32, 8, 3, 31, 20] {
+            let before = out.len();
+            let got = oracle.edge_disjoint(n(dst), 3, &mut out)
+                + oracle.k_shortest(n(dst), 3, &mut out)
+                + oracle.shortest(n(dst), &mut out);
+            assert_eq!(out.len(), before + got);
+            want.extend(k_edge_disjoint_paths(&t, n(8), n(dst), 3));
+            want.extend(k_shortest_paths(&t, n(8), n(dst), 3));
+            want.extend(t.shortest_path(n(8), n(dst)).map(Path::new));
+        }
+        assert_eq!(out.to_paths(), want);
+        for (nodes, channels) in out.iter() {
+            assert_eq!(channels.len() + 1, nodes.len());
+        }
+        out.clear();
+        assert!(out.is_empty());
     }
 
     /// Literal successive-shortest-path BFS, kept deliberately naive: one
@@ -1596,23 +1776,23 @@ mod tests {
                         continue;
                     }
                     let k = 1 + rng.index(4);
-                    let mut masked = SourceOracle::new(t, &csr, src);
-                    let mut cold = SourceOracle::new(&filtered, &fcsr, src);
-                    let as_nodes =
-                        |ps: Vec<Path>| ps.into_iter().map(|p| p.nodes).collect::<Vec<_>>();
+                    // `answer` resolves each side's carried channels
+                    // against its own topology: ids differ, nodes must not.
+                    let mut masked = SourceOracle::new(&csr, src);
+                    let mut cold = SourceOracle::new(&fcsr, src);
                     assert_eq!(
-                        as_nodes(masked.edge_disjoint(dst, k)),
-                        as_nodes(cold.edge_disjoint(dst, k)),
+                        answer(t, |out| masked.edge_disjoint(dst, k, out)),
+                        answer(&filtered, |out| cold.edge_disjoint(dst, k, out)),
                         "edge-disjoint {src}->{dst} k={k}"
                     );
                     assert_eq!(
-                        as_nodes(masked.k_shortest(dst, k)),
-                        as_nodes(cold.k_shortest(dst, k)),
+                        answer(t, |out| masked.k_shortest(dst, k, out)),
+                        answer(&filtered, |out| cold.k_shortest(dst, k, out)),
                         "yen {src}->{dst} k={k}"
                     );
                     assert_eq!(
-                        masked.shortest(dst).map(|p| p.nodes),
-                        cold.shortest(dst).map(|p| p.nodes),
+                        answer(t, |out| masked.shortest(dst, out)),
+                        answer(&filtered, |out| cold.shortest(dst, out)),
                         "shortest {src}->{dst}"
                     );
                 }
@@ -1625,8 +1805,10 @@ mod tests {
                 let src = NodeId(0);
                 let dst = NodeId((t.node_count() - 1) as u32);
                 assert_eq!(
-                    SourceOracle::new(t, &csr, src).edge_disjoint(dst, 4),
-                    SourceOracle::new(t, &full, src).edge_disjoint(dst, 4),
+                    answer(t, |out| SourceOracle::new(&csr, src)
+                        .edge_disjoint(dst, 4, out)),
+                    answer(t, |out| SourceOracle::new(&full, src)
+                        .edge_disjoint(dst, 4, out)),
                 );
             }
         }
@@ -1634,8 +1816,14 @@ mod tests {
 
     /// Bans channel `u`–`v` in `oracle`'s current epoch and records it in
     /// `banned_edges`, as the oracles do for every accepted path.
-    fn ban(oracle: &mut SourceOracle<'_>, banned_edges: &mut Vec<(u32, u32, u32)>, u: u32, v: u32) {
-        let c = oracle.topo.channel_between(n(u), n(v)).unwrap().0;
+    fn ban(
+        oracle: &mut SourceOracle<'_>,
+        topo: &Topology,
+        banned_edges: &mut Vec<(u32, u32, u32)>,
+        u: u32,
+        v: u32,
+    ) {
+        let c = topo.channel_between(n(u), n(v)).unwrap().0;
         oracle.ws.ban_channel(c, u, v);
         banned_edges.push((c, u, v));
     }
@@ -1647,10 +1835,11 @@ mod tests {
         banned_edges: &[(u32, u32, u32)],
     ) -> Option<Vec<NodeId>> {
         let (csr, src) = (oracle.csr, oracle.src);
+        let mut out = FlatPaths::new();
         oracle
             .ws
-            .lexmin_path(csr, src, dst, banned_edges)
-            .map(|(nodes, _)| nodes)
+            .lexmin_path(csr, src, dst, banned_edges, &mut out)
+            .then(|| out.open_nodes().to_vec())
     }
 
     /// Nodes the last search left in its two balls: the tests' measure of
@@ -1729,17 +1918,17 @@ mod tests {
             for (src, dst) in [(300, far), (far, 300)] {
                 let mut csr = CsrGraph::new(&t);
                 {
-                    let mut open = SourceOracle::new(&t, &csr, n(src));
+                    let mut open = SourceOracle::new(&csr, n(src));
                     assert_eq!(search(&mut open, dst, &[]), t.shortest_path(n(src), n(dst)));
                     assert!(ball_nodes(&open) < 100, "an open search stays local");
                 }
                 if !by_ban {
                     csr.set_channel_enabled(&t, bridge.unwrap(), false);
                 }
-                let mut oracle = SourceOracle::new(&t, &csr, n(src));
+                let mut oracle = SourceOracle::new(&csr, n(src));
                 let mut banned_edges = Vec::new();
                 if by_ban {
-                    ban(&mut oracle, &mut banned_edges, 301, 7);
+                    ban(&mut oracle, &t, &mut banned_edges, 301, 7);
                 }
                 assert_eq!(search(&mut oracle, dst, &banned_edges), None);
                 // Three pocket nodes, plus the giant-side layers grown
@@ -1775,10 +1964,10 @@ mod tests {
         let t = graph(23, &edges);
         let csr = CsrGraph::new(&t);
         assert!(csr.hub_bits_row(1).is_some());
-        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0));
         assert_eq!(search(&mut oracle, 19, &[]), via([0, 1, 2, 18, 19]));
         let mut banned_edges = Vec::new();
-        ban(&mut oracle, &mut banned_edges, 1, 2);
+        ban(&mut oracle, &t, &mut banned_edges, 1, 2);
         assert_eq!(
             search(&mut oracle, 19, &banned_edges),
             via([0, 1, 3, 20, 22, 19])
@@ -1794,10 +1983,10 @@ mod tests {
         let t = graph(22, &edges);
         let csr = CsrGraph::new(&t);
         assert!(csr.hub_bits_row(3).is_some());
-        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0));
         assert_eq!(search(&mut oracle, 18, &[]), via([0, 1, 3, 18]));
         let mut banned_edges = Vec::new();
-        ban(&mut oracle, &mut banned_edges, 1, 3);
+        ban(&mut oracle, &t, &mut banned_edges, 1, 3);
         assert_eq!(search(&mut oracle, 18, &banned_edges), via([0, 2, 3, 18]));
         assert_eq!(oracle.ws.fwd.inner.len(), 2, "met after two forward layers");
     }
@@ -1812,7 +2001,7 @@ mod tests {
         edges.extend((5..=9).map(|leaf| (3, leaf)));
         let t = graph(10, &edges);
         let csr = CsrGraph::new(&t);
-        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0));
         assert_eq!(search(&mut oracle, 3, &[]), via([0, 1, 3]));
         oracle.ws.ban_node(1);
         assert_eq!(search(&mut oracle, 3, &[]), via([0, 2, 4, 3]));
@@ -1843,13 +2032,13 @@ mod tests {
         let t = gen::ripple_like(gen::RIPPLE_NODES, CAP, &mut rng);
         let csr = CsrGraph::new(&t);
         assert_eq!(csr.words, 59);
-        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0));
         let mut long_paths = 0;
         for _ in 0..300 {
             let src = NodeId(rng.index(t.node_count()) as u32);
             let dst = NodeId(rng.index(t.node_count()) as u32);
             oracle.retarget(src);
-            let got = oracle.edge_disjoint(dst, 4);
+            let got = answer(&t, |out| oracle.edge_disjoint(dst, 4, out));
             assert_eq!(
                 got,
                 reference_edge_disjoint(&t, src, dst, 4),
@@ -1864,11 +2053,14 @@ mod tests {
     fn source_oracle_on_disconnected_graph() {
         let t = graph(4, &[(0, 1), (2, 3)]);
         let csr = CsrGraph::new(&t);
-        let mut oracle = SourceOracle::new(&t, &csr, n(0));
-        assert!(oracle.edge_disjoint(n(3), 4).is_empty());
-        assert!(oracle.k_shortest(n(3), 4).is_empty());
-        assert!(oracle.shortest(n(3)).is_none());
-        assert_eq!(oracle.shortest(n(1)).unwrap().nodes, vec![n(0), n(1)]);
+        let mut oracle = SourceOracle::new(&csr, n(0));
+        let mut out = FlatPaths::new();
+        assert_eq!(oracle.edge_disjoint(n(3), 4, &mut out), 0);
+        assert_eq!(oracle.k_shortest(n(3), 4, &mut out), 0);
+        assert_eq!(oracle.shortest(n(3), &mut out), 0);
+        assert!(out.is_empty(), "a failed query appends nothing");
+        assert_eq!(oracle.shortest(n(1), &mut out), 1);
+        assert_eq!(out.get(0).0, [n(0), n(1)]);
     }
 
     #[test]

@@ -25,6 +25,13 @@ use std::fmt::Write as _;
 /// Events per storage chunk.
 const CHUNK: usize = 4096;
 
+/// How many events from the head of every storage chunk
+/// [`Trace::to_jsonl`] renders ahead of time to learn how long this
+/// trace's records are. (Runs of neighbours, not every n-th event: a
+/// trace is full of short cycles that a fixed stride can fall in step
+/// with.)
+const JSONL_SAMPLE_RUN: usize = 32;
+
 /// What happened, with the identities involved.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEventKind {
@@ -274,8 +281,7 @@ impl Trace {
     /// sequence order, then one `{"ev":"path",…}` line per referenced
     /// path. Field order is fixed, so equal traces render byte-equal.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.len() * 64);
-        for e in self.events() {
+        let render = |out: &mut String, e: &TraceEvent| {
             write!(out, "{{\"seq\":{},\"t_us\":{},", e.seq, e.t_us).expect("string write");
             match &e.kind {
                 TraceEventKind::PaymentArrival {
@@ -410,17 +416,40 @@ impl Trace {
             }
             .expect("string write");
             out.push_str("}\n");
-        }
+        };
+        let mut paths = String::new();
         for (id, nodes) in &self.paths {
-            write!(out, "{{\"ev\":\"path\",\"path\":{id},\"nodes\":[").expect("string write");
+            write!(paths, "{{\"ev\":\"path\",\"path\":{id},\"nodes\":[").expect("string write");
             for (i, n) in nodes.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    paths.push(',');
                 }
-                write!(out, "{n}").expect("string write");
+                write!(paths, "{n}").expect("string write");
             }
-            out.push_str("]}\n");
+            paths.push_str("]}\n");
         }
+        // Size the output from this trace's own bytes per record: a guess
+        // that falls short makes the string double past the whole output
+        // on its way up (a fixed 64 bytes an event ended at 354 MB of
+        // capacity to hold 245 MB of records averaging 88.7). The path
+        // lines above are exact; the event lines are estimated from a
+        // sample, plus 1/32.
+        let mut sample = String::new();
+        let mut sampled = 0;
+        for e in self
+            .chunks
+            .iter()
+            .flat_map(|c| c.iter().take(JSONL_SAMPLE_RUN))
+        {
+            render(&mut sample, e);
+            sampled += 1;
+        }
+        let events = sample.len() * self.len() / sampled.max(1);
+        let mut out = String::with_capacity(events + events / 32 + paths.len());
+        for e in self.events() {
+            render(&mut out, e);
+        }
+        out.push_str(&paths);
         out
     }
 
@@ -598,6 +627,39 @@ mod tests {
         for line in a.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
+    }
+
+    /// The output is sized from the trace's own records: whatever the mix
+    /// of long and short lines, the string is allocated once, a little
+    /// over what it ends up holding — never doubled on the way.
+    #[test]
+    fn jsonl_is_allocated_once_whatever_the_record_mix() {
+        for long_every in [1, 2, 7, 1000] {
+            let mut s = TraceSink::new();
+            for i in 0..50_000u64 {
+                let kind = if i % long_every == 0 {
+                    TraceEventKind::PaymentArrival {
+                        payment: PaymentId(i),
+                        src: NodeId(1_000),
+                        dst: NodeId(2_000),
+                        amount: Amount::from_xrp(1_000 + i),
+                    }
+                } else {
+                    TraceEventKind::UnitDelivered { unit: i }
+                };
+                s.record(i * 1_000, kind);
+            }
+            let paths = (0..3_000).map(|id| (id, vec![1, 20, 300, 4_000])).collect();
+            let out = s.finish(paths).to_jsonl();
+            assert_eq!(out.lines().count(), 53_000);
+            assert!(
+                out.capacity() <= out.len() + out.len() / 16,
+                "long every {long_every}: {} bytes in {} of capacity",
+                out.len(),
+                out.capacity()
+            );
+        }
+        assert_eq!(TraceSink::new().finish(Vec::new()).to_jsonl(), "");
     }
 
     #[test]

@@ -81,6 +81,11 @@ pub struct ProtocolRouter {
     /// Per-channel shed breakers (empty for the whole run unless
     /// overload shedding fires).
     breakers: ChannelBreakers,
+    /// `route`'s per-path scratch, kept so a request costs no allocation
+    /// until it has something to propose: what each candidate may still
+    /// take, and what it was given.
+    budgets: Vec<Amount>,
+    allocated: Vec<Amount>,
 }
 
 impl ProtocolRouter {
@@ -105,6 +110,8 @@ impl ProtocolRouter {
             window_total: Amount::ZERO,
             penalties,
             breakers: ChannelBreakers::default(),
+            budgets: Vec::new(),
+            allocated: Vec::new(),
         }
     }
 
@@ -221,6 +228,8 @@ impl Router for ProtocolRouter {
             window_total,
             penalties,
             breakers,
+            budgets,
+            allocated,
         } = self;
         let state = pairs.entry((req.src, req.dst)).or_insert_with(|| {
             let paths = cache.get(view.topo, view.paths, req.src, req.dst).to_vec();
@@ -260,30 +269,31 @@ impl Router for ProtocolRouter {
             .paths
             .iter()
             .all(|&p| penalties.is_cooled(p, view.now));
-        let mut budgets: Vec<Amount> = state
-            .controllers
-            .iter()
-            .zip(&state.paths)
-            .map(|(c, &p)| {
-                if view.bottleneck(p).is_zero() {
-                    Amount::ZERO
-                } else if !all_cooled && penalties.is_cooled(p, view.now) {
-                    penalties.note_skip();
-                    Amount::ZERO
-                } else if !breakers.is_empty()
-                    && !view
-                        .path(p)
-                        .hops()
-                        .iter()
-                        .all(|&(ch, _)| breakers.allow(ch, view.now))
-                {
-                    Amount::ZERO
-                } else {
-                    c.budget()
-                }
-            })
-            .collect();
-        let mut allocated: Vec<Amount> = vec![Amount::ZERO; state.paths.len()];
+        budgets.clear();
+        budgets.extend(state.controllers.iter().zip(&state.paths).map(|(c, &p)| {
+            if view.bottleneck(p).is_zero() {
+                Amount::ZERO
+            } else if !all_cooled && penalties.is_cooled(p, view.now) {
+                penalties.note_skip();
+                Amount::ZERO
+            } else if !breakers.is_empty()
+                && !view
+                    .path(p)
+                    .hops()
+                    .iter()
+                    .all(|&(ch, _)| breakers.allow(ch, view.now))
+            {
+                Amount::ZERO
+            } else {
+                c.budget()
+            }
+        }));
+        // Most requests of a congested run end here: nothing may move.
+        if budgets.iter().all(|b| b.is_zero()) {
+            return Vec::new();
+        }
+        allocated.clear();
+        allocated.resize(state.paths.len(), Amount::ZERO);
         let mut remaining = req.remaining;
         while !remaining.is_zero() {
             let mut best: Option<(f64, usize)> = None;
@@ -309,9 +319,9 @@ impl Router for ProtocolRouter {
         state
             .paths
             .iter()
-            .zip(allocated)
+            .zip(allocated.iter())
             .filter(|(_, a)| !a.is_zero())
-            .map(|(&path, amount)| RouteProposal { path, amount })
+            .map(|(&path, &amount)| RouteProposal { path, amount })
             .collect()
     }
 

@@ -27,6 +27,7 @@
 //! [`CsrGraph`] whose channels are enabled/disabled in O(1) per event —
 //! the graph is flattened exactly once per cache lifetime.
 
+use crate::oracle::{FilledPaths, PathOracle};
 use spider_lp::paths::CsrGraph;
 use spider_sim::{PathTable, TopologyUpdate};
 use spider_topology::Topology;
@@ -190,41 +191,54 @@ impl PathCache {
     /// one at a time through [`PathCache::get`] yields the same candidate
     /// sets and, in the same order, the same `PathId`s.
     pub fn prefill(&mut self, topo: &Topology, paths: &PathTable, pairs: &[(NodeId, NodeId)]) {
-        let mut todo: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut queued: std::collections::HashSet<(NodeId, NodeId)> =
-            std::collections::HashSet::new();
-        for &pair in pairs {
-            if !self.cache.contains_key(&pair) && queued.insert(pair) {
-                todo.push(pair);
-            }
-        }
-        self.prefilled += todo.len() as u64;
-        self.fill_pairs(topo, paths, &todo);
-    }
-
-    /// Batch-fills `todo` (must not already be cached) through the
-    /// retained CSR graph and interns the results in pair order.
-    fn fill_pairs(&mut self, topo: &Topology, paths: &PathTable, todo: &[(NodeId, NodeId)]) {
+        let todo: Vec<(NodeId, NodeId)> = {
+            let mut queued = HashSet::with_capacity(pairs.len());
+            let fresh =
+                |pair: &(NodeId, NodeId)| !self.cache.contains_key(pair) && queued.insert(*pair);
+            pairs.iter().copied().filter(fresh).collect()
+        };
         if todo.is_empty() {
             return;
         }
-        let policy = self.policy;
-        let filled = {
-            let csr = Self::synced_csr(&mut self.csr, topo, &self.closed);
-            crate::PathOracle::with_csr(topo, csr, policy).fill(todo)
-        };
-        // One interning pass over every candidate of every pair (the
-        // table borrow is taken once), then slice the flat id list back
-        // into per-pair entries.
-        let ids = paths.intern_batch(
-            topo,
-            filled
-                .iter()
-                .flat_map(|cands| cands.iter().map(|p| p.nodes.as_slice())),
-        );
+        self.prefilled += todo.len() as u64;
+        let filled = self.compute(topo, &todo);
+        // The one batch big enough to be worth sizing for. (Repairs are
+        // many and small: reserving for each only raises the peak.)
+        paths.reserve(filled.path_count());
+        self.cache.reserve(todo.len());
+        self.adopt(topo, paths, &todo, &filled);
+    }
+
+    /// Batch-fills `todo` (must not already be cached) and interns the
+    /// results in pair order.
+    fn fill_pairs(&mut self, topo: &Topology, paths: &PathTable, todo: &[(NodeId, NodeId)]) {
+        if !todo.is_empty() {
+            let filled = self.compute(topo, todo);
+            self.adopt(topo, paths, todo, &filled);
+        }
+    }
+
+    /// The candidate sets of `todo` on the retained CSR graph, i.e. under
+    /// the current channel-liveness mask.
+    fn compute(&mut self, topo: &Topology, todo: &[(NodeId, NodeId)]) -> FilledPaths {
+        let csr = Self::synced_csr(&mut self.csr, topo, &self.closed);
+        PathOracle::with_csr(csr, self.policy).fill(todo)
+    }
+
+    /// Interns `filled` (the candidate sets of `todo`) — one pass over
+    /// every candidate of every pair, hops as the search found them — and
+    /// caches each pair's slice of the ids.
+    fn adopt(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        todo: &[(NodeId, NodeId)],
+        filled: &FilledPaths,
+    ) {
+        let ids = paths.intern_batch(topo, filled.paths());
         let mut cursor = ids.into_iter();
-        for (&pair, candidates) in todo.iter().zip(filled) {
-            let ids: Vec<_> = cursor.by_ref().take(candidates.len()).collect();
+        for (&pair, count) in todo.iter().zip(filled.counts()) {
+            let ids: Vec<_> = cursor.by_ref().take(count).collect();
             if let Some(rev) = self.rev.as_mut() {
                 Self::register(rev, paths, pair, &ids);
             }
@@ -501,6 +515,61 @@ mod tests {
         let mut c2 = PathCache::new(PathPolicy::Shortest);
         assert!(c2.get(&t2, &table2, NodeId(0), NodeId(2)).is_empty());
         assert_eq!(c2.len(), 1, "negative result is cached too");
+    }
+
+    /// `prefill` must hand out the ids one-at-a-time `get`s in pair order
+    /// would: same candidates, interned in the same order, nothing extra —
+    /// on a pair list long enough that the fill fans across workers and
+    /// the interning order is *not* the order paths were computed in.
+    fn prefill_assigns_the_ids_of_gets_in_pair_order(policy: PathPolicy) {
+        let t = gen::isp_topology(Amount::from_xrp(100));
+        let nodes = t.node_count() as u32;
+        // Every ordered pair (self-pairs too), sources interleaved, and
+        // the first few repeated at the end.
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..nodes)
+            .flat_map(|d| (0..nodes).map(move |s| (NodeId(s), NodeId((s + d) % nodes))))
+            .collect();
+        pairs.extend_from_within(..5);
+        let (batched_table, lazy_table) = (PathTable::new(), PathTable::new());
+        let (mut batched, mut lazy) = (PathCache::new(policy), PathCache::new(policy));
+        batched.prefill(&t, &batched_table, &pairs);
+        let interned = batched_table.len();
+        for &(s, d) in &pairs {
+            let want = lazy.get(&t, &lazy_table, s, d).to_vec();
+            assert_eq!(
+                batched.get(&t, &batched_table, s, d),
+                want,
+                "{s}->{d} under {policy:?}"
+            );
+            for id in want {
+                assert_eq!(batched_table.entry(id), lazy_table.entry(id));
+            }
+        }
+        assert_eq!(lazy_table.len(), interned);
+        assert_eq!(
+            batched_table.len(),
+            interned,
+            "gets after a prefill are lookups"
+        );
+        let counters = |c: &PathCache| c.counters().map(|(_, n)| n);
+        let distinct = (nodes * nodes) as u64;
+        assert_eq!(counters(&batched), [pairs.len() as u64, 0, distinct, 0]);
+        assert_eq!(counters(&lazy), [5, distinct, 0, 0]);
+    }
+
+    #[test]
+    fn prefill_assigns_the_ids_of_gets_in_pair_order_edge_disjoint() {
+        prefill_assigns_the_ids_of_gets_in_pair_order(PathPolicy::EdgeDisjoint(4));
+    }
+
+    #[test]
+    fn prefill_assigns_the_ids_of_gets_in_pair_order_k_shortest() {
+        prefill_assigns_the_ids_of_gets_in_pair_order(PathPolicy::KShortest(3));
+    }
+
+    #[test]
+    fn prefill_assigns_the_ids_of_gets_in_pair_order_shortest() {
+        prefill_assigns_the_ids_of_gets_in_pair_order(PathPolicy::Shortest);
     }
 
     /// Resolve a cache's candidates to node sequences for comparison

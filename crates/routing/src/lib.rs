@@ -33,7 +33,7 @@ pub use backoff::{BackoffConfig, BreakerConfig, ChannelBreakers, PathPenalties};
 pub use cache::{PathCache, PathPolicy};
 pub use lp_router::{LpSolverKind, SpiderLp};
 pub use maxflow_router::MaxFlow;
-pub use oracle::PathOracle;
+pub use oracle::{FilledPaths, PathOracle};
 pub use pricing::{PricingConfig, SpiderPricing};
 pub use shortest::ShortestPath;
 pub use silentwhispers::SilentWhispers;

@@ -13,18 +13,22 @@
 //! one fill path behind [`PathCache`](crate::PathCache): prefill, churn
 //! repair and single-pair misses all come through here.
 //!
-//! Workers produce plain node sequences; interning into the simulation's
-//! shared (single-threaded) [`PathTable`](spider_sim::PathTable) happens
-//! afterwards on the calling thread, in pair order.
+//! Workers hand over finished paths in one flat form ([`FilledPaths`]):
+//! each appends node ids *and the hop channel ids its search already knew*
+//! to its own [`FlatPaths`] buffer, and a per-pair span says where a
+//! pair's candidates sit. Nothing is allocated per pair or per path.
+//! Interning into the simulation's shared (single-threaded)
+//! [`PathTable`](spider_sim::PathTable) happens afterwards on the calling
+//! thread, in pair order.
 
 use crate::cache::PathPolicy;
-use spider_lp::paths::{CsrGraph, Path, SourceOracle};
+use spider_lp::paths::{CsrGraph, FlatPaths, SourceOracle};
 use spider_topology::Topology;
-use spider_types::NodeId;
+use spider_types::{ChannelId, NodeId};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Batched per-source candidate-path oracle over a fixed topology.
 pub struct PathOracle<'a> {
-    topo: &'a Topology,
     csr: Csr<'a>,
     policy: PathPolicy,
 }
@@ -47,6 +51,103 @@ impl Csr<'_> {
     }
 }
 
+/// The candidate sets of a pair list, as [`PathOracle::fill`] leaves them:
+/// one flat path buffer per worker and, per pair, where its candidates sit.
+#[derive(Debug)]
+pub struct FilledPaths {
+    buffers: Vec<FlatPaths>,
+    /// `spans[i]` locates the candidates of `pairs[i]`.
+    spans: Vec<Span>,
+}
+
+/// `count` consecutive paths of worker `worker`'s buffer, from `first`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    worker: u32,
+    first: u32,
+    count: u32,
+}
+
+impl FilledPaths {
+    /// Number of paths over all pairs.
+    pub fn path_count(&self) -> usize {
+        self.buffers.iter().map(FlatPaths::len).sum()
+    }
+
+    /// How many candidates each pair got, in pair order.
+    pub fn counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.spans.iter().map(|span| span.count as usize)
+    }
+
+    /// Each pair's candidate set, in pair order: its paths best first,
+    /// each as its nodes and the channel of each of its hops.
+    pub fn sets(
+        &self,
+    ) -> impl Iterator<Item = impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_> + '_ {
+        self.spans.iter().map(|span| {
+            let (first, count) = (span.first as usize, span.count as usize);
+            self.buffers[span.worker as usize].range(first..first + count)
+        })
+    }
+
+    /// Every path, in pair order and best first within a pair.
+    pub fn paths(&self) -> impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_ {
+        self.sets().flatten()
+    }
+}
+
+/// A pair list grouped by source (a counting sort: sources are dense
+/// node ids), so grouping costs no allocation per source.
+struct Groups {
+    /// `(pair index, destination)`, grouped by source; pair order within
+    /// a group.
+    order: Vec<(u32, NodeId)>,
+    /// The sources that have pairs, ascending, each with its range of
+    /// `order`.
+    sources: Vec<(NodeId, std::ops::Range<usize>)>,
+}
+
+impl Groups {
+    fn new(nodes: usize, pairs: &[(NodeId, NodeId)]) -> Self {
+        assert!(
+            u32::try_from(pairs.len()).is_ok(),
+            "pair list exceeds u32 indices"
+        );
+        // `ends[s]`: pairs of sources up to and including `s`, once summed.
+        let mut ends = vec![0usize; nodes];
+        for &(src, _) in pairs {
+            ends[src.index()] += 1;
+        }
+        let mut total = 0;
+        for end in &mut ends {
+            total += *end;
+            *end = total;
+        }
+        let starts = [0].into_iter().chain(ends.iter().copied());
+        let sources = starts
+            .zip(&ends)
+            .enumerate()
+            .filter(|(_, (start, &end))| *start < end)
+            .map(|(s, (start, &end))| (NodeId(s as u32), start..end))
+            .collect();
+        // Filling each group from its end, back to front, walks every end
+        // down to its group's start and keeps pair order within the group.
+        let mut order = vec![(0, NodeId(0)); pairs.len()];
+        for (i, &(src, dst)) in pairs.iter().enumerate().rev() {
+            let slot = &mut ends[src.index()];
+            *slot -= 1;
+            order[*slot] = (i as u32, dst);
+        }
+        Groups { order, sources }
+    }
+
+    /// Source number `g` and its pairs: `(pair index, destination)`.
+    fn get(&self, g: usize) -> Option<(NodeId, &[(u32, NodeId)])> {
+        let (src, group) = self.sources.get(g)?;
+        Some((*src, &self.order[group.clone()]))
+    }
+}
+
 /// Below this many pairs the thread fan-out costs more than it saves;
 /// fill inline on the calling thread instead.
 const PARALLEL_THRESHOLD: usize = 256;
@@ -55,122 +156,95 @@ impl<'a> PathOracle<'a> {
     /// Builds the oracle (flattens the adjacency lists once).
     pub fn new(topo: &'a Topology, policy: PathPolicy) -> Self {
         PathOracle {
-            topo,
             csr: Csr::Owned(CsrGraph::new(topo)),
             policy,
         }
     }
 
     /// Builds the oracle over a caller-retained CSR graph — candidate
-    /// sets then respect whatever channels `csr` has disabled. `csr` must
-    /// be a [`CsrGraph`] of `topo`.
-    pub fn with_csr(topo: &'a Topology, csr: &'a CsrGraph, policy: PathPolicy) -> Self {
+    /// sets then respect whatever channels `csr` has disabled.
+    pub fn with_csr(csr: &'a CsrGraph, policy: PathPolicy) -> Self {
         PathOracle {
-            topo,
             csr: Csr::Borrowed(csr),
             policy,
         }
     }
 
-    /// Candidate paths for every pair, in pair order (`out[i]` answers
-    /// `pairs[i]`). Pairs sharing a source share one BFS tree and one
-    /// workspace; distinct sources are filled concurrently. Every entry is
-    /// exactly what the per-pair oracle of [`Self::policy`] returns —
-    /// including empty sets for unreachable or degenerate `src == dst`
-    /// pairs.
-    pub fn fill(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Vec<Path>> {
-        // Group pair indices by source, keeping first-seen source order.
-        let mut source_order: Vec<NodeId> = Vec::new();
-        let mut groups: std::collections::HashMap<NodeId, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, &(src, _)) in pairs.iter().enumerate() {
-            groups
-                .entry(src)
-                .or_insert_with(|| {
-                    source_order.push(src);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        let sources: Vec<(NodeId, Vec<usize>)> = source_order
-            .into_iter()
-            .map(|s| {
-                let idxs = groups.remove(&s).expect("grouped");
-                (s, idxs)
-            })
-            .collect();
-
+    /// Candidate paths for every pair (the `i`-th of the result's
+    /// [`sets`](FilledPaths::sets) answers `pairs[i]`). Pairs sharing a
+    /// source share one BFS tree and one workspace; distinct sources are
+    /// filled concurrently. Every entry is exactly what the per-pair oracle
+    /// of [`Self::policy`] returns — including empty sets for unreachable
+    /// or degenerate `src == dst` pairs.
+    pub fn fill(&self, pairs: &[(NodeId, NodeId)]) -> FilledPaths {
+        let groups = Groups::new(self.csr.get().node_count(), pairs);
         let workers = if pairs.len() < PARALLEL_THRESHOLD {
             1
         } else {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1)
-                .min(sources.len())
+                .min(groups.sources.len())
         };
-        let mut out: Vec<Option<Vec<Path>>> = (0..pairs.len()).map(|_| None).collect();
-        if workers <= 1 {
-            let mut oracle: Option<SourceOracle<'_>> = None;
-            for (src, idxs) in &sources {
-                let o = oracle
-                    .get_or_insert_with(|| SourceOracle::new(self.topo, self.csr.get(), *src));
-                o.retarget(*src);
-                for &i in idxs {
-                    out[i] = Some(self.candidates(o, pairs[i].1));
-                }
-            }
+        // Sources are pulled from a shared counter; one worker is the same
+        // loop run on the calling thread.
+        let next = AtomicUsize::new(0);
+        let work = || self.fill_groups(&groups, &next);
+        let filled: Vec<(FlatPaths, Vec<(u32, u32)>)> = if workers <= 1 {
+            vec![work()]
         } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let merged: Vec<Vec<(usize, Vec<Path>)>> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..workers {
-                    let next = &next;
-                    let sources = &sources;
-                    handles.push(scope.spawn(move || {
-                        let mut local: Vec<(usize, Vec<Path>)> = Vec::new();
-                        let mut oracle: Option<SourceOracle<'_>> = None;
-                        loop {
-                            let g = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if g >= sources.len() {
-                                break;
-                            }
-                            let (src, idxs) = &sources[g];
-                            let o = oracle.get_or_insert_with(|| {
-                                SourceOracle::new(self.topo, self.csr.get(), *src)
-                            });
-                            o.retarget(*src);
-                            for &i in idxs {
-                                local.push((i, self.candidates(o, pairs[i].1)));
-                            }
-                        }
-                        local
-                    }));
-                }
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("oracle worker panicked"))
                     .collect()
-            });
-            for (i, cands) in merged.into_iter().flatten() {
-                out[i] = Some(cands);
+            })
+        };
+        let mut spans = vec![Span::default(); pairs.len()];
+        let mut buffers = Vec::with_capacity(filled.len());
+        for (worker, (buffer, counts)) in filled.into_iter().enumerate() {
+            // A worker appends in the order it answers, so each pair's
+            // candidates start where the previous pair's ended.
+            let mut first = 0;
+            for (pair, count) in counts {
+                spans[pair as usize] = Span {
+                    worker: worker as u32,
+                    first,
+                    count,
+                };
+                first += count;
+            }
+            buffers.push(buffer);
+        }
+        FilledPaths { buffers, spans }
+    }
+
+    /// One worker: answers whole sources off the shared counter until none
+    /// are left. Returns its path buffer and, in the order answered,
+    /// `(pair index, candidates appended)`.
+    fn fill_groups(&self, groups: &Groups, next: &AtomicUsize) -> (FlatPaths, Vec<(u32, u32)>) {
+        let mut out = FlatPaths::new();
+        let mut counts = Vec::new();
+        let mut oracle: Option<SourceOracle<'_>> = None;
+        while let Some((src, group)) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let oracle = oracle.get_or_insert_with(|| SourceOracle::new(self.csr.get(), src));
+            oracle.retarget(src);
+            for &(i, dst) in group {
+                let count = match self.policy {
+                    PathPolicy::EdgeDisjoint(k) => oracle.edge_disjoint(dst, k, &mut out),
+                    PathPolicy::KShortest(k) => oracle.k_shortest(dst, k, &mut out),
+                    PathPolicy::Shortest => oracle.shortest(dst, &mut out),
+                };
+                counts.push((i, count as u32));
             }
         }
-        out.into_iter()
-            .map(|c| c.expect("every pair filled"))
-            .collect()
+        (out, counts)
     }
 
     /// The policy this oracle answers with.
     pub fn policy(&self) -> PathPolicy {
         self.policy
-    }
-
-    fn candidates(&self, oracle: &mut SourceOracle<'_>, dst: NodeId) -> Vec<Path> {
-        match self.policy {
-            PathPolicy::EdgeDisjoint(k) => oracle.edge_disjoint(dst, k),
-            PathPolicy::KShortest(k) => oracle.k_shortest(dst, k),
-            PathPolicy::Shortest => oracle.shortest(dst).into_iter().collect(),
-        }
     }
 }
 
@@ -181,71 +255,140 @@ mod tests {
     use spider_topology::gen;
     use spider_types::{Amount, DetRng};
 
+    const POLICIES: [PathPolicy; 3] = [
+        PathPolicy::EdgeDisjoint(4),
+        PathPolicy::KShortest(3),
+        PathPolicy::Shortest,
+    ];
+
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// 200 random ISP pairs (repeats included) and a degenerate self-pair:
+    /// short of [`PARALLEL_THRESHOLD`], so filled on the calling thread.
+    fn few_pairs(t: &Topology) -> Vec<(NodeId, NodeId)> {
+        let mut rng = DetRng::new(11);
+        let mut pick = || NodeId(rng.index(t.node_count()) as u32);
+        let mut pairs: Vec<_> = (0..200).map(|_| (pick(), pick())).collect();
+        pairs.push((n(3), n(3)));
+        assert!(pairs.len() < PARALLEL_THRESHOLD);
+        pairs
+    }
+
+    /// Every ordered ISP pair, self-pairs included, in an order that
+    /// interleaves sources: crosses [`PARALLEL_THRESHOLD`], so sources are
+    /// fanned across workers and each worker's buffer holds many pairs.
+    fn many_pairs(t: &Topology) -> Vec<(NodeId, NodeId)> {
+        let nodes = t.node_count() as u32;
+        let pairs: Vec<_> = (0..nodes)
+            .flat_map(|d| (0..nodes).map(move |s| (n(s), n((s + d) % nodes))))
+            .collect();
+        assert!(pairs.len() >= PARALLEL_THRESHOLD);
+        pairs
+    }
+
+    /// The per-pair reference answer, as node sequences.
+    fn per_pair(t: &Topology, policy: PathPolicy, s: NodeId, d: NodeId) -> Vec<Vec<NodeId>> {
+        match policy {
+            PathPolicy::EdgeDisjoint(k) => k_edge_disjoint_paths(t, s, d, k)
+                .into_iter()
+                .map(|p| p.nodes)
+                .collect(),
+            PathPolicy::KShortest(k) => k_shortest_paths(t, s, d, k)
+                .into_iter()
+                .map(|p| p.nodes)
+                .collect(),
+            PathPolicy::Shortest => t.shortest_path(s, d).into_iter().collect(),
+        }
+    }
+
+    /// Checks a whole hand-off: pair `i`'s candidates are the per-pair
+    /// oracle's answer on `reference` (the topology the fill should behave
+    /// as), every carried hop channel is the one `topo` has between the
+    /// hop's nodes, and the counts and the flat iteration agree with the
+    /// per-pair view.
+    fn assert_filled(
+        filled: &FilledPaths,
+        topo: &Topology,
+        reference: &Topology,
+        policy: PathPolicy,
+        pairs: &[(NodeId, NodeId)],
+    ) {
+        assert_eq!(filled.counts().count(), pairs.len());
+        assert_eq!(filled.sets().count(), pairs.len());
+        let mut total = 0;
+        for ((&(s, d), count), set) in pairs.iter().zip(filled.counts()).zip(filled.sets()) {
+            let got: Vec<Vec<NodeId>> = set
+                .map(|(nodes, channels)| {
+                    let hops = topo.path_channels(nodes).expect("follows topology edges");
+                    assert!(
+                        hops.iter().map(|hop| hop.0).eq(channels.iter().copied()),
+                        "carried hops of {nodes:?} under {policy:?}"
+                    );
+                    nodes.to_vec()
+                })
+                .collect();
+            assert_eq!(
+                got,
+                per_pair(reference, policy, s, d),
+                "{s}->{d} under {policy:?}"
+            );
+            assert_eq!(count, got.len());
+            total += count;
+        }
+        assert_eq!(filled.path_count(), total);
+        assert_eq!(filled.paths().count(), total);
     }
 
     #[test]
     fn fill_matches_per_pair_oracles() {
         let t = gen::isp_topology(Amount::from_xrp(100));
-        let mut rng = DetRng::new(11);
-        let mut pairs = Vec::new();
-        for _ in 0..200 {
-            pairs.push((
-                NodeId(rng.index(t.node_count()) as u32),
-                NodeId(rng.index(t.node_count()) as u32),
-            ));
-        }
-        pairs.push((n(3), n(3))); // degenerate self-pair
-        for policy in [
-            PathPolicy::EdgeDisjoint(4),
-            PathPolicy::KShortest(3),
-            PathPolicy::Shortest,
-        ] {
+        let pairs = few_pairs(&t);
+        for policy in POLICIES {
             let oracle = PathOracle::new(&t, policy);
-            let filled = oracle.fill(&pairs);
-            assert_eq!(filled.len(), pairs.len());
-            for (&(s, d), got) in pairs.iter().zip(&filled) {
-                let want: Vec<Vec<NodeId>> = match policy {
-                    PathPolicy::EdgeDisjoint(k) => k_edge_disjoint_paths(&t, s, d, k)
-                        .into_iter()
-                        .map(|p| p.nodes)
-                        .collect(),
-                    PathPolicy::KShortest(k) => k_shortest_paths(&t, s, d, k)
-                        .into_iter()
-                        .map(|p| p.nodes)
-                        .collect(),
-                    PathPolicy::Shortest => t.shortest_path(s, d).into_iter().collect(),
-                };
-                let got: Vec<Vec<NodeId>> = got.iter().map(|p| p.nodes.clone()).collect();
-                assert_eq!(got, want, "{s}->{d} under {policy:?}");
-            }
+            assert_eq!(oracle.policy(), policy);
+            assert_filled(&oracle.fill(&pairs), &t, &t, policy, &pairs);
+            assert_filled(&oracle.fill(&[]), &t, &t, policy, &[]);
         }
     }
 
     #[test]
     fn fill_spans_the_parallel_path() {
-        // Enough pairs to cross PARALLEL_THRESHOLD; results must still be
-        // in pair order and identical to the sequential per-pair fill.
         let t = gen::isp_topology(Amount::from_xrp(100));
-        let mut pairs = Vec::new();
-        for s in 0..t.node_count() as u32 {
-            for d in 0..t.node_count() as u32 {
-                if s != d {
-                    pairs.push((n(s), n(d)));
+        let pairs = many_pairs(&t);
+        for policy in POLICIES {
+            let filled = PathOracle::new(&t, policy).fill(&pairs);
+            assert_filled(&filled, &t, &t, policy, &pairs);
+        }
+    }
+
+    /// Over a caller-retained graph with channels disabled the hand-off is
+    /// what a cold build of the filtered topology answers — as node
+    /// sequences; the carried channels stay ids of the *unfiltered*
+    /// topology, which is the one paths are interned against.
+    #[test]
+    fn fill_over_disabled_channels_matches_cold_filtered_rebuild() {
+        let t = gen::isp_topology(Amount::from_xrp(100));
+        let mut rng = DetRng::new(2026);
+        for _case in 0..3 {
+            let mut csr = CsrGraph::new(&t);
+            let mut b = Topology::builder(t.node_count());
+            for (id, ch) in t.channels() {
+                if rng.chance(0.2) {
+                    csr.set_channel_enabled(&t, id, false);
+                } else {
+                    b.channel(ch.u, ch.v, ch.capacity)
+                        .expect("a subset of a valid topology");
                 }
             }
-        }
-        assert!(pairs.len() >= PARALLEL_THRESHOLD);
-        let oracle = PathOracle::new(&t, PathPolicy::EdgeDisjoint(2));
-        let filled = oracle.fill(&pairs);
-        for (i, &(s, d)) in pairs.iter().enumerate().step_by(97) {
-            let want: Vec<Vec<NodeId>> = k_edge_disjoint_paths(&t, s, d, 2)
-                .into_iter()
-                .map(|p| p.nodes)
-                .collect();
-            let got: Vec<Vec<NodeId>> = filled[i].iter().map(|p| p.nodes.clone()).collect();
-            assert_eq!(got, want, "{s}->{d}");
+            let filtered = b.build();
+            for policy in POLICIES {
+                let oracle = PathOracle::with_csr(&csr, policy);
+                for pairs in [few_pairs(&t), many_pairs(&t)] {
+                    assert_filled(&oracle.fill(&pairs), &t, &filtered, policy, &pairs);
+                }
+            }
         }
     }
 }

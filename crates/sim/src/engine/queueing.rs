@@ -16,7 +16,6 @@ use spider_types::{
     Amount, ChannelId, Direction, DropReason, MarkStamp, PathId, PaymentId, SimDuration, SimTime,
 };
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// A transaction unit traveling hop by hop.
 ///
@@ -32,7 +31,7 @@ struct UnitState {
     path: PathId,
     /// The resolved entry for `path`, pinned once at injection so the
     /// per-hop events skip the table lookup.
-    entry: Rc<PathEntry>,
+    entry: PathEntry,
     /// Stable per-run id for trace records: the injection ordinal (slab
     /// slots recycle, trace ids don't).
     trace_id: u64,
@@ -136,7 +135,7 @@ impl Queueing {
         payment: usize,
         amount: Amount,
         path: PathId,
-        entry: &Rc<PathEntry>,
+        entry: &PathEntry,
         now: SimTime,
         track_channels: bool,
     ) -> usize {
@@ -144,7 +143,7 @@ impl Queueing {
             payment,
             amount,
             path,
-            entry: Rc::clone(entry),
+            entry: entry.clone(),
             trace_id: self.injected,
             next_hop: 0,
             injected_at: now,
@@ -381,7 +380,7 @@ impl Simulation {
         };
         let now = self.net.now;
         let u = &mut q.units[uid];
-        let entry = Rc::clone(&u.entry);
+        let entry = u.entry.clone();
         let (c, d) = entry.hops()[u.next_hop];
         let ch = &mut self.net.channels[c.index()];
         let locked = ch.lock(d, u.amount);
@@ -532,7 +531,7 @@ impl Simulation {
             self.drop_unit(uid, DropReason::Expired);
             return;
         }
-        let entry = Rc::clone(&u.entry);
+        let entry = u.entry.clone();
         self.deliver(pid, amount, &entry, || TraceEventKind::UnitDelivered {
             unit: trace_id,
         });
@@ -576,7 +575,7 @@ impl Simulation {
         u.stamp.marked = true;
         u.drop_reason = Some(reason);
         let (pid, amount, path, trace_id) = (u.payment, u.amount, u.path, u.trace_id);
-        let entry = Rc::clone(&u.entry);
+        let entry = u.entry.clone();
         let (locked, ahead) = entry.hops().split_at(u.next_hop);
         // The failing hop is the one the unit was queued at or traveling
         // toward; a unit that had fully locked its path has none.

@@ -14,68 +14,163 @@
 //! what lets adaptive routers compare an acknowledged path against their
 //! candidate set with a single integer comparison.
 //!
-//! Entries are handed out as `Rc<PathEntry>` clones, so callers can hold a
-//! resolved path across arbitrary engine mutations without borrowing the
-//! table.
+//! The table only assigns ids: a caller that found a path by searching
+//! already knows every hop's channel and hands it over
+//! ([`PathTable::intern_batch`]), and all the new paths of one call are
+//! stored back to back in one shared segment — a batch of a hundred
+//! thousand paths costs a handful of allocations, not three per path.
+//!
+//! Entries are handed out as [`PathEntry`] handles (one `Rc` clone), so
+//! callers can hold a resolved path across arbitrary engine mutations
+//! without borrowing the table.
 
 use spider_topology::Topology;
 use spider_types::{ChannelId, Direction, NodeId, PathId, Result};
+use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-/// One interned path: the node sequence and its hops, resolved once.
-/// The node slice is shared with the table's dedup index, so each path's
-/// nodes are stored exactly once.
-#[derive(Debug, PartialEq, Eq)]
+/// One resolved hop: the channel crossed and the direction of travel.
+type Hop = (ChannelId, Direction);
+
+/// What one interning call added: the nodes of its new paths back to back,
+/// and beside each node the hop that leaves it. A path's last node has no
+/// hop; its slot holds a filler, so one offset addresses both arrays.
+#[derive(Debug)]
+struct Segment {
+    nodes: Box<[NodeId]>,
+    hops: Box<[Hop]>,
+}
+
+/// Occupies the hop slot of a path's last node; never read.
+const NO_HOP: Hop = (ChannelId(u32::MAX), Direction::Forward);
+
+/// One interned path: the node sequence and its hops, resolved once. A
+/// cheap handle onto the segment that stores them.
+#[derive(Clone)]
 pub struct PathEntry {
-    nodes: Rc<[NodeId]>,
-    hops: Vec<(ChannelId, Direction)>,
+    segment: Rc<Segment>,
+    /// Where the path starts in the segment.
+    start: u32,
+    /// Number of nodes.
+    len: u32,
 }
 
 impl PathEntry {
     /// The node sequence, source first.
     #[inline]
     pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+        &self.segment.nodes[self.start as usize..(self.start + self.len) as usize]
     }
 
     /// The pre-resolved channel hops, in travel order.
     #[inline]
     pub fn hops(&self) -> &[(ChannelId, Direction)] {
-        &self.hops
+        &self.segment.hops[self.start as usize..(self.start + self.len - 1) as usize]
     }
 
     /// Number of hops (edges).
     #[inline]
     pub fn hop_count(&self) -> usize {
-        self.hops.len()
+        self.len as usize - 1
     }
 
     /// Source node.
     #[inline]
     pub fn source(&self) -> NodeId {
-        self.nodes[0]
+        self.nodes()[0]
     }
 
     /// Destination node.
     #[inline]
     pub fn dest(&self) -> NodeId {
-        *self.nodes.last().expect("paths are non-empty")
+        *self.nodes().last().expect("paths are non-empty")
     }
 }
 
+impl PartialEq for PathEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes() == other.nodes() && self.hops() == other.hops()
+    }
+}
+
+impl Eq for PathEntry {}
+
+impl fmt::Debug for PathEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PathEntry")
+            .field("nodes", &self.nodes())
+            .field("hops", &self.hops())
+            .finish()
+    }
+}
+
+/// The dedup index's key: an entry that hashes and compares as its node
+/// sequence, so a lookup needs only the nodes.
+#[derive(Debug)]
+struct ByNodes(PathEntry);
+
+impl Borrow<[NodeId]> for ByNodes {
+    fn borrow(&self) -> &[NodeId] {
+        self.0.nodes()
+    }
+}
+
+impl Hash for ByNodes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.nodes().hash(state);
+    }
+}
+
+impl PartialEq for ByNodes {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.nodes() == other.0.nodes()
+    }
+}
+
+impl Eq for ByNodes {}
+
 #[derive(Debug, Default)]
 struct Inner {
-    entries: Vec<Rc<PathEntry>>,
-    index: HashMap<Rc<[NodeId]>, PathId>,
+    entries: Vec<PathEntry>,
+    index: HashMap<ByNodes, PathId>,
+}
+
+impl Inner {
+    /// The one insert body: gives the `len`-node path at `start` of
+    /// `segment` the next id — or, when an equal path is interned already,
+    /// returns that path's id and leaves the table as it was.
+    fn insert(&mut self, segment: &Rc<Segment>, start: usize, len: usize) -> PathId {
+        assert!(len > 0, "cannot intern an empty path");
+        assert!(
+            u32::try_from(start + len).is_ok(),
+            "segment exceeds u32 offsets"
+        );
+        let (start, len) = (start as u32, len as u32);
+        let next = PathId::from_index(self.entries.len());
+        match self.index.entry(ByNodes(PathEntry {
+            segment: Rc::clone(segment),
+            start,
+            len,
+        })) {
+            Entry::Occupied(seen) => *seen.get(),
+            Entry::Vacant(vacant) => {
+                self.entries.push(vacant.key().0.clone());
+                vacant.insert(next);
+                next
+            }
+        }
+    }
 }
 
 /// Append-only, deduplicating store of resolved paths.
 ///
 /// Uses interior mutability so routers can intern through the shared
 /// [`NetworkView`](crate::NetworkView) reference; lookups hand out
-/// `Rc<PathEntry>` clones and never hold a borrow across caller code.
+/// [`PathEntry`] clones and never hold a borrow across caller code.
 #[derive(Debug, Default)]
 pub struct PathTable {
     inner: RefCell<Inner>,
@@ -90,20 +185,16 @@ impl PathTable {
     /// Interns a node path, resolving its hops against `topo` on first
     /// sight. Returns an error if consecutive nodes are not adjacent.
     pub fn try_intern(&self, topo: &Topology, nodes: &[NodeId]) -> Result<PathId> {
-        debug_assert!(!nodes.is_empty(), "cannot intern an empty path");
         if let Some(&id) = self.inner.borrow().index.get(nodes) {
             return Ok(id);
         }
-        let hops = topo.path_channels(nodes)?;
-        let mut inner = self.inner.borrow_mut();
-        let id = PathId::from_index(inner.entries.len());
-        let nodes: Rc<[NodeId]> = Rc::from(nodes);
-        inner.entries.push(Rc::new(PathEntry {
-            nodes: Rc::clone(&nodes),
-            hops,
-        }));
-        inner.index.insert(nodes, id);
-        Ok(id)
+        let mut hops = topo.path_channels(nodes)?;
+        hops.push(NO_HOP);
+        let segment = Rc::new(Segment {
+            nodes: nodes.into(),
+            hops: hops.into_boxed_slice(),
+        });
+        Ok(self.inner.borrow_mut().insert(&segment, 0, nodes.len()))
     }
 
     /// Interns a node path known to follow topology edges. Panics
@@ -114,43 +205,76 @@ impl PathTable {
             .expect("path follows topology edges")
     }
 
-    /// Interns a batch of node paths known to follow topology edges,
-    /// holding the table borrow once across the whole batch instead of
-    /// re-borrowing per path. Used by the batched candidate-path oracle to
-    /// bulk-load worker-thread results; ids come back in input order, with
-    /// duplicates resolving to the same id exactly as
-    /// [`PathTable::intern`] would assign them one at a time.
+    /// Interns a batch of paths that come with the channel of every hop
+    /// (what a path search knows anyway), so nothing is looked up: a hop's
+    /// direction follows from the node it leaves. Used by the batched
+    /// candidate-path oracle to bulk-load worker-thread results; ids come
+    /// back in input order, with duplicates resolving to the same id
+    /// exactly as [`PathTable::intern`] would assign them one at a time.
+    /// The channels must be the ones `topo` has between consecutive nodes.
+    /// All the new paths of one call share one segment.
     pub fn intern_batch<'a>(
         &self,
         topo: &Topology,
-        seqs: impl IntoIterator<Item = &'a [NodeId]>,
+        paths: impl IntoIterator<Item = (&'a [NodeId], &'a [ChannelId])>,
     ) -> Vec<PathId> {
         let mut inner = self.inner.borrow_mut();
-        seqs.into_iter()
-            .map(|nodes| {
-                debug_assert!(!nodes.is_empty(), "cannot intern an empty path");
-                if let Some(&id) = inner.index.get(nodes) {
+        let (mut nodes, mut hops): (Vec<NodeId>, Vec<Hop>) = (Vec::new(), Vec::new());
+        // A key must own a handle onto the finished segment, so paths not
+        // seen before wait for it: `(start in the segment, node count)`,
+        // their ids marked pending.
+        const PENDING: PathId = PathId(u32::MAX);
+        let mut staged: Vec<(usize, usize)> = Vec::new();
+        let mut ids: Vec<PathId> = paths
+            .into_iter()
+            .map(|(path, channels)| {
+                debug_assert!(
+                    topo.path_channels(path).is_ok_and(|hops| hops
+                        .iter()
+                        .map(|hop| hop.0)
+                        .eq(channels.iter().copied())),
+                    "carried channels {channels:?} are not the hops of {path:?}"
+                );
+                if let Some(&id) = inner.index.get(path) {
                     return id;
                 }
-                let hops = topo
-                    .path_channels(nodes)
-                    .expect("path follows topology edges");
-                let id = PathId::from_index(inner.entries.len());
-                let nodes: Rc<[NodeId]> = Rc::from(nodes);
-                inner.entries.push(Rc::new(PathEntry {
-                    nodes: Rc::clone(&nodes),
-                    hops,
-                }));
-                inner.index.insert(nodes, id);
-                id
+                staged.push((nodes.len(), path.len()));
+                nodes.extend_from_slice(path);
+                let leaving = channels.iter().zip(path);
+                hops.extend(leaving.map(|(&c, &from)| (c, topo.channel(c).direction_from(from))));
+                hops.push(NO_HOP);
+                assert_eq!(hops.len(), nodes.len(), "one channel per hop of {path:?}");
+                PENDING
             })
-            .collect()
+            .collect();
+        if staged.is_empty() {
+            return ids;
+        }
+        let segment = Rc::new(Segment {
+            nodes: nodes.into_boxed_slice(),
+            hops: hops.into_boxed_slice(),
+        });
+        // In input order, so ids are assigned as one-at-a-time interning
+        // would; the same new path twice in one call resolves to the first.
+        let pending = ids.iter_mut().filter(|id| **id == PENDING);
+        for (id, (start, len)) in pending.zip(staged) {
+            *id = inner.insert(&segment, start, len);
+        }
+        ids
     }
 
-    /// The entry for an interned id (a cheap `Rc` clone).
+    /// Makes room for `additional` more paths, so one big batch grows the
+    /// dedup index once instead of rehashing it on the way up.
+    pub fn reserve(&self, additional: usize) {
+        let mut inner = self.inner.borrow_mut();
+        inner.entries.reserve(additional);
+        inner.index.reserve(additional);
+    }
+
+    /// The entry for an interned id (a cheap clone).
     #[inline]
-    pub fn entry(&self, id: PathId) -> Rc<PathEntry> {
-        Rc::clone(&self.inner.borrow().entries[id.index()])
+    pub fn entry(&self, id: PathId) -> PathEntry {
+        self.inner.borrow().entries[id.index()].clone()
     }
 
     /// Runs `f` on the entry for `id` under the table borrow — no `Rc`
@@ -205,7 +329,7 @@ mod tests {
         assert_eq!(e.hop_count(), 2);
         assert_eq!(e.source(), n(0));
         assert_eq!(e.dest(), n(2));
-        assert_eq!(e.hops(), t.path_channels(&[n(0), n(1), n(2)]).unwrap());
+        assert_eq!(Ok(e.hops().to_vec()), t.path_channels(&[n(0), n(1), n(2)]));
     }
 
     #[test]
@@ -216,26 +340,86 @@ mod tests {
         assert!(table.is_empty());
     }
 
+    /// What a path search hands over for `nodes`: each hop's channel, no
+    /// direction.
+    fn carried(t: &Topology, nodes: &[NodeId]) -> Vec<ChannelId> {
+        let hops = t.path_channels(nodes).into_iter().flatten();
+        hops.map(|(c, _)| c).collect()
+    }
+
     #[test]
     fn intern_batch_matches_one_at_a_time() {
         let t = gen::line(4, Amount::from_xrp(10));
-        let batch_table = PathTable::new();
         let seqs: Vec<Vec<NodeId>> = vec![
             vec![n(0), n(1), n(2)],
             vec![n(1), n(2)],
-            vec![n(0), n(1), n(2)], // duplicate
+            vec![n(0), n(1), n(2)], // duplicate inside the batch
             vec![n(3), n(2)],
+            vec![n(1)], // no hops
         ];
-        let batch_ids = batch_table.intern_batch(&t, seqs.iter().map(|s| s.as_slice()));
+        let channels: Vec<Vec<ChannelId>> = seqs.iter().map(|s| carried(&t, s)).collect();
+        let batch = || {
+            let both = seqs.iter().zip(&channels);
+            both.map(|(nodes, channels)| (nodes.as_slice(), channels.as_slice()))
+        };
+        let batch_table = PathTable::new();
+        let batch_ids = batch_table.intern_batch(&t, batch());
         let one_table = PathTable::new();
         let one_ids: Vec<PathId> = seqs.iter().map(|s| one_table.intern(&t, s)).collect();
         assert_eq!(batch_ids, one_ids);
         assert_eq!(batch_table.len(), one_table.len());
-        assert_eq!(batch_table.len(), 3, "duplicate dedups");
-        // A later batch sees earlier interning.
-        let more = batch_table.intern_batch(&t, [&seqs[1][..], &[n(2), n(3)][..]]);
-        assert_eq!(more[0], batch_ids[1]);
-        assert_eq!(batch_table.len(), 4);
+        assert_eq!(batch_table.len(), 4, "duplicate dedups");
+        // Directions were derived, not looked up — and derived right.
+        for &id in &batch_ids {
+            let (batched, one) = (batch_table.entry(id), one_table.entry(id));
+            assert_eq!(batched, one);
+            assert_eq!(
+                Ok(batched.hops().to_vec()),
+                t.path_channels(batched.nodes())
+            );
+        }
+        // A later batch sees earlier interning, and single interning lands
+        // in the same id space.
+        batch_table.reserve(8);
+        let late = [n(2), n(3)];
+        let late_channels = carried(&t, &late);
+        let more = batch_table.intern_batch(
+            &t,
+            batch().chain([(late.as_slice(), late_channels.as_slice())]),
+        );
+        assert_eq!(more.split_last(), Some((&PathId(4), batch_ids.as_slice())));
+        assert_eq!(batch_table.len(), 5);
+        assert_eq!(batch_table.intern(&t, &late), PathId(4));
+        // A batch with nothing new adds nothing.
+        assert_eq!(batch_table.intern_batch(&t, batch()), batch_ids);
+        assert_eq!(batch_table.len(), 5);
+    }
+
+    /// A handle outlives any amount of later interning, and entries that
+    /// share a segment do not see each other's nodes.
+    #[test]
+    fn entries_stay_valid_as_the_table_grows() {
+        let t = gen::line(40, Amount::from_xrp(10));
+        let table = PathTable::new();
+        let first = table.entry(table.intern(&t, &[n(5), n(4), n(3)]));
+        let before = format!("{first:?}");
+        assert!(before.contains("nodes") && before.contains("hops"));
+        for i in 0..38 {
+            let (out, back) = ([n(i), n(i + 1)], [n(i + 2), n(i + 1), n(i)]);
+            let (out_channels, back_channels) = (carried(&t, &out), carried(&t, &back));
+            let batch = [
+                (out.as_slice(), out_channels.as_slice()),
+                (back.as_slice(), back_channels.as_slice()),
+            ];
+            for id in table.intern_batch(&t, batch) {
+                let entry = table.entry(id);
+                assert_eq!(Ok(entry.hops().to_vec()), t.path_channels(entry.nodes()));
+            }
+        }
+        assert_eq!(table.len(), 1 + 2 * 38 - 1, "5-4-3 came round again");
+        assert_eq!(first.nodes(), &[n(5), n(4), n(3)]);
+        assert_eq!(format!("{first:?}"), before);
+        assert_eq!(table.entry(PathId(0)), first);
     }
 
     #[test]

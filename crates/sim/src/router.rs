@@ -13,7 +13,6 @@ use spider_types::{
     Amount, ChannelId, Direction, DropReason, MarkStamp, NodeId, PathId, PaymentId, Result,
     SimDuration, SimTime,
 };
-use std::rc::Rc;
 
 /// Read-only view of the network given to routers.
 pub struct NetworkView<'a> {
@@ -48,9 +47,9 @@ impl<'a> NetworkView<'a> {
         self.paths.try_intern(self.topo, nodes)
     }
 
-    /// The interned entry behind a [`PathId`] (a cheap `Rc` clone).
+    /// The interned entry behind a [`PathId`] (a cheap clone).
     #[inline]
-    pub fn path(&self, id: PathId) -> Rc<PathEntry> {
+    pub fn path(&self, id: PathId) -> PathEntry {
         self.paths.entry(id)
     }
 

@@ -231,6 +231,17 @@ proptest! {
                 );
             }
         }
+        // Batched fills intern the hop channels their searches carried
+        // (directions derived from the hop's first node); one-at-a-time
+        // fills and repairs went the same way. Every entry must be what a
+        // lookup against the topology resolves.
+        for table in [&table, &lazy_table, &cold_table] {
+            for id in 0..table.len() {
+                let entry = table.entry(spider_types::PathId::from_index(id));
+                let resolved = topo.path_channels(entry.nodes()).expect("follows topology edges");
+                prop_assert_eq!(entry.hops(), &resolved[..], "path {:?}", entry.nodes());
+            }
+        }
     }
 
     /// Yen's paths are simple, ordered by length, and within k.
