@@ -380,6 +380,71 @@ fn bench_channel_index_close(c: &mut Criterion) {
     g.finish();
 }
 
+/// One churn event's cache repair at the `ripple1k-churn-waterfilling`
+/// workload's scale (the repo benchmark's `repair_ms_per_event`, tracked
+/// here too): its 1,000-node Ripple-like graph, its 12,876 prewarmed
+/// pairs under k = 4 edge-disjoint paths; an iteration closes, then
+/// reopens, the channel most candidates cross. The close refills the
+/// pairs through the hub — all change; the reopen refills every pair the
+/// hub can reach — most come back as they were.
+fn bench_cache_repair(c: &mut Criterion) {
+    use spider_core::TopologyConfig;
+    use spider_routing::{PathCache, PathPolicy};
+    use spider_sim::{SizeDistribution, TopologyUpdate, Workload, WorkloadConfig};
+    use spider_types::{ChannelId, SimDuration};
+    const RATE: f64 = 75_000.0 / 85.0;
+    let nodes = 1_000;
+    let topology = TopologyConfig::RippleLike {
+        nodes,
+        capacity_xrp: 4_000,
+    };
+    let topo = topology
+        .build(&DetRng::new(42))
+        .expect("a valid Ripple-like config");
+    let workload = WorkloadConfig {
+        count: (15.0 * RATE) as usize,
+        rate_per_sec: RATE,
+        size: SizeDistribution::RippleFull,
+        sender_skew_scale: nodes as f64 / 8.0,
+    };
+    let arrivals = Workload::generate(nodes, &workload, &mut DetRng::new(42).fork("workload"));
+    let horizon = SimTime::ZERO + SimDuration::from_secs(16);
+    let pairs = arrivals.distinct_pairs(Some(horizon));
+    assert_eq!(pairs.len(), 12_876, "the churn workload's prewarm list");
+    let table = PathTable::new();
+    let mut cache = PathCache::new(PathPolicy::EdgeDisjoint(4));
+    cache.prefill(&topo, &table, &pairs);
+    let mut crossings = vec![0u32; topo.channel_count()];
+    for &(s, d) in &pairs {
+        for &id in cache.get(&topo, &table, s, d) {
+            table.map_entry(id, |path| {
+                for &(c, _) in path.hops() {
+                    crossings[c.index()] += 1;
+                }
+            });
+        }
+    }
+    let hub = (0..).zip(&crossings).max_by_key(|(_, &n)| n);
+    let hub = ChannelId(hub.expect("the graph has channels").0);
+    let (close, reopen) = (
+        TopologyUpdate {
+            closed: vec![hub],
+            ..TopologyUpdate::default()
+        },
+        TopologyUpdate {
+            opened: vec![hub],
+            ..TopologyUpdate::default()
+        },
+    );
+    c.bench_function("cache_repair_close_reopen_hub", |b| {
+        b.iter(|| {
+            let closed = cache.on_topology_change(&topo, &table, &close).len();
+            let reopened = cache.on_topology_change(&topo, &table, &reopen).len();
+            black_box((closed, reopened))
+        })
+    });
+}
+
 /// Trace-event record cost, backing the "zero-cost when disabled" claim:
 /// `enabled` records into a live sink through the engine's
 /// `Option<TraceSink>` pattern; `disabled` takes the identical loop with
@@ -455,6 +520,7 @@ criterion_group!(
     bench_path_bottleneck,
     bench_calendar,
     bench_channel_index_close,
+    bench_cache_repair,
     bench_trace_record,
     bench_engine_step,
     bench_end_to_end

@@ -8,31 +8,41 @@
 //! exactly once and thereafter trades in copyable [`PathId`]s.
 //!
 //! Under topology churn ([`PathCache::on_topology_change`]) the cache
-//! repairs itself **incrementally**, dropping and refilling only the
-//! pairs whose answer the oracle could now give differently:
+//! repairs itself **incrementally**, refilling only the pairs whose answer
+//! the oracle could now give differently:
 //!
-//! * a channel **close** drops the pairs whose cached candidates traverse
-//!   it (removing an edge no candidate uses provably cannot change any
-//!   oracle's answer — see the module tests);
-//! * a channel **open** drops the pairs the new edge can reach: those
+//! * a channel **close** refills the pairs whose cached candidates
+//!   traverse it (removing an edge no candidate uses provably cannot
+//!   change any oracle's answer — see the module tests);
+//! * a channel **open** refills the pairs the new edge can reach: those
 //!   with an `s–t` route through it no longer than their longest cached
 //!   candidate, or with fewer candidates than the policy asks for (the
 //!   exact rule and its argument are on
 //!   [`PathCache::on_topology_change`]);
-//! * a capacity **resize** drops nothing (the oracles are
+//! * a capacity **resize** refills nothing (the oracles are
 //!   hop-count-based).
 //!
-//! Dropped pairs are batch-refilled through
+//! Those pairs are batch-refilled through
 //! [`PathOracle`](crate::PathOracle) over one retained
 //! [`CsrGraph`] whose channels are enabled/disabled in O(1) per event —
 //! the graph is flattened exactly once per cache lifetime.
+//!
+//! Beyond the search, a repair is bookkeeping at id speed. Every cached
+//! pair owns a dense slot for life; "which pairs cross this channel" is a
+//! [`ChannelIndex`] of slots — generation-stamped per-channel lists with
+//! lazy deletion, the structure the engine indexes settles and units
+//! with. A refilled pair that comes back with the candidates it had (most
+//! of what an open reaches) costs one comparison per path and touches
+//! nothing; one that changed costs a counter decrement per old hop, a
+//! generation bump, and a `Vec` push per new hop. Nothing is hashed per
+//! hop and nothing is allocated per pair.
 
 use crate::oracle::{FilledPaths, PathOracle};
 use spider_lp::paths::CsrGraph;
-use spider_sim::{PathTable, TopologyUpdate};
+use spider_sim::{ChannelIndex, PathTable, TopologyUpdate};
 use spider_topology::Topology;
 use spider_types::{ChannelId, NodeId, PathId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Candidate-set policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,24 +55,118 @@ pub enum PathPolicy {
     Shortest,
 }
 
+/// One cached pair. A pair keeps its slot — its position in
+/// [`Cached::slots`] — for the cache's lifetime, through every repair.
+#[derive(Debug, Clone)]
+struct Slot {
+    pair: (NodeId, NodeId),
+    /// How many candidates the pair has.
+    count: u32,
+    /// Bumped whenever the candidates are replaced, so what the reverse
+    /// index holds for the old set goes stale without being searched for.
+    gen: u32,
+    /// Hops of the longest (the last) candidate; what the open rule
+    /// compares a detour against.
+    longest_hops: u32,
+}
+
+/// The cached pairs and their candidates.
+#[derive(Debug, Clone)]
+struct Cached {
+    /// The most candidates a pair can have.
+    k: usize,
+    /// Where each pair's slot is — the one hash lookup of a
+    /// [`PathCache::get`].
+    slot_of: HashMap<(NodeId, NodeId), u32>,
+    /// The pairs, in the order they were first cached.
+    slots: Vec<Slot>,
+    /// Every slot's candidates, `k` ids a slot of which the first
+    /// `count` mean something: no allocation per pair.
+    ids: Vec<PathId>,
+}
+
+impl Cached {
+    /// `pair`'s slot; a pair seen for the first time gets the next one,
+    /// with no candidates yet.
+    fn slot_for(&mut self, pair: (NodeId, NodeId)) -> u32 {
+        let next = self.slots.len() as u32;
+        let slot = *self.slot_of.entry(pair).or_insert(next);
+        if slot == next {
+            self.slots.push(Slot {
+                pair,
+                count: 0,
+                gen: 0,
+                longest_hops: 0,
+            });
+            self.ids.resize(self.ids.len() + self.k, PathId(0));
+        }
+        slot
+    }
+
+    /// The candidates of `slot`, best first.
+    fn candidates(&self, slot: u32) -> &[PathId] {
+        let at = slot as usize * self.k;
+        &self.ids[at..at + self.slots[slot as usize].count as usize]
+    }
+
+    /// Calls `visit` with the channel of every hop of every candidate of
+    /// `slot` — a channel two candidates share, twice.
+    fn each_hop(&self, paths: &PathTable, slot: u32, mut visit: impl FnMut(usize)) {
+        for &id in self.candidates(slot) {
+            paths.map_entry(id, |path| {
+                for &(c, _) in path.hops() {
+                    visit(c.index());
+                }
+            });
+        }
+    }
+
+    /// Replaces `slot`'s candidates.
+    fn replace(&mut self, slot: u32, ids: &[PathId], longest_hops: usize) {
+        assert!(ids.len() <= self.k, "more than k = {} candidates", self.k);
+        let at = slot as usize * self.k;
+        self.ids[at..at + ids.len()].copy_from_slice(ids);
+        let entry = &mut self.slots[slot as usize];
+        entry.count = ids.len() as u32;
+        entry.gen = entry.gen.wrapping_add(1);
+        entry.longest_hops = longest_hops as u32;
+    }
+
+    /// True when `slot`'s candidates are exactly the node sequences of
+    /// `set`, in order.
+    fn holds<'a>(
+        &self,
+        paths: &PathTable,
+        slot: u32,
+        mut set: impl Iterator<Item = (&'a [NodeId], &'a [ChannelId])>,
+    ) -> bool {
+        let mut held = self.candidates(slot).iter();
+        let same = |&id: &PathId, nodes| paths.map_entry(id, |path| path.nodes() == nodes);
+        set.all(|(nodes, _)| held.next().is_some_and(|id| same(id, nodes))) && held.next().is_none()
+    }
+}
+
 /// Per-pair candidate paths, batch-filled and churn-repairable.
 #[derive(Debug, Clone)]
 pub struct PathCache {
     policy: PathPolicy,
-    cache: HashMap<(NodeId, NodeId), Vec<PathId>>,
+    cached: Cached,
     /// Channels currently closed by churn (`true` = closed). Empty until
     /// the first topology change.
     closed: Vec<bool>,
     /// The retained flattened graph, built on first batched fill and kept
     /// in sync with `closed` through O(1) channel toggles.
     csr: Option<CsrGraph>,
-    /// Reverse index: `rev[c]` = the cached pairs with a candidate
-    /// traversing channel `c`. A close then invalidates exactly
-    /// `∪ rev[closed]` instead of scanning every cached pair's candidates
-    /// — the difference between O(affected) and O(pairs × k × hops) per
-    /// event at Ripple scale. `None` until something asks for it (the
-    /// first connectivity change): a static network never pays for it.
-    rev: Option<Vec<HashSet<(NodeId, NodeId)>>>,
+    /// Reverse index: channel `c`'s members are the slots with a candidate
+    /// traversing `c`, once per traversing hop, each stamped with the
+    /// slot's generation. A close then invalidates exactly the live
+    /// members of the closed channels instead of scanning every cached
+    /// pair's candidates — the difference between O(affected) and
+    /// O(pairs × k × hops) per event at Ripple scale. Keeping it current
+    /// costs a pair whose candidates change one counter decrement per old
+    /// hop and one `Vec` push per new hop, nothing hashed. `None` until a
+    /// close needs it: a static network never pays for it.
+    rev: Option<ChannelIndex>,
     /// Lifetime counters surfaced through [`PathCache::counters`].
     hits: u64,
     misses: u64,
@@ -73,9 +177,18 @@ pub struct PathCache {
 impl PathCache {
     /// Empty cache with the given policy.
     pub fn new(policy: PathPolicy) -> Self {
+        let k = match policy {
+            PathPolicy::EdgeDisjoint(k) | PathPolicy::KShortest(k) => k,
+            PathPolicy::Shortest => 1,
+        };
         PathCache {
             policy,
-            cache: HashMap::new(),
+            cached: Cached {
+                k,
+                slot_of: HashMap::new(),
+                slots: Vec::new(),
+                ids: Vec::new(),
+            },
             closed: Vec::new(),
             csr: None,
             rev: None,
@@ -106,61 +219,43 @@ impl PathCache {
         src: NodeId,
         dst: NodeId,
     ) -> &[PathId] {
-        let pair = (src, dst);
-        if self.cache.contains_key(&pair) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            self.fill_pairs(topo, paths, &[pair]);
-        }
-        &self.cache[&pair]
+        let slot = match self.cached.slot_of.get(&(src, dst)) {
+            Some(&slot) => {
+                self.hits += 1;
+                slot
+            }
+            None => {
+                self.misses += 1;
+                let slot = self.cached.slot_for((src, dst));
+                self.fill_slots(topo, paths, &[slot]);
+                slot
+            }
+        };
+        self.cached.candidates(slot)
     }
 
-    /// Adds `pair` to the reverse index of every channel its candidates
-    /// traverse.
-    fn register(
-        rev: &mut [HashSet<(NodeId, NodeId)>],
-        paths: &PathTable,
-        pair: (NodeId, NodeId),
-        ids: &[PathId],
-    ) {
-        for &id in ids {
-            for &(c, _) in paths.entry(id).hops() {
-                rev[c.index()].insert(pair);
-            }
-        }
+    /// Makes `slot` a member of every channel its candidates traverse,
+    /// once per hop, at its current generation.
+    fn register(rev: &mut ChannelIndex, cached: &Cached, paths: &PathTable, slot: u32) {
+        let gen = cached.slots[slot as usize].gen;
+        let current = |s: u32, g: u32| cached.slots[s as usize].gen == g;
+        cached.each_hop(paths, slot, |c| rev.insert(c, slot, gen, current));
     }
 
-    /// Removes `pair` (with candidate set `ids`) from the reverse index.
-    fn unregister(
-        rev: &mut [HashSet<(NodeId, NodeId)>],
-        paths: &PathTable,
-        pair: (NodeId, NodeId),
-        ids: &[PathId],
-    ) {
-        for &id in ids {
-            for &(c, _) in paths.entry(id).hops() {
-                rev[c.index()].remove(&pair);
-            }
+    /// The reverse index of everything cached.
+    fn index(cached: &Cached, topo: &Topology, paths: &PathTable) -> ChannelIndex {
+        // Sized by a count first: a thousand lists doubling their way up
+        // would hold twice what they need at the peak.
+        let slots = 0..cached.slots.len() as u32;
+        let mut members = vec![0u32; topo.channel_count()];
+        for slot in slots.clone() {
+            cached.each_hop(paths, slot, |c| members[c] += 1);
         }
-    }
-
-    /// The reverse index, built from the whole cache on first use and
-    /// kept current by every later insertion and removal.
-    fn rev_index<'a>(
-        rev: &'a mut Option<Vec<HashSet<(NodeId, NodeId)>>>,
-        cache: &HashMap<(NodeId, NodeId), Vec<PathId>>,
-        topo: &Topology,
-        paths: &PathTable,
-    ) -> &'a mut [HashSet<(NodeId, NodeId)>] {
-        rev.get_or_insert_with(|| {
-            let mut rev = vec![HashSet::new(); topo.channel_count()];
-            // lint: allow(unordered-iter): set insertions commute.
-            for (&pair, ids) in cache {
-                Self::register(&mut rev, paths, pair, ids);
-            }
-            rev
-        })
+        let mut rev = ChannelIndex::with_capacities(&members);
+        for slot in slots {
+            Self::register(&mut rev, cached, paths, slot);
+        }
+        rev
     }
 
     /// The retained CSR graph, built on first use and synced to `closed`.
@@ -191,31 +286,48 @@ impl PathCache {
     /// one at a time through [`PathCache::get`] yields the same candidate
     /// sets and, in the same order, the same `PathId`s.
     pub fn prefill(&mut self, topo: &Topology, paths: &PathTable, pairs: &[(NodeId, NodeId)]) {
-        let todo: Vec<(NodeId, NodeId)> = {
-            let mut queued = HashSet::with_capacity(pairs.len());
-            let fresh =
-                |pair: &(NodeId, NodeId)| !self.cache.contains_key(pair) && queued.insert(*pair);
-            pairs.iter().copied().filter(fresh).collect()
-        };
-        if todo.is_empty() {
+        // The one batch big enough to be worth sizing for: the prewarm
+        // list, distinct pairs into an empty cache. (Repairs are many and
+        // small: reserving for each only raises the peak.)
+        if self.cached.slots.is_empty() {
+            self.cached.slot_of.reserve(pairs.len());
+            self.cached.slots.reserve(pairs.len());
+            self.cached.ids.reserve(pairs.len() * self.cached.k);
+        }
+        // New pairs take the next slots in pair order, so the slots past
+        // `known` are exactly the pairs to fill.
+        let known = self.cached.slots.len();
+        for &pair in pairs {
+            self.cached.slot_for(pair);
+        }
+        let fresh = &self.cached.slots[known..];
+        if fresh.is_empty() {
             return;
         }
+        let todo: Vec<_> = fresh.iter().map(|slot| slot.pair).collect();
         self.prefilled += todo.len() as u64;
         let filled = self.compute(topo, &todo);
-        // The one batch big enough to be worth sizing for. (Repairs are
-        // many and small: reserving for each only raises the peak.)
         paths.reserve(filled.path_count());
-        self.cache.reserve(todo.len());
-        self.adopt(topo, paths, &todo, &filled);
+        let fresh = known as u32..self.cached.slots.len() as u32;
+        self.adopt(topo, paths, fresh, &filled);
     }
 
-    /// Batch-fills `todo` (must not already be cached) and interns the
-    /// results in pair order.
-    fn fill_pairs(&mut self, topo: &Topology, paths: &PathTable, todo: &[(NodeId, NodeId)]) {
+    /// Batch-fills the pairs of `slots` under the current
+    /// channel-liveness mask, interning the results in that order.
+    /// Returns those pairs.
+    fn fill_slots(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        slots: &[u32],
+    ) -> Vec<(NodeId, NodeId)> {
+        let pair = |slot: &u32| self.cached.slots[*slot as usize].pair;
+        let todo: Vec<_> = slots.iter().map(pair).collect();
         if !todo.is_empty() {
-            let filled = self.compute(topo, todo);
-            self.adopt(topo, paths, todo, &filled);
+            let filled = self.compute(topo, &todo);
+            self.adopt(topo, paths, slots.iter().copied(), &filled);
         }
+        todo
     }
 
     /// The candidate sets of `todo` on the retained CSR graph, i.e. under
@@ -225,32 +337,52 @@ impl PathCache {
         PathOracle::with_csr(csr, self.policy).fill(todo)
     }
 
-    /// Interns `filled` (the candidate sets of `todo`) — one pass over
-    /// every candidate of every pair, hops as the search found them — and
-    /// caches each pair's slice of the ids.
+    /// Gives each of `slots` its candidates from `filled` (the candidate
+    /// sets of `slots`' pairs). A pair that comes back with the node
+    /// sequences it already holds — most of a repair — keeps its ids and
+    /// its place in the reverse index untouched; the others are interned
+    /// in `slots` order, hops as the search found them. The ids are what
+    /// interning every candidate of every pair would have assigned: the
+    /// paths left out are in the table already.
     fn adopt(
         &mut self,
         topo: &Topology,
         paths: &PathTable,
-        todo: &[(NodeId, NodeId)],
+        slots: impl Iterator<Item = u32> + Clone,
         filled: &FilledPaths,
     ) {
-        let ids = paths.intern_batch(topo, filled.paths());
-        let mut cursor = ids.into_iter();
-        for (&pair, count) in todo.iter().zip(filled.counts()) {
-            let ids: Vec<_> = cursor.by_ref().take(count).collect();
+        let fills = || slots.clone().zip(filled.sets());
+        let kept: Vec<bool> = fills()
+            .map(|(slot, set)| self.cached.holds(paths, slot, set))
+            .collect();
+        let changed = || {
+            let all = fills().zip(&kept);
+            all.filter(|(_, &kept)| !kept).map(|(fill, _)| fill)
+        };
+        let interned = paths.intern_batch(topo, changed().flat_map(|(_, set)| set));
+        let mut rest = interned.as_slice();
+        for (slot, set) in changed() {
+            // How many paths, and the hops of the last one.
+            let (count, longest_hops) = set.fold((0, 0), |(n, _), (_, hops)| (n + 1, hops.len()));
+            let (ids, later) = rest.split_at(count);
+            rest = later;
+            // What the index holds for the old candidates goes stale
+            // where it is.
             if let Some(rev) = self.rev.as_mut() {
-                Self::register(rev, paths, pair, &ids);
+                self.cached.each_hop(paths, slot, |c| rev.note_removed(c));
             }
-            self.cache.insert(pair, ids);
+            self.cached.replace(slot, ids, longest_hops);
+            if let Some(rev) = self.rev.as_mut() {
+                Self::register(rev, &self.cached, paths, slot);
+            }
         }
     }
 
     /// Repairs the cache after a topology-churn event: updates the
-    /// channel-liveness mask (O(1) toggles on the retained CSR graph),
-    /// drops exactly the pairs whose candidate sets may have changed, and
-    /// batch-refills them. Returns the repaired pairs (sorted, so callers
-    /// migrating per-path state iterate deterministically).
+    /// channel-liveness mask (O(1) toggles on the retained CSR graph) and
+    /// batch-refills exactly the pairs whose candidate sets may have
+    /// changed. Returns those pairs (sorted, so callers migrating per-path
+    /// state iterate deterministically).
     ///
     /// Invalidation rules, each exact for the hop-count oracles (a pair
     /// that is kept would have been refilled to the same node sequences):
@@ -277,7 +409,9 @@ impl PathCache {
     /// An update carrying both applies the close rule to the cached
     /// candidates and the open rule on the final graph. Cost beyond the
     /// refills: two BFS and one pass over the cached pairs per opened
-    /// channel, `O(opened × (E + cached pairs))`.
+    /// channel, `O(opened × (E + cached pairs))`; a pair whose candidates
+    /// did change costs the reverse index one counter decrement per old
+    /// hop and one push per new hop.
     pub fn on_topology_change(
         &mut self,
         topo: &Topology,
@@ -298,53 +432,37 @@ impl PathCache {
                 }
             }
         }
-        let mut dropped = self.pairs_traversing(topo, paths, &update.closed);
-        dropped.extend(self.pairs_reached_by(topo, paths, &update.opened));
-        // Set/map iteration order is arbitrary; sort so the refill (and
-        // therefore PathId interning) order is deterministic.
-        dropped.sort_unstable();
-        dropped.dedup();
-        self.repairs += dropped.len() as u64;
-        let rev = Self::rev_index(&mut self.rev, &self.cache, topo, paths);
-        for pair in &dropped {
-            if let Some(ids) = self.cache.remove(pair) {
-                Self::unregister(rev, paths, *pair, &ids);
-            }
-        }
-        self.fill_pairs(topo, paths, &dropped);
-        dropped
+        let mut suspect = self.slots_traversing(topo, paths, &update.closed);
+        suspect.extend(self.slots_reached_by(topo, &update.opened));
+        // Refill (and therefore intern) in pair order, whatever order the
+        // pairs were first cached in.
+        suspect.sort_unstable_by_key(|&slot| self.cached.slots[slot as usize].pair);
+        suspect.dedup();
+        self.repairs += suspect.len() as u64;
+        self.fill_slots(topo, paths, &suspect)
     }
 
-    /// The cached pairs whose candidate set one of the `opened` channels
-    /// (already live in the mask) may change — the open rule of
-    /// [`PathCache::on_topology_change`]. Unsorted.
-    fn pairs_reached_by(
-        &mut self,
-        topo: &Topology,
-        paths: &PathTable,
-        opened: &[ChannelId],
-    ) -> Vec<(NodeId, NodeId)> {
-        if opened.is_empty() || self.cache.is_empty() {
+    /// The slots whose candidate set one of the `opened` channels (already
+    /// live in the mask) may change — the open rule of
+    /// [`PathCache::on_topology_change`]. In slot order.
+    fn slots_reached_by(&mut self, topo: &Topology, opened: &[ChannelId]) -> Vec<u32> {
+        let slots = &self.cached.slots;
+        if opened.is_empty() || slots.is_empty() {
             return Vec::new();
         }
-        let (k, disjoint) = match self.policy {
-            PathPolicy::EdgeDisjoint(k) => (k, true),
-            PathPolicy::KShortest(k) => (k, false),
-            PathPolicy::Shortest => (1, false),
-        };
+        let k = self.cached.k;
+        let disjoint = matches!(self.policy, PathPolicy::EdgeDisjoint(_));
         let csr = Self::synced_csr(&mut self.csr, topo, &self.closed);
-        // lint: allow(unordered-iter): audited — the caller sorts the
-        // pairs before refilling.
-        let entries: Vec<(&(NodeId, NodeId), &Vec<PathId>)> = self.cache.iter().collect();
-        // Per entry: hops of the shortest s–t walk through any opened
+        // Per slot: hops of the shortest s–t walk through any opened
         // channel (`None` = no such walk).
-        let mut detour: Vec<Option<u32>> = vec![None; entries.len()];
+        let mut detour: Vec<Option<u32>> = vec![None; slots.len()];
         let at = |dist: &[Option<u32>], n: NodeId| dist.get(n.index()).copied().flatten();
         let through = |near: Option<u32>, far: Option<u32>| Some(near? + 1 + far?);
         for &c in opened {
             let ch = topo.channel(c);
             let (from_u, from_v) = (csr.hop_distances(ch.u), csr.hop_distances(ch.v));
-            for (best, (&(s, t), _)) in detour.iter_mut().zip(&entries) {
+            for (best, slot) in detour.iter_mut().zip(slots) {
+                let (s, t) = slot.pair;
                 *best = [
                     *best,
                     through(at(&from_u, s), at(&from_v, t)),
@@ -355,39 +473,57 @@ impl PathCache {
                 .min();
             }
         }
-        entries
-            .into_iter()
-            .zip(detour)
-            .filter_map(|((&(s, t), ids), detour)| {
-                let detour = detour? as usize;
-                let m = ids.len();
-                let displaces = ids
-                    .last()
-                    .is_some_and(|&longest| detour <= paths.entry(longest).hops().len());
+        let reached = (0..).zip(slots).zip(detour);
+        reached
+            .filter_map(|((i, slot), detour)| {
+                let detour = detour?;
+                let ((s, t), m) = (slot.pair, slot.count as usize);
+                let displaces = m > 0 && detour <= slot.longest_hops;
                 let exhausted = disjoint && (csr.live_degree(s) == m || csr.live_degree(t) == m);
-                (displaces || (m < k && !exhausted)).then_some((s, t))
+                (displaces || (m < k && !exhausted)).then_some(i)
             })
             .collect()
     }
 
+    /// The slots with a candidate traversing any of `channels`, answered
+    /// from the reverse index in O(affected) — ascending. The first call
+    /// that has something to look through builds the index from the cache.
+    fn slots_traversing(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        channels: &[ChannelId],
+    ) -> Vec<u32> {
+        let cached = &self.cached;
+        if channels.is_empty() || cached.slots.is_empty() {
+            return Vec::new();
+        }
+        let rev = self
+            .rev
+            .get_or_insert_with(|| Self::index(cached, topo, paths));
+        let current = |s: u32, g: u32| cached.slots[s as usize].gen == g;
+        let (mut found, mut members) = (Vec::new(), Vec::new());
+        for &c in channels {
+            rev.collect_live_sorted(c.index(), current, &mut members);
+            found.append(&mut members);
+        }
+        found.sort_unstable();
+        found.dedup();
+        found
+    }
+
     /// The cached pairs with a candidate traversing any of `channels`,
-    /// answered from the reverse index in O(affected) — unsorted. The
-    /// first call builds the index from the cache.
-    pub(crate) fn pairs_traversing(
+    /// from the reverse index — unsorted.
+    #[cfg(test)]
+    fn pairs_traversing(
         &mut self,
         topo: &Topology,
         paths: &PathTable,
         channels: &[ChannelId],
     ) -> Vec<(NodeId, NodeId)> {
-        let rev = Self::rev_index(&mut self.rev, &self.cache, topo, paths);
-        let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-        for set in channels.iter().filter_map(|c| rev.get(c.index())) {
-            seen.extend(set.iter().copied());
-        }
-        // lint: allow(unordered-iter): audited — the one non-test caller
-        // (`on_topology_change`) sorts the pairs before refilling, and the
-        // equivalence tests compare as sets.
-        seen.into_iter().collect()
+        let slots = self.slots_traversing(topo, paths, channels);
+        let pair = |slot: &u32| self.cached.slots[*slot as usize].pair;
+        slots.iter().map(pair).collect()
     }
 
     /// Reference implementation of [`PathCache::pairs_traversing`]: the
@@ -398,19 +534,16 @@ impl PathCache {
         paths: &PathTable,
         channels: &[ChannelId],
     ) -> Vec<(NodeId, NodeId)> {
-        // lint: allow(unordered-iter): audited — compared as a set.
-        self.cache
-            .iter()
-            .filter(|(_, ids)| {
-                ids.iter().any(|&id| {
-                    paths
-                        .entry(id)
-                        .hops()
-                        .iter()
-                        .any(|&(c, _)| channels.contains(&c))
-                })
-            })
-            .map(|(&pair, _)| pair)
+        let crosses = |slot: u32| {
+            let mut crosses = false;
+            let listed = |c| channels.contains(&ChannelId::from_index(c));
+            self.cached.each_hop(paths, slot, |c| crosses |= listed(c));
+            crosses
+        };
+        let slots = (0..).zip(&self.cached.slots);
+        slots
+            .filter(|&(i, _)| crosses(i))
+            .map(|(_, slot)| slot.pair)
             .collect()
     }
 
@@ -421,12 +554,12 @@ impl PathCache {
 
     /// Number of cached pairs.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.cached.slots.len()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.cached.slots.is_empty()
     }
 
     /// Lifetime counters, in a fixed order suitable for
@@ -783,5 +916,243 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The update that closes `channels`.
+    fn closing(channels: &[ChannelId]) -> TopologyUpdate {
+        TopologyUpdate {
+            closed: channels.to_vec(),
+            ..TopologyUpdate::default()
+        }
+    }
+
+    /// The update that opens `channels`.
+    fn opening(channels: &[ChannelId]) -> TopologyUpdate {
+        TopologyUpdate {
+            opened: channels.to_vec(),
+            ..TopologyUpdate::default()
+        }
+    }
+
+    /// The index against a recount from the cache
+    /// ([`ChannelIndex::debug_check`] style): a channel's current entries
+    /// are exactly the hops the cached candidates put on it — a slot twice
+    /// where two of its candidates share the channel — and its live count
+    /// is their number.
+    fn assert_index_mirrors_cache(c: &PathCache, topo: &Topology, table: &PathTable) {
+        let Some(rev) = c.rev.as_ref() else { return };
+        let slots = &c.cached.slots;
+        let mut hops: Vec<Vec<(u32, u32)>> = vec![Vec::new(); topo.channel_count()];
+        for (slot, entry) in (0..).zip(slots) {
+            c.cached
+                .each_hop(table, slot, |ch| hops[ch].push((slot, entry.gen)));
+        }
+        for (ch, mut hops) in hops.into_iter().enumerate() {
+            let current = |&&(s, g): &&(u32, u32)| slots[s as usize].gen == g;
+            let mut indexed: Vec<_> = rev.entries(ch).iter().filter(current).copied().collect();
+            indexed.sort_unstable();
+            hops.sort_unstable();
+            assert_eq!(indexed, hops, "channel {ch}");
+            assert_eq!(rev.live(ch) as usize, hops.len(), "channel {ch} live count");
+        }
+    }
+
+    /// One random churn history: after every update the index answers as
+    /// the full scan does, mirrors the cache, and the cache resolves to
+    /// what a cold cache built on the final graph resolves to.
+    fn churn_case(seed: u64, nodes: usize, policy: PathPolicy, ops: &[(u8, u64)]) {
+        let mut rng = spider_types::DetRng::new(seed);
+        let t = gen::erdos_renyi(nodes, 0.35, Amount::from_xrp(100), &mut rng);
+        let channels: Vec<ChannelId> = t.channels().map(|(id, _)| id).collect();
+        if channels.is_empty() {
+            return;
+        }
+        let n = nodes as u32;
+        let all_pairs = (0..n).flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d))));
+        let all_pairs: Vec<_> = all_pairs.filter(|(s, d)| s != d).collect();
+        // Half prewarmed, the rest left to lazy gets between updates.
+        let table = PathTable::new();
+        let mut warm = PathCache::new(policy);
+        warm.prefill(&t, &table, &all_pairs[..all_pairs.len() / 2]);
+        for &(op, pick) in ops {
+            let pick = pick as usize;
+            let (open, shut): (Vec<_>, Vec<_>) =
+                channels.iter().partition(|&&c| !warm.channel_closed(c));
+            let nth = |of: &[ChannelId], i: usize| of.get((pick + i) % of.len().max(1)).copied();
+            let mut update = TopologyUpdate::default();
+            match op {
+                0 => update.closed.extend(nth(&open, 0)),
+                1 => update.opened.extend(nth(&shut, 0).or(nth(&open, 0))),
+                2 => {
+                    update.closed.extend(nth(&open, 0));
+                    update
+                        .closed
+                        .extend(nth(&open, 1).filter(|c| !update.closed.contains(c)));
+                    update.opened.extend(nth(&shut, 0));
+                    update
+                        .opened
+                        .extend(nth(&shut, 1).filter(|c| !update.opened.contains(c)));
+                }
+                _ => {
+                    let (s, d) = all_pairs[pick % all_pairs.len()];
+                    warm.get(&t, &table, s, d);
+                }
+            }
+            // An "open" of a channel that is open already is a close: the
+            // history still changes something.
+            if op == 1 && shut.is_empty() {
+                std::mem::swap(&mut update.closed, &mut update.opened);
+            }
+            let repaired = warm.on_topology_change(&t, &table, &update);
+            assert!(repaired.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+            assert_eq!(warm.cached.slots.len(), warm.cached.slot_of.len());
+            assert_index_mirrors_cache(&warm, &t, &table);
+            for probe in channels
+                .iter()
+                .map(std::slice::from_ref)
+                .chain([&channels[..]])
+            {
+                let mut indexed = warm.pairs_traversing(&t, &table, probe);
+                let mut scanned = warm.pairs_traversing_scan(&table, probe);
+                indexed.sort_unstable();
+                scanned.sort_unstable();
+                assert_eq!(indexed, scanned, "{policy:?} probe {probe:?}");
+            }
+            assert_index_mirrors_cache(&warm, &t, &table);
+            // Cold: the same pairs on the final mask, nothing repaired.
+            let cached: Vec<_> = warm.cached.slots.iter().map(|slot| slot.pair).collect();
+            let cold_table = PathTable::new();
+            let mut cold = PathCache::new(policy);
+            let shut: Vec<_> = channels
+                .iter()
+                .copied()
+                .filter(|&c| warm.channel_closed(c))
+                .collect();
+            let mask = closing(&shut);
+            cold.on_topology_change(&t, &cold_table, &mask);
+            cold.prefill(&t, &cold_table, &cached);
+            assert_eq!(
+                resolved(&mut warm, &t, &table, &cached),
+                resolved(&mut cold, &t, &cold_table, &cached),
+                "{policy:?} after {update:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Random small graphs under random close / open / reopen /
+        /// batched-mixed histories with lazy gets in between, for every
+        /// policy (`KShortest` is the one whose candidates share channels).
+        #[test]
+        fn index_and_candidates_survive_random_churn(
+            seed in 0u64..u64::MAX,
+            nodes in 5usize..12,
+            policy in 0usize..3,
+            ops in proptest::collection::vec((0u8..4, 0u64..u64::MAX), 1..16),
+        ) {
+            let policy = [
+                PathPolicy::EdgeDisjoint(3),
+                PathPolicy::KShortest(3),
+                PathPolicy::Shortest,
+            ][policy];
+            churn_case(seed, nodes, policy, &ops);
+        }
+    }
+
+    /// `KShortest` candidates of one pair share channels, so a slot is a
+    /// member of such a channel once per candidate; replacing the pair's
+    /// candidates must take every copy out and put the new ones in.
+    #[test]
+    fn shared_channels_are_counted_once_per_candidate() {
+        // A stem 0–1 into a diamond 1–{2,3}–4: both 0→4 paths cross the
+        // stem, each has a side of the diamond to itself.
+        let mut b = spider_topology::Topology::builder(5);
+        for (u, v) in [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)] {
+            b.channel(NodeId(u), NodeId(v), Amount::from_xrp(1))
+                .unwrap();
+        }
+        let t = b.build();
+        let (stem, side) = (ChannelId(0), ChannelId(1));
+        let table = PathTable::new();
+        let mut c = PathCache::new(PathPolicy::KShortest(3));
+        let pair = (NodeId(0), NodeId(4));
+        let both = c.get(&t, &table, pair.0, pair.1).to_vec();
+        assert_eq!(both.len(), 2);
+        assert_eq!(c.pairs_traversing(&t, &table, &[stem]), [pair]);
+        let live = |c: &PathCache, ch: ChannelId| c.rev.as_ref().map(|rev| rev.live(ch.index()));
+        assert_eq!(live(&c, stem), Some(2), "once per candidate");
+        assert_eq!(live(&c, side), Some(1));
+        let close = closing(&[side]);
+        assert_eq!(c.on_topology_change(&t, &table, &close), [pair]);
+        assert_index_mirrors_cache(&c, &t, &table);
+        assert_eq!(c.get(&t, &table, pair.0, pair.1), &both[1..]);
+        assert_eq!((live(&c, stem), live(&c, side)), (Some(1), Some(0)));
+        let reopen = opening(&[side]);
+        assert_eq!(c.on_topology_change(&t, &table, &reopen), [pair]);
+        assert_index_mirrors_cache(&c, &t, &table);
+        assert_eq!(c.get(&t, &table, pair.0, pair.1), both);
+        assert_eq!((live(&c, stem), live(&c, side)), (Some(2), Some(1)));
+        assert_eq!(c.pairs_traversing(&t, &table, &[stem]), [pair]);
+    }
+
+    /// 200 close/reopen cycles of the busiest channel: index memory
+    /// follows the cache, not the number of repairs. Every pair through
+    /// the hub changes candidates twice a cycle (its slot's generation
+    /// counts them), yet no channel's entry list outgrows the members it
+    /// has had at once (a leave sweeps nothing, so the bound is on the
+    /// high-water mark) and the slot table stays one slot a pair.
+    #[test]
+    fn index_memory_follows_the_cache_not_the_repairs() {
+        let t = gen::isp_topology(Amount::from_xrp(100));
+        let table = PathTable::new();
+        let mut c = PathCache::new(PathPolicy::EdgeDisjoint(4));
+        let n = t.node_count() as u32;
+        let pairs: Vec<_> = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d))))
+            .filter(|(s, d)| s != d)
+            .collect();
+        c.prefill(&t, &table, &pairs);
+        let channels: Vec<ChannelId> = t.channels().map(|(id, _)| id).collect();
+        let members = |c: &mut PathCache, ch| c.pairs_traversing(&t, &table, &[ch]).len();
+        let hub = channels
+            .iter()
+            .copied()
+            .max_by_key(|&ch| members(&mut c, ch));
+        let hub = hub.expect("the ISP graph has channels");
+        let through_hub = c.pairs_traversing(&t, &table, &[hub]);
+        assert!(
+            through_hub.len() > pairs.len() / 8,
+            "a hub carries many pairs"
+        );
+        let built = c.rev.as_ref().expect("built by the question");
+        let mut most_members: Vec<u32> = (0..channels.len()).map(|ch| built.live(ch)).collect();
+        let mut interned = 0;
+        for cycle in 0..200 {
+            for update in [closing(&[hub]), opening(&[hub])] {
+                let repaired = c.on_topology_change(&t, &table, &update);
+                assert!(through_hub.iter().all(|pair| repaired.contains(pair)));
+                let rev = c.rev.as_ref().expect("built by the first close");
+                for (ch, most) in most_members.iter_mut().enumerate() {
+                    *most = rev.live(ch).max(*most);
+                    let (kept, most) = (rev.entries(ch).len(), *most as usize);
+                    assert!(
+                        kept <= 16.max(2 * most + 1),
+                        "cycle {cycle}: channel {ch} keeps {kept} entries for {most} members"
+                    );
+                }
+            }
+            if cycle == 0 {
+                interned = table.len();
+            }
+        }
+        assert_eq!(table.len(), interned, "later cycles intern nothing new");
+        assert_index_mirrors_cache(&c, &t, &table);
+        assert_eq!(c.cached.slots.len(), pairs.len());
+        assert_eq!(c.cached.slot_of.len(), pairs.len());
+        assert_eq!(c.cached.ids.len(), pairs.len() * 4);
+        let gen_of = |pair| c.cached.slots[c.cached.slot_of[pair] as usize].gen;
+        assert!(through_hub.iter().all(|pair| gen_of(pair) > 400));
+        let untouched = pairs.iter().filter(|&pair| gen_of(pair) == 1).count();
+        assert!(untouched > 0, "a pair the hub cannot reach is filled once");
     }
 }

@@ -14,7 +14,7 @@
 //! every query O(live members) amortized, never O(total ever inserted).
 
 /// Per-channel membership lists with generation-checked lazy deletion.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ChannelIndex {
     /// `entries[c]`: `(slot, generation)` pairs, possibly stale.
     entries: Vec<Vec<(u32, u32)>>,
@@ -35,6 +35,20 @@ impl ChannelIndex {
         ChannelIndex {
             entries: (0..n).map(|_| Vec::new()).collect(),
             live: vec![0; n],
+            scan_steps: 0,
+        }
+    }
+
+    /// An index with no members whose channel `c` has room for
+    /// `capacities[c]` entries — for a caller about to insert a known
+    /// population, so no list doubles its way up from empty.
+    pub fn with_capacities(capacities: &[u32]) -> Self {
+        ChannelIndex {
+            entries: capacities
+                .iter()
+                .map(|&n| Vec::with_capacity(n as usize))
+                .collect(),
+            live: vec![0; capacities.len()],
             scan_steps: 0,
         }
     }

@@ -228,11 +228,12 @@ impl PathTable {
         let mut ids: Vec<PathId> = paths
             .into_iter()
             .map(|(path, channels)| {
+                // (Hop by hop, so a debug build allocates what a release
+                // build does.)
                 debug_assert!(
-                    topo.path_channels(path).is_ok_and(|hops| hops
-                        .iter()
-                        .map(|hop| hop.0)
-                        .eq(channels.iter().copied())),
+                    path.windows(2)
+                        .map(|hop| topo.channel_between(hop[0], hop[1]))
+                        .eq(channels.iter().map(|&c| Some(c))),
                     "carried channels {channels:?} are not the hops of {path:?}"
                 );
                 if let Some(&id) = inner.index.get(path) {
