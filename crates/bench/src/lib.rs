@@ -1,101 +1,136 @@
 //! # spider-bench
 //!
-//! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (§6). Each figure has a dedicated binary:
+//! The experiment harness that regenerates the paper's evaluation. Every
+//! figure, proposition check and ablation is a [`Figure`] *value* in
+//! [`FIGURES`] — how to build its data at a [`Scale`] and seed, plus the
+//! paper's statements about that data as [`Claim`](figure::Claim)s — and
+//! one binary runs them:
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `fig4_example` | §5.1 / Fig. 4 — shortest-path (5) vs optimal (8) balanced routing |
-//! | `prop1_circulation` | §5.2.2 / Fig. 5 — Proposition 1 bounds |
-//! | `fig6_success` | Fig. 6 — success ratio & volume, 6 schemes × {ISP, Ripple} |
-//! | `fig7_capacity_sweep` | Fig. 7 — success metrics vs per-channel capacity |
-//! | `rebalancing_curve` | §5.2.3 — t(B): throughput vs rebalancing budget |
-//! | `primal_dual_convergence` | §5.3 — decentralized algorithm vs LP optimum |
-//! | `ablation_packet_switching` | §6.2 — packet switching + SRPT vs atomic delivery |
-//! | `fig8_queue_protocol` | §5 protocol under queueing vs transport baselines |
-//! | `fig10_queue_dynamics` | Fig. 10 — per-channel queue depths over time |
-//! | `engine_throughput` | engine events/sec on a fixed grid; CI's quick-grid outcome gate |
+//! ```sh
+//! cargo run --release -p spider-bench --bin figures                 # the registry
+//! cargo run --release -p spider-bench --bin figures -- fig6_success --only isp --out out
+//! cargo run --release -p spider-bench --bin figures -- all --smoke --seed 42 --out out
+//! ```
 //!
-//! Every binary accepts `--full` (paper-scale parameters — slower),
-//! `--seed N`, and `--out DIR` (write CSV + JSON-lines there). Defaults are
-//! laptop-scale and finish in seconds; the *shape* of results (ordering of
+//! Defaults are laptop-scale; the *shape* of the results (ordering of
 //! schemes, crossovers) is what should match the paper, not absolute
-//! numbers — see EXPERIMENTS.md.
+//! numbers — see "Reproducing the paper" in the README, whose table is
+//! the bare `figures` output. Two other binaries live here:
+//! `engine_throughput` (engine events/sec on a fixed grid; CI's quick-grid
+//! outcome gate) and `spider-report` (the run-report diff).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use spider_core::output::FigureRow;
-use spider_core::{run_sweep, ExperimentConfig, SchemeConfig, SweepJob, TopologyConfig};
-use spider_sim::{SimConfig, SimReport, SizeDistribution, WorkloadConfig};
-use spider_types::{Amount, SimDuration};
-use std::path::PathBuf;
+pub mod figure;
+mod lp_figures;
+mod queue_dynamics;
+mod resilience;
+mod sweep_figures;
+pub mod table;
 
-/// Command-line options shared by all harness binaries.
-#[derive(Debug, Clone)]
-pub struct HarnessArgs {
-    /// Paper-scale parameters (200k / 75k transactions, full Ripple size).
-    pub full: bool,
-    /// The paper's own measurement point: full Ripple topology driven for
-    /// a 200 s horizon (implies `full`; bins that support it extend the
-    /// Ripple workload from 85 s to 200 s). Enabled by `--paper-scale`.
-    pub paper_scale: bool,
-    /// CI-smoke scale: tiny workloads that finish in seconds while still
-    /// exercising every code path and output schema.
-    pub smoke: bool,
-    /// Master seed.
-    pub seed: u64,
-    /// Where to write CSV/JSONL outputs (also printed to stdout).
-    pub out_dir: Option<PathBuf>,
+pub use figure::{Figure, Options};
+
+use spider_core::congestion::{WindowConfig, Windowed};
+use spider_core::{ExperimentConfig, SchemeConfig, SweepJob, TopologyConfig};
+use spider_routing::{ShortestPath, SpiderWaterfilling};
+use spider_sim::{Router, SimConfig, SizeDistribution, Workload, WorkloadConfig};
+use spider_topology::gen::RIPPLE_NODES;
+use spider_types::{Amount, DetRng, SimDuration};
+
+/// What can stop a figure from running: a topology, workload, LP or
+/// simulator error, an I/O error, a filter that selects nothing. (A failed
+/// claim is not an error; it is a [`Verdict`](figure::Verdict).)
+pub type Result<T, E = Box<dyn std::error::Error + Send + Sync>> = std::result::Result<T, E>;
+
+/// How big a run is. A figure lists the scales it distinguishes; a
+/// request for any other resolves to the nearest ([`Figure::resolve`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Scale {
+    /// CI scale: seconds per figure, every code path and schema exercised.
+    Smoke,
+    /// Laptop scale (the default).
+    Default,
+    /// The paper's parameters: 200k / 75k transactions, full Ripple size.
+    Full,
+    /// The paper's own measurement point: full Ripple driven for 200 s.
+    Paper,
 }
 
-impl HarnessArgs {
-    /// Parses `--full`, `--paper-scale`, `--smoke`, `--seed N`,
-    /// `--out DIR` from `std::env::args`.
-    pub fn parse() -> Self {
-        let mut args = HarnessArgs {
-            full: false,
-            paper_scale: false,
-            smoke: false,
-            seed: 42,
-            out_dir: None,
-        };
-        const USAGE: &str = "options: --full  --smoke  --seed N  --out DIR";
-        let usage_error = |what: &str| -> ! {
-            eprintln!("{what}\n{USAGE}");
-            std::process::exit(2)
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--full" => args.full = true,
-                "--paper-scale" => {
-                    args.paper_scale = true;
-                    args.full = true;
-                }
-                "--smoke" => args.smoke = true,
-                "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                    Some(seed) => args.seed = seed,
-                    None => usage_error("--seed requires an integer"),
-                },
-                "--out" => match iter.next() {
-                    Some(dir) => args.out_dir = Some(PathBuf::from(dir)),
-                    None => usage_error("--out requires a path"),
-                },
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0);
-                }
-                other => usage_error(&format!("unknown option {other}")),
-            }
-        }
-        args
+impl Scale {
+    /// Whether the §6.1 experiment builders run at the paper's sizes.
+    pub fn is_full(self) -> bool {
+        self >= Scale::Full
     }
 }
 
-/// The six-scheme lineup of Fig. 6 / Fig. 7.
-pub fn paper_schemes() -> Vec<SchemeConfig> {
-    SchemeConfig::paper_lineup()
+impl std::fmt::Display for Scale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&format!("{self:?}").to_lowercase())
+    }
+}
+
+/// Every figure, in paper order. Names are unique and double as output
+/// file stems.
+pub static FIGURES: &[Figure] = &[
+    lp_figures::FIG4_EXAMPLE,
+    lp_figures::PROP1_CIRCULATION,
+    lp_figures::REBALANCING_CURVE,
+    lp_figures::PRIMAL_DUAL_CONVERGENCE,
+    sweep_figures::FIG6_SUCCESS,
+    sweep_figures::FIG7_CAPACITY_SWEEP,
+    sweep_figures::ABLATION_PACKET_SWITCHING,
+    sweep_figures::ABLATION_PATH_CHOICE,
+    sweep_figures::ABLATION_REBALANCING,
+    sweep_figures::FIG8_QUEUE_PROTOCOL,
+    sweep_figures::FIG8_AIMD_SWEEP,
+    queue_dynamics::FIG10_QUEUE_DYNAMICS,
+    resilience::CHURN_RESILIENCE,
+    resilience::FAULT_RESILIENCE,
+    resilience::OVERLOAD_RESILIENCE,
+];
+
+/// The registry as text — name, paper reference, claim count, one-line
+/// description: what bare `figures` prints and the README pastes.
+pub fn registry_listing() -> String {
+    let mut out = format!("{:<26}{:<31}{:>6}  about\n", "figure", "paper", "claims");
+    for f in FIGURES {
+        let claims = f.claim_texts().len();
+        out += &format!(
+            "{:<26}{:<31}{claims:>6}  {}\n",
+            f.name, f.paper_ref, f.about
+        );
+    }
+    out
+}
+
+/// A §6.1-style experiment: `count` transactions at `rate` tx/s, the run
+/// ending one second after the last arrival.
+fn experiment(
+    topology: TopologyConfig,
+    (count, rate): (usize, f64),
+    size: SizeDistribution,
+    sender_skew_scale: f64,
+    mtu_xrp: u64,
+    seed: u64,
+) -> ExperimentConfig {
+    ExperimentConfig {
+        topology,
+        workload: WorkloadConfig {
+            count,
+            rate_per_sec: rate,
+            size,
+            sender_skew_scale,
+        },
+        sim: SimConfig {
+            horizon: SimDuration::from_secs_f64(count as f64 / rate + 1.0),
+            mtu: Amount::from_xrp(mtu_xrp),
+            ..SimConfig::default()
+        },
+        scheme: SchemeConfig::ShortestPath, // overridden per run
+        seed,
+        ..ExperimentConfig::default()
+    }
 }
 
 /// The ISP-topology experiment of §6.1 at the given per-channel capacity.
@@ -104,34 +139,12 @@ pub fn paper_schemes() -> Vec<SchemeConfig> {
 /// Default scale: 20,000 transactions at the same arrival rate, preserving
 /// the load-per-capacity operating point while finishing ~10× faster.
 pub fn isp_experiment(capacity_xrp: u64, full: bool, seed: u64) -> ExperimentConfig {
-    let (count, rate) = if full {
-        (200_000, 1_000.0)
-    } else {
-        (20_000, 1_000.0)
-    };
-    let horizon = SimDuration::from_secs_f64(count as f64 / rate + 1.0);
-    ExperimentConfig {
-        topology: TopologyConfig::Isp { capacity_xrp },
-        workload: WorkloadConfig {
-            count,
-            rate_per_sec: rate,
-            size: SizeDistribution::RippleIsp,
-            // Calibrated so the demand matrix's circulation fraction is
-            // ~0.52 — the paper's Spider (LP) success volume on ISP pins
-            // "precisely at the circulation component", 52 %.
-            sender_skew_scale: 8.0,
-        },
-        sim: SimConfig {
-            horizon,
-            mtu: Amount::from_xrp(10),
-            ..SimConfig::default()
-        },
-        scheme: SchemeConfig::ShortestPath, // overridden per run
-        dynamics: None,
-        faults: None,
-        overload: None,
-        seed,
-    }
+    let load = (if full { 200_000 } else { 20_000 }, 1_000.0);
+    // Skew calibrated so the demand matrix's circulation fraction is
+    // ~0.52 — the paper's Spider (LP) success volume on ISP pins
+    // "precisely at the circulation component", 52 %.
+    let topology = TopologyConfig::Isp { capacity_xrp };
+    experiment(topology, load, SizeDistribution::RippleIsp, 8.0, 10, seed)
 }
 
 /// The Ripple-subgraph experiment of §6.1 at the given capacity.
@@ -140,145 +153,86 @@ pub fn isp_experiment(capacity_xrp: u64, full: bool, seed: u64) -> ExperimentCon
 /// ~85 s. Default scale: a 400-node Ripple-like graph with the transaction
 /// count scaled to keep per-channel load comparable.
 pub fn ripple_experiment(capacity_xrp: u64, full: bool, seed: u64) -> ExperimentConfig {
-    let (nodes, count, rate) = if full {
-        (spider_topology::gen::RIPPLE_NODES, 75_000, 75_000.0 / 85.0)
+    let (nodes, load) = if full {
+        (RIPPLE_NODES, (75_000, 75_000.0 / 85.0))
     } else {
-        (400, 8_000, 8_000.0 / 85.0 * 10.0)
+        (400, (8_000, 8_000.0 / 85.0 * 10.0))
     };
-    let horizon = SimDuration::from_secs_f64(count as f64 / rate + 1.0);
-    ExperimentConfig {
-        topology: TopologyConfig::RippleLike {
-            nodes,
-            capacity_xrp,
-        },
-        workload: WorkloadConfig {
-            count,
-            rate_per_sec: rate,
-            size: SizeDistribution::RippleFull,
-            // Calibrated to a circulation fraction of ~0.22-0.29, matching
-            // the paper's Ripple-side Spider (LP) success volume of 22 %.
-            sender_skew_scale: nodes as f64 / 8.0,
-        },
-        sim: SimConfig {
-            horizon,
-            mtu: Amount::from_xrp(20),
-            ..SimConfig::default()
-        },
-        scheme: SchemeConfig::ShortestPath,
-        dynamics: None,
-        faults: None,
-        overload: None,
-        seed,
-    }
+    // Skew calibrated to a circulation fraction of ~0.22-0.29, matching
+    // the paper's Ripple-side Spider (LP) success volume of 22 %.
+    let skew = nodes as f64 / 8.0;
+    let topology = TopologyConfig::RippleLike {
+        nodes,
+        capacity_xrp,
+    };
+    experiment(topology, load, SizeDistribution::RippleFull, skew, 20, seed)
 }
 
-/// The shared scaffolding of the resilience sweeps (`churn_resilience`,
-/// `fault_resilience`, `overload_resilience`): a scheme lineup ×
-/// {ISP, Ripple} × intensity grid on the identical workload and seed per
-/// topology, fanned through [`run_sweep`] and echoed row-by-row as CSV
-/// while collecting [`FigureRow`]s.
-pub struct ResilienceSweep<'a> {
-    /// Per-topology row labels, e.g. `["churn-isp", "churn-ripple"]`.
-    pub labels: [&'a str; 2],
-    /// The `FigureRow` parameter column, e.g. `"churn_intensity"`.
-    pub parameter: &'a str,
-    /// Per-channel capacity (XRP) of both topologies.
-    pub capacity_xrp: u64,
-    /// The intensity grid of the sweep.
-    pub intensities: &'a [f64],
-    /// The scheme lineup run at every intensity.
-    pub schemes: &'a [SchemeConfig],
+/// Sets the transaction count, keeping the arrival rate and ending the
+/// run one second after the last arrival.
+pub(crate) fn set_count(cfg: &mut ExperimentConfig, count: usize) {
+    cfg.workload.count = count;
+    cfg.sim.horizon = SimDuration::from_secs_f64(count as f64 / cfg.workload.rate_per_sec + 1.0);
 }
 
-impl ResilienceSweep<'_> {
-    /// Runs the sweep and returns all rows.
-    ///
-    /// `prepare` tweaks each topology's base experiment (paper-scale
-    /// workload extensions, extra knobs) before smoke downsizing;
-    /// `scale` derives the experiment for one `(base, intensity)` grid
-    /// point (the scheme is overridden afterwards); `detail` prints
-    /// per-run diagnostics to stderr.
-    pub fn run(
-        &self,
-        args: &HarnessArgs,
-        mut prepare: impl FnMut(&str, &mut ExperimentConfig),
-        scale: impl Fn(&ExperimentConfig, f64) -> ExperimentConfig,
-        mut detail: impl FnMut(&SimReport, f64),
-    ) -> Vec<FigureRow> {
-        let mut rows = Vec::new();
-        for (label, mut base) in [
-            (
-                self.labels[0],
-                isp_experiment(self.capacity_xrp, args.full, args.seed),
-            ),
-            (
-                self.labels[1],
-                ripple_experiment(self.capacity_xrp, args.full, args.seed),
-            ),
-        ] {
-            prepare(label, &mut base);
-            if args.smoke {
-                // CI scale: a few seconds per topology while still
-                // driving every scheme through the real machinery.
-                base.workload.count = 800;
-                base.sim.horizon =
-                    SimDuration::from_secs_f64(800.0 / base.workload.rate_per_sec + 1.0);
-                if let TopologyConfig::RippleLike { nodes, .. } = &mut base.topology {
-                    *nodes = 120;
-                }
-            }
-            // Phase timings ride along in every row (the profile_*_s
-            // JSONL columns); the wall clocks never touch simulated time.
-            base.sim.obs.profile = true;
-            eprintln!(
-                "running {label} ({} txns, {} schemes x {} intensities)…",
-                base.workload.count,
-                self.schemes.len(),
-                self.intensities.len()
-            );
-            let (base, scale) = (&base, &scale);
-            let jobs: Vec<SweepJob> = self
-                .intensities
-                .iter()
-                .flat_map(|&i| {
-                    self.schemes.iter().map(move |&scheme| {
-                        SweepJob::Scheme(ExperimentConfig {
-                            scheme,
-                            ..scale(base, i)
-                        })
-                    })
-                })
-                .collect();
-            let reports = run_sweep(&jobs).expect("experiments run");
-            for (j, r) in reports.iter().enumerate() {
-                let intensity = self.intensities[j / self.schemes.len()];
-                let row = FigureRow::new(label, self.parameter, intensity, r);
-                println!("{}", spider_core::output::to_csv_row(&row));
-                detail(r, intensity);
-                rows.push(row);
-            }
-        }
-        rows
-    }
+/// The two §6.1 topologies at one capacity, labelled `<prefix>-isp` and
+/// `<prefix>-ripple`: the pair most figures run side by side.
+pub fn both_topologies(
+    prefix: &str,
+    capacity_xrp: u64,
+    full: bool,
+    seed: u64,
+) -> [(String, ExperimentConfig); 2] {
+    let isp = isp_experiment(capacity_xrp, full, seed);
+    let ripple = ripple_experiment(capacity_xrp, full, seed);
+    [
+        (format!("{prefix}-isp"), isp),
+        (format!("{prefix}-ripple"), ripple),
+    ]
 }
 
-/// Prints the table and optionally writes `NAME.csv` / `NAME.jsonl`.
-pub fn emit(name: &str, rows: &[FigureRow], out_dir: &Option<PathBuf>) {
-    println!("{}", spider_core::output::to_table(rows));
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).expect("create output directory");
-        std::fs::write(
-            dir.join(format!("{name}.csv")),
-            spider_core::output::to_csv(rows),
-        )
-        .expect("write csv");
-        std::fs::write(
-            dir.join(format!("{name}.jsonl")),
-            spider_core::output::to_json_lines(rows),
-        )
-        .expect("write jsonl");
-        eprintln!("wrote {}/{{{name}.csv,{name}.jsonl}}", dir.display());
-    }
+/// The demand matrix's circulation share, in percent of total demand:
+/// the ceiling Proposition 1 puts on any scheme that never rebalances
+/// on-chain, and where Spider (LP)'s success volume should pin.
+pub fn circulation_pct(cfg: &ExperimentConfig) -> Result<f64> {
+    let rng = DetRng::new(cfg.seed);
+    let nodes = cfg.topology.build(&rng)?.node_count();
+    let workload = Workload::generate(nodes, &cfg.workload, &mut rng.fork("workload"));
+    let demands = spider_core::experiment::demand_graph(&workload, nodes);
+    let nu = spider_paygraph::decompose::max_circulation_value(&demands, 1e-6);
+    Ok(100.0 * nu / demands.total_demand())
+}
+
+/// The transport-layer lineup of Figs. 8 and 10 on one queueing config:
+/// the §5 protocol, then the per-pair AIMD window over shortest-path (the
+/// controller the protocol replaces) and over balance-probing
+/// waterfilling (an upper baseline: it reads live balances at every
+/// attempt, which §5's decentralized senders cannot).
+pub fn windowed_lineup(queued: &ExperimentConfig) -> [(&'static str, SweepJob); 3] {
+    let protocol = ExperimentConfig {
+        scheme: SchemeConfig::spider_protocol(4),
+        ..queued.clone()
+    };
+    let windowed = |build: fn() -> Box<dyn Router>| SweepJob::Custom {
+        cfg: queued.clone(),
+        build: Box::new(build),
+    };
+    [
+        ("spider-protocol", SweepJob::Scheme(protocol)),
+        (
+            "shortest-path+window",
+            windowed(|| Box::new(Windowed::new(ShortestPath::new(), WindowConfig::default()))),
+        ),
+        (
+            "spider-waterfilling+window",
+            windowed(|| {
+                Box::new(Windowed::new(
+                    SpiderWaterfilling::new(4),
+                    WindowConfig::default(),
+                ))
+            }),
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -299,6 +253,6 @@ mod tests {
 
     #[test]
     fn lineup_is_paper_lineup() {
-        assert_eq!(paper_schemes().len(), 6);
+        assert_eq!(SchemeConfig::paper_lineup().len(), 6);
     }
 }

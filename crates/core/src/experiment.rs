@@ -18,7 +18,8 @@ pub enum TopologyConfig {
         /// Uniform per-channel capacity (XRP).
         capacity_xrp: u64,
     },
-    /// A Ripple-like scale-free graph (§6.1 substitution — see DESIGN.md).
+    /// A Ripple-like scale-free graph (§6.1 substitution — see
+    /// "Reproducing the paper" in the README).
     RippleLike {
         /// Node count (3,774 reproduces the paper's scale).
         nodes: usize,
@@ -341,8 +342,8 @@ impl SweepJob {
 /// can zip them against their grid. Every job is seeded independently;
 /// scheduling order cannot affect results.
 ///
-/// This is the fan-out engine behind the figure binaries: a
-/// (seed × scheme) or (capacity × scheme) grid saturates the machine
+/// This is the fan-out engine behind `spider-bench`'s figures: a whole
+/// (parameter × topology × scheme) grid saturates the machine
 /// instead of running one batch of schemes at a time.
 pub fn run_sweep(jobs: &[SweepJob]) -> Result<Vec<SimReport>> {
     let n = jobs.len();
@@ -378,26 +379,6 @@ pub fn run_sweep(jobs: &[SweepJob]) -> Result<Vec<SimReport>> {
         }
     });
     out.into_iter().map(|r| r.expect("every job ran")).collect()
-}
-
-/// The (seed × scheme) job grid, seed-major: the row for seed `s` and
-/// scheme `c` lands at index `s_idx * schemes.len() + c_idx`.
-pub fn seed_scheme_grid(
-    base: &ExperimentConfig,
-    seeds: &[u64],
-    schemes: &[SchemeConfig],
-) -> Vec<SweepJob> {
-    let mut jobs = Vec::with_capacity(seeds.len() * schemes.len());
-    for &seed in seeds {
-        for &scheme in schemes {
-            jobs.push(SweepJob::Scheme(ExperimentConfig {
-                seed,
-                scheme,
-                ..base.clone()
-            }));
-        }
-    }
-    jobs
 }
 
 /// Converts a workload into the long-term demand matrix (XRP/s) that
@@ -541,7 +522,20 @@ mod tests {
             SchemeConfig::ShortestPath,
             SchemeConfig::SpiderWaterfilling { paths: 4 },
         ];
-        let jobs = seed_scheme_grid(&base, &seeds, &schemes);
+        // Seed-major: seed `s`, scheme `c` lands at `s * schemes.len() + c`.
+        let jobs: Vec<SweepJob> = seeds
+            .iter()
+            .flat_map(|&seed| {
+                let base = &base;
+                schemes.iter().map(move |&scheme| {
+                    SweepJob::Scheme(ExperimentConfig {
+                        seed,
+                        scheme,
+                        ..base.clone()
+                    })
+                })
+            })
+            .collect();
         assert_eq!(jobs.len(), 4);
         let swept = run_sweep(&jobs).unwrap();
         // Same grid run sequentially must match the parallel sweep

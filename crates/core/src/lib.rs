@@ -31,7 +31,5 @@ pub mod experiment;
 pub mod output;
 pub mod scheme;
 
-pub use experiment::{
-    execute, run_sweep, seed_scheme_grid, ExperimentConfig, RunOutput, SweepJob, TopologyConfig,
-};
+pub use experiment::{execute, run_sweep, ExperimentConfig, RunOutput, SweepJob, TopologyConfig};
 pub use scheme::{ProtocolTuning, SchemeConfig};

@@ -102,7 +102,8 @@ mod tests {
     fn routable_fraction_is_two_thirds() {
         // The paper says "8/12 = 75%" — the ratio of the stated quantities
         // is actually 2/3; we preserve the *quantities* (8 and 12) and note
-        // the paper's arithmetic slip in EXPERIMENTS.md.
+        // the paper's arithmetic slip under "Reproducing the paper" in the
+        // README.
         let dec = decompose(&paper_example_demands(), 1e-6);
         let frac = dec.circulation_value / TOTAL_DEMAND;
         assert!((frac - 2.0 / 3.0).abs() < 1e-9, "fraction {frac}");

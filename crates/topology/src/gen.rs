@@ -257,7 +257,7 @@ pub const RIPPLE_CHANNELS: usize = 12512;
 /// channels (average degree ≈ 6.6, matching the pruned January-2013 Ripple
 /// snapshot: 3,774 nodes and 12,512 edges).
 ///
-/// Substitution note (see DESIGN.md): the real trace is not distributable;
+/// Substitution note (see "Reproducing the paper" in the README): the real trace is not distributable;
 /// a Barabási–Albert core (m = 3) plus ~10 % random chords reproduces the
 /// heavy-tailed degree distribution and short path lengths that drive
 /// routing behaviour. Generated with `n = RIPPLE_NODES` this produces a
