@@ -531,10 +531,13 @@ fn main() {
         eprintln!("running {}…", case.name);
         let run = run_case(&case);
         eprintln!(
-            "  {}: {:.2}s wall, {:.0} events/s, peak live events {}, peak live units {}",
+            "  {}: {:.2}s wall, {:.0} events/s, {} events scheduled in {} calendar entries, \
+             peak live events {}, peak live units {}",
             run.case,
             run.wall_seconds,
             run.slab.events_executed as f64 / run.wall_seconds.max(1e-9),
+            run.slab.events_scheduled,
+            run.slab.calendar_entries,
             run.slab.peak_live_events,
             run.slab.peak_live_units,
         );

@@ -13,7 +13,7 @@
 //! the pending queue instead of hammering depleted channels.
 
 use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router, UnitAck, UnitOutcome};
-use spider_types::{Amount, NodeId};
+use spider_types::{Amount, IdHash, NodeId};
 use std::collections::{HashMap, VecDeque};
 
 /// AIMD parameters for [`Windowed`].
@@ -58,7 +58,7 @@ impl Default for WindowConfig {
 pub struct Windowed<R> {
     inner: R,
     cfg: WindowConfig,
-    windows: HashMap<(NodeId, NodeId), Amount>,
+    windows: HashMap<(NodeId, NodeId), Amount, IdHash>,
     /// Sum of `windows`' values, kept current by [`Self::store`] so the
     /// sampler's gauge is O(1). Integer drops: exact and order-free.
     window_total: Amount,
@@ -85,7 +85,7 @@ impl<R: Router> Windowed<R> {
         Windowed {
             inner,
             cfg,
-            windows: HashMap::new(),
+            windows: HashMap::default(),
             window_total: Amount::ZERO,
             insertion_order: VecDeque::new(),
             ack_driven: false,

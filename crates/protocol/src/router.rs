@@ -25,8 +25,9 @@ use spider_routing::{BackoffConfig, ChannelBreakers, PathCache, PathPenalties, P
 use spider_sim::{
     NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate, UnitAck, UnitOutcome,
 };
-use spider_types::{Amount, DropReason, NodeId, PathId};
+use spider_types::{Amount, DropReason, IdHash, NodeId, PathId};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Tunables of the protocol sender.
 #[derive(Debug, Clone)]
@@ -54,13 +55,131 @@ impl Default for ProtocolConfig {
     }
 }
 
-/// Per-(sender, receiver) protocol state. Candidate paths are interned
-/// ids, so matching an acknowledged path against the candidate set is an
-/// integer comparison instead of a node-vector equality walk.
-struct PairState {
-    paths: Vec<PathId>,
-    controllers: Vec<PathController>,
-    prices: Vec<PathPriceEstimator>,
+/// One candidate path of a pair and the sender's state for it.
+#[derive(Debug, Clone)]
+struct Candidate {
+    path: PathId,
+    controller: PathController,
+    price: PathPriceEstimator,
+}
+
+/// One routed pair.
+struct Slot {
+    pair: (NodeId, NodeId),
+    /// How many candidates the pair has.
+    count: u32,
+}
+
+/// "No pair holds this path" in [`Pairs::owner`].
+const UNOWNED: u32 = u32::MAX;
+
+/// Per-(sender, receiver) protocol state, in the layout of
+/// [`PathCache`]: a routed pair owns a dense slot for life, and every
+/// slot's candidates sit in one flat array, `k` to a slot — nothing is
+/// allocated per pair. A path belongs to one pair (its ends), so `owner`,
+/// indexed by interned id, finds an acknowledged path's candidate with
+/// two array reads: no hop resolution, no hash, no search.
+struct Pairs {
+    /// The most candidates a pair can have: the stride of `candidates`.
+    k: usize,
+    /// Where each routed pair's slot is — `route`'s one hash lookup.
+    slot_of: HashMap<(NodeId, NodeId), u32, IdHash>,
+    /// The routed pairs, in the order they were first routed.
+    slots: Vec<Slot>,
+    /// `k` entries a slot, of which the first `count` mean something.
+    candidates: Vec<Candidate>,
+    /// Per [`PathId`]: the position in `candidates` of the path while it
+    /// is some pair's candidate, [`UNOWNED`] otherwise (never adopted, or
+    /// retired by a repair: late acks for it are ignored).
+    owner: Vec<u32>,
+    /// What a newly adopted path starts from (its `path` is a filler).
+    fresh: Candidate,
+    /// `adopt`'s staging area.
+    staged: Vec<Candidate>,
+}
+
+impl Pairs {
+    fn new(k: usize, cfg: &ProtocolConfig) -> Self {
+        Pairs {
+            k,
+            slot_of: HashMap::default(),
+            slots: Vec::new(),
+            candidates: Vec::new(),
+            owner: Vec::new(),
+            fresh: Candidate {
+                path: PathId(0),
+                controller: PathController::new(&cfg.rate),
+                price: PathPriceEstimator::new(cfg.price_gamma, cfg.nack_price),
+            },
+            staged: Vec::new(),
+        }
+    }
+
+    /// Gives a pair routed for the first time the next slot, with no
+    /// candidates yet.
+    fn open(&mut self, pair: (NodeId, NodeId)) -> u32 {
+        let slot = self.slots.len() as u32;
+        self.slot_of.insert(pair, slot);
+        self.slots.push(Slot { pair, count: 0 });
+        let filled = self.candidates.len() + self.k;
+        self.candidates.resize(filled, self.fresh.clone());
+        slot
+    }
+
+    /// Where `slot`'s candidates are in `candidates`.
+    fn span(&self, slot: u32) -> Range<usize> {
+        let at = slot as usize * self.k;
+        at..at + self.slots[slot as usize].count as usize
+    }
+
+    /// The candidates of `pair`, best first, once it has been routed.
+    fn of(&self, pair: (NodeId, NodeId)) -> Option<&[Candidate]> {
+        let &slot = self.slot_of.get(&pair)?;
+        Some(&self.candidates[self.span(slot)])
+    }
+
+    /// Position of the candidate `path` currently is, if any.
+    fn owner_of(&self, path: PathId) -> Option<usize> {
+        let &at = self.owner.get(path.index())?;
+        (at != UNOWNED).then_some(at as usize)
+    }
+
+    /// Sum of `slot`'s controller windows.
+    fn window_sum(&self, slot: u32) -> Amount {
+        let held = &self.candidates[self.span(slot)];
+        held.iter().map(|c| c.controller.window()).sum()
+    }
+
+    /// Makes `paths` the candidates of `slot`: a path the slot already
+    /// holds keeps its AIMD window, in-flight accounting and smoothed
+    /// price wherever it lands in the new ordering; a path it no longer
+    /// holds loses its owner; a new one starts fresh.
+    fn adopt(&mut self, slot: u32, paths: &[PathId]) {
+        assert!(paths.len() <= self.k, "more than k = {} paths", self.k);
+        let old = self.span(slot);
+        for &path in paths {
+            let state = self.owner_of(path).map_or(&self.fresh, |at| {
+                debug_assert!(old.contains(&at), "{path:?} belongs to another pair");
+                &self.candidates[at]
+            });
+            self.staged.push(Candidate {
+                path,
+                ..state.clone()
+            });
+        }
+        for retired in &self.candidates[old.clone()] {
+            self.owner[retired.path.index()] = UNOWNED;
+        }
+        self.slots[slot as usize].count = paths.len() as u32;
+        for (at, adopted) in (old.start..).zip(self.staged.drain(..)) {
+            let id = adopted.path.index();
+            if self.owner.len() <= id {
+                self.owner.resize(id + 1, UNOWNED);
+            }
+            self.owner[id] = at as u32;
+            self.candidates[at] = adopted;
+        }
+    }
 }
 
 /// The §5 protocol router (non-atomic; requires
@@ -70,7 +189,7 @@ struct PairState {
 pub struct ProtocolRouter {
     cfg: ProtocolConfig,
     cache: PathCache,
-    pairs: HashMap<(NodeId, NodeId), PairState>,
+    pairs: Pairs,
     /// Sum of every controller's window, kept current wherever a window
     /// is created, dropped or moved — the sampler reads it every simulated
     /// second, and recounting ~10⁵ pairs there cost more than routing.
@@ -104,9 +223,9 @@ impl ProtocolRouter {
         );
         let penalties = PathPenalties::new(cfg.backoff);
         ProtocolRouter {
-            cfg,
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
-            pairs: HashMap::new(),
+            pairs: Pairs::new(k, &cfg),
+            cfg,
             window_total: Amount::ZERO,
             penalties,
             breakers: ChannelBreakers::default(),
@@ -116,68 +235,27 @@ impl ProtocolRouter {
     }
 
     /// Current AIMD window of one candidate path (for tests/telemetry).
-    pub fn path_window(&self, src: NodeId, dst: NodeId, path_index: usize) -> Option<Amount> {
-        self.pairs
-            .get(&(src, dst))
-            .and_then(|p| p.controllers.get(path_index))
-            .map(|c| c.window())
+    pub fn path_window(&self, src: NodeId, dst: NodeId, candidate: usize) -> Option<Amount> {
+        let held = self.pairs.of((src, dst))?.get(candidate)?;
+        Some(held.controller.window())
     }
 
     /// Current smoothed price of one candidate path.
-    pub fn path_price(&self, src: NodeId, dst: NodeId, path_index: usize) -> Option<f64> {
-        self.pairs
-            .get(&(src, dst))
-            .and_then(|p| p.prices.get(path_index))
-            .map(|e| e.price())
+    pub fn path_price(&self, src: NodeId, dst: NodeId, candidate: usize) -> Option<f64> {
+        let held = self.pairs.of((src, dst))?.get(candidate)?;
+        Some(held.price.price())
     }
 
-    /// Index of the pair's candidate path with this interned id.
-    fn path_index(state: &PairState, path: PathId) -> Option<usize> {
-        state.paths.iter().position(|&p| p == path)
+    /// Moves `slot` onto the candidates the cache now has for `pair` —
+    /// on the pair's first request, or after a repair — and carries the
+    /// change of its windows into the total.
+    fn adopt_cached(&mut self, slot: u32, pair: (NodeId, NodeId), view: &NetworkView<'_>) {
+        let paths = self.cache.get(view.topo, view.paths, pair.0, pair.1);
+        let before = self.pairs.window_sum(slot);
+        self.pairs.adopt(slot, paths);
+        self.window_total += self.pairs.window_sum(slot);
+        self.window_total -= before;
     }
-
-    /// Migrates a pair's controller/price state onto a repaired candidate
-    /// set: surviving paths keep their AIMD window, in-flight accounting
-    /// and smoothed price (by interned id, wherever they land in the new
-    /// ordering); retired paths drop theirs (late acks for them are
-    /// ignored by the id lookup); new paths start fresh controllers.
-    fn migrate_pair(&mut self, pair: (NodeId, NodeId), new_paths: Vec<PathId>) {
-        let Some(old) = self.pairs.remove(&pair) else {
-            return;
-        };
-        let mut controllers = Vec::with_capacity(new_paths.len());
-        let mut prices = Vec::with_capacity(new_paths.len());
-        for &p in &new_paths {
-            match old.paths.iter().position(|&q| q == p) {
-                Some(i) => {
-                    controllers.push(old.controllers[i].clone());
-                    prices.push(old.prices[i].clone());
-                }
-                None => {
-                    controllers.push(PathController::new(&self.cfg.rate));
-                    prices.push(PathPriceEstimator::new(
-                        self.cfg.price_gamma,
-                        self.cfg.nack_price,
-                    ));
-                }
-            }
-        }
-        self.window_total += window_sum(&controllers);
-        self.window_total -= window_sum(&old.controllers);
-        self.pairs.insert(
-            pair,
-            PairState {
-                paths: new_paths,
-                controllers,
-                prices,
-            },
-        );
-    }
-}
-
-/// Sum of a pair's controller windows.
-fn window_sum(controllers: &[PathController]) -> Amount {
-    controllers.iter().map(|c| c.window()).sum()
 }
 
 /// Runs `step` on `controller` and carries its window change into `total`.
@@ -208,47 +286,34 @@ impl Router for ProtocolRouter {
     fn on_topology_change(&mut self, update: &TopologyUpdate, view: &NetworkView<'_>) {
         let repaired = self.cache.on_topology_change(view.topo, view.paths, update);
         for pair in repaired {
-            if !self.pairs.contains_key(&pair) {
-                continue; // never routed; nothing to migrate
+            // A pair never routed has nothing to migrate.
+            if let Some(&slot) = self.pairs.slot_of.get(&pair) {
+                self.adopt_cached(slot, pair, view);
             }
-            let new_paths = self
-                .cache
-                .get(view.topo, view.paths, pair.0, pair.1)
-                .to_vec();
-            self.migrate_pair(pair, new_paths);
         }
     }
 
     fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+        let pair = (req.src, req.dst);
+        let slot = match self.pairs.slot_of.get(&pair) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.pairs.open(pair);
+                self.adopt_cached(slot, pair, view);
+                slot
+            }
+        };
         // Split-borrow the pair state so `penalties` stays reachable.
         let ProtocolRouter {
-            cfg,
-            cache,
             pairs,
-            window_total,
             penalties,
             breakers,
             budgets,
             allocated,
+            ..
         } = self;
-        let state = pairs.entry((req.src, req.dst)).or_insert_with(|| {
-            let paths = cache.get(view.topo, view.paths, req.src, req.dst).to_vec();
-            let controllers: Vec<_> = paths
-                .iter()
-                .map(|_| PathController::new(&cfg.rate))
-                .collect();
-            *window_total += window_sum(&controllers);
-            let prices = paths
-                .iter()
-                .map(|_| PathPriceEstimator::new(cfg.price_gamma, cfg.nack_price))
-                .collect();
-            PairState {
-                paths,
-                controllers,
-                prices,
-            }
-        });
-        if state.paths.is_empty() {
+        let held = &pairs.candidates[pairs.span(slot)];
+        if held.is_empty() {
             return Vec::new();
         }
         // Fill windows cheapest-path-first against a request-local copy of
@@ -265,27 +330,24 @@ impl Router for ProtocolRouter {
         // unconditionally — an open breaker means the channel is actively
         // shedding, and fail-fast (retry at the next poll, once it
         // half-opens) is the whole point of tripping it.
-        let all_cooled = state
-            .paths
-            .iter()
-            .all(|&p| penalties.is_cooled(p, view.now));
+        let all_cooled = held.iter().all(|c| penalties.is_cooled(c.path, view.now));
         budgets.clear();
-        budgets.extend(state.controllers.iter().zip(&state.paths).map(|(c, &p)| {
-            if view.bottleneck(p).is_zero() {
+        budgets.extend(held.iter().map(|c| {
+            if view.bottleneck(c.path).is_zero() {
                 Amount::ZERO
-            } else if !all_cooled && penalties.is_cooled(p, view.now) {
+            } else if !all_cooled && penalties.is_cooled(c.path, view.now) {
                 penalties.note_skip();
                 Amount::ZERO
             } else if !breakers.is_empty()
                 && !view
-                    .path(p)
+                    .path(c.path)
                     .hops()
                     .iter()
                     .all(|&(ch, _)| breakers.allow(ch, view.now))
             {
                 Amount::ZERO
             } else {
-                c.budget()
+                c.controller.budget()
             }
         }));
         // Most requests of a congested run end here: nothing may move.
@@ -293,7 +355,7 @@ impl Router for ProtocolRouter {
             return Vec::new();
         }
         allocated.clear();
-        allocated.resize(state.paths.len(), Amount::ZERO);
+        allocated.resize(held.len(), Amount::ZERO);
         let mut remaining = req.remaining;
         while !remaining.is_zero() {
             let mut best: Option<(f64, usize)> = None;
@@ -301,7 +363,7 @@ impl Router for ProtocolRouter {
                 if budget.is_zero() {
                     continue;
                 }
-                let price = state.prices[i].price();
+                let price = held[i].price.price();
                 let better = match best {
                     None => true,
                     Some((bp, _)) => price < bp - 1e-12,
@@ -316,12 +378,13 @@ impl Router for ProtocolRouter {
             budgets[i] -= take;
             remaining -= take;
         }
-        state
-            .paths
-            .iter()
+        held.iter()
             .zip(allocated.iter())
             .filter(|(_, a)| !a.is_zero())
-            .map(|(&path, &amount)| RouteProposal { path, amount })
+            .map(|(c, &amount)| RouteProposal {
+                path: c.path,
+                amount,
+            })
             .collect()
     }
 
@@ -334,14 +397,10 @@ impl Router for ProtocolRouter {
             self.penalties.on_fault(outcome.path, view.now);
             return;
         }
-        let entry = view.path(outcome.path);
-        let Some(state) = self.pairs.get_mut(&(entry.source(), entry.dest())) else {
+        let Some(at) = self.pairs.owner_of(outcome.path) else {
             return;
         };
-        let Some(i) = Self::path_index(state, outcome.path) else {
-            return;
-        };
-        let controller = &mut state.controllers[i];
+        let controller = &mut self.pairs.candidates[at].controller;
         if outcome.locked {
             controller.on_send(outcome.amount);
         } else {
@@ -363,17 +422,14 @@ impl Router for ProtocolRouter {
                 self.breakers.on_success(c);
             }
         }
-        let entry = view.path(ack.path);
-        let Some(state) = self.pairs.get_mut(&(entry.source(), entry.dest())) else {
+        let Some(at) = self.pairs.owner_of(ack.path) else {
             return;
         };
-        let Some(i) = Self::path_index(state, ack.path) else {
-            return;
-        };
-        tracked(&mut self.window_total, &mut state.controllers[i], |c| {
+        let candidate = &mut self.pairs.candidates[at];
+        tracked(&mut self.window_total, &mut candidate.controller, |c| {
             c.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.cfg.rate)
         });
-        state.prices[i].observe(ack.delivered, &ack.stamp);
+        candidate.price.observe(ack.delivered, &ack.stamp);
     }
 
     fn window_gauge(&self) -> Option<f64> {
@@ -389,16 +445,22 @@ impl Router for ProtocolRouter {
         obs.counters
             .extend(self.breakers.counters().map(|(k, v)| (k.to_string(), v)));
         // Sorted by pair key so the histogram's fill order (and therefore
-        // any serialized form) is independent of hash-map iteration.
-        let mut pairs: Vec<_> = self.pairs.iter().collect();
-        pairs.sort_unstable_by_key(|(&k, _)| k);
-        for (_, state) in pairs {
+        // any serialized form) does not depend on the order pairs were
+        // first routed in.
+        let mut slots: Vec<u32> = (0..self.pairs.slots.len() as u32).collect();
+        slots.sort_unstable_by_key(|&slot| self.pairs.slots[slot as usize].pair);
+        for slot in slots {
+            let held = &self.pairs.candidates[self.pairs.span(slot)];
             obs.windows_xrp
-                .extend(state.controllers.iter().map(|c| c.window().as_xrp()));
+                .extend(held.iter().map(|c| c.controller.window().as_xrp()));
         }
         obs
     }
 }
+
+#[cfg(test)]
+#[path = "router_props.rs"]
+mod props;
 
 #[cfg(test)]
 mod tests {
@@ -435,6 +497,12 @@ mod tests {
             .map(|(_, c)| ChannelState::split_equally(c.capacity))
             .collect();
         (t, ch)
+    }
+
+    /// The candidate paths the router holds for a routed pair.
+    fn held(r: &ProtocolRouter, src: u32, dst: u32) -> Vec<PathId> {
+        let held = r.pairs.of((NodeId(src), NodeId(dst))).expect("routed");
+        held.iter().map(|c| c.path).collect()
     }
 
     fn marked_stamp() -> MarkStamp {
@@ -602,7 +670,7 @@ mod tests {
         };
         let mut r = ProtocolRouter::new(4);
         let props = r.route(&req(0, 3, xrp(1), xrp(1)), &view);
-        assert_eq!(r.pairs[&(NodeId(0), NodeId(3))].paths.len(), 2);
+        assert_eq!(held(&r, 0, 3).len(), 2);
         // Make path 0 (via node 1) expensive and remember its state.
         let p0 = props[0].path;
         r.on_unit_ack(&ack(p0, Amount::ZERO, true, marked_stamp()), &view);
@@ -616,9 +684,8 @@ mod tests {
             ..Default::default()
         };
         r.on_topology_change(&update, &view);
-        let state = &r.pairs[&(NodeId(0), NodeId(3))];
-        assert_eq!(state.paths.len(), 1, "only the surviving route remains");
-        assert_eq!(state.paths[0], p0, "surviving path keeps its interned id");
+        let paths = held(&r, 0, 3);
+        assert_eq!(paths, [p0], "only the surviving route remains");
         assert_eq!(r.path_price(NodeId(0), NodeId(3), 0), Some(surviving_price));
         assert_eq!(
             r.path_window(NodeId(0), NodeId(3), 0),
@@ -631,9 +698,9 @@ mod tests {
             ..Default::default()
         };
         r.on_topology_change(&update, &view);
-        let state = &r.pairs[&(NodeId(0), NodeId(3))];
-        assert_eq!(state.paths.len(), 2);
-        let i0 = state.paths.iter().position(|&p| p == p0).unwrap();
+        let paths = held(&r, 0, 3);
+        assert_eq!(paths.len(), 2);
+        let i0 = paths.iter().position(|&p| p == p0).unwrap();
         assert_eq!(
             r.path_price(NodeId(0), NodeId(3), i0),
             Some(surviving_price)
@@ -649,7 +716,8 @@ mod tests {
     #[test]
     fn window_gauge_running_total_equals_recount() {
         fn recount(r: &ProtocolRouter) -> Amount {
-            r.pairs.values().map(|s| window_sum(&s.controllers)).sum()
+            let slots = 0..r.pairs.slots.len() as u32;
+            slots.map(|slot| r.pairs.window_sum(slot)).sum()
         }
         let (t, ch) = two_routes();
         let paths = PathTable::new();
@@ -664,7 +732,7 @@ mod tests {
         r.route(&req(0, 3, xrp(1), xrp(1)), &view);
         r.route(&req(3, 0, xrp(1), xrp(1)), &view);
         assert_eq!(r.window_total, xrp(800), "two pairs x two paths x 200");
-        let candidates = r.pairs[&(NodeId(0), NodeId(3))].paths.clone();
+        let candidates = held(&r, 0, 3);
         assert_eq!(candidates.len(), 2);
         for (k, &path) in candidates.iter().enumerate() {
             r.on_unit_ack(&ack(path, xrp(1), true, marked_stamp()), &view);

@@ -41,7 +41,7 @@ use crate::oracle::{FilledPaths, PathOracle};
 use spider_lp::paths::CsrGraph;
 use spider_sim::{ChannelIndex, PathTable, TopologyUpdate};
 use spider_topology::Topology;
-use spider_types::{ChannelId, NodeId, PathId};
+use spider_types::{ChannelId, IdHash, NodeId, PathId};
 use std::collections::HashMap;
 
 /// Candidate-set policy.
@@ -77,7 +77,7 @@ struct Cached {
     k: usize,
     /// Where each pair's slot is — the one hash lookup of a
     /// [`PathCache::get`].
-    slot_of: HashMap<(NodeId, NodeId), u32>,
+    slot_of: HashMap<(NodeId, NodeId), u32, IdHash>,
     /// The pairs, in the order they were first cached.
     slots: Vec<Slot>,
     /// Every slot's candidates, `k` ids a slot of which the first
@@ -185,7 +185,7 @@ impl PathCache {
             policy,
             cached: Cached {
                 k,
-                slot_of: HashMap::new(),
+                slot_of: HashMap::default(),
                 slots: Vec::new(),
                 ids: Vec::new(),
             },

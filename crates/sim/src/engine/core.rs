@@ -16,9 +16,49 @@ use spider_types::SimTime;
 /// rank the old pre-seeded calendar gave it: at equal instants, topology
 /// changes beat arrivals, and arrivals beat every event scheduled while
 /// the run is underway.
-const RUNTIME_SEQ_BASE: u64 = 1 << 32;
+pub(super) const RUNTIME_SEQ_BASE: u64 = 1 << 32;
+
+/// "No next event" in [`EventCore::next`].
+const END_OF_RUN: u32 = u32::MAX;
 
 /// The calendar and the slab of pending events it refers to.
+///
+/// ## Runs
+///
+/// Units travel in trains: a route call injects a payment's units back to
+/// back, all due one hop delay later, and they stay back to back at every
+/// later hop. So most `schedule` calls carry the instant of the call
+/// before them and the next sequence number. Such an event is not pushed
+/// onto the calendar; it is *linked behind* the previous one ([`next`]),
+/// and [`pop`] drains the linked run it is in before it asks the calendar
+/// again. One calendar entry — the run's head — stands for the whole run.
+///
+/// The pop order is exactly the `(time, seq)` order of one entry per
+/// event:
+///
+/// * the members of a run share an instant and hold consecutive
+///   integers, and seqs are unique, so no calendar entry can order
+///   between two of them;
+/// * anything scheduled while a run drains takes a larger seq than every
+///   member of it (the runtime band only counts up), so it belongs after
+///   the run, which is where the calendar will deliver it;
+/// * the reserved arrival band — the one source of *smaller* seqs — is
+///   only ever written by an executing `Arrival`, and an arrival precedes
+///   every runtime-band event of its instant: while a runtime-band run
+///   drains, nothing can be scheduled ahead of its remaining members;
+/// * [`tail`] is dropped the moment a head with `tail`'s instant is
+///   popped, so nothing is ever linked behind an event that already left
+///   the calendar: the last-scheduled event is always a head still in
+///   the calendar or a member of a run whose head is.
+///
+/// The horizon is tested on heads only (members share the head's
+/// instant). Cancelling stays "clear the slot, skip it when reached", and
+/// every counter but [`SlabStats::calendar_entries`] counts events, not
+/// entries.
+///
+/// [`next`]: EventCore::next
+/// [`tail`]: EventCore::tail
+/// [`pop`]: EventCore::pop
 #[derive(Default)]
 pub(super) struct EventCore {
     calendar: CalendarQueue,
@@ -26,14 +66,23 @@ pub(super) struct EventCore {
     /// Slot generation, bumped on every (re)allocation: per-channel index
     /// entries are validated against it so recycled slots cannot alias.
     gen: Vec<u32>,
-    /// Event slots whose calendar entry has been consumed; reused by the
-    /// next `schedule`. Slots canceled in place (`store[id] = None`) are
-    /// reclaimed when their calendar entry pops, never earlier, so a
-    /// pending calendar entry always refers to the event that scheduled it.
+    /// The slot linked behind this one in its run, or [`END_OF_RUN`].
+    next: Vec<u32>,
+    /// Event slots whose turn has come and gone; reused by the next
+    /// `schedule`. Slots canceled in place (`store[id] = None`) are
+    /// reclaimed when their turn comes, never earlier, so a calendar
+    /// entry or run link always refers to the event that scheduled it.
     free: Vec<usize>,
     seq: u64,
     /// Next reserved arrival sequence number (see [`RUNTIME_SEQ_BASE`]).
     arrival_seq: u64,
+    /// The event scheduled last — `(instant, seq, slot)` — while its
+    /// run's head is still in the calendar: what the next event is
+    /// linked behind if it continues the run.
+    tail: Option<(SimTime, u64, usize)>,
+    /// The run being drained: its instant and the slot whose turn is
+    /// next.
+    draining: Option<(SimTime, u32)>,
     /// The event-loop counters of [`SlabStats`]; the unit and path
     /// counters stay zero here.
     stats: SlabStats,
@@ -70,23 +119,36 @@ impl EventCore {
     }
 
     /// Schedules an event under an explicit sequence number, reusing a
-    /// retired slab slot when one is free.
+    /// retired slab slot when one is free: linked behind the event
+    /// scheduled last when it continues that event's run, pushed onto the
+    /// calendar as the head of a new run otherwise.
     fn schedule_at(&mut self, at: SimTime, seq: u64, kind: EventKind) -> usize {
         let id = match self.free.pop() {
             Some(id) => {
                 debug_assert!(self.store[id].is_none());
                 self.store[id] = Some(kind);
                 self.gen[id] = self.gen[id].wrapping_add(1);
+                self.next[id] = END_OF_RUN;
                 id
             }
             None => {
                 self.store.push(Some(kind));
                 self.gen.push(0);
+                self.next.push(END_OF_RUN);
                 self.stats.event_slots = self.store.len();
                 self.store.len() - 1
             }
         };
-        self.calendar.push(at, seq, id);
+        match self.tail {
+            Some((tail_at, tail_seq, tail)) if tail_at == at && tail_seq + 1 == seq => {
+                self.next[tail] = id as u32;
+            }
+            _ => {
+                self.calendar.push(at, seq, id);
+                self.stats.calendar_entries += 1;
+            }
+        }
+        self.tail = Some((at, seq, id));
         self.stats.events_scheduled += 1;
         self.stats.live_events += 1;
         self.stats.peak_live_events = self.stats.peak_live_events.max(self.stats.live_events);
@@ -94,8 +156,8 @@ impl EventCore {
     }
 
     /// Cancels a pending event in place and hands back what it was. The
-    /// slot itself is reclaimed when the calendar entry pops (so the
-    /// calendar never refers to a reused slot).
+    /// slot itself is reclaimed when its turn comes (so neither the
+    /// calendar nor a run link ever refers to a reused slot).
     pub(super) fn cancel(&mut self, id: usize) -> Option<EventKind> {
         let kind = self.store[id].take();
         debug_assert!(kind.is_some(), "double cancel");
@@ -103,14 +165,27 @@ impl EventCore {
         kind
     }
 
-    /// Consumes the next calendar entry due at or before `horizon`: its
-    /// instant, and the event unless it was canceled (atomic rollback,
-    /// serviced timeouts). The slot is reusable from here on.
+    /// Consumes the next event due at or before `horizon` — the next
+    /// member of the run being drained, else the head the calendar
+    /// delivers: its instant, and the event unless it was canceled
+    /// (atomic rollback, serviced timeouts). The slot is reusable from
+    /// here on.
     pub(super) fn pop(&mut self, horizon: SimTime) -> Option<(SimTime, Option<EventKind>)> {
-        let (t, _, id) = self.calendar.pop()?;
-        if t > horizon {
-            return None;
-        }
+        let (t, id) = match self.draining {
+            Some((t, id)) => (t, id as usize),
+            None => {
+                let (t, _, id) = self.calendar.pop()?;
+                if t > horizon {
+                    return None;
+                }
+                if self.tail.is_some_and(|(tail_at, ..)| tail_at == t) {
+                    self.tail = None;
+                }
+                (t, id)
+            }
+        };
+        let next = self.next[id];
+        self.draining = (next != END_OF_RUN).then_some((t, next));
         let kind = self.store[id].take();
         self.free.push(id);
         if kind.is_some() {

@@ -35,6 +35,9 @@ pub(super) struct Lockstep {
     /// Pending `Settle` event ids indexed by traversed channel
     /// (maintained only while a churn schedule is installed).
     pub(super) settle_index: ChannelIndex,
+    /// A poll's attempt order, kept between polls: `(policy key, payment,
+    /// position in pending)` of every payment it re-offers.
+    order: Vec<((u64, u64), usize, u32)>,
 }
 
 impl Lockstep {
@@ -43,6 +46,7 @@ impl Lockstep {
             pending: Vec::new(),
             in_pending: Vec::with_capacity(n_payments),
             settle_index: ChannelIndex::new(n_channels),
+            order: Vec::new(),
         }
     }
 
@@ -162,23 +166,21 @@ impl Simulation {
         // Re-offer only payments whose attempt can lock something: one
         // pinned to a path that cannot carry its smallest chunk is
         // skipped (see the module docs for why that is exact).
-        let mut order = std::mem::take(&mut self.id_scratch);
-        order.clear();
-        for (i, &e) in self.lockstep.pending.iter().enumerate() {
-            if !self.locks_nothing(e) {
-                order.push(i as u32);
-            }
-        }
+        //
         // Scheduling order: one key shape serves every policy (`!` reverses
         // an unsigned order). Each is a strict total order (payment-id
         // tie-break), so the unstable sort is deterministic, and sorting
         // the survivors alone leaves them in the order a sort of the
-        // whole queue would.
-        let (payments, pending) = (&self.payments, &self.lockstep.pending);
+        // whole queue would. Keys are computed once, here, not per
+        // comparison.
         let policy = self.config.scheduling;
-        order.sort_unstable_by_key(|&i| {
-            let pid = pending[i as usize].payment;
-            let p = &payments[pid];
+        let mut order = std::mem::take(&mut self.lockstep.order);
+        order.clear();
+        for (i, &e) in self.lockstep.pending.iter().enumerate() {
+            if self.locks_nothing(e) {
+                continue;
+            }
+            let p = &self.payments[e.payment];
             let (remaining, arrival) = (p.unassigned().drops(), p.arrival.micros());
             let key = match policy {
                 SchedulingPolicy::Srpt => (remaining, arrival),
@@ -187,11 +189,12 @@ impl Simulation {
                 SchedulingPolicy::EarliestDeadline => (p.deadline.micros(), 0),
                 SchedulingPolicy::LargestRemaining => (!remaining, arrival),
             };
-            (key, pid)
-        });
+            order.push((key, e.payment, i as u32));
+        }
+        order.sort_unstable();
         // Attempts only append to the queue (queueing-mode drops may
         // re-queue a payment), so the positions stay valid.
-        for &i in &order {
+        for &(_, _, i) in &order {
             let e = self.lockstep.pending[i as usize];
             // Tested again at its turn: an earlier attempt of this poll
             // may have taken what the scan saw.
@@ -200,7 +203,7 @@ impl Simulation {
                 self.lockstep.pending[i as usize].pinned = self.attempt_payment(e.payment);
             }
         }
-        self.id_scratch = order;
+        self.lockstep.order = order;
         self.lockstep.retain_active(&self.payments);
         self.obs.profiler.stop(Phase::Routing, t0);
         let next = now + self.config.poll_interval;

@@ -62,6 +62,8 @@ mod queueing;
 #[cfg(test)]
 mod churn_tests;
 #[cfg(test)]
+mod core_tests;
+#[cfg(test)]
 mod queueing_tests;
 #[cfg(test)]
 mod rebalancing_tests;
@@ -200,8 +202,13 @@ impl EventKind {
 /// `events_scheduled` / `units_injected`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SlabStats {
-    /// Events ever pushed onto the calendar.
+    /// Events ever scheduled.
     pub events_scheduled: u64,
+    /// Calendar entries ever pushed: one per *run* of events scheduled
+    /// back to back for one instant (a train of units crossing a hop is
+    /// one entry), so well below `events_scheduled` wherever units travel
+    /// together.
+    pub calendar_entries: u64,
     /// Events popped and executed (canceled events excluded).
     pub events_executed: u64,
     /// Event slab slots allocated (recycled slots are not re-counted).
@@ -263,8 +270,7 @@ pub struct Simulation {
     /// is set.
     admission: Option<AdmissionState>,
     obs: Obs,
-    /// Reusable id list: the hit list of an indexed churn close, or the
-    /// positions in the retry queue a poll re-offers.
+    /// Reusable id list: the hit list of an indexed churn close.
     id_scratch: Vec<u32>,
 }
 

@@ -25,7 +25,7 @@
 //! without borrowing the table.
 
 use spider_topology::Topology;
-use spider_types::{ChannelId, Direction, NodeId, PathId, Result};
+use spider_types::{ChannelId, Direction, IdHash, NodeId, PathId, Result};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
@@ -136,7 +136,7 @@ impl Eq for ByNodes {}
 #[derive(Debug, Default)]
 struct Inner {
     entries: Vec<PathEntry>,
-    index: HashMap<ByNodes, PathId>,
+    index: HashMap<ByNodes, PathId, IdHash>,
 }
 
 impl Inner {

@@ -7,7 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 use spider_types::distr::{Distribution, ExponentialRank, LogNormal, PoissonProcess};
-use spider_types::{Amount, DetRng, NodeId, SimTime};
+use spider_types::{Amount, DetRng, IdHash, NodeId, SimTime};
+use std::collections::HashSet;
 
 /// One transaction to inject: at `time`, `src` pays `dst` `amount`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -164,7 +165,7 @@ impl Workload {
     /// [`Router::prewarm`](crate::Router::prewarm), shared with the repo
     /// benchmark's path-layer replay so both measure the same fill.
     pub fn distinct_pairs(&self, horizon: Option<SimTime>) -> Vec<(NodeId, NodeId)> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen: HashSet<_, IdHash> = HashSet::default();
         self.txns
             .iter()
             .filter(|t| horizon.is_none_or(|h| t.time <= h))
@@ -279,7 +280,7 @@ impl StreamingWorkload {
     /// stream (the stream itself is not advanced). O(pairs) memory.
     pub fn distinct_pairs(&self, horizon: Option<SimTime>) -> Vec<(NodeId, NodeId)> {
         let mut probe = self.clone();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen: HashSet<_, IdHash> = HashSet::default();
         let mut pairs = Vec::new();
         while let Some(t) = probe.next_txn() {
             if horizon.is_some_and(|h| t.time > h) {

@@ -1,7 +1,7 @@
 //! The payment-channel-network graph.
 
 use serde::{Deserialize, Serialize};
-use spider_types::{Amount, ChannelId, Direction, NodeId, Result, SpiderError};
+use spider_types::{Amount, ChannelId, Direction, IdHash, NodeId, Result, SpiderError};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
@@ -297,7 +297,7 @@ pub struct TopologyBuilder {
     /// Canonical `(u, v)` → position in `channels`, so the duplicate check
     /// is one lookup instead of a scan of every channel added so far.
     /// Never iterated.
-    index: HashMap<(NodeId, NodeId), usize>,
+    index: HashMap<(NodeId, NodeId), usize, IdHash>,
 }
 
 impl TopologyBuilder {
@@ -306,7 +306,7 @@ impl TopologyBuilder {
         TopologyBuilder {
             node_count: nodes,
             channels: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
         }
     }
 

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies a node (a Spider router and/or end-host) in the network.
 ///
@@ -173,6 +174,56 @@ impl fmt::Display for UnitId {
     }
 }
 
+/// The hasher of the id-keyed maps on hot paths (`HashMap<K, V, IdHash>`):
+/// one rotate, xor and multiply per id instead of SipHash's rounds. Ids
+/// are dense integers the simulation assigns itself, so there is no
+/// adversary to defend a table against. Only for maps whose iteration
+/// order is never observed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+/// [`IdHasher`] as a map's `BuildHasher`.
+pub type IdHash = BuildHasherDefault<IdHasher>;
+
+impl IdHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        // An odd multiplier near 2^64 / phi.
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for IdHasher {
+    /// Whatever is not an integer (ids hash through the methods below).
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.mix(u64::from(id));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.mix(id);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, id: usize) {
+        self.mix(id as u64);
+    }
+
+    /// The multiply leaves its best bits on top; tables index with the
+    /// bottom ones.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,5 +270,31 @@ mod tests {
     fn ids_are_ordered() {
         assert!(NodeId(1) < NodeId(2));
         assert!(UnitId::new(PaymentId(1), 5) < UnitId::new(PaymentId(2), 0));
+    }
+
+    /// Dense id pairs — what every keyed site hashes — must not pile up
+    /// in the bits a table indexes with (bottom) or tags with (top).
+    #[test]
+    fn id_hasher_spreads_dense_pairs() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |key: (NodeId, NodeId)| IdHash::default().hash_one(key);
+        let mut low = std::collections::BTreeSet::new();
+        let mut high = std::collections::BTreeSet::new();
+        for (a, b) in (0..64).flat_map(|a| (0..64).map(move |b| (a, b))) {
+            let h = hash((NodeId(a), NodeId(b)));
+            low.insert(h & 0xfff);
+            high.insert(h >> 57);
+        }
+        // 4,096 keys into 4,096 low buckets: a random function fills
+        // about 63 % of them.
+        assert!(low.len() > 2_000, "{} low buckets", low.len());
+        assert_eq!(high.len(), 128, "every 7-bit tag occurs");
+        // Slices hash as their length and elements, like `[T]` under any
+        // hasher, so a borrowed lookup finds the owned key.
+        let mut by_slice = IdHasher::default();
+        [NodeId(1), NodeId(2)][..].hash(&mut by_slice);
+        let mut by_vec = IdHasher::default();
+        vec![NodeId(1), NodeId(2)].hash(&mut by_vec);
+        assert_eq!(by_slice.finish(), by_vec.finish());
     }
 }

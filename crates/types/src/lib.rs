@@ -27,7 +27,7 @@ pub mod unit;
 pub use amount::{Amount, SignedAmount, DROPS_PER_XRP};
 pub use error::{Result, SpiderError};
 pub use event::{TopologyChange, TopologyEvent};
-pub use ids::{ChannelId, Direction, NodeId, PathId, PaymentId, UnitId};
+pub use ids::{ChannelId, Direction, IdHash, IdHasher, NodeId, PathId, PaymentId, UnitId};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use unit::{DropReason, MarkStamp};

@@ -87,3 +87,23 @@ fn protocol_matches_or_beats_windowed_aimd_baseline() {
         );
     }
 }
+
+/// Units travel in trains: a payment's units are injected back to back
+/// and stay so at every hop, and each same-instant run of events is one
+/// calendar entry. A change that quietly breaks the runs apart (a
+/// per-unit delay, an event scheduled between two units) shows up here.
+#[test]
+fn unit_trains_share_calendar_entries() {
+    let mut cfg = small_isp_experiment(21, 8_000);
+    cfg.scheme = SchemeConfig::spider_protocol(4);
+    let mut sim = cfg.simulation(None).expect("builds");
+    let report = sim.run();
+    assert!(report.units_locked > 10_000, "{}", report.units_locked);
+    let stats = sim.slab_stats();
+    assert!(
+        stats.calendar_entries <= stats.events_scheduled / 2,
+        "{} calendar entries for {} events",
+        stats.calendar_entries,
+        stats.events_scheduled
+    );
+}
