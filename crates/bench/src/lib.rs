@@ -15,9 +15,9 @@
 //! Defaults are laptop-scale; the *shape* of the results (ordering of
 //! schemes, crossovers) is what should match the paper, not absolute
 //! numbers — see "Reproducing the paper" in the README, whose table is
-//! the bare `figures` output. Two other binaries live here:
-//! `engine_throughput` (engine events/sec on a fixed grid; CI's quick-grid
-//! outcome gate) and `spider-report` (the run-report diff).
+//! the bare `figures` output. Engine speed is judged by the repo
+//! benchmark under `benchmark/`; engine outcomes are pinned by the tier-1
+//! goldens in `tests/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

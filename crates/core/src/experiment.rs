@@ -397,6 +397,8 @@ pub fn demand_graph(workload: &Workload, n_nodes: usize) -> PaymentGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_overload::FlashCrowdConfig;
+    use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode};
     use spider_types::SimDuration;
 
     fn quick_sim() -> SimConfig {
@@ -570,7 +572,8 @@ mod tests {
 
     /// Each artifact is `Some` exactly when its `sim.obs` field asked for
     /// it, and no sink moves the report: every sink on, every sink off and
-    /// `run()` serialize identically.
+    /// `run()` serialize identically, apart from the hotspot table that
+    /// attribution adds — non-empty and score-descending.
     #[test]
     fn artifacts_follow_obs_and_never_move_the_report() -> Result<()> {
         let base = |scheme| ExperimentConfig {
@@ -591,17 +594,48 @@ mod tests {
             overload: Some(OverloadConfig::default()),
             ..base(SchemeConfig::SpiderWaterfilling { paths: 4 })
         };
+        // Every overload protection on (64-unit queues, shedding,
+        // admission control), under a flash crowd past the admission rate.
+        let mut protected = ExperimentConfig {
+            workload: WorkloadConfig::small(600, 2_000.0),
+            ..base(SchemeConfig::spider_protocol(4))
+        };
+        protected.sim.queueing = QueueingMode::PerChannelFifo(QueueConfig {
+            max_queue_units: 64,
+            ..QueueConfig::default()
+        });
+        protected.sim.shedding = true;
+        protected.sim.admission = Some(AdmissionConfig::default());
+        protected.overload = Some(OverloadConfig {
+            flash_crowd: Some(FlashCrowdConfig {
+                start_secs: 0.1,
+                duration_secs: 0.1,
+                rate_multiplier: 4.0,
+            }),
+            horizon_secs: protected.sim.horizon.as_secs_f64(),
+            ..OverloadConfig::default()
+        });
         let json = |r: &SimReport| serde_json::to_string(r).expect("report serializes");
-        for cfg in [lockstep, queueing, stressed] {
-            let name = cfg.scheme.name();
-            let want = json(&cfg.run()?);
+        for (name, cfg) in [
+            ("lockstep", lockstep),
+            ("queueing", queueing),
+            ("stressed", stressed),
+            ("protected", protected),
+        ] {
+            let report = cfg.run()?;
+            assert!(
+                cfg.sim.admission.is_none() || report.drops_by_reason.admission_rejected > 0,
+                "{name}: admission control never engaged"
+            );
+            let want = json(&report);
             // Bit i of `mask` switches sink i on: none, each alone, all.
-            for mask in [0b000, 0b001, 0b010, 0b100, 0b111] {
+            for mask in [0b0000, 0b0001, 0b0010, 0b0100, 0b1000, 0b1111] {
                 let mut observed = cfg.clone();
                 observed.sim.obs.trace = mask & 1 != 0;
                 observed.sim.obs.forensics_capacity = if mask & 2 != 0 { 512 } else { 0 };
                 observed.sim.obs.invariants_every = if mask & 4 != 0 { 64 } else { 0 };
-                let out = execute(observed.simulation(None)?);
+                observed.sim.obs.attribution = mask & 8 != 0;
+                let mut out = execute(observed.simulation(None)?);
                 assert_eq!(out.trace.is_some(), mask & 1 != 0, "{name}: trace");
                 assert_eq!(out.forensics.is_some(), mask & 2 != 0, "{name}: forensics");
                 assert_eq!(
@@ -609,10 +643,18 @@ mod tests {
                     mask & 4 != 0,
                     "{name}: invariants"
                 );
+                if mask & 8 != 0 {
+                    let hot = std::mem::take(&mut out.report.hotspots);
+                    assert!(!hot.is_empty(), "{name}: attribution found no hotspots");
+                    assert!(
+                        hot.is_sorted_by(|a, b| a.score >= b.score),
+                        "{name}: hotspots not score-descending"
+                    );
+                }
                 assert_eq!(
                     json(&out.report),
                     want,
-                    "{name}: sinks {mask:03b} moved the report"
+                    "{name}: sinks {mask:04b} moved the report"
                 );
             }
         }

@@ -7,9 +7,6 @@
 //!   (`crates/sim/src/metrics.rs`) and rendered by the trace renderers
 //!   (`crates/obs/src/trace.rs`, whose `reason_str` feeds both the JSONL
 //!   and the Chrome emitter);
-//! * the JSONL `"ev"` event-name set emitted by `Trace::to_jsonl` must
-//!   equal the allowlist embedded in `.github/workflows/ci.yml`'s trace
-//!   schema smoke;
 //! * `FigureRow`'s field list must match `CSV_HEADER` in
 //!   `crates/core/src/output.rs` column for column;
 //! * the hotspot table (`crates/obs/src/attribution.rs`): the
@@ -92,49 +89,9 @@ pub fn references_variant(lx: &Lexed, enum_name: &str, variant: &str) -> bool {
     })
 }
 
-/// Collects every `"ev":"<name>"` event name written by the JSONL
-/// renderer (the names live inside Rust string literals as escaped
-/// `\"ev\":\"name\"` sequences).
-pub fn trace_event_names(lx: &Lexed) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for tok in &lx.toks {
-        if tok.kind != TokKind::Str {
-            continue;
-        }
-        let s = &tok.text;
-        let mut from = 0usize;
-        while let Some(pos) = s[from..].find("\\\"ev\\\":\\\"") {
-            let start = from + pos + "\\\"ev\\\":\\\"".len();
-            let end = s[start..].find('\\').map(|e| start + e).unwrap_or(s.len());
-            if start < end {
-                names.insert(s[start..end].to_string());
-            }
-            from = end;
-        }
-    }
-    names
-}
-
-/// Parses the `events = {"a", "b", …}` allowlist out of the CI workflow's
-/// embedded python validator.
-pub fn ci_event_names(yml: &str) -> Option<BTreeSet<String>> {
-    let start = yml.find("events = {")? + "events = {".len();
-    let end = start + yml[start..].find('}')?;
-    let mut names = BTreeSet::new();
-    let body = &yml[start..end];
-    let mut rest = body;
-    while let Some(q) = rest.find('"') {
-        let after = &rest[q + 1..];
-        let close = after.find('"')?;
-        names.insert(after[..close].to_string());
-        rest = &after[close + 1..];
-    }
-    Some(names)
-}
-
 /// Collects every `\"name\":` field name written by a hand-rolled JSONL
 /// renderer (the names live inside Rust string literals as escaped
-/// `\"name\":` sequences, like the trace event tags).
+/// `\"name\":` sequences).
 pub fn jsonl_field_names(lx: &Lexed) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for tok in &lx.toks {
@@ -168,7 +125,6 @@ pub const INPUTS: &[&str] = &[
     "crates/sim/src/metrics.rs",
     "crates/obs/src/trace.rs",
     "crates/core/src/output.rs",
-    ".github/workflows/ci.yml",
     "crates/obs/src/attribution.rs",
     "crates/obs/src/forensics.rs",
 ];
@@ -191,7 +147,7 @@ pub fn check(root: &Path) -> Vec<Finding> {
             }
         }
     }
-    let [unit_src, metrics_src, trace_src, output_src, ci_src, attribution_src, forensics_src] =
+    let [unit_src, metrics_src, trace_src, output_src, attribution_src, forensics_src] =
         &sources[..]
     else {
         unreachable!("sources has INPUTS.len() elements");
@@ -201,7 +157,6 @@ pub fn check(root: &Path) -> Vec<Finding> {
         metrics_src,
         trace_src,
         output_src,
-        ci_src,
         attribution_src,
         forensics_src,
         &mut out,
@@ -210,13 +165,11 @@ pub fn check(root: &Path) -> Vec<Finding> {
 }
 
 /// The file-content core of [`check`], separated for fixture tests.
-#[allow(clippy::too_many_arguments)]
 pub fn check_sources(
     unit_src: &str,
     metrics_src: &str,
     trace_src: &str,
     output_src: &str,
-    ci_src: &str,
     attribution_src: &str,
     forensics_src: &str,
     out: &mut Vec<Finding>,
@@ -264,45 +217,6 @@ pub fn check_sources(
                         ));
                     }
                 }
-            }
-        }
-    }
-
-    // Trace event-name set ≡ the CI trace-smoke allowlist.
-    let emitted = trace_event_names(&trace);
-    if emitted.is_empty() {
-        out.push(Finding::new(
-            "crates/obs/src/trace.rs",
-            0,
-            "consistency",
-            "no \"ev\" event names found in the JSONL renderer".to_string(),
-        ));
-    }
-    match ci_event_names(ci_src) {
-        None => out.push(Finding::new(
-            ".github/workflows/ci.yml",
-            0,
-            "consistency",
-            "trace-smoke `events = {...}` allowlist not found".to_string(),
-        )),
-        Some(allowed) => {
-            for missing in emitted.difference(&allowed) {
-                out.push(Finding::new(
-                    ".github/workflows/ci.yml",
-                    0,
-                    "consistency",
-                    format!("trace event \"{missing}\" is emitted by Trace::to_jsonl but absent from the CI allowlist"),
-                ));
-            }
-            for extra in allowed.difference(&emitted) {
-                out.push(Finding::new(
-                    ".github/workflows/ci.yml",
-                    0,
-                    "consistency",
-                    format!(
-                        "CI allowlists trace event \"{extra}\" that Trace::to_jsonl never emits"
-                    ),
-                ));
             }
         }
     }
@@ -448,25 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_names_from_escaped_literals() {
-        let lx = lex(
-            r#"fn f() { write!(out, "\"ev\":\"arrival\",\"x\":{}", 1); g("{\"ev\":\"path\",\"nodes\":["); }"#,
-        );
-        let names = trace_event_names(&lx);
-        assert_eq!(
-            names.into_iter().collect::<Vec<_>>(),
-            vec!["arrival", "path"]
-        );
-    }
-
-    #[test]
-    fn ci_events_parse() {
-        let yml = "x\n events = {\"a\", \"b\",\n   \"c\"}\n rest";
-        let names = ci_event_names(yml).expect("allowlist found");
-        assert_eq!(names.into_iter().collect::<Vec<_>>(), vec!["a", "b", "c"]);
-    }
-
-    #[test]
     fn jsonl_names_from_escaped_literals() {
         let lx = lex(
             r#"fn f() { write!(out, "{{\"t_us\":{},\"channel\":", 1); w(",\"count\":{}}}"); g("\"{col}\":"); }"#,
@@ -481,15 +376,13 @@ mod tests {
 
     /// A consistent set of fixture sources; each drift case below breaks
     /// exactly one of them.
-    fn fixtures() -> [&'static str; 7] {
+    fn fixtures() -> [&'static str; 6] {
         let unit = "pub enum DropReason { Expired, Lost }";
         let metrics =
             "fn c(r: DropReason) { match r { DropReason::Expired => {}, DropReason::Lost => {} } }";
-        let trace = r#"fn r(x: DropReason) -> &'static str { match x { DropReason::Expired => "expired", DropReason::Lost => "lost" } }
-                       fn j() { w("\"ev\":\"drop\""); w("{\"ev\":\"path\""); }"#;
+        let trace = r#"fn r(x: DropReason) -> &'static str { match x { DropReason::Expired => "expired", DropReason::Lost => "lost" } }"#;
         let output =
             "pub struct FigureRow { pub a: u32, pub b: u32 } pub const CSV_HEADER: &str = \"a,b\";";
-        let ci = "events = {\"drop\", \"path\"}";
         let attribution = r#"pub const HOTSPOT_HEADER: &str = "channel,score";
             pub struct ChannelHotspot { pub channel: u32, pub score: f64 }
             fn j() { w("{\"channel\":{},\"score\":{:.6}}"); }"#;
@@ -499,13 +392,13 @@ mod tests {
             pub struct RootCauseRow { pub reason: &'static str, pub count: u64 }
             fn o(r: DropReason) -> u8 { match r { DropReason::Expired => 0, DropReason::Lost => 1 } }
             fn j() { w("{\"t_us\":{},\"reason\":\"{}\"}"); w("{\"reason\":\"{}\",\"count\":{}}"); }"#;
-        [unit, metrics, trace, output, ci, attribution, forensics]
+        [unit, metrics, trace, output, attribution, forensics]
     }
 
-    fn run_check(srcs: &[&str; 7]) -> Vec<Finding> {
+    fn run_check(srcs: &[&str; 6]) -> Vec<Finding> {
         let mut out = Vec::new();
         check_sources(
-            srcs[0], srcs[1], srcs[2], srcs[3], srcs[4], srcs[5], srcs[6], &mut out,
+            srcs[0], srcs[1], srcs[2], srcs[3], srcs[4], srcs[5], &mut out,
         );
         out
     }
@@ -522,13 +415,6 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("DropReason::Lost"), "{out:?}");
 
-        // Drift the CI allowlist → the phantom event is reported.
-        let mut bad = good;
-        bad[4] = "events = {\"drop\", \"path\", \"ghost\"}";
-        let out = run_check(&bad);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("ghost"));
-
         // CSV header drift.
         let mut bad = good;
         bad[3] =
@@ -544,7 +430,7 @@ mod tests {
 
         // Hotspot header gains a column the struct and renderer lack.
         let mut bad = good;
-        bad[5] = r#"pub const HOTSPOT_HEADER: &str = "channel,score,ghost";
+        bad[4] = r#"pub const HOTSPOT_HEADER: &str = "channel,score,ghost";
             pub struct ChannelHotspot { pub channel: u32, pub score: f64 }
             fn j() { w("{\"channel\":{},\"score\":{:.6}}"); }"#;
         let out = run_check(&bad);
@@ -554,7 +440,7 @@ mod tests {
 
         // Forensics renderer writes a field no header declares.
         let mut bad = good;
-        bad[6] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
+        bad[5] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
             pub const ROOTCAUSE_HEADER: &str = "reason,count";
             pub struct DropRecord { pub t_us: u64, pub reason: DropReason }
             pub struct RootCauseRow { pub reason: &'static str, pub count: u64 }
@@ -566,7 +452,7 @@ mod tests {
 
         // The root-cause key stops covering a DropReason variant.
         let mut bad = good;
-        bad[6] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
+        bad[5] = r#"pub const FORENSICS_HEADER: &str = "t_us,reason";
             pub const ROOTCAUSE_HEADER: &str = "reason,count";
             pub struct DropRecord { pub t_us: u64, pub reason: DropReason }
             pub struct RootCauseRow { pub reason: &'static str, pub count: u64 }

@@ -1,7 +1,7 @@
 //! spider-lint: repo-specific static analysis for the Spider workspace.
 //!
 //! Everything this reproduction reports — the §5 protocol figures, the
-//! churn/fault sweeps, the `BENCH_engine.json` trajectory — rests on
+//! churn/fault sweeps, the repo benchmark's digests — rests on
 //! bit-exact determinism, pinned by goldens but guarded *statically* by
 //! nothing. spider-lint closes that gap with four rule families over a
 //! lightweight token stream (no external parser; the environment is
@@ -15,8 +15,8 @@
 //!    `baseline.toml`; new sites fail, removals tighten via
 //!    `--update-baseline`.
 //! 3. **Cross-file consistency** ([`consistency`]): `DropReason`
-//!    exhaustiveness, trace event names vs the CI allowlist, `FigureRow`
-//!    vs `CSV_HEADER`.
+//!    exhaustiveness, `FigureRow` vs `CSV_HEADER`, and the hotspot and
+//!    forensics artifact schemas.
 //! 4. **Vendored-shim guard** ([`rules`]): serde derives on generic
 //!    types, which the vendored shim cannot expand.
 //!

@@ -24,8 +24,6 @@
 //!   [`ChannelHotspot`] table.
 //! * [`forensics`] — a bounded [`FlightRecorder`] ring of structured
 //!   per-drop records plus an exact reason×channel root-cause table.
-//! * [`report`] — the artifact-diff core behind the `spider-report`
-//!   bin: [`RunRecord`]s in, a threshold-gated [`RunDiff`] out.
 //!
 //! The crate depends only on `spider-types`; the engine owns the
 //! integration points. Everything here is deterministic except the
@@ -39,7 +37,6 @@ pub mod attribution;
 pub mod forensics;
 pub mod hist;
 pub mod profile;
-pub mod report;
 pub mod sampler;
 pub mod trace;
 
@@ -49,6 +46,5 @@ pub use attribution::{
 pub use forensics::{DropRecord, FlightRecorder, RootCauseRow, FORENSICS_HEADER, ROOTCAUSE_HEADER};
 pub use hist::Histogram;
 pub use profile::{Phase, PhaseStats, ProfileStats, Profiler};
-pub use report::{DiffThresholds, HotspotDelta, MetricDelta, RunDiff, RunRecord};
 pub use sampler::{SampleSeries, SampleSet, Sampler, SamplerConfig, NUM_SERIES, SERIES_NAMES};
 pub use trace::{Trace, TraceEvent, TraceEventKind, TraceSink};

@@ -1,8 +1,9 @@
 //! Engine phase profiling.
 //!
 //! Wall-clock timers around the engine's dispatch phases, answering
-//! "where does a run spend its time" per scheme — the breakdown
-//! `engine_throughput` prints next to each BENCH row. Profiling is
+//! "where does a run spend its time" per scheme — the breakdown behind
+//! the figures' `profile_*_s` columns and the repo benchmark's
+//! `sim.engine.phase.*` metrics. Profiling is
 //! opt-in: when disabled, [`Profiler::start`] returns `None` without
 //! reading the clock, so the hot loop pays one branch per event.
 //!
@@ -75,24 +76,6 @@ impl ProfileStats {
     /// Total nanoseconds across all phases.
     pub fn total_ns(&self) -> u64 {
         self.phases().iter().map(|(_, s)| s.total_ns).sum()
-    }
-
-    /// One-line breakdown (`phase=ms(share%)`), for harness output.
-    pub fn summary(&self) -> String {
-        let total = self.total_ns().max(1) as f64;
-        self.phases()
-            .iter()
-            .filter(|(_, s)| s.count > 0)
-            .map(|(name, s)| {
-                format!(
-                    "{}={:.1}ms({:.0}%)",
-                    name,
-                    s.total_ns as f64 / 1e6,
-                    100.0 * s.total_ns as f64 / total
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
     }
 }
 
@@ -188,8 +171,6 @@ mod tests {
         assert_eq!(s.forwarding.count, 3);
         assert_eq!(s.calendar_pop.count, 1);
         assert_eq!(s.routing.count, 0);
-        let line = s.summary();
-        assert!(line.contains("forwarding="), "{line}");
     }
 
     #[test]

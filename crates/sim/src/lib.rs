@@ -49,9 +49,8 @@ pub use router::{
     UnitOutcome,
 };
 pub use spider_obs::{
-    ChannelHotspot, DiffThresholds, DropRecord, FlightRecorder, Histogram, PhaseStats,
-    ProfileStats, RootCauseRow, RunDiff, RunRecord, SampleSet, Trace, FORENSICS_HEADER,
-    HOTSPOT_HEADER, ROOTCAUSE_HEADER,
+    ChannelHotspot, DropRecord, FlightRecorder, Histogram, PhaseStats, ProfileStats, RootCauseRow,
+    SampleSet, Trace, FORENSICS_HEADER, HOTSPOT_HEADER, ROOTCAUSE_HEADER,
 };
 pub use workload::{
     ArrivalSource, SizeDistribution, StreamingWorkload, TxnSpec, Workload, WorkloadConfig,

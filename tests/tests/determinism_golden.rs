@@ -16,11 +16,12 @@
 //! and 7,628 → 427 retries; seed 23 228,159 → 13,410 and 10,377 → 538;
 //! Ripple-like seed 13 1,266,798 → 53,935 and 33,942 → 518. Every other
 //! column of those rows, and every column of every other row (no other
-//! scheme gives the promise), is the value originally recorded.
+//! scheme gives the promise), is the value originally recorded. The
+//! quick-grid table at the end has its own provenance (`QuickGolden`).
 
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
-use spider_sim::{SimConfig, SizeDistribution, WorkloadConfig};
-use spider_types::SimDuration;
+use spider_sim::{DropBreakdown, ObsConfig, SimConfig, SizeDistribution, WorkloadConfig};
+use spider_types::{Amount, SimDuration};
 
 /// The capacity-constrained small ISP experiment the goldens were recorded
 /// on (heavy retry pressure exercises every hot path).
@@ -256,5 +257,137 @@ fn ripple_like_outcomes_match_recorded_goldens() {
         assert_eq!(r.units_marked, g.units_marked, "{scheme:?}");
         assert_eq!(r.units_dropped, g.units_dropped, "{scheme:?}");
         assert_eq!(r.units_queued, g.units_queued, "{scheme:?}");
+    }
+}
+
+/// One row of the quick engine grid: every deterministic field the old
+/// CI run-report diff gated, plus the hotspot channel ids in table
+/// order. The numbers are copied from the seed-42 quick-grid JSON anchor
+/// that diff compared against, as committed under
+/// `crates/bench/baselines/` at PR 24 (this test replaced the diff, its
+/// anchor and the bin that wrote it in PR 25). The anchor's
+/// `units_processed` column was `units_locked + units_failed` for the
+/// lockstep rows and `units_injected` for the FIFO row.
+struct QuickGolden {
+    scheme: SchemeConfig,
+    events_executed: u64,
+    peak_live_events: usize,
+    peak_live_units: usize,
+    interned_paths: usize,
+    units_injected: u64,
+    completed: u64,
+    delivered_drops: u64,
+    units_locked: u64,
+    units_failed: u64,
+    units_dropped: u64,
+    retries: u64,
+    latency_p50_s: &'static str,
+    latency_p99_s: &'static str,
+    hotspots: [u32; 8],
+}
+
+#[test]
+fn quick_grid_outcomes_match_recorded_goldens() {
+    for g in [
+        QuickGolden {
+            scheme: SchemeConfig::ShortestPath,
+            events_executed: 52_341,
+            peak_live_events: 9_118,
+            peak_live_units: 0,
+            interned_paths: 715,
+            units_injected: 0,
+            completed: 2_954,
+            delivered_drops: 478_286_013_535,
+            units_locked: 49_336,
+            units_failed: 3_015,
+            units_dropped: 0,
+            retries: 133,
+            latency_p50_s: "0.524288",
+            latency_p99_s: "1.048576",
+            hotspots: [34, 94, 12, 84, 17, 8, 10, 44],
+        },
+        QuickGolden {
+            scheme: SchemeConfig::SpiderWaterfilling { paths: 4 },
+            events_executed: 53_762,
+            peak_live_events: 9_481,
+            peak_live_units: 0,
+            interned_paths: 2_860,
+            units_injected: 0,
+            completed: 3_000,
+            delivered_drops: 492_372_475_654,
+            units_locked: 50_722,
+            units_failed: 0,
+            units_dropped: 0,
+            retries: 0,
+            latency_p50_s: "0.500000",
+            latency_p99_s: "0.500000",
+            hotspots: [67, 51, 81, 34, 94, 12, 117, 106],
+        },
+        QuickGolden {
+            scheme: SchemeConfig::spider_protocol(4),
+            events_executed: 111_254,
+            peak_live_events: 9_800,
+            peak_live_units: 9_798,
+            interned_paths: 2_860,
+            units_injected: 51_007,
+            completed: 2_994,
+            delivered_drops: 491_713_237_131,
+            units_locked: 51_007,
+            units_failed: 0,
+            units_dropped: 0,
+            retries: 474,
+            latency_p50_s: "0.524288",
+            latency_p99_s: "1.129786",
+            hotspots: [34, 51, 12, 94, 81, 67, 109, 44],
+        },
+    ] {
+        let name = g.scheme.name();
+        // `simulation(None)` puts the protocol on default FIFO queues.
+        let cfg = ExperimentConfig {
+            topology: TopologyConfig::Isp {
+                capacity_xrp: 30_000,
+            },
+            workload: WorkloadConfig {
+                count: 3_000,
+                rate_per_sec: 1_000.0,
+                size: SizeDistribution::RippleIsp,
+                sender_skew_scale: 8.0,
+            },
+            sim: SimConfig {
+                horizon: SimDuration::from_secs(4),
+                mtu: Amount::from_xrp(10),
+                obs: ObsConfig {
+                    attribution: true,
+                    ..ObsConfig::default()
+                },
+                ..SimConfig::default()
+            },
+            scheme: g.scheme,
+            dynamics: None,
+            faults: None,
+            overload: None,
+            seed: 42,
+        };
+        let mut sim = cfg.simulation(None).expect("builds");
+        let r = sim.run();
+        let slab = sim.slab_stats();
+        assert_eq!(slab.events_executed, g.events_executed, "{name}");
+        assert_eq!(slab.peak_live_events, g.peak_live_events, "{name}");
+        assert_eq!(slab.peak_live_units, g.peak_live_units, "{name}");
+        assert_eq!(slab.interned_paths, g.interned_paths, "{name}");
+        assert_eq!(slab.units_injected, g.units_injected, "{name}");
+        assert_eq!(r.attempted_payments, 3_000, "{name}");
+        assert_eq!(r.completed_payments, g.completed, "{name}");
+        assert_eq!(r.delivered_volume.drops(), g.delivered_drops, "{name}");
+        assert_eq!(r.units_locked, g.units_locked, "{name}");
+        assert_eq!(r.units_failed, g.units_failed, "{name}");
+        assert_eq!(r.units_dropped, g.units_dropped, "{name}");
+        assert_eq!(r.retries, g.retries, "{name}");
+        let pct = |p| format!("{:.6}", r.latency_hist.percentile(p).expect("completions"));
+        assert_eq!(pct(50.0), g.latency_p50_s, "{name}");
+        assert_eq!(pct(99.0), g.latency_p99_s, "{name}");
+        assert_eq!(r.drops_by_reason, DropBreakdown::default(), "{name}");
+        let hot: Vec<u32> = r.hotspots.iter().map(|h| h.channel).collect();
+        assert_eq!(hot, g.hotspots, "{name}");
     }
 }

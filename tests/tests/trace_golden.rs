@@ -60,13 +60,42 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Compares `jsonl` against the pinned golden (or rewrites it when
-/// `UPDATE_GOLDENS` is set), and checks the Chrome render is valid JSON.
-fn check_golden(name: &str, trace: &Trace) {
+/// Checks the structure every trace must have — each JSONL line parses
+/// and carries an `ev` tag, event lines carry `t_us` and a strictly increasing `seq`, `path`
+/// lines a non-empty `nodes`, one `arrival` per attempted and one
+/// `complete` per completed payment of `report`, and the Chrome render
+/// is a non-empty JSON array — then compares the JSONL against the
+/// pinned golden (or rewrites it when `UPDATE_GOLDENS` is set).
+fn check_golden(name: &str, report: &SimReport, trace: &Trace) {
     let jsonl = trace.to_jsonl();
-    assert!(!jsonl.is_empty(), "{name}: trace rendered empty");
-    serde_json::parse(&trace.to_chrome_trace())
+    let (mut arrivals, mut completes, mut prev_seq) = (0, 0, None);
+    for line in jsonl.lines() {
+        let v = serde_json::parse(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+        let ev = v["ev"].as_str();
+        assert!(ev.is_some(), "{name}: no ev: {line}");
+        if ev == Some("path") {
+            let nodes = v["nodes"].as_array();
+            assert!(nodes.is_some_and(|n| !n.is_empty()), "{name}: {line}");
+            continue;
+        }
+        assert!(v["t_us"].as_u64().is_some(), "{name}: no t_us: {line}");
+        let seq = v["seq"].as_u64();
+        assert!(
+            seq.is_some() && seq > prev_seq,
+            "{name}: seq not increasing: {line}"
+        );
+        prev_seq = seq;
+        arrivals += u64::from(ev == Some("arrival"));
+        completes += u64::from(ev == Some("complete"));
+    }
+    assert_eq!(arrivals, report.attempted_payments, "{name}: arrivals");
+    assert_eq!(completes, report.completed_payments, "{name}: completes");
+    let chrome = serde_json::parse(&trace.to_chrome_trace())
         .unwrap_or_else(|e| panic!("{name}: chrome trace is not valid JSON: {e}"));
+    assert!(
+        chrome.as_array().is_some_and(|a| !a.is_empty()),
+        "{name}: chrome trace is not a non-empty array"
+    );
 
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
@@ -110,7 +139,7 @@ fn lockstep_shortest_path_trace_is_reproducible_and_matches_golden() {
         r1.completed_payments > 0,
         "nothing completed; golden is vacuous"
     );
-    check_golden("trace_lockstep_shortest.jsonl", &t1);
+    check_golden("trace_lockstep_shortest.jsonl", &r1, &t1);
 }
 
 #[test]
@@ -143,7 +172,7 @@ fn windowed_aimd_trace_is_reproducible_and_matches_golden() {
             "window gating never engaged; golden duplicates the lockstep one"
         );
     }
-    check_golden("trace_windowed_shortest.jsonl", &t1);
+    check_golden("trace_windowed_shortest.jsonl", &r1, &t1);
 }
 
 #[test]
@@ -186,7 +215,7 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
         r1.completed_payments > 0,
         "nothing completed; golden only shows failures"
     );
-    check_golden("trace_faulted_shortest.jsonl", &t1);
+    check_golden("trace_faulted_shortest.jsonl", &r1, &t1);
 }
 
 #[test]
@@ -208,5 +237,5 @@ fn spider_protocol_trace_is_reproducible_and_matches_golden() {
         r1.units_queued > 0 || r1.units_acked > 0,
         "protocol machinery never engaged; golden is vacuous"
     );
-    check_golden("trace_spider_protocol.jsonl", &t1);
+    check_golden("trace_spider_protocol.jsonl", &r1, &t1);
 }
