@@ -510,6 +510,71 @@ fn bench_trace_record(c: &mut Criterion) {
     g.finish();
 }
 
+/// JSONL render cost on 100k events in the engine's mix of record shapes
+/// (arrival, route, inject, per-hop enqueue/forward, ack, completion).
+/// `to_jsonl` consumes the trace, so every sample renders a fresh clone,
+/// made outside the timed region.
+fn bench_trace_render(c: &mut Criterion) {
+    use spider_obs::trace::TraceEventKind;
+    use spider_obs::TraceSink;
+    use spider_types::{ChannelId, PathId};
+    let mut sink = TraceSink::new();
+    for i in 0..100_000u64 {
+        let (payment, unit, amount) = (PaymentId(i / 20), i / 4, Amount::from_drops(1_000_000 + i));
+        let kind = match i % 8 {
+            0 => TraceEventKind::PaymentArrival {
+                payment,
+                src: NodeId((i % 32) as u32),
+                dst: NodeId((i % 31) as u32),
+                amount,
+            },
+            1 => TraceEventKind::RouteProposal {
+                payment,
+                attempt: 0,
+                path: PathId((i % 500) as u32),
+                amount,
+            },
+            2 => TraceEventKind::UnitInjected {
+                payment,
+                unit,
+                path: PathId((i % 500) as u32),
+                amount,
+            },
+            3 | 4 => TraceEventKind::UnitEnqueued {
+                unit,
+                channel: ChannelId((i % 97) as u32),
+                qlen: (i % 50) as u32,
+            },
+            5 | 6 => TraceEventKind::UnitForwarded {
+                unit,
+                channel: ChannelId((i % 97) as u32),
+                hop: (i % 4) as u32,
+            },
+            _ if i % 16 == 7 => TraceEventKind::UnitAcked {
+                payment,
+                unit,
+                delivered: true,
+                marked: false,
+            },
+            _ => TraceEventKind::PaymentCompleted {
+                payment,
+                latency_us: 250_000 + i,
+            },
+        };
+        sink.record(i * 1_000, kind);
+    }
+    let trace = sink.finish((0..500).map(|id| (id, vec![1, 7, 19, 30])).collect());
+    let mut g = c.benchmark_group("trace-render");
+    g.bench_function("jsonl_100k", |b| {
+        b.iter_batched(
+            || trace.clone(),
+            |t| t.to_jsonl().len(),
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_maxflow,
@@ -522,6 +587,7 @@ criterion_group!(
     bench_channel_index_close,
     bench_cache_repair,
     bench_trace_record,
+    bench_trace_render,
     bench_engine_step,
     bench_end_to_end
 );

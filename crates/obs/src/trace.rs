@@ -11,26 +11,32 @@
 //! * **JSONL** ([`Trace::to_jsonl`]) — one event per line, hand-written
 //!   with a fixed field order (stable across serde-shim changes), plus
 //!   trailing `"ev":"path"` lines resolving every referenced [`PathId`]
-//!   to its node list.
+//!   to its node list. It consumes the trace: a trace grows with
+//!   unit-hops and its text runs to nearly twice its events, so each
+//!   storage chunk is freed as soon as it is written and the two are
+//!   never both held in full.
 //! * **Chrome `trace_event`** ([`Trace::to_chrome_trace`]) — payments as
 //!   complete (`"X"`) slices and drops as instant events, loadable in
 //!   chrome://tracing or Perfetto.
+//!
+//! Both are written byte by byte — fixed fragments copied in, integers
+//! through a two-digit table — never through `core::fmt`.
 //!
 //! Storage is chunked (4096 events per slab) so long traces never
 //! reallocate-and-copy the whole buffer.
 
 use spider_types::{Amount, ChannelId, DropReason, NodeId, PathId, PaymentId};
-use std::fmt::Write as _;
 
 /// Events per storage chunk.
 const CHUNK: usize = 4096;
 
-/// How many events from the head of every storage chunk
-/// [`Trace::to_jsonl`] renders ahead of time to learn how long this
-/// trace's records are. (Runs of neighbours, not every n-th event: a
-/// trace is full of short cycles that a fixed stride can fall in step
-/// with.)
-const JSONL_SAMPLE_RUN: usize = 32;
+/// Upper bound on one event's JSONL line: the longest record (`inject`)
+/// with every integer at its type's maximum is 184 bytes.
+const MAX_LINE: usize = 192;
+
+/// The smallest step [`Trace::to_jsonl`] grows its output by while more
+/// than that is left to write.
+const MIN_GROWTH: usize = 64 << 10;
 
 /// What happened, with the identities involved.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,9 +286,387 @@ impl Trace {
     /// Renders the JSONL form: one `{"seq":…}` object per line in
     /// sequence order, then one `{"ev":"path",…}` line per referenced
     /// path. Field order is fixed, so equal traces render byte-equal.
-    pub fn to_jsonl(&self) -> String {
-        let render = |out: &mut String, e: &TraceEvent| {
-            write!(out, "{{\"seq\":{},\"t_us\":{},", e.seq, e.t_us).expect("string write");
+    ///
+    /// Consumes the trace (clone it to render twice): each storage chunk
+    /// is freed once its lines are written, and the output grows by at
+    /// most an eighth at a time, so the text and the events still held
+    /// stay within about the larger of the two in full. Growth never
+    /// passes an estimate of what is left — the mean line so far times
+    /// the events to come, plus the path lines — so the output ends a
+    /// little over its length, not doubled past it.
+    pub fn to_jsonl(self) -> String {
+        let Trace { chunks, paths } = self;
+        let mut tail = Writer::default();
+        for (id, nodes) in paths {
+            tail.path(id, &nodes);
+        }
+        let total: usize = chunks.iter().map(Vec::len).sum();
+        let mut out = Writer::default();
+        let mut written = 0;
+        for chunk in chunks {
+            for e in &chunk {
+                if out.0.capacity() - out.0.len() < MAX_LINE {
+                    out.grow(written, total - written, tail.0.len());
+                }
+                out.event(e);
+                written += 1;
+            }
+        }
+        out.0.reserve_exact(tail.0.len());
+        out.put(&tail.0);
+        out.into_string()
+    }
+
+    /// Renders the Chrome `trace_event` JSON array: each completed
+    /// payment becomes a complete (`"X"`) slice from arrival to
+    /// completion on its own thread row, each drop an instant (`"i"`)
+    /// event. Load in chrome://tracing or Perfetto.
+    pub fn to_chrome_trace(&self) -> String {
+        // Arrival instants by payment, to anchor the completion slices;
+        // the latest arrival wins. Engine payment ids are dense — below
+        // the arrival count — so a table indexed by id holds them; an id
+        // past it (only a hand-built trace has one) goes to a list
+        // searched newest first.
+        let arrivals = self
+            .events()
+            .filter(|e| matches!(e.kind, TraceEventKind::PaymentArrival { .. }))
+            .count();
+        let mut arrived = vec![None; arrivals];
+        let mut strays: Vec<(u64, u64)> = Vec::new();
+        let index = |p: &PaymentId| usize::try_from(p.0).unwrap_or(usize::MAX);
+        let mut out = Writer::default();
+        out.put(b"[");
+        for e in self.events() {
+            let sep: &[u8] = if out.0.len() == 1 { b"\n" } else { b",\n" };
+            match &e.kind {
+                TraceEventKind::PaymentArrival {
+                    payment, amount, ..
+                } => {
+                    match arrived.get_mut(index(payment)) {
+                        Some(start) => *start = Some(e.t_us),
+                        None => strays.push((payment.0, e.t_us)),
+                    }
+                    out.put(sep)
+                        .put(b"{\"name\":\"arrival\",\"ph\":\"i\",\"ts\":")
+                        .num(e.t_us)
+                        .put(b",\"pid\":0,\"tid\":")
+                        .num(payment.0)
+                        .put(b",\"s\":\"t\",\"args\":{\"amount_drops\":")
+                        .num(amount.drops())
+                        .put(b"}}");
+                }
+                TraceEventKind::PaymentCompleted {
+                    payment,
+                    latency_us,
+                } => {
+                    let start = match arrived.get(index(payment)) {
+                        Some(start) => *start,
+                        None => strays.iter().rev().find(|s| s.0 == payment.0).map(|s| s.1),
+                    };
+                    out.put(sep)
+                        .put(b"{\"name\":\"payment ")
+                        .num(payment.0)
+                        .put(b"\",\"ph\":\"X\",\"ts\":")
+                        .num(start.unwrap_or(e.t_us.saturating_sub(*latency_us)))
+                        .put(b",\"dur\":")
+                        .num(*latency_us)
+                        .put(b",\"pid\":0,\"tid\":")
+                        .num(payment.0)
+                        .put(b"}");
+                }
+                TraceEventKind::UnitDropped { unit, reason } => {
+                    out.put(sep)
+                        .put(b"{\"name\":\"drop:")
+                        .put(reason_str(*reason).as_bytes())
+                        .put(b"\",\"ph\":\"i\",\"ts\":")
+                        .num(e.t_us)
+                        .put(b",\"pid\":0,\"tid\":")
+                        .num(*unit)
+                        .put(b",\"s\":\"t\"}");
+                }
+                TraceEventKind::UnitRefunded {
+                    payment, reason, ..
+                } => {
+                    out.put(sep)
+                        .put(b"{\"name\":\"refund:")
+                        .put(reason_str(*reason).as_bytes())
+                        .put(b"\",\"ph\":\"i\",\"ts\":")
+                        .num(e.t_us)
+                        .put(b",\"pid\":0,\"tid\":")
+                        .num(payment.0)
+                        .put(b",\"s\":\"t\"}");
+                }
+                TraceEventKind::FaultApplied { node, crashed } => {
+                    out.put(sep)
+                        .put(b"{\"name\":\"")
+                        .put(if *crashed { b"crash" } else { b"recover" })
+                        .put(b":")
+                        .num(node.0)
+                        .put(b"\",\"ph\":\"i\",\"ts\":")
+                        .num(e.t_us)
+                        .put(b",\"pid\":0,\"tid\":0,\"s\":\"g\"}");
+                }
+                _ => {}
+            }
+        }
+        out.put(b"\n]\n");
+        out.into_string()
+    }
+}
+
+/// The two decimal digits of every value below 100, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Text under construction, byte by byte: fixed fragments are copied in
+/// and integers written through [`DIGIT_PAIRS`].
+#[derive(Default)]
+struct Writer(Vec<u8>);
+
+impl Writer {
+    fn put(&mut self, bytes: &[u8]) -> &mut Self {
+        self.0.extend_from_slice(bytes);
+        self
+    }
+
+    /// Appends `n` in decimal, two digits per step from the right (ten
+    /// pairs hold `u64::MAX`).
+    fn num(&mut self, n: impl Into<u64>) -> &mut Self {
+        let mut n = n.into();
+        let mut digits = [0; 20];
+        let mut start = digits.len();
+        for slot in digits.rchunks_exact_mut(2) {
+            let pair = (n % 100) as usize * 2;
+            slot.copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+            start -= 2;
+            n /= 100;
+            if n == 0 {
+                // A leading pair below 10 starts with a zero to skip.
+                start += usize::from(pair < 20);
+                break;
+            }
+        }
+        self.put(digits.split_at(start).1)
+    }
+
+    fn flag(&mut self, b: bool) -> &mut Self {
+        self.put(if b { b"true" } else { b"false" })
+    }
+
+    /// One event's JSONL line.
+    fn event(&mut self, e: &TraceEvent) {
+        self.put(b"{\"seq\":")
+            .num(e.seq)
+            .put(b",\"t_us\":")
+            .num(e.t_us);
+        match &e.kind {
+            TraceEventKind::PaymentArrival {
+                payment,
+                src,
+                dst,
+                amount,
+            } => self
+                .put(b",\"ev\":\"arrival\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"src\":")
+                .num(src.0)
+                .put(b",\"dst\":")
+                .num(dst.0)
+                .put(b",\"amount_drops\":")
+                .num(amount.drops()),
+            TraceEventKind::RouteProposal {
+                payment,
+                attempt,
+                path,
+                amount,
+            } => self
+                .put(b",\"ev\":\"route\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"attempt\":")
+                .num(*attempt)
+                .put(b",\"path\":")
+                .num(path.0)
+                .put(b",\"amount_drops\":")
+                .num(amount.drops()),
+            TraceEventKind::LockOutcome {
+                payment,
+                path,
+                amount,
+                ok,
+            } => self
+                .put(b",\"ev\":\"lock\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"path\":")
+                .num(path.0)
+                .put(b",\"amount_drops\":")
+                .num(amount.drops())
+                .put(b",\"ok\":")
+                .flag(*ok),
+            TraceEventKind::UnitInjected {
+                payment,
+                unit,
+                path,
+                amount,
+            } => self
+                .put(b",\"ev\":\"inject\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"unit\":")
+                .num(*unit)
+                .put(b",\"path\":")
+                .num(path.0)
+                .put(b",\"amount_drops\":")
+                .num(amount.drops()),
+            TraceEventKind::UnitEnqueued {
+                unit,
+                channel,
+                qlen,
+            } => self
+                .put(b",\"ev\":\"enqueue\",\"unit\":")
+                .num(*unit)
+                .put(b",\"channel\":")
+                .num(channel.0)
+                .put(b",\"qlen\":")
+                .num(*qlen),
+            TraceEventKind::UnitForwarded { unit, channel, hop } => self
+                .put(b",\"ev\":\"forward\",\"unit\":")
+                .num(*unit)
+                .put(b",\"channel\":")
+                .num(channel.0)
+                .put(b",\"hop\":")
+                .num(*hop),
+            TraceEventKind::UnitDelivered { unit } => {
+                self.put(b",\"ev\":\"deliver\",\"unit\":").num(*unit)
+            }
+            TraceEventKind::UnitSettled { payment, amount } => self
+                .put(b",\"ev\":\"settle\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"amount_drops\":")
+                .num(amount.drops()),
+            TraceEventKind::UnitDropped { unit, reason } => self
+                .put(b",\"ev\":\"drop\",\"unit\":")
+                .num(*unit)
+                .put(b",\"reason\":\"")
+                .put(reason_str(*reason).as_bytes())
+                .put(b"\""),
+            TraceEventKind::UnitAcked {
+                payment,
+                unit,
+                delivered,
+                marked,
+            } => self
+                .put(b",\"ev\":\"ack\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"unit\":")
+                .num(*unit)
+                .put(b",\"delivered\":")
+                .flag(*delivered)
+                .put(b",\"marked\":")
+                .flag(*marked),
+            TraceEventKind::PaymentCompleted {
+                payment,
+                latency_us,
+            } => self
+                .put(b",\"ev\":\"complete\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"latency_us\":")
+                .num(*latency_us),
+            TraceEventKind::PaymentExpired { payment, remaining } => self
+                .put(b",\"ev\":\"expire\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"remaining_drops\":")
+                .num(remaining.drops()),
+            TraceEventKind::TopologyChanged {
+                closed,
+                opened,
+                resized,
+            } => self
+                .put(b",\"ev\":\"topology\",\"closed\":")
+                .num(*closed)
+                .put(b",\"opened\":")
+                .num(*opened)
+                .put(b",\"resized\":")
+                .num(*resized),
+            TraceEventKind::FaultApplied { node, crashed } => self
+                .put(b",\"ev\":\"fault\",\"node\":")
+                .num(node.0)
+                .put(b",\"crashed\":")
+                .flag(*crashed),
+            TraceEventKind::UnitRefunded {
+                payment,
+                amount,
+                reason,
+            } => self
+                .put(b",\"ev\":\"refund\",\"payment\":")
+                .num(payment.0)
+                .put(b",\"amount_drops\":")
+                .num(amount.drops())
+                .put(b",\"reason\":\"")
+                .put(reason_str(*reason).as_bytes())
+                .put(b"\""),
+        };
+        self.put(b"}\n");
+    }
+
+    /// One `{"ev":"path",…}` line.
+    fn path(&mut self, id: u64, nodes: &[u32]) {
+        self.put(b"{\"ev\":\"path\",\"path\":")
+            .num(id)
+            .put(b",\"nodes\":[");
+        for (i, &n) in nodes.iter().enumerate() {
+            if i > 0 {
+                self.put(b",");
+            }
+            self.num(n);
+        }
+        self.put(b"]}\n");
+    }
+
+    /// Makes room for at least one more line without doubling. The step
+    /// is an eighth of what is written, cut to what keeps the text plus
+    /// the `left` events still held within the larger of the whole trace
+    /// and the whole text, but at least [`MIN_GROWTH`] — and never past
+    /// what the rest is estimated to need: `left` events at the mean line
+    /// so far (the [`MAX_LINE`] bound before the first), `tail` bytes of
+    /// path lines, and one line of slack.
+    fn grow(&mut self, written: usize, left: usize, tail: usize) {
+        let (len, event) = (self.0.len(), std::mem::size_of::<TraceEvent>());
+        let line = match written {
+            0 => MAX_LINE,
+            n => len.div_ceil(n),
+        };
+        let rest = line * left + tail + MAX_LINE;
+        let budget = ((written + left) * event).max(len + rest);
+        let room = budget.saturating_sub(len + left * event);
+        let step = (len / 8).min(room).max(MIN_GROWTH).min(rest);
+        self.0.reserve_exact(step);
+    }
+
+    fn into_string(self) -> String {
+        String::from_utf8(self.0).expect("the writer emits ASCII")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// The `core::fmt` renderer [`Trace::to_jsonl`] replaced, kept as the
+    /// reference the writer must equal byte for byte.
+    fn reference_jsonl(t: &Trace) -> String {
+        let mut out = String::new();
+        write_reference(&mut out, t).expect("string write");
+        out
+    }
+
+    fn write_reference(out: &mut String, t: &Trace) -> std::fmt::Result {
+        for e in t.events() {
+            write!(out, "{{\"seq\":{},\"t_us\":{},", e.seq, e.t_us)?;
             match &e.kind {
                 TraceEventKind::PaymentArrival {
                     payment,
@@ -413,142 +797,185 @@ impl Trace {
                     amount.drops(),
                     reason_str(*reason)
                 ),
-            }
-            .expect("string write");
+            }?;
             out.push_str("}\n");
-        };
-        let mut paths = String::new();
-        for (id, nodes) in &self.paths {
-            write!(paths, "{{\"ev\":\"path\",\"path\":{id},\"nodes\":[").expect("string write");
+        }
+        for (id, nodes) in &t.paths {
+            write!(out, "{{\"ev\":\"path\",\"path\":{id},\"nodes\":[")?;
             for (i, n) in nodes.iter().enumerate() {
                 if i > 0 {
-                    paths.push(',');
+                    out.push(',');
                 }
-                write!(paths, "{n}").expect("string write");
+                write!(out, "{n}")?;
             }
-            paths.push_str("]}\n");
+            out.push_str("]}\n");
         }
-        // Size the output from this trace's own bytes per record: a guess
-        // that falls short makes the string double past the whole output
-        // on its way up (a fixed 64 bytes an event ended at 354 MB of
-        // capacity to hold 245 MB of records averaging 88.7). The path
-        // lines above are exact; the event lines are estimated from a
-        // sample, plus 1/32.
-        let mut sample = String::new();
-        let mut sampled = 0;
-        for e in self
-            .chunks
-            .iter()
-            .flat_map(|c| c.iter().take(JSONL_SAMPLE_RUN))
-        {
-            render(&mut sample, e);
-            sampled += 1;
-        }
-        let events = sample.len() * self.len() / sampled.max(1);
-        let mut out = String::with_capacity(events + events / 32 + paths.len());
-        for e in self.events() {
-            render(&mut out, e);
-        }
-        out.push_str(&paths);
-        out
+        Ok(())
     }
 
-    /// Renders the Chrome `trace_event` JSON array: each completed
-    /// payment becomes a complete (`"X"`) slice from arrival to
-    /// completion on its own thread row, each drop an instant (`"i"`)
-    /// event. Load in chrome://tracing or Perfetto.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        let mut emit = |s: String, out: &mut String| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&s);
-        };
-        // Arrival instants by payment, to anchor the completion slices.
-        let mut arrivals: Vec<(u64, u64)> = Vec::new();
-        for e in self.events() {
-            match &e.kind {
-                TraceEventKind::PaymentArrival {
-                    payment, amount, ..
-                } => {
-                    arrivals.push((payment.0, e.t_us));
-                    emit(
-                        format!(
-                            "{{\"name\":\"arrival\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{\"amount_drops\":{}}}}}",
-                            e.t_us,
-                            payment.0,
-                            amount.drops()
-                        ),
-                        &mut out,
-                    );
-                }
-                TraceEventKind::PaymentCompleted {
-                    payment,
-                    latency_us,
-                } => {
-                    let start = arrivals
-                        .iter()
-                        .rev()
-                        .find(|&&(p, _)| p == payment.0)
-                        .map(|&(_, t)| t)
-                        .unwrap_or(e.t_us.saturating_sub(*latency_us));
-                    emit(
-                        format!(
-                            "{{\"name\":\"payment {}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}",
-                            payment.0, start, latency_us, payment.0
-                        ),
-                        &mut out,
-                    );
-                }
-                TraceEventKind::UnitDropped { unit, reason } => {
-                    emit(
-                        format!(
-                            "{{\"name\":\"drop:{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\"}}",
-                            reason_str(*reason),
-                            e.t_us,
-                            unit
-                        ),
-                        &mut out,
-                    );
-                }
-                TraceEventKind::UnitRefunded {
-                    payment, reason, ..
-                } => {
-                    emit(
-                        format!(
-                            "{{\"name\":\"refund:{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\"}}",
-                            reason_str(*reason),
-                            e.t_us,
-                            payment.0
-                        ),
-                        &mut out,
-                    );
-                }
-                TraceEventKind::FaultApplied { node, crashed } => {
-                    emit(
-                        format!(
-                            "{{\"name\":\"{}:{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":0,\"s\":\"g\"}}",
-                            if *crashed { "crash" } else { "recover" },
-                            node.0,
-                            e.t_us
-                        ),
-                        &mut out,
-                    );
-                }
-                _ => {}
+    /// 0, 9, 10, 11, 99, 100, 101, …: every power of ten from 10 to
+    /// 10¹⁹ with its neighbours, and the `u32` and `u64` maxima.
+    fn edge_ints() -> Vec<u64> {
+        let mut ints = vec![0, u64::from(u32::MAX), u64::MAX];
+        let mut p = 1u64;
+        while let Some(next) = p.checked_mul(10) {
+            ints.extend([next - 1, next, next + 1]);
+            p = next;
+        }
+        ints
+    }
+
+    const REASONS: [DropReason; 9] = [
+        DropReason::QueueTimeout,
+        DropReason::QueueOverflow,
+        DropReason::Expired,
+        DropReason::ChannelClosed,
+        DropReason::MessageLost,
+        DropReason::HopTimeout,
+        DropReason::NodeCrashed,
+        DropReason::Shed,
+        DropReason::AdmissionRejected,
+    ];
+
+    /// Random events and path lines, every integer drawn from `ints`.
+    struct Gen {
+        rng: TestRng,
+        ints: Vec<u64>,
+    }
+
+    impl Gen {
+        /// Integers from [`edge_ints`] and a few random ones of random
+        /// width.
+        fn new(seed: u64) -> Self {
+            let mut rng = TestRng::new(seed);
+            let mut ints = edge_ints();
+            ints.extend((0..16).map(|_| {
+                let x = rng.next_u64();
+                x >> (x % 64)
+            }));
+            Gen { rng, ints }
+        }
+
+        /// Every integer at its type's maximum.
+        fn widest(seed: u64) -> Self {
+            Gen {
+                rng: TestRng::new(seed),
+                ints: vec![u64::MAX],
             }
         }
-        out.push_str("\n]\n");
-        out
-    }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+        fn int(&mut self) -> u64 {
+            self.ints[self.rng.below(self.ints.len() as u64) as usize]
+        }
+
+        fn int32(&mut self) -> u32 {
+            u32::try_from(self.int()).unwrap_or(u32::MAX)
+        }
+
+        fn flag(&mut self) -> bool {
+            self.rng.below(2) == 1
+        }
+
+        fn reason(&mut self) -> DropReason {
+            REASONS[self.rng.below(REASONS.len() as u64) as usize]
+        }
+
+        /// Variant `which % 15` of [`TraceEventKind`], fields drawn.
+        fn kind(&mut self, which: u64) -> TraceEventKind {
+            match which % 15 {
+                0 => TraceEventKind::PaymentArrival {
+                    payment: PaymentId(self.int()),
+                    src: NodeId(self.int32()),
+                    dst: NodeId(self.int32()),
+                    amount: Amount::from_drops(self.int()),
+                },
+                1 => TraceEventKind::RouteProposal {
+                    payment: PaymentId(self.int()),
+                    attempt: self.int32(),
+                    path: PathId(self.int32()),
+                    amount: Amount::from_drops(self.int()),
+                },
+                2 => TraceEventKind::LockOutcome {
+                    payment: PaymentId(self.int()),
+                    path: PathId(self.int32()),
+                    amount: Amount::from_drops(self.int()),
+                    ok: self.flag(),
+                },
+                3 => TraceEventKind::UnitInjected {
+                    payment: PaymentId(self.int()),
+                    unit: self.int(),
+                    path: PathId(self.int32()),
+                    amount: Amount::from_drops(self.int()),
+                },
+                4 => TraceEventKind::UnitEnqueued {
+                    unit: self.int(),
+                    channel: ChannelId(self.int32()),
+                    qlen: self.int32(),
+                },
+                5 => TraceEventKind::UnitForwarded {
+                    unit: self.int(),
+                    channel: ChannelId(self.int32()),
+                    hop: self.int32(),
+                },
+                6 => TraceEventKind::UnitDelivered { unit: self.int() },
+                7 => TraceEventKind::UnitSettled {
+                    payment: PaymentId(self.int()),
+                    amount: Amount::from_drops(self.int()),
+                },
+                8 => TraceEventKind::UnitDropped {
+                    unit: self.int(),
+                    reason: self.reason(),
+                },
+                9 => TraceEventKind::UnitAcked {
+                    payment: PaymentId(self.int()),
+                    unit: self.int(),
+                    delivered: self.flag(),
+                    marked: self.flag(),
+                },
+                10 => TraceEventKind::PaymentCompleted {
+                    payment: PaymentId(self.int()),
+                    latency_us: self.int(),
+                },
+                11 => TraceEventKind::PaymentExpired {
+                    payment: PaymentId(self.int()),
+                    remaining: Amount::from_drops(self.int()),
+                },
+                12 => TraceEventKind::TopologyChanged {
+                    closed: self.int32(),
+                    opened: self.int32(),
+                    resized: self.int32(),
+                },
+                13 => TraceEventKind::FaultApplied {
+                    node: NodeId(self.int32()),
+                    crashed: self.flag(),
+                },
+                _ => TraceEventKind::UnitRefunded {
+                    payment: PaymentId(self.int()),
+                    amount: Amount::from_drops(self.int()),
+                    reason: self.reason(),
+                },
+            }
+        }
+
+        /// `events` events cycling through all 15 variants, then `paths`
+        /// path lines of up to five nodes.
+        fn trace(&mut self, events: usize, paths: usize) -> Trace {
+            let mut sink = TraceSink::new();
+            for i in 0..events as u64 {
+                let t_us = self.int();
+                let kind = self.kind(i);
+                sink.record(t_us, kind);
+            }
+            let paths = (0..paths)
+                .map(|_| {
+                    let id = self.int();
+                    let len = self.rng.below(6);
+                    (id, (0..len).map(|_| self.int32()).collect())
+                })
+                .collect();
+            sink.finish(paths)
+        }
+    }
 
     fn sample_sink() -> TraceSink {
         let mut s = TraceSink::new();
@@ -595,6 +1022,8 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 
+    /// Record order survives the storage chunks, and the render that
+    /// frees them chunk by chunk writes every line, in order.
     #[test]
     fn chunking_preserves_order_across_boundaries() {
         let mut s = TraceSink::new();
@@ -607,12 +1036,18 @@ mod tests {
             assert_eq!(e.seq, i as u64);
             assert_eq!(e.t_us, i as u64);
         }
+        let jsonl = t.to_jsonl();
+        assert_eq!(jsonl.lines().count(), CHUNK * 2 + 10);
+        for (i, line) in jsonl.lines().enumerate() {
+            let want = format!("{{\"seq\":{i},\"t_us\":{i},\"ev\":\"deliver\",\"unit\":{i}}}");
+            assert_eq!(line, want);
+        }
     }
 
     #[test]
     fn jsonl_is_deterministic_and_line_per_event() {
         let t = sample_sink().finish(vec![(3, vec![1, 0, 2])]);
-        let a = t.to_jsonl();
+        let a = t.clone().to_jsonl();
         let b = t.to_jsonl();
         assert_eq!(a, b, "rendering must be pure");
         // 4 events + 1 path line.
@@ -629,9 +1064,9 @@ mod tests {
         }
     }
 
-    /// The output is sized from the trace's own records: whatever the mix
-    /// of long and short lines, the string is allocated once, a little
-    /// over what it ends up holding — never doubled on the way.
+    /// The output grows toward an estimate of its own length: whatever
+    /// the mix of long and short lines, it ends a little over what it
+    /// holds — never doubled on the way.
     #[test]
     fn jsonl_is_allocated_once_whatever_the_record_mix() {
         for long_every in [1, 2, 7, 1000] {
@@ -670,14 +1105,78 @@ mod tests {
         assert!(c.trim_end().ends_with(']'), "{c}");
         assert!(c.contains("\"ph\":\"X\""), "completion slice: {c}");
         assert!(c.contains("\"dur\":1000"), "{c}");
-        assert!(c.contains("drop:queue_timeout"), "{c}");
+        assert!(
+            c.contains(
+                "\n{\"name\":\"drop:queue_timeout\",\"ph\":\"i\",\"ts\":900,\"pid\":0,\"tid\":7,\"s\":\"t\"},\n"
+            ),
+            "{c}"
+        );
     }
 
     #[test]
     fn empty_trace_renders_empty_outputs() {
         let t = TraceSink::new().finish(Vec::new());
         assert!(t.is_empty());
-        assert_eq!(t.to_jsonl(), "");
         assert_eq!(t.to_chrome_trace(), "[\n]\n");
+        assert_eq!(t.to_jsonl(), "");
+    }
+
+    #[test]
+    fn integers_render_as_display_does_on_every_edge() {
+        for n in edge_ints() {
+            let mut w = Writer::default();
+            w.num(n);
+            assert_eq!(w.into_string(), n.to_string());
+        }
+    }
+
+    /// Traces of 0, 1, 4095, 4096, 4097 and 3·4096+7 events of every
+    /// variant: the writer equals the reference across chunk boundaries.
+    #[test]
+    fn writer_matches_reference_across_chunk_boundaries() {
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let t = Gen::new(n as u64).trace(n, 3);
+            let want = reference_jsonl(&t);
+            assert!(t.to_jsonl() == want, "{n} events: writer != reference");
+        }
+    }
+
+    /// Every variant, reason and flag with every integer (the sequence
+    /// number too) at its maximum fits in [`MAX_LINE`], the room
+    /// `to_jsonl` keeps for a line.
+    #[test]
+    fn max_line_bounds_every_event() {
+        let mut g = Gen::widest(1);
+        let events = (0..15 * 64)
+            .map(|i| TraceEvent {
+                seq: u64::MAX,
+                t_us: u64::MAX,
+                kind: g.kind(i),
+            })
+            .collect();
+        let t = Trace {
+            chunks: vec![events],
+            paths: Vec::new(),
+        };
+        let want = reference_jsonl(&t);
+        let longest = want.lines().map(|l| l.len() + 1).max();
+        assert_eq!(longest, Some(184), "the longest is `inject`");
+        assert!(longest <= Some(MAX_LINE));
+        assert_eq!(t.to_jsonl(), want);
+    }
+
+    proptest! {
+        /// Random traces of every variant with integers on digit-count
+        /// edges, and their path lines: the writer equals the reference.
+        #[test]
+        fn writer_matches_reference_renderer(
+            seed in 0u64..u64::MAX,
+            events in 0usize..200,
+            paths in 0usize..8
+        ) {
+            let t = Gen::new(seed).trace(events, paths);
+            let want = reference_jsonl(&t);
+            prop_assert_eq!(t.to_jsonl(), want);
+        }
     }
 }

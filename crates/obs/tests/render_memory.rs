@@ -1,0 +1,181 @@
+//! `Trace::to_jsonl` never holds a trace's events and their JSONL in
+//! full at once: it frees each storage chunk once the chunk is written,
+//! and grows its output without doubling it. Measured by a live-bytes
+//! high-water allocator; this binary holds a single test, so no other
+//! test thread allocates while it measures.
+
+use spider_obs::trace::TraceEventKind;
+use spider_obs::TraceSink;
+use spider_types::{Amount, ChannelId, DropReason, NodeId, PathId, PaymentId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// `System`, tracking live heap bytes and their high-water mark the way
+/// the repo benchmark does: a `realloc` retires the old block and counts
+/// the new one. `Relaxed`: the counts are statistics and publish no
+/// other data.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(size: usize) {
+    let live = LIVE.fetch_add(size, Relaxed) + size;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are only updated beside
+// those calls and never touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller guarantees `layout` has non-zero size.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // (hence from `System`) with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // with `layout`, and that `new_size` is a valid non-zero size.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Event `i` of a trace mixing every record kind, with engine-like
+/// magnitudes (ids growing with `i`, amounts in the millions of drops).
+fn event(i: u64) -> TraceEventKind {
+    let (payment, unit, amount) = (PaymentId(i / 40), i / 3, Amount::from_drops(1_000_000 + i));
+    let (channel, path, node) = (
+        ChannelId((i % 97) as u32),
+        PathId((i % 500) as u32),
+        NodeId((i % 32) as u32),
+    );
+    let reason = DropReason::QueueTimeout;
+    match i % 15 {
+        0 => TraceEventKind::PaymentArrival {
+            payment,
+            src: node,
+            dst: NodeId(31 - node.0),
+            amount,
+        },
+        1 => TraceEventKind::RouteProposal {
+            payment,
+            attempt: (i % 3) as u32,
+            path,
+            amount,
+        },
+        2 => TraceEventKind::LockOutcome {
+            payment,
+            path,
+            amount,
+            ok: i.is_multiple_of(2),
+        },
+        3 => TraceEventKind::UnitInjected {
+            payment,
+            unit,
+            path,
+            amount,
+        },
+        4 => TraceEventKind::UnitEnqueued {
+            unit,
+            channel,
+            qlen: (i % 50) as u32,
+        },
+        5 => TraceEventKind::UnitForwarded {
+            unit,
+            channel,
+            hop: (i % 4) as u32,
+        },
+        6 => TraceEventKind::UnitDelivered { unit },
+        7 => TraceEventKind::UnitSettled { payment, amount },
+        8 => TraceEventKind::UnitDropped { unit, reason },
+        9 => TraceEventKind::UnitAcked {
+            payment,
+            unit,
+            delivered: true,
+            marked: i.is_multiple_of(5),
+        },
+        10 => TraceEventKind::PaymentCompleted {
+            payment,
+            latency_us: 250_000 + i,
+        },
+        11 => TraceEventKind::PaymentExpired {
+            payment,
+            remaining: amount,
+        },
+        12 => TraceEventKind::TopologyChanged {
+            closed: 1,
+            opened: 2,
+            resized: 0,
+        },
+        13 => TraceEventKind::FaultApplied {
+            node,
+            crashed: i.is_multiple_of(2),
+        },
+        _ => TraceEventKind::UnitRefunded {
+            payment,
+            amount,
+            reason,
+        },
+    }
+}
+
+#[test]
+fn render_holds_the_events_or_their_text_never_both() {
+    let base = LIVE.load(Relaxed);
+    let mut sink = TraceSink::new();
+    for i in 0..200_000 {
+        sink.record(i * 1_000, event(i));
+    }
+    let paths = (0..500).map(|id| (id, vec![1, 7, 19, 30])).collect();
+    let trace = sink.finish(paths);
+    let events = LIVE.load(Relaxed) - base;
+
+    PEAK.store(LIVE.load(Relaxed), Relaxed);
+    let out = trace.to_jsonl();
+    let high_water = PEAK.load(Relaxed) - base;
+
+    assert_eq!(out.lines().count(), 200_500);
+    let bound = 1.15 * events.max(out.len()) as f64;
+    assert!(
+        high_water as f64 <= bound,
+        "{high_water} bytes live at the peak for {events} of events and {} of text",
+        out.len()
+    );
+    // Holding both in full — what a render that keeps the events until
+    // it returns costs — would break the bound.
+    assert!((events + out.len()) as f64 > bound);
+    assert!(
+        out.capacity() <= out.len() + out.len() / 16,
+        "{} bytes in {} of capacity",
+        out.len(),
+        out.capacity()
+    );
+}

@@ -135,7 +135,7 @@ fn outcome_fields(mut r: SimReport) -> Vec<(String, serde_json::Value)> {
 
 /// The trace's JSONL lines minus what only a barren attempt can add, and
 /// minus the record numbering those records shift.
-fn outcome_lines(trace: &Trace) -> Vec<String> {
+fn outcome_lines(trace: Trace) -> Vec<String> {
     trace
         .to_jsonl()
         .lines()
@@ -175,8 +175,8 @@ fn assert_elision_is_invisible(label: &str, cfg: &ExperimentConfig) -> (SimRepor
     for ((name, got), (_, want)) in a.iter().zip(&b) {
         assert!(got == want, "{label}: SimReport::{name} differs");
     }
-    let a = outcome_lines(&elided_trace);
-    let b = outcome_lines(&polled_trace);
+    let a = outcome_lines(elided_trace);
+    let b = outcome_lines(polled_trace);
     for (i, (got, want)) in a.iter().zip(&b).enumerate() {
         assert_eq!(got, want, "{label}: traces diverge at kept record {i}");
     }

@@ -1,6 +1,7 @@
 //! Golden payment-lifecycle traces: exact JSONL output recorded for tiny
 //! fixed-seed runs in each engine operating mode (lockstep, Windowed AIMD,
-//! and the queueing §5 protocol).
+//! and the queueing §5 protocol), and the exact Chrome render of the §5
+//! and fault-injected runs.
 //!
 //! The trace is an *observation* layer: it must be bit-reproducible for a
 //! fixed seed (same `(time, seq)` event order every run) and must never
@@ -60,13 +61,19 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Checks the structure every trace must have — each JSONL line parses
-/// and carries an `ev` tag, event lines carry `t_us` and a strictly increasing `seq`, `path`
-/// lines a non-empty `nodes`, one `arrival` per attempted and one
-/// `complete` per completed payment of `report`, and the Chrome render
-/// is a non-empty JSON array — then compares the JSONL against the
-/// pinned golden (or rewrites it when `UPDATE_GOLDENS` is set).
-fn check_golden(name: &str, report: &SimReport, trace: &Trace) {
+/// Checks the structure every trace must have — the Chrome render is a
+/// non-empty JSON array, each JSONL line parses and carries an `ev` tag,
+/// event lines carry `t_us` and a strictly increasing `seq`, `path` lines
+/// a non-empty `nodes`, one `arrival` per attempted and one `complete`
+/// per completed payment of `report` — then compares the JSONL (the
+/// render consumes the trace) against the pinned golden.
+fn check_golden(name: &str, report: &SimReport, trace: Trace) {
+    let chrome = serde_json::parse(&trace.to_chrome_trace())
+        .unwrap_or_else(|e| panic!("{name}: chrome trace is not valid JSON: {e}"));
+    assert!(
+        chrome.as_array().is_some_and(|a| !a.is_empty()),
+        "{name}: chrome trace is not a non-empty array"
+    );
     let jsonl = trace.to_jsonl();
     let (mut arrivals, mut completes, mut prev_seq) = (0, 0, None);
     for line in jsonl.lines() {
@@ -90,17 +97,16 @@ fn check_golden(name: &str, report: &SimReport, trace: &Trace) {
     }
     assert_eq!(arrivals, report.attempted_payments, "{name}: arrivals");
     assert_eq!(completes, report.completed_payments, "{name}: completes");
-    let chrome = serde_json::parse(&trace.to_chrome_trace())
-        .unwrap_or_else(|e| panic!("{name}: chrome trace is not valid JSON: {e}"));
-    assert!(
-        chrome.as_array().is_some_and(|a| !a.is_empty()),
-        "{name}: chrome trace is not a non-empty array"
-    );
+    compare_golden(name, &jsonl);
+}
 
+/// Compares `text` against the pinned golden `name` line by line (or
+/// rewrites it when `UPDATE_GOLDENS` is set).
+fn compare_golden(name: &str, text: &str) {
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir goldens");
-        std::fs::write(&path, &jsonl).expect("write golden");
+        std::fs::write(&path, text).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -109,18 +115,18 @@ fn check_golden(name: &str, report: &SimReport, trace: &Trace) {
             path.display()
         )
     });
-    if jsonl != want {
+    if text != want {
         // A full assert_eq! on multi-KB strings is unreadable; report the
         // first diverging line instead.
-        for (i, (got, exp)) in jsonl.lines().zip(want.lines()).enumerate() {
+        for (i, (got, exp)) in text.lines().zip(want.lines()).enumerate() {
             assert_eq!(got, exp, "{name}: first divergence at line {}", i + 1);
         }
         assert_eq!(
-            jsonl.lines().count(),
+            text.lines().count(),
             want.lines().count(),
             "{name}: line counts differ"
         );
-        panic!("{name}: traces differ only in trailing whitespace?");
+        panic!("{name}: outputs differ only in trailing whitespace?");
     }
 }
 
@@ -131,7 +137,7 @@ fn lockstep_shortest_path_trace_is_reproducible_and_matches_golden() {
     let (r2, t2) = traced_run(&cfg, None);
     assert_eq!(r1.completed_payments, r2.completed_payments);
     assert_eq!(
-        t1.to_jsonl(),
+        t1.clone().to_jsonl(),
         t2.to_jsonl(),
         "trace is not bit-reproducible"
     );
@@ -139,7 +145,7 @@ fn lockstep_shortest_path_trace_is_reproducible_and_matches_golden() {
         r1.completed_payments > 0,
         "nothing completed; golden is vacuous"
     );
-    check_golden("trace_lockstep_shortest.jsonl", &r1, &t1);
+    check_golden("trace_lockstep_shortest.jsonl", &r1, t1);
 }
 
 #[test]
@@ -156,7 +162,7 @@ fn windowed_aimd_trace_is_reproducible_and_matches_golden() {
     let (r1, t1) = traced_run(&cfg, Some(windowed()));
     let (_, t2) = traced_run(&cfg, Some(windowed()));
     assert_eq!(
-        t1.to_jsonl(),
+        t1.clone().to_jsonl(),
         t2.to_jsonl(),
         "trace is not bit-reproducible"
     );
@@ -167,12 +173,12 @@ fn windowed_aimd_trace_is_reproducible_and_matches_golden() {
     let lockstep = std::fs::read_to_string(golden_path("trace_lockstep_shortest.jsonl"));
     if let Ok(lockstep) = lockstep {
         assert_ne!(
-            t1.to_jsonl(),
+            t1.clone().to_jsonl(),
             lockstep,
             "window gating never engaged; golden duplicates the lockstep one"
         );
     }
-    check_golden("trace_windowed_shortest.jsonl", &r1, &t1);
+    check_golden("trace_windowed_shortest.jsonl", &r1, t1);
 }
 
 #[test]
@@ -199,7 +205,7 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
     let (r2, t2) = traced_run(&cfg, None);
     assert_eq!(r1.faults_injected, r2.faults_injected);
     assert_eq!(
-        t1.to_jsonl(),
+        t1.clone().to_jsonl(),
         t2.to_jsonl(),
         "trace is not bit-reproducible"
     );
@@ -215,7 +221,8 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
         r1.completed_payments > 0,
         "nothing completed; golden only shows failures"
     );
-    check_golden("trace_faulted_shortest.jsonl", &r1, &t1);
+    compare_golden("trace_faulted_shortest.chrome.json", &t1.to_chrome_trace());
+    check_golden("trace_faulted_shortest.jsonl", &r1, t1);
 }
 
 #[test]
@@ -225,7 +232,7 @@ fn spider_protocol_trace_is_reproducible_and_matches_golden() {
     let (r1, t1) = traced_run(&cfg, None);
     let (_, t2) = traced_run(&cfg, None);
     assert_eq!(
-        t1.to_jsonl(),
+        t1.clone().to_jsonl(),
         t2.to_jsonl(),
         "trace is not bit-reproducible"
     );
@@ -237,5 +244,6 @@ fn spider_protocol_trace_is_reproducible_and_matches_golden() {
         r1.units_queued > 0 || r1.units_acked > 0,
         "protocol machinery never engaged; golden is vacuous"
     );
-    check_golden("trace_spider_protocol.jsonl", &r1, &t1);
+    compare_golden("trace_spider_protocol.chrome.json", &t1.to_chrome_trace());
+    check_golden("trace_spider_protocol.jsonl", &r1, t1);
 }
