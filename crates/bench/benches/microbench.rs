@@ -1,7 +1,9 @@
 //! Criterion microbenchmarks for the core data structures and algorithms:
-//! the per-operation costs behind the paper's overhead arguments (§3's
-//! "max-flow … has high overhead, requiring O(|V|·|E|²) computation per
-//! transaction" vs Spider's per-request path selection).
+//! the per-operation costs behind the paper's overhead arguments. §3 says
+//! max-flow "has high overhead, requiring O(|V|·|E|²) computation per
+//! transaction" (Edmonds–Karp's bound); `maxflow-isp` times Dinic, the
+//! solver the max-flow scheme runs, against Spider's per-request path
+//! selection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spider_lp::fluid::{FluidProblem, PathSelection};
@@ -30,13 +32,6 @@ fn bench_maxflow(c: &mut Criterion) {
         b.iter_batched(
             isp_flow_network,
             |mut net| black_box(net.max_flow_dinic(NodeId(8), NodeId(20))),
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("edmonds_karp", |b| {
-        b.iter_batched(
-            isp_flow_network,
-            |mut net| black_box(net.max_flow_edmonds_karp(NodeId(8), NodeId(20))),
             criterion::BatchSize::SmallInput,
         )
     });

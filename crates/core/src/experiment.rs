@@ -672,10 +672,12 @@ mod tests {
 
     #[test]
     fn invalid_topology_is_rejected() {
-        let cfg = TopologyConfig::Text {
-            text: "nodes 1\n".to_string(),
-        };
-        assert!(cfg.build(&DetRng::new(0)).is_err());
+        for text in ["nodes 1\n", "nodes 18446744073709551615\n"] {
+            let cfg = TopologyConfig::Text {
+                text: text.to_string(),
+            };
+            assert!(cfg.build(&DetRng::new(0)).is_err(), "{text}");
+        }
     }
 
     #[test]

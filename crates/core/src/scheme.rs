@@ -4,33 +4,11 @@ use serde::{Deserialize, Serialize};
 use spider_paygraph::PaymentGraph;
 use spider_protocol::{ProtocolConfig, ProtocolRouter, RateConfig};
 use spider_routing::{
-    LpSolverKind, MaxFlow, ShortestPath, SilentWhispers, SpeedyMurmurs, SpiderLp,
-    SpiderWaterfilling,
+    MaxFlow, ShortestPath, SilentWhispers, SpeedyMurmurs, SpiderLp, SpiderWaterfilling,
 };
 use spider_sim::Router;
 use spider_topology::Topology;
 use spider_types::Amount;
-
-/// Which offline solver Spider (LP) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LpSolver {
-    /// Exact dense simplex.
-    Simplex,
-    /// Decentralized primal-dual iteration.
-    PrimalDual,
-    /// Size-based automatic choice.
-    Auto,
-}
-
-impl From<LpSolver> for LpSolverKind {
-    fn from(s: LpSolver) -> LpSolverKind {
-        match s {
-            LpSolver::Simplex => LpSolverKind::Simplex,
-            LpSolver::PrimalDual => LpSolverKind::PrimalDual,
-            LpSolver::Auto => LpSolverKind::Auto,
-        }
-    }
-}
 
 /// Overrides for the `spider-protocol` sender tunables (AIMD window steps
 /// and price smoothing). Every field is optional; `None` keeps the
@@ -95,8 +73,6 @@ pub enum SchemeConfig {
     SpiderLp {
         /// Candidate paths per pair (paper: 4).
         paths: usize,
-        /// Offline solver choice.
-        solver: LpSolver,
     },
     /// Non-atomic shortest-path baseline.
     ShortestPath,
@@ -142,10 +118,7 @@ impl SchemeConfig {
     /// The paper's six-scheme lineup (Fig. 6 legend order).
     pub fn paper_lineup() -> Vec<SchemeConfig> {
         vec![
-            SchemeConfig::SpiderLp {
-                paths: 4,
-                solver: LpSolver::Auto,
-            },
+            SchemeConfig::SpiderLp { paths: 4 },
             SchemeConfig::SpiderWaterfilling { paths: 4 },
             SchemeConfig::MaxFlow,
             SchemeConfig::ShortestPath,
@@ -187,13 +160,9 @@ impl SchemeConfig {
     ) -> Box<dyn Router> {
         match *self {
             SchemeConfig::SpiderWaterfilling { paths } => Box::new(SpiderWaterfilling::new(paths)),
-            SchemeConfig::SpiderLp { paths, solver } => Box::new(SpiderLp::new(
-                topo,
-                demands,
-                delta_secs,
-                paths,
-                solver.into(),
-            )),
+            SchemeConfig::SpiderLp { paths } => {
+                Box::new(SpiderLp::new(topo, demands, delta_secs, paths))
+            }
             SchemeConfig::ShortestPath => Box::new(ShortestPath::new()),
             SchemeConfig::MaxFlow => Box::new(MaxFlow::new()),
             SchemeConfig::SilentWhispers { landmarks } => {

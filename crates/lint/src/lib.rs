@@ -11,7 +11,7 @@
 //!    iteration, wall-clock reads outside obs/bench, non-`DetRng`
 //!    randomness, float accumulation over hash order.
 //! 2. **Panic-site ratchet** ([`ratchet`]): per-crate
-//!    unwrap/expect/panic/index counts against a committed
+//!    unwrap/expect/panic counts against a committed
 //!    `baseline.toml`; new sites fail, removals tighten via
 //!    `--update-baseline`.
 //! 3. **Cross-file consistency** ([`consistency`]): `DropReason`

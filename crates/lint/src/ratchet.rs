@@ -1,11 +1,12 @@
 //! The panic-site ratchet.
 //!
-//! Counts `unwrap()` / `.expect()` / `panic!`-family macros / slice-index
-//! expressions per crate and compares against the committed
-//! `crates/lint/baseline.toml`. New sites fail the check; removed sites
-//! pass but are reported so `--update-baseline` can tighten the floor.
-//! `assert!`/`assert_eq!` are deliberately not counted: they state
-//! invariants, the ratchet is about *incidental* panic sites.
+//! Counts `unwrap()` / `.expect()` / `panic!`-family macros per crate and
+//! compares against the committed `crates/lint/baseline.toml`. New sites
+//! fail the check; removed sites pass but are reported so
+//! `--update-baseline` can tighten the floor. `assert!`/`assert_eq!` are
+//! deliberately not counted: they state invariants, the ratchet is about
+//! *incidental* panic sites. Nor is slice indexing: nobody could act on
+//! that count.
 
 use crate::lexer::{Lexed, TokKind};
 use std::collections::BTreeMap;
@@ -20,8 +21,6 @@ pub struct Counts {
     pub expect: u64,
     /// `panic!` / `unreachable!` / `todo!` / `unimplemented!` invocations.
     pub panic: u64,
-    /// Slice/array index expressions (`x[i]`), which panic out of bounds.
-    pub index: u64,
 }
 
 impl Counts {
@@ -31,7 +30,6 @@ impl Counts {
             "unwrap" => self.unwrap,
             "expect" => self.expect,
             "panic" => self.panic,
-            "index" => self.index,
             _ => 0,
         }
     }
@@ -40,53 +38,27 @@ impl Counts {
         self.unwrap += other.unwrap;
         self.expect += other.expect;
         self.panic += other.panic;
-        self.index += other.index;
     }
 }
 
 /// The ratchet categories, in baseline/report order.
-pub const CATEGORIES: &[&str] = &["unwrap", "expect", "panic", "index"];
-
-/// Keywords that may directly precede `[` without forming an index
-/// expression (`return [..]`, slice patterns, `for x in [..]`…).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "if", "else", "match", "return", "break", "as", "use", "pub", "fn",
-    "for", "while", "loop", "impl", "where", "unsafe", "dyn", "const", "static", "type", "enum",
-    "struct", "trait", "mod", "crate", "super", "move", "box", "yield",
-];
+pub const CATEGORIES: &[&str] = &["unwrap", "expect", "panic"];
 
 /// Counts the panic sites in one tokenized file (test code included: the
 /// ratchet tracks the whole crate, and fixture-style `unwrap()`s in tests
 /// are exactly what the tightening satellite converts).
 pub fn count_file(lx: &Lexed) -> Counts {
-    let t = &lx.toks;
     let mut c = Counts::default();
-    for i in 0..t.len() {
-        match t[i].kind {
-            TokKind::Ident => {
-                let name = t[i].text.as_str();
-                let method_call = i >= 1 && lx.is_punct(i - 1, '.') && lx.is_punct(i + 1, '(');
-                match name {
-                    "unwrap" if method_call => c.unwrap += 1,
-                    "expect" if method_call => c.expect += 1,
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                        if lx.is_punct(i + 1, '!') =>
-                    {
-                        c.panic += 1;
-                    }
-                    _ => {}
-                }
-            }
-            TokKind::Punct if t[i].text == "[" && i >= 1 => {
-                let prev = &t[i - 1];
-                let indexable = match prev.kind {
-                    TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                    TokKind::Punct => prev.text == ")" || prev.text == "]",
-                    _ => false,
-                };
-                if indexable {
-                    c.index += 1;
-                }
+    for (i, tok) in lx.toks.iter().enumerate() {
+        if tok.kind != TokKind::Ident {
+            continue;
+        }
+        let method_call = i >= 1 && lx.is_punct(i - 1, '.') && lx.is_punct(i + 1, '(');
+        match tok.text.as_str() {
+            "unwrap" if method_call => c.unwrap += 1,
+            "expect" if method_call => c.expect += 1,
+            "panic" | "unreachable" | "todo" | "unimplemented" if lx.is_punct(i + 1, '!') => {
+                c.panic += 1;
             }
             _ => {}
         }
@@ -141,7 +113,6 @@ pub fn parse_baseline(text: &str) -> Result<CrateCounts, String> {
             "unwrap" => entry.unwrap = v,
             "expect" => entry.expect = v,
             "panic" => entry.panic = v,
-            "index" => entry.index = v,
             other => {
                 return Err(format!(
                     "baseline.toml line {}: unknown category `{other}`",
@@ -157,15 +128,15 @@ pub fn parse_baseline(text: &str) -> Result<CrateCounts, String> {
 pub fn format_baseline(counts: &CrateCounts) -> String {
     let mut out = String::from(
         "# Panic-site ratchet baseline: per-crate counts of unwrap()/expect()/\n\
-         # panic-family macros/slice-index sites. New sites fail `--check`;\n\
+         # panic-family macro sites. New sites fail `--check`;\n\
          # after removing sites, tighten with:\n\
          #   cargo run -p spider-lint -- --update-baseline\n",
     );
     for (name, c) in counts {
         let _ = write!(
             out,
-            "\n[{name}]\nunwrap = {}\nexpect = {}\npanic = {}\nindex = {}\n",
-            c.unwrap, c.expect, c.panic, c.index
+            "\n[{name}]\nunwrap = {}\nexpect = {}\npanic = {}\n",
+            c.unwrap, c.expect, c.panic
         );
     }
     out
@@ -221,8 +192,8 @@ pub fn summary_table(current: &CrateCounts, baseline: &CrateCounts) -> String {
     let mut out = String::from("panic-site ratchet (current/baseline):\n");
     let _ = writeln!(
         out,
-        "  {:<12} {:>12} {:>12} {:>12} {:>12}",
-        "crate", "unwrap", "expect", "panic", "index"
+        "  {:<12} {:>12} {:>12} {:>12}",
+        "crate", "unwrap", "expect", "panic"
     );
     let mut cur_tot = Counts::default();
     let mut base_tot = Counts::default();
@@ -233,23 +204,21 @@ pub fn summary_table(current: &CrateCounts, baseline: &CrateCounts) -> String {
         let cell = |cat: &str| format!("{}/{}", cur.get(cat), base.get(cat));
         let _ = writeln!(
             out,
-            "  {:<12} {:>12} {:>12} {:>12} {:>12}",
+            "  {:<12} {:>12} {:>12} {:>12}",
             name,
             cell("unwrap"),
             cell("expect"),
-            cell("panic"),
-            cell("index")
+            cell("panic")
         );
     }
     let cell = |cat: &str| format!("{}/{}", cur_tot.get(cat), base_tot.get(cat));
     let _ = writeln!(
         out,
-        "  {:<12} {:>12} {:>12} {:>12} {:>12}",
+        "  {:<12} {:>12} {:>12} {:>12}",
         "TOTAL",
         cell("unwrap"),
         cell("expect"),
-        cell("panic"),
-        cell("index")
+        cell("panic")
     );
     out
 }
@@ -261,6 +230,8 @@ mod tests {
 
     #[test]
     fn counts_methods_macros_and_indexing() {
+        // Index expressions are not panic sites the ratchet counts: the
+        // last line adds nothing.
         let src = "fn f(v: Vec<u32>, m: &M) -> u32 {\n\
                    let a = v.get(0).unwrap();\n\
                    let b = m.slot(1).expect(\"slot live\");\n\
@@ -268,20 +239,14 @@ mod tests {
                    v[0] + rows[i][j] + f()[k]\n\
                    }\n";
         let c = count_file(&lex(src));
-        assert_eq!(c.unwrap, 1);
-        assert_eq!(c.expect, 1);
-        assert_eq!(c.panic, 2);
-        assert_eq!(c.index, 4, "v[0], rows[i], [i][j], f()[k]");
-    }
-
-    #[test]
-    fn non_index_brackets_are_not_counted() {
-        let src = "#[cfg(test)]\nfn f() { let [a, b] = xs; let v = vec![1, 2]; \
-                   let t: [u8; 4] = [0; 4]; for x in [1, 2] {} }";
-        let c = count_file(&lex(src));
-        // `vec![` follows `!`, `[a, b]` follows `let`, types/attrs follow
-        // punctuation; `xs;`-style plain idents never precede `[` here.
-        assert_eq!(c.index, 0);
+        assert_eq!(
+            c,
+            Counts {
+                unwrap: 1,
+                expect: 1,
+                panic: 2,
+            }
+        );
     }
 
     #[test]
@@ -307,7 +272,6 @@ mod tests {
                 unwrap: 3,
                 expect: 14,
                 panic: 2,
-                index: 120,
             },
         );
         counts.insert("types".into(), Counts::default());

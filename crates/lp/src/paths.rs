@@ -7,8 +7,6 @@
 //! * [`k_shortest_paths`] — Yen's algorithm over hop counts (loopless);
 //! * [`k_edge_disjoint_paths`] — successive shortest paths with used
 //!   channels removed (the "4 disjoint shortest paths" of §6.1);
-//! * [`k_widest_paths`] — highest-bottleneck-capacity paths, the building
-//!   block of the waterfilling heuristic;
 //! * [`SourceOracle`] — the batched per-source form of the first two: one
 //!   BFS tree and one reusable workspace answer *every* destination of a
 //!   source, which is what makes precomputing a whole workload's candidate
@@ -31,13 +29,12 @@
 //! All oracles are deterministic: ties break toward fewer hops, then the
 //! lexicographically smallest node sequence. A degenerate `src == dst`
 //! query has no usable candidate paths: the multi-path oracles
-//! (edge-disjoint, Yen, widest) yield the empty set, while the
+//! (edge-disjoint, Yen) yield the empty set, while the
 //! single-shortest-path oracle returns the zero-hop path exactly as
 //! `Topology::shortest_path` does.
 
 use spider_topology::Topology;
 use spider_types::{ChannelId, Direction, NodeId};
-use std::collections::HashSet;
 
 // (Channel liveness: every oracle in this module searches only *enabled*
 // channels — see [`CsrGraph::set_channel_enabled`] — so candidate sets on
@@ -88,20 +85,6 @@ impl Path {
     pub fn channels(&self, topo: &Topology) -> Vec<(ChannelId, Direction)> {
         topo.path_channels(&self.nodes)
             .expect("path follows topology edges")
-    }
-
-    /// Allocation-free variant of [`Path::channels`]: iterates the hops
-    /// without materializing a vector. Panics on non-adjacent nodes.
-    pub fn channels_iter<'a>(
-        &'a self,
-        topo: &'a Topology,
-    ) -> impl Iterator<Item = (ChannelId, Direction)> + 'a {
-        self.nodes.windows(2).map(move |w| {
-            let id = topo
-                .channel_between(w[0], w[1])
-                .expect("path follows topology edges");
-            (id, topo.channel(id).direction_from(w[0]))
-        })
     }
 }
 
@@ -1215,116 +1198,12 @@ pub fn k_edge_disjoint_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize
     out.to_paths()
 }
 
-/// The widest path from `src` to `dst`, where a path's width is the minimum
-/// of `width(channel)` over its hops. Ties break toward fewer hops, then
-/// smaller node ids. Channels with zero width are unusable. A degenerate
-/// `src == dst` query has no usable path and returns `None`, mirroring the
-/// other oracles (the zero-hop path has no channels, hence no width).
-pub fn widest_path(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    width: impl Fn(ChannelId, Direction) -> u64,
-) -> Option<Path> {
-    if src == dst {
-        return None;
-    }
-    let n = topo.node_count();
-    // best[(node)] = (width, neg hops) maximized lexicographically.
-    let mut best: Vec<(u64, i64)> = vec![(0, 0); n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    best[src.index()] = (u64::MAX, 0);
-    loop {
-        // Extract the unfinished node with the best (width, -hops, -id).
-        let mut pick: Option<usize> = None;
-        for i in 0..n {
-            if !done[i] && best[i].0 > 0 {
-                let better = match pick {
-                    None => true,
-                    Some(p) => best[i] > best[p] || (best[i] == best[p] && i < p),
-                };
-                if better {
-                    pick = Some(i);
-                }
-            }
-        }
-        let Some(u) = pick else { break };
-        if u == dst.index() {
-            break;
-        }
-        done[u] = true;
-        let (wu, hu) = best[u];
-        for adj in topo.neighbors(NodeId::from_index(u)) {
-            let dir = topo
-                .channel(adj.channel)
-                .direction_from(NodeId::from_index(u));
-            let w = width(adj.channel, dir).min(wu);
-            let cand = (w, hu - 1);
-            let vi = adj.neighbor.index();
-            if !done[vi] && w > 0 && cand > best[vi] {
-                best[vi] = cand;
-                parent[vi] = Some(NodeId::from_index(u));
-            }
-        }
-    }
-    if best[dst.index()].0 == 0 {
-        return None;
-    }
-    let mut nodes = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = parent[cur.index()] {
-        nodes.push(p);
-        cur = p;
-    }
-    if cur != src {
-        return None;
-    }
-    nodes.reverse();
-    Some(Path::new(nodes))
-}
-
-/// Up to `k` high-capacity paths: repeatedly take the widest path, then
-/// remove its bottleneck channel and repeat. Not globally optimal (that
-/// problem is harder), but matches what a practical host probing "the K
-/// highest-capacity paths" would discover. `src == dst` yields the empty
-/// set (it used to panic looking for the zero-hop path's bottleneck).
-pub fn k_widest_paths(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    width: impl Fn(ChannelId, Direction) -> u64,
-) -> Vec<Path> {
-    if k == 0 || src == dst {
-        return Vec::new();
-    }
-    let mut removed: HashSet<ChannelId> = HashSet::new();
-    let mut out: Vec<Path> = Vec::new();
-    while out.len() < k {
-        let w = |c: ChannelId, d: Direction| if removed.contains(&c) { 0 } else { width(c, d) };
-        let Some(p) = widest_path(topo, src, dst, w) else {
-            break;
-        };
-        // Identify and remove the bottleneck channel.
-        let (bottleneck_channel, _) = p
-            .channels(topo)
-            .into_iter()
-            .min_by_key(|&(c, d)| width(c, d))
-            .expect("path has at least one hop");
-        removed.insert(bottleneck_channel);
-        if !out.contains(&p) {
-            out.push(p);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spider_topology::gen;
     use spider_types::Amount;
+    use std::collections::HashSet;
 
     const CAP: Amount = Amount::from_xrp(100);
 
@@ -1450,17 +1329,6 @@ mod tests {
             0
         );
         assert!(out.is_empty());
-    }
-
-    /// Regression: `k_widest_paths(s, s, …)` used to panic unwrapping the
-    /// zero-hop path's bottleneck channel; `widest_path(s, s, …)` returned
-    /// a zero-hop "path" no routing scheme can use.
-    #[test]
-    fn widest_self_pair_has_no_paths() {
-        let t = diamond();
-        assert!(widest_path(&t, n(1), n(1), |_, _| 7).is_none());
-        assert!(k_widest_paths(&t, n(1), n(1), 3, |_, _| 7).is_empty());
-        assert!(k_widest_paths(&t, n(0), n(3), 0, |_, _| 7).is_empty());
     }
 
     #[test]
@@ -2077,51 +1945,6 @@ mod tests {
                 assert_eq!(CsrGraph::neighbor(e), a.neighbor.0);
                 assert_eq!(CsrGraph::channel(e), a.channel.0);
             }
-        }
-    }
-
-    #[test]
-    fn widest_path_prefers_capacity_over_hops() {
-        // 0-1 thin direct; 0-2-1 fat detour.
-        let t = graph(3, &[(0, 1), (0, 2), (2, 1)]);
-        let thin = t.channel_between(n(0), n(1)).unwrap();
-        let width = |c: ChannelId, _d: Direction| if c == thin { 5 } else { 50 };
-        let p = widest_path(&t, n(0), n(1), width).unwrap();
-        assert_eq!(p.nodes, vec![n(0), n(2), n(1)]);
-    }
-
-    #[test]
-    fn widest_path_tie_breaks_to_fewer_hops() {
-        let t = diamond();
-        let p = widest_path(&t, n(0), n(3), |_, _| 7).unwrap();
-        assert_eq!(p.nodes, vec![n(0), n(3)]);
-    }
-
-    #[test]
-    fn widest_path_none_when_zero_capacity() {
-        let t = diamond();
-        assert!(widest_path(&t, n(0), n(3), |_, _| 0).is_none());
-    }
-
-    #[test]
-    fn widest_path_directional_widths() {
-        // Width depends on direction: 0→1 wide, 1→0 zero.
-        let mut b = Topology::builder(2);
-        b.channel(n(0), n(1), CAP).unwrap();
-        let t = b.build();
-        let w = |_c: ChannelId, d: Direction| if d == Direction::Forward { 9 } else { 0 };
-        assert!(widest_path(&t, n(0), n(1), w).is_some());
-        assert!(widest_path(&t, n(1), n(0), w).is_none());
-    }
-
-    #[test]
-    fn k_widest_returns_decent_set() {
-        let t = diamond();
-        let paths = k_widest_paths(&t, n(0), n(3), 3, |_, _| 10);
-        assert_eq!(paths.len(), 3);
-        let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-        for p in &paths {
-            assert!(seen.insert(p.nodes.clone()));
         }
     }
 }

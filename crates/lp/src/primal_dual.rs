@@ -12,7 +12,7 @@
 //! For small step sizes the iterates converge to the optimum of the LP in
 //! eqs. (6)–(11); the tests verify convergence against the simplex solver.
 
-use crate::fluid::{FluidProblem, FluidSolution, PathFlow, PathSelection};
+use crate::fluid::{FluidProblem, PathFlow, PathSelection};
 use crate::paths::Path;
 use spider_paygraph::PaymentGraph;
 use spider_topology::Topology;
@@ -69,16 +69,6 @@ pub struct PrimalDualSolution {
     pub total_rebalancing: f64,
     /// `(iteration, throughput)` samples for convergence plots.
     pub trajectory: Vec<(usize, f64)>,
-}
-
-impl PrimalDualSolution {
-    /// Converts into the [`FluidSolution`] shape for comparisons.
-    pub fn as_fluid(&self) -> FluidSolution {
-        FluidSolution {
-            throughput: self.throughput,
-            flows: self.flows.clone(),
-        }
-    }
 }
 
 /// Runs the primal-dual algorithm on `topo`/`demands` with candidate paths

@@ -79,11 +79,6 @@ impl LinearProgram {
         self.n_vars
     }
 
-    /// Number of constraints.
-    pub fn n_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Sets the objective coefficient of `var` (maximization).
     pub fn set_objective(&mut self, var: usize, coef: f64) {
         assert!(var < self.n_vars, "variable out of range");

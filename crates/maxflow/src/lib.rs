@@ -6,9 +6,9 @@
 //! implementation of the Ford–Fulkerson method to find source–destination
 //! paths that support the largest transaction volume".
 //!
-//! Two solvers are provided — Edmonds–Karp (BFS Ford–Fulkerson, the
-//! textbook benchmark) and Dinic's algorithm (used by default for speed) —
-//! plus a flow decomposition that turns a flow assignment back into the
+//! The solver is Dinic's algorithm (level graph + blocking flows), checked
+//! in the tests against Edmonds–Karp (BFS Ford–Fulkerson, the textbook
+//! method). A flow decomposition turns a flow assignment back into the
 //! explicit paths a payment-channel network needs in order to actually
 //! forward HTLCs.
 
@@ -95,52 +95,6 @@ impl FlowNetwork {
     /// Zeroes all flow (capacities are kept).
     pub fn reset(&mut self) {
         self.flow.iter_mut().for_each(|f| *f = 0);
-    }
-
-    /// Maximum flow from `s` to `t` via Edmonds–Karp (BFS augmenting
-    /// paths). `O(V · E²)`, deterministic.
-    pub fn max_flow_edmonds_karp(&mut self, s: NodeId, t: NodeId) -> u64 {
-        assert_ne!(s, t, "source equals sink");
-        let (s, t) = (s.index(), t.index());
-        let mut total = 0u64;
-        loop {
-            // BFS for an augmenting path in the residual graph.
-            let mut pred: Vec<Option<usize>> = vec![None; self.n];
-            let mut seen = vec![false; self.n];
-            seen[s] = true;
-            let mut queue = VecDeque::from([s]);
-            'bfs: while let Some(u) = queue.pop_front() {
-                for &arc in &self.adj[u] {
-                    let v = self.to[arc];
-                    if !seen[v] && self.res_cap(arc) > 0 {
-                        seen[v] = true;
-                        pred[v] = Some(arc);
-                        if v == t {
-                            break 'bfs;
-                        }
-                        queue.push_back(v);
-                    }
-                }
-            }
-            if !seen[t] {
-                return total;
-            }
-            // Find bottleneck and augment.
-            let mut bottleneck = u64::MAX;
-            let mut v = t;
-            while v != s {
-                let arc = pred[v].expect("path reaches source");
-                bottleneck = bottleneck.min(self.res_cap(arc));
-                v = self.to[arc ^ 1];
-            }
-            let mut v = t;
-            while v != s {
-                let arc = pred[v].expect("path reaches source");
-                self.augment(arc, bottleneck);
-                v = self.to[arc ^ 1];
-            }
-            total += bottleneck;
-        }
     }
 
     /// Residual capacity of arc `a` (forward: cap−flow; reverse twin: the
@@ -347,10 +301,59 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spider_types::DetRng;
+    use spider_types::{Amount, DetRng};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    impl FlowNetwork {
+        /// Dinic's reference: maximum flow from `s` to `t` via Edmonds–Karp
+        /// (BFS augmenting paths, the textbook Ford–Fulkerson of §3).
+        /// `O(V · E²)`, deterministic.
+        fn max_flow_edmonds_karp(&mut self, s: NodeId, t: NodeId) -> u64 {
+            assert_ne!(s, t, "source equals sink");
+            let (s, t) = (s.index(), t.index());
+            let mut total = 0u64;
+            loop {
+                // BFS for an augmenting path in the residual graph.
+                let mut pred: Vec<Option<usize>> = vec![None; self.n];
+                let mut seen = vec![false; self.n];
+                seen[s] = true;
+                let mut queue = VecDeque::from([s]);
+                'bfs: while let Some(u) = queue.pop_front() {
+                    for &arc in &self.adj[u] {
+                        let v = self.to[arc];
+                        if !seen[v] && self.res_cap(arc) > 0 {
+                            seen[v] = true;
+                            pred[v] = Some(arc);
+                            if v == t {
+                                break 'bfs;
+                            }
+                            queue.push_back(v);
+                        }
+                    }
+                }
+                if !seen[t] {
+                    return total;
+                }
+                // Find bottleneck and augment.
+                let mut bottleneck = u64::MAX;
+                let mut v = t;
+                while v != s {
+                    let arc = pred[v].expect("path reaches source");
+                    bottleneck = bottleneck.min(self.res_cap(arc));
+                    v = self.to[arc ^ 1];
+                }
+                let mut v = t;
+                while v != s {
+                    let arc = pred[v].expect("path reaches source");
+                    self.augment(arc, bottleneck);
+                    v = self.to[arc ^ 1];
+                }
+                total += bottleneck;
+            }
+        }
     }
 
     /// The classic CLRS example network (max flow 23).
@@ -447,6 +450,21 @@ mod tests {
             let fb = b.max_flow_edmonds_karp(n(0), n(7));
             assert_eq!(fa, fb);
         }
+    }
+
+    /// The reference at a realistic size: the ISP topology with both
+    /// directions of every channel as 15,000-XRP arcs, node 8 to node 20.
+    #[test]
+    fn dinic_equals_edmonds_karp_on_isp() {
+        let topo = spider_topology::gen::isp_topology(Amount::from_xrp(30_000));
+        let mut f = FlowNetwork::new(topo.node_count());
+        for (_, ch) in topo.channels() {
+            f.add_bidirectional(ch.u, ch.v, 15_000_000_000, 15_000_000_000);
+        }
+        let dinic = f.max_flow_dinic(n(8), n(20));
+        f.reset();
+        assert!(dinic > 0);
+        assert_eq!(f.max_flow_edmonds_karp(n(8), n(20)), dinic);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod waterfilling;
 
 pub use backoff::{BackoffConfig, BreakerConfig, ChannelBreakers, PathPenalties};
 pub use cache::{PathCache, PathPolicy};
-pub use lp_router::{LpSolverKind, SpiderLp};
+pub use lp_router::SpiderLp;
 pub use maxflow_router::MaxFlow;
 pub use oracle::{FilledPaths, PathOracle};
 pub use pricing::{PricingConfig, SpiderPricing};
@@ -39,30 +39,3 @@ pub use shortest::ShortestPath;
 pub use silentwhispers::SilentWhispers;
 pub use speedymurmurs::SpeedyMurmurs;
 pub use waterfilling::SpiderWaterfilling;
-
-use spider_sim::Router;
-
-/// Convenience constructor for the full §6 scheme lineup, in the paper's
-/// legend order. `demands` feeds Spider (LP)'s offline optimization exactly
-/// as the paper does ("Spider (LP) solves the LP once based on the
-/// long-term payment demands").
-pub fn paper_schemes(
-    topo: &spider_topology::Topology,
-    demands: &spider_paygraph::PaymentGraph,
-    delta_secs: f64,
-) -> Vec<Box<dyn Router>> {
-    vec![
-        Box::new(SpiderLp::new(
-            topo,
-            demands,
-            delta_secs,
-            4,
-            LpSolverKind::Auto,
-        )),
-        Box::new(SpiderWaterfilling::new(4)),
-        Box::new(MaxFlow::new()),
-        Box::new(ShortestPath::new()),
-        Box::new(SilentWhispers::new(topo, 3)),
-        Box::new(SpeedyMurmurs::new(topo, 3)),
-    ]
-}

@@ -3,10 +3,11 @@
 //! "Spider (LP) solves the LP in Eq. (1) once based on the long-term
 //! payment demands and uses the solution to set a weight for selecting
 //! each path" (§6.1). The router is constructed from a demand matrix,
-//! solves the fluid LP offline (exact simplex on small instances, the
-//! decentralized primal-dual solver on large ones), and thereafter splits
-//! every payment across its pair's paths in proportion to the optimal
-//! rates.
+//! solves the fluid LP offline, and thereafter splits every payment across
+//! its pair's paths in proportion to the optimal rates. The instance's size
+//! picks the solver: exact simplex up to 2,000 path variables, the
+//! decentralized primal-dual iteration above (`SIMPLEX_MAX_PATH_VARS` has
+//! the sizes the figures produce).
 //!
 //! Pairs whose LP rate is zero get **no** proposals — reproducing the
 //! paper's observed weakness: "the LP assigns zero flows to all paths for
@@ -21,21 +22,27 @@ use spider_topology::Topology;
 use spider_types::{Amount, NodeId};
 use std::collections::BTreeMap;
 
-/// Which offline solver computes the path weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpSolverKind {
-    /// Exact dense simplex (small/medium instances).
-    Simplex,
-    /// The paper's decentralized primal-dual iteration (scales further).
-    PrimalDual,
-    /// Simplex when the instance is small (≤ ~2,000 path variables),
-    /// primal-dual otherwise.
-    Auto,
-}
-
 /// Per-pair weighted path set: `(node path, weight)` with weights
 /// summing to 1.
 type PairWeights = BTreeMap<(NodeId, NodeId), Vec<(Vec<NodeId>, f64)>>;
+
+/// The largest instance, in path variables (candidate paths summed over
+/// demand pairs), that Spider (LP) solves with exact simplex; larger ones
+/// run the primal-dual iteration.
+///
+/// Both branches run in the figures (seed 42). Every Spider (LP) point of
+/// `fig6_success` and `fig7_capacity_sweep` is above the constant, so it
+/// runs primal-dual: ISP has 975 demand pairs and 3,900 path variables,
+/// the 400-node Ripple-like graph 7,222 pairs and 26,016 variables (their
+/// `--smoke` resolves to the default grid). The smoke `churn_resilience`
+/// and `fault_resilience` sweeps run both: ISP at 1,700 variables
+/// (simplex), the 120-node Ripple-like graph at 2,816 (primal-dual).
+const SIMPLEX_MAX_PATH_VARS: usize = 2_000;
+
+/// Whether an instance of `n_path_vars` path variables is solved exactly.
+fn solves_exactly(n_path_vars: usize) -> bool {
+    n_path_vars <= SIMPLEX_MAX_PATH_VARS
+}
 
 /// Spider (LP): offline-optimized weighted multipath splitting (non-atomic).
 #[derive(Debug)]
@@ -48,34 +55,39 @@ pub struct SpiderLp {
     /// ("the frequency of usage of different paths over time is roughly
     /// proportional to the optimal flow rate along the paths", §5.3.1).
     coverage: BTreeMap<(NodeId, NodeId), f64>,
-    /// Whether the coverage throttle is applied (on by default; off routes
-    /// every payment fully along the weighted paths — an ablation knob).
-    rate_capped: bool,
     /// Throughput of the offline solution (for diagnostics).
     offline_throughput: f64,
 }
 
 impl SpiderLp {
     /// Solves the fluid LP over `k` edge-disjoint paths per demand pair and
-    /// keeps the normalized per-path weights.
-    pub fn new(
-        topo: &Topology,
-        demands: &PaymentGraph,
-        delta_secs: f64,
-        k: usize,
-        solver: LpSolverKind,
-    ) -> Self {
+    /// keeps the normalized per-path weights. The instance's size picks the
+    /// solver (see [`SIMPLEX_MAX_PATH_VARS`]).
+    pub fn new(topo: &Topology, demands: &PaymentGraph, delta_secs: f64, k: usize) -> Self {
         let problem = FluidProblem::new(topo, demands, delta_secs, PathSelection::KEdgeDisjoint(k));
         let n_path_vars: usize = demands
             .edges()
             .map(|e| problem.paths_for(e.src, e.dst).len())
             .sum();
-        let use_simplex = match solver {
-            LpSolverKind::Simplex => true,
-            LpSolverKind::PrimalDual => false,
-            LpSolverKind::Auto => n_path_vars <= 2_000,
-        };
-        let flows: Vec<(NodeId, NodeId, Vec<NodeId>, f64)> = if use_simplex {
+        Self::solve(
+            topo,
+            demands,
+            delta_secs,
+            &problem,
+            solves_exactly(n_path_vars),
+        )
+    }
+
+    /// Solves `problem` by simplex when `exact`, by the primal-dual
+    /// iteration otherwise.
+    fn solve(
+        topo: &Topology,
+        demands: &PaymentGraph,
+        delta_secs: f64,
+        problem: &FluidProblem,
+        exact: bool,
+    ) -> Self {
+        let flows: Vec<(NodeId, NodeId, Vec<NodeId>, f64)> = if exact {
             let sol = problem
                 .solve_balanced()
                 .expect("fluid LP is always feasible (x = 0)");
@@ -87,7 +99,7 @@ impl SpiderLp {
             let scale = demands.edges().map(|e| e.rate).fold(1e-9, f64::max);
             let mut cfg = PrimalDualConfig::for_demand_scale(scale);
             cfg.iterations = 30_000;
-            let sol = solve_problem(topo, demands, delta_secs, &problem, &cfg);
+            let sol = solve_problem(topo, demands, delta_secs, problem, &cfg);
             sol.flows
                 .into_iter()
                 .map(|f| (f.src, f.dst, f.path.nodes, f.rate))
@@ -121,16 +133,8 @@ impl SpiderLp {
         SpiderLp {
             weights,
             coverage,
-            rate_capped: true,
             offline_throughput,
         }
-    }
-
-    /// Disables the per-pair LP-rate throttle (ablation: route every
-    /// payment fully along the weighted paths).
-    pub fn without_rate_cap(mut self) -> Self {
-        self.rate_capped = false;
-        self
     }
 
     /// Throughput of the offline fluid solution (units/s).
@@ -162,18 +166,14 @@ impl Router for SpiderLp {
         // Throttle to the LP's per-pair rate: of this payment, route at
         // most `coverage × total`; `total − remaining` is already assigned
         // (delivered or in flight).
-        let budget = if self.rate_capped {
-            let coverage = self
-                .coverage
-                .get(&(req.src, req.dst))
-                .copied()
-                .unwrap_or(1.0);
-            let cap = req.total.mul_f64(coverage);
-            let assigned = req.total - req.remaining;
-            cap.saturating_sub(assigned).min(req.remaining)
-        } else {
-            req.remaining
-        };
+        let coverage = self
+            .coverage
+            .get(&(req.src, req.dst))
+            .copied()
+            .unwrap_or(1.0);
+        let cap = req.total.mul_f64(coverage);
+        let assigned = req.total - req.remaining;
+        let budget = cap.saturating_sub(assigned).min(req.remaining);
         if budget.is_zero() {
             return Vec::new();
         }
@@ -222,7 +222,15 @@ mod tests {
     fn router() -> SpiderLp {
         let topo = gen::paper_example_topology(BIG);
         let demands = examples::paper_example_demands();
-        SpiderLp::new(&topo, &demands, 0.5, 4, LpSolverKind::Simplex)
+        SpiderLp::new(&topo, &demands, 0.5, 4)
+    }
+
+    /// The paper example solved by the named branch, whatever its size.
+    fn solved(exact: bool) -> SpiderLp {
+        let topo = gen::paper_example_topology(BIG);
+        let demands = examples::paper_example_demands();
+        let problem = FluidProblem::new(&topo, &demands, 0.5, PathSelection::KEdgeDisjoint(4));
+        SpiderLp::solve(&topo, &demands, 0.5, &problem, exact)
     }
 
     fn view_of(t: &spider_topology::Topology) -> Vec<ChannelState> {
@@ -298,9 +306,7 @@ mod tests {
 
     #[test]
     fn primal_dual_variant_close_to_simplex() {
-        let topo = gen::paper_example_topology(BIG);
-        let demands = examples::paper_example_demands();
-        let pd = SpiderLp::new(&topo, &demands, 0.5, 4, LpSolverKind::PrimalDual);
+        let pd = solved(false);
         assert!(
             (pd.offline_throughput() - examples::MAX_CIRCULATION).abs() < 0.5,
             "pd throughput {}",
@@ -311,11 +317,15 @@ mod tests {
 
     #[test]
     fn auto_picks_simplex_for_small() {
-        let topo = gen::paper_example_topology(BIG);
-        let demands = examples::paper_example_demands();
-        let auto = SpiderLp::new(&topo, &demands, 0.5, 4, LpSolverKind::Auto);
-        let exact = SpiderLp::new(&topo, &demands, 0.5, 4, LpSolverKind::Simplex);
-        assert!((auto.offline_throughput() - exact.offline_throughput()).abs() < 1e-9);
+        let (auto, exact, pd) = (router(), solved(true), solved(false));
+        assert_eq!(auto.weights, exact.weights);
+        assert_ne!(auto.weights, pd.weights);
+    }
+
+    #[test]
+    fn simplex_up_to_the_constant_primal_dual_above() {
+        assert!(solves_exactly(SIMPLEX_MAX_PATH_VARS));
+        assert!(!solves_exactly(SIMPLEX_MAX_PATH_VARS + 1));
     }
 
     #[test]
@@ -325,9 +335,8 @@ mod tests {
 
     #[test]
     fn rate_cap_throttles_partially_covered_pairs() {
+        let mut r = router();
         let topo = gen::paper_example_topology(BIG);
-        let demands = examples::paper_example_demands();
-        let mut r = SpiderLp::new(&topo, &demands, 0.5, 4, LpSolverKind::Simplex);
         let ch = view_of(&topo);
         let paths = PathTable::new();
         let view = NetworkView {
@@ -341,19 +350,12 @@ mod tests {
         let props = r.route(&req(3, 0, Amount::from_xrp(10)), &view);
         let total: Amount = props.iter().map(|p| p.amount).sum();
         assert_eq!(total, Amount::from_xrp(5));
-        // Without the cap the full amount is proposed.
-        let mut unc =
-            SpiderLp::new(&topo, &demands, 0.5, 4, LpSolverKind::Simplex).without_rate_cap();
-        let props = unc.route(&req(3, 0, Amount::from_xrp(10)), &view);
-        let total: Amount = props.iter().map(|p| p.amount).sum();
-        assert_eq!(total, Amount::from_xrp(10));
     }
 
     #[test]
     fn rate_cap_stops_retries_beyond_coverage() {
+        let mut r = router();
         let topo = gen::paper_example_topology(BIG);
-        let demands = examples::paper_example_demands();
-        let mut r = SpiderLp::new(&topo, &demands, 0.5, 4, LpSolverKind::Simplex);
         let ch = view_of(&topo);
         let paths = PathTable::new();
         let view = NetworkView {

@@ -65,16 +65,6 @@ impl SizeDistribution {
             SizeDistribution::RippleFull => sample_lognormal_capped(345.0, 180.0, 2_892.0, rng),
         }
     }
-
-    /// Approximate mean (before truncation).
-    pub fn nominal_mean_xrp(&self) -> f64 {
-        match *self {
-            SizeDistribution::Constant { xrp } => xrp,
-            SizeDistribution::LogNormal { mean_xrp, .. } => mean_xrp,
-            SizeDistribution::RippleIsp => 170.0,
-            SizeDistribution::RippleFull => 345.0,
-        }
-    }
 }
 
 fn sample_lognormal_capped(mean: f64, median: f64, cap: f64, rng: &mut DetRng) -> Amount {

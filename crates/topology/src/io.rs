@@ -45,7 +45,7 @@ pub fn from_text(text: &str) -> Result<Topology> {
                 if builder.is_some() {
                     return Err(err("duplicate `nodes` declaration"));
                 }
-                let n: usize = parts
+                let n: u64 = parts
                     .next()
                     .ok_or_else(|| err("missing node count"))?
                     .parse()
@@ -53,7 +53,10 @@ pub fn from_text(text: &str) -> Result<Topology> {
                 if parts.next().is_some() {
                     return Err(err("trailing tokens after node count"));
                 }
-                builder = Some(TopologyBuilder::new(n));
+                // Node ids are `u32`: a larger graph cannot be addressed,
+                // and its adjacency table must not be allocated.
+                let n = u32::try_from(n).map_err(|_| err("node count out of range"))?;
+                builder = Some(TopologyBuilder::new(n as usize));
             }
             "channel" => {
                 let b = builder
@@ -130,6 +133,12 @@ mod tests {
         assert!(from_text("nodes 2\nfrobnicate\n").is_err()); // unknown keyword
         assert!(from_text("").is_err()); // empty
         assert!(from_text("nodes 2\nchannel 0 1 1 9\n").is_err()); // trailing token
+
+        // Counts no `u32` node id can address: an error, not an allocation.
+        for text in ["nodes 18446744073709551615", "nodes 4294967297"] {
+            let e = from_text(text).unwrap_err();
+            assert!(e.to_string().contains("line 1"), "{e}");
+        }
     }
 
     #[test]

@@ -59,10 +59,7 @@ fn conservation_spider_waterfilling() {
 #[test]
 fn conservation_spider_lp() {
     run_and_check(
-        SchemeConfig::SpiderLp {
-            paths: 4,
-            solver: spider_core::scheme::LpSolver::Auto,
-        },
+        SchemeConfig::SpiderLp { paths: 4 },
         2,
         Amount::from_xrp(8_000),
     );
