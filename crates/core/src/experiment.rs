@@ -199,6 +199,7 @@ impl ExperimentConfig {
     pub fn simulation(&self, router: Option<Box<dyn spider_sim::Router>>) -> Result<Simulation> {
         let rng = DetRng::new(self.seed);
         let topo = self.topology.build(&rng)?;
+        self.workload.validate()?;
         let mut wrng = rng.fork("workload");
         let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
         let (router, sim_cfg) = match router {
@@ -677,6 +678,35 @@ mod tests {
                 text: text.to_string(),
             };
             assert!(cfg.build(&DetRng::new(0)).is_err(), "{text}");
+        }
+    }
+
+    /// Each of these used to panic inside workload generation.
+    #[test]
+    fn invalid_workload_is_rejected() {
+        let ok = WorkloadConfig::small(100, 100.0);
+        for workload in [
+            WorkloadConfig::small(0, 100.0),
+            WorkloadConfig::small(100, 0.0),
+            WorkloadConfig::small(100, f64::NAN),
+            WorkloadConfig {
+                sender_skew_scale: 0.0,
+                ..ok.clone()
+            },
+            WorkloadConfig {
+                size: spider_sim::SizeDistribution::LogNormal {
+                    mean_xrp: 1.0,
+                    median_xrp: 2.0,
+                    cap_xrp: 10.0,
+                },
+                ..ok.clone()
+            },
+        ] {
+            let cfg = ExperimentConfig {
+                workload: workload.clone(),
+                ..Default::default()
+            };
+            assert!(cfg.run().is_err(), "{workload:?}");
         }
     }
 

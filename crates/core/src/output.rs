@@ -101,7 +101,7 @@ impl FigureRow {
     }
 }
 
-/// CSV header matching [`to_csv_row`].
+/// CSV header matching [`to_csv_row`]: the [`FigureRow`] field names.
 pub const CSV_HEADER: &str =
     "experiment,scheme,parameter,value,success_ratio_pct,success_volume_pct,goodput_xrp_s,completed,attempted,units_dropped_fault,units_dropped_shed,units_dropped_admission,admission_deferred,retries,avg_completion_s,latency_p50_s,latency_p99_s,hotspot_channel,hotspot_score,profile_calendar_pop_s,profile_routing_s,profile_forwarding_s,profile_settlement_s,profile_churn_repair_s,profile_sampling_s";
 
@@ -283,6 +283,12 @@ mod tests {
             CSV_HEADER.split(',').count(),
             to_csv_row(&row).split(',').count()
         );
+        // The header names the FigureRow fields, in declaration order.
+        let keys: Vec<String> = match serde_json::to_value(&row) {
+            Ok(serde_json::Value::Object(fields)) => fields.into_iter().map(|(k, _)| k).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(CSV_HEADER.split(',').collect::<Vec<_>>(), keys);
     }
 
     #[test]

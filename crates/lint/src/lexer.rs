@@ -2,10 +2,10 @@
 //!
 //! The environment is offline and `vendor/` carries no `syn`, so spider-lint
 //! does not parse Rust — it tokenizes. Comments and string/char literals are
-//! lifted out of the token stream (so a hazard pattern quoted in a string or
-//! doc comment never fires), but both are retained on the side: comments feed
-//! the `// lint: allow(...)` pragma lookup, and string literals feed the
-//! cross-file consistency checks (trace event names, CSV headers).
+//! kept apart from code (so a hazard pattern quoted in a string or doc
+//! comment never fires): a string literal is one opaque `Str` token, and
+//! comments are retained on the side for the `// lint: allow(...)` pragma
+//! lookup.
 
 /// What a token is, at the granularity the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

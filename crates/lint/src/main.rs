@@ -6,9 +6,9 @@
 //! ```
 //!
 //! `--check` exits 0 only when the tree lints clean: no determinism
-//! hazards, no consistency drift, and panic-site counts at or below the
-//! committed baseline. The ratchet summary prints on every run so drift
-//! stays visible in CI logs.
+//! hazards, no serde derive on a generic type, and panic-site counts at
+//! or below the committed baseline. The ratchet summary prints on every
+//! run so drift stays visible in CI logs.
 
 use std::process::ExitCode;
 
@@ -112,7 +112,7 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     println!(
-        "spider-lint: workspace determinism/consistency static analysis\n\n\
+        "spider-lint: workspace determinism static analysis\n\n\
          USAGE:\n  cargo run -p spider-lint -- [--check | --update-baseline] [--root <dir>]\n\n\
          MODES:\n  --check            run all rules + the panic-site ratchet (default)\n  \
          --update-baseline  recount panic sites and rewrite crates/lint/baseline.toml\n\n\

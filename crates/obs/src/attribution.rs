@@ -21,19 +21,14 @@
 //!
 //! Everything is indexed by dense channel id, iterated in index order,
 //! and sorted with explicit tie-breaks — no hash-order escape — so the
-//! hotspot table is golden-testable like every other artifact.
+//! hotspot table is golden-testable like every other artifact. Its
+//! schema is [`ChannelHotspot`] itself: `SimReport` serializes the rows
+//! through `#[derive(Serialize)]`.
 
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Hotspot rows kept in `SimReport` (the reduction's K).
 pub const HOTSPOT_K: usize = 8;
-
-/// Column names of the hotspot table, in [`ChannelHotspot`] field order.
-/// Spider-lint cross-checks this against the struct fields and the JSONL
-/// renderer below.
-pub const HOTSPOT_HEADER: &str =
-    "channel,util_frac,zero_liquidity_s,imbalance_frac,queue_residency_s,drops,bottlenecks,score";
 
 /// One channel's state at an integration step, computed by the engine
 /// (the obs crate never sees `ChannelState` itself).
@@ -197,47 +192,6 @@ impl ChannelAttribution {
     }
 }
 
-/// Renders hotspot rows as a JSON array with fixed field order matching
-/// [`HOTSPOT_HEADER`], for embedding in bench artifacts.
-pub fn hotspots_to_json_array(rows: &[ChannelHotspot]) -> String {
-    let mut out = String::from("[");
-    for (i, h) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(
-            out,
-            "{{\"channel\":{},\"util_frac\":{:.6},\"zero_liquidity_s\":{:.6},\
-             \"imbalance_frac\":{:.6},\"queue_residency_s\":{:.6},\"drops\":{},\
-             \"bottlenecks\":{},\"score\":{:.6}}}",
-            h.channel,
-            h.util_frac,
-            h.zero_liquidity_s,
-            h.imbalance_frac,
-            h.queue_residency_s,
-            h.drops,
-            h.bottlenecks,
-            h.score
-        )
-        .expect("string write");
-    }
-    out.push(']');
-    out
-}
-
-/// Renders hotspot rows as JSONL, one object per line, same field order
-/// as [`hotspots_to_json_array`].
-pub fn hotspots_to_jsonl(rows: &[ChannelHotspot]) -> String {
-    let mut out = String::new();
-    for h in rows {
-        let obj = hotspots_to_json_array(std::slice::from_ref(h));
-        // Strip the array brackets: each line is the bare object.
-        out.push_str(&obj[1..obj.len() - 1]);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,33 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn json_renderers_are_deterministic_and_header_shaped() {
-        let mut a = ChannelAttribution::new(2);
-        a.drop_at(0);
-        a.bottleneck(1);
-        let rows = a.finish(8);
-        let arr = hotspots_to_json_array(&rows);
-        assert_eq!(arr, hotspots_to_json_array(&rows), "rendering must be pure");
-        assert!(arr.starts_with('[') && arr.ends_with(']'), "{arr}");
-        for col in HOTSPOT_HEADER.split(',') {
-            assert!(
-                arr.contains(&format!("\"{col}\":")),
-                "missing {col} in {arr}"
-            );
-        }
-        let lines = hotspots_to_jsonl(&rows);
-        assert_eq!(lines.lines().count(), rows.len());
-        for line in lines.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-    }
-
-    #[test]
     fn empty_attribution_renders_empty_table() {
         let a = ChannelAttribution::new(0);
         assert!(a.is_empty());
         assert!(a.finish(8).is_empty());
-        assert_eq!(hotspots_to_json_array(&[]), "[]");
-        assert_eq!(hotspots_to_jsonl(&[]), "");
     }
 }

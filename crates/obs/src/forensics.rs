@@ -12,50 +12,15 @@
 //! evicting, so the root-cause table partitions the run's full
 //! `DropBreakdown` exactly (a proptest pins this). Rendering is
 //! hand-written fixed-field-order JSONL, byte-equal across runs of the
-//! same seed like every other artifact.
+//! same seed like every other artifact. The renderers are the schema:
+//! the goldens `forensics_faulted_records.jsonl` and
+//! `forensics_faulted_rootcause.jsonl` pin every field name and its
+//! order.
 
 use crate::trace::reason_str;
 use spider_types::DropReason;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-
-/// Field names of a [`DropRecord`] JSONL line, in render order.
-/// Spider-lint cross-checks this against the renderer below.
-pub const FORENSICS_HEADER: &str =
-    "t_us,payment,path,channel,bal_fwd_drops,bal_rev_drops,retries,reason";
-
-/// Field names of a root-cause table JSONL line, in render order.
-pub const ROOTCAUSE_HEADER: &str = "reason,channel,count";
-
-/// Stable ordinal for the reason×channel table key (`BTreeMap` needs
-/// `Ord`, which `DropReason` doesn't derive). Keep in `DropReason`
-/// declaration order.
-fn reason_ord(r: DropReason) -> u8 {
-    match r {
-        DropReason::QueueTimeout => 0,
-        DropReason::QueueOverflow => 1,
-        DropReason::Expired => 2,
-        DropReason::ChannelClosed => 3,
-        DropReason::MessageLost => 4,
-        DropReason::HopTimeout => 5,
-        DropReason::NodeCrashed => 6,
-        DropReason::Shed => 7,
-        DropReason::AdmissionRejected => 8,
-    }
-}
-
-/// Ordinal → reason, inverse of [`reason_ord`].
-const REASONS: [DropReason; 9] = [
-    DropReason::QueueTimeout,
-    DropReason::QueueOverflow,
-    DropReason::Expired,
-    DropReason::ChannelClosed,
-    DropReason::MessageLost,
-    DropReason::HopTimeout,
-    DropReason::NodeCrashed,
-    DropReason::Shed,
-    DropReason::AdmissionRejected,
-];
 
 /// One drop, with everything needed to reconstruct why it happened.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +66,7 @@ pub struct FlightRecorder {
     capacity: usize,
     evicted: u64,
     ring: VecDeque<DropRecord>,
-    root_cause: BTreeMap<(u8, Option<u32>), u64>,
+    root_cause: BTreeMap<(DropReason, Option<u32>), u64>,
 }
 
 impl FlightRecorder {
@@ -121,7 +86,7 @@ impl FlightRecorder {
     pub fn record(&mut self, rec: DropRecord) {
         *self
             .root_cause
-            .entry((reason_ord(rec.reason), rec.channel))
+            .entry((rec.reason, rec.channel))
             .or_insert(0) += 1;
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
@@ -158,29 +123,28 @@ impl FlightRecorder {
     /// Total drops counted for `reason` across all channels — matches
     /// the corresponding `DropBreakdown` field exactly.
     pub fn reason_total(&self, reason: DropReason) -> u64 {
-        let ord = reason_ord(reason);
         self.root_cause
-            .range((ord, None)..=(ord, Some(u32::MAX)))
+            .range((reason, None)..=(reason, Some(u32::MAX)))
             .map(|(_, &c)| c)
             .sum()
     }
 
-    /// The aggregated reason×channel table, sorted by reason ordinal
-    /// then channel (`None` first) — `BTreeMap` order, fully
-    /// deterministic.
+    /// The aggregated reason×channel table, sorted by reason (in
+    /// `DropReason` declaration order) then channel (`None` first) —
+    /// `BTreeMap` order, fully deterministic.
     pub fn root_cause_rows(&self) -> Vec<RootCauseRow> {
         self.root_cause
             .iter()
-            .map(|(&(ord, channel), &count)| RootCauseRow {
-                reason: reason_str(REASONS[ord as usize]),
+            .map(|(&(reason, channel), &count)| RootCauseRow {
+                reason: reason_str(reason),
                 channel,
                 count,
             })
             .collect()
     }
 
-    /// Renders the retained records as JSONL with fixed field order
-    /// matching [`FORENSICS_HEADER`].
+    /// Renders the retained records as JSONL, fields in [`DropRecord`]
+    /// declaration order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.ring.len() * 96);
         for r in &self.ring {
@@ -209,8 +173,8 @@ impl FlightRecorder {
         out
     }
 
-    /// Renders the root-cause table as JSONL with fixed field order
-    /// matching [`ROOTCAUSE_HEADER`].
+    /// Renders the root-cause table as JSONL, fields in [`RootCauseRow`]
+    /// declaration order.
     pub fn root_cause_to_jsonl(&self) -> String {
         let mut out = String::new();
         for row in self.root_cause_rows() {
@@ -289,24 +253,24 @@ mod tests {
         f.record(rec(20, None, DropReason::Expired));
         let out = f.to_jsonl();
         assert_eq!(out, f.to_jsonl(), "rendering must be pure");
-        assert_eq!(out.lines().count(), 2);
-        for col in FORENSICS_HEADER.split(',') {
-            assert!(
-                out.contains(&format!("\"{col}\":")),
-                "missing {col} in {out}"
-            );
-        }
-        assert!(out.contains("\"channel\":9"), "{out}");
-        assert!(out.contains("\"channel\":null"), "{out}");
-        assert!(out.contains("\"reason\":\"message_lost\""), "{out}");
-
-        let table = f.root_cause_to_jsonl();
-        for col in ROOTCAUSE_HEADER.split(',') {
-            assert!(
-                table.contains(&format!("\"{col}\":")),
-                "missing {col} in {table}"
-            );
-        }
+        assert_eq!(
+            out,
+            concat!(
+                r#"{"t_us":10,"payment":7,"path":3,"channel":9,"bal_fwd_drops":1000,"bal_rev_drops":2000,"retries":2,"reason":"message_lost"}"#,
+                "\n",
+                r#"{"t_us":20,"payment":7,"path":3,"channel":null,"bal_fwd_drops":1000,"bal_rev_drops":2000,"retries":2,"reason":"expired"}"#,
+                "\n",
+            )
+        );
+        assert_eq!(
+            f.root_cause_to_jsonl(),
+            concat!(
+                r#"{"reason":"expired","channel":null,"count":1}"#,
+                "\n",
+                r#"{"reason":"message_lost","channel":9,"count":1}"#,
+                "\n",
+            )
+        );
     }
 
     #[test]

@@ -40,10 +40,8 @@ pub mod profile;
 pub mod sampler;
 pub mod trace;
 
-pub use attribution::{
-    ChannelAttribution, ChannelHotspot, ChannelSample, HOTSPOT_HEADER, HOTSPOT_K,
-};
-pub use forensics::{DropRecord, FlightRecorder, RootCauseRow, FORENSICS_HEADER, ROOTCAUSE_HEADER};
+pub use attribution::{ChannelAttribution, ChannelHotspot, ChannelSample, HOTSPOT_K};
+pub use forensics::{DropRecord, FlightRecorder, RootCauseRow};
 pub use hist::Histogram;
 pub use profile::{Phase, PhaseStats, ProfileStats, Profiler};
 pub use sampler::{SampleSeries, SampleSet, Sampler, SamplerConfig, NUM_SERIES, SERIES_NAMES};

@@ -1113,6 +1113,16 @@ mod tests {
         );
     }
 
+    /// [`REASONS`] lists every reason once, in declaration order, and no
+    /// two share a wire spelling.
+    #[test]
+    fn every_reason_has_its_own_spelling() {
+        assert!(REASONS.windows(2).all(|w| w[0] < w[1]));
+        let spellings: std::collections::BTreeSet<&str> =
+            REASONS.iter().map(|&r| reason_str(r)).collect();
+        assert_eq!(spellings.len(), REASONS.len(), "{spellings:?}");
+    }
+
     #[test]
     fn empty_trace_renders_empty_outputs() {
         let t = TraceSink::new().finish(Vec::new());

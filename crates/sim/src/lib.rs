@@ -42,7 +42,7 @@ pub use config::{
 };
 pub use engine::{Simulation, SlabStats};
 pub use metrics::{DropBreakdown, SimReport};
-pub use monitor::{InvariantMonitor, InvariantReport, InvariantViolation, VIOLATION_HEADER};
+pub use monitor::{InvariantMonitor, InvariantReport, InvariantViolation};
 pub use paths::{PathEntry, PathTable};
 pub use router::{
     NetworkView, RouteProposal, RouteRequest, Router, RouterObs, TopologyUpdate, UnitAck,
@@ -50,7 +50,7 @@ pub use router::{
 };
 pub use spider_obs::{
     ChannelHotspot, DropRecord, FlightRecorder, Histogram, PhaseStats, ProfileStats, RootCauseRow,
-    SampleSet, Trace, FORENSICS_HEADER, HOTSPOT_HEADER, ROOTCAUSE_HEADER,
+    SampleSet, Trace,
 };
 pub use workload::{
     ArrivalSource, SizeDistribution, StreamingWorkload, TxnSpec, Workload, WorkloadConfig,

@@ -15,11 +15,9 @@ use spider_types::{Amount, DropReason, SimDuration, SimTime};
 /// [`SimReport::units_dropped`] — the drop-reason conservation law the
 /// integration tests assert, including under churn.
 ///
-/// Exhaustiveness is enforced statically: spider-lint's consistency rule
-/// checks that every `DropReason` variant is referenced in this file (the
-/// match arms below) and in the trace renderers, so adding a variant
-/// without extending the breakdown fails
-/// `cargo run -p spider-lint -- --check` rather than silently leaking
+/// Exhaustiveness is enforced by the compiler: `count` matches every
+/// `DropReason` variant with no wildcard arm, so adding a variant without
+/// extending the breakdown fails to build rather than silently leaking
 /// drops out of the conservation law.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DropBreakdown {

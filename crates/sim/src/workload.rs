@@ -129,6 +129,38 @@ impl WorkloadConfig {
             sender_skew_scale: 4.0,
         }
     }
+
+    /// Validates parameter sanity; a config that passes generates
+    /// without panicking.
+    pub fn validate(&self) -> spider_types::Result<()> {
+        use spider_types::SpiderError::InvalidConfig;
+        if self.count == 0 {
+            return Err(InvalidConfig("workload count must be positive".into()));
+        }
+        if !(self.rate_per_sec > 0.0 && self.rate_per_sec.is_finite()) {
+            return Err(InvalidConfig(
+                "arrival rate must be positive and finite".into(),
+            ));
+        }
+        if !(self.sender_skew_scale > 0.0 && self.sender_skew_scale.is_finite()) {
+            return Err(InvalidConfig(
+                "sender skew must be positive and finite".into(),
+            ));
+        }
+        if let SizeDistribution::LogNormal {
+            mean_xrp,
+            median_xrp,
+            cap_xrp,
+        } = self.size
+        {
+            if !(median_xrp > 0.0 && mean_xrp >= median_xrp && cap_xrp > 0.0) {
+                return Err(InvalidConfig(
+                    "log-normal sizes need mean >= median > 0 and cap > 0".into(),
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A generated transaction sequence.

@@ -53,7 +53,9 @@ impl Default for MarkStamp {
 }
 
 /// Why a transaction unit was dropped before reaching its destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Declaration order is the sort order of the forensics root-cause table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum DropReason {
     /// The unit waited in a router queue longer than the configured bound.
     QueueTimeout,

@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_sim::{
     DropRecord, FlightRecorder, SimConfig, SimReport, SizeDistribution, WorkloadConfig,
-    FORENSICS_HEADER, ROOTCAUSE_HEADER,
 };
 use spider_types::{DropReason, SimDuration};
 use std::path::PathBuf;
@@ -132,26 +131,10 @@ fn fault_injected_forensics_is_reproducible_and_matches_golden() {
     assert_eq!(bare.completed_payments, r1.completed_payments);
     assert_eq!(bare.delivered_volume, r1.delivered_volume);
 
-    // Every JSONL line parses and carries exactly the header's fields.
-    for line in f1.to_jsonl().lines() {
-        let v = serde_json::parse(line).expect("record line is valid JSON");
-        for col in FORENSICS_HEADER.split(',') {
-            assert!(
-                line.contains(&format!("\"{col}\":")),
-                "missing {col} in {line}"
-            );
-        }
-        v["t_us"].as_u64().expect("t_us is unsigned");
-    }
-    for line in f1.root_cause_to_jsonl().lines() {
-        let v = serde_json::parse(line).expect("root-cause line is valid JSON");
-        for col in ROOTCAUSE_HEADER.split(',') {
-            assert!(
-                line.contains(&format!("\"{col}\":")),
-                "missing {col} in {line}"
-            );
-        }
-        assert!(v["count"].as_u64().expect("count is unsigned") > 0);
+    // Every line is valid JSON; the goldens pin each field and its order.
+    let lines = f1.to_jsonl() + &f1.root_cause_to_jsonl();
+    for line in lines.lines() {
+        serde_json::parse(line).expect("forensics line is valid JSON");
     }
 
     check_golden("forensics_faulted_records.jsonl", &f1.to_jsonl());
