@@ -67,7 +67,7 @@ fn bench_paths(c: &mut Criterion) {
             let mut oracle = spider_lp::paths::SourceOracle::new(&csr, NodeId(8));
             out.clear();
             for &d in &dsts {
-                black_box(oracle.edge_disjoint(d, 4, &mut out));
+                black_box(oracle.edge_disjoint(d, 4, &[], &mut out));
             }
         })
     });
@@ -90,7 +90,7 @@ fn bench_paths(c: &mut Criterion) {
             out.clear();
             for &(s, d) in &pairs {
                 oracle.retarget(s);
-                black_box(oracle.edge_disjoint(d, 4, &mut out));
+                black_box(oracle.edge_disjoint(d, 4, &[], &mut out));
             }
         })
     });
@@ -375,18 +375,25 @@ fn bench_channel_index_close(c: &mut Criterion) {
     g.finish();
 }
 
-/// One churn event's cache repair at the `ripple1k-churn-waterfilling`
-/// workload's scale (the repo benchmark's `repair_ms_per_event`, tracked
-/// here too): its 1,000-node Ripple-like graph, its 12,876 prewarmed
-/// pairs under k = 4 edge-disjoint paths; an iteration closes, then
-/// reopens, the channel most candidates cross. The close refills the
-/// pairs through the hub — all change; the reopen refills every pair the
-/// hub can reach — most come back as they were.
+/// Cache repair at the `ripple1k-churn-waterfilling` workload's scale
+/// (the repo benchmark's `routing.cache.repair_s`, tracked here too): its
+/// 1,000-node Ripple-like graph, its 12,876 prewarmed pairs under k = 4
+/// edge-disjoint paths.
+///
+/// * `cache_repair_close_reopen_hub` — an iteration closes, then reopens,
+///   the channel most candidates cross. The close re-searches every pair
+///   through the hub from its first candidate crossing it; the reopen,
+///   the pairs whose candidates a route through the hub could tie.
+/// * `cache_repair_churn_schedule` — the common case: an iteration replays
+///   the workload's own seed-42 churn schedule (the benchmark replay's 40
+///   updates, mostly single opens of ordinary channels) on a clone of the
+///   prefilled cache.
 fn bench_cache_repair(c: &mut Criterion) {
     use spider_core::TopologyConfig;
+    use spider_dynamics::{ChurnSchedule, DynamicsConfig};
     use spider_routing::{PathCache, PathPolicy};
     use spider_sim::{SizeDistribution, TopologyUpdate, Workload, WorkloadConfig};
-    use spider_types::{ChannelId, SimDuration};
+    use spider_types::{ChannelId, SimDuration, TopologyChange};
     const RATE: f64 = 75_000.0 / 85.0;
     let nodes = 1_000;
     let topology = TopologyConfig::RippleLike {
@@ -403,12 +410,13 @@ fn bench_cache_repair(c: &mut Criterion) {
         sender_skew_scale: nodes as f64 / 8.0,
     };
     let arrivals = Workload::generate(nodes, &workload, &mut DetRng::new(42).fork("workload"));
-    let horizon = SimTime::ZERO + SimDuration::from_secs(16);
-    let pairs = arrivals.distinct_pairs(Some(horizon));
+    let horizon = SimDuration::from_secs_f64(workload.count as f64 / RATE + 1.0);
+    let pairs = arrivals.distinct_pairs(Some(SimTime::ZERO + horizon));
     assert_eq!(pairs.len(), 12_876, "the churn workload's prewarm list");
     let table = PathTable::new();
     let mut cache = PathCache::new(PathPolicy::EdgeDisjoint(4));
     cache.prefill(&topo, &table, &pairs);
+    let prefilled = cache.clone();
     let mut crossings = vec![0u32; topo.channel_count()];
     for &(s, d) in &pairs {
         for &id in cache.get(&topo, &table, s, d) {
@@ -437,6 +445,66 @@ fn bench_cache_repair(c: &mut Criterion) {
             let reopened = cache.on_topology_change(&topo, &table, &reopen).len();
             black_box((closed, reopened))
         })
+    });
+
+    // The workload's dynamics (`churn_resilience`'s 1x schedule at a
+    // quarter intensity) as the updates the engine hands the router: the
+    // `t = 0` slice as one, then one per later event that changes anything.
+    let dynamics = DynamicsConfig {
+        close_rate_per_sec: 0.4,
+        reopen_mean_secs: Some(3.0),
+        resize_rate_per_sec: 0.2,
+        resize_factor_range: [0.5, 2.0],
+        node_leave_rate_per_sec: 0.04,
+        spawn_fraction: 0.04,
+        flap_channels: 2,
+        flap_period_secs: 5.0,
+        horizon_secs: horizon.as_secs_f64(),
+    }
+    .scaled(0.25);
+    let schedule = ChurnSchedule::generate(&topo, &dynamics, &mut DetRng::new(42).fork("dynamics"))
+        .expect("the workload's schedule generates");
+    let mut closed = vec![false; topo.channel_count()];
+    let mut updates = vec![TopologyUpdate::default()];
+    for event in &schedule.events {
+        if event.at > SimTime::ZERO {
+            updates.push(TopologyUpdate::default());
+        }
+        let last = updates.len() - 1;
+        let update = &mut updates[last];
+        let mut set = |c: ChannelId, close: bool| {
+            if std::mem::replace(&mut closed[c.index()], close) != close {
+                let changed = if close {
+                    &mut update.closed
+                } else {
+                    &mut update.opened
+                };
+                changed.push(c);
+            }
+        };
+        match event.change {
+            TopologyChange::ChannelClose { channel } => set(channel, true),
+            TopologyChange::ChannelOpen { channel } => set(channel, false),
+            TopologyChange::ChannelResize { channel, .. } => update.resized.push(channel),
+            TopologyChange::NodeLeave { node } | TopologyChange::NodeJoin { node } => {
+                let close = matches!(event.change, TopologyChange::NodeLeave { .. });
+                for adj in topo.neighbors(node) {
+                    set(adj.channel, close);
+                }
+            }
+        }
+    }
+    updates.retain(|update| !update.is_empty());
+    assert_eq!(updates.len(), 40, "the churn workload's updates");
+    c.bench_function("cache_repair_churn_schedule", |b| {
+        b.iter_batched(
+            || prefilled.clone(),
+            |mut cache| {
+                let repair = |update| cache.on_topology_change(&topo, &table, update).len();
+                updates.iter().map(repair).sum::<usize>()
+            },
+            criterion::BatchSize::LargeInput,
+        )
     });
 }
 

@@ -63,6 +63,7 @@ impl TopologyConfig {
     /// fork of the experiment RNG, so the same seed always yields the same
     /// graph.
     pub fn build(&self, rng: &DetRng) -> Result<Topology> {
+        self.check_generator()?;
         let mut trng = rng.fork("topology");
         let topo = match self {
             TopologyConfig::Isp { capacity_xrp } => {
@@ -106,6 +107,29 @@ impl TopologyConfig {
             ));
         }
         Ok(topo)
+    }
+
+    /// The preconditions the random generators assert on.
+    fn check_generator(&self) -> Result<()> {
+        let invalid = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
+        match *self {
+            TopologyConfig::RippleLike { nodes, .. } if nodes < 8 => {
+                invalid("a Ripple-like graph needs at least 8 nodes")
+            }
+            TopologyConfig::SmallWorld { nodes, k, beta, .. } => {
+                if !(k >= 2 && k.is_multiple_of(2) && k < nodes) {
+                    invalid("a small world needs an even k >= 2 below the node count")
+                } else if !(0.0..=1.0).contains(&beta) {
+                    invalid("a small world's beta must be in [0, 1]")
+                } else {
+                    Ok(())
+                }
+            }
+            TopologyConfig::ScaleFree { nodes, m, .. } if !(m >= 1 && nodes > m) => {
+                invalid("a scale-free graph needs m >= 1 and more nodes than m")
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -205,6 +229,7 @@ impl ExperimentConfig {
         let (router, sim_cfg) = match router {
             Some(router) => (router, self.sim.clone()),
             None => {
+                self.scheme.validate()?;
                 let demands = demand_graph(&workload, topo.node_count());
                 let delta = self.sim.confirmation_delay.as_secs_f64();
                 (
@@ -398,6 +423,7 @@ pub fn demand_graph(workload: &Workload, n_nodes: usize) -> PaymentGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtocolTuning;
     use spider_overload::FlashCrowdConfig;
     use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode};
     use spider_types::SimDuration;
@@ -679,6 +705,92 @@ mod tests {
             };
             assert!(cfg.build(&DetRng::new(0)).is_err(), "{text}");
         }
+    }
+
+    /// Each of these used to panic while the topology or the router was
+    /// built, or on the router's first route.
+    #[test]
+    fn invalid_schemes_and_topologies_are_rejected() {
+        let tuned = |tuning: ProtocolTuning| SchemeConfig::SpiderProtocol {
+            paths: 4,
+            tuning: Some(tuning),
+        };
+        let schemes = [
+            SchemeConfig::SpiderWaterfilling { paths: 0 },
+            SchemeConfig::SpiderPricing { paths: 0 },
+            SchemeConfig::spider_protocol(0),
+            SchemeConfig::SilentWhispers { landmarks: 0 },
+            SchemeConfig::SpeedyMurmurs { trees: 0 },
+            tuned(ProtocolTuning {
+                decrease_factor: Some(2.0),
+                ..ProtocolTuning::default()
+            }),
+            tuned(ProtocolTuning {
+                min_window_xrp: Some(100.0),
+                max_window_xrp: Some(1.0),
+                ..ProtocolTuning::default()
+            }),
+            tuned(ProtocolTuning {
+                price_gamma: Some(f64::NAN),
+                ..ProtocolTuning::default()
+            }),
+        ];
+        let capacity_xrp = 1_000;
+        let small_world = |k, beta| TopologyConfig::SmallWorld {
+            nodes: 20,
+            k,
+            beta,
+            capacity_xrp,
+        };
+        let scale_free = |nodes, m| TopologyConfig::ScaleFree {
+            nodes,
+            m,
+            capacity_xrp,
+        };
+        let ripple = |nodes| TopologyConfig::RippleLike {
+            nodes,
+            capacity_xrp,
+        };
+        let topologies = [
+            small_world(0, 0.1),
+            small_world(3, 0.1),
+            small_world(40, 0.1),
+            small_world(4, f64::NAN),
+            scale_free(20, 0),
+            scale_free(20, 40),
+            scale_free(1, 1),
+            ripple(3),
+            ripple(0),
+        ];
+        let base = ExperimentConfig {
+            workload: WorkloadConfig::small(200, 100.0),
+            ..Default::default()
+        };
+        let configs = schemes
+            .map(|scheme| ExperimentConfig {
+                scheme,
+                ..base.clone()
+            })
+            .into_iter()
+            .chain(topologies.map(|topology| ExperimentConfig {
+                topology,
+                ..base.clone()
+            }));
+        for cfg in configs {
+            let run = cfg.run();
+            assert!(
+                matches!(run, Err(SpiderError::InvalidConfig(_))),
+                "{:?} / {:?}: {run:?}",
+                cfg.scheme,
+                cfg.topology
+            );
+        }
+        // This one ran, and completed nothing.
+        let no_paths = ExperimentConfig {
+            scheme: SchemeConfig::SpiderLp { paths: 0 },
+            ..base
+        };
+        assert!(matches!(no_paths.run(), Err(SpiderError::InvalidConfig(_))));
     }
 
     /// Each of these used to panic inside workload generation.

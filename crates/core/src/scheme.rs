@@ -8,7 +8,7 @@ use spider_routing::{
 };
 use spider_sim::Router;
 use spider_topology::Topology;
-use spider_types::Amount;
+use spider_types::{Amount, Result, SpiderError};
 
 /// Overrides for the `spider-protocol` sender tunables (AIMD window steps
 /// and price smoothing). Every field is optional; `None` keeps the
@@ -146,6 +146,35 @@ impl SchemeConfig {
             SchemeConfig::SpeedyMurmurs { .. } => "speedymurmurs",
             SchemeConfig::SpiderPricing { .. } => "spider-pricing",
             SchemeConfig::SpiderProtocol { .. } => "spider-protocol",
+        }
+    }
+
+    /// Checks what the scheme's router asserts on at construction or on
+    /// its first route; a scheme that passes builds and routes without
+    /// panicking. A path-based scheme needs at least one path
+    /// (`SpiderLp { paths: 0 }` would build, and complete nothing).
+    pub fn validate(&self) -> Result<()> {
+        let at_least_one = |n: usize, what: &str| {
+            if n == 0 {
+                let scheme = self.name();
+                Err(SpiderError::InvalidConfig(format!(
+                    "{scheme} needs at least one {what}"
+                )))
+            } else {
+                Ok(())
+            }
+        };
+        match *self {
+            SchemeConfig::SpiderWaterfilling { paths }
+            | SchemeConfig::SpiderLp { paths }
+            | SchemeConfig::SpiderPricing { paths } => at_least_one(paths, "path"),
+            SchemeConfig::SpiderProtocol { paths, tuning } => {
+                at_least_one(paths, "path")?;
+                tuning.unwrap_or_default().to_config().validate()
+            }
+            SchemeConfig::SilentWhispers { landmarks } => at_least_one(landmarks, "landmark"),
+            SchemeConfig::SpeedyMurmurs { trees } => at_least_one(trees, "tree"),
+            SchemeConfig::ShortestPath | SchemeConfig::MaxFlow => Ok(()),
         }
     }
 

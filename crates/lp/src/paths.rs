@@ -326,6 +326,16 @@ impl CsrGraph {
         self.row(u.0).len() - self.disabled_at(u.0)
     }
 
+    /// `u`'s enabled channels, each with the neighbor it leads to, in
+    /// ascending neighbor order.
+    pub fn live_adjacency(&self, u: NodeId) -> impl Iterator<Item = (NodeId, ChannelId)> + '_ {
+        let live = self
+            .row(u.0)
+            .iter()
+            .filter(|&&e| !self.is_disabled(Self::channel(e)));
+        live.map(|&e| (NodeId(Self::neighbor(e)), ChannelId(Self::channel(e))))
+    }
+
     /// Hop distance from `src` to every node over the enabled channels
     /// (`None` where no live path exists) — one plain BFS, the masked
     /// counterpart of [`Topology::bfs_distances`].
@@ -1055,21 +1065,40 @@ impl<'a> SourceOracle<'a> {
     }
 
     /// Up to `k` pairwise edge-disjoint paths to `dst` — bit-identical to
-    /// [`k_edge_disjoint_paths`]. Appends them to `out`, shortest first,
-    /// and returns how many.
-    pub fn edge_disjoint(&mut self, dst: NodeId, k: usize, out: &mut FlatPaths) -> usize {
+    /// [`k_edge_disjoint_paths`] — resumed after the `kept` prefix: the hop
+    /// channels, path after path, of the first `r` paths of that answer
+    /// (empty: the whole answer). Appends paths `r..` to `out`, shortest
+    /// first, and returns how many.
+    ///
+    /// Path `i` is the lex-min shortest path once paths `0..i` are
+    /// removed, so it depends on nothing but them: banning a prefix the
+    /// caller already holds and searching on is the same computation as
+    /// finding that prefix again first. The kept paths are walked from
+    /// `src` to recover each channel's endpoints; a path ends where the
+    /// walk reaches `dst`.
+    pub fn edge_disjoint(
+        &mut self,
+        dst: NodeId,
+        k: usize,
+        kept: &[ChannelId],
+        out: &mut FlatPaths,
+    ) -> usize {
         if k == 0 || dst.0 == self.src {
             return 0;
         }
         self.ws.new_ban_epoch();
-        if !self.first_path(dst.0, out) {
-            return 0;
-        }
-        out.seal();
         // Channels every accepted path used, with their endpoints.
         self.banned_edges.clear();
-        self.ban_last_path(out);
-        let mut found = 1;
+        let resumed = self.ban_kept(dst.0, kept);
+        let mut found = resumed;
+        if found == 0 {
+            if !self.first_path(dst.0, out) {
+                return 0;
+            }
+            out.seal();
+            self.ban_last_path(out);
+            found = 1;
+        }
         while found < k {
             // Exact pruning: a further edge-disjoint path must leave `src`
             // and enter `dst` over channels no earlier path used. When
@@ -1089,7 +1118,31 @@ impl<'a> SourceOracle<'a> {
             self.ban_last_path(out);
             found += 1;
         }
-        found
+        found - resumed
+    }
+
+    /// Bans every hop of the `kept` paths to `dst` for the current ban
+    /// epoch and returns how many paths they are.
+    fn ban_kept(&mut self, dst: u32, kept: &[ChannelId]) -> usize {
+        let (mut paths, mut at) = (0, self.src);
+        for &c in kept {
+            let entry = self
+                .csr
+                .row(at)
+                .iter()
+                .find(|&&e| CsrGraph::channel(e) == c.0);
+            let next = CsrGraph::neighbor(*entry.expect("a kept hop leaves the node it reaches"));
+            debug_assert!(!self.csr.is_disabled(c.0), "kept hop {c:?} is closed");
+            self.ws.ban_channel(c.0, at, next);
+            self.banned_edges.push((c.0, at, next));
+            at = next;
+            if at == dst {
+                paths += 1;
+                at = self.src;
+            }
+        }
+        debug_assert_eq!(at, self.src, "the kept hops end at {dst}");
+        paths
     }
 
     /// Yen's algorithm: up to `k` loopless shortest paths to `dst`, in
@@ -1194,7 +1247,7 @@ pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> 
 pub fn k_edge_disjoint_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     let csr = CsrGraph::new(topo);
     let mut out = FlatPaths::new();
-    SourceOracle::new(&csr, src).edge_disjoint(dst, k, &mut out);
+    SourceOracle::new(&csr, src).edge_disjoint(dst, k, &[], &mut out);
     out.to_paths()
 }
 
@@ -1325,7 +1378,7 @@ mod tests {
         let csr = CsrGraph::new(&t);
         let mut out = FlatPaths::new();
         assert_eq!(
-            SourceOracle::new(&csr, n(2)).edge_disjoint(n(2), 4, &mut out),
+            SourceOracle::new(&csr, n(2)).edge_disjoint(n(2), 4, &[], &mut out),
             0
         );
         assert!(out.is_empty());
@@ -1353,7 +1406,7 @@ mod tests {
             assert_eq!(oracle.source(), n(src));
             for dst in 0..t.node_count() as u32 {
                 assert_eq!(
-                    answer(&t, |out| oracle.edge_disjoint(n(dst), 4, out)),
+                    answer(&t, |out| oracle.edge_disjoint(n(dst), 4, &[], out)),
                     k_edge_disjoint_paths(&t, n(src), n(dst), 4),
                     "edge-disjoint {src}->{dst}"
                 );
@@ -1382,7 +1435,7 @@ mod tests {
         let mut want: Vec<Path> = Vec::new();
         for dst in [20u32, 8, 3, 31, 20] {
             let before = out.len();
-            let got = oracle.edge_disjoint(n(dst), 3, &mut out)
+            let got = oracle.edge_disjoint(n(dst), 3, &[], &mut out)
                 + oracle.k_shortest(n(dst), 3, &mut out)
                 + oracle.shortest(n(dst), &mut out);
             assert_eq!(out.len(), before + got);
@@ -1649,8 +1702,8 @@ mod tests {
                     let mut masked = SourceOracle::new(&csr, src);
                     let mut cold = SourceOracle::new(&fcsr, src);
                     assert_eq!(
-                        answer(t, |out| masked.edge_disjoint(dst, k, out)),
-                        answer(&filtered, |out| cold.edge_disjoint(dst, k, out)),
+                        answer(t, |out| masked.edge_disjoint(dst, k, &[], out)),
+                        answer(&filtered, |out| cold.edge_disjoint(dst, k, &[], out)),
                         "edge-disjoint {src}->{dst} k={k}"
                     );
                     assert_eq!(
@@ -1672,12 +1725,12 @@ mod tests {
                 let full = CsrGraph::new(t);
                 let src = NodeId(0);
                 let dst = NodeId((t.node_count() - 1) as u32);
-                assert_eq!(
-                    answer(t, |out| SourceOracle::new(&csr, src)
-                        .edge_disjoint(dst, 4, out)),
-                    answer(t, |out| SourceOracle::new(&full, src)
-                        .edge_disjoint(dst, 4, out)),
-                );
+                let whole = |csr: &CsrGraph| {
+                    answer(t, |out| {
+                        SourceOracle::new(csr, src).edge_disjoint(dst, 4, &[], out)
+                    })
+                };
+                assert_eq!(whole(&csr), whole(&full));
             }
         }
     }
@@ -1906,7 +1959,7 @@ mod tests {
             let src = NodeId(rng.index(t.node_count()) as u32);
             let dst = NodeId(rng.index(t.node_count()) as u32);
             oracle.retarget(src);
-            let got = answer(&t, |out| oracle.edge_disjoint(dst, 4, out));
+            let got = answer(&t, |out| oracle.edge_disjoint(dst, 4, &[], out));
             assert_eq!(
                 got,
                 reference_edge_disjoint(&t, src, dst, 4),
@@ -1917,13 +1970,88 @@ mod tests {
         assert!(long_paths > 100, "5-hop-plus detours covered: {long_paths}");
     }
 
+    /// Checks every resumption of `oracle`'s answer to `dst`: for each
+    /// `r ≤ m`, the search resumed after the first `r` paths of the fresh
+    /// answer appends exactly fresh paths `r..`. Returns how many of the
+    /// resumed searches kept a prefix through a hub — a node with a bitset
+    /// row, whose whole-word ORs `expand` must audit against the bans.
+    fn resumes_as_fresh(oracle: &mut SourceOracle<'_>, dst: NodeId, k: usize) -> usize {
+        let csr = oracle.csr;
+        let mut fresh = FlatPaths::new();
+        let m = oracle.edge_disjoint(dst, k, &[], &mut fresh);
+        let (mut kept, mut via_hub, mut audited) = (Vec::new(), false, 0);
+        for r in 0..=m {
+            let mut tail = FlatPaths::new();
+            let got = oracle.edge_disjoint(dst, k, &kept, &mut tail);
+            let src = oracle.source();
+            assert_eq!(got, m - r, "{src}->{dst} resumed at {r} of {m}");
+            assert!(
+                tail.iter().eq(fresh.range(r..m)),
+                "{src}->{dst} resumed at {r}: {:?}, fresh {:?}",
+                tail.to_paths(),
+                fresh.to_paths()
+            );
+            audited += usize::from(via_hub && r < k);
+            if r < m {
+                let (nodes, channels) = fresh.get(r);
+                via_hub |= nodes.iter().any(|v| csr.hub_bits_row(v.0).is_some());
+                kept.extend_from_slice(channels);
+            }
+        }
+        audited
+    }
+
+    /// `t` with about a tenth of its channels disabled.
+    fn masked(t: &Topology, rng: &mut spider_types::DetRng) -> CsrGraph {
+        let mut csr = CsrGraph::new(t);
+        for (c, _) in t.channels() {
+            if rng.chance(0.1) {
+                csr.set_channel_enabled(t, c, false);
+            }
+        }
+        csr
+    }
+
+    proptest::proptest! {
+        /// Resuming after a fresh prefix is searching, on masked random
+        /// graphs: every pair of an Erdős–Rényi graph (dense ones give
+        /// their nodes hub rows), and random pairs of a 300-node
+        /// Ripple-like graph, whose paths run through its hubs.
+        #[test]
+        fn resuming_after_a_fresh_prefix_is_searching(
+            seed in 0u64..u64::MAX,
+            nodes in 6usize..28,
+            density in 0.15f64..0.9,
+            k in 1usize..6,
+        ) {
+            let mut rng = spider_types::DetRng::new(seed);
+            let er = gen::erdos_renyi(nodes, density, CAP, &mut rng);
+            let csr = masked(&er, &mut rng);
+            for src in er.nodes() {
+                let mut oracle = SourceOracle::new(&csr, src);
+                for dst in er.nodes() {
+                    resumes_as_fresh(&mut oracle, dst, k);
+                }
+            }
+            let ripple = gen::ripple_like(300, CAP, &mut rng);
+            let csr = masked(&ripple, &mut rng);
+            let mut oracle = SourceOracle::new(&csr, n(0));
+            let mut audited = 0;
+            for _ in 0..40 {
+                oracle.retarget(NodeId(rng.index(300) as u32));
+                audited += resumes_as_fresh(&mut oracle, NodeId(rng.index(300) as u32), 4);
+            }
+            assert!(audited > 0, "no kept prefix crossed a hub");
+        }
+    }
+
     #[test]
     fn source_oracle_on_disconnected_graph() {
         let t = graph(4, &[(0, 1), (2, 3)]);
         let csr = CsrGraph::new(&t);
         let mut oracle = SourceOracle::new(&csr, n(0));
         let mut out = FlatPaths::new();
-        assert_eq!(oracle.edge_disjoint(n(3), 4, &mut out), 0);
+        assert_eq!(oracle.edge_disjoint(n(3), 4, &[], &mut out), 0);
         assert_eq!(oracle.k_shortest(n(3), 4, &mut out), 0);
         assert_eq!(oracle.shortest(n(3), &mut out), 0);
         assert!(out.is_empty(), "a failed query appends nothing");

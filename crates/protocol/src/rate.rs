@@ -42,16 +42,20 @@ impl Default for RateConfig {
 }
 
 impl RateConfig {
-    fn validate(&self) {
-        assert!(
-            self.decrease_factor > 0.0 && self.decrease_factor < 1.0,
-            "decrease factor must be in (0, 1)"
-        );
-        assert!(!self.min_window.is_zero(), "window floor must be positive");
-        assert!(
-            self.min_window <= self.max_window,
-            "floor must not exceed ceiling"
-        );
+    /// Checks the parameters a [`PathController`] needs; one that passes
+    /// builds controllers without panicking.
+    pub fn validate(&self) -> spider_types::Result<()> {
+        let invalid = |msg: &str| Err(spider_types::SpiderError::InvalidConfig(msg.into()));
+        if !(self.decrease_factor > 0.0 && self.decrease_factor < 1.0) {
+            return invalid("decrease factor must be in (0, 1)");
+        }
+        if self.min_window.is_zero() {
+            return invalid("window floor must be positive");
+        }
+        if self.min_window > self.max_window {
+            return invalid("floor must not exceed ceiling");
+        }
+        Ok(())
     }
 }
 
@@ -65,7 +69,8 @@ pub struct PathController {
 impl PathController {
     /// Fresh controller at the configured initial window.
     pub fn new(cfg: &RateConfig) -> Self {
-        cfg.validate();
+        let checked = cfg.validate();
+        assert!(checked.is_ok(), "{checked:?}");
         PathController {
             window: Ord::clamp(cfg.initial_window, cfg.min_window, cfg.max_window),
             inflight: Amount::ZERO,

@@ -55,6 +55,22 @@ impl Default for ProtocolConfig {
     }
 }
 
+impl ProtocolConfig {
+    /// Checks what the router's controllers and price estimators assert
+    /// on; a config that passes builds a router that never panics on it.
+    pub fn validate(&self) -> spider_types::Result<()> {
+        self.rate.validate()?;
+        let invalid = |msg: &str| Err(spider_types::SpiderError::InvalidConfig(msg.into()));
+        if !(self.price_gamma > 0.0 && self.price_gamma <= 1.0) {
+            return invalid("price gamma must be in (0, 1]");
+        }
+        if self.nack_price.is_nan() || self.nack_price < 0.0 {
+            return invalid("nack price must be non-negative");
+        }
+        Ok(())
+    }
+}
+
 /// One candidate path of a pair and the sender's state for it.
 #[derive(Debug, Clone)]
 struct Candidate {

@@ -8,38 +8,43 @@
 //! exactly once and thereafter trades in copyable [`PathId`]s.
 //!
 //! Under topology churn ([`PathCache::on_topology_change`]) the cache
-//! repairs itself **incrementally**, refilling only the pairs whose answer
-//! the oracle could now give differently:
+//! repairs itself **incrementally**, re-searching only what the oracle
+//! could now answer differently. For a [`PathPolicy::EdgeDisjoint`] set
+//! that is decided per candidate: each suspect pair gets a *resume
+//! index*, the first candidate the update can change, keeps the
+//! candidates before it, and the oracle searches on from there:
 //!
-//! * a channel **close** refills the pairs whose cached candidates
-//!   traverse it (removing an edge no candidate uses provably cannot
-//!   change any oracle's answer — see the module tests);
-//! * a channel **open** refills the pairs the new edge can reach: those
-//!   with an `s–t` route through it no longer than their longest cached
-//!   candidate, or with fewer candidates than the policy asks for (the
-//!   exact rule and its argument are on
-//!   [`PathCache::on_topology_change`]);
-//! * a capacity **resize** refills nothing (the oracles are
+//! * a channel **close** can change the first candidate that crosses it
+//!   and everything after (removing an edge no earlier candidate uses
+//!   leaves each of them lex-min in its residual graph);
+//! * a channel **open** can change candidate `i` only when a route
+//!   through it could be as short as candidate `i` in the graph that
+//!   candidate was searched in — a one-hop bound from the pair's own
+//!   endpoints settles that for most pairs the new edge reaches, without
+//!   a search — and can rescue a failed search (a pair with fewer
+//!   candidates than the policy asks for);
+//! * a capacity **resize** changes nothing (the oracles are
 //!   hop-count-based).
 //!
-//! Those pairs are batch-refilled through
-//! [`PathOracle`](crate::PathOracle) over one retained
-//! [`CsrGraph`] whose channels are enabled/disabled in O(1) per event —
-//! the graph is flattened exactly once per cache lifetime.
+//! A pair that keeps every candidate is neither searched nor reported.
+//! The exact rules, their arguments and the per-policy variants are on
+//! [`PathCache::on_topology_change`]. The searches run through
+//! [`PathOracle`](crate::PathOracle) over one retained [`CsrGraph`] whose
+//! channels are enabled/disabled in O(1) per event — the graph is
+//! flattened exactly once per cache lifetime.
 //!
 //! Beyond the search, a repair is bookkeeping at id speed. Every cached
 //! pair owns a dense slot for life; "which pairs cross this channel" is a
 //! [`ChannelIndex`] of slots — generation-stamped per-channel lists with
 //! lazy deletion, the structure the engine indexes settles and units
-//! with. A refilled pair that comes back with the candidates it had (most
-//! of what an open reaches) costs one comparison per path and touches
-//! nothing; one that changed costs a counter decrement per old hop, a
-//! generation bump, and a `Vec` push per new hop. Nothing is hashed per
-//! hop and nothing is allocated per pair.
+//! with. A re-searched pair whose candidates come back as they were costs
+//! one comparison per path and touches nothing; one that changed costs a
+//! counter decrement per old hop, a generation bump, and a `Vec` push per
+//! new hop. Nothing is hashed per hop and nothing is allocated per pair.
 
-use crate::oracle::{FilledPaths, PathOracle};
+use crate::oracle::{FilledPaths, KeptPrefixes, PathOracle};
 use spider_lp::paths::CsrGraph;
-use spider_sim::{ChannelIndex, PathTable, TopologyUpdate};
+use spider_sim::{ChannelIndex, PathEntry, PathTable, TopologyUpdate};
 use spider_topology::Topology;
 use spider_types::{ChannelId, IdHash, NodeId, PathId};
 use std::collections::HashMap;
@@ -53,6 +58,97 @@ pub enum PathPolicy {
     KShortest(usize),
     /// The single BFS shortest path (the packet-switched baseline).
     Shortest,
+}
+
+impl PathPolicy {
+    /// Where a suspect pair resumes, given the first candidate an update
+    /// can change: there, unless Yen's spur pool makes it start over.
+    fn resume_at(self, first_changed: u32) -> u32 {
+        match self {
+            PathPolicy::KShortest(_) => 0,
+            PathPolicy::EdgeDisjoint(_) | PathPolicy::Shortest => first_changed,
+        }
+    }
+}
+
+/// What the open rule reads of a cached candidate.
+#[derive(Debug, Clone, Copy)]
+struct Bounded {
+    /// Its hop count, `L_i`.
+    hops: u32,
+    /// Its channel at the source (its first hop) …
+    first: ChannelId,
+    /// … and at the destination (its last).
+    last: ChannelId,
+}
+
+impl Bounded {
+    fn of(path: &PathEntry) -> Self {
+        let hops = path.hops();
+        Bounded {
+            hops: hops.len() as u32,
+            first: hops[0].0,
+            last: hops[hops.len() - 1].0,
+        }
+    }
+}
+
+/// The first of a pair's `candidates` that an `s–t` path through the
+/// opened channel `ends = (u, v)` may displace — the first `i` with
+/// `B_i ≤ L_i` in the open rule of [`PathCache::on_topology_change`] — or
+/// their count. `dist` holds hop distances on the new graph from `u` and
+/// from `v`; `detour` is `B₀`.
+fn first_displaced(
+    csr: &CsrGraph,
+    (s, t): (NodeId, NodeId),
+    ends: (NodeId, NodeId),
+    dist: (&[Option<u32>], &[Option<u32>]),
+    detour: u32,
+    candidates: &[Bounded],
+) -> u32 {
+    let through = |near: Option<u32>, far: Option<u32>| Some(near? + 1 + far?);
+    let mut bound = detour;
+    for (i, candidate) in candidates.iter().enumerate() {
+        if i > 0 {
+            let earlier = &candidates[..i];
+            let near = leaving(csr, s, ends, dist, |c| earlier.iter().any(|p| p.first == c));
+            let far = leaving(csr, t, ends, dist, |c| earlier.iter().any(|p| p.last == c));
+            let through_uv = [through(near.0, far.1), through(near.1, far.0)];
+            // The bounds only grow with `i`: once no path is left, none is.
+            let Some(b) = through_uv.into_iter().flatten().min() else {
+                break;
+            };
+            bound = b;
+        }
+        if bound <= candidate.hops {
+            return i as u32;
+        }
+    }
+    candidates.len() as u32
+}
+
+/// `(S(u), S(v))` for the open rule at the pair's endpoint `from`: lower
+/// bounds on the hops from `from` to each end of the opened channel
+/// `ends = (u, v)` once the channels `taken` says earlier candidates use
+/// are gone — `0` to itself, otherwise one hop over a live channel not
+/// taken plus the neighbor's distance in `dist` (`None`: no such path).
+fn leaving(
+    csr: &CsrGraph,
+    from: NodeId,
+    ends: (NodeId, NodeId),
+    dist: (&[Option<u32>], &[Option<u32>]),
+    taken: impl Fn(ChannelId) -> bool,
+) -> (Option<u32>, Option<u32>) {
+    let nearer = |best: Option<u32>, d: Option<u32>| best.into_iter().chain(d.map(|d| d + 1)).min();
+    let mut best = (None, None);
+    for (w, _) in csr.live_adjacency(from).filter(|&(_, c)| !taken(c)) {
+        best = (
+            nearer(best.0, dist.0[w.index()]),
+            nearer(best.1, dist.1[w.index()]),
+        );
+    }
+    let bound = |end: NodeId, best: Option<u32>| if from == end { Some(0) } else { best };
+    (bound(ends.0, best.0), bound(ends.1, best.1))
 }
 
 /// One cached pair. A pair keeps its slot — its position in
@@ -121,26 +217,32 @@ impl Cached {
         }
     }
 
-    /// Replaces `slot`'s candidates.
-    fn replace(&mut self, slot: u32, ids: &[PathId], longest_hops: usize) {
-        assert!(ids.len() <= self.k, "more than k = {} candidates", self.k);
+    /// Replaces `slot`'s candidates from the `from`-th on with `tail`.
+    fn replace(&mut self, paths: &PathTable, slot: u32, from: usize, tail: &[PathId]) {
+        let count = from + tail.len();
+        assert!(count <= self.k, "more than k = {} candidates", self.k);
         let at = slot as usize * self.k;
-        self.ids[at..at + ids.len()].copy_from_slice(ids);
+        self.ids[at + from..at + count].copy_from_slice(tail);
+        let longest = count.checked_sub(1);
+        let longest = longest.map_or(0, |last| {
+            paths.map_entry(self.ids[at + last], |p| p.hop_count())
+        });
         let entry = &mut self.slots[slot as usize];
-        entry.count = ids.len() as u32;
+        entry.count = count as u32;
         entry.gen = entry.gen.wrapping_add(1);
-        entry.longest_hops = longest_hops as u32;
+        entry.longest_hops = longest as u32;
     }
 
-    /// True when `slot`'s candidates are exactly the node sequences of
-    /// `set`, in order.
+    /// True when `slot`'s candidates from the `from`-th on are exactly the
+    /// node sequences of `set`, in order.
     fn holds<'a>(
         &self,
         paths: &PathTable,
         slot: u32,
+        from: usize,
         mut set: impl Iterator<Item = (&'a [NodeId], &'a [ChannelId])>,
     ) -> bool {
-        let mut held = self.candidates(slot).iter();
+        let mut held = self.candidates(slot)[from..].iter();
         let same = |&id: &PathId, nodes| paths.map_entry(id, |path| path.nodes() == nodes);
         set.all(|(nodes, _)| held.next().is_some_and(|id| same(id, nodes))) && held.next().is_none()
     }
@@ -172,6 +274,21 @@ pub struct PathCache {
     misses: u64,
     prefilled: u64,
     repairs: u64,
+    /// What the repair rules decided, counted for the tests.
+    #[cfg(test)]
+    decided: Decided,
+}
+
+/// Repair decisions the small graphs of the unit tests rarely reach.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+struct Decided {
+    /// Pairs re-searched from a later candidate than the first.
+    resumed_late: u64,
+    /// Pairs an opened channel reaches within their longest candidate's
+    /// hops (what refilled them before the per-candidate bound) that the
+    /// bound kept whole, counted once per such channel.
+    kept_by_bound: u64,
 }
 
 impl PathCache {
@@ -196,6 +313,8 @@ impl PathCache {
             misses: 0,
             prefilled: 0,
             repairs: 0,
+            #[cfg(test)]
+            decided: Decided::default(),
         }
     }
 
@@ -227,7 +346,7 @@ impl PathCache {
             None => {
                 self.misses += 1;
                 let slot = self.cached.slot_for((src, dst));
-                self.fill_slots(topo, paths, &[slot]);
+                self.fill_slots(topo, paths, &[(slot, 0)]);
                 slot
             }
         };
@@ -306,41 +425,55 @@ impl PathCache {
         }
         let todo: Vec<_> = fresh.iter().map(|slot| slot.pair).collect();
         self.prefilled += todo.len() as u64;
-        let filled = self.compute(topo, &todo);
+        let filled = self.compute(topo, &todo, &KeptPrefixes::new());
         paths.reserve(filled.path_count());
-        let fresh = known as u32..self.cached.slots.len() as u32;
+        let fresh = (known as u32..self.cached.slots.len() as u32).map(|slot| (slot, 0));
         self.adopt(topo, paths, fresh, &filled);
     }
 
-    /// Batch-fills the pairs of `slots` under the current
-    /// channel-liveness mask, interning the results in that order.
-    /// Returns those pairs.
+    /// Batch-fills the pairs of `slots` — `(slot, from)`: each keeps its
+    /// candidates before the `from`-th and searches on from there — under
+    /// the current channel-liveness mask, interning the results in that
+    /// order. Returns those pairs.
     fn fill_slots(
         &mut self,
         topo: &Topology,
         paths: &PathTable,
-        slots: &[u32],
+        slots: &[(u32, u32)],
     ) -> Vec<(NodeId, NodeId)> {
-        let pair = |slot: &u32| self.cached.slots[*slot as usize].pair;
+        let pair = |&(slot, _): &(u32, u32)| self.cached.slots[slot as usize].pair;
         let todo: Vec<_> = slots.iter().map(pair).collect();
         if !todo.is_empty() {
-            let filled = self.compute(topo, &todo);
+            let mut kept = KeptPrefixes::new();
+            for &(slot, from) in slots {
+                for &id in &self.cached.candidates(slot)[..from as usize] {
+                    paths.map_entry(id, |path| kept.extend(path.hops().iter().map(|&(c, _)| c)));
+                }
+                kept.seal();
+            }
+            let filled = self.compute(topo, &todo, &kept);
             self.adopt(topo, paths, slots.iter().copied(), &filled);
         }
         todo
     }
 
-    /// The candidate sets of `todo` on the retained CSR graph, i.e. under
-    /// the current channel-liveness mask.
-    fn compute(&mut self, topo: &Topology, todo: &[(NodeId, NodeId)]) -> FilledPaths {
+    /// The candidates of `todo` after each pair's `kept` prefix, on the
+    /// retained CSR graph, i.e. under the current channel-liveness mask.
+    fn compute(
+        &mut self,
+        topo: &Topology,
+        todo: &[(NodeId, NodeId)],
+        kept: &KeptPrefixes,
+    ) -> FilledPaths {
         let csr = Self::synced_csr(&mut self.csr, topo, &self.closed);
-        PathOracle::with_csr(csr, self.policy).fill(todo)
+        PathOracle::with_csr(csr, self.policy).resume(todo, kept)
     }
 
-    /// Gives each of `slots` its candidates from `filled` (the candidate
-    /// sets of `slots`' pairs). A pair that comes back with the node
-    /// sequences it already holds — most of a repair — keeps its ids and
-    /// its place in the reverse index untouched; the others are interned
+    /// Gives each of `slots` — `(slot, from)` — its candidates from the
+    /// `from`-th on from `filled` (what the search found after the kept
+    /// ones). A pair that comes back with the node sequences it already
+    /// holds — most of a repair — keeps its ids and its place in the
+    /// reverse index untouched; the others have their new tails interned
     /// in `slots` order, hops as the search found them. The ids are what
     /// interning every candidate of every pair would have assigned: the
     /// paths left out are in the table already.
@@ -348,12 +481,12 @@ impl PathCache {
         &mut self,
         topo: &Topology,
         paths: &PathTable,
-        slots: impl Iterator<Item = u32> + Clone,
+        slots: impl Iterator<Item = (u32, u32)> + Clone,
         filled: &FilledPaths,
     ) {
         let fills = || slots.clone().zip(filled.sets());
         let kept: Vec<bool> = fills()
-            .map(|(slot, set)| self.cached.holds(paths, slot, set))
+            .map(|((slot, from), set)| self.cached.holds(paths, slot, from as usize, set))
             .collect();
         let changed = || {
             let all = fills().zip(&kept);
@@ -361,17 +494,15 @@ impl PathCache {
         };
         let interned = paths.intern_batch(topo, changed().flat_map(|(_, set)| set));
         let mut rest = interned.as_slice();
-        for (slot, set) in changed() {
-            // How many paths, and the hops of the last one.
-            let (count, longest_hops) = set.fold((0, 0), |(n, _), (_, hops)| (n + 1, hops.len()));
-            let (ids, later) = rest.split_at(count);
+        for ((slot, from), set) in changed() {
+            let (tail, later) = rest.split_at(set.count());
             rest = later;
             // What the index holds for the old candidates goes stale
             // where it is.
             if let Some(rev) = self.rev.as_mut() {
                 self.cached.each_hop(paths, slot, |c| rev.note_removed(c));
             }
-            self.cached.replace(slot, ids, longest_hops);
+            self.cached.replace(paths, slot, from as usize, tail);
             if let Some(rev) = self.rev.as_mut() {
                 Self::register(rev, &self.cached, paths, slot);
             }
@@ -380,38 +511,70 @@ impl PathCache {
 
     /// Repairs the cache after a topology-churn event: updates the
     /// channel-liveness mask (O(1) toggles on the retained CSR graph) and
-    /// batch-refills exactly the pairs whose candidate sets may have
-    /// changed. Returns those pairs (sorted, so callers migrating per-path
-    /// state iterate deterministically).
+    /// re-searches exactly the candidates that may have changed. Returns
+    /// the pairs it re-searched (sorted, so callers migrating per-path
+    /// state iterate deterministically); a pair not returned kept every
+    /// candidate, ids included. [`PathCache::counters`]' repairs count
+    /// them too.
     ///
-    /// Invalidation rules, each exact for the hop-count oracles (a pair
-    /// that is kept would have been refilled to the same node sequences):
+    /// Each suspect pair gets a *resume index* `r`: it keeps candidates
+    /// `P₀..P_{r−1}` and the oracle, with their channels banned, searches
+    /// for `P_r..` only. Rules, each exact for the hop-count oracles (what
+    /// is kept is what a cold search on the new graph would find), for
+    /// candidates `P₀..P_{m−1}` of `L₀ ≤ … ≤ L_{m−1}` hops under a policy
+    /// asking for `k`:
     ///
-    /// * **close** — only pairs whose cached candidates traverse a closed
-    ///   channel: removing an edge used by no candidate leaves every
-    ///   successively-chosen lex-min path both feasible and minimal, so
-    ///   the oracle's answer is unchanged;
-    /// * **open** — with candidates `P₁..P_m` of `L₁ ≤ … ≤ L_m` hops under
-    ///   a policy asking for `k`, and `D` the hop count of the shortest
-    ///   `s–t` walk through an opened channel `(u, v)`, measured on the
-    ///   graph *after* the update as
-    ///   `min(d(s,u) + 1 + d(v,t), d(s,v) + 1 + d(u,t))`: only pairs with
-    ///   `D ≤ L_m`, or with `m < k` and `D` finite. Every path through the
-    ///   new edge has at least `D` hops, so when `D > L_m` the `i`-th
-    ///   lex-min search still sees the same set of `≤ L_i`-hop paths in
-    ///   its residual graph and returns the same `P_i`; only a search
-    ///   that had *failed* (`m < k`) can be rescued by a longer route.
-    ///   For [`PathPolicy::EdgeDisjoint`] that search stays failed when
-    ///   `s` or `t` already spends every live channel on `P₁..P_m` (live
-    ///   degree `= m`) — the oracle's own pruning — so such pairs are kept;
+    /// * **close** — `r_close` is the first candidate that crosses a
+    ///   closed channel (`m` if none does). Removing an edge that
+    ///   `P₀..P_i` do not use leaves the `i`-th search's residual graph
+    ///   with `P_i` in it and no shorter or lex-smaller path than it had,
+    ///   so each `P_i` before `r_close` is found again, by induction.
+    /// * **open** — let `R'_i` be the graph after the update minus the
+    ///   channels of `P₀..P_{i−1}`, where the `i`-th search runs. Every
+    ///   `s–t` path of `R'_i` through an opened channel `(u, v)` leaves
+    ///   `s` over a live channel `(s, w)` that `P₀..P_{i−1}` do not use
+    ///   (or is at `u` already), so it has at least
+    ///   `B_i = min over opened channels and both orientations (a, b) of
+    ///   S_i(a) + 1 + T_i(b)` hops, where `S_i(a)` is `0` if `s = a` and
+    ///   otherwise the least `1 + d(w, a)` over those channels, `T_i(b)`
+    ///   the same at `t` (a simple path crosses its endpoint once, so
+    ///   `P_j`'s only channel there is its first or last hop), and `d`
+    ///   hop distance on the whole new graph — the two BFS per opened
+    ///   channel. `r_open` is the first `i` with `B_i ≤ L_i` (`m` if
+    ///   none). When `B_i > L_i` the `≤ L_i`-hop paths of `R'_i` avoid
+    ///   every opened channel, so they are a subset of the old residual
+    ///   graph's that still holds `P_i` (for `i < r_close`): the search
+    ///   finds `P_i` again. The comparison is strict for a reason: at
+    ///   `B_i = L_i` a lex-smaller detour of equal length can exist.
+    ///   `B₀ = D`, the shortest `s–t` walk through an opened channel, and
+    ///   the `B_i` only grow with `i`, so a pair with `D > L_{m−1}` needs
+    ///   no look at its candidates at all.
+    /// * **rescue** — a pair with `m < k` also had a search *fail*, and
+    ///   only a new channel can make it succeed: with every candidate kept
+    ///   it resumes at `m` when `D` is finite, unless (for
+    ///   [`PathPolicy::EdgeDisjoint`]) `s` or `t` already spends every live
+    ///   channel on the candidates (live degree `= m`) — the oracle's own
+    ///   pruning, under which the search stays failed.
     /// * **resize** — nothing: candidate selection ignores capacity.
     ///
-    /// An update carrying both applies the close rule to the cached
-    /// candidates and the open rule on the final graph. Cost beyond the
-    /// refills: two BFS and one pass over the cached pairs per opened
-    /// channel, `O(opened × (E + cached pairs))`; a pair whose candidates
-    /// did change costs the reverse index one counter decrement per old
-    /// hop and one push per new hop.
+    /// `r = min(r_close, r_open)`, and a pair with `r = m` that needs no
+    /// rescue is left alone. An update carrying both closes and opens
+    /// applies the close rule to the cached candidates and the open rule
+    /// on the final graph.
+    ///
+    /// Per policy: [`PathPolicy::Shortest`] has `k = 1`, so `B₀ = D` and
+    /// `r = 0` for every suspect — a whole refill, as before the
+    /// per-candidate rules. [`PathPolicy::KShortest`] suspects (a
+    /// candidate crosses a closed channel, or `D ≤ L_{m−1}`, or a rescue)
+    /// are refilled whole: Yen's later candidates come from the spur pool
+    /// of all earlier ones, so resuming would redo those spurs.
+    ///
+    /// Cost beyond the searches: two BFS and one pass over the cached
+    /// pairs per opened channel, plus a pass over both endpoints' live
+    /// channels for each pair within `D ≤ L_{m−1}` of it, and a walk over
+    /// the candidates of each pair crossing a closed channel; a pair whose
+    /// candidates did change costs the reverse index one counter
+    /// decrement per old hop and one push per new hop.
     pub fn on_topology_change(
         &mut self,
         topo: &Topology,
@@ -432,55 +595,122 @@ impl PathCache {
                 }
             }
         }
-        let mut suspect = self.slots_traversing(topo, paths, &update.closed);
-        suspect.extend(self.slots_reached_by(topo, &update.opened));
-        // Refill (and therefore intern) in pair order, whatever order the
-        // pairs were first cached in.
-        suspect.sort_unstable_by_key(|&slot| self.cached.slots[slot as usize].pair);
-        suspect.dedup();
+        let mut suspect = self.resumes_after_close(topo, paths, &update.closed);
+        suspect.extend(self.resumes_after_open(topo, paths, &update.opened));
+        // Re-search (and therefore intern) in pair order, whatever order
+        // the pairs were first cached in; a pair both rules name resumes
+        // at the earlier candidate.
+        let slots = &self.cached.slots;
+        suspect.sort_unstable_by_key(|&(slot, from)| (slots[slot as usize].pair, from));
+        suspect.dedup_by_key(|&mut (slot, _)| slot);
+        #[cfg(test)]
+        {
+            self.decided.resumed_late +=
+                suspect.iter().filter(|&&(_, from)| from > 0).count() as u64;
+        }
         self.repairs += suspect.len() as u64;
         self.fill_slots(topo, paths, &suspect)
     }
 
-    /// The slots whose candidate set one of the `opened` channels (already
-    /// live in the mask) may change — the open rule of
-    /// [`PathCache::on_topology_change`]. In slot order.
-    fn slots_reached_by(&mut self, topo: &Topology, opened: &[ChannelId]) -> Vec<u32> {
-        let slots = &self.cached.slots;
-        if opened.is_empty() || slots.is_empty() {
+    /// `(slot, resume index)` of every slot with a candidate crossing one
+    /// of the `closed` channels (already closed in the mask) — the close
+    /// rule of [`PathCache::on_topology_change`]. In slot order.
+    fn resumes_after_close(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        closed: &[ChannelId],
+    ) -> Vec<(u32, u32)> {
+        let slots = self.slots_traversing(topo, paths, closed);
+        // No cached candidate crosses a channel closed before this update,
+        // so a closed hop is one this update closed.
+        let crosses = |&id: &PathId| {
+            paths.map_entry(id, |path| {
+                path.hops().iter().any(|&(c, _)| self.closed[c.index()])
+            })
+        };
+        // (Every indexed slot has a crossing candidate; a whole refill
+        // would be exact regardless.)
+        let first_crossing = |slot: u32| {
+            let first = self.cached.candidates(slot).iter().position(crosses);
+            first.map_or(0, |i| i as u32)
+        };
+        slots
+            .into_iter()
+            .map(|slot| (slot, self.policy.resume_at(first_crossing(slot))))
+            .collect()
+    }
+
+    /// `(slot, resume index)` of every slot one of the `opened` channels
+    /// (already live in the mask) may change — the open and rescue rules
+    /// of [`PathCache::on_topology_change`]. In slot order.
+    fn resumes_after_open(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        opened: &[ChannelId],
+    ) -> Vec<(u32, u32)> {
+        /// No opened channel reaches the pair.
+        const UNREACHED: u32 = u32::MAX;
+        if opened.is_empty() || self.cached.slots.is_empty() {
             return Vec::new();
         }
         let k = self.cached.k;
-        let disjoint = matches!(self.policy, PathPolicy::EdgeDisjoint(_));
         let csr = Self::synced_csr(&mut self.csr, topo, &self.closed);
-        // Per slot: hops of the shortest s–t walk through any opened
-        // channel (`None` = no such walk).
-        let mut detour: Vec<Option<u32>> = vec![None; slots.len()];
-        let at = |dist: &[Option<u32>], n: NodeId| dist.get(n.index()).copied().flatten();
+        let cached = &self.cached;
+        // Per slot: the first candidate an opened channel may displace —
+        // `m` where one reaches the pair but can at most rescue a failed
+        // search.
+        let mut first = vec![UNREACHED; cached.slots.len()];
+        let mut candidates = Vec::with_capacity(k);
+        let at = |dist: &[Option<u32>], n: NodeId| dist[n.index()];
         let through = |near: Option<u32>, far: Option<u32>| Some(near? + 1 + far?);
         for &c in opened {
             let ch = topo.channel(c);
-            let (from_u, from_v) = (csr.hop_distances(ch.u), csr.hop_distances(ch.v));
-            for (best, slot) in detour.iter_mut().zip(slots) {
-                let (s, t) = slot.pair;
-                *best = [
-                    *best,
-                    through(at(&from_u, s), at(&from_v, t)),
-                    through(at(&from_v, s), at(&from_u, t)),
-                ]
-                .into_iter()
-                .flatten()
-                .min();
+            let ends = (ch.u, ch.v);
+            let dist = (csr.hop_distances(ch.u), csr.hop_distances(ch.v));
+            let dist = (dist.0.as_slice(), dist.1.as_slice());
+            for (slot, (entry, first)) in (0..).zip(cached.slots.iter().zip(&mut first)) {
+                let (s, t) = entry.pair;
+                let detour = [
+                    through(at(dist.0, s), at(dist.1, t)),
+                    through(at(dist.1, s), at(dist.0, t)),
+                ];
+                let Some(detour) = detour.into_iter().flatten().min() else {
+                    continue;
+                };
+                let m = entry.count;
+                let displaced = if m == 0 || detour > entry.longest_hops {
+                    m
+                } else if matches!(self.policy, PathPolicy::KShortest(_)) {
+                    0
+                } else {
+                    candidates.clear();
+                    let ids = cached.candidates(slot).iter();
+                    candidates.extend(ids.map(|&id| paths.map_entry(id, Bounded::of)));
+                    let displaced =
+                        first_displaced(csr, entry.pair, ends, dist, detour, &candidates);
+                    #[cfg(test)]
+                    if displaced == m {
+                        self.decided.kept_by_bound += 1;
+                    }
+                    displaced
+                };
+                *first = displaced.min(*first);
             }
         }
-        let reached = (0..).zip(slots).zip(detour);
+        let disjoint = matches!(self.policy, PathPolicy::EdgeDisjoint(_));
+        let reached = (0..).zip(&cached.slots).zip(first);
         reached
-            .filter_map(|((i, slot), detour)| {
-                let detour = detour?;
-                let ((s, t), m) = (slot.pair, slot.count as usize);
-                let displaces = m > 0 && detour <= slot.longest_hops;
-                let exhausted = disjoint && (csr.live_degree(s) == m || csr.live_degree(t) == m);
-                (displaces || (m < k && !exhausted)).then_some(i)
+            .filter_map(|((slot, entry), first)| {
+                let ((s, t), m) = (entry.pair, entry.count);
+                if first < m {
+                    return Some((slot, self.policy.resume_at(first)));
+                }
+                let exhausted = disjoint
+                    && (csr.live_degree(s) == m as usize || csr.live_degree(t) == m as usize);
+                let rescued = first != UNREACHED && (m as usize) < k && !exhausted;
+                rescued.then(|| (slot, self.policy.resume_at(m)))
             })
             .collect()
     }
@@ -565,7 +795,9 @@ impl PathCache {
     /// Lifetime counters, in a fixed order suitable for
     /// [`RouterObs::counters`](spider_sim::RouterObs): cache hits (get on
     /// a cached pair), misses (one-pair fills), pairs filled by
-    /// [`PathCache::prefill`], and pairs repaired after churn.
+    /// [`PathCache::prefill`], and pairs re-searched after churn (a pair
+    /// counts once per event that re-searches any of its candidates; one
+    /// that keeps them all is not counted).
     pub fn counters(&self) -> [(&'static str, u64); 4] {
         [
             ("path_cache_hits", self.hits),
@@ -1059,6 +1291,192 @@ mod tests {
         }
     }
 
+    /// A topology of `nodes` nodes with the given channels, in order.
+    fn graph(nodes: usize, edges: &[(u32, u32)]) -> Topology {
+        let mut b = spider_topology::Topology::builder(nodes);
+        for &(u, v) in edges {
+            b.channel(NodeId(u), NodeId(v), Amount::from_xrp(1))
+                .unwrap();
+        }
+        b.build()
+    }
+
+    /// A cache of `policy` holding `pair` while the first of `edges` is
+    /// closed, after that channel opens — checked against a cold fill —
+    /// and the pairs the open re-searched.
+    fn reopened(
+        edges: &[(u32, u32)],
+        policy: PathPolicy,
+        pair: (NodeId, NodeId),
+    ) -> (PathCache, Vec<(NodeId, NodeId)>) {
+        let t = &graph(10, edges);
+        let (u, v) = edges[0];
+        let shut = [t.channel_between(NodeId(u), NodeId(v)).expect("listed")];
+        let table = PathTable::new();
+        let mut warm = PathCache::new(policy);
+        warm.on_topology_change(t, &table, &closing(&shut));
+        warm.get(t, &table, pair.0, pair.1);
+        let repaired = warm.on_topology_change(t, &table, &opening(&shut));
+        let cold_table = PathTable::new();
+        let mut cold = PathCache::new(policy);
+        assert_eq!(
+            resolved(&mut warm, t, &table, &[pair]),
+            resolved(&mut cold, t, &cold_table, &[pair]),
+        );
+        (warm, repaired)
+    }
+
+    /// (The channel each case opens is listed first.)
+    ///
+    /// The open rule's bound is strict: a route through the new channel
+    /// exactly as long as a candidate can be lex-smaller than it. Here
+    /// `0→9` holds `0-1-9` and `0-5-6-9`; opening `2-3` adds `0-2-3-9`,
+    /// which cannot displace the 2-hop first candidate (`B₀ = 3`) but ties
+    /// the second (`B₁ = 3 = L₁`) and wins on node order — so the pair
+    /// resumes at its second candidate.
+    #[test]
+    fn a_detour_that_ties_a_candidate_displaces_it() {
+        let pair = (NodeId(0), NodeId(9));
+        let ties = [
+            (2, 3),
+            (0, 1),
+            (1, 9),
+            (0, 2),
+            (3, 9),
+            (0, 5),
+            (5, 6),
+            (6, 9),
+        ];
+        let (warm, repaired) = reopened(&ties, PathPolicy::EdgeDisjoint(2), pair);
+        assert_eq!(repaired, [pair]);
+        assert_eq!(warm.decided.resumed_late, 1, "resumed after the first");
+        // Opening `1-3` instead reaches the pair as closely (`D = 3`), but
+        // only over the first candidate's own channels: the second search
+        // has them banned, and `B₁ = 5`. Nothing is searched.
+        let banned = [(1, 3), (0, 1), (1, 9), (3, 9), (0, 5), (5, 6), (6, 9)];
+        let (warm, repaired) = reopened(&banned, PathPolicy::EdgeDisjoint(2), pair);
+        assert!(repaired.is_empty(), "kept whole: {repaired:?}");
+        assert_eq!(warm.decided.kept_by_bound, 1);
+    }
+
+    /// A pair with fewer candidates than asked for had a search fail; an
+    /// open that links its endpoints anew rescues it however long the new
+    /// route is — unless an endpoint has no live channel left to spend.
+    #[test]
+    fn an_open_rescues_a_failed_search() {
+        let pair = (NodeId(0), NodeId(9));
+        let rescued = [(2, 3), (0, 1), (1, 9), (0, 2), (3, 4), (4, 9)];
+        let (warm, repaired) = reopened(&rescued, PathPolicy::EdgeDisjoint(3), pair);
+        assert_eq!(repaired, [pair]);
+        assert_eq!(warm.decided.resumed_late, 1, "resumed after the kept one");
+        assert_eq!(warm.cached.slots[0].count, 2);
+        // `9` has one channel, spent on the first candidate: exhausted.
+        let exhausted = [(2, 3), (0, 1), (1, 9), (0, 2), (3, 4), (4, 1)];
+        let (_, repaired) = reopened(&exhausted, PathPolicy::EdgeDisjoint(3), pair);
+        assert!(
+            repaired.is_empty(),
+            "an exhausted pair is kept: {repaired:?}"
+        );
+    }
+
+    /// The schedule of the churn experiment (closes, reopens, resizes,
+    /// node leaves and joins, channels spawning, flaps) on the 300-node
+    /// Ripple-like graph whose outcomes the churn tests pin, replayed
+    /// event by event through a cache prefilled with the workload's pairs:
+    /// after every event the cache is what a cold fill on the live mask
+    /// answers. The small random graphs above rarely resume past a
+    /// candidate or keep a reached pair by the bound; this must do both.
+    #[test]
+    fn a_real_schedule_at_hub_scale_repairs_to_a_cold_fill() {
+        use spider_dynamics::{ChurnSchedule, DynamicsConfig};
+        use spider_sim::{Workload, WorkloadConfig};
+        use spider_types::{DetRng, SimTime, TopologyChange};
+        let rng = DetRng::new(11);
+        let raw = gen::ripple_like(300, Amount::from_xrp(150), &mut rng.fork("topology"));
+        let t = spider_topology::analysis::largest_component(&raw);
+        let arrivals = WorkloadConfig::small(1_500, 300.0);
+        let workload = Workload::generate(t.node_count(), &arrivals, &mut rng.fork("workload"));
+        let pairs = workload.distinct_pairs(None);
+        let dynamics = DynamicsConfig {
+            close_rate_per_sec: 1.0,
+            reopen_mean_secs: Some(1.5),
+            resize_rate_per_sec: 0.5,
+            node_leave_rate_per_sec: 0.2,
+            spawn_fraction: 0.05,
+            flap_channels: 2,
+            flap_period_secs: 2.0,
+            horizon_secs: 5.0,
+            ..DynamicsConfig::default()
+        };
+        let schedule = ChurnSchedule::generate(&t, &dynamics, &mut rng.fork("dynamics"))
+            .expect("the schedule generates");
+        // The updates the engine hands the router: the `t = 0` slice as
+        // one, then one per later event that changes anything.
+        let mut closed = vec![false; t.channel_count()];
+        let mut updates = vec![TopologyUpdate::default()];
+        for event in &schedule.events {
+            if event.at > SimTime::ZERO {
+                updates.push(TopologyUpdate::default());
+            }
+            let last = updates.len() - 1;
+            let update = &mut updates[last];
+            let mut set = |c: ChannelId, close: bool| {
+                if std::mem::replace(&mut closed[c.index()], close) != close {
+                    let changed = if close {
+                        &mut update.closed
+                    } else {
+                        &mut update.opened
+                    };
+                    changed.push(c);
+                }
+            };
+            match event.change {
+                TopologyChange::ChannelClose { channel } => set(channel, true),
+                TopologyChange::ChannelOpen { channel } => set(channel, false),
+                TopologyChange::ChannelResize { channel, .. } => update.resized.push(channel),
+                TopologyChange::NodeLeave { node } | TopologyChange::NodeJoin { node } => {
+                    let close = matches!(event.change, TopologyChange::NodeLeave { .. });
+                    for adj in t.neighbors(node) {
+                        set(adj.channel, close);
+                    }
+                }
+            }
+        }
+        let table = PathTable::new();
+        let mut warm = PathCache::new(PathPolicy::EdgeDisjoint(4));
+        warm.on_topology_change(&t, &table, &updates[0]);
+        warm.prefill(&t, &table, &pairs);
+        let later: Vec<_> = updates[1..].iter().filter(|u| !u.is_empty()).collect();
+        assert!(later.len() > 40, "{} events", later.len());
+        for update in later {
+            warm.on_topology_change(&t, &table, update);
+            assert_index_mirrors_cache(&warm, &t, &table);
+            let shut = t
+                .channels()
+                .map(|(c, _)| c)
+                .filter(|&c| warm.channel_closed(c));
+            let shut: Vec<_> = shut.collect();
+            let cold_table = PathTable::new();
+            let mut cold = PathCache::new(PathPolicy::EdgeDisjoint(4));
+            cold.on_topology_change(&t, &cold_table, &closing(&shut));
+            cold.prefill(&t, &cold_table, &pairs);
+            assert_eq!(
+                resolved(&mut warm, &t, &table, &pairs),
+                resolved(&mut cold, &t, &cold_table, &pairs),
+                "after {update:?}"
+            );
+        }
+        let decided = &warm.decided;
+        assert!(
+            decided.resumed_late > 0,
+            "no pair resumed past its first candidate"
+        );
+        assert!(
+            decided.kept_by_bound > 0,
+            "the bound kept no reached pair whole"
+        );
+    }
+
     /// `KShortest` candidates of one pair share channels, so a slot is a
     /// member of such a channel once per candidate; replacing the pair's
     /// candidates must take every copy out and put the new ones in.
@@ -1066,12 +1484,7 @@ mod tests {
     fn shared_channels_are_counted_once_per_candidate() {
         // A stem 0–1 into a diamond 1–{2,3}–4: both 0→4 paths cross the
         // stem, each has a side of the diamond to itself.
-        let mut b = spider_topology::Topology::builder(5);
-        for (u, v) in [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)] {
-            b.channel(NodeId(u), NodeId(v), Amount::from_xrp(1))
-                .unwrap();
-        }
-        let t = b.build();
+        let t = graph(5, &[(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]);
         let (stem, side) = (ChannelId(0), ChannelId(1));
         let table = PathTable::new();
         let mut c = PathCache::new(PathPolicy::KShortest(3));

@@ -20,6 +20,12 @@
 //! Interning into the simulation's shared (single-threaded)
 //! [`PathTable`](spider_sim::PathTable) happens afterwards on the calling
 //! thread, in pair order.
+//!
+//! Churn repair resumes edge-disjoint sets instead of recomputing them
+//! (`PathOracle::resume`): what a pair keeps of its earlier answer reaches
+//! the workers flat, as hop channels (`KeptPrefixes`) — the interned paths
+//! live in a table the workers cannot share — and each worker writes only
+//! the candidates after the kept ones.
 
 use crate::cache::PathPolicy;
 use spider_lp::paths::{CsrGraph, FlatPaths, SourceOracle};
@@ -52,7 +58,9 @@ impl Csr<'_> {
 }
 
 /// The candidate sets of a pair list, as [`PathOracle::fill`] leaves them:
-/// one flat path buffer per worker and, per pair, where its candidates sit.
+/// one flat path buffer per worker and, per pair, where its candidates sit
+/// (after a churn repair's resumed fill: the candidates after the kept
+/// ones).
 #[derive(Debug)]
 pub struct FilledPaths {
     buffers: Vec<FlatPaths>,
@@ -93,6 +101,49 @@ impl FilledPaths {
     /// Every path, in pair order and best first within a pair.
     pub fn paths(&self) -> impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_ {
         self.sets().flatten()
+    }
+}
+
+/// What each pair of a [`PathOracle::resume`] keeps of its earlier
+/// edge-disjoint answer: the hop channels of its first candidates, path
+/// after path, every pair's back to back.
+#[derive(Debug, Default)]
+pub(crate) struct KeptPrefixes {
+    channels: Vec<ChannelId>,
+    /// Per pair: end offset into `channels`.
+    ends: Vec<usize>,
+}
+
+impl KeptPrefixes {
+    /// No prefix yet.
+    pub(crate) fn new() -> Self {
+        KeptPrefixes::default()
+    }
+
+    /// Appends hops to the prefix of the pair being written.
+    pub(crate) fn extend(&mut self, hops: impl IntoIterator<Item = ChannelId>) {
+        self.channels.extend(hops);
+    }
+
+    /// Closes the prefix of the pair being written; the next hops belong
+    /// to the next pair.
+    pub(crate) fn seal(&mut self) {
+        self.ends.push(self.channels.len());
+    }
+
+    /// Number of sealed prefixes.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Pair `i`'s prefix — empty past the last sealed one, which is how
+    /// [`PathOracle::fill`] asks for whole sets.
+    fn get(&self, i: usize) -> &[ChannelId] {
+        let Some(&end) = self.ends.get(i) else {
+            return &[];
+        };
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.channels[start..end]
     }
 }
 
@@ -177,6 +228,26 @@ impl<'a> PathOracle<'a> {
     /// of [`Self::policy`] returns — including empty sets for unreachable
     /// or degenerate `src == dst` pairs.
     pub fn fill(&self, pairs: &[(NodeId, NodeId)]) -> FilledPaths {
+        self.resume(pairs, &KeptPrefixes::new())
+    }
+
+    /// [`Self::fill`] for pairs that keep a prefix of their
+    /// [`PathPolicy::EdgeDisjoint`] answer: `kept` holds one prefix per
+    /// pair, and pair `i`'s set in the result is its candidates after
+    /// `kept`'s — what the per-pair oracle returns past that prefix,
+    /// provided the prefix is what it returns first. The other policies
+    /// keep nothing.
+    pub(crate) fn resume(&self, pairs: &[(NodeId, NodeId)], kept: &KeptPrefixes) -> FilledPaths {
+        assert!(
+            kept.len() == 0 || kept.len() == pairs.len(),
+            "{} prefixes for {} pairs",
+            kept.len(),
+            pairs.len()
+        );
+        assert!(
+            kept.channels.is_empty() || matches!(self.policy, PathPolicy::EdgeDisjoint(_)),
+            "only an edge-disjoint set resumes"
+        );
         let groups = Groups::new(self.csr.get().node_count(), pairs);
         let workers = if pairs.len() < PARALLEL_THRESHOLD {
             1
@@ -189,7 +260,7 @@ impl<'a> PathOracle<'a> {
         // Sources are pulled from a shared counter; one worker is the same
         // loop run on the calling thread.
         let next = AtomicUsize::new(0);
-        let work = || self.fill_groups(&groups, &next);
+        let work = || self.fill_groups(&groups, kept, &next);
         let filled: Vec<(FlatPaths, Vec<(u32, u32)>)> = if workers <= 1 {
             vec![work()]
         } else {
@@ -221,9 +292,14 @@ impl<'a> PathOracle<'a> {
     }
 
     /// One worker: answers whole sources off the shared counter until none
-    /// are left. Returns its path buffer and, in the order answered,
-    /// `(pair index, candidates appended)`.
-    fn fill_groups(&self, groups: &Groups, next: &AtomicUsize) -> (FlatPaths, Vec<(u32, u32)>) {
+    /// are left, each pair after its `kept` prefix. Returns its path buffer
+    /// and, in the order answered, `(pair index, candidates appended)`.
+    fn fill_groups(
+        &self,
+        groups: &Groups,
+        kept: &KeptPrefixes,
+        next: &AtomicUsize,
+    ) -> (FlatPaths, Vec<(u32, u32)>) {
         let mut out = FlatPaths::new();
         let mut counts = Vec::new();
         let mut oracle: Option<SourceOracle<'_>> = None;
@@ -232,7 +308,9 @@ impl<'a> PathOracle<'a> {
             oracle.retarget(src);
             for &(i, dst) in group {
                 let count = match self.policy {
-                    PathPolicy::EdgeDisjoint(k) => oracle.edge_disjoint(dst, k, &mut out),
+                    PathPolicy::EdgeDisjoint(k) => {
+                        oracle.edge_disjoint(dst, k, kept.get(i as usize), &mut out)
+                    }
                     PathPolicy::KShortest(k) => oracle.k_shortest(dst, k, &mut out),
                     PathPolicy::Shortest => oracle.shortest(dst, &mut out),
                 };
@@ -361,6 +439,35 @@ mod tests {
             let filled = PathOracle::new(&t, policy).fill(&pairs);
             assert_filled(&filled, &t, &t, policy, &pairs);
         }
+    }
+
+    /// Resuming hands back exactly what follows each pair's kept prefix
+    /// in its whole set — prefixes of every length, across the worker
+    /// fan-out.
+    #[test]
+    fn resume_returns_what_follows_each_kept_prefix() {
+        let t = gen::isp_topology(Amount::from_xrp(100));
+        let pairs = many_pairs(&t);
+        let oracle = PathOracle::new(&t, PathPolicy::EdgeDisjoint(4));
+        let whole = oracle.fill(&pairs);
+        let mut kept = KeptPrefixes::new();
+        let mut want: Vec<Vec<Vec<NodeId>>> = Vec::new();
+        for (i, set) in whole.sets().enumerate() {
+            let set: Vec<_> = set.collect();
+            let r = i % (set.len() + 1);
+            for (_, channels) in &set[..r] {
+                kept.extend(channels.iter().copied());
+            }
+            kept.seal();
+            want.push(set[r..].iter().map(|(nodes, _)| nodes.to_vec()).collect());
+        }
+        assert_eq!(kept.len(), pairs.len());
+        let resumed = oracle.resume(&pairs, &kept);
+        let got: Vec<Vec<Vec<NodeId>>> = resumed
+            .sets()
+            .map(|set| set.map(|(nodes, _)| nodes.to_vec()).collect())
+            .collect();
+        assert_eq!(got, want);
     }
 
     /// Over a caller-retained graph with channels disabled the hand-off is
