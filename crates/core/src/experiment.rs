@@ -408,11 +408,17 @@ pub fn run_sweep(jobs: &[SweepJob]) -> Result<Vec<SimReport>> {
 }
 
 /// Converts a workload into the long-term demand matrix (XRP/s) that
-/// Spider (LP) optimizes against.
+/// Spider (LP) optimizes against: each pair's volume, summed in arrival
+/// order, over the span of the arrivals.
 pub fn demand_graph(workload: &Workload, n_nodes: usize) -> PaymentGraph {
-    let like = workload.demand_matrix(n_nodes);
+    let secs = workload.duration().as_secs_f64().max(1e-9);
+    let mut volume = std::collections::BTreeMap::new();
+    for t in &workload.txns {
+        *volume.entry((t.src, t.dst)).or_insert(0.0) += t.amount.as_xrp();
+    }
     let mut g = PaymentGraph::new(n_nodes);
-    for (src, dst, rate) in like.rates {
+    for ((src, dst), xrp) in volume {
+        let rate = xrp / secs;
         if rate > 0.0 {
             g.add_demand(src, dst, rate);
         }
@@ -819,6 +825,93 @@ mod tests {
                 ..Default::default()
             };
             assert!(cfg.run().is_err(), "{workload:?}");
+        }
+    }
+
+    /// Each of these passed `validate()` and then panicked while its plan
+    /// was generated or applied.
+    #[test]
+    fn invalid_perturbation_plans_are_rejected() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let base = ExperimentConfig {
+            workload: WorkloadConfig::small(200, 100.0),
+            ..Default::default()
+        };
+        let dynamics = [
+            DynamicsConfig {
+                close_rate_per_sec: inf,
+                ..Default::default()
+            },
+            DynamicsConfig {
+                resize_rate_per_sec: inf,
+                ..Default::default()
+            },
+            DynamicsConfig {
+                node_leave_rate_per_sec: inf,
+                ..Default::default()
+            },
+            DynamicsConfig {
+                reopen_mean_secs: Some(nan),
+                ..Default::default()
+            },
+            DynamicsConfig {
+                reopen_mean_secs: Some(inf),
+                ..Default::default()
+            },
+            DynamicsConfig {
+                horizon_secs: inf,
+                ..Default::default()
+            },
+        ];
+        let crash = |crash| FaultConfig {
+            crash: Some(crash),
+            ..Default::default()
+        };
+        let faults = [
+            crash(spider_faults::CrashConfig {
+                rate_per_sec: inf,
+                ..Default::default()
+            }),
+            crash(spider_faults::CrashConfig {
+                recovery_mean_secs: Some(nan),
+                ..Default::default()
+            }),
+            FaultConfig {
+                hop_timeout_secs: nan,
+                ..Default::default()
+            },
+        ];
+        let overload = OverloadConfig {
+            flash_crowd: Some(FlashCrowdConfig {
+                start_secs: 0.0,
+                rate_multiplier: nan,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let configs = dynamics
+            .map(|d| ExperimentConfig {
+                dynamics: Some(d),
+                ..base.clone()
+            })
+            .into_iter()
+            .chain(faults.map(|f| ExperimentConfig {
+                faults: Some(f),
+                ..base.clone()
+            }))
+            .chain([ExperimentConfig {
+                overload: Some(overload),
+                ..base.clone()
+            }]);
+        for cfg in configs {
+            let run = cfg.run();
+            assert!(
+                matches!(run, Err(SpiderError::InvalidConfig(_))),
+                "{:?} / {:?} / {:?}: {run:?}",
+                cfg.dynamics,
+                cfg.faults,
+                cfg.overload
+            );
         }
     }
 

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 pub mod congestion;
 pub mod experiment;

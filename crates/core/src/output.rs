@@ -187,7 +187,7 @@ pub fn to_table(rows: &[FigureRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spider_sim::{DropBreakdown, Histogram, ProfileStats, SampleSet, SimReport};
+    use spider_sim::{Histogram, SimReport};
     use spider_types::{Amount, SimDuration};
 
     fn report() -> SimReport {
@@ -201,40 +201,14 @@ mod tests {
             attempted_volume: Amount::from_xrp(100),
             delivered_volume: Amount::from_xrp(80),
             completed_volume: Amount::from_xrp(70),
-            admission_deferred: 0,
             units_locked: 12,
             units_failed: 3,
             retries: 2,
             unit_hops_sum: 24,
-            onchain_deposited: Amount::ZERO,
-            rebalance_ops: 0,
-            units_acked: 0,
-            units_marked: 0,
-            units_dropped: 0,
-            units_queued: 0,
-            topology_events: 0,
-            churn_channels_closed: 0,
-            churn_channels_opened: 0,
-            churn_channels_resized: 0,
-            units_dropped_churn: 0,
-            payments_failed_churn: 0,
-            fault_events: 0,
-            faults_injected: 0,
-            units_dropped_fault: 0,
-            topology_event_times_s: vec![],
-            queue_delay_sum_s: 0.0,
             completion_times: vec![0.5, 0.7],
-            throughput_series: vec![],
-            drops_by_reason: DropBreakdown::default(),
             latency_hist,
-            queue_delay_hist: Histogram::new(),
-            path_length_hist: Histogram::new(),
-            window_hist: Histogram::new(),
-            router_counters: vec![],
-            samples: SampleSet::default(),
-            profile: ProfileStats::default(),
-            hotspots: vec![],
             horizon: SimDuration::from_secs(10),
+            ..SimReport::default()
         }
     }
 

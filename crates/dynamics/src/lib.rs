@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use serde::{Deserialize, Serialize};
 use spider_topology::Topology;
@@ -97,23 +98,26 @@ impl DynamicsConfig {
         }
     }
 
-    /// Validates parameter sanity.
+    /// Validates parameter sanity; a config that passes generates
+    /// without panicking.
     pub fn validate(&self) -> Result<()> {
         let bad = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
-        if self.close_rate_per_sec < 0.0
-            || self.resize_rate_per_sec < 0.0
-            || self.node_leave_rate_per_sec < 0.0
-        {
-            return bad("churn rates must be non-negative");
+        let rates = [
+            self.close_rate_per_sec,
+            self.resize_rate_per_sec,
+            self.node_leave_rate_per_sec,
+        ];
+        if !rates.iter().all(|r| *r >= 0.0 && r.is_finite()) {
+            return bad("churn rates must be non-negative and finite");
         }
         if let Some(m) = self.reopen_mean_secs {
-            if m <= 0.0 {
-                return bad("reopen mean must be positive");
+            if !(m > 0.0 && m.is_finite()) {
+                return bad("reopen mean must be positive and finite");
             }
         }
         let [lo, hi] = self.resize_factor_range;
-        if !(lo > 0.0 && hi >= lo) {
-            return bad("resize factor range must satisfy 0 < min <= max");
+        if !(lo > 0.0 && hi >= lo && hi.is_finite()) {
+            return bad("resize factor range must satisfy 0 < min <= max < inf");
         }
         if !(0.0..=1.0).contains(&self.spawn_fraction) {
             return bad("spawn fraction must be in [0, 1]");
@@ -121,8 +125,8 @@ impl DynamicsConfig {
         if self.flap_channels > 0 && self.flap_period_secs <= 0.0 {
             return bad("flap period must be positive");
         }
-        if self.horizon_secs <= 0.0 {
-            return bad("dynamics horizon must be positive");
+        if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
+            return bad("dynamics horizon must be positive and finite");
         }
         Ok(())
     }

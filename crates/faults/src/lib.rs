@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use serde::{Deserialize, Serialize};
 use spider_topology::Topology;
@@ -121,7 +122,9 @@ impl FaultConfig {
         }
     }
 
-    /// Validates parameter sanity.
+    /// Validates parameter sanity; a config that passes generates
+    /// without panicking, and the engine can turn every delay into a
+    /// `SimDuration`.
     pub fn validate(&self) -> Result<()> {
         let bad = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
         let probs = [
@@ -134,28 +137,28 @@ impl FaultConfig {
             return bad("fault probabilities must be in [0, 1]");
         }
         if let Some([lo, hi]) = self.jitter_range_ms {
-            if !(lo >= 0.0 && hi >= lo) {
-                return bad("jitter range must satisfy 0 <= min <= max");
+            if !(lo >= 0.0 && hi >= lo && hi.is_finite()) {
+                return bad("jitter range must satisfy 0 <= min <= max < inf");
             }
         }
-        if self.spike_ms < 0.0 {
-            return bad("spike delay must be non-negative");
+        if !(self.spike_ms >= 0.0 && self.spike_ms.is_finite()) {
+            return bad("spike delay must be non-negative and finite");
         }
-        if self.hop_timeout_secs <= 0.0 {
-            return bad("hop timeout must be positive");
+        if !(self.hop_timeout_secs > 0.0 && self.hop_timeout_secs.is_finite()) {
+            return bad("hop timeout must be positive and finite");
         }
         if let Some(crash) = &self.crash {
-            if crash.rate_per_sec < 0.0 {
-                return bad("crash rate must be non-negative");
+            if !(crash.rate_per_sec >= 0.0 && crash.rate_per_sec.is_finite()) {
+                return bad("crash rate must be non-negative and finite");
             }
             if let Some(m) = crash.recovery_mean_secs {
-                if m <= 0.0 {
-                    return bad("crash recovery mean must be positive");
+                if !(m > 0.0 && m.is_finite()) {
+                    return bad("crash recovery mean must be positive and finite");
                 }
             }
         }
-        if self.horizon_secs <= 0.0 {
-            return bad("fault horizon must be positive");
+        if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
+            return bad("fault horizon must be positive and finite");
         }
         Ok(())
     }

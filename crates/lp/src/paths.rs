@@ -1256,7 +1256,7 @@ mod tests {
     use super::*;
     use spider_topology::gen;
     use spider_types::Amount;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     const CAP: Amount = Amount::from_xrp(100);
 
@@ -1327,7 +1327,7 @@ mod tests {
         let t = gen::isp_topology(CAP);
         let paths = k_shortest_paths(&t, n(8), n(20), 8);
         assert!(paths.len() >= 4);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for p in &paths {
             assert!(seen.insert(p.nodes.clone()), "duplicate path");
             let mut s = p.nodes.clone();
@@ -1354,7 +1354,7 @@ mod tests {
         let t = diamond();
         let paths = k_edge_disjoint_paths(&t, n(0), n(3), 4);
         assert_eq!(paths.len(), 3); // direct, via 1, via 2
-        let mut used = HashSet::new();
+        let mut used = BTreeSet::new();
         for p in &paths {
             for (c, _) in p.channels(&t) {
                 assert!(used.insert(c), "channel reused across paths");
@@ -1452,7 +1452,7 @@ mod tests {
     }
 
     /// Literal successive-shortest-path BFS, kept deliberately naive: one
-    /// `VecDeque` BFS per path over `HashSet` bans. The production oracle
+    /// `VecDeque` BFS per path over `BTreeSet` bans. The production oracle
     /// computes the same paths through the bidirectional layer search;
     /// this reference pins the "BFS over sorted adjacency = lex-min
     /// shortest path" equivalence that search relies on.
@@ -1461,7 +1461,7 @@ mod tests {
         if k == 0 || src == dst {
             return Vec::new();
         }
-        let mut banned: HashSet<ChannelId> = HashSet::new();
+        let mut banned: BTreeSet<ChannelId> = BTreeSet::new();
         let mut out = Vec::new();
         while out.len() < k {
             let mut parent: Vec<Option<NodeId>> = vec![None; topo.node_count()];
@@ -1502,7 +1502,7 @@ mod tests {
         out
     }
 
-    /// Literal Yen over a naive BFS with `HashSet` bans (the shape of the
+    /// Literal Yen over a naive BFS with `BTreeSet` bans (the shape of the
     /// pre-sweep implementation), for pinning `k_shortest_paths`.
     fn reference_k_shortest(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
         use std::collections::VecDeque;
@@ -1510,8 +1510,8 @@ mod tests {
             topo: &Topology,
             src: NodeId,
             dst: NodeId,
-            banned_c: &HashSet<ChannelId>,
-            banned_n: &HashSet<NodeId>,
+            banned_c: &BTreeSet<ChannelId>,
+            banned_n: &BTreeSet<NodeId>,
         ) -> Option<Path> {
             if banned_n.contains(&src) || banned_n.contains(&dst) {
                 return None;
@@ -1551,7 +1551,7 @@ mod tests {
         if k == 0 || src == dst {
             return Vec::new();
         }
-        let Some(first) = bfs(topo, src, dst, &HashSet::new(), &HashSet::new()) else {
+        let Some(first) = bfs(topo, src, dst, &BTreeSet::new(), &BTreeSet::new()) else {
             return Vec::new();
         };
         let mut accepted = vec![first];
@@ -1560,8 +1560,8 @@ mod tests {
             let prev = accepted.last().unwrap().clone();
             for i in 0..prev.hop_count() {
                 let root = &prev.nodes[..=i];
-                let mut banned_c = HashSet::new();
-                let mut banned_n = HashSet::new();
+                let mut banned_c = BTreeSet::new();
+                let mut banned_n = BTreeSet::new();
                 for p in &accepted {
                     if p.nodes.len() > i + 1 && p.nodes[..=i] == *root {
                         if let Some(c) = topo.channel_between(p.nodes[i], p.nodes[i + 1]) {
@@ -1679,7 +1679,7 @@ mod tests {
                     csr.set_channel_enabled(t, c, false);
                 }
                 // Cold rebuild without the disabled channels.
-                let disabled_set: HashSet<ChannelId> = disabled.iter().copied().collect();
+                let disabled_set: BTreeSet<ChannelId> = disabled.iter().copied().collect();
                 let mut b = Topology::builder(t.node_count());
                 for (id, ch) in t.channels() {
                     if !disabled_set.contains(&id) {

@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use spider_types::NodeId;
 use std::collections::VecDeque;

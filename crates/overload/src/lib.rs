@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use serde::{Deserialize, Serialize};
 use spider_topology::Topology;
@@ -181,15 +182,16 @@ impl OverloadConfig {
         }
     }
 
-    /// Validates parameter sanity.
+    /// Validates parameter sanity; a config that passes generates and
+    /// warps arrival times without panicking.
     pub fn validate(&self) -> Result<()> {
         let bad = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
         if let Some(f) = &self.flash_crowd {
-            if f.start_secs < 0.0 || f.duration_secs <= 0.0 {
+            if !(f.start_secs >= 0.0 && f.duration_secs > 0.0) {
                 return bad("flash crowd window must be non-negative and non-empty");
             }
-            if f.rate_multiplier < 1.0 {
-                return bad("flash crowd multiplier must be >= 1");
+            if !(f.rate_multiplier >= 1.0 && f.rate_multiplier.is_finite()) {
+                return bad("flash crowd multiplier must be >= 1 and finite");
             }
         }
         if let Some(h) = &self.hot_pairs {
@@ -199,8 +201,8 @@ impl OverloadConfig {
             if h.pairs == 0 {
                 return bad("hot-pair count must be positive");
             }
-            if h.zipf_exponent < 0.0 {
-                return bad("zipf exponent must be non-negative");
+            if !(h.zipf_exponent >= 0.0 && h.zipf_exponent.is_finite()) {
+                return bad("zipf exponent must be non-negative and finite");
             }
         }
         if let Some(d) = &self.drain {
@@ -215,12 +217,12 @@ impl OverloadConfig {
             if !(0.0..=1.0).contains(&g.fraction) {
                 return bad("griefing fraction must be in [0, 1]");
             }
-            if g.hold_secs <= 0.0 {
-                return bad("griefing hold must be positive");
+            if !(g.hold_secs > 0.0 && g.hold_secs.is_finite()) {
+                return bad("griefing hold must be positive and finite");
             }
         }
-        if self.horizon_secs <= 0.0 {
-            return bad("overload horizon must be positive");
+        if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
+            return bad("overload horizon must be positive and finite");
         }
         Ok(())
     }

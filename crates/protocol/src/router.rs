@@ -25,8 +25,7 @@ use spider_routing::{BackoffConfig, ChannelBreakers, PathCache, PathPenalties, P
 use spider_sim::{
     NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate, UnitAck, UnitOutcome,
 };
-use spider_types::{Amount, DropReason, IdHash, NodeId, PathId};
-use std::collections::HashMap;
+use spider_types::{Amount, DropReason, IdHashMap, NodeId, PathId};
 use std::ops::Range;
 
 /// Tunables of the protocol sender.
@@ -99,7 +98,7 @@ struct Pairs {
     /// The most candidates a pair can have: the stride of `candidates`.
     k: usize,
     /// Where each routed pair's slot is — `route`'s one hash lookup.
-    slot_of: HashMap<(NodeId, NodeId), u32, IdHash>,
+    slot_of: IdHashMap<(NodeId, NodeId), u32>,
     /// The routed pairs, in the order they were first routed.
     slots: Vec<Slot>,
     /// `k` entries a slot, of which the first `count` mean something.
@@ -118,7 +117,7 @@ impl Pairs {
     fn new(k: usize, cfg: &ProtocolConfig) -> Self {
         Pairs {
             k,
-            slot_of: HashMap::default(),
+            slot_of: IdHashMap::default(),
             slots: Vec::new(),
             candidates: Vec::new(),
             owner: Vec::new(),

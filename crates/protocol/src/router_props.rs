@@ -6,6 +6,7 @@ use super::*;
 use proptest::prelude::*;
 use spider_sim::{ChannelState, PathTable};
 use spider_types::{ChannelId, MarkStamp, PaymentId, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// One pair, by the book: three vectors, one entry a candidate.
 #[derive(Default)]
@@ -20,7 +21,7 @@ struct PairState {
 struct ByPair {
     cfg: ProtocolConfig,
     cache: PathCache,
-    pairs: HashMap<(NodeId, NodeId), PairState>,
+    pairs: BTreeMap<(NodeId, NodeId), PairState>,
     window_total: Amount,
 }
 
@@ -29,7 +30,7 @@ impl ByPair {
         ByPair {
             cfg: ProtocolConfig::default(),
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
-            pairs: HashMap::new(),
+            pairs: BTreeMap::new(),
             window_total: Amount::ZERO,
         }
     }
@@ -126,10 +127,8 @@ impl ByPair {
 fn assert_same_state(router: &ProtocolRouter, reference: &ByPair) {
     prop_assert_eq!(router.pairs.slots.len(), reference.pairs.len());
     prop_assert_eq!(router.window_total, reference.window_total);
-    let mut by_pair: Vec<_> = reference.pairs.iter().collect();
-    by_pair.sort_unstable_by_key(|(&pair, _)| pair);
     let mut windows_xrp = Vec::new();
-    for (&pair, want) in by_pair {
+    for (&pair, want) in &reference.pairs {
         let held = router.pairs.of(pair).expect("routed in both");
         let paths: Vec<_> = held.iter().map(|c| c.path).collect();
         prop_assert_eq!(&paths, &want.paths, "{:?}", pair);

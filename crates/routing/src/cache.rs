@@ -46,8 +46,7 @@ use crate::oracle::{FilledPaths, KeptPrefixes, PathOracle};
 use spider_lp::paths::CsrGraph;
 use spider_sim::{ChannelIndex, PathEntry, PathTable, TopologyUpdate};
 use spider_topology::Topology;
-use spider_types::{ChannelId, IdHash, NodeId, PathId};
-use std::collections::HashMap;
+use spider_types::{ChannelId, IdHashMap, NodeId, PathId};
 
 /// Candidate-set policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,7 +172,7 @@ struct Cached {
     k: usize,
     /// Where each pair's slot is — the one hash lookup of a
     /// [`PathCache::get`].
-    slot_of: HashMap<(NodeId, NodeId), u32, IdHash>,
+    slot_of: IdHashMap<(NodeId, NodeId), u32>,
     /// The pairs, in the order they were first cached.
     slots: Vec<Slot>,
     /// Every slot's candidates, `k` ids a slot of which the first
@@ -302,7 +301,7 @@ impl PathCache {
             policy,
             cached: Cached {
                 k,
-                slot_of: HashMap::default(),
+                slot_of: IdHashMap::default(),
                 slots: Vec::new(),
                 ids: Vec::new(),
             },
@@ -842,7 +841,7 @@ mod tests {
         assert_eq!(d.len(), 4);
         assert_eq!(y.len(), 4);
         // Yen's set may share edges; the disjoint set may not.
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for id in &d {
             for &(c, _) in table.entry(*id).hops() {
                 assert!(used.insert(c));
@@ -1093,7 +1092,7 @@ mod tests {
             ..TopologyUpdate::default()
         };
         let repaired = c.on_topology_change(&t, &table, &update).len() as u64;
-        let counters: std::collections::HashMap<&str, u64> = c.counters().into_iter().collect();
+        let counters: std::collections::BTreeMap<&str, u64> = c.counters().into_iter().collect();
         assert_eq!(counters["path_cache_misses"], 2);
         // The repeat get plus the victim-lookup get above.
         assert_eq!(counters["path_cache_hits"], 2);

@@ -17,6 +17,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 pub mod backoff;
 pub mod cache;

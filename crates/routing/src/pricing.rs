@@ -23,8 +23,7 @@
 use crate::backoff::PathPenalties;
 use crate::cache::{PathCache, PathPolicy};
 use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router};
-use spider_types::{Amount, ChannelId, Direction};
-use std::collections::HashMap;
+use spider_types::{Amount, ChannelId, Direction, IdHashMap};
 
 /// Weights of the two price components.
 #[derive(Debug, Clone, Copy)]
@@ -159,14 +158,14 @@ impl Router for SpiderPricing {
         // Virtual balances: shared across paths so channel overlap is
         // priced consistently within this request.
         fn avail(
-            virt: &mut HashMap<(ChannelId, Direction), Amount>,
+            virt: &mut IdHashMap<(ChannelId, Direction), Amount>,
             view: &NetworkView<'_>,
             c: ChannelId,
             d: Direction,
         ) -> Amount {
             *virt.entry((c, d)).or_insert_with(|| view.available(c, d))
         }
-        let mut virt: HashMap<(ChannelId, Direction), Amount> = HashMap::new();
+        let mut virt: IdHashMap<(ChannelId, Direction), Amount> = IdHashMap::default();
         // Hops were pre-resolved at interning time.
         let entries: Vec<_> = paths.iter().map(|&id| view.path(id)).collect();
         let mut allocated = vec![Amount::ZERO; paths.len()];

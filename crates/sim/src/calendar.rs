@@ -317,7 +317,7 @@ mod tests {
             let mut seq = 1u64 << 32;    // runtime seq space
             let mut reserved = 0u64;     // arrival-style low seq space
             let mut last_popped: Option<(u64, u64)> = None;
-            let mut canceled = std::collections::HashSet::new();
+            let mut canceled = std::collections::BTreeSet::new();
             let mut last_pushed: Option<usize> = None;
             let mut next_id = 0usize;
             for op in ops {

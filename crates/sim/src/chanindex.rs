@@ -127,13 +127,13 @@ impl ChannelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn collects_live_members_sorted_and_skips_stale() {
         let mut idx = ChannelIndex::new(2);
         let mut gens = vec![0u32; 8];
-        let mut dead: HashSet<u32> = HashSet::new();
+        let mut dead: BTreeSet<u32> = BTreeSet::new();
         for s in [3u32, 1, 5] {
             let (g, d) = (gens.clone(), dead.clone());
             idx.insert(0, s, gens[s as usize], move |s, gen| {

@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 pub mod calendar;
 pub mod chanindex;

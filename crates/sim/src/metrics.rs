@@ -79,7 +79,7 @@ impl DropBreakdown {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimReport {
     /// Routing scheme name.
     pub scheme: String,
@@ -323,46 +323,11 @@ impl SimReport {
     }
 }
 
-/// Streaming collector used by the engine.
+/// Streaming collector used by the engine: it records straight into the
+/// report it finishes.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
-    attempted_payments: u64,
-    completed_payments: u64,
-    attempted_volume: Amount,
-    delivered_volume: Amount,
-    completed_volume: Amount,
-    admission_deferred: u64,
-    units_locked: u64,
-    units_failed: u64,
-    retries: u64,
-    unit_hops_sum: u64,
-    onchain_deposited: Amount,
-    rebalance_ops: u64,
-    units_acked: u64,
-    units_marked: u64,
-    units_dropped: u64,
-    units_queued: u64,
-    topology_events: u64,
-    churn_channels_closed: u64,
-    churn_channels_opened: u64,
-    churn_channels_resized: u64,
-    units_dropped_churn: u64,
-    payments_failed_churn: u64,
-    fault_events: u64,
-    faults_injected: u64,
-    topology_event_times_s: Vec<f64>,
-    queue_delay_sum_s: f64,
-    completion_times: Vec<f64>,
-    throughput_buckets: Vec<f64>,
-    drops_by_reason: DropBreakdown,
-    latency_hist: Histogram,
-    queue_delay_hist: Histogram,
-    path_length_hist: Histogram,
-    window_hist: Histogram,
-    router_counters: Vec<(String, u64)>,
-    samples: SampleSet,
-    profile: ProfileStats,
-    hotspots: Vec<ChannelHotspot>,
+    report: SimReport,
 }
 
 impl MetricsCollector {
@@ -373,42 +338,42 @@ impl MetricsCollector {
 
     /// Records an injected payment.
     pub fn payment_arrived(&mut self, amount: Amount) {
-        self.attempted_payments += 1;
-        self.attempted_volume += amount;
+        self.report.attempted_payments += 1;
+        self.report.attempted_volume += amount;
     }
 
     /// Records an arrival deferred by the shaping admission gate.
     pub fn admission_deferred(&mut self) {
-        self.admission_deferred += 1;
+        self.report.admission_deferred += 1;
     }
 
     /// Records a settled unit (value delivered end-to-end).
     pub fn unit_settled(&mut self, amount: Amount, at: SimTime) {
-        self.delivered_volume += amount;
+        self.report.delivered_volume += amount;
         let bucket = at.as_secs_f64() as usize;
-        if self.throughput_buckets.len() <= bucket {
-            self.throughput_buckets.resize(bucket + 1, 0.0);
+        if self.report.throughput_series.len() <= bucket {
+            self.report.throughput_series.resize(bucket + 1, 0.0);
         }
-        self.throughput_buckets[bucket] += amount.as_xrp();
+        self.report.throughput_series[bucket] += amount.as_xrp();
     }
 
     /// Records a fully completed payment with its total value and latency.
     pub fn payment_completed(&mut self, amount: Amount, latency: SimDuration) {
-        self.completed_payments += 1;
-        self.completed_volume += amount;
+        self.report.completed_payments += 1;
+        self.report.completed_volume += amount;
         let secs = latency.as_secs_f64();
-        self.completion_times.push(secs);
-        self.latency_hist.record(secs);
+        self.report.completion_times.push(secs);
+        self.report.latency_hist.record(secs);
     }
 
     /// Records a unit lock success (with its hop count) or failure.
     pub fn unit_lock(&mut self, hops: usize, success: bool) {
         if success {
-            self.units_locked += 1;
-            self.unit_hops_sum += hops as u64;
-            self.path_length_hist.record(hops as f64);
+            self.report.units_locked += 1;
+            self.report.unit_hops_sum += hops as u64;
+            self.report.path_length_hist.record(hops as f64);
         } else {
-            self.units_failed += 1;
+            self.report.units_failed += 1;
         }
     }
 
@@ -416,84 +381,84 @@ impl MetricsCollector {
     /// skip of identical full-MTU failures); equivalent to `n` calls to
     /// [`MetricsCollector::unit_lock`] with `success = false`.
     pub fn unit_lock_failures(&mut self, n: u64) {
-        self.units_failed += n;
+        self.report.units_failed += n;
     }
 
     /// Records one pending-queue retry.
     pub fn retry(&mut self) {
-        self.retries += 1;
+        self.report.retries += 1;
     }
 
     /// Records an on-chain rebalancing deposit.
     pub fn rebalanced(&mut self, amount: Amount) {
-        self.onchain_deposited += amount;
-        self.rebalance_ops += 1;
+        self.report.onchain_deposited += amount;
+        self.report.rebalance_ops += 1;
     }
 
     /// Records a unit acknowledgement's marking state (queueing mode).
     pub fn unit_acked(&mut self, marked: bool) {
-        self.units_acked += 1;
+        self.report.units_acked += 1;
         if marked {
-            self.units_marked += 1;
+            self.report.units_marked += 1;
         }
     }
 
     /// Records a unit dropped in transit with its (mandatory) reason —
     /// per-reason counts must sum to the drop total.
     pub fn unit_dropped(&mut self, reason: DropReason) {
-        self.units_dropped += 1;
-        self.drops_by_reason.count(reason);
+        self.report.units_dropped += 1;
+        self.report.drops_by_reason.count(reason);
     }
 
     /// Records one hop's queueing delay for a serviced unit; `first_wait`
     /// is true the first time this particular unit waited in any queue.
     pub fn unit_queued(&mut self, delay_s: f64, first_wait: bool) {
         if first_wait {
-            self.units_queued += 1;
+            self.report.units_queued += 1;
         }
-        self.queue_delay_sum_s += delay_s;
-        self.queue_delay_hist.record(delay_s);
+        self.report.queue_delay_sum_s += delay_s;
+        self.report.queue_delay_hist.record(delay_s);
     }
 
     /// Records one applied mid-run topology-churn event: how many channels
     /// it closed / opened / resized, and when it fired.
     pub fn topology_event(&mut self, closed: usize, opened: usize, resized: usize, at: SimTime) {
-        self.topology_events += 1;
-        self.churn_channels_closed += closed as u64;
-        self.churn_channels_opened += opened as u64;
-        self.churn_channels_resized += resized as u64;
-        self.topology_event_times_s.push(at.as_secs_f64());
+        self.report.topology_events += 1;
+        self.report.churn_channels_closed += closed as u64;
+        self.report.churn_channels_opened += opened as u64;
+        self.report.churn_channels_resized += resized as u64;
+        self.report.topology_event_times_s.push(at.as_secs_f64());
     }
 
     /// Records channel-liveness transitions applied before the run starts
     /// (`t = 0` schedule entries) — counted in the churn totals but not as
     /// mid-run events.
     pub fn initial_topology_state(&mut self, closed: usize, opened: usize, resized: usize) {
-        self.churn_channels_closed += closed as u64;
-        self.churn_channels_opened += opened as u64;
-        self.churn_channels_resized += resized as u64;
+        self.report.churn_channels_closed += closed as u64;
+        self.report.churn_channels_opened += opened as u64;
+        self.report.churn_channels_resized += resized as u64;
     }
 
     /// Records an in-flight unit failed back by a channel close.
     pub fn unit_dropped_churn(&mut self) {
-        self.units_dropped_churn += 1;
+        self.report.units_dropped_churn += 1;
     }
 
     /// Records the final count of payments that lost a unit to churn and
     /// never completed.
     pub fn payments_failed_churn(&mut self, count: u64) {
-        self.payments_failed_churn = count;
+        self.report.payments_failed_churn = count;
     }
 
     /// Records one applied fault-plan event (a node crash or recovery).
     pub fn fault_event(&mut self) {
-        self.fault_events += 1;
+        self.report.fault_events += 1;
     }
 
     /// Records one injected per-unit transport fault (lost message, lost
     /// ack, stuck unit, or crash intercept).
     pub fn fault_injected(&mut self) {
-        self.faults_injected += 1;
+        self.report.faults_injected += 1;
     }
 
     /// Installs the router's end-of-run observability snapshot: internal
@@ -501,70 +466,33 @@ impl MetricsCollector {
     /// [`SimReport::window_hist`]).
     pub fn set_router_obs(&mut self, obs: crate::router::RouterObs) {
         for w in &obs.windows_xrp {
-            self.window_hist.record(*w);
+            self.report.window_hist.record(*w);
         }
-        self.router_counters = obs.counters;
+        self.report.router_counters = obs.counters;
     }
 
     /// Installs the run's sampled time series.
     pub fn set_samples(&mut self, samples: SampleSet) {
-        self.samples = samples;
+        self.report.samples = samples;
     }
 
     /// Installs the run's phase-timing stats.
     pub fn set_profile(&mut self, profile: ProfileStats) {
-        self.profile = profile;
+        self.report.profile = profile;
     }
 
     /// Installs the attribution layer's top-K hotspot table.
     pub fn set_hotspots(&mut self, hotspots: Vec<ChannelHotspot>) {
-        self.hotspots = hotspots;
+        self.report.hotspots = hotspots;
     }
 
     /// Finalizes into a report.
     pub fn finish(self, scheme: &str, horizon: SimDuration) -> SimReport {
-        SimReport {
-            scheme: scheme.to_string(),
-            attempted_payments: self.attempted_payments,
-            completed_payments: self.completed_payments,
-            attempted_volume: self.attempted_volume,
-            delivered_volume: self.delivered_volume,
-            completed_volume: self.completed_volume,
-            admission_deferred: self.admission_deferred,
-            units_locked: self.units_locked,
-            units_failed: self.units_failed,
-            retries: self.retries,
-            unit_hops_sum: self.unit_hops_sum,
-            onchain_deposited: self.onchain_deposited,
-            rebalance_ops: self.rebalance_ops,
-            units_acked: self.units_acked,
-            units_marked: self.units_marked,
-            units_dropped: self.units_dropped,
-            units_queued: self.units_queued,
-            topology_events: self.topology_events,
-            churn_channels_closed: self.churn_channels_closed,
-            churn_channels_opened: self.churn_channels_opened,
-            churn_channels_resized: self.churn_channels_resized,
-            units_dropped_churn: self.units_dropped_churn,
-            payments_failed_churn: self.payments_failed_churn,
-            fault_events: self.fault_events,
-            faults_injected: self.faults_injected,
-            units_dropped_fault: self.drops_by_reason.fault_total(),
-            topology_event_times_s: self.topology_event_times_s,
-            queue_delay_sum_s: self.queue_delay_sum_s,
-            completion_times: self.completion_times,
-            throughput_series: self.throughput_buckets,
-            drops_by_reason: self.drops_by_reason,
-            latency_hist: self.latency_hist,
-            queue_delay_hist: self.queue_delay_hist,
-            path_length_hist: self.path_length_hist,
-            window_hist: self.window_hist,
-            router_counters: self.router_counters,
-            samples: self.samples,
-            profile: self.profile,
-            hotspots: self.hotspots,
-            horizon,
-        }
+        let mut report = self.report;
+        report.scheme = scheme.to_string();
+        report.horizon = horizon;
+        report.units_dropped_fault = report.drops_by_reason.fault_total();
+        report
     }
 }
 

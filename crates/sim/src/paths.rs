@@ -25,10 +25,10 @@
 //! without borrowing the table.
 
 use spider_topology::Topology;
-use spider_types::{ChannelId, Direction, IdHash, NodeId, PathId, Result};
+use spider_types::{ChannelId, Direction, IdHashMap, NodeId, PathId, Result};
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -136,7 +136,7 @@ impl Eq for ByNodes {}
 #[derive(Debug, Default)]
 struct Inner {
     entries: Vec<PathEntry>,
-    index: HashMap<ByNodes, PathId, IdHash>,
+    index: IdHashMap<ByNodes, PathId>,
 }
 
 impl Inner {

@@ -7,8 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use spider_types::distr::{Distribution, ExponentialRank, LogNormal, PoissonProcess};
-use spider_types::{Amount, DetRng, IdHash, NodeId, SimTime};
-use std::collections::HashSet;
+use spider_types::{Amount, DetRng, IdHashSet, NodeId, SimTime};
 
 /// One transaction to inject: at `time`, `src` pays `dst` `amount`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,7 +186,7 @@ impl Workload {
     /// [`Router::prewarm`](crate::Router::prewarm), shared with the repo
     /// benchmark's path-layer replay so both measure the same fill.
     pub fn distinct_pairs(&self, horizon: Option<SimTime>) -> Vec<(NodeId, NodeId)> {
-        let mut seen: HashSet<_, IdHash> = HashSet::default();
+        let mut seen = IdHashSet::default();
         self.txns
             .iter()
             .filter(|t| horizon.is_none_or(|h| t.time <= h))
@@ -204,24 +203,6 @@ impl Workload {
     /// Duration spanned by the arrivals.
     pub fn duration(&self) -> SimTime {
         self.txns.last().map(|t| t.time).unwrap_or(SimTime::ZERO)
-    }
-
-    /// The long-run demand matrix implied by this workload (XRP per
-    /// second), for feeding the fluid LP exactly as Spider (LP) does with
-    /// "an estimate of the demand matrix".
-    pub fn demand_matrix(&self, n_nodes: usize) -> spider_paygraph_compat::PaymentGraphLike {
-        let secs = self.duration().as_secs_f64().max(1e-9);
-        let mut rates = std::collections::BTreeMap::new();
-        for t in &self.txns {
-            *rates.entry((t.src, t.dst)).or_insert(0.0) += t.amount.as_xrp();
-        }
-        spider_paygraph_compat::PaymentGraphLike {
-            n_nodes,
-            rates: rates
-                .into_iter()
-                .map(|((s, d), v)| (s, d, v / secs))
-                .collect(),
-        }
     }
 }
 
@@ -302,7 +283,7 @@ impl StreamingWorkload {
     /// stream (the stream itself is not advanced). O(pairs) memory.
     pub fn distinct_pairs(&self, horizon: Option<SimTime>) -> Vec<(NodeId, NodeId)> {
         let mut probe = self.clone();
-        let mut seen: HashSet<_, IdHash> = HashSet::default();
+        let mut seen = IdHashSet::default();
         let mut pairs = Vec::new();
         while let Some(t) = probe.next_txn() {
             if horizon.is_some_and(|h| t.time > h) {
@@ -361,28 +342,6 @@ impl ArrivalSource {
         match self {
             ArrivalSource::Fixed(w) => w.txns.len(),
             ArrivalSource::Streaming(s) => s.count(),
-        }
-    }
-}
-
-/// A dependency-free demand-matrix carrier, so `spider-sim` does not need
-/// to depend on `spider-paygraph` (higher layers convert it).
-pub mod spider_paygraph_compat {
-    use spider_types::NodeId;
-
-    /// Demand rates extracted from a workload: `(src, dst, xrp_per_sec)`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct PaymentGraphLike {
-        /// Number of nodes in the network.
-        pub n_nodes: usize,
-        /// Positive demand rates.
-        pub rates: Vec<(NodeId, NodeId, f64)>,
-    }
-
-    impl PaymentGraphLike {
-        /// Total demand rate.
-        pub fn total(&self) -> f64 {
-            self.rates.iter().map(|(_, _, r)| r).sum()
         }
     }
 }
@@ -500,7 +459,7 @@ mod tests {
         let w = Workload::generate(6, &cfg, &mut DetRng::new(2));
         let all = w.distinct_pairs(None);
         // First-seen order, no duplicates.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for p in &all {
             assert!(seen.insert(*p), "duplicate pair {p:?}");
         }
@@ -510,16 +469,6 @@ mod tests {
         let early = w.distinct_pairs(Some(cut));
         assert!(early.len() <= all.len());
         assert_eq!(early, all[..early.len()], "horizon keeps first-seen prefix");
-    }
-
-    #[test]
-    fn demand_matrix_rates_scale_with_volume() {
-        let cfg = WorkloadConfig::small(5_000, 500.0);
-        let w = Workload::generate(6, &cfg, &mut DetRng::new(10));
-        let dm = w.demand_matrix(6);
-        let total_rate = dm.total();
-        let expected = w.total_volume().as_xrp() / w.duration().as_secs_f64();
-        assert!((total_rate - expected).abs() / expected < 1e-9);
     }
 
     #[test]

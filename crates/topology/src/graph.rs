@@ -1,9 +1,9 @@
 //! The payment-channel-network graph.
 
 use serde::{Deserialize, Serialize};
-use spider_types::{Amount, ChannelId, Direction, IdHash, NodeId, Result, SpiderError};
+use spider_types::{Amount, ChannelId, Direction, IdHashMap, NodeId, Result, SpiderError};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// An undirected payment channel with its total escrowed capacity.
 ///
@@ -25,10 +25,9 @@ impl Channel {
     pub fn peer(&self, node: NodeId) -> NodeId {
         if node == self.u {
             self.v
-        } else if node == self.v {
-            self.u
         } else {
-            panic!("{node} is not an endpoint of this channel");
+            assert!(node == self.v, "{node} is not an endpoint of this channel");
+            self.u
         }
     }
 
@@ -38,10 +37,9 @@ impl Channel {
     pub fn direction_from(&self, node: NodeId) -> Direction {
         if node == self.u {
             Direction::Forward
-        } else if node == self.v {
-            Direction::Backward
         } else {
-            panic!("{node} is not an endpoint of this channel");
+            assert!(node == self.v, "{node} is not an endpoint of this channel");
+            Direction::Backward
         }
     }
 
@@ -297,7 +295,7 @@ pub struct TopologyBuilder {
     /// Canonical `(u, v)` → position in `channels`, so the duplicate check
     /// is one lookup instead of a scan of every channel added so far.
     /// Never iterated.
-    index: HashMap<(NodeId, NodeId), usize, IdHash>,
+    index: IdHashMap<(NodeId, NodeId), usize>,
 }
 
 impl TopologyBuilder {
@@ -306,7 +304,7 @@ impl TopologyBuilder {
         TopologyBuilder {
             node_count: nodes,
             channels: Vec::new(),
-            index: HashMap::default(),
+            index: IdHashMap::default(),
         }
     }
 

@@ -174,16 +174,32 @@ impl fmt::Display for UnitId {
     }
 }
 
-/// The hasher of the id-keyed maps on hot paths (`HashMap<K, V, IdHash>`):
-/// one rotate, xor and multiply per id instead of SipHash's rounds. Ids
-/// are dense integers the simulation assigns itself, so there is no
-/// adversary to defend a table against. Only for maps whose iteration
-/// order is never observed.
+/// The hasher of every hash container in the workspace ([`IdHashMap`],
+/// [`IdHashSet`]): one rotate, xor and multiply per id instead of
+/// SipHash's rounds. Ids are dense integers the simulation assigns
+/// itself, so there is no adversary to defend a table against. Only for
+/// maps whose iteration order is never observed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdHasher(u64);
 
 /// [`IdHasher`] as a map's `BuildHasher`.
 pub type IdHash = BuildHasherDefault<IdHasher>;
+
+/// The only place the crates name std's hash containers: `clippy.toml`
+/// bans them elsewhere, because their default `RandomState` re-seeds per
+/// process. So every table hashes the same way in every run.
+#[allow(clippy::disallowed_types)]
+mod containers {
+    use super::IdHash;
+
+    /// A `HashMap` under [`IdHash`].
+    pub type IdHashMap<K, V> = std::collections::HashMap<K, V, IdHash>;
+
+    /// A `HashSet` under [`IdHash`].
+    pub type IdHashSet<T> = std::collections::HashSet<T, IdHash>;
+}
+
+pub use containers::{IdHashMap, IdHashSet};
 
 impl IdHasher {
     #[inline]

@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 pub mod amount;
 pub mod distr;
@@ -27,7 +28,9 @@ pub mod unit;
 pub use amount::{Amount, SignedAmount, DROPS_PER_XRP};
 pub use error::{Result, SpiderError};
 pub use event::{TopologyChange, TopologyEvent};
-pub use ids::{ChannelId, Direction, IdHash, IdHasher, NodeId, PathId, PaymentId, UnitId};
+pub use ids::{
+    ChannelId, Direction, IdHash, IdHashMap, IdHashSet, IdHasher, NodeId, PathId, PaymentId, UnitId,
+};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use unit::{DropReason, MarkStamp};
