@@ -239,6 +239,7 @@ impl ExperimentConfig {
             }
         };
         let overload = self.apply_overload(&rng, &topo, &mut workload)?;
+        let horizon = SimTime::ZERO + sim_cfg.horizon;
         let mut sim = Simulation::new(topo, workload, router, sim_cfg)?;
         if let Some(dyn_cfg) = &self.dynamics {
             let mut drng = rng.fork("dynamics");
@@ -248,6 +249,7 @@ impl ExperimentConfig {
         if let Some(fault_cfg) = &self.faults {
             let mut frng = rng.fork("faults");
             let plan = FaultPlan::generate(sim.topology(), fault_cfg, &mut frng)?;
+            fault_cfg.validate_delays(horizon)?;
             sim.set_fault_plan(plan);
         }
         if let Some(plan) = overload {
@@ -862,6 +864,10 @@ mod tests {
                 horizon_secs: inf,
                 ..Default::default()
             },
+            DynamicsConfig {
+                flap_period_secs: 1e-12,
+                ..Default::default()
+            },
         ];
         let crash = |crash| FaultConfig {
             crash: Some(crash),
@@ -878,6 +884,11 @@ mod tests {
             }),
             FaultConfig {
                 hop_timeout_secs: nan,
+                ..Default::default()
+            },
+            FaultConfig {
+                hop_timeout_secs: 1e14,
+                message_loss_prob: 0.5,
                 ..Default::default()
             },
         ];

@@ -122,11 +122,17 @@ impl DynamicsConfig {
         if !(0.0..=1.0).contains(&self.spawn_fraction) {
             return bad("spawn fraction must be in [0, 1]");
         }
-        if self.flap_channels > 0 && self.flap_period_secs <= 0.0 {
-            return bad("flap period must be positive");
-        }
         if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
             return bad("dynamics horizon must be positive and finite");
+        }
+        // A flap trace steps by half its period, which is at least a
+        // quarter of the mean: that step must move the clock by 1 µs
+        // even at the horizon, or the trace would take horizon / step
+        // steps (or never end).
+        let step = 0.25 * self.flap_period_secs;
+        let advance = (self.horizon_secs + step) - self.horizon_secs;
+        if self.flap_channels > 0 && (advance.is_nan() || advance < 1e-6) {
+            return bad("a quarter of the flap period must advance the clock by at least 1 µs");
         }
         Ok(())
     }

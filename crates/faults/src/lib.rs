@@ -162,6 +162,33 @@ impl FaultConfig {
         }
         Ok(())
     }
+
+    /// Checks that each delay a plan adds to an engine instant — the hop
+    /// timeout, and the largest jitter plus spike — lands on a
+    /// representable [`SimTime`] from any instant up to the run's
+    /// `horizon`, which [`FaultConfig::validate`] does not know. Call it
+    /// on a config that passed `validate`.
+    pub fn validate_delays(&self, horizon: SimTime) -> Result<()> {
+        let after = |delays: &[f64]| {
+            delays.iter().try_fold(horizon, |t, &secs| {
+                let us = (secs * 1e6).round();
+                // `u64::MAX as f64` is 2^64: anything below it converts
+                // exactly.
+                (us < u64::MAX as f64)
+                    .then(|| t.checked_add(SimDuration::from_micros(us as u64)))
+                    .flatten()
+            })
+        };
+        let jitter_ms = self.jitter_range_ms.map_or(0.0, |[_, hi]| hi);
+        let timeout = after(&[self.hop_timeout_secs]);
+        let extra = after(&[jitter_ms / 1e3, self.spike_ms / 1e3]);
+        if timeout.is_none() || extra.is_none() {
+            return Err(SpiderError::InvalidConfig(
+                "fault delays added to the run horizon must fit in SimTime".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// What a scheduled fault event does when its instant arrives.

@@ -86,6 +86,47 @@ fn lockstep_close_fails_back_inflight_and_blocks_traffic() {
 }
 
 #[test]
+fn lockstep_close_fails_back_every_unit_of_a_batch() {
+    // As above with three 1-XRP units settling as one batch: the close
+    // drops, counts and records each unit, each record taken after that
+    // unit's own refund.
+    let mut cfg = SimConfig {
+        horizon: SimDuration::from_secs(10),
+        deadline: Some(SimDuration::from_secs(2)),
+        mtu: xrp(1),
+        ..SimConfig::default()
+    };
+    cfg.obs.forensics_capacity = 16;
+    let mut sim = new_sim(
+        gen::line(2, xrp(10)),
+        Workload {
+            txns: vec![txn(100, 0, 1, xrp(3))],
+        },
+        Box::new(Direct),
+        cfg,
+    );
+    sim.set_topology_events(vec![close_at(300, 0)]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.units_locked, 3);
+    assert_eq!(r.units_dropped_churn, 3);
+    assert_eq!(r.drops_by_reason.channel_closed, 3);
+    assert_eq!(r.drops_by_reason.total(), r.units_dropped);
+    let forensics = sim.take_forensics().expect("forensics was on");
+    let seen: Vec<_> = forensics
+        .records()
+        .map(|d| (d.channel, d.bal_fwd_drops))
+        .collect();
+    // 5 XRP per side, 3 locked forward: each refund returns one.
+    let xrp_drops = |x| xrp(x).drops();
+    assert_eq!(
+        seen,
+        [3, 4, 5].map(|x| (Some(0), xrp_drops(x))),
+        "one record per unit"
+    );
+}
+
+#[test]
 fn reopen_restores_service_and_flap_is_counted() {
     // Close 400ms..1s; a payment arriving at 500ms retries from the
     // pending queue and completes after the reopen.
@@ -272,14 +313,15 @@ fn churn_close_cost_is_indexed_not_slab_scan() {
     let mut rng = spider_types::DetRng::new(23);
     let w = Workload::generate(
         32,
-        &crate::workload::WorkloadConfig::small(4_000, 2_000.0),
+        &crate::workload::WorkloadConfig::small(12_000, 2_000.0),
         &mut rng,
     );
     let mut cfg = SimConfig {
         horizon: SimDuration::from_secs(10),
         ..SimConfig::default()
     };
-    cfg.mtu = xrp(1); // 10 units per payment → many pending settles
+    // Multi-unit payments: a close fails back whole settle batches.
+    cfg.mtu = xrp(1);
     let mut sim = new_sim(t, w, Box::new(Direct), cfg);
     sim.set_topology_events(vec![close_at(500, 3), close_at(700, 11), close_at(900, 27)]);
     let r = sim.run();

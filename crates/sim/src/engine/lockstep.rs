@@ -1,5 +1,6 @@
 //! Lockstep mode — a unit locks its whole path at once and settles Δ
-//! later — and the retry queue both modes poll.
+//! later, together with the other units its proposal locked — and the
+//! retry queue both modes poll.
 
 use super::core::EventCore;
 use super::{EventKind, PaymentState, Simulation};
@@ -257,13 +258,14 @@ impl Simulation {
             _ => None,
         };
         let atomic = self.router.atomic();
+        let mtu = self.config.mtu;
         let mut budget = unassigned;
-        // Units locked in this attempt: (amount, path, settle event id),
-        // kept for atomic rollback only.
-        let mut locked_units: Vec<(Amount, PathId, usize)> = Vec::new();
+        // Settle batches scheduled in this attempt: (path, amount, settle
+        // event id), kept for atomic rollback only.
+        let mut batches: Vec<(PathId, Amount, usize)> = Vec::new();
         let mut aborted = false;
 
-        'proposals: for prop in proposals
+        for prop in proposals
             .into_iter()
             .take(self.config.max_proposals_per_poll)
         {
@@ -277,7 +279,9 @@ impl Simulation {
                 }
             }
             let want = prop.amount.min(budget);
-            let mut chunks = want.mtu_chunks(self.config.mtu);
+            let mut chunks = want.mtu_chunks(mtu);
+            // What this proposal locks settles as one batch.
+            let mut locked = Amount::ZERO;
             while let Some(unit) = chunks.next() {
                 if hop_by_hop {
                     let accepted = self.inject_unit(pid, unit, prop.path);
@@ -287,53 +291,58 @@ impl Simulation {
                     self.report_outcome(pid, prop.path, unit, accepted, None);
                     continue;
                 }
-                match self.try_lock_unit(pid, unit, prop.path) {
-                    Some(event_id) => {
-                        if atomic {
-                            locked_units.push((unit, prop.path, event_id));
-                        }
-                        budget -= unit;
-                    }
-                    None if atomic => {
-                        aborted = true;
-                        break 'proposals;
-                    }
-                    None => {
-                        // A failed lock rolled back completely, so every
-                        // further full-MTU chunk on this path fails the
-                        // same way. When no router hook observes per-unit
-                        // outcomes, count those failures instead of
-                        // re-walking the path for each.
-                        if !self.router_observes && unit == self.config.mtu {
-                            let skipped = chunks.skip_full_chunks();
-                            if skipped > 0 {
-                                self.metrics.unit_lock_failures(skipped);
-                            }
-                        }
+                if self.try_lock_unit(pid, unit, prop.path) {
+                    // Chunks come full MTUs first, so every unit locked
+                    // before this one was a full MTU: the batch's units
+                    // are exactly `locked.mtu_chunks(mtu)`.
+                    debug_assert_eq!(locked.drops() % mtu.drops(), 0, "a partial unit is last");
+                    locked += unit;
+                    budget -= unit;
+                } else if atomic {
+                    aborted = true;
+                    break;
+                } else if !self.router_observes && unit == mtu {
+                    // A failed lock rolled back completely, so every
+                    // further full-MTU chunk on this path fails the same
+                    // way. When no router hook observes per-unit outcomes,
+                    // count those failures instead of re-walking the path
+                    // for each.
+                    let skipped = chunks.skip_full_chunks();
+                    if skipped > 0 {
+                        self.metrics.unit_lock_failures(skipped);
                     }
                 }
+            }
+            if !locked.is_zero() {
+                let event_id = self.schedule_settle(pid, prop.path, locked);
+                if atomic {
+                    batches.push((prop.path, locked, event_id));
+                }
+            }
+            if aborted {
+                break;
             }
         }
 
         if atomic && (aborted || !budget.is_zero()) {
-            // All-or-nothing: roll back every unit locked in this attempt
-            // and cancel its scheduled settlement.
-            for (amount, path, event_id) in locked_units {
+            // All-or-nothing: cancel every batch this attempt scheduled
+            // and return its funds (refunds add up, so one per batch).
+            for (path, amount, event_id) in batches {
                 self.events.cancel(event_id);
-                self.refund_path(pid, &self.net.paths.entry(path), amount);
+                let entry = self.net.paths.entry(path);
+                self.retire_settle(&entry);
+                self.refund_path(pid, &entry, amount);
             }
             self.payments[pid].expired = true;
         }
         pinned
     }
 
-    /// Attempts to lock one unit along the path; on success schedules its
-    /// settlement (returning the settle event's id) and updates payment
-    /// accounting.
-    fn try_lock_unit(&mut self, pid: usize, amount: Amount, path: PathId) -> Option<usize> {
+    /// Attempts to lock one unit along the path, rolling back on the
+    /// first hop that cannot carry it; returns whether it locked.
+    fn try_lock_unit(&mut self, pid: usize, amount: Amount, path: PathId) -> bool {
         let entry = self.net.paths.entry(path);
         let hops = entry.hops();
-        // Lock hop by hop; roll back on the first failure.
         let channels = &mut self.net.channels;
         let failed_at = hops
             .iter()
@@ -353,9 +362,13 @@ impl Simulation {
         if self.router_observes {
             self.report_outcome(pid, path, amount, ok, None);
         }
-        if !ok {
-            return None;
-        }
+        ok
+    }
+
+    /// Puts `amount`, locked on `path` by one proposal, in flight and
+    /// schedules its settlement Δ later as one batch; returns the settle
+    /// event's id.
+    fn schedule_settle(&mut self, pid: usize, path: PathId, amount: Amount) -> usize {
         self.payments[pid].inflight += amount;
         let event_id = self.events.schedule(
             self.net.now + self.config.confirmation_delay,
@@ -366,9 +379,17 @@ impl Simulation {
             },
         );
         if self.track_channels {
+            let entry = self.net.paths.entry(path);
             self.lockstep.index_settle(&entry, event_id, &self.events);
         }
-        Some(event_id)
+        event_id
+    }
+
+    /// Retires a consumed or canceled settle batch from the channel index.
+    fn retire_settle(&mut self, entry: &PathEntry) {
+        if self.track_channels {
+            self.lockstep.unindex_settle(entry);
+        }
     }
 
     /// Tells the router how one unit fared.
@@ -390,21 +411,27 @@ impl Simulation {
         self.router.on_unit_outcome(&outcome, &self.net.view());
     }
 
-    /// Returns a canceled or refunded unit's funds to every hop of its
-    /// path, takes it out of the payment's in-flight total, and retires
-    /// its pending settle from the channel index.
+    /// Returns canceled or refunded funds to every hop of their path and
+    /// takes them out of the payment's in-flight total.
     fn refund_path(&mut self, pid: usize, entry: &PathEntry, amount: Amount) {
         for &(c, dir) in entry.hops() {
             self.net.channels[c.index()].refund(dir, amount);
         }
         self.payments[pid].inflight -= amount;
-        if self.track_channels {
-            self.lockstep.unindex_settle(entry);
+    }
+
+    /// A settle batch comes due: retires it from the channel index, then
+    /// settles or refunds each unit in lock order exactly as a settle of
+    /// its own would have (see [`EventKind::Settle`]).
+    pub(super) fn on_settle(&mut self, pid: usize, amount: Amount, path: PathId) {
+        let entry = self.net.paths.entry(path);
+        self.retire_settle(&entry);
+        for unit in amount.mtu_chunks(self.config.mtu) {
+            self.settle_unit(pid, unit, path, &entry);
         }
     }
 
-    pub(super) fn on_settle(&mut self, pid: usize, amount: Amount, path: PathId) {
-        let entry = self.net.paths.entry(path);
+    fn settle_unit(&mut self, pid: usize, amount: Amount, path: PathId, entry: &PathEntry) {
         let p = &self.payments[pid];
         // A unit whose payment deadline passed between lock and settle is
         // a real drop (counted and traced, exactly like the queueing-mode
@@ -418,27 +445,18 @@ impl Simulation {
             // unit driven by the overload plan rather than a fault draw
             // (which it preempts).
             Some((Some(DropReason::HopTimeout), true))
-        } else if let Some(reason) = self
-            .faults
-            .as_mut()
-            .and_then(|f| f.lockstep_verdict(&entry))
-        {
+        } else if let Some(reason) = self.faults.as_mut().and_then(|f| f.lockstep_verdict(entry)) {
             self.metrics.fault_injected();
             Some((Some(reason), true))
         } else {
             None
         };
         match refund {
-            Some((reason, retry)) => self.refund_settling(pid, amount, path, &entry, reason, retry),
-            None => {
-                if self.track_channels {
-                    self.lockstep.unindex_settle(&entry);
-                }
-                self.deliver(pid, amount, &entry, || TraceEventKind::UnitSettled {
-                    payment: PaymentId(pid as u64),
-                    amount,
-                });
-            }
+            Some((reason, retry)) => self.refund_settling(pid, amount, path, entry, reason, retry),
+            None => self.deliver(pid, amount, entry, || TraceEventKind::UnitSettled {
+                payment: PaymentId(pid as u64),
+                amount,
+            }),
         }
     }
 
@@ -507,20 +525,25 @@ impl Simulation {
             else {
                 unreachable!("settle index entries are validated live");
             };
-            self.refund_path(payment, &self.net.paths.entry(path), amount);
+            let entry = self.net.paths.entry(path);
+            self.retire_settle(&entry);
             self.payments[payment].churn_hit = true;
-            // Counted in both the total and the churn-specific drop
-            // counters, so `units_dropped_churn <= units_dropped`
-            // holds in every engine mode. The lockstep trace has no
-            // record for a churn-canceled settle.
-            self.metrics.unit_dropped_churn();
-            self.record_drop(
-                payment,
-                path,
-                Some(channel),
-                DropReason::ChannelClosed,
-                None::<fn() -> TraceEventKind>,
-            );
+            // Each unit of the batch is its own drop, recorded after its
+            // own refund. Counted in both the total and the
+            // churn-specific drop counters, so `units_dropped_churn <=
+            // units_dropped` holds in every engine mode. The lockstep
+            // trace has no record for a churn-canceled settle.
+            for unit in amount.mtu_chunks(self.config.mtu) {
+                self.refund_path(payment, &entry, unit);
+                self.metrics.unit_dropped_churn();
+                self.record_drop(
+                    payment,
+                    path,
+                    Some(channel),
+                    DropReason::ChannelClosed,
+                    None::<fn() -> TraceEventKind>,
+                );
+            }
             if atomic {
                 self.payments[payment].expired = true;
             } else {

@@ -7,7 +7,8 @@
 //! * **Settle** — Δ seconds after locking, the hash-lock key has propagated
 //!   and each hop's funds move to the downstream party. If the payment's
 //!   deadline has passed in the meantime, the sender withholds the key and
-//!   the hops are refunded instead (§4.1's non-atomic cancellation).
+//!   the hops are refunded instead (§4.1's non-atomic cancellation). The
+//!   units one proposal locked settle as one event, unit by unit.
 //! * **Poll** — every `poll_interval`, incomplete non-atomic payments are
 //!   re-attempted in scheduling-policy order (SRPT by default) — except
 //!   those whose attempt provably locks nothing. When the router pinned
@@ -138,6 +139,16 @@ enum EventKind {
     /// bucket's promised slot (does *not* advance the workload stream —
     /// its original `Arrival` already did).
     DeferredArrival(TxnSpec),
+    /// Lockstep mode: everything one proposal of one attempt locked on
+    /// `path` settles Δ later as one batch — its units are exactly
+    /// `amount.mtu_chunks(mtu)`, every one a full MTU but the last. The
+    /// handler walks them in lock order, each with its own fault draw,
+    /// refund or delivery, drop record and trace record, so the batch is
+    /// exact: the units were scheduled back to back by one handler and
+    /// would have popped back to back (one instant, consecutive seqs),
+    /// and whatever a unit's handling schedules comes after the last of
+    /// them. One event however many units: `SlabStats` counts it once,
+    /// while `SimReport::units_locked` still counts units.
     Settle {
         payment: usize,
         amount: Amount,
@@ -200,6 +211,10 @@ impl EventKind {
 /// `unit_slots` track the *peak in-flight* population, not the total ever
 /// scheduled — a long run must not grow them linearly with
 /// `events_scheduled` / `units_injected`.
+///
+/// The event counters count events, not units: a lockstep settle batch
+/// (see `EventKind::Settle`) is one event however many MTU units it
+/// carries. Units are counted by `SimReport::units_locked`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SlabStats {
     /// Events ever scheduled.

@@ -5,8 +5,11 @@ use crate::metrics::SimReport;
 use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, UnitOutcome};
 use crate::workload::{TxnSpec, Workload};
 use spider_faults::{FaultChange, FaultPlan};
+use spider_obs::trace::TraceEventKind;
 use spider_topology::{gen, Topology};
-use spider_types::{Amount, ChannelId, Direction, NodeId, SimTime, TopologyChange, TopologyEvent};
+use spider_types::{
+    Amount, ChannelId, Direction, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
+};
 
 /// Test router: always proposes the single BFS shortest path for the
 /// full remaining amount.
@@ -496,21 +499,21 @@ fn failed_lock_batching_preserves_outcomes() {
 
 #[test]
 fn event_slab_is_bounded_by_in_flight_events() {
-    // A long run whose unit churn (one settle event per MTU unit)
-    // vastly exceeds the in-flight population: the slab must recycle
-    // dead slots instead of growing with the total ever scheduled.
-    // 60 alternating 100-XRP payments at 1-XRP MTU → ~6,000 settle
-    // events, of which only a confirmation-window's worth is ever
-    // simultaneously pending.
+    // A long run whose event churn vastly exceeds the in-flight
+    // population: the slab must recycle dead slots instead of growing
+    // with the total ever scheduled. 3,200 alternating payments, one
+    // every 10 ms → 3,200 arrivals and 3,200 settles (a payment's units
+    // settle as one event) plus 400 polls, of which only a confirmation
+    // window's worth is ever simultaneously pending.
     let t = gen::line(2, xrp(20_000));
     let mut cfg = base_config();
     cfg.mtu = xrp(1);
     cfg.horizon = spider_types::SimDuration::from_secs(40);
-    let txns: Vec<TxnSpec> = (0..60)
-        .map(|i| txn(i * 500, (i % 2) as u32, ((i + 1) % 2) as u32, xrp(100)))
+    let txns: Vec<TxnSpec> = (0..3_200)
+        .map(|i| txn(i * 10, (i % 2) as u32, ((i + 1) % 2) as u32, xrp(3)))
         .collect();
     let (r, sim) = run_sim(t, txns, false, cfg);
-    assert_eq!(r.completed_payments, 60);
+    assert_eq!(r.completed_payments, 3_200);
     let stats = sim.slab_stats();
     assert!(stats.events_scheduled > 6_000, "{stats:?}");
     assert!(
@@ -520,4 +523,149 @@ fn event_slab_is_bounded_by_in_flight_events() {
     assert_eq!(stats.event_slots, stats.peak_live_events, "{stats:?}");
     // The interner deduplicates: both directions of the one pair.
     assert_eq!(stats.interned_paths, 2, "{stats:?}");
+}
+
+/// Test router for a 4-cycle: routes half of what remains from node 0 to
+/// node 2 via node 1 and the rest via node 3.
+struct SplitRouter {
+    atomic: bool,
+}
+
+impl Router for SplitRouter {
+    fn name(&self) -> &'static str {
+        "split-test"
+    }
+    fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+        let half = req.remaining / 2;
+        vec![
+            RouteProposal {
+                path: view.intern(&[NodeId(0), NodeId(1), NodeId(2)]),
+                amount: half,
+            },
+            RouteProposal {
+                path: view.intern(&[NodeId(0), NodeId(3), NodeId(2)]),
+                amount: req.remaining - half,
+            },
+        ]
+    }
+    fn atomic(&self) -> bool {
+        self.atomic
+    }
+}
+
+#[test]
+fn a_lock_run_settles_as_one_event() {
+    // An attempt schedules one settle per path it locked on, however
+    // many MTU units that is: 7 XRP at a 2-XRP MTU is four units (the
+    // last one partial) and runs in as many events as a one-unit
+    // payment, while `units_locked` still counts every unit.
+    let run = |topo: Topology, router: Box<dyn Router>, amount: Amount| {
+        let mut cfg = base_config();
+        cfg.mtu = xrp(2);
+        let txns = (0..40).map(|i| txn(i * 100, 0, 2, amount)).collect();
+        let (r, sim) = run_checked(new_sim(topo, Workload { txns }, router, cfg));
+        assert_eq!(r.completed_payments, 40);
+        assert_eq!(r.delivered_volume, amount * 40);
+        (r.units_locked, sim.slab_stats().events_executed)
+    };
+    let direct = || Box::new(DirectRouter { atomic: false });
+    let (one_unit, one_unit_events) = run(gen::line(3, xrp(1_000)), direct(), xrp(1));
+    let (units, events) = run(gen::line(3, xrp(1_000)), direct(), xrp(7));
+    assert_eq!((one_unit, units), (40, 4 * 40));
+    assert_eq!(
+        events, one_unit_events,
+        "one settle per payment, not per unit"
+    );
+    // Split over two paths, 8 XRP and 4 units on each: one settle per
+    // path, so one more event per payment.
+    let split = Box::new(SplitRouter { atomic: false });
+    let (units, events) = run(gen::cycle(4, xrp(1_000)), split, xrp(16));
+    assert_eq!(units, 8 * 40);
+    assert_eq!(events, one_unit_events + 40, "one settle per path");
+}
+
+#[test]
+fn atomic_rollback_cancels_each_batch_once_and_refunds_every_unit() {
+    // 0→2 on a 4-cycle whose node-3 side holds 5 XRP per direction: an
+    // atomic 14 XRP payment at 1-XRP MTU locks all 7 units of its first
+    // half via node 1 (one batch), then 5 of 7 via node 3 (a second
+    // batch) before the sixth fails. Rolling back cancels the two
+    // batches — no settle ever runs — and refunds all 12 units.
+    let mut b = Topology::builder(4);
+    for (u, v, cap) in [(0, 1, 20), (1, 2, 20), (0, 3, 10), (3, 2, 10)] {
+        b.channel(NodeId(u), NodeId(v), xrp(cap))
+            .expect("channel endpoints are distinct known nodes");
+    }
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    let router = Box::new(SplitRouter { atomic: true });
+    let txns = vec![txn(100, 0, 2, xrp(14))];
+    let (r, sim) = run_checked(new_sim(b.build(), Workload { txns }, router, cfg));
+    assert_eq!(r.completed_payments, 0);
+    assert_eq!(r.delivered_volume, Amount::ZERO);
+    assert_eq!((r.units_locked, r.units_failed), (12, 1));
+    let stats = sim.slab_stats();
+    assert_eq!(
+        stats.events_scheduled - stats.events_executed,
+        2,
+        "two canceled batches: {stats:?}"
+    );
+    for (c, ch) in sim.channel_states().iter().enumerate() {
+        let half = ch.capacity() / 2;
+        for dir in [Direction::Forward, Direction::Backward] {
+            assert_eq!(ch.available(dir), half, "channel {c} {dir:?}");
+            assert_eq!(ch.inflight(dir), Amount::ZERO, "channel {c} {dir:?}");
+        }
+    }
+}
+
+#[test]
+fn a_lockstep_fault_plan_draws_a_verdict_for_each_unit_of_a_batch() {
+    // Message loss 0.5 on the only hop: the 20 units of one settle batch
+    // each draw their own verdict, so its instant mixes deliveries and
+    // refunds, and the per-unit counts partition the batch. The horizon
+    // ends before the refunded units' retry could settle.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.horizon = SimDuration::from_millis(900);
+    cfg.obs.trace = true;
+    let router = Box::new(DirectRouter { atomic: false });
+    let txns = vec![txn(0, 0, 1, xrp(20))];
+    let mut sim = new_sim(gen::line(2, xrp(100)), Workload { txns }, router, cfg);
+    sim.set_fault_plan(FaultPlan {
+        message_loss: vec![0.5],
+        ack_loss_prob: 0.0,
+        stuck_prob: 0.0,
+        jitter_range_ms: None,
+        spike_prob: 0.0,
+        spike_ms: 0.0,
+        hop_timeout: SimDuration::from_secs(1),
+        events: Vec::new(),
+        runtime_seed: 3,
+    });
+    let (r, mut sim) = run_checked(sim);
+    let trace = sim.take_trace().expect("tracing was on");
+    let (mut settled, mut refunded) = (0, 0);
+    for e in trace.events().filter(|e| e.t_us == 500_000) {
+        match e.kind {
+            TraceEventKind::UnitSettled { amount, .. } => {
+                assert_eq!(amount, xrp(1));
+                settled += 1;
+            }
+            TraceEventKind::UnitRefunded { amount, .. } => {
+                assert_eq!(amount, xrp(1));
+                refunded += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        settled > 0 && refunded > 0,
+        "{settled} settled, {refunded} refunded"
+    );
+    assert_eq!(settled + refunded, 20);
+    assert_eq!(r.delivered_volume, xrp(settled));
+    assert_eq!(r.faults_injected, refunded);
+    assert_eq!(r.drops_by_reason.message_lost, refunded);
+    assert_eq!(r.units_dropped, refunded);
 }
