@@ -329,52 +329,6 @@ fn bench_calendar(c: &mut Criterion) {
     g.finish();
 }
 
-/// A churn close's work discovery: per-channel index lookup vs the full
-/// slab scan it replaced. 100k live slots spread over 256 channels, each
-/// crossing 3 channels (a path) — the indexed close touches ~1/256th of
-/// what the scan walks.
-fn bench_channel_index_close(c: &mut Criterion) {
-    use spider_sim::ChannelIndex;
-    const SLOTS: u32 = 100_000;
-    const CHANNELS: usize = 256;
-    let hops = |s: u32| {
-        let h = (s as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        [
-            (h % CHANNELS as u64) as usize,
-            ((h >> 16) % CHANNELS as u64) as usize,
-            ((h >> 32) % CHANNELS as u64) as usize,
-        ]
-    };
-    // The slab the scan walks: each slot's crossed channels.
-    let slab: Vec<[usize; 3]> = (0..SLOTS).map(hops).collect();
-    let mut idx = ChannelIndex::new(CHANNELS);
-    for s in 0..SLOTS {
-        for ch in hops(s) {
-            idx.insert(ch, s, 0, |_, _| true);
-        }
-    }
-    let mut g = c.benchmark_group("churn-close-discovery");
-    let mut out = Vec::new();
-    g.bench_function("indexed_per_channel", |b| {
-        b.iter(|| {
-            idx.collect_live_sorted(black_box(37), |_, _| true, &mut out);
-            black_box(out.len())
-        })
-    });
-    g.bench_function("full_slab_scan", |b| {
-        b.iter(|| {
-            out.clear();
-            for (s, chans) in slab.iter().enumerate() {
-                if chans.contains(black_box(&37)) {
-                    out.push(s as u32);
-                }
-            }
-            black_box(out.len())
-        })
-    });
-    g.finish();
-}
-
 /// Cache repair at the `ripple1k-churn-waterfilling` workload's scale
 /// (the repo benchmark's `routing.cache.repair_s`, tracked here too): its
 /// 1,000-node Ripple-like graph, its 12,876 prewarmed pairs under k = 4
@@ -647,7 +601,6 @@ criterion_group!(
     bench_routing,
     bench_path_bottleneck,
     bench_calendar,
-    bench_channel_index_close,
     bench_cache_repair,
     bench_trace_record,
     bench_trace_render,

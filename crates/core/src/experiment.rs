@@ -926,6 +926,63 @@ mod tests {
         }
     }
 
+    /// Each delay config passed `validate()` and then panicked when the
+    /// engine added the delay to the clock; the NaN admission parameters
+    /// passed it too.
+    #[test]
+    fn invalid_sim_configs_are_rejected() {
+        let never = SimDuration::from_micros(u64::MAX);
+        let fifo = QueueingMode::PerChannelFifo;
+        let run = |edit: &dyn Fn(&mut SimConfig)| {
+            let mut cfg = ExperimentConfig::default();
+            edit(&mut cfg.sim);
+            cfg.run()
+        };
+        let edits: [&dyn Fn(&mut SimConfig); 9] = [
+            &|s| s.confirmation_delay = never,
+            &|s| s.deadline = Some(never),
+            &|s| s.poll_interval = never,
+            &|s| {
+                s.queueing = fifo(QueueConfig {
+                    hop_delay: never,
+                    ..Default::default()
+                })
+            },
+            &|s| {
+                s.queueing = fifo(QueueConfig {
+                    max_queue_delay: never,
+                    ..Default::default()
+                })
+            },
+            &|s| s.rebalancing.get_or_insert_default().check_interval = never,
+            &|s| s.rebalancing.get_or_insert_default().confirmation_delay = never,
+            &|s| s.admission.get_or_insert_default().rate_per_sec = f64::NAN,
+            &|s| s.admission.get_or_insert_default().burst = f64::NAN,
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let result = run(edit);
+            assert!(
+                matches!(result, Err(SpiderError::InvalidConfig(_))),
+                "case {i}: {result:?}"
+            );
+        }
+        // A tiny rate is valid: the first payment takes the one token and
+        // every later one is deferred past the end of simulated time.
+        let report = run(&|s| {
+            let adm = s.admission.get_or_insert_default();
+            (adm.rate_per_sec, adm.burst, adm.defer) = (1e-15, 1.0, true);
+        })
+        .expect("a tiny shaping rate runs");
+        assert_eq!(report.admission_deferred, 999);
+        // The longest valid poll interval ends at the last representable
+        // instant, in the calendar's top bucket.
+        run(&|s| {
+            s.horizon = SimDuration::from_micros(500);
+            s.poll_interval = SimDuration::from_micros(u64::MAX - 500);
+        })
+        .expect("a poll at the end of time is never due");
+    }
+
     #[test]
     fn demand_graph_matches_workload_rates() {
         let mut rng = DetRng::new(3);

@@ -36,15 +36,15 @@
 //! Beyond the search, a repair is bookkeeping at id speed. Every cached
 //! pair owns a dense slot for life; "which pairs cross this channel" is a
 //! [`ChannelIndex`] of slots — generation-stamped per-channel lists with
-//! lazy deletion, the structure the engine indexes settles and units
-//! with. A re-searched pair whose candidates come back as they were costs
+//! lazy deletion. A re-searched pair whose candidates come back as they were costs
 //! one comparison per path and touches nothing; one that changed costs a
 //! counter decrement per old hop, a generation bump, and a `Vec` push per
 //! new hop. Nothing is hashed per hop and nothing is allocated per pair.
 
+use crate::chanindex::ChannelIndex;
 use crate::oracle::{FilledPaths, KeptPrefixes, PathOracle};
 use spider_lp::paths::CsrGraph;
-use spider_sim::{ChannelIndex, PathEntry, PathTable, TopologyUpdate};
+use spider_sim::{PathEntry, PathTable, TopologyUpdate};
 use spider_topology::Topology;
 use spider_types::{ChannelId, IdHashMap, NodeId, PathId};
 
@@ -1165,8 +1165,7 @@ mod tests {
         }
     }
 
-    /// The index against a recount from the cache
-    /// ([`ChannelIndex::debug_check`] style): a channel's current entries
+    /// The index against a recount from the cache: a channel's current entries
     /// are exactly the hops the cached candidates put on it — a slot twice
     /// where two of its candidates share the channel — and its live count
     /// is their number.

@@ -1,12 +1,9 @@
-//! Per-channel secondary indices over slab slots.
+//! A per-channel secondary index over recycled slots: the
+//! [`PathCache`](crate::PathCache)'s reverse index from a channel to the
+//! cached pairs whose candidate paths cross it, so a topology update
+//! finds its suspect pairs without walking every pair.
 //!
-//! The engine keeps two of these: pending lockstep `Settle` event ids and
-//! in-flight hop-by-hop unit ids, each indexed by the channels their path
-//! traverses. A topology-churn close then touches only its own channel's
-//! work instead of walking the whole event/unit slab — the scan that made
-//! churn cost O(total scheduled work) at paper scale.
-//!
-//! Slab slots are recycled, so entries carry the slot's **generation** at
+//! Slots are recycled, so entries carry the slot's **generation** at
 //! insertion time; an entry whose generation no longer matches is stale
 //! and skipped. Stale entries are removed lazily: membership is a cheap
 //! `Vec` push, death is a counter decrement, and a channel's entry list is
@@ -21,24 +18,9 @@ pub struct ChannelIndex {
     /// `live[c]`: exact count of live members (maintained by callers via
     /// [`ChannelIndex::insert`] / [`ChannelIndex::note_removed`]).
     live: Vec<u32>,
-    /// Entries examined by **queries** ([`ChannelIndex::collect_live_sorted`])
-    /// — the observable the churn-cost regression tests assert stays
-    /// O(the channel's live work), not O(total slab). Compaction scans are
-    /// not counted: they are amortized insertion cost, already visible in
-    /// the throughput benchmarks.
-    scan_steps: u64,
 }
 
 impl ChannelIndex {
-    /// An index over `n` channels with no members.
-    pub fn new(n: usize) -> Self {
-        ChannelIndex {
-            entries: (0..n).map(|_| Vec::new()).collect(),
-            live: vec![0; n],
-            scan_steps: 0,
-        }
-    }
-
     /// An index with no members whose channel `c` has room for
     /// `capacities[c]` entries — for a caller about to insert a known
     /// population, so no list doubles its way up from empty.
@@ -49,7 +31,6 @@ impl ChannelIndex {
                 .map(|&n| Vec::with_capacity(n as usize))
                 .collect(),
             live: vec![0; capacities.len()],
-            scan_steps: 0,
         }
     }
 
@@ -72,20 +53,21 @@ impl ChannelIndex {
     }
 
     /// Exact live-member count of channel `c`.
+    #[cfg(test)]
     pub fn live(&self, c: usize) -> u32 {
         self.live[c]
     }
 
-    /// The raw (possibly stale) entry list of channel `c` — for the debug
-    /// consistency assertions and the microbenchmarks.
+    /// The raw (possibly stale) entry list of channel `c`.
+    #[cfg(test)]
     pub fn entries(&self, c: usize) -> &[(u32, u32)] {
         &self.entries[c]
     }
 
     /// Collects channel `c`'s live member slots into `out`, sorted
-    /// ascending (slab order — the order the old full-slab scan visited
-    /// them, which churn determinism depends on). Compacts the entry list
-    /// to exactly the live set as a side effect.
+    /// ascending (slot order, so what a caller does per member is
+    /// deterministic). Compacts the entry list to exactly the live set as
+    /// a side effect.
     pub fn collect_live_sorted(
         &mut self,
         c: usize,
@@ -94,33 +76,10 @@ impl ChannelIndex {
     ) {
         out.clear();
         let list = &mut self.entries[c];
-        self.scan_steps += list.len() as u64;
         list.retain(|&(s, g)| alive(s, g));
         out.extend(list.iter().map(|&(s, _)| s));
         out.sort_unstable();
         debug_assert_eq!(out.len(), self.live[c] as usize, "live count drifted");
-    }
-
-    /// Debug-build audit against the slab this index mirrors. `members`
-    /// yields `(slot, generation, channel)` for every live slab entry and
-    /// each channel it traverses: each must be a generation-valid entry of
-    /// that channel's list, and the live counters must match the recount.
-    #[cfg(debug_assertions)]
-    pub fn debug_check(&self, what: &str, members: impl Iterator<Item = (u32, u32, usize)>) {
-        let mut live = vec![0u32; self.live.len()];
-        for (slot, gen, c) in members {
-            live[c] += 1;
-            assert!(
-                self.entries[c].contains(&(slot, gen)),
-                "live {what} {slot} missing from channel {c} index"
-            );
-        }
-        assert_eq!(live, self.live, "{what} index live counts drifted");
-    }
-
-    /// Total entries examined across all queries.
-    pub fn scan_steps(&self) -> u64 {
-        self.scan_steps
     }
 }
 
@@ -131,7 +90,7 @@ mod tests {
 
     #[test]
     fn collects_live_members_sorted_and_skips_stale() {
-        let mut idx = ChannelIndex::new(2);
+        let mut idx = ChannelIndex::with_capacities(&[0, 0]);
         let mut gens = vec![0u32; 8];
         let mut dead: BTreeSet<u32> = BTreeSet::new();
         for s in [3u32, 1, 5] {
@@ -168,7 +127,7 @@ mod tests {
     fn compaction_bounds_entry_growth() {
         // Insert/kill cycles far beyond the live population: the entry
         // list must stay proportional to live, not total ever inserted.
-        let mut idx = ChannelIndex::new(1);
+        let mut idx = ChannelIndex::with_capacities(&[0]);
         let mut gens = vec![0u32; 4];
         for round in 0..1_000u32 {
             let slot = round % 4;

@@ -21,6 +21,7 @@
 
 pub mod backoff;
 pub mod cache;
+mod chanindex;
 pub mod lp_router;
 pub mod maxflow_router;
 pub mod oracle;

@@ -58,7 +58,9 @@ pub struct CalendarQueue {
     /// `n_buckets − 1` (bucket count is a power of two).
     mask: usize,
     /// Start instant of the bucket at `cursor` — the next bucket to drain.
-    wheel_time: u64,
+    /// Wider than a time, so `pop` is total: the slice after `u64::MAX` µs
+    /// has a start too.
+    wheel_time: u128,
     cursor: usize,
     /// Entries currently resident in wheel buckets.
     wheel_len: usize,
@@ -127,7 +129,8 @@ impl CalendarQueue {
     pub fn push(&mut self, at: SimTime, seq: u64, id: usize) {
         let t = at.micros();
         self.len += 1;
-        if t < self.wheel_time {
+        let wide = u128::from(t);
+        if wide < self.wheel_time {
             // The entry's slice was already drained into `active`: merge it
             // in behind the consumption point. The engine only pushes
             // times ≥ the instant it is currently draining, so the slot
@@ -136,8 +139,8 @@ impl CalendarQueue {
             let pos = self.active.partition_point(|e| *e < entry);
             debug_assert!(pos >= self.active_pos, "push into the drained past");
             self.active.insert(pos, entry);
-        } else if t - self.wheel_time < self.span() {
-            let k = ((t - self.wheel_time) / self.width) as usize;
+        } else if wide - self.wheel_time < u128::from(self.span()) {
+            let k = ((wide - self.wheel_time) as u64 / self.width) as usize;
             let b = (self.cursor + k) & self.mask;
             self.buckets[b].push((t, seq, id));
             self.wheel_len += 1;
@@ -163,17 +166,18 @@ impl CalendarQueue {
             if self.wheel_len == 0 {
                 // Everything lives in the overflow tier: jump the wheel
                 // straight to the earliest entry's slice instead of
-                // stepping through empty buckets.
+                // stepping through empty buckets. Overflow entries never
+                // lie before the cursor's slice, so `wheel_time` fits.
                 let &Reverse((t, _, _)) = self.overflow.peek().expect("len > 0");
-                let skip = (t - self.wheel_time) / self.width;
-                self.wheel_time += skip * self.width;
+                let skip = (t - self.wheel_time as u64) / self.width;
+                self.wheel_time += u128::from(skip * self.width);
                 self.cursor = (self.cursor + skip as usize) & self.mask;
             }
             // Migrate overflow entries due in the cursor's slice, then
             // drain that bucket sorted.
-            let bucket_end = self.wheel_time + self.width;
+            let bucket_end = self.wheel_time + u128::from(self.width);
             while let Some(&Reverse((t, _, _))) = self.overflow.peek() {
-                if t >= bucket_end {
+                if u128::from(t) >= bucket_end {
                     break;
                 }
                 let Reverse(e) = self.overflow.pop().expect("peeked");
@@ -279,7 +283,7 @@ mod tests {
     }
 
     fn decode_op(selector: u8, delta: u64) -> Op {
-        match selector % 6 {
+        match selector % 7 {
             // Near-future pushes (same-slice ties are common)…
             0 => Op::Push {
                 delta_us: delta % 5_000,
@@ -292,15 +296,19 @@ mod tests {
             2 => Op::PushReserved {
                 delta_us: delta % 50_000,
             },
-            3 | 4 => Op::Pop,
+            // …pushes anywhere up to the end of time (saturating at
+            // `u64::MAX` µs), which fill the top buckets of the range…
+            3 => Op::Push { delta_us: delta },
+            4 | 5 => Op::Pop,
             _ => Op::CancelLast,
         }
     }
 
     proptest! {
         /// Arbitrary push/pop/cancel sequences (same-time ties, reserved
-        /// low seqs, mid-run cancels, far-future overflow) pop identically
-        /// from the calendar queue and the reference heap.
+        /// low seqs, mid-run cancels, far-future overflow, times up to
+        /// `u64::MAX` µs) pop identically from the calendar queue and the
+        /// reference heap.
         #[test]
         fn matches_binary_heap_reference(
             raw_ops in proptest::collection::vec((0u8..255, 0u64..u64::MAX), 1..200),
@@ -323,7 +331,7 @@ mod tests {
             for op in ops {
                 match op {
                     Op::Push { delta_us } => {
-                        let t = now + delta_us;
+                        let t = now.saturating_add(delta_us);
                         cal.push(SimTime::from_micros(t), seq, next_id);
                         heap.push(t, seq, next_id);
                         last_pushed = Some(next_id);
@@ -336,7 +344,7 @@ mod tests {
                         // k+1 is pushed while arrival k executes, with a
                         // higher reserved seq and a later-or-equal time);
                         // only exercise pushes honoring that contract.
-                        let t = now + delta_us;
+                        let t = now.saturating_add(delta_us);
                         if last_popped.is_none_or(|k| (t, reserved) > k) {
                             cal.push(SimTime::from_micros(t), reserved, next_id);
                             heap.push(t, reserved, next_id);

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use spider_obs::SamplerConfig;
-use spider_types::{Amount, SimDuration};
+use spider_types::{Amount, SimDuration, SimTime};
 
 /// Order in which queued (incomplete, non-atomic) payments are retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -184,11 +184,11 @@ impl Default for AdmissionConfig {
 impl AdmissionConfig {
     fn validate(&self) -> spider_types::Result<()> {
         use spider_types::SpiderError::InvalidConfig;
-        if self.rate_per_sec <= 0.0 {
-            return Err(InvalidConfig("admission rate must be positive".into()));
+        if !(self.rate_per_sec.is_finite() && self.rate_per_sec > 0.0) {
+            return Err(InvalidConfig("admission rate must be finite, > 0".into()));
         }
-        if self.burst < 1.0 {
-            return Err(InvalidConfig("admission burst must be at least 1".into()));
+        if !(self.burst.is_finite() && self.burst >= 1.0) {
+            return Err(InvalidConfig("admission burst must be finite, >= 1".into()));
         }
         if !(0.0..=1.0).contains(&self.max_queue_fraction) {
             return Err(InvalidConfig(
@@ -336,6 +336,26 @@ impl SimConfig {
                     "rebalancing fractions must satisfy 0 <= trigger <= target <= 1".into(),
                 ));
             }
+        }
+        // The engine adds each of these to an instant at or before the
+        // horizon; every such sum must be a `SimTime`.
+        let mut delays = vec![
+            self.confirmation_delay,
+            self.poll_interval,
+            self.obs.sampler.cadence,
+        ];
+        delays.extend(self.deadline);
+        if let Some(rb) = &self.rebalancing {
+            delays.extend([rb.check_interval, rb.confirmation_delay]);
+        }
+        if let QueueingMode::PerChannelFifo(qc) = &self.queueing {
+            delays.extend([qc.hop_delay, qc.max_queue_delay]);
+        }
+        let end = SimTime::ZERO + self.horizon;
+        if delays.into_iter().any(|d| end.checked_add(d).is_none()) {
+            return Err(InvalidConfig(
+                "delays added to the run horizon must fit in SimTime".into(),
+            ));
         }
         Ok(())
     }

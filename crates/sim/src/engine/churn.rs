@@ -134,7 +134,6 @@ impl Simulation {
         if !failback {
             return;
         }
-        debug_assert!(self.track_channels, "closes imply a churn schedule");
         if self.hop_by_hop() {
             self.fail_back_units(channel.index());
         } else {
@@ -152,27 +151,5 @@ impl Simulation {
         ch.reopen();
         update.opened.push(channel);
         self.drain_both_directions(channel);
-    }
-
-    /// Debug-build invariant: the per-channel indices exactly mirror the
-    /// slabs (see [`ChannelIndex::debug_check`](crate::chanindex::ChannelIndex)).
-    /// Runs after every engine step while the
-    /// slabs are small, and on a stride once they grow (the check itself
-    /// is O(slab), so per-step checking at scale would be quadratic).
-    #[cfg(debug_assertions)]
-    pub(super) fn debug_check_channel_indices(&self) {
-        if !self.track_channels {
-            return;
-        }
-        let stats = self.slab_stats();
-        if stats.event_slots + stats.unit_slots > 512 && !stats.events_executed.is_multiple_of(256)
-        {
-            return;
-        }
-        if let Some(q) = &self.queueing {
-            q.debug_check_index();
-        }
-        self.lockstep
-            .debug_check_index(&self.events, &self.net.paths);
     }
 }

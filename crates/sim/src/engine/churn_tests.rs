@@ -304,11 +304,11 @@ fn initial_closes_apply_before_prewarm_without_counting_as_events() {
 }
 
 #[test]
-fn churn_close_cost_is_indexed_not_slab_scan() {
+fn churn_close_cost_follows_in_flight_work() {
     // Thousands of pending settles spread across the ISP graph, three
-    // mid-run closes: handling them must examine only the closed
-    // channels' index entries (plus amortized compaction), far below
-    // the old cost of walking the whole event slab once per close.
+    // mid-run closes: each close walks the event slab once, and the slab
+    // holds in-flight work only, so the closes together examine at most
+    // three slab high-water marks — far below the total work scheduled.
     let t = gen::isp_topology(xrp(100_000));
     let mut rng = spider_types::DetRng::new(23);
     let w = Workload::generate(
@@ -328,22 +328,17 @@ fn churn_close_cost_is_indexed_not_slab_scan() {
     sim.check_conservation();
     let stats = sim.slab_stats();
     assert_eq!(r.topology_events, 3);
+    assert!(r.units_dropped_churn > 0, "no close met in-flight work");
     assert!(
         stats.events_scheduled > 20_000,
         "needs a busy calendar: {stats:?}"
     );
-    // What the pre-index engine paid: one full event-slab walk per
-    // close. The indexed cost must be well below it — and nowhere
-    // near the O(total events scheduled) the pre-recycling engine
-    // paid with every arrival pre-seeded.
-    let slab_scan_cost = 3 * stats.event_slots as u64;
     assert!(
-        stats.churn_scan_steps * 4 < slab_scan_cost,
-        "indexed close cost {} not ≪ slab scan cost {slab_scan_cost}: {stats:?}",
-        stats.churn_scan_steps,
+        stats.churn_scan_steps > 0 && stats.churn_scan_steps <= 3 * stats.event_slots as u64,
+        "a close examined more than the slab: {stats:?}"
     );
     assert!(
-        stats.churn_scan_steps < stats.events_scheduled / 8,
+        stats.churn_scan_steps < stats.events_scheduled / 4,
         "close cost grew with total events: {stats:?}"
     );
 }

@@ -63,9 +63,6 @@ const END_OF_RUN: u32 = u32::MAX;
 pub(super) struct EventCore {
     calendar: CalendarQueue,
     store: Vec<Option<EventKind>>,
-    /// Slot generation, bumped on every (re)allocation: per-channel index
-    /// entries are validated against it so recycled slots cannot alias.
-    gen: Vec<u32>,
     /// The slot linked behind this one in its run, or [`END_OF_RUN`].
     next: Vec<u32>,
     /// Event slots whose turn has come and gone; reused by the next
@@ -83,8 +80,8 @@ pub(super) struct EventCore {
     /// The run being drained: its instant and the slot whose turn is
     /// next.
     draining: Option<(SimTime, u32)>,
-    /// The event-loop counters of [`SlabStats`]; the unit and path
-    /// counters stay zero here.
+    /// The event-loop counters of [`SlabStats`] and the settle share of
+    /// `churn_scan_steps`; the unit and path counters stay zero here.
     stats: SlabStats,
 }
 
@@ -127,13 +124,11 @@ impl EventCore {
             Some(id) => {
                 debug_assert!(self.store[id].is_none());
                 self.store[id] = Some(kind);
-                self.gen[id] = self.gen[id].wrapping_add(1);
                 self.next[id] = END_OF_RUN;
                 id
             }
             None => {
                 self.store.push(Some(kind));
-                self.gen.push(0);
                 self.next.push(END_OF_RUN);
                 self.stats.event_slots = self.store.len();
                 self.store.len() - 1
@@ -165,6 +160,25 @@ impl EventCore {
         kind
     }
 
+    /// Cancels, in slot order, every pending event that `pick` maps to
+    /// `Some`, and returns what it mapped them to. A churn close is the one
+    /// caller, so the slots walked count in [`SlabStats::churn_scan_steps`].
+    pub(super) fn cancel_where<T>(
+        &mut self,
+        mut pick: impl FnMut(&EventKind) -> Option<T>,
+    ) -> Vec<T> {
+        self.stats.churn_scan_steps += self.store.len() as u64;
+        let mut taken = Vec::new();
+        for slot in &mut self.store {
+            if let Some(t) = slot.as_ref().and_then(&mut pick) {
+                *slot = None;
+                self.stats.live_events -= 1;
+                taken.push(t);
+            }
+        }
+        taken
+    }
+
     /// Consumes the next event due at or before `horizon` — the next
     /// member of the run being drained, else the head the calendar
     /// delivers: its instant, and the event unless it was canceled
@@ -193,26 +207,6 @@ impl EventCore {
             self.stats.events_executed += 1;
         }
         Some((t, kind))
-    }
-
-    /// Generation of slot `id` (paired with the id in per-channel indices).
-    pub(super) fn generation(&self, id: usize) -> u32 {
-        self.gen[id]
-    }
-
-    /// True while `(slot, gen)` still names a pending, uncanceled event.
-    pub(super) fn is_live(&self, slot: u32, gen: u32) -> bool {
-        self.gen[slot as usize] == gen && self.store[slot as usize].is_some()
-    }
-
-    /// Pending events as `(id, generation, kind)`, for the debug-build
-    /// index audit.
-    #[cfg(debug_assertions)]
-    pub(super) fn pending(&self) -> impl Iterator<Item = (usize, u32, &EventKind)> {
-        self.store
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| slot.as_ref().map(|kind| (id, self.gen[id], kind)))
     }
 
     /// Event-loop counters: scheduled, executed, slots, live, peak live.

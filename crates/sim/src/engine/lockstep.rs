@@ -2,9 +2,7 @@
 //! later, together with the other units its proposal locked — and the
 //! retry queue both modes poll.
 
-use super::core::EventCore;
 use super::{EventKind, PaymentState, Simulation};
-use crate::chanindex::ChannelIndex;
 use crate::config::SchedulingPolicy;
 use crate::paths::PathEntry;
 use crate::router::{RouteRequest, UnitOutcome};
@@ -25,7 +23,7 @@ struct PendingEntry {
     pinned: Option<PathId>,
 }
 
-/// The retry queue and the per-channel index of pending settles.
+/// The retry queue.
 pub(super) struct Lockstep {
     /// Incomplete non-atomic payments awaiting the next poll, in the
     /// order they joined.
@@ -33,20 +31,16 @@ pub(super) struct Lockstep {
     /// `in_pending[pid]` ⇔ `pid ∈ pending` — O(1) membership for the
     /// drop/failback paths that re-queue payments.
     in_pending: Vec<bool>,
-    /// Pending `Settle` event ids indexed by traversed channel
-    /// (maintained only while a churn schedule is installed).
-    pub(super) settle_index: ChannelIndex,
     /// A poll's attempt order, kept between polls: `(policy key, payment,
     /// position in pending)` of every payment it re-offers.
     order: Vec<((u64, u64), usize, u32)>,
 }
 
 impl Lockstep {
-    pub(super) fn new(n_payments: usize, n_channels: usize) -> Self {
+    pub(super) fn new(n_payments: usize) -> Self {
         Lockstep {
             pending: Vec::new(),
             in_pending: Vec::with_capacity(n_payments),
-            settle_index: ChannelIndex::new(n_channels),
             order: Vec::new(),
         }
     }
@@ -89,39 +83,6 @@ impl Lockstep {
             }
             keep
         });
-    }
-
-    /// Indexes pending settle `event_id` under every channel of `entry`.
-    fn index_settle(&mut self, entry: &PathEntry, event_id: usize, events: &EventCore) {
-        let gen = events.generation(event_id);
-        for &(c, _) in entry.hops() {
-            self.settle_index
-                .insert(c.index(), event_id as u32, gen, |s, g| events.is_live(s, g));
-        }
-    }
-
-    /// Notes that a settle over `entry` was consumed or canceled: its
-    /// index entries are dead.
-    fn unindex_settle(&mut self, entry: &PathEntry) {
-        for &(c, _) in entry.hops() {
-            self.settle_index.note_removed(c.index());
-        }
-    }
-
-    /// Debug-build audit of the settle index against the event slab.
-    #[cfg(debug_assertions)]
-    pub(super) fn debug_check_index(&self, events: &EventCore, paths: &crate::paths::PathTable) {
-        let settles = events.pending().filter_map(|(id, gen, kind)| match kind {
-            EventKind::Settle { path, .. } => Some((id as u32, gen, paths.entry(*path))),
-            _ => None,
-        });
-        self.settle_index.debug_check(
-            "pending settle",
-            settles.flat_map(|(id, gen, entry)| {
-                let channels: Vec<_> = entry.hops().iter().map(|&(c, _)| c.index()).collect();
-                channels.into_iter().map(move |c| (id, gen, c))
-            }),
-        );
     }
 }
 
@@ -330,7 +291,6 @@ impl Simulation {
             for (path, amount, event_id) in batches {
                 self.events.cancel(event_id);
                 let entry = self.net.paths.entry(path);
-                self.retire_settle(&entry);
                 self.refund_path(pid, &entry, amount);
             }
             self.payments[pid].expired = true;
@@ -370,26 +330,14 @@ impl Simulation {
     /// event's id.
     fn schedule_settle(&mut self, pid: usize, path: PathId, amount: Amount) -> usize {
         self.payments[pid].inflight += amount;
-        let event_id = self.events.schedule(
+        self.events.schedule(
             self.net.now + self.config.confirmation_delay,
             EventKind::Settle {
                 payment: pid,
                 amount,
                 path,
             },
-        );
-        if self.track_channels {
-            let entry = self.net.paths.entry(path);
-            self.lockstep.index_settle(&entry, event_id, &self.events);
-        }
-        event_id
-    }
-
-    /// Retires a consumed or canceled settle batch from the channel index.
-    fn retire_settle(&mut self, entry: &PathEntry) {
-        if self.track_channels {
-            self.lockstep.unindex_settle(entry);
-        }
+        )
     }
 
     /// Tells the router how one unit fared.
@@ -420,12 +368,11 @@ impl Simulation {
         self.payments[pid].inflight -= amount;
     }
 
-    /// A settle batch comes due: retires it from the channel index, then
-    /// settles or refunds each unit in lock order exactly as a settle of
-    /// its own would have (see [`EventKind::Settle`]).
+    /// A settle batch comes due: settles or refunds each unit in lock
+    /// order exactly as a settle of its own would have (see
+    /// [`EventKind::Settle`]).
     pub(super) fn on_settle(&mut self, pid: usize, amount: Amount, path: PathId) {
         let entry = self.net.paths.entry(path);
-        self.retire_settle(&entry);
         for unit in amount.mtu_chunks(self.config.mtu) {
             self.settle_unit(pid, unit, path, &entry);
         }
@@ -501,32 +448,25 @@ impl Simulation {
         }
     }
 
-    /// A churn close of `channel`: cancels only this channel's pending
-    /// settles (index entries are generation-checked, so recycled slots
-    /// cannot alias) and unwinds their locks. The value returns to the
-    /// payment's unassigned pool, except that all-or-nothing schemes
-    /// cannot partially retry and cancel outright.
+    /// A churn close of `channel`: cancels, in event-slot order, every
+    /// pending settle whose path crosses it and unwinds its locks. The
+    /// value returns to the payment's unassigned pool, except that
+    /// all-or-nothing schemes cannot partially retry and cancel outright.
     pub(super) fn fail_back_settles(&mut self, channel: ChannelId) {
         let atomic = self.router.atomic();
-        let mut hit = std::mem::take(&mut self.id_scratch);
-        let events = &self.events;
-        self.lockstep.settle_index.collect_live_sorted(
-            channel.index(),
-            |s, g| events.is_live(s, g),
-            &mut hit,
-        );
-        for &id in &hit {
-            // Cancel in place (the calendar entry reclaims the slot).
-            let Some(EventKind::Settle {
+        let paths = &self.net.paths;
+        let crosses = |e: &PathEntry| e.hops().iter().any(|&(c, _)| c == channel);
+        // Canceled in place: the calendar entry reclaims the slot.
+        let hit = self.events.cancel_where(|kind| match *kind {
+            EventKind::Settle {
                 payment,
                 amount,
                 path,
-            }) = self.events.cancel(id as usize)
-            else {
-                unreachable!("settle index entries are validated live");
-            };
+            } if paths.map_entry(path, crosses) => Some((payment, amount, path)),
+            _ => None,
+        });
+        for (payment, amount, path) in hit {
             let entry = self.net.paths.entry(path);
-            self.retire_settle(&entry);
             self.payments[payment].churn_hit = true;
             // Each unit of the batch is its own drop, recorded after its
             // own refund. Counted in both the total and the
@@ -550,6 +490,5 @@ impl Simulation {
                 self.requeue(payment, None);
             }
         }
-        self.id_scratch = hit;
     }
 }

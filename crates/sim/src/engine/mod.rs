@@ -48,10 +48,9 @@
 //! arrival schedules its successor from a reserved seq band that keeps
 //! tie-breaks bit-identical to the old pre-seeded calendar), so the live
 //! event population is bounded by in-flight work, not total payments.
-//! Pending lockstep settles and in-flight hop-by-hop units are also
-//! indexed per channel ([`ChannelIndex`](crate::ChannelIndex)), so a
-//! topology-churn close touches only its own channel's work instead of
-//! walking the slabs.
+//! A topology-churn close finds the work crossing its channel by walking
+//! the slabs once, in slot order: they hold in-flight work only, and
+//! closes are rare.
 
 mod churn;
 mod core;
@@ -245,10 +244,10 @@ pub struct SlabStats {
     pub peak_live_units: usize,
     /// Distinct paths interned into the shared table.
     pub interned_paths: usize,
-    /// Index entries examined while handling topology-churn closes (and
-    /// amortized index compaction). The churn regression tests assert
-    /// this scales with the closed channels' *live* work, not with the
-    /// slab sizes the pre-index engine scanned.
+    /// Slab slots examined by topology-churn closes: each close walks
+    /// the event slab (lockstep) or the unit slab (hop by hop) once. The
+    /// churn regression test asserts this follows the slabs' in-flight
+    /// high-water marks, not the total work ever scheduled.
     pub churn_scan_steps: u64,
 }
 
@@ -263,7 +262,7 @@ pub struct Simulation {
     events: EventCore,
     payments: Vec<PaymentState>,
     metrics: MetricsCollector,
-    /// The retry queue both modes poll, and lockstep's settle index.
+    /// The retry queue both modes poll.
     lockstep: Lockstep,
     /// Hop-by-hop state; `Some` exactly when the config asks for
     /// [`QueueingMode::PerChannelFifo`].
@@ -274,9 +273,6 @@ pub struct Simulation {
     /// Topology-churn schedule (sorted by instant; see
     /// [`Simulation::set_topology_events`]).
     topo_events: Vec<TopologyEvent>,
-    /// True while the per-channel indices are maintained — exactly when
-    /// the run has a churn schedule that could close channels.
-    track_channels: bool,
     /// Installed fault plan (see [`Simulation::set_fault_plan`]).
     faults: Option<Faults>,
     /// Installed overload plan (see [`Simulation::set_overload_plan`]).
@@ -285,8 +281,6 @@ pub struct Simulation {
     /// is set.
     admission: Option<AdmissionState>,
     obs: Obs,
-    /// Reusable id list: the hit list of an indexed churn close.
-    id_scratch: Vec<u32>,
 }
 
 impl Simulation {
@@ -329,16 +323,14 @@ impl Simulation {
             events: EventCore::default(),
             payments: Vec::with_capacity(n_txns),
             metrics: MetricsCollector::new(),
-            lockstep: Lockstep::new(n_txns, n_channels),
+            lockstep: Lockstep::new(n_txns),
             queueing,
             rebalance_pending: vec![[false; 2]; n_channels],
             topo_events: Vec::new(),
-            track_channels: false,
             faults: None,
             overload: None,
             admission: config.admission.clone().map(AdmissionState::new),
             obs: Obs::new(&config.obs, n_channels),
-            id_scratch: Vec::new(),
             config,
         })
     }
@@ -354,9 +346,6 @@ impl Simulation {
     /// remains inspectable afterwards (channel states, conservation).
     pub fn run(&mut self) -> SimReport {
         let horizon = SimTime::ZERO + self.config.horizon;
-        // The per-channel indices are maintained exactly when the run has
-        // a churn schedule (the only source of channel closes).
-        self.track_channels = !self.topo_events.is_empty();
         self.router_observes = self.router.observes_unit_outcomes();
         // The initial-state slice of the churn schedule (t = 0) applies
         // before anything routes: nothing is in flight, so no failback.
@@ -474,8 +463,6 @@ impl Simulation {
             if let Some(phase) = phase {
                 self.obs.profiler.stop(phase, t0);
             }
-            #[cfg(debug_assertions)]
-            self.debug_check_channel_indices();
             self.monitor_step();
         }
         let failed_by_churn = self
@@ -511,7 +498,6 @@ impl Simulation {
     pub fn slab_stats(&self) -> SlabStats {
         let mut stats = SlabStats {
             interned_paths: self.net.paths.len(),
-            churn_scan_steps: self.lockstep.settle_index.scan_steps(),
             ..self.events.stats()
         };
         if let Some(q) = &self.queueing {
@@ -537,8 +523,11 @@ impl Simulation {
         let gate = self.admission.as_mut().filter(|a| a.cfg.defer && !deferred);
         if let Some(at) = gate.and_then(|a| a.defer_until(self.net.now)) {
             self.metrics.admission_deferred();
-            spec.time = at;
-            self.events.schedule(at, EventKind::DeferredArrival(spec));
+            // A slot at the end of time is past every horizon: never due.
+            if at < SimTime::FAR_FUTURE {
+                spec.time = at;
+                self.events.schedule(at, EventKind::DeferredArrival(spec));
+            }
             return;
         }
         let deadline = match self.config.deadline {

@@ -101,6 +101,14 @@ pub(super) struct Overload {
     pub(super) rng: DetRng,
 }
 
+/// `t` plus `secs` (rounded to microseconds), or
+/// [`SimTime::FAR_FUTURE`] when the sum is not a `SimTime`.
+fn after_secs(t: SimTime, secs: f64) -> SimTime {
+    // The cast saturates: a wait too long for a `SimDuration` is its max.
+    let wait = SimDuration::from_micros((secs * 1e6).round() as u64);
+    t.checked_add(wait).unwrap_or(SimTime::FAR_FUTURE)
+}
+
 /// Token-bucket state for sender-side admission control.
 #[derive(Debug, Clone)]
 pub(super) struct AdmissionState {
@@ -138,7 +146,8 @@ impl AdmissionState {
     /// `None` admits immediately; `Some(t)` defers the arrival to `t`,
     /// the deterministic time the bucket next frees a slot — behind
     /// every earlier deferral, so deferred arrivals drain in FIFO order
-    /// at exactly the sustained rate.
+    /// at exactly the sustained rate. A slot past the last `SimTime` is
+    /// `Some(SimTime::FAR_FUTURE)`, and later deferrals queue behind it.
     ///
     /// In shaping mode this function owns the bucket entirely: the
     /// token is spent here on both outcomes (a promised slot spends its
@@ -158,10 +167,10 @@ impl AdmissionState {
             self.defer_horizon
         } else {
             let token_wait = (1.0 - self.tokens).max(0.0) / self.cfg.rate_per_sec;
-            now + SimDuration::from_secs_f64(token_wait)
+            after_secs(now, token_wait)
         };
         self.tokens -= 1.0;
-        self.defer_horizon = at + SimDuration::from_secs_f64(1.0 / self.cfg.rate_per_sec);
+        self.defer_horizon = after_secs(at, 1.0 / self.cfg.rate_per_sec);
         Some(at)
     }
 

@@ -3,7 +3,6 @@
 
 use super::perturb::is_crashed;
 use super::{EventKind, Simulation, SlabStats};
-use crate::chanindex::ChannelIndex;
 use crate::channel::ChannelState;
 use crate::config::QueueConfig;
 use crate::monitor::InvariantMonitor;
@@ -76,17 +75,14 @@ pub(super) struct Queueing {
     /// invariant monitor.
     queued_total: usize,
     units: Vec<UnitState>,
-    /// Unit-slot generation, bumped on every reuse: per-channel index
-    /// entries are validated against it so recycled slots cannot alias.
-    unit_gen: Vec<u32>,
     /// Retired unit slots awaiting reuse.
     free_units: Vec<usize>,
     /// Cumulative volume serviced per channel direction (the `x_u − x_v`
     /// flow-imbalance observable of §5.3).
     flow: Vec<[Amount; 2]>,
-    /// In-flight unit ids indexed by traversed channel (maintained only
-    /// while a churn schedule is installed).
-    unit_index: ChannelIndex,
+    /// Unit slots churn closes examined (the unit share of
+    /// [`SlabStats::churn_scan_steps`]).
+    scan_steps: u64,
     injected: u64,
     peak_live: usize,
     /// Channel directions whose balance just grew and whose queues may
@@ -104,10 +100,9 @@ impl Queueing {
                 .collect(),
             queued_total: 0,
             units: Vec::new(),
-            unit_gen: Vec::new(),
             free_units: Vec::new(),
             flow: vec![[Amount::ZERO; 2]; n_channels],
-            unit_index: ChannelIndex::new(n_channels),
+            scan_steps: 0,
             injected: 0,
             peak_live: 0,
             released: VecDeque::new(),
@@ -128,8 +123,7 @@ impl Queueing {
     }
 
     /// Claims a slab slot for a fresh unit at the head of `entry`,
-    /// recycling a retired one when available, and (under churn) indexes
-    /// it by every channel it will traverse.
+    /// recycling a retired one when available.
     fn alloc_unit(
         &mut self,
         payment: usize,
@@ -137,7 +131,6 @@ impl Queueing {
         path: PathId,
         entry: &PathEntry,
         now: SimTime,
-        track_channels: bool,
     ) -> usize {
         let unit = UnitState {
             payment,
@@ -159,25 +152,14 @@ impl Queueing {
             Some(i) => {
                 debug_assert!(self.units[i].done, "free list holds only dead units");
                 self.units[i] = unit;
-                self.unit_gen[i] = self.unit_gen[i].wrapping_add(1);
                 i
             }
             None => {
                 self.units.push(unit);
-                self.unit_gen.push(0);
                 self.units.len() - 1
             }
         };
         self.peak_live = self.peak_live.max(self.live_units());
-        if track_channels {
-            let gen = self.unit_gen[uid];
-            let (units, gens) = (&self.units, &self.unit_gen);
-            for &(c, _) in entry.hops() {
-                self.unit_index.insert(c.index(), uid as u32, gen, |s, g| {
-                    gens[s as usize] == g && !units[s as usize].done
-                });
-            }
-        }
         uid
     }
 
@@ -186,15 +168,10 @@ impl Queueing {
     /// event, and every retirement site runs only after that event was
     /// consumed or canceled — no stale calendar entry can reach a
     /// recycled slot.
-    fn retire(&mut self, uid: usize, track_channels: bool) {
+    fn retire(&mut self, uid: usize) {
         let u = &mut self.units[uid];
         debug_assert!(u.event.is_none());
         u.done = true;
-        if track_channels {
-            for &(c, _) in u.entry.hops() {
-                self.unit_index.note_removed(c.index());
-            }
-        }
         self.free_units.push(uid);
     }
 
@@ -248,7 +225,7 @@ impl Queueing {
         stats.unit_slots = self.units.len();
         stats.live_units = self.live_units();
         stats.peak_live_units = self.peak_live;
-        stats.churn_scan_steps += self.unit_index.scan_steps();
+        stats.churn_scan_steps += self.scan_steps;
     }
 
     /// Invariant sweep over this component's own state. Queue bounds:
@@ -285,19 +262,6 @@ impl Queueing {
             }
         }
     }
-
-    /// Debug-build audit of the unit index against the unit slab.
-    #[cfg(debug_assertions)]
-    pub(super) fn debug_check_index(&self) {
-        let live = self.units.iter().enumerate().filter(|(_, u)| !u.done);
-        self.unit_index.debug_check(
-            "unit",
-            live.flat_map(|(uid, u)| {
-                let hops = u.entry.hops().iter();
-                hops.map(move |&(c, _)| (uid as u32, self.unit_gen[uid], c.index()))
-            }),
-        );
-    }
 }
 
 impl Simulation {
@@ -327,7 +291,7 @@ impl Simulation {
             self.metrics.unit_lock(entry.hop_count(), false);
             return false;
         }
-        let uid = q.alloc_unit(pid, amount, path, &entry, now, self.track_channels);
+        let uid = q.alloc_unit(pid, amount, path, &entry, now);
         let trace_id = q.units[uid].trace_id;
         self.payments[pid].inflight += amount;
         self.obs.trace(now, || TraceEventKind::UnitInjected {
@@ -624,7 +588,7 @@ impl Simulation {
 
     fn retire_unit(&mut self, uid: usize) {
         if let Some(q) = self.queueing.as_mut() {
-            q.retire(uid, self.track_channels);
+            q.retire(uid);
         }
     }
 
@@ -706,26 +670,26 @@ impl Simulation {
         }
     }
 
-    /// A churn close of channel `ci`: drops only this channel's in-flight
-    /// units, wherever they are (queued or mid-path), every locked hop
-    /// refunded.
+    /// A churn close of channel `ci`: drops, in unit-slot order, every
+    /// in-flight unit whose path crosses it, wherever the unit is (queued
+    /// or mid-path), every locked hop refunded.
     pub(super) fn fail_back_units(&mut self, ci: usize) {
-        let mut hit = std::mem::take(&mut self.id_scratch);
-        if let Some(q) = self.queueing.as_mut() {
-            // Ascending slab order — exactly the order a full-slab scan
-            // would visit them.
-            let (units, gens) = (&q.units, &q.unit_gen);
-            let alive = |s: u32, g: u32| gens[s as usize] == g && !units[s as usize].done;
-            q.unit_index.collect_live_sorted(ci, alive, &mut hit);
-        }
-        for &uid in &hit {
+        let Some(q) = self.queueing.as_mut() else {
+            return;
+        };
+        q.scan_steps += q.units.len() as u64;
+        let hit: Vec<usize> = (0..q.units.len())
+            .filter(|&uid| {
+                let u = &q.units[uid];
+                !u.done && u.entry.hops().iter().any(|&(c, _)| c.index() == ci)
+            })
+            .collect();
+        for uid in hit {
             // A drain cascade from an earlier drop may have already
             // retired this unit.
-            let done = |q: &Queueing| q.units[uid as usize].done;
-            if !self.queueing.as_ref().is_some_and(done) {
-                self.drop_unit(uid as usize, DropReason::ChannelClosed);
+            if self.queueing.as_ref().is_some_and(|q| !q.units[uid].done) {
+                self.drop_unit(uid, DropReason::ChannelClosed);
             }
         }
-        self.id_scratch = hit;
     }
 }

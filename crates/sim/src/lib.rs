@@ -24,7 +24,6 @@
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 pub mod calendar;
-pub mod chanindex;
 pub mod channel;
 pub mod config;
 pub mod engine;
@@ -36,7 +35,6 @@ pub mod router;
 pub mod workload;
 
 pub use calendar::CalendarQueue;
-pub use chanindex::ChannelIndex;
 pub use channel::ChannelState;
 pub use config::{
     AdmissionConfig, ObsConfig, QueueConfig, QueueingMode, SchedulingPolicy, SimConfig,

@@ -13,7 +13,9 @@ use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_sim::{
     DropRecord, FlightRecorder, SimConfig, SimReport, SizeDistribution, WorkloadConfig,
 };
-use spider_types::{DropReason, SimDuration};
+use spider_types::{
+    ChannelId, DropReason, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
+};
 use std::path::PathBuf;
 
 /// The trace-golden tiny run with the same heavy fault plan as
@@ -283,4 +285,98 @@ fn lockstep_refunds_count_record_and_trace_every_cause() {
         "lockstep_refunds.txt",
         &format!("{drops:?}\n{}{refunds}", forensics.to_jsonl()),
     );
+}
+
+/// A traced, recorded run of a busy ISP experiment under scripted churn:
+/// a core channel closes, then core node 0 leaves (one close per
+/// channel) and rejoins. Each 40-XRP payment travels as two 20-XRP units,
+/// and no deadline falls inside the horizon.
+fn churn_close_run(scheme: SchemeConfig) -> spider_core::RunOutput {
+    let mut cfg = ExperimentConfig {
+        topology: TopologyConfig::Isp { capacity_xrp: 200 },
+        workload: WorkloadConfig {
+            size: SizeDistribution::Constant { xrp: 40.0 },
+            ..WorkloadConfig::small(160, 80.0)
+        },
+        sim: SimConfig {
+            horizon: SimDuration::from_secs(3),
+            mtu: spider_types::Amount::from_xrp(20),
+            ..SimConfig::default()
+        },
+        scheme,
+        seed: 5,
+        ..Default::default()
+    };
+    cfg.sim.obs.trace = true;
+    cfg.sim.obs.forensics_capacity = 65_536;
+    let close = |c| TopologyChange::ChannelClose {
+        channel: ChannelId(c),
+    };
+    let mut sim = cfg.simulation(None).expect("builds");
+    sim.set_topology_events(
+        [
+            (1_430, close(11)),
+            (1_810, TopologyChange::NodeLeave { node: NodeId(0) }),
+            (2_400, TopologyChange::NodeJoin { node: NodeId(0) }),
+        ]
+        .map(|(ms, change)| TopologyEvent {
+            at: SimTime::from_micros(ms * 1_000),
+            change,
+        })
+        .to_vec(),
+    );
+    execute(sim)
+}
+
+/// The order in which a churn close fails back in-flight work, which
+/// the outcome counters do not pin. Lockstep: the forensics records of
+/// the settle batches (a batch's units drop one after another, each with
+/// its balance snapshot). Hop by hop under the §5 protocol: the trace's
+/// churn `drop` lines, by unit id, of units queued at a closed channel
+/// and units between hops.
+#[test]
+fn churn_close_fail_back_order_matches_golden() {
+    let lockstep = churn_close_run(SchemeConfig::ShortestPath);
+    let r = &lockstep.report;
+    assert_eq!(r.units_dropped, r.drops_by_reason.channel_closed);
+    let records = lockstep.forensics.expect("forensics is on").to_jsonl();
+    let parsed: Vec<_> = records
+        .lines()
+        .map(|l| serde_json::parse(l).expect("JSON"))
+        .collect();
+    assert_eq!(parsed.len() as u64, r.units_dropped);
+    // Both the channel close and the node leave fail back a batch of
+    // several units (adjacent records of one payment at one instant).
+    let batch = |v: &serde_json::Value| (v["t_us"].as_u64(), v["payment"].as_u64());
+    let batched: std::collections::BTreeSet<_> = parsed
+        .windows(2)
+        .filter(|w| batch(&w[0]) == batch(&w[1]))
+        .map(|w| w[0]["t_us"].as_u64())
+        .collect();
+    assert_eq!(batched.len(), 2, "{batched:?}");
+
+    let protocol = churn_close_run(SchemeConfig::spider_protocol(4));
+    let trace = protocol.trace.expect("tracing is on").to_jsonl();
+    let mut last = std::collections::BTreeMap::new();
+    let (mut drops, mut queued, mut moving) = (String::new(), 0, 0);
+    for line in trace.lines() {
+        let v = serde_json::parse(line).expect("JSON");
+        let (Some(ev), Some(unit)) = (v["ev"].as_str(), v["unit"].as_u64()) else {
+            continue;
+        };
+        if v["reason"].as_str() == Some("channel_closed") {
+            match last.get(&unit).map(String::as_str) {
+                Some("enqueue") => queued += 1,
+                Some("forward") => moving += 1,
+                _ => {}
+            }
+            drops += &format!("{line}\n");
+        }
+        last.insert(unit, ev.to_string());
+    }
+    assert!(
+        queued > 0 && moving > 0,
+        "queued {queued}, between hops {moving}"
+    );
+    check_golden("forensics_churn_closes.txt", &(records + &drops));
 }
