@@ -6,9 +6,9 @@ use spider_dynamics::{ChurnSchedule, DynamicsConfig};
 use spider_faults::{FaultConfig, FaultPlan};
 use spider_overload::{OverloadConfig, OverloadPlan};
 use spider_paygraph::PaymentGraph;
-use spider_sim::{SimConfig, SimReport, Simulation, Workload, WorkloadConfig};
+use spider_sim::{QueueingMode, SimConfig, SimReport, Simulation, Workload, WorkloadConfig};
 use spider_topology::{analysis, gen, Topology};
-use spider_types::{Amount, DetRng, Result, SimTime, SpiderError};
+use spider_types::{Amount, DetRng, Result, SimDuration, SimTime, SpiderError};
 
 /// Topology selection for an experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -240,6 +240,12 @@ impl ExperimentConfig {
         };
         let overload = self.apply_overload(&rng, &topo, &mut workload)?;
         let horizon = SimTime::ZERO + sim_cfg.horizon;
+        // Fault jitter and spikes ride on the queue's hop delay when units
+        // travel hop by hop.
+        let hop_delay = match &sim_cfg.queueing {
+            QueueingMode::PerChannelFifo(qc) if !router.atomic() => qc.hop_delay,
+            _ => SimDuration::ZERO,
+        };
         let mut sim = Simulation::new(topo, workload, router, sim_cfg)?;
         if let Some(dyn_cfg) = &self.dynamics {
             let mut drng = rng.fork("dynamics");
@@ -249,7 +255,7 @@ impl ExperimentConfig {
         if let Some(fault_cfg) = &self.faults {
             let mut frng = rng.fork("faults");
             let plan = FaultPlan::generate(sim.topology(), fault_cfg, &mut frng)?;
-            fault_cfg.validate_delays(horizon)?;
+            fault_cfg.validate_delays(horizon, hop_delay)?;
             sim.set_fault_plan(plan);
         }
         if let Some(plan) = overload {
@@ -433,8 +439,7 @@ mod tests {
     use super::*;
     use crate::scheme::ProtocolTuning;
     use spider_overload::FlashCrowdConfig;
-    use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode};
-    use spider_types::SimDuration;
+    use spider_sim::{AdmissionConfig, QueueConfig};
 
     fn quick_sim() -> SimConfig {
         SimConfig {
@@ -924,6 +929,47 @@ mod tests {
                 cfg.overload
             );
         }
+    }
+
+    /// A queue hop delay and a fault spike that each fit on top of the
+    /// horizon, but not together: the unit that drew the spike panicked
+    /// with a `SimDuration` overflow in `lock_hop`. Hop by hop, the two
+    /// are now one sum; in lockstep no spike rides on a hop delay.
+    #[test]
+    fn a_hop_delay_plus_fault_spike_must_fit_together() {
+        let half = SimDuration::from_micros(1 << 63);
+        let cfg = |hop_delay: SimDuration, spike: SimDuration, scheme| ExperimentConfig {
+            workload: WorkloadConfig::small(200, 100.0),
+            sim: SimConfig {
+                queueing: QueueingMode::PerChannelFifo(QueueConfig {
+                    hop_delay,
+                    ..QueueConfig::default()
+                }),
+                ..SimConfig::default()
+            },
+            scheme,
+            faults: Some(FaultConfig {
+                jitter_range_ms: None,
+                spike_prob: 1.0,
+                spike_ms: spike.as_secs_f64() * 1e3,
+                ..FaultConfig::default()
+            }),
+            ..Default::default()
+        };
+        let protocol = SchemeConfig::spider_protocol(4);
+        let both = cfg(half, half, protocol).simulation(None);
+        assert!(
+            matches!(both, Err(SpiderError::InvalidConfig(_))),
+            "{:?}",
+            both.err()
+        );
+        let zero = SimDuration::ZERO;
+        for alone in [cfg(half, zero, protocol), cfg(zero, half, protocol)] {
+            alone.simulation(None).expect("each delay fits alone");
+        }
+        // Atomic schemes keep lockstep semantics under fifo queueing.
+        let lockstep = cfg(half, half, SchemeConfig::MaxFlow);
+        lockstep.simulation(None).expect("no spike rides on a hop");
     }
 
     /// Each delay config passed `validate()` and then panicked when the

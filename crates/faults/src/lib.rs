@@ -164,13 +164,15 @@ impl FaultConfig {
     }
 
     /// Checks that each delay a plan adds to an engine instant — the hop
-    /// timeout, and the largest jitter plus spike — lands on a
-    /// representable [`SimTime`] from any instant up to the run's
-    /// `horizon`, which [`FaultConfig::validate`] does not know. Call it
-    /// on a config that passed `validate`.
-    pub fn validate_delays(&self, horizon: SimTime) -> Result<()> {
-        let after = |delays: &[f64]| {
-            delays.iter().try_fold(horizon, |t, &secs| {
+    /// timeout, and the largest jitter plus spike on top of `hop_delay`
+    /// (the queue's per-hop delay when units travel hop by hop, else
+    /// zero), taken as one sum — lands on a representable [`SimTime`]
+    /// from any instant up to the run's `horizon`, which
+    /// [`FaultConfig::validate`] does not know. Call it on a config that
+    /// passed `validate`.
+    pub fn validate_delays(&self, horizon: SimTime, hop_delay: SimDuration) -> Result<()> {
+        let after = |from: Option<SimTime>, delays: &[f64]| {
+            delays.iter().try_fold(from?, |t, &secs| {
                 let us = (secs * 1e6).round();
                 // `u64::MAX as f64` is 2^64: anything below it converts
                 // exactly.
@@ -180,9 +182,12 @@ impl FaultConfig {
             })
         };
         let jitter_ms = self.jitter_range_ms.map_or(0.0, |[_, hi]| hi);
-        let timeout = after(&[self.hop_timeout_secs]);
-        let extra = after(&[jitter_ms / 1e3, self.spike_ms / 1e3]);
-        if timeout.is_none() || extra.is_none() {
+        let timeout = after(Some(horizon), &[self.hop_timeout_secs]);
+        let hop = after(
+            horizon.checked_add(hop_delay),
+            &[jitter_ms / 1e3, self.spike_ms / 1e3],
+        );
+        if timeout.is_none() || hop.is_none() {
             return Err(SpiderError::InvalidConfig(
                 "fault delays added to the run horizon must fit in SimTime".into(),
             ));

@@ -72,7 +72,7 @@ mod test_util;
 #[cfg(test)]
 mod tests;
 
-use self::core::{ArrivalCursor, EventCore, Net};
+use self::core::{ArrivalCursor, EventCore, Net, Train};
 use self::lockstep::Lockstep;
 use self::obs::Obs;
 use self::perturb::{AdmissionState, Faults, Overload};
@@ -163,12 +163,21 @@ enum EventKind {
         dir: Direction,
         amount: Amount,
     },
-    /// Queueing mode: a unit (slab index) arrives at the node before hop
-    /// `next_hop` after the per-hop forwarding delay and attempts to cross.
-    HopArrive(usize),
-    /// Queueing mode: a fully locked unit settles Δ after reaching its
-    /// destination (or is refunded if its payment expired meanwhile).
-    UnitDeliver(usize),
+    /// Queueing mode: a train of units arrives, each at the node before
+    /// its hop `next_hop`, after the per-hop forwarding delay, and each
+    /// in turn attempts to cross. Scheduled for one unit; the units
+    /// scheduled back to back behind it for the same instant join it as
+    /// members (see "Trains" in `core.rs`). The handler walks them in
+    /// order, each with its own decision, lock, price stamp, fault and
+    /// griefing draws, trace records and drop, so the train does exactly
+    /// what one event per unit would.
+    HopArrive(Train),
+    /// Queueing mode: a train of fully locked units settles Δ after
+    /// reaching their destinations (a unit whose payment expired
+    /// meanwhile is refunded instead), member by member, each with its
+    /// own delivery, ack and drain of the refilled directions. Members
+    /// join as for `HopArrive`.
+    UnitDeliver(Train),
     /// Queueing mode: the sender gives up on a unit — it waited past the
     /// maximum queueing delay ([`DropReason::QueueTimeout`]), or, under
     /// fault or griefing injection, its forwarding message (or delivery
@@ -212,16 +221,18 @@ impl EventKind {
 /// `events_scheduled` / `units_injected`.
 ///
 /// The event counters count events, not units: a lockstep settle batch
-/// (see `EventKind::Settle`) is one event however many MTU units it
-/// carries. Units are counted by `SimReport::units_locked`.
+/// (see `EventKind::Settle`) and a hop-by-hop train (`HopArrive`,
+/// `UnitDeliver`) are one event however many MTU units they carry. Units
+/// are counted by `units_injected` and `SimReport::units_locked`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SlabStats {
-    /// Events ever scheduled.
+    /// Events ever scheduled (a train once, however many members join
+    /// it).
     pub events_scheduled: u64,
     /// Calendar entries ever pushed: one per *run* of events scheduled
-    /// back to back for one instant (a train of units crossing a hop is
-    /// one entry), so well below `events_scheduled` wherever units travel
-    /// together.
+    /// back to back for one instant, so at most `events_scheduled`. A
+    /// train's members take their own seqs but join its entry, as they
+    /// join its event.
     pub calendar_entries: u64,
     /// Events popped and executed (canceled events excluded).
     pub events_executed: u64,
@@ -454,8 +465,8 @@ impl Simulation {
                     self.metrics.rebalanced(amount);
                     self.drain_released([(channel, dir)]);
                 }
-                EventKind::HopArrive(unit) => self.on_hop_arrive(unit),
-                EventKind::UnitDeliver(unit) => self.on_unit_deliver(unit),
+                EventKind::HopArrive(_) => self.on_hop_arrive(),
+                EventKind::UnitDeliver(_) => self.on_unit_deliver(),
                 EventKind::UnitTimeout { unit, reason } => self.on_unit_timeout(unit, reason),
                 EventKind::Topology(i) => self.on_topology_event(i),
                 EventKind::Fault(i) => self.on_fault_event(i),
@@ -465,6 +476,7 @@ impl Simulation {
             }
             self.monitor_step();
         }
+        self.events.finish();
         let failed_by_churn = self
             .payments
             .iter()

@@ -1,8 +1,9 @@
 //! §5 queueing mode: units travel hop by hop through per-channel router
 //! queues under [`QueueingMode::PerChannelFifo`](crate::config::QueueingMode).
 
-use super::perturb::is_crashed;
-use super::{EventKind, Simulation, SlabStats};
+use super::core::{Net, Train};
+use super::perturb::{is_crashed, Faults};
+use super::{EventKind, PaymentState, Simulation, SlabStats};
 use crate::channel::ChannelState;
 use crate::config::QueueConfig;
 use crate::monitor::InvariantMonitor;
@@ -18,10 +19,11 @@ use std::collections::VecDeque;
 
 /// A transaction unit traveling hop by hop.
 ///
-/// An alive unit always has exactly one pending event (`HopArrive`,
-/// `UnitTimeout`, or `UnitDeliver`); retiring a unit therefore happens
-/// only after that event was consumed or canceled, which is what makes
-/// the slab slot safely recyclable.
+/// An alive unit always waits on exactly one pending event: its own
+/// `UnitTimeout`, or its place in a `HopArrive` or `UnitDeliver` train.
+/// Retiring a unit therefore happens only after that event (or place)
+/// was consumed or canceled, which is what makes the slab slot safely
+/// recyclable.
 #[derive(Debug)]
 struct UnitState {
     payment: usize,
@@ -41,10 +43,11 @@ struct UnitState {
     /// When the unit joined its current queue (valid while queued).
     enqueued_at: SimTime,
     /// The unit's one pending event — its queue-wait `UnitTimeout` while
-    /// queued (canceled on service), else the `HopArrive`/`UnitDeliver`/
-    /// per-hop `UnitTimeout` that carries it on (canceled when a channel
-    /// close fails the unit back mid-flight). `None` only while that
-    /// event's handler runs, and once the unit is done.
+    /// queued (canceled on service), else the `HopArrive`/`UnitDeliver`
+    /// train it is a member of, or the per-hop `UnitTimeout`, that
+    /// carries it on (canceled when a channel close fails the unit back
+    /// mid-flight). `None` only while its turn is handled, and once the
+    /// unit is done.
     event: Option<usize>,
     /// True once the unit has waited in any queue (for metrics).
     waited: bool,
@@ -166,13 +169,40 @@ impl Queueing {
     /// Marks a settled or dropped unit done and returns its slab slot to
     /// the free list. Safe because an alive unit has exactly one pending
     /// event, and every retirement site runs only after that event was
-    /// consumed or canceled — no stale calendar entry can reach a
-    /// recycled slot.
+    /// consumed or canceled — no stale calendar entry or train link can
+    /// reach a recycled slot.
     fn retire(&mut self, uid: usize) {
         let u = &mut self.units[uid];
         debug_assert!(u.event.is_none());
         u.done = true;
         self.free_units.push(uid);
+    }
+
+    /// The hop unit `uid` is about to attempt, and why it is dropped on
+    /// arriving there, if it is: its payment lapsed, the node that should
+    /// forward it crashed while it traveled, or the hop's channel closed
+    /// meanwhile. Only polls, admission, fault and topology events change
+    /// these, never a unit's own handling, so one train's members with
+    /// the same payment, path and hop share the answer.
+    fn hop_verdict(
+        &self,
+        uid: usize,
+        payments: &[PaymentState],
+        faults: &Option<Faults>,
+        net: &Net,
+    ) -> ((ChannelId, Direction), Option<DropReason>) {
+        let u = &self.units[uid];
+        let (c, d) = u.entry.hops()[u.next_hop];
+        let verdict = if payments[u.payment].lapsed(net.now) {
+            Some(DropReason::Expired)
+        } else if is_crashed(faults, u.entry.nodes()[u.next_hop]) {
+            Some(DropReason::NodeCrashed)
+        } else if net.channels[c.index()].is_closed() {
+            Some(DropReason::ChannelClosed)
+        } else {
+            None
+        };
+        ((c, d), verdict)
     }
 
     /// Units waiting in router queues right now.
@@ -344,8 +374,8 @@ impl Simulation {
         };
         let now = self.net.now;
         let u = &mut q.units[uid];
-        let entry = u.entry.clone();
-        let (c, d) = entry.hops()[u.next_hop];
+        let (c, d) = u.entry.hops()[u.next_hop];
+        let hop_count = u.entry.hop_count();
         let ch = &mut self.net.channels[c.index()];
         let locked = ch.lock(d, u.amount);
         debug_assert!(locked, "lock_hop caller must verify balance");
@@ -376,9 +406,9 @@ impl Simulation {
             channel: c,
             hop,
         });
-        let final_hop = u.next_hop == entry.hop_count();
+        let final_hop = u.next_hop == hop_count;
         if final_hop {
-            self.metrics.unit_lock(entry.hop_count(), true);
+            self.metrics.unit_lock(hop_count, true);
         }
         // Overload griefing: the final hop silently holds the unit — with
         // the whole path now locked — until the sender-side timeout
@@ -400,45 +430,53 @@ impl Simulation {
             Some((after, reason)) => (now + after, EventKind::UnitTimeout { unit: uid, reason }),
             None if final_hop => (
                 now + self.config.confirmation_delay,
-                EventKind::UnitDeliver(uid),
+                EventKind::UnitDeliver(Train::of(uid)),
             ),
-            None => (now + hop_delay, EventKind::HopArrive(uid)),
+            None => (now + hop_delay, EventKind::HopArrive(Train::of(uid))),
         };
         u.event = Some(self.events.schedule(at, kind));
     }
 
-    /// A unit arrives at an intermediate node and attempts its next hop.
-    pub(super) fn on_hop_arrive(&mut self, uid: usize) {
-        let Some(q) = self.queueing.as_mut() else {
-            return;
-        };
-        let u = &mut q.units[uid];
-        if u.done {
-            return;
-        }
-        // This event just fired; it is no longer cancelable.
-        u.event = None;
-        let (pid, amount) = (u.payment, u.amount);
-        let forwarder = u.entry.nodes()[u.next_hop];
-        let (c, d) = u.entry.hops()[u.next_hop];
-        let ch = &self.net.channels[c.index()];
-        let decision = q.decide(ch, c, d, amount);
-        if self.payments[pid].lapsed(self.net.now) {
-            self.drop_unit(uid, DropReason::Expired);
-        } else if is_crashed(&self.faults, forwarder) {
-            // The node that should forward this unit crashed while the
-            // unit was traveling toward it.
-            self.metrics.fault_injected();
-            self.drop_unit(uid, DropReason::NodeCrashed);
-        } else if ch.is_closed() {
-            // The next hop closed while the unit was traveling toward it.
-            self.drop_unit(uid, DropReason::ChannelClosed);
-        } else {
-            match decision {
-                HopDecision::Cross => self.lock_hop(uid, SimDuration::ZERO),
-                HopDecision::Enqueue => self.enqueue_unit(uid, c, d),
-                HopDecision::Full if self.config.shedding => self.shed_into_queue(uid, c, d),
-                HopDecision::Full => self.drop_unit(uid, DropReason::QueueOverflow),
+    /// A train of units arrives: each member in turn attempts its next
+    /// hop. Consecutive members of one payment on one path at one hop
+    /// share one look at the hop and at the facts that only other events
+    /// change (see [`Queueing::hop_verdict`]); what a member can change
+    /// for the next — queue, balance, flow, stamp — is read per member.
+    pub(super) fn on_hop_arrive(&mut self) {
+        // The last member's (payment, path, hop), and that hop's verdict.
+        let mut group = None;
+        while let Some(uid) = self.events.next_member() {
+            let Some(q) = self.queueing.as_mut() else {
+                return;
+            };
+            let u = &mut q.units[uid];
+            debug_assert!(!u.done && u.event.is_some(), "a member is a waiting unit");
+            // Its turn has come; it is no longer cancelable.
+            u.event = None;
+            let (key, amount) = ((u.payment, u.path, u.next_hop), u.amount);
+            let look = |q: &Queueing| q.hop_verdict(uid, &self.payments, &self.faults, &self.net);
+            let ((c, d), verdict) = match group {
+                Some((k, hop)) if k == key => hop,
+                _ => look(q),
+            };
+            group = Some((key, ((c, d), verdict)));
+            debug_assert_eq!(((c, d), verdict), look(q), "a shared fact moved in a train");
+            match (
+                verdict,
+                q.decide(&self.net.channels[c.index()], c, d, amount),
+            ) {
+                (Some(reason), _) => {
+                    if reason == DropReason::NodeCrashed {
+                        self.metrics.fault_injected();
+                    }
+                    self.drop_unit(uid, reason);
+                }
+                (None, HopDecision::Cross) => self.lock_hop(uid, SimDuration::ZERO),
+                (None, HopDecision::Enqueue) => self.enqueue_unit(uid, c, d),
+                (None, HopDecision::Full) if self.config.shedding => {
+                    self.shed_into_queue(uid, c, d)
+                }
+                (None, HopDecision::Full) => self.drop_unit(uid, DropReason::QueueOverflow),
             }
         }
     }
@@ -478,30 +516,41 @@ impl Simulation {
         }
     }
 
-    /// A fully locked unit settles (or is refunded when its payment
-    /// expired while the key was in flight).
-    pub(super) fn on_unit_deliver(&mut self, uid: usize) {
-        let Some(q) = self.queueing.as_mut() else {
-            return;
-        };
-        let u = &mut q.units[uid];
-        if u.done {
-            return;
+    /// A train of fully locked units settles, member by member (a unit
+    /// is refunded instead when its payment expired while the key was in
+    /// flight). Consecutive members of one payment on one path share one
+    /// look at whether it lapsed and one handle on the path.
+    pub(super) fn on_unit_deliver(&mut self) {
+        let now = self.net.now;
+        // The last member's (payment, path), whether it lapsed, the path.
+        let mut group: Option<((usize, PathId), bool, PathEntry)> = None;
+        while let Some(uid) = self.events.next_member() {
+            let Some(q) = self.queueing.as_mut() else {
+                return;
+            };
+            let u = &mut q.units[uid];
+            debug_assert!(!u.done && u.event.is_some(), "a member is a waiting unit");
+            // Its turn has come; it is no longer cancelable.
+            u.event = None;
+            let (pid, amount, trace_id) = (u.payment, u.amount, u.trace_id);
+            let key = (pid, u.path);
+            let (key, lapsed, entry) = match group.take() {
+                Some(g) if g.0 == key => g,
+                _ => (key, self.payments[pid].lapsed(now), u.entry.clone()),
+            };
+            debug_assert_eq!(lapsed, self.payments[pid].lapsed(now));
+            if lapsed {
+                self.drop_unit(uid, DropReason::Expired);
+            } else {
+                self.deliver(pid, amount, &entry, || TraceEventKind::UnitDelivered {
+                    unit: trace_id,
+                });
+                self.ack_unit(uid, true);
+                self.retire_unit(uid);
+                self.drain_released(entry.hops().iter().map(|&(c, d)| (c, d.reverse())));
+            }
+            group = Some((key, lapsed, entry));
         }
-        // This event just fired; it is no longer cancelable.
-        u.event = None;
-        let (pid, amount, trace_id) = (u.payment, u.amount, u.trace_id);
-        if self.payments[pid].lapsed(self.net.now) {
-            self.drop_unit(uid, DropReason::Expired);
-            return;
-        }
-        let entry = u.entry.clone();
-        self.deliver(pid, amount, &entry, || TraceEventKind::UnitDelivered {
-            unit: trace_id,
-        });
-        self.ack_unit(uid, true);
-        self.retire_unit(uid);
-        self.drain_released(entry.hops().iter().map(|&(c, d)| (c, d.reverse())));
     }
 
     /// The sender gives up on a unit (see [`EventKind::UnitTimeout`]).
@@ -534,7 +583,7 @@ impl Simulation {
         let u = &mut q.units[uid];
         // Its pending event must not fire on a recycled slab slot.
         if let Some(ev) = u.event.take() {
-            self.events.cancel(ev);
+            self.events.cancel_unit(ev, uid);
         }
         u.stamp.marked = true;
         u.drop_reason = Some(reason);

@@ -4,8 +4,11 @@ use crate::config::{QueueConfig, SimConfig};
 use crate::metrics::SimReport;
 use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, UnitAck, UnitOutcome};
 use crate::workload::{TxnSpec, Workload};
+use spider_obs::trace::TraceEventKind;
 use spider_topology::{gen, Topology};
-use spider_types::{Amount, Direction, NodeId, SimDuration};
+use spider_types::{
+    Amount, Direction, DropReason, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
+};
 
 /// Records every ack for assertion.
 struct AckRecorder {
@@ -375,4 +378,158 @@ fn trace_capture_records_the_unit_lifecycle() {
     assert_eq!(jsonl.matches("\"ev\":\"complete\"").count(), 1);
     // Second take returns nothing (the sink moved out).
     assert!(sim.take_trace().is_none());
+}
+
+/// A payment's units are injected back to back and cross every hop in
+/// step, so however many there are they run in the events of one unit:
+/// one `HopArrive` a hop and one `UnitDeliver`.
+#[test]
+fn a_unit_train_crosses_each_hop_as_one_event() {
+    let hops = 4;
+    let run = |units: u64| {
+        let t = gen::line(hops + 1, xrp(1_000));
+        let txns = vec![txn(0, 0, hops as u32, xrp(units))];
+        let (r, sim) = run_queue_sim(t, txns, qconfig(QueueConfig::default()));
+        assert_eq!(r.completed_payments, 1);
+        (r.units_locked, sim.slab_stats())
+    };
+    let (one_locked, one) = run(1);
+    let (locked, train) = run(12);
+    assert_eq!((one_locked, locked), (1, 12));
+    assert_eq!(train.units_injected, 12);
+    assert_eq!(train.events_scheduled, one.events_scheduled);
+    assert_eq!(train.events_executed, one.events_executed);
+    assert_eq!(train.calendar_entries, one.calendar_entries);
+}
+
+/// Where a hop's balance covers only the first `m` units of a train,
+/// those cross and go on together; the rest queue behind them in train
+/// order, each armed with its own timeout.
+#[test]
+fn a_train_splits_where_the_balance_runs_out() {
+    // Wide first hop; 3 XRP of forward balance on the second.
+    let mut b = Topology::builder(3);
+    b.channel(NodeId(0), NodeId(1), xrp(40))
+        .expect("channel endpoints are distinct known nodes");
+    b.channel(NodeId(1), NodeId(2), xrp(6))
+        .expect("channel endpoints are distinct known nodes");
+    let mut cfg = qconfig(QueueConfig::default());
+    // Past the train's arrival at hop 1 (10 ms), before any timeout.
+    cfg.horizon = SimDuration::from_millis(300);
+    cfg.obs.trace = true;
+    let txns = vec![txn(0, 0, 2, xrp(7))];
+    let mut sim = new_sim(b.build(), Workload { txns }, Box::new(Direct), cfg);
+    sim.run();
+    sim.check_conservation();
+    assert_eq!(sim.queued_units(), 4);
+    // Pending at the horizon: the crossed units' one delivery train and
+    // one timeout per queued unit.
+    assert_eq!(sim.slab_stats().live_events, 1 + 4);
+    let trace = sim.take_trace().expect("traced");
+    let at_hop_1: Vec<_> = trace
+        .events()
+        .filter(|e| e.t_us == 10_000)
+        .filter_map(|e| match e.kind {
+            TraceEventKind::UnitForwarded { unit, hop: 1, .. } => Some((unit, 0)),
+            TraceEventKind::UnitEnqueued { unit, qlen, .. } => Some((unit, qlen)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        at_hop_1,
+        [(0, 0), (1, 0), (2, 0), (3, 1), (4, 2), (5, 3), (6, 4)]
+    );
+}
+
+/// Proposes three paths for a 4 XRP payment from node 0 to node 2 —
+/// 2 XRP over 0-1-2, then 1 XRP each over 0-1-3-2 and 0-1-4-2 — so one
+/// train carries units of three paths; anything else goes whole over
+/// the shortest path.
+struct ThreePaths;
+
+impl Router for ThreePaths {
+    fn name(&self) -> &'static str {
+        "three-paths"
+    }
+    fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+        if req.remaining != xrp(4) {
+            return shortest_path_proposal(req, view);
+        }
+        [
+            (vec![0, 1, 2], 2),
+            (vec![0, 1, 3, 2], 1),
+            (vec![0, 1, 4, 2], 1),
+        ]
+        .into_iter()
+        .map(|(nodes, x): (Vec<u32>, u64)| RouteProposal {
+            path: view.intern(&nodes.into_iter().map(NodeId).collect::<Vec<_>>()),
+            amount: xrp(x),
+        })
+        .collect()
+    }
+}
+
+/// A churn close that catches one member of a train mid-flight drops that
+/// unit alone: the rest of the train crosses on schedule, and the unit
+/// that reuses its slab slot before the train's turn runs once, on its
+/// own schedule, never as a member of the train it left.
+#[test]
+fn a_churn_close_unlinks_one_member_and_its_recycled_slot_runs_once() {
+    let mut b = Topology::builder(5);
+    for (u, v) in [(0, 1), (1, 2), (1, 3), (3, 2), (1, 4), (4, 2)] {
+        b.channel(NodeId(u), NodeId(v), xrp(100))
+            .expect("channel endpoints are distinct known nodes");
+    }
+    let mut cfg = qconfig(QueueConfig::default());
+    // Past both trains' second hops, before the first poll retries what
+    // the close dropped.
+    cfg.horizon = SimDuration::from_millis(50);
+    cfg.obs.trace = true;
+    // The four units of payment 0 (0-1-2 twice, 0-1-3-2, 0-1-4-2) reach
+    // hop 1 together at 10 ms; channel 3-2 closes at 1 ms, under the
+    // third; payment 1's unit is injected at 2 ms into its slot.
+    let t = b.build();
+    let channel = t.channel_between(NodeId(3), NodeId(2)).expect("built");
+    let txns = vec![txn(0, 0, 2, xrp(4)), txn(2, 0, 2, xrp(1))];
+    let mut sim = new_sim(t, Workload { txns }, Box::new(ThreePaths), cfg);
+    sim.set_topology_events(vec![TopologyEvent {
+        at: SimTime::from_micros(1_000),
+        change: TopologyChange::ChannelClose { channel },
+    }]);
+    let r = sim.run();
+    sim.check_conservation();
+    assert_eq!(r.drops_by_reason.channel_closed, 1);
+    // Payment 1's unit took the dropped unit's slot: five units, four
+    // slots.
+    let stats = sim.slab_stats();
+    assert_eq!((stats.units_injected, stats.unit_slots), (5, 4));
+    let trace = sim.take_trace().expect("traced");
+    let life = |unit: u64| -> Vec<(u64, &'static str, u32)> {
+        trace
+            .events()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::UnitForwarded { unit: u, hop, .. } if u == unit => {
+                    Some((e.t_us, "forward", hop))
+                }
+                TraceEventKind::UnitDropped { unit: u, reason } if u == unit => {
+                    assert_eq!(reason, DropReason::ChannelClosed);
+                    Some((e.t_us, "drop", 0))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    for unit in [0, 1] {
+        assert_eq!(life(unit), [(0, "forward", 0), (10_000, "forward", 1)]);
+    }
+    assert_eq!(life(2), [(0, "forward", 0), (1_000, "drop", 0)]);
+    assert_eq!(
+        life(3),
+        [
+            (0, "forward", 0),
+            (10_000, "forward", 1),
+            (20_000, "forward", 2)
+        ]
+    );
+    assert_eq!(life(4), [(2_000, "forward", 0), (12_000, "forward", 1)]);
 }

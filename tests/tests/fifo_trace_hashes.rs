@@ -1,0 +1,248 @@
+//! Whole-trace pins for hop-by-hop runs: for four mid-size runs of the
+//! §5 protocol on a 300-node Ripple-like graph, the JSONL trace's line
+//! count and FNV-1a-64 hash, and the report's outcome fields.
+//!
+//! The values were recorded on the engine that scheduled one
+//! `HopArrive`/`UnitDeliver` event per unit, before units crossing a hop
+//! together began to share one event. A trace record carries every
+//! unit's instant, sequence number and fate, so a hash match means the
+//! two engines did the same work in the same order — decisions, locks,
+//! price stamps, fault and griefing draws, drops, acks — not just that
+//! they reached the same totals. The four runs cover the plain protocol,
+//! fault injection (loss, stuck units, jitter, spikes, crashes),
+//! overload (flash crowd, hot pairs, drain, griefing) with shedding and
+//! shaping admission, and topology churn whose closes land while units
+//! are mid-path.
+
+use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_dynamics::DynamicsConfig;
+use spider_faults::{CrashConfig, FaultConfig};
+use spider_overload::{
+    DrainConfig, FlashCrowdConfig, GriefingConfig, HotPairsConfig, OverloadConfig,
+};
+use spider_sim::{
+    AdmissionConfig, QueueConfig, QueueingMode, SimConfig, SimReport, SizeDistribution,
+    WorkloadConfig,
+};
+use spider_types::{Amount, SimDuration};
+
+/// Simulated seconds of arrivals in every run.
+const SECS: f64 = 4.0;
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The plain run: `spider_protocol(4)` with its default queues on a
+/// 300-node Ripple-like graph, traced.
+fn base() -> ExperimentConfig {
+    let rate = 500.0;
+    let mut sim = SimConfig {
+        horizon: SimDuration::from_secs_f64(SECS + 1.0),
+        mtu: Amount::from_xrp(20),
+        ..SimConfig::default()
+    };
+    sim.obs.trace = true;
+    ExperimentConfig {
+        topology: TopologyConfig::RippleLike {
+            nodes: 300,
+            capacity_xrp: 2_000,
+        },
+        workload: WorkloadConfig {
+            count: (SECS * rate) as usize,
+            rate_per_sec: rate,
+            size: SizeDistribution::RippleFull,
+            sender_skew_scale: 300.0 / 8.0,
+        },
+        sim,
+        scheme: SchemeConfig::spider_protocol(4),
+        dynamics: None,
+        faults: None,
+        overload: None,
+        seed: 42,
+    }
+}
+
+fn faulted() -> ExperimentConfig {
+    ExperimentConfig {
+        faults: Some(FaultConfig {
+            crash: Some(CrashConfig {
+                rate_per_sec: 2.0,
+                recovery_mean_secs: Some(0.5),
+            }),
+            horizon_secs: SECS,
+            ..FaultConfig::default()
+        }),
+        ..base()
+    }
+}
+
+/// The overload attack, with deadline-aware shedding into short queues,
+/// shaping admission and a deadline that lapses units mid-path.
+fn overloaded() -> ExperimentConfig {
+    let mut cfg = base();
+    cfg.sim.queueing = QueueingMode::PerChannelFifo(QueueConfig {
+        max_queue_units: 16,
+        ..QueueConfig::default()
+    });
+    cfg.sim.shedding = true;
+    cfg.sim.deadline = Some(SimDuration::from_millis(1_500));
+    cfg.sim.admission = Some(AdmissionConfig {
+        rate_per_sec: 400.0,
+        burst: 32.0,
+        defer: true,
+        ..AdmissionConfig::default()
+    });
+    cfg.overload = Some(OverloadConfig {
+        flash_crowd: Some(FlashCrowdConfig {
+            start_secs: SECS * 0.3,
+            duration_secs: SECS * 0.1,
+            rate_multiplier: 2.0,
+        }),
+        hot_pairs: Some(HotPairsConfig::default()),
+        drain: Some(DrainConfig::default()),
+        griefing: Some(GriefingConfig {
+            fraction: 0.05,
+            hold_secs: 1.0,
+        }),
+        horizon_secs: SECS,
+    });
+    cfg
+}
+
+/// Churn heavy enough that channels close under trains of units.
+fn churned() -> ExperimentConfig {
+    ExperimentConfig {
+        dynamics: Some(DynamicsConfig {
+            close_rate_per_sec: 4.0,
+            reopen_mean_secs: Some(1.0),
+            resize_rate_per_sec: 1.0,
+            node_leave_rate_per_sec: 0.5,
+            spawn_fraction: 0.04,
+            flap_channels: 2,
+            flap_period_secs: 1.0,
+            horizon_secs: SECS,
+            ..DynamicsConfig::default()
+        }),
+        ..base()
+    }
+}
+
+/// The outcome fields a pin compares, one line.
+fn outcome(r: &SimReport) -> String {
+    let completions = r
+        .completion_times
+        .iter()
+        .flat_map(|t| t.to_bits().to_le_bytes())
+        .collect::<Vec<u8>>();
+    format!(
+        "attempted={} completed={} delivered={} completed_volume={} deferred={} \
+         locked={} failed={} retries={} hops={} acked={} marked={} dropped={} queued={} \
+         topology={} dropped_churn={} failed_churn={} fault_events={} faults={} \
+         dropped_fault={} drops={:?} completions={:016x}",
+        r.attempted_payments,
+        r.completed_payments,
+        r.delivered_volume.drops(),
+        r.completed_volume.drops(),
+        r.admission_deferred,
+        r.units_locked,
+        r.units_failed,
+        r.retries,
+        r.unit_hops_sum,
+        r.units_acked,
+        r.units_marked,
+        r.units_dropped,
+        r.units_queued,
+        r.topology_events,
+        r.units_dropped_churn,
+        r.payments_failed_churn,
+        r.fault_events,
+        r.faults_injected,
+        r.units_dropped_fault,
+        r.drops_by_reason,
+        fnv1a64(&completions),
+    )
+}
+
+/// Runs `cfg` traced and checks the JSONL line count, its hash and the
+/// outcome line against the pins.
+fn check(name: &str, cfg: ExperimentConfig, lines: usize, hash: u64, want: &str) {
+    let out = execute(cfg.simulation(None).expect("builds"));
+    let jsonl = out.trace.expect("obs.trace is set").to_jsonl();
+    let got = (jsonl.lines().count(), fnv1a64(jsonl.as_bytes()));
+    let report = outcome(&out.report);
+    assert_eq!(got, (lines, hash), "{name}: trace moved");
+    assert_eq!(report, want, "{name}: outcome moved");
+}
+
+#[test]
+fn plain_protocol_trace_is_pinned() {
+    check(
+        "plain",
+        base(),
+        190_426,
+        0x2fe6_826f_4002_a86b,
+        "attempted=2000 completed=1106 delivered=369430523946 \
+         completed_volume=255251250597 deferred=0 locked=19700 failed=7561 retries=5175 \
+         hops=66932 acked=26694 marked=16010 dropped=7561 queued=5291 topology=0 \
+         dropped_churn=0 failed_churn=0 fault_events=0 faults=0 dropped_fault=0 \
+         drops=DropBreakdown { queue_timeout: 7561, queue_overflow: 0, expired: 0, \
+         channel_closed: 0, message_lost: 0, hop_timeout: 0, node_crashed: 0, shed: 0, \
+         admission_rejected: 0 } completions=217983fdf9a35591",
+    );
+}
+
+#[test]
+fn faulted_protocol_trace_is_pinned() {
+    check(
+        "faulted",
+        faulted(),
+        193_819,
+        0x3326_d7a1_871f_d6cd,
+        "attempted=2000 completed=997 delivered=361963012358 \
+         completed_volume=211920057947 deferred=0 locked=19612 failed=8460 retries=6266 \
+         hops=66777 acked=26934 marked=16704 dropped=8137 queued=5604 topology=0 \
+         dropped_churn=0 failed_churn=0 fault_events=20 faults=982 dropped_fault=913 \
+         drops=DropBreakdown { queue_timeout: 7224, queue_overflow: 0, expired: 0, \
+         channel_closed: 0, message_lost: 546, hop_timeout: 126, node_crashed: 241, \
+         shed: 0, admission_rejected: 0 } completions=066e17469965cc7f",
+    );
+}
+
+#[test]
+fn overloaded_protocol_trace_is_pinned() {
+    check(
+        "overloaded",
+        overloaded(),
+        123_424,
+        0xd9d9_4b93_8e3b_37aa,
+        "attempted=2000 completed=793 delivered=255411896245 \
+         completed_volume=163330093456 deferred=1834 locked=15514 failed=6084 \
+         retries=11314 hops=53671 acked=16145 marked=7534 dropped=2808 queued=2069 \
+         topology=0 dropped_churn=0 failed_churn=0 fault_events=0 faults=0 \
+         dropped_fault=624 drops=DropBreakdown { queue_timeout: 740, queue_overflow: 0, \
+         expired: 576, channel_closed: 0, message_lost: 0, hop_timeout: 624, \
+         node_crashed: 0, shed: 868, admission_rejected: 0 } \
+         completions=c60a6cab756faee4",
+    );
+}
+
+#[test]
+fn churned_protocol_trace_is_pinned() {
+    check(
+        "churned",
+        churned(),
+        195_784,
+        0x75ab_bf97_a91f_e822,
+        "attempted=2000 completed=1085 delivered=365017962866 \
+         completed_volume=244261822688 deferred=0 locked=19701 failed=8134 retries=5012 \
+         hops=67829 acked=27239 marked=16608 dropped=8336 queued=5360 topology=83 \
+         dropped_churn=440 failed_churn=39 fault_events=0 faults=0 dropped_fault=0 \
+         drops=DropBreakdown { queue_timeout: 7896, queue_overflow: 0, expired: 0, \
+         channel_closed: 440, message_lost: 0, hop_timeout: 0, node_crashed: 0, shed: \
+         0, admission_rejected: 0 } completions=57b9e9a647496a33",
+    );
+}
