@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spider_lp::fluid::{FluidProblem, PathSelection};
-use spider_lp::paths::{k_edge_disjoint_paths, k_shortest_paths};
+use spider_lp::paths::k_edge_disjoint_paths;
 use spider_lp::primal_dual::{solve_problem, PrimalDualConfig};
 use spider_maxflow::FlowNetwork;
 use spider_paygraph::decompose::decompose;
@@ -41,9 +41,6 @@ fn bench_maxflow(c: &mut Criterion) {
 fn bench_paths(c: &mut Criterion) {
     let topo = gen::isp_topology(Amount::from_xrp(30_000));
     let mut g = c.benchmark_group("paths-isp");
-    g.bench_function("yen_k4", |b| {
-        b.iter(|| black_box(k_shortest_paths(&topo, NodeId(8), NodeId(20), 4)))
-    });
     g.bench_function("edge_disjoint_k4", |b| {
         b.iter(|| black_box(k_edge_disjoint_paths(&topo, NodeId(8), NodeId(20), 4)))
     });

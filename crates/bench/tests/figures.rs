@@ -122,6 +122,14 @@ fn lp_level_figures_run_write_their_stem_and_pass_their_claims() {
             let file = out_dir.join(format!("{name}.{ext}"));
             assert!(file.metadata().unwrap().len() > 0, "{}", file.display());
         }
+        // The whole table, not just the verdicts: a moved LP optimum
+        // (say, a different path set) may still pass its claim.
+        let committed = format!("{}/baselines/lp/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+        assert_eq!(
+            std::fs::read_to_string(out_dir.join(format!("{name}.csv"))).unwrap(),
+            std::fs::read_to_string(&committed).unwrap(),
+            "{name}.csv differs from {committed}"
+        );
     }
     // A table has no experiment labels for `--only` to select.
     let only = Options {

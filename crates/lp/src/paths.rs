@@ -4,19 +4,23 @@
 //! between each source and destination … e.g., the K shortest paths or the
 //! K highest-capacity paths." This module provides:
 //!
-//! * [`k_shortest_paths`] — Yen's algorithm over hop counts (loopless);
+//! * [`k_shortest_paths`] — Yen's algorithm over hop counts (loopless),
+//!   one plain implementation over [`Topology`] for the fluid LP's small
+//!   graphs;
 //! * [`k_edge_disjoint_paths`] — successive shortest paths with used
 //!   channels removed (the "4 disjoint shortest paths" of §6.1);
-//! * [`SourceOracle`] — the batched per-source form of the first two: one
-//!   BFS tree and one reusable workspace answer *every* destination of a
-//!   source, which is what makes precomputing a whole workload's candidate
-//!   sets affordable (see `spider_routing::PathOracle`). It writes into a
-//!   [`FlatPaths`] buffer — node ids *and* the hop channel ids the search
-//!   already knows — so a batch costs no allocation per pair or per path.
+//! * [`SourceOracle`] — the batched per-source form of the edge-disjoint
+//!   and single-shortest-path oracles: one BFS tree and one reusable
+//!   workspace answer *every* destination of a source, which is what makes
+//!   precomputing a whole workload's candidate sets affordable (see
+//!   `spider_routing::PathOracle`). It writes into a [`FlatPaths`] buffer
+//!   — node ids *and* the hop channel ids the search already knows — so a
+//!   batch costs no allocation per pair or per path.
 //!
-//! Every search behind the first two and the batched form is one routine,
-//! `BfsWorkspace::lexmin_path`: an exact *bidirectional* layer search over
-//! bitsets. "The BFS path over id-sorted adjacency" is the
+//! Every search behind the edge-disjoint oracle and the batched form is
+//! one routine, `BfsWorkspace::lexmin_path`: an exact *bidirectional*
+//! layer search over bitsets, on the enabled channels minus a set of
+//! banned ones. "The BFS path over id-sorted adjacency" is the
 //! lexicographically smallest shortest path, a characterization that does
 //! not care in which order the graph is explored — so instead of growing
 //! one ball from an endpoint until it swallows the other (most of a
@@ -35,6 +39,7 @@
 
 use spider_topology::Topology;
 use spider_types::{ChannelId, Direction, NodeId};
+use std::collections::{BTreeSet, VecDeque};
 
 // (Channel liveness: every oracle in this module searches only *enabled*
 // channels — see [`CsrGraph::set_channel_enabled`] — so candidate sets on
@@ -167,15 +172,9 @@ impl FlatPaths {
     }
 
     /// The nodes appended since the last [`Self::seal`].
+    #[cfg(test)]
     fn open_nodes(&self) -> &[NodeId] {
         &self.nodes[self.ends.last().map_or(0, |&e| e as usize)..]
-    }
-
-    /// Drops whatever was appended since the last [`Self::seal`].
-    fn discard_open(&mut self) {
-        let end = self.ends.last().map_or(0, |&e| e as usize);
-        self.nodes.truncate(end);
-        self.channels.truncate(end - self.ends.len());
     }
 
     /// The paths as owned [`Path`]s (the per-pair oracles' return form).
@@ -449,32 +448,21 @@ struct Ball {
     frontier: Vec<u64>,
     /// Popcount of `frontier`.
     frontier_len: u32,
-    /// Nodes this side may still discover: in none of its layers and not
-    /// node-banned (masking a layer against the bans is exactly BFS
-    /// refusing to visit those nodes).
+    /// Nodes this side may still discover: in none of its layers.
     open: Vec<u64>,
 }
 
 impl Ball {
     /// Restarts the ball at `root`: the frontier is `{root}` and every
-    /// other node outside `banned_nodes` is open. Old layers go to `spare`.
-    fn restart(
-        &mut self,
-        root: u32,
-        words: usize,
-        banned_nodes: Option<&[u64]>,
-        spare: &mut Vec<Vec<u64>>,
-    ) {
+    /// other node is open. Old layers go to `spare`.
+    fn restart(&mut self, root: u32, words: usize, spare: &mut Vec<Vec<u64>>) {
         spare.append(&mut self.inner);
         self.frontier.clear();
         self.frontier.resize(words, 0);
         bit_set(&mut self.frontier, root);
         self.frontier_len = 1;
         self.open.clear();
-        match banned_nodes {
-            Some(mask) => self.open.extend(mask.iter().map(|m| !m)),
-            None => self.open.resize(words, !0),
-        }
+        self.open.resize(words, !0);
         bit_clear(&mut self.open, root);
     }
 }
@@ -506,9 +494,6 @@ fn grab_bits(spare: &mut Vec<Vec<u64>>, words: usize) -> Vec<u64> {
 #[derive(Debug)]
 struct BfsWorkspace {
     banned_channel: Vec<u8>,
-    /// Banned nodes (bitset; Yen's spur roots). Neither ball may discover
-    /// them.
-    banned_node_bits: Vec<u64>,
     seen: Vec<u8>,
     /// Fixed-size FIFO for the tree build (manual length, one slot of
     /// slack).
@@ -525,16 +510,12 @@ struct BfsWorkspace {
     spare_bits: Vec<Vec<u64>>,
     ban_epoch: u8,
     bfs_epoch: u8,
-    /// Whether any node ban is set this ban epoch (channel-only ban sets
-    /// — the edge-disjoint oracle — skip the node masking entirely).
-    node_bans: bool,
 }
 
 impl BfsWorkspace {
     fn new(n_nodes: usize, n_channels: usize) -> Self {
         BfsWorkspace {
             banned_channel: vec![0; n_channels],
-            banned_node_bits: vec![0; n_nodes.div_ceil(64)],
             seen: vec![0; n_nodes],
             fifo: vec![0; n_nodes + 1],
             ban_touched_bits: vec![0; n_nodes.div_ceil(64)],
@@ -544,17 +525,12 @@ impl BfsWorkspace {
             // Stamps start at 0, so the first valid epoch is 1.
             ban_epoch: 1,
             bfs_epoch: 0,
-            node_bans: false,
         }
     }
 
     /// Invalidates every ban in O(1) (with a wrap-around reset every 255
     /// generations).
     fn new_ban_epoch(&mut self) {
-        if self.node_bans {
-            self.banned_node_bits.fill(0);
-            self.node_bans = false;
-        }
         self.ban_touched_bits.fill(0);
         if self.ban_epoch == u8::MAX {
             self.banned_channel.fill(0);
@@ -583,12 +559,6 @@ impl BfsWorkspace {
         bit_set(&mut self.ban_touched_bits, b);
     }
 
-    #[inline]
-    fn ban_node(&mut self, n: u32) {
-        bit_set(&mut self.banned_node_bits, n);
-        self.node_bans = true;
-    }
-
     /// True when at least one of `u`'s channels is not banned this epoch.
     /// An exact feasibility probe: a further path to/from `u` must cross
     /// one of them, so a `false` here is a search failure the caller can
@@ -605,13 +575,12 @@ impl BfsWorkspace {
     }
 
     /// The shortest path from `src` to `dst` on the residual graph
-    /// (enabled channels minus this epoch's channel and node bans), with
-    /// the exact tie-breaks of a BFS over id-sorted adjacency — computed
-    /// without simulating that BFS. `banned_edges` lists `(channel,
-    /// endpoint, endpoint)` of every channel banned this epoch. On success
-    /// the path's nodes and hop channels are appended to `out` — left
-    /// *open*, so a caller can have put a prefix there first, and seals or
-    /// discards the result — and `true` is returned; a failed search
+    /// (enabled channels minus this epoch's channel bans), with the exact
+    /// tie-breaks of a BFS over id-sorted adjacency — computed without
+    /// simulating that BFS. `banned_edges` lists `(channel, endpoint,
+    /// endpoint)` of every channel banned this epoch. On success the
+    /// path's nodes and hop channels are appended to `out` — left *open*,
+    /// for the caller to seal — and `true` is returned; a failed search
     /// appends nothing.
     ///
     /// BFS over id-sorted adjacency returns *the lexicographically
@@ -668,17 +637,9 @@ impl BfsWorkspace {
         out: &mut FlatPaths,
     ) -> bool {
         debug_assert_ne!(src, dst);
-        if self.node_bans
-            && (bit_get(&self.banned_node_bits, src) || bit_get(&self.banned_node_bits, dst))
-        {
-            return false;
-        }
         let words = csr.words;
-        let banned_nodes = self.node_bans.then_some(self.banned_node_bits.as_slice());
-        self.fwd
-            .restart(src, words, banned_nodes, &mut self.spare_bits);
-        self.bwd
-            .restart(dst, words, banned_nodes, &mut self.spare_bits);
+        self.fwd.restart(src, words, &mut self.spare_bits);
+        self.bwd.restart(dst, words, &mut self.spare_bits);
         let BfsWorkspace {
             banned_channel,
             ban_touched_bits,
@@ -703,8 +664,7 @@ impl BfsWorkspace {
             };
             let mut next = grab_bits(spare_bits, words);
             residual.expand(&ball.frontier, &ball.open, &mut next);
-            // `other.open` lacks exactly the other ball's nodes and the
-            // banned ones, and `next` holds no banned node.
+            // `other.open` lacks exactly the other ball's nodes.
             let mut len = 0;
             let mut met = false;
             for ((&n, open), &other_open) in next.iter().zip(&mut ball.open).zip(&other.open) {
@@ -785,7 +745,6 @@ impl BfsWorkspace {
 
 /// The residual graph of one search, as [`BfsWorkspace::lexmin_path`]
 /// sees it: the enabled channels of `csr` minus this epoch's channel bans.
-/// (Node bans are not here — they live in each [`Ball`]'s `open` set.)
 struct Residual<'s> {
     csr: &'s CsrGraph,
     banned_channel: &'s [u8],
@@ -890,8 +849,8 @@ impl Residual<'_> {
 /// returns how many it appended; the searches write there directly and
 /// every scratch list lives on the oracle, so a warmed-up oracle answers
 /// without allocating. Candidate sets produced here are bit-identical to
-/// [`k_shortest_paths`] and [`k_edge_disjoint_paths`] — the per-pair
-/// functions are themselves thin wrappers over a single-destination oracle.
+/// [`k_edge_disjoint_paths`] and [`Topology::shortest_path`] — the former
+/// is itself a thin wrapper over a single-destination oracle.
 #[derive(Debug)]
 pub struct SourceOracle<'a> {
     csr: &'a CsrGraph,
@@ -910,11 +869,6 @@ pub struct SourceOracle<'a> {
     /// Scratch: `(channel, endpoint, endpoint)` of every channel banned in
     /// the current ban epoch (the search audits hub-row ORs against it).
     banned_edges: Vec<(u32, u32, u32)>,
-    /// Scratch: every candidate Yen's algorithm pooled for the current
-    /// destination, accepted ones included.
-    pool: FlatPaths,
-    /// Scratch: indices into `pool` of the candidates not yet accepted.
-    live: Vec<u32>,
 }
 
 /// After this many first-path queries for one source, amortizing a full
@@ -948,8 +902,6 @@ impl<'a> SourceOracle<'a> {
             tree_built: false,
             queries: 0,
             banned_edges: Vec::new(),
-            pool: FlatPaths::new(),
-            live: Vec::new(),
         }
     }
 
@@ -1144,96 +1096,107 @@ impl<'a> SourceOracle<'a> {
         debug_assert_eq!(at, self.src, "the kept hops end at {dst}");
         paths
     }
-
-    /// Yen's algorithm: up to `k` loopless shortest paths to `dst`, in
-    /// non-decreasing length — bit-identical to [`k_shortest_paths`].
-    /// Appends them to `out` and returns how many.
-    pub fn k_shortest(&mut self, dst: NodeId, k: usize, out: &mut FlatPaths) -> usize {
-        if k == 0 || dst.0 == self.src {
-            return 0;
-        }
-        self.ws.new_ban_epoch();
-        if !self.first_path(dst.0, out) {
-            return 0;
-        }
-        out.seal();
-        // The accepted paths are `out[first..]`; everything else ever
-        // considered is in `pool`, and `live` lists what is still on offer.
-        let first = out.len() - 1;
-        self.pool.clear();
-        self.live.clear();
-        while out.len() - first < k {
-            let (prev_nodes, prev_channels) = out.get(out.len() - 1);
-            for i in 0..prev_channels.len() {
-                let root = &prev_nodes[..=i];
-                // Ban the outgoing channel of every accepted path sharing
-                // this root, and the root nodes except the spur node
-                // (looplessness). A fresh epoch clears the previous spur's
-                // bans.
-                self.ws.new_ban_epoch();
-                self.banned_edges.clear();
-                for (nodes, channels) in out.range(first..out.len()) {
-                    if nodes.len() > i + 1 && nodes.starts_with(root) {
-                        let hop = (channels[i].0, nodes[i].0, nodes[i + 1].0);
-                        self.ws.ban_channel(hop.0, hop.1, hop.2);
-                        self.banned_edges.push(hop);
-                    }
-                }
-                for n in &root[..i] {
-                    self.ws.ban_node(n.0);
-                }
-                // The candidate: the root up to the spur node, then the
-                // spur path, searched straight onto that prefix.
-                self.pool.nodes.extend_from_slice(&root[..i]);
-                self.pool.channels.extend_from_slice(&prev_channels[..i]);
-                let spurred = self.ws.lexmin_path(
-                    self.csr,
-                    root[i].0,
-                    dst.0,
-                    &self.banned_edges,
-                    &mut self.pool,
-                );
-                // Admit it unless it was accepted or pooled before. The
-                // pool holds every accepted path but the first, and at most
-                // `k` rounds of one spur per hop — a scan, not a hash set.
-                let candidate = self.pool.open_nodes();
-                if spurred
-                    && candidate != out.get(first).0
-                    && self.pool.iter().all(|(nodes, _)| nodes != candidate)
-                {
-                    self.live.push(self.pool.len() as u32);
-                    self.pool.seal();
-                } else {
-                    self.pool.discard_open();
-                }
-            }
-            // Leave no stale bans behind for the next caller.
-            self.ws.new_ban_epoch();
-            // Accept the best candidate on offer: fewest hops, then
-            // lexicographically smallest (candidates are distinct, so the
-            // minimum is unique).
-            let pool = &self.pool;
-            let on_offer = self.live.iter().map(|&i| pool.get(i as usize).0);
-            let Some((best, _)) = on_offer
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.len().cmp(&b.len()).then_with(|| a.cmp(b)))
-            else {
-                break;
-            };
-            let (nodes, channels) = pool.get(self.live.swap_remove(best) as usize);
-            out.push(nodes, channels);
-        }
-        out.len() - first
-    }
 }
 
 /// Yen's algorithm: up to `k` loopless shortest paths by hop count, in
 /// non-decreasing length (ties: lexicographic node order).
+///
+/// One plain implementation over [`Topology`] — a `VecDeque` BFS per spur
+/// over `BTreeSet` bans. Its one user is the fluid LP's path selection,
+/// whose graphs have a dozen nodes, so it is written to be read rather
+/// than to be fast; the routing layer's batched oracles never run it.
 pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    let csr = CsrGraph::new(topo);
-    let mut out = FlatPaths::new();
-    SourceOracle::new(&csr, src).k_shortest(dst, k, &mut out);
-    out.to_paths()
+    if k == 0 || src == dst {
+        return Vec::new();
+    }
+    let Some(first) = bfs_avoiding(topo, src, dst, &BTreeSet::new(), &BTreeSet::new()) else {
+        return Vec::new();
+    };
+    let mut accepted = vec![first];
+    let mut candidates: Vec<Path> = Vec::new();
+    while accepted.len() < k {
+        let prev = accepted[accepted.len() - 1].clone();
+        for i in 0..prev.hop_count() {
+            // Spur at node `i`: ban the next hop of every accepted path
+            // sharing this root, and the root's nodes before the spur node
+            // (looplessness).
+            let root = &prev.nodes[..=i];
+            let mut banned_c = BTreeSet::new();
+            let mut banned_n = BTreeSet::new();
+            for p in &accepted {
+                if p.nodes.len() > i + 1 && p.nodes[..=i] == *root {
+                    if let Some(c) = topo.channel_between(p.nodes[i], p.nodes[i + 1]) {
+                        banned_c.insert(c);
+                    }
+                }
+            }
+            for n in &root[..i] {
+                banned_n.insert(*n);
+            }
+            if let Some(spur) = bfs_avoiding(topo, prev.nodes[i], dst, &banned_c, &banned_n) {
+                let mut nodes = root[..i].to_vec();
+                nodes.extend(spur.nodes);
+                let cand = Path::new(nodes);
+                if !accepted.contains(&cand) && !candidates.contains(&cand) {
+                    candidates.push(cand);
+                }
+            }
+        }
+        if candidates.is_empty() {
+            break;
+        }
+        // Accept the best candidate: fewest hops, then lexicographically
+        // smallest.
+        candidates.sort_by(|a, b| {
+            a.hop_count()
+                .cmp(&b.hop_count())
+                .then_with(|| a.nodes.cmp(&b.nodes))
+        });
+        accepted.push(candidates.remove(0));
+    }
+    accepted
+}
+
+/// The BFS path from `src` to `dst` over id-sorted adjacency (the lex-min
+/// shortest path) that crosses no channel of `banned_c` and visits no node
+/// of `banned_n` — Yen's spur search. Yen never asks for `src == dst` or
+/// bans either endpoint: the spur node and `dst` are off the spur's root.
+fn bfs_avoiding(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    banned_c: &BTreeSet<ChannelId>,
+    banned_n: &BTreeSet<NodeId>,
+) -> Option<Path> {
+    debug_assert!(src != dst && !banned_n.contains(&src) && !banned_n.contains(&dst));
+    let mut parent: Vec<Option<NodeId>> = vec![None; topo.node_count()];
+    let mut seen = vec![false; topo.node_count()];
+    seen[src.index()] = true;
+    let mut q = VecDeque::from([src]);
+    while let Some(u) = q.pop_front() {
+        for adj in topo.neighbors(u) {
+            if banned_c.contains(&adj.channel)
+                || banned_n.contains(&adj.neighbor)
+                || seen[adj.neighbor.index()]
+            {
+                continue;
+            }
+            seen[adj.neighbor.index()] = true;
+            parent[adj.neighbor.index()] = Some(u);
+            if adj.neighbor == dst {
+                let mut nodes = vec![dst];
+                let mut cur = dst;
+                while let Some(p) = parent[cur.index()] {
+                    nodes.push(p);
+                    cur = p;
+                }
+                nodes.reverse();
+                return Some(Path::new(nodes));
+            }
+            q.push_back(adj.neighbor);
+        }
+    }
+    None
 }
 
 /// Up to `k` pairwise edge-disjoint paths, found by repeatedly taking the
@@ -1411,11 +1374,6 @@ mod tests {
                     "edge-disjoint {src}->{dst}"
                 );
                 assert_eq!(
-                    answer(&t, |out| oracle.k_shortest(n(dst), 4, out)),
-                    k_shortest_paths(&t, n(src), n(dst), 4),
-                    "yen {src}->{dst}"
-                );
-                assert_eq!(
                     answer(&t, |out| oracle.shortest(n(dst), out)),
                     Vec::from_iter(t.shortest_path(n(src), n(dst)).map(Path::new)),
                     "shortest {src}->{dst}"
@@ -1435,12 +1393,10 @@ mod tests {
         let mut want: Vec<Path> = Vec::new();
         for dst in [20u32, 8, 3, 31, 20] {
             let before = out.len();
-            let got = oracle.edge_disjoint(n(dst), 3, &[], &mut out)
-                + oracle.k_shortest(n(dst), 3, &mut out)
-                + oracle.shortest(n(dst), &mut out);
+            let got =
+                oracle.edge_disjoint(n(dst), 3, &[], &mut out) + oracle.shortest(n(dst), &mut out);
             assert_eq!(out.len(), before + got);
             want.extend(k_edge_disjoint_paths(&t, n(8), n(dst), 3));
-            want.extend(k_shortest_paths(&t, n(8), n(dst), 3));
             want.extend(t.shortest_path(n(8), n(dst)).map(Path::new));
         }
         assert_eq!(out.to_paths(), want);
@@ -1500,124 +1456,6 @@ mod tests {
             out.push(p);
         }
         out
-    }
-
-    /// Literal Yen over a naive BFS with `BTreeSet` bans (the shape of the
-    /// pre-sweep implementation), for pinning `k_shortest_paths`.
-    fn reference_k_shortest(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        use std::collections::VecDeque;
-        fn bfs(
-            topo: &Topology,
-            src: NodeId,
-            dst: NodeId,
-            banned_c: &BTreeSet<ChannelId>,
-            banned_n: &BTreeSet<NodeId>,
-        ) -> Option<Path> {
-            if banned_n.contains(&src) || banned_n.contains(&dst) {
-                return None;
-            }
-            if src == dst {
-                return Some(Path::new(vec![src]));
-            }
-            let mut parent: Vec<Option<NodeId>> = vec![None; topo.node_count()];
-            let mut seen = vec![false; topo.node_count()];
-            seen[src.index()] = true;
-            let mut q = VecDeque::from([src]);
-            while let Some(u) = q.pop_front() {
-                for adj in topo.neighbors(u) {
-                    if banned_c.contains(&adj.channel)
-                        || banned_n.contains(&adj.neighbor)
-                        || seen[adj.neighbor.index()]
-                    {
-                        continue;
-                    }
-                    seen[adj.neighbor.index()] = true;
-                    parent[adj.neighbor.index()] = Some(u);
-                    if adj.neighbor == dst {
-                        let mut nodes = vec![dst];
-                        let mut cur = dst;
-                        while let Some(p) = parent[cur.index()] {
-                            nodes.push(p);
-                            cur = p;
-                        }
-                        nodes.reverse();
-                        return Some(Path::new(nodes));
-                    }
-                    q.push_back(adj.neighbor);
-                }
-            }
-            None
-        }
-        if k == 0 || src == dst {
-            return Vec::new();
-        }
-        let Some(first) = bfs(topo, src, dst, &BTreeSet::new(), &BTreeSet::new()) else {
-            return Vec::new();
-        };
-        let mut accepted = vec![first];
-        let mut candidates: Vec<Path> = Vec::new();
-        while accepted.len() < k {
-            let prev = accepted.last().unwrap().clone();
-            for i in 0..prev.hop_count() {
-                let root = &prev.nodes[..=i];
-                let mut banned_c = BTreeSet::new();
-                let mut banned_n = BTreeSet::new();
-                for p in &accepted {
-                    if p.nodes.len() > i + 1 && p.nodes[..=i] == *root {
-                        if let Some(c) = topo.channel_between(p.nodes[i], p.nodes[i + 1]) {
-                            banned_c.insert(c);
-                        }
-                    }
-                }
-                for n in &root[..i] {
-                    banned_n.insert(*n);
-                }
-                if let Some(spur) = bfs(topo, prev.nodes[i], dst, &banned_c, &banned_n) {
-                    let mut nodes = root[..i].to_vec();
-                    nodes.extend(spur.nodes);
-                    let cand = Path::new(nodes);
-                    if !accepted.contains(&cand) && !candidates.contains(&cand) {
-                        candidates.push(cand);
-                    }
-                }
-            }
-            if candidates.is_empty() {
-                break;
-            }
-            candidates.sort_by(|a, b| {
-                a.hop_count()
-                    .cmp(&b.hop_count())
-                    .then_with(|| a.nodes.cmp(&b.nodes))
-            });
-            accepted.push(candidates.remove(0));
-        }
-        accepted
-    }
-
-    /// Yen over the layer sweep must match the literal implementation —
-    /// node bans (spur roots) and channel bans together.
-    #[test]
-    fn k_shortest_matches_literal_yen() {
-        use spider_types::DetRng;
-        let mut rng = DetRng::new(1234);
-        let graphs = vec![
-            diamond(),
-            gen::isp_topology(CAP),
-            gen::barabasi_albert(200, 2, CAP, &mut rng),
-        ];
-        for t in &graphs {
-            for _ in 0..150 {
-                let src = NodeId(rng.index(t.node_count()) as u32);
-                let dst = NodeId(rng.index(t.node_count()) as u32);
-                let k = 1 + rng.index(4);
-                assert_eq!(
-                    k_shortest_paths(t, src, dst, k),
-                    reference_k_shortest(t, src, dst, k),
-                    "{src}->{dst} k={k} on {} nodes",
-                    t.node_count()
-                );
-            }
-        }
     }
 
     /// The layer-sweep oracle must reproduce the literal BFS bit for bit,
@@ -1705,11 +1543,6 @@ mod tests {
                         answer(t, |out| masked.edge_disjoint(dst, k, &[], out)),
                         answer(&filtered, |out| cold.edge_disjoint(dst, k, &[], out)),
                         "edge-disjoint {src}->{dst} k={k}"
-                    );
-                    assert_eq!(
-                        answer(t, |out| masked.k_shortest(dst, k, out)),
-                        answer(&filtered, |out| cold.k_shortest(dst, k, out)),
-                        "yen {src}->{dst} k={k}"
                     );
                     assert_eq!(
                         answer(t, |out| masked.shortest(dst, out)),
@@ -1809,11 +1642,6 @@ mod tests {
                     let got = k_edge_disjoint_paths(t, src, dst, 4);
                     assert_eq!(got.first().map(Path::hop_count), Some(d as usize));
                     assert_eq!(got, reference_edge_disjoint(t, src, dst, 4), "{src}->{dst}");
-                    assert_eq!(
-                        k_shortest_paths(t, src, dst, 3),
-                        reference_k_shortest(t, src, dst, 3),
-                        "yen {src}->{dst}"
-                    );
                 }
             }
             assert!(adjacent > 0 && two_hop > 0);
@@ -1910,37 +1738,6 @@ mod tests {
         ban(&mut oracle, &t, &mut banned_edges, 1, 3);
         assert_eq!(search(&mut oracle, 18, &banned_edges), via([0, 2, 3, 18]));
         assert_eq!(oracle.ws.fwd.inner.len(), 2, "met after two forward layers");
-    }
-
-    /// Yen bans the spur root's nodes; they must cut the *forward* ball
-    /// exactly as they cut the backward one.
-    #[test]
-    fn node_bans_cut_the_forward_ball() {
-        // 0 - {1, 2}; 1 - 3; 2 - 4 - 3; 3 - {5..=9} (a fat last layer, so
-        // the forward ball is the one that grows).
-        let mut edges = vec![(0, 1), (0, 2), (1, 3), (2, 4), (4, 3)];
-        edges.extend((5..=9).map(|leaf| (3, leaf)));
-        let t = graph(10, &edges);
-        let csr = CsrGraph::new(&t);
-        let mut oracle = SourceOracle::new(&csr, n(0));
-        assert_eq!(search(&mut oracle, 3, &[]), via([0, 1, 3]));
-        oracle.ws.ban_node(1);
-        assert_eq!(search(&mut oracle, 3, &[]), via([0, 2, 4, 3]));
-        assert_eq!(oracle.ws.fwd.inner.len(), 2, "the forward ball grew twice");
-        oracle.ws.ban_node(2);
-        assert_eq!(search(&mut oracle, 3, &[]), None);
-        assert!(oracle.ws.fwd.inner.is_empty(), "src's ball could not grow");
-        oracle.ws.new_ban_epoch();
-        assert_eq!(search(&mut oracle, 3, &[]), via([0, 1, 3]));
-        // Grids are all ties: Yen's spur searches run under many node bans.
-        let grid = gen::grid(6, 5, CAP);
-        for (src, dst) in [(0, 29), (7, 22), (29, 3), (12, 17)] {
-            assert_eq!(
-                k_shortest_paths(&grid, n(src), n(dst), 8),
-                reference_k_shortest(&grid, n(src), n(dst), 8),
-                "grid {src}->{dst}"
-            );
-        }
     }
 
     /// Paper scale: on the 3,774-node Ripple-like graph a bitset row is 59
@@ -2052,7 +1849,6 @@ mod tests {
         let mut oracle = SourceOracle::new(&csr, n(0));
         let mut out = FlatPaths::new();
         assert_eq!(oracle.edge_disjoint(n(3), 4, &[], &mut out), 0);
-        assert_eq!(oracle.k_shortest(n(3), 4, &mut out), 0);
         assert_eq!(oracle.shortest(n(3), &mut out), 0);
         assert!(out.is_empty(), "a failed query appends nothing");
         assert_eq!(oracle.shortest(n(1), &mut out), 1);

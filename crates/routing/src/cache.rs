@@ -53,21 +53,8 @@ use spider_types::{ChannelId, IdHashMap, NodeId, PathId};
 pub enum PathPolicy {
     /// k edge-disjoint shortest paths (the paper's evaluation setting).
     EdgeDisjoint(usize),
-    /// Yen's k shortest loopless paths.
-    KShortest(usize),
     /// The single BFS shortest path (the packet-switched baseline).
     Shortest,
-}
-
-impl PathPolicy {
-    /// Where a suspect pair resumes, given the first candidate an update
-    /// can change: there, unless Yen's spur pool makes it start over.
-    fn resume_at(self, first_changed: u32) -> u32 {
-        match self {
-            PathPolicy::KShortest(_) => 0,
-            PathPolicy::EdgeDisjoint(_) | PathPolicy::Shortest => first_changed,
-        }
-    }
 }
 
 /// What the open rule reads of a cached candidate.
@@ -205,7 +192,8 @@ impl Cached {
     }
 
     /// Calls `visit` with the channel of every hop of every candidate of
-    /// `slot` — a channel two candidates share, twice.
+    /// `slot`. A slot's candidates are edge-disjoint (or one loopless
+    /// path), so no channel is visited twice.
     fn each_hop(&self, paths: &PathTable, slot: u32, mut visit: impl FnMut(usize)) {
         for &id in self.candidates(slot) {
             paths.map_entry(id, |path| {
@@ -230,6 +218,21 @@ impl Cached {
         entry.count = count as u32;
         entry.gen = entry.gen.wrapping_add(1);
         entry.longest_hops = longest as u32;
+        // Edge-disjoint candidates, or one loopless path: each hop's
+        // channel is crossed once in the whole slot. (Counted in place —
+        // the repair allocation budget holds in debug builds too.)
+        debug_assert!(
+            {
+                let entries = || self.candidates(slot).iter().map(|&id| paths.entry(id));
+                entries().all(|a| {
+                    a.hops().iter().all(|&(c, _)| {
+                        let times = entries().map(|b| b.hops().iter().filter(|h| h.0 == c).count());
+                        times.sum::<usize>() == 1
+                    })
+                })
+            },
+            "slot {slot}'s candidates cross a channel twice"
+        );
     }
 
     /// True when `slot`'s candidates from the `from`-th on are exactly the
@@ -259,14 +262,15 @@ pub struct PathCache {
     /// in sync with `closed` through O(1) channel toggles.
     csr: Option<CsrGraph>,
     /// Reverse index: channel `c`'s members are the slots with a candidate
-    /// traversing `c`, once per traversing hop, each stamped with the
-    /// slot's generation. A close then invalidates exactly the live
-    /// members of the closed channels instead of scanning every cached
-    /// pair's candidates — the difference between O(affected) and
-    /// O(pairs × k × hops) per event at Ripple scale. Keeping it current
-    /// costs a pair whose candidates change one counter decrement per old
-    /// hop and one `Vec` push per new hop, nothing hashed. `None` until a
-    /// close needs it: a static network never pays for it.
+    /// traversing `c` (a slot's candidates share no channel, so each is a
+    /// member once), each stamped with the slot's generation. A close then
+    /// invalidates exactly the live members of the closed channels instead
+    /// of scanning every cached pair's candidates — the difference between
+    /// O(affected) and O(pairs × k × hops) per event at Ripple scale.
+    /// Keeping it current costs a pair whose candidates change one counter
+    /// decrement per old hop and one `Vec` push per new hop, nothing
+    /// hashed. `None` until a close needs it: a static network never pays
+    /// for it.
     rev: Option<ChannelIndex>,
     /// Lifetime counters surfaced through [`PathCache::counters`].
     hits: u64,
@@ -294,7 +298,7 @@ impl PathCache {
     /// Empty cache with the given policy.
     pub fn new(policy: PathPolicy) -> Self {
         let k = match policy {
-            PathPolicy::EdgeDisjoint(k) | PathPolicy::KShortest(k) => k,
+            PathPolicy::EdgeDisjoint(k) => k,
             PathPolicy::Shortest => 1,
         };
         PathCache {
@@ -352,8 +356,8 @@ impl PathCache {
         self.cached.candidates(slot)
     }
 
-    /// Makes `slot` a member of every channel its candidates traverse,
-    /// once per hop, at its current generation.
+    /// Makes `slot` a member of every channel its candidates traverse, at
+    /// its current generation.
     fn register(rev: &mut ChannelIndex, cached: &Cached, paths: &PathTable, slot: u32) {
         let gen = cached.slots[slot as usize].gen;
         let current = |s: u32, g: u32| cached.slots[s as usize].gen == g;
@@ -563,10 +567,7 @@ impl PathCache {
     ///
     /// Per policy: [`PathPolicy::Shortest`] has `k = 1`, so `B₀ = D` and
     /// `r = 0` for every suspect — a whole refill, as before the
-    /// per-candidate rules. [`PathPolicy::KShortest`] suspects (a
-    /// candidate crosses a closed channel, or `D ≤ L_{m−1}`, or a rescue)
-    /// are refilled whole: Yen's later candidates come from the spur pool
-    /// of all earlier ones, so resuming would redo those spurs.
+    /// per-candidate rules.
     ///
     /// Cost beyond the searches: two BFS and one pass over the cached
     /// pairs per opened channel, plus a pass over both endpoints' live
@@ -636,7 +637,7 @@ impl PathCache {
         };
         slots
             .into_iter()
-            .map(|slot| (slot, self.policy.resume_at(first_crossing(slot))))
+            .map(|slot| (slot, first_crossing(slot)))
             .collect()
     }
 
@@ -681,8 +682,6 @@ impl PathCache {
                 let m = entry.count;
                 let displaced = if m == 0 || detour > entry.longest_hops {
                     m
-                } else if matches!(self.policy, PathPolicy::KShortest(_)) {
-                    0
                 } else {
                     candidates.clear();
                     let ids = cached.candidates(slot).iter();
@@ -704,12 +703,12 @@ impl PathCache {
             .filter_map(|((slot, entry), first)| {
                 let ((s, t), m) = (entry.pair, entry.count);
                 if first < m {
-                    return Some((slot, self.policy.resume_at(first)));
+                    return Some((slot, first));
                 }
                 let exhausted = disjoint
                     && (csr.live_degree(s) == m as usize || csr.live_degree(t) == m as usize);
                 let rescued = first != UNREACHED && (m as usize) < k && !exhausted;
-                rescued.then(|| (slot, self.policy.resume_at(m)))
+                rescued.then_some((slot, m))
             })
             .collect()
     }
@@ -835,12 +834,13 @@ mod tests {
         let t = gen::isp_topology(Amount::from_xrp(100));
         let table = PathTable::new();
         let mut dis = PathCache::new(PathPolicy::EdgeDisjoint(4));
-        let mut yen = PathCache::new(PathPolicy::KShortest(4));
+        let mut one = PathCache::new(PathPolicy::Shortest);
         let d = dis.get(&t, &table, NodeId(0), NodeId(7)).to_vec();
-        let y = yen.get(&t, &table, NodeId(0), NodeId(7)).to_vec();
+        let s = one.get(&t, &table, NodeId(0), NodeId(7)).to_vec();
         assert_eq!(d.len(), 4);
-        assert_eq!(y.len(), 4);
-        // Yen's set may share edges; the disjoint set may not.
+        // The shortest path is the disjoint set's first, interned once.
+        assert_eq!(s, &d[..1]);
+        // The disjoint set shares no channel.
         let mut used = std::collections::BTreeSet::new();
         for id in &d {
             for &(c, _) in table.entry(*id).hops() {
@@ -924,11 +924,6 @@ mod tests {
     #[test]
     fn prefill_assigns_the_ids_of_gets_in_pair_order_edge_disjoint() {
         prefill_assigns_the_ids_of_gets_in_pair_order(PathPolicy::EdgeDisjoint(4));
-    }
-
-    #[test]
-    fn prefill_assigns_the_ids_of_gets_in_pair_order_k_shortest() {
-        prefill_assigns_the_ids_of_gets_in_pair_order(PathPolicy::KShortest(3));
     }
 
     #[test]
@@ -1105,7 +1100,7 @@ mod tests {
     fn resize_invalidates_nothing() {
         let t = gen::isp_topology(Amount::from_xrp(100));
         let table = PathTable::new();
-        let mut c = PathCache::new(PathPolicy::KShortest(3));
+        let mut c = PathCache::new(PathPolicy::EdgeDisjoint(3));
         c.get(&t, &table, NodeId(1), NodeId(9));
         let update = TopologyUpdate {
             resized: vec![ChannelId(0), ChannelId(3)],
@@ -1120,11 +1115,7 @@ mod tests {
         // A pair first requested *after* a close must be computed on the
         // masked graph, for every policy.
         let t = gen::isp_topology(Amount::from_xrp(100));
-        for policy in [
-            PathPolicy::EdgeDisjoint(4),
-            PathPolicy::KShortest(3),
-            PathPolicy::Shortest,
-        ] {
+        for policy in [PathPolicy::EdgeDisjoint(4), PathPolicy::Shortest] {
             let table = PathTable::new();
             let mut c = PathCache::new(policy);
             // Close every channel incident to node 5's first neighbor hop
@@ -1166,9 +1157,8 @@ mod tests {
     }
 
     /// The index against a recount from the cache: a channel's current entries
-    /// are exactly the hops the cached candidates put on it — a slot twice
-    /// where two of its candidates share the channel — and its live count
-    /// is their number.
+    /// are exactly the hops the cached candidates put on it, and its live
+    /// count is their number.
     fn assert_index_mirrors_cache(c: &PathCache, topo: &Topology, table: &PathTable) {
         let Some(rev) = c.rev.as_ref() else { return };
         let slots = &c.cached.slots;
@@ -1272,19 +1262,15 @@ mod tests {
     proptest::proptest! {
         /// Random small graphs under random close / open / reopen /
         /// batched-mixed histories with lazy gets in between, for every
-        /// policy (`KShortest` is the one whose candidates share channels).
+        /// policy.
         #[test]
         fn index_and_candidates_survive_random_churn(
             seed in 0u64..u64::MAX,
             nodes in 5usize..12,
-            policy in 0usize..3,
+            policy in 0usize..2,
             ops in proptest::collection::vec((0u8..4, 0u64..u64::MAX), 1..16),
         ) {
-            let policy = [
-                PathPolicy::EdgeDisjoint(3),
-                PathPolicy::KShortest(3),
-                PathPolicy::Shortest,
-            ][policy];
+            let policy = [PathPolicy::EdgeDisjoint(3), PathPolicy::Shortest][policy];
             churn_case(seed, nodes, policy, &ops);
         }
     }
@@ -1473,37 +1459,6 @@ mod tests {
             decided.kept_by_bound > 0,
             "the bound kept no reached pair whole"
         );
-    }
-
-    /// `KShortest` candidates of one pair share channels, so a slot is a
-    /// member of such a channel once per candidate; replacing the pair's
-    /// candidates must take every copy out and put the new ones in.
-    #[test]
-    fn shared_channels_are_counted_once_per_candidate() {
-        // A stem 0–1 into a diamond 1–{2,3}–4: both 0→4 paths cross the
-        // stem, each has a side of the diamond to itself.
-        let t = graph(5, &[(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]);
-        let (stem, side) = (ChannelId(0), ChannelId(1));
-        let table = PathTable::new();
-        let mut c = PathCache::new(PathPolicy::KShortest(3));
-        let pair = (NodeId(0), NodeId(4));
-        let both = c.get(&t, &table, pair.0, pair.1).to_vec();
-        assert_eq!(both.len(), 2);
-        assert_eq!(c.pairs_traversing(&t, &table, &[stem]), [pair]);
-        let live = |c: &PathCache, ch: ChannelId| c.rev.as_ref().map(|rev| rev.live(ch.index()));
-        assert_eq!(live(&c, stem), Some(2), "once per candidate");
-        assert_eq!(live(&c, side), Some(1));
-        let close = closing(&[side]);
-        assert_eq!(c.on_topology_change(&t, &table, &close), [pair]);
-        assert_index_mirrors_cache(&c, &t, &table);
-        assert_eq!(c.get(&t, &table, pair.0, pair.1), &both[1..]);
-        assert_eq!((live(&c, stem), live(&c, side)), (Some(1), Some(0)));
-        let reopen = opening(&[side]);
-        assert_eq!(c.on_topology_change(&t, &table, &reopen), [pair]);
-        assert_index_mirrors_cache(&c, &t, &table);
-        assert_eq!(c.get(&t, &table, pair.0, pair.1), both);
-        assert_eq!((live(&c, stem), live(&c, side)), (Some(2), Some(1)));
-        assert_eq!(c.pairs_traversing(&t, &table, &[stem]), [pair]);
     }
 
     /// 200 close/reopen cycles of the busiest channel: index memory

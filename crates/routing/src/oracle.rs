@@ -311,7 +311,6 @@ impl<'a> PathOracle<'a> {
                     PathPolicy::EdgeDisjoint(k) => {
                         oracle.edge_disjoint(dst, k, kept.get(i as usize), &mut out)
                     }
-                    PathPolicy::KShortest(k) => oracle.k_shortest(dst, k, &mut out),
                     PathPolicy::Shortest => oracle.shortest(dst, &mut out),
                 };
                 counts.push((i, count as u32));
@@ -329,15 +328,11 @@ impl<'a> PathOracle<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spider_lp::paths::{k_edge_disjoint_paths, k_shortest_paths};
+    use spider_lp::paths::k_edge_disjoint_paths;
     use spider_topology::gen;
     use spider_types::{Amount, DetRng};
 
-    const POLICIES: [PathPolicy; 3] = [
-        PathPolicy::EdgeDisjoint(4),
-        PathPolicy::KShortest(3),
-        PathPolicy::Shortest,
-    ];
+    const POLICIES: [PathPolicy; 2] = [PathPolicy::EdgeDisjoint(4), PathPolicy::Shortest];
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -370,10 +365,6 @@ mod tests {
     fn per_pair(t: &Topology, policy: PathPolicy, s: NodeId, d: NodeId) -> Vec<Vec<NodeId>> {
         match policy {
             PathPolicy::EdgeDisjoint(k) => k_edge_disjoint_paths(t, s, d, k)
-                .into_iter()
-                .map(|p| p.nodes)
-                .collect(),
-            PathPolicy::KShortest(k) => k_shortest_paths(t, s, d, k)
                 .into_iter()
                 .map(|p| p.nodes)
                 .collect(),

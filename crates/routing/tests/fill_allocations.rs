@@ -31,11 +31,7 @@ fn fill_allocates_per_worker_not_per_pair() {
     // calling thread, so the count does not depend on how many workers
     // got to a source before the others had drained the queue.
     let inline = &all_pairs[..4 * (nodes as usize - 1)];
-    for policy in [
-        PathPolicy::EdgeDisjoint(4),
-        PathPolicy::KShortest(3),
-        PathPolicy::Shortest,
-    ] {
+    for policy in [PathPolicy::EdgeDisjoint(4), PathPolicy::Shortest] {
         let oracle = PathOracle::new(&topo, policy);
         let count = |pairs: &[(NodeId, NodeId)]| {
             let mut paths = 0;

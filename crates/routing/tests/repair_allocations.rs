@@ -44,52 +44,51 @@ fn hub(topo: &Topology, table: &PathTable, cache: &mut PathCache) -> ChannelId {
 fn repair_allocates_per_event_not_per_pair() {
     const CYCLES: u64 = 20;
     let topo = gen::isp_topology(Amount::from_xrp(100));
-    // (The multi-path policies: a hub carries enough of their pairs for
-    // a per-pair cost to stand out from the buffers' doublings.)
-    for policy in [PathPolicy::EdgeDisjoint(4), PathPolicy::KShortest(3)] {
-        // `(allocations, pairs repaired)` over `CYCLES` close/reopen
-        // cycles of the hub, for a cache of the pairs to every `step`-th
-        // node.
-        let cycle_hub = |step: usize| {
-            let table = PathTable::new();
-            let mut cache = PathCache::new(policy);
-            cache.prefill(&topo, &table, &pairs_to_every(&topo, step));
-            let hub = hub(&topo, &table, &mut cache);
-            let (close, reopen) = (
-                TopologyUpdate {
-                    closed: vec![hub],
-                    ..TopologyUpdate::default()
-                },
-                TopologyUpdate {
-                    opened: vec![hub],
-                    ..TopologyUpdate::default()
-                },
-            );
-            let mut repaired = 0;
-            let mut cycle = |cache: &mut PathCache| {
-                repaired += cache.on_topology_change(&topo, &table, &close).len();
-                repaired += cache.on_topology_change(&topo, &table, &reopen).len();
-            };
-            // The first cycle builds the index and interns the detours.
-            cycle(&mut cache);
-            let allocations = allocations_during(|| (0..CYCLES).for_each(|_| cycle(&mut cache)));
-            (allocations, repaired as u64)
+    // (The multi-path policy: a hub carries enough of its pairs for a
+    // per-pair cost to stand out from the buffers' doublings.)
+    let policy = PathPolicy::EdgeDisjoint(4);
+    // `(allocations, pairs repaired)` over `CYCLES` close/reopen
+    // cycles of the hub, for a cache of the pairs to every `step`-th
+    // node.
+    let cycle_hub = |step: usize| {
+        let table = PathTable::new();
+        let mut cache = PathCache::new(policy);
+        cache.prefill(&topo, &table, &pairs_to_every(&topo, step));
+        let hub = hub(&topo, &table, &mut cache);
+        let (close, reopen) = (
+            TopologyUpdate {
+                closed: vec![hub],
+                ..TopologyUpdate::default()
+            },
+            TopologyUpdate {
+                opened: vec![hub],
+                ..TopologyUpdate::default()
+            },
+        );
+        let mut repaired = 0;
+        let mut cycle = |cache: &mut PathCache| {
+            repaired += cache.on_topology_change(&topo, &table, &close).len();
+            repaired += cache.on_topology_change(&topo, &table, &reopen).len();
         };
-        let (few, few_repaired) = cycle_hub(4);
-        let (many, many_repaired) = cycle_hub(1);
-        let more_pairs = many_repaired - few_repaired;
-        assert!(
-            more_pairs >= 2 * CYCLES * 10,
-            "{policy:?}: only {more_pairs} more pairs repaired"
-        );
-        // Four times the pairs through the same events: the per-event
-        // buffers double a few more times, and that is all. One allocation
-        // a repaired pair would be `more_pairs` more; so would one a hop,
-        // several times over.
-        assert!(
-            2 * many.saturating_sub(few) <= more_pairs,
-            "{policy:?}: {few} allocations to repair {few_repaired} pairs, \
-             {many} to repair {many_repaired}"
-        );
-    }
+        // The first cycle builds the index and interns the detours.
+        cycle(&mut cache);
+        let allocations = allocations_during(|| (0..CYCLES).for_each(|_| cycle(&mut cache)));
+        (allocations, repaired as u64)
+    };
+    let (few, few_repaired) = cycle_hub(4);
+    let (many, many_repaired) = cycle_hub(1);
+    let more_pairs = many_repaired - few_repaired;
+    assert!(
+        more_pairs >= 2 * CYCLES * 10,
+        "{policy:?}: only {more_pairs} more pairs repaired"
+    );
+    // Four times the pairs through the same events: the per-event
+    // buffers double a few more times, and that is all. One allocation
+    // a repaired pair would be `more_pairs` more; so would one a hop,
+    // several times over.
+    assert!(
+        2 * many.saturating_sub(few) <= more_pairs,
+        "{policy:?}: {few} allocations to repair {few_repaired} pairs, \
+         {many} to repair {many_repaired}"
+    );
 }

@@ -104,13 +104,9 @@ proptest! {
             proptest::collection::vec((0usize..3, 0usize..4096), 1..5),
             1..10,
         ),
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
     ) {
-        let policy = [
-            PathPolicy::EdgeDisjoint(4),
-            PathPolicy::KShortest(3),
-            PathPolicy::Shortest,
-        ][policy_idx];
+        let policy = [PathPolicy::EdgeDisjoint(4), PathPolicy::Shortest][policy_idx];
         let mut rng = DetRng::new(seed);
         let topo = gen::barabasi_albert(200, 2, Amount::from_xrp(100), &mut rng);
         let mut pairs = Vec::new();

@@ -4,7 +4,9 @@
 
 use spider_core::experiment::demand_graph;
 use spider_core::SchemeConfig;
-use spider_sim::{SimConfig, Simulation, SizeDistribution, Workload, WorkloadConfig};
+use spider_sim::{
+    QueueConfig, QueueingMode, SimConfig, Simulation, SizeDistribution, Workload, WorkloadConfig,
+};
 use spider_topology::gen;
 use spider_types::{Amount, DetRng, Direction, SimDuration};
 
@@ -131,4 +133,78 @@ fn one_way_traffic_ends_fully_imbalanced_but_conserved() {
     let ch = &sim.channel_states()[0];
     assert_eq!(ch.available(Direction::Forward), Amount::ZERO);
     assert_eq!(ch.available(Direction::Backward), capacity);
+
+    // The closed form on a line A→B→C of unequal capacities, in both
+    // engine modes: one-MTU payments, one way only, offered at twice a
+    // second until T/2 — twenty MTUs against the three that B→C's forward
+    // escrow (30 of its 60 XRP) holds. One-way traffic never refills a
+    // forward side, so exactly that escrow is delivered, to the unit, and
+    // the three payments that spend it are the last to complete.
+    let (ab, bc) = (Amount::from_xrp(100), Amount::from_xrp(60));
+    let mut b = spider_topology::Topology::builder(3);
+    b.channel(spider_types::NodeId(0), spider_types::NodeId(1), ab)
+        .expect("A-B");
+    b.channel(spider_types::NodeId(1), spider_types::NodeId(2), bc)
+        .expect("B-C");
+    let topo = b.build();
+    let horizon = SimDuration::from_secs(20);
+    let mtu = SimConfig::default().mtu;
+    let txns: Vec<spider_sim::TxnSpec> = (0..20)
+        .map(|i| spider_sim::TxnSpec {
+            time: spider_types::SimTime::from_micros(500_000 * i),
+            src: spider_types::NodeId(0),
+            dst: spider_types::NodeId(2),
+            amount: mtu,
+        })
+        .collect();
+    assert!(txns
+        .iter()
+        .all(|t| t.time.as_secs_f64() < horizon.as_secs_f64() / 2.0));
+    let escrow = bc / 2;
+    for (mode, queueing) in [
+        ("lockstep", QueueingMode::Lockstep),
+        ("fifo", QueueingMode::PerChannelFifo(QueueConfig::default())),
+    ] {
+        let demands = spider_paygraph::PaymentGraph::new(3);
+        let router = SchemeConfig::ShortestPath.build(&topo, &demands, 0.5);
+        let cfg = SimConfig {
+            horizon,
+            queueing,
+            ..SimConfig::default()
+        };
+        let workload = Workload { txns: txns.clone() };
+        let mut sim = Simulation::new(topo.clone(), workload, router, cfg).expect("builds");
+        let report = sim.run();
+        sim.check_conservation();
+        assert_eq!(report.attempted_payments, 20, "{mode}");
+        assert_eq!(report.delivered_volume, escrow, "{mode}");
+        assert_eq!(report.completed_volume, escrow, "{mode}");
+        assert_eq!(report.completed_payments, 3, "{mode}");
+        // The third payment arrives at 1 s and spends the last of the
+        // escrow; it settles within Δ (0.5 s) plus two hop delays. The
+        // fourth arrives at 1.5 s and could settle no earlier than 2 s:
+        // nothing may be delivered from then on, though payments keep
+        // arriving until 10 s.
+        let late: f64 = report.throughput_series.iter().skip(2).sum();
+        assert_eq!(late, 0.0, "{mode}: {:?}", report.throughput_series);
+        // Every unit that did not deliver was failed back to A: A→B keeps
+        // its escrow less the three delivered MTUs, B→C is drained.
+        let (ab_state, bc_state) = (&sim.channel_states()[0], &sim.channel_states()[1]);
+        assert_eq!(
+            ab_state.available(Direction::Forward),
+            ab / 2 - escrow,
+            "{mode}"
+        );
+        assert_eq!(
+            ab_state.available(Direction::Backward),
+            ab / 2 + escrow,
+            "{mode}"
+        );
+        assert_eq!(
+            bc_state.available(Direction::Forward),
+            Amount::ZERO,
+            "{mode}"
+        );
+        assert_eq!(bc_state.available(Direction::Backward), bc, "{mode}");
+    }
 }
