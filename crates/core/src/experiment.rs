@@ -612,8 +612,10 @@ mod tests {
 
     /// Each artifact is `Some` exactly when its `sim.obs` field asked for
     /// it, and no sink moves the report: every sink on, every sink off and
-    /// `run()` serialize identically, apart from the hotspot table that
-    /// attribution adds — non-empty and score-descending.
+    /// `run()` serialize identically, apart from what three sinks add by
+    /// design — attribution's hotspot table (non-empty, score-descending),
+    /// the profiler's wall-clock stats and the queue-depth series. The
+    /// profiler's sampling draw is its own stream, never a simulation one.
     #[test]
     fn artifacts_follow_obs_and_never_move_the_report() -> Result<()> {
         let base = |scheme| ExperimentConfig {
@@ -668,13 +670,16 @@ mod tests {
                 "{name}: admission control never engaged"
             );
             let want = json(&report);
+            let queues = !matches!(cfg.effective_sim().queueing, QueueingMode::Lockstep);
             // Bit i of `mask` switches sink i on: none, each alone, all.
-            for mask in [0b0000, 0b0001, 0b0010, 0b0100, 0b1000, 0b1111] {
+            for mask in [0, 1, 2, 4, 8, 16, 32, 0b11_1111] {
                 let mut observed = cfg.clone();
                 observed.sim.obs.trace = mask & 1 != 0;
                 observed.sim.obs.forensics_capacity = if mask & 2 != 0 { 512 } else { 0 };
                 observed.sim.obs.invariants_every = if mask & 4 != 0 { 64 } else { 0 };
                 observed.sim.obs.attribution = mask & 8 != 0;
+                observed.sim.obs.profile = mask & 16 != 0;
+                observed.sim.obs.sampler.queue_depths = mask & 32 != 0;
                 let mut out = execute(observed.simulation(None)?);
                 assert_eq!(out.trace.is_some(), mask & 1 != 0, "{name}: trace");
                 assert_eq!(out.forensics.is_some(), mask & 2 != 0, "{name}: forensics");
@@ -691,6 +696,19 @@ mod tests {
                         "{name}: hotspots not score-descending"
                     );
                 }
+                let profile = std::mem::take(&mut out.report.profile);
+                assert_eq!(profile.enabled, mask & 16 != 0, "{name}: profile");
+                assert_eq!(
+                    profile.calendar_pop.count > 0,
+                    mask & 16 != 0,
+                    "{name}: profiler counts"
+                );
+                let depths = std::mem::take(&mut out.report.samples.queue_depths);
+                assert_eq!(
+                    !depths.is_empty(),
+                    mask & 32 != 0 && queues,
+                    "{name}: queue depths"
+                );
                 assert_eq!(
                     json(&out.report),
                     want,

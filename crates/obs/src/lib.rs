@@ -17,7 +17,8 @@
 //!   units, calendar occupancy, AIMD window sum, mean channel price).
 //! * [`profile`] — monotonic-clock [`Profiler`] timing the engine's
 //!   phases (calendar pop, routing, forwarding, settlement, churn
-//!   repair, sampling) into [`ProfileStats`].
+//!   repair, sampling) into [`ProfileStats`]: exact counts, totals
+//!   estimated from a random sample of event-loop iterations.
 //! * [`attribution`] — per-channel hotspot accumulators (utilization /
 //!   starvation / imbalance integrals, queue residency, drop and
 //!   bottleneck counts) reduced into a deterministic top-K
@@ -44,6 +45,6 @@ pub mod trace;
 pub use attribution::{ChannelAttribution, ChannelHotspot, ChannelSample, HOTSPOT_K};
 pub use forensics::{DropRecord, FlightRecorder, RootCauseRow};
 pub use hist::Histogram;
-pub use profile::{Phase, PhaseStats, ProfileStats, Profiler};
+pub use profile::{Iteration, Phase, PhaseStats, ProfileStats, Profiler};
 pub use sampler::{SampleSeries, SampleSet, Sampler, SamplerConfig, NUM_SERIES, SERIES_NAMES};
 pub use trace::{Trace, TraceEvent, TraceEventKind, TraceSink};

@@ -197,9 +197,10 @@ enum EventKind {
 }
 
 impl EventKind {
-    /// The profiler phase the event's handler is charged to. `Poll`
-    /// splits itself between sampling and routing; rebalancing is left
-    /// unattributed.
+    /// The profiler phase a loop iteration charges the event's handler
+    /// to. `Poll` splits itself between sampling and routing, and churn
+    /// and fault events time themselves, each on every call; rebalancing
+    /// is left unattributed.
     fn phase(&self) -> Option<Phase> {
         match self {
             EventKind::Arrival(_) | EventKind::DeferredArrival(_) => Some(Phase::Routing),
@@ -207,8 +208,11 @@ impl EventKind {
             EventKind::HopArrive(_) | EventKind::UnitDeliver(_) | EventKind::UnitTimeout { .. } => {
                 Some(Phase::Forwarding)
             }
-            EventKind::Topology(_) | EventKind::Fault(_) => Some(Phase::ChurnRepair),
-            EventKind::Poll | EventKind::RebalanceScan | EventKind::RebalanceSettle { .. } => None,
+            EventKind::Poll
+            | EventKind::RebalanceScan
+            | EventKind::RebalanceSettle { .. }
+            | EventKind::Topology(_)
+            | EventKind::Fault(_) => None,
         }
     }
 }
@@ -428,9 +432,9 @@ impl Simulation {
         }
 
         loop {
-            let t0 = self.obs.profiler.start();
+            let mut it = self.obs.profiler.iteration();
             let popped = self.events.pop(horizon);
-            self.obs.profiler.stop(Phase::CalendarPop, t0);
+            self.obs.profiler.lap(&mut it, Phase::CalendarPop);
             let Some((t, kind)) = popped else {
                 break;
             };
@@ -439,7 +443,6 @@ impl Simulation {
                 continue;
             };
             let phase = kind.phase();
-            let t0 = phase.and_then(|_| self.obs.profiler.start());
             match kind {
                 EventKind::Arrival(spec) => {
                     if let Some(next) = self.arrivals.next_due(horizon) {
@@ -468,11 +471,20 @@ impl Simulation {
                 EventKind::HopArrive(_) => self.on_hop_arrive(),
                 EventKind::UnitDeliver(_) => self.on_unit_deliver(),
                 EventKind::UnitTimeout { unit, reason } => self.on_unit_timeout(unit, reason),
-                EventKind::Topology(i) => self.on_topology_event(i),
-                EventKind::Fault(i) => self.on_fault_event(i),
+                // Churn is too rare to sample: time every event.
+                EventKind::Topology(i) => {
+                    let t0 = self.obs.profiler.start();
+                    self.on_topology_event(i);
+                    self.obs.profiler.stop(Phase::ChurnRepair, t0);
+                }
+                EventKind::Fault(i) => {
+                    let t0 = self.obs.profiler.start();
+                    self.on_fault_event(i);
+                    self.obs.profiler.stop(Phase::ChurnRepair, t0);
+                }
             }
             if let Some(phase) = phase {
-                self.obs.profiler.stop(phase, t0);
+                self.obs.profiler.lap(&mut it, phase);
             }
             self.monitor_step();
         }

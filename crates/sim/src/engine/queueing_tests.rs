@@ -321,6 +321,52 @@ fn queue_depth_sampling_is_off_by_default_and_per_channel_when_on() {
     assert_eq!(last.iter().sum::<u32>() as usize, sim.queued_units());
 }
 
+/// The profiler's per-phase counts are exact whichever iterations it
+/// times: one fixed run on each engine, with a churn close and reopen,
+/// pinned to the counts recorded when every iteration was timed.
+#[test]
+fn profiler_counts_are_exact_on_a_fixed_run() {
+    for (mode, queueing, want) in [
+        (
+            "fifo",
+            qconfig(QueueConfig::default()).queueing,
+            [95, 55, 17, 0, 2, 5],
+        ),
+        (
+            "lockstep",
+            crate::config::QueueingMode::Lockstep,
+            [69, 55, 0, 9, 2, 5],
+        ),
+    ] {
+        let t = gen::line(3, xrp(10));
+        let txns = vec![
+            txn(0, 0, 2, xrp(7)),
+            txn(50, 2, 0, xrp(4)),
+            txn(120, 0, 1, xrp(6)),
+            txn(400, 1, 2, xrp(3)),
+            txn(2_000, 2, 0, xrp(9)),
+        ];
+        let mut cfg = qconfig(QueueConfig::default());
+        cfg.queueing = queueing;
+        cfg.horizon = SimDuration::from_secs(5);
+        cfg.obs.profile = true;
+        let channel = t.channel_between(NodeId(1), NodeId(2)).expect("built");
+        let mut sim = new_sim(t, Workload { txns }, Box::new(Direct), cfg);
+        let churn = |at_ms: u64, change| TopologyEvent {
+            at: SimTime::from_micros(at_ms * 1_000),
+            change,
+        };
+        sim.set_topology_events(vec![
+            churn(1_000, TopologyChange::ChannelClose { channel }),
+            churn(1_500, TopologyChange::ChannelOpen { channel }),
+        ]);
+        let (r, _) = run_checked(sim);
+        assert_eq!(r.completed_payments, 5, "{mode}");
+        let counts = r.profile.phases().map(|(_, s)| s.count);
+        assert_eq!(counts, want, "{mode}: {:?}", r.profile);
+    }
+}
+
 #[test]
 fn drop_reasons_partition_the_drop_counter() {
     // Timeouts: the forward direction never refills, so queued units
