@@ -47,7 +47,9 @@ pub struct DynamicsConfig {
     /// range and applied to the channel's *original* (union-topology)
     /// capacity: each event samples an absolute target, so repeated
     /// resizes of one channel wander within the range instead of
-    /// compounding toward zero or infinity.
+    /// compounding toward zero or infinity. [`ChurnSchedule::generate`]
+    /// rejects a range that could grow the topology's largest channel
+    /// past `i64::MAX` drops.
     pub resize_factor_range: [f64; 2],
     /// Poisson rate of node-leave events (events/s). A leave closes every
     /// channel of the node; the node rejoins after the reopen delay
@@ -237,6 +239,14 @@ impl ChurnSchedule {
         if cfg.resize_rate_per_sec > 0.0 {
             let gap = Exponential::new(cfg.resize_rate_per_sec);
             let [lo, hi] = cfg.resize_factor_range;
+            // Balances are signed against each other (imbalance, price
+            // gradients), so no channel may grow past `i64::MAX` drops.
+            let largest = topo.channels().map(|(_, c)| c.capacity).max();
+            if largest.is_some_and(|c| c.drops() as f64 * hi >= i64::MAX as f64) {
+                return Err(SpiderError::InvalidConfig(
+                    "resize factor range would grow a channel past i64::MAX drops".into(),
+                ));
+            }
             let (ln_lo, ln_hi) = (lo.ln(), hi.ln());
             let mut t = gap.sample(&mut resize_rng);
             while t < horizon {
@@ -430,6 +440,16 @@ mod tests {
             },
             DynamicsConfig {
                 reopen_mean_secs: Some(0.0),
+                ..DynamicsConfig::default()
+            },
+            // Finite factors that would grow a 100 XRP channel past
+            // `i64::MAX` drops.
+            DynamicsConfig {
+                resize_factor_range: [1e12, 1e12],
+                ..DynamicsConfig::default()
+            },
+            DynamicsConfig {
+                resize_factor_range: [1.0, 1e300],
                 ..DynamicsConfig::default()
             },
         ] {

@@ -834,7 +834,7 @@ impl Residual<'_> {
 }
 
 /// Batched per-source path oracle: one BFS tree and one reusable
-/// [`BfsWorkspace`] answer every destination of a source.
+/// `BfsWorkspace` answer every destination of a source.
 ///
 /// The lazy per-pair oracles pay, for *each* pair, a workspace allocation
 /// plus `k` BFS traversals — and the first of those traversals is always

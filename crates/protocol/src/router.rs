@@ -36,7 +36,7 @@ pub struct ProtocolConfig {
     /// EWMA weight of each new price observation.
     pub price_gamma: f64,
     /// Price attributed to a dropped unit (see
-    /// [`PathPriceEstimator`](crate::price::PathPriceEstimator)).
+    /// [`PathPriceEstimator`]).
     pub nack_price: f64,
     /// Fault-backoff cooldown shape (base and doubling cap) for the
     /// per-path penalty table.

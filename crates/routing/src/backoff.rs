@@ -344,12 +344,6 @@ impl ChannelBreakers {
         true
     }
 
-    /// True when every channel in `hops` may be crossed at `now`
-    /// (convenience for whole-path gating).
-    pub fn allow_path(&mut self, hops: &[ChannelId], now: SimTime) -> bool {
-        hops.iter().all(|&c| self.allow(c, now))
-    }
-
     /// Breaker counters for `Router::observability`, in a fixed order.
     /// Empty when no shed was ever seen, so overload-free observability
     /// output is unchanged by the breaker machinery.
@@ -577,7 +571,6 @@ mod tests {
         let mut b = ChannelBreakers::default();
         assert!(b.is_empty());
         assert!(b.allow(ChannelId(1), T0));
-        assert!(b.allow_path(&[ChannelId(0), ChannelId(1)], T0));
         b.on_success(ChannelId(1));
         assert_eq!(b.counters().count(), 0, "shed-free output unchanged");
         b.on_strike(ChannelId(1), T0);

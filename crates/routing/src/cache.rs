@@ -29,13 +29,13 @@
 //! A pair that keeps every candidate is neither searched nor reported.
 //! The exact rules, their arguments and the per-policy variants are on
 //! [`PathCache::on_topology_change`]. The searches run through
-//! [`PathOracle`](crate::PathOracle) over one retained [`CsrGraph`] whose
+//! [`PathOracle`] over one retained [`CsrGraph`] whose
 //! channels are enabled/disabled in O(1) per event — the graph is
 //! flattened exactly once per cache lifetime.
 //!
 //! Beyond the search, a repair is bookkeeping at id speed. Every cached
 //! pair owns a dense slot for life; "which pairs cross this channel" is a
-//! [`ChannelIndex`] of slots — generation-stamped per-channel lists with
+//! `ChannelIndex` of slots — generation-stamped per-channel lists with
 //! lazy deletion. A re-searched pair whose candidates come back as they were costs
 //! one comparison per path and touches nothing; one that changed costs a
 //! counter decrement per old hop, a generation bump, and a `Vec` push per
@@ -401,7 +401,7 @@ impl PathCache {
     /// so later [`PathCache::get`] calls are pure lookups.
     ///
     /// Pairs are filled *per source* through a batched
-    /// [`PathOracle`](crate::PathOracle) — one BFS tree and one reusable
+    /// [`PathOracle`] — one BFS tree and one reusable
     /// workspace per source, sources fanned across worker threads — then
     /// interned into `paths` on this thread in pair order (first
     /// occurrence wins; already-cached pairs are skipped). Filling pairs

@@ -62,7 +62,7 @@ pub struct SpiderLp {
 impl SpiderLp {
     /// Solves the fluid LP over `k` edge-disjoint paths per demand pair and
     /// keeps the normalized per-path weights. The instance's size picks the
-    /// solver (see [`SIMPLEX_MAX_PATH_VARS`]).
+    /// solver (see `SIMPLEX_MAX_PATH_VARS`).
     pub fn new(topo: &Topology, demands: &PaymentGraph, delta_secs: f64, k: usize) -> Self {
         let problem = FluidProblem::new(topo, demands, delta_secs, PathSelection::KEdgeDisjoint(k));
         let n_path_vars: usize = demands

@@ -5,7 +5,7 @@
 //! plus a workspace allocation per pair, which dominates wall time at
 //! Ripple scale (3,774 nodes, 1–2 × 10⁵ distinct pairs a run).
 //! [`PathOracle`] groups pairs by source, answers each source with one
-//! [`SourceOracle`](spider_lp::paths::SourceOracle) (one shared BFS tree,
+//! [`SourceOracle`] (one shared BFS tree,
 //! one reusable epoch-stamped workspace), and lets scoped worker threads
 //! pull sources from an atomic work queue (`spider_core::run_sweep`
 //! style). Every entry is exactly what the per-pair reference oracles in

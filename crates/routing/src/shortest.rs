@@ -7,7 +7,7 @@
 //!
 //! The path is computed once per pair through the shared [`PathCache`]
 //! (the topology is static, so BFS per request was pure waste) and handed
-//! to the engine as an interned [`PathId`](spider_types::PathId).
+//! to the engine as an interned [`PathId`].
 
 use crate::backoff::{BackoffConfig, ChannelBreakers, PathPenalties};
 use crate::cache::{PathCache, PathPolicy};

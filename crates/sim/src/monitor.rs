@@ -105,7 +105,7 @@ pub struct InvariantReport {
     pub checks_run: u64,
     /// Violations observed (including those beyond the recorded cap).
     pub violations_total: u64,
-    /// The first [`MAX_RECORDED`] violations, in observation order.
+    /// The first `MAX_RECORDED` violations, in observation order.
     pub violations: Vec<InvariantViolation>,
 }
 

@@ -121,13 +121,6 @@ impl Topology {
         &self.channels[id.index()]
     }
 
-    /// Checked channel lookup.
-    pub fn try_channel(&self, id: ChannelId) -> Result<&Channel> {
-        self.channels
-            .get(id.index())
-            .ok_or(SpiderError::UnknownChannel(id))
-    }
-
     /// Adjacency list of `node`, sorted by neighbor id.
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[Adjacency] {
@@ -151,15 +144,6 @@ impl Topology {
             .binary_search_by_key(&other, |adj| adj.neighbor)
             .ok()
             .map(|i| self.adj[probe.index()][i].channel)
-    }
-
-    /// Validates that `node` exists.
-    pub fn check_node(&self, node: NodeId) -> Result<()> {
-        if node.index() < self.node_count {
-            Ok(())
-        } else {
-            Err(SpiderError::UnknownNode(node))
-        }
     }
 
     /// Returns a copy with every channel capacity set to `capacity`

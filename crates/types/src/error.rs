@@ -12,8 +12,6 @@ pub type Result<T> = std::result::Result<T, SpiderError>;
 pub enum SpiderError {
     /// A node id referenced a node that does not exist in the topology.
     UnknownNode(NodeId),
-    /// A channel id referenced a channel that does not exist.
-    UnknownChannel(ChannelId),
     /// Two nodes are not adjacent but an operation required a direct channel.
     NotAdjacent(NodeId, NodeId),
     /// No route could be found between two nodes.
@@ -48,7 +46,6 @@ impl fmt::Display for SpiderError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpiderError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            SpiderError::UnknownChannel(c) => write!(f, "unknown channel {c}"),
             SpiderError::NotAdjacent(a, b) => write!(f, "nodes {a} and {b} share no channel"),
             SpiderError::NoRoute(a, b) => write!(f, "no route from {a} to {b}"),
             SpiderError::InsufficientBalance {

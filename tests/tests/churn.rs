@@ -361,3 +361,46 @@ fn schedule_generation_is_seed_deterministic() {
     assert_eq!(a, b);
     assert!(a.midrun_events() > 0);
 }
+
+/// A resize range that could grow a channel past `i64::MAX` drops is a
+/// config error caught before the run: a saturated capacity would
+/// otherwise panic the first time the sampler signs the channel's
+/// balances. The check depends on the topology alone, so one scheme of
+/// each transport (lockstep, hop-by-hop) stands for all.
+#[test]
+fn resize_past_i64_max_is_rejected_before_the_run() {
+    let churn = |scheme: SchemeConfig, range: [f64; 2]| ExperimentConfig {
+        topology: TopologyConfig::Isp {
+            capacity_xrp: 4_000,
+        },
+        workload: WorkloadConfig::small(600, 150.0),
+        sim: SimConfig {
+            horizon: SimDuration::from_secs(3),
+            ..SimConfig::default()
+        },
+        scheme,
+        dynamics: Some(DynamicsConfig {
+            close_rate_per_sec: 0.0,
+            resize_rate_per_sec: 20.0,
+            resize_factor_range: range,
+            node_leave_rate_per_sec: 0.0,
+            spawn_fraction: 0.0,
+            flap_channels: 0,
+            horizon_secs: 3.0,
+            ..DynamicsConfig::default()
+        }),
+        faults: None,
+        overload: None,
+        seed: 1,
+    };
+    for scheme in [SchemeConfig::ShortestPath, SchemeConfig::spider_protocol(4)] {
+        for range in [[1e12, 1e12], [1.0, 1e300]] {
+            let cfg = churn(scheme, range);
+            assert!(cfg.simulation(None).is_err(), "{} {range:?}", scheme.name());
+        }
+        // 4,000 XRP × 2e9 = 8e18 drops stays below `i64::MAX`: the run
+        // goes through.
+        let r = churn(scheme, [1.0, 2e9]).run().expect("runs");
+        assert!(r.topology_events > 0, "{}", scheme.name());
+    }
+}
