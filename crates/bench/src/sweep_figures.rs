@@ -51,6 +51,13 @@ pub const FIG6_SUCCESS: Figure = Figure {
                 },
             ),
             Claim::new(
+                "max-flow ≥ shortest-path, SilentWhispers, SpeedyMurmurs (success ratio)",
+                |d| {
+                    let others = ["shortest-path", "silentwhispers", "speedymurmurs"];
+                    leads(d, "fig6", &BOTH, "max-flow", &others)
+                },
+            ),
+            Claim::new(
                 "Spider (LP) success volume pins within 1 pt of the demand's circulation share",
                 |d| {
                     let mut margin = f64::INFINITY;
@@ -203,20 +210,36 @@ pub const ABLATION_PATH_CHOICE: Figure = Figure {
             points.push(run(4, None, SchemeConfig::SpiderPricing { paths: 4 }));
             Ok(points.into())
         },
-        claims: &[Claim::new(
-            "waterfilling over k = 4 paths delivers at least k = 1's success volume, less 1 pt",
-            |d| {
-                let k4 = d
-                    .scheme("ablation-paths", "waterfilling-k4")?
-                    .success_volume_pct;
-                let k1 = d
-                    .scheme("ablation-paths", "waterfilling-k1")?
-                    .success_volume_pct;
-                holds(k4 - k1 + 1.0, || {
-                    format!("k = 4 volume {k4:.1} % vs k = 1 {k1:.1} %")
-                })
-            },
-        )],
+        claims: &[
+            Claim::new(
+                "waterfilling over k = 4 paths delivers at least k = 1's success volume, less 1 pt",
+                |d| {
+                    let k4 = d
+                        .scheme("ablation-paths", "waterfilling-k4")?
+                        .success_volume_pct;
+                    let k1 = d
+                        .scheme("ablation-paths", "waterfilling-k1")?
+                        .success_volume_pct;
+                    holds(k4 - k1 + 1.0, || {
+                        format!("k = 4 volume {k4:.1} % vs k = 1 {k1:.1} %")
+                    })
+                },
+            ),
+            Claim::new(
+                "Spider (Pricing) delivers at least waterfilling's success volume at the same k = 4",
+                |d| {
+                    let pricing = d
+                        .scheme("ablation-paths", "spider-pricing")?
+                        .success_volume_pct;
+                    let k4 = d
+                        .scheme("ablation-paths", "waterfilling-k4")?
+                        .success_volume_pct;
+                    holds(pricing - k4, || {
+                        format!("pricing volume {pricing:.1} % vs waterfilling {k4:.1} %")
+                    })
+                },
+            ),
+        ],
     },
 };
 

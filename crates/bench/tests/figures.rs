@@ -73,8 +73,7 @@ fn registry_names_are_unique_and_every_figure_has_a_claim() {
 #[test]
 fn committed_scoreboard_lists_exactly_the_registry_claims() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/REPRODUCTION.json");
-    let doc: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let doc = serde_json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
     let committed: Vec<(String, String, String)> = doc
         .as_array()
         .unwrap()

@@ -1,17 +1,17 @@
 //! Declarative experiments: topology + workload + scheme + seed → report.
 
 use crate::scheme::SchemeConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_dynamics::{ChurnSchedule, DynamicsConfig};
 use spider_faults::{FaultConfig, FaultPlan};
 use spider_overload::{OverloadConfig, OverloadPlan};
 use spider_paygraph::PaymentGraph;
 use spider_sim::{QueueingMode, SimConfig, SimReport, Simulation, Workload, WorkloadConfig};
 use spider_topology::{analysis, gen, Topology};
-use spider_types::{Amount, DetRng, Result, SimDuration, SimTime, SpiderError};
+use spider_types::{Amount, DetRng, Result, SimDuration, SimTime, SpiderError, DROPS_PER_XRP};
 
 /// Topology selection for an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum TopologyConfig {
     /// The deterministic 32-node / 152-edge ISP-like graph of §6.1.
     Isp {
@@ -109,9 +109,22 @@ impl TopologyConfig {
         Ok(topo)
     }
 
-    /// The preconditions the random generators assert on.
+    /// The preconditions the random generators assert on, and a capacity
+    /// bound: channel balances are read as signed amounts, so no capacity
+    /// may exceed `i64::MAX` drops.
     fn check_generator(&self) -> Result<()> {
         let invalid = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
+        let capacity_xrp = match *self {
+            TopologyConfig::Isp { capacity_xrp }
+            | TopologyConfig::RippleLike { capacity_xrp, .. }
+            | TopologyConfig::PaperExample { capacity_xrp }
+            | TopologyConfig::SmallWorld { capacity_xrp, .. }
+            | TopologyConfig::ScaleFree { capacity_xrp, .. } => Some(capacity_xrp),
+            TopologyConfig::Text { .. } => None,
+        };
+        if capacity_xrp.is_some_and(|c| c > i64::MAX as u64 / DROPS_PER_XRP) {
+            return invalid("a channel capacity may not exceed i64::MAX drops");
+        }
         match *self {
             TopologyConfig::RippleLike { nodes, .. } if nodes < 8 => {
                 invalid("a Ripple-like graph needs at least 8 nodes")
@@ -134,7 +147,7 @@ impl TopologyConfig {
 }
 
 /// A complete experiment description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentConfig {
     /// The network.
     pub topology: TopologyConfig,
@@ -730,7 +743,11 @@ mod tests {
 
     #[test]
     fn invalid_topology_is_rejected() {
-        for text in ["nodes 1\n", "nodes 18446744073709551615\n"] {
+        for text in [
+            "nodes 1\n",
+            "nodes 18446744073709551615\n",
+            "nodes 2\nchannel 0 1 18446744073709551615\n",
+        ] {
             let cfg = TopologyConfig::Text {
                 text: text.to_string(),
             };
@@ -792,6 +809,9 @@ mod tests {
             scale_free(1, 1),
             ripple(3),
             ripple(0),
+            TopologyConfig::Isp {
+                capacity_xrp: 18_500_000_000_000,
+            },
         ];
         let base = ExperimentConfig {
             workload: WorkloadConfig::small(200, 100.0),

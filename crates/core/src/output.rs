@@ -227,7 +227,7 @@ mod tests {
     fn json_lines_parse_back() {
         let row = FigureRow::new("figX", "", 0.0, &report());
         let doc = to_json_lines(std::slice::from_ref(&row));
-        let v: serde_json::Value = serde_json::from_str(&doc).unwrap();
+        let v = serde_json::parse(&doc).unwrap();
         assert_eq!(v["scheme"], "test");
         assert_eq!(v["completed"], 7);
     }

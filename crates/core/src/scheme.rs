@@ -1,6 +1,6 @@
 //! Declarative routing-scheme configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_paygraph::PaymentGraph;
 use spider_protocol::{ProtocolConfig, ProtocolRouter, RateConfig};
 use spider_routing::{
@@ -12,10 +12,9 @@ use spider_types::{Amount, Result, SpiderError};
 
 /// Overrides for the `spider-protocol` sender tunables (AIMD window steps
 /// and price smoothing). Every field is optional; `None` keeps the
-/// defaults of [`RateConfig`]/[`ProtocolConfig`], and omitted fields
-/// deserialize as `None`, so configs written before these knobs existed
-/// keep their meaning.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+/// defaults of [`RateConfig`]/[`ProtocolConfig`], so
+/// `ProtocolTuning::default()` runs the protocol unchanged.
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct ProtocolTuning {
     /// Initial per-path AIMD window, XRP.
     pub initial_window_xrp: Option<f64>,
@@ -58,11 +57,9 @@ impl ProtocolTuning {
     }
 }
 
-/// A routing scheme, as configured in an experiment file.
-///
-/// (`Eq` ended with the `f64` protocol tunables; `PartialEq` remains for
-/// config round-trip checks.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A routing scheme, as an [`ExperimentConfig`](crate::ExperimentConfig)
+/// names it.
+#[derive(Debug, Clone, Copy, Serialize)]
 pub enum SchemeConfig {
     /// Spider (Waterfilling) over `paths` edge-disjoint paths.
     SpiderWaterfilling {
@@ -258,14 +255,5 @@ mod tests {
         let router = cfg.build(&topo, &demands, 0.5);
         assert_eq!(router.name(), "spider-protocol");
         assert!(!router.atomic());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for cfg in SchemeConfig::extended_lineup() {
-            let json = serde_json::to_string(&cfg).unwrap();
-            let back: SchemeConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(cfg, back);
-        }
     }
 }

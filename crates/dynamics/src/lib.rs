@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::panic)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_topology::Topology;
 use spider_types::distr::{Distribution, Exponential};
 use spider_types::{
@@ -34,7 +34,7 @@ use spider_types::{
 /// Parameters of a churn schedule. All rates are per simulated second over
 /// the whole network; every distribution draws from the `DetRng` handed to
 /// [`ChurnSchedule::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DynamicsConfig {
     /// Poisson rate of channel-close events (events/s across the network).
     pub close_rate_per_sec: f64,
@@ -141,7 +141,7 @@ impl DynamicsConfig {
 }
 
 /// A generated, time-sorted churn schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChurnSchedule {
     /// The events, sorted by instant (ties keep generation order — the
     /// engine applies same-instant events in list order).
@@ -455,26 +455,5 @@ mod tests {
         ] {
             assert!(ChurnSchedule::generate(&t, &cfg, &mut DetRng::new(0)).is_err());
         }
-    }
-
-    /// The shim round-trip for the new field shapes the dynamics types
-    /// introduced: `[f64; 2]` (needed a fixed-size-array impl in the
-    /// vendored serde) and `Option<f64>` inside a config struct.
-    #[test]
-    fn config_and_schedule_serde_round_trip() {
-        let cfg = DynamicsConfig {
-            reopen_mean_secs: None,
-            resize_factor_range: [0.25, 4.0],
-            ..DynamicsConfig::default()
-        };
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: DynamicsConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-        let t = topo();
-        let s =
-            ChurnSchedule::generate(&t, &DynamicsConfig::default(), &mut DetRng::new(5)).unwrap();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: ChurnSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -25,13 +25,13 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::panic)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_topology::Topology;
 use spider_types::distr::{Distribution, Exponential};
 use spider_types::{DetRng, NodeId, Result, SimDuration, SimTime, SpiderError};
 
 /// Node crash/recovery parameters (nested inside [`FaultConfig`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CrashConfig {
     /// Poisson rate of node-crash events (events/s across the network).
     pub rate_per_sec: f64,
@@ -51,7 +51,7 @@ impl Default for CrashConfig {
 
 /// Parameters of a fault plan. Probabilities are per transaction-unit hop
 /// (or per ack); rates are per simulated second over the whole network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultConfig {
     /// Base probability that a unit's forwarding message is lost crossing
     /// one hop. Each channel gets its own per-channel probability drawn
@@ -197,7 +197,7 @@ impl FaultConfig {
 }
 
 /// What a scheduled fault event does when its instant arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultChange {
     /// The node stops forwarding: units arriving at it (or queued behind
     /// it) are dropped with `DropReason::NodeCrashed`.
@@ -213,7 +213,7 @@ pub enum FaultChange {
 }
 
 /// One scheduled crash/recover toggle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultEvent {
     /// When the change happens.
     pub at: SimTime,
@@ -224,7 +224,7 @@ pub struct FaultEvent {
 /// A generated, deterministic fault plan: the scheduled crash windows plus
 /// the per-channel/per-unit draw parameters the engine consults at
 /// runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Per-channel message-loss probability (indexed by `ChannelId`):
     /// the configured base scaled by a deterministic per-channel factor in
@@ -460,38 +460,5 @@ mod tests {
         ] {
             assert!(FaultPlan::generate(&t, &cfg, &mut DetRng::new(0)).is_err());
         }
-    }
-
-    /// The shim round-trip for this crate's field shapes:
-    /// `Option<[f64; 2]>` (an Option wrapping a fixed-size array) and a
-    /// nested `Option<CrashConfig>` config struct — both compose from the
-    /// vendored serde's generic `Option<T>` / `[T; N]` impls.
-    #[test]
-    fn config_and_plan_serde_round_trip() {
-        for cfg in [
-            FaultConfig::default(),
-            FaultConfig {
-                jitter_range_ms: None,
-                crash: None,
-                ..FaultConfig::default()
-            },
-            FaultConfig {
-                jitter_range_ms: Some([0.0, 25.0]),
-                crash: Some(CrashConfig {
-                    rate_per_sec: 0.5,
-                    recovery_mean_secs: None,
-                }),
-                ..FaultConfig::default()
-            },
-        ] {
-            let json = serde_json::to_string(&cfg).unwrap();
-            let back: FaultConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, cfg);
-        }
-        let t = topo();
-        let plan = FaultPlan::generate(&t, &FaultConfig::default(), &mut DetRng::new(5)).unwrap();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -25,7 +25,7 @@
 //! schema is [`ChannelHotspot`] itself: `SimReport` serializes the rows
 //! through `#[derive(Serialize)]`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hotspot rows kept in `SimReport` (the reduction's K).
 pub const HOTSPOT_K: usize = 8;
@@ -45,7 +45,7 @@ pub struct ChannelSample {
 }
 
 /// One row of the end-of-run hotspot table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChannelHotspot {
     /// Dense channel id.
     pub channel: u32,

@@ -7,7 +7,7 @@
 //! simulated quantity we record — at a fixed 64-word cost per histogram,
 //! so the engine can keep several without caring about run length.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of log2 buckets.
 const BUCKETS: usize = 64;
@@ -21,7 +21,7 @@ const FLOOR: f64 = 1e-6;
 /// `FLOOR` fall into bucket 0 and values beyond the last edge clamp into
 /// bucket 63. Alongside the buckets it tracks exact count/sum/min/max, so
 /// means are exact and percentiles are bucket-resolution approximations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Histogram {
     /// Per-bucket sample counts.
     pub counts: Vec<u64>,
@@ -247,18 +247,5 @@ mod tests {
             assert_eq!(m.percentile(50.0), all.percentile(50.0));
             assert_eq!(m.percentile(99.0), all.percentile(99.0));
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut h = Histogram::new();
-        h.record(0.25);
-        h.record(4.0);
-        let v = serde::Serialize::to_value(&h);
-        let back: Histogram = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back.count, h.count);
-        assert_eq!(back.counts, h.counts);
-        assert_eq!(back.min, h.min);
-        assert_eq!(back.max, h.max);
     }
 }

@@ -28,7 +28,7 @@
 //! whole observability layer; they, and the sampling draw, never
 //! influence the simulation and are excluded from golden tests.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_types::DetRng;
 use std::time::Instant;
 
@@ -60,7 +60,7 @@ pub enum Phase {
 }
 
 /// Accumulated timing for one phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PhaseStats {
     /// Times the phase ran (exact).
     pub count: u64,
@@ -71,7 +71,7 @@ pub struct PhaseStats {
 }
 
 /// Per-phase timing breakdown for one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ProfileStats {
     /// Whether profiling was enabled (all-zero stats otherwise).
     pub enabled: bool,
@@ -419,17 +419,5 @@ mod tests {
                 total_ns: 0
             }
         );
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut p = Profiler::new(true);
-        let t0 = p.start();
-        p.stop(Phase::Settlement, t0);
-        let s = p.finish();
-        let v = serde::Serialize::to_value(&s);
-        let back: ProfileStats = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back.settlement.count, 1);
-        assert!(back.enabled);
     }
 }

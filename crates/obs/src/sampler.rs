@@ -14,7 +14,7 @@
 //! ([`SamplerConfig::queue_depths`]) because it is O(channels) per
 //! sample.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_types::SimDuration;
 
 /// Number of registered scalar series.
@@ -43,7 +43,7 @@ pub const SERIES_NAMES: [&str; NUM_SERIES] = [
 ];
 
 /// Sampling configuration, part of the engine's `SimConfig`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SamplerConfig {
     /// Time between samples.
     pub cadence: SimDuration,
@@ -63,7 +63,7 @@ impl Default for SamplerConfig {
 }
 
 /// One named series of the sample set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SampleSeries {
     /// Name from [`SERIES_NAMES`].
     pub name: String,
@@ -72,7 +72,7 @@ pub struct SampleSeries {
 }
 
 /// Every series of one run, index-aligned on the sampling instants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SampleSet {
     /// Seconds between samples.
     pub cadence_s: f64,
@@ -230,15 +230,5 @@ mod tests {
         for name in SERIES_NAMES {
             assert_eq!(set.series(name), &[] as &[f64]);
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut s = Sampler::new(SamplerConfig::default());
-        s.push_row([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let set = s.finish();
-        let v = serde::Serialize::to_value(&set);
-        let back: SampleSet = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, set);
     }
 }

@@ -34,13 +34,13 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::panic)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_topology::Topology;
 use spider_types::{DetRng, NodeId, Result, SimDuration, SpiderError};
 
 /// Flash-crowd parameters: a time window during which the arrival rate is
 /// multiplied by compressing later arrivals into it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlashCrowdConfig {
     /// When the crowd arrives (seconds into the run).
     pub start_secs: f64,
@@ -62,7 +62,7 @@ impl Default for FlashCrowdConfig {
 
 /// Zipf-skewed hot-pair parameters: a fraction of all transactions is
 /// redirected onto a small set of (src, dst) pairs with Zipf weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HotPairsConfig {
     /// Fraction of transactions redirected onto the hot set.
     pub fraction: f64,
@@ -87,7 +87,7 @@ impl Default for HotPairsConfig {
 /// redirected onto fixed one-way flows, steadily emptying the channel
 /// directions they cross (pure DAG demand — the component Spider cannot
 /// sustain off-chain).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DrainConfig {
     /// Number of one-way (src, dst) drain flows.
     pub flows: usize,
@@ -107,7 +107,7 @@ impl Default for DrainConfig {
 /// Griefing parameters: a fraction of payments whose units a hop silently
 /// holds until the sender-side timeout cancels them, pinning liquidity
 /// for the whole hold window at zero goodput cost to the attacker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GriefingConfig {
     /// Fraction of payments that grief.
     pub fraction: f64,
@@ -127,7 +127,7 @@ impl Default for GriefingConfig {
 
 /// Parameters of an overload plan. Each sub-attack is optional; `None`
 /// disables it entirely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OverloadConfig {
     /// Flash-crowd rate spike. `None` = arrivals keep their Poisson times.
     pub flash_crowd: Option<FlashCrowdConfig>,
@@ -229,7 +229,7 @@ impl OverloadConfig {
 }
 
 /// A directed (src, dst) demand pair targeted by an attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TargetPair {
     /// Paying node.
     pub src: NodeId,
@@ -239,7 +239,7 @@ pub struct TargetPair {
 
 /// A generated, deterministic overload plan: the targeted pairs, the
 /// flash window, and the seeds of the two runtime draw streams.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OverloadPlan {
     /// Flash window start (seconds); `f64::INFINITY` disables the warp.
     pub flash_start: f64,
@@ -607,29 +607,5 @@ mod tests {
         ] {
             assert!(OverloadPlan::generate(&t, &cfg, &mut DetRng::new(0)).is_err());
         }
-    }
-
-    #[test]
-    fn config_and_plan_serde_round_trip() {
-        for cfg in [
-            OverloadConfig::default(),
-            OverloadConfig {
-                flash_crowd: None,
-                hot_pairs: None,
-                drain: None,
-                griefing: None,
-                ..OverloadConfig::default()
-            },
-        ] {
-            let json = serde_json::to_string(&cfg).unwrap();
-            let back: OverloadConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, cfg);
-        }
-        let t = topo();
-        let plan =
-            OverloadPlan::generate(&t, &OverloadConfig::default(), &mut DetRng::new(5)).unwrap();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: OverloadPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

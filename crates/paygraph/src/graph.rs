@@ -1,13 +1,13 @@
 //! The payment (demand) graph data structure.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_types::NodeId;
 use std::collections::BTreeMap;
 
 /// One demand: node `src` wants to pay node `dst` at `rate` (currency units
 /// per second, in whatever unit the caller uses consistently — the paper's
 /// fluid model is unit-agnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DemandEdge {
     /// Paying node.
     pub src: NodeId,
@@ -21,7 +21,7 @@ pub struct DemandEdge {
 ///
 /// Edges are stored in a sorted map so iteration order — and therefore every
 /// algorithm built on top — is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PaymentGraph {
     node_count: usize,
     demands: BTreeMap<(NodeId, NodeId), f64>,

@@ -1,11 +1,11 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_obs::SamplerConfig;
 use spider_types::{Amount, SimDuration, SimTime};
 
 /// Order in which queued (incomplete, non-atomic) payments are retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SchedulingPolicy {
     /// Shortest remaining processing time — smallest incomplete amount
     /// first. The paper's default: "scheduled in order of increasing
@@ -24,7 +24,7 @@ pub enum SchedulingPolicy {
 /// On-chain rebalancing policy (§5.2.3): routers may top up a depleted
 /// channel direction with fresh on-chain funds, paying confirmation
 /// latency — the `b_(u,v)` mechanism of eqs. (6)–(11) in event form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RebalancingConfig {
     /// How often channel balances are checked for depletion.
     pub check_interval: SimDuration,
@@ -50,7 +50,7 @@ impl Default for RebalancingConfig {
 }
 
 /// How transaction units claim channel balance along their path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum QueueingMode {
     /// The seed behavior: a unit locks its entire path instantly at
     /// routing time and fails immediately when any hop lacks balance.
@@ -66,7 +66,7 @@ pub enum QueueingMode {
 }
 
 /// Parameters of the per-channel queueing/marking model (§5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueueConfig {
     /// Per-hop forwarding/processing latency once balance is available.
     pub hop_delay: SimDuration,
@@ -153,7 +153,7 @@ impl QueueConfig {
 ///   are paced at exactly `rate_per_sec`, FIFO), so a burst spreads out
 ///   instead of dying. The payment's deadline runs from the deferred
 ///   offer — it has not entered the network while it waits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AdmissionConfig {
     /// Sustained admission rate of the token bucket, payments per second.
     pub rate_per_sec: f64,
@@ -205,7 +205,7 @@ impl AdmissionConfig {
 /// disabled: tracing and profiling cost one branch per would-be record,
 /// and the [`SamplerConfig`]'s scalar probes are O(channels) once per
 /// cadence (the same work the legacy imbalance sampler already did).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ObsConfig {
     /// Record a payment-lifecycle trace
     /// ([`spider_obs::TraceSink`](spider_obs::trace::TraceSink)); collect
@@ -238,7 +238,7 @@ pub struct ObsConfig {
 }
 
 /// Engine parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SimConfig {
     /// End-to-end confirmation delay Δ: time between locking funds along a
     /// path and the key release that settles them (paper: 0.5 s).

@@ -4,7 +4,7 @@
 //! * **Success volume** — delivered value / attempted value (partial
 //!   deliveries of non-atomic payments count their delivered part).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_obs::{ChannelHotspot, Histogram, ProfileStats, SampleSet};
 use spider_types::{Amount, DropReason, SimDuration, SimTime};
 
@@ -19,7 +19,7 @@ use spider_types::{Amount, DropReason, SimDuration, SimTime};
 /// `DropReason` variant with no wildcard arm, so adding a variant without
 /// extending the breakdown fails to build rather than silently leaking
 /// drops out of the conservation law.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DropBreakdown {
     /// Units that waited in a router queue past the configured bound.
     pub queue_timeout: u64,
@@ -79,7 +79,7 @@ impl DropBreakdown {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SimReport {
     /// Routing scheme name.
     pub scheme: String,

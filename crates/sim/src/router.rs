@@ -64,20 +64,6 @@ impl<'a> NetworkView<'a> {
             min
         })
     }
-
-    /// The bottleneck (minimum available balance) along a node path, or
-    /// `None` if consecutive nodes are not adjacent. Prefer
-    /// [`NetworkView::bottleneck`] on interned paths — it skips the
-    /// per-hop `channel_between` resolution this does.
-    pub fn path_bottleneck(&self, path: &[NodeId]) -> Option<Amount> {
-        let mut min = Amount::MAX;
-        for w in path.windows(2) {
-            let c = self.topo.channel_between(w[0], w[1])?;
-            let dir = self.topo.channel(c).direction_from(w[0]);
-            min = min.min(self.available(c, dir));
-        }
-        Some(min)
-    }
 }
 
 /// A request to route (part of) a payment.
@@ -356,12 +342,6 @@ mod tests {
             paths: &paths,
             now: SimTime::ZERO,
         };
-        let b = view
-            .path_bottleneck(&[NodeId(0), NodeId(1), NodeId(2)])
-            .unwrap();
-        assert_eq!(b, Amount::from_xrp(5));
-        assert!(view.path_bottleneck(&[NodeId(0), NodeId(2)]).is_none());
-        // Interned paths give the same bottleneck without adjacency lookups.
         let id = view.intern(&[NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(view.bottleneck(id), Amount::from_xrp(5));
         assert!(view.try_intern(&[NodeId(0), NodeId(2)]).is_err());

@@ -5,12 +5,12 @@
 //! each transaction was sampled from the set of nodes using an exponential
 //! distribution while the receiver was sampled uniformly at random."
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_types::distr::{Distribution, ExponentialRank, LogNormal, PoissonProcess};
 use spider_types::{Amount, DetRng, IdHashSet, NodeId, SimTime};
 
 /// One transaction to inject: at `time`, `src` pays `dst` `amount`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TxnSpec {
     /// Arrival instant.
     pub time: SimTime,
@@ -23,7 +23,7 @@ pub struct TxnSpec {
 }
 
 /// Transaction-size distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SizeDistribution {
     /// Every transaction has the same size.
     Constant {
@@ -79,7 +79,7 @@ fn sample_lognormal_capped(mean: f64, median: f64, cap: f64, rng: &mut DetRng) -
 }
 
 /// Workload parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkloadConfig {
     /// Total number of transactions to generate.
     pub count: usize,
@@ -94,31 +94,6 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// The ISP-topology workload of §6.1: 200,000 transactions over ~200 s.
-    /// The sender skew is calibrated so the implied demand matrix has a
-    /// circulation fraction of ≈ 0.52 (the paper's Spider (LP) success
-    /// volume "corresponds precisely to the circulation component": 52 %).
-    pub fn isp_paper() -> Self {
-        WorkloadConfig {
-            count: 200_000,
-            rate_per_sec: 1_000.0,
-            size: SizeDistribution::RippleIsp,
-            sender_skew_scale: 8.0,
-        }
-    }
-
-    /// The Ripple-subgraph workload of §6.1: 75,000 transactions over ~85 s
-    /// on the 3,774-node graph. Skew calibrated to a circulation fraction
-    /// of ≈ 0.22 (the paper's Ripple-side Spider (LP) volume).
-    pub fn ripple_paper() -> Self {
-        WorkloadConfig {
-            count: 75_000,
-            rate_per_sec: 75_000.0 / 85.0,
-            size: SizeDistribution::RippleFull,
-            sender_skew_scale: 3_774.0 / 8.0,
-        }
-    }
-
     /// A miniature workload for tests and examples.
     pub fn small(count: usize, rate_per_sec: f64) -> Self {
         WorkloadConfig {
@@ -163,7 +138,7 @@ impl WorkloadConfig {
 }
 
 /// A generated transaction sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Workload {
     /// Transactions ordered by arrival time.
     pub txns: Vec<TxnSpec>,
@@ -469,15 +444,5 @@ mod tests {
         let early = w.distinct_pairs(Some(cut));
         assert!(early.len() <= all.len());
         assert_eq!(early, all[..early.len()], "horizon keeps first-seen prefix");
-    }
-
-    #[test]
-    fn paper_configs_have_expected_scale() {
-        let isp = WorkloadConfig::isp_paper();
-        assert_eq!(isp.count, 200_000);
-        assert!((isp.count as f64 / isp.rate_per_sec - 200.0).abs() < 1.0);
-        let ripple = WorkloadConfig::ripple_paper();
-        assert_eq!(ripple.count, 75_000);
-        assert!((ripple.count as f64 / ripple.rate_per_sec - 85.0).abs() < 1.0);
     }
 }

@@ -1,5 +1,5 @@
-//! Graph analysis utilities: components, degree statistics, diameter and
-//! the pruning operations the paper applies to the Ripple snapshot.
+//! Graph analysis utilities: connected components, induced subgraphs and
+//! largest-component extraction.
 
 use crate::graph::{Topology, TopologyBuilder};
 use spider_types::NodeId;
@@ -59,89 +59,6 @@ pub fn largest_component(t: &Topology) -> Topology {
     }
 }
 
-/// Iteratively removes nodes of degree `<= k` until none remain, then
-/// returns the re-densified remainder. With `k = 1` this is exactly the
-/// paper's preprocessing: "we pruned the dataset to remove the degree-1
-/// nodes (which don't make routing decisions)".
-pub fn prune_low_degree(t: &Topology, k: usize) -> Topology {
-    let mut alive = vec![true; t.node_count()];
-    let mut degree: Vec<usize> = t.nodes().map(|n| t.degree(n)).collect();
-    let mut queue: VecDeque<NodeId> = t.nodes().filter(|n| degree[n.index()] <= k).collect();
-    while let Some(u) = queue.pop_front() {
-        if !alive[u.index()] {
-            continue;
-        }
-        alive[u.index()] = false;
-        for adj in t.neighbors(u) {
-            let vi = adj.neighbor.index();
-            if alive[vi] {
-                degree[vi] -= 1;
-                if degree[vi] <= k {
-                    queue.push_back(adj.neighbor);
-                }
-            }
-        }
-    }
-    let keep: Vec<NodeId> = t.nodes().filter(|n| alive[n.index()]).collect();
-    induced_subgraph(t, &keep)
-}
-
-/// Degree of every node.
-pub fn degree_sequence(t: &Topology) -> Vec<usize> {
-    t.nodes().map(|n| t.degree(n)).collect()
-}
-
-/// Mean node degree (0 for the empty graph).
-pub fn average_degree(t: &Topology) -> f64 {
-    if t.node_count() == 0 {
-        0.0
-    } else {
-        2.0 * t.channel_count() as f64 / t.node_count() as f64
-    }
-}
-
-/// Graph diameter in hops; `None` when the graph is disconnected or empty.
-///
-/// O(V·E) — intended for the evaluation topologies, not for million-node
-/// graphs.
-pub fn diameter(t: &Topology) -> Option<u32> {
-    if t.node_count() == 0 {
-        return None;
-    }
-    let mut best = 0;
-    for src in t.nodes() {
-        for d in t.bfs_distances(src) {
-            best = best.max(d?);
-        }
-    }
-    Some(best)
-}
-
-/// Global clustering coefficient (3 × triangles / connected triples);
-/// 0 when the graph has no connected triple.
-pub fn clustering_coefficient(t: &Topology) -> f64 {
-    let mut triangles = 0usize;
-    let mut triples = 0usize;
-    for u in t.nodes() {
-        let neigh: Vec<NodeId> = t.neighbors(u).iter().map(|a| a.neighbor).collect();
-        let d = neigh.len();
-        triples += d.saturating_sub(1) * d / 2;
-        for i in 0..neigh.len() {
-            for j in (i + 1)..neigh.len() {
-                if t.channel_between(neigh[i], neigh[j]).is_some() {
-                    triangles += 1;
-                }
-            }
-        }
-    }
-    // Each triangle is counted once per corner = 3 times.
-    if triples == 0 {
-        0.0
-    } else {
-        triangles as f64 / triples as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,65 +107,5 @@ mod tests {
         // Only edge 1-2 survives (4 is adjacent to 3 and 0, both dropped).
         assert_eq!(sub.channel_count(), 1);
         assert!(sub.channel_between(n(0), n(1)).is_some());
-    }
-
-    #[test]
-    fn prune_degree_one_removes_leaves_recursively() {
-        // A line 0-1-2-3-4: pruning degree-1 removes everything (cascade).
-        let t = gen::line(5, CAP);
-        let pruned = prune_low_degree(&t, 1);
-        assert_eq!(pruned.node_count(), 0);
-        // A cycle survives pruning intact.
-        let c = gen::cycle(5, CAP);
-        let pruned = prune_low_degree(&c, 1);
-        assert_eq!(pruned.node_count(), 5);
-        assert_eq!(pruned.channel_count(), 5);
-    }
-
-    #[test]
-    fn prune_keeps_core_drops_pendant_tree() {
-        // A triangle with a 2-node tail: tail gets pruned, triangle stays.
-        let mut b = Topology::builder(5);
-        b.channel(n(0), n(1), CAP).unwrap();
-        b.channel(n(1), n(2), CAP).unwrap();
-        b.channel(n(2), n(0), CAP).unwrap();
-        b.channel(n(2), n(3), CAP).unwrap();
-        b.channel(n(3), n(4), CAP).unwrap();
-        let pruned = prune_low_degree(&b.build(), 1);
-        assert_eq!(pruned.node_count(), 3);
-        assert_eq!(pruned.channel_count(), 3);
-    }
-
-    #[test]
-    fn degree_stats() {
-        let t = gen::star(5, CAP);
-        assert_eq!(degree_sequence(&t), vec![4, 1, 1, 1, 1]);
-        assert!((average_degree(&t) - 2.0 * 4.0 / 5.0).abs() < 1e-12);
-        assert_eq!(average_degree(&Topology::builder(0).build()), 0.0);
-    }
-
-    #[test]
-    fn diameter_values() {
-        assert_eq!(diameter(&gen::line(5, CAP)), Some(4));
-        assert_eq!(diameter(&gen::cycle(6, CAP)), Some(3));
-        assert_eq!(diameter(&gen::complete(4, CAP)), Some(1));
-        let mut b = Topology::builder(3);
-        b.channel(n(0), n(1), CAP).unwrap();
-        assert_eq!(diameter(&b.build()), None); // disconnected
-    }
-
-    #[test]
-    fn clustering_values() {
-        assert_eq!(clustering_coefficient(&gen::complete(4, CAP)), 1.0);
-        assert_eq!(clustering_coefficient(&gen::star(5, CAP)), 0.0);
-        let t = gen::line(3, CAP);
-        assert_eq!(clustering_coefficient(&t), 0.0);
-    }
-
-    #[test]
-    fn isp_diameter_is_small() {
-        let t = gen::isp_topology(CAP);
-        let d = diameter(&t).unwrap();
-        assert!(d <= 4, "ISP diameter {d}");
     }
 }

@@ -84,36 +84,6 @@ pub fn grid(w: usize, h: usize, capacity: Amount) -> Topology {
     b.build()
 }
 
-/// A balanced tree with branching factor `b >= 1` and `depth` levels below
-/// the root (depth 0 = a single node).
-pub fn balanced_tree(branching: usize, depth: usize, capacity: Amount) -> Topology {
-    assert!(branching >= 1, "branching factor must be at least 1");
-    // Total nodes = 1 + b + b² + … + b^depth.
-    let mut total = 1usize;
-    let mut level = 1usize;
-    for _ in 0..depth {
-        level *= branching;
-        total += level;
-    }
-    let mut builder = TopologyBuilder::new(total);
-    let mut next = 1usize;
-    let mut frontier = vec![0usize];
-    for _ in 0..depth {
-        let mut new_frontier = Vec::with_capacity(frontier.len() * branching);
-        for &parent in &frontier {
-            for _ in 0..branching {
-                builder
-                    .channel(nid(parent), nid(next), capacity)
-                    .expect("valid tree edge");
-                new_frontier.push(next);
-                next += 1;
-            }
-        }
-        frontier = new_frontier;
-    }
-    builder.build()
-}
-
 /// Erdős–Rényi `G(n, p)`: every pair is connected independently with
 /// probability `p`. The result may be disconnected; callers that need a
 /// connected graph should extract the largest component
@@ -250,8 +220,6 @@ pub fn isp_topology(capacity: Amount) -> Topology {
 
 /// Full-scale node count of the pruned Ripple snapshot (§6.1).
 pub const RIPPLE_NODES: usize = 3774;
-/// Full-scale channel count of the pruned Ripple snapshot.
-pub const RIPPLE_CHANNELS: usize = 12512;
 
 /// A Ripple-like scale-free topology with `n` nodes and roughly `3.3 × n`
 /// channels (average degree ≈ 6.6, matching the pruned January-2013 Ripple
@@ -355,15 +323,6 @@ mod tests {
         assert_eq!(t.channel_count(), 3 * 3 + 2 * 4); // vertical + horizontal
         assert!(t.is_connected());
         assert_eq!(t.degree(NodeId(0)), 2); // corner
-    }
-
-    #[test]
-    fn tree_shape() {
-        let t = balanced_tree(2, 3, CAP);
-        assert_eq!(t.node_count(), 1 + 2 + 4 + 8);
-        assert_eq!(t.channel_count(), t.node_count() - 1);
-        assert!(t.is_connected());
-        assert_eq!(t.degree(NodeId(0)), 2);
     }
 
     #[test]

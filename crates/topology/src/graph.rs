@@ -1,6 +1,6 @@
 //! The payment-channel-network graph.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use spider_types::{Amount, ChannelId, Direction, IdHashMap, NodeId, Result, SpiderError};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 ///
 /// Endpoints are stored in canonical order (`u < v`); [`Direction::Forward`]
 /// always means `u → v`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Channel {
     /// Canonical first endpoint (`u < v`).
     pub u: NodeId,
@@ -20,17 +20,6 @@ pub struct Channel {
 }
 
 impl Channel {
-    /// The endpoint opposite to `node`. Panics if `node` is not an endpoint.
-    #[inline]
-    pub fn peer(&self, node: NodeId) -> NodeId {
-        if node == self.u {
-            self.v
-        } else {
-            assert!(node == self.v, "{node} is not an endpoint of this channel");
-            self.u
-        }
-    }
-
     /// The direction of travel when leaving `node` through this channel.
     /// Panics if `node` is not an endpoint.
     #[inline]
@@ -63,7 +52,7 @@ impl Channel {
 }
 
 /// One entry of a node's adjacency list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Adjacency {
     /// The neighboring node.
     pub neighbor: NodeId,
@@ -77,7 +66,7 @@ pub struct Adjacency {
 /// [`crate::gen`]. Node ids are dense `0..node_count()`, channel ids dense
 /// `0..channel_count()`. Adjacency lists are sorted by neighbor id, so all
 /// traversals are deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Topology {
     node_count: usize,
     channels: Vec<Channel>,
@@ -146,16 +135,6 @@ impl Topology {
             .map(|i| self.adj[probe.index()][i].channel)
     }
 
-    /// Returns a copy with every channel capacity set to `capacity`
-    /// (the paper's experiments use uniform per-link capacity).
-    pub fn with_uniform_capacity(&self, capacity: Amount) -> Topology {
-        let mut t = self.clone();
-        for c in &mut t.channels {
-            c.capacity = capacity;
-        }
-        t
-    }
-
     /// Returns a copy with per-channel capacities given by `f`.
     pub fn with_capacities(&self, mut f: impl FnMut(ChannelId, &Channel) -> Amount) -> Topology {
         let mut t = self.clone();
@@ -163,12 +142,6 @@ impl Topology {
             c.capacity = f(ChannelId::from_index(i), c);
         }
         t
-    }
-
-    /// Total capacity escrowed across the whole network — the "capital
-    /// locked in" that the paper's efficiency argument is about.
-    pub fn total_capacity(&self) -> Amount {
-        self.channels.iter().map(|c| c.capacity).sum()
     }
 
     /// Breadth-first hop distances from `src`; `None` for unreachable nodes.
@@ -501,21 +474,11 @@ mod tests {
         let t = small();
         let id = t.channel_between(n(1), n(3)).unwrap();
         let c = t.channel(id);
-        assert_eq!(c.peer(n(1)), n(3));
-        assert_eq!(c.peer(n(3)), n(1));
         assert_eq!(c.direction_from(n(1)), Direction::Forward);
         assert_eq!(c.direction_from(n(3)), Direction::Backward);
         assert_eq!(c.source(Direction::Forward), n(1));
         assert_eq!(c.target(Direction::Forward), n(3));
         assert_eq!(c.source(Direction::Backward), n(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn peer_panics_for_non_endpoint() {
-        let t = small();
-        let id = t.channel_between(n(0), n(1)).unwrap();
-        t.channel(id).peer(n(2));
     }
 
     #[test]
@@ -586,10 +549,8 @@ mod tests {
 
     #[test]
     fn capacity_rewrites() {
-        let t = small().with_uniform_capacity(Amount::from_xrp(7));
-        assert!(t.channels().all(|(_, c)| c.capacity == Amount::from_xrp(7)));
-        assert_eq!(t.total_capacity(), Amount::from_xrp(28));
-        let t2 = t.with_capacities(|id, _| Amount::from_xrp(id.0 as u64));
-        assert_eq!(t2.total_capacity(), Amount::from_xrp(1 + 2 + 3));
+        let t = small().with_capacities(|id, _| Amount::from_xrp(id.0 as u64));
+        let caps: Vec<Amount> = t.channels().map(|(_, c)| c.capacity).collect();
+        assert_eq!(caps, [0, 1, 2, 3].map(Amount::from_xrp));
     }
 }

@@ -5,7 +5,7 @@
 //! arithmetic makes fund-conservation checks exact: the simulator asserts to
 //! the drop that no money is created or destroyed.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -20,9 +20,7 @@ pub const DROPS_PER_XRP: u64 = 1_000_000;
 /// [`Amount::checked_sub`] or [`Amount::saturating_sub`] where underflow is
 /// an expected outcome), and scaling by integers. Fractional operations go
 /// through [`Amount::mul_f64`], which rounds to the nearest drop.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct Amount(u64);
 
@@ -296,9 +294,7 @@ impl fmt::Display for Amount {
 
 /// A signed quantity of currency in drops, used for channel *imbalance*
 /// (flow in one direction minus flow in the other) and price gradients.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct SignedAmount(i64);
 
@@ -328,12 +324,6 @@ impl SignedAmount {
     #[inline]
     pub fn abs(self) -> Amount {
         Amount(self.0.unsigned_abs())
-    }
-
-    /// True iff negative.
-    #[inline]
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
     }
 }
 
@@ -510,8 +500,6 @@ mod tests {
         assert_eq!((x - y).drops(), 13);
         assert_eq!((-y).drops(), 8);
         assert_eq!(y.abs(), Amount::from_drops(8));
-        assert!(y.is_negative());
-        assert!(!x.is_negative());
     }
 
     #[test]

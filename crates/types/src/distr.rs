@@ -5,8 +5,7 @@
 //! transaction arrivals), log-normal-ish transaction sizes matching the
 //! Ripple trace moments, an exponential-rank sampler for choosing senders
 //! ("the sender for each transaction was sampled ... using an exponential
-//! distribution", §6.1), and uniform receivers. We also provide Pareto and
-//! an empirical distribution for trace-driven experiments.
+//! distribution", §6.1), and uniform receivers.
 
 use crate::rng::DetRng;
 
@@ -132,119 +131,6 @@ impl Distribution for LogNormal {
     }
 }
 
-/// Pareto (power-law) distribution with scale `x_min > 0` and shape
-/// `alpha > 0`; used for heavy-tailed stress workloads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0, "parameters must be positive");
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.x_min / rng.uniform_open().powf(1.0 / self.alpha)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.x_min / (self.alpha - 1.0))
-    }
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformF64 {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformF64 {
-    /// Creates a uniform distribution on `[lo, hi)` with `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo < hi && lo.is_finite() && hi.is_finite(),
-            "invalid interval"
-        );
-        UniformF64 { lo, hi }
-    }
-}
-
-impl Distribution for UniformF64 {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.uniform()
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some((self.lo + self.hi) / 2.0)
-    }
-}
-
-/// Constant (degenerate) distribution; handy in tests and ablations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut DetRng) -> f64 {
-        self.0
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
-
-/// Empirical distribution: samples uniformly from observed values
-/// (bootstrap resampling of a trace).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Builds an empirical distribution from a non-empty sample set.
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "empirical distribution needs samples");
-        assert!(
-            values.iter().all(|v| v.is_finite()),
-            "samples must be finite"
-        );
-        Empirical { values }
-    }
-
-    /// Truncates the distribution to values `<= cap`, mimicking the paper's
-    /// "pruning out the largest 10 %" preprocessing. Returns `None` if no
-    /// samples survive.
-    pub fn truncated(&self, cap: f64) -> Option<Empirical> {
-        let kept: Vec<f64> = self.values.iter().copied().filter(|v| *v <= cap).collect();
-        (!kept.is_empty()).then(|| Empirical::new(kept))
-    }
-
-    /// The p-th percentile (0 ≤ p ≤ 100) of the sample set.
-    pub fn percentile(&self, p: f64) -> f64 {
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.values[rng.index(self.values.len())]
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-    }
-}
-
 /// Samples node *ranks* with exponentially decaying probability:
 /// `P(rank = i) ∝ exp(-i / scale)`, truncated to `0..n`.
 ///
@@ -361,61 +247,6 @@ mod tests {
         let m = mean_of(&d, 14, 200_000);
         assert!((m - 170.0).abs() / 170.0 < 0.05, "mean {m}");
         assert!((d.mean().unwrap() - 170.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pareto_tail_and_mean() {
-        let d = Pareto::new(1.0, 2.5);
-        let m = mean_of(&d, 15, 200_000);
-        let expect = 2.5 / 1.5;
-        assert!((m - expect).abs() / expect < 0.05, "mean {m}");
-        assert_eq!(Pareto::new(1.0, 0.5).mean(), None); // infinite mean
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = UniformF64::new(2.0, 6.0);
-        let mut rng = DetRng::new(16);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..6.0).contains(&x));
-        }
-        assert_eq!(d.mean(), Some(4.0));
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let mut rng = DetRng::new(17);
-        assert_eq!(Constant(3.5).sample(&mut rng), 3.5);
-        assert_eq!(Constant(3.5).mean(), Some(3.5));
-    }
-
-    #[test]
-    fn empirical_resamples_members() {
-        let d = Empirical::new(vec![1.0, 2.0, 4.0]);
-        let mut rng = DetRng::new(18);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!(x == 1.0 || x == 2.0 || x == 4.0);
-        }
-        assert!((d.mean().unwrap() - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empirical_truncation() {
-        let d = Empirical::new(vec![1.0, 5.0, 10.0, 50.0]);
-        let t = d.truncated(10.0).unwrap();
-        assert_eq!(t.mean(), Some(16.0 / 3.0));
-        assert!(d.truncated(0.5).is_none());
-    }
-
-    #[test]
-    fn empirical_percentiles() {
-        let d = Empirical::new((1..=100).map(|i| i as f64).collect());
-        assert_eq!(d.percentile(0.0), 1.0);
-        assert_eq!(d.percentile(100.0), 100.0);
-        let p50 = d.percentile(50.0);
-        assert!((p50 - 50.0).abs() <= 1.0, "p50 {p50}");
     }
 
     #[test]

@@ -18,10 +18,10 @@
 use crate::ids::{ChannelId, NodeId};
 use crate::time::SimTime;
 use crate::Amount;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One kind of mid-run topology mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum TopologyChange {
     /// An existing channel closes (cooperatively, or its funding party
     /// goes on-chain): its balances freeze, in-flight units crossing it
@@ -68,51 +68,10 @@ pub enum TopologyChange {
 /// (channels that start closed) and are applied before any payment or
 /// router prewarm; later events fire from the simulation calendar in
 /// `(at, schedule-order)` order, so runs stay bit-deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TopologyEvent {
     /// When the change takes effect.
     pub at: SimTime,
     /// What changes.
     pub change: TopologyChange,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serde_round_trip_all_variants() {
-        let events = vec![
-            TopologyEvent {
-                at: SimTime::from_secs(3),
-                change: TopologyChange::ChannelClose {
-                    channel: ChannelId(7),
-                },
-            },
-            TopologyEvent {
-                at: SimTime::ZERO,
-                change: TopologyChange::ChannelOpen {
-                    channel: ChannelId(1),
-                },
-            },
-            TopologyEvent {
-                at: SimTime::from_micros(1_500_000),
-                change: TopologyChange::ChannelResize {
-                    channel: ChannelId(2),
-                    new_capacity: Amount::from_xrp(123),
-                },
-            },
-            TopologyEvent {
-                at: SimTime::from_secs(9),
-                change: TopologyChange::NodeLeave { node: NodeId(4) },
-            },
-            TopologyEvent {
-                at: SimTime::from_secs(10),
-                change: TopologyChange::NodeJoin { node: NodeId(4) },
-            },
-        ];
-        let v = serde::Serialize::to_value(&events);
-        let back: Vec<TopologyEvent> = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, events);
-    }
 }

@@ -4,14 +4,14 @@
 //! vector indices (the graph code stores per-node and per-channel state in
 //! flat `Vec`s) while staying type-safe.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies a node (a Spider router and/or end-host) in the network.
 ///
 /// Node ids are dense indices `0..n`, assigned by the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct NodeId(pub u32);
 
@@ -40,7 +40,7 @@ impl fmt::Display for NodeId {
 /// Channel ids are dense indices `0..m`, assigned by the topology. A channel
 /// between `u` and `v` carries funds in both directions; a direction is
 /// selected with [`Direction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct ChannelId(pub u32);
 
@@ -68,7 +68,7 @@ impl fmt::Display for ChannelId {
 ///
 /// The topology stores each channel with a canonical `(u, v)` endpoint order
 /// (`u < v`); `Forward` means funds moving `u → v`, `Backward` means `v → u`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Direction {
     /// From the canonical first endpoint to the second (`u → v`).
     Forward,
@@ -112,7 +112,7 @@ impl fmt::Display for Direction {
 /// Routers and the engine exchange `PathId`s instead of cloning node
 /// vectors; resolving a hop sequence costs one index instead of a
 /// `channel_between` lookup per hop per unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct PathId(pub u32);
 
@@ -138,7 +138,7 @@ impl fmt::Display for PathId {
 
 /// Identifies an end-to-end payment (which may be split into many
 /// transaction units).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct PaymentId(pub u64);
 
@@ -152,7 +152,7 @@ impl fmt::Display for PaymentId {
 ///
 /// The sender generates a fresh hash-lock key per unit (§4.1 of the paper),
 /// so the unit id is also the identity of the HTLC along its path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct UnitId {
     /// The payment this unit belongs to.
     pub payment: PaymentId,

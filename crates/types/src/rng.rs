@@ -114,33 +114,6 @@ impl DetRng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.index(items.len())]
     }
-
-    /// Samples an index with probability proportional to `weights[i]`.
-    ///
-    /// Zero-weight entries are never selected. Panics if the weights are
-    /// empty, contain negatives/NaNs, or all are zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "empty weights");
-        let total: f64 = weights
-            .iter()
-            .inspect(|&w| {
-                assert!(w.is_finite() && *w >= 0.0, "invalid weight {w}");
-            })
-            .sum();
-        assert!(total > 0.0, "all weights zero");
-        let mut target = self.uniform() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if target < *w {
-                return i;
-            }
-            target -= w;
-        }
-        // Floating-point slack: fall back to the last positive weight.
-        weights
-            .iter()
-            .rposition(|w| *w > 0.0)
-            .expect("positive weight exists")
-    }
 }
 
 // Implementing the infallible `TryRng` gives `DetRng` the full `rand::Rng`
@@ -232,32 +205,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn weighted_index_respects_zero_weights() {
-        let mut r = DetRng::new(6);
-        for _ in 0..1000 {
-            let i = r.weighted_index(&[0.0, 2.0, 0.0, 1.0]);
-            assert!(i == 1 || i == 3);
-        }
-    }
-
-    #[test]
-    fn weighted_index_frequency() {
-        let mut r = DetRng::new(7);
-        let mut counts = [0usize; 3];
-        for _ in 0..30_000 {
-            counts[r.weighted_index(&[1.0, 2.0, 3.0])] += 1;
-        }
-        let f1 = counts[1] as f64 / 30_000.0;
-        assert!((f1 - 2.0 / 6.0).abs() < 0.02, "f1 {f1}");
-    }
-
-    #[test]
-    #[should_panic(expected = "all weights zero")]
-    fn weighted_index_all_zero_panics() {
-        DetRng::new(8).weighted_index(&[0.0, 0.0]);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Small statistics helpers used by metrics collection and the bench
-//! harness (means, variance, percentiles, online accumulators).
+//! Statistics helpers used by metrics collection.
 
 /// Arithmetic mean; `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -10,72 +9,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Population variance; `None` for an empty slice.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Population standard deviation; `None` for an empty slice.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
-/// The p-th percentile (nearest-rank on a sorted copy); `None` when empty
-/// or `p` outside `[0, 100]`.
-pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..=100.0).contains(&p) {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    Some(sorted[rank.min(sorted.len() - 1)])
-}
-
-/// Numerically stable online mean/variance accumulator (Welford).
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-
-    /// Current population variance; `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.m2 / self.n as f64)
-    }
-
-    /// Current population standard deviation; `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,46 +16,11 @@ mod tests {
     #[test]
     fn empty_inputs_yield_none() {
         assert_eq!(mean(&[]), None);
-        assert_eq!(variance(&[]), None);
-        assert_eq!(std_dev(&[]), None);
-        assert_eq!(percentile(&[], 50.0), None);
-        assert_eq!(Welford::new().mean(), None);
     }
 
     #[test]
-    fn mean_variance_basics() {
+    fn mean_basics() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), Some(5.0));
-        assert_eq!(variance(&xs), Some(4.0));
-        assert_eq!(std_dev(&xs), Some(2.0));
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile(&xs, 50.0), Some(3.0));
-        assert_eq!(percentile(&xs, 100.0), Some(5.0));
-        assert_eq!(percentile(&xs, 101.0), None);
-        assert_eq!(percentile(&xs, -1.0), None);
-    }
-
-    #[test]
-    fn percentile_unsorted_input() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&xs, 50.0), Some(3.0));
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for x in xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((w.variance().unwrap() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev().unwrap() - 2.0).abs() < 1e-12);
     }
 }

@@ -11,12 +11,12 @@
 //! each hop folds its local signal in with [`MarkStamp::absorb`], and the
 //! final stamp travels back to the sender on the unit's acknowledgement.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::SimDuration;
 
 /// Price-signal metadata carried by one transaction unit across its path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MarkStamp {
     /// Set when any hop's local congestion signal crossed its marking
     /// threshold (the router "marks the packet").
@@ -55,7 +55,7 @@ impl Default for MarkStamp {
 /// Why a transaction unit was dropped before reaching its destination.
 ///
 /// Declaration order is the sort order of the forensics root-cause table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum DropReason {
     /// The unit waited in a router queue longer than the configured bound.
     QueueTimeout,
@@ -121,30 +121,6 @@ mod tests {
         assert!(s.marked, "a single marked hop marks the unit");
         assert!((s.price - 0.875).abs() < 1e-12);
         assert_eq!(s.max_queue_delay, SimDuration::from_millis(80));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut s = MarkStamp::CLEAR;
-        s.absorb(1.5, true, SimDuration::from_millis(42));
-        let v = serde::Serialize::to_value(&s);
-        let back: MarkStamp = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, s);
-        for r in [
-            DropReason::QueueTimeout,
-            DropReason::QueueOverflow,
-            DropReason::Expired,
-            DropReason::ChannelClosed,
-            DropReason::MessageLost,
-            DropReason::HopTimeout,
-            DropReason::NodeCrashed,
-            DropReason::Shed,
-            DropReason::AdmissionRejected,
-        ] {
-            let v = serde::Serialize::to_value(&r);
-            let back: DropReason = serde::Deserialize::from_value(&v).unwrap();
-            assert_eq!(back, r);
-        }
     }
 
     #[test]

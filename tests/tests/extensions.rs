@@ -123,14 +123,3 @@ fn rebalancing_improves_skewed_workload_end_to_end() {
         plain.success_volume()
     );
 }
-
-#[test]
-fn rebalancing_config_serializes() {
-    let cfg = SimConfig {
-        rebalancing: Some(RebalancingConfig::default()),
-        ..SimConfig::default()
-    };
-    let json = serde_json::to_string(&cfg).expect("serializes");
-    let back: SimConfig = serde_json::from_str(&json).expect("parses");
-    assert!(back.rebalancing.is_some());
-}
