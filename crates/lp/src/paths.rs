@@ -10,12 +10,13 @@
 //! * [`k_edge_disjoint_paths`] — successive shortest paths with used
 //!   channels removed (the "4 disjoint shortest paths" of §6.1);
 //! * [`SourceOracle`] — the batched per-source form of the edge-disjoint
-//!   and single-shortest-path oracles: one BFS tree and one reusable
-//!   workspace answer *every* destination of a source, which is what makes
-//!   precomputing a whole workload's candidate sets affordable (see
+//!   and single-shortest-path oracles: one reusable workspace (and, for a
+//!   source with enough destinations to repay it, one BFS tree) answers
+//!   *every* destination of a source, which is what makes precomputing a
+//!   whole workload's candidate sets affordable (see
 //!   `spider_routing::PathOracle`). It writes into a [`FlatPaths`] buffer
-//!   — node ids *and* the hop channel ids the search already knows — so a
-//!   batch costs no allocation per pair or per path.
+//!   — node ids *and* the hops, channel and direction, the search already
+//!   knows — so a batch costs no allocation per pair or per path.
 //!
 //! Every search behind the edge-disjoint oracle and the batched form is
 //! one routine, `BfsWorkspace::lexmin_path`: an exact *bidirectional*
@@ -93,20 +94,30 @@ impl Path {
     }
 }
 
+/// One hop of a path: the channel crossed and the direction of travel.
+pub type Hop = (ChannelId, Direction);
+
+/// Fills the hop slot of a path's last node, which has no hop; never read.
+const NO_HOP: Hop = (ChannelId(u32::MAX), Direction::Forward);
+
 /// Many paths in one flat buffer: every path's node ids in one vector,
-/// every hop's channel id in another, and one end offset per path.
+/// beside each node the hop that leaves it in another, and one end offset
+/// per path.
 ///
 /// This is what the batched oracles write: a search already knows which
-/// channel each hop crosses, so the buffer keeps it and whoever interns
-/// the path never has to look the hop up again. Appending a path costs no
-/// allocation beyond the vectors' amortized growth.
+/// channel each hop crosses and which end it leaves from, so the buffer
+/// keeps both and whoever interns the path never looks a hop up. A path's
+/// last node has no hop; its slot holds a filler, so one offset addresses
+/// both vectors — the layout the simulation's path table stores, which is
+/// why it can adopt a finished buffer ([`Self::into_parts`]) instead of
+/// copying it. Appending a path costs no allocation beyond the vectors'
+/// amortized growth.
 #[derive(Debug, Default)]
 pub struct FlatPaths {
     nodes: Vec<NodeId>,
-    /// Path `i`'s hops start `i` entries before its nodes do (each path
-    /// has one hop fewer than nodes).
-    channels: Vec<ChannelId>,
-    /// Per path: end offset into `nodes`. Nodes and channels past the last
+    /// Parallel to `nodes` once a path is sealed.
+    hops: Vec<Hop>,
+    /// Per path: end offset into `nodes`. Nodes and hops past the last
     /// end belong to a path still being written.
     ends: Vec<u32>,
 }
@@ -130,17 +141,23 @@ impl FlatPaths {
     /// Forgets every path, keeping the capacity.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.channels.clear();
+        self.hops.clear();
         self.ends.clear();
     }
 
-    /// Path `i`: its nodes (source first) and the channel of each hop.
-    pub fn get(&self, i: usize) -> (&[NodeId], &[ChannelId]) {
+    /// Where path `i`'s nodes sit in the buffer; its hops sit at the same
+    /// offsets, less the last.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        let end = self.ends[i] as usize;
+        start..self.ends[i] as usize
+    }
+
+    /// Path `i`: its nodes (source first) and its hops.
+    pub fn get(&self, i: usize) -> (&[NodeId], &[Hop]) {
+        let span = self.span(i);
         (
-            &self.nodes[start..end],
-            &self.channels[start - i..end - i - 1],
+            &self.nodes[span.clone()],
+            &self.hops[span.start..span.end - 1],
         )
     }
 
@@ -148,25 +165,33 @@ impl FlatPaths {
     pub fn range(
         &self,
         range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_ {
+    ) -> impl ExactSizeIterator<Item = (&[NodeId], &[Hop])> + '_ {
         range.map(|i| self.get(i))
     }
 
     /// Every path, in order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (&[NodeId], &[Hop])> + '_ {
         self.range(0..self.len())
     }
 
+    /// The buffer taken apart: the nodes, the hop leaving each node, and
+    /// each path's end offset into both. (A path starts where the one
+    /// before it ends.)
+    pub fn into_parts(self) -> (Vec<NodeId>, Vec<Hop>, Vec<u32>) {
+        (self.nodes, self.hops, self.ends)
+    }
+
     /// Appends a copy of a path.
-    fn push(&mut self, nodes: &[NodeId], channels: &[ChannelId]) {
+    fn push(&mut self, nodes: &[NodeId], hops: &[Hop]) {
         self.nodes.extend_from_slice(nodes);
-        self.channels.extend_from_slice(channels);
+        self.hops.extend_from_slice(hops);
         self.seal();
     }
 
-    /// Closes the path whose nodes and channels were just appended.
+    /// Closes the path whose nodes and hops were just appended.
     fn seal(&mut self) {
-        debug_assert_eq!(self.nodes.len() - self.channels.len(), self.ends.len() + 1);
+        debug_assert_eq!(self.nodes.len(), self.hops.len() + 1);
+        self.hops.push(NO_HOP);
         let end = u32::try_from(self.nodes.len()).expect("path buffer exceeds u32 offsets");
         self.ends.push(end);
     }
@@ -476,6 +501,18 @@ fn grab_bits(spare: &mut Vec<Vec<u64>>, words: usize) -> Vec<u64> {
     bits
 }
 
+/// Advances a visited-flag epoch and returns it, clearing `seen` when the
+/// stamp wraps (every 255 generations).
+fn next_epoch(epoch: &mut u8, seen: &mut [u8]) -> u8 {
+    if *epoch == u8::MAX {
+        seen.fill(0);
+        *epoch = 1;
+    } else {
+        *epoch += 1;
+    }
+    *epoch
+}
+
 /// Reusable search state: epoch-stamped ban flags, the tree-build BFS
 /// buffers, and the two balls of the bidirectional layer search.
 ///
@@ -537,15 +574,6 @@ impl BfsWorkspace {
             self.ban_epoch = 1;
         } else {
             self.ban_epoch += 1;
-        }
-    }
-
-    fn next_bfs_epoch(&mut self) {
-        if self.bfs_epoch == u8::MAX {
-            self.seen.fill(0);
-            self.bfs_epoch = 1;
-        } else {
-            self.bfs_epoch += 1;
         }
     }
 
@@ -735,7 +763,8 @@ impl BfsWorkspace {
             }
             let (v, c) = step.expect("every walked node lies on a shortest path");
             out.nodes.push(NodeId(v));
-            out.channels.push(ChannelId(c));
+            out.hops
+                .push((ChannelId(c), Direction::of_hop(NodeId(cur), NodeId(v))));
             cur = v;
         }
         debug_assert_eq!(cur, dst);
@@ -833,17 +862,20 @@ impl Residual<'_> {
     }
 }
 
-/// Batched per-source path oracle: one BFS tree and one reusable
-/// `BfsWorkspace` answer every destination of a source.
+/// Batched per-source path oracle: one reusable `BfsWorkspace` answers
+/// every destination of a source, and a BFS tree answers their first
+/// paths when there are enough of them to repay it.
 ///
 /// The lazy per-pair oracles pay, for *each* pair, a workspace allocation
-/// plus `k` BFS traversals — and the first of those traversals is always
-/// the same unbanned shortest-path search from the source. Rooting the
-/// oracle at a source amortizes exactly that: the unbanned BFS runs once
-/// as a full parent tree (identical tie-breaks, so the extracted first
-/// path is bit-identical to what the per-pair search finds), and the
-/// workspace with its epoch-stamped flags is reused across destinations
-/// and, via [`SourceOracle::retarget`], across sources.
+/// plus `k` searches — and the first of those is always the same unbanned
+/// shortest-path search from the source. A source with many destinations
+/// amortizes exactly that: the unbanned BFS runs once as a full parent
+/// tree (identical tie-breaks, so the extracted first path is
+/// bit-identical to what the search finds). Whether it runs is planned
+/// when the oracle is rooted, from how many first paths the caller will
+/// ask for ([`SEARCH_ENTRIES`]). The workspace with its epoch-stamped flags
+/// is reused across destinations and, via [`SourceOracle::retarget`],
+/// across sources.
 ///
 /// Every query appends its paths to a caller-owned [`FlatPaths`] and
 /// returns how many it appended; the searches write there directly and
@@ -858,72 +890,74 @@ pub struct SourceOracle<'a> {
     src: u32,
     /// Unbanned BFS parent tree from `src`, as [`Topology::bfs_parents`]
     /// builds it: packed `(parent, via-channel)` per node (`u64::MAX` =
-    /// unreached; the source points at itself). Built lazily: a source
-    /// asked about only a destination or two gets per-destination
-    /// searches (identical results — both compute the lex-min shortest
-    /// path) instead of paying a full-graph traversal up front.
+    /// unreached; the source points at itself). Meaningful only while
+    /// `tree_built`.
     tree: Vec<u64>,
     tree_built: bool,
-    /// First-path queries served for this source (drives tree laziness).
-    queries: u32,
     /// Scratch: `(channel, endpoint, endpoint)` of every channel banned in
     /// the current ban epoch (the search audits hub-row ORs against it).
     banned_edges: Vec<(u32, u32, u32)>,
 }
 
-/// After this many first-path queries for one source, amortizing a full
-/// BFS tree beats per-destination searches.
+/// What one unbanned search costs, in the currency of a BFS tree, which
+/// scans (nearly) every adjacency entry of the graph. A source expecting
+/// `q` first-path queries builds its tree up front iff `q × SEARCH_ENTRIES`
+/// reaches the graph's adjacency entries; otherwise every query is a
+/// search.
 ///
-/// Re-measured with the flat hand-off, where neither a tree walk nor a
-/// search allocates (PR 20; 2-core host, full Ripple, `PathOracle::fill`
-/// alone, median of 3 at 0 / 1 / 3 / 8 / 16 / never): the lockstep prewarm
-/// (172 k pairs over ≈ 3.0 k sources, `Shortest`) reads 164 / 144 / 125 /
-/// 114 / 110 / 158 ms, the k = 4 fifo prewarm (104 k pairs; only the first
-/// of a pair's four searches can use the tree) 557 / 539 / 524 / 503 / 505
-/// / 498 ms. A ban-free search costs ≈ 2.5 µs against ≈ 40 µs for
-/// `build_tree` with both cores building, so the break-even sits near 16
-/// queries and the curve is flat from 8 up. PR 18 measured the same shape
-/// and kept 3 because 3 → 8 was 9 ms of a 0.93 s run; with the allocations
-/// gone it is 11 ms of 0.75 s on one workload and 20 ms on the other, every
-/// repetition of both — still under what ten alternating benchmark pairs
-/// resolve, so no gain is claimed for it, but the measurements all point
-/// one way.
-const TREE_AFTER_QUERIES: u32 = 8;
+/// Measured on a 2-core x86 host, one thread, on a full-size Ripple-like
+/// graph (3,774 nodes, 24.9 k adjacency entries): a tree takes 93–95 µs
+/// and a search between random nodes 1.6–1.7 µs, so a tree costs 55–59
+/// searches and a search 420–455 entries. Of the 3,015 sources of the
+/// 172 k-pair lockstep prewarm, 841 have the 63 pairs or more that repay
+/// a tree; a tree for each of the 943 with 9 to 62 would cost ≈ 90 ms of
+/// one core and save less in searches. On the 32-node ISP graph a tree
+/// scans fewer entries than one search, so every source builds one.
+pub const SEARCH_ENTRIES: usize = 400;
 
 impl<'a> SourceOracle<'a> {
-    /// Roots an oracle at `src` over `csr`.
-    pub fn new(csr: &'a CsrGraph, src: NodeId) -> Self {
+    /// Roots an oracle at `src` over `csr`, planned for `queries`
+    /// first-path queries (see [`Self::retarget`]).
+    pub fn new(csr: &'a CsrGraph, src: NodeId, queries: usize) -> Self {
         let n = csr.node_count();
-        SourceOracle {
+        let mut oracle = SourceOracle {
             csr,
             ws: BfsWorkspace::new(n, csr.channel_count()),
             src: src.0,
             tree: vec![u64::MAX; n],
             tree_built: false,
-            queries: 0,
             banned_edges: Vec::new(),
-        }
+        };
+        oracle.plan(queries);
+        oracle
     }
 
-    /// Re-roots the oracle at a different source, reusing every buffer.
-    pub fn retarget(&mut self, src: NodeId) {
-        if src.0 == self.src {
-            return;
+    /// Re-roots the oracle at `src`, reusing every buffer, planned for
+    /// `queries` first-path queries: the destinations [`Self::shortest`]
+    /// will be asked for, or those [`Self::edge_disjoint`] will be asked
+    /// for with nothing kept. Answers do not depend on the plan, only
+    /// their cost does: the BFS tree is built now when the queries repay
+    /// it ([`SEARCH_ENTRIES`]), and otherwise each is one search.
+    pub fn retarget(&mut self, src: NodeId, queries: usize) {
+        if src.0 != self.src {
+            self.src = src.0;
+            self.tree_built = false;
         }
-        self.src = src.0;
-        self.tree_built = false;
-        self.queries = 0;
+        self.plan(queries);
+    }
+
+    /// Builds the tree if `queries` first paths repay it and it is not
+    /// built yet.
+    fn plan(&mut self, queries: usize) {
+        if !self.tree_built && queries.saturating_mul(SEARCH_ENTRIES) >= self.csr.entries.len() {
+            self.build_tree();
+        }
     }
 
     /// Appends (open, as [`BfsWorkspace::lexmin_path`] does) the unbanned
-    /// lex-min shortest path to `dst`: from the tree when built, by one
-    /// search otherwise (building the tree once a source proves hot).
-    /// Requires a fresh ban epoch.
+    /// lex-min shortest path to `dst`: from the tree when one was planned,
+    /// by one search otherwise. Requires a fresh ban epoch.
     fn first_path(&mut self, dst: u32, out: &mut FlatPaths) -> bool {
-        self.queries += 1;
-        if !self.tree_built && self.queries > TREE_AFTER_QUERIES {
-            self.build_tree();
-        }
         if self.tree_built {
             self.tree_path(dst, out)
         } else {
@@ -940,60 +974,74 @@ impl<'a> SourceOracle<'a> {
     /// tie-breaks) as [`Topology::bfs_parents`].
     fn build_tree(&mut self) {
         self.tree_built = true;
-        self.tree.fill(u64::MAX);
-        self.tree[self.src as usize] = self.src as u64;
+        let (csr, src) = (self.csr, self.src);
+        let BfsWorkspace {
+            seen,
+            fifo,
+            bfs_epoch,
+            ..
+        } = &mut self.ws;
+        let tree = &mut self.tree[..];
+        tree.fill(u64::MAX);
+        tree[src as usize] = src as u64;
         // Visited flags through the L1-resident epoch bytes; the 8-byte
         // `tree` entries are only written on discovery.
-        self.ws.next_bfs_epoch();
-        let epoch = self.ws.bfs_epoch;
-        self.ws.seen[self.src as usize] = epoch;
-        self.ws.fifo[0] = self.src;
+        let epoch = next_epoch(bfs_epoch, seen);
+        seen[src as usize] = epoch;
+        fifo[0] = src;
         let mut len = 1usize;
         let mut head = 0;
-        while head < len {
-            let u = self.ws.fifo[head];
+        // Once every node is discovered no row can add anything: on a
+        // connected graph the rows of the last layer or two go unscanned.
+        let n = csr.node_count();
+        while head < len && len < n {
+            let u = fifo[head];
             head += 1;
-            for &e in self.csr.row(u) {
-                if self.csr.is_disabled(CsrGraph::channel(e)) {
+            let row = csr.row(u);
+            // A row with no disabled channel: scan the 4-byte neighbor ids
+            // and read a channel only on discovery.
+            let live = csr.disabled_at(u) == 0;
+            for (i, &v) in csr.neighbor_row(u).iter().enumerate() {
+                if seen[v as usize] == epoch
+                    || (!live && csr.is_disabled(CsrGraph::channel(row[i])))
+                {
                     continue;
                 }
-                let v = CsrGraph::neighbor(e);
-                if self.ws.seen[v as usize] != epoch {
-                    self.ws.seen[v as usize] = epoch;
-                    self.tree[v as usize] = u as u64 | ((CsrGraph::channel(e) as u64) << 32);
-                    self.ws.fifo[len] = v;
-                    len += 1;
-                }
+                seen[v as usize] = epoch;
+                tree[v as usize] = u as u64 | ((CsrGraph::channel(row[i]) as u64) << 32);
+                fifo[len] = v;
+                len += 1;
             }
         }
     }
 
-    /// Appends (open) the tree path to `dst`, nodes and hop channels —
-    /// walked from `dst` up straight into `out`, then reversed in place.
-    /// `false`, nothing appended, when `dst` is unreached. `dst == src`
-    /// yields the single-node path, as [`Topology::shortest_path`] does.
+    /// Appends (open) the tree path to `dst`, nodes and hops — walked from
+    /// `dst` up straight into `out`, then reversed in place. `false`,
+    /// nothing appended, when `dst` is unreached.
     fn tree_path(&self, dst: u32, out: &mut FlatPaths) -> bool {
         if self.tree[dst as usize] == u64::MAX {
             return false;
         }
-        let (first_node, first_channel) = (out.nodes.len(), out.channels.len());
+        let (first_node, first_hop) = (out.nodes.len(), out.hops.len());
         out.nodes.push(NodeId(dst));
         let mut cur = dst;
         while cur != self.src {
             let packed = self.tree[cur as usize];
-            out.channels.push(ChannelId((packed >> 32) as u32));
-            cur = packed as u32;
+            let parent = packed as u32;
+            let hop = Direction::of_hop(NodeId(parent), NodeId(cur));
+            out.hops.push((ChannelId((packed >> 32) as u32), hop));
+            cur = parent;
             out.nodes.push(NodeId(cur));
         }
         out.nodes[first_node..].reverse();
-        out.channels[first_channel..].reverse();
+        out.hops[first_hop..].reverse();
         true
     }
 
     /// Bans every hop of `out`'s last path for the current ban epoch.
     fn ban_last_path(&mut self, out: &FlatPaths) {
-        let (nodes, channels) = out.get(out.len() - 1);
-        for ((from, to), c) in nodes.iter().zip(&nodes[1..]).zip(channels) {
+        let (nodes, hops) = out.get(out.len() - 1);
+        for ((from, to), (c, _)) in nodes.iter().zip(&nodes[1..]).zip(hops) {
             self.ws.ban_channel(c.0, from.0, to.0);
             self.banned_edges.push((c.0, from.0, to.0));
         }
@@ -1210,7 +1258,7 @@ fn bfs_avoiding(
 pub fn k_edge_disjoint_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     let csr = CsrGraph::new(topo);
     let mut out = FlatPaths::new();
-    SourceOracle::new(&csr, src).edge_disjoint(dst, k, &[], &mut out);
+    SourceOracle::new(&csr, src, 1).edge_disjoint(dst, k, &[], &mut out);
     out.to_paths()
 }
 
@@ -1249,10 +1297,12 @@ mod tests {
         let mut out = FlatPaths::new();
         let count = query(&mut out);
         assert_eq!(count, out.len());
-        for (nodes, channels) in out.iter() {
-            let resolved = topo.path_channels(nodes);
-            let resolved = resolved.map(|hops| Vec::from_iter(hops.into_iter().map(|hop| hop.0)));
-            assert_eq!(Ok(channels.to_vec()), resolved, "carried hops of {nodes:?}");
+        for (nodes, hops) in out.iter() {
+            assert_eq!(
+                Ok(hops.to_vec()),
+                topo.path_channels(nodes),
+                "carried hops of {nodes:?}"
+            );
         }
         out.to_paths()
     }
@@ -1341,7 +1391,7 @@ mod tests {
         let csr = CsrGraph::new(&t);
         let mut out = FlatPaths::new();
         assert_eq!(
-            SourceOracle::new(&csr, n(2)).edge_disjoint(n(2), 4, &[], &mut out),
+            SourceOracle::new(&csr, n(2), 1).edge_disjoint(n(2), 4, &[], &mut out),
             0
         );
         assert!(out.is_empty());
@@ -1363,9 +1413,9 @@ mod tests {
     fn source_oracle_matches_per_pair_oracles() {
         let t = gen::isp_topology(CAP);
         let csr = CsrGraph::new(&t);
-        let mut oracle = SourceOracle::new(&csr, n(8));
+        let mut oracle = SourceOracle::new(&csr, n(8), t.node_count());
         for src in [8u32, 0, 31] {
-            oracle.retarget(n(src));
+            oracle.retarget(n(src), t.node_count());
             assert_eq!(oracle.source(), n(src));
             for dst in 0..t.node_count() as u32 {
                 assert_eq!(
@@ -1388,7 +1438,7 @@ mod tests {
     fn queries_append_to_a_shared_buffer() {
         let t = gen::isp_topology(CAP);
         let csr = CsrGraph::new(&t);
-        let mut oracle = SourceOracle::new(&csr, n(8));
+        let mut oracle = SourceOracle::new(&csr, n(8), 5);
         let mut out = FlatPaths::new();
         let mut want: Vec<Path> = Vec::new();
         for dst in [20u32, 8, 3, 31, 20] {
@@ -1400,8 +1450,8 @@ mod tests {
             want.extend(t.shortest_path(n(8), n(dst)).map(Path::new));
         }
         assert_eq!(out.to_paths(), want);
-        for (nodes, channels) in out.iter() {
-            assert_eq!(channels.len() + 1, nodes.len());
+        for (nodes, hops) in out.iter() {
+            assert_eq!(hops.len() + 1, nodes.len());
         }
         out.clear();
         assert!(out.is_empty());
@@ -1537,8 +1587,8 @@ mod tests {
                     let k = 1 + rng.index(4);
                     // `answer` resolves each side's carried channels
                     // against its own topology: ids differ, nodes must not.
-                    let mut masked = SourceOracle::new(&csr, src);
-                    let mut cold = SourceOracle::new(&fcsr, src);
+                    let mut masked = SourceOracle::new(&csr, src, 1);
+                    let mut cold = SourceOracle::new(&fcsr, src, 1);
                     assert_eq!(
                         answer(t, |out| masked.edge_disjoint(dst, k, &[], out)),
                         answer(&filtered, |out| cold.edge_disjoint(dst, k, &[], out)),
@@ -1560,7 +1610,7 @@ mod tests {
                 let dst = NodeId((t.node_count() - 1) as u32);
                 let whole = |csr: &CsrGraph| {
                     answer(t, |out| {
-                        SourceOracle::new(csr, src).edge_disjoint(dst, 4, &[], out)
+                        SourceOracle::new(csr, src, 1).edge_disjoint(dst, 4, &[], out)
                     })
                 };
                 assert_eq!(whole(&csr), whole(&full));
@@ -1667,14 +1717,14 @@ mod tests {
             for (src, dst) in [(300, far), (far, 300)] {
                 let mut csr = CsrGraph::new(&t);
                 {
-                    let mut open = SourceOracle::new(&csr, n(src));
+                    let mut open = SourceOracle::new(&csr, n(src), 1);
                     assert_eq!(search(&mut open, dst, &[]), t.shortest_path(n(src), n(dst)));
                     assert!(ball_nodes(&open) < 100, "an open search stays local");
                 }
                 if !by_ban {
                     csr.set_channel_enabled(&t, bridge.unwrap(), false);
                 }
-                let mut oracle = SourceOracle::new(&csr, n(src));
+                let mut oracle = SourceOracle::new(&csr, n(src), 1);
                 let mut banned_edges = Vec::new();
                 if by_ban {
                     ban(&mut oracle, &t, &mut banned_edges, 301, 7);
@@ -1713,7 +1763,7 @@ mod tests {
         let t = graph(23, &edges);
         let csr = CsrGraph::new(&t);
         assert!(csr.hub_bits_row(1).is_some());
-        let mut oracle = SourceOracle::new(&csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0), 1);
         assert_eq!(search(&mut oracle, 19, &[]), via([0, 1, 2, 18, 19]));
         let mut banned_edges = Vec::new();
         ban(&mut oracle, &t, &mut banned_edges, 1, 2);
@@ -1732,7 +1782,7 @@ mod tests {
         let t = graph(22, &edges);
         let csr = CsrGraph::new(&t);
         assert!(csr.hub_bits_row(3).is_some());
-        let mut oracle = SourceOracle::new(&csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0), 1);
         assert_eq!(search(&mut oracle, 18, &[]), via([0, 1, 3, 18]));
         let mut banned_edges = Vec::new();
         ban(&mut oracle, &t, &mut banned_edges, 1, 3);
@@ -1750,12 +1800,12 @@ mod tests {
         let t = gen::ripple_like(gen::RIPPLE_NODES, CAP, &mut rng);
         let csr = CsrGraph::new(&t);
         assert_eq!(csr.words, 59);
-        let mut oracle = SourceOracle::new(&csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0), 1);
         let mut long_paths = 0;
         for _ in 0..300 {
             let src = NodeId(rng.index(t.node_count()) as u32);
             let dst = NodeId(rng.index(t.node_count()) as u32);
-            oracle.retarget(src);
+            oracle.retarget(src, 1);
             let got = answer(&t, |out| oracle.edge_disjoint(dst, 4, &[], out));
             assert_eq!(
                 got,
@@ -1790,9 +1840,9 @@ mod tests {
             );
             audited += usize::from(via_hub && r < k);
             if r < m {
-                let (nodes, channels) = fresh.get(r);
+                let (nodes, hops) = fresh.get(r);
                 via_hub |= nodes.iter().any(|v| csr.hub_bits_row(v.0).is_some());
-                kept.extend_from_slice(channels);
+                kept.extend(hops.iter().map(|&(c, _)| c));
             }
         }
         audited
@@ -1807,6 +1857,24 @@ mod tests {
             }
         }
         csr
+    }
+
+    /// Everything `oracle` answers for `dsts`, in one buffer: each one's
+    /// shortest path, its edge-disjoint set (k = 4), and that set resumed
+    /// after each of its prefixes.
+    fn every_answer(oracle: &mut SourceOracle<'_>, dsts: &[NodeId]) -> FlatPaths {
+        let mut out = FlatPaths::new();
+        for &dst in dsts {
+            oracle.shortest(dst, &mut out);
+            let first = out.len();
+            let m = oracle.edge_disjoint(dst, 4, &[], &mut out);
+            let mut kept = Vec::new();
+            for r in 1..=m {
+                kept.extend(out.get(first + r - 1).1.iter().map(|&(c, _)| c));
+                oracle.edge_disjoint(dst, 4, &kept, &mut out);
+            }
+        }
+        out
     }
 
     proptest::proptest! {
@@ -1825,20 +1893,59 @@ mod tests {
             let er = gen::erdos_renyi(nodes, density, CAP, &mut rng);
             let csr = masked(&er, &mut rng);
             for src in er.nodes() {
-                let mut oracle = SourceOracle::new(&csr, src);
+                let mut oracle = SourceOracle::new(&csr, src, er.node_count());
                 for dst in er.nodes() {
                     resumes_as_fresh(&mut oracle, dst, k);
                 }
             }
             let ripple = gen::ripple_like(300, CAP, &mut rng);
             let csr = masked(&ripple, &mut rng);
-            let mut oracle = SourceOracle::new(&csr, n(0));
+            let mut oracle = SourceOracle::new(&csr, n(0), 1);
             let mut audited = 0;
             for _ in 0..40 {
-                oracle.retarget(NodeId(rng.index(300) as u32));
+                oracle.retarget(NodeId(rng.index(300) as u32), 1);
                 audited += resumes_as_fresh(&mut oracle, NodeId(rng.index(300) as u32), 4);
             }
             assert!(audited > 0, "no kept prefix crossed a hub");
+        }
+    }
+
+    proptest::proptest! {
+        /// The plan changes the cost, never the answer: on random graphs,
+        /// with and without disabled channels, a source planned for a
+        /// group just below and just at the size that repays a tree
+        /// answers every query — nodes and hops, shortest, edge-disjoint
+        /// and resumed — as an oracle held to searches and one held to
+        /// the tree do.
+        #[test]
+        fn tree_and_search_plans_answer_alike(
+            seed in 0u64..u64::MAX,
+            nodes in 100usize..400,
+            shape in 0usize..4,
+        ) {
+            let (ripple, mask) = (shape & 1 == 1, shape & 2 == 2);
+            let mut rng = spider_types::DetRng::new(seed);
+            let t = if ripple {
+                gen::ripple_like(nodes, CAP, &mut rng)
+            } else {
+                gen::erdos_renyi(nodes, 8.0 / nodes as f64, CAP, &mut rng)
+            };
+            let csr = if mask { masked(&t, &mut rng) } else { CsrGraph::new(&t) };
+            let repays = csr.entries.len().div_ceil(SEARCH_ENTRIES);
+            assert!(repays > 1, "{} entries: every plan is a tree", csr.entries.len());
+            let src = NodeId(rng.index(nodes) as u32);
+            for group in [repays - 1, repays] {
+                let dsts: Vec<NodeId> =
+                    (0..group).map(|_| NodeId(rng.index(nodes) as u32)).collect();
+                let mut planned = SourceOracle::new(&csr, src, group);
+                assert_eq!(planned.tree_built, group == repays, "{group} of {repays}");
+                let want = every_answer(&mut planned, &dsts);
+                for held in [0, usize::MAX] {
+                    let mut other = SourceOracle::new(&csr, src, held);
+                    assert_eq!(other.tree_built, held > 0);
+                    assert!(every_answer(&mut other, &dsts).iter().eq(want.iter()));
+                }
+            }
         }
     }
 
@@ -1846,7 +1953,7 @@ mod tests {
     fn source_oracle_on_disconnected_graph() {
         let t = graph(4, &[(0, 1), (2, 3)]);
         let csr = CsrGraph::new(&t);
-        let mut oracle = SourceOracle::new(&csr, n(0));
+        let mut oracle = SourceOracle::new(&csr, n(0), 1);
         let mut out = FlatPaths::new();
         assert_eq!(oracle.edge_disjoint(n(3), 4, &[], &mut out), 0);
         assert_eq!(oracle.shortest(n(3), &mut out), 0);

@@ -18,8 +18,10 @@
 //! scales each phase's sampled time by `count / sampled`. Rare, heavy
 //! work (a poll's retry sweep, a series sample, a churn or fault event)
 //! is timed on every call instead, through [`Profiler::start`] and
-//! [`Profiler::stop`]. Every interval is charged net of the clock's own
-//! read cost, measured once when an enabled profiler is built.
+//! [`Profiler::stop`] — as is the once-per-run set-up before the loop
+//! (listing the prewarm pairs, the router's prewarm). Every interval is
+//! charged net of the clock's own read cost, measured once when an
+//! enabled profiler is built.
 //!
 //! Profiling is opt-in: when disabled, the loop pays one branch per
 //! iteration, with no clock read and no draw.
@@ -57,7 +59,16 @@ pub enum Phase {
     ChurnRepair,
     /// Per-second series sampling inside the poll handler.
     Sampling,
+    /// Listing the workload's distinct pairs for the prewarm, once per
+    /// run.
+    PrewarmPairs,
+    /// The router's prewarm (the batched candidate-path fill), once per
+    /// run.
+    Prewarm,
 }
+
+/// How many phases there are.
+const PHASES: usize = 8;
 
 /// Accumulated timing for one phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -87,11 +98,17 @@ pub struct ProfileStats {
     pub churn_repair: PhaseStats,
     /// Series-sampling time.
     pub sampling: PhaseStats,
+    /// Prewarm pair listing time.
+    pub prewarm_pairs: PhaseStats,
+    /// Router prewarm time.
+    pub prewarm: PhaseStats,
 }
 
 impl ProfileStats {
-    /// Every phase with its display name, in reporting order.
-    pub fn phases(&self) -> [(&'static str, PhaseStats); 6] {
+    /// Every phase with its display name, in reporting order: the loop's
+    /// phases, then the run's set-up. (Callers read the first six by
+    /// position; new phases go at the end.)
+    pub fn phases(&self) -> [(&'static str, PhaseStats); PHASES] {
         [
             ("calendar_pop", self.calendar_pop),
             ("routing", self.routing),
@@ -99,6 +116,8 @@ impl ProfileStats {
             ("settlement", self.settlement),
             ("churn_repair", self.churn_repair),
             ("sampling", self.sampling),
+            ("prewarm_pairs", self.prewarm_pairs),
+            ("prewarm", self.prewarm),
         ]
     }
 
@@ -187,7 +206,7 @@ pub struct Profiler {
     /// The sampling stream; never a simulation stream.
     rng: DetRng,
     /// Indexed by `Phase as usize`.
-    acc: [Acc; 6],
+    acc: [Acc; PHASES],
 }
 
 impl Profiler {
@@ -199,7 +218,7 @@ impl Profiler {
             read_ns: if enabled { read_cost_ns() } else { 0 },
             until_timed: 0,
             rng: DetRng::new(SAMPLING_SEED),
-            acc: [Acc::default(); 6],
+            acc: [Acc::default(); PHASES],
         }
     }
 
@@ -261,7 +280,7 @@ impl Profiler {
 
     /// The per-phase counts and estimates, leaving the sums empty.
     pub fn finish(&mut self) -> ProfileStats {
-        let [calendar_pop, routing, forwarding, settlement, churn_repair, sampling] =
+        let [calendar_pop, routing, forwarding, settlement, churn_repair, sampling, prewarm_pairs, prewarm] =
             std::mem::take(&mut self.acc).map(|a| a.estimate());
         ProfileStats {
             enabled: self.enabled,
@@ -271,6 +290,8 @@ impl Profiler {
             settlement,
             churn_repair,
             sampling,
+            prewarm_pairs,
+            prewarm,
         }
     }
 }
@@ -323,7 +344,14 @@ mod tests {
             p.lap(&mut it, handlers[i % 3]);
         }
         assert!(0 < timed && timed < 1_000, "{timed} timed");
-        for phase in [Phase::Routing, Phase::ChurnRepair, Phase::Sampling] {
+        let per_call = [
+            Phase::Routing,
+            Phase::ChurnRepair,
+            Phase::Sampling,
+            Phase::PrewarmPairs,
+            Phase::Prewarm,
+        ];
+        for phase in per_call {
             let t0 = p.start();
             assert!(t0.is_some());
             p.stop(phase, t0);
@@ -336,6 +364,7 @@ mod tests {
         assert_eq!(s.settlement.count, 333);
         assert_eq!(s.churn_repair.count, 1);
         assert_eq!(s.sampling.count, 1);
+        assert_eq!((s.prewarm_pairs.count, s.prewarm.count), (1, 1));
         // `finish` empties the sums.
         assert_eq!(p.finish().calendar_pop, PhaseStats::default());
     }

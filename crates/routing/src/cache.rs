@@ -43,7 +43,7 @@
 
 use crate::chanindex::ChannelIndex;
 use crate::oracle::{FilledPaths, KeptPrefixes, PathOracle};
-use spider_lp::paths::CsrGraph;
+use spider_lp::paths::{CsrGraph, Hop};
 use spider_sim::{PathEntry, PathTable, TopologyUpdate};
 use spider_topology::Topology;
 use spider_types::{ChannelId, IdHashMap, NodeId, PathId};
@@ -242,7 +242,7 @@ impl Cached {
         paths: &PathTable,
         slot: u32,
         from: usize,
-        mut set: impl Iterator<Item = (&'a [NodeId], &'a [ChannelId])>,
+        mut set: impl Iterator<Item = (&'a [NodeId], &'a [Hop])>,
     ) -> bool {
         let mut held = self.candidates(slot)[from..].iter();
         let same = |&id: &PathId, nodes| paths.map_entry(id, |path| path.nodes() == nodes);
@@ -431,7 +431,7 @@ impl PathCache {
         let filled = self.compute(topo, &todo, &KeptPrefixes::new());
         paths.reserve(filled.path_count());
         let fresh = (known as u32..self.cached.slots.len() as u32).map(|slot| (slot, 0));
-        self.adopt(topo, paths, fresh, &filled);
+        self.adopt(topo, paths, fresh, filled);
     }
 
     /// Batch-fills the pairs of `slots` — `(slot, from)`: each keeps its
@@ -455,7 +455,7 @@ impl PathCache {
                 kept.seal();
             }
             let filled = self.compute(topo, &todo, &kept);
-            self.adopt(topo, paths, slots.iter().copied(), &filled);
+            self.adopt(topo, paths, slots.iter().copied(), filled);
         }
         todo
     }
@@ -477,28 +477,35 @@ impl PathCache {
     /// ones). A pair that comes back with the node sequences it already
     /// holds — most of a repair — keeps its ids and its place in the
     /// reverse index untouched; the others have their new tails interned
-    /// in `slots` order, hops as the search found them. The ids are what
-    /// interning every candidate of every pair would have assigned: the
-    /// paths left out are in the table already.
+    /// in `slots` order, hops as the search wrote them, into the buffers
+    /// the search wrote them to. The ids are what interning every
+    /// candidate of every pair would have assigned: the paths left out are
+    /// in the table already.
     fn adopt(
         &mut self,
         topo: &Topology,
         paths: &PathTable,
         slots: impl Iterator<Item = (u32, u32)> + Clone,
-        filled: &FilledPaths,
+        filled: FilledPaths,
     ) {
-        let fills = || slots.clone().zip(filled.sets());
-        let kept: Vec<bool> = fills()
-            .map(|((slot, from), set)| self.cached.holds(paths, slot, from as usize, set))
+        // Per pair: how many candidates it got, if they are not the ones
+        // it holds.
+        let changed: Vec<Option<usize>> = slots
+            .clone()
+            .zip(filled.sets())
+            .map(|((slot, from), set)| {
+                let count = set.len();
+                let held = self.cached.holds(paths, slot, from as usize, set);
+                (!held).then_some(count)
+            })
             .collect();
-        let changed = || {
-            let all = fills().zip(&kept);
-            all.filter(|(_, &kept)| !kept).map(|(fill, _)| fill)
-        };
-        let interned = paths.intern_batch(topo, changed().flat_map(|(_, set)| set));
+        let interned = filled.intern(topo, paths, |pair| changed[pair].is_some());
         let mut rest = interned.as_slice();
-        for ((slot, from), set) in changed() {
-            let (tail, later) = rest.split_at(set.count());
+        let changed = slots
+            .zip(&changed)
+            .filter_map(|(fill, count)| Some((fill, (*count)?)));
+        for ((slot, from), count) in changed {
+            let (tail, later) = rest.split_at(count);
             rest = later;
             // What the index holds for the old candidates goes stale
             // where it is.
@@ -809,8 +816,9 @@ impl PathCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_lp::paths::SEARCH_ENTRIES;
     use spider_topology::gen;
-    use spider_types::Amount;
+    use spider_types::{Amount, DetRng};
 
     #[test]
     fn caches_per_pair_and_shares_interned_ids() {
@@ -883,42 +891,57 @@ mod tests {
 
     /// `prefill` must hand out the ids one-at-a-time `get`s in pair order
     /// would: same candidates, interned in the same order, nothing extra —
-    /// on a pair list long enough that the fill fans across workers and
-    /// the interning order is *not* the order paths were computed in.
+    /// on pair lists long enough that the fill fans across workers and
+    /// the interning order is *not* the order paths were computed in. On
+    /// the ISP graph every source's first paths come from a BFS tree; on
+    /// a 300-node Ripple-like graph sources with 0 to 11 pairs fall on
+    /// both sides of the size that repays one.
     fn prefill_assigns_the_ids_of_gets_in_pair_order(policy: PathPolicy) {
-        let t = gen::isp_topology(Amount::from_xrp(100));
-        let nodes = t.node_count() as u32;
-        // Every ordered pair (self-pairs too), sources interleaved, and
-        // the first few repeated at the end.
-        let mut pairs: Vec<(NodeId, NodeId)> = (0..nodes)
+        let isp = gen::isp_topology(Amount::from_xrp(100));
+        let nodes = isp.node_count() as u32;
+        // Every ordered pair (self-pairs too), sources interleaved.
+        let every: Vec<(NodeId, NodeId)> = (0..nodes)
             .flat_map(|d| (0..nodes).map(move |s| (NodeId(s), NodeId((s + d) % nodes))))
             .collect();
-        pairs.extend_from_within(..5);
-        let (batched_table, lazy_table) = (PathTable::new(), PathTable::new());
-        let (mut batched, mut lazy) = (PathCache::new(policy), PathCache::new(policy));
-        batched.prefill(&t, &batched_table, &pairs);
-        let interned = batched_table.len();
-        for &(s, d) in &pairs {
-            let want = lazy.get(&t, &lazy_table, s, d).to_vec();
-            assert_eq!(
-                batched.get(&t, &batched_table, s, d),
-                want,
-                "{s}->{d} under {policy:?}"
-            );
-            for id in want {
-                assert_eq!(batched_table.entry(id), lazy_table.entry(id));
+        let ripple = gen::ripple_like(300, Amount::from_xrp(100), &mut DetRng::new(3));
+        let repays = (2 * ripple.channel_count()).div_ceil(SEARCH_ENTRIES);
+        assert!((2..12).contains(&repays), "a tree repays {repays} pairs");
+        // Source `s` has `s % 12` destinations, sources interleaved.
+        let grouped: Vec<(NodeId, NodeId)> = (0..12)
+            .flat_map(|i| {
+                let sources = (0..300u32).filter(move |s| s % 12 > i);
+                sources.map(move |s| (NodeId(s), NodeId((s + 7 * i + 1) % 300)))
+            })
+            .collect();
+        for (t, mut pairs) in [(isp, every), (ripple, grouped)] {
+            let distinct = pairs.len() as u64;
+            // The first few again at the end.
+            pairs.extend_from_within(..5);
+            let (batched_table, lazy_table) = (PathTable::new(), PathTable::new());
+            let (mut batched, mut lazy) = (PathCache::new(policy), PathCache::new(policy));
+            batched.prefill(&t, &batched_table, &pairs);
+            let interned = batched_table.len();
+            for &(s, d) in &pairs {
+                let want = lazy.get(&t, &lazy_table, s, d).to_vec();
+                assert_eq!(
+                    batched.get(&t, &batched_table, s, d),
+                    want,
+                    "{s}->{d} under {policy:?}"
+                );
+                for id in want {
+                    assert_eq!(batched_table.entry(id), lazy_table.entry(id));
+                }
             }
+            assert_eq!(lazy_table.len(), interned);
+            assert_eq!(
+                batched_table.len(),
+                interned,
+                "gets after a prefill are lookups"
+            );
+            let counters = |c: &PathCache| c.counters().map(|(_, n)| n);
+            assert_eq!(counters(&batched), [pairs.len() as u64, 0, distinct, 0]);
+            assert_eq!(counters(&lazy), [5, distinct, 0, 0]);
         }
-        assert_eq!(lazy_table.len(), interned);
-        assert_eq!(
-            batched_table.len(),
-            interned,
-            "gets after a prefill are lookups"
-        );
-        let counters = |c: &PathCache| c.counters().map(|(_, n)| n);
-        let distinct = (nodes * nodes) as u64;
-        assert_eq!(counters(&batched), [pairs.len() as u64, 0, distinct, 0]);
-        assert_eq!(counters(&lazy), [5, distinct, 0, 0]);
     }
 
     #[test]

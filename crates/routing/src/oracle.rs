@@ -14,12 +14,18 @@
 //! repair and single-pair misses all come through here.
 //!
 //! Workers hand over finished paths in one flat form ([`FilledPaths`]):
-//! each appends node ids *and the hop channel ids its search already knew*
-//! to its own [`FlatPaths`] buffer, and a per-pair span says where a
-//! pair's candidates sit. Nothing is allocated per pair or per path.
-//! Interning into the simulation's shared (single-threaded)
-//! [`PathTable`](spider_sim::PathTable) happens afterwards on the calling
-//! thread, in pair order.
+//! each appends node ids *and the hops — channel and direction — its
+//! search already knew* to its own [`FlatPaths`] buffer, and a per-pair
+//! span says where a pair's candidates sit. Nothing is allocated per pair
+//! or per path. Interning into the simulation's shared (single-threaded)
+//! [`PathTable`] happens afterwards on the calling thread, in pair order,
+//! and the table keeps the worker buffers themselves
+//! ([`PathTable::adopt`]).
+//!
+//! Each source is planned from its pair count before its first query: a
+//! worker knows how many first paths a source will ask for, and the
+//! source's oracle builds a BFS tree for them only when that many repays
+//! one (see [`SourceOracle::retarget`]).
 //!
 //! Churn repair resumes edge-disjoint sets instead of recomputing them
 //! (`PathOracle::resume`): what a pair keeps of its earlier answer reaches
@@ -28,9 +34,10 @@
 //! the candidates after the kept ones.
 
 use crate::cache::PathPolicy;
-use spider_lp::paths::{CsrGraph, FlatPaths, SourceOracle};
+use spider_lp::paths::{CsrGraph, FlatPaths, Hop, SourceOracle};
+use spider_sim::PathTable;
 use spider_topology::Topology;
-use spider_types::{ChannelId, NodeId};
+use spider_types::{ChannelId, NodeId, PathId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Batched per-source candidate-path oracle over a fixed topology.
@@ -88,10 +95,10 @@ impl FilledPaths {
     }
 
     /// Each pair's candidate set, in pair order: its paths best first,
-    /// each as its nodes and the channel of each of its hops.
+    /// each as its nodes and its hops.
     pub fn sets(
         &self,
-    ) -> impl Iterator<Item = impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_> + '_ {
+    ) -> impl Iterator<Item = impl ExactSizeIterator<Item = (&[NodeId], &[Hop])> + '_> + '_ {
         self.spans.iter().map(|span| {
             let (first, count) = (span.first as usize, span.count as usize);
             self.buffers[span.worker as usize].range(first..first + count)
@@ -99,8 +106,36 @@ impl FilledPaths {
     }
 
     /// Every path, in pair order and best first within a pair.
-    pub fn paths(&self) -> impl Iterator<Item = (&[NodeId], &[ChannelId])> + '_ {
+    pub fn paths(&self) -> impl Iterator<Item = (&[NodeId], &[Hop])> + '_ {
         self.sets().flatten()
+    }
+
+    /// Interns the candidates of every pair `take` selects (by pair
+    /// index) into `table`, in pair order, and returns their ids. The
+    /// table takes over the worker buffers instead of copying them
+    /// ([`PathTable::adopt`]).
+    pub(crate) fn intern(
+        self,
+        topo: &Topology,
+        table: &PathTable,
+        take: impl Fn(usize) -> bool,
+    ) -> Vec<PathId> {
+        let mut ends = Vec::with_capacity(self.buffers.len());
+        let buffers = self.buffers.into_iter().map(|buffer| {
+            let (nodes, hops, path_ends) = buffer.into_parts();
+            ends.push(path_ends);
+            (nodes, hops)
+        });
+        let buffers = buffers.collect();
+        let taken = self.spans.iter().enumerate().filter(|&(i, _)| take(i));
+        let paths = taken.flat_map(|(_, span)| {
+            let (worker, ends) = (span.worker as usize, &ends[span.worker as usize]);
+            (span.first as usize..(span.first + span.count) as usize).map(move |i| {
+                let start = i.checked_sub(1).map_or(0, |prev| ends[prev] as usize);
+                (worker, start..ends[i] as usize)
+            })
+        });
+        table.adopt(topo, buffers, paths)
     }
 }
 
@@ -304,8 +339,19 @@ impl<'a> PathOracle<'a> {
         let mut counts = Vec::new();
         let mut oracle: Option<SourceOracle<'_>> = None;
         while let Some((src, group)) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let oracle = oracle.get_or_insert_with(|| SourceOracle::new(self.csr.get(), src));
-            oracle.retarget(src);
+            // The pairs that start from an unbanned search: every pair but
+            // a self-pair, less those resuming after a kept prefix.
+            let first_paths = group
+                .iter()
+                .filter(|&&(i, dst)| dst != src && kept.get(i as usize).is_empty())
+                .count();
+            let oracle = match &mut oracle {
+                Some(oracle) => {
+                    oracle.retarget(src, first_paths);
+                    oracle
+                }
+                None => oracle.insert(SourceOracle::new(self.csr.get(), src, first_paths)),
+            };
             for &(i, dst) in group {
                 let count = match self.policy {
                     PathPolicy::EdgeDisjoint(k) => {
@@ -374,9 +420,9 @@ mod tests {
 
     /// Checks a whole hand-off: pair `i`'s candidates are the per-pair
     /// oracle's answer on `reference` (the topology the fill should behave
-    /// as), every carried hop channel is the one `topo` has between the
-    /// hop's nodes, and the counts and the flat iteration agree with the
-    /// per-pair view.
+    /// as), every carried hop is the channel `topo` has between the hop's
+    /// nodes, crossed in the direction of travel, and the counts and the
+    /// flat iteration agree with the per-pair view.
     fn assert_filled(
         filled: &FilledPaths,
         topo: &Topology,
@@ -389,10 +435,10 @@ mod tests {
         let mut total = 0;
         for ((&(s, d), count), set) in pairs.iter().zip(filled.counts()).zip(filled.sets()) {
             let got: Vec<Vec<NodeId>> = set
-                .map(|(nodes, channels)| {
-                    let hops = topo.path_channels(nodes).expect("follows topology edges");
-                    assert!(
-                        hops.iter().map(|hop| hop.0).eq(channels.iter().copied()),
+                .map(|(nodes, hops)| {
+                    assert_eq!(
+                        Ok(hops.to_vec()),
+                        topo.path_channels(nodes),
                         "carried hops of {nodes:?} under {policy:?}"
                     );
                     nodes.to_vec()
@@ -446,8 +492,8 @@ mod tests {
         for (i, set) in whole.sets().enumerate() {
             let set: Vec<_> = set.collect();
             let r = i % (set.len() + 1);
-            for (_, channels) in &set[..r] {
-                kept.extend(channels.iter().copied());
+            for (_, hops) in &set[..r] {
+                kept.extend(hops.iter().map(|&(c, _)| c));
             }
             kept.seal();
             want.push(set[r..].iter().map(|(nodes, _)| nodes.to_vec()).collect());

@@ -395,10 +395,14 @@ impl Simulation {
         }
         self.events.open_runtime_band();
         // Snapshot the prewarm pairs before any arrival is consumed.
-        let prewarm_pairs = self
-            .router
-            .wants_prewarm()
-            .then(|| self.arrivals.source.distinct_pairs(Some(horizon)));
+        let prewarm_pairs = if self.router.wants_prewarm() {
+            let t0 = self.obs.profiler.start();
+            let pairs = self.arrivals.source.distinct_pairs(Some(horizon));
+            self.obs.profiler.stop(Phase::PrewarmPairs, t0);
+            Some(pairs)
+        } else {
+            None
+        };
         // Merge the first arrival; each arrival schedules its successor.
         self.arrivals.start(horizon);
         if let Some(first) = self.arrivals.next_due(horizon) {
@@ -427,7 +431,9 @@ impl Simulation {
             // pass instead of per pair on the routing hot path. Skipped
             // when the scheme keeps the default no-op hook.
             if let Some(pairs) = prewarm_pairs {
+                let t0 = self.obs.profiler.start();
                 self.router.prewarm(&pairs, &view);
+                self.obs.profiler.stop(Phase::Prewarm, t0);
             }
         }
 

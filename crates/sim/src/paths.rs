@@ -14,31 +14,38 @@
 //! what lets adaptive routers compare an acknowledged path against their
 //! candidate set with a single integer comparison.
 //!
-//! The table only assigns ids: a caller that found a path by searching
-//! already knows every hop's channel and hands it over
-//! ([`PathTable::intern_batch`]), and all the new paths of one call are
-//! stored back to back in one shared segment — a batch of a hundred
-//! thousand paths costs a handful of allocations, not three per path.
+//! The table only assigns ids: a caller that found paths by searching
+//! already knows every hop — channel and direction — and hands over the
+//! buffers it wrote them to ([`PathTable::adopt`]). Those buffers become
+//! the table's segments as they are when every path in them is new (the
+//! prewarm's case), so a batch of a hundred thousand paths is neither
+//! copied nor allocated per path; a buffer holding paths the table has
+//! already is compacted to the new ones.
 //!
 //! Entries are handed out as [`PathEntry`] handles (one `Rc` clone), so
 //! callers can hold a resolved path across arbitrary engine mutations
 //! without borrowing the table.
 
 use spider_topology::Topology;
-use spider_types::{ChannelId, Direction, IdHashMap, NodeId, PathId, Result};
-use std::borrow::Borrow;
+use spider_types::{ChannelId, Direction, IdHash, IdHashMap, NodeId, PathId, Result};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// One resolved hop: the channel crossed and the direction of travel.
-type Hop = (ChannelId, Direction);
+pub type Hop = (ChannelId, Direction);
 
-/// What one interning call added: the nodes of its new paths back to back,
-/// and beside each node the hop that leaves it. A path's last node has no
-/// hop; its slot holds a filler, so one offset addresses both arrays.
+/// Paths as a search wrote them, for [`PathTable::adopt`]: their nodes
+/// back to back, and beside each node the hop that leaves it (any value
+/// beside a path's last node).
+pub type PathBuffer = (Vec<NodeId>, Vec<Hop>);
+
+/// Paths back to back: their nodes, and beside each node the hop that
+/// leaves it. A path's last node has no hop; its slot holds a filler, so
+/// one offset addresses both arrays.
 #[derive(Debug)]
 struct Segment {
     nodes: Box<[NodeId]>,
@@ -108,62 +115,80 @@ impl fmt::Debug for PathEntry {
     }
 }
 
-/// The dedup index's key: an entry that hashes and compares as its node
-/// sequence, so a lookup needs only the nodes.
-#[derive(Debug)]
-struct ByNodes(PathEntry);
-
-impl Borrow<[NodeId]> for ByNodes {
-    fn borrow(&self) -> &[NodeId] {
-        self.0.nodes()
-    }
+/// The dedup key of a node sequence.
+fn path_key(nodes: &[NodeId]) -> u64 {
+    IdHash::default().hash_one(nodes)
 }
 
-impl Hash for ByNodes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.nodes().hash(state);
-    }
+/// The dedup index: ids by the key of their nodes, so a path's nodes are
+/// hashed once — to look it up — and never again, when it is filed or
+/// when the index grows.
+#[derive(Debug, Default)]
+struct Index {
+    /// The first path filed under each key.
+    first: IdHashMap<u64, PathId>,
+    /// Every later path whose key was taken: compared one by one on a
+    /// lookup that finds the first path under its key to differ. (Two
+    /// distinct paths sharing a 64-bit key is a correctness corner, not
+    /// a cost.)
+    collided: Vec<PathId>,
 }
 
-impl PartialEq for ByNodes {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.nodes() == other.0.nodes()
+impl Index {
+    /// The path under key `h` that `same` accepts, if any.
+    fn find(&self, h: u64, same: impl Fn(PathId) -> bool) -> Option<PathId> {
+        let first = *self.first.get(&h)?;
+        std::iter::once(first)
+            .chain(self.collided.iter().copied())
+            .find(|&id| same(id))
+    }
+
+    /// Files `id`, which [`Self::find`] did not find, under key `h`.
+    fn file(&mut self, h: u64, id: PathId) {
+        match self.first.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => self.collided.push(id),
+        }
+    }
+
+    /// [`Self::find`], and when it finds nothing, [`Self::file`] `new` —
+    /// in one probe of the map.
+    fn find_or_file(
+        &mut self,
+        h: u64,
+        new: PathId,
+        same: impl Fn(PathId) -> bool,
+    ) -> Option<PathId> {
+        match self.first.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(new);
+                None
+            }
+            Entry::Occupied(slot) => {
+                let mut known = std::iter::once(*slot.get()).chain(self.collided.iter().copied());
+                let found = known.find(|&id| same(id));
+                if found.is_none() {
+                    self.collided.push(new);
+                }
+                found
+            }
+        }
     }
 }
-
-impl Eq for ByNodes {}
 
 #[derive(Debug, Default)]
 struct Inner {
     entries: Vec<PathEntry>,
-    index: IdHashMap<ByNodes, PathId>,
+    index: Index,
 }
 
-impl Inner {
-    /// The one insert body: gives the `len`-node path at `start` of
-    /// `segment` the next id — or, when an equal path is interned already,
-    /// returns that path's id and leaves the table as it was.
-    fn insert(&mut self, segment: &Rc<Segment>, start: usize, len: usize) -> PathId {
-        assert!(len > 0, "cannot intern an empty path");
-        assert!(
-            u32::try_from(start + len).is_ok(),
-            "segment exceeds u32 offsets"
-        );
-        let (start, len) = (start as u32, len as u32);
-        let next = PathId::from_index(self.entries.len());
-        match self.index.entry(ByNodes(PathEntry {
-            segment: Rc::clone(segment),
-            start,
-            len,
-        })) {
-            Entry::Occupied(seen) => *seen.get(),
-            Entry::Vacant(vacant) => {
-                self.entries.push(vacant.key().0.clone());
-                vacant.insert(next);
-                next
-            }
-        }
-    }
+/// A new path of a [`PathTable::adopt`] call: its buffer and where it sits.
+struct Staged {
+    buffer: u32,
+    start: u32,
+    len: u32,
 }
 
 /// Append-only, deduplicating store of resolved paths.
@@ -185,8 +210,18 @@ impl PathTable {
     /// Interns a node path, resolving its hops against `topo` on first
     /// sight. Returns an error if consecutive nodes are not adjacent.
     pub fn try_intern(&self, topo: &Topology, nodes: &[NodeId]) -> Result<PathId> {
-        if let Some(&id) = self.inner.borrow().index.get(nodes) {
-            return Ok(id);
+        self.intern_hashed(topo, nodes, path_key(nodes))
+    }
+
+    /// [`Self::try_intern`] under the dedup key `h`.
+    fn intern_hashed(&self, topo: &Topology, nodes: &[NodeId], h: u64) -> Result<PathId> {
+        assert!(!nodes.is_empty(), "cannot intern an empty path");
+        {
+            let inner = self.inner.borrow();
+            let same = |id: PathId| inner.entries[id.index()].nodes() == nodes;
+            if let Some(id) = inner.index.find(h, same) {
+                return Ok(id);
+            }
         }
         let mut hops = topo.path_channels(nodes)?;
         hops.push(NO_HOP);
@@ -194,7 +229,16 @@ impl PathTable {
             nodes: nodes.into(),
             hops: hops.into_boxed_slice(),
         });
-        Ok(self.inner.borrow_mut().insert(&segment, 0, nodes.len()))
+        let len = u32::try_from(nodes.len()).expect("path exceeds u32 offsets");
+        let mut inner = self.inner.borrow_mut();
+        let id = PathId::from_index(inner.entries.len());
+        inner.index.file(h, id);
+        inner.entries.push(PathEntry {
+            segment,
+            start: 0,
+            len,
+        });
+        Ok(id)
     }
 
     /// Interns a node path known to follow topology edges. Panics
@@ -205,61 +249,110 @@ impl PathTable {
             .expect("path follows topology edges")
     }
 
-    /// Interns a batch of paths that come with the channel of every hop
-    /// (what a path search knows anyway), so nothing is looked up: a hop's
-    /// direction follows from the node it leaves. Used by the batched
-    /// candidate-path oracle to bulk-load worker-thread results; ids come
-    /// back in input order, with duplicates resolving to the same id
-    /// exactly as [`PathTable::intern`] would assign them one at a time.
-    /// The channels must be the ones `topo` has between consecutive nodes.
-    /// All the new paths of one call share one segment.
-    pub fn intern_batch<'a>(
+    /// Interns a batch of paths a search wrote out with every hop, taking
+    /// over the buffers that hold them: `paths` names each path by its
+    /// buffer and its node range, ranges disjoint. Ids come back in
+    /// `paths` order, assigned as [`PathTable::intern`] would assign them
+    /// one at a time — a path the table holds, or that came earlier in the
+    /// batch, resolves to its id. The hops must be the ones `topo` has
+    /// between consecutive nodes.
+    ///
+    /// A buffer all of whose paths are new becomes a segment as it is
+    /// (trimmed to its length); one that holds paths the table has already
+    /// is compacted to the new ones; one with no new path is dropped. So
+    /// the table keeps exactly the new paths, and each path's nodes are
+    /// hashed once.
+    pub fn adopt(
         &self,
         topo: &Topology,
-        paths: impl IntoIterator<Item = (&'a [NodeId], &'a [ChannelId])>,
+        buffers: Vec<PathBuffer>,
+        paths: impl IntoIterator<Item = (usize, Range<usize>)>,
     ) -> Vec<PathId> {
         let mut inner = self.inner.borrow_mut();
-        let (mut nodes, mut hops): (Vec<NodeId>, Vec<Hop>) = (Vec::new(), Vec::new());
-        // A key must own a handle onto the finished segment, so paths not
-        // seen before wait for it: `(start in the segment, node count)`,
-        // their ids marked pending.
-        const PENDING: PathId = PathId(u32::MAX);
-        let mut staged: Vec<(usize, usize)> = Vec::new();
-        let mut ids: Vec<PathId> = paths
+        let Inner { entries, index } = &mut *inner;
+        let first_new = entries.len();
+        let mut staged: Vec<Staged> = Vec::new();
+        let ids = paths
             .into_iter()
-            .map(|(path, channels)| {
+            .map(|(buffer, range)| {
+                let (nodes, hops) = &buffers[buffer];
+                assert_eq!(hops.len(), nodes.len(), "one hop slot per node");
+                assert!(!range.is_empty(), "cannot intern an empty path");
+                let path = &nodes[range.clone()];
                 // (Hop by hop, so a debug build allocates what a release
                 // build does.)
                 debug_assert!(
                     path.windows(2)
-                        .map(|hop| topo.channel_between(hop[0], hop[1]))
-                        .eq(channels.iter().map(|&c| Some(c))),
-                    "carried channels {channels:?} are not the hops of {path:?}"
+                        .zip(&hops[range.clone()])
+                        .all(|(hop, &(c, dir))| {
+                            topo.channel_between(hop[0], hop[1]) == Some(c)
+                                && topo.channel(c).direction_from(hop[0]) == dir
+                        }),
+                    "carried hops {:?} are not those of {path:?}",
+                    &hops[range.start..range.end - 1]
                 );
-                if let Some(&id) = inner.index.get(path) {
-                    return id;
+                let nodes_of = |id: PathId| match id.index().checked_sub(first_new) {
+                    None => entries[id.index()].nodes(),
+                    Some(i) => {
+                        let new = &staged[i];
+                        let start = new.start as usize;
+                        &buffers[new.buffer as usize].0[start..start + new.len as usize]
+                    }
+                };
+                let id = PathId::from_index(first_new + staged.len());
+                let known = index.find_or_file(path_key(path), id, |id| nodes_of(id) == path);
+                if let Some(known) = known {
+                    return known;
                 }
-                staged.push((nodes.len(), path.len()));
-                nodes.extend_from_slice(path);
-                let leaving = channels.iter().zip(path);
-                hops.extend(leaving.map(|(&c, &from)| (c, topo.channel(c).direction_from(from))));
-                hops.push(NO_HOP);
-                assert_eq!(hops.len(), nodes.len(), "one channel per hop of {path:?}");
-                PENDING
+                let offset = |i: usize| u32::try_from(i).expect("buffer exceeds u32 offsets");
+                let (start, end) = (offset(range.start), offset(range.end));
+                staged.push(Staged {
+                    buffer: offset(buffer),
+                    start,
+                    len: end - start,
+                });
+                id
             })
             .collect();
-        if staged.is_empty() {
-            return ids;
+        let mut used = vec![0; buffers.len()];
+        for new in &staged {
+            used[new.buffer as usize] += new.len as usize;
         }
-        let segment = Rc::new(Segment {
-            nodes: nodes.into_boxed_slice(),
-            hops: hops.into_boxed_slice(),
-        });
-        // In input order, so ids are assigned as one-at-a-time interning
-        // would; the same new path twice in one call resolves to the first.
-        let pending = ids.iter_mut().filter(|id| **id == PENDING);
-        for (id, (start, len)) in pending.zip(staged) {
-            *id = inner.insert(&segment, start, len);
+        let segments: Vec<Option<Rc<Segment>>> = buffers
+            .into_iter()
+            .enumerate()
+            .map(|(b, (nodes, hops))| match used[b] {
+                0 => None,
+                whole if whole == nodes.len() => Some(Rc::new(Segment {
+                    nodes: nodes.into_boxed_slice(),
+                    hops: hops.into_boxed_slice(),
+                })),
+                part => {
+                    let (mut kept, mut kept_hops) =
+                        (Vec::with_capacity(part), Vec::with_capacity(part));
+                    for new in staged.iter_mut().filter(|new| new.buffer as usize == b) {
+                        let range = new.start as usize..(new.start + new.len) as usize;
+                        new.start = kept.len() as u32;
+                        kept.extend_from_slice(&nodes[range.clone()]);
+                        kept_hops.extend_from_slice(&hops[range]);
+                    }
+                    Some(Rc::new(Segment {
+                        nodes: kept.into_boxed_slice(),
+                        hops: kept_hops.into_boxed_slice(),
+                    }))
+                }
+            })
+            .collect();
+        entries.reserve(staged.len());
+        for new in staged {
+            let segment = segments[new.buffer as usize]
+                .as_ref()
+                .expect("holds a new path");
+            entries.push(PathEntry {
+                segment: Rc::clone(segment),
+                start: new.start,
+                len: new.len,
+            });
         }
         ids
     }
@@ -269,7 +362,7 @@ impl PathTable {
     pub fn reserve(&self, additional: usize) {
         let mut inner = self.inner.borrow_mut();
         inner.entries.reserve(additional);
-        inner.index.reserve(additional);
+        inner.index.first.reserve(additional);
     }
 
     /// The entry for an interned id (a cheap clone).
@@ -341,36 +434,45 @@ mod tests {
         assert!(table.is_empty());
     }
 
-    /// What a path search hands over for `nodes`: each hop's channel, no
-    /// direction.
-    fn carried(t: &Topology, nodes: &[NodeId]) -> Vec<ChannelId> {
-        let hops = t.path_channels(nodes).into_iter().flatten();
-        hops.map(|(c, _)| c).collect()
+    /// `paths` laid out as a search leaves them: one buffer, each node
+    /// beside the hop that leaves it, and each path's node range.
+    fn written(t: &Topology, paths: &[&[NodeId]]) -> (PathBuffer, Vec<Range<usize>>) {
+        let total = paths.iter().map(|p| p.len()).sum();
+        let (mut nodes, mut hops) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        let mut ranges = Vec::new();
+        for path in paths {
+            ranges.push(nodes.len()..nodes.len() + path.len());
+            nodes.extend_from_slice(path);
+            hops.extend(t.path_channels(path).expect("on the topology"));
+            hops.push(NO_HOP);
+        }
+        ((nodes, hops), ranges)
+    }
+
+    /// Adopts one buffer holding `paths`, in order.
+    fn adopt_all(table: &PathTable, t: &Topology, paths: &[&[NodeId]]) -> Vec<PathId> {
+        let (buffer, ranges) = written(t, paths);
+        table.adopt(t, vec![buffer], ranges.into_iter().map(|r| (0, r)))
     }
 
     #[test]
-    fn intern_batch_matches_one_at_a_time() {
+    fn adopt_matches_one_at_a_time() {
         let t = gen::line(4, Amount::from_xrp(10));
-        let seqs: Vec<Vec<NodeId>> = vec![
-            vec![n(0), n(1), n(2)],
-            vec![n(1), n(2)],
-            vec![n(0), n(1), n(2)], // duplicate inside the batch
-            vec![n(3), n(2)],
-            vec![n(1)], // no hops
+        let seqs: [&[NodeId]; 5] = [
+            &[n(0), n(1), n(2)],
+            &[n(1), n(2)],
+            &[n(0), n(1), n(2)], // duplicate inside the batch
+            &[n(3), n(2)],
+            &[n(1)], // no hops
         ];
-        let channels: Vec<Vec<ChannelId>> = seqs.iter().map(|s| carried(&t, s)).collect();
-        let batch = || {
-            let both = seqs.iter().zip(&channels);
-            both.map(|(nodes, channels)| (nodes.as_slice(), channels.as_slice()))
-        };
         let batch_table = PathTable::new();
-        let batch_ids = batch_table.intern_batch(&t, batch());
+        let batch_ids = adopt_all(&batch_table, &t, &seqs);
         let one_table = PathTable::new();
         let one_ids: Vec<PathId> = seqs.iter().map(|s| one_table.intern(&t, s)).collect();
         assert_eq!(batch_ids, one_ids);
         assert_eq!(batch_table.len(), one_table.len());
         assert_eq!(batch_table.len(), 4, "duplicate dedups");
-        // Directions were derived, not looked up — and derived right.
+        // The carried hops were taken as they came — and they are right.
         for &id in &batch_ids {
             let (batched, one) = (batch_table.entry(id), one_table.entry(id));
             assert_eq!(batched, one);
@@ -382,18 +484,63 @@ mod tests {
         // A later batch sees earlier interning, and single interning lands
         // in the same id space.
         batch_table.reserve(8);
-        let late = [n(2), n(3)];
-        let late_channels = carried(&t, &late);
-        let more = batch_table.intern_batch(
-            &t,
-            batch().chain([(late.as_slice(), late_channels.as_slice())]),
-        );
+        let late: &[NodeId] = &[n(2), n(3)];
+        let more = adopt_all(&batch_table, &t, &[&seqs[..], &[late]].concat());
         assert_eq!(more.split_last(), Some((&PathId(4), batch_ids.as_slice())));
         assert_eq!(batch_table.len(), 5);
-        assert_eq!(batch_table.intern(&t, &late), PathId(4));
+        assert_eq!(batch_table.intern(&t, late), PathId(4));
         // A batch with nothing new adds nothing.
-        assert_eq!(batch_table.intern_batch(&t, batch()), batch_ids);
+        assert_eq!(adopt_all(&batch_table, &t, &seqs), batch_ids);
         assert_eq!(batch_table.len(), 5);
+    }
+
+    /// The paths of several buffers interleave in id order; a buffer of
+    /// new paths is kept as it is, not copied, and one that repeats known
+    /// paths keeps only the new ones.
+    #[test]
+    fn adopt_keeps_new_buffers_and_compacts_the_rest() {
+        let t = gen::line(6, Amount::from_xrp(10));
+        let table = PathTable::new();
+        let known = table.intern(&t, &[n(3), n(4)]);
+        let (fresh, fresh_ranges) = written(&t, &[&[n(0), n(1), n(2)], &[n(5), n(4)]]);
+        let (mixed, mixed_ranges) = written(&t, &[&[n(3), n(4)], &[n(2), n(3)], &[n(0), n(1)]]);
+        let fresh_nodes = fresh.0.as_ptr();
+        let order = [(1, 1), (0, 1), (1, 0), (0, 0), (1, 2)];
+        let ranges = [fresh_ranges, mixed_ranges];
+        let paths = order.map(|(b, i): (usize, usize)| (b, ranges[b][i].clone()));
+        let ids = table.adopt(&t, vec![fresh, mixed], paths);
+        assert_eq!(ids, [1, 2, 0, 3, 4].map(PathId));
+        assert_eq!(ids[2], known);
+        let nodes = |id| table.entry(id).nodes().to_vec();
+        assert_eq!(nodes(PathId(1)), [n(2), n(3)]);
+        assert_eq!(nodes(PathId(2)), [n(5), n(4)]);
+        assert_eq!(nodes(PathId(3)), [n(0), n(1), n(2)]);
+        assert_eq!(nodes(PathId(4)), [n(0), n(1)]);
+        assert_eq!(table.entry(PathId(3)).nodes().as_ptr(), fresh_nodes);
+        let compacted = table.entry(PathId(1)).nodes().as_ptr();
+        assert_eq!(
+            table.entry(PathId(4)).nodes().as_ptr(),
+            compacted.wrapping_add(2)
+        );
+        for id in ids {
+            let entry = table.entry(id);
+            assert_eq!(Ok(entry.hops().to_vec()), t.path_channels(entry.nodes()));
+        }
+    }
+
+    /// Two different paths under one dedup key stay two paths.
+    #[test]
+    fn colliding_keys_still_tell_paths_apart() {
+        let t = gen::line(4, Amount::from_xrp(10));
+        let table = PathTable::new();
+        let (a, b, c): (&[NodeId], &[NodeId], &[NodeId]) =
+            (&[n(0), n(1)], &[n(2), n(3)], &[n(3), n(2), n(1)]);
+        let key = path_key(a);
+        let ids = [a, b, c, b, a].map(|p| table.intern_hashed(&t, p, key).unwrap());
+        assert_eq!(ids, [0, 1, 2, 1, 0].map(PathId));
+        assert_eq!(table.entry(PathId(2)).nodes(), c);
+        // A batch filed under real keys still finds them.
+        assert_eq!(adopt_all(&table, &t, &[a]), [PathId(0)]);
     }
 
     /// A handle outlives any amount of later interning, and entries that
@@ -407,12 +554,7 @@ mod tests {
         assert!(before.contains("nodes") && before.contains("hops"));
         for i in 0..38 {
             let (out, back) = ([n(i), n(i + 1)], [n(i + 2), n(i + 1), n(i)]);
-            let (out_channels, back_channels) = (carried(&t, &out), carried(&t, &back));
-            let batch = [
-                (out.as_slice(), out_channels.as_slice()),
-                (back.as_slice(), back_channels.as_slice()),
-            ];
-            for id in table.intern_batch(&t, batch) {
+            for id in adopt_all(&table, &t, &[&out, &back]) {
                 let entry = table.entry(id);
                 assert_eq!(Ok(entry.hops().to_vec()), t.path_channels(entry.nodes()));
             }

@@ -77,6 +77,18 @@ pub enum Direction {
 }
 
 impl Direction {
+    /// The direction of a hop from `from` to `to` over the channel between
+    /// them: canonical endpoint order makes it a comparison, no lookup.
+    #[inline]
+    pub fn of_hop(from: NodeId, to: NodeId) -> Direction {
+        debug_assert_ne!(from, to, "a hop joins two nodes");
+        if from < to {
+            Direction::Forward
+        } else {
+            Direction::Backward
+        }
+    }
+
     /// The opposite direction.
     #[inline]
     pub const fn reverse(self) -> Direction {
@@ -266,6 +278,8 @@ mod tests {
         }
         assert_eq!(Direction::Forward.index(), 0);
         assert_eq!(Direction::Backward.index(), 1);
+        assert_eq!(Direction::of_hop(NodeId(1), NodeId(4)), Direction::Forward);
+        assert_eq!(Direction::of_hop(NodeId(4), NodeId(1)), Direction::Backward);
     }
 
     #[test]

@@ -208,3 +208,105 @@ fn one_way_traffic_ends_fully_imbalanced_but_conserved() {
         assert_eq!(bc_state.available(Direction::Backward), bc, "{mode}");
     }
 }
+
+/// The line A→B→C with on-chain rebalancing (§5.2.3), in both engine
+/// modes: one-MTU payments, one way only, offered far faster than B→C's
+/// forward side is refilled. A→B is deep enough never to deplete, so B→C
+/// forward is the only direction the depletion scan tops up, and every
+/// top-up is spent as soon as it lands. Delivered volume over `T` is
+/// then the initial escrow plus one top-up per confirmation cycle, each
+/// to `target_fraction` of the channel's capacity at the time.
+///
+/// The cycle, from the scan's rules: scans run at every multiple of
+/// `check_interval` (1 s). A scan that finds the direction below
+/// `trigger_fraction` schedules a deposit `confirmation_delay` (2.5 s)
+/// later, and no second deposit while one is pending. Demand spends a
+/// deposit within 0.2 s of its landing (FIFO: at once, from the units
+/// queued at B; lockstep: by the next arrivals and poll retries), before
+/// the next scan, 0.5 s after the landing. (Payments have no deadline:
+/// a lockstep retry that locks a unit its deadline then refunds would
+/// hand the deposit back after the scan.) So the scan at `s` triggers
+/// the deposit landing at `s + 2.5 s`, and the scan at `s + 3 s`, which
+/// finds it spent, triggers the next: one top-up every
+/// `check_interval · ⌈confirmation_delay / check_interval⌉` = 3 s. The
+/// 500 XRP escrow is gone at 0.5 s (1,000 XRP/s offered), so the first
+/// trigger is the scan at 1 s, and deposits land at 3.5 s, 6.5 s, … —
+/// the nine up to 27.5 s are spent and settle (Δ = 0.5 s plus two hop
+/// delays) before `T` = 30 s.
+#[test]
+fn on_chain_rebalancing_adds_one_top_up_per_cycle() {
+    use spider_sim::config::RebalancingConfig;
+    use spider_types::{NodeId, SimTime};
+    let (ab, bc) = (Amount::from_xrp(1_000_000), Amount::from_xrp(1_000));
+    let mut b = spider_topology::Topology::builder(3);
+    b.channel(NodeId(0), NodeId(1), ab).expect("A-B");
+    b.channel(NodeId(1), NodeId(2), bc).expect("B-C");
+    let topo = b.build();
+    let horizon = SimDuration::from_secs(30);
+    let rebalancing = RebalancingConfig {
+        check_interval: SimDuration::from_secs(1),
+        trigger_fraction: 0.05,
+        target_fraction: 0.1,
+        confirmation_delay: SimDuration::from_millis(2_500),
+    };
+    let mtu = SimConfig::default().mtu;
+    // One MTU every 10 ms, until the horizon.
+    let txns: Vec<spider_sim::TxnSpec> = (0..3_000)
+        .map(|i| spider_sim::TxnSpec {
+            time: SimTime::from_micros(10_000 * i),
+            src: NodeId(0),
+            dst: NodeId(2),
+            amount: mtu,
+        })
+        .collect();
+    // The cycle and the deposits that land, are spent and settle by `T`.
+    let check = rebalancing.check_interval.as_secs_f64();
+    let delay = rebalancing.confirmation_delay.as_secs_f64();
+    let cycle = check * (delay / check).ceil();
+    let first_landing = check + delay;
+    let landed = ((horizon.as_secs_f64() - 1.0 - first_landing) / cycle).floor() as usize + 1;
+    assert_eq!((cycle, landed), (3.0, 9));
+    // Each top-up refills to `target_fraction` of the capacity, which
+    // the top-up itself then grows; a top-up is spent in whole MTUs, and
+    // what is left (less than one) counts toward the next.
+    let (mut capacity, mut left, mut top_ups) = (bc, Amount::ZERO, Vec::new());
+    for _ in 0..landed {
+        let top_up = capacity.mul_f64(rebalancing.target_fraction) - left;
+        capacity += top_up;
+        left += top_up;
+        left = Amount::from_drops(left.drops() % mtu.drops());
+        top_ups.push(top_up);
+    }
+    let escrow = bc / 2;
+    let want = escrow + top_ups.iter().copied().sum::<Amount>();
+    let one_top_up = *top_ups.last().expect("deposits land");
+    for (mode, queueing) in [
+        ("lockstep", QueueingMode::Lockstep),
+        ("fifo", QueueingMode::PerChannelFifo(QueueConfig::default())),
+    ] {
+        let demands = spider_paygraph::PaymentGraph::new(3);
+        let router = SchemeConfig::ShortestPath.build(&topo, &demands, 0.5);
+        let cfg = SimConfig {
+            horizon,
+            queueing,
+            rebalancing: Some(rebalancing.clone()),
+            deadline: None,
+            ..SimConfig::default()
+        };
+        let workload = Workload { txns: txns.clone() };
+        let mut sim = Simulation::new(topo.clone(), workload, router, cfg).expect("builds");
+        let report = sim.run();
+        sim.check_conservation();
+        assert_eq!(report.rebalance_ops, landed as u64, "{mode}");
+        let got = report.delivered_volume;
+        let gap = if got > want { got - want } else { want - got };
+        assert!(
+            gap <= one_top_up,
+            "{mode}: delivered {got}, want {want} ± {one_top_up} ({top_ups:?})"
+        );
+        // Only B→C forward was ever topped up.
+        let (ab_state, bc_state) = (&sim.channel_states()[0], &sim.channel_states()[1]);
+        assert_eq!(ab_state.capacity(), ab, "{mode}");
+        assert_eq!(bc_state.capacity() - bc, report.onchain_deposited, "{mode}");
+    }
+}

@@ -2,7 +2,7 @@
 //! simulator → report) for every scheme in the paper's lineup.
 
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
-use spider_sim::{SimConfig, WorkloadConfig};
+use spider_sim::{QueueConfig, QueueingMode, SimConfig, WorkloadConfig};
 use spider_tests::small_isp_experiment;
 use spider_types::SimDuration;
 
@@ -21,6 +21,42 @@ fn every_paper_scheme_runs_and_reports_sanely() {
         // Completion takes at least the confirmation delay.
         if let Some(t) = r.avg_completion_time() {
             assert!(t >= 0.5 - 1e-9, "{}: completion {t} below Δ", r.scheme);
+        }
+    }
+}
+
+/// The profiler attributes a run's set-up as well as its loop. In a small
+/// lockstep run and a small FIFO run of a prewarming scheme, exactly the
+/// phases marked ran (count > 0), and the two set-up phases — listing the
+/// prewarm pairs and the router's prewarm — ran once each and took time.
+#[test]
+fn profile_attributes_the_prewarm() {
+    let fifo = QueueingMode::PerChannelFifo(QueueConfig::default());
+    // calendar_pop, routing, forwarding, settlement, churn_repair,
+    // sampling, prewarm_pairs, prewarm
+    for (scheme, queueing, ran) in [
+        (
+            SchemeConfig::ShortestPath,
+            QueueingMode::Lockstep,
+            [true, true, false, true, false, true, true, true],
+        ),
+        (
+            SchemeConfig::spider_protocol(4),
+            fifo,
+            [true, true, true, false, false, true, true, true],
+        ),
+    ] {
+        let mut cfg = small_isp_experiment(5, 10_000);
+        cfg.scheme = scheme;
+        cfg.sim.queueing = queueing;
+        cfg.sim.obs.profile = true;
+        let profile = cfg.run().expect("runs").profile;
+        let phases = profile.phases();
+        let got = phases.map(|(_, phase)| phase.count > 0);
+        assert_eq!(got, ran, "{}: {phases:?}", cfg.scheme.name());
+        for (name, phase) in &phases[6..] {
+            assert_eq!(phase.count, 1, "{name}");
+            assert!(phase.total_ns > 0, "{name}");
         }
     }
 }
