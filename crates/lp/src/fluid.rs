@@ -17,7 +17,7 @@ use crate::paths::{k_edge_disjoint_paths, k_shortest_paths, Path};
 use crate::simplex::{ConstraintOp, LinearProgram};
 use spider_paygraph::PaymentGraph;
 use spider_topology::Topology;
-use spider_types::{Direction, NodeId, Result};
+use spider_types::{Direction, Hop, NodeId, Result};
 use std::collections::BTreeMap;
 
 /// How candidate paths are generated for each demand pair.
@@ -135,7 +135,7 @@ impl FluidProblem {
             for p in paths {
                 let v = vars.len();
                 ids.push(v);
-                for (c, dir) in p.channels(&self.topo) {
+                for (c, dir) in p.channels(&self.topo).into_iter().map(Hop::parts) {
                     match dir {
                         Direction::Forward => fwd[c.index()].push(v),
                         Direction::Backward => bwd[c.index()].push(v),
@@ -366,7 +366,7 @@ mod tests {
         let sol = p.solve_balanced().unwrap();
         let mut net = vec![0.0; t.channel_count()];
         for f in &sol.flows {
-            for (c, dir) in f.path.channels(&t) {
+            for (c, dir) in f.path.channels(&t).into_iter().map(Hop::parts) {
                 match dir {
                     Direction::Forward => net[c.index()] += f.rate,
                     Direction::Backward => net[c.index()] -= f.rate,

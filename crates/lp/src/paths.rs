@@ -39,7 +39,7 @@
 //! `Topology::shortest_path` does.
 
 use spider_topology::Topology;
-use spider_types::{ChannelId, Direction, NodeId};
+use spider_types::{ChannelId, Direction, Hop, NodeId};
 use std::collections::{BTreeSet, VecDeque};
 
 // (Channel liveness: every oracle in this module searches only *enabled*
@@ -88,17 +88,14 @@ impl Path {
 
     /// The channel hops traversed, with directions. Panics if consecutive
     /// nodes are not adjacent in `topo`.
-    pub fn channels(&self, topo: &Topology) -> Vec<(ChannelId, Direction)> {
+    pub fn channels(&self, topo: &Topology) -> Vec<Hop> {
         topo.path_channels(&self.nodes)
             .expect("path follows topology edges")
     }
 }
 
-/// One hop of a path: the channel crossed and the direction of travel.
-pub type Hop = (ChannelId, Direction);
-
 /// Fills the hop slot of a path's last node, which has no hop; never read.
-const NO_HOP: Hop = (ChannelId(u32::MAX), Direction::Forward);
+const NO_HOP: Hop = Hop::new(ChannelId(0), Direction::Forward);
 
 /// Many paths in one flat buffer: every path's node ids in one vector,
 /// beside each node the hop that leaves it in another, and one end offset
@@ -763,8 +760,10 @@ impl BfsWorkspace {
             }
             let (v, c) = step.expect("every walked node lies on a shortest path");
             out.nodes.push(NodeId(v));
-            out.hops
-                .push((ChannelId(c), Direction::of_hop(NodeId(cur), NodeId(v))));
+            out.hops.push(Hop::new(
+                ChannelId(c),
+                Direction::of_hop(NodeId(cur), NodeId(v)),
+            ));
             cur = v;
         }
         debug_assert_eq!(cur, dst);
@@ -1029,7 +1028,8 @@ impl<'a> SourceOracle<'a> {
             let packed = self.tree[cur as usize];
             let parent = packed as u32;
             let hop = Direction::of_hop(NodeId(parent), NodeId(cur));
-            out.hops.push((ChannelId((packed >> 32) as u32), hop));
+            out.hops
+                .push(Hop::new(ChannelId((packed >> 32) as u32), hop));
             cur = parent;
             out.nodes.push(NodeId(cur));
         }
@@ -1041,7 +1041,8 @@ impl<'a> SourceOracle<'a> {
     /// Bans every hop of `out`'s last path for the current ban epoch.
     fn ban_last_path(&mut self, out: &FlatPaths) {
         let (nodes, hops) = out.get(out.len() - 1);
-        for ((from, to), (c, _)) in nodes.iter().zip(&nodes[1..]).zip(hops) {
+        for ((from, to), hop) in nodes.iter().zip(&nodes[1..]).zip(hops) {
+            let c = hop.channel();
             self.ws.ban_channel(c.0, from.0, to.0);
             self.banned_edges.push((c.0, from.0, to.0));
         }
@@ -1369,8 +1370,8 @@ mod tests {
         assert_eq!(paths.len(), 3); // direct, via 1, via 2
         let mut used = BTreeSet::new();
         for p in &paths {
-            for (c, _) in p.channels(&t) {
-                assert!(used.insert(c), "channel reused across paths");
+            for hop in p.channels(&t) {
+                assert!(used.insert(hop.channel()), "channel reused across paths");
             }
         }
     }
@@ -1500,8 +1501,8 @@ mod tests {
             }
             nodes.reverse();
             let p = Path::new(nodes);
-            for (c, _) in p.channels(topo) {
-                banned.insert(c);
+            for hop in p.channels(topo) {
+                banned.insert(hop.channel());
             }
             out.push(p);
         }
@@ -1842,7 +1843,7 @@ mod tests {
             if r < m {
                 let (nodes, hops) = fresh.get(r);
                 via_hub |= nodes.iter().any(|v| csr.hub_bits_row(v.0).is_some());
-                kept.extend(hops.iter().map(|&(c, _)| c));
+                kept.extend(hops.iter().map(|hop| hop.channel()));
             }
         }
         audited
@@ -1870,7 +1871,7 @@ mod tests {
             let m = oracle.edge_disjoint(dst, 4, &[], &mut out);
             let mut kept = Vec::new();
             for r in 1..=m {
-                kept.extend(out.get(first + r - 1).1.iter().map(|&(c, _)| c));
+                kept.extend(out.get(first + r - 1).1.iter().map(|hop| hop.channel()));
                 oracle.edge_disjoint(dst, 4, &kept, &mut out);
             }
         }

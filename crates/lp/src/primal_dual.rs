@@ -113,7 +113,7 @@ pub fn solve_problem(
             var_hops.push(
                 p.channels(topo)
                     .into_iter()
-                    .map(|(c, d)| (c.index(), d))
+                    .map(|hop| (hop.channel().index(), hop.direction()))
                     .collect(),
             );
             pair_vars[pi].push(v);

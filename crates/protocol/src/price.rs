@@ -10,15 +10,16 @@
 //! (drops, timeouts) contributing a configurable penalty price so paths
 //! that eat units look expensive even though they return no stamp sum.
 
+use crate::router::ProtocolConfig;
 use spider_types::MarkStamp;
 
-/// Exponentially-weighted moving average of a path's acked prices.
-#[derive(Debug, Clone)]
+/// Exponentially-weighted moving average of a path's acked prices. Holds
+/// only the estimate: the smoothing factor and the price of a drop are
+/// the router's ([`ProtocolConfig::price_gamma`],
+/// [`ProtocolConfig::nack_price`]), read on each observation, so a sender
+/// with 10⁵ paths keeps no 10⁵ copies of them.
+#[derive(Debug, Clone, Default)]
 pub struct PathPriceEstimator {
-    /// Smoothing factor in (0, 1]: weight of the newest observation.
-    gamma: f64,
-    /// Price charged for a failed (dropped) unit.
-    nack_price: f64,
     /// Current estimate.
     estimate: f64,
     /// Number of observations folded in.
@@ -27,31 +28,23 @@ pub struct PathPriceEstimator {
 
 impl PathPriceEstimator {
     /// Creates an estimator starting at price zero.
-    ///
-    /// `gamma` is the EWMA weight of each new observation; `nack_price`
-    /// is the price attributed to a unit that never arrived.
-    pub fn new(gamma: f64, nack_price: f64) -> Self {
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-        assert!(nack_price >= 0.0, "nack price must be non-negative");
-        PathPriceEstimator {
-            gamma,
-            nack_price,
-            estimate: 0.0,
-            observations: 0,
-        }
+    pub fn new() -> Self {
+        PathPriceEstimator::default()
     }
 
-    /// Folds one unit acknowledgement into the estimate.
-    pub fn observe(&mut self, delivered: bool, stamp: &MarkStamp) {
+    /// Folds one unit acknowledgement into the estimate, with weight
+    /// `cfg.price_gamma`; a unit that never arrived is priced at least
+    /// `cfg.nack_price`.
+    pub fn observe(&mut self, cfg: &ProtocolConfig, delivered: bool, stamp: &MarkStamp) {
         let observed = if delivered {
             stamp.price
         } else {
-            self.nack_price.max(stamp.price)
+            cfg.nack_price.max(stamp.price)
         };
         if self.observations == 0 {
             self.estimate = observed;
         } else {
-            self.estimate = (1.0 - self.gamma) * self.estimate + self.gamma * observed;
+            self.estimate = (1.0 - cfg.price_gamma) * self.estimate + cfg.price_gamma * observed;
         }
         self.observations += 1;
     }
@@ -70,6 +63,7 @@ impl PathPriceEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::ProtocolRouter;
     use spider_types::SimDuration;
 
     fn stamp(price: f64) -> MarkStamp {
@@ -78,38 +72,47 @@ mod tests {
         s
     }
 
+    fn cfg(price_gamma: f64, nack_price: f64) -> ProtocolConfig {
+        ProtocolConfig {
+            price_gamma,
+            nack_price,
+            ..ProtocolConfig::default()
+        }
+    }
+
     #[test]
     fn starts_at_zero_and_adopts_first_observation() {
-        let mut e = PathPriceEstimator::new(0.1, 5.0);
+        let mut e = PathPriceEstimator::new();
         assert_eq!(e.price(), 0.0);
-        e.observe(true, &stamp(2.0));
+        e.observe(&cfg(0.1, 5.0), true, &stamp(2.0));
         assert_eq!(e.price(), 2.0, "first observation is adopted outright");
     }
 
     #[test]
     fn ewma_tracks_toward_new_prices() {
-        let mut e = PathPriceEstimator::new(0.5, 5.0);
-        e.observe(true, &stamp(0.0));
-        e.observe(true, &stamp(4.0));
+        let (mut e, cfg) = (PathPriceEstimator::new(), cfg(0.5, 5.0));
+        e.observe(&cfg, true, &stamp(0.0));
+        e.observe(&cfg, true, &stamp(4.0));
         assert!((e.price() - 2.0).abs() < 1e-12);
-        e.observe(true, &stamp(4.0));
+        e.observe(&cfg, true, &stamp(4.0));
         assert!((e.price() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn nacks_charge_the_penalty_price() {
-        let mut e = PathPriceEstimator::new(1.0, 7.5);
-        e.observe(false, &stamp(0.25));
+        let (mut e, cfg) = (PathPriceEstimator::new(), cfg(1.0, 7.5));
+        e.observe(&cfg, false, &stamp(0.25));
         assert_eq!(e.price(), 7.5);
         // A nack with an even higher stamped price keeps the stamp.
-        e.observe(false, &stamp(9.0));
+        e.observe(&cfg, false, &stamp(9.0));
         assert_eq!(e.price(), 9.0);
         assert_eq!(e.observations(), 2);
     }
 
+    /// The estimators read the router's gamma, which the router checks.
     #[test]
     #[should_panic(expected = "gamma")]
     fn rejects_bad_gamma() {
-        let _ = PathPriceEstimator::new(0.0, 1.0);
+        let _ = ProtocolRouter::with_config(4, cfg(0.0, 1.0));
     }
 }

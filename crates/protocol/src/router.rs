@@ -25,7 +25,7 @@ use spider_routing::{BackoffConfig, ChannelBreakers, PathCache, PathPenalties, P
 use spider_sim::{
     NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate, UnitAck, UnitOutcome,
 };
-use spider_types::{Amount, DropReason, IdHashMap, NodeId, PathId};
+use spider_types::{Amount, DropReason, NodeId, PathId};
 use std::ops::Range;
 
 /// Tunables of the protocol sender.
@@ -78,29 +78,25 @@ struct Candidate {
     price: PathPriceEstimator,
 }
 
-/// One routed pair.
-struct Slot {
-    pair: (NodeId, NodeId),
-    /// How many candidates the pair has.
-    count: u32,
-}
+/// "Not routed yet" in [`Pairs::counts`].
+const UNROUTED: u32 = u32::MAX;
 
 /// "No pair holds this path" in [`Pairs::owner`].
 const UNOWNED: u32 = u32::MAX;
 
-/// Per-(sender, receiver) protocol state, in the layout of
-/// [`PathCache`]: a routed pair owns a dense slot for life, and every
-/// slot's candidates sit in one flat array, `k` to a slot — nothing is
-/// allocated per pair. A path belongs to one pair (its ends), so `owner`,
-/// indexed by interned id, finds an acknowledged path's candidate with
-/// two array reads: no hop resolution, no hash, no search.
+/// Per-(sender, receiver) protocol state, kept beside the [`PathCache`]
+/// and indexed by the pair's cache slot: every slot's candidates sit in
+/// one flat array, `k` to a slot — nothing is allocated per pair, and no
+/// map of the router's own finds a pair. A path belongs to one pair (its
+/// ends), so `owner`, indexed by interned id, finds an acknowledged
+/// path's candidate with two array reads: no hop resolution, no hash, no
+/// search.
 struct Pairs {
     /// The most candidates a pair can have: the stride of `candidates`.
     k: usize,
-    /// Where each routed pair's slot is — `route`'s one hash lookup.
-    slot_of: IdHashMap<(NodeId, NodeId), u32>,
-    /// The routed pairs, in the order they were first routed.
-    slots: Vec<Slot>,
+    /// Per cache slot: how many candidates the pair has, [`UNROUTED`]
+    /// until its first request (a pair's windows exist from then on).
+    counts: Vec<u32>,
     /// `k` entries a slot, of which the first `count` mean something.
     candidates: Vec<Candidate>,
     /// Per [`PathId`]: the position in `candidates` of the path while it
@@ -117,40 +113,64 @@ impl Pairs {
     fn new(k: usize, cfg: &ProtocolConfig) -> Self {
         Pairs {
             k,
-            slot_of: IdHashMap::default(),
-            slots: Vec::new(),
+            counts: Vec::new(),
             candidates: Vec::new(),
             owner: Vec::new(),
             fresh: Candidate {
                 path: PathId(0),
                 controller: PathController::new(&cfg.rate),
-                price: PathPriceEstimator::new(cfg.price_gamma, cfg.nack_price),
+                price: PathPriceEstimator::new(),
             },
             staged: Vec::new(),
         }
     }
 
-    /// Gives a pair routed for the first time the next slot, with no
+    /// Sizes the state once for `slots` pairs and `paths` interned paths
+    /// — the prewarm's — so a run whose pairs were all prewarmed never
+    /// grows it (nor holds an outgrown copy while it does).
+    fn reserve(&mut self, slots: usize, paths: usize) {
+        let more = |len: usize, total: usize| total.saturating_sub(len);
+        self.counts.reserve_exact(more(self.counts.len(), slots));
+        let candidates = more(self.candidates.len(), slots * self.k);
+        self.candidates.reserve_exact(candidates);
+        self.owner.reserve_exact(more(self.owner.len(), paths));
+    }
+
+    /// True once `slot`'s pair has been routed.
+    fn routed(&self, slot: u32) -> bool {
+        self.counts
+            .get(slot as usize)
+            .is_some_and(|&count| count != UNROUTED)
+    }
+
+    /// Opens `slot` for a pair routed for the first time, with no
     /// candidates yet.
-    fn open(&mut self, pair: (NodeId, NodeId)) -> u32 {
-        let slot = self.slots.len() as u32;
-        self.slot_of.insert(pair, slot);
-        self.slots.push(Slot { pair, count: 0 });
-        let filled = self.candidates.len() + self.k;
-        self.candidates.resize(filled, self.fresh.clone());
-        slot
+    fn open(&mut self, slot: u32) {
+        let slot = slot as usize;
+        if self.counts.len() <= slot {
+            self.counts.resize(slot + 1, UNROUTED);
+            let filled = self.counts.len() * self.k;
+            self.candidates.resize(filled, self.fresh.clone());
+        }
+        self.counts[slot] = 0;
     }
 
-    /// Where `slot`'s candidates are in `candidates`.
+    /// Where the routed `slot`'s candidates are in `candidates`.
     fn span(&self, slot: u32) -> Range<usize> {
+        let count = self.counts[slot as usize];
+        debug_assert_ne!(count, UNROUTED, "slot {slot} is not routed");
         let at = slot as usize * self.k;
-        at..at + self.slots[slot as usize].count as usize
+        at..at + count as usize
     }
 
-    /// The candidates of `pair`, best first, once it has been routed.
-    fn of(&self, pair: (NodeId, NodeId)) -> Option<&[Candidate]> {
-        let &slot = self.slot_of.get(&pair)?;
-        Some(&self.candidates[self.span(slot)])
+    /// The candidates of a routed `slot`, best first.
+    fn held(&self, slot: u32) -> Option<&[Candidate]> {
+        self.routed(slot).then(|| &self.candidates[self.span(slot)])
+    }
+
+    /// The routed slots, ascending.
+    fn routed_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.counts.len() as u32).filter(|&slot| self.routed(slot))
     }
 
     /// Position of the candidate `path` currently is, if any.
@@ -165,10 +185,10 @@ impl Pairs {
         held.iter().map(|c| c.controller.window()).sum()
     }
 
-    /// Makes `paths` the candidates of `slot`: a path the slot already
-    /// holds keeps its AIMD window, in-flight accounting and smoothed
-    /// price wherever it lands in the new ordering; a path it no longer
-    /// holds loses its owner; a new one starts fresh.
+    /// Makes `paths` the candidates of the routed `slot`: a path the slot
+    /// already holds keeps its AIMD window, in-flight accounting and
+    /// smoothed price wherever it lands in the new ordering; a path it no
+    /// longer holds loses its owner; a new one starts fresh.
     fn adopt(&mut self, slot: u32, paths: &[PathId]) {
         assert!(paths.len() <= self.k, "more than k = {} paths", self.k);
         let old = self.span(slot);
@@ -185,7 +205,7 @@ impl Pairs {
         for retired in &self.candidates[old.clone()] {
             self.owner[retired.path.index()] = UNOWNED;
         }
-        self.slots[slot as usize].count = paths.len() as u32;
+        self.counts[slot as usize] = paths.len() as u32;
         for (at, adopted) in (old.start..).zip(self.staged.drain(..)) {
             let id = adopted.path.index();
             if self.owner.len() <= id {
@@ -236,6 +256,7 @@ impl ProtocolRouter {
             cfg.price_gamma > 0.0 && cfg.price_gamma <= 1.0,
             "gamma must be in (0, 1]"
         );
+        assert!(cfg.nack_price >= 0.0, "nack price must be non-negative");
         let penalties = PathPenalties::new(cfg.backoff);
         ProtocolRouter {
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
@@ -249,27 +270,38 @@ impl ProtocolRouter {
         }
     }
 
+    /// The candidates of `(src, dst)` once it has been routed.
+    fn held(&self, src: NodeId, dst: NodeId) -> Option<&[Candidate]> {
+        self.pairs.held(self.cache.slot(src, dst)?)
+    }
+
     /// Current AIMD window of one candidate path (for tests/telemetry).
     pub fn path_window(&self, src: NodeId, dst: NodeId, candidate: usize) -> Option<Amount> {
-        let held = self.pairs.of((src, dst))?.get(candidate)?;
+        let held = self.held(src, dst)?.get(candidate)?;
         Some(held.controller.window())
     }
 
     /// Current smoothed price of one candidate path.
     pub fn path_price(&self, src: NodeId, dst: NodeId, candidate: usize) -> Option<f64> {
-        let held = self.pairs.of((src, dst))?.get(candidate)?;
+        let held = self.held(src, dst)?.get(candidate)?;
         Some(held.price.price())
     }
 
-    /// Moves `slot` onto the candidates the cache now has for `pair` —
-    /// on the pair's first request, or after a repair — and carries the
-    /// change of its windows into the total.
-    fn adopt_cached(&mut self, slot: u32, pair: (NodeId, NodeId), view: &NetworkView<'_>) {
-        let paths = self.cache.get(view.topo, view.paths, pair.0, pair.1);
+    /// Moves `pair` onto the candidates the cache now has for it — on
+    /// its first request, which opens its slot, or after a repair — and
+    /// carries the change of its windows into the total. Returns the
+    /// slot. (The cache counts the lookup: a hit, or a miss that fills
+    /// the pair.)
+    fn adopt_cached(&mut self, pair: (NodeId, NodeId), view: &NetworkView<'_>) -> u32 {
+        let slot = self.cache.get_slot(view.topo, view.paths, pair.0, pair.1);
+        if !self.pairs.routed(slot) {
+            self.pairs.open(slot);
+        }
         let before = self.pairs.window_sum(slot);
-        self.pairs.adopt(slot, paths);
+        self.pairs.adopt(slot, self.cache.candidates(slot));
         self.window_total += self.pairs.window_sum(slot);
         self.window_total -= before;
+        slot
     }
 }
 
@@ -296,27 +328,27 @@ impl Router for ProtocolRouter {
 
     fn prewarm(&mut self, pairs: &[(NodeId, NodeId)], view: &NetworkView<'_>) {
         self.cache.prefill(view.topo, view.paths, pairs);
+        self.pairs.reserve(self.cache.len(), view.paths.len());
     }
 
     fn on_topology_change(&mut self, update: &TopologyUpdate, view: &NetworkView<'_>) {
         let repaired = self.cache.on_topology_change(view.topo, view.paths, update);
-        for pair in repaired {
+        for (src, dst) in repaired {
             // A pair never routed has nothing to migrate.
-            if let Some(&slot) = self.pairs.slot_of.get(&pair) {
-                self.adopt_cached(slot, pair, view);
+            if self
+                .cache
+                .slot(src, dst)
+                .is_some_and(|slot| self.pairs.routed(slot))
+            {
+                self.adopt_cached((src, dst), view);
             }
         }
     }
 
     fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
-        let pair = (req.src, req.dst);
-        let slot = match self.pairs.slot_of.get(&pair) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.pairs.open(pair);
-                self.adopt_cached(slot, pair, view);
-                slot
-            }
+        let slot = match self.cache.slot(req.src, req.dst) {
+            Some(slot) if self.pairs.routed(slot) => slot,
+            _ => self.adopt_cached((req.src, req.dst), view),
         };
         // Split-borrow the pair state so `penalties` stays reachable.
         let ProtocolRouter {
@@ -358,7 +390,7 @@ impl Router for ProtocolRouter {
                     .path(c.path)
                     .hops()
                     .iter()
-                    .all(|&(ch, _)| breakers.allow(ch, view.now))
+                    .all(|hop| breakers.allow(hop.channel(), view.now))
             {
                 Amount::ZERO
             } else {
@@ -433,7 +465,7 @@ impl Router for ProtocolRouter {
                 self.breakers.on_strike(c, view.now);
             }
         } else if ack.delivered && !self.breakers.is_empty() {
-            for &(c, _) in view.path(ack.path).hops() {
+            for c in view.path(ack.path).hops().iter().map(|hop| hop.channel()) {
                 self.breakers.on_success(c);
             }
         }
@@ -444,7 +476,9 @@ impl Router for ProtocolRouter {
         tracked(&mut self.window_total, &mut candidate.controller, |c| {
             c.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.cfg.rate)
         });
-        candidate.price.observe(ack.delivered, &ack.stamp);
+        candidate
+            .price
+            .observe(&self.cfg, ack.delivered, &ack.stamp);
     }
 
     fn window_gauge(&self) -> Option<f64> {
@@ -462,8 +496,8 @@ impl Router for ProtocolRouter {
         // Sorted by pair key so the histogram's fill order (and therefore
         // any serialized form) does not depend on the order pairs were
         // first routed in.
-        let mut slots: Vec<u32> = (0..self.pairs.slots.len() as u32).collect();
-        slots.sort_unstable_by_key(|&slot| self.pairs.slots[slot as usize].pair);
+        let mut slots: Vec<u32> = self.pairs.routed_slots().collect();
+        slots.sort_unstable_by_key(|&slot| self.cache.pair(slot));
         for slot in slots {
             let held = &self.pairs.candidates[self.pairs.span(slot)];
             obs.windows_xrp
@@ -516,7 +550,7 @@ mod tests {
 
     /// The candidate paths the router holds for a routed pair.
     fn held(r: &ProtocolRouter, src: u32, dst: u32) -> Vec<PathId> {
-        let held = r.pairs.of((NodeId(src), NodeId(dst))).expect("routed");
+        let held = r.held(NodeId(src), NodeId(dst)).expect("routed");
         held.iter().map(|c| c.path).collect()
     }
 
@@ -731,7 +765,7 @@ mod tests {
     #[test]
     fn window_gauge_running_total_equals_recount() {
         fn recount(r: &ProtocolRouter) -> Amount {
-            let slots = 0..r.pairs.slots.len() as u32;
+            let slots = r.pairs.routed_slots();
             slots.map(|slot| r.pairs.window_sum(slot)).sum()
         }
         let (t, ch) = two_routes();
@@ -783,6 +817,54 @@ mod tests {
             assert_eq!(r.window_total, recount(&r));
         }
         assert_eq!(r.window_gauge(), Some(recount(&r).as_xrp()));
+    }
+
+    /// What the router keeps per candidate path: the id, the AIMD window
+    /// and in-flight value, and the price estimate — no config.
+    #[test]
+    fn per_path_state_fits_forty_bytes() {
+        assert!(std::mem::size_of::<Candidate>() <= 40);
+    }
+
+    /// The prewarm sizes the pair state for every prewarmed pair and path
+    /// once; routing them all later grows nothing, and only routed pairs
+    /// hold windows.
+    #[test]
+    fn prewarm_sizes_the_pair_state_once() {
+        let t = spider_topology::gen::grid(3, 3, xrp(2_000));
+        let ch: Vec<ChannelState> = t
+            .channels()
+            .map(|(_, c)| ChannelState::split_equally(c.capacity))
+            .collect();
+        let paths = PathTable::new();
+        let view = NetworkView {
+            topo: &t,
+            channels: &ch,
+            paths: &paths,
+            now: SimTime::ZERO,
+        };
+        let pairs: Vec<(NodeId, NodeId)> = t
+            .nodes()
+            .flat_map(|s| t.nodes().map(move |d| (s, d)))
+            .collect();
+        let mut r = ProtocolRouter::new(4);
+        r.prewarm(&pairs, &view);
+        let capacities = |r: &ProtocolRouter| {
+            let p = &r.pairs;
+            [
+                p.counts.capacity(),
+                p.candidates.capacity(),
+                p.owner.capacity(),
+            ]
+        };
+        let sized = capacities(&r);
+        assert_eq!(sized, [pairs.len(), pairs.len() * 4, paths.len()]);
+        assert_eq!(r.window_gauge(), Some(0.0), "no pair routed yet");
+        for &(src, dst) in pairs.iter().rev() {
+            r.route(&req(src.0, dst.0, xrp(1), xrp(1)), &view);
+        }
+        assert_eq!(capacities(&r), sized);
+        assert_eq!(r.pairs.routed_slots().count(), pairs.len());
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl ByPair {
                 Some(i) => (old.controllers[i].clone(), old.prices[i].clone()),
                 None => (
                     PathController::new(&self.cfg.rate),
-                    PathPriceEstimator::new(self.cfg.price_gamma, self.cfg.nack_price),
+                    PathPriceEstimator::new(),
                 ),
             };
             self.window_total += controller.window();
@@ -117,7 +117,7 @@ impl ByPair {
         controller.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.cfg.rate);
         self.window_total += controller.window();
         self.window_total -= before;
-        state.prices[i].observe(ack.delivered, &ack.stamp);
+        state.prices[i].observe(&self.cfg, ack.delivered, &ack.stamp);
     }
 }
 
@@ -125,11 +125,11 @@ impl ByPair {
 /// the same windows, in-flight value and prices; the running totals and
 /// the window histogram agree with a recount.
 fn assert_same_state(router: &ProtocolRouter, reference: &ByPair) {
-    prop_assert_eq!(router.pairs.slots.len(), reference.pairs.len());
+    prop_assert_eq!(router.pairs.routed_slots().count(), reference.pairs.len());
     prop_assert_eq!(router.window_total, reference.window_total);
     let mut windows_xrp = Vec::new();
     for (&pair, want) in &reference.pairs {
-        let held = router.pairs.of(pair).expect("routed in both");
+        let held = router.held(pair.0, pair.1).expect("routed in both");
         let paths: Vec<_> = held.iter().map(|c| c.path).collect();
         prop_assert_eq!(&paths, &want.paths, "{:?}", pair);
         for (i, got) in held.iter().enumerate() {

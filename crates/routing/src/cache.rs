@@ -43,10 +43,10 @@
 
 use crate::chanindex::ChannelIndex;
 use crate::oracle::{FilledPaths, KeptPrefixes, PathOracle};
-use spider_lp::paths::{CsrGraph, Hop};
+use spider_lp::paths::CsrGraph;
 use spider_sim::{PathEntry, PathTable, TopologyUpdate};
 use spider_topology::Topology;
-use spider_types::{ChannelId, IdHashMap, NodeId, PathId};
+use spider_types::{ChannelId, Hop, IdHashMap, NodeId, PathId};
 
 /// Candidate-set policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +73,8 @@ impl Bounded {
         let hops = path.hops();
         Bounded {
             hops: hops.len() as u32,
-            first: hops[0].0,
-            last: hops[hops.len() - 1].0,
+            first: hops[0].channel(),
+            last: hops[hops.len() - 1].channel(),
         }
     }
 }
@@ -197,8 +197,8 @@ impl Cached {
     fn each_hop(&self, paths: &PathTable, slot: u32, mut visit: impl FnMut(usize)) {
         for &id in self.candidates(slot) {
             paths.map_entry(id, |path| {
-                for &(c, _) in path.hops() {
-                    visit(c.index());
+                for hop in path.hops() {
+                    visit(hop.channel().index());
                 }
             });
         }
@@ -225,8 +225,10 @@ impl Cached {
             {
                 let entries = || self.candidates(slot).iter().map(|&id| paths.entry(id));
                 entries().all(|a| {
-                    a.hops().iter().all(|&(c, _)| {
-                        let times = entries().map(|b| b.hops().iter().filter(|h| h.0 == c).count());
+                    a.hops().iter().all(|&hop| {
+                        let c = hop.channel();
+                        let times =
+                            entries().map(|b| b.hops().iter().filter(|h| h.channel() == c).count());
                         times.sum::<usize>() == 1
                     })
                 })
@@ -341,7 +343,20 @@ impl PathCache {
         src: NodeId,
         dst: NodeId,
     ) -> &[PathId] {
-        let slot = match self.cached.slot_of.get(&(src, dst)) {
+        let slot = self.get_slot(topo, paths, src, dst);
+        self.cached.candidates(slot)
+    }
+
+    /// [`Self::get`], answered with the pair's slot: what
+    /// [`Self::candidates`] reads its candidates by.
+    pub fn get_slot(
+        &mut self,
+        topo: &Topology,
+        paths: &PathTable,
+        src: NodeId,
+        dst: NodeId,
+    ) -> u32 {
+        match self.cached.slot_of.get(&(src, dst)) {
             Some(&slot) => {
                 self.hits += 1;
                 slot
@@ -352,8 +367,25 @@ impl PathCache {
                 self.fill_slots(topo, paths, &[(slot, 0)]);
                 slot
             }
-        };
+        }
+    }
+
+    /// The slot of `(src, dst)` if it is cached — neither a hit nor a
+    /// miss. A pair keeps its slot, a dense index below [`Self::len`],
+    /// for the cache's lifetime, so a caller can keep per-pair state of
+    /// its own in slot order without a map of its own.
+    pub fn slot(&self, src: NodeId, dst: NodeId) -> Option<u32> {
+        self.cached.slot_of.get(&(src, dst)).copied()
+    }
+
+    /// The candidates of a cached pair by its slot, best first.
+    pub fn candidates(&self, slot: u32) -> &[PathId] {
         self.cached.candidates(slot)
+    }
+
+    /// The pair a slot holds.
+    pub fn pair(&self, slot: u32) -> (NodeId, NodeId) {
+        self.cached.slots[slot as usize].pair
     }
 
     /// Makes `slot` a member of every channel its candidates traverse, at
@@ -429,7 +461,7 @@ impl PathCache {
         let todo: Vec<_> = fresh.iter().map(|slot| slot.pair).collect();
         self.prefilled += todo.len() as u64;
         let filled = self.compute(topo, &todo, &KeptPrefixes::new());
-        paths.reserve(filled.path_count());
+        paths.reserve(filled.path_count(), todo.len());
         let fresh = (known as u32..self.cached.slots.len() as u32).map(|slot| (slot, 0));
         self.adopt(topo, paths, fresh, filled);
     }
@@ -450,7 +482,9 @@ impl PathCache {
             let mut kept = KeptPrefixes::new();
             for &(slot, from) in slots {
                 for &id in &self.cached.candidates(slot)[..from as usize] {
-                    paths.map_entry(id, |path| kept.extend(path.hops().iter().map(|&(c, _)| c)));
+                    paths.map_entry(id, |path| {
+                        kept.extend(path.hops().iter().map(|hop| hop.channel()))
+                    });
                 }
                 kept.seal();
             }
@@ -633,7 +667,9 @@ impl PathCache {
         // so a closed hop is one this update closed.
         let crosses = |&id: &PathId| {
             paths.map_entry(id, |path| {
-                path.hops().iter().any(|&(c, _)| self.closed[c.index()])
+                path.hops()
+                    .iter()
+                    .any(|hop| self.closed[hop.channel().index()])
             })
         };
         // (Every indexed slot has a crossing candidate; a whole refill
@@ -851,7 +887,7 @@ mod tests {
         // The disjoint set shares no channel.
         let mut used = std::collections::BTreeSet::new();
         for id in &d {
-            for &(c, _) in table.entry(*id).hops() {
+            for c in table.entry(*id).hops().iter().map(|hop| hop.channel()) {
                 assert!(used.insert(c));
             }
         }
@@ -954,6 +990,96 @@ mod tests {
         prefill_assigns_the_ids_of_gets_in_pair_order(PathPolicy::Shortest);
     }
 
+    /// A 300-node Ripple-like graph and pairs from 60 sources, each with
+    /// up to six destinations, itself among them now and then — enough
+    /// pairs that a fill fans across workers.
+    fn ripple_pairs() -> (Topology, Vec<(NodeId, NodeId)>) {
+        let t = gen::ripple_like(300, Amount::from_xrp(100), &mut DetRng::new(5));
+        let pairs = (0..60u32)
+            .flat_map(|s| (0..6).map(move |i| (NodeId(s * 5), NodeId((s * 5 + i * 37) % 300))))
+            .collect();
+        (t, pairs)
+    }
+
+    /// Two caches on one table — the shortest-path scheme's primary and
+    /// its `EdgeDisjoint(2)` alternate, made with the primary's mask —
+    /// share ids: the alternate's first candidate of a pair is the
+    /// primary's path, under its id, whether the alternate fills in a
+    /// batch or one pair at a time; only the second candidates are new.
+    #[test]
+    fn an_alternate_cache_reuses_the_primarys_ids() {
+        let (t, pairs) = ripple_pairs();
+        assert!(pairs.len() >= 256 && pairs.iter().any(|(s, d)| s == d));
+        let table = PathTable::new();
+        let mut primary = PathCache::new(PathPolicy::Shortest);
+        primary.prefill(&t, &table, &pairs);
+        let after_primary = table.len();
+        let (half, rest) = pairs.split_at(pairs.len() / 2);
+        let mut alternate = PathCache::with_mask_of(PathPolicy::EdgeDisjoint(2), &primary);
+        alternate.prefill(&t, &table, half);
+        let mut seconds = 0;
+        for &(s, d) in half.iter().chain(rest) {
+            let first = primary.get(&t, &table, s, d).to_vec();
+            let alt = alternate.get(&t, &table, s, d).to_vec();
+            if s == d {
+                assert_eq!((first.len(), alt.len()), (1, 0), "{s}->{s}");
+                continue;
+            }
+            assert_eq!(alt.first(), first.first(), "{s}->{d}");
+            seconds += alt.len().saturating_sub(1);
+        }
+        // Each distinct second path is new to the table; nothing else is.
+        let distinct: std::collections::BTreeSet<_> = pairs.iter().copied().collect();
+        let mut resolved = PathCache::new(PathPolicy::EdgeDisjoint(2));
+        let new_seconds = distinct
+            .iter()
+            .filter(|&&(s, d)| resolved.get(&t, &table, s, d).len() == 2)
+            .count();
+        assert!(seconds >= new_seconds && new_seconds > 0);
+        assert_eq!(table.len(), after_primary + new_seconds);
+    }
+
+    /// A repair that finds a path the table holds — here every path a
+    /// close retired, found again once the channels reopen — gets the
+    /// path's old id, and interns nothing; self-pairs (a zero-hop path, or
+    /// no candidate) come through every repair as they were.
+    #[test]
+    fn a_repair_that_refinds_a_retired_path_gets_its_old_id() {
+        let (t, pairs) = ripple_pairs();
+        for policy in [PathPolicy::EdgeDisjoint(4), PathPolicy::Shortest] {
+            let table = PathTable::new();
+            let mut c = PathCache::new(policy);
+            c.prefill(&t, &table, &pairs);
+            let ids = |c: &mut PathCache| -> Vec<Vec<PathId>> {
+                let all = pairs.iter().map(|&(s, d)| c.get(&t, &table, s, d).to_vec());
+                all.collect()
+            };
+            let before = ids(&mut c);
+            // The first hop of every fifth pair's first candidate.
+            let victims: Vec<ChannelId> = before
+                .iter()
+                .step_by(5)
+                .filter_map(|held| Some(table.entry(*held.first()?).hops().first()?.channel()))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            assert!(!victims.is_empty());
+            let repaired = c.on_topology_change(&t, &table, &closing(&victims));
+            assert!(!repaired.is_empty());
+            assert_ne!(ids(&mut c), before, "{policy:?}: the close retired paths");
+            let interned = table.len();
+            c.on_topology_change(&t, &table, &opening(&victims));
+            assert_eq!(ids(&mut c), before, "{policy:?}: old ids after the reopen");
+            assert_eq!(table.len(), interned, "{policy:?}: nothing new interned");
+            for (&(s, d), held) in pairs.iter().zip(&before) {
+                if s == d {
+                    let want = usize::from(policy == PathPolicy::Shortest);
+                    assert_eq!(held.len(), want, "{policy:?}: {s}->{s}");
+                }
+            }
+        }
+    }
+
     /// Resolve a cache's candidates to node sequences for comparison
     /// across caches whose interning orders (and therefore PathIds) differ.
     fn resolved(
@@ -987,7 +1113,7 @@ mod tests {
         let victim = table
             .entry(warm.get(&t, &table, pairs[0].0, pairs[0].1)[0])
             .hops()[0]
-            .0;
+            .channel();
         let update = TopologyUpdate {
             closed: vec![victim],
             ..TopologyUpdate::default()
@@ -1014,7 +1140,11 @@ mod tests {
         // No repaired candidate traverses the closed channel.
         for &(s, d) in &pairs {
             for &id in warm.get(&t, &table, s, d) {
-                assert!(table.entry(id).hops().iter().all(|&(c, _)| c != victim));
+                assert!(table
+                    .entry(id)
+                    .hops()
+                    .iter()
+                    .all(|hop| hop.channel() != victim));
             }
         }
         // Reopen: only the pairs the channel can reach are refilled, and
@@ -1104,7 +1234,7 @@ mod tests {
         let victim = table
             .entry(c.get(&t, &table, NodeId(0), NodeId(9))[0])
             .hops()[0]
-            .0;
+            .channel();
         let update = TopologyUpdate {
             closed: vec![victim],
             ..TopologyUpdate::default()
@@ -1156,7 +1286,7 @@ mod tests {
                         .entry(id)
                         .hops()
                         .iter()
-                        .all(|&(ch, _)| ch != first_hop),
+                        .all(|hop| hop.channel() != first_hop),
                     "{policy:?} lazily computed a path over a closed channel"
                 );
             }

@@ -34,10 +34,10 @@
 //! the candidates after the kept ones.
 
 use crate::cache::PathPolicy;
-use spider_lp::paths::{CsrGraph, FlatPaths, Hop, SourceOracle};
+use spider_lp::paths::{CsrGraph, FlatPaths, SourceOracle};
 use spider_sim::PathTable;
 use spider_topology::Topology;
-use spider_types::{ChannelId, NodeId, PathId};
+use spider_types::{ChannelId, Hop, NodeId, PathId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Batched per-source candidate-path oracle over a fixed topology.
@@ -493,7 +493,7 @@ mod tests {
             let set: Vec<_> = set.collect();
             let r = i % (set.len() + 1);
             for (_, hops) in &set[..r] {
-                kept.extend(hops.iter().map(|&(c, _)| c));
+                kept.extend(hops.iter().map(|hop| hop.channel()));
             }
             kept.seal();
             want.push(set[r..].iter().map(|(nodes, _)| nodes.to_vec()).collect());

@@ -177,7 +177,7 @@ impl Router for SpiderPricing {
             for (i, entry) in entries.iter().enumerate() {
                 let mut price = 0.0;
                 let mut feasible = true;
-                for &(c, d) in entry.hops() {
+                for (c, d) in entry.hops().iter().map(|hop| hop.parts()) {
                     let a_dir = avail(&mut virt, view, c, d);
                     if a_dir < unit {
                         feasible = false;
@@ -192,7 +192,7 @@ impl Router for SpiderPricing {
             }
             let Some((_, i)) = best else { break };
             // Commit the unit to the cheapest path's virtual balances.
-            for &(c, d) in entries[i].hops() {
+            for (c, d) in entries[i].hops().iter().map(|hop| hop.parts()) {
                 let a = avail(&mut virt, view, c, d);
                 virt.insert((c, d), a - unit);
             }

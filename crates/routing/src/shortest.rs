@@ -72,7 +72,7 @@ impl ShortestPath {
         view.path(path)
             .hops()
             .iter()
-            .all(|&(c, _)| breakers.allow(c, view.now))
+            .all(|hop| breakers.allow(hop.channel(), view.now))
     }
 }
 
@@ -174,7 +174,7 @@ impl Router for ShortestPath {
                 self.breakers.on_strike(c, view.now);
             }
         } else if ack.delivered && !self.breakers.is_empty() {
-            for &(c, _) in view.path(ack.path).hops() {
+            for c in view.path(ack.path).hops().iter().map(|hop| hop.channel()) {
                 self.breakers.on_success(c);
             }
         }
@@ -296,7 +296,7 @@ mod tests {
         // primary survives, the failover set must change.
         let mut unmasked = PathCache::new(PathPolicy::EdgeDisjoint(2));
         let second = unmasked.get(&t, &paths, src, dst)[1];
-        let victim = view.path(second).hops()[0].0;
+        let victim = view.path(second).hops()[0].channel();
         let update = TopologyUpdate {
             closed: vec![victim],
             ..TopologyUpdate::default()
@@ -320,7 +320,10 @@ mod tests {
         let alternates = r.alternates(&req, &view);
         for &p in alternates.iter().chain([&failover]) {
             assert!(
-                view.path(p).hops().iter().all(|&(c, _)| c != victim),
+                view.path(p)
+                    .hops()
+                    .iter()
+                    .all(|hop| hop.channel() != victim),
                 "alternate {:?} crosses the closed channel",
                 view.path(p).nodes()
             );

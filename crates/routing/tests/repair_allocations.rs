@@ -31,7 +31,7 @@ fn hub(topo: &Topology, table: &PathTable, cache: &mut PathCache) -> ChannelId {
     let mut crossings = vec![0u32; topo.channel_count()];
     for (s, d) in pairs_to_every(topo, 4) {
         for &id in cache.get(topo, table, s, d) {
-            for &(c, _) in table.entry(id).hops() {
+            for c in table.entry(id).hops().iter().map(|hop| hop.channel()) {
                 crossings[c.index()] += 1;
             }
         }

@@ -102,7 +102,8 @@ impl Simulation {
             entry
                 .hops()
                 .iter()
-                .any(|&(c, dir)| self.net.channels[c.index()].available(dir) < least)
+                .map(|hop| hop.parts())
+                .any(|(c, dir)| self.net.channels[c.index()].available(dir) < least)
         })
     }
 
@@ -306,8 +307,12 @@ impl Simulation {
         let channels = &mut self.net.channels;
         let failed_at = hops
             .iter()
-            .position(|&(c, dir)| !channels[c.index()].lock(dir, amount));
-        for &(c, dir) in failed_at.map_or(&[][..], |n| &hops[..n]) {
+            .position(|hop| !channels[hop.channel().index()].lock(hop.direction(), amount));
+        for (c, dir) in failed_at
+            .map_or(&[][..], |n| &hops[..n])
+            .iter()
+            .map(|hop| hop.parts())
+        {
             channels[c.index()].refund(dir, amount);
         }
         let ok = failed_at.is_none();
@@ -362,7 +367,7 @@ impl Simulation {
     /// Returns canceled or refunded funds to every hop of their path and
     /// takes them out of the payment's in-flight total.
     fn refund_path(&mut self, pid: usize, entry: &PathEntry, amount: Amount) {
-        for &(c, dir) in entry.hops() {
+        for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
             self.net.channels[c.index()].refund(dir, amount);
         }
         self.payments[pid].inflight -= amount;
@@ -455,7 +460,7 @@ impl Simulation {
     pub(super) fn fail_back_settles(&mut self, channel: ChannelId) {
         let atomic = self.router.atomic();
         let paths = &self.net.paths;
-        let crosses = |e: &PathEntry| e.hops().iter().any(|&(c, _)| c == channel);
+        let crosses = |e: &PathEntry| e.hops().iter().any(|hop| hop.channel() == channel);
         // Canceled in place: the calendar entry reclaims the slot.
         let hit = self.events.cancel_where(|kind| match *kind {
             EventKind::Settle {

@@ -622,7 +622,7 @@ impl Simulation {
         settled: impl FnOnce() -> TraceEventKind,
     ) {
         let now = self.net.now;
-        for &(c, dir) in entry.hops() {
+        for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
             self.net.channels[c.index()].settle(dir, amount);
         }
         self.obs.bottleneck(entry, &self.net.channels);

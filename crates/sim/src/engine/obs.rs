@@ -77,7 +77,12 @@ impl Obs {
             let bottleneck = entry
                 .hops()
                 .iter()
-                .map(|&(c, dir)| (channels[c.index()].available(dir), c.0))
+                .map(|hop| {
+                    (
+                        channels[hop.channel().index()].available(hop.direction()),
+                        hop.channel().0,
+                    )
+                })
                 .min();
             if let Some((_, c)) = bottleneck {
                 attr.bottleneck(c as usize);

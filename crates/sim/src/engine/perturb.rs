@@ -39,7 +39,7 @@ impl Faults {
     /// identically.
     pub(super) fn lockstep_verdict(&mut self, entry: &PathEntry) -> Option<DropReason> {
         let nodes = entry.nodes();
-        for (i, &(c, _)) in entry.hops().iter().enumerate() {
+        for (i, c) in entry.hops().iter().map(|hop| hop.channel()).enumerate() {
             if self.crashed[nodes[i].index()] {
                 return Some(DropReason::NodeCrashed);
             }

@@ -192,7 +192,7 @@ impl Queueing {
         net: &Net,
     ) -> ((ChannelId, Direction), Option<DropReason>) {
         let u = &self.units[uid];
-        let (c, d) = u.entry.hops()[u.next_hop];
+        let (c, d) = u.entry.hops()[u.next_hop].parts();
         let verdict = if payments[u.payment].lapsed(net.now) {
             Some(DropReason::Expired)
         } else if is_crashed(faults, u.entry.nodes()[u.next_hop]) {
@@ -305,7 +305,7 @@ impl Simulation {
         let now = self.net.now;
         let channels = &self.net.channels;
         let entry = self.net.paths.entry(path);
-        let (c, d) = entry.hops()[0];
+        let (c, d) = entry.hops()[0].parts();
         let decision = q.decide(&channels[c.index()], c, d, amount);
         // Rejected at the ingress: a path crossing a closed channel (stale
         // proposals can arrive in the same instant as a churn event;
@@ -314,7 +314,7 @@ impl Simulation {
         if entry
             .hops()
             .iter()
-            .any(|&(c, _)| channels[c.index()].is_closed())
+            .any(|hop| channels[hop.channel().index()].is_closed())
             || is_crashed(&self.faults, entry.source())
             || matches!(decision, HopDecision::Full)
         {
@@ -374,7 +374,7 @@ impl Simulation {
         };
         let now = self.net.now;
         let u = &mut q.units[uid];
-        let (c, d) = u.entry.hops()[u.next_hop];
+        let (c, d) = u.entry.hops()[u.next_hop].parts();
         let hop_count = u.entry.hop_count();
         let ch = &mut self.net.channels[c.index()];
         let locked = ch.lock(d, u.amount);
@@ -547,7 +547,12 @@ impl Simulation {
                 });
                 self.ack_unit(uid, true);
                 self.retire_unit(uid);
-                self.drain_released(entry.hops().iter().map(|&(c, d)| (c, d.reverse())));
+                self.drain_released(
+                    entry
+                        .hops()
+                        .iter()
+                        .map(|hop| (hop.channel(), hop.direction().reverse())),
+                );
             }
             group = Some((key, lapsed, entry));
         }
@@ -592,15 +597,15 @@ impl Simulation {
         let (locked, ahead) = entry.hops().split_at(u.next_hop);
         // The failing hop is the one the unit was queued at or traveling
         // toward; a unit that had fully locked its path has none.
-        let failing_hop = ahead.first().map(|&(c, _)| c);
-        if let Some(&(c, d)) = ahead.first() {
+        let failing_hop = ahead.first().map(|hop| hop.channel());
+        if let Some((c, d)) = ahead.first().map(|hop| hop.parts()) {
             // Remove from that hop's queue, if present.
             let queue = &mut q.queues[c.index()][d.index()];
             let before = queue.len();
             queue.retain(|&queued| queued != uid);
             q.queued_total -= before - queue.len();
         }
-        for &(c, d) in locked {
+        for (c, d) in locked.iter().map(|hop| hop.parts()) {
             self.net.channels[c.index()].refund(d, amount);
             q.released.push_back((c, d));
         }
@@ -652,7 +657,7 @@ impl Simulation {
         // attribution: the channel it was queued at or traveling toward.
         // A unit that fully locked its path (expiry/griefing) has none.
         let drop_channel = (u.drop_reason.is_some() && u.next_hop < u.entry.hop_count())
-            .then(|| u.entry.hops()[u.next_hop].0);
+            .then(|| u.entry.hops()[u.next_hop].channel());
         let ack = UnitAck {
             payment: PaymentId(u.payment as u64),
             path: u.path,
@@ -730,7 +735,7 @@ impl Simulation {
         let hit: Vec<usize> = (0..q.units.len())
             .filter(|&uid| {
                 let u = &q.units[uid];
-                !u.done && u.entry.hops().iter().any(|&(c, _)| c.index() == ci)
+                !u.done && u.entry.hops().iter().any(|hop| hop.channel().index() == ci)
             })
             .collect();
         for uid in hit {

@@ -2,10 +2,10 @@
 //!
 //! Every routed path in a simulation is interned exactly once into a
 //! [`PathTable`]: the node sequence is stored next to its pre-resolved
-//! `(ChannelId, Direction)` hop array, and everything downstream — route
-//! proposals, per-unit state, settle events, acknowledgements — carries a
-//! copyable [`PathId`] instead of cloning node vectors and re-running
-//! `channel_between` per hop per unit.
+//! [`Hop`] array (four bytes a hop: channel and direction), and everything
+//! downstream — route proposals, per-unit state, settle events,
+//! acknowledgements — carries a copyable [`PathId`] instead of cloning
+//! node vectors and re-running `channel_between` per hop per unit.
 //!
 //! The table lives on the [`Simulation`](crate::Simulation) and is exposed
 //! to routers through [`NetworkView`](crate::NetworkView), so routing and
@@ -22,21 +22,21 @@
 //! copied nor allocated per path; a buffer holding paths the table has
 //! already is compacted to the new ones.
 //!
+//! Duplicates are found by endpoints: equal node sequences have equal
+//! ends, so a path is compared only with the earlier paths of its own
+//! `(source, destination)` pair — a handful, linked newest first — and no
+//! node sequence is ever hashed.
+//!
 //! Entries are handed out as [`PathEntry`] handles (one `Rc` clone), so
 //! callers can hold a resolved path across arbitrary engine mutations
 //! without borrowing the table.
 
 use spider_topology::Topology;
-use spider_types::{ChannelId, Direction, IdHash, IdHashMap, NodeId, PathId, Result};
+use spider_types::{ChannelId, Direction, Hop, IdHashMap, NodeId, PathId, Result};
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::fmt;
-use std::hash::BuildHasher;
 use std::ops::Range;
 use std::rc::Rc;
-
-/// One resolved hop: the channel crossed and the direction of travel.
-pub type Hop = (ChannelId, Direction);
 
 /// Paths as a search wrote them, for [`PathTable::adopt`]: their nodes
 /// back to back, and beside each node the hop that leaves it (any value
@@ -53,7 +53,7 @@ struct Segment {
 }
 
 /// Occupies the hop slot of a path's last node; never read.
-const NO_HOP: Hop = (ChannelId(u32::MAX), Direction::Forward);
+const NO_HOP: Hop = Hop::new(ChannelId(0), Direction::Forward);
 
 /// One interned path: the node sequence and its hops, resolved once. A
 /// cheap handle onto the segment that stores them.
@@ -75,7 +75,7 @@ impl PathEntry {
 
     /// The pre-resolved channel hops, in travel order.
     #[inline]
-    pub fn hops(&self) -> &[(ChannelId, Direction)] {
+    pub fn hops(&self) -> &[Hop] {
         &self.segment.hops[self.start as usize..(self.start + self.len - 1) as usize]
     }
 
@@ -115,73 +115,52 @@ impl fmt::Debug for PathEntry {
     }
 }
 
-/// The dedup key of a node sequence.
-fn path_key(nodes: &[NodeId]) -> u64 {
-    IdHash::default().hash_one(nodes)
+/// The dedup key of a node sequence: its endpoints.
+fn ends(nodes: &[NodeId]) -> (NodeId, NodeId) {
+    (nodes[0], nodes[nodes.len() - 1])
 }
 
-/// The dedup index: ids by the key of their nodes, so a path's nodes are
-/// hashed once — to look it up — and never again, when it is filed or
-/// when the index grows.
+/// Ends a pair's chain in [`PairChains::earlier`], and stands for "no path
+/// yet" in [`PairChains::newest`].
+const NO_PATH: PathId = PathId(u32::MAX);
+
+/// The dedup index: per pair, its paths linked newest first.
 #[derive(Debug, Default)]
-struct Index {
-    /// The first path filed under each key.
-    first: IdHashMap<u64, PathId>,
-    /// Every later path whose key was taken: compared one by one on a
-    /// lookup that finds the first path under its key to differ. (Two
-    /// distinct paths sharing a 64-bit key is a correctness corner, not
-    /// a cost.)
-    collided: Vec<PathId>,
+struct PairChains {
+    /// The newest path of each `(source, destination)` pair.
+    newest: IdHashMap<(NodeId, NodeId), PathId>,
+    /// Per path id: the path of the same pair interned just before it, or
+    /// [`NO_PATH`].
+    earlier: Vec<PathId>,
 }
 
-impl Index {
-    /// The path under key `h` that `same` accepts, if any.
-    fn find(&self, h: u64, same: impl Fn(PathId) -> bool) -> Option<PathId> {
-        let first = *self.first.get(&h)?;
-        std::iter::once(first)
-            .chain(self.collided.iter().copied())
-            .find(|&id| same(id))
+/// The paths of one pair, from `newest` back to its first.
+fn chain(earlier: &[PathId], newest: PathId) -> impl Iterator<Item = PathId> + '_ {
+    let linked = |id: PathId| Some(id).filter(|&id| id != NO_PATH);
+    std::iter::successors(linked(newest), move |id| linked(earlier[id.index()]))
+}
+
+impl PairChains {
+    /// The path of `pair` that `same` accepts, if any.
+    fn find(&self, pair: (NodeId, NodeId), same: impl Fn(PathId) -> bool) -> Option<PathId> {
+        let &newest = self.newest.get(&pair)?;
+        chain(&self.earlier, newest).find(|&id| same(id))
     }
 
-    /// Files `id`, which [`Self::find`] did not find, under key `h`.
-    fn file(&mut self, h: u64, id: PathId) {
-        match self.first.entry(h) {
-            Entry::Vacant(slot) => {
-                slot.insert(id);
-            }
-            Entry::Occupied(_) => self.collided.push(id),
-        }
-    }
-
-    /// [`Self::find`], and when it finds nothing, [`Self::file`] `new` —
-    /// in one probe of the map.
-    fn find_or_file(
-        &mut self,
-        h: u64,
-        new: PathId,
-        same: impl Fn(PathId) -> bool,
-    ) -> Option<PathId> {
-        match self.first.entry(h) {
-            Entry::Vacant(slot) => {
-                slot.insert(new);
-                None
-            }
-            Entry::Occupied(slot) => {
-                let mut known = std::iter::once(*slot.get()).chain(self.collided.iter().copied());
-                let found = known.find(|&id| same(id));
-                if found.is_none() {
-                    self.collided.push(new);
-                }
-                found
-            }
-        }
+    /// Files `id` — the next id, which [`Self::find`] did not find — as
+    /// the newest path of `pair`.
+    fn file(&mut self, pair: (NodeId, NodeId), id: PathId) {
+        debug_assert_eq!(id.index(), self.earlier.len(), "ids are filed in order");
+        let newest = self.newest.entry(pair).or_insert(NO_PATH);
+        self.earlier.push(*newest);
+        *newest = id;
     }
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     entries: Vec<PathEntry>,
-    index: Index,
+    index: PairChains,
 }
 
 /// A new path of a [`PathTable::adopt`] call: its buffer and where it sits.
@@ -210,16 +189,12 @@ impl PathTable {
     /// Interns a node path, resolving its hops against `topo` on first
     /// sight. Returns an error if consecutive nodes are not adjacent.
     pub fn try_intern(&self, topo: &Topology, nodes: &[NodeId]) -> Result<PathId> {
-        self.intern_hashed(topo, nodes, path_key(nodes))
-    }
-
-    /// [`Self::try_intern`] under the dedup key `h`.
-    fn intern_hashed(&self, topo: &Topology, nodes: &[NodeId], h: u64) -> Result<PathId> {
         assert!(!nodes.is_empty(), "cannot intern an empty path");
+        let pair = ends(nodes);
         {
             let inner = self.inner.borrow();
             let same = |id: PathId| inner.entries[id.index()].nodes() == nodes;
-            if let Some(id) = inner.index.find(h, same) {
+            if let Some(id) = inner.index.find(pair, same) {
                 return Ok(id);
             }
         }
@@ -232,7 +207,7 @@ impl PathTable {
         let len = u32::try_from(nodes.len()).expect("path exceeds u32 offsets");
         let mut inner = self.inner.borrow_mut();
         let id = PathId::from_index(inner.entries.len());
-        inner.index.file(h, id);
+        inner.index.file(pair, id);
         inner.entries.push(PathEntry {
             segment,
             start: 0,
@@ -260,8 +235,8 @@ impl PathTable {
     /// A buffer all of whose paths are new becomes a segment as it is
     /// (trimmed to its length); one that holds paths the table has already
     /// is compacted to the new ones; one with no new path is dropped. So
-    /// the table keeps exactly the new paths, and each path's nodes are
-    /// hashed once.
+    /// the table keeps exactly the new paths. A run of paths with the same
+    /// endpoints — a pair's candidates — costs one probe of the index.
     pub fn adopt(
         &self,
         topo: &Topology,
@@ -270,50 +245,56 @@ impl PathTable {
     ) -> Vec<PathId> {
         let mut inner = self.inner.borrow_mut();
         let Inner { entries, index } = &mut *inner;
+        let PairChains { newest, earlier } = index;
         let first_new = entries.len();
         let mut staged: Vec<Staged> = Vec::new();
-        let ids = paths
-            .into_iter()
-            .map(|(buffer, range)| {
-                let (nodes, hops) = &buffers[buffer];
-                assert_eq!(hops.len(), nodes.len(), "one hop slot per node");
-                assert!(!range.is_empty(), "cannot intern an empty path");
-                let path = &nodes[range.clone()];
-                // (Hop by hop, so a debug build allocates what a release
-                // build does.)
-                debug_assert!(
-                    path.windows(2)
-                        .zip(&hops[range.clone()])
-                        .all(|(hop, &(c, dir))| {
-                            topo.channel_between(hop[0], hop[1]) == Some(c)
-                                && topo.channel(c).direction_from(hop[0]) == dir
-                        }),
-                    "carried hops {:?} are not those of {path:?}",
-                    &hops[range.start..range.end - 1]
-                );
-                let nodes_of = |id: PathId| match id.index().checked_sub(first_new) {
-                    None => entries[id.index()].nodes(),
-                    Some(i) => {
-                        let new = &staged[i];
-                        let start = new.start as usize;
-                        &buffers[new.buffer as usize].0[start..start + new.len as usize]
-                    }
-                };
-                let id = PathId::from_index(first_new + staged.len());
-                let known = index.find_or_file(path_key(path), id, |id| nodes_of(id) == path);
-                if let Some(known) = known {
-                    return known;
+        let mut ids = Vec::new();
+        // The pair of the run of paths being read, and its newest path.
+        let mut run: Option<((NodeId, NodeId), &mut PathId)> = None;
+        for (buffer, range) in paths {
+            let (nodes, hops) = &buffers[buffer];
+            assert_eq!(hops.len(), nodes.len(), "one hop slot per node");
+            assert!(!range.is_empty(), "cannot intern an empty path");
+            let path = &nodes[range.clone()];
+            // (Hop by hop, so a debug build allocates what a release
+            // build does.)
+            debug_assert!(
+                path.windows(2).zip(&hops[range.clone()]).all(|(hop, to)| {
+                    let (c, dir) = to.parts();
+                    topo.channel_between(hop[0], hop[1]) == Some(c)
+                        && topo.channel(c).direction_from(hop[0]) == dir
+                }),
+                "carried hops {:?} are not those of {path:?}",
+                &hops[range.start..range.end - 1]
+            );
+            let pair = ends(path);
+            if run.as_ref().is_none_or(|(held, _)| *held != pair) {
+                run = Some((pair, newest.entry(pair).or_insert(NO_PATH)));
+            }
+            let (_, newest) = run.as_mut().expect("set for this pair");
+            let nodes_of = |id: PathId| match id.index().checked_sub(first_new) {
+                None => entries[id.index()].nodes(),
+                Some(i) => {
+                    let new = &staged[i];
+                    let start = new.start as usize;
+                    &buffers[new.buffer as usize].0[start..start + new.len as usize]
                 }
-                let offset = |i: usize| u32::try_from(i).expect("buffer exceeds u32 offsets");
-                let (start, end) = (offset(range.start), offset(range.end));
-                staged.push(Staged {
-                    buffer: offset(buffer),
-                    start,
-                    len: end - start,
-                });
-                id
-            })
-            .collect();
+            };
+            if let Some(known) = chain(earlier, **newest).find(|&id| nodes_of(id) == path) {
+                ids.push(known);
+                continue;
+            }
+            let id = PathId::from_index(first_new + staged.len());
+            earlier.push(std::mem::replace(*newest, id));
+            let offset = |i: usize| u32::try_from(i).expect("buffer exceeds u32 offsets");
+            let (start, end) = (offset(range.start), offset(range.end));
+            staged.push(Staged {
+                buffer: offset(buffer),
+                start,
+                len: end - start,
+            });
+            ids.push(id);
+        }
         let mut used = vec![0; buffers.len()];
         for new in &staged {
             used[new.buffer as usize] += new.len as usize;
@@ -357,12 +338,14 @@ impl PathTable {
         ids
     }
 
-    /// Makes room for `additional` more paths, so one big batch grows the
-    /// dedup index once instead of rehashing it on the way up.
-    pub fn reserve(&self, additional: usize) {
+    /// Makes room for `paths` more paths of `pairs` more pairs, so one
+    /// big batch grows the dedup index once instead of rehashing it on the
+    /// way up.
+    pub fn reserve(&self, paths: usize, pairs: usize) {
         let mut inner = self.inner.borrow_mut();
-        inner.entries.reserve(additional);
-        inner.index.first.reserve(additional);
+        inner.entries.reserve(paths);
+        inner.index.earlier.reserve(paths);
+        inner.index.newest.reserve(pairs);
     }
 
     /// The entry for an interned id (a cheap clone).
@@ -483,7 +466,7 @@ mod tests {
         }
         // A later batch sees earlier interning, and single interning lands
         // in the same id space.
-        batch_table.reserve(8);
+        batch_table.reserve(8, 4);
         let late: &[NodeId] = &[n(2), n(3)];
         let more = adopt_all(&batch_table, &t, &[&seqs[..], &[late]].concat());
         assert_eq!(more.split_last(), Some((&PathId(4), batch_ids.as_slice())));
@@ -528,19 +511,28 @@ mod tests {
         }
     }
 
-    /// Two different paths under one dedup key stay two paths.
+    /// Paths with the same endpoints share a dedup key and stay apart,
+    /// one at a time and in a batch, whichever of a pair's paths came
+    /// first; a pair's paths need not arrive together.
     #[test]
     fn colliding_keys_still_tell_paths_apart() {
-        let t = gen::line(4, Amount::from_xrp(10));
+        let t = gen::complete(5, Amount::from_xrp(10));
         let table = PathTable::new();
-        let (a, b, c): (&[NodeId], &[NodeId], &[NodeId]) =
-            (&[n(0), n(1)], &[n(2), n(3)], &[n(3), n(2), n(1)]);
-        let key = path_key(a);
-        let ids = [a, b, c, b, a].map(|p| table.intern_hashed(&t, p, key).unwrap());
+        let (a, b, c): (&[NodeId], &[NodeId], &[NodeId]) = (
+            &[n(0), n(4)],
+            &[n(0), n(1), n(4)],
+            &[n(0), n(2), n(3), n(4)],
+        );
+        assert!([b, c].iter().all(|p| ends(p) == ends(a)));
+        let ids = [a, b, c, b, a].map(|p| table.intern(&t, p));
         assert_eq!(ids, [0, 1, 2, 1, 0].map(PathId));
         assert_eq!(table.entry(PathId(2)).nodes(), c);
-        // A batch filed under real keys still finds them.
-        assert_eq!(adopt_all(&table, &t, &[a]), [PathId(0)]);
+        let other: &[NodeId] = &[n(4), n(0)];
+        let d: &[NodeId] = &[n(0), n(3), n(4)];
+        let batch = adopt_all(&table, &t, &[c, other, d, a, d, b]);
+        assert_eq!(batch, [2, 3, 4, 0, 4, 1].map(PathId));
+        assert_eq!(table.intern(&t, d), PathId(4));
+        assert_eq!(table.len(), 5);
     }
 
     /// A handle outlives any amount of later interning, and entries that

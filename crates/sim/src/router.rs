@@ -58,7 +58,7 @@ impl<'a> NetworkView<'a> {
     pub fn bottleneck(&self, id: PathId) -> Amount {
         self.paths.map_entry(id, |entry| {
             let mut min = Amount::MAX;
-            for &(c, dir) in entry.hops() {
+            for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
                 min = min.min(self.available(c, dir));
             }
             min

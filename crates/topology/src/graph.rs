@@ -1,7 +1,7 @@
 //! The payment-channel-network graph.
 
 use serde::Serialize;
-use spider_types::{Amount, ChannelId, Direction, IdHashMap, NodeId, Result, SpiderError};
+use spider_types::{Amount, ChannelId, Direction, Hop, IdHashMap, NodeId, Result, SpiderError};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
@@ -218,14 +218,14 @@ impl Topology {
 
     /// Converts a node path (as returned by [`Topology::shortest_path`])
     /// into the channel hops traversed, with the direction of travel.
-    pub fn path_channels(&self, path: &[NodeId]) -> Result<Vec<(ChannelId, Direction)>> {
+    pub fn path_channels(&self, path: &[NodeId]) -> Result<Vec<Hop>> {
         let mut hops = Vec::with_capacity(path.len().saturating_sub(1));
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
             let id = self
                 .channel_between(a, b)
                 .ok_or(SpiderError::NotAdjacent(a, b))?;
-            hops.push((id, self.channel(id).direction_from(a)));
+            hops.push(Hop::new(id, self.channel(id).direction_from(a)));
         }
         Ok(hops)
     }
@@ -236,6 +236,18 @@ impl Topology {
             return true;
         }
         self.bfs_distances(NodeId(0)).iter().all(Option::is_some)
+    }
+}
+
+/// The id of the next channel of a topology holding `count`: an error
+/// once ids no longer fit the 31 bits a [`Hop`] gives them.
+fn next_channel_id(count: usize) -> Result<ChannelId> {
+    if count < Hop::MAX_CHANNELS {
+        Ok(ChannelId::from_index(count))
+    } else {
+        Err(SpiderError::InvalidConfig(format!(
+            "channel id {count} does not fit 31 bits"
+        )))
     }
 }
 
@@ -279,7 +291,7 @@ impl TopologyBuilder {
     }
 
     /// Adds a channel between `a` and `b`. Errors on self-loops, unknown
-    /// nodes, or duplicate pairs.
+    /// nodes, duplicate pairs, or a channel id a [`Hop`] cannot carry.
     pub fn channel(&mut self, a: NodeId, b: NodeId, capacity: Amount) -> Result<&mut Self> {
         let (u, v) = self.canonical(a, b)?;
         match self.index.entry((u, v)) {
@@ -287,6 +299,7 @@ impl TopologyBuilder {
                 "duplicate channel {u}-{v}"
             ))),
             Entry::Vacant(slot) => {
+                next_channel_id(self.channels.len())?;
                 slot.insert(self.channels.len());
                 self.channels.push(Channel { u, v, capacity });
                 Ok(self)
@@ -301,6 +314,7 @@ impl TopologyBuilder {
         match self.index.entry((u, v)) {
             Entry::Occupied(slot) => self.channels[*slot.get()].capacity += capacity,
             Entry::Vacant(slot) => {
+                next_channel_id(self.channels.len())?;
                 slot.insert(self.channels.len());
                 self.channels.push(Channel { u, v, capacity });
             }
@@ -530,12 +544,25 @@ mod tests {
         let t = small();
         let hops = t.path_channels(&[n(0), n(1), n(3)]).unwrap();
         assert_eq!(hops.len(), 2);
-        let (c0, d0) = hops[0];
+        let (c0, d0) = hops[0].parts();
         assert_eq!(t.channel(c0).source(d0), n(0));
-        let (c1, d1) = hops[1];
+        let (c1, d1) = hops[1].parts();
         assert_eq!(t.channel(c1).source(d1), n(1));
         assert_eq!(t.channel(c1).target(d1), n(3));
         assert!(t.path_channels(&[n(0), n(3)]).is_err());
+    }
+
+    /// Ids past 31 bits are refused (2³¹ channels cannot be built in a
+    /// test, so the bound is checked where the builder asks it).
+    #[test]
+    fn channel_ids_must_fit_a_hop() {
+        let last = Hop::MAX_CHANNELS - 1;
+        assert_eq!(next_channel_id(0), Ok(ChannelId(0)));
+        assert_eq!(next_channel_id(last), Ok(ChannelId::from_index(last)));
+        assert!(matches!(
+            next_channel_id(Hop::MAX_CHANNELS),
+            Err(SpiderError::InvalidConfig(msg)) if msg.contains("31 bits")
+        ));
     }
 
     #[test]

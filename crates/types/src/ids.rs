@@ -117,9 +117,68 @@ impl fmt::Display for Direction {
     }
 }
 
+/// One hop of a path: the channel crossed and the direction of travel,
+/// packed into four bytes — the channel id in the low 31 bits, the
+/// direction in the top one. Paths store one per node, so at Ripple scale
+/// (millions of hop slots) the packing halves what a `(ChannelId,
+/// Direction)` pair would take.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Hop(u32);
+
+impl Hop {
+    /// How many channels a hop can name: ids `0..MAX_CHANNELS`. A topology
+    /// refuses to grow past it.
+    pub const MAX_CHANNELS: usize = 1 << 31;
+
+    /// The direction bit.
+    const BACKWARD: u32 = 1 << 31;
+
+    /// The hop over `channel` in direction `dir`. `channel` must be below
+    /// [`Self::MAX_CHANNELS`].
+    #[inline]
+    pub const fn new(channel: ChannelId, dir: Direction) -> Hop {
+        debug_assert!(
+            channel.0 & Self::BACKWARD == 0,
+            "channel id does not fit a hop"
+        );
+        match dir {
+            Direction::Forward => Hop(channel.0),
+            Direction::Backward => Hop(channel.0 | Self::BACKWARD),
+        }
+    }
+
+    /// The channel crossed.
+    #[inline]
+    pub const fn channel(self) -> ChannelId {
+        ChannelId(self.0 & !Self::BACKWARD)
+    }
+
+    /// The direction of travel.
+    #[inline]
+    pub const fn direction(self) -> Direction {
+        if self.0 & Self::BACKWARD == 0 {
+            Direction::Forward
+        } else {
+            Direction::Backward
+        }
+    }
+
+    /// The channel and the direction.
+    #[inline]
+    pub const fn parts(self) -> (ChannelId, Direction) {
+        (self.channel(), self.direction())
+    }
+}
+
+impl fmt::Debug for Hop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}", self.channel(), self.direction())
+    }
+}
+
 /// Identifies an interned path: a dense index into a simulation's shared
-/// path table, where the node sequence and its pre-resolved
-/// `(ChannelId, Direction)` hops are stored exactly once.
+/// path table, where the node sequence and its pre-resolved [`Hop`]s are
+/// stored exactly once.
 ///
 /// Routers and the engine exchange `PathId`s instead of cloning node
 /// vectors; resolving a hop sequence costs one index instead of a
@@ -280,6 +339,27 @@ mod tests {
         assert_eq!(Direction::Backward.index(), 1);
         assert_eq!(Direction::of_hop(NodeId(1), NodeId(4)), Direction::Forward);
         assert_eq!(Direction::of_hop(NodeId(4), NodeId(1)), Direction::Backward);
+    }
+
+    #[test]
+    fn hops_pack_channel_and_direction_into_four_bytes() {
+        assert_eq!(std::mem::size_of::<Hop>(), 4);
+        let last = ChannelId::from_index(Hop::MAX_CHANNELS - 1);
+        for c in [ChannelId(0), ChannelId(7), last] {
+            for d in [Direction::Forward, Direction::Backward] {
+                let hop = Hop::new(c, d);
+                assert_eq!(hop.parts(), (c, d));
+                assert_eq!((hop.channel(), hop.direction()), (c, d));
+            }
+        }
+        assert_ne!(
+            Hop::new(ChannelId(7), Direction::Forward),
+            Hop::new(ChannelId(7), Direction::Backward)
+        );
+        assert_eq!(
+            format!("{:?}", Hop::new(ChannelId(7), Direction::Backward)),
+            "ch7←"
+        );
     }
 
     #[test]

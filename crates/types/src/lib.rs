@@ -29,7 +29,8 @@ pub use amount::{Amount, SignedAmount, DROPS_PER_XRP};
 pub use error::{Result, SpiderError};
 pub use event::{TopologyChange, TopologyEvent};
 pub use ids::{
-    ChannelId, Direction, IdHash, IdHashMap, IdHashSet, IdHasher, NodeId, PathId, PaymentId, UnitId,
+    ChannelId, Direction, Hop, IdHash, IdHashMap, IdHashSet, IdHasher, NodeId, PathId, PaymentId,
+    UnitId,
 };
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -124,7 +124,7 @@ proptest! {
         // The random steps, then one forced close + reopen of a channel
         // some candidate uses, so every case exercises the open rule.
         let first = warm.get(&topo, &table, pairs[0].0, pairs[0].1)[0];
-        let used = table.entry(first).hops()[0].0;
+        let used = table.entry(first).hops()[0].channel();
         let mut steps = steps;
         steps.push(vec![(0, used.index())]);
         for (n, step) in steps.iter().enumerate() {
@@ -154,7 +154,7 @@ proptest! {
         // No surviving candidate traverses a closed channel.
         for &(s, d) in &pairs {
             for &id in warm.get(&topo, &table, s, d) {
-                for &(c, _) in table.entry(id).hops() {
+                for c in table.entry(id).hops().iter().map(|hop| hop.channel()) {
                     prop_assert!(live[c.index()], "candidate over closed channel");
                 }
             }

@@ -225,7 +225,7 @@ proptest! {
                 prop_assert_eq!(lazy_table.entry(o).nodes(), want.nodes(), "pair {}->{}", s, d);
                 prop_assert_eq!(table.entry(b).nodes(), want.nodes(), "pair {}->{}", s, d);
                 prop_assert!(
-                    want.hops().iter().all(|&(c, _)| c != chan(1) && c != chan(2)),
+                    want.hops().iter().all(|hop| ![chan(1), chan(2)].contains(&hop.channel())),
                     "pair {}->{} crosses a closed channel", s, d
                 );
             }
