@@ -4,11 +4,11 @@
 
 use crate::figure::{holds, Body, Check, Claim, Figure, Grid, Point, Rows};
 use crate::{both_topologies, isp_experiment, windowed_lineup, Result, Scale};
-use spider_core::scheme::ProtocolTuning;
+use spider_core::scheme::RateConfig;
 use spider_core::{ExperimentConfig, SchemeConfig, SweepJob};
 use spider_sim::config::RebalancingConfig;
 use spider_sim::{QueueConfig, QueueingMode, SchedulingPolicy};
-use spider_types::SimDuration;
+use spider_types::{Amount, SimDuration};
 
 const SCALES: &[Scale] = &[Scale::Default, Scale::Full];
 /// Per-channel capacity (XRP) of the headline comparison.
@@ -130,30 +130,55 @@ pub const FIG7_CAPACITY_SWEEP: Figure = Figure {
 /// them according to SRPT already provides a 10 % increase in success
 /// ratio over SpeedyMurmurs and SilentWhispers even for the shortest path
 /// routing scheme": packet-switched shortest path against the atomic
-/// schemes on ISP, then the pending queue's scheduling policy with the
-/// routing held fixed.
+/// schemes on ISP, then the pending queue's scheduling policy (SRPT, FIFO,
+/// anti-SRPT) with the routing held fixed.
 pub const ABLATION_PACKET_SWITCHING: Figure = Figure {
     name: "ablation_packet_switching",
     paper_ref: "§6.2 (packet switching, SRPT)",
-    about: "ISP: packet-switched shortest path vs the atomic schemes; five scheduling policies",
+    about: "ISP: packet-switched shortest path vs the atomic schemes; SRPT vs FIFO vs anti-SRPT",
     scales: SCALES,
     body: Body::Sweep {
         grid: packet_switching_grid,
-        claims: &[Claim::new(
-            // The paper's lift is ≈ +10 pt; this workload gives ≈ +5.
-            "packet-switched shortest path beats the best atomic scheme on ISP (success ratio)",
-            |d| {
-                leads(
-                    d,
-                    "ablation",
-                    &["transport"],
-                    "shortest-path",
-                    &["silentwhispers", "speedymurmurs"],
-                )
-            },
-        )],
+        claims: &[
+            Claim::new(
+                // The paper's lift is ≈ +10 pt; this workload gives ≈ +5.
+                "packet-switched shortest path beats the best atomic scheme on ISP (success ratio)",
+                |d| {
+                    leads(
+                        d,
+                        "ablation",
+                        &["transport"],
+                        "shortest-path",
+                        &["silentwhispers", "speedymurmurs"],
+                    )
+                },
+            ),
+            Claim::new(
+                // 13.1 / 10.0 / 8.7 pt on seeds 42 / 7 / 1.
+                "SRPT beats FIFO by at least 5 pt (success ratio)",
+                |d| policy_lead(d, "srpt", "fifo", 5.0),
+            ),
+            Claim::new(
+                // 4.3 / 4.3 / 4.0 pt on seeds 42 / 7 / 1.
+                "FIFO beats anti-SRPT by at least 2 pt (success ratio)",
+                |d| policy_lead(d, "fifo", "anti-srpt", 2.0),
+            ),
+        ],
     },
 };
+
+/// Under shortest path, the `leader` scheduling policy's success ratio
+/// exceeds `other`'s by at least `pt` points; the margin is the excess.
+fn policy_lead(d: &Rows, leader: &str, other: &str, pt: f64) -> Check {
+    let ratio = |policy| {
+        let row = d.scheme("ablation-sched", &format!("shortest-path/{policy}"));
+        row.map(|r| r.success_ratio_pct)
+    };
+    let lead = ratio(leader)? - ratio(other)?;
+    holds(lead - pt, || {
+        format!("{leader} leads {other} by {lead:.2} pt, not {pt}")
+    })
+}
 
 fn packet_switching_grid(scale: Scale, seed: u64) -> Result<Grid> {
     let base = isp_experiment(CAPACITY_XRP, scale.is_full(), seed);
@@ -163,14 +188,12 @@ fn packet_switching_grid(scale: Scale, seed: u64) -> Result<Grid> {
     };
     let mut points = vec![
         transport(1.0, SchemeConfig::ShortestPath),
-        transport(0.0, SchemeConfig::SilentWhispers { landmarks: 3 }),
-        transport(0.0, SchemeConfig::SpeedyMurmurs { trees: 3 }),
+        transport(0.0, SchemeConfig::SilentWhispers),
+        transport(0.0, SchemeConfig::SpeedyMurmurs),
     ];
     for (policy, tag) in [
         (SchedulingPolicy::Srpt, "srpt"),
         (SchedulingPolicy::Fifo, "fifo"),
-        (SchedulingPolicy::Lifo, "lifo"),
-        (SchedulingPolicy::EarliestDeadline, "edf"),
         (SchedulingPolicy::LargestRemaining, "anti-srpt"),
     ] {
         let mut cfg = base.clone();
@@ -413,13 +436,11 @@ fn aimd_grid(scale: Scale, seed: u64) -> Result<Grid> {
     let mut points = Vec::new();
     for increase in [5.0, 10.0, 20.0] {
         for decrease in [0.5, 0.7, 0.9] {
-            let tuning = ProtocolTuning {
-                increase_xrp: Some(increase),
-                decrease_factor: Some(decrease),
-                ..ProtocolTuning::default()
+            let rate = RateConfig {
+                increase: Amount::from_xrp_f64(increase),
+                decrease_factor: decrease,
             };
-            let (paths, tuning) = (4, Some(tuning));
-            let scheme = SchemeConfig::SpiderProtocol { paths, tuning };
+            let scheme = SchemeConfig::SpiderProtocol { paths: 4, rate };
             let name = Some(format!("spider-protocol[i{increase},d{decrease}]"));
             let at = ("aimd_increase_xrp", increase);
             points.push(Point::of("fig8-aimd-isp", at, name, scheme, &base));

@@ -16,35 +16,36 @@ use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router, UnitAck, Unit
 use spider_types::{Amount, IdHashMap, NodeId};
 use std::collections::VecDeque;
 
-/// AIMD parameters for [`Windowed`].
+/// Additive window increase per successfully locked unit.
+const INCREASE: Amount = Amount::from_xrp(10);
+
+/// Multiplicative window decrease on a failed lock.
+const DECREASE_FACTOR: f64 = 0.5;
+
+/// Window floor: a pair's window never decays below this.
+const MIN_WINDOW: Amount = Amount::from_xrp(10);
+
+/// Window ceiling.
+const MAX_WINDOW: Amount = Amount::from_xrp(10_000);
+
+/// Maximum number of (sender, receiver) pairs tracked. Long
+/// multi-million-pair runs would otherwise grow the table without bound;
+/// beyond the cap the oldest-inserted pair is evicted (it silently resets
+/// to the initial window if seen again).
+const MAX_TRACKED_PAIRS: usize = 1 << 20;
+
+/// Per-pair start of [`Windowed`]'s AIMD window; its steps, bounds and
+/// pair cap are constants.
 #[derive(Debug, Clone)]
 pub struct WindowConfig {
     /// Initial window per pair.
     pub initial: Amount,
-    /// Additive increase per successfully locked unit.
-    pub increase: Amount,
-    /// Multiplicative decrease factor on a failed lock (0 < f < 1).
-    pub decrease_factor: f64,
-    /// Window floor (never decays below this).
-    pub min_window: Amount,
-    /// Window ceiling.
-    pub max_window: Amount,
-    /// Maximum number of (sender, receiver) pairs tracked. Long
-    /// multi-million-pair runs would otherwise grow the table without
-    /// bound; beyond the cap the oldest-inserted pair is evicted (it
-    /// silently resets to the initial window if seen again).
-    pub max_tracked_pairs: usize,
 }
 
 impl Default for WindowConfig {
     fn default() -> Self {
         WindowConfig {
             initial: Amount::from_xrp(200),
-            increase: Amount::from_xrp(10),
-            decrease_factor: 0.5,
-            min_window: Amount::from_xrp(10),
-            max_window: Amount::from_xrp(10_000),
-            max_tracked_pairs: 1 << 20,
         }
     }
 }
@@ -63,7 +64,7 @@ pub struct Windowed<R> {
     /// sampler's gauge is O(1). Integer drops: exact and order-free.
     window_total: Amount,
     /// Insertion order of tracked pairs, for deterministic FIFO eviction
-    /// once `max_tracked_pairs` is exceeded.
+    /// once [`MAX_TRACKED_PAIRS`] is exceeded.
     insertion_order: VecDeque<(NodeId, NodeId)>,
     /// Set by [`Router::configure`] in §5 queueing mode (and latched on
     /// the first ack as a backstop for callers that skip `configure`).
@@ -75,13 +76,8 @@ pub struct Windowed<R> {
 }
 
 impl<R: Router> Windowed<R> {
-    /// Wraps `inner` with the given window parameters.
+    /// Wraps `inner`, starting every pair's window at `cfg.initial`.
     pub fn new(inner: R, cfg: WindowConfig) -> Self {
-        assert!(
-            cfg.decrease_factor > 0.0 && cfg.decrease_factor < 1.0,
-            "decrease factor must be in (0, 1)"
-        );
-        assert!(cfg.max_tracked_pairs > 0, "pair cap must be positive");
         Windowed {
             inner,
             cfg,
@@ -114,7 +110,7 @@ impl<R: Router> Windowed<R> {
             Some(old) => self.window_total -= old,
             None => {
                 self.insertion_order.push_back(key);
-                if self.windows.len() > self.cfg.max_tracked_pairs {
+                if self.windows.len() > MAX_TRACKED_PAIRS {
                     let evicted = self.insertion_order.pop_front();
                     if let Some(old) = evicted.and_then(|key| self.windows.remove(&key)) {
                         self.window_total -= old;
@@ -128,10 +124,9 @@ impl<R: Router> Windowed<R> {
     fn adjust(&mut self, src: NodeId, dst: NodeId, success: bool) {
         let cur = self.window(src, dst);
         let next = if success {
-            (cur + self.cfg.increase).min(self.cfg.max_window)
+            (cur + INCREASE).min(MAX_WINDOW)
         } else {
-            cur.mul_f64(self.cfg.decrease_factor)
-                .max(self.cfg.min_window)
+            cur.mul_f64(DECREASE_FACTOR).max(MIN_WINDOW)
         };
         self.store((src, dst), next);
     }
@@ -288,13 +283,7 @@ mod tests {
             paths: &paths,
             now: SimTime::ZERO,
         };
-        let mut w = Windowed::new(
-            ShortestPath::new(),
-            WindowConfig {
-                initial: xrp(50),
-                ..WindowConfig::default()
-            },
-        );
+        let mut w = Windowed::new(ShortestPath::new(), WindowConfig { initial: xrp(50) });
         let props = w.route(&req(xrp(500)), &view);
         assert_eq!(props.iter().map(|p| p.amount).sum::<Amount>(), xrp(50));
     }
@@ -309,33 +298,23 @@ mod tests {
             paths: &paths,
             now: SimTime::ZERO,
         };
-        let mut w = Windowed::new(
-            ShortestPath::new(),
-            WindowConfig {
-                initial: xrp(100),
-                increase: xrp(10),
-                decrease_factor: 0.5,
-                min_window: xrp(5),
-                max_window: xrp(150),
-                ..WindowConfig::default()
-            },
-        );
+        let mut w = Windowed::new(ShortestPath::new(), WindowConfig { initial: xrp(100) });
         w.on_unit_outcome(&outcome(&view, true), &view);
-        assert_eq!(w.window(NodeId(0), NodeId(2)), xrp(110));
+        assert_eq!(w.window(NodeId(0), NodeId(2)), xrp(100) + INCREASE);
         w.on_unit_outcome(&outcome(&view, false), &view);
         assert_eq!(w.window(NodeId(0), NodeId(2)), xrp(55));
-        // Ceiling.
-        for _ in 0..20 {
+        // Ceiling: (10,000 − 55) / 10 steps reach it.
+        for _ in 0..1_000 {
             w.on_unit_outcome(&outcome(&view, true), &view);
         }
-        assert_eq!(w.window(NodeId(0), NodeId(2)), xrp(150));
-        // Floor.
+        assert_eq!(w.window(NodeId(0), NodeId(2)), MAX_WINDOW);
+        // Floor: ten halvings pass it.
         for _ in 0..20 {
             w.on_unit_outcome(&outcome(&view, false), &view);
         }
-        assert_eq!(w.window(NodeId(0), NodeId(2)), xrp(5));
+        assert_eq!(w.window(NodeId(0), NodeId(2)), MIN_WINDOW);
         // One tracked pair: the O(1) gauge is that pair's window.
-        assert_eq!(w.window_gauge(), Some(5.0));
+        assert_eq!(w.window_gauge(), Some(MIN_WINDOW.as_xrp()));
     }
 
     #[test]
@@ -381,50 +360,30 @@ mod tests {
 
     #[test]
     fn eviction_cap_bounds_the_table() {
-        // Ten disjoint channels give ten distinct (sender, receiver) pairs.
-        let mut b = spider_topology::Topology::builder(20);
-        for i in 0..10u32 {
-            b.channel(NodeId(i), NodeId(i + 10), xrp(10)).unwrap();
+        let mut w = Windowed::new(ShortestPath::new(), WindowConfig::default());
+        // Six pairs past the cap, each backed off once.
+        let pair = |i: usize| (NodeId(i as u32), NodeId(i as u32 + 1));
+        let pairs = MAX_TRACKED_PAIRS + 6;
+        for i in 0..pairs {
+            let (src, dst) = pair(i);
+            w.adjust(src, dst, false);
         }
-        let t = b.build();
-        let ch: Vec<ChannelState> = t
-            .channels()
-            .map(|(_, c)| ChannelState::split_equally(c.capacity))
-            .collect();
-        let paths = PathTable::new();
-        let view = NetworkView {
-            topo: &t,
-            channels: &ch,
-            paths: &paths,
-            now: SimTime::ZERO,
-        };
-        let mut w = Windowed::new(
-            ShortestPath::new(),
-            WindowConfig {
-                max_tracked_pairs: 4,
-                ..WindowConfig::default()
-            },
+        assert_eq!(
+            w.tracked_pairs(),
+            MAX_TRACKED_PAIRS,
+            "table bounded at the cap"
         );
-        for i in 0..10u32 {
-            let o = UnitOutcome {
-                payment: PaymentId(0),
-                path: view.intern(&[NodeId(i), NodeId(i + 10)]),
-                amount: xrp(1),
-                locked: false,
-                fault: None,
-            };
-            w.on_unit_outcome(&o, &view);
-        }
-        assert_eq!(w.tracked_pairs(), 4, "table bounded at the cap");
         // The running total dropped the evicted pairs' windows with them.
         assert_eq!(w.window_total, w.windows.values().sum::<Amount>());
-        // Oldest pairs were evicted and read back as the initial window.
-        assert_eq!(
-            w.window(NodeId(0), NodeId(10)),
-            WindowConfig::default().initial
-        );
-        // Newest still hold their decayed state.
-        assert!(w.window(NodeId(9), NodeId(19)) < WindowConfig::default().initial);
+        // The oldest pairs were evicted and read back as the initial window.
+        let initial = WindowConfig::default().initial;
+        for i in 0..6 {
+            let (src, dst) = pair(i);
+            assert_eq!(w.window(src, dst), initial);
+        }
+        // The newest still hold their decayed state.
+        let (src, dst) = pair(pairs - 1);
+        assert!(w.window(src, dst) < initial);
     }
 
     #[test]
@@ -460,17 +419,5 @@ mod tests {
         let before = w.window(NodeId(0), NodeId(2));
         w.on_unit_ack(&clean, &view);
         assert!(w.window(NodeId(0), NodeId(2)) > before);
-    }
-
-    #[test]
-    #[should_panic(expected = "decrease factor")]
-    fn rejects_bad_decrease_factor() {
-        let _ = Windowed::new(
-            ShortestPath::new(),
-            WindowConfig {
-                decrease_factor: 1.5,
-                ..WindowConfig::default()
-            },
-        );
     }
 }

@@ -1,7 +1,6 @@
 //! Declarative experiments: topology + workload + scheme + seed → report.
 
 use crate::scheme::SchemeConfig;
-use serde::Serialize;
 use spider_dynamics::{ChurnSchedule, DynamicsConfig};
 use spider_faults::{FaultConfig, FaultPlan};
 use spider_overload::{OverloadConfig, OverloadPlan};
@@ -11,7 +10,7 @@ use spider_topology::{analysis, gen, Topology};
 use spider_types::{Amount, DetRng, Result, SimDuration, SimTime, SpiderError, DROPS_PER_XRP};
 
 /// Topology selection for an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologyConfig {
     /// The deterministic 32-node / 152-edge ISP-like graph of §6.1.
     Isp {
@@ -147,7 +146,7 @@ impl TopologyConfig {
 }
 
 /// A complete experiment description.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// The network.
     pub topology: TopologyConfig,
@@ -450,7 +449,7 @@ pub fn demand_graph(workload: &Workload, n_nodes: usize) -> PaymentGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::ProtocolTuning;
+    use crate::scheme::RateConfig;
     use spider_overload::FlashCrowdConfig;
     use spider_sim::{AdmissionConfig, QueueConfig};
 
@@ -759,29 +758,19 @@ mod tests {
     /// built, or on the router's first route.
     #[test]
     fn invalid_schemes_and_topologies_are_rejected() {
-        let tuned = |tuning: ProtocolTuning| SchemeConfig::SpiderProtocol {
+        let decrease = |decrease_factor| SchemeConfig::SpiderProtocol {
             paths: 4,
-            tuning: Some(tuning),
+            rate: RateConfig {
+                decrease_factor,
+                ..RateConfig::default()
+            },
         };
         let schemes = [
             SchemeConfig::SpiderWaterfilling { paths: 0 },
             SchemeConfig::SpiderPricing { paths: 0 },
             SchemeConfig::spider_protocol(0),
-            SchemeConfig::SilentWhispers { landmarks: 0 },
-            SchemeConfig::SpeedyMurmurs { trees: 0 },
-            tuned(ProtocolTuning {
-                decrease_factor: Some(2.0),
-                ..ProtocolTuning::default()
-            }),
-            tuned(ProtocolTuning {
-                min_window_xrp: Some(100.0),
-                max_window_xrp: Some(1.0),
-                ..ProtocolTuning::default()
-            }),
-            tuned(ProtocolTuning {
-                price_gamma: Some(f64::NAN),
-                ..ProtocolTuning::default()
-            }),
+            decrease(2.0),
+            decrease(f64::NAN),
         ];
         let capacity_xrp = 1_000;
         let small_world = |k, beta| TopologyConfig::SmallWorld {
@@ -1025,7 +1014,11 @@ mod tests {
         let edits: [&dyn Fn(&mut SimConfig); 9] = [
             &|s| s.confirmation_delay = never,
             &|s| s.deadline = Some(never),
-            &|s| s.poll_interval = never,
+            // Polls and samples land up to a constant past the horizon.
+            &|s| {
+                (s.confirmation_delay, s.deadline) = (SimDuration::ZERO, None);
+                s.horizon = never - SimDuration::from_millis(50);
+            },
             &|s| {
                 s.queueing = fifo(QueueConfig {
                     hop_delay: never,
@@ -1058,13 +1051,14 @@ mod tests {
         })
         .expect("a tiny shaping rate runs");
         assert_eq!(report.admission_deferred, 999);
-        // The longest valid poll interval ends at the last representable
+        // The longest valid scan interval ends at the last representable
         // instant, in the calendar's top bucket.
         run(&|s| {
             s.horizon = SimDuration::from_micros(500);
-            s.poll_interval = SimDuration::from_micros(u64::MAX - 500);
+            s.rebalancing.get_or_insert_default().check_interval =
+                SimDuration::from_micros(u64::MAX - 500);
         })
-        .expect("a poll at the end of time is never due");
+        .expect("a scan at the end of time is never due");
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub mod output;
 pub mod scheme;
 
 pub use experiment::{execute, run_sweep, ExperimentConfig, RunOutput, SweepJob, TopologyConfig};
-pub use scheme::{ProtocolTuning, SchemeConfig};
+pub use scheme::SchemeConfig;

@@ -1,65 +1,24 @@
 //! Declarative routing-scheme configuration.
 
-use serde::Serialize;
 use spider_paygraph::PaymentGraph;
-use spider_protocol::{ProtocolConfig, ProtocolRouter, RateConfig};
+use spider_protocol::ProtocolRouter;
+pub use spider_protocol::RateConfig;
 use spider_routing::{
     MaxFlow, ShortestPath, SilentWhispers, SpeedyMurmurs, SpiderLp, SpiderWaterfilling,
 };
 use spider_sim::Router;
 use spider_topology::Topology;
-use spider_types::{Amount, Result, SpiderError};
+use spider_types::{Result, SpiderError};
 
-/// Overrides for the `spider-protocol` sender tunables (AIMD window steps
-/// and price smoothing). Every field is optional; `None` keeps the
-/// defaults of [`RateConfig`]/[`ProtocolConfig`], so
-/// `ProtocolTuning::default()` runs the protocol unchanged.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct ProtocolTuning {
-    /// Initial per-path AIMD window, XRP.
-    pub initial_window_xrp: Option<f64>,
-    /// Additive window increase per clean delivered ack, XRP.
-    pub increase_xrp: Option<f64>,
-    /// Multiplicative decrease factor on a marked/failed ack (0 < f < 1).
-    pub decrease_factor: Option<f64>,
-    /// Window floor, XRP.
-    pub min_window_xrp: Option<f64>,
-    /// Window ceiling, XRP.
-    pub max_window_xrp: Option<f64>,
-    /// EWMA weight of each new path-price observation (0 < γ ≤ 1).
-    pub price_gamma: Option<f64>,
-    /// Price attributed to a dropped unit.
-    pub nack_price: Option<f64>,
-}
+/// Landmarks of SilentWhispers (the highest-degree nodes).
+const LANDMARKS: usize = 3;
 
-impl ProtocolTuning {
-    /// The `spider-protocol` sender configuration with these overrides
-    /// applied on top of the defaults.
-    pub fn to_config(self) -> ProtocolConfig {
-        let mut cfg = ProtocolConfig::default();
-        let rate = RateConfig::default();
-        let amt =
-            |xrp: Option<f64>, default: Amount| xrp.map(Amount::from_xrp_f64).unwrap_or(default);
-        cfg.rate = RateConfig {
-            initial_window: amt(self.initial_window_xrp, rate.initial_window),
-            increase: amt(self.increase_xrp, rate.increase),
-            decrease_factor: self.decrease_factor.unwrap_or(rate.decrease_factor),
-            min_window: amt(self.min_window_xrp, rate.min_window),
-            max_window: amt(self.max_window_xrp, rate.max_window),
-        };
-        if let Some(g) = self.price_gamma {
-            cfg.price_gamma = g;
-        }
-        if let Some(p) = self.nack_price {
-            cfg.nack_price = p;
-        }
-        cfg
-    }
-}
+/// Spanning trees of SpeedyMurmurs.
+const TREES: usize = 3;
 
 /// A routing scheme, as an [`ExperimentConfig`](crate::ExperimentConfig)
 /// names it.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum SchemeConfig {
     /// Spider (Waterfilling) over `paths` edge-disjoint paths.
     SpiderWaterfilling {
@@ -75,16 +34,10 @@ pub enum SchemeConfig {
     ShortestPath,
     /// Atomic per-transaction max-flow.
     MaxFlow,
-    /// Atomic landmark routing with `landmarks` landmarks.
-    SilentWhispers {
-        /// Number of landmarks (highest-degree nodes).
-        landmarks: usize,
-    },
-    /// Atomic embedding routing over `trees` spanning trees.
-    SpeedyMurmurs {
-        /// Number of spanning trees.
-        trees: usize,
-    },
+    /// Atomic landmark routing over 3 landmarks.
+    SilentWhispers,
+    /// Atomic embedding routing over 3 spanning trees.
+    SpeedyMurmurs,
     /// Spider (Pricing): the §5.3 price feedback as an online
     /// imbalance-aware scheme (this reproduction's extension).
     SpiderPricing {
@@ -98,17 +51,18 @@ pub enum SchemeConfig {
     SpiderProtocol {
         /// Candidate edge-disjoint paths per pair (paper: 4).
         paths: usize,
-        /// Optional AIMD/price tunable overrides (`None` = defaults).
-        tuning: Option<ProtocolTuning>,
+        /// The senders' AIMD steps.
+        rate: RateConfig,
     },
 }
 
 impl SchemeConfig {
-    /// The §5 protocol scheme with default tunables (the common case).
+    /// The §5 protocol scheme with the default AIMD steps (the common
+    /// case).
     pub fn spider_protocol(paths: usize) -> SchemeConfig {
         SchemeConfig::SpiderProtocol {
             paths,
-            tuning: None,
+            rate: RateConfig::default(),
         }
     }
 
@@ -119,8 +73,8 @@ impl SchemeConfig {
             SchemeConfig::SpiderWaterfilling { paths: 4 },
             SchemeConfig::MaxFlow,
             SchemeConfig::ShortestPath,
-            SchemeConfig::SilentWhispers { landmarks: 3 },
-            SchemeConfig::SpeedyMurmurs { trees: 3 },
+            SchemeConfig::SilentWhispers,
+            SchemeConfig::SpeedyMurmurs,
         ]
     }
 
@@ -139,8 +93,8 @@ impl SchemeConfig {
             SchemeConfig::SpiderLp { .. } => "spider-lp",
             SchemeConfig::ShortestPath => "shortest-path",
             SchemeConfig::MaxFlow => "max-flow",
-            SchemeConfig::SilentWhispers { .. } => "silentwhispers",
-            SchemeConfig::SpeedyMurmurs { .. } => "speedymurmurs",
+            SchemeConfig::SilentWhispers => "silentwhispers",
+            SchemeConfig::SpeedyMurmurs => "speedymurmurs",
             SchemeConfig::SpiderPricing { .. } => "spider-pricing",
             SchemeConfig::SpiderProtocol { .. } => "spider-protocol",
         }
@@ -165,13 +119,14 @@ impl SchemeConfig {
             SchemeConfig::SpiderWaterfilling { paths }
             | SchemeConfig::SpiderLp { paths }
             | SchemeConfig::SpiderPricing { paths } => at_least_one(paths, "path"),
-            SchemeConfig::SpiderProtocol { paths, tuning } => {
+            SchemeConfig::SpiderProtocol { paths, rate } => {
                 at_least_one(paths, "path")?;
-                tuning.unwrap_or_default().to_config().validate()
+                rate.validate()
             }
-            SchemeConfig::SilentWhispers { landmarks } => at_least_one(landmarks, "landmark"),
-            SchemeConfig::SpeedyMurmurs { trees } => at_least_one(trees, "tree"),
-            SchemeConfig::ShortestPath | SchemeConfig::MaxFlow => Ok(()),
+            SchemeConfig::ShortestPath
+            | SchemeConfig::MaxFlow
+            | SchemeConfig::SilentWhispers
+            | SchemeConfig::SpeedyMurmurs => Ok(()),
         }
     }
 
@@ -191,17 +146,14 @@ impl SchemeConfig {
             }
             SchemeConfig::ShortestPath => Box::new(ShortestPath::new()),
             SchemeConfig::MaxFlow => Box::new(MaxFlow::new()),
-            SchemeConfig::SilentWhispers { landmarks } => {
-                Box::new(SilentWhispers::new(topo, landmarks))
-            }
-            SchemeConfig::SpeedyMurmurs { trees } => Box::new(SpeedyMurmurs::new(topo, trees)),
+            SchemeConfig::SilentWhispers => Box::new(SilentWhispers::new(topo, LANDMARKS)),
+            SchemeConfig::SpeedyMurmurs => Box::new(SpeedyMurmurs::new(topo, TREES)),
             SchemeConfig::SpiderPricing { paths } => {
                 Box::new(spider_routing::SpiderPricing::new(paths))
             }
-            SchemeConfig::SpiderProtocol { paths, tuning } => Box::new(match tuning {
-                Some(t) => ProtocolRouter::with_config(paths, t.to_config()),
-                None => ProtocolRouter::new(paths),
-            }),
+            SchemeConfig::SpiderProtocol { paths, rate } => {
+                Box::new(ProtocolRouter::with_rate(paths, rate))
+            }
         }
     }
 }

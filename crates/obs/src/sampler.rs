@@ -1,7 +1,7 @@
 //! Unified time-series sampling.
 //!
 //! One cadence, one schema: the engine probes every registered series at
-//! the same instant (once per [`SamplerConfig::cadence`], from the poll
+//! the same instant (once per [`SAMPLE_CADENCE`], from the poll
 //! handler) and pushes one row, so all series stay index-aligned — sample
 //! `i` of every series was taken at the same simulated time. This
 //! replaces the ad-hoc per-metric samplers (`imbalance_series`,
@@ -42,24 +42,16 @@ pub const SERIES_NAMES: [&str; NUM_SERIES] = [
     "mean_channel_price",
 ];
 
+/// Time between samples.
+pub const SAMPLE_CADENCE: SimDuration = SimDuration::from_secs(1);
+
 /// Sampling configuration, part of the engine's `SimConfig`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SamplerConfig {
-    /// Time between samples.
-    pub cadence: SimDuration,
     /// Also record the per-channel queue-depth matrix (both directions
     /// summed, indexed by channel id) every sample. Off by default: it is
     /// the only probe whose cost scales with network size.
     pub queue_depths: bool,
-}
-
-impl Default for SamplerConfig {
-    fn default() -> Self {
-        SamplerConfig {
-            cadence: SimDuration::from_secs(1),
-            queue_depths: false,
-        }
-    }
 }
 
 /// One named series of the sample set.
@@ -87,7 +79,7 @@ pub struct SampleSet {
 impl Default for SampleSet {
     fn default() -> Self {
         SampleSet {
-            cadence_s: 1.0,
+            cadence_s: SAMPLE_CADENCE.as_secs_f64(),
             series: SERIES_NAMES
                 .iter()
                 .map(|&name| SampleSeries {
@@ -139,11 +131,6 @@ impl Sampler {
         }
     }
 
-    /// Time between samples.
-    pub fn cadence(&self) -> SimDuration {
-        self.cfg.cadence
-    }
-
     /// Whether the engine should also collect the per-channel depth
     /// matrix this run.
     pub fn wants_queue_depths(&self) -> bool {
@@ -182,7 +169,7 @@ impl Sampler {
             })
             .collect();
         SampleSet {
-            cadence_s: self.cfg.cadence.as_secs_f64(),
+            cadence_s: SAMPLE_CADENCE.as_secs_f64(),
             series,
             queue_depths: self.queue_depths,
         }
@@ -212,10 +199,7 @@ mod tests {
     fn queue_depths_are_opt_in() {
         let s = Sampler::new(SamplerConfig::default());
         assert!(!s.wants_queue_depths());
-        let mut s = Sampler::new(SamplerConfig {
-            queue_depths: true,
-            ..SamplerConfig::default()
-        });
+        let mut s = Sampler::new(SamplerConfig { queue_depths: true });
         assert!(s.wants_queue_depths());
         s.push_row([0.0; NUM_SERIES]);
         s.push_queue_depths(vec![1, 2, 3]);

@@ -60,47 +60,43 @@ impl Default for FlashCrowdConfig {
     }
 }
 
+/// Number of hot (src, dst) pairs.
+pub const HOT_PAIRS: usize = 8;
+
+/// Zipf exponent over the hot set (`0.0` would be uniform; larger = the
+/// first pair dominates).
+pub const ZIPF_EXPONENT: f64 = 1.0;
+
+/// Number of one-way (src, dst) drain flows.
+pub const DRAIN_FLOWS: usize = 4;
+
 /// Zipf-skewed hot-pair parameters: a fraction of all transactions is
-/// redirected onto a small set of (src, dst) pairs with Zipf weights.
+/// redirected onto [`HOT_PAIRS`] (src, dst) pairs with Zipf weights.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HotPairsConfig {
     /// Fraction of transactions redirected onto the hot set.
     pub fraction: f64,
-    /// Number of hot (src, dst) pairs.
-    pub pairs: usize,
-    /// Zipf exponent over the hot set (`0.0` = uniform; larger = the
-    /// first pair dominates).
-    pub zipf_exponent: f64,
 }
 
 impl Default for HotPairsConfig {
     fn default() -> Self {
-        HotPairsConfig {
-            fraction: 0.3,
-            pairs: 8,
-            zipf_exponent: 1.0,
-        }
+        HotPairsConfig { fraction: 0.3 }
     }
 }
 
 /// One-way liquidity-drain parameters: a fraction of transactions is
 /// redirected onto fixed one-way flows, steadily emptying the channel
 /// directions they cross (pure DAG demand — the component Spider cannot
-/// sustain off-chain).
+/// sustain off-chain), [`DRAIN_FLOWS`] of them.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DrainConfig {
-    /// Number of one-way (src, dst) drain flows.
-    pub flows: usize,
     /// Fraction of transactions redirected onto the drain flows.
     pub fraction: f64,
 }
 
 impl Default for DrainConfig {
     fn default() -> Self {
-        DrainConfig {
-            flows: 4,
-            fraction: 0.1,
-        }
+        DrainConfig { fraction: 0.1 }
     }
 }
 
@@ -168,11 +164,9 @@ impl OverloadConfig {
             }),
             hot_pairs: self.hot_pairs.as_ref().map(|h| HotPairsConfig {
                 fraction: p(h.fraction),
-                ..h.clone()
             }),
             drain: self.drain.as_ref().map(|d| DrainConfig {
                 fraction: p(d.fraction),
-                ..d.clone()
             }),
             griefing: self.griefing.as_ref().map(|g| GriefingConfig {
                 fraction: p(g.fraction),
@@ -198,19 +192,10 @@ impl OverloadConfig {
             if !(0.0..=1.0).contains(&h.fraction) {
                 return bad("hot-pair fraction must be in [0, 1]");
             }
-            if h.pairs == 0 {
-                return bad("hot-pair count must be positive");
-            }
-            if !(h.zipf_exponent >= 0.0 && h.zipf_exponent.is_finite()) {
-                return bad("zipf exponent must be non-negative and finite");
-            }
         }
         if let Some(d) = &self.drain {
             if !(0.0..=1.0).contains(&d.fraction) {
                 return bad("drain fraction must be in [0, 1]");
-            }
-            if d.flows == 0 {
-                return bad("drain flow count must be positive");
             }
         }
         if let Some(g) = &self.griefing {
@@ -308,10 +293,10 @@ impl OverloadPlan {
         let mut hot_rng = rng.fork("hot");
         let (hot_pairs, hot_cdf, hot_fraction) = match &cfg.hot_pairs {
             Some(h) => {
-                let pairs = draw_pairs(&mut hot_rng, h.pairs);
+                let pairs = draw_pairs(&mut hot_rng, HOT_PAIRS);
                 // Zipf weights w_i = 1/(i+1)^s, normalized to a CDF.
                 let weights: Vec<f64> = (0..pairs.len())
-                    .map(|i| 1.0 / ((i + 1) as f64).powf(h.zipf_exponent))
+                    .map(|i| 1.0 / ((i + 1) as f64).powf(ZIPF_EXPONENT))
                     .collect();
                 let total: f64 = weights.iter().sum();
                 let mut acc = 0.0;
@@ -329,7 +314,7 @@ impl OverloadPlan {
 
         let mut drain_rng = rng.fork("drain");
         let (drain_pairs, drain_fraction) = match &cfg.drain {
-            Some(d) => (draw_pairs(&mut drain_rng, d.flows), d.fraction),
+            Some(d) => (draw_pairs(&mut drain_rng, DRAIN_FLOWS), d.fraction),
             None => (Vec::new(), 0.0),
         };
 
@@ -496,15 +481,8 @@ mod tests {
         let t = topo();
         let cfg = OverloadConfig {
             flash_crowd: None,
-            hot_pairs: Some(HotPairsConfig {
-                fraction: 0.5,
-                pairs: 4,
-                zipf_exponent: 1.2,
-            }),
-            drain: Some(DrainConfig {
-                flows: 2,
-                fraction: 0.1,
-            }),
+            hot_pairs: Some(HotPairsConfig { fraction: 0.5 }),
+            drain: Some(DrainConfig { fraction: 0.1 }),
             griefing: None,
             ..OverloadConfig::default()
         };
@@ -528,7 +506,8 @@ mod tests {
         // Hot 0.5 + drain 0.1 (minus overlap/self-hits): a loose band.
         assert!((0.4..0.7).contains(&frac), "redirect fraction {frac}");
         // Zipf skew: the first hot pair dominates the last.
-        assert!(hot_hits[0] > hot_hits[3], "{hot_hits:?}");
+        assert_eq!(hot_hits.len(), HOT_PAIRS);
+        assert!(hot_hits[0] > hot_hits[HOT_PAIRS - 1], "{hot_hits:?}");
         // Same seed → same redirects.
         let mut rng2 = DetRng::new(plan.transform_seed);
         let a = plan.transform_pair(NodeId(0), NodeId(1), &mut rng2);
@@ -573,24 +552,11 @@ mod tests {
                 ..OverloadConfig::default()
             },
             OverloadConfig {
-                hot_pairs: Some(HotPairsConfig {
-                    fraction: 1.5,
-                    ..HotPairsConfig::default()
-                }),
+                hot_pairs: Some(HotPairsConfig { fraction: 1.5 }),
                 ..OverloadConfig::default()
             },
             OverloadConfig {
-                hot_pairs: Some(HotPairsConfig {
-                    pairs: 0,
-                    ..HotPairsConfig::default()
-                }),
-                ..OverloadConfig::default()
-            },
-            OverloadConfig {
-                drain: Some(DrainConfig {
-                    fraction: -0.1,
-                    ..DrainConfig::default()
-                }),
+                drain: Some(DrainConfig { fraction: -0.1 }),
                 ..OverloadConfig::default()
             },
             OverloadConfig {

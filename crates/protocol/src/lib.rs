@@ -51,4 +51,4 @@ pub mod router;
 
 pub use price::PathPriceEstimator;
 pub use rate::{PathController, RateConfig};
-pub use router::{ProtocolConfig, ProtocolRouter};
+pub use router::ProtocolRouter;

@@ -7,17 +7,21 @@
 //! state directly; it sees only the stamps coming back on unit
 //! acknowledgements. [`PathPriceEstimator`] smooths those observations
 //! into a per-path price the allocator can steer on, with failed units
-//! (drops, timeouts) contributing a configurable penalty price so paths
-//! that eat units look expensive even though they return no stamp sum.
+//! (drops, timeouts) contributing a fixed penalty price ([`NACK_PRICE`])
+//! so paths that eat units look expensive even though they return no
+//! stamp sum.
 
-use crate::router::ProtocolConfig;
 use spider_types::MarkStamp;
 
-/// Exponentially-weighted moving average of a path's acked prices. Holds
-/// only the estimate: the smoothing factor and the price of a drop are
-/// the router's ([`ProtocolConfig::price_gamma`],
-/// [`ProtocolConfig::nack_price`]), read on each observation, so a sender
-/// with 10⁵ paths keeps no 10⁵ copies of them.
+/// EWMA weight of each new price observation (0 < γ ≤ 1).
+pub const PRICE_GAMMA: f64 = 0.125;
+
+/// Price attributed to a dropped unit.
+pub const NACK_PRICE: f64 = 2.0;
+
+/// Exponentially-weighted moving average of a path's acked prices,
+/// smoothed by [`PRICE_GAMMA`], with a drop priced at least
+/// [`NACK_PRICE`].
 #[derive(Debug, Clone, Default)]
 pub struct PathPriceEstimator {
     /// Current estimate.
@@ -33,18 +37,18 @@ impl PathPriceEstimator {
     }
 
     /// Folds one unit acknowledgement into the estimate, with weight
-    /// `cfg.price_gamma`; a unit that never arrived is priced at least
-    /// `cfg.nack_price`.
-    pub fn observe(&mut self, cfg: &ProtocolConfig, delivered: bool, stamp: &MarkStamp) {
+    /// [`PRICE_GAMMA`]; a unit that never arrived is priced at least
+    /// [`NACK_PRICE`].
+    pub fn observe(&mut self, delivered: bool, stamp: &MarkStamp) {
         let observed = if delivered {
             stamp.price
         } else {
-            cfg.nack_price.max(stamp.price)
+            NACK_PRICE.max(stamp.price)
         };
         if self.observations == 0 {
             self.estimate = observed;
         } else {
-            self.estimate = (1.0 - cfg.price_gamma) * self.estimate + cfg.price_gamma * observed;
+            self.estimate = (1.0 - PRICE_GAMMA) * self.estimate + PRICE_GAMMA * observed;
         }
         self.observations += 1;
     }
@@ -63,7 +67,6 @@ impl PathPriceEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::ProtocolRouter;
     use spider_types::SimDuration;
 
     fn stamp(price: f64) -> MarkStamp {
@@ -72,47 +75,32 @@ mod tests {
         s
     }
 
-    fn cfg(price_gamma: f64, nack_price: f64) -> ProtocolConfig {
-        ProtocolConfig {
-            price_gamma,
-            nack_price,
-            ..ProtocolConfig::default()
-        }
-    }
-
     #[test]
     fn starts_at_zero_and_adopts_first_observation() {
         let mut e = PathPriceEstimator::new();
         assert_eq!(e.price(), 0.0);
-        e.observe(&cfg(0.1, 5.0), true, &stamp(2.0));
-        assert_eq!(e.price(), 2.0, "first observation is adopted outright");
+        e.observe(true, &stamp(3.0));
+        assert_eq!(e.price(), 3.0, "first observation is adopted outright");
     }
 
     #[test]
     fn ewma_tracks_toward_new_prices() {
-        let (mut e, cfg) = (PathPriceEstimator::new(), cfg(0.5, 5.0));
-        e.observe(&cfg, true, &stamp(0.0));
-        e.observe(&cfg, true, &stamp(4.0));
-        assert!((e.price() - 2.0).abs() < 1e-12);
-        e.observe(&cfg, true, &stamp(4.0));
-        assert!((e.price() - 3.0).abs() < 1e-12);
+        let mut e = PathPriceEstimator::new();
+        e.observe(true, &stamp(0.0));
+        e.observe(true, &stamp(4.0));
+        assert!((e.price() - 0.5).abs() < 1e-12, "γ = 1/8 of the way");
+        e.observe(true, &stamp(4.0));
+        assert!((e.price() - 0.9375).abs() < 1e-12);
     }
 
     #[test]
     fn nacks_charge_the_penalty_price() {
-        let (mut e, cfg) = (PathPriceEstimator::new(), cfg(1.0, 7.5));
-        e.observe(&cfg, false, &stamp(0.25));
-        assert_eq!(e.price(), 7.5);
+        let mut e = PathPriceEstimator::new();
+        e.observe(false, &stamp(0.25));
+        assert_eq!(e.price(), NACK_PRICE);
         // A nack with an even higher stamped price keeps the stamp.
-        e.observe(&cfg, false, &stamp(9.0));
-        assert_eq!(e.price(), 9.0);
+        e.observe(false, &stamp(10.0));
+        assert!((e.price() - (7.0 * NACK_PRICE + 10.0) / 8.0).abs() < 1e-12);
         assert_eq!(e.observations(), 2);
-    }
-
-    /// The estimators read the router's gamma, which the router checks.
-    #[test]
-    #[should_panic(expected = "gamma")]
-    fn rejects_bad_gamma() {
-        let _ = ProtocolRouter::with_config(4, cfg(0.0, 1.0));
     }
 }

@@ -14,29 +14,30 @@
 
 use spider_types::Amount;
 
-/// AIMD parameters for one path's controller.
-#[derive(Debug, Clone)]
+/// Initial window per path.
+pub const INITIAL_WINDOW: Amount = Amount::from_xrp(200);
+
+/// Window floor.
+pub const MIN_WINDOW: Amount = Amount::from_xrp(20);
+
+/// Window ceiling.
+pub const MAX_WINDOW: Amount = Amount::from_xrp(10_000);
+
+/// The AIMD steps of one path's controller; its start, floor and
+/// ceiling are [`INITIAL_WINDOW`], [`MIN_WINDOW`] and [`MAX_WINDOW`].
+#[derive(Debug, Clone, Copy)]
 pub struct RateConfig {
-    /// Initial window per path.
-    pub initial_window: Amount,
     /// Additive increase per clean delivered ack.
     pub increase: Amount,
     /// Multiplicative decrease factor on a marked or failed ack (0 < f < 1).
     pub decrease_factor: f64,
-    /// Window floor.
-    pub min_window: Amount,
-    /// Window ceiling.
-    pub max_window: Amount,
 }
 
 impl Default for RateConfig {
     fn default() -> Self {
         RateConfig {
-            initial_window: Amount::from_xrp(200),
             increase: Amount::from_xrp(10),
             decrease_factor: 0.7,
-            min_window: Amount::from_xrp(20),
-            max_window: Amount::from_xrp(10_000),
         }
     }
 }
@@ -48,12 +49,6 @@ impl RateConfig {
         let invalid = |msg: &str| Err(spider_types::SpiderError::InvalidConfig(msg.into()));
         if !(self.decrease_factor > 0.0 && self.decrease_factor < 1.0) {
             return invalid("decrease factor must be in (0, 1)");
-        }
-        if self.min_window.is_zero() {
-            return invalid("window floor must be positive");
-        }
-        if self.min_window > self.max_window {
-            return invalid("floor must not exceed ceiling");
         }
         Ok(())
     }
@@ -67,12 +62,12 @@ pub struct PathController {
 }
 
 impl PathController {
-    /// Fresh controller at the configured initial window.
+    /// Fresh controller at [`INITIAL_WINDOW`], for steps `cfg`.
     pub fn new(cfg: &RateConfig) -> Self {
         let checked = cfg.validate();
         assert!(checked.is_ok(), "{checked:?}");
         PathController {
-            window: Ord::clamp(cfg.initial_window, cfg.min_window, cfg.max_window),
+            window: INITIAL_WINDOW,
             inflight: Amount::ZERO,
         }
     }
@@ -107,14 +102,14 @@ impl PathController {
     pub fn on_ack(&mut self, amount: Amount, delivered: bool, marked: bool, cfg: &RateConfig) {
         self.inflight = self.inflight.saturating_sub(amount);
         if delivered && !marked {
-            self.window = (self.window + cfg.increase).min(cfg.max_window);
+            self.window = (self.window + cfg.increase).min(MAX_WINDOW);
         } else {
             self.backoff(cfg);
         }
     }
 
     fn backoff(&mut self, cfg: &RateConfig) {
-        self.window = self.window.mul_f64(cfg.decrease_factor).max(cfg.min_window);
+        self.window = self.window.mul_f64(cfg.decrease_factor).max(MIN_WINDOW);
     }
 }
 
@@ -128,11 +123,8 @@ mod tests {
 
     fn cfg() -> RateConfig {
         RateConfig {
-            initial_window: xrp(100),
             increase: xrp(10),
             decrease_factor: 0.5,
-            min_window: xrp(5),
-            max_window: xrp(150),
         }
     }
 
@@ -140,11 +132,11 @@ mod tests {
     fn budget_tracks_inflight() {
         let c = cfg();
         let mut p = PathController::new(&c);
-        assert_eq!(p.budget(), xrp(100));
+        assert_eq!(p.budget(), INITIAL_WINDOW);
         p.on_send(xrp(30));
-        assert_eq!(p.budget(), xrp(70));
+        assert_eq!(p.budget(), xrp(170));
         assert_eq!(p.inflight(), xrp(30));
-        p.on_send(xrp(70));
+        p.on_send(xrp(170));
         assert_eq!(p.budget(), Amount::ZERO);
     }
 
@@ -154,12 +146,13 @@ mod tests {
         let mut p = PathController::new(&c);
         p.on_send(xrp(10));
         p.on_ack(xrp(10), true, false, &c);
-        assert_eq!(p.window(), xrp(110));
+        assert_eq!(p.window(), xrp(210));
         assert_eq!(p.inflight(), Amount::ZERO);
-        for _ in 0..20 {
+        // (10,000 − 210) / 10 more steps reach the ceiling.
+        for _ in 0..1_000 {
             p.on_ack(Amount::ZERO, true, false, &c);
         }
-        assert_eq!(p.window(), xrp(150), "ceiling holds");
+        assert_eq!(p.window(), MAX_WINDOW, "ceiling holds");
     }
 
     #[test]
@@ -168,13 +161,13 @@ mod tests {
         let mut p = PathController::new(&c);
         p.on_send(xrp(20));
         p.on_ack(xrp(20), true, true, &c); // delivered but marked
-        assert_eq!(p.window(), xrp(50));
+        assert_eq!(p.window(), xrp(100));
         p.on_ack(Amount::ZERO, false, true, &c); // dropped
-        assert_eq!(p.window(), xrp(25));
+        assert_eq!(p.window(), xrp(50));
         for _ in 0..20 {
             p.on_reject(&c);
         }
-        assert_eq!(p.window(), xrp(5), "floor holds");
+        assert_eq!(p.window(), MIN_WINDOW, "floor holds");
     }
 
     #[test]

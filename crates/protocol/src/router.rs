@@ -21,54 +21,12 @@
 
 use crate::price::PathPriceEstimator;
 use crate::rate::{PathController, RateConfig};
-use spider_routing::{BackoffConfig, ChannelBreakers, PathCache, PathPenalties, PathPolicy};
+use spider_routing::{ChannelBreakers, PathCache, PathPenalties, PathPolicy};
 use spider_sim::{
     NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate, UnitAck, UnitOutcome,
 };
 use spider_types::{Amount, DropReason, NodeId, PathId};
 use std::ops::Range;
-
-/// Tunables of the protocol sender.
-#[derive(Debug, Clone)]
-pub struct ProtocolConfig {
-    /// Per-path AIMD window parameters.
-    pub rate: RateConfig,
-    /// EWMA weight of each new price observation.
-    pub price_gamma: f64,
-    /// Price attributed to a dropped unit (see
-    /// [`PathPriceEstimator`]).
-    pub nack_price: f64,
-    /// Fault-backoff cooldown shape (base and doubling cap) for the
-    /// per-path penalty table.
-    pub backoff: BackoffConfig,
-}
-
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        ProtocolConfig {
-            rate: RateConfig::default(),
-            price_gamma: 0.125,
-            nack_price: 2.0,
-            backoff: BackoffConfig::default(),
-        }
-    }
-}
-
-impl ProtocolConfig {
-    /// Checks what the router's controllers and price estimators assert
-    /// on; a config that passes builds a router that never panics on it.
-    pub fn validate(&self) -> spider_types::Result<()> {
-        self.rate.validate()?;
-        let invalid = |msg: &str| Err(spider_types::SpiderError::InvalidConfig(msg.into()));
-        if !(self.price_gamma > 0.0 && self.price_gamma <= 1.0) {
-            return invalid("price gamma must be in (0, 1]");
-        }
-        if self.nack_price.is_nan() || self.nack_price < 0.0 {
-            return invalid("nack price must be non-negative");
-        }
-        Ok(())
-    }
-}
 
 /// One candidate path of a pair and the sender's state for it.
 #[derive(Debug, Clone)]
@@ -110,7 +68,7 @@ struct Pairs {
 }
 
 impl Pairs {
-    fn new(k: usize, cfg: &ProtocolConfig) -> Self {
+    fn new(k: usize, rate: &RateConfig) -> Self {
         Pairs {
             k,
             counts: Vec::new(),
@@ -118,7 +76,7 @@ impl Pairs {
             owner: Vec::new(),
             fresh: Candidate {
                 path: PathId(0),
-                controller: PathController::new(&cfg.rate),
+                controller: PathController::new(rate),
                 price: PathPriceEstimator::new(),
             },
             staged: Vec::new(),
@@ -222,7 +180,8 @@ impl Pairs {
 /// for its feedback loop to close — in lockstep mode no acks arrive and
 /// windows stay pinned near their initial value).
 pub struct ProtocolRouter {
-    cfg: ProtocolConfig,
+    /// The AIMD steps every path's controller takes.
+    rate: RateConfig,
     cache: PathCache,
     pairs: Pairs,
     /// Sum of every controller's window, kept current wherever a window
@@ -244,26 +203,20 @@ pub struct ProtocolRouter {
 
 impl ProtocolRouter {
     /// Creates the router with `k` edge-disjoint candidate paths per pair
-    /// (the paper uses 4) and default tunables.
+    /// (the paper uses 4) and the default AIMD steps.
     pub fn new(k: usize) -> Self {
-        Self::with_config(k, ProtocolConfig::default())
+        Self::with_rate(k, RateConfig::default())
     }
 
-    /// Creates the router with explicit tunables.
-    pub fn with_config(k: usize, cfg: ProtocolConfig) -> Self {
+    /// Creates the router with explicit AIMD steps.
+    pub fn with_rate(k: usize, rate: RateConfig) -> Self {
         assert!(k >= 1, "need at least one path");
-        assert!(
-            cfg.price_gamma > 0.0 && cfg.price_gamma <= 1.0,
-            "gamma must be in (0, 1]"
-        );
-        assert!(cfg.nack_price >= 0.0, "nack price must be non-negative");
-        let penalties = PathPenalties::new(cfg.backoff);
         ProtocolRouter {
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
-            pairs: Pairs::new(k, &cfg),
-            cfg,
+            pairs: Pairs::new(k, &rate),
+            rate,
             window_total: Amount::ZERO,
-            penalties,
+            penalties: PathPenalties::default(),
             breakers: ChannelBreakers::default(),
             budgets: Vec::new(),
             allocated: Vec::new(),
@@ -452,7 +405,7 @@ impl Router for ProtocolRouter {
             controller.on_send(outcome.amount);
         } else {
             tracked(&mut self.window_total, controller, |c| {
-                c.on_reject(&self.cfg.rate)
+                c.on_reject(&self.rate)
             });
         }
     }
@@ -474,11 +427,9 @@ impl Router for ProtocolRouter {
         };
         let candidate = &mut self.pairs.candidates[at];
         tracked(&mut self.window_total, &mut candidate.controller, |c| {
-            c.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.cfg.rate)
+            c.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.rate)
         });
-        candidate
-            .price
-            .observe(&self.cfg, ack.delivered, &ack.stamp);
+        candidate.price.observe(ack.delivered, &ack.stamp);
     }
 
     fn window_gauge(&self) -> Option<f64> {
@@ -514,6 +465,7 @@ mod props;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rate::INITIAL_WINDOW;
     use spider_sim::{ChannelState, PathTable};
     use spider_types::{MarkStamp, PaymentId, SimDuration, SimTime};
 
@@ -583,18 +535,11 @@ mod tests {
             paths: &paths,
             now: SimTime::ZERO,
         };
-        let cfg = ProtocolConfig {
-            rate: RateConfig {
-                initial_window: xrp(50),
-                ..RateConfig::default()
-            },
-            ..ProtocolConfig::default()
-        };
-        let mut r = ProtocolRouter::with_config(4, cfg);
-        let props = r.route(&req(0, 3, xrp(200), xrp(10)), &view);
-        // Two candidate paths, 50 XRP window each → 100 XRP proposed.
+        let mut r = ProtocolRouter::new(4);
+        let props = r.route(&req(0, 3, xrp(1_000), xrp(10)), &view);
+        // Two candidate paths, a 200 XRP window each → 400 XRP proposed.
         let total: Amount = props.iter().map(|p| p.amount).sum();
-        assert_eq!(total, xrp(100));
+        assert_eq!(total, INITIAL_WINDOW + INITIAL_WINDOW);
         assert_eq!(props.len(), 2);
     }
 
@@ -608,16 +553,12 @@ mod tests {
             paths: &paths,
             now: SimTime::ZERO,
         };
-        let cfg = ProtocolConfig {
-            rate: RateConfig {
-                initial_window: xrp(30),
-                ..RateConfig::default()
-            },
-            ..ProtocolConfig::default()
-        };
-        let mut r = ProtocolRouter::with_config(4, cfg);
-        let props = r.route(&req(0, 3, xrp(100), xrp(10)), &view);
-        assert_eq!(props.iter().map(|p| p.amount).sum::<Amount>(), xrp(60));
+        let mut r = ProtocolRouter::new(4);
+        let props = r.route(&req(0, 3, xrp(1_000), xrp(10)), &view);
+        assert_eq!(
+            props.iter().map(|p| p.amount).sum::<Amount>(),
+            INITIAL_WINDOW + INITIAL_WINDOW
+        );
         // Report every proposed unit as accepted.
         for p in &props {
             for unit in p.amount.mtu_chunks(xrp(10)) {
@@ -632,12 +573,12 @@ mod tests {
             }
         }
         // Windows are full: nothing more to propose.
-        let empty = r.route(&req(0, 3, xrp(100), xrp(10)), &view);
+        let empty = r.route(&req(0, 3, xrp(1_000), xrp(10)), &view);
         assert!(empty.is_empty(), "in-flight value must consume the window");
         // Acking releases budget (and clean acks grow it).
         let path = props[0].path;
         r.on_unit_ack(&ack(path, xrp(10), true, MarkStamp::CLEAR), &view);
-        let again = r.route(&req(0, 3, xrp(100), xrp(10)), &view);
+        let again = r.route(&req(0, 3, xrp(1_000), xrp(10)), &view);
         assert!(!again.is_empty());
     }
 

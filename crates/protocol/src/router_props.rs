@@ -19,7 +19,7 @@ struct PairState {
 /// The reference: pair state in a map keyed by the pair, found through
 /// the acknowledged path's end nodes.
 struct ByPair {
-    cfg: ProtocolConfig,
+    rate: RateConfig,
     cache: PathCache,
     pairs: BTreeMap<(NodeId, NodeId), PairState>,
     window_total: Amount,
@@ -28,7 +28,7 @@ struct ByPair {
 impl ByPair {
     fn new(k: usize) -> Self {
         ByPair {
-            cfg: ProtocolConfig::default(),
+            rate: RateConfig::default(),
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
             pairs: BTreeMap::new(),
             window_total: Amount::ZERO,
@@ -42,10 +42,7 @@ impl ByPair {
         for &path in &paths {
             let (controller, price) = match old.paths.iter().position(|&held| held == path) {
                 Some(i) => (old.controllers[i].clone(), old.prices[i].clone()),
-                None => (
-                    PathController::new(&self.cfg.rate),
-                    PathPriceEstimator::new(),
-                ),
+                None => (PathController::new(&self.rate), PathPriceEstimator::new()),
             };
             self.window_total += controller.window();
             new.controllers.push(controller);
@@ -101,7 +98,7 @@ impl ByPair {
         if outcome.locked {
             controller.on_send(outcome.amount);
         } else {
-            controller.on_reject(&self.cfg.rate);
+            controller.on_reject(&self.rate);
         }
         self.window_total += controller.window();
         self.window_total -= before;
@@ -114,10 +111,10 @@ impl ByPair {
         let state = self.pairs.get_mut(&pair).expect("found");
         let controller = &mut state.controllers[i];
         let before = controller.window();
-        controller.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.cfg.rate);
+        controller.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.rate);
         self.window_total += controller.window();
         self.window_total -= before;
-        state.prices[i].observe(&self.cfg, ack.delivered, &ack.stamp);
+        state.prices[i].observe(ack.delivered, &ack.stamp);
     }
 }
 

@@ -74,23 +74,12 @@ impl<T> IdTable<T> {
     }
 }
 
-/// Cooldown shape for [`PathPenalties`].
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffConfig {
-    /// Cooldown after a path's first fault; doubles per strike.
-    pub base_cooldown: SimDuration,
-    /// Cap on the doubling exponent (`base · 2^max_exponent` ceiling).
-    pub max_exponent: u32,
-}
+/// Cooldown after a path's first fault; doubles per strike.
+const BASE_COOLDOWN: SimDuration = SimDuration::from_millis(250);
 
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig {
-            base_cooldown: SimDuration::from_millis(250),
-            max_exponent: 6,
-        }
-    }
-}
+/// Cap on the doubling exponent: cooldowns saturate at
+/// `BASE_COOLDOWN · 2^MAX_EXPONENT` (16 s).
+const MAX_EXPONENT: u32 = 6;
 
 #[derive(Debug, Clone, Copy)]
 struct Penalty {
@@ -102,7 +91,6 @@ struct Penalty {
 /// router surfaces through `Router::observability`.
 #[derive(Debug, Default)]
 pub struct PathPenalties {
-    cfg: BackoffConfig,
     /// Only ever holds paths that faulted at least once — empty for the
     /// whole run unless fault injection is active.
     entries: IdTable<Penalty>,
@@ -112,14 +100,6 @@ pub struct PathPenalties {
 }
 
 impl PathPenalties {
-    /// A table with explicit cooldown tuning.
-    pub fn new(cfg: BackoffConfig) -> Self {
-        PathPenalties {
-            cfg,
-            ..PathPenalties::default()
-        }
-    }
-
     /// True when no path ever faulted (the fault-free fast path).
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -134,8 +114,8 @@ impl PathPenalties {
             .entries
             .get(path.index())
             .map_or(0, |pen| pen.strikes + 1);
-        let exp = strikes.min(self.cfg.max_exponent);
-        let cooldown = SimDuration::from_micros(self.cfg.base_cooldown.micros() << exp);
+        let exp = strikes.min(MAX_EXPONENT);
+        let cooldown = SimDuration::from_micros(BASE_COOLDOWN.micros() << exp);
         let until = now + cooldown;
         self.entries
             .insert(path.index(), Penalty { until, strikes });
@@ -232,27 +212,15 @@ impl PathPenalties {
     }
 }
 
-/// Circuit-breaker tuning for [`ChannelBreakers`].
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Shed strikes (since the last success) that trip a breaker open.
-    pub strike_threshold: u32,
-    /// How long an open breaker blocks its channel before half-opening.
-    pub open_cooldown: SimDuration,
-    /// Probe units a half-open breaker lets through; a success closes
-    /// the breaker, a further shed re-opens it.
-    pub half_open_probes: u32,
-}
+/// Shed strikes (since the last success) that trip a breaker open.
+const STRIKE_THRESHOLD: u32 = 8;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            strike_threshold: 8,
-            open_cooldown: SimDuration::from_millis(1_000),
-            half_open_probes: 3,
-        }
-    }
-}
+/// How long an open breaker blocks its channel before half-opening.
+const OPEN_COOLDOWN: SimDuration = SimDuration::from_millis(1_000);
+
+/// Probe units a half-open breaker lets through; a success closes the
+/// breaker, a further shed re-opens it.
+const HALF_OPEN_PROBES: u32 = 3;
 
 #[derive(Debug, Clone, Copy)]
 enum BreakerState {
@@ -272,7 +240,6 @@ enum BreakerState {
 /// short-circuits on the empty table.
 #[derive(Debug, Default)]
 pub struct ChannelBreakers {
-    cfg: BreakerConfig,
     entries: IdTable<BreakerState>,
     strikes_seen: u64,
     trips: u64,
@@ -280,14 +247,6 @@ pub struct ChannelBreakers {
 }
 
 impl ChannelBreakers {
-    /// A breaker table with explicit tuning.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        ChannelBreakers {
-            cfg,
-            ..ChannelBreakers::default()
-        }
-    }
-
     /// True when no channel ever shed (the overload-free fast path).
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -301,11 +260,11 @@ impl ChannelBreakers {
     pub fn on_strike(&mut self, channel: ChannelId, now: SimTime) {
         self.strikes_seen += 1;
         let open = BreakerState::Open {
-            until: now + self.cfg.open_cooldown,
+            until: now + OPEN_COOLDOWN,
         };
         let state = self.entries.get(channel.index()).copied();
         let next = match state.unwrap_or(BreakerState::Closed { strikes: 0 }) {
-            BreakerState::Closed { strikes } if strikes + 1 < self.cfg.strike_threshold => {
+            BreakerState::Closed { strikes } if strikes + 1 < STRIKE_THRESHOLD => {
                 BreakerState::Closed {
                     strikes: strikes + 1,
                 }
@@ -335,7 +294,7 @@ impl ChannelBreakers {
         let left = match *state {
             BreakerState::Closed { .. } => return true,
             BreakerState::Open { until } if now < until => return false,
-            BreakerState::Open { .. } => self.cfg.half_open_probes.max(1),
+            BreakerState::Open { .. } => HALF_OPEN_PROBES,
             BreakerState::HalfOpen { left: 0 } => return false,
             BreakerState::HalfOpen { left } => left,
         };
@@ -382,19 +341,23 @@ mod tests {
 
     #[test]
     fn strikes_double_the_cooldown_up_to_the_cap() {
-        let mut p = PathPenalties::new(BackoffConfig {
-            base_cooldown: SimDuration::from_millis(100),
-            max_exponent: 2,
-        });
-        p.on_fault(PathId(3), T0); // strike 0 → 100 ms
-        assert!(!p.is_cooled(PathId(3), at(100)));
-        p.on_fault(PathId(3), at(100)); // strike 1 → 200 ms
-        assert!(p.is_cooled(PathId(3), at(299)));
-        assert!(!p.is_cooled(PathId(3), at(300)));
-        p.on_fault(PathId(3), at(300)); // strike 2 → 400 ms
-        p.on_fault(PathId(3), at(700)); // strike 3, capped → still 400 ms
-        assert!(p.is_cooled(PathId(3), at(1_099)));
-        assert!(!p.is_cooled(PathId(3), at(1_100)));
+        let mut p = PathPenalties::default();
+        p.on_fault(PathId(3), T0); // strike 0 → 250 ms
+        assert!(!p.is_cooled(PathId(3), at(250)));
+        p.on_fault(PathId(3), at(250)); // strike 1 → 500 ms
+        assert!(p.is_cooled(PathId(3), at(749)));
+        assert!(!p.is_cooled(PathId(3), at(750)));
+        p.on_fault(PathId(3), at(750)); // strike 2 → 1 s
+        assert!(p.is_cooled(PathId(3), at(1_749)));
+        assert!(!p.is_cooled(PathId(3), at(1_750)));
+        // Strikes 3..=6 double on up to the cap; strike 7 stays at it.
+        let mut now = 1_750;
+        for strike in 3..=7u32 {
+            p.on_fault(PathId(3), at(now));
+            now += 250 << strike.min(MAX_EXPONENT);
+            assert!(p.is_cooled(PathId(3), at(now - 1)), "strike {strike}");
+            assert!(!p.is_cooled(PathId(3), at(now)), "strike {strike}");
+        }
     }
 
     #[test]
@@ -488,15 +451,14 @@ mod tests {
         assert_eq!(counters[1], ("backoff_cooldowns_started", 1));
     }
 
-    /// Regression pin for the default cooldown cap: `base · 2^6` with a
-    /// 250 ms base, i.e. penalties saturate at 16 s however many strikes
-    /// accumulate. Anyone retuning [`BackoffConfig`] must update this
-    /// consciously.
+    /// Regression pin for the cooldown cap: `base · 2^6` with a 250 ms
+    /// base, i.e. penalties saturate at 16 s however many strikes
+    /// accumulate. Anyone retuning [`BASE_COOLDOWN`] or [`MAX_EXPONENT`]
+    /// must update this consciously.
     #[test]
     fn default_cooldown_cap_pins_base_times_two_pow_six() {
-        let cfg = BackoffConfig::default();
-        assert_eq!(cfg.base_cooldown, SimDuration::from_millis(250));
-        assert_eq!(cfg.max_exponent, 6);
+        assert_eq!(BASE_COOLDOWN, SimDuration::from_millis(250));
+        assert_eq!(MAX_EXPONENT, 6);
         let mut p = PathPenalties::default();
         // Strike far past the cap, each strike after the previous
         // cooldown fully expired.
@@ -511,59 +473,58 @@ mod tests {
         );
     }
 
+    /// `STRIKE_THRESHOLD` strikes on one channel at `now`.
+    fn trip(b: &mut ChannelBreakers, c: ChannelId, now: SimTime) {
+        for _ in 0..STRIKE_THRESHOLD {
+            b.on_strike(c, now);
+        }
+    }
+
     #[test]
     fn breaker_trips_after_sustained_sheds_and_blocks() {
-        let mut b = ChannelBreakers::new(BreakerConfig {
-            strike_threshold: 3,
-            open_cooldown: SimDuration::from_millis(500),
-            half_open_probes: 1,
-        });
+        let mut b = ChannelBreakers::default();
         let c = ChannelId(4);
-        b.on_strike(c, T0);
-        b.on_strike(c, T0);
+        for _ in 1..STRIKE_THRESHOLD {
+            b.on_strike(c, T0);
+        }
         assert!(b.allow(c, T0), "below threshold traffic flows");
         b.on_strike(c, T0);
-        assert!(!b.allow(c, at(499)), "tripped breaker blocks");
+        assert!(!b.allow(c, at(999)), "tripped breaker blocks");
         assert!(b.allow(ChannelId(5), T0), "other channels unaffected");
     }
 
     #[test]
     fn breaker_recovers_through_half_open_probes() {
-        let mut b = ChannelBreakers::new(BreakerConfig {
-            strike_threshold: 1,
-            open_cooldown: SimDuration::from_millis(100),
-            half_open_probes: 2,
-        });
+        let mut b = ChannelBreakers::default();
         let c = ChannelId(0);
-        b.on_strike(c, T0);
-        assert!(!b.allow(c, at(99)));
-        // Cooldown over: half-open hands out exactly two probes.
-        assert!(b.allow(c, at(100)));
-        assert!(b.allow(c, at(100)));
-        assert!(!b.allow(c, at(100)), "probe allowance exhausted");
-        // A successful probe closes the breaker for good.
+        trip(&mut b, c, T0);
+        assert!(!b.allow(c, at(999)));
+        // Cooldown over: half-open hands out exactly three probes.
+        for _ in 0..HALF_OPEN_PROBES {
+            assert!(b.allow(c, at(1_000)));
+        }
+        assert!(!b.allow(c, at(1_000)), "probe allowance exhausted");
+        // A successful probe closes the breaker for good ...
         b.on_success(c);
-        assert!(b.allow(c, at(101)));
-        // A failed probe would have re-opened it instead.
-        b.on_strike(c, at(200));
-        assert!(!b.allow(c, at(200)), "threshold 1 re-trips instantly");
+        assert!(b.allow(c, at(1_001)));
+        // ... and forgets the strikes: one new shed does not re-trip it.
+        b.on_strike(c, at(2_000));
+        assert!(b.allow(c, at(2_000)), "a closed breaker counts afresh");
     }
 
     #[test]
     fn breaker_failed_probe_reopens() {
-        let mut b = ChannelBreakers::new(BreakerConfig {
-            strike_threshold: 2,
-            open_cooldown: SimDuration::from_millis(100),
-            half_open_probes: 1,
-        });
+        let mut b = ChannelBreakers::default();
         let c = ChannelId(9);
-        b.on_strike(c, T0);
-        b.on_strike(c, T0);
-        assert!(b.allow(c, at(100)), "half-open probe");
-        b.on_strike(c, at(110));
-        assert!(!b.allow(c, at(150)), "failed probe re-opened the breaker");
-        assert!(!b.allow(c, at(209)), "fresh full cooldown from the strike");
-        assert!(b.allow(c, at(210)));
+        trip(&mut b, c, T0);
+        assert!(b.allow(c, at(1_000)), "half-open probe");
+        b.on_strike(c, at(1_010));
+        assert!(!b.allow(c, at(1_500)), "failed probe re-opened the breaker");
+        assert!(
+            !b.allow(c, at(2_009)),
+            "fresh full cooldown from the strike"
+        );
+        assert!(b.allow(c, at(2_010)));
     }
 
     #[test]

@@ -31,12 +31,12 @@ pub mod silentwhispers;
 pub mod speedymurmurs;
 pub mod waterfilling;
 
-pub use backoff::{BackoffConfig, BreakerConfig, ChannelBreakers, PathPenalties};
+pub use backoff::{ChannelBreakers, PathPenalties};
 pub use cache::{PathCache, PathPolicy};
 pub use lp_router::SpiderLp;
 pub use maxflow_router::MaxFlow;
 pub use oracle::{FilledPaths, PathOracle};
-pub use pricing::{PricingConfig, SpiderPricing};
+pub use pricing::SpiderPricing;
 pub use shortest::ShortestPath;
 pub use silentwhispers::SilentWhispers;
 pub use speedymurmurs::SpeedyMurmurs;

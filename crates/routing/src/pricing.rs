@@ -25,69 +25,44 @@ use crate::cache::{PathCache, PathPolicy};
 use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router};
 use spider_types::{Amount, ChannelId, Direction, IdHashMap};
 
-/// Weights of the two price components.
-#[derive(Debug, Clone, Copy)]
-pub struct PricingConfig {
-    /// Weight of the imbalance term (µ analogue).
-    pub imbalance_weight: f64,
-    /// Weight of the congestion term (λ analogue).
-    pub congestion_weight: f64,
-    /// Per-hop constant cost, discouraging needlessly long paths.
-    pub hop_cost: f64,
-}
+/// Weight of the imbalance term of a hop's price (µ analogue).
+const IMBALANCE_WEIGHT: f64 = 1.0;
 
-impl Default for PricingConfig {
-    fn default() -> Self {
-        PricingConfig {
-            imbalance_weight: 1.0,
-            congestion_weight: 0.5,
-            hop_cost: 0.1,
-        }
-    }
+/// Weight of the congestion term of a hop's price (λ analogue).
+const CONGESTION_WEIGHT: f64 = 0.5;
+
+/// Per-hop constant cost, discouraging needlessly long paths.
+const HOP_COST: f64 = 0.1;
+
+/// Price of sending one more unit over a channel of `capacity`, given
+/// the virtual (request-local) balances of the sending direction and its
+/// reverse.
+fn hop_price(capacity: Amount, avail_dir: Amount, avail_rev: Amount) -> f64 {
+    let cap = capacity.drops().max(1) as f64;
+    // Imbalance: (rev − dir)/cap ∈ [−1, 1]. Positive ⇒ the sending
+    // side is poorer ⇒ sending worsens imbalance ⇒ expensive.
+    let imbalance = (avail_rev.drops() as f64 - avail_dir.drops() as f64) / cap;
+    // Congestion: approaches 1 as the sender's side empties.
+    let congestion = 1.0 - avail_dir.drops() as f64 / cap;
+    IMBALANCE_WEIGHT * imbalance + CONGESTION_WEIGHT * congestion + HOP_COST
 }
 
 /// Online price-based imbalance-aware routing (non-atomic).
 #[derive(Debug)]
 pub struct SpiderPricing {
     cache: PathCache,
-    cfg: PricingConfig,
     /// Fault cooldowns (empty for the whole run unless faults fire).
     penalties: PathPenalties,
 }
 
 impl SpiderPricing {
-    /// Creates the router with `k` edge-disjoint candidate paths and
-    /// default price weights.
+    /// Creates the router with `k` edge-disjoint candidate paths.
     pub fn new(k: usize) -> Self {
-        Self::with_config(k, PricingConfig::default())
-    }
-
-    /// Creates the router with explicit price weights.
-    pub fn with_config(k: usize, cfg: PricingConfig) -> Self {
         assert!(k >= 1, "need at least one path");
-        assert!(
-            cfg.congestion_weight >= 0.0 && cfg.hop_cost >= 0.0,
-            "invalid weights"
-        );
         SpiderPricing {
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
-            cfg,
             penalties: PathPenalties::default(),
         }
-    }
-
-    /// Price of sending one more unit over `channel` in `dir`, given the
-    /// virtual (request-local) balances.
-    fn hop_price(&self, capacity: Amount, avail_dir: Amount, avail_rev: Amount) -> f64 {
-        let cap = capacity.drops().max(1) as f64;
-        // Imbalance: (rev − dir)/cap ∈ [−1, 1]. Positive ⇒ the sending
-        // side is poorer ⇒ sending worsens imbalance ⇒ expensive.
-        let imbalance = (avail_rev.drops() as f64 - avail_dir.drops() as f64) / cap;
-        // Congestion: approaches 1 as the sender's side empties.
-        let congestion = 1.0 - avail_dir.drops() as f64 / cap;
-        self.cfg.imbalance_weight * imbalance
-            + self.cfg.congestion_weight * congestion
-            + self.cfg.hop_cost
     }
 }
 
@@ -184,7 +159,7 @@ impl Router for SpiderPricing {
                         break;
                     }
                     let a_rev = avail(&mut virt, view, c, d.reverse());
-                    price += self.hop_price(view.topo.channel(c).capacity, a_dir, a_rev);
+                    price += hop_price(view.topo.channel(c).capacity, a_dir, a_rev);
                 }
                 if feasible && best.is_none_or(|(bp, _)| price < bp - 1e-12) {
                     best = Some((price, i));
@@ -350,13 +325,12 @@ mod tests {
 
     #[test]
     fn hop_price_signs() {
-        let r = SpiderPricing::new(1);
         // Balanced channel: imbalance 0, congestion 0.5 → positive price.
-        let balanced = r.hop_price(xrp(20), xrp(10), xrp(10));
+        let balanced = hop_price(xrp(20), xrp(10), xrp(10));
         // Sending from the rich side: negative imbalance → discount.
-        let rebalancing = r.hop_price(xrp(20), xrp(18), xrp(2));
+        let rebalancing = hop_price(xrp(20), xrp(18), xrp(2));
         // Sending from the poor side: expensive.
-        let draining = r.hop_price(xrp(20), xrp(2), xrp(18));
+        let draining = hop_price(xrp(20), xrp(2), xrp(18));
         assert!(rebalancing < balanced);
         assert!(balanced < draining);
     }

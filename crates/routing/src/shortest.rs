@@ -9,7 +9,7 @@
 //! (the topology is static, so BFS per request was pure waste) and handed
 //! to the engine as an interned [`PathId`].
 
-use crate::backoff::{BackoffConfig, ChannelBreakers, PathPenalties};
+use crate::backoff::{ChannelBreakers, PathPenalties};
 use crate::cache::{PathCache, PathPolicy};
 use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate};
 use spider_types::{DropReason, PathId};
@@ -39,15 +39,9 @@ impl Default for ShortestPath {
 impl ShortestPath {
     /// Creates the baseline router.
     pub fn new() -> Self {
-        Self::with_backoff(BackoffConfig::default())
-    }
-
-    /// Creates the baseline router with explicit fault-backoff tuning
-    /// (cooldown base and doubling cap).
-    pub fn with_backoff(cfg: BackoffConfig) -> Self {
         ShortestPath {
             cache: PathCache::new(PathPolicy::Shortest),
-            penalties: PathPenalties::new(cfg),
+            penalties: PathPenalties::default(),
             breakers: ChannelBreakers::default(),
             alt: None,
         }

@@ -1,22 +1,22 @@
 //! Simulation configuration.
 
-use serde::Serialize;
+use crate::engine::POLL_INTERVAL;
+use crate::queue::MARKING_DELAY;
+use spider_obs::sampler::SAMPLE_CADENCE;
 use spider_obs::SamplerConfig;
 use spider_types::{Amount, SimDuration, SimTime};
 
 /// Order in which queued (incomplete, non-atomic) payments are retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingPolicy {
     /// Shortest remaining processing time — smallest incomplete amount
     /// first. The paper's default: "scheduled in order of increasing
     /// incomplete payment amount, i.e. according to SRPT".
     Srpt,
-    /// First-come-first-served by arrival time.
+    /// First-come-first-served by arrival time. (Earliest deadline first
+    /// would order payments the same way: every payment gets the same
+    /// relative deadline.)
     Fifo,
-    /// Most recent arrival first.
-    Lifo,
-    /// Earliest deadline first.
-    EarliestDeadline,
     /// Largest remaining amount first (anti-SRPT, for ablations).
     LargestRemaining,
 }
@@ -24,7 +24,7 @@ pub enum SchedulingPolicy {
 /// On-chain rebalancing policy (§5.2.3): routers may top up a depleted
 /// channel direction with fresh on-chain funds, paying confirmation
 /// latency — the `b_(u,v)` mechanism of eqs. (6)–(11) in event form.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RebalancingConfig {
     /// How often channel balances are checked for depletion.
     pub check_interval: SimDuration,
@@ -50,7 +50,7 @@ impl Default for RebalancingConfig {
 }
 
 /// How transaction units claim channel balance along their path.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueueingMode {
     /// The seed behavior: a unit locks its entire path instantly at
     /// routing time and fails immediately when any hop lacks balance.
@@ -65,46 +65,25 @@ pub enum QueueingMode {
     PerChannelFifo(QueueConfig),
 }
 
-/// Parameters of the per-channel queueing/marking model (§5).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Hop latency and buffer bounds of the per-channel queueing model (§5).
+/// The marking and pricing rule are constants of [`queue`](crate::queue).
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueConfig {
     /// Per-hop forwarding/processing latency once balance is available.
     pub hop_delay: SimDuration,
-    /// Units whose queueing delay at a hop exceeds this are marked
-    /// (the router's threshold rule on queue delay).
-    pub marking_delay: SimDuration,
-    /// Units are also marked when the channel's one-way flow share
-    /// `(x_d − x_rev) / (x_d + x_rev)` exceeds this (the paper's
-    /// imbalance term `x_u − x_v`, normalized) *and* the sending
-    /// direction is close to depletion (see `depletion_fraction`).
-    pub imbalance_threshold: f64,
-    /// Imbalance marking fires only when the sending side's available
-    /// balance is below this fraction of channel capacity: persistent
-    /// one-way flow is only a congestion signal once it threatens to
-    /// drain the channel.
-    pub depletion_fraction: f64,
     /// A unit queued longer than this is dropped and nacked.
     pub max_queue_delay: SimDuration,
     /// Maximum units queued per channel direction; arrivals beyond this
     /// are dropped immediately.
     pub max_queue_units: usize,
-    /// Weight of queueing delay (seconds) in the stamped price.
-    pub queue_price_weight: f64,
-    /// Weight of the normalized flow imbalance in the stamped price.
-    pub imbalance_price_weight: f64,
 }
 
 impl Default for QueueConfig {
     fn default() -> Self {
         QueueConfig {
             hop_delay: SimDuration::from_millis(10),
-            marking_delay: SimDuration::from_millis(150),
-            imbalance_threshold: 0.4,
-            depletion_fraction: 0.2,
             max_queue_delay: SimDuration::from_millis(1_500),
             max_queue_units: 4_096,
-            queue_price_weight: 1.0,
-            imbalance_price_weight: 0.5,
         }
     }
 }
@@ -112,27 +91,13 @@ impl Default for QueueConfig {
 impl QueueConfig {
     fn validate(&self) -> spider_types::Result<()> {
         use spider_types::SpiderError::InvalidConfig;
-        if self.max_queue_delay.is_zero() {
-            return Err(InvalidConfig("max queue delay must be positive".into()));
-        }
         if self.max_queue_units == 0 {
             return Err(InvalidConfig("queue capacity must be positive".into()));
         }
-        if self.marking_delay > self.max_queue_delay {
+        if MARKING_DELAY > self.max_queue_delay {
             return Err(InvalidConfig(
-                "marking delay must not exceed max queue delay".into(),
+                "max queue delay must not be below the marking delay".into(),
             ));
-        }
-        if !(0.0..=1.0).contains(&self.imbalance_threshold) {
-            return Err(InvalidConfig(
-                "imbalance threshold must be in [0, 1]".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.depletion_fraction) {
-            return Err(InvalidConfig("depletion fraction must be in [0, 1]".into()));
-        }
-        if self.queue_price_weight < 0.0 || self.imbalance_price_weight < 0.0 {
-            return Err(InvalidConfig("price weights must be non-negative".into()));
         }
         Ok(())
     }
@@ -153,18 +118,12 @@ impl QueueConfig {
 ///   are paced at exactly `rate_per_sec`, FIFO), so a burst spreads out
 ///   instead of dying. The payment's deadline runs from the deferred
 ///   offer — it has not entered the network while it waits.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
     /// Sustained admission rate of the token bucket, payments per second.
     pub rate_per_sec: f64,
     /// Token-bucket burst size (maximum tokens banked while idle).
     pub burst: f64,
-    /// Policing mode only: new payments are also rejected while global
-    /// queue occupancy (queued units across every channel direction, as
-    /// a fraction of total queue capacity) exceeds this — the
-    /// queue-gradient signal that the token rate alone cannot see.
-    /// Shaping bounds intake by time, not rejection, and ignores it.
-    pub max_queue_fraction: f64,
     /// Shape instead of police: defer gated arrivals to the bucket's
     /// next-token time instead of fail-fasting them.
     pub defer: bool,
@@ -175,7 +134,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             rate_per_sec: 2_000.0,
             burst: 256.0,
-            max_queue_fraction: 0.5,
             defer: false,
         }
     }
@@ -190,11 +148,6 @@ impl AdmissionConfig {
         if !(self.burst.is_finite() && self.burst >= 1.0) {
             return Err(InvalidConfig("admission burst must be finite, >= 1".into()));
         }
-        if !(0.0..=1.0).contains(&self.max_queue_fraction) {
-            return Err(InvalidConfig(
-                "admission queue fraction must be in [0, 1]".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -205,7 +158,7 @@ impl AdmissionConfig {
 /// disabled: tracing and profiling cost one branch per would-be record,
 /// and the [`SamplerConfig`]'s scalar probes are O(channels) once per
 /// cadence (the same work the legacy imbalance sampler already did).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsConfig {
     /// Record a payment-lifecycle trace
     /// ([`spider_obs::TraceSink`](spider_obs::trace::TraceSink)); collect
@@ -215,7 +168,7 @@ pub struct ObsConfig {
     /// [`ProfileStats`](spider_obs::ProfileStats), reported in
     /// `SimReport::profile`.
     pub profile: bool,
-    /// Time-series sampling cadence and per-channel depth opt-in.
+    /// Per-channel queue-depth opt-in of the time-series sampler.
     pub sampler: SamplerConfig,
     /// Accumulate per-channel hotspot attribution
     /// ([`spider_obs::ChannelAttribution`]) — utilization/starvation/
@@ -238,14 +191,11 @@ pub struct ObsConfig {
 }
 
 /// Engine parameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// End-to-end confirmation delay Δ: time between locking funds along a
     /// path and the key release that settles them (paper: 0.5 s).
     pub confirmation_delay: SimDuration,
-    /// How often the pending-payment queue is polled ("periodically polled
-    /// to see if they can make any further progress").
-    pub poll_interval: SimDuration,
     /// Maximum transaction unit: payments are packetized into units of at
     /// most this value before routing.
     pub mtu: Amount,
@@ -258,9 +208,6 @@ pub struct SimConfig {
     /// Simulation horizon: events after this instant are not processed,
     /// matching the paper's "results collected at the end of 200 s".
     pub horizon: SimDuration,
-    /// Cap on (path, amount) proposals attempted per payment per poll,
-    /// bounding worst-case work for adversarial routers.
-    pub max_proposals_per_poll: usize,
     /// Optional on-chain rebalancing (§5.2.3). `None` = pure off-chain
     /// operation, the paper's default evaluation mode.
     pub rebalancing: Option<RebalancingConfig>,
@@ -282,12 +229,10 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             confirmation_delay: SimDuration::from_millis(500),
-            poll_interval: SimDuration::from_millis(100),
             mtu: Amount::from_xrp(10),
             deadline: Some(SimDuration::from_secs(5)),
             scheduling: SchedulingPolicy::Srpt,
             horizon: SimDuration::from_secs(200),
-            max_proposals_per_poll: 64,
             rebalancing: None,
             queueing: QueueingMode::Lockstep,
             shedding: false,
@@ -304,23 +249,14 @@ impl SimConfig {
         if self.mtu.is_zero() {
             return Err(InvalidConfig("MTU must be positive".into()));
         }
-        if self.poll_interval.is_zero() {
-            return Err(InvalidConfig("poll interval must be positive".into()));
-        }
         if self.horizon.is_zero() {
             return Err(InvalidConfig("horizon must be positive".into()));
-        }
-        if self.max_proposals_per_poll == 0 {
-            return Err(InvalidConfig("max proposals must be positive".into()));
         }
         if let QueueingMode::PerChannelFifo(qc) = &self.queueing {
             qc.validate()?;
         }
         if let Some(adm) = &self.admission {
             adm.validate()?;
-        }
-        if self.obs.sampler.cadence.is_zero() {
-            return Err(InvalidConfig("sampling cadence must be positive".into()));
         }
         if let Some(rb) = &self.rebalancing {
             if rb.check_interval.is_zero() {
@@ -339,11 +275,7 @@ impl SimConfig {
         }
         // The engine adds each of these to an instant at or before the
         // horizon; every such sum must be a `SimTime`.
-        let mut delays = vec![
-            self.confirmation_delay,
-            self.poll_interval,
-            self.obs.sampler.cadence,
-        ];
+        let mut delays = vec![self.confirmation_delay, POLL_INTERVAL, SAMPLE_CADENCE];
         delays.extend(self.deadline);
         if let Some(rb) = &self.rebalancing {
             delays.extend([rb.check_interval, rb.confirmation_delay]);
@@ -381,15 +313,7 @@ mod tests {
                 ..SimConfig::default()
             },
             SimConfig {
-                poll_interval: SimDuration::ZERO,
-                ..SimConfig::default()
-            },
-            SimConfig {
                 horizon: SimDuration::ZERO,
-                ..SimConfig::default()
-            },
-            SimConfig {
-                max_proposals_per_poll: 0,
                 ..SimConfig::default()
             },
             SimConfig {
@@ -400,9 +324,9 @@ mod tests {
                 ..SimConfig::default()
             },
             SimConfig {
-                admission: Some(AdmissionConfig {
-                    max_queue_fraction: 1.5,
-                    ..AdmissionConfig::default()
+                queueing: QueueingMode::PerChannelFifo(QueueConfig {
+                    max_queue_delay: MARKING_DELAY - SimDuration::from_micros(1),
+                    ..QueueConfig::default()
                 }),
                 ..SimConfig::default()
             },

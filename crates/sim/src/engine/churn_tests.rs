@@ -170,7 +170,6 @@ fn queueing_close_drops_queued_and_traveling_units() {
         deadline: None,
         queueing: crate::config::QueueingMode::PerChannelFifo(QueueConfig {
             max_queue_delay: SimDuration::from_secs(3_600),
-            marking_delay: SimDuration::from_secs(3_000),
             ..QueueConfig::default()
         }),
         ..SimConfig::default()

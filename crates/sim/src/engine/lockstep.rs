@@ -8,7 +8,15 @@ use crate::paths::PathEntry;
 use crate::router::{RouteRequest, UnitOutcome};
 use spider_obs::trace::TraceEventKind;
 use spider_obs::Phase;
-use spider_types::{Amount, ChannelId, DropReason, PathId, PaymentId, SimTime};
+use spider_types::{Amount, ChannelId, DropReason, PathId, PaymentId, SimDuration, SimTime};
+
+/// How often the retry queue is polled (incomplete payments are
+/// "periodically polled to see if they can make any further progress").
+pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+/// Cap on the (path, amount) proposals attempted per payment per poll,
+/// bounding worst-case work for adversarial routers.
+const MAX_PROPOSALS_PER_POLL: usize = 64;
 
 /// One slot of the retry queue.
 #[derive(Debug, Clone, Copy)]
@@ -148,8 +156,6 @@ impl Simulation {
             let key = match policy {
                 SchedulingPolicy::Srpt => (remaining, arrival),
                 SchedulingPolicy::Fifo => (arrival, 0),
-                SchedulingPolicy::Lifo => (!arrival, 0),
-                SchedulingPolicy::EarliestDeadline => (p.deadline.micros(), 0),
                 SchedulingPolicy::LargestRemaining => (!remaining, arrival),
             };
             order.push((key, e.payment, i as u32));
@@ -169,7 +175,7 @@ impl Simulation {
         self.lockstep.order = order;
         self.lockstep.retain_active(&self.payments);
         self.obs.profiler.stop(Phase::Routing, t0);
-        let next = now + self.config.poll_interval;
+        let next = now + POLL_INTERVAL;
         if next <= horizon {
             self.events.schedule(next, EventKind::Poll);
         }
@@ -195,7 +201,7 @@ impl Simulation {
         };
         self.payments[pid].attempts += 1;
         let proposals = self.router.route(&req, &self.net.view());
-        for prop in proposals.iter().take(self.config.max_proposals_per_poll) {
+        for prop in proposals.iter().take(MAX_PROPOSALS_PER_POLL) {
             self.obs
                 .trace(self.net.now, || TraceEventKind::RouteProposal {
                     payment: req.payment,
@@ -227,10 +233,7 @@ impl Simulation {
         let mut batches: Vec<(PathId, Amount, usize)> = Vec::new();
         let mut aborted = false;
 
-        for prop in proposals
-            .into_iter()
-            .take(self.config.max_proposals_per_poll)
-        {
+        for prop in proposals.into_iter().take(MAX_PROPOSALS_PER_POLL) {
             if budget.is_zero() {
                 break;
             }

@@ -9,7 +9,7 @@
 //!   deadline has passed in the meantime, the sender withholds the key and
 //!   the hops are refunded instead (§4.1's non-atomic cancellation). The
 //!   units one proposal locked settle as one event, unit by unit.
-//! * **Poll** — every `poll_interval`, incomplete non-atomic payments are
+//! * **Poll** — every `POLL_INTERVAL` (100 ms), incomplete non-atomic payments are
 //!   re-attempted in scheduling-policy order (SRPT by default) — except
 //!   those whose attempt provably locks nothing. When the router pinned
 //!   the payment to one path ([`Router::pins_single_path`]) and some hop
@@ -74,6 +74,7 @@ mod tests;
 
 use self::core::{ArrivalCursor, EventCore, Net, Train};
 use self::lockstep::Lockstep;
+pub(crate) use self::lockstep::POLL_INTERVAL;
 use self::obs::Obs;
 use self::perturb::{AdmissionState, Faults, Overload};
 use self::queueing::Queueing;
@@ -409,7 +410,7 @@ impl Simulation {
             self.events.schedule_arrival(first);
         }
         self.events
-            .schedule(SimTime::ZERO + self.config.poll_interval, EventKind::Poll);
+            .schedule(SimTime::ZERO + POLL_INTERVAL, EventKind::Poll);
         if let Some(rb) = &self.config.rebalancing {
             self.events
                 .schedule(SimTime::ZERO + rb.check_interval, EventKind::RebalanceScan);

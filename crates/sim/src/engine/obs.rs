@@ -10,6 +10,7 @@ use crate::config::ObsConfig;
 use crate::metrics::MetricsCollector;
 use crate::monitor::{InvariantMonitor, InvariantReport};
 use crate::paths::PathEntry;
+use spider_obs::sampler::SAMPLE_CADENCE;
 use spider_obs::trace::TraceEventKind;
 use spider_obs::{
     ChannelAttribution, ChannelSample, DropRecord, FlightRecorder, Profiler, Sampler, Trace,
@@ -210,7 +211,7 @@ impl Simulation {
         }
         self.obs.attribution_step(&self.net);
         self.obs.profiler.stop(spider_obs::Phase::Sampling, t0);
-        self.obs.next_sample = self.net.now + self.obs.sampler.cadence();
+        self.obs.next_sample = self.net.now + SAMPLE_CADENCE;
     }
 
     /// Advances the invariant monitor one executed event (one branch when

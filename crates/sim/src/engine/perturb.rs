@@ -109,6 +109,13 @@ fn after_secs(t: SimTime, secs: f64) -> SimTime {
     t.checked_add(wait).unwrap_or(SimTime::FAR_FUTURE)
 }
 
+/// Policing mode only: new payments are also rejected while global queue
+/// occupancy (queued units across every channel direction, as a fraction
+/// of total queue capacity) exceeds this — the queue-gradient signal that
+/// the token rate alone cannot see. Shaping bounds intake by time, not
+/// rejection, and ignores it.
+const MAX_QUEUE_FRACTION: f64 = 0.5;
+
 /// Token-bucket state for sender-side admission control.
 #[derive(Debug, Clone)]
 pub(super) struct AdmissionState {
@@ -153,7 +160,7 @@ impl AdmissionState {
     /// token is spent here on both outcomes (a promised slot spends its
     /// token at schedule time, driving `tokens` negative — debt — under
     /// backlog), and a deferred re-offer never re-enters the gate. The
-    /// occupancy gate (`max_queue_fraction`) is a policing-mode
+    /// occupancy gate ([`MAX_QUEUE_FRACTION`]) is a policing-mode
     /// concept; shaping bounds intake by time, not by rejection.
     pub(super) fn defer_until(&mut self, now: SimTime) -> Option<SimTime> {
         debug_assert!(self.cfg.defer, "defer_until requires shaping mode");
@@ -179,7 +186,7 @@ impl AdmissionState {
     /// the global queue occupancy in [0, 1].
     pub(super) fn admit(&mut self, now: SimTime, queue_fraction: f64) -> bool {
         self.refill(now);
-        if queue_fraction > self.cfg.max_queue_fraction || self.tokens < 1.0 {
+        if queue_fraction > MAX_QUEUE_FRACTION || self.tokens < 1.0 {
             return false;
         }
         self.tokens -= 1.0;

@@ -8,7 +8,7 @@ use crate::channel::ChannelState;
 use crate::config::QueueConfig;
 use crate::monitor::InvariantMonitor;
 use crate::paths::PathEntry;
-use crate::queue::{flow_imbalance, local_signal};
+use crate::queue::{flow_imbalance, local_signal, IMBALANCE_PRICE_WEIGHT};
 use crate::router::UnitAck;
 use spider_obs::trace::TraceEventKind;
 use spider_obs::NUM_SERIES;
@@ -235,7 +235,7 @@ impl Queueing {
         for (ch, flow) in channels.iter().zip(&self.flow) {
             if !ch.is_closed() {
                 open += 1;
-                price += self.cfg.imbalance_price_weight * flow_imbalance(flow[0], flow[1]).abs();
+                price += IMBALANCE_PRICE_WEIGHT * flow_imbalance(flow[0], flow[1]).abs();
             }
         }
         row[5] = price / open.max(1) as f64;
@@ -388,7 +388,6 @@ impl Simulation {
             flow[d.index()],
             flow[d.reverse().index()],
             available_fraction,
-            &q.cfg,
         );
         u.stamp.absorb(signal.price, signal.marked, queue_delay);
         if !queue_delay.is_zero() {

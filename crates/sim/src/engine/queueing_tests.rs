@@ -72,7 +72,6 @@ fn conservation_holds_with_units_resident_in_queues() {
     let t = gen::line(2, xrp(10));
     let mut cfg = qconfig(QueueConfig {
         max_queue_delay: SimDuration::from_secs(3_600),
-        marking_delay: SimDuration::from_secs(3_000),
         ..QueueConfig::default()
     });
     cfg.horizon = SimDuration::from_secs(2);
@@ -96,7 +95,6 @@ fn multihop_queues_hold_upstream_locks() {
     let t = b.build();
     let mut cfg = qconfig(QueueConfig {
         max_queue_delay: SimDuration::from_secs(3_600),
-        marking_delay: SimDuration::from_secs(3_000),
         ..QueueConfig::default()
     });
     cfg.horizon = SimDuration::from_secs(2);
@@ -117,15 +115,12 @@ fn multihop_queues_hold_upstream_locks() {
 #[test]
 fn overload_marks_units() {
     let t = gen::line(2, xrp(10));
-    let qc = QueueConfig {
-        marking_delay: SimDuration::from_millis(50),
-        ..QueueConfig::default()
-    };
-    // Sustained one-way overload with periodic refills so queued units
-    // eventually cross (delayed → marked).
+    // Sustained one-way overload with a late refill, so queued units
+    // eventually cross after waiting past `MARKING_DELAY` (delayed →
+    // marked).
     let mut txns: Vec<TxnSpec> = (0..8).map(|i| txn(i * 100, 0, 1, xrp(1))).collect();
     txns.push(txn(3_000, 1, 0, xrp(4)));
-    let (r, _) = run_queue_sim(t, txns, qconfig(qc));
+    let (r, _) = run_queue_sim(t, txns, qconfig(QueueConfig::default()));
     assert!(r.units_marked > 0, "delayed units must be marked");
     assert!(r.marking_rate() > 0.0);
 }
@@ -135,7 +130,6 @@ fn queue_timeout_drops_and_refunds() {
     let t = gen::line(3, xrp(10));
     let qc = QueueConfig {
         max_queue_delay: SimDuration::from_millis(300),
-        marking_delay: SimDuration::from_millis(100),
         ..QueueConfig::default()
     };
     let mut cfg = qconfig(qc);
@@ -151,7 +145,6 @@ fn queue_timeout_drops_and_refunds() {
     // With a deadline, the remainder expires and everything unwinds.
     let mut cfg = qconfig(QueueConfig {
         max_queue_delay: SimDuration::from_millis(300),
-        marking_delay: SimDuration::from_millis(100),
         ..QueueConfig::default()
     });
     cfg.deadline = Some(SimDuration::from_secs(2));
@@ -243,15 +236,12 @@ fn queueing_beats_lockstep_on_bursty_one_way_load() {
     ];
     let t = gen::line(2, xrp(10));
     let (queued, _) = run_queue_sim(t, txns.clone(), qconfig(QueueConfig::default()));
-    let mut lockstep_cfg = SimConfig {
+    let lockstep_cfg = SimConfig {
         horizon: SimDuration::from_secs(30),
         mtu: xrp(1),
         deadline: Some(SimDuration::from_secs(10)),
         ..SimConfig::default()
     };
-    // Disable retries-driven catchup to isolate the queueing effect:
-    // poll quickly in both, rely on deadline.
-    lockstep_cfg.poll_interval = SimDuration::from_millis(100);
     let mut sim = new_sim(
         gen::line(2, xrp(10)),
         Workload { txns },
@@ -297,7 +287,6 @@ fn queue_depth_sampling_is_off_by_default_and_per_channel_when_on() {
     let txns = vec![txn(0, 0, 2, xrp(9))];
     let mut cfg = qconfig(QueueConfig {
         max_queue_delay: SimDuration::from_secs(3_600),
-        marking_delay: SimDuration::from_secs(3_000),
         ..QueueConfig::default()
     });
     cfg.horizon = SimDuration::from_secs(3);
@@ -376,7 +365,6 @@ fn drop_reasons_partition_the_drop_counter() {
     let txns = vec![txn(0, 0, 1, xrp(9)), txn(100, 0, 1, xrp(9))];
     let mut cfg = qconfig(QueueConfig {
         max_queue_delay: SimDuration::from_secs(1),
-        marking_delay: SimDuration::from_millis(500),
         max_queue_units: 4,
         ..QueueConfig::default()
     });

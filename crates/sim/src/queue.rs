@@ -19,8 +19,29 @@
 //!
 //! [`QueueingMode::PerChannelFifo`]: crate::config::QueueingMode::PerChannelFifo
 
-use crate::config::QueueConfig;
 use spider_types::{Amount, SimDuration};
+
+/// Units whose queueing delay at a hop exceeds this are marked (the
+/// router's threshold rule on queue delay).
+pub const MARKING_DELAY: SimDuration = SimDuration::from_millis(150);
+
+/// Units are also marked when the channel's one-way flow share
+/// `(x_d − x_rev) / (x_d + x_rev)` exceeds this (the paper's imbalance
+/// term `x_u − x_v`, normalized) *and* the sending direction is close to
+/// depletion (see [`DEPLETION_FRACTION`]).
+pub const IMBALANCE_THRESHOLD: f64 = 0.4;
+
+/// Imbalance marking fires only when the sending side's available
+/// balance is below this fraction of channel capacity: persistent one-way
+/// flow is only a congestion signal once it threatens to drain the
+/// channel.
+pub const DEPLETION_FRACTION: f64 = 0.2;
+
+/// Weight of queueing delay (seconds) in the stamped price.
+pub const QUEUE_PRICE_WEIGHT: f64 = 1.0;
+
+/// Weight of the normalized flow imbalance in the stamped price.
+pub const IMBALANCE_PRICE_WEIGHT: f64 = 0.5;
 
 /// One hop's local congestion signal for a transiting unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,19 +73,17 @@ pub fn local_signal(
     sent: Amount,
     sent_reverse: Amount,
     available_fraction: f64,
-    cfg: &QueueConfig,
 ) -> QueueSignal {
     let imbalance = flow_imbalance(sent, sent_reverse);
     // Price: delay plus only the *adverse* part of imbalance (sending in
     // the direction that already carried more volume is what depletes).
-    let price = cfg.queue_price_weight * queue_delay.as_secs_f64()
-        + cfg.imbalance_price_weight * imbalance.max(0.0);
+    let price = QUEUE_PRICE_WEIGHT * queue_delay.as_secs_f64()
+        + IMBALANCE_PRICE_WEIGHT * imbalance.max(0.0);
     // Imbalance alone is a steering signal, not a congestion signal: it
     // marks only when the flow skew is actually about to drain the side
     // it is sending from.
-    let depleting =
-        imbalance > cfg.imbalance_threshold && available_fraction < cfg.depletion_fraction;
-    let marked = queue_delay > cfg.marking_delay || depleting;
+    let depleting = imbalance > IMBALANCE_THRESHOLD && available_fraction < DEPLETION_FRACTION;
+    let marked = queue_delay > MARKING_DELAY || depleting;
     QueueSignal { price, marked }
 }
 
@@ -86,60 +105,51 @@ mod tests {
 
     #[test]
     fn fresh_hop_is_unmarked_and_free() {
-        let cfg = QueueConfig::default();
-        let s = local_signal(SimDuration::ZERO, Amount::ZERO, Amount::ZERO, 0.5, &cfg);
+        let s = local_signal(SimDuration::ZERO, Amount::ZERO, Amount::ZERO, 0.5);
         assert!(!s.marked);
         assert_eq!(s.price, 0.0);
     }
 
     #[test]
     fn delay_past_threshold_marks() {
-        let cfg = QueueConfig::default();
-        let just_under = local_signal(cfg.marking_delay, xrp(1), xrp(1), 0.5, &cfg);
+        let just_under = local_signal(MARKING_DELAY, xrp(1), xrp(1), 0.5);
         assert!(!just_under.marked, "delay equal to threshold does not mark");
         let over = local_signal(
-            cfg.marking_delay + SimDuration::from_micros(1),
+            MARKING_DELAY + SimDuration::from_micros(1),
             xrp(1),
             xrp(1),
             0.5,
-            &cfg,
         );
         assert!(over.marked);
     }
 
     #[test]
     fn imbalance_marks_only_near_depletion() {
-        let cfg = QueueConfig {
-            imbalance_threshold: 0.5,
-            depletion_fraction: 0.2,
-            ..QueueConfig::default()
-        };
-        // 4:1 flow skew (0.6 > 0.5) with plenty of balance left: steering
+        // 4:1 flow skew (0.6 > 0.4) with plenty of balance left: steering
         // price, but no mark.
-        let healthy = local_signal(SimDuration::ZERO, xrp(40), xrp(10), 0.5, &cfg);
+        let healthy = local_signal(SimDuration::ZERO, xrp(40), xrp(10), 0.5);
         assert!(!healthy.marked);
         assert!(healthy.price > 0.0);
         // Same skew with the sending side nearly drained: marked.
-        let draining = local_signal(SimDuration::ZERO, xrp(40), xrp(10), 0.1, &cfg);
+        let draining = local_signal(SimDuration::ZERO, xrp(40), xrp(10), 0.1);
         assert!(draining.marked);
+        // ... but not at the depletion threshold itself.
+        let at_depletion = local_signal(SimDuration::ZERO, xrp(40), xrp(10), DEPLETION_FRACTION);
+        assert!(!at_depletion.marked);
         // Skew at the threshold does not mark even when drained.
-        let at = local_signal(SimDuration::ZERO, xrp(30), xrp(10), 0.1, &cfg);
+        let at = local_signal(SimDuration::ZERO, xrp(70), xrp(30), 0.1);
+        assert_eq!(flow_imbalance(xrp(70), xrp(30)), IMBALANCE_THRESHOLD);
         assert!(!at.marked);
         // Rebalancing direction (negative imbalance) never marks.
-        let heal = local_signal(SimDuration::ZERO, xrp(10), xrp(40), 0.1, &cfg);
+        let heal = local_signal(SimDuration::ZERO, xrp(10), xrp(40), 0.1);
         assert!(!heal.marked);
         assert_eq!(heal.price, 0.0, "rebalancing traffic is not priced");
     }
 
     #[test]
     fn price_combines_delay_and_imbalance() {
-        let cfg = QueueConfig {
-            queue_price_weight: 2.0,
-            imbalance_price_weight: 1.0,
-            ..QueueConfig::default()
-        };
-        let s = local_signal(SimDuration::from_millis(250), xrp(30), xrp(10), 0.5, &cfg);
-        // 2.0 * 0.25s + 1.0 * 0.5 = 1.0
-        assert!((s.price - 1.0).abs() < 1e-12);
+        let s = local_signal(SimDuration::from_millis(250), xrp(30), xrp(10), 0.5);
+        // 1.0 * 0.25 s + 0.5 * 0.5 = 0.5
+        assert!((s.price - 0.5).abs() < 1e-12);
     }
 }

@@ -23,7 +23,7 @@ pub struct TxnSpec {
 }
 
 /// Transaction-size distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeDistribution {
     /// Every transaction has the same size.
     Constant {
@@ -79,7 +79,7 @@ fn sample_lognormal_capped(mean: f64, median: f64, cap: f64, rng: &mut DetRng) -
 }
 
 /// Workload parameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Total number of transactions to generate.
     pub count: usize,

@@ -6,27 +6,12 @@
 use spider_core::SchemeConfig;
 use spider_paygraph::PaymentGraph;
 use spider_sim::{QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, TxnSpec, Workload};
+use spider_tests::{poisson, CirculationBound};
 use spider_topology::gen;
-use spider_types::distr::{Distribution, Exponential};
-use spider_types::{Amount, DetRng, NodeId, SimDuration, SimTime};
+use spider_types::{Amount, DetRng, SimDuration};
 
-/// A Poisson stream of one-MTU payments `src → dst` at `rate` per second
-/// over `[0, horizon_s)`.
-fn poisson(rng: &mut DetRng, rate: f64, horizon_s: f64, src: u32, dst: u32) -> Vec<TxnSpec> {
-    let gap = Exponential::new(rate);
-    let mut t = gap.sample(rng);
-    let mut txns = Vec::new();
-    while t < horizon_s {
-        txns.push(TxnSpec {
-            time: SimTime::from_secs_f64(t),
-            src: NodeId(src),
-            dst: NodeId(dst),
-            amount: Amount::from_xrp(1),
-        });
-        t += gap.sample(rng);
-    }
-    txns
-}
+/// Every payment's size: one MTU.
+const XRP: Amount = Amount::from_xrp(1);
 
 /// The stationary success ratio of the two-node chain: `A`'s balance `k`
 /// (in MTUs) is a birth–death chain on `{0..n}`, down at `λ_A` while
@@ -43,8 +28,10 @@ fn birth_death_success(n: usize, la: f64, lb: f64) -> f64 {
 /// unit payments `A → B` at `la` and `B → A` at `lb` per second over
 /// `horizon_s`. Δ = 100 µs (and the §5 engine's 10 ms hop delay) is
 /// small against the inter-arrival times (≥ 50 ms), and a 1 ms deadline
-/// under a 1 s poll means a failed payment is practically never retried,
-/// so each arrival sees the chain's state once.
+/// under the 100 ms poll means a failed payment is retried only when a
+/// poll falls within 1 ms of its arrival (1 in 100), and then finds the
+/// chain where it left it unless another payment came in that 1 ms: each
+/// arrival practically sees the chain's state once.
 fn run_chain(
     queueing: &QueueingMode,
     n: usize,
@@ -54,13 +41,12 @@ fn run_chain(
 ) -> SimReport {
     let topo = gen::line(2, Amount::from_xrp(n as u64));
     let rng = DetRng::new(seed);
-    let mut txns = poisson(&mut rng.fork("a"), la, horizon_s, 0, 1);
-    txns.extend(poisson(&mut rng.fork("b"), lb, horizon_s, 1, 0));
+    let mut txns = poisson(&mut rng.fork("a"), la, horizon_s, (0, 1), XRP);
+    txns.extend(poisson(&mut rng.fork("b"), lb, horizon_s, (1, 0), XRP));
     txns.sort_by_key(|t| t.time);
     let router = SchemeConfig::ShortestPath.build(&topo, &PaymentGraph::new(2), 0.5);
     let cfg = SimConfig {
         confirmation_delay: SimDuration::from_micros(100),
-        poll_interval: SimDuration::from_secs(1),
         mtu: Amount::from_xrp(1),
         deadline: Some(SimDuration::from_millis(1)),
         horizon: SimDuration::from_secs_f64(horizon_s),
@@ -181,17 +167,9 @@ struct Example {
 /// `examples::paper_example_demands`' eight rates over `horizon_s`, no
 /// rebalancing, under `scheme` in `queueing` mode.
 ///
-/// Bounds on the window `[H/2, H)` of length `T`, derived rather than
-/// tuned. A payment delivered in the window arrived after
-/// `H/2 − deadline`; let `f_ij` be the delivered count of pair `i → j`,
-/// at most its arrivals `A_ij`. Split `f` into a circulation and an
-/// acyclic rest. The circulation is bounded by `A`, so carries at most
-/// `ν(A)`. The rest decomposes into payment-graph paths from nodes with
-/// net outflow to nodes with net inflow, each of at most `n − 1` edges,
-/// carrying in all `½ Σ_v |out_v − in_v|`. A node's net outflow over the
-/// window is what its side of its channels lost, at most the sum of
-/// their capacities, and `Σ_v Σ_{e ∋ v} c_e = 2 Σ_e c_e`. So the window
-/// delivers at most `ν(A) + (n − 1) Σ_e c_e`.
+/// Bounds on the window `[H/2, H)` of length `T`: a payment delivered in
+/// it arrived after `H/2 − deadline`, so the window delivers at most the
+/// [`CirculationBound`] of those arrivals.
 fn paper_example(
     scheme: SchemeConfig,
     queueing: QueueingMode,
@@ -199,7 +177,7 @@ fn paper_example(
     horizon_s: f64,
     seed: u64,
 ) -> Example {
-    use spider_paygraph::{decompose::decompose, examples};
+    use spider_paygraph::examples;
     let demands = examples::paper_example_demands();
     let topo = gen::paper_example_topology(Amount::from_xrp(capacity_xrp));
     let rng = DetRng::new(seed);
@@ -207,7 +185,7 @@ fn paper_example(
         .edges()
         .flat_map(|e| {
             let mut rng = rng.fork(&format!("{}-{}", e.src, e.dst));
-            poisson(&mut rng, e.rate, horizon_s, e.src.0, e.dst.0)
+            poisson(&mut rng, e.rate, horizon_s, (e.src.0, e.dst.0), XRP)
         })
         .collect();
     txns.sort_by_key(|t| (t.time, t.src, t.dst));
@@ -220,9 +198,7 @@ fn paper_example(
         }
     }
     let window = horizon_s - half;
-    let nu = decompose(&arrived, 1e-6).circulation_value / window;
-    let escrow: f64 = topo.channels().map(|(_, c)| c.capacity.as_xrp()).sum();
-    let transient = (examples::NODES - 1) as f64 * escrow / window;
+    let bound = CirculationBound::new(&arrived, &topo);
     let router = scheme.build(&topo, &demands, 0.5);
     let cfg = SimConfig {
         mtu: Amount::from_xrp(1),
@@ -237,8 +213,8 @@ fn paper_example(
     let delivered: f64 = r.throughput_series[half as usize..].iter().sum();
     Example {
         rate: delivered / window,
-        nu,
-        transient,
+        nu: bound.nu / window,
+        transient: bound.transient / window,
     }
 }
 

@@ -79,20 +79,12 @@ fn conservation_max_flow() {
 
 #[test]
 fn conservation_silentwhispers() {
-    run_and_check(
-        SchemeConfig::SilentWhispers { landmarks: 3 },
-        5,
-        Amount::from_xrp(8_000),
-    );
+    run_and_check(SchemeConfig::SilentWhispers, 5, Amount::from_xrp(8_000));
 }
 
 #[test]
 fn conservation_speedymurmurs() {
-    run_and_check(
-        SchemeConfig::SpeedyMurmurs { trees: 3 },
-        6,
-        Amount::from_xrp(8_000),
-    );
+    run_and_check(SchemeConfig::SpeedyMurmurs, 6, Amount::from_xrp(8_000));
 }
 
 #[test]

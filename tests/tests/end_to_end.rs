@@ -87,7 +87,7 @@ fn atomic_schemes_never_partially_deliver() {
     // With an atomic scheme, delivered volume must equal the summed value
     // of *completed* payments exactly — nothing in between.
     let mut cfg = small_isp_experiment(11, 4_000);
-    cfg.scheme = SchemeConfig::SilentWhispers { landmarks: 3 };
+    cfg.scheme = SchemeConfig::SilentWhispers;
     let r = cfg.run().expect("runs");
     assert!(
         r.completed_payments < r.attempted_payments,

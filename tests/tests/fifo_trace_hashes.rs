@@ -94,7 +94,6 @@ fn overloaded() -> ExperimentConfig {
         rate_per_sec: 400.0,
         burst: 32.0,
         defer: true,
-        ..AdmissionConfig::default()
     });
     cfg.overload = Some(OverloadConfig {
         flash_crowd: Some(FlashCrowdConfig {

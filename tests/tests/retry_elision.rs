@@ -184,11 +184,9 @@ fn assert_elision_is_invisible(label: &str, cfg: &ExperimentConfig) -> (SimRepor
     (elided, polled)
 }
 
-const POLICIES: [SchedulingPolicy; 5] = [
+const POLICIES: [SchedulingPolicy; 3] = [
     SchedulingPolicy::Srpt,
     SchedulingPolicy::Fifo,
-    SchedulingPolicy::Lifo,
-    SchedulingPolicy::EarliestDeadline,
     SchedulingPolicy::LargestRemaining,
 ];
 

@@ -156,7 +156,6 @@ fn windowed_aimd_trace_is_reproducible_and_matches_golden() {
     // golden cannot reach (it must NOT be byte-identical to it).
     let wcfg = WindowConfig {
         initial: spider_types::Amount::from_xrp(20),
-        ..WindowConfig::default()
     };
     let windowed = || Box::new(Windowed::new(ShortestPath::new(), wcfg.clone()));
     let (r1, t1) = traced_run(&cfg, Some(windowed()));
