@@ -6,9 +6,15 @@
 //! * [`trace`] — payment-lifecycle tracing: a zero-cost-when-disabled
 //!   [`TraceSink`] records a structured event for every payment
 //!   transition (arrival → route decision → per-hop lock/queue/forward →
-//!   settle/fail), ordered by a deterministic event sequence number so
-//!   traces are golden-testable, and emitted as JSONL or Chrome
-//!   `trace_event` JSON for chrome://tracing.
+//!   settle/fail) and every change to a channel's funds, ordered by a
+//!   deterministic event sequence number so traces are golden-testable,
+//!   and emitted as JSONL or Chrome `trace_event` JSON for
+//!   chrome://tracing.
+//! * [`ledger`] — the balance replay: [`LedgerReplay`] rebuilds every
+//!   channel's balances and locks from the event stream alone and turns
+//!   each record into a [`Fact`] — a drop with its balances, a delivery
+//!   with its bottleneck, a queue wait — so an auditor can rebuild what
+//!   the forensics and attribution recorded from the trace.
 //! * [`hist`] — fixed-bucket log-scale [`Histogram`]s for latency,
 //!   queue-delay, path-length, and AIMD-window distributions.
 //! * [`sampler`] — a unified time-series [`Sampler`] registry: one
@@ -38,6 +44,7 @@
 pub mod attribution;
 pub mod forensics;
 pub mod hist;
+pub mod ledger;
 pub mod profile;
 pub mod sampler;
 pub mod trace;
@@ -45,6 +52,7 @@ pub mod trace;
 pub use attribution::{ChannelAttribution, ChannelHotspot, ChannelSample, HOTSPOT_K};
 pub use forensics::{DropRecord, FlightRecorder, RootCauseRow};
 pub use hist::Histogram;
+pub use ledger::{ChannelFunds, Fact, LedgerReplay};
 pub use profile::{Iteration, Phase, PhaseStats, ProfileStats, Profiler};
 pub use sampler::{SampleSeries, SampleSet, Sampler, SamplerConfig, NUM_SERIES, SERIES_NAMES};
 pub use trace::{Trace, TraceEvent, TraceEventKind, TraceSink};

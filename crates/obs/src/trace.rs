@@ -6,6 +6,9 @@
 //! [`DropReason`]. Events are ordered by an engine-assigned sequence
 //! number (never wall clock), so two runs of the same seed produce
 //! byte-identical traces — the golden-trace tests pin exactly that.
+//! Every record that moves funds says where (a path, a unit, a channel),
+//! so the trace alone rebuilds every channel's balances
+//! ([`crate::ledger`]).
 //!
 //! Emission formats:
 //! * **JSONL** ([`Trace::to_jsonl`]) — one event per line, hand-written
@@ -25,14 +28,14 @@
 //! Storage is chunked (4096 events per slab) so long traces never
 //! reallocate-and-copy the whole buffer.
 
-use spider_types::{Amount, ChannelId, DropReason, NodeId, PathId, PaymentId};
+use spider_types::{Amount, ChannelId, Direction, DropReason, NodeId, PathId, PaymentId};
 
 /// Events per storage chunk.
 const CHUNK: usize = 4096;
 
-/// Upper bound on one event's JSONL line: the longest record (`inject`)
-/// with every integer at its type's maximum is 184 bytes.
-const MAX_LINE: usize = 192;
+/// Upper bound on one event's JSONL line: the longest record (`channel`)
+/// with every integer at its type's maximum is 212 bytes.
+const MAX_LINE: usize = 216;
 
 /// The smallest step [`Trace::to_jsonl`] grows its output by while more
 /// than that is left to write.
@@ -114,13 +117,17 @@ pub enum TraceEventKind {
         payment: PaymentId,
         /// Settled value.
         amount: Amount,
+        /// The path whose locks it settled.
+        path: PathId,
     },
-    /// A unit was dropped in transit.
+    /// A unit was dropped in transit; its locked hops were refunded.
     UnitDropped {
         /// The unit.
         unit: u64,
         /// Why.
         reason: DropReason,
+        /// Route attempts its payment had made.
+        attempts: u32,
     },
     /// The sender received a unit's end-to-end acknowledgement.
     UnitAcked {
@@ -140,14 +147,19 @@ pub enum TraceEventKind {
         /// Arrival-to-completion latency, microseconds.
         latency_us: u64,
     },
-    /// A payment's deadline passed with value undelivered.
+    /// A payment's deadline passed with value undelivered, or the
+    /// admission gate rejected it whole.
     PaymentExpired {
         /// The payment.
         payment: PaymentId,
         /// Undelivered remainder.
         remaining: Amount,
+        /// True when the admission gate rejected it on arrival — a drop
+        /// ([`DropReason::AdmissionRejected`]).
+        rejected: bool,
     },
-    /// A topology-churn event changed channel state.
+    /// A topology-churn event changed channel state; the per-channel
+    /// [`TraceEventKind::ChannelUpdated`] records precede it.
     TopologyChanged {
         /// Channels closed.
         closed: u32,
@@ -164,15 +176,44 @@ pub enum TraceEventKind {
         crashed: bool,
     },
     /// A lockstep unit was refunded along its whole path instead of
-    /// settling: the payment expired between lock and settle, or an
-    /// injected fault consumed the unit.
+    /// settling: the payment expired between lock and settle, an injected
+    /// fault consumed the unit, or a churn close canceled its settle — or,
+    /// with no reason, an all-or-nothing payment rolled it back.
     UnitRefunded {
         /// The payment.
         payment: PaymentId,
         /// Refunded value.
         amount: Amount,
-        /// Why the unit failed.
-        reason: DropReason,
+        /// The path whose locks it released.
+        path: PathId,
+        /// Route attempts its payment had made.
+        attempts: u32,
+        /// Why the unit failed; `None` for a rollback, which is not a
+        /// drop.
+        reason: Option<DropReason>,
+    },
+    /// Churn closed, reopened or resized a channel: its state after the
+    /// change. A close precedes the failbacks it causes.
+    ChannelUpdated {
+        /// The channel.
+        channel: ChannelId,
+        /// Closed after the change.
+        closed: bool,
+        /// Escrowed funds after the change.
+        capacity: Amount,
+        /// Forward-side balance after the change.
+        fwd: Amount,
+        /// Backward-side balance after the change.
+        bwd: Amount,
+    },
+    /// An on-chain rebalancing deposit confirmed.
+    Deposit {
+        /// The channel.
+        channel: ChannelId,
+        /// The side credited.
+        dir: Direction,
+        /// Deposited value.
+        amount: Amount,
     },
 }
 
@@ -187,6 +228,11 @@ pub struct TraceEvent {
     /// The event.
     pub kind: TraceEventKind,
 }
+
+// A trace holds one event per unit-hop, so an event's width is most of a
+// traced run's peak heap: the ledger fields must fit beside the largest
+// variant's, not widen the event.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 48);
 
 /// Chunked buffer the engine records into.
 #[derive(Debug, Clone, Default)]
@@ -374,7 +420,7 @@ impl Trace {
                         .num(payment.0)
                         .put(b"}");
                 }
-                TraceEventKind::UnitDropped { unit, reason } => {
+                TraceEventKind::UnitDropped { unit, reason, .. } => {
                     out.put(sep)
                         .put(b"{\"name\":\"drop:")
                         .put(reason_str(*reason).as_bytes())
@@ -385,7 +431,9 @@ impl Trace {
                         .put(b",\"s\":\"t\"}");
                 }
                 TraceEventKind::UnitRefunded {
-                    payment, reason, ..
+                    payment,
+                    reason: Some(reason),
+                    ..
                 } => {
                     out.put(sep)
                         .put(b"{\"name\":\"refund:")
@@ -455,6 +503,14 @@ impl Writer {
 
     fn flag(&mut self, b: bool) -> &mut Self {
         self.put(if b { b"true" } else { b"false" })
+    }
+
+    /// A reason's quoted spelling, or `null`.
+    fn reason(&mut self, r: Option<DropReason>) -> &mut Self {
+        match r {
+            Some(r) => self.put(b"\"").put(reason_str(r).as_bytes()).put(b"\""),
+            None => self.put(b"null"),
+        }
     }
 
     /// One event's JSONL line.
@@ -541,17 +597,28 @@ impl Writer {
             TraceEventKind::UnitDelivered { unit } => {
                 self.put(b",\"ev\":\"deliver\",\"unit\":").num(*unit)
             }
-            TraceEventKind::UnitSettled { payment, amount } => self
+            TraceEventKind::UnitSettled {
+                payment,
+                amount,
+                path,
+            } => self
                 .put(b",\"ev\":\"settle\",\"payment\":")
                 .num(payment.0)
                 .put(b",\"amount_drops\":")
-                .num(amount.drops()),
-            TraceEventKind::UnitDropped { unit, reason } => self
+                .num(amount.drops())
+                .put(b",\"path\":")
+                .num(path.0),
+            TraceEventKind::UnitDropped {
+                unit,
+                reason,
+                attempts,
+            } => self
                 .put(b",\"ev\":\"drop\",\"unit\":")
                 .num(*unit)
                 .put(b",\"reason\":\"")
                 .put(reason_str(*reason).as_bytes())
-                .put(b"\""),
+                .put(b"\",\"attempts\":")
+                .num(*attempts),
             TraceEventKind::UnitAcked {
                 payment,
                 unit,
@@ -574,11 +641,17 @@ impl Writer {
                 .num(payment.0)
                 .put(b",\"latency_us\":")
                 .num(*latency_us),
-            TraceEventKind::PaymentExpired { payment, remaining } => self
+            TraceEventKind::PaymentExpired {
+                payment,
+                remaining,
+                rejected,
+            } => self
                 .put(b",\"ev\":\"expire\",\"payment\":")
                 .num(payment.0)
                 .put(b",\"remaining_drops\":")
-                .num(remaining.drops()),
+                .num(remaining.drops())
+                .put(b",\"rejected\":")
+                .flag(*rejected),
             TraceEventKind::TopologyChanged {
                 closed,
                 opened,
@@ -598,15 +671,48 @@ impl Writer {
             TraceEventKind::UnitRefunded {
                 payment,
                 amount,
+                path,
+                attempts,
                 reason,
             } => self
                 .put(b",\"ev\":\"refund\",\"payment\":")
                 .num(payment.0)
                 .put(b",\"amount_drops\":")
                 .num(amount.drops())
-                .put(b",\"reason\":\"")
-                .put(reason_str(*reason).as_bytes())
-                .put(b"\""),
+                .put(b",\"reason\":")
+                .reason(*reason)
+                .put(b",\"path\":")
+                .num(path.0)
+                .put(b",\"attempts\":")
+                .num(*attempts),
+            TraceEventKind::ChannelUpdated {
+                channel,
+                closed,
+                capacity,
+                fwd,
+                bwd,
+            } => self
+                .put(b",\"ev\":\"channel\",\"channel\":")
+                .num(channel.0)
+                .put(b",\"closed\":")
+                .flag(*closed)
+                .put(b",\"capacity_drops\":")
+                .num(capacity.drops())
+                .put(b",\"fwd_drops\":")
+                .num(fwd.drops())
+                .put(b",\"bwd_drops\":")
+                .num(bwd.drops()),
+            TraceEventKind::Deposit {
+                channel,
+                dir,
+                amount,
+            } => self
+                .put(b",\"ev\":\"deposit\",\"channel\":")
+                .num(channel.0)
+                .put(b",\"dir\":")
+                .num(dir.index() as u32)
+                .put(b",\"amount_drops\":")
+                .num(amount.drops()),
         };
         self.put(b"}\n");
     }
@@ -737,17 +843,27 @@ mod tests {
                 TraceEventKind::UnitDelivered { unit } => {
                     write!(out, "\"ev\":\"deliver\",\"unit\":{unit}")
                 }
-                TraceEventKind::UnitSettled { payment, amount } => write!(
+                TraceEventKind::UnitSettled {
+                    payment,
+                    amount,
+                    path,
+                } => write!(
                     out,
-                    "\"ev\":\"settle\",\"payment\":{},\"amount_drops\":{}",
+                    "\"ev\":\"settle\",\"payment\":{},\"amount_drops\":{},\"path\":{}",
                     payment.0,
-                    amount.drops()
+                    amount.drops(),
+                    path.0
                 ),
-                TraceEventKind::UnitDropped { unit, reason } => write!(
-                    out,
-                    "\"ev\":\"drop\",\"unit\":{},\"reason\":\"{}\"",
+                TraceEventKind::UnitDropped {
                     unit,
-                    reason_str(*reason)
+                    reason,
+                    attempts,
+                } => write!(
+                    out,
+                    "\"ev\":\"drop\",\"unit\":{},\"reason\":\"{}\",\"attempts\":{}",
+                    unit,
+                    reason_str(*reason),
+                    attempts
                 ),
                 TraceEventKind::UnitAcked {
                     payment,
@@ -767,11 +883,16 @@ mod tests {
                     "\"ev\":\"complete\",\"payment\":{},\"latency_us\":{}",
                     payment.0, latency_us
                 ),
-                TraceEventKind::PaymentExpired { payment, remaining } => write!(
+                TraceEventKind::PaymentExpired {
+                    payment,
+                    remaining,
+                    rejected,
+                } => write!(
                     out,
-                    "\"ev\":\"expire\",\"payment\":{},\"remaining_drops\":{}",
+                    "\"ev\":\"expire\",\"payment\":{},\"remaining_drops\":{},\"rejected\":{}",
                     payment.0,
-                    remaining.drops()
+                    remaining.drops(),
+                    rejected
                 ),
                 TraceEventKind::TopologyChanged {
                     closed,
@@ -789,13 +910,43 @@ mod tests {
                 TraceEventKind::UnitRefunded {
                     payment,
                     amount,
+                    path,
+                    attempts,
                     reason,
                 } => write!(
                     out,
-                    "\"ev\":\"refund\",\"payment\":{},\"amount_drops\":{},\"reason\":\"{}\"",
+                    "\"ev\":\"refund\",\"payment\":{},\"amount_drops\":{},\"reason\":{},\"path\":{},\"attempts\":{}",
                     payment.0,
                     amount.drops(),
-                    reason_str(*reason)
+                    reason.map_or("null".to_string(), |r| format!("\"{}\"", reason_str(r))),
+                    path.0,
+                    attempts
+                ),
+                TraceEventKind::ChannelUpdated {
+                    channel,
+                    closed,
+                    capacity,
+                    fwd,
+                    bwd,
+                } => write!(
+                    out,
+                    "\"ev\":\"channel\",\"channel\":{},\"closed\":{},\"capacity_drops\":{},\"fwd_drops\":{},\"bwd_drops\":{}",
+                    channel.0,
+                    closed,
+                    capacity.drops(),
+                    fwd.drops(),
+                    bwd.drops()
+                ),
+                TraceEventKind::Deposit {
+                    channel,
+                    dir,
+                    amount,
+                } => write!(
+                    out,
+                    "\"ev\":\"deposit\",\"channel\":{},\"dir\":{},\"amount_drops\":{}",
+                    channel.0,
+                    dir.index(),
+                    amount.drops()
                 ),
             }?;
             out.push_str("}\n");
@@ -880,9 +1031,9 @@ mod tests {
             REASONS[self.rng.below(REASONS.len() as u64) as usize]
         }
 
-        /// Variant `which % 15` of [`TraceEventKind`], fields drawn.
+        /// Variant `which % 17` of [`TraceEventKind`], fields drawn.
         fn kind(&mut self, which: u64) -> TraceEventKind {
-            match which % 15 {
+            match which % 17 {
                 0 => TraceEventKind::PaymentArrival {
                     payment: PaymentId(self.int()),
                     src: NodeId(self.int32()),
@@ -921,10 +1072,12 @@ mod tests {
                 7 => TraceEventKind::UnitSettled {
                     payment: PaymentId(self.int()),
                     amount: Amount::from_drops(self.int()),
+                    path: PathId(self.int32()),
                 },
                 8 => TraceEventKind::UnitDropped {
                     unit: self.int(),
                     reason: self.reason(),
+                    attempts: self.int32(),
                 },
                 9 => TraceEventKind::UnitAcked {
                     payment: PaymentId(self.int()),
@@ -939,6 +1092,7 @@ mod tests {
                 11 => TraceEventKind::PaymentExpired {
                     payment: PaymentId(self.int()),
                     remaining: Amount::from_drops(self.int()),
+                    rejected: self.flag(),
                 },
                 12 => TraceEventKind::TopologyChanged {
                     closed: self.int32(),
@@ -949,15 +1103,33 @@ mod tests {
                     node: NodeId(self.int32()),
                     crashed: self.flag(),
                 },
-                _ => TraceEventKind::UnitRefunded {
+                14 => TraceEventKind::UnitRefunded {
                     payment: PaymentId(self.int()),
                     amount: Amount::from_drops(self.int()),
-                    reason: self.reason(),
+                    path: PathId(self.int32()),
+                    attempts: self.int32(),
+                    reason: self.flag().then(|| self.reason()),
+                },
+                15 => TraceEventKind::ChannelUpdated {
+                    channel: ChannelId(self.int32()),
+                    closed: self.flag(),
+                    capacity: Amount::from_drops(self.int()),
+                    fwd: Amount::from_drops(self.int()),
+                    bwd: Amount::from_drops(self.int()),
+                },
+                _ => TraceEventKind::Deposit {
+                    channel: ChannelId(self.int32()),
+                    dir: if self.flag() {
+                        Direction::Backward
+                    } else {
+                        Direction::Forward
+                    },
+                    amount: Amount::from_drops(self.int()),
                 },
             }
         }
 
-        /// `events` events cycling through all 15 variants, then `paths`
+        /// `events` events cycling through all 17 variants, then `paths`
         /// path lines of up to five nodes.
         fn trace(&mut self, events: usize, paths: usize) -> Trace {
             let mut sink = TraceSink::new();
@@ -1002,6 +1174,7 @@ mod tests {
             TraceEventKind::UnitDropped {
                 unit: 7,
                 reason: DropReason::QueueTimeout,
+                attempts: 1,
             },
         );
         s.record(
@@ -1157,7 +1330,7 @@ mod tests {
     #[test]
     fn max_line_bounds_every_event() {
         let mut g = Gen::widest(1);
-        let events = (0..15 * 64)
+        let events = (0..17 * 64)
             .map(|i| TraceEvent {
                 seq: u64::MAX,
                 t_us: u64::MAX,
@@ -1170,7 +1343,7 @@ mod tests {
         };
         let want = reference_jsonl(&t);
         let longest = want.lines().map(|l| l.len() + 1).max();
-        assert_eq!(longest, Some(184), "the longest is `inject`");
+        assert_eq!(longest, Some(212), "the longest is `channel`");
         assert!(longest <= Some(MAX_LINE));
         assert_eq!(t.to_jsonl(), want);
     }

@@ -6,7 +6,7 @@
 
 use spider_obs::trace::TraceEventKind;
 use spider_obs::TraceSink;
-use spider_types::{Amount, ChannelId, DropReason, NodeId, PathId, PaymentId};
+use spider_types::{Amount, ChannelId, Direction, DropReason, NodeId, PathId, PaymentId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -78,7 +78,7 @@ fn event(i: u64) -> TraceEventKind {
         NodeId((i % 32) as u32),
     );
     let reason = DropReason::QueueTimeout;
-    match i % 15 {
+    match i % 17 {
         0 => TraceEventKind::PaymentArrival {
             payment,
             src: node,
@@ -114,8 +114,16 @@ fn event(i: u64) -> TraceEventKind {
             hop: (i % 4) as u32,
         },
         6 => TraceEventKind::UnitDelivered { unit },
-        7 => TraceEventKind::UnitSettled { payment, amount },
-        8 => TraceEventKind::UnitDropped { unit, reason },
+        7 => TraceEventKind::UnitSettled {
+            payment,
+            amount,
+            path,
+        },
+        8 => TraceEventKind::UnitDropped {
+            unit,
+            reason,
+            attempts: (i % 3) as u32,
+        },
         9 => TraceEventKind::UnitAcked {
             payment,
             unit,
@@ -129,6 +137,7 @@ fn event(i: u64) -> TraceEventKind {
         11 => TraceEventKind::PaymentExpired {
             payment,
             remaining: amount,
+            rejected: false,
         },
         12 => TraceEventKind::TopologyChanged {
             closed: 1,
@@ -139,10 +148,24 @@ fn event(i: u64) -> TraceEventKind {
             node,
             crashed: i.is_multiple_of(2),
         },
-        _ => TraceEventKind::UnitRefunded {
+        14 => TraceEventKind::UnitRefunded {
             payment,
             amount,
-            reason,
+            path,
+            attempts: (i % 3) as u32,
+            reason: Some(reason),
+        },
+        15 => TraceEventKind::ChannelUpdated {
+            channel,
+            closed: i.is_multiple_of(2),
+            capacity: amount,
+            fwd: Amount::from_drops(600_000),
+            bwd: Amount::from_drops(400_000 + i),
+        },
+        _ => TraceEventKind::Deposit {
+            channel,
+            dir: Direction::Backward,
+            amount,
         },
     }
 }

@@ -87,9 +87,11 @@ impl Simulation {
                 if deposited.is_zero() && withdrawn.is_zero() {
                     return;
                 }
+                let closed = ch.is_closed();
                 update.resized.push(channel);
+                self.trace_channel(channel);
                 // Fresh balance may unblock queued units.
-                if !deposited.is_zero() && !ch.is_closed() {
+                if !deposited.is_zero() && !closed {
                     self.drain_both_directions(channel);
                 }
             }
@@ -104,6 +106,19 @@ impl Simulation {
                 }
             }
         }
+    }
+
+    /// Traces a churn change of `channel`: its state after it.
+    fn trace_channel(&mut self, channel: ChannelId) {
+        let ch = &self.net.channels[channel.index()];
+        self.obs
+            .trace(self.net.now, || TraceEventKind::ChannelUpdated {
+                channel,
+                closed: ch.is_closed(),
+                capacity: ch.capacity(),
+                fwd: ch.balance(Direction::Forward),
+                bwd: ch.balance(Direction::Backward),
+            });
     }
 
     fn incident_channels(&self, node: spider_types::NodeId) -> Vec<ChannelId> {
@@ -131,6 +146,7 @@ impl Simulation {
         }
         ch.close();
         update.closed.push(channel);
+        self.trace_channel(channel);
         if !failback {
             return;
         }
@@ -150,6 +166,7 @@ impl Simulation {
         }
         ch.reopen();
         update.opened.push(channel);
+        self.trace_channel(channel);
         self.drain_both_directions(channel);
     }
 }

@@ -130,6 +130,7 @@ impl Simulation {
                 self.obs.trace(now, || TraceEventKind::PaymentExpired {
                     payment: PaymentId(pid as u64),
                     remaining: p.unassigned(),
+                    rejected: false,
                 });
             }
         }
@@ -291,11 +292,15 @@ impl Simulation {
 
         if atomic && (aborted || !budget.is_zero()) {
             // All-or-nothing: cancel every batch this attempt scheduled
-            // and return its funds (refunds add up, so one per batch).
+            // and return its funds (refunds add up, so one per batch; the
+            // trace records one per unit, as it recorded the locks).
             for (path, amount, event_id) in batches {
                 self.events.cancel(event_id);
                 let entry = self.net.paths.entry(path);
                 self.refund_path(pid, &entry, amount);
+                for unit in amount.mtu_chunks(mtu) {
+                    self.record_refund(pid, unit, path, None, None);
+                }
             }
             self.payments[pid].expired = true;
         }
@@ -367,6 +372,31 @@ impl Simulation {
         self.router.on_unit_outcome(&outcome, &self.net.view());
     }
 
+    /// Records a lockstep refund of `amount` on `path`: with a `reason`
+    /// a drop (failing at `channel`, if one hop failed), without one the
+    /// rollback of an all-or-nothing payment, traced but not a drop.
+    fn record_refund(
+        &mut self,
+        pid: usize,
+        amount: Amount,
+        path: PathId,
+        reason: Option<DropReason>,
+        channel: Option<ChannelId>,
+    ) {
+        let attempts = self.payments[pid].attempts;
+        let refund = || TraceEventKind::UnitRefunded {
+            payment: PaymentId(pid as u64),
+            amount,
+            path,
+            attempts,
+            reason,
+        };
+        match reason {
+            Some(reason) => self.record_drop(pid, path, channel, reason, refund),
+            None => self.obs.trace(self.net.now, refund),
+        }
+    }
+
     /// Returns canceled or refunded funds to every hop of their path and
     /// takes them out of the payment's in-flight total.
     fn refund_path(&mut self, pid: usize, entry: &PathEntry, amount: Amount) {
@@ -390,8 +420,8 @@ impl Simulation {
         let p = &self.payments[pid];
         // A unit whose payment deadline passed between lock and settle is
         // a real drop (counted and traced, exactly like the queueing-mode
-        // expiry path); an atomic rollback is pure bookkeeping and stays
-        // silent.
+        // expiry path); the tail of an atomic rollback is a refund, not a
+        // drop.
         let deadline_expired = self.net.now > p.deadline;
         let refund = if p.expired || deadline_expired {
             Some((deadline_expired.then_some(DropReason::Expired), false))
@@ -411,6 +441,7 @@ impl Simulation {
             None => self.deliver(pid, amount, entry, || TraceEventKind::UnitSettled {
                 payment: PaymentId(pid as u64),
                 amount,
+                path,
             }),
         }
     }
@@ -418,12 +449,12 @@ impl Simulation {
     /// Refunds a settling unit instead of delivering it: every hop gets
     /// its funds back and the payment's in-flight total shrinks. With a
     /// `reason` the refund is a drop — counted, recorded and traced;
-    /// without one it is the silent tail of an atomic rollback. `retry`
-    /// separates a failure the sender can route around (griefing, a
-    /// fault: the router hears of it — bypassing the `router_observes`
-    /// gate, so backoff sees failures even for routers that skip ordinary
-    /// lock outcomes — and the remainder is re-queued) from the end of
-    /// the payment (expiry).
+    /// without one it is the tail of an atomic rollback, traced but not a
+    /// drop. `retry` separates a failure the sender can route around
+    /// (griefing, a fault: the router hears of it — bypassing the
+    /// `router_observes` gate, so backoff sees failures even for routers
+    /// that skip ordinary lock outcomes — and the remainder is re-queued)
+    /// from the end of the payment (expiry).
     fn refund_settling(
         &mut self,
         pid: usize,
@@ -435,20 +466,8 @@ impl Simulation {
     ) {
         self.refund_path(pid, entry, amount);
         self.payments[pid].expired |= !retry;
-        if let Some(reason) = reason {
-            // Whole-path lockstep refund: no single failing hop.
-            self.record_drop(
-                pid,
-                path,
-                None,
-                reason,
-                Some(|| TraceEventKind::UnitRefunded {
-                    payment: PaymentId(pid as u64),
-                    amount,
-                    reason,
-                }),
-            );
-        }
+        // Whole-path lockstep refund: no single failing hop.
+        self.record_refund(pid, amount, path, reason, None);
         if retry {
             self.report_outcome(pid, path, amount, true, reason);
             self.lockstep.forget_pins();
@@ -479,18 +498,12 @@ impl Simulation {
             // Each unit of the batch is its own drop, recorded after its
             // own refund. Counted in both the total and the
             // churn-specific drop counters, so `units_dropped_churn <=
-            // units_dropped` holds in every engine mode. The lockstep
-            // trace has no record for a churn-canceled settle.
+            // units_dropped` holds in every engine mode.
             for unit in amount.mtu_chunks(self.config.mtu) {
                 self.refund_path(payment, &entry, unit);
                 self.metrics.unit_dropped_churn();
-                self.record_drop(
-                    payment,
-                    path,
-                    Some(channel),
-                    DropReason::ChannelClosed,
-                    None::<fn() -> TraceEventKind>,
-                );
+                let reason = Some(DropReason::ChannelClosed);
+                self.record_refund(payment, unit, path, reason, Some(channel));
             }
             if atomic {
                 self.payments[payment].expired = true;

@@ -471,6 +471,11 @@ impl Simulation {
                     amount,
                 } => {
                     self.net.channels[channel.index()].deposit(dir, amount);
+                    self.obs.trace(self.net.now, || TraceEventKind::Deposit {
+                        channel,
+                        dir,
+                        amount,
+                    });
                     self.rebalance_pending[channel.index()][dir.index()] = false;
                     self.metrics.rebalanced(amount);
                     self.drain_released([(channel, dir)]);

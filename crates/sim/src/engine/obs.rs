@@ -134,17 +134,17 @@ impl Obs {
 impl Simulation {
     /// Records one drop everywhere drops are observed — the report's
     /// per-reason counter, the failing hop's attribution, the forensics
-    /// ring and (when the site has one) the trace — so a counted drop
-    /// cannot miss its forensic record. `channel` is the failing hop
-    /// (balances read in canonical channel orientation), or `None` for
-    /// whole-path failures with no single failing hop.
+    /// ring and the trace — so a counted drop cannot miss its forensic
+    /// record. `channel` is the failing hop (balances read in canonical
+    /// channel orientation), or `None` for whole-path failures with no
+    /// single failing hop.
     pub(super) fn record_drop(
         &mut self,
         payment: usize,
         path: PathId,
         channel: Option<ChannelId>,
         reason: DropReason,
-        event: Option<impl FnOnce() -> TraceEventKind>,
+        event: impl FnOnce() -> TraceEventKind,
     ) {
         self.metrics.unit_dropped(reason);
         let obs = &mut self.obs;
@@ -170,9 +170,7 @@ impl Simulation {
                 reason,
             });
         }
-        if let Some(event) = event {
-            obs.trace(self.net.now, event);
-        }
+        obs.trace(self.net.now, event);
     }
 
     /// Time-series telemetry and the attribution integrals, once per

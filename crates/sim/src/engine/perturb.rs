@@ -284,10 +284,11 @@ impl Simulation {
             PathId(u32::MAX),
             None,
             DropReason::AdmissionRejected,
-            Some(|| TraceEventKind::PaymentExpired {
+            || TraceEventKind::PaymentExpired {
                 payment: PaymentId(pid as u64),
                 remaining,
-            }),
+                rejected: true,
+            },
         );
         false
     }

@@ -619,16 +619,14 @@ impl Simulation {
         if failing_hop.is_some() {
             self.metrics.unit_lock(entry.hop_count(), false);
         }
-        self.record_drop(
-            pid,
-            path,
-            failing_hop,
-            reason,
-            Some(|| TraceEventKind::UnitDropped {
+        let attempts = self.payments[pid].attempts;
+        self.record_drop(pid, path, failing_hop, reason, || {
+            TraceEventKind::UnitDropped {
                 unit: trace_id,
                 reason,
-            }),
-        );
+                attempts,
+            }
+        });
         self.ack_unit(uid, false);
         // The returned value made part of the payment unassigned again;
         // make sure the retry queue will offer it (the payment may have

@@ -545,7 +545,9 @@ fn a_churn_close_unlinks_one_member_and_its_recycled_slot_runs_once() {
                 TraceEventKind::UnitForwarded { unit: u, hop, .. } if u == unit => {
                     Some((e.t_us, "forward", hop))
                 }
-                TraceEventKind::UnitDropped { unit: u, reason } if u == unit => {
+                TraceEventKind::UnitDropped {
+                    unit: u, reason, ..
+                } if u == unit => {
                     assert_eq!(reason, DropReason::ChannelClosed);
                     Some((e.t_us, "drop", 0))
                 }

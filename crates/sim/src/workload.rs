@@ -5,12 +5,11 @@
 //! each transaction was sampled from the set of nodes using an exponential
 //! distribution while the receiver was sampled uniformly at random."
 
-use serde::Serialize;
 use spider_types::distr::{Distribution, ExponentialRank, LogNormal, PoissonProcess};
 use spider_types::{Amount, DetRng, IdHashSet, NodeId, SimTime};
 
 /// One transaction to inject: at `time`, `src` pays `dst` `amount`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnSpec {
     /// Arrival instant.
     pub time: SimTime,
@@ -138,7 +137,7 @@ impl WorkloadConfig {
 }
 
 /// A generated transaction sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     /// Transactions ordered by arrival time.
     pub txns: Vec<TxnSpec>,

@@ -1,0 +1,762 @@
+//! The independent ledger auditor: it reads a run's rendered JSONL trace
+//! and the topology it ran on, and nothing else of the engine.
+//!
+//! It parses every line back into a [`TraceEventKind`], resolves each
+//! `path` line's nodes to hops through the topology, seeds a
+//! [`LedgerReplay`] with every channel's opening balances (the engine
+//! splits each capacity equally, the odd drop forward) and replays the
+//! stream. At every record it checks that the channels the record
+//! touches still hold exactly their capacity (so no balance went below
+//! zero), that nothing locks, settles or delivers across a closed
+//! channel, that a close or reopen moves no funds, that a unit moves
+//! hop by hop and ends once, that each lockstep settle or refund ends a
+//! lock its payment holds on that path for that value, that `seq`
+//! counts up by one and `t_us` never goes back; at every churn summary
+//! record, that nothing in flight crosses a closed channel; and at the
+//! horizon, that no lock went without a record for longer than its
+//! state allows ([`max_silence`]). [`LedgerAudit::check`] asserts those
+//! checks held and that the counts the trace re-derives — payments
+//! attempted and completed, their volumes, delivered volume, drops by
+//! reason — equal the report's; [`audited_run`] adds the engine's final
+//! funds and what its forensics and attribution recorded.
+
+use spider_core::{ExperimentConfig, RunOutput};
+use spider_obs::trace::{reason_str, TraceEventKind};
+use spider_obs::{DropRecord, Fact, FlightRecorder, LedgerReplay};
+use spider_sim::{ChannelState, DropBreakdown, QueueingMode, SimReport, Simulation};
+use spider_topology::Topology;
+use spider_types::{
+    Amount, ChannelId, Direction, DropReason, Hop, NodeId, PathId, PaymentId, SimDuration,
+};
+use std::collections::BTreeMap;
+
+/// Every drop reason, for parsing their spellings back.
+const REASONS: [DropReason; 9] = [
+    DropReason::QueueTimeout,
+    DropReason::QueueOverflow,
+    DropReason::Expired,
+    DropReason::ChannelClosed,
+    DropReason::MessageLost,
+    DropReason::HopTimeout,
+    DropReason::NodeCrashed,
+    DropReason::Shed,
+    DropReason::AdmissionRejected,
+];
+
+/// One flat JSONL object's fields, split once: (key, raw value).
+struct Fields<'a> {
+    line: &'a str,
+    pairs: [(&'a str, &'a str); 10],
+    len: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// Splits an event line (no nested values).
+    fn of(line: &'a str) -> Self {
+        let mut f = Fields {
+            line,
+            pairs: [("", ""); 10],
+            len: 0,
+        };
+        let body = line.trim_start_matches('{').trim_end_matches('}');
+        for pair in body.split(',') {
+            let (key, value) = pair.split_once(':').expect("a key and a value");
+            f.pairs[f.len] = (key.trim_matches('"'), value);
+            f.len += 1;
+        }
+        f
+    }
+
+    fn raw(&self, key: &str) -> &'a str {
+        let found = self.pairs[..self.len].iter().find(|p| p.0 == key);
+        found
+            .unwrap_or_else(|| panic!("no {key} in {}", self.line))
+            .1
+    }
+
+    fn int(&self, key: &str) -> u64 {
+        let text = self.raw(key);
+        text.parse()
+            .unwrap_or_else(|e| panic!("{key} in {}: {e}", self.line))
+    }
+
+    fn int32(&self, key: &str) -> u32 {
+        u32::try_from(self.int(key)).expect("fits u32")
+    }
+
+    fn amount(&self, key: &str) -> Amount {
+        Amount::from_drops(self.int(key))
+    }
+
+    fn flag(&self, key: &str) -> bool {
+        match self.raw(key) {
+            "true" => true,
+            "false" => false,
+            other => panic!("{key} is {other} in {}", self.line),
+        }
+    }
+
+    fn reason(&self) -> Option<DropReason> {
+        let text = self.raw("reason");
+        (text != "null").then(|| {
+            let name = text.trim_matches('"');
+            *REASONS
+                .iter()
+                .find(|&&r| reason_str(r) == name)
+                .unwrap_or_else(|| panic!("unknown reason in {}", self.line))
+        })
+    }
+}
+
+/// One trace event line back into its record: `(seq, t_us, kind)`.
+pub fn parse_event(line: &str) -> (u64, u64, TraceEventKind) {
+    let f = Fields::of(line);
+    let payment = || PaymentId(f.int("payment"));
+    let path = || PathId(f.int32("path"));
+    let channel = || ChannelId(f.int32("channel"));
+    let unit = || f.int("unit");
+    let amount = || f.amount("amount_drops");
+    let kind = match f.raw("ev").trim_matches('"') {
+        "arrival" => TraceEventKind::PaymentArrival {
+            payment: payment(),
+            src: NodeId(f.int32("src")),
+            dst: NodeId(f.int32("dst")),
+            amount: amount(),
+        },
+        "route" => TraceEventKind::RouteProposal {
+            payment: payment(),
+            attempt: f.int32("attempt"),
+            path: path(),
+            amount: amount(),
+        },
+        "lock" => TraceEventKind::LockOutcome {
+            payment: payment(),
+            path: path(),
+            amount: amount(),
+            ok: f.flag("ok"),
+        },
+        "inject" => TraceEventKind::UnitInjected {
+            payment: payment(),
+            unit: unit(),
+            path: path(),
+            amount: amount(),
+        },
+        "enqueue" => TraceEventKind::UnitEnqueued {
+            unit: unit(),
+            channel: channel(),
+            qlen: f.int32("qlen"),
+        },
+        "forward" => TraceEventKind::UnitForwarded {
+            unit: unit(),
+            channel: channel(),
+            hop: f.int32("hop"),
+        },
+        "deliver" => TraceEventKind::UnitDelivered { unit: unit() },
+        "settle" => TraceEventKind::UnitSettled {
+            payment: payment(),
+            amount: amount(),
+            path: path(),
+        },
+        "drop" => TraceEventKind::UnitDropped {
+            unit: unit(),
+            reason: f.reason().expect("a drop has a reason"),
+            attempts: f.int32("attempts"),
+        },
+        "ack" => TraceEventKind::UnitAcked {
+            payment: payment(),
+            unit: unit(),
+            delivered: f.flag("delivered"),
+            marked: f.flag("marked"),
+        },
+        "complete" => TraceEventKind::PaymentCompleted {
+            payment: payment(),
+            latency_us: f.int("latency_us"),
+        },
+        "expire" => TraceEventKind::PaymentExpired {
+            payment: payment(),
+            remaining: f.amount("remaining_drops"),
+            rejected: f.flag("rejected"),
+        },
+        "topology" => TraceEventKind::TopologyChanged {
+            closed: f.int32("closed"),
+            opened: f.int32("opened"),
+            resized: f.int32("resized"),
+        },
+        "fault" => TraceEventKind::FaultApplied {
+            node: NodeId(f.int32("node")),
+            crashed: f.flag("crashed"),
+        },
+        "refund" => TraceEventKind::UnitRefunded {
+            payment: payment(),
+            amount: amount(),
+            path: path(),
+            attempts: f.int32("attempts"),
+            reason: f.reason(),
+        },
+        "channel" => TraceEventKind::ChannelUpdated {
+            channel: channel(),
+            closed: f.flag("closed"),
+            capacity: f.amount("capacity_drops"),
+            fwd: f.amount("fwd_drops"),
+            bwd: f.amount("bwd_drops"),
+        },
+        "deposit" => TraceEventKind::Deposit {
+            channel: channel(),
+            dir: if f.int("dir") == 1 {
+                Direction::Backward
+            } else {
+                Direction::Forward
+            },
+            amount: amount(),
+        },
+        other => panic!("unknown record {other}: {line}"),
+    };
+    (f.int("seq"), f.int("t_us"), kind)
+}
+
+/// A `path` line's id and nodes.
+fn parse_path(line: &str) -> (usize, Vec<NodeId>) {
+    let (head, nodes) = line.split_once(",\"nodes\":[").expect("a path line");
+    let id = head
+        .rsplit(':')
+        .next()
+        .expect("an id")
+        .parse()
+        .expect("a path id");
+    let nodes = nodes.trim_end_matches("]}").split(',');
+    (
+        id,
+        nodes
+            .map(|n| NodeId(n.parse().expect("a node id")))
+            .collect(),
+    )
+}
+
+/// The longest a unit's or lock's next record can be due after its
+/// previous one in a run, by what it waits for.
+#[derive(Debug, Clone, Copy)]
+pub struct Silence {
+    /// A lockstep lock: its settle or refund comes one settle delay on.
+    pub lock: SimDuration,
+    /// A unit in a queue: served, or dropped at the queue timeout.
+    pub queued: SimDuration,
+    /// A unit between hops: the hop delay with the worst jitter and
+    /// spike, or the fault plan's hop timeout for a lost or stuck unit.
+    pub moving: SimDuration,
+    /// A unit that locked its whole path: the settle delay, the hop
+    /// timeout for a lost ack or stuck unit, or the griefing hold.
+    pub settling: SimDuration,
+}
+
+/// The [`Silence`] bounds of a run of `cfg`.
+pub fn max_silence(cfg: &ExperimentConfig) -> Silence {
+    let sim = cfg.effective_sim();
+    let secs = SimDuration::from_secs_f64;
+    let lock = sim.confirmation_delay;
+    let (mut moving, mut settling, mut queued) = (SimDuration::ZERO, lock, SimDuration::ZERO);
+    if let QueueingMode::PerChannelFifo(q) = &sim.queueing {
+        moving = q.hop_delay;
+        queued = q.max_queue_delay;
+    }
+    if let Some(f) = &cfg.faults {
+        let jitter = f.jitter_range_ms.map_or(0.0, |[_, hi]| hi);
+        moving = (moving + secs((jitter + f.spike_ms) / 1e3)).max(secs(f.hop_timeout_secs));
+        settling = settling.max(secs(f.hop_timeout_secs));
+    }
+    if let Some(g) = cfg.overload.as_ref().and_then(|o| o.griefing.as_ref()) {
+        settling = settling.max(secs(g.hold_secs));
+    }
+    Silence {
+        lock,
+        queued,
+        moving,
+        settling,
+    }
+}
+
+/// Runs the traced `sim` the way `spider_core::execute` does, and
+/// audits it: its rendered trace must pass [`LedgerAudit::check`] (with
+/// `silence`, see [`max_silence`]), the replay must end holding the
+/// engine's funds, and what the engine's forensics and attribution
+/// recorded must be what the replay rebuilds ([`LedgerAudit::check_sinks`]).
+/// Returns the artifacts and the rendered trace.
+pub fn audited_run(name: &str, silence: Silence, mut sim: Simulation) -> (RunOutput, String) {
+    let topo = sim.topology().clone();
+    let report = sim.run();
+    sim.check_conservation();
+    let trace = sim.take_trace().expect("the run is traced");
+    let jsonl = trace.clone().to_jsonl();
+    let mut audit = LedgerAudit::replay(&jsonl, &topo);
+    audit.check(name, &report, silence);
+    audit.check_funds(name, sim.channel_states());
+    let forensics = sim.take_forensics();
+    audit.check_sinks(name, &report, forensics.as_ref());
+    let out = RunOutput {
+        report,
+        trace: Some(trace),
+        forensics,
+        invariants: sim.take_invariant_report(),
+    };
+    (out, jsonl)
+}
+
+/// A rendered trace replayed, with what it re-derives of the report.
+pub struct LedgerAudit {
+    /// The replay, after the last record.
+    pub replay: LedgerReplay,
+    /// Payments that arrived, and their value.
+    pub attempted: (u64, Amount),
+    /// Payments that completed, and their value.
+    pub completed: (u64, Amount),
+    /// Value settled end to end.
+    pub delivered: Amount,
+    /// Drops by reason.
+    pub drops: DropBreakdown,
+    /// The replay's drop records, in record order.
+    pub drop_records: Vec<DropRecord>,
+    /// Per channel: drops failing there, deliveries it bottlenecked, and
+    /// seconds units queued at it, summed in record order.
+    pub per_channel: Vec<(u64, u64, f64)>,
+    /// Ledger checks that failed, in record order.
+    pub violations: Vec<String>,
+    /// Every path's hops, by id.
+    hops: Vec<Vec<Hop>>,
+    /// Hop-by-hop units in flight: path, hops locked, latest record's
+    /// instant, and whether that record queued it.
+    units: BTreeMap<u64, (PathId, usize, u64, bool)>,
+    /// Units injected so far (ids are injection ordinals).
+    injected: u64,
+    /// Lockstep locks held, per (payment, path, value): how many, and
+    /// when the newest was taken.
+    locks: BTreeMap<(PaymentId, PathId, Amount), (u32, u64)>,
+}
+
+impl LedgerAudit {
+    /// Replays `jsonl` (a whole rendered trace) over `topo`.
+    pub fn replay(jsonl: &str, topo: &Topology) -> Self {
+        let mut hops: Vec<Vec<Hop>> = Vec::new();
+        let mut events = Vec::new();
+        for line in jsonl.lines() {
+            if line.starts_with("{\"ev\":\"path\"") {
+                let (id, nodes) = parse_path(line);
+                if hops.len() <= id {
+                    hops.resize(id + 1, Vec::new());
+                }
+                hops[id] = topo.path_channels(&nodes).expect("a path of the topology");
+            } else {
+                events.push(parse_event(line));
+            }
+        }
+        let opening = topo.channels().map(|(_, c)| {
+            let half = c.capacity / 2;
+            (c.capacity - half, half)
+        });
+        let mut audit = LedgerAudit {
+            replay: LedgerReplay::new(opening),
+            attempted: (0, Amount::ZERO),
+            completed: (0, Amount::ZERO),
+            delivered: Amount::ZERO,
+            drops: DropBreakdown::default(),
+            drop_records: Vec::new(),
+            per_channel: vec![(0, 0, 0.0); topo.channel_count()],
+            violations: Vec::new(),
+            hops,
+            units: BTreeMap::new(),
+            injected: 0,
+            locks: BTreeMap::new(),
+        };
+        let (mut totals, mut units) = (Vec::new(), Vec::new());
+        let mut last_t = 0;
+        for (i, (seq, t_us, kind)) in events.iter().enumerate() {
+            let (t_us, kind) = (*t_us, kind);
+            if *seq != i as u64 || t_us < last_t {
+                audit.violate(
+                    t_us,
+                    format!("seq {seq} after {i} records, t_us after {last_t}"),
+                );
+            }
+            last_t = t_us;
+            match *kind {
+                TraceEventKind::PaymentArrival {
+                    payment, amount, ..
+                } => {
+                    audit.attempted.0 += 1;
+                    audit.attempted.1 += amount;
+                    let p = payment.0 as usize;
+                    if totals.len() <= p {
+                        totals.resize(p + 1, Amount::ZERO);
+                    }
+                    totals[p] = amount;
+                }
+                TraceEventKind::PaymentCompleted { payment, .. } => {
+                    audit.completed.0 += 1;
+                    audit.completed.1 += totals[payment.0 as usize];
+                }
+                TraceEventKind::UnitInjected { amount, .. } => units.push(amount),
+                _ => {}
+            }
+            let touched = audit.touched(kind);
+            audit.check_record(t_us, kind);
+            let hops = &audit.hops;
+            let fact = audit
+                .replay
+                .apply(t_us, kind, |p| hops[p.index()].as_slice());
+            for c in touched {
+                audit.check_conservation(t_us, c);
+            }
+            match (fact, kind) {
+                (Fact::Drop(rec), _) => {
+                    let failback = matches!(kind, TraceEventKind::UnitRefunded { .. })
+                        && rec.reason == DropReason::ChannelClosed;
+                    if failback && rec.channel.is_none() {
+                        let what = format!("{rec:?} follows no close of a channel on its path");
+                        audit.violate(t_us, what);
+                    }
+                    count(&mut audit.drops, rec.reason);
+                    if let Some(c) = rec.channel {
+                        audit.per_channel[c as usize].0 += 1;
+                    }
+                    audit.drop_records.push(rec);
+                }
+                (Fact::Delivered { bottleneck }, _) => {
+                    if let Some(c) = bottleneck {
+                        audit.per_channel[c.index()].1 += 1;
+                    }
+                    audit.delivered += match *kind {
+                        TraceEventKind::UnitSettled { amount, .. } => amount,
+                        TraceEventKind::UnitDelivered { unit } => units[unit as usize],
+                        _ => unreachable!("only settles and deliveries deliver"),
+                    };
+                }
+                (Fact::QueueWait { channel, secs }, _) => {
+                    audit.per_channel[channel.index()].2 += secs;
+                }
+                (_, TraceEventKind::TopologyChanged { .. }) => audit.check_failbacks(t_us),
+                _ => {}
+            }
+        }
+        audit
+    }
+
+    fn violate(&mut self, t_us: u64, what: String) {
+        self.violations.push(format!("t_us {t_us}: {what}"));
+    }
+
+    /// The channels a record moves funds on.
+    fn touched(&self, kind: &TraceEventKind) -> Vec<ChannelId> {
+        let path = match *kind {
+            TraceEventKind::LockOutcome { path, .. }
+            | TraceEventKind::UnitSettled { path, .. }
+            | TraceEventKind::UnitRefunded { path, .. } => Some(path),
+            TraceEventKind::UnitForwarded { unit, .. }
+            | TraceEventKind::UnitDelivered { unit }
+            | TraceEventKind::UnitDropped { unit, .. } => self.units.get(&unit).map(|u| u.0),
+            TraceEventKind::ChannelUpdated { channel, .. }
+            | TraceEventKind::Deposit { channel, .. } => return vec![channel],
+            _ => None,
+        };
+        let hops = path.map_or(&[][..], |p| self.hops[p.index()].as_slice());
+        hops.iter().map(|h| h.channel()).collect()
+    }
+
+    /// Checks one record against the ledger before it applies, and
+    /// follows the locks it takes or ends.
+    fn check_record(&mut self, t_us: u64, kind: &TraceEventKind) {
+        let closed = |c: ChannelId| self.replay.channels()[c.index()].closed;
+        let crosses_closed =
+            |path: PathId| self.hops[path.index()].iter().any(|h| closed(h.channel()));
+        let mut broken = Vec::new();
+        match *kind {
+            TraceEventKind::LockOutcome {
+                payment,
+                path,
+                amount,
+                ok: true,
+            } => {
+                if crosses_closed(path) {
+                    broken.push(format!("{payment} locks across a closed channel"));
+                }
+                let held = self.locks.entry((payment, path, amount)).or_default();
+                *held = (held.0 + 1, t_us);
+            }
+            TraceEventKind::UnitSettled {
+                payment,
+                amount,
+                path,
+            }
+            | TraceEventKind::UnitRefunded {
+                payment,
+                amount,
+                path,
+                ..
+            } => {
+                let settles = matches!(kind, TraceEventKind::UnitSettled { .. });
+                if settles && crosses_closed(path) {
+                    broken.push(format!("{payment} settles across a closed channel"));
+                }
+                match self.locks.get_mut(&(payment, path, amount)) {
+                    Some(held) if held.0 > 1 => held.0 -= 1,
+                    Some(_) => {
+                        self.locks.remove(&(payment, path, amount));
+                    }
+                    None => broken.push(format!(
+                        "{payment} ends a lock of {amount} on path {} it does not hold",
+                        path.0
+                    )),
+                }
+            }
+            TraceEventKind::UnitInjected { unit, path, .. } => {
+                if unit != self.injected {
+                    broken.push(format!("unit {unit} injected as unit {}", self.injected));
+                }
+                self.injected += 1;
+                self.units.insert(unit, (path, 0, t_us, false));
+            }
+            TraceEventKind::UnitEnqueued { unit, channel, .. }
+            | TraceEventKind::UnitForwarded { unit, channel, .. } => {
+                match self.units.get_mut(&unit) {
+                    Some((path, locked, last, queued)) => {
+                        *last = t_us;
+                        *queued = matches!(kind, TraceEventKind::UnitEnqueued { .. });
+                        let next = self.hops[path.index()].get(*locked).map(|h| h.channel());
+                        if next != Some(channel) {
+                            broken.push(format!(
+                                "unit {unit} moves at channel {} off its next hop",
+                                channel.0
+                            ));
+                        }
+                        if let TraceEventKind::UnitForwarded { hop, .. } = *kind {
+                            if hop as usize != *locked || closed(channel) {
+                                broken.push(format!(
+                                    "unit {unit} locks hop {hop} after {locked}, or a closed one"
+                                ));
+                            }
+                            *locked += 1;
+                        }
+                    }
+                    None => broken.push(format!("unit {unit} is not in flight")),
+                }
+            }
+            TraceEventKind::UnitDelivered { unit } | TraceEventKind::UnitDropped { unit, .. } => {
+                match self.units.remove(&unit) {
+                    Some((path, locked, ..)) => {
+                        let delivered = matches!(kind, TraceEventKind::UnitDelivered { .. });
+                        let whole = locked == self.hops[path.index()].len();
+                        if delivered && (!whole || crosses_closed(path)) {
+                            broken.push(format!("unit {unit} delivered with {locked} hops locked, or across a closed channel"));
+                        }
+                    }
+                    None => broken.push(format!("unit {unit} is not in flight")),
+                }
+            }
+            TraceEventKind::ChannelUpdated {
+                channel,
+                closed: now_closed,
+                capacity,
+                fwd,
+                bwd,
+            } => {
+                // A close or reopen moves no funds.
+                let f = self.replay.channels()[channel.index()];
+                if now_closed != f.closed && (capacity, [fwd, bwd]) != (f.capacity, f.balance) {
+                    broken.push(format!(
+                        "channel {} closes or opens as {kind:?} from {f:?}",
+                        channel.0
+                    ));
+                }
+            }
+            _ => {}
+        }
+        for what in broken {
+            self.violate(t_us, what);
+        }
+    }
+
+    /// Balances and locks sum to the capacity — and so none went below
+    /// zero, since the replay stops an overdraft at zero.
+    fn check_conservation(&mut self, t_us: u64, c: ChannelId) {
+        let f = self.replay.channels()[c.index()];
+        let held = f.balance[0] + f.balance[1] + f.locked[0] + f.locked[1];
+        if held != f.capacity {
+            let what = format!("channel {} holds {held} of capacity {}", c.0, f.capacity);
+            self.violate(t_us, what);
+        }
+    }
+
+    /// At a churn summary record: nothing in flight crosses a closed
+    /// channel — the close failed it all back.
+    fn check_failbacks(&mut self, t_us: u64) {
+        let channels = self.replay.channels();
+        let crosses = |path: &PathId| {
+            self.hops[path.index()]
+                .iter()
+                .any(|h| channels[h.channel().index()].closed)
+        };
+        let units = self.units.iter().filter(|(_, (p, ..))| crosses(p));
+        let mut stranded: Vec<String> = units.map(|(u, _)| format!("unit {u}")).collect();
+        let locks = self.locks.keys().filter(|(_, p, _)| crosses(p));
+        stranded.extend(locks.map(|(pay, p, _)| format!("{pay}'s lock on path {}", p.0)));
+        for what in stranded {
+            self.violate(
+                t_us,
+                format!("{what} crosses a closed channel after its close"),
+            );
+        }
+    }
+
+    /// Asserts the ledger held, that the trace accounts for `report`,
+    /// and that no lock went without a record for longer than `silence`
+    /// allows before the horizon.
+    pub fn check(&mut self, name: &str, report: &SimReport, silence: Silence) {
+        let horizon = report.horizon.micros();
+        let stale = |last: u64, bound: SimDuration| last + bound.micros() < horizon;
+        for (unit, &(path, locked, last, queued)) in &self.units {
+            let bound = if queued {
+                silence.queued
+            } else if locked == self.hops[path.index()].len() {
+                silence.settling
+            } else {
+                silence.moving
+            };
+            if stale(last, bound) {
+                let what =
+                    format!("unit {unit} silent since t_us {last} with {locked} hops locked");
+                self.violations.push(what);
+            }
+        }
+        for ((payment, path, amount), &(n, newest)) in &self.locks {
+            if stale(newest, silence.lock) {
+                self.violations.push(format!(
+                    "{payment}: {n} lock(s) of {amount} on path {} unsettled since t_us {newest}",
+                    path.0
+                ));
+            }
+        }
+        let broken = &self.violations[..self.violations.len().min(32)];
+        assert!(broken.is_empty(), "{name}: the ledger broke: {broken:#?}");
+        assert_eq!(
+            self.attempted,
+            (report.attempted_payments, report.attempted_volume),
+            "{name}: attempted"
+        );
+        assert_eq!(
+            self.completed,
+            (report.completed_payments, report.completed_volume),
+            "{name}: completed"
+        );
+        assert_eq!(self.delivered, report.delivered_volume, "{name}: delivered");
+        assert_eq!(
+            self.drops.total(),
+            report.units_dropped,
+            "{name}: units dropped"
+        );
+        assert_eq!(
+            self.drops, report.drops_by_reason,
+            "{name}: drops by reason"
+        );
+    }
+
+    /// Asserts that the engine's forensics (when it ran with them) hold
+    /// exactly the replay's drop records, and that each hotspot row's
+    /// drop, bottleneck and queue-residency figures are the replay's for
+    /// its channel, bit for bit.
+    pub fn check_sinks(&self, name: &str, report: &SimReport, forensics: Option<&FlightRecorder>) {
+        if let Some(engine) = forensics {
+            let mut replayed = FlightRecorder::new(engine.capacity());
+            for rec in &self.drop_records {
+                replayed.record(rec.clone());
+            }
+            assert!(
+                replayed.to_jsonl() == engine.to_jsonl(),
+                "{name}: the forensics records are not the replay's"
+            );
+            assert_eq!(
+                replayed.root_cause_to_jsonl(),
+                engine.root_cause_to_jsonl(),
+                "{name}: the root-cause table is not the replay's"
+            );
+        }
+        for h in &report.hotspots {
+            let (drops, bottlenecks, queued) = self.per_channel[h.channel as usize];
+            assert_eq!(
+                (h.drops, h.bottlenecks, h.queue_residency_s.to_bits()),
+                (drops, bottlenecks, queued.to_bits()),
+                "{name}: hotspot channel {} is not the replay's",
+                h.channel
+            );
+        }
+    }
+
+    /// Asserts the replay ends holding exactly the engine's funds.
+    pub fn check_funds(&self, name: &str, engine: &[ChannelState]) {
+        for (i, (ch, funds)) in engine.iter().zip(self.replay.channels()).enumerate() {
+            let dirs = [Direction::Forward, Direction::Backward];
+            let engine_side = (
+                ch.capacity(),
+                dirs.map(|d| ch.balance(d)),
+                dirs.map(|d| ch.inflight(d)),
+                ch.is_closed(),
+            );
+            let replayed = (funds.capacity, funds.balance, funds.locked, funds.closed);
+            assert_eq!(replayed, engine_side, "{name}: channel {i} at the end");
+        }
+    }
+}
+
+fn count(drops: &mut DropBreakdown, reason: DropReason) {
+    let slot = match reason {
+        DropReason::QueueTimeout => &mut drops.queue_timeout,
+        DropReason::QueueOverflow => &mut drops.queue_overflow,
+        DropReason::Expired => &mut drops.expired,
+        DropReason::ChannelClosed => &mut drops.channel_closed,
+        DropReason::MessageLost => &mut drops.message_lost,
+        DropReason::HopTimeout => &mut drops.hop_timeout,
+        DropReason::NodeCrashed => &mut drops.node_crashed,
+        DropReason::Shed => &mut drops.shed,
+        DropReason::AdmissionRejected => &mut drops.admission_rejected,
+    };
+    *slot += 1;
+}
+
+/// The trace as an engine without the ledger fields rendered it: the
+/// records the ledger added (`channel`, `deposit`, rollback and
+/// channel-closed `refund`s) removed, `seq` renumbered, and the fields it
+/// added (`path` on `settle`; `path` and `attempts` on `refund`;
+/// `attempts` on `drop`; `rejected` on `expire`) cut — each is the last
+/// of its line. Pins recorded before the ledger hash this text.
+pub fn pre_ledger(jsonl: &str) -> String {
+    let mut out = String::with_capacity(jsonl.len());
+    let mut seq = 0u64;
+    for line in jsonl.lines() {
+        if line.starts_with("{\"ev\":\"path\"") {
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        }
+        let ev = line.split_once(",\"ev\":\"").expect("an ev").1;
+        let ev = &ev[..ev.find('"').expect("a quoted ev")];
+        let added = match ev {
+            "channel" | "deposit" => true,
+            "refund" => {
+                line.contains("\"reason\":null,") || line.contains("\"reason\":\"channel_closed\"")
+            }
+            _ => false,
+        };
+        if added {
+            continue;
+        }
+        let cut = match ev {
+            "settle" | "refund" => Some(",\"path\":"),
+            "drop" => Some(",\"attempts\":"),
+            "expire" => Some(",\"rejected\":"),
+            _ => None,
+        };
+        let body = &line[line.find(",\"t_us\"").expect("t_us")..];
+        let body = cut.map_or(body, |c| &body[..body.find(c).expect("ledger field")]);
+        out.push_str(&format!("{{\"seq\":{seq}"));
+        out.push_str(body.trim_end_matches('}'));
+        out.push_str("}\n");
+        seq += 1;
+    }
+    out
+}

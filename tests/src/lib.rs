@@ -4,6 +4,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod ledger_audit;
+
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_paygraph::{decompose::decompose, PaymentGraph};
 use spider_sim::{SimConfig, SizeDistribution, TxnSpec, WorkloadConfig};

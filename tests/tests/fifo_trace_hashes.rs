@@ -2,19 +2,23 @@
 //! §5 protocol on a 300-node Ripple-like graph, the JSONL trace's line
 //! count and FNV-1a-64 hash, and the report's outcome fields.
 //!
-//! The values were recorded on the engine that scheduled one
-//! `HopArrive`/`UnitDeliver` event per unit, before units crossing a hop
-//! together began to share one event. A trace record carries every
-//! unit's instant, sequence number and fate, so a hash match means the
-//! two engines did the same work in the same order — decisions, locks,
-//! price stamps, fault and griefing draws, drops, acks — not just that
-//! they reached the same totals. The four runs cover the plain protocol,
-//! fault injection (loss, stuck units, jitter, spikes, crashes),
-//! overload (flash crowd, hot pairs, drain, griefing) with shedding and
-//! shaping admission, and topology churn whose closes land while units
-//! are mid-path.
+//! Each run carries two trace pins. The first is the trace as rendered
+//! now, a ledger. The second is the same trace without what the ledger
+//! added ([`pre_ledger`]), and its values were recorded on the engine
+//! that scheduled one `HopArrive`/`UnitDeliver` event per unit, before
+//! units crossing a hop together began to share one event. A trace
+//! record carries every unit's instant, sequence number and fate, so a
+//! hash match means the two engines did the same work in the same order
+//! — decisions, locks, price stamps, fault and griefing draws, drops,
+//! acks — not just that they reached the same totals; and the ledger
+//! only added facts to that record. The four runs cover the plain
+//! protocol, fault injection (loss, stuck units, jitter, spikes,
+//! crashes), overload (flash crowd, hot pairs, drain, griefing) with
+//! shedding and shaping admission, and topology churn whose closes land
+//! while units are mid-path. Each trace also passes the ledger auditor,
+//! so the pins say the work was right as well as unchanged.
 
-use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_dynamics::DynamicsConfig;
 use spider_faults::{CrashConfig, FaultConfig};
 use spider_overload::{
@@ -24,6 +28,7 @@ use spider_sim::{
     AdmissionConfig, QueueConfig, QueueingMode, SimConfig, SimReport, SizeDistribution,
     WorkloadConfig,
 };
+use spider_tests::ledger_audit::{audited_run, max_silence, pre_ledger};
 use spider_types::{Amount, SimDuration};
 
 /// Simulated seconds of arrivals in every run.
@@ -166,15 +171,33 @@ fn outcome(r: &SimReport) -> String {
     )
 }
 
-/// Runs `cfg` traced and checks the JSONL line count, its hash and the
-/// outcome line against the pins.
-fn check(name: &str, cfg: ExperimentConfig, lines: usize, hash: u64, want: &str) {
-    let out = execute(cfg.simulation(None).expect("builds"));
-    let jsonl = out.trace.expect("obs.trace is set").to_jsonl();
-    let got = (jsonl.lines().count(), fnv1a64(jsonl.as_bytes()));
-    let report = outcome(&out.report);
-    assert_eq!(got, (lines, hash), "{name}: trace moved");
-    assert_eq!(report, want, "{name}: outcome moved");
+/// A trace's line count and hash.
+fn pin(text: &str) -> (usize, u64) {
+    (text.lines().count(), fnv1a64(text.as_bytes()))
+}
+
+/// Runs `cfg` traced and audited, and checks the JSONL's line count and
+/// hash (`ledger`), those of its [`pre_ledger`] projection (`before`)
+/// and the outcome line against the pins.
+fn check(
+    name: &str,
+    cfg: ExperimentConfig,
+    ledger: (usize, u64),
+    before: (usize, u64),
+    want: &str,
+) {
+    let (out, jsonl) = audited_run(
+        name,
+        max_silence(&cfg),
+        cfg.simulation(None).expect("builds"),
+    );
+    let got = (pin(&jsonl), pin(&pre_ledger(&jsonl)));
+    assert_eq!(
+        got,
+        (ledger, before),
+        "{name}: trace moved (ledger, projection)"
+    );
+    assert_eq!(outcome(&out.report), want, "{name}: outcome moved");
 }
 
 #[test]
@@ -182,8 +205,8 @@ fn plain_protocol_trace_is_pinned() {
     check(
         "plain",
         base(),
-        190_426,
-        0x2fe6_826f_4002_a86b,
+        (190_426, 0xf270_71ed_2f81_a6b1),
+        (190_426, 0x2fe6_826f_4002_a86b),
         "attempted=2000 completed=1106 delivered=369430523946 \
          completed_volume=255251250597 deferred=0 locked=19700 failed=7561 retries=5175 \
          hops=66932 acked=26694 marked=16010 dropped=7561 queued=5291 topology=0 \
@@ -199,8 +222,8 @@ fn faulted_protocol_trace_is_pinned() {
     check(
         "faulted",
         faulted(),
-        193_819,
-        0x3326_d7a1_871f_d6cd,
+        (193_819, 0x15df_f9ea_bafb_550a),
+        (193_819, 0x3326_d7a1_871f_d6cd),
         "attempted=2000 completed=997 delivered=361963012358 \
          completed_volume=211920057947 deferred=0 locked=19612 failed=8460 retries=6266 \
          hops=66777 acked=26934 marked=16704 dropped=8137 queued=5604 topology=0 \
@@ -216,8 +239,8 @@ fn overloaded_protocol_trace_is_pinned() {
     check(
         "overloaded",
         overloaded(),
-        123_424,
-        0xd9d9_4b93_8e3b_37aa,
+        (123_424, 0x690e_32d0_3b66_a1da),
+        (123_424, 0xd9d9_4b93_8e3b_37aa),
         "attempted=2000 completed=793 delivered=255411896245 \
          completed_volume=163330093456 deferred=1834 locked=15514 failed=6084 \
          retries=11314 hops=53671 acked=16145 marked=7534 dropped=2808 queued=2069 \
@@ -234,8 +257,8 @@ fn churned_protocol_trace_is_pinned() {
     check(
         "churned",
         churned(),
-        195_784,
-        0x75ab_bf97_a91f_e822,
+        (195_912, 0x33c1_13c8_7541_33f4),
+        (195_784, 0x75ab_bf97_a91f_e822),
         "attempted=2000 completed=1085 delivered=365017962866 \
          completed_volume=244261822688 deferred=0 locked=19701 failed=8134 retries=5012 \
          hops=67829 acked=27239 marked=16608 dropped=8336 queued=5360 topology=83 \

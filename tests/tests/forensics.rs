@@ -7,12 +7,19 @@
 //! byte-identical across runs, and recording must never perturb the
 //! simulation. Regenerate the goldens with `UPDATE_GOLDENS=1` after an
 //! *intentional* schema change.
+//!
+//! The recorder's records are the balance replay's drop facts, so each
+//! golden also pins that the replay of the event stream agrees with the
+//! engine at every drop. The goldens that quote trace lines quote them
+//! as the trace rendered before it became a ledger ([`pre_ledger`]), and
+//! the runs that render a trace pass the ledger auditor.
 
 use proptest::prelude::*;
 use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_sim::{
     DropRecord, FlightRecorder, SimConfig, SimReport, SizeDistribution, WorkloadConfig,
 };
+use spider_tests::ledger_audit::{audited_run, max_silence, pre_ledger};
 use spider_types::{
     ChannelId, DropReason, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
 };
@@ -264,7 +271,11 @@ fn lockstep_refunds_count_record_and_trace_every_cause() {
     let mut cfg = lockstep_refund_experiment();
     cfg.sim.obs.forensics_capacity = 65_536;
     cfg.sim.obs.trace = true;
-    let out = execute(cfg.simulation(None).expect("builds"));
+    let (out, jsonl) = audited_run(
+        "refunds",
+        max_silence(&cfg),
+        cfg.simulation(None).expect("builds"),
+    );
     let drops = out.report.drops_by_reason;
     assert!(
         drops.expired > 0 && drops.hop_timeout > 0 && drops.message_lost > 0,
@@ -272,10 +283,7 @@ fn lockstep_refunds_count_record_and_trace_every_cause() {
     );
     let forensics = out.forensics.expect("forensics is on");
     assert_eq!(forensics.len() as u64, out.report.units_dropped);
-    let refunds: String = out
-        .trace
-        .expect("tracing is on")
-        .to_jsonl()
+    let refunds: String = pre_ledger(&jsonl)
         .lines()
         .filter(|l| l.contains("\"ev\":\"refund\""))
         .map(|l| format!("{l}\n"))
@@ -291,7 +299,7 @@ fn lockstep_refunds_count_record_and_trace_every_cause() {
 /// a core channel closes, then core node 0 leaves (one close per
 /// channel) and rejoins. Each 40-XRP payment travels as two 20-XRP units,
 /// and no deadline falls inside the horizon.
-fn churn_close_run(scheme: SchemeConfig) -> spider_core::RunOutput {
+fn churn_close_run(scheme: SchemeConfig) -> (spider_core::RunOutput, String) {
     let mut cfg = ExperimentConfig {
         topology: TopologyConfig::Isp { capacity_xrp: 200 },
         workload: WorkloadConfig {
@@ -325,7 +333,7 @@ fn churn_close_run(scheme: SchemeConfig) -> spider_core::RunOutput {
         })
         .to_vec(),
     );
-    execute(sim)
+    audited_run("churn closes", max_silence(&cfg), sim)
 }
 
 /// The order in which a churn close fails back in-flight work, which
@@ -336,7 +344,7 @@ fn churn_close_run(scheme: SchemeConfig) -> spider_core::RunOutput {
 /// and units between hops.
 #[test]
 fn churn_close_fail_back_order_matches_golden() {
-    let lockstep = churn_close_run(SchemeConfig::ShortestPath);
+    let (lockstep, _) = churn_close_run(SchemeConfig::ShortestPath);
     let r = &lockstep.report;
     assert_eq!(r.units_dropped, r.drops_by_reason.channel_closed);
     let records = lockstep.forensics.expect("forensics is on").to_jsonl();
@@ -355,8 +363,8 @@ fn churn_close_fail_back_order_matches_golden() {
         .collect();
     assert_eq!(batched.len(), 2, "{batched:?}");
 
-    let protocol = churn_close_run(SchemeConfig::spider_protocol(4));
-    let trace = protocol.trace.expect("tracing is on").to_jsonl();
+    let (_, trace) = churn_close_run(SchemeConfig::spider_protocol(4));
+    let trace = pre_ledger(&trace);
     let mut last = std::collections::BTreeMap::new();
     let (mut drops, mut queued, mut moving) = (String::new(), 0, 0);
     for line in trace.lines() {

@@ -1,0 +1,239 @@
+//! The ledger auditor beyond the goldens: a proptest over small
+//! topologies × scheme × {lockstep, FIFO} × {churn, faults, overload,
+//! on-chain rebalancing}, and a short run at the repo benchmark's
+//! `isp-stress-observed` configuration. Each run's rendered trace must
+//! replay to a ledger that never breaks, that ends holding the engine's
+//! funds, that accounts for the report's outcome counts, and whose drop,
+//! delivery and queue-wait facts rebuild the engine's forensics and
+//! hotspot figures (see `spider_tests::ledger_audit`).
+
+use proptest::prelude::*;
+use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_dynamics::DynamicsConfig;
+use spider_faults::FaultConfig;
+use spider_overload::{
+    DrainConfig, FlashCrowdConfig, GriefingConfig, HotPairsConfig, OverloadConfig,
+};
+use spider_sim::{
+    AdmissionConfig, QueueConfig, QueueingMode, SimConfig, SizeDistribution, WorkloadConfig,
+};
+use spider_tests::ledger_audit::{audited_run, max_silence};
+use spider_types::{Amount, SimDuration};
+
+/// The perturbations a proptest case may switch on.
+const CHURN: u8 = 1;
+const FAULTS: u8 = 2;
+const OVERLOAD: u8 = 4;
+const REBALANCING: u8 = 8;
+
+/// Schemes covering both lockstep flavours (non-atomic and the atomic
+/// rollback) and the hop-by-hop §5 protocol.
+fn scheme(i: usize) -> SchemeConfig {
+    [
+        SchemeConfig::ShortestPath,
+        SchemeConfig::SpiderWaterfilling { paths: 4 },
+        SchemeConfig::SpeedyMurmurs,
+        SchemeConfig::spider_protocol(4),
+    ][i]
+}
+
+/// A small run over 1.5 s of arrivals on a random scale-free graph whose
+/// thin channels make units queue, fail and drop.
+fn small_run(
+    seed: u64,
+    nodes: usize,
+    scheme: SchemeConfig,
+    fifo: bool,
+    perturb: u8,
+) -> ExperimentConfig {
+    let secs = 1.5;
+    let mut sim = SimConfig {
+        horizon: SimDuration::from_secs_f64(secs + 1.0),
+        mtu: Amount::from_xrp(10),
+        deadline: Some(SimDuration::from_millis(1_200)),
+        ..SimConfig::default()
+    };
+    sim.obs.trace = true;
+    sim.obs.forensics_capacity = 4_096;
+    sim.obs.attribution = true;
+    if fifo {
+        sim.queueing = QueueingMode::PerChannelFifo(QueueConfig {
+            max_queue_units: 8,
+            ..QueueConfig::default()
+        });
+    }
+    let mut cfg = ExperimentConfig {
+        topology: TopologyConfig::ScaleFree {
+            nodes,
+            m: 2,
+            capacity_xrp: 200,
+        },
+        workload: WorkloadConfig {
+            count: (secs * 120.0) as usize,
+            rate_per_sec: 120.0,
+            size: SizeDistribution::RippleIsp,
+            sender_skew_scale: 4.0,
+        },
+        sim,
+        scheme,
+        dynamics: None,
+        faults: None,
+        overload: None,
+        seed,
+    };
+    if perturb & CHURN != 0 {
+        cfg.dynamics = Some(DynamicsConfig {
+            close_rate_per_sec: 6.0,
+            reopen_mean_secs: Some(0.4),
+            resize_rate_per_sec: 3.0,
+            node_leave_rate_per_sec: 1.0,
+            spawn_fraction: 0.1,
+            flap_channels: 2,
+            flap_period_secs: 0.5,
+            horizon_secs: secs,
+            ..DynamicsConfig::default()
+        });
+    }
+    if perturb & FAULTS != 0 {
+        cfg.faults = Some(FaultConfig {
+            message_loss_prob: 0.05,
+            stuck_unit_prob: 0.02,
+            hop_timeout_secs: 0.3,
+            horizon_secs: secs,
+            ..FaultConfig::default()
+        });
+    }
+    if perturb & OVERLOAD != 0 {
+        cfg.overload = Some(OverloadConfig {
+            griefing: Some(GriefingConfig {
+                fraction: 0.1,
+                hold_secs: 0.5,
+            }),
+            horizon_secs: secs,
+            ..OverloadConfig::default()
+        });
+        cfg.sim.shedding = true;
+        // Policing: a bucket slower than the arrivals rejects some.
+        cfg.sim.admission = Some(AdmissionConfig {
+            rate_per_sec: 80.0,
+            burst: 8.0,
+            defer: false,
+        });
+    }
+    if perturb & REBALANCING != 0 {
+        cfg.sim.rebalancing = Some(spider_sim::config::RebalancingConfig {
+            check_interval: SimDuration::from_millis(200),
+            trigger_fraction: 0.2,
+            target_fraction: 0.5,
+            confirmation_delay: SimDuration::from_millis(300),
+        });
+    }
+    cfg
+}
+
+proptest! {
+    /// Every run's trace replays to an unbroken ledger that accounts for
+    /// its report and ends holding the engine's funds.
+    #[test]
+    fn every_run_passes_the_ledger_audit(
+        seed in 0u64..1_000,
+        nodes in 8usize..24,
+        which in 0usize..4,
+        fifo in 0u8..2,
+        perturb in 0u8..16,
+    ) {
+        let fifo = fifo == 1;
+        let cfg = small_run(seed, nodes, scheme(which), fifo, perturb);
+        let name = format!("seed {seed}, {nodes} nodes, {:?}, fifo {fifo}, perturb {perturb:04b}", cfg.scheme);
+        let (out, _) = audited_run(&name, max_silence(&cfg), cfg.simulation(None).expect("builds"));
+        prop_assert!(out.report.attempted_payments > 0, "{name}: no arrivals");
+    }
+}
+
+/// The repo benchmark's `isp-stress-observed` run, rebuilt here at a two
+/// second span: `overload_resilience`'s protected posture (the §5
+/// protocol, 256-unit queues, shedding, shaping admission) under its
+/// attack and the default faults, every observability sink on.
+fn isp_stress(secs: f64) -> ExperimentConfig {
+    let rate = 1_000.0;
+    let mut sim = SimConfig {
+        horizon: SimDuration::from_secs_f64(secs * 1.1),
+        mtu: Amount::from_xrp(10),
+        queueing: QueueingMode::PerChannelFifo(QueueConfig {
+            max_queue_delay: SimDuration::from_secs(10),
+            max_queue_units: 256,
+            ..QueueConfig::default()
+        }),
+        shedding: true,
+        admission: Some(AdmissionConfig {
+            rate_per_sec: rate,
+            defer: true,
+            ..AdmissionConfig::default()
+        }),
+        ..SimConfig::default()
+    };
+    sim.obs.trace = true;
+    sim.obs.profile = true;
+    sim.obs.attribution = true;
+    sim.obs.forensics_capacity = 65_536;
+    sim.obs.invariants_every = 10_000;
+    sim.obs.sampler.queue_depths = true;
+    ExperimentConfig {
+        topology: TopologyConfig::Isp {
+            capacity_xrp: 30_000,
+        },
+        workload: WorkloadConfig {
+            count: (secs * rate) as usize,
+            rate_per_sec: rate,
+            size: SizeDistribution::RippleIsp,
+            sender_skew_scale: 8.0,
+        },
+        sim,
+        scheme: SchemeConfig::spider_protocol(4),
+        dynamics: None,
+        faults: Some(FaultConfig {
+            horizon_secs: secs,
+            ..FaultConfig::default()
+        }),
+        overload: Some(OverloadConfig {
+            flash_crowd: Some(FlashCrowdConfig {
+                start_secs: secs * 0.3,
+                duration_secs: secs * 0.1,
+                rate_multiplier: 2.0,
+            }),
+            hot_pairs: Some(HotPairsConfig::default()),
+            drain: Some(DrainConfig::default()),
+            griefing: Some(GriefingConfig {
+                fraction: 0.05,
+                hold_secs: 5.0,
+            }),
+            horizon_secs: secs,
+        }),
+        seed: 42,
+    }
+}
+
+/// The stress run's trace passes the audit, and its forensics — the
+/// engine's replay of the same stream — account for every drop.
+#[test]
+fn isp_stress_observed_passes_the_ledger_audit() {
+    let cfg = isp_stress(2.0);
+    let (out, _) = audited_run(
+        "isp-stress",
+        max_silence(&cfg),
+        cfg.simulation(None).expect("builds"),
+    );
+    let r = &out.report;
+    assert!(
+        r.units_dropped > 0 && r.faults_injected > 0,
+        "the stress never engaged: {r:?}"
+    );
+    let forensics = out.forensics.expect("forensics is on");
+    assert_eq!(
+        forensics.len() as u64 + forensics.evicted(),
+        r.units_dropped
+    );
+    assert!(!r.hotspots.is_empty(), "attribution found no hotspots");
+    let invariants = out.invariants.expect("the monitor is on");
+    assert!(invariants.violations.is_empty(), "{invariants:?}");
+}

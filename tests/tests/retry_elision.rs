@@ -133,8 +133,10 @@ fn outcome_fields(mut r: SimReport) -> Vec<(String, serde_json::Value)> {
     }
 }
 
-/// The trace's JSONL lines minus what only a barren attempt can add, and
-/// minus the record numbering those records shift.
+/// The trace's JSONL lines minus what only a barren attempt can add,
+/// minus the record numbering those records shift, and minus the attempt
+/// count a drop or refund carries (a work counter, like `retries`: it
+/// counts attempts actually made, the last field of its line).
 fn outcome_lines(trace: Trace) -> Vec<String> {
     trace
         .to_jsonl()
@@ -143,13 +145,17 @@ fn outcome_lines(trace: Trace) -> Vec<String> {
             let failed_lock = l.contains("\"ev\":\"lock\"") && l.ends_with("\"ok\":false}");
             !failed_lock && !l.contains("\"ev\":\"route\"")
         })
+        .map(|l| match l.find(",\"attempts\":") {
+            Some(at) => format!("{}}}", &l[..at]),
+            None => l.to_string(),
+        })
         .map(|l| match l.strip_prefix("{\"seq\":") {
             Some(rest) => rest
                 .split_once(',')
                 .expect("seq is followed by t_us")
                 .1
                 .to_string(),
-            None => l.to_string(),
+            None => l,
         })
         .collect()
 }

@@ -8,15 +8,17 @@
 //! perturb the simulation itself. Each test renders the trace twice from
 //! independent runs and compares byte-for-byte, then checks the pinned
 //! golden under `tests/goldens/`. Regenerate with `UPDATE_GOLDENS=1` after
-//! an *intentional* trace-schema change.
+//! an *intentional* trace-schema change. Every traced run passes the
+//! ledger auditor.
 
 use spider_core::congestion::{WindowConfig, Windowed};
-use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_routing::ShortestPath;
 use spider_sim::{
     ObsConfig, QueueConfig, QueueingMode, Router, SimConfig, SimReport, SizeDistribution, Trace,
     WorkloadConfig,
 };
+use spider_tests::ledger_audit::{audited_run, max_silence};
 use spider_types::SimDuration;
 use std::path::PathBuf;
 
@@ -48,10 +50,11 @@ fn tiny_experiment(seed: u64, scheme: SchemeConfig) -> ExperimentConfig {
     }
 }
 
-/// One run of `cfg` (through the registry scheme, or `router` when
-/// given): the report and the sealed trace.
+/// One audited run of `cfg` (through the registry scheme, or `router`
+/// when given): the report and the sealed trace.
 fn traced_run(cfg: &ExperimentConfig, router: Option<Box<dyn Router>>) -> (SimReport, Trace) {
-    let out = execute(cfg.simulation(router).expect("builds"));
+    let sim = cfg.simulation(router).expect("builds");
+    let (out, _) = audited_run("golden", max_silence(cfg), sim);
     (out.report, out.trace.expect("obs.trace is set"))
 }
 
