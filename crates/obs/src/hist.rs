@@ -78,6 +78,28 @@ impl Histogram {
         self.sum += v;
     }
 
+    /// Records `n` samples of `v` at once. Equals `n` calls of
+    /// [`Histogram::record`] — buckets, count, min and max always, and the
+    /// sum bit for bit whenever every partial sum is exact (integer `v`
+    /// whose running total stays below 2⁵³), which is how the engine
+    /// folds its per-hop-count unit tallies in.
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
+        self.counts[Self::bucket(v)] += n;
+        if self.count == 0 {
+            self.min = v;
+            self.max = v;
+        } else {
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+        self.count += n;
+        self.sum += v * n as f64;
+    }
+
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -192,6 +214,42 @@ mod tests {
         assert_eq!(h.counts[0], 3);
         assert_eq!(h.min, 0.0);
         assert_eq!(h.max, 0.0);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let assert_same = |a: &Histogram, b: &Histogram, what: &str| {
+            assert_eq!(a.counts, b.counts, "{what}: buckets");
+            assert_eq!(a.count, b.count, "{what}: count");
+            assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "{what}: sum");
+            assert_eq!(a.min.to_bits(), b.min.to_bits(), "{what}: min");
+            assert_eq!(a.max.to_bits(), b.max.to_bits(), "{what}: max");
+        };
+        let mut seeded = Histogram::new();
+        for v in [3.0, 1.0, 7.0] {
+            seeded.record(v);
+        }
+        for start in [Histogram::new(), seeded] {
+            for v in [0.0, 1.0, 2.0, 5.0, 12.0, 40.0] {
+                for n in [0, 1, 2, 7, 1_000] {
+                    let (mut once, mut each) = (start.clone(), start.clone());
+                    once.record_n(v, n);
+                    for _ in 0..n {
+                        each.record(v);
+                    }
+                    assert_same(&once, &each, &format!("{v} x {n} from {}", start.count));
+                }
+            }
+            // A run of tallies folds in like the interleaved samples.
+            let (mut folded, mut each) = (start.clone(), start.clone());
+            for (v, n) in [(4.0, 3), (0.0, 2), (9.0, 5)] {
+                folded.record_n(v, n);
+            }
+            for v in [9.0, 4.0, 0.0, 9.0, 4.0, 9.0, 0.0, 9.0, 4.0, 9.0] {
+                each.record(v);
+            }
+            assert_same(&folded, &each, &format!("tallies from {}", start.count));
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   units, calendar occupancy, AIMD window sum, mean channel price).
 //! * [`profile`] — monotonic-clock [`Profiler`] timing the engine's
 //!   phases (calendar pop, routing, forwarding, settlement, churn
-//!   repair, sampling) into [`ProfileStats`]: exact counts, totals
+//!   repair, sampling, the prewarm's pair listing and fill, arrival
+//!   generation) into [`ProfileStats`]: exact counts, totals
 //!   estimated from a random sample of event-loop iterations.
 //! * [`attribution`] — per-channel hotspot accumulators (utilization /
 //!   starvation / imbalance integrals, queue residency, drop and

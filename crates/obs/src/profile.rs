@@ -65,10 +65,14 @@ pub enum Phase {
     /// The router's prewarm (the batched candidate-path fill), once per
     /// run.
     Prewarm,
+    /// Generating the next arrival and merging it into the calendar, once
+    /// per `Arrival` event (the routing of the arrival is
+    /// [`Phase::Routing`]).
+    Arrivals,
 }
 
 /// How many phases there are.
-const PHASES: usize = 8;
+const PHASES: usize = 9;
 
 /// Accumulated timing for one phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -102,12 +106,14 @@ pub struct ProfileStats {
     pub prewarm_pairs: PhaseStats,
     /// Router prewarm time.
     pub prewarm: PhaseStats,
+    /// Arrival generation time.
+    pub arrivals: PhaseStats,
 }
 
 impl ProfileStats {
     /// Every phase with its display name, in reporting order: the loop's
-    /// phases, then the run's set-up. (Callers read the first six by
-    /// position; new phases go at the end.)
+    /// phases, the run's set-up, then arrival generation. (Callers read
+    /// the first six by position; new phases go at the end.)
     pub fn phases(&self) -> [(&'static str, PhaseStats); PHASES] {
         [
             ("calendar_pop", self.calendar_pop),
@@ -118,6 +124,7 @@ impl ProfileStats {
             ("sampling", self.sampling),
             ("prewarm_pairs", self.prewarm_pairs),
             ("prewarm", self.prewarm),
+            ("arrivals", self.arrivals),
         ]
     }
 
@@ -280,7 +287,7 @@ impl Profiler {
 
     /// The per-phase counts and estimates, leaving the sums empty.
     pub fn finish(&mut self) -> ProfileStats {
-        let [calendar_pop, routing, forwarding, settlement, churn_repair, sampling, prewarm_pairs, prewarm] =
+        let [calendar_pop, routing, forwarding, settlement, churn_repair, sampling, prewarm_pairs, prewarm, arrivals] =
             std::mem::take(&mut self.acc).map(|a| a.estimate());
         ProfileStats {
             enabled: self.enabled,
@@ -292,6 +299,7 @@ impl Profiler {
             sampling,
             prewarm_pairs,
             prewarm,
+            arrivals,
         }
     }
 }
@@ -341,6 +349,9 @@ mod tests {
             let mut it = p.iteration();
             timed += u64::from(matches!(it, Iteration::Timed(_)));
             p.lap(&mut it, Phase::CalendarPop);
+            if i % 10 == 0 {
+                p.lap(&mut it, Phase::Arrivals);
+            }
             p.lap(&mut it, handlers[i % 3]);
         }
         assert!(0 < timed && timed < 1_000, "{timed} timed");
@@ -365,6 +376,7 @@ mod tests {
         assert_eq!(s.churn_repair.count, 1);
         assert_eq!(s.sampling.count, 1);
         assert_eq!((s.prewarm_pairs.count, s.prewarm.count), (1, 1));
+        assert_eq!(s.arrivals.count, 100);
         // `finish` empties the sums.
         assert_eq!(p.finish().calendar_pop, PhaseStats::default());
     }

@@ -30,7 +30,7 @@ impl MaxFlow {
 
 impl Router for MaxFlow {
     /// The lock-outcome hook is the default no-op: let the engine elide
-    /// it (and batch-count identical failed chunks).
+    /// it (and lock a proposal's full units in one pass).
     fn observes_unit_outcomes(&self) -> bool {
         false
     }

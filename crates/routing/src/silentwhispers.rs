@@ -63,7 +63,7 @@ fn erase_loops(walk: Vec<NodeId>) -> Vec<NodeId> {
 
 impl Router for SilentWhispers {
     /// The lock-outcome hook is the default no-op: let the engine elide
-    /// it (and batch-count identical failed chunks).
+    /// it (and lock a proposal's full units in one pass).
     fn observes_unit_outcomes(&self) -> bool {
         false
     }

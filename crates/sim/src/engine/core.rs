@@ -271,7 +271,8 @@ impl EventCore {
     }
 
     /// `train` without its member `unit`, or `None` when that was the
-    /// only one.
+    /// only one. Panics when `unit` is not a member: the walk stops at
+    /// the train's last member instead of following stale links.
     fn without(&mut self, train: Train, unit: u32) -> Option<Train> {
         let Train { first, last } = train;
         if first == unit {
@@ -281,8 +282,16 @@ impl EventCore {
             });
         }
         let mut before = first;
-        while self.members[before as usize] != unit {
-            before = self.members[before as usize];
+        loop {
+            assert!(
+                before != last,
+                "unit {unit} is not a member of the train {first}..={last}"
+            );
+            let next = self.members[before as usize];
+            if next == unit {
+                break;
+            }
+            before = next;
         }
         if unit == last {
             return Some(Train {

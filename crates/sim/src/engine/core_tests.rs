@@ -497,3 +497,25 @@ fn a_member_cancelled_mid_walk_is_skipped() {
     let stats = core.stats();
     assert_eq!((stats.events_executed, stats.live_events), (1, 2));
 }
+
+/// Cancelling a unit that is not a member of the train fails at once and
+/// names both, even where stale links left by an earlier train would
+/// lead the walk round a cycle.
+#[test]
+#[should_panic(expected = "unit 5 is not a member of the train 2..=0")]
+fn cancelling_a_non_member_fails_instead_of_spinning() {
+    let mut core = EventCore::default();
+    core.open_runtime_band();
+    let (at, later) = (SimTime::from_micros(10), SimTime::from_micros(20));
+    // Units 0, 1 and 2 ride one train and are walked; their links stay.
+    for unit in 0..3 {
+        core.schedule(at, EventKind::HopArrive(Train::of(unit)));
+    }
+    core.pop(SimTime::from_micros(100)).expect("due");
+    assert_eq!(walk(&mut core), [0, 1, 2]);
+    // Units 2 and 0 ride a new train: the link 2 → 0 and the stale
+    // 0 → 1 → 2 close a cycle.
+    let ids = [2, 0].map(|unit| core.schedule(later, EventKind::HopArrive(Train::of(unit))));
+    assert_eq!(ids[0], ids[1]);
+    core.cancel_unit(ids[0], 5);
+}

@@ -8,7 +8,9 @@ use crate::paths::PathEntry;
 use crate::router::{RouteRequest, UnitOutcome};
 use spider_obs::trace::TraceEventKind;
 use spider_obs::Phase;
-use spider_types::{Amount, ChannelId, DropReason, PathId, PaymentId, SimDuration, SimTime};
+use spider_types::{
+    Amount, ChannelId, Direction, DropReason, Hop, PathId, PaymentId, SimDuration, SimTime,
+};
 
 /// How often the retry queue is polled (incomplete payments are
 /// "periodically polled to see if they can make any further progress").
@@ -18,17 +20,68 @@ pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::from_millis(100);
 /// bounding worst-case work for adversarial routers.
 const MAX_PROPOSALS_PER_POLL: usize = 64;
 
+/// Stands for "no pin" in [`PendingEntry::pinned`].
+const NOT_PINNED: PathId = PathId(u32::MAX);
+
 /// One slot of the retry queue.
 #[derive(Debug, Clone, Copy)]
 struct PendingEntry {
-    payment: usize,
-    /// The path the payment's last attempt was pinned to: the router
-    /// promised [`Router::pins_single_path`](crate::router::Router::pins_single_path)
+    payment: u32,
+    /// The path the payment's last attempt was pinned to, or
+    /// [`NOT_PINNED`]: the router promised
+    /// [`Router::pins_single_path`](crate::router::Router::pins_single_path)
     /// and proposed exactly this path for the whole remainder. While it
     /// stands, a poll skips the payment if the path cannot carry its
-    /// smallest chunk. `None` when no promise was given, or since the
+    /// smallest chunk. Unpinned when no promise was given, or since the
     /// router's last callback.
-    pinned: Option<PathId>,
+    pinned: PathId,
+    /// While `least` is non-zero: a hop of the pinned path whose direction
+    /// had less available than `least` when the payment was last tested.
+    witness: Hop,
+    /// The smallest chunk of the payment's unassigned amount when
+    /// `witness` was found, in drops; zero when there is no witness. A
+    /// chunk past 32 bits (an MTU above 4,294 XRP) is not kept, so such
+    /// an entry is tested in full at every poll.
+    least: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PendingEntry>() == 16);
+
+impl PendingEntry {
+    fn new(pid: usize, pinned: Option<PathId>) -> Self {
+        PendingEntry {
+            payment: u32::try_from(pid).expect("payment ids fit in 32 bits"),
+            pinned: pinned.unwrap_or(NOT_PINNED),
+            witness: Hop::new(ChannelId(0), Direction::Forward),
+            least: 0,
+        }
+    }
+
+    fn pid(&self) -> usize {
+        self.payment as usize
+    }
+
+    fn pinned(&self) -> Option<PathId> {
+        (self.pinned != NOT_PINNED).then_some(self.pinned)
+    }
+
+    /// Takes a new pin (or none), and with it drops the witness.
+    fn repin(&mut self, pinned: Option<PathId>) {
+        self.pinned = pinned.unwrap_or(NOT_PINNED);
+        self.least = 0;
+    }
+
+    /// Keeps `hop` as the witness that the pinned path cannot carry
+    /// `least` (dropped when `least` does not fit the entry).
+    fn set_witness(&mut self, (hop, least): (Hop, Amount)) {
+        self.witness = hop;
+        self.least = u32::try_from(least.drops()).unwrap_or(0);
+    }
+
+    /// True while the entry holds a witness.
+    fn has_witness(&self) -> bool {
+        self.least != 0
+    }
 }
 
 /// The retry queue.
@@ -42,6 +95,10 @@ pub(super) struct Lockstep {
     /// A poll's attempt order, kept between polls: `(policy key, payment,
     /// position in pending)` of every payment it re-offers.
     order: Vec<((u64, u64), usize, u32)>,
+    /// The expiry cursor: payments `0..past_deadline` are past their
+    /// deadline as of the last poll. Deadlines are non-decreasing in
+    /// payment id (asserted at each arrival), so those are a prefix.
+    past_deadline: usize,
 }
 
 impl Lockstep {
@@ -50,6 +107,7 @@ impl Lockstep {
             pending: Vec::new(),
             in_pending: Vec::with_capacity(n_payments),
             order: Vec::new(),
+            past_deadline: 0,
         }
     }
 
@@ -62,57 +120,75 @@ impl Lockstep {
     pub(super) fn push(&mut self, pid: usize, pinned: Option<PathId>) {
         if !self.in_pending[pid] {
             self.in_pending[pid] = true;
-            self.pending.push(PendingEntry {
-                payment: pid,
-                pinned,
-            });
+            self.pending.push(PendingEntry::new(pid, pinned));
         }
     }
 
-    /// Forgets every pinned path. Called wherever lockstep mode hands
-    /// the router a callback that ends its `pins_single_path` promise
-    /// (fault and griefing outcomes, topology updates — rare, so a sweep
-    /// is fine). Queueing mode never pins, so its outcome and ack sites
-    /// need no sweep.
+    /// Forgets every pinned path, and with them every witness. Called
+    /// wherever lockstep mode hands the router a callback that ends its
+    /// `pins_single_path` promise (fault and griefing outcomes, topology
+    /// updates — rare, so a sweep is fine). Queueing mode never pins, so
+    /// its outcome and ack sites need no sweep.
     pub(super) fn forget_pins(&mut self) {
         for e in &mut self.pending {
-            e.pinned = None;
+            e.repin(None);
         }
     }
 
-    /// Drops inactive payments from the queue, keeping the O(1)
-    /// membership flags in sync.
-    fn retain_active(&mut self, payments: &[PaymentState]) {
-        let in_pending = &mut self.in_pending;
-        self.pending.retain(|e| {
-            let keep = payments[e.payment].active();
-            if !keep {
-                in_pending[e.payment] = false;
-            }
-            keep
-        });
+    /// Moves the expiry cursor up to `now`: afterwards, a payment is past
+    /// its deadline exactly when its id is below the cursor.
+    fn advance_expiry(&mut self, payments: &[PaymentState], now: SimTime) -> usize {
+        while payments
+            .get(self.past_deadline)
+            .is_some_and(|p| now > p.deadline)
+        {
+            self.past_deadline += 1;
+        }
+        self.past_deadline
+    }
+}
+
+#[cfg(test)]
+impl Simulation {
+    /// The retry queue, in order: each payment with the witness hop it
+    /// holds, if any.
+    pub(super) fn pending_witnesses(&self) -> Vec<(usize, Option<Hop>)> {
+        let witness = |e: &PendingEntry| e.has_witness().then_some(e.witness);
+        self.lockstep
+            .pending
+            .iter()
+            .map(|e| (e.pid(), witness(e)))
+            .collect()
     }
 }
 
 impl Simulation {
-    /// True when re-offering the payment would provably lock nothing: it
-    /// is pinned to a path some hop of which cannot carry even the
-    /// smallest chunk of what is unassigned (a closed hop has nothing
-    /// available).
-    fn locks_nothing(&self, e: PendingEntry) -> bool {
-        let Some(path) = e.pinned else {
-            return false;
-        };
-        let least = self.payments[e.payment]
+    /// The first hop of the entry's pinned path that cannot carry the
+    /// smallest chunk of what the payment has unassigned, with that
+    /// chunk: re-offering the payment would provably lock nothing (a
+    /// closed hop has nothing available). `None` when unpinned, or when
+    /// every hop can carry the chunk.
+    fn blocking_hop(&self, e: &PendingEntry) -> Option<(Hop, Amount)> {
+        let path = e.pinned()?;
+        let least = self.payments[e.pid()]
             .unassigned()
             .smallest_mtu_chunk(self.config.mtu);
-        self.net.paths.map_entry(path, |entry| {
+        let channels = &self.net.channels;
+        let hop = self.net.paths.map_entry(path, |entry| {
             entry
                 .hops()
                 .iter()
-                .map(|hop| hop.parts())
-                .any(|(c, dir)| self.net.channels[c.index()].available(dir) < least)
-        })
+                .copied()
+                .find(|hop| channels[hop.channel().index()].available(hop.direction()) < least)
+        })?;
+        Some((hop, least))
+    }
+
+    /// True while the entry's witness still blocks: its direction has less
+    /// available than the chunk it blocked when found.
+    fn witness_blocks(&self, e: &PendingEntry) -> bool {
+        let (c, dir) = e.witness.parts();
+        e.has_witness() && self.net.channels[c.index()].available(dir).drops() < u64::from(e.least)
     }
 
     /// Samples telemetry when due, then re-offers the retry queue in
@@ -121,23 +197,12 @@ impl Simulation {
     pub(super) fn on_poll(&mut self, horizon: SimTime) {
         self.sample_if_due();
         let t0 = self.obs.profiler.start();
-        // Expire overdue payments and drop finished ones from the queue.
         let now = self.net.now;
-        for &PendingEntry { payment: pid, .. } in &self.lockstep.pending {
-            let p = &mut self.payments[pid];
-            if !p.completed && now > p.deadline && !p.unassigned().is_zero() {
-                p.expired = true;
-                self.obs.trace(now, || TraceEventKind::PaymentExpired {
-                    payment: PaymentId(pid as u64),
-                    remaining: p.unassigned(),
-                    rejected: false,
-                });
-            }
-        }
-        self.lockstep.retain_active(&self.payments);
-        // Re-offer only payments whose attempt can lock something: one
-        // pinned to a path that cannot carry its smallest chunk is
-        // skipped (see the module docs for why that is exact).
+        let past_deadline = self.lockstep.advance_expiry(&self.payments, now);
+        // One pass over the queue expires overdue payments, drops
+        // finished ones, and lists the payments whose attempt can lock
+        // something: one pinned to a path that cannot carry its smallest
+        // chunk is skipped (see the module docs for why that is exact).
         //
         // Scheduling order: one key shape serves every policy (`!` reverses
         // an unsigned order). Each is a strict total order (payment-id
@@ -148,33 +213,92 @@ impl Simulation {
         let policy = self.config.scheduling;
         let mut order = std::mem::take(&mut self.lockstep.order);
         order.clear();
-        for (i, &e) in self.lockstep.pending.iter().enumerate() {
-            if self.locks_nothing(e) {
+        let mut pending = std::mem::take(&mut self.lockstep.pending);
+        let mut kept = 0;
+        for i in 0..pending.len() {
+            let mut e = pending[i];
+            let pid = e.pid();
+            if pid >= past_deadline && self.witness_blocks(&e) {
+                // Blocked where it was last time, before its deadline:
+                // kept without reading the payment or its path.
+                debug_assert!(
+                    {
+                        let p = &self.payments[pid];
+                        p.active()
+                            && now <= p.deadline
+                            && self
+                                .blocking_hop(&e)
+                                .is_some_and(|(_, least)| least.drops() == u64::from(e.least))
+                    },
+                    "payment {pid}: a standing witness implies an active, blocked payment"
+                );
+                pending[kept] = e;
+                kept += 1;
                 continue;
             }
-            let p = &self.payments[e.payment];
-            let (remaining, arrival) = (p.unassigned().drops(), p.arrival.micros());
-            let key = match policy {
-                SchedulingPolicy::Srpt => (remaining, arrival),
-                SchedulingPolicy::Fifo => (arrival, 0),
-                SchedulingPolicy::LargestRemaining => (!remaining, arrival),
-            };
-            order.push((key, e.payment, i as u32));
+            let p = &mut self.payments[pid];
+            if !p.completed && now > p.deadline && !p.unassigned().is_zero() {
+                p.expired = true;
+                self.obs.trace(now, || TraceEventKind::PaymentExpired {
+                    payment: PaymentId(pid as u64),
+                    remaining: p.unassigned(),
+                    rejected: false,
+                });
+            }
+            if !p.active() {
+                self.lockstep.in_pending[pid] = false;
+                continue;
+            }
+            match self.blocking_hop(&e) {
+                Some(blocked) => e.set_witness(blocked),
+                None => {
+                    e.least = 0;
+                    let p = &self.payments[pid];
+                    let (remaining, arrival) = (p.unassigned().drops(), p.arrival.micros());
+                    let key = match policy {
+                        SchedulingPolicy::Srpt => (remaining, arrival),
+                        SchedulingPolicy::Fifo => (arrival, 0),
+                        SchedulingPolicy::LargestRemaining => (!remaining, arrival),
+                    };
+                    order.push((key, pid, kept as u32));
+                }
+            }
+            pending[kept] = e;
+            kept += 1;
         }
+        pending.truncate(kept);
+        self.lockstep.pending = pending;
         order.sort_unstable();
         // Attempts only append to the queue (queueing-mode drops may
         // re-queue a payment), so the positions stay valid.
-        for &(_, _, i) in &order {
-            let e = self.lockstep.pending[i as usize];
+        for &(_, pid, i) in &order {
+            let i = i as usize;
+            // An attempt changes only its own payment, so this one is as
+            // active as the scan found it.
+            debug_assert!(self.payments[pid].active());
             // Tested again at its turn: an earlier attempt of this poll
             // may have taken what the scan saw.
-            if self.payments[e.payment].active() && !self.locks_nothing(e) {
-                self.metrics.retry();
-                self.lockstep.pending[i as usize].pinned = self.attempt_payment(e.payment);
+            if let Some(blocked) = self.blocking_hop(&self.lockstep.pending[i]) {
+                self.lockstep.pending[i].set_witness(blocked);
+                continue;
             }
+            self.metrics.retry();
+            let pinned = self.attempt_payment(pid);
+            self.lockstep.pending[i].repin(pinned);
         }
         self.lockstep.order = order;
-        self.lockstep.retain_active(&self.payments);
+        // Only an attempted payment can have finished: an entry holding a
+        // witness was not attempted, so it is as active as the scan found
+        // it.
+        let (payments, in_pending) = (&self.payments, &mut self.lockstep.in_pending);
+        self.lockstep.pending.retain(|e| {
+            let keep = e.has_witness() || payments[e.pid()].active();
+            debug_assert!(!keep || payments[e.pid()].active());
+            if !keep {
+                in_pending[e.pid()] = false;
+            }
+            keep
+        });
         self.obs.profiler.stop(Phase::Routing, t0);
         let next = now + POLL_INTERVAL;
         if next <= horizon {
@@ -245,47 +369,31 @@ impl Simulation {
                 }
             }
             let want = prop.amount.min(budget);
-            let mut chunks = want.mtu_chunks(mtu);
-            // What this proposal locks settles as one batch.
-            let mut locked = Amount::ZERO;
-            while let Some(unit) = chunks.next() {
-                if hop_by_hop {
+            if hop_by_hop {
+                for unit in want.mtu_chunks(mtu) {
                     let accepted = self.inject_unit(pid, unit, prop.path);
                     if accepted {
                         budget -= unit;
                     }
                     self.report_outcome(pid, prop.path, unit, accepted, None);
-                    continue;
                 }
-                if self.try_lock_unit(pid, unit, prop.path) {
-                    // Chunks come full MTUs first, so every unit locked
-                    // before this one was a full MTU: the batch's units
-                    // are exactly `locked.mtu_chunks(mtu)`.
-                    debug_assert_eq!(locked.drops() % mtu.drops(), 0, "a partial unit is last");
-                    locked += unit;
-                    budget -= unit;
-                } else if atomic {
-                    aborted = true;
-                    break;
-                } else if !self.router_observes && unit == mtu {
-                    // A failed lock rolled back completely, so every
-                    // further full-MTU chunk on this path fails the same
-                    // way. When no router hook observes per-unit outcomes,
-                    // count those failures instead of re-walking the path
-                    // for each.
-                    let skipped = chunks.skip_full_chunks();
-                    if skipped > 0 {
-                        self.metrics.unit_lock_failures(skipped);
-                    }
-                }
+                continue;
             }
+            // What this proposal locks settles as one batch.
+            let (locked, abort) = if self.router_observes {
+                self.lock_each_unit(pid, prop.path, want, atomic)
+            } else {
+                self.lock_units(pid, prop.path, want, atomic)
+            };
+            budget -= locked;
             if !locked.is_zero() {
                 let event_id = self.schedule_settle(pid, prop.path, locked);
                 if atomic {
                     batches.push((prop.path, locked, event_id));
                 }
             }
-            if aborted {
+            if abort {
+                aborted = true;
                 break;
             }
         }
@@ -305,6 +413,120 @@ impl Simulation {
             self.payments[pid].expired = true;
         }
         pinned
+    }
+
+    /// Locks a proposal's `want` on `path` unit by unit, each unit's
+    /// outcome reported to the router that observes it. Returns what
+    /// locked, and whether an all-or-nothing scheme must abort.
+    fn lock_each_unit(
+        &mut self,
+        pid: usize,
+        path: PathId,
+        want: Amount,
+        atomic: bool,
+    ) -> (Amount, bool) {
+        let mut locked = Amount::ZERO;
+        for unit in want.mtu_chunks(self.config.mtu) {
+            if self.try_lock_unit(pid, unit, path) {
+                locked += unit;
+            } else if atomic {
+                return (locked, true);
+            }
+        }
+        (locked, false)
+    }
+
+    /// Locks a proposal's `want` on `path` for a router that observes no
+    /// per-unit outcome: its full units in one pass
+    /// ([`Self::lock_full_units`]), then the partial last one, if any, on
+    /// its own. Counts and traces exactly what locking unit by unit
+    /// would. Returns what locked, and whether an all-or-nothing scheme
+    /// must abort.
+    fn lock_units(
+        &mut self,
+        pid: usize,
+        path: PathId,
+        want: Amount,
+        atomic: bool,
+    ) -> (Amount, bool) {
+        let mtu = self.config.mtu;
+        let full = want.drops() / mtu.drops();
+        let fit = self.lock_full_units(pid, path, full);
+        let mut locked = mtu * fit;
+        if fit < full {
+            if atomic {
+                return (locked, true);
+            }
+            // The unit that did not fit rolled back, leaving every
+            // balance as it was, so each later full unit would fail the
+            // same way: counted, not tried.
+            self.metrics.unit_lock_failures(full - fit - 1);
+        }
+        let partial = want - mtu * full;
+        if !partial.is_zero() {
+            if self.try_lock_unit(pid, partial, path) {
+                locked += partial;
+            } else if atomic {
+                return (locked, true);
+            }
+        }
+        (locked, false)
+    }
+
+    /// Locks as many of `full` full-MTU units on `path` as every hop can
+    /// carry — `fit` — with one lock per hop, and records what locking
+    /// them one by one would: `fit` locked units, then, if `fit < full`,
+    /// one unit whose lock failed and rolled back. Returns `fit`.
+    fn lock_full_units(&mut self, pid: usize, path: PathId, full: u64) -> u64 {
+        if full == 0 {
+            return 0;
+        }
+        let mtu = self.config.mtu;
+        let channels = &mut self.net.channels;
+        let (fit, hops) = self.net.paths.map_entry(path, |entry| {
+            let hops = entry.hops();
+            // Each unit takes one MTU per crossing, so a direction the
+            // path crosses m times carries ⌊available / (m · mtu)⌋ units
+            // (in-tree routers emit loop-free paths, where m = 1, but the
+            // path table does not require it).
+            let fit = hops
+                .iter()
+                .map(|&hop| {
+                    let ch = &channels[hop.channel().index()];
+                    match ch.available(hop.direction()).drops() / mtu.drops() {
+                        0 => 0,
+                        units => units / hops.iter().filter(|&&h| h == hop).count() as u64,
+                    }
+                })
+                .min()
+                .unwrap_or(0)
+                .min(full);
+            if fit > 0 {
+                for hop in hops {
+                    let ch = &mut channels[hop.channel().index()];
+                    let locked = ch.lock(hop.direction(), mtu * fit);
+                    debug_assert!(locked, "every hop carries the units that fit");
+                }
+            }
+            (fit, hops.len())
+        });
+        let lock = |ok| {
+            move || TraceEventKind::LockOutcome {
+                payment: PaymentId(pid as u64),
+                path,
+                amount: mtu,
+                ok,
+            }
+        };
+        if fit > 0 {
+            self.metrics.units_locked(hops, fit);
+            self.obs.trace_n(self.net.now, fit, lock(true));
+        }
+        if fit < full {
+            self.metrics.unit_lock(hops, false);
+            self.obs.trace(self.net.now, lock(false));
+        }
+        fit
     }
 
     /// Attempts to lock one unit along the path, rolling back on the

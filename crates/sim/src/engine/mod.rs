@@ -27,6 +27,21 @@
 //!   deposit, resize, reopen) needs a hook. `retries`, `units_failed`
 //!   and `RouteRequest::attempt` therefore count attempts actually made.
 //!
+//!   One pass over the queue expires overdue payments, drops finished
+//!   ones and runs that test. A blocked entry keeps its **witness** — the
+//!   hop that blocked and the chunk it could not carry — and the next
+//!   poll reads that one direction first: while it still blocks and the
+//!   payment's deadline has not passed, the entry stays without its
+//!   payment or path being read. That is exact because while a pin
+//!   stands the unassigned amount cannot change (a settle moves value
+//!   from in flight to delivered, and every refund but an expiry's comes
+//!   with a callback that forgets the pins), so neither the chunk nor
+//!   the payment's being active can. Deadlines are the arrival plus one
+//!   constant and payments are numbered in arrival order, so those that
+//!   have passed are a prefix of the ids: an **expiry cursor** tells
+//!   them apart without reading a payment. Every entry is still visited
+//!   at every poll.
+//!
 //! Ties in event time are broken by insertion sequence, so runs are fully
 //! deterministic.
 //!
@@ -455,6 +470,7 @@ impl Simulation {
                     if let Some(next) = self.arrivals.next_due(horizon) {
                         self.events.schedule_arrival(next);
                     }
+                    self.obs.profiler.lap(&mut it, Phase::Arrivals);
                     self.on_arrival(spec, false);
                 }
                 EventKind::DeferredArrival(spec) => self.on_arrival(spec, true),
@@ -570,6 +586,14 @@ impl Simulation {
             Some(d) => spec.time + d,
             None => SimTime::FAR_FUTURE,
         };
+        // Payments arrive in event order and every deadline is the arrival
+        // plus one constant, so deadlines never fall with the payment id:
+        // the retry poll's expiry cursor rests on it.
+        assert!(
+            self.payments.last().is_none_or(|p| p.deadline <= deadline),
+            "payment {} arrives with a deadline before its predecessor's",
+            self.payments.len()
+        );
         // Overload griefing: one draw per arrival (no plan, no draw).
         let griefing = self
             .overload

@@ -61,6 +61,18 @@ impl Obs {
         }
     }
 
+    /// [`Obs::trace`] for `n` identical records in a row: `event()` is
+    /// evaluated once, and only while tracing.
+    #[inline]
+    pub(super) fn trace_n(&mut self, now: SimTime, n: u64, event: impl FnOnce() -> TraceEventKind) {
+        if let Some(t) = self.trace.as_mut().filter(|_| n > 0) {
+            let kind = event();
+            for _ in 0..n {
+                t.record(now.micros(), kind.clone());
+            }
+        }
+    }
+
     /// Attribution feed: a unit waited `secs` in `channel`'s queue.
     #[inline]
     pub(super) fn queue_wait(&mut self, channel: ChannelId, secs: f64) {

@@ -205,6 +205,19 @@ impl Queueing {
         ((c, d), verdict)
     }
 
+    /// Lists `(c, d)` for the drain if its queue holds units; returns
+    /// whether it did. No queue gains a unit while a drain runs (units
+    /// join queues only on injection, on arriving at a hop, or when shed
+    /// into one, and no drain reaches those), so an empty one would still
+    /// be empty at its turn.
+    fn release(&mut self, c: ChannelId, d: Direction) -> bool {
+        let waiting = !self.queues[c.index()][d.index()].is_empty();
+        if waiting {
+            self.released.push_back((c, d));
+        }
+        waiting
+    }
+
     /// Units waiting in router queues right now.
     pub(super) fn queued_units(&self) -> usize {
         self.queued_total
@@ -606,7 +619,7 @@ impl Simulation {
         }
         for (c, d) in locked.iter().map(|hop| hop.parts()) {
             self.net.channels[c.index()].refund(d, amount);
-            q.released.push_back((c, d));
+            q.release(c, d);
         }
         self.payments[pid].inflight -= amount;
         if reason == DropReason::ChannelClosed {
@@ -675,14 +688,19 @@ impl Simulation {
     }
 
     /// Services the queues of directions that just gained balance. A
-    /// no-op in lockstep mode, where nothing is ever queued.
+    /// no-op in lockstep mode, where nothing is ever queued, and when no
+    /// released direction has units waiting.
     pub(super) fn drain_released(
         &mut self,
         released: impl IntoIterator<Item = (ChannelId, Direction)>,
     ) {
         if let Some(q) = self.queueing.as_mut() {
-            q.released.extend(released);
-            self.drain();
+            let listed = released
+                .into_iter()
+                .fold(false, |listed, (c, d)| q.release(c, d) | listed);
+            if listed {
+                self.drain();
+            }
         }
     }
 
@@ -691,8 +709,13 @@ impl Simulation {
     /// (drops refund upstream hops), so this works through the list.
     fn drain(&mut self) {
         let now = self.net.now;
+        let queued_at_start = self.queued_units();
         let next = |q: &mut Queueing| q.released.pop_front();
         while let Some((c, d)) = self.queueing.as_mut().and_then(next) {
+            debug_assert!(
+                self.queued_units() <= queued_at_start,
+                "a queue gained a unit during a drain"
+            );
             while let Some(q) = self.queueing.as_mut() {
                 let Some(&uid) = q.queues[c.index()][d.index()].front() else {
                     break;

@@ -319,12 +319,12 @@ fn profiler_counts_are_exact_on_a_fixed_run() {
         (
             "fifo",
             qconfig(QueueConfig::default()).queueing,
-            [95, 55, 17, 0, 2, 5, 0, 0],
+            [95, 55, 17, 0, 2, 5, 0, 0, 5],
         ),
         (
             "lockstep",
             crate::config::QueueingMode::Lockstep,
-            [69, 55, 0, 9, 2, 5, 0, 0],
+            [69, 55, 0, 9, 2, 5, 0, 0, 5],
         ),
     ] {
         let t = gen::line(3, xrp(10));

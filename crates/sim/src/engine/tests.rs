@@ -1,5 +1,6 @@
 use super::test_util::{new_sim, run_checked, shortest_path_proposal, txn, xrp};
 use super::Simulation;
+use crate::channel::ChannelState;
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
 use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, UnitOutcome};
@@ -8,7 +9,7 @@ use spider_faults::{FaultChange, FaultPlan};
 use spider_obs::trace::TraceEventKind;
 use spider_topology::{gen, Topology};
 use spider_types::{
-    Amount, ChannelId, Direction, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
+    Amount, ChannelId, Direction, Hop, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
 };
 
 /// Test router: always proposes the single BFS shortest path for the
@@ -28,7 +29,7 @@ impl Router for DirectRouter {
         self.atomic
     }
     fn observes_unit_outcomes(&self) -> bool {
-        false // exercise the engine's batched failed-lock fast path
+        false // exercise the engine's one-pass lock of full units
     }
 }
 
@@ -444,9 +445,9 @@ fn streaming_source_runs_identically_to_materialized() {
 
 #[test]
 fn failed_lock_batching_preserves_outcomes() {
-    // A router with a no-op outcome hook lets the engine batch-count
-    // identical failed chunks. Forcing the hook "observed" disables
-    // the fast path; every outcome must be unchanged.
+    // A router with a no-op outcome hook lets the engine lock a
+    // proposal's full units in one pass. Forcing the hook "observed"
+    // makes it lock unit by unit; every outcome must be unchanged.
     struct Observing;
     impl Router for Observing {
         fn name(&self) -> &'static str {
@@ -668,4 +669,251 @@ fn a_lockstep_fault_plan_draws_a_verdict_for_each_unit_of_a_batch() {
     assert_eq!(r.faults_injected, refunded);
     assert_eq!(r.drops_by_reason.message_lost, refunded);
     assert_eq!(r.units_dropped, refunded);
+}
+
+/// Test router that proposes one hand-interned path for the whole
+/// remainder and observes no per-unit outcome, so the engine locks its
+/// full units in one pass.
+struct FixedPath {
+    nodes: Vec<NodeId>,
+    atomic: bool,
+}
+
+impl Router for FixedPath {
+    fn name(&self) -> &'static str {
+        "fixed-path-test"
+    }
+    fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+        vec![RouteProposal {
+            path: view.intern(&self.nodes),
+            amount: req.remaining,
+        }]
+    }
+    fn atomic(&self) -> bool {
+        self.atomic
+    }
+    fn observes_unit_outcomes(&self) -> bool {
+        false
+    }
+}
+
+/// What locking `want` over `hops` one unit at a time records — the
+/// reference the engine's one-pass lock must reproduce: each chunk
+/// locks hop after hop and rolls back at the first that cannot carry it; after a failed full unit the later full units are counted
+/// as failed without being tried; an atomic scheme stops at the first
+/// failure and refunds what it locked. Returns the traced `(amount, ok)`
+/// lock records and the failures counted.
+fn per_unit_reference(
+    channels: &mut [ChannelState],
+    hops: &[Hop],
+    want: Amount,
+    mtu: Amount,
+    atomic: bool,
+) -> (Vec<(Amount, bool)>, u64) {
+    let (mut traced, mut failed, mut locked) = (Vec::new(), 0, Vec::new());
+    let mut skipping = false;
+    for unit in want.mtu_chunks(mtu) {
+        if skipping && unit == mtu {
+            failed += 1;
+            continue;
+        }
+        let failed_at = hops
+            .iter()
+            .position(|hop| !channels[hop.channel().index()].lock(hop.direction(), unit));
+        let ok = failed_at.is_none();
+        for hop in &hops[..failed_at.unwrap_or(0)] {
+            channels[hop.channel().index()].refund(hop.direction(), unit);
+        }
+        traced.push((unit, ok));
+        if ok {
+            locked.push(unit);
+            continue;
+        }
+        failed += 1;
+        if atomic {
+            for unit in locked {
+                for hop in hops {
+                    channels[hop.channel().index()].refund(hop.direction(), unit);
+                }
+            }
+            break;
+        }
+        skipping = unit == mtu;
+    }
+    (traced, failed)
+}
+
+/// Runs one traced payment of `amount` from `nodes[0]` along `nodes` on
+/// `topo` to just after it arrives (before any poll or settle), and
+/// checks the balances, lock counts and `lock` trace records against
+/// [`per_unit_reference`]. Returns the traced records.
+fn check_against_per_unit(
+    topo: Topology,
+    nodes: &[u32],
+    amount: Amount,
+    mtu: Amount,
+    atomic: bool,
+) -> Vec<(Amount, bool)> {
+    let nodes: Vec<NodeId> = nodes.iter().map(|&n| NodeId(n)).collect();
+    let hops = topo.path_channels(&nodes).expect("a path of the topology");
+    let mut channels: Vec<ChannelState> = topo
+        .channels()
+        .map(|(_, c)| ChannelState::split_equally(c.capacity))
+        .collect();
+    let (want_traced, want_failed) = per_unit_reference(&mut channels, &hops, amount, mtu, atomic);
+    let mut cfg = base_config();
+    cfg.mtu = mtu;
+    cfg.horizon = SimDuration::from_millis(50);
+    cfg.obs.trace = true;
+    let router = Box::new(FixedPath { nodes, atomic });
+    let txns = vec![txn(0, 0, 1, amount)];
+    let (r, mut sim) = run_checked(new_sim(topo, Workload { txns }, router, cfg));
+    let trace = sim.take_trace().expect("tracing was on");
+    let traced: Vec<(Amount, bool)> = trace
+        .events()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::LockOutcome { amount, ok, .. } => Some((amount, ok)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(traced, want_traced, "lock records");
+    let locked = want_traced.iter().filter(|(_, ok)| *ok).count() as u64;
+    assert_eq!((r.units_locked, r.units_failed), (locked, want_failed));
+    assert_eq!(sim.channel_states(), &channels[..], "balances");
+    traced
+}
+
+#[test]
+fn a_proposal_locks_the_full_units_that_fit_then_its_partial_chunk() {
+    // 0→1→2 with 3.5 XRP forward on the second hop: of 6.5 XRP at a
+    // 1-XRP MTU, three full units fit, the fourth fails, the last two are
+    // counted, and the 0.5 XRP chunk fits what is left.
+    let mut b = Topology::builder(3);
+    for (u, v, cap) in [(0, 1, xrp(20)), (1, 2, xrp(7))] {
+        b.channel(NodeId(u), NodeId(v), cap)
+            .expect("channel endpoints are distinct known nodes");
+    }
+    let half = Amount::from_drops(500_000);
+    let traced = check_against_per_unit(b.build(), &[0, 1, 2], xrp(6) + half, xrp(1), false);
+    let mut want = vec![(xrp(1), true); 3];
+    want.extend([(xrp(1), false), (half, true)]);
+    assert_eq!(traced, want);
+}
+
+#[test]
+fn a_path_crossing_one_direction_twice_fits_half_as_many_units() {
+    // 0→1→2→0→1 crosses 0→1 twice: its 5 XRP forward carry two 1-XRP
+    // units, not five.
+    let traced = check_against_per_unit(
+        gen::cycle(3, xrp(10)),
+        &[0, 1, 2, 0, 1],
+        xrp(4),
+        xrp(1),
+        false,
+    );
+    assert_eq!(traced, [(xrp(1), true), (xrp(1), true), (xrp(1), false)]);
+}
+
+#[test]
+fn an_atomic_proposal_aborts_at_the_first_unit_that_does_not_fit() {
+    // As the first case, all or nothing: three units lock, the fourth
+    // fails, and every balance is back where it started.
+    let mut b = Topology::builder(3);
+    for (u, v, cap) in [(0, 1, xrp(20)), (1, 2, xrp(7))] {
+        b.channel(NodeId(u), NodeId(v), cap)
+            .expect("channel endpoints are distinct known nodes");
+    }
+    let half = Amount::from_drops(500_000);
+    let traced = check_against_per_unit(b.build(), &[0, 1, 2], xrp(6) + half, xrp(1), true);
+    let mut want = vec![(xrp(1), true); 3];
+    want.push((xrp(1), false));
+    assert_eq!(traced, want);
+}
+
+/// The RouteProposal instants of payment `pid` in a traced run, µs.
+fn proposal_times(sim: &mut Simulation, pid: u64) -> Vec<u64> {
+    let trace = sim.take_trace().expect("tracing was on");
+    let times = trace.events().filter_map(|e| match e.kind {
+        TraceEventKind::RouteProposal { payment, .. } if payment.0 == pid => Some(e.t_us),
+        _ => None,
+    });
+    times.collect()
+}
+
+#[test]
+fn a_blocked_payment_expires_at_the_first_poll_past_its_deadline() {
+    // Payment 1 waits behind an empty 0→1 that nothing refills; its
+    // deadline is 1.1 s, so the 1.2 s poll expires it, traces it and
+    // takes it out of the queue, without ever re-offering it.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = Some(SimDuration::from_secs(1));
+    cfg.horizon = SimDuration::from_secs(2);
+    cfg.obs.trace = true;
+    let txns = vec![txn(0, 0, 1, xrp(5)), txn(100, 0, 1, xrp(3))];
+    let (r, mut sim) = run_checked(pinned_sim(gen::line(2, xrp(10)), txns, cfg));
+    assert_eq!(r.retries, 0);
+    assert_eq!(r.completed_payments, 1);
+    assert!(sim.pending_witnesses().is_empty());
+    let trace = sim.take_trace().expect("tracing was on");
+    let expired: Vec<(u64, u64, Amount)> = trace
+        .events()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::PaymentExpired {
+                payment, remaining, ..
+            } => Some((e.t_us, payment.0, remaining)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(expired, [(1_200_000, 1, xrp(3))]);
+}
+
+#[test]
+fn a_refilled_witness_with_another_hop_blocked_moves_the_witness() {
+    // 0→1→2: payment 0 empties both forward hops. Payment 1 waits with
+    // its witness on the first hop. Payment 2 (1→0) refills that hop at
+    // 1.5 s, but the second stays empty: payment 1 is skipped again, now
+    // witnessed by the second hop.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = None;
+    cfg.obs.trace = true;
+    let t = gen::line(3, xrp(10));
+    let (first, second) = (ChannelId(0), ChannelId(1));
+    let txns = vec![
+        txn(0, 0, 2, xrp(5)),
+        txn(100, 0, 2, xrp(3)),
+        txn(1_000, 1, 0, xrp(4)),
+    ];
+    for (horizon_ms, witness) in [(1_000, first), (2_000, second)] {
+        cfg.horizon = SimDuration::from_millis(horizon_ms);
+        let (r, mut sim) = run_checked(pinned_sim(t.clone(), txns.clone(), cfg.clone()));
+        assert_eq!(r.retries, 0, "by {horizon_ms} ms");
+        let witness = Hop::new(witness, Direction::Forward);
+        assert_eq!(
+            sim.pending_witnesses(),
+            [(1, Some(witness))],
+            "by {horizon_ms} ms"
+        );
+        assert_eq!(proposal_times(&mut sim, 1), [100_000], "by {horizon_ms} ms");
+    }
+}
+
+#[test]
+fn a_refill_of_the_witness_that_unblocks_the_path_goes_through_at_that_poll() {
+    // 0→1: payment 1 waits behind the empty forward side, witnessed
+    // there. Payment 2 (1→0) settles at 2.5 s, before the 2.5 s poll
+    // runs, and that poll re-offers payment 1, which completes.
+    let mut cfg = base_config();
+    cfg.mtu = xrp(1);
+    cfg.deadline = None;
+    cfg.obs.trace = true;
+    let txns = vec![
+        txn(0, 0, 1, xrp(5)),
+        txn(100, 0, 1, xrp(3)),
+        txn(2_000, 1, 0, xrp(4)),
+    ];
+    let (r, mut sim) = run_checked(pinned_sim(gen::line(2, xrp(10)), txns, cfg));
+    assert_eq!((r.retries, r.completed_payments), (1, 3));
+    assert_eq!(proposal_times(&mut sim, 1), [100_000, 2_500_000]);
 }

@@ -328,6 +328,10 @@ impl SimReport {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
     report: SimReport,
+    /// Locked units per hop count, folded into
+    /// [`SimReport::path_length_hist`] by [`MetricsCollector::finish`]:
+    /// a count per unit instead of a histogram record.
+    path_lengths: Vec<u64>,
 }
 
 impl MetricsCollector {
@@ -369,16 +373,25 @@ impl MetricsCollector {
     /// Records a unit lock success (with its hop count) or failure.
     pub fn unit_lock(&mut self, hops: usize, success: bool) {
         if success {
-            self.report.units_locked += 1;
-            self.report.unit_hops_sum += hops as u64;
-            self.report.path_length_hist.record(hops as f64);
+            self.units_locked(hops, 1);
         } else {
             self.report.units_failed += 1;
         }
     }
 
-    /// Records `n` failed unit locks at once (the engine's batched
-    /// skip of identical full-MTU failures); equivalent to `n` calls to
+    /// Records `n` units locked along paths of `hops` hops; equivalent to
+    /// `n` calls to [`MetricsCollector::unit_lock`] with `success = true`.
+    pub fn units_locked(&mut self, hops: usize, n: u64) {
+        self.report.units_locked += n;
+        self.report.unit_hops_sum += hops as u64 * n;
+        if self.path_lengths.len() <= hops {
+            self.path_lengths.resize(hops + 1, 0);
+        }
+        self.path_lengths[hops] += n;
+    }
+
+    /// Records `n` failed unit locks at once (the full-MTU units a
+    /// batched lock never tries); equivalent to `n` calls to
     /// [`MetricsCollector::unit_lock`] with `success = false`.
     pub fn unit_lock_failures(&mut self, n: u64) {
         self.report.units_failed += n;
@@ -489,6 +502,11 @@ impl MetricsCollector {
     /// Finalizes into a report.
     pub fn finish(self, scheme: &str, horizon: SimDuration) -> SimReport {
         let mut report = self.report;
+        // Hop counts are small integers, so every partial sum is exact
+        // and the histogram is the one per-unit records would build.
+        for (hops, &n) in self.path_lengths.iter().enumerate() {
+            report.path_length_hist.record_n(hops as f64, n);
+        }
         report.scheme = scheme.to_string();
         report.horizon = horizon;
         report.units_dropped_fault = report.drops_by_reason.fault_total();

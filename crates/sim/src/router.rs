@@ -249,9 +249,9 @@ pub trait Router {
 
     /// True when [`Router::on_unit_outcome`] does something. Schemes that
     /// keep the default no-op hook should return `false`: the engine then
-    /// elides the calls — and, since a failed lock rolls back completely,
-    /// batch-counts the identical failures of remaining same-size chunks
-    /// instead of re-walking the path for each. Purely a performance
+    /// elides the calls — and, since no hook sees a unit's outcome before
+    /// the next unit locks, locks a proposal's full units in one pass
+    /// instead of walking the path for each. Purely a performance
     /// hint: with a no-op hook, outcomes are identical either way.
     /// Wrappers must forward to their inner scheme if they forward the
     /// outcome hook (and return `true` if they observe outcomes

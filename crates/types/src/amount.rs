@@ -186,21 +186,6 @@ pub struct MtuChunks {
     mtu: u64,
 }
 
-impl MtuChunks {
-    /// Skips every remaining full-MTU chunk, returning how many were
-    /// skipped; the iterator then yields at most the final partial chunk.
-    ///
-    /// Used by the engine's failed-lock fast path: when a full-size unit
-    /// fails to lock a path and the lock attempt left channel balances
-    /// unchanged, every further full-size chunk on the same path would
-    /// fail identically, so they can be counted instead of re-walked.
-    pub fn skip_full_chunks(&mut self) -> u64 {
-        let full = self.remaining / self.mtu;
-        self.remaining -= full * self.mtu;
-        full
-    }
-}
-
 impl Iterator for MtuChunks {
     type Item = Amount;
 
@@ -465,24 +450,6 @@ mod tests {
                 "{total} at MTU {mtu}"
             );
         }
-    }
-
-    #[test]
-    fn skip_full_chunks_leaves_only_the_partial() {
-        // 10.5 XRP at 3-XRP MTU: chunks are 3, 3, 3, 1.5.
-        let mut it = Amount::from_drops(10_500_000).mtu_chunks(Amount::from_xrp(3));
-        assert_eq!(it.next(), Some(Amount::from_xrp(3)));
-        assert_eq!(it.skip_full_chunks(), 2);
-        assert_eq!(it.next(), Some(Amount::from_drops(1_500_000)));
-        assert_eq!(it.next(), None);
-        // Exact multiple: skipping consumes everything.
-        let mut it = Amount::from_xrp(9).mtu_chunks(Amount::from_xrp(3));
-        assert_eq!(it.skip_full_chunks(), 3);
-        assert_eq!(it.next(), None);
-        // Nothing but a partial: nothing to skip.
-        let mut it = Amount::from_drops(1).mtu_chunks(Amount::from_xrp(10));
-        assert_eq!(it.skip_full_chunks(), 0);
-        assert_eq!(it.next(), Some(Amount::from_drops(1)));
     }
 
     #[test]

@@ -27,37 +27,43 @@ fn every_paper_scheme_runs_and_reports_sanely() {
 
 /// The profiler attributes a run's set-up as well as its loop. In a small
 /// lockstep run and a small FIFO run of a prewarming scheme, exactly the
-/// phases marked ran (count > 0), and the two set-up phases — listing the
-/// prewarm pairs and the router's prewarm — ran once each and took time.
+/// phases marked ran (count > 0), the two set-up phases — listing the
+/// prewarm pairs and the router's prewarm — ran once each and took time,
+/// and arrival generation ran once per `Arrival` event.
 #[test]
 fn profile_attributes_the_prewarm() {
     let fifo = QueueingMode::PerChannelFifo(QueueConfig::default());
     // calendar_pop, routing, forwarding, settlement, churn_repair,
-    // sampling, prewarm_pairs, prewarm
+    // sampling, prewarm_pairs, prewarm, arrivals
     for (scheme, queueing, ran) in [
         (
             SchemeConfig::ShortestPath,
             QueueingMode::Lockstep,
-            [true, true, false, true, false, true, true, true],
+            [true, true, false, true, false, true, true, true, true],
         ),
         (
             SchemeConfig::spider_protocol(4),
             fifo,
-            [true, true, true, false, false, true, true, true],
+            [true, true, true, false, false, true, true, true, true],
         ),
     ] {
         let mut cfg = small_isp_experiment(5, 10_000);
         cfg.scheme = scheme;
         cfg.sim.queueing = queueing;
         cfg.sim.obs.profile = true;
-        let profile = cfg.run().expect("runs").profile;
-        let phases = profile.phases();
+        let report = cfg.run().expect("runs");
+        let phases = report.profile.phases();
         let got = phases.map(|(_, phase)| phase.count > 0);
         assert_eq!(got, ran, "{}: {phases:?}", cfg.scheme.name());
-        for (name, phase) in &phases[6..] {
+        for (name, phase) in &phases[6..8] {
             assert_eq!(phase.count, 1, "{name}");
             assert!(phase.total_ns > 0, "{name}");
         }
+        // No admission gate defers an arrival, so each `Arrival` event is
+        // one attempted payment.
+        assert!(cfg.sim.admission.is_none());
+        let (name, arrivals) = phases[8];
+        assert_eq!(arrivals.count, report.attempted_payments, "{name}");
     }
 }
 

@@ -4,13 +4,14 @@
 
 use spider_core::experiment::demand_graph;
 use spider_core::{ExperimentConfig, SchemeConfig};
+use spider_obs::trace::TraceEventKind;
 use spider_sim::{
     QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, SizeDistribution, Workload,
     WorkloadConfig,
 };
 use spider_tests::ledger_audit::{audited_run, max_silence, parse_event};
-use spider_topology::gen;
-use spider_types::{Amount, DetRng, SimDuration};
+use spider_topology::{gen, Topology};
+use spider_types::{Amount, DetRng, NodeId, SimDuration};
 
 /// Runs `scheme` on a 2,000-XRP ISP graph under a 3,000-payment workload,
 /// with every capacity, payment amount and the MTU multiplied by `k`.
@@ -195,6 +196,148 @@ fn shifting_every_arrival_changes_no_outcome() {
                 let ((seq_a, t_a, kind_a), (seq_b, t_b, kind_b)) = (parse_event(a), parse_event(b));
                 assert_eq!(t_b, t_a + SHIFT_US, "{label}: {a} vs {b}");
                 assert_eq!((seq_a, kind_a), (seq_b, kind_b), "{label}: {a} vs {b}");
+            }
+        }
+    }
+}
+
+/// Runs `scheme` traced and audited on the 2,000-XRP ISP graph under a
+/// 1,500-payment workload; with `relabel`, on a copy of the graph whose
+/// node `i` is node `2i + 1` of `2n + 1` (the even ids isolated), under
+/// the same workload relabelled the same way. The channels are added in
+/// their original order, so channel ids do not change. Returns the report
+/// and the rendered trace.
+fn run_relabelled(
+    scheme: SchemeConfig,
+    queueing: QueueingMode,
+    relabel: bool,
+) -> (SimReport, String) {
+    let base = gen::isp_topology(Amount::from_xrp(2_000));
+    let mut workload = Workload::generate(
+        base.node_count(),
+        &WorkloadConfig {
+            count: 1_500,
+            rate_per_sec: 300.0,
+            size: SizeDistribution::RippleIsp,
+            sender_skew_scale: 8.0,
+        },
+        &mut DetRng::new(42),
+    );
+    let topo = if relabel {
+        let mut b = Topology::builder(2 * base.node_count() + 1);
+        for (_, c) in base.channels() {
+            b.channel(odd(c.u), odd(c.v), c.capacity)
+                .expect("relabelled endpoints are distinct known nodes");
+        }
+        for txn in &mut workload.txns {
+            (txn.src, txn.dst) = (odd(txn.src), odd(txn.dst));
+        }
+        b.build()
+    } else {
+        base
+    };
+    let mut cfg = SimConfig {
+        mtu: Amount::from_xrp(10),
+        horizon: SimDuration::from_secs(6),
+        queueing,
+        ..SimConfig::default()
+    };
+    cfg.obs.trace = true;
+    let demands = demand_graph(&workload, topo.node_count());
+    let router = scheme.build(&topo, &demands, cfg.confirmation_delay.as_secs_f64());
+    let silence = max_silence(&ExperimentConfig {
+        sim: cfg.clone(),
+        scheme,
+        ..ExperimentConfig::default()
+    });
+    let sim = Simulation::new(topo, workload, router, cfg).expect("builds");
+    let (out, jsonl) = audited_run(&format!("{scheme:?} relabelled {relabel}"), silence, sim);
+    (out.report, jsonl)
+}
+
+/// Node `i` of the relabelled graph: `2i + 1`.
+fn odd(n: NodeId) -> NodeId {
+    NodeId(2 * n.0 + 1)
+}
+
+/// Back from [`odd`].
+fn unodd(n: NodeId) -> NodeId {
+    assert_eq!(n.0 % 2, 1, "an even node id is isolated: {n:?}");
+    NodeId(n.0 / 2)
+}
+
+/// A relabelled trace's `path` line with its nodes mapped back.
+fn unodd_path_line(line: &str) -> String {
+    let (head, nodes) = line.split_once("\"nodes\":[").expect("a path line");
+    let nodes = nodes.trim_end_matches("]}").split(',');
+    let nodes: Vec<String> = nodes
+        .map(|n| unodd(NodeId(n.parse().expect("a node id"))).0.to_string())
+        .collect();
+    format!("{head}\"nodes\":[{}]}}", nodes.join(","))
+}
+
+/// Node ids carry no meaning beyond their order: relabelling node `i` as
+/// `2i + 1`, among isolated even ids, keeps every adjacency list in the
+/// same sorted order, so every BFS and lex-min tie-break and every channel
+/// and path id come out the same. Every count, volume and histogram is
+/// bit-equal, and the traces are equal once node ids are mapped back.
+#[test]
+fn relabelling_nodes_in_order_changes_no_outcome() {
+    let schemes = [
+        SchemeConfig::ShortestPath,
+        SchemeConfig::SpiderWaterfilling { paths: 4 },
+    ];
+    let modes = [
+        ("lockstep", QueueingMode::Lockstep),
+        ("fifo", QueueingMode::PerChannelFifo(QueueConfig::default())),
+    ];
+    for scheme in schemes {
+        for (mode, queueing) in &modes {
+            let (base, base_trace) = run_relabelled(scheme, queueing.clone(), false);
+            let (relabelled, relabelled_trace) = run_relabelled(scheme, queueing.clone(), true);
+            let label = format!("{} / {mode}", base.scheme);
+            assert!(base.completed_payments > 0, "{label}: nothing completed");
+            let outcome = |r: &SimReport| {
+                (
+                    [
+                        r.attempted_payments,
+                        r.completed_payments,
+                        r.units_locked,
+                        r.units_failed,
+                        r.units_dropped,
+                        r.units_queued,
+                        r.units_marked,
+                        r.units_acked,
+                        r.retries,
+                        r.unit_hops_sum,
+                    ],
+                    [r.attempted_volume, r.delivered_volume, r.completed_volume],
+                    r.drops_by_reason,
+                    format!("{:?}", r.latency_hist),
+                    format!("{:?}", r.path_length_hist),
+                    [r.latency_hist.sum, r.path_length_hist.sum].map(f64::to_bits),
+                )
+            };
+            assert_eq!(
+                outcome(&base),
+                outcome(&relabelled),
+                "{label}: outcome moved"
+            );
+            assert_eq!(
+                base_trace.lines().count(),
+                relabelled_trace.lines().count(),
+                "{label}: trace length"
+            );
+            for (a, b) in base_trace.lines().zip(relabelled_trace.lines()) {
+                if a.starts_with("{\"ev\":\"path\"") {
+                    assert_eq!(a, unodd_path_line(b), "{label}: path line");
+                    continue;
+                }
+                let (seq, t_us, mut kind) = parse_event(b);
+                if let TraceEventKind::PaymentArrival { src, dst, .. } = &mut kind {
+                    (*src, *dst) = (unodd(*src), unodd(*dst));
+                }
+                assert_eq!(parse_event(a), (seq, t_us, kind), "{label}: {a} vs {b}");
             }
         }
     }
