@@ -4,8 +4,9 @@
 //!
 //! * [`simplex`] — a dense two-phase simplex solver for general linear
 //!   programs, built from scratch (no external LP dependency);
-//! * [`paths`] — the path oracles of §5.3.1: Yen's k-shortest paths and
-//!   k edge-disjoint shortest paths;
+//! * [`paths`] — the plain path searches of §5.3.1 that pick the LP's
+//!   candidate paths: Yen's k-shortest paths and k edge-disjoint shortest
+//!   paths;
 //! * [`fluid`] — the fluid-model routing LPs: maximum balanced throughput
 //!   (eqs. 1–5), routing with on-chain rebalancing (eqs. 6–11), and the
 //!   throughput-vs-rebalancing-budget curve t(B) (eqs. 12–18);

@@ -43,7 +43,7 @@ pub struct DropRecord {
     /// Route attempts the payment had actually made when the unit died
     /// (polls at which the engine proved an attempt would lock nothing
     /// and skipped it are not counted).
-    pub retries: u32,
+    pub attempts: u32,
     /// Why the unit died.
     pub reason: DropReason,
 }
@@ -161,10 +161,10 @@ impl FlightRecorder {
             .expect("string write");
             write!(
                 out,
-                ",\"bal_fwd_drops\":{},\"bal_rev_drops\":{},\"retries\":{},\"reason\":\"{}\"}}",
+                ",\"bal_fwd_drops\":{},\"bal_rev_drops\":{},\"attempts\":{},\"reason\":\"{}\"}}",
                 r.bal_fwd_drops,
                 r.bal_rev_drops,
-                r.retries,
+                r.attempts,
                 reason_str(r.reason)
             )
             .expect("string write");
@@ -203,7 +203,7 @@ mod tests {
             channel,
             bal_fwd_drops: 1_000,
             bal_rev_drops: 2_000,
-            retries: 2,
+            attempts: 2,
             reason,
         }
     }
@@ -256,9 +256,9 @@ mod tests {
         assert_eq!(
             out,
             concat!(
-                r#"{"t_us":10,"payment":7,"path":3,"channel":9,"bal_fwd_drops":1000,"bal_rev_drops":2000,"retries":2,"reason":"message_lost"}"#,
+                r#"{"t_us":10,"payment":7,"path":3,"channel":9,"bal_fwd_drops":1000,"bal_rev_drops":2000,"attempts":2,"reason":"message_lost"}"#,
                 "\n",
-                r#"{"t_us":20,"payment":7,"path":3,"channel":null,"bal_fwd_drops":1000,"bal_rev_drops":2000,"retries":2,"reason":"expired"}"#,
+                r#"{"t_us":20,"payment":7,"path":3,"channel":null,"bal_fwd_drops":1000,"bal_rev_drops":2000,"attempts":2,"reason":"expired"}"#,
                 "\n",
             )
         );

@@ -313,7 +313,7 @@ impl LedgerReplay {
             channel: channel.map(|c| c.0),
             bal_fwd_drops: fwd.drops(),
             bal_rev_drops: bwd.drops(),
-            retries: attempts,
+            attempts,
             reason,
         }
     }
@@ -404,7 +404,7 @@ mod tests {
         let Fact::Drop(rec) = r.apply(300_000, &dropped, hops) else {
             panic!("a drop");
         };
-        let got = (rec.payment, rec.channel, rec.bal_fwd_drops, rec.retries);
+        let got = (rec.payment, rec.channel, rec.bal_fwd_drops, rec.attempts);
         assert_eq!(got, (4, Some(1), 100, 2));
         assert_eq!(r.channels()[0].balance, [Amount::from_drops(100); 2]);
         // The unit is gone: a second fate is not replayed.

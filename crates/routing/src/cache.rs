@@ -29,7 +29,7 @@
 //! A pair that keeps every candidate is neither searched nor reported.
 //! The exact rules, their arguments and the per-policy variants are on
 //! [`PathCache::on_topology_change`]. The searches run through
-//! [`PathOracle`] over one retained [`CsrGraph`] whose
+//! [`PathOracle`] over one retained flattened graph (`CsrGraph`) whose
 //! channels are enabled/disabled in O(1) per event — the graph is
 //! flattened exactly once per cache lifetime.
 //!
@@ -43,7 +43,7 @@
 
 use crate::chanindex::ChannelIndex;
 use crate::oracle::{FilledPaths, KeptPrefixes, PathOracle};
-use spider_lp::paths::CsrGraph;
+use crate::paths::CsrGraph;
 use spider_sim::{PathEntry, PathTable, TopologyUpdate};
 use spider_topology::Topology;
 use spider_types::{ChannelId, Hop, IdHashMap, NodeId, PathId};
@@ -852,7 +852,7 @@ impl PathCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spider_lp::paths::SEARCH_ENTRIES;
+    use crate::paths::SEARCH_ENTRIES;
     use spider_topology::gen;
     use spider_types::{Amount, DetRng};
 

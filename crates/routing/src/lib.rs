@@ -25,6 +25,7 @@ mod chanindex;
 pub mod lp_router;
 pub mod maxflow_router;
 pub mod oracle;
+mod paths;
 pub mod pricing;
 pub mod shortest;
 pub mod silentwhispers;

@@ -5,17 +5,20 @@
 //! plus a workspace allocation per pair, which dominates wall time at
 //! Ripple scale (3,774 nodes, 1–2 × 10⁵ distinct pairs a run).
 //! [`PathOracle`] groups pairs by source, answers each source with one
-//! [`SourceOracle`] (one shared BFS tree,
-//! one reusable epoch-stamped workspace), and lets scoped worker threads
-//! pull sources from an atomic work queue (`spider_core::run_sweep`
-//! style). Every entry is exactly what the per-pair reference oracles in
-//! `spider_lp::paths` return (pinned by this module's tests). It is the
-//! one fill path behind [`PathCache`](crate::PathCache): prefill, churn
-//! repair and single-pair misses all come through here.
+//! `SourceOracle` (one shared BFS tree, one reusable epoch-stamped
+//! workspace; the crate's private `paths` module), and lets scoped worker
+//! threads pull sources from an atomic work queue (`spider_core::run_sweep`
+//! style). Every entry is exactly what the plain per-pair searches return,
+//! [`k_edge_disjoint_paths`](spider_lp::paths::k_edge_disjoint_paths) and
+//! [`Topology::shortest_path`]: an independent reference, one BFS at a
+//! time over the topology itself, that this module's tests compare every
+//! fill with. It is the one fill path behind
+//! [`PathCache`](crate::PathCache): prefill, churn repair and single-pair
+//! misses all come through here.
 //!
 //! Workers hand over finished paths in one flat form ([`FilledPaths`]):
 //! each appends node ids *and the hops — channel and direction — its
-//! search already knew* to its own [`FlatPaths`] buffer, and a per-pair
+//! search already knew* to its own `FlatPaths` buffer, and a per-pair
 //! span says where a pair's candidates sit. Nothing is allocated per pair
 //! or per path. Interning into the simulation's shared (single-threaded)
 //! [`PathTable`] happens afterwards on the calling thread, in pair order,
@@ -25,7 +28,7 @@
 //! Each source is planned from its pair count before its first query: a
 //! worker knows how many first paths a source will ask for, and the
 //! source's oracle builds a BFS tree for them only when that many repays
-//! one (see [`SourceOracle::retarget`]).
+//! one (see `SourceOracle::retarget`).
 //!
 //! Churn repair resumes edge-disjoint sets instead of recomputing them
 //! (`PathOracle::resume`): what a pair keeps of its earlier answer reaches
@@ -34,7 +37,7 @@
 //! the candidates after the kept ones.
 
 use crate::cache::PathPolicy;
-use spider_lp::paths::{CsrGraph, FlatPaths, SourceOracle};
+use crate::paths::{CsrGraph, FlatPaths, SourceOracle};
 use spider_sim::PathTable;
 use spider_topology::Topology;
 use spider_types::{ChannelId, Hop, NodeId, PathId};
@@ -249,7 +252,7 @@ impl<'a> PathOracle<'a> {
 
     /// Builds the oracle over a caller-retained CSR graph — candidate
     /// sets then respect whatever channels `csr` has disabled.
-    pub fn with_csr(csr: &'a CsrGraph, policy: PathPolicy) -> Self {
+    pub(crate) fn with_csr(csr: &'a CsrGraph, policy: PathPolicy) -> Self {
         PathOracle {
             csr: Csr::Borrowed(csr),
             policy,
@@ -407,7 +410,7 @@ mod tests {
         pairs
     }
 
-    /// The per-pair reference answer, as node sequences.
+    /// The plain per-pair search's answer, as node sequences.
     fn per_pair(t: &Topology, policy: PathPolicy, s: NodeId, d: NodeId) -> Vec<Vec<NodeId>> {
         match policy {
             PathPolicy::EdgeDisjoint(k) => k_edge_disjoint_paths(t, s, d, k)

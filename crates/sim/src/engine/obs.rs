@@ -178,7 +178,7 @@ impl Simulation {
                 channel: channel.map(|c| c.0),
                 bal_fwd_drops: bal_fwd,
                 bal_rev_drops: bal_rev,
-                retries: self.payments[payment].attempts,
+                attempts: self.payments[payment].attempts,
                 reason,
             });
         }

@@ -17,13 +17,22 @@
 //! state allows ([`max_silence`]). [`LedgerAudit::check`] asserts those
 //! checks held and that the counts the trace re-derives — payments
 //! attempted and completed, their volumes, delivered volume, drops by
-//! reason — equal the report's; [`audited_run`] adds the engine's final
-//! funds and what its forensics and attribution recorded.
+//! reason, and the units that locked their whole path with the hop
+//! counts of those paths — equal the report's; [`audited_run`] adds the
+//! engine's final funds and what its forensics and attribution recorded.
+//!
+//! A unit locks its whole path at a lockstep `lock` record with
+//! `ok:true`, or at a hop-by-hop unit's `forward` record across its
+//! path's last hop; its hop count is its `path` line's. The report's
+//! `units_failed` is not re-derived: the trace has no record of the
+//! full-MTU units a lockstep batch lock counts as failed without trying
+//! them, once one of their size has failed, nor of a hop-by-hop unit
+//! rejected at its first hop before it is injected.
 
 use spider_core::{ExperimentConfig, RunOutput};
 use spider_obs::trace::{reason_str, TraceEventKind};
 use spider_obs::{DropRecord, Fact, FlightRecorder, LedgerReplay};
-use spider_sim::{ChannelState, DropBreakdown, QueueingMode, SimReport, Simulation};
+use spider_sim::{ChannelState, DropBreakdown, Histogram, QueueingMode, SimReport, Simulation};
 use spider_topology::Topology;
 use spider_types::{
     Amount, ChannelId, Direction, DropReason, Hop, NodeId, PathId, PaymentId, SimDuration,
@@ -321,6 +330,8 @@ pub struct LedgerAudit {
     pub violations: Vec<String>,
     /// Every path's hops, by id.
     hops: Vec<Vec<Hop>>,
+    /// Units that locked their whole path, per hop count of that path.
+    locked_by_hops: Vec<u64>,
     /// Hop-by-hop units in flight: path, hops locked, latest record's
     /// instant, and whether that record queued it.
     units: BTreeMap<u64, (PathId, usize, u64, bool)>,
@@ -361,6 +372,7 @@ impl LedgerAudit {
             per_channel: vec![(0, 0, 0.0); topo.channel_count()],
             violations: Vec::new(),
             hops,
+            locked_by_hops: Vec::new(),
             units: BTreeMap::new(),
             injected: 0,
             locks: BTreeMap::new(),
@@ -478,6 +490,7 @@ impl LedgerAudit {
                 }
                 let held = self.locks.entry((payment, path, amount)).or_default();
                 *held = (held.0 + 1, t_us);
+                self.unit_locked(path);
             }
             TraceEventKind::UnitSettled {
                 payment,
@@ -532,6 +545,10 @@ impl LedgerAudit {
                                 ));
                             }
                             *locked += 1;
+                            let path = *path;
+                            if hop as usize + 1 == self.hops[path.index()].len() {
+                                self.unit_locked(path);
+                            }
                         }
                     }
                     None => broken.push(format!("unit {unit} is not in flight")),
@@ -570,6 +587,15 @@ impl LedgerAudit {
         for what in broken {
             self.violate(t_us, what);
         }
+    }
+
+    /// Counts a unit that locked all of `path`.
+    fn unit_locked(&mut self, path: PathId) {
+        let hops = self.hops[path.index()].len();
+        if self.locked_by_hops.len() <= hops {
+            self.locked_by_hops.resize(hops + 1, 0);
+        }
+        self.locked_by_hops[hops] += 1;
     }
 
     /// Balances and locks sum to the capacity — and so none went below
@@ -653,6 +679,27 @@ impl LedgerAudit {
         assert_eq!(
             self.drops, report.drops_by_reason,
             "{name}: drops by reason"
+        );
+        let (mut locked, mut hops_sum) = (0, 0);
+        let mut lengths = Histogram::new();
+        for (hops, &n) in self.locked_by_hops.iter().enumerate() {
+            locked += n;
+            hops_sum += hops as u64 * n;
+            lengths.record_n(hops as f64, n);
+        }
+        assert_eq!(
+            (locked, hops_sum),
+            (report.units_locked, report.unit_hops_sum),
+            "{name}: units locked and their hops"
+        );
+        let bits = |h: &Histogram| {
+            let (sum, min, max) = (h.sum.to_bits(), h.min.to_bits(), h.max.to_bits());
+            (h.counts.clone(), h.count, sum, min, max)
+        };
+        assert_eq!(
+            bits(&lengths),
+            bits(&report.path_length_hist),
+            "{name}: path lengths"
         );
     }
 

@@ -207,7 +207,7 @@ proptest! {
                 channel,
                 bal_fwd_drops: 10,
                 bal_rev_drops: 20,
-                retries: 0,
+                attempts: 0,
                 reason: ALL_REASONS[ri],
             });
         }
