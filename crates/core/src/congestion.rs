@@ -120,15 +120,24 @@ impl<R: Router> Windowed<R> {
         }
     }
 
-    /// Applies one AIMD step to a pair's window.
-    fn adjust(&mut self, src: NodeId, dst: NodeId, success: bool) {
-        let cur = self.window(src, dst);
-        let next = if success {
-            (cur + INCREASE).min(MAX_WINDOW)
-        } else {
-            cur.mul_f64(DECREASE_FACTOR).max(MIN_WINDOW)
-        };
-        self.store((src, dst), next);
+    /// Applies `steps` AIMD steps of one kind to a pair's window, one
+    /// after another (each multiplicative step rounds, so `steps`
+    /// halvings are not one division). A window at its ceiling or floor
+    /// stays there, so the steps stop when one leaves it unchanged.
+    fn adjust(&mut self, src: NodeId, dst: NodeId, success: bool, steps: u64) {
+        let mut cur = self.window(src, dst);
+        for _ in 0..steps {
+            let next = if success {
+                (cur + INCREASE).min(MAX_WINDOW)
+            } else {
+                cur.mul_f64(DECREASE_FACTOR).max(MIN_WINDOW)
+            };
+            self.store((src, dst), next);
+            if next == cur {
+                break;
+            }
+            cur = next;
+        }
     }
 }
 
@@ -187,10 +196,11 @@ impl<R: Router> Router for Windowed<R> {
         // queue admission — growth waits for the ack. Rejections remain a
         // hard back-off signal in both modes, and a post-lock fault
         // notification (locked but never settled) backs the pair off like
-        // a rejection rather than rewarding the lock.
+        // a rejection rather than rewarding the lock. One step per unit
+        // the outcome stands for.
         let ok = outcome.locked && outcome.fault.is_none();
         if !ok || !self.ack_driven {
-            self.adjust(src, dst, ok);
+            self.adjust(src, dst, ok, outcome.units);
         }
         self.inner.on_unit_outcome(outcome, view);
     }
@@ -226,7 +236,7 @@ impl<R: Router> Router for Windowed<R> {
             let entry = view.path(ack.path);
             (entry.source(), entry.dest())
         };
-        self.adjust(src, dst, ack.delivered && !ack.stamp.marked);
+        self.adjust(src, dst, ack.delivered && !ack.stamp.marked, 1);
         self.inner.on_unit_ack(ack, view);
     }
 }
@@ -268,6 +278,7 @@ mod tests {
             payment: PaymentId(0),
             path: view.intern(&[NodeId(0), NodeId(1), NodeId(2)]),
             amount: xrp(10),
+            units: 1,
             locked,
             fault: None,
         }
@@ -315,6 +326,76 @@ mod tests {
         assert_eq!(w.window(NodeId(0), NodeId(2)), MIN_WINDOW);
         // One tracked pair: the O(1) gauge is that pair's window.
         assert_eq!(w.window_gauge(), Some(MIN_WINDOW.as_xrp()));
+    }
+
+    #[test]
+    fn counted_outcomes_step_like_one_outcome_per_unit() {
+        // Counts of up to 40 units, locked and failed, with a fault (one
+        // unit) now and then, over two pairs: a wrapper fed each count at once and
+        // one fed the same outcomes unit by unit must hold bit-identical
+        // windows, and so the same gauge and end-of-run snapshot.
+        let t = spider_topology::gen::cycle(4, xrp(1000));
+        let ch: Vec<ChannelState> = t
+            .channels()
+            .map(|(_, c)| ChannelState::split_equally(c.capacity))
+            .collect();
+        let paths = PathTable::new();
+        let view = NetworkView {
+            topo: &t,
+            channels: &ch,
+            paths: &paths,
+            now: SimTime::ZERO,
+        };
+        let routes = [
+            view.intern(&[NodeId(0), NodeId(1), NodeId(2)]),
+            view.intern(&[NodeId(3), NodeId(0)]),
+        ];
+        let initial = WindowConfig {
+            initial: Amount::from_drops(123_456_789),
+        };
+        let mut counted = Windowed::new(ShortestPath::new(), initial.clone());
+        let mut one_by_one = Windowed::new(ShortestPath::new(), initial);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..400 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Fault outcomes come one unit at a time.
+            let fault = (state >> 30)
+                .is_multiple_of(17)
+                .then_some(spider_types::DropReason::MessageLost);
+            let outcome = UnitOutcome {
+                payment: PaymentId(0),
+                path: routes[(state % 2) as usize],
+                amount: xrp(10),
+                units: if fault.is_some() {
+                    1
+                } else {
+                    1 + (state >> 8) % 40
+                },
+                locked: fault.is_some() || !(state >> 20).is_multiple_of(3),
+                fault,
+            };
+            counted.on_unit_outcome(&outcome, &view);
+            for _ in 0..outcome.units {
+                let unit = UnitOutcome {
+                    units: 1,
+                    ..outcome
+                };
+                one_by_one.on_unit_outcome(&unit, &view);
+            }
+        }
+        let snapshot = |w: &Windowed<ShortestPath>| {
+            let obs = w.observability();
+            let windows: Vec<u64> = obs.windows_xrp.iter().map(|x| x.to_bits()).collect();
+            (windows, obs.counters, w.window_gauge().map(f64::to_bits))
+        };
+        assert_eq!(snapshot(&counted), snapshot(&one_by_one));
+        assert_ne!(
+            counted.window(NodeId(0), NodeId(2)),
+            Amount::from_drops(123_456_789),
+            "the sequence moved the window"
+        );
     }
 
     #[test]
@@ -366,7 +447,7 @@ mod tests {
         let pairs = MAX_TRACKED_PAIRS + 6;
         for i in 0..pairs {
             let (src, dst) = pair(i);
-            w.adjust(src, dst, false);
+            w.adjust(src, dst, false, 1);
         }
         assert_eq!(
             w.tracked_pairs(),

@@ -134,10 +134,11 @@ impl ChannelAttribution {
         self.drops[channel] += 1;
     }
 
-    /// Counts a delivered path whose binding constraint was `channel`.
+    /// Counts `units` delivered units whose path's binding constraint was
+    /// `channel`.
     #[inline]
-    pub fn bottleneck(&mut self, channel: usize) {
-        self.bottlenecks[channel] += 1;
+    pub fn bottleneck(&mut self, channel: usize, units: u64) {
+        self.bottlenecks[channel] += units;
     }
 
     /// Reduces the accumulators into at most `k` hotspot rows, sorted by
@@ -248,7 +249,7 @@ mod tests {
         a.drop_at(1);
         a.drop_at(3);
         a.drop_at(2);
-        a.bottleneck(2);
+        a.bottleneck(2, 1);
         let rows = a.finish(8);
         let ids: Vec<u32> = rows.iter().map(|h| h.channel).collect();
         assert_eq!(ids, vec![2, 1, 3], "{rows:?}");

@@ -400,12 +400,16 @@ impl Router for ProtocolRouter {
         let Some(at) = self.pairs.owner_of(outcome.path) else {
             return;
         };
+        // Hop-by-hop outcomes come one unit at a time; a lockstep count
+        // stands for that many.
         let controller = &mut self.pairs.candidates[at].controller;
         if outcome.locked {
-            controller.on_send(outcome.amount);
+            controller.on_send(outcome.amount * outcome.units);
         } else {
             tracked(&mut self.window_total, controller, |c| {
-                c.on_reject(&self.rate)
+                for _ in 0..outcome.units {
+                    c.on_reject(&self.rate);
+                }
             });
         }
     }
@@ -566,6 +570,7 @@ mod tests {
                     payment: PaymentId(0),
                     path: p.path,
                     amount: unit,
+                    units: 1,
                     locked: true,
                     fault: None,
                 };
@@ -731,6 +736,7 @@ mod tests {
                 payment: PaymentId(0),
                 path,
                 amount: xrp(1),
+                units: 1,
                 locked: false,
                 fault: None,
             };

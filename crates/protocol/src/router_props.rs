@@ -199,6 +199,7 @@ proptest! {
                                 payment: PaymentId(0),
                                 path: p.path,
                                 amount: unit,
+                                units: 1,
                                 locked,
                                 fault: None,
                             };

@@ -149,12 +149,6 @@ impl SpiderLp {
 }
 
 impl Router for SpiderLp {
-    /// The lock-outcome hook is the default no-op: let the engine elide
-    /// it (and lock a proposal's full units in one pass).
-    fn observes_unit_outcomes(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "spider-lp"
     }

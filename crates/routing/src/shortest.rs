@@ -71,12 +71,6 @@ impl ShortestPath {
 }
 
 impl Router for ShortestPath {
-    /// The lock-outcome hook is the default no-op: let the engine elide
-    /// it (and lock a proposal's full units in one pass).
-    fn observes_unit_outcomes(&self) -> bool {
-        false
-    }
-
     /// With no cooldown and no breaker on record, `route` is the pair's
     /// one cached path for the whole remainder, and only a topology
     /// callback can change that path — so the engine may skip retries
@@ -150,9 +144,8 @@ impl Router for ShortestPath {
         }]
     }
 
-    /// Fault outcomes arrive here unconditionally (the engine bypasses
-    /// the `observes_unit_outcomes` gate for them); ordinary lock
-    /// outcomes stay elided.
+    /// Only fault outcomes act: ordinary lock outcomes leave the path
+    /// penalties as they are.
     fn on_unit_outcome(&mut self, outcome: &spider_sim::UnitOutcome, view: &NetworkView<'_>) {
         if let Some(reason) = outcome.fault {
             debug_assert!(reason.is_fault());

@@ -62,12 +62,6 @@ fn erase_loops(walk: Vec<NodeId>) -> Vec<NodeId> {
 }
 
 impl Router for SilentWhispers {
-    /// The lock-outcome hook is the default no-op: let the engine elide
-    /// it (and lock a proposal's full units in one pass).
-    fn observes_unit_outcomes(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "silentwhispers"
     }

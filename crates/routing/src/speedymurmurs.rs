@@ -147,12 +147,6 @@ impl SpeedyMurmurs {
 }
 
 impl Router for SpeedyMurmurs {
-    /// The lock-outcome hook is the default no-op: let the engine elide
-    /// it (and lock a proposal's full units in one pass).
-    fn observes_unit_outcomes(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "speedymurmurs"
     }

@@ -200,12 +200,6 @@ impl SpiderWaterfilling {
 }
 
 impl Router for SpiderWaterfilling {
-    /// The lock-outcome hook is the default no-op: let the engine elide
-    /// it (and lock a proposal's full units in one pass).
-    fn observes_unit_outcomes(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "spider-waterfilling"
     }
@@ -226,9 +220,8 @@ impl Router for SpiderWaterfilling {
         self.cache.on_topology_change(view.topo, view.paths, update);
     }
 
-    /// Fault outcomes arrive here unconditionally (the engine bypasses
-    /// the `observes_unit_outcomes` gate for them); ordinary lock
-    /// outcomes stay elided.
+    /// Only fault outcomes act: ordinary lock outcomes leave the path
+    /// penalties as they are.
     fn on_unit_outcome(&mut self, outcome: &spider_sim::UnitOutcome, view: &NetworkView<'_>) {
         if outcome.fault.is_some() {
             self.penalties.on_fault(outcome.path, view.now);

@@ -2,7 +2,7 @@
 //! later, together with the other units its proposal locked — and the
 //! retry queue both modes poll.
 
-use super::{EventKind, PaymentState, Simulation};
+use super::{EventKind, PaymentState, Run, Simulation};
 use crate::config::SchedulingPolicy;
 use crate::paths::PathEntry;
 use crate::router::{RouteRequest, UnitOutcome};
@@ -33,7 +33,8 @@ struct PendingEntry {
     /// and proposed exactly this path for the whole remainder. While it
     /// stands, a poll skips the payment if the path cannot carry its
     /// smallest chunk. Unpinned when no promise was given, or since the
-    /// router's last callback.
+    /// router's last fault outcome, ack or topology callback (ordinary
+    /// lock outcomes, which every attempt reports, leave it standing).
     pinned: PathId,
     /// While `least` is non-zero: a hop of the pinned path whose direction
     /// had less available than `least` when the payment was last tested.
@@ -336,15 +337,11 @@ impl Simulation {
                 });
         }
         let hop_by_hop = self.hop_by_hop();
-        // A router that observes lock outcomes gets a callback from this
-        // very attempt, which ends any promise before it could be used;
-        // hop-by-hop units always report theirs.
+        // Hop-by-hop units report acks, which end any promise before it
+        // could be used.
         let pinned = match proposals.as_slice() {
             &[only]
-                if only.amount == unassigned
-                    && !hop_by_hop
-                    && !self.router_observes
-                    && self.router.pins_single_path() =>
+                if only.amount == unassigned && !hop_by_hop && self.router.pins_single_path() =>
             {
                 Some(only.path)
             }
@@ -375,16 +372,12 @@ impl Simulation {
                     if accepted {
                         budget -= unit;
                     }
-                    self.report_outcome(pid, prop.path, unit, accepted, None);
+                    self.report_outcome(pid, prop.path, unit, 1, accepted, None);
                 }
                 continue;
             }
             // What this proposal locks settles as one batch.
-            let (locked, abort) = if self.router_observes {
-                self.lock_each_unit(pid, prop.path, want, atomic)
-            } else {
-                self.lock_units(pid, prop.path, want, atomic)
-            };
+            let (locked, abort) = self.lock_units(pid, prop.path, want, atomic);
             budget -= locked;
             if !locked.is_zero() {
                 let event_id = self.schedule_settle(pid, prop.path, locked);
@@ -415,33 +408,13 @@ impl Simulation {
         pinned
     }
 
-    /// Locks a proposal's `want` on `path` unit by unit, each unit's
-    /// outcome reported to the router that observes it. Returns what
-    /// locked, and whether an all-or-nothing scheme must abort.
-    fn lock_each_unit(
-        &mut self,
-        pid: usize,
-        path: PathId,
-        want: Amount,
-        atomic: bool,
-    ) -> (Amount, bool) {
-        let mut locked = Amount::ZERO;
-        for unit in want.mtu_chunks(self.config.mtu) {
-            if self.try_lock_unit(pid, unit, path) {
-                locked += unit;
-            } else if atomic {
-                return (locked, true);
-            }
-        }
-        (locked, false)
-    }
-
-    /// Locks a proposal's `want` on `path` for a router that observes no
-    /// per-unit outcome: its full units in one pass
+    /// Locks a proposal's `want` on `path`: its full units in one pass
     /// ([`Self::lock_full_units`]), then the partial last one, if any, on
-    /// its own. Counts and traces exactly what locking unit by unit
-    /// would. Returns what locked, and whether an all-or-nothing scheme
-    /// must abort.
+    /// its own. Counts, traces and reports to the router (as counts, see
+    /// [`UnitOutcome`](crate::router::UnitOutcome)) exactly what locking
+    /// unit by unit would, but for the full units after a failed one:
+    /// counted and reported, not traced. Returns what locked, and whether
+    /// an all-or-nothing scheme must abort.
     fn lock_units(
         &mut self,
         pid: usize,
@@ -453,14 +426,19 @@ impl Simulation {
         let full = want.drops() / mtu.drops();
         let fit = self.lock_full_units(pid, path, full);
         let mut locked = mtu * fit;
+        if fit > 0 {
+            self.report_outcome(pid, path, mtu, fit, true, None);
+        }
         if fit < full {
             if atomic {
+                self.report_outcome(pid, path, mtu, 1, false, None);
                 return (locked, true);
             }
             // The unit that did not fit rolled back, leaving every
             // balance as it was, so each later full unit would fail the
             // same way: counted, not tried.
             self.metrics.unit_lock_failures(full - fit - 1);
+            self.report_outcome(pid, path, mtu, full - fit, false, None);
         }
         let partial = want - mtu * full;
         if !partial.is_zero() {
@@ -530,7 +508,8 @@ impl Simulation {
     }
 
     /// Attempts to lock one unit along the path, rolling back on the
-    /// first hop that cannot carry it; returns whether it locked.
+    /// first hop that cannot carry it, and reports the outcome; returns
+    /// whether it locked.
     fn try_lock_unit(&mut self, pid: usize, amount: Amount, path: PathId) -> bool {
         let entry = self.net.paths.entry(path);
         let hops = entry.hops();
@@ -554,9 +533,7 @@ impl Simulation {
                 amount,
                 ok,
             });
-        if self.router_observes {
-            self.report_outcome(pid, path, amount, ok, None);
-        }
+        self.report_outcome(pid, path, amount, 1, ok, None);
         ok
     }
 
@@ -575,12 +552,13 @@ impl Simulation {
         )
     }
 
-    /// Tells the router how one unit fared.
+    /// Tells the router how `units` units of `amount` each fared.
     fn report_outcome(
         &mut self,
         pid: usize,
         path: PathId,
         amount: Amount,
+        units: u64,
         locked: bool,
         fault: Option<DropReason>,
     ) {
@@ -588,6 +566,7 @@ impl Simulation {
             payment: PaymentId(pid as u64),
             path,
             amount,
+            units,
             locked,
             fault,
         };
@@ -628,24 +607,66 @@ impl Simulation {
         self.payments[pid].inflight -= amount;
     }
 
-    /// A settle batch comes due: settles or refunds each unit in lock
-    /// order exactly as a settle of its own would have (see
-    /// [`EventKind::Settle`]).
+    /// A settle batch comes due: takes each unit's verdict in lock order,
+    /// and settles each run of delivering units at once (see
+    /// [`EventKind::Settle`]). A pending run settles before the next
+    /// refund, so balances, fault draws and trace records come in the
+    /// order settling unit by unit gives them.
     pub(super) fn on_settle(&mut self, pid: usize, amount: Amount, path: PathId) {
         let entry = self.net.paths.entry(path);
-        for unit in amount.mtu_chunks(self.config.mtu) {
-            self.settle_unit(pid, unit, path, &entry);
+        let mtu = self.config.mtu;
+        let mut run = Run::empty(mtu);
+        // What is left of the batch, from its next unit on.
+        let mut left = amount;
+        while !left.is_zero() {
+            let unit = left.min(mtu);
+            match self.settle_verdict(pid, &entry) {
+                // Only a fault draw tells one unit's verdict from the
+                // next's (a delivery changes none of the rest): without a
+                // fault plan, every unit left delivers with this one.
+                None => {
+                    let delivered = if self.faults.is_some() { unit } else { left };
+                    run.add(delivered);
+                    left -= delivered;
+                }
+                Some((reason, retry)) => {
+                    self.deliver_run(pid, path, &entry, run);
+                    run = Run::empty(mtu);
+                    self.refund_settling(pid, unit, path, &entry, reason, retry);
+                    left -= unit;
+                }
+            }
+        }
+        self.deliver_run(pid, path, &entry, run);
+    }
+
+    /// Settles a run of a lockstep batch, if it holds any unit.
+    fn deliver_run(&mut self, pid: usize, path: PathId, entry: &PathEntry, run: Run) {
+        if run.units() > 0 {
+            let payment = PaymentId(pid as u64);
+            self.deliver(pid, entry, run, |amount| TraceEventKind::UnitSettled {
+                payment,
+                amount,
+                path,
+            });
         }
     }
 
-    fn settle_unit(&mut self, pid: usize, amount: Amount, path: PathId, entry: &PathEntry) {
+    /// The verdict on one settling unit, drawn in lock order: `None`
+    /// delivers it; `Some((reason, retry))` refunds it (see
+    /// [`Self::refund_settling`]).
+    fn settle_verdict(
+        &mut self,
+        pid: usize,
+        entry: &PathEntry,
+    ) -> Option<(Option<DropReason>, bool)> {
         let p = &self.payments[pid];
         // A unit whose payment deadline passed between lock and settle is
         // a real drop (counted and traced, exactly like the queueing-mode
         // expiry path); the tail of an atomic rollback is a refund, not a
         // drop.
         let deadline_expired = self.net.now > p.deadline;
-        let refund = if p.expired || deadline_expired {
+        if p.expired || deadline_expired {
             Some((deadline_expired.then_some(DropReason::Expired), false))
         } else if p.griefing {
             // Overload griefing: the receiver withholds the key — a stuck
@@ -657,14 +678,6 @@ impl Simulation {
             Some((Some(reason), true))
         } else {
             None
-        };
-        match refund {
-            Some((reason, retry)) => self.refund_settling(pid, amount, path, entry, reason, retry),
-            None => self.deliver(pid, amount, entry, || TraceEventKind::UnitSettled {
-                payment: PaymentId(pid as u64),
-                amount,
-                path,
-            }),
         }
     }
 
@@ -673,10 +686,9 @@ impl Simulation {
     /// `reason` the refund is a drop — counted, recorded and traced;
     /// without one it is the tail of an atomic rollback, traced but not a
     /// drop. `retry` separates a failure the sender can route around
-    /// (griefing, a fault: the router hears of it — bypassing the
-    /// `router_observes` gate, so backoff sees failures even for routers
-    /// that skip ordinary lock outcomes — and the remainder is re-queued)
-    /// from the end of the payment (expiry).
+    /// (griefing, a fault: the router hears of it as a fault outcome,
+    /// which ends any `pins_single_path` promise, and the remainder is
+    /// re-queued) from the end of the payment (expiry).
     fn refund_settling(
         &mut self,
         pid: usize,
@@ -691,7 +703,7 @@ impl Simulation {
         // Whole-path lockstep refund: no single failing hop.
         self.record_refund(pid, amount, path, reason, None);
         if retry {
-            self.report_outcome(pid, path, amount, true, reason);
+            self.report_outcome(pid, path, amount, 1, true, reason);
             self.lockstep.forget_pins();
             self.requeue(pid, None);
         }
@@ -714,15 +726,29 @@ impl Simulation {
             } if paths.map_entry(path, crosses) => Some((payment, amount, path)),
             _ => None,
         });
+        let mtu = self.config.mtu;
         for (payment, amount, path) in hit {
             let entry = self.net.paths.entry(path);
             self.payments[payment].churn_hit = true;
-            // Each unit of the batch is its own drop, recorded after its
-            // own refund. Counted in both the total and the
+            self.payments[payment].inflight -= amount;
+            // Every hop refunds the batch at once but the closed
+            // channel's, which refunds it unit by unit: each unit is its
+            // own drop, and its record reads that channel's balances
+            // after its own refund. Counted in both the total and the
             // churn-specific drop counters, so `units_dropped_churn <=
             // units_dropped` holds in every engine mode.
-            for unit in amount.mtu_chunks(self.config.mtu) {
-                self.refund_path(payment, &entry, unit);
+            let channels = &mut self.net.channels;
+            for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
+                if c != channel {
+                    channels[c.index()].refund(dir, amount);
+                }
+            }
+            for unit in amount.mtu_chunks(mtu) {
+                for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
+                    if c == channel {
+                        self.net.channels[c.index()].refund(dir, unit);
+                    }
+                }
                 self.metrics.unit_dropped_churn();
                 let reason = Some(DropReason::ChannelClosed);
                 self.record_refund(payment, unit, path, reason, Some(channel));

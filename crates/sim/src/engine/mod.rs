@@ -8,7 +8,7 @@
 //!   and each hop's funds move to the downstream party. If the payment's
 //!   deadline has passed in the meantime, the sender withholds the key and
 //!   the hops are refunded instead (§4.1's non-atomic cancellation). The
-//!   units one proposal locked settle as one event, unit by unit.
+//!   units one proposal locked settle as one event, in runs.
 //! * **Poll** — every `POLL_INTERVAL` (100 ms), incomplete non-atomic payments are
 //!   re-attempted in scheduling-policy order (SRPT by default) — except
 //!   those whose attempt provably locks nothing. When the router pinned
@@ -22,10 +22,12 @@
 //!   whole queue before the sort (only survivors are sorted, and they
 //!   keep the relative policy order they had among all pending
 //!   payments) and once more at each survivor's turn. A pin is
-//!   forgotten the moment the router receives any callback, and
-//!   balances are read at poll time, so no credit site (settle, refund,
-//!   deposit, resize, reopen) needs a hook. `retries`, `units_failed`
-//!   and `RouteRequest::attempt` therefore count attempts actually made.
+//!   forgotten the moment the router receives a fault outcome, an ack or
+//!   a topology callback (ordinary lock outcomes leave the promise
+//!   standing), and balances are read at poll time, so no credit site
+//!   (settle, refund, deposit, resize, reopen) needs a hook. `retries`,
+//!   `units_failed` and `RouteRequest::attempt` therefore count attempts
+//!   actually made.
 //!
 //!   One pass over the queue expires overdue payments, drops finished
 //!   ones and runs that test. A blocked entry keeps its **witness** — the
@@ -157,13 +159,21 @@ enum EventKind {
     /// Lockstep mode: everything one proposal of one attempt locked on
     /// `path` settles Δ later as one batch — its units are exactly
     /// `amount.mtu_chunks(mtu)`, every one a full MTU but the last. The
-    /// handler walks them in lock order, each with its own fault draw,
-    /// refund or delivery, drop record and trace record, so the batch is
-    /// exact: the units were scheduled back to back by one handler and
-    /// would have popped back to back (one instant, consecutive seqs),
-    /// and whatever a unit's handling schedules comes after the last of
-    /// them. One event however many units: `SlabStats` counts it once,
-    /// while `SimReport::units_locked` still counts units.
+    /// handler takes each unit's verdict in lock order (a lapsed payment,
+    /// griefing, then its own fault draw). Units that deliver one after
+    /// another form a *run*, which settles at once: one settle per hop,
+    /// the payment's counters and the throughput bucket once, one
+    /// `settle` trace record and one hotspot charge per unit, and the
+    /// completion check at its end. A refunded unit ends the pending run
+    /// before its own refund, drop record and router callback, so
+    /// balances, fault draws and records come in the order settling unit
+    /// by unit gives them; without a fault plan, griefing or a lapse the
+    /// whole batch is one run. The batch is exact: the units were
+    /// scheduled back to back by one handler and would have popped back
+    /// to back (one instant, consecutive seqs), and whatever a unit's
+    /// handling schedules comes after the last of them. One event however
+    /// many units: `SlabStats` counts it once, while
+    /// `SimReport::units_locked` still counts units.
     Settle {
         payment: usize,
         amount: Amount,
@@ -233,6 +243,52 @@ impl EventKind {
     }
 }
 
+/// Units that settle together along one path: `full` units of `unit`
+/// each, then a `tail` unit of less (zero when there is none) — what
+/// `Amount::mtu_chunks` yields for a run of a lockstep batch, or one
+/// hop-by-hop unit.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    unit: Amount,
+    full: u64,
+    tail: Amount,
+}
+
+impl Run {
+    /// No unit yet; full units are worth `unit`.
+    fn empty(unit: Amount) -> Self {
+        Run {
+            unit,
+            full: 0,
+            tail: Amount::ZERO,
+        }
+    }
+
+    /// One unit of `amount`.
+    fn one(amount: Amount) -> Self {
+        Run {
+            full: 1,
+            ..Run::empty(amount)
+        }
+    }
+
+    /// Appends the units `amount.mtu_chunks(unit)` yields: full units,
+    /// then maybe the tail that ends the run.
+    fn add(&mut self, amount: Amount) {
+        debug_assert!(self.tail.is_zero(), "nothing follows a tail unit");
+        self.full += amount.drops() / self.unit.drops();
+        self.tail = Amount::from_drops(amount.drops() % self.unit.drops());
+    }
+
+    fn units(&self) -> u64 {
+        self.full + u64::from(!self.tail.is_zero())
+    }
+
+    fn amount(&self) -> Amount {
+        self.unit * self.full + self.tail
+    }
+}
+
 /// Slab occupancy and lifetime counters (see [`Simulation::slab_stats`]).
 ///
 /// The invariant the regression tests assert: `event_slots` and
@@ -287,8 +343,6 @@ pub struct Simulation {
     net: Net,
     config: SimConfig,
     router: Box<dyn Router>,
-    /// Cached `Router::observes_unit_outcomes` for the run.
-    router_observes: bool,
     arrivals: ArrivalCursor,
     events: EventCore,
     payments: Vec<PaymentState>,
@@ -349,7 +403,6 @@ impl Simulation {
                 now: SimTime::ZERO,
             },
             router,
-            router_observes: true,
             arrivals,
             events: EventCore::default(),
             payments: Vec::with_capacity(n_txns),
@@ -377,7 +430,6 @@ impl Simulation {
     /// remains inspectable afterwards (channel states, conservation).
     pub fn run(&mut self) -> SimReport {
         let horizon = SimTime::ZERO + self.config.horizon;
-        self.router_observes = self.router.observes_unit_outcomes();
         // The initial-state slice of the churn schedule (t = 0) applies
         // before anything routes: nothing is in flight, so no failback.
         // Mid-run churn fires from the calendar; sequenced before the
@@ -640,27 +692,35 @@ impl Simulation {
         }
     }
 
-    /// The delivery tail both modes share: settles every hop of a unit
-    /// whose key came back, charges the path's bottleneck, credits the
-    /// payment, and records completion. `settled` is the mode's own
-    /// trace record for the unit.
+    /// The delivery tail both modes share: settles a run of units whose
+    /// keys came back on every hop at once, charges the path's bottleneck
+    /// once per unit, credits the payment, and records completion.
+    /// `settled` is the mode's own trace record for a unit of the given
+    /// value, recorded once per unit.
     fn deliver(
         &mut self,
         pid: usize,
-        amount: Amount,
         entry: &PathEntry,
-        settled: impl FnOnce() -> TraceEventKind,
+        run: Run,
+        settled: impl Fn(Amount) -> TraceEventKind,
     ) {
         let now = self.net.now;
+        let amount = run.amount();
         for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
             self.net.channels[c.index()].settle(dir, amount);
         }
-        self.obs.bottleneck(entry, &self.net.channels);
+        self.obs.bottleneck(entry, &self.net.channels, run.units());
         let p = &mut self.payments[pid];
         p.inflight -= amount;
         p.delivered += amount;
-        self.metrics.unit_settled(amount, now);
-        self.obs.trace(now, settled);
+        self.metrics.units_settled(run.unit, run.full, now);
+        self.obs.trace_n(now, run.full, || settled(run.unit));
+        if !run.tail.is_zero() {
+            self.metrics.unit_settled(run.tail, now);
+            self.obs.trace(now, || settled(run.tail));
+        }
+        // Completion can only come with a payment's last unit in flight,
+        // which is the last of its run.
         if p.delivered == p.total {
             p.completed = true;
             let latency = now - p.arrival;

@@ -81,11 +81,15 @@ impl Obs {
         }
     }
 
-    /// Attribution feed: a unit delivered over `entry`; charges the path's
-    /// binding constraint — minimum post-settle availability in the
-    /// traversed direction, lowest id on ties.
+    /// Attribution feed: `units` units delivered over `entry` in one run;
+    /// charges each the path's binding constraint — minimum post-settle
+    /// availability in the traversed direction, lowest id on ties. A
+    /// settle credits only the direction opposite each hop it crosses,
+    /// so on a path that crosses no channel both ways (every path an
+    /// in-tree router proposes) each unit of the run reads what the run's
+    /// end leaves: one lookup serves them all.
     #[inline]
-    pub(super) fn bottleneck(&mut self, entry: &PathEntry, channels: &[ChannelState]) {
+    pub(super) fn bottleneck(&mut self, entry: &PathEntry, channels: &[ChannelState], units: u64) {
         if let Some(attr) = self.attribution.as_mut() {
             let bottleneck = entry
                 .hops()
@@ -98,7 +102,7 @@ impl Obs {
                 })
                 .min();
             if let Some((_, c)) = bottleneck {
-                attr.bottleneck(c as usize);
+                attr.bottleneck(c as usize, units);
             }
         }
     }

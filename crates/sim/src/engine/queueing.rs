@@ -3,7 +3,7 @@
 
 use super::core::{Net, Train};
 use super::perturb::{is_crashed, Faults};
-use super::{EventKind, PaymentState, Simulation, SlabStats};
+use super::{EventKind, PaymentState, Run, Simulation, SlabStats};
 use crate::channel::ChannelState;
 use crate::config::QueueConfig;
 use crate::monitor::InvariantMonitor;
@@ -554,8 +554,8 @@ impl Simulation {
             if lapsed {
                 self.drop_unit(uid, DropReason::Expired);
             } else {
-                self.deliver(pid, amount, &entry, || TraceEventKind::UnitDelivered {
-                    unit: trace_id,
+                self.deliver(pid, &entry, Run::one(amount), |_| {
+                    TraceEventKind::UnitDelivered { unit: trace_id }
                 });
                 self.ack_unit(uid, true);
                 self.retire_unit(uid);

@@ -9,7 +9,8 @@ use spider_faults::{FaultChange, FaultPlan};
 use spider_obs::trace::TraceEventKind;
 use spider_topology::{gen, Topology};
 use spider_types::{
-    Amount, ChannelId, Direction, Hop, NodeId, SimDuration, SimTime, TopologyChange, TopologyEvent,
+    Amount, ChannelId, DetRng, Direction, DropReason, Hop, NodeId, PathId, SimDuration, SimTime,
+    TopologyChange, TopologyEvent,
 };
 
 /// Test router: always proposes the single BFS shortest path for the
@@ -27,9 +28,6 @@ impl Router for DirectRouter {
     }
     fn atomic(&self) -> bool {
         self.atomic
-    }
-    fn observes_unit_outcomes(&self) -> bool {
-        false // exercise the engine's one-pass lock of full units
     }
 }
 
@@ -176,9 +174,6 @@ impl Router for PinningRouter {
         view: &NetworkView<'_>,
     ) -> Vec<crate::router::RouteProposal> {
         DirectRouter { atomic: false }.route(req, view)
-    }
-    fn observes_unit_outcomes(&self) -> bool {
-        false
     }
     fn on_unit_outcome(&mut self, outcome: &UnitOutcome, _view: &NetworkView<'_>) {
         self.faulted |= outcome.fault.is_some();
@@ -444,58 +439,185 @@ fn streaming_source_runs_identically_to_materialized() {
 }
 
 #[test]
-fn failed_lock_batching_preserves_outcomes() {
-    // A router with a no-op outcome hook lets the engine lock a
-    // proposal's full units in one pass. Forcing the hook "observed"
-    // makes it lock unit by unit; every outcome must be unchanged.
-    struct Observing;
-    impl Router for Observing {
+fn lock_outcomes_come_as_counts_of_the_per_unit_loop() {
+    // A proposal's locks reach the router as counts: its full units that
+    // locked, its full units that failed (one tried, the rest counted),
+    // then its partial unit. Expanded unit by unit they must be the
+    // outcomes a per-unit lock loop reports — as many locked and failed
+    // units as the report counts, each run in that order — so a hook
+    // that steps once per unit (`Windowed`'s AIMD) ends where the loop
+    // would have left it.
+    #[derive(Default)]
+    struct Recording {
+        /// Per outcome: (unit value, locked, units).
+        seen: std::rc::Rc<std::cell::RefCell<Vec<(Amount, bool, u64)>>>,
+    }
+    impl Router for Recording {
         fn name(&self) -> &'static str {
-            "direct-observing"
+            "recording"
         }
-        fn route(
-            &mut self,
-            req: &RouteRequest,
-            view: &NetworkView<'_>,
-        ) -> Vec<crate::router::RouteProposal> {
-            match view.topo.shortest_path(req.src, req.dst) {
-                Some(path) => vec![crate::router::RouteProposal {
-                    path: view.intern(&path),
-                    amount: req.remaining,
-                }],
-                None => Vec::new(),
-            }
+        fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
+            shortest_path_proposal(req, view)
         }
-        fn on_unit_outcome(&mut self, _o: &UnitOutcome, _v: &NetworkView<'_>) {
-            // Still a no-op, but overriding flips `observes` to true:
-            // the engine must then walk every chunk individually.
+        fn on_unit_outcome(&mut self, o: &UnitOutcome, _v: &NetworkView<'_>) {
+            assert!(o.units > 0 && o.fault.is_none());
+            self.seen.borrow_mut().push((o.amount, o.locked, o.units));
         }
     }
     // Repeated over-sized payments at 1-XRP MTU: most chunks fail.
     let mut cfg = base_config();
     cfg.mtu = xrp(1);
     cfg.deadline = Some(spider_types::SimDuration::from_secs(3));
-    let txns: Vec<TxnSpec> = (0..20).map(|i| txn(i * 200, 0, 1, xrp(9))).collect();
-    let (fast, fast_sim) = run_sim(gen::line(2, xrp(10)), txns.clone(), false, cfg.clone());
-    let mut slow_sim = new_sim(
+    cfg.obs.trace = true;
+    let txns: Vec<TxnSpec> = (0..20)
+        .map(|i| txn(i * 200, 0, 1, Amount::from_drops(9_500_000)))
+        .collect();
+    let router = Recording::default();
+    let seen = router.seen.clone();
+    let sim = new_sim(
         gen::line(2, xrp(10)),
         Workload { txns },
-        Box::new(Observing),
+        Box::new(router),
         cfg,
     );
-    let slow = slow_sim.run();
-    slow_sim.check_conservation();
-    assert!(fast.units_failed > 100, "needs failing chunks to batch");
-    assert_eq!(fast.units_failed, slow.units_failed);
-    assert_eq!(fast.units_locked, slow.units_locked);
-    assert_eq!(fast.completed_payments, slow.completed_payments);
-    assert_eq!(fast.delivered_volume, slow.delivered_volume);
-    assert_eq!(fast.retries, slow.retries);
+    let (r, mut sim) = run_checked(sim);
+    let seen = seen.borrow();
+    let count = |locked: bool| -> u64 { seen.iter().filter(|o| o.1 == locked).map(|o| o.2).sum() };
+    assert!(r.units_failed > 100, "needs failing chunks to count");
     assert_eq!(
-        fast_sim.channel_states()[0],
-        slow_sim.channel_states()[0],
-        "channel state must be bit-identical"
+        (count(true), count(false)),
+        (r.units_locked, r.units_failed)
     );
+    assert!(
+        seen.iter().any(|o| !o.1 && o.2 > 1),
+        "some failures must arrive counted"
+    );
+    // The trace's lock records, in order, are the outcomes with each
+    // failed count standing for its one traced unit: locked counts
+    // expand, a failed count of full units shows once.
+    let trace = sim.take_trace().expect("tracing was on");
+    let traced: Vec<(Amount, bool)> = trace
+        .events()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::LockOutcome { amount, ok, .. } => Some((amount, ok)),
+            _ => None,
+        })
+        .collect();
+    let expanded: Vec<(Amount, bool)> = seen
+        .iter()
+        .flat_map(|&(amount, locked, units)| {
+            let shown = if locked { units } else { 1 };
+            std::iter::repeat_n((amount, locked), shown as usize)
+        })
+        .collect();
+    assert_eq!(traced, expanded);
+}
+
+/// One unit's lockstep fault verdict as the fault plan specifies it
+/// (no node crashed): message loss hop by hop, then a stuck unit, then a
+/// lost ack — the reference a settle run's draws must reproduce.
+fn per_unit_verdict(rng: &mut DetRng, plan: &FaultPlan, hops: &[Hop]) -> Option<DropReason> {
+    for hop in hops {
+        if rng.chance(plan.message_loss[hop.channel().index()]) {
+            return Some(DropReason::MessageLost);
+        }
+    }
+    if rng.chance(plan.stuck_prob) {
+        return Some(DropReason::HopTimeout);
+    }
+    rng.chance(plan.ack_loss_prob)
+        .then_some(DropReason::MessageLost)
+}
+
+#[test]
+fn a_faulted_batch_settles_in_runs_as_it_would_unit_by_unit() {
+    // 35 XRP at a 10-XRP MTU over two hops is one batch of four units;
+    // the fault stream is seeded so they deliver, fault, deliver, and
+    // deliver the partial one. The engine settles the first unit as a
+    // run, refunds the second, and settles the last two as one run; a
+    // per-unit loop over the same draws must leave the same balances,
+    // the same records and the fault stream at the same state.
+    let topo = gen::line(3, xrp(100));
+    let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+    let hops = topo.path_channels(&nodes).expect("a path of the line");
+    let (mtu, amount) = (xrp(10), Amount::from_xrp(35));
+    let units: Vec<Amount> = amount.mtu_chunks(mtu).collect();
+    let plan = |runtime_seed| FaultPlan {
+        message_loss: vec![0.2, 0.2],
+        ack_loss_prob: 0.1,
+        stuck_prob: 0.1,
+        jitter_range_ms: None,
+        spike_prob: 0.0,
+        spike_ms: 0.0,
+        hop_timeout: SimDuration::from_secs(1),
+        events: Vec::new(),
+        runtime_seed,
+    };
+    let verdicts = |seed| {
+        let mut rng = DetRng::new(seed);
+        units
+            .iter()
+            .map(|_| per_unit_verdict(&mut rng, &plan(seed), &hops).is_some())
+            .collect::<Vec<_>>()
+    };
+    let seed = (0..10_000)
+        .find(|&s| verdicts(s) == [false, true, false, false])
+        .expect("a seed with the pattern");
+    // The per-unit loop.
+    let mut channels: Vec<ChannelState> = topo
+        .channels()
+        .map(|(_, c)| ChannelState::split_equally(c.capacity))
+        .collect();
+    for hop in &hops {
+        assert!(channels[hop.channel().index()].lock(hop.direction(), amount));
+    }
+    let mut rng = DetRng::new(seed);
+    let mut want = Vec::new();
+    for &unit in &units {
+        let verdict = per_unit_verdict(&mut rng, &plan(seed), &hops);
+        for hop in &hops {
+            let ch = &mut channels[hop.channel().index()];
+            match verdict {
+                None => ch.settle(hop.direction(), unit),
+                Some(_) => ch.refund(hop.direction(), unit),
+            }
+        }
+        want.push((unit, verdict));
+    }
+    // The engine, stopped at the settle instant.
+    let mut cfg = base_config();
+    cfg.mtu = mtu;
+    cfg.confirmation_delay = SimDuration::from_millis(450);
+    cfg.horizon = SimDuration::from_millis(450);
+    cfg.obs.trace = true;
+    let router = Box::new(FixedPath {
+        nodes: nodes.to_vec(),
+        atomic: false,
+    });
+    let txns = vec![txn(0, 0, 2, amount)];
+    let mut sim = new_sim(topo, Workload { txns }, router, cfg);
+    sim.set_fault_plan(plan(seed));
+    let (r, mut sim) = run_checked(sim);
+    assert_eq!(sim.channel_states(), channels.as_slice(), "balances");
+    let trace = sim.take_trace().expect("tracing was on");
+    let got: Vec<(Amount, Option<DropReason>)> = trace
+        .events()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::UnitSettled { amount, .. } => Some((amount, None)),
+            TraceEventKind::UnitRefunded { amount, reason, .. } => Some((amount, reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(got, want, "settle and refund records");
+    assert_eq!((r.faults_injected, r.units_dropped), (1, 1));
+    assert_eq!(r.delivered_volume, amount - mtu);
+    // The fault stream stands where the per-unit loop's does.
+    let entry = sim.net.paths.entry(PathId::from_index(0));
+    let faults = sim.faults.as_mut().expect("a fault plan");
+    for _ in 0..64 {
+        let next = per_unit_verdict(&mut rng, &plan(seed), &hops);
+        assert_eq!(faults.lockstep_verdict(&entry), next);
+    }
 }
 
 #[test]
@@ -672,8 +794,7 @@ fn a_lockstep_fault_plan_draws_a_verdict_for_each_unit_of_a_batch() {
 }
 
 /// Test router that proposes one hand-interned path for the whole
-/// remainder and observes no per-unit outcome, so the engine locks its
-/// full units in one pass.
+/// remainder.
 struct FixedPath {
     nodes: Vec<NodeId>,
     atomic: bool,
@@ -691,9 +812,6 @@ impl Router for FixedPath {
     }
     fn atomic(&self) -> bool {
         self.atomic
-    }
-    fn observes_unit_outcomes(&self) -> bool {
-        false
     }
 }
 

@@ -353,12 +353,26 @@ impl MetricsCollector {
 
     /// Records a settled unit (value delivered end-to-end).
     pub fn unit_settled(&mut self, amount: Amount, at: SimTime) {
-        self.report.delivered_volume += amount;
+        self.units_settled(amount, 1, at);
+    }
+
+    /// Records `n` units of `amount` each settled at `at`; equivalent to
+    /// `n` calls to [`MetricsCollector::unit_settled`]. The throughput
+    /// bucket is looked up once but still takes `n` additions: a sum of
+    /// `f64`s is not one product.
+    pub fn units_settled(&mut self, amount: Amount, n: u64, at: SimTime) {
+        if n == 0 {
+            return;
+        }
+        self.report.delivered_volume += amount * n;
         let bucket = at.as_secs_f64() as usize;
         if self.report.throughput_series.len() <= bucket {
             self.report.throughput_series.resize(bucket + 1, 0.0);
         }
-        self.report.throughput_series[bucket] += amount.as_xrp();
+        let (slot, xrp) = (&mut self.report.throughput_series[bucket], amount.as_xrp());
+        for _ in 0..n {
+            *slot += xrp;
+        }
     }
 
     /// Records a fully completed payment with its total value and latency.
@@ -559,6 +573,40 @@ mod tests {
         assert!((r.throughput_series[0] - 12.0).abs() < 1e-12);
         assert_eq!(r.throughput_series[1], 0.0);
         assert!((r.throughput_series[2] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn units_settled_adds_like_one_settle_per_unit() {
+        // Amounts no power of two divides: repeated f64 additions round,
+        // so `n` additions differ from one product; the counted form must
+        // make exactly the additions the unit-by-unit form makes.
+        let amounts = [
+            Amount::from_drops(100_000),
+            Amount::from_drops(3_333_333),
+            Amount::from_drops(7_100_001),
+            Amount::from_drops(10_000_000),
+            Amount::from_drops(1),
+        ];
+        let (mut counted, mut one_by_one) = (MetricsCollector::new(), MetricsCollector::new());
+        for (i, &a) in amounts.iter().cycle().take(40).enumerate() {
+            let n = 1 + (i as u64 * 7) % 23;
+            let at = SimTime::from_micros(i as u64 * 377_000);
+            counted.units_settled(a, n, at);
+            for _ in 0..n {
+                one_by_one.unit_settled(a, at);
+            }
+        }
+        counted.units_settled(Amount::from_drops(5), 0, SimTime::from_secs(60));
+        let (a, b) = (
+            counted.finish("c", SimDuration::from_secs(20)),
+            one_by_one.finish("u", SimDuration::from_secs(20)),
+        );
+        assert_eq!(a.delivered_volume, b.delivered_volume);
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.throughput_series), bits(&b.throughput_series));
+        let product = amounts[0].as_xrp() * 10.0;
+        let sum = (0..10).fold(0.0, |s, _| s + amounts[0].as_xrp());
+        assert_ne!(product.to_bits(), sum.to_bits(), "the amounts must round");
     }
 
     #[test]

@@ -105,15 +105,27 @@ pub struct RouteProposal {
     pub amount: Amount,
 }
 
-/// Outcome notification for adaptive routers.
+/// Outcome notification for adaptive routers: `units` units of `amount`
+/// each, on one path, that fared alike.
+///
+/// Lockstep mode reports a proposal's locks as counts, in lock order: the
+/// full units that locked, then the full units that failed (after one
+/// failed, the rest are not tried — the failed one rolled back, so each
+/// would fail the same way; an all-or-nothing scheme stops at the first),
+/// then the partial last unit. A count stands for that many outcomes of
+/// one unit each, in a row, and the [`NetworkView`] handed with it shows
+/// the balances after all of them. Fault outcomes and hop-by-hop
+/// outcomes come one unit at a time.
 #[derive(Debug, Clone, Copy)]
 pub struct UnitOutcome {
-    /// The payment the unit belonged to.
+    /// The payment the units belonged to.
     pub payment: PaymentId,
     /// The path attempted.
     pub path: PathId,
-    /// The unit value.
+    /// The value of each unit.
     pub amount: Amount,
+    /// How many units the outcome stands for (at least one).
+    pub units: u64,
     /// Whether funds were successfully locked end-to-end (settlement then
     /// follows after Δ unconditionally in this model).
     pub locked: bool,
@@ -241,31 +253,24 @@ pub trait Router {
     /// payment (atomic schemes).
     fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal>;
 
-    /// Observation hook invoked after every unit lock attempt. In queueing
-    /// mode `locked` means *accepted for forwarding* (possibly queued at
-    /// the first hop); the definitive outcome arrives via
-    /// [`Router::on_unit_ack`].
+    /// Observation hook invoked after every unit lock attempt, and for
+    /// every unit an injected fault or griefing hold lost after it
+    /// locked ([`UnitOutcome::fault`]). Lockstep locks arrive as counts
+    /// (see [`UnitOutcome`]): a hook that acts per unit applies itself
+    /// [`UnitOutcome::units`] times. In queueing mode `locked` means
+    /// *accepted for forwarding* (possibly queued at the first hop); the
+    /// definitive outcome arrives via [`Router::on_unit_ack`].
     fn on_unit_outcome(&mut self, _outcome: &UnitOutcome, _view: &NetworkView<'_>) {}
 
-    /// True when [`Router::on_unit_outcome`] does something. Schemes that
-    /// keep the default no-op hook should return `false`: the engine then
-    /// elides the calls — and, since no hook sees a unit's outcome before
-    /// the next unit locks, locks a proposal's full units in one pass
-    /// instead of walking the path for each. Purely a performance
-    /// hint: with a no-op hook, outcomes are identical either way.
-    /// Wrappers must forward to their inner scheme if they forward the
-    /// outcome hook (and return `true` if they observe outcomes
-    /// themselves).
-    fn observes_unit_outcomes(&self) -> bool {
-        true
-    }
-
     /// The promise lockstep retry elision rests on: *until the next
-    /// [`Router::on_unit_outcome`], [`Router::on_unit_ack`] or
+    /// fault outcome ([`Router::on_unit_outcome`] with
+    /// [`UnitOutcome::fault`] set), [`Router::on_unit_ack`] or
     /// [`Router::on_topology_change`] this router receives,
     /// [`Router::route`] answers every request of a `(src, dst)` pair
     /// with the same single path for the whole `remaining`, whatever the
-    /// balances.* When the promise holds and an attempt proposed exactly
+    /// balances.* Ordinary lock outcomes do not end it, so a router that
+    /// lets them shape its proposals (a window, a price) must not give
+    /// it. When the promise holds and an attempt proposed exactly
     /// `[(path, remaining)]`, the engine remembers `path` and, at later
     /// polls, does not re-offer the payment while some hop of it has
     /// less available than the smallest chunk the attempt would try to

@@ -17,9 +17,15 @@
 //! state allows ([`max_silence`]). [`LedgerAudit::check`] asserts those
 //! checks held and that the counts the trace re-derives — payments
 //! attempted and completed, their volumes, delivered volume, drops by
-//! reason, and the units that locked their whole path with the hop
-//! counts of those paths — equal the report's; [`audited_run`] adds the
-//! engine's final funds and what its forensics and attribution recorded.
+//! reason, the units that locked their whole path with the hop counts of
+//! those paths, and each completed payment's latency — equal the
+//! report's; [`audited_run`] adds the engine's final funds and what its
+//! forensics and attribution recorded.
+//!
+//! A payment's latency runs from its `arrival` record to its `complete`
+//! record: the two instants give `completion_times` and `latency_hist`
+//! bit for bit (and the `latency_us` the `complete` record states must be
+//! their difference).
 //!
 //! A unit locks its whole path at a lockstep `lock` record with
 //! `ok:true`, or at a hop-by-hop unit's `forward` record across its
@@ -27,7 +33,13 @@
 //! `units_failed` is not re-derived: the trace has no record of the
 //! full-MTU units a lockstep batch lock counts as failed without trying
 //! them, once one of their size has failed, nor of a hop-by-hop unit
-//! rejected at its first hop before it is injected.
+//! rejected at its first hop before it is injected. Nor is `retries`: an
+//! attempt leaves a record only through the `route` records of what the
+//! router proposed, so one whose router proposed nothing (no path, or a
+//! closed window) is invisible. The `attempt` ordinals still bound it:
+//! a payment's attempt `k` is its `k`-th from the retry poll (its first,
+//! `0`, is made on arrival), so `retries` is at least the sum over
+//! payments of the highest ordinal routed.
 
 use spider_core::{ExperimentConfig, RunOutput};
 use spider_obs::trace::{reason_str, TraceEventKind};
@@ -319,6 +331,12 @@ pub struct LedgerAudit {
     pub completed: (u64, Amount),
     /// Value settled end to end.
     pub delivered: Amount,
+    /// Completed payments' latencies, arrival to completion, in seconds
+    /// and completion order.
+    pub completion_times: Vec<f64>,
+    /// Retries the `route` records prove: per payment, its highest
+    /// attempt ordinal.
+    pub retries_seen: u64,
     /// Drops by reason.
     pub drops: DropBreakdown,
     /// The replay's drop records, in record order.
@@ -367,6 +385,8 @@ impl LedgerAudit {
             attempted: (0, Amount::ZERO),
             completed: (0, Amount::ZERO),
             delivered: Amount::ZERO,
+            completion_times: Vec::new(),
+            retries_seen: 0,
             drops: DropBreakdown::default(),
             drop_records: Vec::new(),
             per_channel: vec![(0, 0, 0.0); topo.channel_count()],
@@ -378,6 +398,8 @@ impl LedgerAudit {
             locks: BTreeMap::new(),
         };
         let (mut totals, mut units) = (Vec::new(), Vec::new());
+        // Per payment: its arrival instant and the highest attempt routed.
+        let (mut arrivals, mut attempts) = (Vec::new(), Vec::new());
         let mut last_t = 0;
         for (i, (seq, t_us, kind)) in events.iter().enumerate() {
             let (t_us, kind) = (*t_us, kind);
@@ -397,12 +419,33 @@ impl LedgerAudit {
                     let p = payment.0 as usize;
                     if totals.len() <= p {
                         totals.resize(p + 1, Amount::ZERO);
+                        arrivals.resize(p + 1, 0);
+                        attempts.resize(p + 1, 0);
                     }
                     totals[p] = amount;
+                    arrivals[p] = t_us;
                 }
-                TraceEventKind::PaymentCompleted { payment, .. } => {
+                TraceEventKind::RouteProposal {
+                    payment, attempt, ..
+                } => {
+                    let seen = &mut attempts[payment.0 as usize];
+                    *seen = (*seen).max(attempt);
+                }
+                TraceEventKind::PaymentCompleted {
+                    payment,
+                    latency_us,
+                } => {
                     audit.completed.0 += 1;
                     audit.completed.1 += totals[payment.0 as usize];
+                    let latency = t_us - arrivals[payment.0 as usize];
+                    if latency != latency_us {
+                        let what = format!(
+                            "{payment} completes {latency} us after it arrived, not {latency_us}"
+                        );
+                        audit.violate(t_us, what);
+                    }
+                    let secs = SimDuration::from_micros(latency).as_secs_f64();
+                    audit.completion_times.push(secs);
                 }
                 TraceEventKind::UnitInjected { amount, .. } => units.push(amount),
                 _ => {}
@@ -447,6 +490,7 @@ impl LedgerAudit {
                 _ => {}
             }
         }
+        audit.retries_seen = attempts.iter().map(|&a| u64::from(a)).sum();
         audit
     }
 
@@ -701,6 +745,27 @@ impl LedgerAudit {
             bits(&report.path_length_hist),
             "{name}: path lengths"
         );
+        let times = |t: &[f64]| t.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            times(&self.completion_times),
+            times(&report.completion_times),
+            "{name}: completion times"
+        );
+        let mut latencies = Histogram::new();
+        for &secs in &self.completion_times {
+            latencies.record(secs);
+        }
+        assert_eq!(
+            bits(&latencies),
+            bits(&report.latency_hist),
+            "{name}: latency histogram"
+        );
+        assert!(
+            self.retries_seen <= report.retries,
+            "{name}: the trace routes {} retries, the report counts {}",
+            self.retries_seen,
+            report.retries
+        );
     }
 
     /// Asserts that the engine's forensics (when it ran with them) hold
@@ -750,7 +815,8 @@ impl LedgerAudit {
     }
 }
 
-fn count(drops: &mut DropBreakdown, reason: DropReason) {
+/// Counts one drop of `reason` in `drops`.
+pub(crate) fn count(drops: &mut DropBreakdown, reason: DropReason) {
     let slot = match reason {
         DropReason::QueueTimeout => &mut drops.queue_timeout,
         DropReason::QueueOverflow => &mut drops.queue_overflow,

@@ -53,9 +53,6 @@ impl Router for Polled {
     fn on_unit_outcome(&mut self, outcome: &UnitOutcome, view: &NetworkView<'_>) {
         self.0.on_unit_outcome(outcome, view);
     }
-    fn observes_unit_outcomes(&self) -> bool {
-        self.0.observes_unit_outcomes()
-    }
     fn on_unit_ack(&mut self, ack: &UnitAck, view: &NetworkView<'_>) {
         self.0.on_unit_ack(ack, view);
     }
