@@ -351,6 +351,7 @@ impl Router for ProtocolRouter {
             }
         }));
         // Most requests of a congested run end here: nothing may move.
+        // (The engine makes none of those `proposes_nothing` proves.)
         if budgets.iter().all(|b| b.is_zero()) {
             return Vec::new();
         }
@@ -386,6 +387,30 @@ impl Router for ProtocolRouter {
                 amount,
             })
             .collect()
+    }
+
+    /// The pair's slot, once the pair is routed (`route` then neither
+    /// opens nor fills it).
+    fn idle_token(&self, req: &RouteRequest) -> Option<u32> {
+        let slot = self.cache.slot(req.src, req.dst)?;
+        self.pairs.routed(slot).then_some(slot)
+    }
+
+    /// True exactly when `route` would zero every budget without probing
+    /// a path: no breaker is tracked (`allow` can move a breaker), and
+    /// every candidate has a zero controller budget or is cooling while
+    /// some candidate is not. `route`'s only write on the way is
+    /// `note_skip`, a counter. On-send and reject only lower budgets, and
+    /// only acks and faults (neither comes within a poll) end or start a
+    /// cooldown.
+    fn proposes_nothing(&self, slot: u32, view: &NetworkView<'_>) -> bool {
+        if !self.breakers.is_empty() {
+            return false;
+        }
+        let held = &self.pairs.candidates[self.pairs.span(slot)];
+        let cooled = |c: &Candidate| self.penalties.is_cooled(c.path, view.now);
+        held.iter()
+            .all(|c| c.controller.budget().is_zero() || (cooled(c) && !held.iter().all(cooled)))
     }
 
     fn on_unit_outcome(&mut self, outcome: &UnitOutcome, view: &NetworkView<'_>) {
@@ -585,6 +610,73 @@ mod tests {
         r.on_unit_ack(&ack(path, xrp(10), true, MarkStamp::CLEAR), &view);
         let again = r.route(&req(0, 3, xrp(1_000), xrp(10)), &view);
         assert!(!again.is_empty());
+    }
+
+    /// The promise holds while every window is full, or cooling beside
+    /// one that is not; an ack, a cooldown on every candidate or a
+    /// tracked breaker withdraws it.
+    #[test]
+    fn proposes_nothing_exactly_when_route_zeroes_every_budget() {
+        let (t, ch) = two_routes();
+        let paths = PathTable::new();
+        let mut view = NetworkView {
+            topo: &t,
+            channels: &ch,
+            paths: &paths,
+            now: SimTime::ZERO,
+        };
+        let mut r = ProtocolRouter::new(4);
+        let request = req(0, 3, xrp(1_000), xrp(10));
+        assert_eq!(r.idle_token(&request), None, "not routed yet");
+        let props = r.route(&request, &view);
+        let slot = r.idle_token(&request).expect("routed");
+        assert!(!r.proposes_nothing(slot, &view), "windows are open");
+        let send = |r: &mut ProtocolRouter, p: &RouteProposal, view: &NetworkView<'_>| {
+            let o = UnitOutcome {
+                payment: PaymentId(0),
+                path: p.path,
+                amount: p.amount,
+                units: 1,
+                locked: true,
+                fault: None,
+            };
+            r.on_unit_outcome(&o, view);
+        };
+        send(&mut r, &props[0], &view);
+        assert!(!r.proposes_nothing(slot, &view), "one window is open");
+        send(&mut r, &props[1], &view);
+        assert!(r.proposes_nothing(slot, &view));
+        assert!(r.route(&request, &view).is_empty());
+        // An ack frees budget on the first path; a fault cools it while
+        // the second is full and not cooling, so route skips it.
+        r.on_unit_ack(&ack(props[0].path, xrp(10), true, MarkStamp::CLEAR), &view);
+        assert!(!r.proposes_nothing(slot, &view));
+        let fault = |path| UnitOutcome {
+            payment: PaymentId(0),
+            path,
+            amount: xrp(10),
+            units: 1,
+            locked: true,
+            fault: Some(DropReason::MessageLost),
+        };
+        r.on_unit_outcome(&fault(props[0].path), &view);
+        assert!(r.proposes_nothing(slot, &view));
+        assert!(r.route(&request, &view).is_empty());
+        // Every candidate cooling: route uses the one with budget.
+        r.on_unit_outcome(&fault(props[1].path), &view);
+        assert!(!r.proposes_nothing(slot, &view));
+        let more = r.route(&request, &view);
+        assert_eq!(more.len(), 1);
+        send(&mut r, &more[0], &view);
+        // The cooldowns lapse; every window is full again.
+        view.now = SimTime::ZERO + SimDuration::from_secs(1);
+        assert!(r.proposes_nothing(slot, &view));
+        // A shed strike makes a breaker tracked: `route` may move it.
+        let mut shed = ack(props[1].path, xrp(10), false, marked_stamp());
+        shed.drop_reason = Some(DropReason::Shed);
+        shed.drop_channel = Some(t.channel_between(NodeId(2), NodeId(3)).unwrap());
+        r.on_unit_ack(&shed, &view);
+        assert!(!r.proposes_nothing(slot, &view));
     }
 
     #[test]

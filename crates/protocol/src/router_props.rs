@@ -257,3 +257,118 @@ proptest! {
         assert_same_state(&router, &reference);
     }
 }
+
+/// Per routed slot, each candidate's window, in-flight value and price
+/// bits; then every observability counter but the skip counter.
+type Snapshot = (Vec<[u64; 3]>, Vec<(String, u64)>);
+
+/// Everything of the router a `route` call could move, but the skip
+/// counter.
+fn snapshot(router: &ProtocolRouter) -> Snapshot {
+    let slots = router.pairs.routed_slots();
+    let held = slots.flat_map(|slot| &router.pairs.candidates[router.pairs.span(slot)]);
+    let state = held.map(|c| {
+        let (window, inflight) = (c.controller.window(), c.controller.inflight());
+        [window.drops(), inflight.drops(), c.price.price().to_bits()]
+    });
+    let mut counters = router.observability().counters;
+    counters.retain(|(k, _)| k != "backoff_paths_skipped");
+    (state.collect(), counters)
+}
+
+proptest! {
+    /// Over a random stream of requests, lock outcomes, acks, faults,
+    /// shed strikes and clock steps: whenever `proposes_nothing` holds
+    /// for a routed pair, `route` proposes nothing for it and moves
+    /// nothing but the skip counter.
+    #[test]
+    fn proposes_nothing_only_when_route_would(
+        ops in proptest::collection::vec((0u8..12, 0u64..u64::MAX, 0u64..u64::MAX), 1..200),
+    ) {
+        let capacity = Amount::from_xrp(2_000);
+        let topo = spider_topology::gen::grid(3, 3, capacity);
+        let nodes = topo.node_count() as u64;
+        let channels: Vec<ChannelState> =
+            topo.channels().map(|_| ChannelState::split_equally(capacity)).collect();
+        let table = PathTable::new();
+        let mut now = SimTime::ZERO;
+        let mut router = ProtocolRouter::new(3);
+        let mtu = Amount::from_xrp(10);
+        let request = |src: NodeId, dst: NodeId, amount: Amount| RouteRequest {
+            payment: PaymentId(0),
+            src,
+            dst,
+            remaining: amount,
+            total: amount,
+            mtu,
+            attempt: 0,
+        };
+        let mut sent: Vec<(PathId, Amount)> = Vec::new();
+        for (selector, a, b) in ops {
+            let view = NetworkView { topo: &topo, channels: &channels, paths: &table, now };
+            match selector {
+                0..=3 => {
+                    // A few pairs, so their windows fill.
+                    let (src, dst) = (a % 3, 3 + (a / 3) % (nodes - 3));
+                    let amount = Amount::from_xrp(5 + b % 300);
+                    let req = request(NodeId(src as u32), NodeId(dst as u32), amount);
+                    for p in router.route(&req, &view) {
+                        let locked = b % 8 != 0;
+                        let outcome = UnitOutcome {
+                            payment: PaymentId(0),
+                            path: p.path,
+                            amount: p.amount,
+                            units: 1,
+                            locked,
+                            fault: None,
+                        };
+                        router.on_unit_outcome(&outcome, &view);
+                        if locked {
+                            sent.push((p.path, p.amount));
+                        }
+                    }
+                }
+                4..=6 if !sent.is_empty() => {
+                    // An ack, a fault, or (rarely) a shed strike for a
+                    // unit in flight.
+                    let (path, amount) = sent.remove((a % sent.len() as u64) as usize);
+                    if b % 3 == 0 {
+                        let fault = UnitOutcome {
+                            payment: PaymentId(0),
+                            path,
+                            amount,
+                            units: 1,
+                            locked: true,
+                            fault: Some(DropReason::MessageLost),
+                        };
+                        router.on_unit_outcome(&fault, &view);
+                    }
+                    let shed = b % 97 == 0;
+                    let ack = UnitAck {
+                        payment: PaymentId(0),
+                        path,
+                        amount,
+                        delivered: b % 5 != 0 && !shed,
+                        stamp: MarkStamp::CLEAR,
+                        drop_reason: shed.then_some(DropReason::Shed),
+                        drop_channel: shed.then(|| view.path(path).hops()[0].channel()),
+                        rtt: SimDuration::from_millis(520),
+                    };
+                    router.on_unit_ack(&ack, &view);
+                }
+                _ => now += SimDuration::from_millis(a % 400),
+            }
+            let view = NetworkView { topo: &topo, channels: &channels, paths: &table, now };
+            let slots: Vec<u32> = router.pairs.routed_slots().collect();
+            for slot in slots {
+                if router.proposes_nothing(slot, &view) {
+                    let (src, dst) = router.cache.pair(slot);
+                    let before = snapshot(&router);
+                    let proposals = router.route(&request(src, dst, mtu * 50), &view);
+                    prop_assert!(proposals.is_empty(), "slot {} proposed {:?}", slot, proposals);
+                    prop_assert_eq!(snapshot(&router), before);
+                }
+            }
+        }
+    }
+}

@@ -96,6 +96,10 @@ pub struct PathPenalties {
     entries: IdTable<Penalty>,
     faults_seen: u64,
     cooldowns_started: u64,
+    /// Cooling candidates passed over, counted in the route calls made:
+    /// a poll the engine skips because the router promised to propose
+    /// nothing (`Router::proposes_nothing`) makes no call, so counts no
+    /// skip.
     paths_skipped: u64,
 }
 

@@ -61,7 +61,9 @@ impl Simulation {
                 resized: resized as u32,
             });
         self.router.on_topology_change(&update, &self.net.view());
-        self.lockstep.forget_pins();
+        if !self.hop_by_hop() {
+            self.retry_queue.forget_pins();
+        }
     }
 
     /// Applies one [`TopologyChange`], recording what actually toggled in

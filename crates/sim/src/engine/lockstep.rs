@@ -20,22 +20,33 @@ pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::from_millis(100);
 /// bounding worst-case work for adversarial routers.
 const MAX_PROPOSALS_PER_POLL: usize = 64;
 
-/// Stands for "no pin" in [`PendingEntry::pinned`].
-const NOT_PINNED: PathId = PathId(u32::MAX);
+/// Stands for "nothing to wait on" in [`PendingEntry::wait`].
+const NO_WAIT: u32 = u32::MAX;
+
+/// Stands for "finished at this poll" in [`PendingEntry::payment`].
+const GONE: u32 = u32::MAX;
 
 /// One slot of the retry queue.
 #[derive(Debug, Clone, Copy)]
 struct PendingEntry {
     payment: u32,
-    /// The path the payment's last attempt was pinned to, or
-    /// [`NOT_PINNED`]: the router promised
-    /// [`Router::pins_single_path`](crate::router::Router::pins_single_path)
-    /// and proposed exactly this path for the whole remainder. While it
-    /// stands, a poll skips the payment if the path cannot carry its
-    /// smallest chunk. Unpinned when no promise was given, or since the
-    /// router's last fault outcome, ack or topology callback (ordinary
-    /// lock outcomes, which every attempt reports, leave it standing).
-    pinned: PathId,
+    /// What the payment waits on, or [`NO_WAIT`]; the engine's mode says
+    /// which.
+    /// - Lockstep: the path its last attempt was pinned to. The router
+    ///   promised [`Router::pins_single_path`] and proposed exactly this
+    ///   path for the whole remainder. While the pin stands, a poll skips
+    ///   the payment if the path cannot carry its smallest chunk. Unpinned
+    ///   when no promise was given, or since the router's last fault
+    ///   outcome, ack or topology callback (ordinary lock outcomes, which
+    ///   every attempt reports, leave it standing).
+    /// - Hop by hop, which never pins: the router's
+    ///   [`Router::idle_token`] for the payment's pair. A poll skips the
+    ///   payment while [`Router::proposes_nothing`] holds for it.
+    ///
+    /// [`Router::pins_single_path`]: crate::router::Router::pins_single_path
+    /// [`Router::idle_token`]: crate::router::Router::idle_token
+    /// [`Router::proposes_nothing`]: crate::router::Router::proposes_nothing
+    wait: u32,
     /// While `least` is non-zero: a hop of the pinned path whose direction
     /// had less available than `least` when the payment was last tested.
     witness: Hop,
@@ -49,10 +60,10 @@ struct PendingEntry {
 const _: () = assert!(std::mem::size_of::<PendingEntry>() == 16);
 
 impl PendingEntry {
-    fn new(pid: usize, pinned: Option<PathId>) -> Self {
+    fn new(pid: usize, wait: Option<u32>) -> Self {
         PendingEntry {
             payment: u32::try_from(pid).expect("payment ids fit in 32 bits"),
-            pinned: pinned.unwrap_or(NOT_PINNED),
+            wait: wait.unwrap_or(NO_WAIT),
             witness: Hop::new(ChannelId(0), Direction::Forward),
             least: 0,
         }
@@ -62,13 +73,14 @@ impl PendingEntry {
         self.payment as usize
     }
 
+    /// The pinned path (lockstep mode).
     fn pinned(&self) -> Option<PathId> {
-        (self.pinned != NOT_PINNED).then_some(self.pinned)
+        (self.wait != NO_WAIT).then_some(PathId(self.wait))
     }
 
-    /// Takes a new pin (or none), and with it drops the witness.
-    fn repin(&mut self, pinned: Option<PathId>) {
-        self.pinned = pinned.unwrap_or(NOT_PINNED);
+    /// Waits on `wait` (or nothing), and with it drops the witness.
+    fn rewait(&mut self, wait: Option<u32>) {
+        self.wait = wait.unwrap_or(NO_WAIT);
         self.least = 0;
     }
 
@@ -85,8 +97,8 @@ impl PendingEntry {
     }
 }
 
-/// The retry queue.
-pub(super) struct Lockstep {
+/// The retry queue both modes poll.
+pub(super) struct RetryQueue {
     /// Incomplete non-atomic payments awaiting the next poll, in the
     /// order they joined.
     pending: Vec<PendingEntry>,
@@ -102,9 +114,9 @@ pub(super) struct Lockstep {
     past_deadline: usize,
 }
 
-impl Lockstep {
+impl RetryQueue {
     pub(super) fn new(n_payments: usize) -> Self {
-        Lockstep {
+        RetryQueue {
             pending: Vec::new(),
             in_pending: Vec::with_capacity(n_payments),
             order: Vec::new(),
@@ -117,22 +129,24 @@ impl Lockstep {
         self.in_pending.push(false);
     }
 
-    /// Appends `pid` to the retry queue unless already present.
-    pub(super) fn push(&mut self, pid: usize, pinned: Option<PathId>) {
+    /// Appends `pid`, waiting on `wait`, to the retry queue unless
+    /// already present.
+    pub(super) fn push(&mut self, pid: usize, wait: Option<u32>) {
         if !self.in_pending[pid] {
             self.in_pending[pid] = true;
-            self.pending.push(PendingEntry::new(pid, pinned));
+            self.pending.push(PendingEntry::new(pid, wait));
         }
     }
 
     /// Forgets every pinned path, and with them every witness. Called
     /// wherever lockstep mode hands the router a callback that ends its
     /// `pins_single_path` promise (fault and griefing outcomes, topology
-    /// updates — rare, so a sweep is fine). Queueing mode never pins, so
-    /// its outcome and ack sites need no sweep.
+    /// updates — rare, so a sweep is fine). Hop-by-hop entries hold
+    /// tokens instead, which name a pair and are tested afresh at every
+    /// poll: that mode never sweeps.
     pub(super) fn forget_pins(&mut self) {
         for e in &mut self.pending {
-            e.repin(None);
+            e.rewait(None);
         }
     }
 
@@ -155,7 +169,7 @@ impl Simulation {
     /// holds, if any.
     pub(super) fn pending_witnesses(&self) -> Vec<(usize, Option<Hop>)> {
         let witness = |e: &PendingEntry| e.has_witness().then_some(e.witness);
-        self.lockstep
+        self.retry_queue
             .pending
             .iter()
             .map(|e| (e.pid(), witness(e)))
@@ -168,7 +182,7 @@ impl Simulation {
     /// smallest chunk of what the payment has unassigned, with that
     /// chunk: re-offering the payment would provably lock nothing (a
     /// closed hop has nothing available). `None` when unpinned, or when
-    /// every hop can carry the chunk.
+    /// every hop can carry the chunk. Lockstep mode only.
     fn blocking_hop(&self, e: &PendingEntry) -> Option<(Hop, Amount)> {
         let path = e.pinned()?;
         let least = self.payments[e.pid()]
@@ -192,6 +206,12 @@ impl Simulation {
         e.has_witness() && self.net.channels[c.index()].available(dir).drops() < u64::from(e.least)
     }
 
+    /// True while the router promises that the entry's pair gets no
+    /// proposal: hop-by-hop mode's test, which reads no payment.
+    fn idle(&self, e: &PendingEntry) -> bool {
+        e.wait != NO_WAIT && self.router.proposes_nothing(e.wait, &self.net.view())
+    }
+
     /// Samples telemetry when due, then re-offers the retry queue in
     /// scheduling-policy order; schedules the next poll if one fits the
     /// horizon.
@@ -199,11 +219,15 @@ impl Simulation {
         self.sample_if_due();
         let t0 = self.obs.profiler.start();
         let now = self.net.now;
-        let past_deadline = self.lockstep.advance_expiry(&self.payments, now);
+        let past_deadline = self.retry_queue.advance_expiry(&self.payments, now);
+        // Hop by hop, an entry waits on a router token; in lockstep mode
+        // on a pin.
+        let tokens = self.hop_by_hop();
         // One pass over the queue expires overdue payments, drops
-        // finished ones, and lists the payments whose attempt can lock
-        // something: one pinned to a path that cannot carry its smallest
-        // chunk is skipped (see the module docs for why that is exact).
+        // finished ones, and lists the payments whose attempt can do
+        // something: one whose router promises to propose nothing, or
+        // one pinned to a path that cannot carry its smallest chunk, is
+        // skipped (see the module docs for why that is exact).
         //
         // Scheduling order: one key shape serves every policy (`!` reverses
         // an unsigned order). Each is a strict total order (payment-id
@@ -212,26 +236,33 @@ impl Simulation {
         // whole queue would. Keys are computed once, here, not per
         // comparison.
         let policy = self.config.scheduling;
-        let mut order = std::mem::take(&mut self.lockstep.order);
+        let mut order = std::mem::take(&mut self.retry_queue.order);
         order.clear();
-        let mut pending = std::mem::take(&mut self.lockstep.pending);
+        let mut pending = std::mem::take(&mut self.retry_queue.pending);
         let mut kept = 0;
         for i in 0..pending.len() {
             let mut e = pending[i];
             let pid = e.pid();
-            if pid >= past_deadline && self.witness_blocks(&e) {
-                // Blocked where it was last time, before its deadline:
-                // kept without reading the payment or its path.
+            let waits = pid >= past_deadline
+                && if tokens {
+                    self.idle(&e)
+                } else {
+                    self.witness_blocks(&e)
+                };
+            if waits {
+                // Still waiting, before its deadline: kept without
+                // reading the payment or its path.
                 debug_assert!(
                     {
                         let p = &self.payments[pid];
                         p.active()
                             && now <= p.deadline
-                            && self
-                                .blocking_hop(&e)
-                                .is_some_and(|(_, least)| least.drops() == u64::from(e.least))
+                            && (tokens
+                                || self
+                                    .blocking_hop(&e)
+                                    .is_some_and(|(_, least)| least.drops() == u64::from(e.least)))
                     },
-                    "payment {pid}: a standing witness implies an active, blocked payment"
+                    "payment {pid}: a waiting payment is active, and blocked where its witness is"
                 );
                 pending[kept] = e;
                 kept += 1;
@@ -247,10 +278,13 @@ impl Simulation {
                 });
             }
             if !p.active() {
-                self.lockstep.in_pending[pid] = false;
+                self.retry_queue.in_pending[pid] = false;
                 continue;
             }
-            match self.blocking_hop(&e) {
+            // A token that failed the test above fails it until an
+            // attempt of this poll runs.
+            let blocked = if tokens { None } else { self.blocking_hop(&e) };
+            match blocked {
                 Some(blocked) => e.set_witness(blocked),
                 None => {
                     e.least = 0;
@@ -268,10 +302,11 @@ impl Simulation {
             kept += 1;
         }
         pending.truncate(kept);
-        self.lockstep.pending = pending;
+        self.retry_queue.pending = pending;
         order.sort_unstable();
         // Attempts only append to the queue (queueing-mode drops may
         // re-queue a payment), so the positions stay valid.
+        let mut finished = false;
         for &(_, pid, i) in &order {
             let i = i as usize;
             // An attempt changes only its own payment, so this one is as
@@ -279,27 +314,31 @@ impl Simulation {
             debug_assert!(self.payments[pid].active());
             // Tested again at its turn: an earlier attempt of this poll
             // may have taken what the scan saw.
-            if let Some(blocked) = self.blocking_hop(&self.lockstep.pending[i]) {
-                self.lockstep.pending[i].set_witness(blocked);
+            let e = self.retry_queue.pending[i];
+            if tokens {
+                if self.idle(&e) {
+                    continue;
+                }
+            } else if let Some(blocked) = self.blocking_hop(&e) {
+                self.retry_queue.pending[i].set_witness(blocked);
                 continue;
             }
             self.metrics.retry();
-            let pinned = self.attempt_payment(pid);
-            self.lockstep.pending[i].repin(pinned);
-        }
-        self.lockstep.order = order;
-        // Only an attempted payment can have finished: an entry holding a
-        // witness was not attempted, so it is as active as the scan found
-        // it.
-        let (payments, in_pending) = (&self.payments, &mut self.lockstep.in_pending);
-        self.lockstep.pending.retain(|e| {
-            let keep = e.has_witness() || payments[e.pid()].active();
-            debug_assert!(!keep || payments[e.pid()].active());
-            if !keep {
-                in_pending[e.pid()] = false;
+            let wait = self.attempt_payment(pid);
+            // Only an attempt can finish a payment the scan kept.
+            let e = &mut self.retry_queue.pending[i];
+            if self.payments[pid].active() {
+                e.rewait(wait);
+            } else {
+                e.payment = GONE;
+                self.retry_queue.in_pending[pid] = false;
+                finished = true;
             }
-            keep
-        });
+        }
+        self.retry_queue.order = order;
+        if finished {
+            self.retry_queue.pending.retain(|e| e.payment != GONE);
+        }
         self.obs.profiler.stop(Phase::Routing, t0);
         let next = now + POLL_INTERVAL;
         if next <= horizon {
@@ -308,9 +347,10 @@ impl Simulation {
     }
 
     /// One routing attempt for the payment's currently unassigned amount.
-    /// Returns the path the attempt was pinned to, if the router promised
-    /// one (see [`PendingEntry::pinned`]).
-    pub(super) fn attempt_payment(&mut self, pid: usize) -> Option<PathId> {
+    /// Returns what the payment waits on until its next attempt (see
+    /// [`PendingEntry::wait`]): the path the attempt was pinned to, or
+    /// the router's token for its pair, if the router gave one.
+    pub(super) fn attempt_payment(&mut self, pid: usize) -> Option<u32> {
         let p = &self.payments[pid];
         if !p.active() {
             return None;
@@ -337,13 +377,12 @@ impl Simulation {
                 });
         }
         let hop_by_hop = self.hop_by_hop();
-        // Hop-by-hop units report acks, which end any promise before it
-        // could be used.
-        let pinned = match proposals.as_slice() {
-            &[only]
-                if only.amount == unassigned && !hop_by_hop && self.router.pins_single_path() =>
-            {
-                Some(only.path)
+        // Hop-by-hop units report acks, which end any pin before it could
+        // be used: that mode waits on the router's token instead.
+        let wait = match proposals.as_slice() {
+            _ if hop_by_hop => self.router.idle_token(&req),
+            &[only] if only.amount == unassigned && self.router.pins_single_path() => {
+                Some(only.path.0)
             }
             _ => None,
         };
@@ -405,7 +444,7 @@ impl Simulation {
             }
             self.payments[pid].expired = true;
         }
-        pinned
+        wait
     }
 
     /// Locks a proposal's `want` on `path`: its full units in one pass
@@ -574,15 +613,16 @@ impl Simulation {
     }
 
     /// Records a lockstep refund of `amount` on `path`: with a `reason`
-    /// a drop (failing at `channel`, if one hop failed), without one the
-    /// rollback of an all-or-nothing payment, traced but not a drop.
+    /// a drop (failing at the `failing` channel, with the balances it
+    /// left there, if one hop failed), without one the rollback of an
+    /// all-or-nothing payment, traced but not a drop.
     fn record_refund(
         &mut self,
         pid: usize,
         amount: Amount,
         path: PathId,
         reason: Option<DropReason>,
-        channel: Option<ChannelId>,
+        failing: Option<(ChannelId, [u64; 2])>,
     ) {
         let attempts = self.payments[pid].attempts;
         let refund = || TraceEventKind::UnitRefunded {
@@ -593,7 +633,10 @@ impl Simulation {
             reason,
         };
         match reason {
-            Some(reason) => self.record_drop(pid, path, channel, reason, refund),
+            Some(reason) => {
+                let (channel, balances) = (failing.map(|f| f.0), failing.map(|f| f.1));
+                self.record_drop(pid, path, channel, balances, reason, refund)
+            }
             None => self.obs.trace(self.net.now, refund),
         }
     }
@@ -704,7 +747,7 @@ impl Simulation {
         self.record_refund(pid, amount, path, reason, None);
         if retry {
             self.report_outcome(pid, path, amount, 1, true, reason);
-            self.lockstep.forget_pins();
+            self.retry_queue.forget_pins();
             self.requeue(pid, None);
         }
     }
@@ -727,31 +770,34 @@ impl Simulation {
             _ => None,
         });
         let mtu = self.config.mtu;
+        let dirs = [Direction::Forward, Direction::Backward];
         for (payment, amount, path) in hit {
             let entry = self.net.paths.entry(path);
             self.payments[payment].churn_hit = true;
-            self.payments[payment].inflight -= amount;
-            // Every hop refunds the batch at once but the closed
-            // channel's, which refunds it unit by unit: each unit is its
-            // own drop, and its record reads that channel's balances
-            // after its own refund. Counted in both the total and the
+            // Every hop refunds the batch at once. Each unit is its own
+            // drop, and its record states the closed channel's balances
+            // as its own refund left them: the batch's, less what the
+            // units after it refund there (a unit adds itself to a side
+            // once per crossing). Counted in both the total and the
             // churn-specific drop counters, so `units_dropped_churn <=
             // units_dropped` holds in every engine mode.
-            let channels = &mut self.net.channels;
-            for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
-                if c != channel {
-                    channels[c.index()].refund(dir, amount);
-                }
-            }
+            self.refund_path(payment, &entry, amount);
+            let crossings = dirs.map(|d| {
+                entry
+                    .hops()
+                    .iter()
+                    .filter(|&&h| h == Hop::new(channel, d))
+                    .count()
+            });
+            let ch = &self.net.channels[channel.index()];
+            let refunded = dirs.map(|d| ch.balance(d).drops());
+            let mut later = amount;
             for unit in amount.mtu_chunks(mtu) {
-                for (c, dir) in entry.hops().iter().map(|hop| hop.parts()) {
-                    if c == channel {
-                        self.net.channels[c.index()].refund(dir, unit);
-                    }
-                }
+                later -= unit;
+                let balances = [0, 1].map(|d| refunded[d] - later.drops() * crossings[d] as u64);
                 self.metrics.unit_dropped_churn();
                 let reason = Some(DropReason::ChannelClosed);
-                self.record_refund(payment, unit, path, reason, Some(channel));
+                self.record_refund(payment, unit, path, reason, Some((channel, balances)));
             }
             if atomic {
                 self.payments[payment].expired = true;

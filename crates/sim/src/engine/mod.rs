@@ -11,38 +11,54 @@
 //!   units one proposal locked settle as one event, in runs.
 //! * **Poll** — every `POLL_INTERVAL` (100 ms), incomplete non-atomic payments are
 //!   re-attempted in scheduling-policy order (SRPT by default) — except
-//!   those whose attempt provably locks nothing. When the router pinned
-//!   the payment to one path ([`Router::pins_single_path`]) and some hop
-//!   of that path has less available than the smallest chunk of the
-//!   payment's remainder, every chunk fails at that hop and the failed
-//!   lock rolls back the hops before it: the attempt would leave
-//!   balances, payments and the calendar untouched, so it is skipped.
-//!   Attempts within one poll only *lower* availability, so "blocked
-//!   when tested" implies "blocked at its turn": the test runs over the
-//!   whole queue before the sort (only survivors are sorted, and they
-//!   keep the relative policy order they had among all pending
-//!   payments) and once more at each survivor's turn. A pin is
-//!   forgotten the moment the router receives a fault outcome, an ack or
-//!   a topology callback (ordinary lock outcomes leave the promise
-//!   standing), and balances are read at poll time, so no credit site
-//!   (settle, refund, deposit, resize, reopen) needs a hook. `retries`,
-//!   `units_failed` and `RouteRequest::attempt` therefore count attempts
-//!   actually made.
+//!   those whose attempt provably does nothing. Each pending payment
+//!   waits on one of two witnesses, by mode:
+//!
+//!   - **A pinned hop (lockstep).** When the router pinned the payment
+//!     to one path ([`Router::pins_single_path`]) and some hop of that
+//!     path has less available than the smallest chunk of the payment's
+//!     remainder, every chunk fails at that hop and the failed lock rolls
+//!     back the hops before it: the attempt would leave balances,
+//!     payments and the calendar untouched, so it is skipped. A pin is
+//!     forgotten the moment the router receives a fault outcome, an ack
+//!     or a topology callback (ordinary lock outcomes leave the promise
+//!     standing), and balances are read at poll time, so no credit site
+//!     (settle, refund, deposit, resize, reopen) needs a hook.
+//!   - **A router token (hop by hop).** After each attempt the router may
+//!     hand back a token naming the payment's pair
+//!     ([`Router::idle_token`]). While [`Router::proposes_nothing`] holds
+//!     for it, `route` would return no proposal and change nothing but
+//!     observability counters, so the attempt — no proposal, no unit, no
+//!     record — is skipped. The test reads the router's state as it is,
+//!     at every poll; a token names a pair for the run, so no callback
+//!     ends it.
+//!
+//!   Attempts within one poll only *lower* what another attempt could
+//!   get: they lock balances, and the router hears of sends and ingress
+//!   rejections (which shrink windows) but never an ack or a fault,
+//!   which come from events. So "nothing when tested" implies "nothing
+//!   at its turn": the test runs over the whole queue before the sort
+//!   (only survivors are sorted, and they keep the relative policy order
+//!   they had among all pending payments) and once more at each
+//!   survivor's turn. `retries`, `units_failed` and
+//!   `RouteRequest::attempt` therefore count attempts actually made.
 //!
 //!   One pass over the queue expires overdue payments, drops finished
-//!   ones and runs that test. A blocked entry keeps its **witness** — the
-//!   hop that blocked and the chunk it could not carry — and the next
-//!   poll reads that one direction first: while it still blocks and the
+//!   ones and runs the test. A blocked lockstep entry keeps its
+//!   **witness** — the hop that blocked and the chunk it could not carry
+//!   — and the next poll reads that one direction first. While it still
+//!   blocks, or while the router's promise stands for a token, and the
 //!   payment's deadline has not passed, the entry stays without its
-//!   payment or path being read. That is exact because while a pin
-//!   stands the unassigned amount cannot change (a settle moves value
-//!   from in flight to delivered, and every refund but an expiry's comes
-//!   with a callback that forgets the pins), so neither the chunk nor
-//!   the payment's being active can. Deadlines are the arrival plus one
-//!   constant and payments are numbered in arrival order, so those that
-//!   have passed are a prefix of the ids: an **expiry cursor** tells
-//!   them apart without reading a payment. Every entry is still visited
-//!   at every poll.
+//!   payment or path being read. That is exact because a payment that
+//!   waits stays active. While a pin stands the unassigned amount cannot
+//!   change (a settle moves value from in flight to delivered, and every
+//!   refund but an expiry's comes with a callback that forgets the pins).
+//!   Hop by hop, between polls only drops change it, and they only raise
+//!   it; nothing but the poll expires a payment before its deadline.
+//!   Deadlines are the arrival plus one constant and payments are
+//!   numbered in arrival order, so those that have passed are a prefix of
+//!   the ids: an **expiry cursor** tells them apart without reading a
+//!   payment. Every entry is still visited at every poll.
 //!
 //! Ties in event time are broken by insertion sequence, so runs are fully
 //! deterministic.
@@ -90,7 +106,7 @@ mod test_util;
 mod tests;
 
 use self::core::{ArrivalCursor, EventCore, Net, Train};
-use self::lockstep::Lockstep;
+use self::lockstep::RetryQueue;
 pub(crate) use self::lockstep::POLL_INTERVAL;
 use self::obs::Obs;
 use self::perturb::{AdmissionState, Faults, Overload};
@@ -348,7 +364,7 @@ pub struct Simulation {
     payments: Vec<PaymentState>,
     metrics: MetricsCollector,
     /// The retry queue both modes poll.
-    lockstep: Lockstep,
+    retry_queue: RetryQueue,
     /// Hop-by-hop state; `Some` exactly when the config asks for
     /// [`QueueingMode::PerChannelFifo`].
     queueing: Option<Queueing>,
@@ -407,7 +423,7 @@ impl Simulation {
             events: EventCore::default(),
             payments: Vec::with_capacity(n_txns),
             metrics: MetricsCollector::new(),
-            lockstep: Lockstep::new(n_txns),
+            retry_queue: RetryQueue::new(n_txns),
             queueing,
             rebalance_pending: vec![[false; 2]; n_channels],
             topo_events: Vec::new(),
@@ -666,7 +682,7 @@ impl Simulation {
             churn_hit: false,
             griefing,
         });
-        self.lockstep.note_arrival();
+        self.retry_queue.note_arrival();
         self.metrics.payment_arrived(spec.amount);
         self.obs
             .trace(self.net.now, || TraceEventKind::PaymentArrival {
@@ -681,14 +697,15 @@ impl Simulation {
         if !self.admit_payment(pid) {
             return;
         }
-        let pinned = self.attempt_payment(pid);
-        self.requeue(pid, pinned);
+        let wait = self.attempt_payment(pid);
+        self.requeue(pid, wait);
     }
 
-    /// Queues what is left of a non-atomic payment for the next poll.
-    fn requeue(&mut self, pid: usize, pinned: Option<PathId>) {
+    /// Queues what is left of a non-atomic payment for the next poll,
+    /// waiting on `wait` (see [`Simulation::attempt_payment`]).
+    fn requeue(&mut self, pid: usize, wait: Option<u32>) {
         if !self.router.atomic() && self.payments[pid].active() {
-            self.lockstep.push(pid, pinned);
+            self.retry_queue.push(pid, wait);
         }
     }
 

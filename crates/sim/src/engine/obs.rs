@@ -151,14 +151,17 @@ impl Simulation {
     /// Records one drop everywhere drops are observed — the report's
     /// per-reason counter, the failing hop's attribution, the forensics
     /// ring and the trace — so a counted drop cannot miss its forensic
-    /// record. `channel` is the failing hop (balances read in canonical
-    /// channel orientation), or `None` for whole-path failures with no
-    /// single failing hop.
+    /// record. `channel` is the failing hop, or `None` for whole-path
+    /// failures with no single failing hop. Its forensic record states
+    /// the hop's balances in canonical channel orientation: `balances`
+    /// (forward, backward, in drops) when the caller gives them, its live
+    /// ones otherwise.
     pub(super) fn record_drop(
         &mut self,
         payment: usize,
         path: PathId,
         channel: Option<ChannelId>,
+        balances: Option<[u64; 2]>,
         reason: DropReason,
         event: impl FnOnce() -> TraceEventKind,
     ) {
@@ -168,12 +171,10 @@ impl Simulation {
             attr.drop_at(c.index());
         }
         if let Some(rec) = obs.forensics.as_mut() {
-            let (bal_fwd, bal_rev) = channel.map_or((0, 0), |c| {
+            let [bal_fwd, bal_rev] = channel.map_or([0, 0], |c| {
                 let ch = &self.net.channels[c.index()];
-                (
-                    ch.balance(Direction::Forward).drops(),
-                    ch.balance(Direction::Backward).drops(),
-                )
+                let live = [Direction::Forward, Direction::Backward].map(|d| ch.balance(d).drops());
+                balances.unwrap_or(live)
             });
             rec.record(DropRecord {
                 t_us: self.net.now.micros(),

@@ -283,6 +283,7 @@ impl Simulation {
             pid,
             PathId(u32::MAX),
             None,
+            None,
             DropReason::AdmissionRejected,
             || TraceEventKind::PaymentExpired {
                 payment: PaymentId(pid as u64),

@@ -633,7 +633,7 @@ impl Simulation {
             self.metrics.unit_lock(entry.hop_count(), false);
         }
         let attempts = self.payments[pid].attempts;
-        self.record_drop(pid, path, failing_hop, reason, || {
+        self.record_drop(pid, path, failing_hop, None, reason, || {
             TraceEventKind::UnitDropped {
                 unit: trace_id,
                 reason,
@@ -645,7 +645,7 @@ impl Simulation {
         // make sure the retry queue will offer it (the payment may have
         // been fully in flight and therefore absent from the queue).
         if self.payments[pid].active() {
-            self.lockstep.push(pid, None);
+            self.retry_queue.push(pid, None);
         }
         self.retire_unit(uid);
     }

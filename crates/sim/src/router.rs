@@ -83,8 +83,9 @@ pub struct RouteRequest {
     /// by the engine.
     pub mtu: Amount,
     /// Number of attempts actually made for this payment before this
-    /// one (polls at which the engine proved the attempt would lock
-    /// nothing — see [`Router::pins_single_path`] — are not attempts).
+    /// one (polls at which the engine proved the attempt would lock or
+    /// propose nothing — see [`Router::pins_single_path`] and
+    /// [`Router::proposes_nothing`] — are not attempts).
     pub attempt: u32,
 }
 
@@ -286,6 +287,36 @@ pub trait Router {
     /// breaks the promise even when the inner scheme keeps it. Default:
     /// `false` — the payment is re-offered at every poll.
     fn pins_single_path(&self) -> bool {
+        false
+    }
+
+    /// A token naming `req`'s `(src, dst)` pair for
+    /// [`Router::proposes_nothing`], or `None` when the router gives that
+    /// promise for no request of the pair. The engine asks after each
+    /// hop-by-hop attempt (lockstep mode pins instead) and keeps the
+    /// token with the payment while it waits in the retry queue.
+    /// Wrappers must **not** forward it unless they are stateless (see
+    /// [`Router::proposes_nothing`]). Default: `None`.
+    fn idle_token(&self, _req: &RouteRequest) -> Option<u32> {
+        None
+    }
+
+    /// The promise hop-by-hop retry elision rests on: *true only if
+    /// [`Router::route`], called now with `view`, would return no
+    /// proposal for any request of the pair `token` names, and would
+    /// change no state of the router but observability counters.* The
+    /// engine then does not re-offer that pair's pending payments at this
+    /// poll; it asks again at each poll, and again at each payment's
+    /// turn, so the answer may change whenever the router's state does.
+    /// Until that turn, the poll's other attempts only lock balances and
+    /// report sends and ingress rejections (no ack or fault arrives
+    /// within a poll): none of those may turn a "nothing" into a
+    /// proposal (see the engine's `Poll` docs for why a skip is then
+    /// exact). Wrappers must **not** forward it unless they are stateless
+    /// — a window, a price or a retry counter of their own can make a
+    /// proposal where the inner scheme makes none. Default: `false` —
+    /// the payment is re-offered at every poll.
+    fn proposes_nothing(&self, _token: u32, _view: &NetworkView<'_>) -> bool {
         false
     }
 

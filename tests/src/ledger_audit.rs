@@ -18,14 +18,20 @@
 //! checks held and that the counts the trace re-derives — payments
 //! attempted and completed, their volumes, delivered volume, drops by
 //! reason, the units that locked their whole path with the hop counts of
-//! those paths, and each completed payment's latency — equal the
-//! report's; [`audited_run`] adds the engine's final funds and what its
+//! those paths, each completed payment's latency, and the units that
+//! queued with their queueing delays — equal the report's; [`audited_run`] adds the engine's final funds and what its
 //! forensics and attribution recorded.
 //!
 //! A payment's latency runs from its `arrival` record to its `complete`
 //! record: the two instants give `completion_times` and `latency_hist`
 //! bit for bit (and the `latency_us` the `complete` record states must be
 //! their difference).
+//!
+//! A unit queues from its `enqueue` record to the `forward` record that
+//! takes it out of that queue. As the engine counts it, a wait of zero
+//! (served the instant it queued) is no wait; each other wait adds its
+//! seconds to `queue_delay_sum_s` and `queue_delay_hist` in record order,
+//! and a unit's first such wait counts it in `units_queued`.
 //!
 //! A unit locks its whole path at a lockstep `lock` record with
 //! `ok:true`, or at a hop-by-hop unit's `forward` record across its
@@ -337,6 +343,9 @@ pub struct LedgerAudit {
     /// Retries the `route` records prove: per payment, its highest
     /// attempt ordinal.
     pub retries_seen: u64,
+    /// Units that waited in a queue, the seconds they waited summed in
+    /// record order, and those waits.
+    pub queued: (u64, f64, Histogram),
     /// Drops by reason.
     pub drops: DropBreakdown,
     /// The replay's drop records, in record order.
@@ -387,6 +396,7 @@ impl LedgerAudit {
             delivered: Amount::ZERO,
             completion_times: Vec::new(),
             retries_seen: 0,
+            queued: (0, 0.0, Histogram::new()),
             drops: DropBreakdown::default(),
             drop_records: Vec::new(),
             per_channel: vec![(0, 0, 0.0); topo.channel_count()],
@@ -397,7 +407,8 @@ impl LedgerAudit {
             injected: 0,
             locks: BTreeMap::new(),
         };
-        let (mut totals, mut units) = (Vec::new(), Vec::new());
+        // Per unit: its value, and whether it has waited in a queue yet.
+        let (mut totals, mut units, mut waited) = (Vec::new(), Vec::new(), Vec::new());
         // Per payment: its arrival instant and the highest attempt routed.
         let (mut arrivals, mut attempts) = (Vec::new(), Vec::new());
         let mut last_t = 0;
@@ -447,7 +458,10 @@ impl LedgerAudit {
                     let secs = SimDuration::from_micros(latency).as_secs_f64();
                     audit.completion_times.push(secs);
                 }
-                TraceEventKind::UnitInjected { amount, .. } => units.push(amount),
+                TraceEventKind::UnitInjected { amount, .. } => {
+                    units.push(amount);
+                    waited.push(false);
+                }
                 _ => {}
             }
             let touched = audit.touched(kind);
@@ -483,8 +497,16 @@ impl LedgerAudit {
                         _ => unreachable!("only settles and deliveries deliver"),
                     };
                 }
-                (Fact::QueueWait { channel, secs }, _) => {
+                (
+                    Fact::QueueWait { channel, secs },
+                    &TraceEventKind::UnitForwarded { unit, .. },
+                ) => {
                     audit.per_channel[channel.index()].2 += secs;
+                    let first = !std::mem::replace(&mut waited[unit as usize], true);
+                    let (count, sum, hist) = &mut audit.queued;
+                    *count += u64::from(first);
+                    *sum += secs;
+                    hist.record(secs);
                 }
                 (_, TraceEventKind::TopologyChanged { .. }) => audit.check_failbacks(t_us),
                 _ => {}
@@ -760,6 +782,16 @@ impl LedgerAudit {
             bits(&report.latency_hist),
             "{name}: latency histogram"
         );
+        let (count, sum, hist) = &self.queued;
+        assert_eq!(
+            (*count, sum.to_bits(), bits(hist)),
+            (
+                report.units_queued,
+                report.queue_delay_sum_s.to_bits(),
+                bits(&report.queue_delay_hist)
+            ),
+            "{name}: units queued, their delay sum and histogram"
+        );
         assert!(
             self.retries_seen <= report.retries,
             "{name}: the trace routes {} retries, the report counts {}",
@@ -829,6 +861,30 @@ pub(crate) fn count(drops: &mut DropBreakdown, reason: DropReason) {
         DropReason::AdmissionRejected => &mut drops.admission_rejected,
     };
     *slot += 1;
+}
+
+/// `jsonl` without its attempt ordinals: the `attempt` of each `route`
+/// record and the `attempts` of each `drop` and `refund` record are cut.
+/// They count attempts actually made, which a skipped attempt lowers
+/// without moving anything else the trace records.
+pub fn without_attempts(jsonl: &str) -> String {
+    let mut out = String::with_capacity(jsonl.len());
+    for line in jsonl.lines() {
+        let field = [",\"attempt\":", ",\"attempts\":"]
+            .iter()
+            .find_map(|key| Some((line.find(key)?, key.len())));
+        match field {
+            Some((at, len)) => {
+                let value = &line[at + len..];
+                let end = value.find(|c: char| !c.is_ascii_digit());
+                out.push_str(&line[..at]);
+                out.push_str(&value[end.unwrap_or(value.len())..]);
+            }
+            None => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// The trace as an engine without the ledger fields rendered it: the

@@ -2,11 +2,17 @@
 //! §5 protocol on a 300-node Ripple-like graph, the JSONL trace's line
 //! count and FNV-1a-64 hash, and the report's outcome fields.
 //!
-//! Each run carries two trace pins. The first is the trace as rendered
+//! Each run carries three trace pins. The first is the trace as rendered
 //! now, a ledger. The second is the same trace without what the ledger
-//! added ([`pre_ledger`]), and its values were recorded on the engine
-//! that scheduled one `HopArrive`/`UnitDeliver` event per unit, before
-//! units crossing a hop together began to share one event. A trace
+//! added ([`pre_ledger`]). The third is the second without attempt
+//! ordinals ([`without_attempts`]), and its values were recorded on the
+//! engine that re-offered every pending payment at every poll, before
+//! the router's promise to propose nothing let it skip those it proves
+//! empty; such a skip lowers the ordinals of the payment's later
+//! attempts, and the report's `retries`, and moves nothing else. (The
+//! second pin's values had been recorded, in turn, on the engine that
+//! scheduled one `HopArrive`/`UnitDeliver` event per unit, before units
+//! crossing a hop together began to share one event.) A trace
 //! record carries every unit's instant, sequence number and fate, so a
 //! hash match means the two engines did the same work in the same order
 //! — decisions, locks, price stamps, fault and griefing draws, drops,
@@ -28,7 +34,7 @@ use spider_sim::{
     AdmissionConfig, QueueConfig, QueueingMode, SimConfig, SimReport, SizeDistribution,
     WorkloadConfig,
 };
-use spider_tests::ledger_audit::{audited_run, max_silence, pre_ledger};
+use spider_tests::ledger_audit::{audited_run, max_silence, pre_ledger, without_attempts};
 use spider_types::{Amount, SimDuration};
 
 /// Simulated seconds of arrivals in every run.
@@ -177,13 +183,13 @@ fn pin(text: &str) -> (usize, u64) {
 }
 
 /// Runs `cfg` traced and audited, and checks the JSONL's line count and
-/// hash (`ledger`), those of its [`pre_ledger`] projection (`before`)
-/// and the outcome line against the pins.
+/// hash (`ledger`), those of its [`pre_ledger`] projection (`before`),
+/// those of that projection without attempt ordinals (`unnumbered`) and
+/// the outcome line against the pins.
 fn check(
     name: &str,
     cfg: ExperimentConfig,
-    ledger: (usize, u64),
-    before: (usize, u64),
+    [ledger, before, unnumbered]: [(usize, u64); 3],
     want: &str,
 ) {
     let (out, jsonl) = audited_run(
@@ -191,11 +197,16 @@ fn check(
         max_silence(&cfg),
         cfg.simulation(None).expect("builds"),
     );
-    let got = (pin(&jsonl), pin(&pre_ledger(&jsonl)));
+    let projected = pre_ledger(&jsonl);
+    let got = [
+        pin(&jsonl),
+        pin(&projected),
+        pin(&without_attempts(&projected)),
+    ];
     assert_eq!(
         got,
-        (ledger, before),
-        "{name}: trace moved (ledger, projection)"
+        [ledger, before, unnumbered],
+        "{name}: trace moved (ledger, projection, projection without attempts)"
     );
     assert_eq!(outcome(&out.report), want, "{name}: outcome moved");
 }
@@ -205,10 +216,13 @@ fn plain_protocol_trace_is_pinned() {
     check(
         "plain",
         base(),
-        (190_426, 0xf270_71ed_2f81_a6b1),
-        (190_426, 0x2fe6_826f_4002_a86b),
+        [
+            (190_426, 0xa1ba_133e_0f3d_516c),
+            (190_426, 0xe068_6367_5607_b094),
+            (190_426, 0xe5df_7c1b_1b29_9f2d),
+        ],
         "attempted=2000 completed=1106 delivered=369430523946 \
-         completed_volume=255251250597 deferred=0 locked=19700 failed=7561 retries=5175 \
+         completed_volume=255251250597 deferred=0 locked=19700 failed=7561 retries=1492 \
          hops=66932 acked=26694 marked=16010 dropped=7561 queued=5291 topology=0 \
          dropped_churn=0 failed_churn=0 fault_events=0 faults=0 dropped_fault=0 \
          drops=DropBreakdown { queue_timeout: 7561, queue_overflow: 0, expired: 0, \
@@ -222,10 +236,13 @@ fn faulted_protocol_trace_is_pinned() {
     check(
         "faulted",
         faulted(),
-        (193_819, 0x15df_f9ea_bafb_550a),
-        (193_819, 0x3326_d7a1_871f_d6cd),
+        [
+            (193_819, 0x630d_c2e0_eeb6_6c77),
+            (193_819, 0xee56_1949_2e92_0534),
+            (193_819, 0xa6c1_c717_277c_d737),
+        ],
         "attempted=2000 completed=997 delivered=361963012358 \
-         completed_volume=211920057947 deferred=0 locked=19612 failed=8460 retries=6266 \
+         completed_volume=211920057947 deferred=0 locked=19612 failed=8460 retries=2183 \
          hops=66777 acked=26934 marked=16704 dropped=8137 queued=5604 topology=0 \
          dropped_churn=0 failed_churn=0 fault_events=20 faults=982 dropped_fault=913 \
          drops=DropBreakdown { queue_timeout: 7224, queue_overflow: 0, expired: 0, \
@@ -239,11 +256,14 @@ fn overloaded_protocol_trace_is_pinned() {
     check(
         "overloaded",
         overloaded(),
-        (123_424, 0x690e_32d0_3b66_a1da),
-        (123_424, 0xd9d9_4b93_8e3b_37aa),
+        [
+            (123_424, 0xeea5_dc34_fabc_67be),
+            (123_424, 0x8caf_77af_6d3a_c94b),
+            (123_424, 0xf7b6_de05_474d_60ae),
+        ],
         "attempted=2000 completed=793 delivered=255411896245 \
          completed_volume=163330093456 deferred=1834 locked=15514 failed=6084 \
-         retries=11314 hops=53671 acked=16145 marked=7534 dropped=2808 queued=2069 \
+         retries=10982 hops=53671 acked=16145 marked=7534 dropped=2808 queued=2069 \
          topology=0 dropped_churn=0 failed_churn=0 fault_events=0 faults=0 \
          dropped_fault=624 drops=DropBreakdown { queue_timeout: 740, queue_overflow: 0, \
          expired: 576, channel_closed: 0, message_lost: 0, hop_timeout: 624, \
@@ -257,10 +277,13 @@ fn churned_protocol_trace_is_pinned() {
     check(
         "churned",
         churned(),
-        (195_912, 0x33c1_13c8_7541_33f4),
-        (195_784, 0x75ab_bf97_a91f_e822),
+        [
+            (195_912, 0x7a67_114a_7386_dc7a),
+            (195_784, 0xbc48_99c2_91da_bf84),
+            (195_784, 0xbcda_467d_351b_75ba),
+        ],
         "attempted=2000 completed=1085 delivered=365017962866 \
-         completed_volume=244261822688 deferred=0 locked=19701 failed=8134 retries=5012 \
+         completed_volume=244261822688 deferred=0 locked=19701 failed=8134 retries=1529 \
          hops=67829 acked=27239 marked=16608 dropped=8336 queued=5360 topology=83 \
          dropped_churn=440 failed_churn=39 fault_events=0 faults=0 dropped_fault=0 \
          drops=DropBreakdown { queue_timeout: 7896, queue_overflow: 0, expired: 0, \
