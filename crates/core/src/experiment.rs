@@ -5,9 +5,9 @@ use spider_dynamics::{ChurnSchedule, DynamicsConfig};
 use spider_faults::{FaultConfig, FaultPlan};
 use spider_overload::{OverloadConfig, OverloadPlan};
 use spider_paygraph::PaymentGraph;
-use spider_sim::{QueueingMode, SimConfig, SimReport, Simulation, Workload, WorkloadConfig};
+use spider_sim::{Perturbation, SimConfig, SimReport, Simulation, Workload, WorkloadConfig};
 use spider_topology::{analysis, gen, Topology};
-use spider_types::{Amount, DetRng, Result, SimDuration, SimTime, SpiderError, DROPS_PER_XRP};
+use spider_types::{Amount, DetRng, Result, SimTime, SpiderError, DROPS_PER_XRP};
 
 /// Topology selection for an experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,27 +251,17 @@ impl ExperimentConfig {
             }
         };
         let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let horizon = SimTime::ZERO + sim_cfg.horizon;
-        // Fault jitter and spikes ride on the queue's hop delay when units
-        // travel hop by hop.
-        let hop_delay = match &sim_cfg.queueing {
-            QueueingMode::PerChannelFifo(qc) if !router.atomic() => qc.hop_delay,
-            _ => SimDuration::ZERO,
-        };
         let mut sim = Simulation::new(topo, workload, router, sim_cfg)?;
-        if let Some(dyn_cfg) = &self.dynamics {
-            let mut drng = rng.fork("dynamics");
-            let schedule = ChurnSchedule::generate(sim.topology(), dyn_cfg, &mut drng)?;
-            sim.set_topology_events(schedule.events);
+        if let Some(cfg) = &self.dynamics {
+            let schedule = ChurnSchedule::generate(sim.topology(), cfg, &mut rng.fork("dynamics"))?;
+            sim.install(Perturbation::Churn(schedule.events))?;
         }
-        if let Some(fault_cfg) = &self.faults {
-            let mut frng = rng.fork("faults");
-            let plan = FaultPlan::generate(sim.topology(), fault_cfg, &mut frng)?;
-            fault_cfg.validate_delays(horizon, hop_delay)?;
-            sim.set_fault_plan(plan);
+        if let Some(cfg) = &self.faults {
+            let plan = FaultPlan::generate(sim.topology(), cfg, &mut rng.fork("faults"))?;
+            sim.install(Perturbation::Faults(plan))?;
         }
         if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
+            sim.install(Perturbation::Overload(plan))?;
         }
         Ok(sim)
     }
@@ -288,8 +278,7 @@ impl ExperimentConfig {
     /// arrival times (monotonically, preserving order) and the hot-pair /
     /// drain redirects rewrite (src, dst) with draws from the plan's
     /// dedicated transform stream. Returns the plan so the caller can
-    /// hand it to [`Simulation::set_overload_plan`] for the runtime
-    /// (griefing) half.
+    /// [`Simulation::install`] its runtime (griefing) half.
     fn apply_overload(
         &self,
         rng: &DetRng,
@@ -450,8 +439,9 @@ pub fn demand_graph(workload: &Workload, n_nodes: usize) -> PaymentGraph {
 mod tests {
     use super::*;
     use crate::scheme::RateConfig;
-    use spider_overload::FlashCrowdConfig;
-    use spider_sim::{AdmissionConfig, QueueConfig};
+    use spider_overload::{FlashCrowdConfig, GriefingConfig};
+    use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode};
+    use spider_types::SimDuration;
 
     fn quick_sim() -> SimConfig {
         SimConfig {
@@ -862,111 +852,217 @@ mod tests {
         }
     }
 
+    /// What a row of a rejection table must do.
+    #[derive(Clone, Copy)]
+    enum Expect {
+        /// `run()` fails with `InvalidConfig`.
+        Rejected,
+        /// It runs, and its report passes this check.
+        Runs(fn(&SimReport) -> bool),
+    }
+
+    /// A run that only has to finish.
+    const RUNS: Expect = Expect::Runs(|_| true);
+
+    /// The longest duration there is: a delay this long passes the end of
+    /// simulated time from any instant.
+    const NEVER: SimDuration = SimDuration::from_micros(u64::MAX);
+
+    /// Runs each `(name, config, expect)` row of a rejection table. Most
+    /// delay rows are the horizon-reach rule, which `SimConfig::validate`
+    /// and `Simulation::install` share; the NaN rows are each validator's
+    /// own.
+    fn check_rows<const N: usize>(table: [(&str, ExperimentConfig, Expect); N]) {
+        for (name, cfg, expect) in table {
+            let run = cfg.run();
+            match expect {
+                Expect::Rejected => assert!(
+                    matches!(run, Err(SpiderError::InvalidConfig(_))),
+                    "{name}: {run:?}"
+                ),
+                Expect::Runs(check) => {
+                    let report = run.unwrap_or_else(|e| panic!("{name}: {e:?}"));
+                    assert!(check(&report), "{name}: the report fails its check");
+                }
+            }
+        }
+    }
+
+    /// A small default experiment under this fault config.
+    fn with_faults(faults: FaultConfig) -> ExperimentConfig {
+        ExperimentConfig {
+            workload: WorkloadConfig::small(200, 100.0),
+            faults: Some(faults),
+            ..Default::default()
+        }
+    }
+
     /// Each of these passed `validate()` and then panicked while its plan
     /// was generated or applied.
     #[test]
     fn invalid_perturbation_plans_are_rejected() {
+        use Expect::Rejected;
         let (inf, nan) = (f64::INFINITY, f64::NAN);
         let base = ExperimentConfig {
             workload: WorkloadConfig::small(200, 100.0),
             ..Default::default()
         };
-        let dynamics = [
-            DynamicsConfig {
-                close_rate_per_sec: inf,
-                ..Default::default()
-            },
-            DynamicsConfig {
-                resize_rate_per_sec: inf,
-                ..Default::default()
-            },
-            DynamicsConfig {
-                node_leave_rate_per_sec: inf,
-                ..Default::default()
-            },
-            DynamicsConfig {
-                reopen_mean_secs: Some(nan),
-                ..Default::default()
-            },
-            DynamicsConfig {
-                reopen_mean_secs: Some(inf),
-                ..Default::default()
-            },
-            DynamicsConfig {
-                horizon_secs: inf,
-                ..Default::default()
-            },
-            DynamicsConfig {
-                flap_period_secs: 1e-12,
-                ..Default::default()
-            },
-        ];
-        let crash = |crash| FaultConfig {
-            crash: Some(crash),
-            ..Default::default()
+        let churn = |dynamics| ExperimentConfig {
+            dynamics: Some(dynamics),
+            ..base.clone()
         };
-        let faults = [
-            crash(spider_faults::CrashConfig {
-                rate_per_sec: inf,
+        let crash = |crash| {
+            with_faults(FaultConfig {
+                crash: Some(crash),
                 ..Default::default()
-            }),
-            crash(spider_faults::CrashConfig {
-                recovery_mean_secs: Some(nan),
-                ..Default::default()
-            }),
-            FaultConfig {
-                hop_timeout_secs: nan,
-                ..Default::default()
-            },
-            FaultConfig {
-                hop_timeout_secs: 1e14,
-                message_loss_prob: 0.5,
-                ..Default::default()
-            },
-        ];
-        let overload = OverloadConfig {
-            flash_crowd: Some(FlashCrowdConfig {
-                start_secs: 0.0,
-                rate_multiplier: nan,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let configs = dynamics
-            .map(|d| ExperimentConfig {
-                dynamics: Some(d),
-                ..base.clone()
             })
-            .into_iter()
-            .chain(faults.map(|f| ExperimentConfig {
-                faults: Some(f),
-                ..base.clone()
-            }))
-            .chain([ExperimentConfig {
-                overload: Some(overload),
-                ..base.clone()
-            }]);
-        for cfg in configs {
-            let run = cfg.run();
-            assert!(
-                matches!(run, Err(SpiderError::InvalidConfig(_))),
-                "{:?} / {:?} / {:?}: {run:?}",
-                cfg.dynamics,
-                cfg.faults,
-                cfg.overload
-            );
-        }
+        };
+        let overload = |overload, scheme| ExperimentConfig {
+            overload: Some(overload),
+            scheme,
+            ..base.clone()
+        };
+        // A griefing hold past the end of time: hop by hop, the final hop
+        // armed it and overflowed; in lockstep nothing waits on it, but
+        // the rule holds it in every mode.
+        let griefing = OverloadConfig {
+            griefing: Some(GriefingConfig {
+                fraction: 1.0,
+                hold_secs: 1e14,
+            }),
+            flash_crowd: None,
+            hot_pairs: None,
+            drain: None,
+            horizon_secs: 20.0,
+        };
+        check_rows([
+            (
+                "close rate",
+                churn(DynamicsConfig {
+                    close_rate_per_sec: inf,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "resize rate",
+                churn(DynamicsConfig {
+                    resize_rate_per_sec: inf,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "leave rate",
+                churn(DynamicsConfig {
+                    node_leave_rate_per_sec: inf,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "NaN reopen mean",
+                churn(DynamicsConfig {
+                    reopen_mean_secs: Some(nan),
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "infinite reopen mean",
+                churn(DynamicsConfig {
+                    reopen_mean_secs: Some(inf),
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "churn horizon",
+                churn(DynamicsConfig {
+                    horizon_secs: inf,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "flap period",
+                churn(DynamicsConfig {
+                    flap_period_secs: 1e-12,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "crash rate",
+                crash(spider_faults::CrashConfig {
+                    rate_per_sec: inf,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "recovery mean",
+                crash(spider_faults::CrashConfig {
+                    recovery_mean_secs: Some(nan),
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "NaN hop timeout",
+                with_faults(FaultConfig {
+                    hop_timeout_secs: nan,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            // Lockstep: the hop timeout is checked in every mode.
+            (
+                "hop timeout past the end of time",
+                with_faults(FaultConfig {
+                    hop_timeout_secs: 1e14,
+                    message_loss_prob: 0.5,
+                    ..Default::default()
+                }),
+                Rejected,
+            ),
+            (
+                "flash-crowd multiplier",
+                overload(
+                    OverloadConfig {
+                        flash_crowd: Some(FlashCrowdConfig {
+                            start_secs: 0.0,
+                            rate_multiplier: nan,
+                            ..Default::default()
+                        }),
+                        ..Default::default()
+                    },
+                    base.scheme,
+                ),
+                Rejected,
+            ),
+            (
+                "griefing hold, hop by hop",
+                overload(griefing.clone(), SchemeConfig::spider_protocol(4)),
+                Rejected,
+            ),
+            (
+                "griefing hold, lockstep",
+                overload(griefing, SchemeConfig::ShortestPath),
+                Rejected,
+            ),
+        ]);
     }
 
     /// A queue hop delay and a fault spike that each fit on top of the
     /// horizon, but not together: the unit that drew the spike panicked
     /// with a `SimDuration` overflow in `lock_hop`. Hop by hop, the two
-    /// are now one sum; in lockstep no spike rides on a hop delay.
+    /// are one sum; in lockstep no spike rides on a hop delay.
     #[test]
     fn a_hop_delay_plus_fault_spike_must_fit_together() {
         let half = SimDuration::from_micros(1 << 63);
-        let cfg = |hop_delay: SimDuration, spike: SimDuration, scheme| ExperimentConfig {
-            workload: WorkloadConfig::small(200, 100.0),
+        let zero = SimDuration::ZERO;
+        let cfg = |hop_delay, spike: SimDuration, scheme| ExperimentConfig {
             sim: SimConfig {
                 queueing: QueueingMode::PerChannelFifo(QueueConfig {
                     hop_delay,
@@ -975,28 +1071,29 @@ mod tests {
                 ..SimConfig::default()
             },
             scheme,
-            faults: Some(FaultConfig {
+            ..with_faults(FaultConfig {
                 jitter_range_ms: None,
                 spike_prob: 1.0,
                 spike_ms: spike.as_secs_f64() * 1e3,
                 ..FaultConfig::default()
-            }),
-            ..Default::default()
+            })
         };
         let protocol = SchemeConfig::spider_protocol(4);
-        let both = cfg(half, half, protocol).simulation(None);
-        assert!(
-            matches!(both, Err(SpiderError::InvalidConfig(_))),
-            "{:?}",
-            both.err()
-        );
-        let zero = SimDuration::ZERO;
-        for alone in [cfg(half, zero, protocol), cfg(zero, half, protocol)] {
-            alone.simulation(None).expect("each delay fits alone");
-        }
-        // Atomic schemes keep lockstep semantics under fifo queueing.
-        let lockstep = cfg(half, half, SchemeConfig::MaxFlow);
-        lockstep.simulation(None).expect("no spike rides on a hop");
+        check_rows([
+            (
+                "hop delay plus spike",
+                cfg(half, half, protocol),
+                Expect::Rejected,
+            ),
+            ("hop delay alone", cfg(half, zero, protocol), RUNS),
+            ("spike alone", cfg(zero, half, protocol), RUNS),
+            // Atomic schemes keep lockstep semantics under fifo queueing.
+            (
+                "no spike rides on a lockstep hop",
+                cfg(half, half, SchemeConfig::MaxFlow),
+                RUNS,
+            ),
+        ]);
     }
 
     /// Each delay config passed `validate()` and then panicked when the
@@ -1004,61 +1101,92 @@ mod tests {
     /// passed it too.
     #[test]
     fn invalid_sim_configs_are_rejected() {
-        let never = SimDuration::from_micros(u64::MAX);
-        let fifo = QueueingMode::PerChannelFifo;
-        let run = |edit: &dyn Fn(&mut SimConfig)| {
+        use Expect::{Rejected, Runs};
+        let sim = |edit: fn(&mut SimConfig)| {
             let mut cfg = ExperimentConfig::default();
             edit(&mut cfg.sim);
-            cfg.run()
+            cfg
         };
-        let edits: [&dyn Fn(&mut SimConfig); 9] = [
-            &|s| s.confirmation_delay = never,
-            &|s| s.deadline = Some(never),
+        check_rows([
+            (
+                "confirmation delay",
+                sim(|s| s.confirmation_delay = NEVER),
+                Rejected,
+            ),
+            ("deadline", sim(|s| s.deadline = Some(NEVER)), Rejected),
             // Polls and samples land up to a constant past the horizon.
-            &|s| {
-                (s.confirmation_delay, s.deadline) = (SimDuration::ZERO, None);
-                s.horizon = never - SimDuration::from_millis(50);
-            },
-            &|s| {
-                s.queueing = fifo(QueueConfig {
-                    hop_delay: never,
-                    ..Default::default()
-                })
-            },
-            &|s| {
-                s.queueing = fifo(QueueConfig {
-                    max_queue_delay: never,
-                    ..Default::default()
-                })
-            },
-            &|s| s.rebalancing.get_or_insert_default().check_interval = never,
-            &|s| s.rebalancing.get_or_insert_default().confirmation_delay = never,
-            &|s| s.admission.get_or_insert_default().rate_per_sec = f64::NAN,
-            &|s| s.admission.get_or_insert_default().burst = f64::NAN,
-        ];
-        for (i, edit) in edits.into_iter().enumerate() {
-            let result = run(edit);
-            assert!(
-                matches!(result, Err(SpiderError::InvalidConfig(_))),
-                "case {i}: {result:?}"
-            );
-        }
-        // A tiny rate is valid: the first payment takes the one token and
-        // every later one is deferred past the end of simulated time.
-        let report = run(&|s| {
-            let adm = s.admission.get_or_insert_default();
-            (adm.rate_per_sec, adm.burst, adm.defer) = (1e-15, 1.0, true);
-        })
-        .expect("a tiny shaping rate runs");
-        assert_eq!(report.admission_deferred, 999);
-        // The longest valid scan interval ends at the last representable
-        // instant, in the calendar's top bucket.
-        run(&|s| {
-            s.horizon = SimDuration::from_micros(500);
-            s.rebalancing.get_or_insert_default().check_interval =
-                SimDuration::from_micros(u64::MAX - 500);
-        })
-        .expect("a scan at the end of time is never due");
+            (
+                "horizon",
+                sim(|s| {
+                    (s.confirmation_delay, s.deadline) = (SimDuration::ZERO, None);
+                    s.horizon = NEVER - SimDuration::from_millis(50);
+                }),
+                Rejected,
+            ),
+            (
+                "queue hop delay",
+                sim(|s| {
+                    s.queueing = QueueingMode::PerChannelFifo(QueueConfig {
+                        hop_delay: NEVER,
+                        ..Default::default()
+                    })
+                }),
+                Rejected,
+            ),
+            (
+                "queue timeout",
+                sim(|s| {
+                    s.queueing = QueueingMode::PerChannelFifo(QueueConfig {
+                        max_queue_delay: NEVER,
+                        ..Default::default()
+                    })
+                }),
+                Rejected,
+            ),
+            (
+                "scan interval",
+                sim(|s| s.rebalancing.get_or_insert_default().check_interval = NEVER),
+                Rejected,
+            ),
+            (
+                "deposit delay",
+                sim(|s| s.rebalancing.get_or_insert_default().confirmation_delay = NEVER),
+                Rejected,
+            ),
+            (
+                "NaN admission rate",
+                sim(|s| s.admission.get_or_insert_default().rate_per_sec = f64::NAN),
+                Rejected,
+            ),
+            (
+                "NaN admission burst",
+                sim(|s| s.admission.get_or_insert_default().burst = f64::NAN),
+                Rejected,
+            ),
+            // A tiny rate is valid: the first payment takes the one token
+            // and every later one is deferred past the end of simulated
+            // time.
+            (
+                "tiny shaping rate",
+                sim(|s| {
+                    let adm = s.admission.get_or_insert_default();
+                    (adm.rate_per_sec, adm.burst, adm.defer) = (1e-15, 1.0, true);
+                }),
+                Runs(|r| r.admission_deferred == 999),
+            ),
+            // The longest valid scan interval ends at the last
+            // representable instant, in the calendar's top bucket: a scan
+            // at the end of time is never due.
+            (
+                "scan at the end of time",
+                sim(|s| {
+                    s.horizon = SimDuration::from_micros(500);
+                    s.rebalancing.get_or_insert_default().check_interval =
+                        SimDuration::from_micros(u64::MAX - 500);
+                }),
+                RUNS,
+            ),
+        ]);
     }
 
     #[test]

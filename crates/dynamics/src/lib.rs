@@ -11,7 +11,7 @@
 //! dynamics axis the related work treats as the hard case (SpeedyMurmurs'
 //! on-demand repair under churn, Varma–Maguluri's stationary-regime
 //! stability analysis). The engine applies the events mid-run
-//! (`spider_sim::Simulation::set_topology_events`) and routers repair
+//! (`spider_sim::Simulation::install`) and routers repair
 //! their candidate caches incrementally
 //! (`spider_routing::PathCache::on_topology_change`).
 //!

@@ -10,7 +10,8 @@
 //! loss axis the same way `spider-dynamics` opened churn. A [`FaultPlan`]
 //! is generated once from a [`FaultConfig`] (mirroring
 //! `dynamics::ChurnSchedule::generate`) and installed into the engine
-//! (`spider_sim::Simulation::set_fault_plan`); the engine then draws
+//! (`spider_sim::Simulation::install`, which checks its delays against
+//! the run's horizon); the engine then draws
 //! per-unit outcomes from the plan's own runtime stream, schedules
 //! [`FaultEvent`] crash/recover toggles on the calendar, and arms
 //! `EventKind::HopTimeout` timers that refund every locked upstream hop
@@ -159,38 +160,6 @@ impl FaultConfig {
         }
         if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
             return bad("fault horizon must be positive and finite");
-        }
-        Ok(())
-    }
-
-    /// Checks that each delay a plan adds to an engine instant — the hop
-    /// timeout, and the largest jitter plus spike on top of `hop_delay`
-    /// (the queue's per-hop delay when units travel hop by hop, else
-    /// zero), taken as one sum — lands on a representable [`SimTime`]
-    /// from any instant up to the run's `horizon`, which
-    /// [`FaultConfig::validate`] does not know. Call it on a config that
-    /// passed `validate`.
-    pub fn validate_delays(&self, horizon: SimTime, hop_delay: SimDuration) -> Result<()> {
-        let after = |from: Option<SimTime>, delays: &[f64]| {
-            delays.iter().try_fold(from?, |t, &secs| {
-                let us = (secs * 1e6).round();
-                // `u64::MAX as f64` is 2^64: anything below it converts
-                // exactly.
-                (us < u64::MAX as f64)
-                    .then(|| t.checked_add(SimDuration::from_micros(us as u64)))
-                    .flatten()
-            })
-        };
-        let jitter_ms = self.jitter_range_ms.map_or(0.0, |[_, hi]| hi);
-        let timeout = after(Some(horizon), &[self.hop_timeout_secs]);
-        let hop = after(
-            horizon.checked_add(hop_delay),
-            &[jitter_ms / 1e3, self.spike_ms / 1e3],
-        );
-        if timeout.is_none() || hop.is_none() {
-            return Err(SpiderError::InvalidConfig(
-                "fault delays added to the run horizon must fit in SimTime".into(),
-            ));
         }
         Ok(())
     }

@@ -18,9 +18,11 @@
 //!   [`OverloadPlan::transform_pair`] redirects a deterministic fraction
 //!   of (src, dst) pairs onto the hot/drain pairs, drawing from the
 //!   plan's own `transform_seed` stream;
-//! * **engine griefing** — the engine draws per-payment griefing from the
-//!   plan's `runtime_seed` stream and holds the payment's units at their
-//!   first hop until [`OverloadPlan::griefing_hold`] expires (reusing the
+//! * **engine griefing** — installed with `spider_sim::Simulation::install`
+//!   (which refuses a hold that cannot be added to the run's horizon),
+//!   the engine draws per-payment griefing from the plan's
+//!   `runtime_seed` stream and holds the payment's units at their final
+//!   hop until [`OverloadPlan::griefing_hold`] expires (reusing the
 //!   stuck-unit hop-timeout plumbing of `spider-faults`).
 //!
 //! Determinism contract: the overload streams are independent of the

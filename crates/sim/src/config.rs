@@ -273,8 +273,6 @@ impl SimConfig {
                 ));
             }
         }
-        // The engine adds each of these to an instant at or before the
-        // horizon; every such sum must be a `SimTime`.
         let mut delays = vec![self.confirmation_delay, POLL_INTERVAL, SAMPLE_CADENCE];
         delays.extend(self.deadline);
         if let Some(rb) = &self.rebalancing {
@@ -283,14 +281,24 @@ impl SimConfig {
         if let QueueingMode::PerChannelFifo(qc) = &self.queueing {
             delays.extend([qc.hop_delay, qc.max_queue_delay]);
         }
-        let end = SimTime::ZERO + self.horizon;
-        if delays.into_iter().any(|d| end.checked_add(d).is_none()) {
-            return Err(InvalidConfig(
-                "delays added to the run horizon must fit in SimTime".into(),
-            ));
-        }
-        Ok(())
+        check_reach(self.horizon, delays.iter().map(std::slice::from_ref))
     }
+}
+
+/// The horizon-reach rule, the one place a configured delay meets the
+/// horizon: each of `sums` (delays added one after another) must land on
+/// a [`SimTime`] when added to `horizon`.
+pub(crate) fn check_reach<'a>(
+    horizon: SimDuration,
+    sums: impl IntoIterator<Item = &'a [SimDuration]>,
+) -> spider_types::Result<()> {
+    let end = SimTime::ZERO + horizon;
+    let fits = |sum: &[SimDuration]| sum.iter().try_fold(end, |t, &d| t.checked_add(d)).is_some();
+    if sums.into_iter().all(fits) {
+        return Ok(());
+    }
+    let msg = "delays added to the run horizon must fit in SimTime";
+    Err(spider_types::SpiderError::InvalidConfig(msg.into()))
 }
 
 #[cfg(test)]

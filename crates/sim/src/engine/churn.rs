@@ -3,39 +3,9 @@
 use super::Simulation;
 use crate::router::TopologyUpdate;
 use spider_obs::trace::TraceEventKind;
-use spider_types::{ChannelId, Direction, TopologyChange, TopologyEvent};
+use spider_types::{ChannelId, Direction, TopologyChange};
 
 impl Simulation {
-    /// Installs a topology-churn schedule (see
-    /// [`TopologyEvent`]); call before [`Simulation::run`]. Events are
-    /// applied in `(at, list-order)` order. Entries at `t = 0` describe the
-    /// initial liveness state (channels that exist in the union topology
-    /// but have not opened yet) and are applied before any routing or
-    /// prewarm; later entries fire from the calendar mid-run.
-    ///
-    /// Panics when an event names a channel or node the topology lacks.
-    pub fn set_topology_events(&mut self, mut events: Vec<TopologyEvent>) {
-        let (channels, nodes) = (self.net.topo.channel_count(), self.net.topo.node_count());
-        for e in &events {
-            let known = match e.change {
-                TopologyChange::ChannelClose { channel }
-                | TopologyChange::ChannelOpen { channel }
-                | TopologyChange::ChannelResize { channel, .. } => channel.index() < channels,
-                TopologyChange::NodeLeave { node } | TopologyChange::NodeJoin { node } => {
-                    node.index() < nodes
-                }
-            };
-            assert!(
-                known,
-                "churn schedule was generated for a different topology: {:?}",
-                e.change
-            );
-        }
-        // Stable by instant: same-instant events keep their list order.
-        events.sort_by_key(|e| e.at);
-        self.topo_events = events;
-    }
-
     /// Applies one scheduled churn event: mutate the channel states, fail
     /// back in-flight units crossing closed channels, then notify the
     /// router (which repairs its candidate caches incrementally).

@@ -1,4 +1,5 @@
 use super::test_util::{new_sim, shortest_path_proposal, txn, xrp, Direct};
+use super::Perturbation;
 use crate::config::{QueueConfig, SimConfig};
 use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate};
 use crate::workload::Workload;
@@ -66,7 +67,8 @@ fn lockstep_close_fails_back_inflight_and_blocks_traffic() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![close_at(300, 0)]);
+    sim.install(Perturbation::Churn(vec![close_at(300, 0)]))
+        .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.completed_payments, 0);
@@ -105,7 +107,8 @@ fn lockstep_close_fails_back_every_unit_of_a_batch() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![close_at(300, 0)]);
+    sim.install(Perturbation::Churn(vec![close_at(300, 0)]))
+        .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.units_locked, 3);
@@ -144,7 +147,11 @@ fn reopen_restores_service_and_flap_is_counted() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![close_at(400, 0), open_at(1_000, 0)]);
+    sim.install(Perturbation::Churn(vec![
+        close_at(400, 0),
+        open_at(1_000, 0),
+    ]))
+    .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.completed_payments, 1, "service resumes after reopen");
@@ -182,7 +189,8 @@ fn queueing_close_drops_queued_and_traveling_units() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![close_at(700, 1)]);
+    sim.install(Perturbation::Churn(vec![close_at(700, 1)]))
+        .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.delivered_volume, xrp(5), "only pre-close units settle");
@@ -219,13 +227,14 @@ fn resize_event_grows_capacity_midrun() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![TopologyEvent {
+    sim.install(Perturbation::Churn(vec![TopologyEvent {
         at: SimTime::from_secs(1),
         change: TopologyChange::ChannelResize {
             channel: ChannelId(0),
             new_capacity: xrp(30),
         },
-    }]);
+    }]))
+    .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.completed_payments, 1);
@@ -254,7 +263,7 @@ fn node_leave_closes_all_incident_channels_and_join_reopens() {
         Box::new(router),
         cfg,
     );
-    sim.set_topology_events(vec![
+    sim.install(Perturbation::Churn(vec![
         TopologyEvent {
             at: SimTime::from_secs(1),
             change: TopologyChange::NodeLeave { node: NodeId(1) },
@@ -263,7 +272,8 @@ fn node_leave_closes_all_incident_channels_and_join_reopens() {
             at: SimTime::from_secs(3),
             change: TopologyChange::NodeJoin { node: NodeId(1) },
         },
-    ]);
+    ]))
+    .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.completed_payments, 1, "completes after the rejoin");
@@ -293,7 +303,8 @@ fn initial_closes_apply_before_prewarm_without_counting_as_events() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![close_at(0, 0), open_at(2_000, 0)]);
+    sim.install(Perturbation::Churn(vec![close_at(0, 0), open_at(2_000, 0)]))
+        .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.completed_payments, 1);
@@ -322,7 +333,12 @@ fn churn_close_cost_follows_in_flight_work() {
     // Multi-unit payments: a close fails back whole settle batches.
     cfg.mtu = xrp(1);
     let mut sim = new_sim(t, w, Box::new(Direct), cfg);
-    sim.set_topology_events(vec![close_at(500, 3), close_at(700, 11), close_at(900, 27)]);
+    sim.install(Perturbation::Churn(vec![
+        close_at(500, 3),
+        close_at(700, 11),
+        close_at(900, 27),
+    ]))
+    .unwrap();
     let r = sim.run();
     sim.check_conservation();
     let stats = sim.slab_stats();
@@ -371,7 +387,7 @@ fn churn_runs_are_deterministic() {
         };
         cfg.mtu = xrp(5);
         let mut sim = new_sim(gen::isp_topology(xrp(400)), w, Box::new(Direct), cfg);
-        sim.set_topology_events(events.clone());
+        sim.install(Perturbation::Churn(events.clone())).unwrap();
         let r = sim.run();
         sim.check_conservation();
         r
@@ -387,7 +403,7 @@ fn churn_runs_are_deterministic() {
 }
 
 #[test]
-#[should_panic(expected = "churn schedule was generated for a different topology")]
+#[should_panic(expected = "the plan was generated for a different topology")]
 fn schedule_for_a_larger_graph_is_refused_at_install() {
     // A 3-node line has channels 0 and 1; the schedule names channel 5.
     let cfg = SimConfig::default();
@@ -397,11 +413,15 @@ fn schedule_for_a_larger_graph_is_refused_at_install() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![close_at(1_000, 1), close_at(2_000, 5)]);
+    sim.install(Perturbation::Churn(vec![
+        close_at(1_000, 1),
+        close_at(2_000, 5),
+    ]))
+    .unwrap();
 }
 
 #[test]
-#[should_panic(expected = "churn schedule was generated for a different topology")]
+#[should_panic(expected = "the plan was generated for a different topology")]
 fn node_event_for_a_larger_graph_is_refused_at_install() {
     let cfg = SimConfig::default();
     let mut sim = new_sim(
@@ -410,8 +430,9 @@ fn node_event_for_a_larger_graph_is_refused_at_install() {
         Box::new(Direct),
         cfg,
     );
-    sim.set_topology_events(vec![TopologyEvent {
+    sim.install(Perturbation::Churn(vec![TopologyEvent {
         at: SimTime::from_secs(1),
         change: TopologyChange::NodeLeave { node: NodeId(3) },
-    }]);
+    }]))
+    .unwrap();
 }

@@ -109,6 +109,7 @@ use self::core::{ArrivalCursor, EventCore, Net, Train};
 use self::lockstep::RetryQueue;
 pub(crate) use self::lockstep::POLL_INTERVAL;
 use self::obs::Obs;
+pub use self::perturb::Perturbation;
 use self::perturb::{AdmissionState, Faults, Overload};
 use self::queueing::Queueing;
 use crate::channel::ChannelState;
@@ -371,12 +372,12 @@ pub struct Simulation {
     /// Per (channel, direction): an on-chain deposit is in flight, so
     /// don't schedule another.
     rebalance_pending: Vec<[bool; 2]>,
-    /// Topology-churn schedule (sorted by instant; see
-    /// [`Simulation::set_topology_events`]).
+    /// Topology-churn schedule, sorted by instant (installed by
+    /// [`Simulation::install`] from [`Perturbation::Churn`]).
     topo_events: Vec<TopologyEvent>,
-    /// Installed fault plan (see [`Simulation::set_fault_plan`]).
+    /// Installed fault plan ([`Perturbation::Faults`]).
     faults: Option<Faults>,
-    /// Installed overload plan (see [`Simulation::set_overload_plan`]).
+    /// Installed overload plan ([`Perturbation::Overload`]).
     overload: Option<Overload>,
     /// Sender-side admission gate; `None` unless [`SimConfig::admission`]
     /// is set.

@@ -1,19 +1,37 @@
-//! What perturbs a run from outside the workload: injected faults, the
-//! overload plan's griefing draw, and the sender-side admission gate.
+//! What perturbs a run from outside the workload: the plans
+//! [`Simulation::install`] takes and the sender-side admission gate.
+//! Each lives behind an `Option` (churn: an empty schedule): `None`
+//! leaves it inert — no draw made, no timer armed — so unperturbed runs
+//! stay bit-identical to an engine without it.
 //!
-//! Each lives behind an `Option` on [`Simulation`]: `None` leaves the
-//! machinery entirely inert — no draw is ever made, no timer armed — so
-//! unperturbed runs stay bit-identical to an engine without it.
+//! **The horizon-reach rule:** a delay the engine may add to an instant
+//! at or before the horizon must land on a [`SimTime`]. `install` checks
+//! a plan's with the function `SimConfig::validate` checks the engine's
+//! own with: the hop timeout and griefing hold in every mode, and, hop by
+//! hop only, the queue's hop delay + the largest jitter + the spike.
 
 use super::Simulation;
-use crate::config::AdmissionConfig;
+use crate::config::{check_reach, AdmissionConfig, QueueingMode};
 use crate::paths::PathEntry;
 use spider_faults::{FaultChange, FaultPlan};
 use spider_obs::trace::TraceEventKind;
 use spider_overload::OverloadPlan;
 use spider_types::{
-    ChannelId, DetRng, DropReason, NodeId, PathId, PaymentId, SimDuration, SimTime,
+    ChannelId, DetRng, DropReason, NodeId, PathId, PaymentId, SimDuration, SimTime, SpiderError,
+    TopologyChange, TopologyEvent,
 };
+
+/// A plan that perturbs a run from outside its workload, each drawing
+/// from its own stream (see [`Simulation::install`]).
+#[derive(Debug, Clone)]
+pub enum Perturbation {
+    /// Topology churn; `t = 0` entries set the initial liveness state.
+    Churn(Vec<TopologyEvent>),
+    /// Injected faults: crash toggles and per-unit draws.
+    Faults(FaultPlan),
+    /// Overload griefing (the plan's workload transforms are the caller's).
+    Overload(OverloadPlan),
+}
 
 /// An installed fault plan with its runtime state.
 pub(super) struct Faults {
@@ -195,34 +213,76 @@ impl AdmissionState {
 }
 
 impl Simulation {
-    /// Installs a fault plan (see [`FaultPlan`]); call before
-    /// [`Simulation::run`]. Crash/recover toggles fire from the calendar;
-    /// per-unit loss/stuck/jitter decisions draw from the plan's own
-    /// runtime stream, so the workload and scheme streams are unaffected.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert_eq!(
-            plan.message_loss.len(),
-            self.net.topo.channel_count(),
-            "fault plan was generated for a different topology"
-        );
-        self.faults = Some(Faults {
-            rng: DetRng::new(plan.runtime_seed),
-            crashed: vec![false; self.net.topo.node_count()],
-            plan,
-        });
+    /// Installs a perturbation plan; call before [`Simulation::run`].
+    /// Fails with [`SpiderError::InvalidConfig`] when the plan names a
+    /// channel or node the topology lacks, or adds a delay that breaks
+    /// the horizon-reach rule [`crate::SimConfig::validate`] applies too.
+    pub fn install(&mut self, plan: Perturbation) -> spider_types::Result<()> {
+        let (channels, nodes) = (self.net.topo.channel_count(), self.net.topo.node_count());
+        let known = |change: &TopologyChange| match *change {
+            TopologyChange::ChannelClose { channel }
+            | TopologyChange::ChannelOpen { channel }
+            | TopologyChange::ChannelResize { channel, .. } => channel.index() < channels,
+            TopologyChange::NodeLeave { node } | TopologyChange::NodeJoin { node } => {
+                node.index() < nodes
+            }
+        };
+        let fits_topology = match &plan {
+            Perturbation::Churn(events) => events.iter().all(|e| known(&e.change)),
+            Perturbation::Faults(plan) => plan.message_loss.len() == channels,
+            Perturbation::Overload(_) => true,
+        };
+        if !fits_topology {
+            let what = "the plan was generated for a different topology";
+            return Err(SpiderError::InvalidConfig(what.into()));
+        }
+        match plan {
+            Perturbation::Churn(mut events) => {
+                // Stable by instant: same-instant events keep their list order.
+                events.sort_by_key(|e| e.at);
+                self.topo_events = events;
+            }
+            Perturbation::Faults(plan) => {
+                let ms = |ms: f64| SimDuration::from_secs_f64(ms / 1000.0);
+                let jitter = ms(plan.jitter_range_ms.map_or(0.0, |[_, hi]| hi));
+                let hop = match &self.config.queueing {
+                    QueueingMode::PerChannelFifo(q) if self.hop_by_hop() => {
+                        vec![q.hop_delay, jitter, ms(plan.spike_ms)]
+                    }
+                    _ => Vec::new(),
+                };
+                check_reach(self.config.horizon, [&[plan.hop_timeout][..], &hop])?;
+                self.faults = Some(Faults {
+                    rng: DetRng::new(plan.runtime_seed),
+                    crashed: vec![false; nodes],
+                    plan,
+                });
+            }
+            Perturbation::Overload(plan) => {
+                check_reach(self.config.horizon, [&[plan.griefing_hold][..]])?;
+                self.overload = Some(Overload {
+                    rng: DetRng::new(plan.runtime_seed),
+                    plan,
+                });
+            }
+        }
+        Ok(())
     }
 
-    /// Installs an overload plan (see [`OverloadPlan`]); call before
-    /// [`Simulation::run`]. The engine draws per-payment griefing from
-    /// the plan's own runtime stream, so the workload, scheme, churn and
-    /// fault streams are unaffected; the plan's workload transforms
-    /// (time warp, pair redirects) are applied by the caller before the
-    /// workload reaches the engine.
+    /// [`Simulation::install`], panicking on an error; kept for `benchmark/`.
+    pub fn set_topology_events(&mut self, events: Vec<TopologyEvent>) {
+        self.install(Perturbation::Churn(events)).expect("installs");
+    }
+
+    /// [`Simulation::install`], panicking on an error; kept for `benchmark/`.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.install(Perturbation::Faults(plan)).expect("installs");
+    }
+
+    /// [`Simulation::install`], panicking on an error; kept for `benchmark/`.
     pub fn set_overload_plan(&mut self, plan: OverloadPlan) {
-        self.overload = Some(Overload {
-            rng: DetRng::new(plan.runtime_seed),
-            plan,
-        });
+        self.install(Perturbation::Overload(plan))
+            .expect("installs");
     }
 
     /// A scheduled fault-plan event (node crash or recovery) takes

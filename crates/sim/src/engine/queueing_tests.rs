@@ -1,5 +1,5 @@
 use super::test_util::{new_sim, run_checked, shortest_path_proposal, txn, xrp, Direct};
-use super::Simulation;
+use super::{Perturbation, Simulation};
 use crate::config::{QueueConfig, SimConfig};
 use crate::metrics::SimReport;
 use crate::router::{NetworkView, RouteProposal, RouteRequest, Router, UnitAck, UnitOutcome};
@@ -345,10 +345,11 @@ fn profiler_counts_are_exact_on_a_fixed_run() {
             at: SimTime::from_micros(at_ms * 1_000),
             change,
         };
-        sim.set_topology_events(vec![
+        sim.install(Perturbation::Churn(vec![
             churn(1_000, TopologyChange::ChannelClose { channel }),
             churn(1_500, TopologyChange::ChannelOpen { channel }),
-        ]);
+        ]))
+        .unwrap();
         let (r, _) = run_checked(sim);
         assert_eq!(r.completed_payments, 5, "{mode}");
         let counts = r.profile.phases().map(|(_, s)| s.count);
@@ -526,10 +527,11 @@ fn a_churn_close_unlinks_one_member_and_its_recycled_slot_runs_once() {
     let channel = t.channel_between(NodeId(3), NodeId(2)).expect("built");
     let txns = vec![txn(0, 0, 2, xrp(4)), txn(2, 0, 2, xrp(1))];
     let mut sim = new_sim(t, Workload { txns }, Box::new(ThreePaths), cfg);
-    sim.set_topology_events(vec![TopologyEvent {
+    sim.install(Perturbation::Churn(vec![TopologyEvent {
         at: SimTime::from_micros(1_000),
         change: TopologyChange::ChannelClose { channel },
-    }]);
+    }]))
+    .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.drops_by_reason.channel_closed, 1);

@@ -1,5 +1,5 @@
 use super::test_util::{new_sim, run_checked, shortest_path_proposal, txn, xrp};
-use super::Simulation;
+use super::{Perturbation, Simulation};
 use crate::channel::ChannelState;
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
@@ -272,7 +272,7 @@ fn closed_hop_counts_as_empty_and_reopening_lets_the_next_poll_through() {
         vec![txn(100, 0, 1, xrp(3))],
         base_config(),
     );
-    sim.set_topology_events(vec![
+    sim.install(Perturbation::Churn(vec![
         TopologyEvent {
             at: at(50),
             change: TopologyChange::ChannelClose { channel },
@@ -281,7 +281,8 @@ fn closed_hop_counts_as_empty_and_reopening_lets_the_next_poll_through() {
             at: at(2000),
             change: TopologyChange::ChannelOpen { channel },
         },
-    ]);
+    ]))
+    .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.completed_payments, 1);
@@ -301,7 +302,7 @@ fn payment_whose_own_unit_a_fault_refunds_is_reoffered_at_the_next_poll() {
     cfg.mtu = xrp(5);
     cfg.horizon = spider_types::SimDuration::from_secs(1);
     let mut sim = pinned_sim(gen::line(3, xrp(10)), vec![txn(0, 0, 2, xrp(8))], cfg);
-    sim.set_fault_plan(FaultPlan {
+    sim.install(Perturbation::Faults(FaultPlan {
         message_loss: vec![0.0; 2],
         ack_loss_prob: 0.0,
         stuck_prob: 0.0,
@@ -320,7 +321,8 @@ fn payment_whose_own_unit_a_fault_refunds_is_reoffered_at_the_next_poll() {
             },
         ],
         runtime_seed: 1,
-    });
+    }))
+    .unwrap();
     let r = sim.run();
     sim.check_conservation();
     assert_eq!(r.faults_injected, 1);
@@ -596,7 +598,7 @@ fn a_faulted_batch_settles_in_runs_as_it_would_unit_by_unit() {
     });
     let txns = vec![txn(0, 0, 2, amount)];
     let mut sim = new_sim(topo, Workload { txns }, router, cfg);
-    sim.set_fault_plan(plan(seed));
+    sim.install(Perturbation::Faults(plan(seed))).unwrap();
     let (r, mut sim) = run_checked(sim);
     assert_eq!(sim.channel_states(), channels.as_slice(), "balances");
     let trace = sim.take_trace().expect("tracing was on");
@@ -755,7 +757,7 @@ fn a_lockstep_fault_plan_draws_a_verdict_for_each_unit_of_a_batch() {
     let router = Box::new(DirectRouter { atomic: false });
     let txns = vec![txn(0, 0, 1, xrp(20))];
     let mut sim = new_sim(gen::line(2, xrp(100)), Workload { txns }, router, cfg);
-    sim.set_fault_plan(FaultPlan {
+    sim.install(Perturbation::Faults(FaultPlan {
         message_loss: vec![0.5],
         ack_loss_prob: 0.0,
         stuck_prob: 0.0,
@@ -765,7 +767,8 @@ fn a_lockstep_fault_plan_draws_a_verdict_for_each_unit_of_a_batch() {
         hop_timeout: SimDuration::from_secs(1),
         events: Vec::new(),
         runtime_seed: 3,
-    });
+    }))
+    .unwrap();
     let (r, mut sim) = run_checked(sim);
     let trace = sim.take_trace().expect("tracing was on");
     let (mut settled, mut refunded) = (0, 0);

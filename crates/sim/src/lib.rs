@@ -39,7 +39,7 @@ pub use channel::ChannelState;
 pub use config::{
     AdmissionConfig, ObsConfig, QueueConfig, QueueingMode, SchedulingPolicy, SimConfig,
 };
-pub use engine::{Simulation, SlabStats};
+pub use engine::{Perturbation, Simulation, SlabStats};
 pub use metrics::{DropBreakdown, SimReport};
 pub use monitor::{InvariantMonitor, InvariantReport, InvariantViolation};
 pub use paths::{PathEntry, PathTable};

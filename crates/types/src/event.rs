@@ -4,7 +4,7 @@
 //! close, deplete and get resized mid-flight, and nodes join and leave. A
 //! [`TopologyEvent`] describes one such change at a simulated instant; the
 //! engine injects them into its calendar and applies the mutation mid-run
-//! (see `spider_sim::Simulation::set_topology_events`), while
+//! (see `spider_sim::Simulation::install`), while
 //! `spider-dynamics` generates deterministic schedules of them from a
 //! `DynamicsConfig`.
 //!

@@ -18,9 +18,26 @@
 //! checks held and that the counts the trace re-derives — payments
 //! attempted and completed, their volumes, delivered volume, drops by
 //! reason, the units that locked their whole path with the hop counts of
-//! those paths, each completed payment's latency, and the units that
-//! queued with their queueing delays — equal the report's; [`audited_run`] adds the engine's final funds and what its
-//! forensics and attribution recorded.
+//! those paths, each completed payment's latency, the units that queued
+//! with their queueing delays, and the perturbation counters below —
+//! equal the report's; [`audited_run`] adds the engine's final funds and
+//! what its forensics and attribution recorded.
+//!
+//! The perturbation counters come from the records each plan leaves:
+//!
+//! - churn: a `topology` record per mid-run event that changed something
+//!   (`topology_events`, and its instant in `topology_event_times_s`),
+//!   and a `channel` record per channel it closed, opened or resized,
+//!   told apart by the closed flag the record leaves against the one the
+//!   replay holds (`churn_channels_*`, which count the `t = 0` initial
+//!   state too);
+//! - a `channel_closed` drop is a unit churn failed back
+//!   (`units_dropped_churn`), and a payment with one that never
+//!   completes is one churn failed (`payments_failed_churn`);
+//! - faults: a `fault` record per crash or recovery toggle
+//!   (`fault_events`);
+//! - rebalancing: a `deposit` record per confirmed on-chain deposit
+//!   (`rebalance_ops`, and their value in `onchain_deposited`).
 //!
 //! A payment's latency runs from its `arrival` record to its `complete`
 //! record: the two instants give `completion_times` and `latency_hist`
@@ -53,9 +70,9 @@ use spider_obs::{DropRecord, Fact, FlightRecorder, LedgerReplay};
 use spider_sim::{ChannelState, DropBreakdown, Histogram, QueueingMode, SimReport, Simulation};
 use spider_topology::Topology;
 use spider_types::{
-    Amount, ChannelId, Direction, DropReason, Hop, NodeId, PathId, PaymentId, SimDuration,
+    Amount, ChannelId, Direction, DropReason, Hop, NodeId, PathId, PaymentId, SimDuration, SimTime,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Every drop reason, for parsing their spellings back.
 const REASONS: [DropReason; 9] = [
@@ -343,6 +360,19 @@ pub struct LedgerAudit {
     /// Retries the `route` records prove: per payment, its highest
     /// attempt ordinal.
     pub retries_seen: u64,
+    /// The instants, in seconds, of the `topology` records: one per
+    /// mid-run churn event that changed something.
+    pub topology_event_times: Vec<f64>,
+    /// The channels churn closed, opened and resized: one `channel`
+    /// record each, told apart by the closed flag it leaves (the `t = 0`
+    /// initial state included).
+    pub churn_channels: [u64; 3],
+    /// Payments that lost a unit to a channel close and never completed.
+    pub payments_failed_churn: u64,
+    /// Crash and recovery toggles applied (`fault` records).
+    pub fault_events: u64,
+    /// On-chain deposits confirmed (`deposit` records), and their value.
+    pub deposits: (u64, Amount),
     /// Units that waited in a queue, the seconds they waited summed in
     /// record order, and those waits.
     pub queued: (u64, f64, Histogram),
@@ -396,6 +426,11 @@ impl LedgerAudit {
             delivered: Amount::ZERO,
             completion_times: Vec::new(),
             retries_seen: 0,
+            topology_event_times: Vec::new(),
+            churn_channels: [0; 3],
+            payments_failed_churn: 0,
+            fault_events: 0,
+            deposits: (0, Amount::ZERO),
             queued: (0, 0.0, Histogram::new()),
             drops: DropBreakdown::default(),
             drop_records: Vec::new(),
@@ -409,8 +444,11 @@ impl LedgerAudit {
         };
         // Per unit: its value, and whether it has waited in a queue yet.
         let (mut totals, mut units, mut waited) = (Vec::new(), Vec::new(), Vec::new());
-        // Per payment: its arrival instant and the highest attempt routed.
-        let (mut arrivals, mut attempts) = (Vec::new(), Vec::new());
+        // Per payment: its arrival instant, the highest attempt routed, and
+        // whether it completed.
+        let (mut arrivals, mut attempts, mut done) = (Vec::new(), Vec::new(), Vec::new());
+        // Payments that lost a unit to a channel close.
+        let mut churn_hit = BTreeSet::new();
         let mut last_t = 0;
         for (i, (seq, t_us, kind)) in events.iter().enumerate() {
             let (t_us, kind) = (*t_us, kind);
@@ -432,6 +470,7 @@ impl LedgerAudit {
                         totals.resize(p + 1, Amount::ZERO);
                         arrivals.resize(p + 1, 0);
                         attempts.resize(p + 1, 0);
+                        done.resize(p + 1, false);
                     }
                     totals[p] = amount;
                     arrivals[p] = t_us;
@@ -448,6 +487,7 @@ impl LedgerAudit {
                 } => {
                     audit.completed.0 += 1;
                     audit.completed.1 += totals[payment.0 as usize];
+                    done[payment.0 as usize] = true;
                     let latency = t_us - arrivals[payment.0 as usize];
                     if latency != latency_us {
                         let what = format!(
@@ -461,6 +501,15 @@ impl LedgerAudit {
                 TraceEventKind::UnitInjected { amount, .. } => {
                     units.push(amount);
                     waited.push(false);
+                }
+                TraceEventKind::TopologyChanged { .. } => {
+                    let at = SimTime::from_micros(t_us).as_secs_f64();
+                    audit.topology_event_times.push(at);
+                }
+                TraceEventKind::FaultApplied { .. } => audit.fault_events += 1,
+                TraceEventKind::Deposit { amount, .. } => {
+                    audit.deposits.0 += 1;
+                    audit.deposits.1 += amount;
                 }
                 _ => {}
             }
@@ -482,6 +531,9 @@ impl LedgerAudit {
                         audit.violate(t_us, what);
                     }
                     count(&mut audit.drops, rec.reason);
+                    if rec.reason == DropReason::ChannelClosed {
+                        churn_hit.insert(rec.payment);
+                    }
                     if let Some(c) = rec.channel {
                         audit.per_channel[c as usize].0 += 1;
                     }
@@ -513,6 +565,8 @@ impl LedgerAudit {
             }
         }
         audit.retries_seen = attempts.iter().map(|&a| u64::from(a)).sum();
+        let failed = churn_hit.iter().filter(|&&p| !done[p as usize]);
+        audit.payments_failed_churn = failed.count() as u64;
         audit
     }
 
@@ -537,8 +591,8 @@ impl LedgerAudit {
         hops.iter().map(|h| h.channel()).collect()
     }
 
-    /// Checks one record against the ledger before it applies, and
-    /// follows the locks it takes or ends.
+    /// Checks one record against the ledger before it applies, follows
+    /// the locks it takes or ends, and counts the channels churn changes.
     fn check_record(&mut self, t_us: u64, kind: &TraceEventKind) {
         let closed = |c: ChannelId| self.replay.channels()[c.index()].closed;
         let crosses_closed =
@@ -641,6 +695,12 @@ impl LedgerAudit {
             } => {
                 // A close or reopen moves no funds.
                 let f = self.replay.channels()[channel.index()];
+                let change = match (f.closed, now_closed) {
+                    (false, true) => 0,
+                    (true, false) => 1,
+                    _ => 2,
+                };
+                self.churn_channels[change] += 1;
                 if now_closed != f.closed && (capacity, [fwd, bwd]) != (f.capacity, f.balance) {
                     broken.push(format!(
                         "channel {} closes or opens as {kind:?} from {f:?}",
@@ -768,6 +828,35 @@ impl LedgerAudit {
             "{name}: path lengths"
         );
         let times = |t: &[f64]| t.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let churn = [
+            report.churn_channels_closed,
+            report.churn_channels_opened,
+            report.churn_channels_resized,
+        ];
+        assert_eq!(
+            (self.topology_event_times.len() as u64, self.churn_channels),
+            (report.topology_events, churn),
+            "{name}: churn events, and the channels closed, opened and resized"
+        );
+        assert_eq!(
+            times(&self.topology_event_times),
+            times(&report.topology_event_times_s),
+            "{name}: churn event instants"
+        );
+        assert_eq!(
+            (self.drops.channel_closed, self.payments_failed_churn),
+            (report.units_dropped_churn, report.payments_failed_churn),
+            "{name}: units and payments churn failed"
+        );
+        assert_eq!(
+            self.fault_events, report.fault_events,
+            "{name}: fault events"
+        );
+        assert_eq!(
+            self.deposits,
+            (report.rebalance_ops, report.onchain_deposited),
+            "{name}: on-chain deposits"
+        );
         assert_eq!(
             times(&self.completion_times),
             times(&report.completion_times),

@@ -5,6 +5,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ledger_audit;
+pub mod perturbation;
 pub mod reference;
 
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};

@@ -1,16 +1,20 @@
 //! Topology-churn integration tests: incremental `PathCache` repair must
 //! be indistinguishable from a cold rebuild on the final topology, and
 //! full simulations under churn must stay deterministic and conserving
-//! for every scheme.
+//! for every scheme, and an empty schedule must be observationally
+//! invisible.
 
 use proptest::prelude::*;
 use spider_core::experiment::demand_graph;
 use spider_core::{run_sweep, ExperimentConfig, SchemeConfig, SweepJob, TopologyConfig};
 use spider_dynamics::{ChurnSchedule, DynamicsConfig};
 use spider_routing::{PathCache, PathPolicy};
-use spider_sim::{PathTable, SimConfig, Simulation, TopologyUpdate, Workload, WorkloadConfig};
+use spider_sim::{
+    PathTable, Perturbation, SimConfig, Simulation, TopologyUpdate, Workload, WorkloadConfig,
+};
+use spider_tests::perturbation::{zero_intensity_changes_nothing, PlanKind};
 use spider_topology::{gen, Topology};
-use spider_types::{Amount, ChannelId, DetRng, NodeId, SimDuration};
+use spider_types::{Amount, ChannelId, DetRng, NodeId, Result, SimDuration};
 
 /// Resolve a cache's candidate sets to node sequences (PathIds differ
 /// between caches whose interning orders differ; node sequences must not).
@@ -285,7 +289,7 @@ fn churn_outcomes_are_pinned_for_cache_repairing_schemes() {
         let dynamics = cfg.dynamics.as_ref().expect("churn configured");
         let schedule = ChurnSchedule::generate(sim.topology(), dynamics, &mut rng.fork("dynamics"))
             .expect("schedule generates");
-        sim.set_topology_events(schedule.events);
+        sim.install(Perturbation::Churn(schedule.events)).unwrap();
         let r = sim.run();
         sim.check_conservation();
         assert!(r.churn_channels_opened > 0, "{}: opens must fire", r.scheme);
@@ -330,24 +334,8 @@ fn repairing_scheme_retains_most_throughput_under_churn() {
 /// An empty churn schedule is observationally identical to no schedule at
 /// all (the static-topology regression the determinism goldens also pin).
 #[test]
-fn zero_intensity_dynamics_changes_nothing() {
-    let scheme = SchemeConfig::ShortestPath;
-    let mut cfg = churn_experiment(scheme, 5);
-    cfg.dynamics = Some(DynamicsConfig::default().scaled(0.0));
-    let with_empty_schedule = cfg.run().expect("runs");
-    let mut cfg = churn_experiment(scheme, 5);
-    cfg.dynamics = None;
-    let without = cfg.run().expect("runs");
-    assert_eq!(
-        with_empty_schedule.completed_payments,
-        without.completed_payments
-    );
-    assert_eq!(
-        with_empty_schedule.delivered_volume,
-        without.delivered_volume
-    );
-    assert_eq!(with_empty_schedule.units_locked, without.units_locked);
-    assert_eq!(with_empty_schedule.topology_events, 0);
+fn zero_intensity_dynamics_changes_nothing() -> Result<()> {
+    zero_intensity_changes_nothing(PlanKind::Churn)
 }
 
 /// The generated schedule itself is a pure function of (topology, config,

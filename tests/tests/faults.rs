@@ -10,8 +10,9 @@ use spider_core::{run_sweep, ExperimentConfig, SchemeConfig, SweepJob, TopologyC
 use spider_dynamics::DynamicsConfig;
 use spider_faults::{FaultConfig, FaultPlan};
 use spider_sim::{QueueConfig, QueueingMode, SimConfig, WorkloadConfig};
+use spider_tests::perturbation::{zero_intensity_changes_nothing, PlanKind};
 use spider_topology::gen;
-use spider_types::{Amount, DetRng, SimDuration};
+use spider_types::{Amount, DetRng, Result, SimDuration};
 
 fn fault_experiment(scheme: SchemeConfig, seed: u64, intensity: f64) -> ExperimentConfig {
     ExperimentConfig {
@@ -199,27 +200,8 @@ fn backoff_scheme_retains_most_throughput_under_faults() {
 /// A zero-intensity fault plan is observationally identical to no plan at
 /// all (the bit-identity regression the determinism goldens also pin).
 #[test]
-fn zero_intensity_faults_changes_nothing() {
-    let scheme = SchemeConfig::ShortestPath;
-    let mut cfg = fault_experiment(scheme, 5, 0.0);
-    cfg.faults = Some(
-        FaultConfig {
-            horizon_secs: 5.0,
-            ..FaultConfig::default()
-        }
-        .scaled(0.0),
-    );
-    let with_empty_plan = cfg.run().expect("runs");
-    let without = fault_experiment(scheme, 5, 0.0).run().expect("runs");
-    assert_eq!(
-        with_empty_plan.completed_payments,
-        without.completed_payments
-    );
-    assert_eq!(with_empty_plan.delivered_volume, without.delivered_volume);
-    assert_eq!(with_empty_plan.units_locked, without.units_locked);
-    assert_eq!(with_empty_plan.faults_injected, 0);
-    assert_eq!(with_empty_plan.fault_events, 0);
-    assert_eq!(with_empty_plan.units_dropped_fault, 0);
+fn zero_intensity_faults_changes_nothing() -> Result<()> {
+    zero_intensity_changes_nothing(PlanKind::Faults)
 }
 
 /// The generated plan itself is a pure function of (topology, config,

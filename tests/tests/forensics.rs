@@ -17,7 +17,8 @@
 use proptest::prelude::*;
 use spider_core::{execute, ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_sim::{
-    DropRecord, FlightRecorder, SimConfig, SimReport, SizeDistribution, WorkloadConfig,
+    DropRecord, FlightRecorder, Perturbation, SimConfig, SimReport, SizeDistribution,
+    WorkloadConfig,
 };
 use spider_tests::ledger_audit::{audited_run, max_silence, pre_ledger};
 use spider_types::{
@@ -321,7 +322,7 @@ fn churn_close_run(scheme: SchemeConfig) -> (spider_core::RunOutput, String) {
         channel: ChannelId(c),
     };
     let mut sim = cfg.simulation(None).expect("builds");
-    sim.set_topology_events(
+    sim.install(Perturbation::Churn(
         [
             (1_430, close(11)),
             (1_810, TopologyChange::NodeLeave { node: NodeId(0) }),
@@ -332,7 +333,8 @@ fn churn_close_run(scheme: SchemeConfig) -> (spider_core::RunOutput, String) {
             change,
         })
         .to_vec(),
-    );
+    ))
+    .unwrap();
     audited_run("churn closes", max_silence(&cfg), sim)
 }
 

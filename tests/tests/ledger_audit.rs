@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_dynamics::DynamicsConfig;
-use spider_faults::FaultConfig;
+use spider_faults::{CrashConfig, FaultConfig};
 use spider_overload::{
     DrainConfig, FlashCrowdConfig, GriefingConfig, HotPairsConfig, OverloadConfig,
 };
@@ -147,6 +147,44 @@ proptest! {
         let name = format!("seed {seed}, {nodes} nodes, {:?}, fifo {fifo}, perturb {perturb:04b}", cfg.scheme);
         let (out, _) = audited_run(&name, max_silence(&cfg), cfg.simulation(None).expect("builds"));
         prop_assert!(out.report.attempted_payments > 0, "{name}: no arrivals");
+    }
+}
+
+/// Every perturbation counter the auditor re-derives is engaged and
+/// witnessed, in lockstep and hop by hop: churn with mid-run closes,
+/// reopens, resizes and `t = 0` spawns; crash windows (the proptest's
+/// default crash rate rarely fires in 1.5 s); and on-chain deposits.
+#[test]
+fn perturbation_counters_pass_the_ledger_audit() {
+    for (scheme, fifo) in [
+        (SchemeConfig::ShortestPath, false),
+        (SchemeConfig::spider_protocol(4), true),
+    ] {
+        let mut cfg = small_run(7, 16, scheme, fifo, CHURN | FAULTS | REBALANCING);
+        if let Some(faults) = &mut cfg.faults {
+            faults.crash = Some(CrashConfig {
+                rate_per_sec: 4.0,
+                recovery_mean_secs: Some(0.3),
+            });
+        }
+        let name = format!("{}, fifo {fifo}", scheme.name());
+        let (out, _) = audited_run(
+            &name,
+            max_silence(&cfg),
+            cfg.simulation(None).expect("builds"),
+        );
+        let r = &out.report;
+        let counters = [
+            r.topology_events,
+            r.churn_channels_closed,
+            r.churn_channels_opened,
+            r.churn_channels_resized,
+            r.units_dropped_churn,
+            r.payments_failed_churn,
+            r.fault_events,
+            r.rebalance_ops,
+        ];
+        assert!(counters.iter().all(|&n| n > 0), "{name}: {counters:?}");
     }
 }
 

@@ -12,8 +12,9 @@ use spider_dynamics::DynamicsConfig;
 use spider_faults::FaultConfig;
 use spider_overload::{OverloadConfig, OverloadPlan};
 use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode, SimConfig, WorkloadConfig};
+use spider_tests::perturbation::{zero_intensity_changes_nothing, PlanKind};
 use spider_topology::gen;
-use spider_types::{Amount, DetRng, SimDuration};
+use spider_types::{Amount, DetRng, Result, SimDuration};
 
 /// A small ISP experiment with the full adversarial plan (every
 /// sub-attack enabled at its default weight) scaled by `intensity`.
@@ -100,33 +101,11 @@ fn all_schemes_deterministic_and_conserving_under_overload() {
 }
 
 /// A zero-intensity overload plan is observationally identical to no
-/// plan at all: scaling the config to nothing redirects no pair, griefs
-/// no payment and warps no arrival, so the engine must draw nothing from
-/// the overload RNG stream.
+/// plan at all: scaling the config to nothing griefs no payment, so the
+/// engine must draw nothing from the overload RNG stream.
 #[test]
-fn zero_intensity_overload_changes_nothing() {
-    let scheme = SchemeConfig::ShortestPath;
-    let mut cfg = overload_experiment(scheme, 5, 0.0, false);
-    cfg.overload = Some(
-        OverloadConfig {
-            horizon_secs: 5.0,
-            flash_crowd: None, // any window would still warp arrival times
-            ..OverloadConfig::default()
-        }
-        .scaled(0.0),
-    );
-    let with_empty_plan = cfg.run().expect("runs");
-    let without = overload_experiment(scheme, 5, 0.0, false)
-        .run()
-        .expect("runs");
-    assert_eq!(
-        with_empty_plan.completed_payments,
-        without.completed_payments
-    );
-    assert_eq!(with_empty_plan.delivered_volume, without.delivered_volume);
-    assert_eq!(with_empty_plan.units_locked, without.units_locked);
-    assert_eq!(with_empty_plan.units_dropped, without.units_dropped);
-    assert_eq!(with_empty_plan.drops_by_reason, without.drops_by_reason);
+fn zero_intensity_overload_changes_nothing() -> Result<()> {
+    zero_intensity_changes_nothing(PlanKind::Overload)
 }
 
 /// The generated plan itself is a pure function of (topology, config,

@@ -26,8 +26,8 @@ use spider_faults::{CrashConfig, FaultConfig, FaultPlan};
 use spider_obs::trace::TraceEventKind;
 use spider_routing::{ShortestPath, SpiderWaterfilling};
 use spider_sim::{
-    NetworkView, RouteProposal, RouteRequest, Router, SchedulingPolicy, SimConfig, SimReport,
-    Simulation, TxnSpec, Workload,
+    NetworkView, Perturbation, RouteProposal, RouteRequest, Router, SchedulingPolicy, SimConfig,
+    SimReport, Simulation, TxnSpec, Workload,
 };
 use spider_tests::reference;
 use spider_topology::{gen, Topology};
@@ -184,7 +184,7 @@ fn check_case(
     )
     .expect("a valid configuration");
     if let Some(plan) = plan {
-        sim.set_fault_plan(plan.clone());
+        sim.install(Perturbation::Faults(plan.clone())).unwrap();
     }
     let report = sim.run();
     sim.check_conservation();
