@@ -84,7 +84,6 @@ pub static FIGURES: &[Figure] = &[
     sweep_figures::ABLATION_PATH_CHOICE,
     sweep_figures::ABLATION_REBALANCING,
     sweep_figures::FIG8_QUEUE_PROTOCOL,
-    sweep_figures::FIG8_AIMD_SWEEP,
     queue_dynamics::FIG10_QUEUE_DYNAMICS,
     resilience::CHURN_RESILIENCE,
     resilience::FAULT_RESILIENCE,

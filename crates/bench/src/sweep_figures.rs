@@ -1,14 +1,13 @@
 //! The simulator-level figures of §6: the scheme comparison (Fig. 6), the
-//! capacity sweep (Fig. 7), the §5 protocol under queueing (Fig. 8 and
-//! its AIMD grid) and the three ablations.
+//! capacity sweep (Fig. 7), the §5 protocol under queueing (Fig. 8) and
+//! the three ablations.
 
 use crate::figure::{holds, Body, Check, Claim, Figure, Grid, Point, Rows};
 use crate::{both_topologies, isp_experiment, windowed_lineup, Result, Scale};
-use spider_core::scheme::RateConfig;
 use spider_core::{ExperimentConfig, SchemeConfig, SweepJob};
 use spider_sim::config::RebalancingConfig;
 use spider_sim::{QueueConfig, QueueingMode, SchedulingPolicy};
-use spider_types::{Amount, SimDuration};
+use spider_types::SimDuration;
 
 const SCALES: &[Scale] = &[Scale::Default, Scale::Full];
 /// Per-channel capacity (XRP) of the headline comparison.
@@ -398,53 +397,6 @@ fn fig8_grid(scale: Scale, seed: u64) -> Result<Grid> {
                     job,
                 }),
         );
-    }
-    Ok(points.into())
-}
-
-/// The protocol's AIMD step parameters (additive increase XRP ×
-/// multiplicative decrease) on the Fig. 8 ISP run, bracketing the
-/// defaults (10 XRP, ×0.7): the first step of the ROADMAP's rate-control
-/// tuning item.
-pub const FIG8_AIMD_SWEEP: Figure = Figure {
-    name: "fig8_aimd_sweep",
-    paper_ref: "§5 protocol (AIMD tuning)",
-    about: "spider-protocol on ISP over a 3 × 3 grid of AIMD increase × decrease-factor",
-    scales: SCALES,
-    body: Body::Sweep {
-        grid: aimd_grid,
-        claims: &[Claim::new(
-            "the default AIMD step (10 XRP, ×0.7) is within 1 pt of the grid's best success ratio",
-            |d| {
-                let default = d.scheme("fig8-aimd-isp", "spider-protocol[i10,d0.7]")?;
-                let default = default.success_ratio_pct;
-                let best = d
-                    .rows
-                    .iter()
-                    .map(|r| r.success_ratio_pct)
-                    .fold(default, f64::max);
-                holds(1.0 - (best - default), || {
-                    format!("default {default:.2} % vs best {best:.2} %")
-                })
-            },
-        )],
-    },
-};
-
-fn aimd_grid(scale: Scale, seed: u64) -> Result<Grid> {
-    let base = queued(&isp_experiment(CAPACITY_XRP, scale.is_full(), seed));
-    let mut points = Vec::new();
-    for increase in [5.0, 10.0, 20.0] {
-        for decrease in [0.5, 0.7, 0.9] {
-            let rate = RateConfig {
-                increase: Amount::from_xrp_f64(increase),
-                decrease_factor: decrease,
-            };
-            let scheme = SchemeConfig::SpiderProtocol { paths: 4, rate };
-            let name = Some(format!("spider-protocol[i{increase},d{decrease}]"));
-            let at = ("aimd_increase_xrp", increase);
-            points.push(Point::of("fig8-aimd-isp", at, name, scheme, &base));
-        }
     }
     Ok(points.into())
 }

@@ -438,7 +438,6 @@ pub fn demand_graph(workload: &Workload, n_nodes: usize) -> PaymentGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::RateConfig;
     use spider_overload::{FlashCrowdConfig, GriefingConfig};
     use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode};
     use spider_types::SimDuration;
@@ -748,108 +747,126 @@ mod tests {
     /// built, or on the router's first route.
     #[test]
     fn invalid_schemes_and_topologies_are_rejected() {
-        let decrease = |decrease_factor| SchemeConfig::SpiderProtocol {
-            paths: 4,
-            rate: RateConfig {
-                decrease_factor,
-                ..RateConfig::default()
-            },
-        };
-        let schemes = [
-            SchemeConfig::SpiderWaterfilling { paths: 0 },
-            SchemeConfig::SpiderPricing { paths: 0 },
-            SchemeConfig::spider_protocol(0),
-            decrease(2.0),
-            decrease(f64::NAN),
-        ];
-        let capacity_xrp = 1_000;
-        let small_world = |k, beta| TopologyConfig::SmallWorld {
-            nodes: 20,
-            k,
-            beta,
-            capacity_xrp,
-        };
-        let scale_free = |nodes, m| TopologyConfig::ScaleFree {
-            nodes,
-            m,
-            capacity_xrp,
-        };
-        let ripple = |nodes| TopologyConfig::RippleLike {
-            nodes,
-            capacity_xrp,
-        };
-        let topologies = [
-            small_world(0, 0.1),
-            small_world(3, 0.1),
-            small_world(40, 0.1),
-            small_world(4, f64::NAN),
-            scale_free(20, 0),
-            scale_free(20, 40),
-            scale_free(1, 1),
-            ripple(3),
-            ripple(0),
-            TopologyConfig::Isp {
-                capacity_xrp: 18_500_000_000_000,
-            },
-        ];
+        use Expect::Rejected;
         let base = ExperimentConfig {
             workload: WorkloadConfig::small(200, 100.0),
             ..Default::default()
         };
-        let configs = schemes
-            .map(|scheme| ExperimentConfig {
-                scheme,
-                ..base.clone()
-            })
-            .into_iter()
-            .chain(topologies.map(|topology| ExperimentConfig {
-                topology,
-                ..base.clone()
-            }));
-        for cfg in configs {
-            let run = cfg.run();
-            assert!(
-                matches!(run, Err(SpiderError::InvalidConfig(_))),
-                "{:?} / {:?}: {run:?}",
-                cfg.scheme,
-                cfg.topology
-            );
-        }
-        // This one ran, and completed nothing.
-        let no_paths = ExperimentConfig {
-            scheme: SchemeConfig::SpiderLp { paths: 0 },
-            ..base
+        let scheme = |scheme| ExperimentConfig {
+            scheme,
+            ..base.clone()
         };
-        assert!(matches!(no_paths.run(), Err(SpiderError::InvalidConfig(_))));
+        let topology = |topology| ExperimentConfig {
+            topology,
+            ..base.clone()
+        };
+        let capacity_xrp = 1_000;
+        let small_world = |k, beta| {
+            topology(TopologyConfig::SmallWorld {
+                nodes: 20,
+                k,
+                beta,
+                capacity_xrp,
+            })
+        };
+        let scale_free = |nodes, m| {
+            topology(TopologyConfig::ScaleFree {
+                nodes,
+                m,
+                capacity_xrp,
+            })
+        };
+        let ripple = |nodes| {
+            topology(TopologyConfig::RippleLike {
+                nodes,
+                capacity_xrp,
+            })
+        };
+        let isp = TopologyConfig::Isp {
+            capacity_xrp: 18_500_000_000_000,
+        };
+        check_rows([
+            (
+                "waterfilling, no paths",
+                scheme(SchemeConfig::SpiderWaterfilling { paths: 0 }),
+                Rejected,
+            ),
+            (
+                "pricing, no paths",
+                scheme(SchemeConfig::SpiderPricing { paths: 0 }),
+                Rejected,
+            ),
+            (
+                "protocol, no paths",
+                scheme(SchemeConfig::spider_protocol(0)),
+                Rejected,
+            ),
+            // This one ran, and completed nothing.
+            (
+                "LP, no paths",
+                scheme(SchemeConfig::SpiderLp { paths: 0 }),
+                Rejected,
+            ),
+            ("small world, k = 0", small_world(0, 0.1), Rejected),
+            ("small world, odd k", small_world(3, 0.1), Rejected),
+            ("small world, k > n", small_world(40, 0.1), Rejected),
+            ("small world, NaN beta", small_world(4, f64::NAN), Rejected),
+            ("scale free, m = 0", scale_free(20, 0), Rejected),
+            ("scale free, m > n", scale_free(20, 40), Rejected),
+            ("scale free, one node", scale_free(1, 1), Rejected),
+            ("ripple, 3 nodes", ripple(3), Rejected),
+            ("ripple, no nodes", ripple(0), Rejected),
+            ("ISP, capacity overflows", topology(isp), Rejected),
+        ]);
     }
 
     /// Each of these used to panic inside workload generation.
     #[test]
     fn invalid_workload_is_rejected() {
+        use Expect::Rejected;
         let ok = WorkloadConfig::small(100, 100.0);
-        for workload in [
-            WorkloadConfig::small(0, 100.0),
-            WorkloadConfig::small(100, 0.0),
-            WorkloadConfig::small(100, f64::NAN),
-            WorkloadConfig {
-                sender_skew_scale: 0.0,
-                ..ok.clone()
-            },
-            WorkloadConfig {
-                size: spider_sim::SizeDistribution::LogNormal {
-                    mean_xrp: 1.0,
-                    median_xrp: 2.0,
-                    cap_xrp: 10.0,
-                },
-                ..ok.clone()
-            },
-        ] {
-            let cfg = ExperimentConfig {
-                workload: workload.clone(),
-                ..Default::default()
-            };
-            assert!(cfg.run().is_err(), "{workload:?}");
-        }
+        let workload = |workload| ExperimentConfig {
+            workload,
+            ..Default::default()
+        };
+        let log_normal = spider_sim::SizeDistribution::LogNormal {
+            mean_xrp: 1.0,
+            median_xrp: 2.0,
+            cap_xrp: 10.0,
+        };
+        check_rows([
+            (
+                "no payments",
+                workload(WorkloadConfig::small(0, 100.0)),
+                Rejected,
+            ),
+            (
+                "zero rate",
+                workload(WorkloadConfig::small(100, 0.0)),
+                Rejected,
+            ),
+            (
+                "NaN rate",
+                workload(WorkloadConfig::small(100, f64::NAN)),
+                Rejected,
+            ),
+            (
+                "zero sender skew",
+                workload(WorkloadConfig {
+                    sender_skew_scale: 0.0,
+                    ..ok.clone()
+                }),
+                Rejected,
+            ),
+            (
+                "mean under median",
+                workload(WorkloadConfig {
+                    size: log_normal,
+                    ..ok
+                }),
+                Rejected,
+            ),
+        ]);
     }
 
     /// What a row of a rejection table must do.

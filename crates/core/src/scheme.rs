@@ -2,7 +2,6 @@
 
 use spider_paygraph::PaymentGraph;
 use spider_protocol::ProtocolRouter;
-pub use spider_protocol::RateConfig;
 use spider_routing::{
     MaxFlow, ShortestPath, SilentWhispers, SpeedyMurmurs, SpiderLp, SpiderWaterfilling,
 };
@@ -51,19 +50,13 @@ pub enum SchemeConfig {
     SpiderProtocol {
         /// Candidate edge-disjoint paths per pair (paper: 4).
         paths: usize,
-        /// The senders' AIMD steps.
-        rate: RateConfig,
     },
 }
 
 impl SchemeConfig {
-    /// The §5 protocol scheme with the default AIMD steps (the common
-    /// case).
+    /// The §5 protocol scheme over `paths` candidate paths per pair.
     pub fn spider_protocol(paths: usize) -> SchemeConfig {
-        SchemeConfig::SpiderProtocol {
-            paths,
-            rate: RateConfig::default(),
-        }
+        SchemeConfig::SpiderProtocol { paths }
     }
 
     /// The paper's six-scheme lineup (Fig. 6 legend order).
@@ -118,11 +111,8 @@ impl SchemeConfig {
         match *self {
             SchemeConfig::SpiderWaterfilling { paths }
             | SchemeConfig::SpiderLp { paths }
-            | SchemeConfig::SpiderPricing { paths } => at_least_one(paths, "path"),
-            SchemeConfig::SpiderProtocol { paths, rate } => {
-                at_least_one(paths, "path")?;
-                rate.validate()
-            }
+            | SchemeConfig::SpiderPricing { paths }
+            | SchemeConfig::SpiderProtocol { paths } => at_least_one(paths, "path"),
             SchemeConfig::ShortestPath
             | SchemeConfig::MaxFlow
             | SchemeConfig::SilentWhispers
@@ -151,9 +141,7 @@ impl SchemeConfig {
             SchemeConfig::SpiderPricing { paths } => {
                 Box::new(spider_routing::SpiderPricing::new(paths))
             }
-            SchemeConfig::SpiderProtocol { paths, rate } => {
-                Box::new(ProtocolRouter::with_rate(paths, rate))
-            }
+            SchemeConfig::SpiderProtocol { paths } => Box::new(ProtocolRouter::new(paths)),
         }
     }
 }

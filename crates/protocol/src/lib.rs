@@ -15,8 +15,9 @@
 //!   the unit's acknowledgement; [`price::PathPriceEstimator`] smooths the
 //!   acked stamps into a steerable per-path price.
 //! * **Per-path source rate control** ([`rate`]): each (sender, path) pair
-//!   runs an AIMD window on value in flight — additive increase on clean
-//!   acks, multiplicative decrease on marked or failed ones — replacing
+//!   runs an AIMD window on value in flight — additive increase
+//!   ([`rate::INCREASE`]) on clean acks, multiplicative decrease
+//!   ([`rate::DECREASE_FACTOR`]) on marked or failed ones — replacing
 //!   the coarse per-pair window of `spider-core::congestion` for this
 //!   mode.
 //! * **[`ProtocolRouter`]**: splits each payment into MTU-sized units
@@ -50,5 +51,5 @@ pub mod rate;
 pub mod router;
 
 pub use price::PathPriceEstimator;
-pub use rate::{PathController, RateConfig};
+pub use rate::PathController;
 pub use router::ProtocolRouter;

@@ -6,11 +6,14 @@
 //!
 //! * clean delivered ack → window grows additively (probe for capacity);
 //! * marked or failed ack → window shrinks multiplicatively (back off);
-//! * rejection at injection (`on_nack`) → same multiplicative back-off.
+//! * rejection at injection (`on_reject`) → same multiplicative back-off.
 //!
 //! The window floor keeps every path probing — a starved path would
 //! otherwise never learn its price again — and the ceiling bounds queue
 //! build-up when the network is briefly generous.
+//!
+//! Every step is a constant. What judges them is the protocol's gap to
+//! its balanced fluid optimum (`tests/tests/closed_form.rs`).
 
 use spider_types::Amount;
 
@@ -23,36 +26,12 @@ pub const MIN_WINDOW: Amount = Amount::from_xrp(20);
 /// Window ceiling.
 pub const MAX_WINDOW: Amount = Amount::from_xrp(10_000);
 
-/// The AIMD steps of one path's controller; its start, floor and
-/// ceiling are [`INITIAL_WINDOW`], [`MIN_WINDOW`] and [`MAX_WINDOW`].
-#[derive(Debug, Clone, Copy)]
-pub struct RateConfig {
-    /// Additive increase per clean delivered ack.
-    pub increase: Amount,
-    /// Multiplicative decrease factor on a marked or failed ack (0 < f < 1).
-    pub decrease_factor: f64,
-}
+/// Additive increase per clean delivered ack.
+pub const INCREASE: Amount = Amount::from_xrp(10);
 
-impl Default for RateConfig {
-    fn default() -> Self {
-        RateConfig {
-            increase: Amount::from_xrp(10),
-            decrease_factor: 0.7,
-        }
-    }
-}
-
-impl RateConfig {
-    /// Checks the parameters a [`PathController`] needs; one that passes
-    /// builds controllers without panicking.
-    pub fn validate(&self) -> spider_types::Result<()> {
-        let invalid = |msg: &str| Err(spider_types::SpiderError::InvalidConfig(msg.into()));
-        if !(self.decrease_factor > 0.0 && self.decrease_factor < 1.0) {
-            return invalid("decrease factor must be in (0, 1)");
-        }
-        Ok(())
-    }
-}
+/// Multiplicative decrease factor on a marked or failed ack, or a
+/// rejection.
+pub const DECREASE_FACTOR: f64 = 0.7;
 
 /// The AIMD window and in-flight accounting of one (sender, path) pair.
 #[derive(Debug, Clone)]
@@ -62,10 +41,8 @@ pub struct PathController {
 }
 
 impl PathController {
-    /// Fresh controller at [`INITIAL_WINDOW`], for steps `cfg`.
-    pub fn new(cfg: &RateConfig) -> Self {
-        let checked = cfg.validate();
-        assert!(checked.is_ok(), "{checked:?}");
+    /// Fresh controller at [`INITIAL_WINDOW`].
+    pub fn new() -> Self {
         PathController {
             window: INITIAL_WINDOW,
             inflight: Amount::ZERO,
@@ -94,22 +71,28 @@ impl PathController {
 
     /// Records a rejected injection: the engine refused the unit at the
     /// ingress (first-hop queue full), a hard congestion signal.
-    pub fn on_reject(&mut self, cfg: &RateConfig) {
-        self.backoff(cfg);
+    pub fn on_reject(&mut self) {
+        self.backoff();
     }
 
     /// Records the unit acknowledgement for `amount` in flight.
-    pub fn on_ack(&mut self, amount: Amount, delivered: bool, marked: bool, cfg: &RateConfig) {
+    pub fn on_ack(&mut self, amount: Amount, delivered: bool, marked: bool) {
         self.inflight = self.inflight.saturating_sub(amount);
         if delivered && !marked {
-            self.window = (self.window + cfg.increase).min(MAX_WINDOW);
+            self.window = (self.window + INCREASE).min(MAX_WINDOW);
         } else {
-            self.backoff(cfg);
+            self.backoff();
         }
     }
 
-    fn backoff(&mut self, cfg: &RateConfig) {
-        self.window = self.window.mul_f64(cfg.decrease_factor).max(MIN_WINDOW);
+    fn backoff(&mut self) {
+        self.window = self.window.mul_f64(DECREASE_FACTOR).max(MIN_WINDOW);
+    }
+}
+
+impl Default for PathController {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -121,17 +104,9 @@ mod tests {
         Amount::from_xrp(x)
     }
 
-    fn cfg() -> RateConfig {
-        RateConfig {
-            increase: xrp(10),
-            decrease_factor: 0.5,
-        }
-    }
-
     #[test]
     fn budget_tracks_inflight() {
-        let c = cfg();
-        let mut p = PathController::new(&c);
+        let mut p = PathController::new();
         assert_eq!(p.budget(), INITIAL_WINDOW);
         p.on_send(xrp(30));
         assert_eq!(p.budget(), xrp(170));
@@ -142,48 +117,36 @@ mod tests {
 
     #[test]
     fn clean_acks_grow_additively_to_ceiling() {
-        let c = cfg();
-        let mut p = PathController::new(&c);
+        let mut p = PathController::new();
         p.on_send(xrp(10));
-        p.on_ack(xrp(10), true, false, &c);
+        p.on_ack(xrp(10), true, false);
         assert_eq!(p.window(), xrp(210));
         assert_eq!(p.inflight(), Amount::ZERO);
         // (10,000 − 210) / 10 more steps reach the ceiling.
         for _ in 0..1_000 {
-            p.on_ack(Amount::ZERO, true, false, &c);
+            p.on_ack(Amount::ZERO, true, false);
         }
         assert_eq!(p.window(), MAX_WINDOW, "ceiling holds");
     }
 
     #[test]
     fn marked_or_failed_acks_backoff_to_floor() {
-        let c = cfg();
-        let mut p = PathController::new(&c);
+        let mut p = PathController::new();
         p.on_send(xrp(20));
-        p.on_ack(xrp(20), true, true, &c); // delivered but marked
-        assert_eq!(p.window(), xrp(100));
-        p.on_ack(Amount::ZERO, false, true, &c); // dropped
-        assert_eq!(p.window(), xrp(50));
+        p.on_ack(xrp(20), true, true); // delivered but marked
+        assert_eq!(p.window(), xrp(140));
+        p.on_ack(Amount::ZERO, false, true); // dropped
+        assert_eq!(p.window(), xrp(98));
         for _ in 0..20 {
-            p.on_reject(&c);
+            p.on_reject();
         }
         assert_eq!(p.window(), MIN_WINDOW, "floor holds");
     }
 
     #[test]
     fn ack_never_underflows_inflight() {
-        let c = cfg();
-        let mut p = PathController::new(&c);
-        p.on_ack(xrp(10), true, false, &c);
+        let mut p = PathController::new();
+        p.on_ack(xrp(10), true, false);
         assert_eq!(p.inflight(), Amount::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "decrease factor")]
-    fn rejects_bad_decrease_factor() {
-        let _ = PathController::new(&RateConfig {
-            decrease_factor: 1.0,
-            ..cfg()
-        });
     }
 }

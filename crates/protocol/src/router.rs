@@ -20,7 +20,7 @@
 //! a fully decentralized protocol.
 
 use crate::price::PathPriceEstimator;
-use crate::rate::{PathController, RateConfig};
+use crate::rate::PathController;
 use spider_routing::{ChannelBreakers, PathCache, PathPenalties, PathPolicy};
 use spider_sim::{
     NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate, UnitAck, UnitOutcome,
@@ -68,7 +68,7 @@ struct Pairs {
 }
 
 impl Pairs {
-    fn new(k: usize, rate: &RateConfig) -> Self {
+    fn new(k: usize) -> Self {
         Pairs {
             k,
             counts: Vec::new(),
@@ -76,7 +76,7 @@ impl Pairs {
             owner: Vec::new(),
             fresh: Candidate {
                 path: PathId(0),
-                controller: PathController::new(rate),
+                controller: PathController::new(),
                 price: PathPriceEstimator::new(),
             },
             staged: Vec::new(),
@@ -180,8 +180,6 @@ impl Pairs {
 /// for its feedback loop to close — in lockstep mode no acks arrive and
 /// windows stay pinned near their initial value).
 pub struct ProtocolRouter {
-    /// The AIMD steps every path's controller takes.
-    rate: RateConfig,
     cache: PathCache,
     pairs: Pairs,
     /// Sum of every controller's window, kept current wherever a window
@@ -203,18 +201,12 @@ pub struct ProtocolRouter {
 
 impl ProtocolRouter {
     /// Creates the router with `k` edge-disjoint candidate paths per pair
-    /// (the paper uses 4) and the default AIMD steps.
+    /// (the paper uses 4).
     pub fn new(k: usize) -> Self {
-        Self::with_rate(k, RateConfig::default())
-    }
-
-    /// Creates the router with explicit AIMD steps.
-    pub fn with_rate(k: usize, rate: RateConfig) -> Self {
         assert!(k >= 1, "need at least one path");
         ProtocolRouter {
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
-            pairs: Pairs::new(k, &rate),
-            rate,
+            pairs: Pairs::new(k),
             window_total: Amount::ZERO,
             penalties: PathPenalties::default(),
             breakers: ChannelBreakers::default(),
@@ -433,7 +425,7 @@ impl Router for ProtocolRouter {
         } else {
             tracked(&mut self.window_total, controller, |c| {
                 for _ in 0..outcome.units {
-                    c.on_reject(&self.rate);
+                    c.on_reject();
                 }
             });
         }
@@ -456,7 +448,7 @@ impl Router for ProtocolRouter {
         };
         let candidate = &mut self.pairs.candidates[at];
         tracked(&mut self.window_total, &mut candidate.controller, |c| {
-            c.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.rate)
+            c.on_ack(ack.amount, ack.delivered, ack.stamp.marked)
         });
         candidate.price.observe(ack.delivered, &ack.stamp);
     }

@@ -19,7 +19,6 @@ struct PairState {
 /// The reference: pair state in a map keyed by the pair, found through
 /// the acknowledged path's end nodes.
 struct ByPair {
-    rate: RateConfig,
     cache: PathCache,
     pairs: BTreeMap<(NodeId, NodeId), PairState>,
     window_total: Amount,
@@ -28,7 +27,6 @@ struct ByPair {
 impl ByPair {
     fn new(k: usize) -> Self {
         ByPair {
-            rate: RateConfig::default(),
             cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
             pairs: BTreeMap::new(),
             window_total: Amount::ZERO,
@@ -42,7 +40,7 @@ impl ByPair {
         for &path in &paths {
             let (controller, price) = match old.paths.iter().position(|&held| held == path) {
                 Some(i) => (old.controllers[i].clone(), old.prices[i].clone()),
-                None => (PathController::new(&self.rate), PathPriceEstimator::new()),
+                None => (PathController::new(), PathPriceEstimator::new()),
             };
             self.window_total += controller.window();
             new.controllers.push(controller);
@@ -98,7 +96,7 @@ impl ByPair {
         if outcome.locked {
             controller.on_send(outcome.amount);
         } else {
-            controller.on_reject(&self.rate);
+            controller.on_reject();
         }
         self.window_total += controller.window();
         self.window_total -= before;
@@ -111,7 +109,7 @@ impl ByPair {
         let state = self.pairs.get_mut(&pair).expect("found");
         let controller = &mut state.controllers[i];
         let before = controller.window();
-        controller.on_ack(ack.amount, ack.delivered, ack.stamp.marked, &self.rate);
+        controller.on_ack(ack.amount, ack.delivered, ack.stamp.marked);
         self.window_total += controller.window();
         self.window_total -= before;
         state.prices[i].observe(ack.delivered, &ack.stamp);

@@ -436,3 +436,28 @@ fn node_event_for_a_larger_graph_is_refused_at_install() {
     }]))
     .unwrap();
 }
+
+/// A fault plan fitted to the channel count but crashing a node the
+/// topology lacks: installing it used to pass, and the crash then
+/// indexed past the engine's per-node state when it fired.
+#[test]
+#[should_panic(expected = "the plan was generated for a different topology")]
+fn crash_of_a_node_the_graph_lacks_is_refused_at_install() {
+    let mut sim = new_sim(
+        gen::line(3, xrp(10)),
+        Workload { txns: Vec::new() },
+        Box::new(Direct),
+        SimConfig::default(),
+    );
+    let mut plan = spider_faults::FaultPlan::generate(
+        &gen::line(3, xrp(10)),
+        &spider_faults::FaultConfig::default(),
+        &mut spider_types::DetRng::new(1),
+    )
+    .unwrap();
+    plan.events = vec![spider_faults::FaultEvent {
+        at: SimTime::from_secs(1),
+        change: spider_faults::FaultChange::NodeCrash { node: NodeId(3) },
+    }];
+    sim.install(Perturbation::Faults(plan)).unwrap();
+}

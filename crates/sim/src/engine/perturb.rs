@@ -13,7 +13,7 @@
 use super::Simulation;
 use crate::config::{check_reach, AdmissionConfig, QueueingMode};
 use crate::paths::PathEntry;
-use spider_faults::{FaultChange, FaultPlan};
+use spider_faults::{FaultChange, FaultEvent, FaultPlan};
 use spider_obs::trace::TraceEventKind;
 use spider_overload::OverloadPlan;
 use spider_types::{
@@ -229,7 +229,14 @@ impl Simulation {
         };
         let fits_topology = match &plan {
             Perturbation::Churn(events) => events.iter().all(|e| known(&e.change)),
-            Perturbation::Faults(plan) => plan.message_loss.len() == channels,
+            Perturbation::Faults(plan) => {
+                let on_graph = |e: &FaultEvent| match e.change {
+                    FaultChange::NodeCrash { node } | FaultChange::NodeRecover { node } => {
+                        node.index() < nodes
+                    }
+                };
+                plan.message_loss.len() == channels && plan.events.iter().all(on_graph)
+            }
             Perturbation::Overload(_) => true,
         };
         if !fits_topology {

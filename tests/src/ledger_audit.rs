@@ -15,13 +15,19 @@
 //! record, that nothing in flight crosses a closed channel; and at the
 //! horizon, that no lock went without a record for longer than its
 //! state allows ([`max_silence`]). [`LedgerAudit::check`] asserts those
-//! checks held and that the counts the trace re-derives — payments
-//! attempted and completed, their volumes, delivered volume, drops by
-//! reason, the units that locked their whole path with the hop counts of
-//! those paths, each completed payment's latency, the units that queued
-//! with their queueing delays, and the perturbation counters below —
-//! equal the report's; [`audited_run`] adds the engine's final funds and
-//! what its forensics and attribution recorded.
+//! checks held and that every [`SimReport`] field in [`WITNESSED`] is
+//! what the trace re-derives, floats bit for bit; [`audited_run`] adds
+//! the engine's final funds and what its forensics and attribution
+//! recorded. Every other field is in [`NOT_DERIVED`], with the reason the
+//! ledger does not give it: the list is closed, and a new report field
+//! must join one side (`tests/tests/ledger_audit.rs` fails on a field in
+//! neither).
+//!
+//! A unit's value is delivered at its `settle` record (lockstep) or
+//! `deliver` record (hop by hop): it counts toward the delivered volume
+//! and, in XRP, toward the `throughput_series` bucket of the record's
+//! whole second, added in record order as the engine adds it. Each
+//! `ack` record is an acknowledged unit, and a marked one a marked unit.
 //!
 //! The perturbation counters come from the records each plan leaves:
 //!
@@ -35,7 +41,8 @@
 //!   (`units_dropped_churn`), and a payment with one that never
 //!   completes is one churn failed (`payments_failed_churn`);
 //! - faults: a `fault` record per crash or recovery toggle
-//!   (`fault_events`);
+//!   (`fault_events`), and a drop with a fault reason per unit a fault
+//!   failed (`units_dropped_fault`);
 //! - rebalancing: a `deposit` record per confirmed on-chain deposit
 //!   (`rebalance_ops`, and their value in `onchain_deposited`).
 //!
@@ -52,15 +59,9 @@
 //!
 //! A unit locks its whole path at a lockstep `lock` record with
 //! `ok:true`, or at a hop-by-hop unit's `forward` record across its
-//! path's last hop; its hop count is its `path` line's. The report's
-//! `units_failed` is not re-derived: the trace has no record of the
-//! full-MTU units a lockstep batch lock counts as failed without trying
-//! them, once one of their size has failed, nor of a hop-by-hop unit
-//! rejected at its first hop before it is injected. Nor is `retries`: an
-//! attempt leaves a record only through the `route` records of what the
-//! router proposed, so one whose router proposed nothing (no path, or a
-//! closed window) is invisible. The `attempt` ordinals still bound it:
-//! a payment's attempt `k` is its `k`-th from the retry poll (its first,
+//! path's last hop; its hop count is its `path` line's. The `attempt`
+//! ordinals of the `route` records bound `retries` from below: a
+//! payment's attempt `k` is its `k`-th from the retry poll (its first,
 //! `0`, is made on arrival), so `retries` is at least the sum over
 //! payments of the highest ordinal routed.
 
@@ -85,6 +86,92 @@ const REASONS: [DropReason; 9] = [
     DropReason::NodeCrashed,
     DropReason::Shed,
     DropReason::AdmissionRejected,
+];
+
+/// The [`SimReport`] fields [`LedgerAudit::check`] re-derives from the
+/// trace and asserts equal.
+pub const WITNESSED: &[&str] = &[
+    "attempted_payments",
+    "completed_payments",
+    "attempted_volume",
+    "delivered_volume",
+    "completed_volume",
+    "throughput_series",
+    "units_locked",
+    "unit_hops_sum",
+    "path_length_hist",
+    "units_acked",
+    "units_marked",
+    "units_dropped",
+    "drops_by_reason",
+    "units_dropped_fault",
+    "units_queued",
+    "queue_delay_sum_s",
+    "queue_delay_hist",
+    "completion_times",
+    "latency_hist",
+    "topology_events",
+    "topology_event_times_s",
+    "churn_channels_closed",
+    "churn_channels_opened",
+    "churn_channels_resized",
+    "units_dropped_churn",
+    "payments_failed_churn",
+    "fault_events",
+    "rebalance_ops",
+    "onchain_deposited",
+];
+
+/// The [`SimReport`] fields the auditor does not re-derive, each with
+/// the reason the ledger does not give it.
+pub const NOT_DERIVED: &[(&str, &str)] = &[
+    ("scheme", "the router's name is an input of the run"),
+    ("horizon", "the horizon is an input of the run"),
+    (
+        "admission_deferred",
+        "a deferred arrival leaves no record until it is admitted",
+    ),
+    (
+        "units_failed",
+        "the full-MTU units a lockstep batch lock counts as failed without \
+         trying them, once one of their size has failed, and a hop-by-hop \
+         unit rejected at its first hop before it is injected leave no record",
+    ),
+    (
+        "retries",
+        "an attempt whose router proposed nothing (no path, or a closed \
+         window) leaves no record; `check` asserts the lower bound the \
+         `route` records' attempt ordinals give",
+    ),
+    (
+        "faults_injected",
+        "a griefing hold ends in the same `hop_timeout` drop as an injected \
+         stuck unit, and no record says which it was",
+    ),
+    (
+        "window_hist",
+        "the router's windows at the horizon are state no record carries",
+    ),
+    (
+        "router_counters",
+        "the router's own counters are state no record carries",
+    ),
+    (
+        "samples",
+        "the sampler reads engine and router state (windows, prices, the \
+         calendar) at its own cadence, and no record carries it",
+    ),
+    (
+        "profile",
+        "wall-clock timings are not an outcome of the run",
+    ),
+    (
+        "hotspots",
+        "`audited_run` witnesses each row's drops, bottlenecks and queue \
+         residency, but the utilization, zero-liquidity and imbalance \
+         integrals and the score that ranks the rows are not re-derived: \
+         the replay does not integrate channel state over time",
+    ),
 ];
 
 /// One flat JSONL object's fields, split once: (key, raw value).
@@ -354,6 +441,12 @@ pub struct LedgerAudit {
     pub completed: (u64, Amount),
     /// Value settled end to end.
     pub delivered: Amount,
+    /// Value settled end to end per one-second bucket of its instant, in
+    /// XRP, summed in record order.
+    pub throughput: Vec<f64>,
+    /// Units acknowledged (`ack` records), and how many of those acks
+    /// came back marked.
+    pub acked: (u64, u64),
     /// Completed payments' latencies, arrival to completion, in seconds
     /// and completion order.
     pub completion_times: Vec<f64>,
@@ -424,6 +517,8 @@ impl LedgerAudit {
             attempted: (0, Amount::ZERO),
             completed: (0, Amount::ZERO),
             delivered: Amount::ZERO,
+            throughput: Vec::new(),
+            acked: (0, 0),
             completion_times: Vec::new(),
             retries_seen: 0,
             topology_event_times: Vec::new(),
@@ -507,6 +602,10 @@ impl LedgerAudit {
                     audit.topology_event_times.push(at);
                 }
                 TraceEventKind::FaultApplied { .. } => audit.fault_events += 1,
+                TraceEventKind::UnitAcked { marked, .. } => {
+                    audit.acked.0 += 1;
+                    audit.acked.1 += u64::from(marked);
+                }
                 TraceEventKind::Deposit { amount, .. } => {
                     audit.deposits.0 += 1;
                     audit.deposits.1 += amount;
@@ -543,11 +642,17 @@ impl LedgerAudit {
                     if let Some(c) = bottleneck {
                         audit.per_channel[c.index()].1 += 1;
                     }
-                    audit.delivered += match *kind {
+                    let amount = match *kind {
                         TraceEventKind::UnitSettled { amount, .. } => amount,
                         TraceEventKind::UnitDelivered { unit } => units[unit as usize],
                         _ => unreachable!("only settles and deliveries deliver"),
                     };
+                    audit.delivered += amount;
+                    let bucket = SimTime::from_micros(t_us).as_secs_f64() as usize;
+                    if audit.throughput.len() <= bucket {
+                        audit.throughput.resize(bucket + 1, 0.0);
+                    }
+                    audit.throughput[bucket] += amount.as_xrp();
                 }
                 (
                     Fact::QueueWait { channel, secs },
@@ -797,6 +902,17 @@ impl LedgerAudit {
             "{name}: completed"
         );
         assert_eq!(self.delivered, report.delivered_volume, "{name}: delivered");
+        let times = |t: &[f64]| t.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            times(&self.throughput),
+            times(&report.throughput_series),
+            "{name}: throughput series"
+        );
+        assert_eq!(
+            self.acked,
+            (report.units_acked, report.units_marked),
+            "{name}: units acked, and marked"
+        );
         assert_eq!(
             self.drops.total(),
             report.units_dropped,
@@ -805,6 +921,11 @@ impl LedgerAudit {
         assert_eq!(
             self.drops, report.drops_by_reason,
             "{name}: drops by reason"
+        );
+        assert_eq!(
+            self.drops.fault_total(),
+            report.units_dropped_fault,
+            "{name}: units dropped by faults"
         );
         let (mut locked, mut hops_sum) = (0, 0);
         let mut lengths = Histogram::new();
@@ -827,7 +948,6 @@ impl LedgerAudit {
             bits(&report.path_length_hist),
             "{name}: path lengths"
         );
-        let times = |t: &[f64]| t.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         let churn = [
             report.churn_channels_closed,
             report.churn_channels_opened,

@@ -4,10 +4,11 @@
 //! tolerance to loosen.
 
 use spider_core::SchemeConfig;
-use spider_paygraph::PaymentGraph;
+use spider_lp::fluid::{FluidProblem, PathSelection};
+use spider_paygraph::{generate, PaymentGraph};
 use spider_sim::{QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, TxnSpec, Workload};
 use spider_tests::{poisson, CirculationBound};
-use spider_topology::gen;
+use spider_topology::{gen, Topology};
 use spider_types::{Amount, DetRng, SimDuration};
 
 /// Every payment's size: one MTU.
@@ -149,37 +150,40 @@ fn two_node_throughput_limit_fifo() {
     throughput_tends_to_twice_the_slower_rate(QueueingMode::PerChannelFifo(QueueConfig::default()));
 }
 
-/// What one run of the §5.1 example delivered over the second half of
-/// its horizon, and the bounds the theory puts on it there.
-struct Example {
+/// What one run delivered over the second half of its horizon, and
+/// what arrived that it could have delivered there.
+struct Window {
     /// Delivered payments per second over `[H/2, H)`.
     rate: f64,
-    /// ν of the payments that could complete in that window, per second:
-    /// the maximum circulation of the arrivals from `H/2 − deadline` on.
-    nu: f64,
-    /// The escrow transient, per second: what the channels' funds let the
-    /// window deliver beyond a circulation.
-    transient: f64,
+    /// Per pair, the payments that arrived from `H/2 − deadline` on: a
+    /// payment delivered in the window arrived then.
+    arrived: PaymentGraph,
+    /// The window's length `T`, seconds.
+    secs: f64,
 }
 
-/// The §5.1 example at event level: `gen::paper_example_topology` with
-/// `capacity_xrp` per channel, Poisson unit payments at
-/// `examples::paper_example_demands`' eight rates over `horizon_s`, no
-/// rebalancing, under `scheme` in `queueing` mode.
-///
-/// Bounds on the window `[H/2, H)` of length `T`: a payment delivered in
-/// it arrived after `H/2 − deadline`, so the window delivers at most the
-/// [`CirculationBound`] of those arrivals.
-fn paper_example(
+impl Window {
+    /// The window's [`CirculationBound`] on `topo`, per second: ν of its
+    /// arrivals, and the escrow transient (what the channels' funds let
+    /// it deliver beyond a circulation).
+    fn circulation_bound(&self, topo: &Topology) -> (f64, f64) {
+        let bound = CirculationBound::new(&self.arrived, topo);
+        (bound.nu / self.secs, bound.transient / self.secs)
+    }
+}
+
+/// One stationary-demand run at event level: Poisson unit payments at
+/// each of `demands`' rates on `topo` over `horizon_s`, with a 5 s
+/// deadline, Δ = 0.5 s and no rebalancing, under `scheme` in `queueing`
+/// mode.
+fn stationary(
     scheme: SchemeConfig,
     queueing: QueueingMode,
-    capacity_xrp: u64,
+    topo: &Topology,
+    demands: &PaymentGraph,
     horizon_s: f64,
     seed: u64,
-) -> Example {
-    use spider_paygraph::examples;
-    let demands = examples::paper_example_demands();
-    let topo = gen::paper_example_topology(Amount::from_xrp(capacity_xrp));
+) -> Window {
     let rng = DetRng::new(seed);
     let mut txns: Vec<TxnSpec> = demands
         .edges()
@@ -191,15 +195,13 @@ fn paper_example(
     txns.sort_by_key(|t| (t.time, t.src, t.dst));
     let deadline = SimDuration::from_secs(5);
     let half = horizon_s / 2.0;
-    let mut arrived = PaymentGraph::new(examples::NODES);
+    let mut arrived = PaymentGraph::new(demands.node_count());
     for t in &txns {
         if t.time.as_secs_f64() >= half - deadline.as_secs_f64() {
             arrived.add_demand(t.src, t.dst, 1.0);
         }
     }
-    let window = horizon_s - half;
-    let bound = CirculationBound::new(&arrived, &topo);
-    let router = scheme.build(&topo, &demands, 0.5);
+    let router = scheme.build(topo, demands, 0.5);
     let cfg = SimConfig {
         mtu: Amount::from_xrp(1),
         deadline: Some(deadline),
@@ -207,14 +209,15 @@ fn paper_example(
         queueing,
         ..SimConfig::default()
     };
-    let mut sim = Simulation::new(topo, Workload { txns }, router, cfg).expect("builds");
+    let mut sim = Simulation::new(topo.clone(), Workload { txns }, router, cfg).expect("builds");
     let r = sim.run();
     sim.check_conservation();
     let delivered: f64 = r.throughput_series[half as usize..].iter().sum();
-    Example {
-        rate: delivered / window,
-        nu: bound.nu / window,
-        transient: bound.transient / window,
+    let secs = horizon_s - half;
+    Window {
+        rate: delivered / secs,
+        arrived,
+        secs,
     }
 }
 
@@ -225,16 +228,18 @@ fn paper_example(
 ///   across-seed standard errors of the 5 units/s the paper computes for
 ///   balanced shortest-path routing;
 /// * in every run, neither the §5 protocol (FIFO) nor Spider (LP,
-///   lockstep) delivers more than `ν + transient` (see [`paper_example`];
-///   the transient is 1.2/s here);
+///   lockstep) delivers more than `ν + transient`
+///   ([`Window::circulation_bound`]; the transient is 1.2/s here);
 /// * in every run, each delivers at least what shortest path did on the
 ///   same arrivals.
 ///
 /// It reports the fraction of ν = 8 each reaches.
 #[test]
 fn paper_example_reaches_the_circulation_and_not_past_it() {
-    use spider_paygraph::examples::{MAX_CIRCULATION, SHORTEST_PATH_THROUGHPUT};
-    let (capacity_xrp, horizon_s, seeds) = (50, 2_000.0, 1..=4);
+    use spider_paygraph::examples::{self, MAX_CIRCULATION, SHORTEST_PATH_THROUGHPUT};
+    let (horizon_s, seeds) = (2_000.0, 1..=4);
+    let topo = gen::paper_example_topology(Amount::from_xrp(50));
+    let demands = examples::paper_example_demands();
     let fifo = QueueingMode::PerChannelFifo(QueueConfig::default());
     let schemes = [
         ("spider-protocol", SchemeConfig::spider_protocol(4), fifo),
@@ -247,22 +252,16 @@ fn paper_example_reaches_the_circulation_and_not_past_it() {
     let mut shortest = Vec::new();
     let mut reached = vec![Vec::new(); schemes.len()];
     for seed in seeds {
-        let sp = paper_example(
-            SchemeConfig::ShortestPath,
-            QueueingMode::Lockstep,
-            capacity_xrp,
-            horizon_s,
-            seed,
-        );
+        let run = |scheme, queueing| stationary(scheme, queueing, &topo, &demands, horizon_s, seed);
+        let sp = run(SchemeConfig::ShortestPath, QueueingMode::Lockstep);
         shortest.push(sp.rate);
         for ((name, scheme, queueing), reached) in schemes.iter().zip(&mut reached) {
-            let e = paper_example(*scheme, queueing.clone(), capacity_xrp, horizon_s, seed);
+            let e = run(*scheme, queueing.clone());
+            let (nu, transient) = e.circulation_bound(&topo);
             assert!(
-                e.rate <= e.nu + e.transient,
-                "{name}, seed {seed}: {:.3}/s exceeds ν {:.3} + transient {:.3}",
+                e.rate <= nu + transient,
+                "{name}, seed {seed}: {:.3}/s exceeds ν {nu:.3} + transient {transient:.3}",
                 e.rate,
-                e.nu,
-                e.transient
             );
             assert!(
                 e.rate >= sp.rate,
@@ -290,4 +289,124 @@ fn paper_example_reaches_the_circulation_and_not_past_it() {
             100.0 * mean / MAX_CIRCULATION
         );
     }
+}
+
+/// Candidate paths per pair, for the §5 protocol and its fluid optimum
+/// alike (§6.1 uses 4).
+const PATHS: usize = 4;
+
+/// `mixed_demand` matrices of 100 payments/s on `topo`, at 100 % and at
+/// 50 % circulation, drawn from `name`'s stream, each with its floor: the
+/// least fraction of the balanced optimum the protocol must deliver over
+/// `[H/2, H)`.
+///
+/// The floors sit 5 and 15 pt under the optimum. Their margins, the least
+/// fraction measured on the three seeds less the floor, were 2.3 and
+/// 6.1 pt on ISP and 2.7 and 7.1 pt on the Ripple-like graph.
+fn stationary_demands(name: &str, topo: &Topology) -> [(PaymentGraph, f64); 2] {
+    let n = topo.node_count();
+    [(1.0, 0.95), (0.5, 0.85)].map(|(circulation, floor)| {
+        let mut rng = DetRng::new(0).fork(name);
+        (
+            generate::mixed_demand(n, 100.0, circulation, &mut rng),
+            floor,
+        )
+    })
+}
+
+/// The balanced fluid optimum (eqs. 1–5) of `demands` on `topo` over the
+/// k edge-disjoint paths of the plain search — the search the router's
+/// path oracle is tested against, so the LP and the router share one
+/// path set — with the engine's Δ = 0.5 s.
+fn balanced_optimum(topo: &Topology, demands: &PaymentGraph) -> f64 {
+    let problem = FluidProblem::new(topo, demands, 0.5, PathSelection::KEdgeDisjoint(PATHS));
+    problem.solve_balanced().expect("solves").throughput
+}
+
+/// The most the window `w` can deliver on `topo` with no on-chain
+/// rebalancing: `t(B)` (eqs. 12–18) on the window's arrival rates, with
+/// budget `B = Σ_e c_e / T` and a Δ so small that no capacity row binds.
+///
+/// Let `x_p` be the units the window delivers over path `p`, per second
+/// of the window. Then `x` is feasible for that LP:
+///
+/// * demand rows: a unit is delivered only while its payment is live (a
+///   lapsed payment's unit drops where it would have been delivered), so
+///   it arrived from `H/2 − deadline` on, and a payment is one unit;
+/// * paths: the router's candidates are the plain search's, the LP's;
+/// * rebalancing rows: the engine settles a unit on every hop of its path
+///   at its delivery instant. A side's settled balance — what it holds
+///   plus what it has locked toward the other side — is never negative,
+///   and the two sides sum to `c_e`, so it stays in `[0, c_e]`. What the
+///   window settles across `e` one way, less the other way, is therefore
+///   at most `c_e`: with `b_e` the excess in its direction,
+///   `Σ b ≤ Σ_e c_e / T = B`;
+/// * capacity rows (`c_e/Δ`, here twice the window's whole arrival rate):
+///   a simple path crosses a channel at most once, so a channel carries
+///   at most the whole delivered rate.
+///
+/// So `x` totals at most `t(B)`; the check allows the simplex's rounding
+/// (a relative 1e-9) and no more. On ISP, `B` is 38/s at `T = 200 s`,
+/// where [`CirculationBound`]'s transient `(n − 1) Σ_e c_e / T` is
+/// 1,178/s, above the whole arrival rate and so no bound at all.
+fn window_ceiling(topo: &Topology, w: &Window) -> f64 {
+    let capacities = || topo.channels().map(|(_, c)| c.capacity.as_xrp());
+    let mut rates = PaymentGraph::new(w.arrived.node_count());
+    for e in w.arrived.edges() {
+        rates.add_demand(e.src, e.dst, e.rate / w.secs);
+    }
+    let delta = capacities().fold(f64::INFINITY, f64::min) / (2.0 * rates.total_demand());
+    let problem = FluidProblem::new(topo, &rates, delta, PathSelection::KEdgeDisjoint(PATHS));
+    let budget = capacities().sum::<f64>() / w.secs;
+    problem.throughput_with_budget(budget).expect("solves")
+}
+
+/// §5.3 (eqs. 21–24): the protocol's price and window updates drive the
+/// network toward the throughput-optimal balanced fluid solution. On
+/// each of `name`'s [`stationary_demands`] on `topo`, over three seeds of
+/// a 400 s horizon, what the §5 protocol delivers over `[H/2, H)`:
+///
+/// * is at least the matrix's floor times the balanced optimum on the
+///   same path set ([`balanced_optimum`], solved once per matrix);
+/// * is at most [`window_ceiling`] in every run, a bound that holds for
+///   any scheme.
+fn protocol_approaches_its_fluid_optimum(name: &str, topo: &Topology) {
+    let (horizon_s, seeds) = (400.0, 1..=3);
+    let fifo = QueueingMode::PerChannelFifo(QueueConfig::default());
+    for (demands, floor) in stationary_demands(name, topo) {
+        let optimum = balanced_optimum(topo, &demands);
+        for seed in seeds.clone() {
+            let scheme = SchemeConfig::spider_protocol(PATHS);
+            let w = stationary(scheme, fifo.clone(), topo, &demands, horizon_s, seed);
+            let ceiling = window_ceiling(topo, &w);
+            let what = format!(
+                "{name} at {} pairs, seed {seed}: {:.3}/s against the optimum {optimum:.3}/s \
+                 ({:.1} %) and the ceiling {ceiling:.3}/s",
+                demands.edge_count(),
+                w.rate,
+                100.0 * w.rate / optimum
+            );
+            assert!(w.rate >= floor * optimum, "{what}: below the floor {floor}");
+            assert!(
+                w.rate <= ceiling * (1.0 + 1e-9),
+                "{what}: above the ceiling"
+            );
+            eprintln!("{what}");
+        }
+    }
+}
+
+#[test]
+fn protocol_approaches_its_fluid_optimum_on_isp() {
+    let topo = gen::isp_topology(Amount::from_xrp(50));
+    protocol_approaches_its_fluid_optimum("isp", &topo);
+}
+
+/// 20 nodes keep the 50 % matrix under 80 pairs: the dense simplex's
+/// time grows fast with pairs.
+#[test]
+fn protocol_approaches_its_fluid_optimum_on_ripple() {
+    let mut rng = DetRng::new(0).fork("ripple");
+    let topo = gen::ripple_like(20, Amount::from_xrp(50), &mut rng);
+    protocol_approaches_its_fluid_optimum("ripple", &topo);
 }

@@ -15,9 +15,10 @@ use spider_overload::{
     DrainConfig, FlashCrowdConfig, GriefingConfig, HotPairsConfig, OverloadConfig,
 };
 use spider_sim::{
-    AdmissionConfig, QueueConfig, QueueingMode, SimConfig, SizeDistribution, WorkloadConfig,
+    AdmissionConfig, QueueConfig, QueueingMode, SimConfig, SimReport, SizeDistribution,
+    WorkloadConfig,
 };
-use spider_tests::ledger_audit::{audited_run, max_silence};
+use spider_tests::ledger_audit::{audited_run, max_silence, NOT_DERIVED, WITNESSED};
 use spider_types::{Amount, SimDuration};
 
 /// The perturbations a proptest case may switch on.
@@ -99,6 +100,12 @@ fn small_run(
             message_loss_prob: 0.05,
             stuck_unit_prob: 0.02,
             hop_timeout_secs: 0.3,
+            // λT = 3 crashes over the span: about 95 % of cases apply a
+            // crash toggle.
+            crash: Some(CrashConfig {
+                rate_per_sec: 2.0,
+                recovery_mean_secs: Some(0.3),
+            }),
             horizon_secs: secs,
             ..FaultConfig::default()
         });
@@ -152,21 +159,15 @@ proptest! {
 
 /// Every perturbation counter the auditor re-derives is engaged and
 /// witnessed, in lockstep and hop by hop: churn with mid-run closes,
-/// reopens, resizes and `t = 0` spawns; crash windows (the proptest's
-/// default crash rate rarely fires in 1.5 s); and on-chain deposits.
+/// reopens, resizes and `t = 0` spawns; crash windows; and on-chain
+/// deposits.
 #[test]
 fn perturbation_counters_pass_the_ledger_audit() {
     for (scheme, fifo) in [
         (SchemeConfig::ShortestPath, false),
         (SchemeConfig::spider_protocol(4), true),
     ] {
-        let mut cfg = small_run(7, 16, scheme, fifo, CHURN | FAULTS | REBALANCING);
-        if let Some(faults) = &mut cfg.faults {
-            faults.crash = Some(CrashConfig {
-                rate_per_sec: 4.0,
-                recovery_mean_secs: Some(0.3),
-            });
-        }
+        let cfg = small_run(7, 16, scheme, fifo, CHURN | FAULTS | REBALANCING);
         let name = format!("{}, fifo {fifo}", scheme.name());
         let (out, _) = audited_run(
             &name,
@@ -186,6 +187,30 @@ fn perturbation_counters_pass_the_ledger_audit() {
         ];
         assert!(counters.iter().all(|&n| n > 0), "{name}: {counters:?}");
     }
+}
+
+/// The auditor's list is closed: every top-level key of a serialized
+/// report is either witnessed or not derived with a stated reason, and no
+/// field is both.
+#[test]
+fn every_report_field_is_witnessed_or_says_why_not() {
+    let report = serde_json::to_value(&SimReport::default()).expect("serializes");
+    let keys = report.as_object().expect("an object");
+    let reasoned: Vec<&str> = NOT_DERIVED.iter().map(|&(key, _)| key).collect();
+    for (key, _) in keys {
+        let witnessed = WITNESSED.contains(&key.as_str());
+        let not_derived = reasoned.contains(&key.as_str());
+        assert!(
+            witnessed != not_derived,
+            "{key}: witnessed {witnessed}, not derived {not_derived}"
+        );
+    }
+    let listed = WITNESSED.len() + NOT_DERIVED.len();
+    assert_eq!(
+        listed,
+        keys.len(),
+        "the lists name a field the report lacks"
+    );
 }
 
 /// The repo benchmark's `isp-stress-observed` run, rebuilt here at a two
