@@ -96,11 +96,6 @@ impl<R: Router> Windowed<R> {
             .unwrap_or(self.cfg.initial)
     }
 
-    /// Number of pairs currently tracked (≤ the configured cap).
-    pub fn tracked_pairs(&self) -> usize {
-        self.windows.len()
-    }
-
     /// Stores a pair's window, evicting the oldest-inserted pair when the
     /// table is full. Eviction order is insertion order, so it is
     /// deterministic regardless of the map's internal layout.
@@ -450,7 +445,7 @@ mod tests {
             w.adjust(src, dst, false, 1);
         }
         assert_eq!(
-            w.tracked_pairs(),
+            w.windows.len(),
             MAX_TRACKED_PAIRS,
             "table bounded at the cap"
         );

@@ -329,16 +329,6 @@ impl ChurnSchedule {
         events.sort_by_key(|e| e.at);
         Ok(ChurnSchedule { events })
     }
-
-    /// Number of events at `t = 0` (the initial-state slice).
-    pub fn initial_events(&self) -> usize {
-        self.events.iter().filter(|e| e.at == SimTime::ZERO).count()
-    }
-
-    /// Number of mid-run events (`t > 0`).
-    pub fn midrun_events(&self) -> usize {
-        self.events.len() - self.initial_events()
-    }
 }
 
 #[cfg(test)]
@@ -393,8 +383,9 @@ mod tests {
         };
         let s = ChurnSchedule::generate(&t, &cfg, &mut DetRng::new(1)).unwrap();
         let spawns = ((t.channel_count() as f64) * 0.2).floor() as usize;
-        assert_eq!(s.initial_events(), spawns);
-        assert_eq!(s.midrun_events(), spawns);
+        let initial = s.events.iter().filter(|e| e.at == SimTime::ZERO).count();
+        assert_eq!(initial, spawns);
+        assert_eq!(s.events.len() - initial, spawns);
         for e in &s.events {
             if e.at == SimTime::ZERO {
                 assert!(matches!(e.change, TopologyChange::ChannelClose { .. }));

@@ -297,14 +297,6 @@ impl FaultPlan {
                 .is_none_or(|[lo, hi]| lo == 0.0 && hi == 0.0)
             && self.message_loss.iter().all(|&p| p == 0.0)
     }
-
-    /// Number of crash events (`NodeCrash` toggles) in the plan.
-    pub fn crash_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.change, FaultChange::NodeCrash { .. }))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -315,6 +307,14 @@ mod tests {
 
     fn topo() -> Topology {
         gen::isp_topology(Amount::from_xrp(100))
+    }
+
+    /// Crash events (`NodeCrash` toggles) in a plan.
+    fn crashes(plan: &FaultPlan) -> usize {
+        plan.events
+            .iter()
+            .filter(|e| matches!(e.change, FaultChange::NodeCrash { .. }))
+            .count()
     }
 
     #[test]
@@ -357,7 +357,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let plan = FaultPlan::generate(&t, &cfg, &mut DetRng::new(3)).unwrap();
-        assert!(plan.crash_count() > 0, "crash stream never fired");
+        assert!(crashes(&plan) > 0, "crash stream never fired");
         // Walk the sorted schedule: a node can only recover while down.
         let mut down = vec![0u32; t.node_count()];
         for e in &plan.events {
@@ -380,7 +380,7 @@ mod tests {
         let mild = FaultPlan::generate(&t, &base.scaled(0.5), &mut DetRng::new(5)).unwrap();
         let harsh = FaultPlan::generate(&t, &base.scaled(50.0), &mut DetRng::new(5)).unwrap();
         assert!(!harsh.is_quiet());
-        assert!(harsh.crash_count() > mild.crash_count());
+        assert!(crashes(&harsh) > crashes(&mild));
         assert!(harsh.message_loss[0] > mild.message_loss[0]);
         // Scaling clamps probabilities to 1.
         let extreme = base.scaled(1e9);

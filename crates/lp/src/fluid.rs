@@ -108,12 +108,6 @@ impl FluidProblem {
         }
     }
 
-    /// Overrides the candidate paths for one pair (for experiments that
-    /// hand-pick routes).
-    pub fn set_paths(&mut self, src: NodeId, dst: NodeId, paths: Vec<Path>) {
-        self.paths.insert((src, dst), paths);
-    }
-
     /// The candidate paths of a pair.
     pub fn paths_for(&self, src: NodeId, dst: NodeId) -> &[Path] {
         self.paths
@@ -487,22 +481,5 @@ mod tests {
         let d = PaymentGraph::new(5);
         let p = FluidProblem::new(&t, &d, DELTA, PathSelection::KShortest(4));
         assert_eq!(p.solve_balanced().unwrap().throughput, 0.0);
-    }
-
-    #[test]
-    fn set_paths_overrides() {
-        let (t, d) = example();
-        let mut p = FluidProblem::new(&t, &d, DELTA, PathSelection::KShortest(4));
-        // Starve pair (2→4) of paths entirely. Every circulation cycle of
-        // the example except 1→5→1 passes through demand (2,4), so the
-        // optimum collapses to 2.
-        p.set_paths(NodeId(1), NodeId(3), Vec::new());
-        let sol = p.solve_balanced().unwrap();
-        assert!(
-            (sol.throughput - 2.0).abs() < 1e-6,
-            "throughput {}",
-            sol.throughput
-        );
-        assert_eq!(p.paths_for(NodeId(1), NodeId(3)).len(), 0);
     }
 }

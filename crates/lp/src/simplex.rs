@@ -11,6 +11,8 @@
 //! ISP-scale instances (thousands of variables). For the Ripple-scale
 //! network, Spider's own decentralized algorithm ([`crate::primal_dual`])
 //! is the intended solver, exactly as in the paper.
+//! Every answer carries its duals, and debug builds [`certify`] it by
+//! weak duality, trusting nothing of the solver.
 
 use spider_types::{Result, SpiderError};
 
@@ -60,6 +62,75 @@ pub struct LpSolution {
     pub objective: f64,
     /// Optimal variable assignment, length = number of variables.
     pub x: Vec<f64>,
+    /// Optimal dual values, one per constraint in the order they were
+    /// added (signs as in [`Certificate`]).
+    pub duals: Vec<f64>,
+}
+
+/// How far `(x, y)` is from proving itself optimal. The dual of
+/// `max c·x s.t. Ax {≤,=,≥} b, x ≥ 0` is `min b·y s.t. Aᵀy ≥ c`, `y_i` being
+/// `≥ 0` on a `≤` row, `≤ 0` on a `≥` row and free on an `=` row. When
+/// both are feasible, `c·x ≤ b·y`, so a zero gap proves both optimal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Certificate {
+    /// The largest violation of a constraint row or of `x ≥ 0`, over
+    /// `1 + max |b_i|`.
+    pub primal_violation: f64,
+    /// The largest violation of `Aᵀy ≥ c` or of a row's dual sign rule,
+    /// over `1 + max |c_j|`.
+    pub dual_violation: f64,
+    /// The duality gap `b·y − c·x`, over `1 + max(|c·x|, |b·y|)`.
+    pub gap: f64,
+}
+
+impl Certificate {
+    /// True when both violations and `|gap|` are within `rel_tol`.
+    pub fn holds(&self, rel_tol: f64) -> bool {
+        self.primal_violation <= rel_tol
+            && self.dual_violation <= rel_tol
+            && self.gap.abs() <= rel_tol
+    }
+}
+
+/// What debug builds hold every [`LinearProgram::solve`] answer's
+/// [`Certificate`] to: ten times the pivot tolerance.
+pub const CERTIFICATE_TOL: f64 = 1e-8;
+
+/// The [`Certificate`] of `(x, y)` for `lp`, whatever produced the pair.
+pub fn certify(lp: &LinearProgram, x: &[f64], y: &[f64]) -> Certificate {
+    assert_eq!(x.len(), lp.n_vars, "one primal value per variable");
+    assert_eq!(y.len(), lp.rows.len(), "one dual value per constraint");
+    let mut primal_violation = x.iter().fold(0.0f64, |worst, &xj| worst.max(-xj));
+    let mut dual_violation = 0.0f64;
+    let mut aty = vec![0.0; lp.n_vars];
+    let (mut by, mut max_b) = (0.0, 0.0f64);
+    for (row, &yi) in lp.rows.iter().zip(y) {
+        let lhs: f64 = row.coeffs.iter().map(|&(v, c)| c * x[v]).sum();
+        let (excess, wrong_sign) = match row.op {
+            ConstraintOp::Le => (lhs - row.rhs, -yi),
+            ConstraintOp::Ge => (row.rhs - lhs, yi),
+            ConstraintOp::Eq => ((lhs - row.rhs).abs(), 0.0),
+        };
+        primal_violation = primal_violation.max(excess);
+        dual_violation = dual_violation.max(wrong_sign);
+        for &(v, c) in &row.coeffs {
+            aty[v] += c * yi;
+        }
+        by += row.rhs * yi;
+        max_b = max_b.max(row.rhs.abs());
+    }
+    let mut cx = 0.0;
+    let mut max_c = 0.0f64;
+    for ((&cj, &xj), &atyj) in lp.objective.iter().zip(x).zip(&aty) {
+        dual_violation = dual_violation.max(cj - atyj);
+        cx += cj * xj;
+        max_c = max_c.max(cj.abs());
+    }
+    Certificate {
+        primal_violation: primal_violation / (1.0 + max_b),
+        dual_violation: dual_violation / (1.0 + max_c),
+        gap: (by - cx) / (1.0 + cx.abs().max(by.abs())),
+    }
 }
 
 const EPS: f64 = 1e-9;
@@ -101,9 +172,15 @@ impl LinearProgram {
     }
 
     /// Solves the program. Errors with [`SpiderError::Infeasible`] or
-    /// [`SpiderError::Unbounded`] as appropriate.
+    /// [`SpiderError::Unbounded`] as appropriate. Debug builds assert that
+    /// the answer's [`Certificate`] holds to [`CERTIFICATE_TOL`].
     pub fn solve(&self) -> Result<LpSolution> {
-        Tableau::build(self).solve()
+        let sol = Tableau::build(self).solve()?;
+        if cfg!(debug_assertions) {
+            let cert = certify(self, &sol.x, &sol.duals);
+            assert!(cert.holds(CERTIFICATE_TOL), "uncertified: {cert:?}");
+        }
+        Ok(sol)
     }
 }
 
@@ -119,6 +196,9 @@ struct Tableau {
     basis: Vec<usize>,
     artificial_start: usize,
     objective: Vec<f64>, // structural objective (maximization)
+    /// Per row: the column that starts basic in it and whether
+    /// `normalized_op` flipped the row — what its dual is read from.
+    dual_source: Vec<(usize, bool)>,
 }
 
 impl Tableau {
@@ -146,6 +226,7 @@ impl Tableau {
         let mut slack_cursor = n_struct;
         let artificial_start = n_struct + n_slack;
         let mut art_cursor = artificial_start;
+        let mut dual_source = Vec::with_capacity(m);
 
         for (i, row) in lp.rows.iter().enumerate() {
             let (op, flip) = normalized_op(row);
@@ -173,6 +254,7 @@ impl Tableau {
                     art_cursor += 1;
                 }
             }
+            dual_source.push((basis[i], flip));
         }
         Tableau {
             n_struct,
@@ -182,6 +264,7 @@ impl Tableau {
             basis,
             artificial_start,
             objective: lp.objective.clone(),
+            dual_source,
         }
     }
 
@@ -243,7 +326,20 @@ impl Tableau {
             .zip(&self.objective)
             .map(|(xi, ci)| xi * ci)
             .sum::<f64>();
-        Ok(LpSolution { objective, x })
+        // A row's starting column is the identity's column `i`, so its
+        // reduced cost is minus the row's multiplier. A redundant row
+        // zeroed by `evict_basic_artificials` keeps its artificial basic,
+        // at reduced cost 0, so its dual reads 0.
+        let duals = self
+            .dual_source
+            .iter()
+            .map(|&(col, flip)| if flip { cost[col] } else { -cost[col] })
+            .collect();
+        Ok(LpSolution {
+            objective,
+            x,
+            duals,
+        })
     }
 
     /// Runs simplex pivots until optimal. `cost` holds reduced costs for a
@@ -364,6 +460,11 @@ mod tests {
         assert_close(sol.objective, 36.0);
         assert_close(sol.x[0], 2.0);
         assert_close(sol.x[1], 6.0);
+        // The shadow prices: x <= 4 is slack, 2y <= 12 is worth 3/2 a
+        // unit, 3x + 2y <= 18 is worth 1.
+        for (y, want) in sol.duals.iter().zip([0.0, 1.5, 1.0]) {
+            assert_close(*y, want);
+        }
     }
 
     #[test]
@@ -393,6 +494,9 @@ mod tests {
         assert_close(sol.objective, -14.0 / 5.0);
         assert_close(sol.x[0], 8.0 / 5.0);
         assert_close(sol.x[1], 6.0 / 5.0);
+        // A ≥ row's dual is ≤ 0 in a maximization.
+        assert_close(sol.duals[0], -2.0 / 5.0);
+        assert_close(sol.duals[1], -1.0 / 5.0);
     }
 
     #[test]
@@ -404,6 +508,9 @@ mod tests {
         lp.constraint(&[(0, 1.0)], ConstraintOp::Le, 5.0);
         let sol = lp.solve().unwrap();
         assert_close(sol.objective, 5.0);
+        // The flipped row reads back in its own sign convention.
+        assert_close(sol.duals[0], 0.0);
+        assert_close(sol.duals[1], 1.0);
     }
 
     #[test]
@@ -464,6 +571,9 @@ mod tests {
         lp.constraint(&[(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 2.0);
         let sol = lp.solve().unwrap();
         assert_close(sol.objective, 2.0);
+        // The zeroed duplicate prices at 0; the kept row carries it all.
+        assert_eq!(sol.duals[1], 0.0);
+        assert_close(sol.duals[0], 1.0);
     }
 
     #[test]
@@ -517,6 +627,30 @@ mod tests {
                 assert!(lhs <= rhs + 1e-6, "constraint violated: {lhs} > {rhs}");
             }
             assert!(sol.x.iter().all(|&xi| xi >= -1e-9));
+            assert!(certify(&lp, &sol.x, &sol.duals).holds(CERTIFICATE_TOL));
         }
+    }
+
+    #[test]
+    fn certificate_rejects_a_suboptimal_or_infeasible_pair() {
+        // max x + y s.t. x + 2y <= 4, 3x + y <= 6: optimum (8/5, 6/5) with
+        // duals (2/5, 1/5), value 14/5.
+        let mut lp = LinearProgram::new(2);
+        lp.set_objective(0, 1.0);
+        lp.set_objective(1, 1.0);
+        lp.constraint(&[(0, 1.0), (1, 2.0)], ConstraintOp::Le, 4.0);
+        lp.constraint(&[(0, 3.0), (1, 1.0)], ConstraintOp::Le, 6.0);
+        let (x, y) = ([1.6, 1.2], [0.4, 0.2]);
+        assert!(certify(&lp, &x, &y).holds(1e-12));
+        // A feasible vertex short of the optimum leaves a gap of
+        // 14/5 − 2, over 1 + 14/5.
+        let short = certify(&lp, &[2.0, 0.0], &y);
+        assert!((short.gap - 0.8 / 3.8).abs() < 1e-12 && !short.holds(CERTIFICATE_TOL));
+        // Prices too low to cover the objective violate Aᵀy ≥ c.
+        assert!(certify(&lp, &x, &[0.4, 0.0]).dual_violation > 0.1);
+        // A ≤ row with a negative price breaks its sign rule.
+        assert!(certify(&lp, &x, &[-0.1, 0.5]).dual_violation >= 0.05);
+        // Past a row's rhs is a primal violation: 7 against 6, over 1 + 6.
+        assert!((certify(&lp, &[2.0, 1.0], &y).primal_violation - 1.0 / 7.0).abs() < 1e-12);
     }
 }

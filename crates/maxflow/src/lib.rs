@@ -19,10 +19,6 @@
 use spider_types::NodeId;
 use std::collections::VecDeque;
 
-/// Identifies an arc added with [`FlowNetwork::add_edge`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ArcId(usize);
-
 /// A directed flow network with integer (drop) capacities.
 ///
 /// Arcs are stored with their reverse twins (residual representation), so
@@ -54,11 +50,11 @@ impl FlowNetwork {
         self.n
     }
 
-    /// Adds a directed arc `from → to` with capacity `cap` and returns its
-    /// id. A zero-capacity reverse twin is added automatically. Parallel
-    /// arcs are allowed (balances in both channel directions become two
+    /// Adds a directed arc `from → to` with capacity `cap`. A
+    /// zero-capacity reverse twin is added automatically. Parallel arcs
+    /// are allowed (balances in both channel directions become two
     /// independent arcs).
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, cap: u64) -> ArcId {
+    pub fn add_edge(&mut self, from: NodeId, to: NodeId, cap: u64) {
         assert!(
             from.index() < self.n && to.index() < self.n,
             "node out of range"
@@ -73,24 +69,6 @@ impl FlowNetwork {
         self.cap.push(0);
         self.flow.push(0);
         self.adj[to.index()].push(id + 1);
-        ArcId(id)
-    }
-
-    /// Adds both directions of a payment channel as two independent arcs
-    /// (`cap_uv` for `u → v`, `cap_vu` for `v → u`), returning both ids.
-    pub fn add_bidirectional(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        cap_uv: u64,
-        cap_vu: u64,
-    ) -> (ArcId, ArcId) {
-        (self.add_edge(u, v, cap_uv), self.add_edge(v, u, cap_vu))
-    }
-
-    /// Current flow on the arc.
-    pub fn arc_flow(&self, arc: ArcId) -> u64 {
-        self.flow[arc.0]
     }
 
     /// Zeroes all flow (capacities are kept).
@@ -408,8 +386,10 @@ mod tests {
     #[test]
     fn bidirectional_channel_arcs() {
         let mut f = FlowNetwork::new(3);
-        f.add_bidirectional(n(0), n(1), 10, 2);
-        f.add_bidirectional(n(1), n(2), 4, 8);
+        for (u, v, cap_uv, cap_vu) in [(0, 1, 10, 2), (1, 2, 4, 8)] {
+            f.add_edge(n(u), n(v), cap_uv);
+            f.add_edge(n(v), n(u), cap_vu);
+        }
         assert_eq!(f.max_flow_dinic(n(0), n(2)), 4);
         f.reset();
         assert_eq!(f.max_flow_dinic(n(2), n(0)), 2);
@@ -426,9 +406,9 @@ mod tests {
     #[test]
     fn zero_capacity_edges_carry_nothing() {
         let mut f = FlowNetwork::new(2);
-        let a = f.add_edge(n(0), n(1), 0);
+        f.add_edge(n(0), n(1), 0);
         assert_eq!(f.max_flow_dinic(n(0), n(1)), 0);
-        assert_eq!(f.arc_flow(a), 0);
+        assert!(f.flow_paths(n(0), n(1)).is_empty());
     }
 
     #[test]
@@ -460,7 +440,8 @@ mod tests {
         let topo = spider_topology::gen::isp_topology(Amount::from_xrp(30_000));
         let mut f = FlowNetwork::new(topo.node_count());
         for (_, ch) in topo.channels() {
-            f.add_bidirectional(ch.u, ch.v, 15_000_000_000, 15_000_000_000);
+            f.add_edge(ch.u, ch.v, 15_000_000_000);
+            f.add_edge(ch.v, ch.u, 15_000_000_000);
         }
         let dinic = f.max_flow_dinic(n(8), n(20));
         f.reset();

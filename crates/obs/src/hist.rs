@@ -128,39 +128,6 @@ impl Histogram {
         }
         Some(self.max)
     }
-
-    /// Folds `other` into `self`: bucket counts and exact count/sum add
-    /// elementwise, min/max combine. Merging an empty histogram (on
-    /// either side) is the identity, so the 0.0 min/max sentinels of an
-    /// empty histogram never leak into a non-empty one. Sweep bins use
-    /// this to aggregate per-config latency histograms across seeds.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        for (c, &o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// Non-empty buckets as `(lower_edge, count)` pairs, for reporting.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (FLOOR * 2f64.powi(i as i32), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +140,7 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.mean(), None);
         assert_eq!(h.percentile(50.0), None);
-        assert!(h.nonzero_buckets().is_empty());
+        assert!(h.counts.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -249,61 +216,6 @@ mod tests {
                 each.record(v);
             }
             assert_same(&folded, &each, &format!("tallies from {}", start.count));
-        }
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = Histogram::new();
-        for v in [0.5, 1.5, 2.0, 8.0] {
-            h.record(v);
-        }
-        let snapshot = h.clone();
-
-        // Empty right-hand side: nothing changes, sentinels don't leak.
-        h.merge(&Histogram::new());
-        assert_eq!(h.counts, snapshot.counts);
-        assert_eq!(h.count, snapshot.count);
-        assert_eq!(h.min, snapshot.min);
-        assert_eq!(h.max, snapshot.max);
-
-        // Empty left-hand side: becomes a copy of the right-hand side.
-        let mut empty = Histogram::new();
-        empty.merge(&snapshot);
-        assert_eq!(empty.counts, snapshot.counts);
-        assert_eq!(empty.count, snapshot.count);
-        assert_eq!(empty.min, snapshot.min);
-        assert_eq!(empty.max, snapshot.max);
-        assert!((empty.sum - snapshot.sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_matches_recording_everything() {
-        let xs = [0.001, 0.5, 0.5, 3.0];
-        let ys = [0.25, 7.0, 120.0];
-        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for &v in &xs {
-            a.record(v);
-            all.record(v);
-        }
-        for &v in &ys {
-            b.record(v);
-            all.record(v);
-        }
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for m in [&ab, &ba] {
-            assert_eq!(m.counts, all.counts);
-            assert_eq!(m.count, all.count);
-            assert_eq!(m.min, all.min);
-            assert_eq!(m.max, all.max);
-            assert!((m.sum - all.sum).abs() < 1e-12);
-            // Percentiles recompute from merged buckets.
-            assert_eq!(m.percentile(50.0), all.percentile(50.0));
-            assert_eq!(m.percentile(99.0), all.percentile(99.0));
         }
     }
 }

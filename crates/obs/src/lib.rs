@@ -8,8 +8,7 @@
 //!   transition (arrival → route decision → per-hop lock/queue/forward →
 //!   settle/fail) and every change to a channel's funds, ordered by a
 //!   deterministic event sequence number so traces are golden-testable,
-//!   and emitted as JSONL or Chrome `trace_event` JSON for
-//!   chrome://tracing.
+//!   and emitted as JSONL.
 //! * [`ledger`] — the balance replay: [`LedgerReplay`] rebuilds every
 //!   channel's balances and locks from the event stream alone and turns
 //!   each record into a [`Fact`] — a drop with its balances, a delivery

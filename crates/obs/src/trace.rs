@@ -10,20 +10,15 @@
 //! so the trace alone rebuilds every channel's balances
 //! ([`crate::ledger`]).
 //!
-//! Emission formats:
-//! * **JSONL** ([`Trace::to_jsonl`]) — one event per line, hand-written
-//!   with a fixed field order (stable across serde-shim changes), plus
-//!   trailing `"ev":"path"` lines resolving every referenced [`PathId`]
-//!   to its node list. It consumes the trace: a trace grows with
-//!   unit-hops and its text runs to nearly twice its events, so each
-//!   storage chunk is freed as soon as it is written and the two are
-//!   never both held in full.
-//! * **Chrome `trace_event`** ([`Trace::to_chrome_trace`]) — payments as
-//!   complete (`"X"`) slices and drops as instant events, loadable in
-//!   chrome://tracing or Perfetto.
-//!
-//! Both are written byte by byte — fixed fragments copied in, integers
-//! through a two-digit table — never through `core::fmt`.
+//! Emission format: **JSONL** ([`Trace::to_jsonl`]) — one event per
+//! line, hand-written with a fixed field order (stable across serde-shim
+//! changes), plus trailing `"ev":"path"` lines resolving every referenced
+//! [`PathId`] to its node list. It consumes the trace: a trace grows with
+//! unit-hops and its text runs to nearly twice its events, so each
+//! storage chunk is freed as soon as it is written and the two are never
+//! both held in full. It is written byte by byte — fixed fragments
+//! copied in, integers through a two-digit table — never through
+//! `core::fmt`.
 //!
 //! Storage is chunked (4096 events per slab) so long traces never
 //! reallocate-and-copy the whole buffer.
@@ -360,104 +355,6 @@ impl Trace {
         }
         out.0.reserve_exact(tail.0.len());
         out.put(&tail.0);
-        out.into_string()
-    }
-
-    /// Renders the Chrome `trace_event` JSON array: each completed
-    /// payment becomes a complete (`"X"`) slice from arrival to
-    /// completion on its own thread row, each drop an instant (`"i"`)
-    /// event. Load in chrome://tracing or Perfetto.
-    pub fn to_chrome_trace(&self) -> String {
-        // Arrival instants by payment, to anchor the completion slices;
-        // the latest arrival wins. Engine payment ids are dense — below
-        // the arrival count — so a table indexed by id holds them; an id
-        // past it (only a hand-built trace has one) goes to a list
-        // searched newest first.
-        let arrivals = self
-            .events()
-            .filter(|e| matches!(e.kind, TraceEventKind::PaymentArrival { .. }))
-            .count();
-        let mut arrived = vec![None; arrivals];
-        let mut strays: Vec<(u64, u64)> = Vec::new();
-        let index = |p: &PaymentId| usize::try_from(p.0).unwrap_or(usize::MAX);
-        let mut out = Writer::default();
-        out.put(b"[");
-        for e in self.events() {
-            let sep: &[u8] = if out.0.len() == 1 { b"\n" } else { b",\n" };
-            match &e.kind {
-                TraceEventKind::PaymentArrival {
-                    payment, amount, ..
-                } => {
-                    match arrived.get_mut(index(payment)) {
-                        Some(start) => *start = Some(e.t_us),
-                        None => strays.push((payment.0, e.t_us)),
-                    }
-                    out.put(sep)
-                        .put(b"{\"name\":\"arrival\",\"ph\":\"i\",\"ts\":")
-                        .num(e.t_us)
-                        .put(b",\"pid\":0,\"tid\":")
-                        .num(payment.0)
-                        .put(b",\"s\":\"t\",\"args\":{\"amount_drops\":")
-                        .num(amount.drops())
-                        .put(b"}}");
-                }
-                TraceEventKind::PaymentCompleted {
-                    payment,
-                    latency_us,
-                } => {
-                    let start = match arrived.get(index(payment)) {
-                        Some(start) => *start,
-                        None => strays.iter().rev().find(|s| s.0 == payment.0).map(|s| s.1),
-                    };
-                    out.put(sep)
-                        .put(b"{\"name\":\"payment ")
-                        .num(payment.0)
-                        .put(b"\",\"ph\":\"X\",\"ts\":")
-                        .num(start.unwrap_or(e.t_us.saturating_sub(*latency_us)))
-                        .put(b",\"dur\":")
-                        .num(*latency_us)
-                        .put(b",\"pid\":0,\"tid\":")
-                        .num(payment.0)
-                        .put(b"}");
-                }
-                TraceEventKind::UnitDropped { unit, reason, .. } => {
-                    out.put(sep)
-                        .put(b"{\"name\":\"drop:")
-                        .put(reason_str(*reason).as_bytes())
-                        .put(b"\",\"ph\":\"i\",\"ts\":")
-                        .num(e.t_us)
-                        .put(b",\"pid\":0,\"tid\":")
-                        .num(*unit)
-                        .put(b",\"s\":\"t\"}");
-                }
-                TraceEventKind::UnitRefunded {
-                    payment,
-                    reason: Some(reason),
-                    ..
-                } => {
-                    out.put(sep)
-                        .put(b"{\"name\":\"refund:")
-                        .put(reason_str(*reason).as_bytes())
-                        .put(b"\",\"ph\":\"i\",\"ts\":")
-                        .num(e.t_us)
-                        .put(b",\"pid\":0,\"tid\":")
-                        .num(payment.0)
-                        .put(b",\"s\":\"t\"}");
-                }
-                TraceEventKind::FaultApplied { node, crashed } => {
-                    out.put(sep)
-                        .put(b"{\"name\":\"")
-                        .put(if *crashed { b"crash" } else { b"recover" })
-                        .put(b":")
-                        .num(node.0)
-                        .put(b"\",\"ph\":\"i\",\"ts\":")
-                        .num(e.t_us)
-                        .put(b",\"pid\":0,\"tid\":0,\"s\":\"g\"}");
-                }
-                _ => {}
-            }
-        }
-        out.put(b"\n]\n");
         out.into_string()
     }
 }
@@ -1270,22 +1167,6 @@ mod tests {
         assert_eq!(TraceSink::new().finish(Vec::new()).to_jsonl(), "");
     }
 
-    #[test]
-    fn chrome_trace_is_a_json_array_with_slices() {
-        let t = sample_sink().finish(Vec::new());
-        let c = t.to_chrome_trace();
-        assert!(c.trim_start().starts_with('['), "{c}");
-        assert!(c.trim_end().ends_with(']'), "{c}");
-        assert!(c.contains("\"ph\":\"X\""), "completion slice: {c}");
-        assert!(c.contains("\"dur\":1000"), "{c}");
-        assert!(
-            c.contains(
-                "\n{\"name\":\"drop:queue_timeout\",\"ph\":\"i\",\"ts\":900,\"pid\":0,\"tid\":7,\"s\":\"t\"},\n"
-            ),
-            "{c}"
-        );
-    }
-
     /// [`REASONS`] lists every reason once, in declaration order, and no
     /// two share a wire spelling.
     #[test]
@@ -1300,7 +1181,6 @@ mod tests {
     fn empty_trace_renders_empty_outputs() {
         let t = TraceSink::new().finish(Vec::new());
         assert!(t.is_empty());
-        assert_eq!(t.to_chrome_trace(), "[\n]\n");
         assert_eq!(t.to_jsonl(), "");
     }
 

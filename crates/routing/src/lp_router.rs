@@ -141,11 +141,6 @@ impl SpiderLp {
     pub fn offline_throughput(&self) -> f64 {
         self.offline_throughput
     }
-
-    /// Number of pairs that received any positive weight.
-    pub fn active_pairs(&self) -> usize {
-        self.weights.len()
-    }
 }
 
 impl Router for SpiderLp {
@@ -306,7 +301,7 @@ mod tests {
             "pd throughput {}",
             pd.offline_throughput()
         );
-        assert!(pd.active_pairs() >= 5);
+        assert!(pd.weights.len() >= 5);
     }
 
     #[test]

@@ -450,10 +450,10 @@ impl Simulation {
     /// Locks a proposal's `want` on `path`: its full units in one pass
     /// ([`Self::lock_full_units`]), then the partial last one, if any, on
     /// its own. Counts, traces and reports to the router (as counts, see
-    /// [`UnitOutcome`](crate::router::UnitOutcome)) exactly what locking
-    /// unit by unit would, but for the full units after a failed one:
-    /// counted and reported, not traced. Returns what locked, and whether
-    /// an all-or-nothing scheme must abort.
+    /// [`UnitOutcome`]) exactly what locking unit by unit would, but for
+    /// the full units after a failed one: counted and reported, not
+    /// traced. Returns what locked, and whether an all-or-nothing scheme
+    /// must abort.
     fn lock_units(
         &mut self,
         pid: usize,

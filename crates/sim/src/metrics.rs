@@ -155,9 +155,8 @@ pub struct SimReport {
     /// `HopTimeout`, `NodeCrashed`); always equals
     /// `drops_by_reason.fault_total()` and ≤ [`SimReport::units_dropped`].
     pub units_dropped_fault: u64,
-    /// Instants (seconds) of the applied mid-run churn events, for
-    /// recovery-time analysis against [`SimReport::throughput_series`]
-    /// (see [`SimReport::churn_recovery_times`]).
+    /// Instants (seconds) of the applied mid-run churn events, to line
+    /// up against [`SimReport::throughput_series`].
     pub topology_event_times_s: Vec<f64>,
     /// Total queueing delay accumulated across all hops of all units (s).
     pub queue_delay_sum_s: f64,
@@ -236,12 +235,6 @@ impl SimReport {
         }
     }
 
-    /// Mean per-unit total queueing delay in seconds, over units that
-    /// queued at least once. `None` when nothing queued.
-    pub fn avg_queue_delay(&self) -> Option<f64> {
-        (self.units_queued > 0).then(|| self.queue_delay_sum_s / self.units_queued as f64)
-    }
-
     /// Network-wide mean absolute channel imbalance
     /// (`|fwd − bwd| / capacity` ∈ [0, 1]) per sampling instant — the
     /// quantity imbalance-aware routing tries to keep small.
@@ -261,41 +254,6 @@ impl SimReport {
     /// sample; inner index: [`ChannelId`](spider_types::ChannelId).
     pub fn queue_depth_series(&self) -> &[Vec<u32>] {
         &self.samples.queue_depths
-    }
-
-    /// Per-churn-event recovery time: for each entry of
-    /// `topology_event_times_s`, the seconds until per-second delivered
-    /// throughput first returns to `threshold` × its pre-event baseline
-    /// (the mean over the `baseline_window_s` seconds before the event).
-    /// `None` when throughput never recovers within the recorded series;
-    /// `Some(0.0)` when the event caused no dip (or nothing was flowing
-    /// before it).
-    pub fn churn_recovery_times(
-        &self,
-        baseline_window_s: usize,
-        threshold: f64,
-    ) -> Vec<Option<f64>> {
-        let series = &self.throughput_series;
-        self.topology_event_times_s
-            .iter()
-            .map(|&te| {
-                let t = te as usize;
-                let lo = t.saturating_sub(baseline_window_s.max(1));
-                let window = &series[lo.min(series.len())..t.min(series.len())];
-                let baseline = spider_types::stats::mean(window).unwrap_or(0.0);
-                if baseline <= 0.0 {
-                    return Some(0.0);
-                }
-                let target = threshold * baseline;
-                // The event's own bucket is mostly pre-event volume (te is
-                // rarely integral); the first bucket that can witness
-                // recovery is the first one entirely after the event.
-                let start = te.ceil() as usize;
-                (start..series.len())
-                    .find(|&s| series[s] >= target)
-                    .map(|s| (s as f64 - te).max(0.0))
-            })
-            .collect()
     }
 
     /// Fraction of unit lock attempts that succeeded.
@@ -622,33 +580,6 @@ mod tests {
         assert_eq!(r.retries, 1);
         assert_eq!(r.avg_path_length(), Some(2.5));
         assert!((r.unit_lock_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recovery_time_reads_the_throughput_series() {
-        let mut m = MetricsCollector::new();
-        // Steady 10 XRP/s for 5 s, a churn event at t = 5 knocks
-        // throughput to 2 for two seconds, recovery at t = 7.
-        for (t, x) in [10.0, 10.0, 10.0, 10.0, 10.0, 2.0, 2.0, 9.5, 10.0]
-            .into_iter()
-            .enumerate()
-        {
-            m.unit_settled(Amount::from_xrp_f64(x), SimTime::from_secs(t as u64));
-        }
-        m.topology_event(1, 0, 0, SimTime::from_secs(5));
-        let r = m.finish("t", SimDuration::from_secs(9));
-        assert_eq!(r.topology_events, 1);
-        assert_eq!(r.churn_channels_closed, 1);
-        let rec = r.churn_recovery_times(3, 0.9);
-        assert_eq!(rec, vec![Some(2.0)]);
-        // An unrecoverable dip reports None.
-        let mut m = MetricsCollector::new();
-        for (t, x) in [10.0, 10.0, 1.0, 1.0].into_iter().enumerate() {
-            m.unit_settled(Amount::from_xrp_f64(x), SimTime::from_secs(t as u64));
-        }
-        m.topology_event(1, 0, 0, SimTime::from_secs(2));
-        let r = m.finish("t", SimDuration::from_secs(4));
-        assert_eq!(r.churn_recovery_times(2, 0.9), vec![None]);
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl Workload {
             .collect()
     }
 
-    /// Total value of all transactions.
-    pub fn total_volume(&self) -> Amount {
-        self.txns.iter().map(|t| t.amount).sum()
-    }
-
     /// Duration spanned by the arrivals.
     pub fn duration(&self) -> SimTime {
         self.txns.last().map(|t| t.time).unwrap_or(SimTime::ZERO)

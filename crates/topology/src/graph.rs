@@ -253,10 +253,9 @@ fn next_channel_id(count: usize) -> Result<ChannelId> {
 
 /// Incremental constructor for [`Topology`].
 ///
-/// Rejects self-loops and duplicate channels; parallel channels between the
-/// same pair are modeled in the paper as one channel with the combined
-/// capacity, so the builder *merges* capacity when the same pair is added
-/// twice via [`TopologyBuilder::merge_channel`].
+/// Rejects self-loops and duplicate channels: the paper models parallel
+/// channels between the same pair as one channel with the combined
+/// capacity, so a pair is added once, with that capacity.
 #[derive(Debug, Clone)]
 pub struct TopologyBuilder {
     node_count: usize,
@@ -305,21 +304,6 @@ impl TopologyBuilder {
                 Ok(self)
             }
         }
-    }
-
-    /// Adds a channel, or adds `capacity` to the existing channel between
-    /// the same pair (used when collapsing trace multigraphs).
-    pub fn merge_channel(&mut self, a: NodeId, b: NodeId, capacity: Amount) -> Result<&mut Self> {
-        let (u, v) = self.canonical(a, b)?;
-        match self.index.entry((u, v)) {
-            Entry::Occupied(slot) => self.channels[*slot.get()].capacity += capacity,
-            Entry::Vacant(slot) => {
-                next_channel_id(self.channels.len())?;
-                slot.insert(self.channels.len());
-                self.channels.push(Channel { u, v, capacity });
-            }
-        }
-        Ok(self)
     }
 
     /// True if a channel between `a` and `b` has been added.
@@ -433,16 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_channel_accumulates() {
-        let mut b = Topology::builder(2);
-        b.merge_channel(n(0), n(1), Amount::from_xrp(5)).unwrap();
-        b.merge_channel(n(1), n(0), Amount::from_xrp(7)).unwrap();
-        let t = b.build();
-        assert_eq!(t.channel_count(), 1);
-        assert_eq!(t.channel(ChannelId(0)).capacity, Amount::from_xrp(12));
-    }
-
-    #[test]
     fn builder_lookups_hold_at_ten_thousand_channels() {
         // Ring plus chords: 12,000 distinct channels over 4,000 nodes,
         // added with alternating endpoint order.
@@ -464,23 +438,17 @@ mod tests {
                 b.channel(y, x, Amount::ZERO),
                 Err(SpiderError::InvalidConfig(_))
             ));
-            assert!(b.merge_channel(y, x, Amount::from_xrp(2)).is_ok());
         }
         assert!(!b.has_channel(n(0), n(0)) && !b.has_channel(n(0), n(nodes)));
-        // A merge on an absent pair adds it; a second merge accumulates.
-        assert!(b.merge_channel(n(2), n(0), Amount::from_xrp(3)).is_ok());
-        assert!(b.merge_channel(n(0), n(2), Amount::from_xrp(4)).is_ok());
-        assert_eq!(b.channel_count(), 12_001);
+        assert_eq!(b.channel_count(), 12_000);
         let t = b.build();
         let cap = |x: u32, y: u32| {
             t.channel_between(n(x), n(y))
                 .map(|id| t.channel(id).capacity.drops())
         };
-        assert_eq!(cap(0, 7), Some(3_000_000));
-        assert_eq!(cap(97, 104), Some(3_000_000));
-        assert_eq!(cap(1, 8), Some(1_000_000));
-        assert_eq!(cap(0, 2), Some(7_000_000));
-        assert_eq!(cap(0, 3), None);
+        assert_eq!(cap(0, 7), Some(1_000_000));
+        assert_eq!(cap(104, 97), Some(1_000_000));
+        assert_eq!(cap(0, 2), None);
     }
 
     #[test]

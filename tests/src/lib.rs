@@ -4,6 +4,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod fluid_dual;
 pub mod ledger_audit;
 pub mod perturbation;
 pub mod reference;

@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use spider_lp::fluid::{FluidProblem, PathSelection};
-use spider_lp::simplex::{ConstraintOp, LinearProgram};
+use spider_lp::simplex::{certify, ConstraintOp, LinearProgram, CERTIFICATE_TOL};
 use spider_paygraph::decompose::{decompose, is_dag};
 use spider_paygraph::PaymentGraph;
-use spider_topology::{gen, io};
+use spider_tests::fluid_dual::BalancedLp;
+use spider_topology::{gen, io, Topology};
 use spider_types::{Amount, NodeId};
 
 proptest! {
@@ -115,6 +116,55 @@ proptest! {
             .throughput;
         prop_assert!(lp <= nu + 1e-4 * g.total_demand().max(1.0),
             "LP {lp} exceeded circulation bound {nu}");
+    }
+
+    /// Weak duality certifies the balanced fluid LP (eqs. 1–5) on random
+    /// small instances — a ring of 7 nodes with chords, random capacities,
+    /// demand both ways between random pairs so that some of it can
+    /// circulate: the simplex's own duals prove its optimum, eq. 21's
+    /// bound from random prices (`λ ≥ 0`, `µ` free) never falls below
+    /// that optimum, and at the duals' prices it meets it.
+    #[test]
+    fn balanced_lp_duals_certify_and_bound(
+        ring in proptest::collection::vec(1u64..30, 7),
+        chords in proptest::collection::vec((0u32..7, 0u32..7, 1u64..30), 0..6),
+        pairs in proptest::collection::vec((0u32..7, 0u32..7, 1u64..20, 1u64..20), 1..8),
+        k in 1usize..4,
+        prices in proptest::collection::vec((0.0f64..1.5, -1.0f64..1.0), 13),
+    ) {
+        const DELTA: f64 = 0.5;
+        let mut b = Topology::builder(7);
+        for (u, cap) in (0u32..).zip(ring) {
+            b.channel(NodeId(u), NodeId((u + 1) % 7), Amount::from_xrp(cap)).unwrap();
+        }
+        for (u, v, cap) in chords {
+            if u != v && !b.has_channel(NodeId(u), NodeId(v)) {
+                b.channel(NodeId(u), NodeId(v), Amount::from_xrp(cap)).unwrap();
+            }
+        }
+        let topo = b.build();
+        let mut demands = PaymentGraph::new(7);
+        for (s, d, there, back) in pairs {
+            if s != d {
+                demands.add_demand(NodeId(s), NodeId(d), there as f64);
+                demands.add_demand(NodeId(d), NodeId(s), back as f64);
+            }
+        }
+        let problem = FluidProblem::new(&topo, &demands, DELTA, PathSelection::KShortest(k));
+        let balanced = BalancedLp::new(&problem, &topo, &demands, DELTA);
+        let sol = balanced.lp.solve().expect("x = 0 is feasible; demands bound it");
+        let cert = certify(&balanced.lp, &sol.x, &sol.duals);
+        prop_assert!(cert.holds(CERTIFICATE_TOL), "{cert:?}");
+        let tol = 1e-9 * (1.0 + demands.total_demand());
+        let opt = problem.solve_balanced().expect("solves").throughput;
+        prop_assert!((sol.objective - opt).abs() <= tol, "{} vs {opt}", sol.objective);
+        let (lambda, mu): (Vec<f64>, Vec<f64>) =
+            prices.into_iter().take(topo.channel_count()).unzip();
+        let bound = balanced.lagrangian_bound(&lambda, &mu);
+        prop_assert!(bound >= opt - tol, "eq. 21 bound {bound} below the optimum {opt}");
+        let (lambda, mu) = balanced.prices(&sol.duals);
+        let tight = balanced.lagrangian_bound(&lambda, &mu);
+        prop_assert!((tight - opt).abs() <= tol, "bound at the duals {tight} vs {opt}");
     }
 
     /// `PathCache::prefill` is purely a throughput change: over random

@@ -1,7 +1,6 @@
 //! Golden payment-lifecycle traces: exact JSONL output recorded for tiny
 //! fixed-seed runs in each engine operating mode (lockstep, Windowed AIMD,
-//! and the queueing §5 protocol), and the exact Chrome render of the §5
-//! and fault-injected runs.
+//! and the queueing §5 protocol), and of a fault-injected run.
 //!
 //! The trace is an *observation* layer: it must be bit-reproducible for a
 //! fixed seed (same `(time, seq)` event order every run) and must never
@@ -64,19 +63,13 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Checks the structure every trace must have — the Chrome render is a
-/// non-empty JSON array, each JSONL line parses and carries an `ev` tag,
-/// event lines carry `t_us` and a strictly increasing `seq`, `path` lines
-/// a non-empty `nodes`, one `arrival` per attempted and one `complete`
-/// per completed payment of `report` — then compares the JSONL (the
-/// render consumes the trace) against the pinned golden.
+/// Checks the structure every trace must have — each JSONL line parses
+/// and carries an `ev` tag, event lines carry `t_us` and a strictly
+/// increasing `seq`, `path` lines a non-empty `nodes`, one `arrival` per
+/// attempted and one `complete` per completed payment of `report` — then
+/// compares the JSONL (the render consumes the trace) against the pinned
+/// golden.
 fn check_golden(name: &str, report: &SimReport, trace: Trace) {
-    let chrome = serde_json::parse(&trace.to_chrome_trace())
-        .unwrap_or_else(|e| panic!("{name}: chrome trace is not valid JSON: {e}"));
-    assert!(
-        chrome.as_array().is_some_and(|a| !a.is_empty()),
-        "{name}: chrome trace is not a non-empty array"
-    );
     let jsonl = trace.to_jsonl();
     let (mut arrivals, mut completes, mut prev_seq) = (0, 0, None);
     for line in jsonl.lines() {
@@ -223,7 +216,6 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
         r1.completed_payments > 0,
         "nothing completed; golden only shows failures"
     );
-    compare_golden("trace_faulted_shortest.chrome.json", &t1.to_chrome_trace());
     check_golden("trace_faulted_shortest.jsonl", &r1, t1);
 }
 
@@ -246,6 +238,5 @@ fn spider_protocol_trace_is_reproducible_and_matches_golden() {
         r1.units_queued > 0 || r1.units_acked > 0,
         "protocol machinery never engaged; golden is vacuous"
     );
-    compare_golden("trace_spider_protocol.chrome.json", &t1.to_chrome_trace());
     check_golden("trace_spider_protocol.jsonl", &r1, t1);
 }
