@@ -7,7 +7,7 @@ use spider_overload::{OverloadConfig, OverloadPlan};
 use spider_paygraph::PaymentGraph;
 use spider_sim::{Perturbation, SimConfig, SimReport, Simulation, Workload, WorkloadConfig};
 use spider_topology::{analysis, gen, Topology};
-use spider_types::{Amount, DetRng, Result, SimTime, SpiderError, DROPS_PER_XRP};
+use spider_types::{check, Amount, DetRng, Result, SimTime, SpiderError, DROPS_PER_XRP};
 
 /// Topology selection for an experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,31 +108,28 @@ impl TopologyConfig {
         Ok(topo)
     }
 
-    /// The preconditions the random generators assert on, and a capacity
-    /// bound: channel balances are read as signed amounts, so no capacity
-    /// may exceed `i64::MAX` drops.
+    /// The preconditions the random generators assert on. The capacity
+    /// is checked before it becomes an [`Amount`], and so before a
+    /// generator `.expect`s its builder to take it.
     fn check_generator(&self) -> Result<()> {
         let invalid = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
-        let capacity_xrp = match *self {
-            TopologyConfig::Isp { capacity_xrp }
-            | TopologyConfig::RippleLike { capacity_xrp, .. }
-            | TopologyConfig::PaperExample { capacity_xrp }
-            | TopologyConfig::SmallWorld { capacity_xrp, .. }
-            | TopologyConfig::ScaleFree { capacity_xrp, .. } => Some(capacity_xrp),
-            TopologyConfig::Text { .. } => None,
-        };
-        if capacity_xrp.is_some_and(|c| c > i64::MAX as u64 / DROPS_PER_XRP) {
-            return invalid("a channel capacity may not exceed i64::MAX drops");
+        if let TopologyConfig::Isp { capacity_xrp }
+        | TopologyConfig::RippleLike { capacity_xrp, .. }
+        | TopologyConfig::PaperExample { capacity_xrp }
+        | TopologyConfig::SmallWorld { capacity_xrp, .. }
+        | TopologyConfig::ScaleFree { capacity_xrp, .. } = *self
+        {
+            let drops = capacity_xrp.saturating_mul(DROPS_PER_XRP);
+            check::balance("a channel capacity", Amount::from_drops(drops))?;
         }
         match *self {
             TopologyConfig::RippleLike { nodes, .. } if nodes < 8 => {
                 invalid("a Ripple-like graph needs at least 8 nodes")
             }
             TopologyConfig::SmallWorld { nodes, k, beta, .. } => {
+                check::fraction("a small world's beta", beta)?;
                 if !(k >= 2 && k.is_multiple_of(2) && k < nodes) {
                     invalid("a small world needs an even k >= 2 below the node count")
-                } else if !(0.0..=1.0).contains(&beta) {
-                    invalid("a small world's beta must be in [0, 1]")
                 } else {
                     Ok(())
                 }
@@ -869,11 +866,124 @@ mod tests {
         ]);
     }
 
+    /// The balance bound ([`Amount::MAX_BALANCE`]) at each entry that
+    /// reads it: the row at the bound runs, and the row a step past it is
+    /// refused. Two of its rows used to panic: max-flow at the capacity
+    /// bound overflowed its flow total, and a 10¹³ XRP payment overflowed
+    /// the attempted volume ("Amount overflow").
+    #[test]
+    fn every_balance_bound_is_exact() {
+        use Expect::{Rejected, Unparsed};
+        let base = ExperimentConfig {
+            workload: WorkloadConfig::small(200, 100.0),
+            ..Default::default()
+        };
+        let bound_xrp = Amount::MAX_BALANCE.drops() / DROPS_PER_XRP;
+        let isp = |capacity_xrp, scheme| ExperimentConfig {
+            topology: TopologyConfig::Isp { capacity_xrp },
+            scheme,
+            ..base.clone()
+        };
+        let schemes = SchemeConfig::extended_lineup();
+        let at_bound = schemes.iter().map(|s| (s.name(), isp(bound_xrp, *s), RUNS));
+        let text = |drops: u64| ExperimentConfig {
+            topology: TopologyConfig::Text {
+                text: format!("nodes 2\nchannel 0 1 {drops}\n"),
+            },
+            ..base.clone()
+        };
+        // The largest resize factor that keeps the largest channel within
+        // the bound, as a float product (2⁶³ is the first float past it).
+        let largest = Amount::from_xrp(bound_xrp).drops() as f64;
+        let mut hi = 1.0f64;
+        while largest * hi.next_up() < 2f64.powi(63) {
+            hi = hi.next_up();
+        }
+        let resize = |hi| ExperimentConfig {
+            dynamics: Some(DynamicsConfig {
+                resize_factor_range: [0.5, hi],
+                ..Default::default()
+            }),
+            ..isp(bound_xrp, base.scheme)
+        };
+        // `count` payments of `xrp` each, one unit apiece.
+        let payments = |count, xrp| ExperimentConfig {
+            workload: WorkloadConfig {
+                size: spider_sim::SizeDistribution::Constant { xrp },
+                ..WorkloadConfig::small(count, 100.0)
+            },
+            sim: SimConfig {
+                mtu: Amount::from_xrp_f64(xrp).max(Amount::DROP),
+                ..SimConfig::default()
+            },
+            ..base.clone()
+        };
+        // The largest size whose drops fit the bound.
+        let mut size = Amount::MAX_BALANCE.as_xrp();
+        while Amount::from_xrp_f64(size) > Amount::MAX_BALANCE {
+            size = size.next_down();
+        }
+        let log_normal = |mean_xrp, cap_xrp| spider_sim::SizeDistribution::LogNormal {
+            mean_xrp,
+            median_xrp: 1.0,
+            cap_xrp,
+        };
+        let sized = |size| ExperimentConfig {
+            workload: WorkloadConfig {
+                size,
+                ..base.workload.clone()
+            },
+            ..base.clone()
+        };
+        check_rows(at_bound.chain([
+            (
+                "capacity past the bound",
+                isp(bound_xrp + 1, base.scheme),
+                Rejected,
+            ),
+            (
+                "text capacity at the bound",
+                text(Amount::MAX_BALANCE.drops()),
+                RUNS,
+            ),
+            (
+                "text capacity past it",
+                text(Amount::MAX_BALANCE.drops() + 1),
+                Unparsed,
+            ),
+            ("resize to the bound", resize(hi), RUNS),
+            ("resize past it", resize(hi.next_up()), Rejected),
+            ("size at the bound", payments(1, size), RUNS),
+            ("size past it", payments(1, size.next_up()), Rejected),
+            // 6 × 10¹⁸ drops: three fit a u64, four do not.
+            ("size × count at the bound", payments(3, 6e12), RUNS),
+            ("size × count past it", payments(4, 6e12), Rejected),
+            ("10¹³ XRP", payments(200, 1e13), Rejected),
+            ("zero size", payments(200, 0.0), Rejected),
+            ("negative size", payments(200, -1.0), Rejected),
+            ("NaN size", payments(200, f64::NAN), Rejected),
+            ("size under a drop", payments(200, 4e-7), Rejected),
+            ("one drop", payments(200, 1e-6), RUNS),
+            (
+                "infinite log-normal mean",
+                sized(log_normal(f64::INFINITY, 10.0)),
+                Rejected,
+            ),
+            (
+                "log-normal cap under a drop",
+                sized(log_normal(2.0, 1e-7)),
+                Rejected,
+            ),
+        ]));
+    }
+
     /// What a row of a rejection table must do.
     #[derive(Clone, Copy)]
     enum Expect {
         /// `run()` fails with `InvalidConfig`.
         Rejected,
+        /// `run()` fails with `Parse`: a text topology refused on a line.
+        Unparsed,
         /// It runs, and its report passes this check.
         Runs(fn(&SimReport) -> bool),
     }
@@ -889,7 +999,7 @@ mod tests {
     /// delay rows are the horizon-reach rule, which `SimConfig::validate`
     /// and `Simulation::install` share; the NaN rows are each validator's
     /// own.
-    fn check_rows<const N: usize>(table: [(&str, ExperimentConfig, Expect); N]) {
+    fn check_rows<'a>(table: impl IntoIterator<Item = (&'a str, ExperimentConfig, Expect)>) {
         for (name, cfg, expect) in table {
             let run = cfg.run();
             match expect {
@@ -897,6 +1007,9 @@ mod tests {
                     matches!(run, Err(SpiderError::InvalidConfig(_))),
                     "{name}: {run:?}"
                 ),
+                Expect::Unparsed => {
+                    assert!(matches!(run, Err(SpiderError::Parse(_))), "{name}: {run:?}")
+                }
                 Expect::Runs(check) => {
                     let report = run.unwrap_or_else(|e| panic!("{name}: {e:?}"));
                     assert!(check(&report), "{name}: the report fails its check");

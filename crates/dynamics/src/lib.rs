@@ -28,7 +28,8 @@ use serde::Serialize;
 use spider_topology::Topology;
 use spider_types::distr::{Distribution, Exponential};
 use spider_types::{
-    Amount, ChannelId, DetRng, NodeId, Result, SimTime, SpiderError, TopologyChange, TopologyEvent,
+    check, Amount, ChannelId, DetRng, NodeId, Result, SimTime, SpiderError, TopologyChange,
+    TopologyEvent,
 };
 
 /// Parameters of a churn schedule. All rates are per simulated second over
@@ -49,7 +50,7 @@ pub struct DynamicsConfig {
     /// resizes of one channel wander within the range instead of
     /// compounding toward zero or infinity. [`ChurnSchedule::generate`]
     /// rejects a range that could grow the topology's largest channel
-    /// past `i64::MAX` drops.
+    /// past [`Amount::MAX_BALANCE`].
     pub resize_factor_range: [f64; 2],
     /// Poisson rate of node-leave events (events/s). A leave closes every
     /// channel of the node; the node rejoins after the reopen delay
@@ -103,30 +104,17 @@ impl DynamicsConfig {
     /// Validates parameter sanity; a config that passes generates
     /// without panicking.
     pub fn validate(&self) -> Result<()> {
-        let bad = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
-        let rates = [
-            self.close_rate_per_sec,
-            self.resize_rate_per_sec,
-            self.node_leave_rate_per_sec,
-        ];
-        if !rates.iter().all(|r| *r >= 0.0 && r.is_finite()) {
-            return bad("churn rates must be non-negative and finite");
-        }
+        check::non_negative("the churn close rate", self.close_rate_per_sec)?;
+        check::non_negative("the churn resize rate", self.resize_rate_per_sec)?;
+        check::non_negative("the churn leave rate", self.node_leave_rate_per_sec)?;
         if let Some(m) = self.reopen_mean_secs {
-            if !(m > 0.0 && m.is_finite()) {
-                return bad("reopen mean must be positive and finite");
-            }
+            check::positive("the reopen mean", m)?;
         }
         let [lo, hi] = self.resize_factor_range;
-        if !(lo > 0.0 && hi >= lo && hi.is_finite()) {
-            return bad("resize factor range must satisfy 0 < min <= max < inf");
-        }
-        if !(0.0..=1.0).contains(&self.spawn_fraction) {
-            return bad("spawn fraction must be in [0, 1]");
-        }
-        if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
-            return bad("dynamics horizon must be positive and finite");
-        }
+        check::positive("the least resize factor", lo)?;
+        check::non_negative("the resize factor spread", hi - lo)?;
+        check::fraction("the spawn fraction", self.spawn_fraction)?;
+        check::positive("the dynamics horizon", self.horizon_secs)?;
         // A flap trace steps by half its period, which is at least a
         // quarter of the mean: that step must move the clock by 1 µs
         // even at the horizon, or the trace would take horizon / step
@@ -134,7 +122,9 @@ impl DynamicsConfig {
         let step = 0.25 * self.flap_period_secs;
         let advance = (self.horizon_secs + step) - self.horizon_secs;
         if self.flap_channels > 0 && (advance.is_nan() || advance < 1e-6) {
-            return bad("a quarter of the flap period must advance the clock by at least 1 µs");
+            return Err(SpiderError::InvalidConfig(
+                "a quarter of the flap period must advance the clock by at least 1 µs".into(),
+            ));
         }
         Ok(())
     }
@@ -239,14 +229,11 @@ impl ChurnSchedule {
         if cfg.resize_rate_per_sec > 0.0 {
             let gap = Exponential::new(cfg.resize_rate_per_sec);
             let [lo, hi] = cfg.resize_factor_range;
-            // Balances are signed against each other (imbalance, price
-            // gradients), so no channel may grow past `i64::MAX` drops.
+            // The largest channel, grown by the largest factor, must stay
+            // within the balance bound (as `mul_f64` rounds it).
             let largest = topo.channels().map(|(_, c)| c.capacity).max();
-            if largest.is_some_and(|c| c.drops() as f64 * hi >= i64::MAX as f64) {
-                return Err(SpiderError::InvalidConfig(
-                    "resize factor range would grow a channel past i64::MAX drops".into(),
-                ));
-            }
+            let grown = largest.unwrap_or_default().mul_f64(hi);
+            check::balance("the largest channel resized", grown)?;
             let (ln_lo, ln_hi) = (lo.ln(), hi.ln());
             let mut t = gap.sample(&mut resize_rng);
             while t < horizon {
@@ -434,7 +421,7 @@ mod tests {
                 ..DynamicsConfig::default()
             },
             // Finite factors that would grow a 100 XRP channel past
-            // `i64::MAX` drops.
+            // `Amount::MAX_BALANCE`.
             DynamicsConfig {
                 resize_factor_range: [1e12, 1e12],
                 ..DynamicsConfig::default()

@@ -29,7 +29,7 @@
 use serde::Serialize;
 use spider_topology::Topology;
 use spider_types::distr::{Distribution, Exponential};
-use spider_types::{DetRng, NodeId, Result, SimDuration, SimTime, SpiderError};
+use spider_types::{check, DetRng, NodeId, Result, SimDuration, SimTime};
 
 /// Node crash/recovery parameters (nested inside [`FaultConfig`]).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -127,41 +127,23 @@ impl FaultConfig {
     /// without panicking, and the engine can turn every delay into a
     /// `SimDuration`.
     pub fn validate(&self) -> Result<()> {
-        let bad = |msg: &str| Err(SpiderError::InvalidConfig(msg.into()));
-        let probs = [
-            self.message_loss_prob,
-            self.ack_loss_prob,
-            self.stuck_unit_prob,
-            self.spike_prob,
-        ];
-        if probs.iter().any(|p| !(0.0..=1.0).contains(p)) {
-            return bad("fault probabilities must be in [0, 1]");
-        }
+        check::fraction("the message loss probability", self.message_loss_prob)?;
+        check::fraction("the ack loss probability", self.ack_loss_prob)?;
+        check::fraction("the stuck unit probability", self.stuck_unit_prob)?;
+        check::fraction("the spike probability", self.spike_prob)?;
         if let Some([lo, hi]) = self.jitter_range_ms {
-            if !(lo >= 0.0 && hi >= lo && hi.is_finite()) {
-                return bad("jitter range must satisfy 0 <= min <= max < inf");
-            }
+            check::non_negative("the least jitter", lo)?;
+            check::non_negative("the jitter spread", hi - lo)?;
         }
-        if !(self.spike_ms >= 0.0 && self.spike_ms.is_finite()) {
-            return bad("spike delay must be non-negative and finite");
-        }
-        if !(self.hop_timeout_secs > 0.0 && self.hop_timeout_secs.is_finite()) {
-            return bad("hop timeout must be positive and finite");
-        }
+        check::non_negative("the spike delay", self.spike_ms)?;
+        check::positive("the hop timeout", self.hop_timeout_secs)?;
         if let Some(crash) = &self.crash {
-            if !(crash.rate_per_sec >= 0.0 && crash.rate_per_sec.is_finite()) {
-                return bad("crash rate must be non-negative and finite");
-            }
+            check::non_negative("the crash rate", crash.rate_per_sec)?;
             if let Some(m) = crash.recovery_mean_secs {
-                if !(m > 0.0 && m.is_finite()) {
-                    return bad("crash recovery mean must be positive and finite");
-                }
+                check::positive("the crash recovery mean", m)?;
             }
         }
-        if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
-            return bad("fault horizon must be positive and finite");
-        }
-        Ok(())
+        check::positive("the fault horizon", self.horizon_secs)
     }
 }
 

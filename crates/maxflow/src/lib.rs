@@ -94,6 +94,8 @@ impl FlowNetwork {
 
     /// Maximum flow from `s` to `t` via Dinic's algorithm (level graph +
     /// blocking flows). `O(V² · E)` worst case, much faster in practice.
+    /// A value past `u64::MAX` reads as `u64::MAX`: every arc fits a
+    /// `u64`, but their sum out of `s` need not.
     pub fn max_flow_dinic(&mut self, s: NodeId, t: NodeId) -> u64 {
         assert_ne!(s, t, "source equals sink");
         let (s, t) = (s.index(), t.index());
@@ -122,7 +124,7 @@ impl FlowNetwork {
                 if pushed == 0 {
                     break;
                 }
-                total += pushed;
+                total = total.saturating_add(pushed);
             }
         }
     }
@@ -381,6 +383,19 @@ mod tests {
         f.add_edge(n(0), n(1), 5);
         f.add_edge(n(0), n(1), 7);
         assert_eq!(f.max_flow_dinic(n(0), n(1)), 12);
+    }
+
+    /// Arcs that each fit a `u64` but together do not: the value
+    /// saturates, and the paths still carry every arc in full.
+    #[test]
+    fn a_value_past_u64_saturates() {
+        let half = u64::MAX / 2 + 1;
+        let mut f = FlowNetwork::new(2);
+        f.add_edge(n(0), n(1), half);
+        f.add_edge(n(0), n(1), half);
+        assert_eq!(f.max_flow_dinic(n(0), n(1)), u64::MAX);
+        let paths = f.flow_paths(n(0), n(1));
+        assert_eq!(paths.iter().map(|(_, a)| a).collect::<Vec<_>>(), [&half; 2]);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use serde::Serialize;
 use spider_topology::Topology;
-use spider_types::{DetRng, NodeId, Result, SimDuration, SpiderError};
+use spider_types::{check, DetRng, NodeId, Result, SimDuration, SpiderError};
 
 /// Flash-crowd parameters: a time window during which the arrival rate is
 /// multiplied by compressing later arrivals into it.
@@ -186,32 +186,19 @@ impl OverloadConfig {
             if !(f.start_secs >= 0.0 && f.duration_secs > 0.0) {
                 return bad("flash crowd window must be non-negative and non-empty");
             }
-            if !(f.rate_multiplier >= 1.0 && f.rate_multiplier.is_finite()) {
-                return bad("flash crowd multiplier must be >= 1 and finite");
-            }
+            check::non_negative("the flash-crowd multiplier over 1", f.rate_multiplier - 1.0)?;
         }
         if let Some(h) = &self.hot_pairs {
-            if !(0.0..=1.0).contains(&h.fraction) {
-                return bad("hot-pair fraction must be in [0, 1]");
-            }
+            check::fraction("the hot-pair fraction", h.fraction)?;
         }
         if let Some(d) = &self.drain {
-            if !(0.0..=1.0).contains(&d.fraction) {
-                return bad("drain fraction must be in [0, 1]");
-            }
+            check::fraction("the drain fraction", d.fraction)?;
         }
         if let Some(g) = &self.griefing {
-            if !(0.0..=1.0).contains(&g.fraction) {
-                return bad("griefing fraction must be in [0, 1]");
-            }
-            if !(g.hold_secs > 0.0 && g.hold_secs.is_finite()) {
-                return bad("griefing hold must be positive and finite");
-            }
+            check::fraction("the griefing fraction", g.fraction)?;
+            check::positive("the griefing hold", g.hold_secs)?;
         }
-        if !(self.horizon_secs > 0.0 && self.horizon_secs.is_finite()) {
-            return bad("overload horizon must be positive and finite");
-        }
-        Ok(())
+        check::positive("the overload horizon", self.horizon_secs)
     }
 }
 

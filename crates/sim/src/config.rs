@@ -4,7 +4,7 @@ use crate::engine::POLL_INTERVAL;
 use crate::queue::MARKING_DELAY;
 use spider_obs::sampler::SAMPLE_CADENCE;
 use spider_obs::SamplerConfig;
-use spider_types::{Amount, SimDuration, SimTime};
+use spider_types::{check, Amount, SimDuration, SimTime};
 
 /// Order in which queued (incomplete, non-atomic) payments are retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,14 +141,8 @@ impl Default for AdmissionConfig {
 
 impl AdmissionConfig {
     fn validate(&self) -> spider_types::Result<()> {
-        use spider_types::SpiderError::InvalidConfig;
-        if !(self.rate_per_sec.is_finite() && self.rate_per_sec > 0.0) {
-            return Err(InvalidConfig("admission rate must be finite, > 0".into()));
-        }
-        if !(self.burst.is_finite() && self.burst >= 1.0) {
-            return Err(InvalidConfig("admission burst must be finite, >= 1".into()));
-        }
-        Ok(())
+        check::positive("the admission rate", self.rate_per_sec)?;
+        check::non_negative("the admission burst over 1", self.burst - 1.0)
     }
 }
 
@@ -264,14 +258,10 @@ impl SimConfig {
                     "rebalancing interval must be positive".into(),
                 ));
             }
-            if !(0.0..=1.0).contains(&rb.trigger_fraction)
-                || !(0.0..=1.0).contains(&rb.target_fraction)
-                || rb.trigger_fraction > rb.target_fraction
-            {
-                return Err(InvalidConfig(
-                    "rebalancing fractions must satisfy 0 <= trigger <= target <= 1".into(),
-                ));
-            }
+            check::fraction("the rebalancing trigger", rb.trigger_fraction)?;
+            check::fraction("the rebalancing target", rb.target_fraction)?;
+            let spread = rb.target_fraction - rb.trigger_fraction;
+            check::non_negative("the rebalancing target less its trigger", spread)?;
         }
         let mut delays = vec![self.confirmation_delay, POLL_INTERVAL, SAMPLE_CADENCE];
         delays.extend(self.deadline);

@@ -6,7 +6,7 @@
 //! distribution while the receiver was sampled uniformly at random."
 
 use spider_types::distr::{Distribution, ExponentialRank, LogNormal, PoissonProcess};
-use spider_types::{Amount, DetRng, IdHashSet, NodeId, SimTime};
+use spider_types::{check, Amount, DetRng, IdHashSet, NodeId, SimTime};
 
 /// One transaction to inject: at `time`, `src` pays `dst` `amount`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +46,10 @@ pub enum SizeDistribution {
     RippleFull,
 }
 
+/// The largest sizes of the §6.1 Ripple workloads, in XRP.
+const ISP_CAP: f64 = 1_780.0;
+const FULL_CAP: f64 = 2_892.0;
+
 impl SizeDistribution {
     /// Draws one size.
     pub fn sample(&self, rng: &mut DetRng) -> Amount {
@@ -59,9 +63,19 @@ impl SizeDistribution {
             // Medians chosen so the fitted log-normal reproduces the
             // reported means with a realistic right skew; caps match the
             // reported maxima.
-            SizeDistribution::RippleIsp => sample_lognormal_capped(170.0, 100.0, 1_780.0, rng),
-            SizeDistribution::RippleFull => sample_lognormal_capped(345.0, 180.0, 2_892.0, rng),
+            SizeDistribution::RippleIsp => sample_lognormal_capped(170.0, 100.0, ISP_CAP, rng),
+            SizeDistribution::RippleFull => sample_lognormal_capped(345.0, 180.0, FULL_CAP, rng),
         }
+    }
+
+    /// The largest size [`SizeDistribution::sample`] can draw.
+    fn largest(&self) -> Amount {
+        Amount::from_xrp_f64(match *self {
+            SizeDistribution::Constant { xrp } => xrp,
+            SizeDistribution::LogNormal { cap_xrp, .. } => cap_xrp,
+            SizeDistribution::RippleIsp => ISP_CAP,
+            SizeDistribution::RippleFull => FULL_CAP,
+        })
     }
 }
 
@@ -104,33 +118,30 @@ impl WorkloadConfig {
     }
 
     /// Validates parameter sanity; a config that passes generates
-    /// without panicking.
+    /// without panicking. Every size it can draw is at least one drop and
+    /// within [`Amount::MAX_BALANCE`], and `count` of the largest fit an
+    /// [`Amount`], so every volume the report sums fits too.
     pub fn validate(&self) -> spider_types::Result<()> {
         use spider_types::SpiderError::InvalidConfig;
-        if self.count == 0 {
-            return Err(InvalidConfig("workload count must be positive".into()));
-        }
-        if !(self.rate_per_sec > 0.0 && self.rate_per_sec.is_finite()) {
-            return Err(InvalidConfig(
-                "arrival rate must be positive and finite".into(),
-            ));
-        }
-        if !(self.sender_skew_scale > 0.0 && self.sender_skew_scale.is_finite()) {
-            return Err(InvalidConfig(
-                "sender skew must be positive and finite".into(),
-            ));
-        }
+        check::positive("the payment count", self.count as f64)?;
+        check::positive("the arrival rate", self.rate_per_sec)?;
+        check::positive("the sender skew", self.sender_skew_scale)?;
         if let SizeDistribution::LogNormal {
             mean_xrp,
             median_xrp,
-            cap_xrp,
+            ..
         } = self.size
         {
-            if !(median_xrp > 0.0 && mean_xrp >= median_xrp && cap_xrp > 0.0) {
-                return Err(InvalidConfig(
-                    "log-normal sizes need mean >= median > 0 and cap > 0".into(),
-                ));
-            }
+            check::positive("the log-normal median", median_xrp)?;
+            check::non_negative("the log-normal mean less its median", mean_xrp - median_xrp)?;
+        }
+        let largest = self.size.largest();
+        if largest.is_zero() {
+            return Err(InvalidConfig("a payment size is under one drop".into()));
+        }
+        check::balance("the largest payment size", largest)?;
+        if largest.drops().checked_mul(self.count as u64).is_none() {
+            return Err(InvalidConfig("count × the largest size overflows".into()));
         }
         Ok(())
     }

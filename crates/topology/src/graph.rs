@@ -290,7 +290,8 @@ impl TopologyBuilder {
     }
 
     /// Adds a channel between `a` and `b`. Errors on self-loops, unknown
-    /// nodes, duplicate pairs, or a channel id a [`Hop`] cannot carry.
+    /// nodes, duplicate pairs, a channel id a [`Hop`] cannot carry, or a
+    /// capacity past [`Amount::MAX_BALANCE`].
     pub fn channel(&mut self, a: NodeId, b: NodeId, capacity: Amount) -> Result<&mut Self> {
         let (u, v) = self.canonical(a, b)?;
         match self.index.entry((u, v)) {
@@ -299,6 +300,7 @@ impl TopologyBuilder {
             ))),
             Entry::Vacant(slot) => {
                 next_channel_id(self.channels.len())?;
+                spider_types::check::balance("a channel capacity", capacity)?;
                 slot.insert(self.channels.len());
                 self.channels.push(Channel { u, v, capacity });
                 Ok(self)
@@ -412,6 +414,12 @@ mod tests {
         b.channel(n(0), n(1), Amount::from_xrp(1)).unwrap();
         assert!(matches!(
             b.channel(n(1), n(0), Amount::ZERO),
+            Err(SpiderError::InvalidConfig(_))
+        ));
+        let mut b = Topology::builder(3);
+        b.channel(n(0), n(1), Amount::MAX_BALANCE).unwrap();
+        assert!(matches!(
+            b.channel(n(1), n(2), Amount::MAX_BALANCE + Amount::DROP),
             Err(SpiderError::InvalidConfig(_))
         ));
     }

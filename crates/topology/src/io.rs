@@ -75,10 +75,6 @@ pub fn from_text(text: &str) -> Result<Topology> {
                 if parts.next().is_some() {
                     return Err(err("trailing tokens after channel"));
                 }
-                // Channel balances are read as signed amounts.
-                if cap > i64::MAX as u64 {
-                    return Err(err("capacity exceeds i64::MAX drops"));
-                }
                 // Range-check before NodeId::from_index, which panics on
                 // indices beyond u32 (malformed input must error instead).
                 let node = |x: u64, name: &str| -> Result<NodeId> {
@@ -137,7 +133,7 @@ mod tests {
         assert!(from_text("nodes 2\nfrobnicate\n").is_err()); // unknown keyword
         assert!(from_text("").is_err()); // empty
         assert!(from_text("nodes 2\nchannel 0 1 1 9\n").is_err()); // trailing token
-        assert!(from_text("nodes 2\nchannel 0 1 9223372036854775808\n").is_err()); // > i64::MAX
+        assert!(from_text("nodes 2\nchannel 0 1 9223372036854775808\n").is_err()); // past Amount::MAX_BALANCE
 
         // Counts no `u32` node id can address: an error, not an allocation.
         for text in ["nodes 18446744073709551615", "nodes 4294967297"] {
@@ -181,7 +177,7 @@ mod tests {
         let mut b = crate::Topology::builder(3);
         b.channel(NodeId(0), NodeId(1), Amount::from_drops(1))
             .unwrap();
-        b.channel(NodeId(1), NodeId(2), Amount::from_drops(i64::MAX as u64))
+        b.channel(NodeId(1), NodeId(2), Amount::MAX_BALANCE)
             .unwrap();
         let t = b.build();
         let back = from_text(&to_text(&t)).unwrap();

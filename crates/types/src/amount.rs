@@ -31,6 +31,10 @@ impl Amount {
     pub const DROP: Amount = Amount(1);
     /// The largest representable amount.
     pub const MAX: Amount = Amount(u64::MAX);
+    /// The balance bound, the largest amount [`Amount::signed`] accepts
+    /// (`i64::MAX` drops, ≈ 9.2 trillion XRP): every capacity, resize and
+    /// payment size is checked against it ([`crate::check::balance`]).
+    pub const MAX_BALANCE: Amount = Amount(i64::MAX as u64);
 
     /// Creates an amount from a raw drop count.
     #[inline]
@@ -171,11 +175,11 @@ impl Amount {
         }
     }
 
-    /// Converts to a signed amount. Panics if the value exceeds `i64::MAX`
-    /// drops (≈ 9.2 trillion XRP — far beyond any simulated economy).
+    /// Converts to a signed amount. Panics if the value exceeds
+    /// [`Amount::MAX_BALANCE`].
     #[inline]
     pub fn signed(self) -> SignedAmount {
-        SignedAmount(i64::try_from(self.0).expect("amount exceeds i64::MAX drops"))
+        SignedAmount(i64::try_from(self.0).expect("amount exceeds Amount::MAX_BALANCE"))
     }
 }
 

@@ -16,6 +16,7 @@
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 pub mod amount;
+pub mod check;
 pub mod distr;
 pub mod error;
 pub mod event;

@@ -5,9 +5,11 @@
 #![forbid(unsafe_code)]
 
 pub mod fluid_dual;
+pub mod gap;
 pub mod ledger_audit;
 pub mod perturbation;
 pub mod reference;
+pub mod stationary;
 
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_paygraph::{decompose::decompose, PaymentGraph};

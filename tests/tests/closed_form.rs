@@ -4,15 +4,14 @@
 //! tolerance to loosen.
 
 use spider_core::SchemeConfig;
-use spider_lp::fluid::{FluidProblem, PathSelection};
+use spider_lp::fluid::{FluidProblem, FluidSolution, PathSelection};
 use spider_paygraph::{generate, PaymentGraph};
-use spider_sim::{QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, TxnSpec, Workload};
-use spider_tests::{poisson, CirculationBound};
+use spider_sim::{QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, Workload};
+use spider_tests::gap::GapReport;
+use spider_tests::poisson;
+use spider_tests::stationary::{stationary, Window, XRP};
 use spider_topology::{gen, Topology};
 use spider_types::{Amount, DetRng, SimDuration};
-
-/// Every payment's size: one MTU.
-const XRP: Amount = Amount::from_xrp(1);
 
 /// The stationary success ratio of the two-node chain: `A`'s balance `k`
 /// (in MTUs) is a birth–death chain on `{0..n}`, down at `λ_A` while
@@ -150,77 +149,6 @@ fn two_node_throughput_limit_fifo() {
     throughput_tends_to_twice_the_slower_rate(QueueingMode::PerChannelFifo(QueueConfig::default()));
 }
 
-/// What one run delivered over the second half of its horizon, and
-/// what arrived that it could have delivered there.
-struct Window {
-    /// Delivered payments per second over `[H/2, H)`.
-    rate: f64,
-    /// Per pair, the payments that arrived from `H/2 − deadline` on: a
-    /// payment delivered in the window arrived then.
-    arrived: PaymentGraph,
-    /// The window's length `T`, seconds.
-    secs: f64,
-}
-
-impl Window {
-    /// The window's [`CirculationBound`] on `topo`, per second: ν of its
-    /// arrivals, and the escrow transient (what the channels' funds let
-    /// it deliver beyond a circulation).
-    fn circulation_bound(&self, topo: &Topology) -> (f64, f64) {
-        let bound = CirculationBound::new(&self.arrived, topo);
-        (bound.nu / self.secs, bound.transient / self.secs)
-    }
-}
-
-/// One stationary-demand run at event level: Poisson unit payments at
-/// each of `demands`' rates on `topo` over `horizon_s`, with a 5 s
-/// deadline, Δ = 0.5 s and no rebalancing, under `scheme` in `queueing`
-/// mode.
-fn stationary(
-    scheme: SchemeConfig,
-    queueing: QueueingMode,
-    topo: &Topology,
-    demands: &PaymentGraph,
-    horizon_s: f64,
-    seed: u64,
-) -> Window {
-    let rng = DetRng::new(seed);
-    let mut txns: Vec<TxnSpec> = demands
-        .edges()
-        .flat_map(|e| {
-            let mut rng = rng.fork(&format!("{}-{}", e.src, e.dst));
-            poisson(&mut rng, e.rate, horizon_s, (e.src.0, e.dst.0), XRP)
-        })
-        .collect();
-    txns.sort_by_key(|t| (t.time, t.src, t.dst));
-    let deadline = SimDuration::from_secs(5);
-    let half = horizon_s / 2.0;
-    let mut arrived = PaymentGraph::new(demands.node_count());
-    for t in &txns {
-        if t.time.as_secs_f64() >= half - deadline.as_secs_f64() {
-            arrived.add_demand(t.src, t.dst, 1.0);
-        }
-    }
-    let router = scheme.build(topo, demands, 0.5);
-    let cfg = SimConfig {
-        mtu: Amount::from_xrp(1),
-        deadline: Some(deadline),
-        horizon: SimDuration::from_secs_f64(horizon_s),
-        queueing,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(topo.clone(), Workload { txns }, router, cfg).expect("builds");
-    let r = sim.run();
-    sim.check_conservation();
-    let delivered: f64 = r.throughput_series[half as usize..].iter().sum();
-    let secs = horizon_s - half;
-    Window {
-        rate: delivered / secs,
-        arrived,
-        secs,
-    }
-}
-
 /// §5.1 at event level, on four seeds of a 2,000 s horizon with 50-XRP
 /// channels (Δ = 0.5 s):
 ///
@@ -318,9 +246,9 @@ fn stationary_demands(name: &str, topo: &Topology) -> [(PaymentGraph, f64); 2] {
 /// k edge-disjoint paths of the plain search — the search the router's
 /// path oracle is tested against, so the LP and the router share one
 /// path set — with the engine's Δ = 0.5 s.
-fn balanced_optimum(topo: &Topology, demands: &PaymentGraph) -> f64 {
+fn balanced_optimum(topo: &Topology, demands: &PaymentGraph) -> FluidSolution {
     let problem = FluidProblem::new(topo, demands, 0.5, PathSelection::KEdgeDisjoint(PATHS));
-    problem.solve_balanced().expect("solves").throughput
+    problem.solve_balanced().expect("solves")
 }
 
 /// The most the window `w` can deliver on `topo` with no on-chain
@@ -369,12 +297,15 @@ fn window_ceiling(topo: &Topology, w: &Window) -> f64 {
 /// * is at least the matrix's floor times the balanced optimum on the
 ///   same path set ([`balanced_optimum`], solved once per matrix);
 /// * is at most [`window_ceiling`] in every run, a bound that holds for
-///   any scheme.
+///   any scheme;
+/// * falls short of the optimum by exactly the sum of its [`GapReport`]
+///   terms, which each run prints with its largest channel drift.
 fn protocol_approaches_its_fluid_optimum(name: &str, topo: &Topology) {
     let (horizon_s, seeds) = (400.0, 1..=3);
     let fifo = QueueingMode::PerChannelFifo(QueueConfig::default());
     for (demands, floor) in stationary_demands(name, topo) {
-        let optimum = balanced_optimum(topo, &demands);
+        let solution = balanced_optimum(topo, &demands);
+        let optimum = solution.throughput;
         for seed in seeds.clone() {
             let scheme = SchemeConfig::spider_protocol(PATHS);
             let w = stationary(scheme, fifo.clone(), topo, &demands, horizon_s, seed);
@@ -391,7 +322,26 @@ fn protocol_approaches_its_fluid_optimum(name: &str, topo: &Topology) {
                 w.rate <= ceiling * (1.0 + 1e-9),
                 "{what}: above the ceiling"
             );
-            eprintln!("{what}");
+            let gap = GapReport::new(topo, &demands, &solution, &w);
+            let sum: f64 = gap.terms.iter().map(|(_, v)| v).sum();
+            let measured = optimum - w.rate;
+            assert!(
+                (sum - measured).abs() <= 1e-9 * optimum,
+                "{what}: the gap terms sum to {sum}, the gap is {measured}"
+            );
+            let terms: Vec<String> = gap
+                .terms
+                .iter()
+                .map(|(n, v)| format!("{n} {v:.3}"))
+                .collect();
+            eprintln!(
+                "{what}\n  gap {measured:.3}/s = {}; max drift {:.3}/s; in the window \
+                 {} payments expired and units dropped {:?}",
+                terms.join(", "),
+                gap.max_drift(),
+                gap.expired,
+                gap.drops
+            );
         }
     }
 }
