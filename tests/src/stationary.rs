@@ -16,7 +16,7 @@ use spider_types::{Amount, DetRng, SimDuration};
 pub const XRP: Amount = Amount::from_xrp(1);
 
 /// Each payment's relative deadline.
-pub const DEADLINE: SimDuration = SimDuration::from_secs(5);
+const DEADLINE: SimDuration = SimDuration::from_secs(5);
 
 /// What one run delivered over the second half of its horizon, and
 /// what arrived that it could have delivered there.
