@@ -436,7 +436,7 @@ pub fn demand_graph(workload: &Workload, n_nodes: usize) -> PaymentGraph {
 mod tests {
     use super::*;
     use spider_overload::{FlashCrowdConfig, GriefingConfig};
-    use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode};
+    use spider_sim::{AdmissionConfig, QueueConfig, QueueingMode, MAX_UNITS_PER_PAYMENT};
     use spider_types::SimDuration;
 
     fn quick_sim() -> SimConfig {
@@ -935,6 +935,16 @@ mod tests {
             },
             ..base.clone()
         };
+        // One payment of `xrp` at the default 10-XRP MTU, on ISP at the
+        // capacity bound, so nothing but the unit bound refuses it.
+        let one_payment = |xrp| ExperimentConfig {
+            workload: WorkloadConfig {
+                size: spider_sim::SizeDistribution::Constant { xrp },
+                ..WorkloadConfig::small(1, 100.0)
+            },
+            ..isp(bound_xrp, base.scheme)
+        };
+        let units_xrp = |units: u64| (units * 10) as f64;
         check_rows(at_bound.chain([
             (
                 "capacity past the bound",
@@ -974,6 +984,17 @@ mod tests {
                 sized(log_normal(2.0, 1e-7)),
                 Rejected,
             ),
+            (
+                "units at the bound",
+                one_payment(units_xrp(MAX_UNITS_PER_PAYMENT)),
+                RUNS,
+            ),
+            (
+                "units past it",
+                one_payment(units_xrp(MAX_UNITS_PER_PAYMENT) + 1e-6),
+                Rejected,
+            ),
+            ("9 × 10¹² XRP at a 10-XRP MTU", one_payment(9e12), Rejected),
         ]));
     }
 

@@ -29,7 +29,7 @@
 //! | Mode | Where | What it models |
 //! |---|---|---|
 //! | Offline LP / waterfilling | `spider-routing` (`SpiderLp`, `SpiderWaterfilling`) | §5.2's fluid optimum, instant whole-path locking |
-//! | AIMD window | `spider-core::congestion::Windowed` | §4.1's transport sketch over any inner scheme, lockstep |
+//! | AIMD window | `spider-core::congestion::Windowed` | §4.1's transport sketch over any inner scheme, in either engine mode (fig8 and fig10 run it on the FIFO queues beside this protocol) |
 //! | Queue + price protocol | this crate + `QueueingMode::PerChannelFifo` | §5's deployed protocol: queues, marking, per-path AIMD |
 //!
 //! Select the third mode by putting `SchemeConfig::SpiderProtocol` in an

@@ -21,11 +21,11 @@
 
 use crate::price::PathPriceEstimator;
 use crate::rate::PathController;
-use spider_routing::{ChannelBreakers, PathCache, PathPenalties, PathPolicy};
+use spider_routing::{Candidates, ChannelBreakers, PathPolicy};
 use spider_sim::{
     NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate, UnitAck, UnitOutcome,
 };
-use spider_types::{Amount, DropReason, NodeId, PathId};
+use spider_types::{Amount, NodeId, PathId};
 use std::ops::Range;
 
 /// One candidate path of a pair and the sender's state for it.
@@ -42,13 +42,13 @@ const UNROUTED: u32 = u32::MAX;
 /// "No pair holds this path" in [`Pairs::owner`].
 const UNOWNED: u32 = u32::MAX;
 
-/// Per-(sender, receiver) protocol state, kept beside the [`PathCache`]
-/// and indexed by the pair's cache slot: every slot's candidates sit in
-/// one flat array, `k` to a slot — nothing is allocated per pair, and no
-/// map of the router's own finds a pair. A path belongs to one pair (its
-/// ends), so `owner`, indexed by interned id, finds an acknowledged
-/// path's candidate with two array reads: no hop resolution, no hash, no
-/// search.
+/// Per-(sender, receiver) protocol state, kept beside the candidate
+/// cache and indexed by the pair's cache slot: every slot's candidates
+/// sit in one flat array, `k` to a slot — nothing is allocated per pair,
+/// and no map of the router's own finds a pair. A path belongs to one
+/// pair (its ends), so `owner`, indexed by interned id, finds an
+/// acknowledged path's candidate with two array reads: no hop
+/// resolution, no hash, no search.
 struct Pairs {
     /// The most candidates a pair can have: the stride of `candidates`.
     k: usize,
@@ -121,11 +121,6 @@ impl Pairs {
         at..at + count as usize
     }
 
-    /// The candidates of a routed `slot`, best first.
-    fn held(&self, slot: u32) -> Option<&[Candidate]> {
-        self.routed(slot).then(|| &self.candidates[self.span(slot)])
-    }
-
     /// The routed slots, ascending.
     fn routed_slots(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.counts.len() as u32).filter(|&slot| self.routed(slot))
@@ -180,15 +175,14 @@ impl Pairs {
 /// for its feedback loop to close — in lockstep mode no acks arrive and
 /// windows stay pinned near their initial value).
 pub struct ProtocolRouter {
-    cache: PathCache,
+    /// Each pair's candidate paths and their fault cooldowns.
+    candidates: Candidates,
     pairs: Pairs,
     /// Sum of every controller's window, kept current wherever a window
     /// is created, dropped or moved — the sampler reads it every simulated
     /// second, and recounting ~10⁵ pairs there cost more than routing.
     /// Integer drops, so the running total is exact and order-free.
     window_total: Amount,
-    /// Fault cooldowns (empty for the whole run unless faults fire).
-    penalties: PathPenalties,
     /// Per-channel shed breakers (empty for the whole run unless
     /// overload shedding fires).
     breakers: ChannelBreakers,
@@ -203,33 +197,24 @@ impl ProtocolRouter {
     /// Creates the router with `k` edge-disjoint candidate paths per pair
     /// (the paper uses 4).
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "need at least one path");
         ProtocolRouter {
-            cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
+            candidates: Candidates::new(PathPolicy::EdgeDisjoint(k)),
             pairs: Pairs::new(k),
             window_total: Amount::ZERO,
-            penalties: PathPenalties::default(),
             breakers: ChannelBreakers::default(),
             budgets: Vec::new(),
             allocated: Vec::new(),
         }
     }
 
-    /// The candidates of `(src, dst)` once it has been routed.
+    /// The candidates of `(src, dst)` once it has been routed, best first.
+    #[cfg(test)]
     fn held(&self, src: NodeId, dst: NodeId) -> Option<&[Candidate]> {
-        self.pairs.held(self.cache.slot(src, dst)?)
-    }
-
-    /// Current AIMD window of one candidate path (for tests/telemetry).
-    pub fn path_window(&self, src: NodeId, dst: NodeId, candidate: usize) -> Option<Amount> {
-        let held = self.held(src, dst)?.get(candidate)?;
-        Some(held.controller.window())
-    }
-
-    /// Current smoothed price of one candidate path.
-    pub fn path_price(&self, src: NodeId, dst: NodeId, candidate: usize) -> Option<f64> {
-        let held = self.held(src, dst)?.get(candidate)?;
-        Some(held.price.price())
+        let slot = self.candidates.cache().slot(src, dst)?;
+        let pairs = &self.pairs;
+        pairs
+            .routed(slot)
+            .then(|| &pairs.candidates[pairs.span(slot)])
     }
 
     /// Moves `pair` onto the candidates the cache now has for it — on
@@ -238,12 +223,13 @@ impl ProtocolRouter {
     /// slot. (The cache counts the lookup: a hit, or a miss that fills
     /// the pair.)
     fn adopt_cached(&mut self, pair: (NodeId, NodeId), view: &NetworkView<'_>) -> u32 {
-        let slot = self.cache.get_slot(view.topo, view.paths, pair.0, pair.1);
+        let slot = self.candidates.get_slot(pair.0, pair.1, view);
         if !self.pairs.routed(slot) {
             self.pairs.open(slot);
         }
         let before = self.pairs.window_sum(slot);
-        self.pairs.adopt(slot, self.cache.candidates(slot));
+        self.pairs
+            .adopt(slot, self.candidates.cache().candidates(slot));
         self.window_total += self.pairs.window_sum(slot);
         self.window_total -= before;
         slot
@@ -272,16 +258,17 @@ impl Router for ProtocolRouter {
     }
 
     fn prewarm(&mut self, pairs: &[(NodeId, NodeId)], view: &NetworkView<'_>) {
-        self.cache.prefill(view.topo, view.paths, pairs);
-        self.pairs.reserve(self.cache.len(), view.paths.len());
+        self.candidates.prewarm(pairs, view);
+        let slots = self.candidates.cache().len();
+        self.pairs.reserve(slots, view.paths.len());
     }
 
     fn on_topology_change(&mut self, update: &TopologyUpdate, view: &NetworkView<'_>) {
-        let repaired = self.cache.on_topology_change(view.topo, view.paths, update);
-        for (src, dst) in repaired {
+        for (src, dst) in self.candidates.repair(update, view) {
             // A pair never routed has nothing to migrate.
             if self
-                .cache
+                .candidates
+                .cache()
                 .slot(src, dst)
                 .is_some_and(|slot| self.pairs.routed(slot))
             {
@@ -291,14 +278,14 @@ impl Router for ProtocolRouter {
     }
 
     fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
-        let slot = match self.cache.slot(req.src, req.dst) {
+        let slot = match self.candidates.cache().slot(req.src, req.dst) {
             Some(slot) if self.pairs.routed(slot) => slot,
             _ => self.adopt_cached((req.src, req.dst), view),
         };
-        // Split-borrow the pair state so `penalties` stays reachable.
+        // Split-borrow the pair state so the cooldowns stay reachable.
         let ProtocolRouter {
             pairs,
-            penalties,
+            candidates,
             breakers,
             budgets,
             allocated,
@@ -322,21 +309,15 @@ impl Router for ProtocolRouter {
         // unconditionally — an open breaker means the channel is actively
         // shedding, and fail-fast (retry at the next poll, once it
         // half-opens) is the whole point of tripping it.
-        let all_cooled = held.iter().all(|c| penalties.is_cooled(c.path, view.now));
+        let all_cooled = held.iter().all(|c| candidates.is_cooled(c.path, view.now));
         budgets.clear();
         budgets.extend(held.iter().map(|c| {
             if view.bottleneck(c.path).is_zero() {
                 Amount::ZERO
-            } else if !all_cooled && penalties.is_cooled(c.path, view.now) {
-                penalties.note_skip();
+            } else if !all_cooled && candidates.is_cooled(c.path, view.now) {
+                candidates.note_skip();
                 Amount::ZERO
-            } else if !breakers.is_empty()
-                && !view
-                    .path(c.path)
-                    .hops()
-                    .iter()
-                    .all(|hop| breakers.allow(hop.channel(), view.now))
-            {
+            } else if !breakers.allow_path(c.path, view) {
                 Amount::ZERO
             } else {
                 c.controller.budget()
@@ -384,7 +365,7 @@ impl Router for ProtocolRouter {
     /// The pair's slot, once the pair is routed (`route` then neither
     /// opens nor fills it).
     fn idle_token(&self, req: &RouteRequest) -> Option<u32> {
-        let slot = self.cache.slot(req.src, req.dst)?;
+        let slot = self.candidates.cache().slot(req.src, req.dst)?;
         self.pairs.routed(slot).then_some(slot)
     }
 
@@ -400,18 +381,17 @@ impl Router for ProtocolRouter {
             return false;
         }
         let held = &self.pairs.candidates[self.pairs.span(slot)];
-        let cooled = |c: &Candidate| self.penalties.is_cooled(c.path, view.now);
+        let cooled = |c: &Candidate| self.candidates.is_cooled(c.path, view.now);
         held.iter()
             .all(|c| c.controller.budget().is_zero() || (cooled(c) && !held.iter().all(cooled)))
     }
 
     fn on_unit_outcome(&mut self, outcome: &UnitOutcome, view: &NetworkView<'_>) {
-        if outcome.fault.is_some() {
+        if self.candidates.on_outcome(outcome, view.now) {
             // A post-lock fault notification, not a lock outcome: the
             // unit's send was already observed when it locked, so only
             // the path penalty reacts (double-counting on_send would
             // corrupt the controller's in-flight accounting).
-            self.penalties.on_fault(outcome.path, view.now);
             return;
         }
         let Some(at) = self.pairs.owner_of(outcome.path) else {
@@ -432,17 +412,8 @@ impl Router for ProtocolRouter {
     }
 
     fn on_unit_ack(&mut self, ack: &UnitAck, view: &NetworkView<'_>) {
-        self.penalties
-            .on_ack(ack.path, ack.delivered, ack.drop_reason, view.now);
-        if ack.drop_reason == Some(DropReason::Shed) {
-            if let Some(c) = ack.drop_channel {
-                self.breakers.on_strike(c, view.now);
-            }
-        } else if ack.delivered && !self.breakers.is_empty() {
-            for c in view.path(ack.path).hops().iter().map(|hop| hop.channel()) {
-                self.breakers.on_success(c);
-            }
-        }
+        self.candidates.on_ack(ack, view.now);
+        self.breakers.on_ack(ack, view);
         let Some(at) = self.pairs.owner_of(ack.path) else {
             return;
         };
@@ -458,18 +429,15 @@ impl Router for ProtocolRouter {
     }
 
     fn observability(&self) -> spider_sim::RouterObs {
-        let mut obs = spider_sim::RouterObs::default();
-        obs.counters
-            .extend(self.cache.counters().map(|(k, v)| (k.to_string(), v)));
-        obs.counters
-            .extend(self.penalties.counters().map(|(k, v)| (k.to_string(), v)));
+        let mut obs = self.candidates.observability();
         obs.counters
             .extend(self.breakers.counters().map(|(k, v)| (k.to_string(), v)));
         // Sorted by pair key so the histogram's fill order (and therefore
         // any serialized form) does not depend on the order pairs were
         // first routed in.
         let mut slots: Vec<u32> = self.pairs.routed_slots().collect();
-        slots.sort_unstable_by_key(|&slot| self.cache.pair(slot));
+        let cache = self.candidates.cache();
+        slots.sort_unstable_by_key(|&slot| cache.pair(slot));
         for slot in slots {
             let held = &self.pairs.candidates[self.pairs.span(slot)];
             obs.windows_xrp
@@ -488,7 +456,7 @@ mod tests {
     use super::*;
     use crate::rate::INITIAL_WINDOW;
     use spider_sim::{ChannelState, PathTable};
-    use spider_types::{MarkStamp, PaymentId, SimDuration, SimTime};
+    use spider_types::{DropReason, MarkStamp, PaymentId, SimDuration, SimTime};
 
     fn xrp(x: u64) -> Amount {
         Amount::from_xrp(x)
@@ -519,6 +487,18 @@ mod tests {
             .map(|(_, c)| ChannelState::split_equally(c.capacity))
             .collect();
         (t, ch)
+    }
+
+    /// Current AIMD window of one candidate path.
+    fn path_window(r: &ProtocolRouter, candidate: usize) -> Option<Amount> {
+        let held = r.held(NodeId(0), NodeId(3))?.get(candidate)?;
+        Some(held.controller.window())
+    }
+
+    /// Current smoothed price of one candidate path.
+    fn path_price(r: &ProtocolRouter, candidate: usize) -> Option<f64> {
+        let held = r.held(NodeId(0), NodeId(3))?.get(candidate)?;
+        Some(held.price.price())
     }
 
     /// The candidate paths the router holds for a routed pair.
@@ -685,13 +665,13 @@ mod tests {
         // Initialize pair state.
         let props = r.route(&req(0, 3, xrp(1), xrp(1)), &view);
         let marked_path = props[0].path;
-        let w0 = r.path_window(NodeId(0), NodeId(3), 0).unwrap();
-        let w1 = r.path_window(NodeId(0), NodeId(3), 1).unwrap();
+        let w0 = path_window(&r, 0).unwrap();
+        let w1 = path_window(&r, 1).unwrap();
         r.on_unit_ack(&ack(marked_path, xrp(1), true, marked_stamp()), &view);
-        assert!(r.path_window(NodeId(0), NodeId(3), 0).unwrap() < w0);
-        assert_eq!(r.path_window(NodeId(0), NodeId(3), 1).unwrap(), w1);
-        assert!(r.path_price(NodeId(0), NodeId(3), 0).unwrap() > 0.0);
-        assert_eq!(r.path_price(NodeId(0), NodeId(3), 1).unwrap(), 0.0);
+        assert!(path_window(&r, 0).unwrap() < w0);
+        assert_eq!(path_window(&r, 1).unwrap(), w1);
+        assert!(path_price(&r, 0).unwrap() > 0.0);
+        assert_eq!(path_price(&r, 1).unwrap(), 0.0);
     }
 
     #[test]
@@ -753,8 +733,8 @@ mod tests {
         // Make path 0 (via node 1) expensive and remember its state.
         let p0 = props[0].path;
         r.on_unit_ack(&ack(p0, Amount::ZERO, true, marked_stamp()), &view);
-        let surviving_price = r.path_price(NodeId(0), NodeId(3), 0).unwrap();
-        let surviving_window = r.path_window(NodeId(0), NodeId(3), 0).unwrap();
+        let surviving_price = path_price(&r, 0).unwrap();
+        let surviving_window = path_window(&r, 0).unwrap();
         assert!(surviving_price > 0.0);
         // Close a channel on the *other* candidate (via node 2).
         let closed = t.channel_between(NodeId(0), NodeId(2)).unwrap();
@@ -765,11 +745,8 @@ mod tests {
         r.on_topology_change(&update, &view);
         let paths = held(&r, 0, 3);
         assert_eq!(paths, [p0], "only the surviving route remains");
-        assert_eq!(r.path_price(NodeId(0), NodeId(3), 0), Some(surviving_price));
-        assert_eq!(
-            r.path_window(NodeId(0), NodeId(3), 0),
-            Some(surviving_window)
-        );
+        assert_eq!(path_price(&r, 0), Some(surviving_price));
+        assert_eq!(path_window(&r, 0), Some(surviving_window));
         // Reopen: the pair regains both candidates; the survivor keeps its
         // state, the reborn path starts fresh.
         let update = spider_sim::TopologyUpdate {
@@ -780,12 +757,9 @@ mod tests {
         let paths = held(&r, 0, 3);
         assert_eq!(paths.len(), 2);
         let i0 = paths.iter().position(|&p| p == p0).unwrap();
-        assert_eq!(
-            r.path_price(NodeId(0), NodeId(3), i0),
-            Some(surviving_price)
-        );
+        assert_eq!(path_price(&r, i0), Some(surviving_price));
         let fresh = 1 - i0;
-        assert_eq!(r.path_price(NodeId(0), NodeId(3), fresh), Some(0.0));
+        assert_eq!(path_price(&r, fresh), Some(0.0));
     }
 
     /// The O(1) gauge is a running total; it must equal a recount of every

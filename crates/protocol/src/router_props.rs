@@ -4,8 +4,9 @@
 
 use super::*;
 use proptest::prelude::*;
+use spider_routing::PathCache;
 use spider_sim::{ChannelState, PathTable};
-use spider_types::{ChannelId, MarkStamp, PaymentId, SimDuration, SimTime};
+use spider_types::{ChannelId, DropReason, MarkStamp, PaymentId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// One pair, by the book: three vectors, one entry a candidate.
@@ -360,7 +361,7 @@ proptest! {
             let slots: Vec<u32> = router.pairs.routed_slots().collect();
             for slot in slots {
                 if router.proposes_nothing(slot, &view) {
-                    let (src, dst) = router.cache.pair(slot);
+                    let (src, dst) = router.candidates.cache().pair(slot);
                     let before = snapshot(&router);
                     let proposals = router.route(&request(src, dst, mtu * 50), &view);
                     prop_assert!(proposals.is_empty(), "slot {} proposed {:?}", slot, proposals);

@@ -1,5 +1,6 @@
-//! Sender-side fault backoff: temporary path penalties with exponential
-//! cooldown.
+//! Sender-side feedback: Spider's hosts keep a few candidate paths per
+//! pair and steer by what comes back on them (§5.3.1). [`Candidates`]
+//! holds them with their fault cooldowns for every source-routed scheme.
 //!
 //! When a unit is lost to an injected transport fault (message loss, hop
 //! timeout, node crash — exactly [`DropReason::is_fault`]), the sender
@@ -18,13 +19,16 @@
 //! over the tripped channel while open, and recovers through a
 //! half-open probing window. Like the penalty table it stays empty in a
 //! run that never sheds, so always-on wiring cannot perturb
-//! overload-free outcomes.
+//! overload-free outcomes. Shortest-path and the §5 protocol keep one;
+//! waterfilling and pricing neither feed nor consult breakers.
 //!
 //! Both tables are dense: one slot per `PathId` / `ChannelId` seen so
 //! far, so every routing-time query is one index, however many paths
 //! have faulted.
 
-use spider_types::{ChannelId, DropReason, PathId, SimDuration, SimTime};
+use crate::cache::{PathCache, PathPolicy};
+use spider_sim::{NetworkView, RouteRequest, RouterObs, TopologyUpdate, UnitAck, UnitOutcome};
+use spider_types::{ChannelId, DropReason, NodeId, PathId, SimDuration, SimTime};
 
 /// One `Option<T>` slot per dense id, plus the count of occupied slots
 /// so "no entry at all" — the fault-free fast path every query
@@ -87,15 +91,18 @@ struct Penalty {
     strikes: u32,
 }
 
-/// Per-path strike/cooldown table plus the fault-backoff counters a
-/// router surfaces through `Router::observability`.
-#[derive(Debug, Default)]
-pub struct PathPenalties {
-    /// Only ever holds paths that faulted at least once — empty for the
-    /// whole run unless fault injection is active.
-    entries: IdTable<Penalty>,
-    faults_seen: u64,
-    cooldowns_started: u64,
+/// A source-routed scheme's sender-side state: each pair's candidate
+/// paths and their fault cooldowns, with every feedback rule the schemes
+/// share written once. The scheme keeps only its split (and, where it
+/// has them, its breakers and controllers).
+#[derive(Debug)]
+pub struct Candidates {
+    cache: PathCache,
+    /// Per-path strikes and cooldowns: only ever holds paths that faulted
+    /// at least once — empty for the whole run unless faults fire.
+    penalties: IdTable<Penalty>,
+    /// Faults seen; each starts one cooldown.
+    faults: u64,
     /// Cooling candidates passed over, counted in the route calls made:
     /// a poll the engine skips because the router promised to propose
     /// nothing (`Router::proposes_nothing`) makes no call, so counts no
@@ -103,70 +110,60 @@ pub struct PathPenalties {
     paths_skipped: u64,
 }
 
-impl PathPenalties {
-    /// True when no path ever faulted (the fault-free fast path).
+impl Candidates {
+    /// No pair cached yet, candidates chosen by `policy`.
+    ///
+    /// # Panics
+    /// On `PathPolicy::EdgeDisjoint(0)`: a pair needs at least one path.
+    pub fn new(policy: PathPolicy) -> Self {
+        assert!(policy != PathPolicy::EdgeDisjoint(0), "need a path");
+        Candidates {
+            cache: PathCache::new(policy),
+            penalties: IdTable::default(),
+            faults: 0,
+            paths_skipped: 0,
+        }
+    }
+
+    /// The candidate cache, for lookups that count neither a hit nor a
+    /// miss.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn cache(&self) -> &PathCache {
+        &self.cache
     }
 
-    /// Records a fault on `path`: one more strike, and a fresh cooldown
-    /// of `base · 2^min(strikes, max_exponent)` starting now.
-    pub fn on_fault(&mut self, path: PathId, now: SimTime) {
-        self.faults_seen += 1;
-        let strikes = self
-            .entries
-            .get(path.index())
-            .map_or(0, |pen| pen.strikes + 1);
-        let exp = strikes.min(MAX_EXPONENT);
-        let cooldown = SimDuration::from_micros(BASE_COOLDOWN.micros() << exp);
-        let until = now + cooldown;
-        self.entries
-            .insert(path.index(), Penalty { until, strikes });
-        self.cooldowns_started += 1;
+    /// The slot of `(src, dst)` — a cache hit, or a miss that fills it.
+    #[inline]
+    pub fn get_slot(&mut self, src: NodeId, dst: NodeId, view: &NetworkView<'_>) -> u32 {
+        self.cache.get_slot(view.topo, view.paths, src, dst)
     }
 
-    /// Records a successful delivery on `path`: the path is healthy
-    /// again, so its strikes (and any remaining cooldown) are dropped.
-    pub fn on_delivery(&mut self, path: PathId) {
-        self.entries.remove(path.index());
+    /// Fills the prewarm pairs (`Router::prewarm`).
+    pub fn prewarm(&mut self, pairs: &[(NodeId, NodeId)], view: &NetworkView<'_>) {
+        self.cache.prefill(view.topo, view.paths, pairs);
     }
 
-    /// Digests a queueing-mode ack: fault reasons strike the path,
-    /// deliveries clear it, everything else (congestion drops, expiry)
-    /// is ignored.
-    pub fn on_ack(
+    /// [`PathCache::on_topology_change`]: returns the repaired pairs.
+    pub fn repair(
         &mut self,
-        path: PathId,
-        delivered: bool,
-        drop_reason: Option<DropReason>,
-        now: SimTime,
-    ) {
-        if let Some(r) = drop_reason {
-            if r.is_fault() {
-                self.on_fault(path, now);
-                return;
-            }
-        }
-        if delivered {
-            self.on_delivery(path);
-        }
+        update: &TopologyUpdate,
+        view: &NetworkView<'_>,
+    ) -> Vec<(NodeId, NodeId)> {
+        self.cache.on_topology_change(view.topo, view.paths, update)
     }
 
-    /// True when `path` is inside a fault cooldown window at `now`.
-    #[inline]
-    pub fn is_cooled(&self, path: PathId, now: SimTime) -> bool {
-        self.entries
-            .get(path.index())
-            .is_some_and(|pen| now < pen.until)
+    /// The candidates of the request's pair into `out`, less those
+    /// cooling — unless every one is, when the slate is kept whole (a
+    /// penalized path still beats giving up). Counts each one removed.
+    pub fn usable(&mut self, req: &RouteRequest, view: &NetworkView<'_>, out: &mut Vec<PathId>) {
+        let slot = self.get_slot(req.src, req.dst, view);
+        out.clear();
+        out.extend_from_slice(self.cache.candidates(slot));
+        self.retain_usable(out, view.now);
     }
 
-    /// Removes currently-cooled candidates from `paths` (preserving
-    /// order) — unless *every* candidate is cooled, in which case the
-    /// set is left untouched: a penalized path still beats giving up.
-    /// Counts each skipped path.
-    pub fn retain_usable(&mut self, paths: &mut Vec<PathId>, now: SimTime) {
-        if self.entries.is_empty() || paths.is_empty() {
+    fn retain_usable(&mut self, paths: &mut Vec<PathId>, now: SimTime) {
+        if self.penalties.is_empty() || paths.is_empty() {
             return;
         }
         let cooled = paths.iter().filter(|&&p| self.is_cooled(p, now)).count();
@@ -177,22 +174,15 @@ impl PathPenalties {
         paths.retain(|&p| !self.is_cooled(p, now));
     }
 
-    /// Counts one externally-detected skip (for routers that gate
-    /// cooled candidates inline rather than via
-    /// [`PathPenalties::retain_usable`]).
-    #[inline]
-    pub fn note_skip(&mut self) {
-        self.paths_skipped += 1;
-    }
-
     /// Picks the first non-cooled candidate, falling back to the first
-    /// candidate when all are cooled. `None` only for an empty slate.
-    pub fn choose(&mut self, candidates: &[PathId], now: SimTime) -> Option<PathId> {
-        let first = *candidates.first()?;
-        if self.entries.is_empty() {
+    /// when all are cooled; `None` only for an empty slate. Counts the
+    /// candidates passed over.
+    pub fn choose(&mut self, slate: &[PathId], now: SimTime) -> Option<PathId> {
+        let first = *slate.first()?;
+        if self.penalties.is_empty() {
             return Some(first);
         }
-        for (i, &p) in candidates.iter().enumerate() {
+        for (i, &p) in slate.iter().enumerate() {
             if !self.is_cooled(p, now) {
                 self.paths_skipped += i as u64;
                 return Some(p);
@@ -201,18 +191,89 @@ impl PathPenalties {
         Some(first)
     }
 
-    /// Backoff counters for `Router::observability`, in a fixed order.
-    /// Empty when no fault was ever seen, so fault-free observability
-    /// output is unchanged by the backoff machinery.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-        let quiet = self.faults_seen == 0;
-        [
-            ("backoff_faults_seen", self.faults_seen),
-            ("backoff_cooldowns_started", self.cooldowns_started),
+    /// True when `path` is inside a fault cooldown window at `now`.
+    #[inline]
+    pub fn is_cooled(&self, path: PathId, now: SimTime) -> bool {
+        self.penalties
+            .get(path.index())
+            .is_some_and(|pen| now < pen.until)
+    }
+
+    /// Counts one cooled candidate a scheme passed over inline.
+    #[inline]
+    pub fn note_skip(&mut self) {
+        self.paths_skipped += 1;
+    }
+
+    /// True while some path holds a fault strike (never in a fault-free
+    /// run).
+    #[inline]
+    pub fn struck(&self) -> bool {
+        !self.penalties.is_empty()
+    }
+
+    /// An outcome that carries a fault cools its path; a lock outcome
+    /// changes nothing. True for a fault outcome.
+    #[inline]
+    pub fn on_outcome(&mut self, outcome: &UnitOutcome, now: SimTime) -> bool {
+        debug_assert!(outcome.fault.is_none_or(DropReason::is_fault));
+        self.feedback(outcome.path, outcome.fault, false, now)
+    }
+
+    /// An ack with a fault reason strikes its path and a delivered ack
+    /// clears it; congestion drops and expiry change nothing.
+    #[inline]
+    pub fn on_ack(&mut self, ack: &UnitAck, now: SimTime) {
+        self.feedback(ack.path, ack.drop_reason, ack.delivered, now);
+    }
+
+    /// The rule behind both: a fault reason (`why`) strikes `path`, and a
+    /// delivery (`ok`) clears it. True for a fault.
+    fn feedback(&mut self, path: PathId, why: Option<DropReason>, ok: bool, now: SimTime) -> bool {
+        let fault = why.is_some_and(DropReason::is_fault);
+        if fault {
+            self.on_fault(path, now);
+        } else if ok {
+            self.on_delivery(path);
+        }
+        fault
+    }
+
+    /// One more strike on `path`, and a fresh cooldown of
+    /// `base · 2^min(strikes, max_exponent)` starting now.
+    fn on_fault(&mut self, path: PathId, now: SimTime) {
+        self.faults += 1;
+        let strikes = self
+            .penalties
+            .get(path.index())
+            .map_or(0, |pen| pen.strikes + 1);
+        let exp = strikes.min(MAX_EXPONENT);
+        let cooldown = SimDuration::from_micros(BASE_COOLDOWN.micros() << exp);
+        let until = now + cooldown;
+        self.penalties
+            .insert(path.index(), Penalty { until, strikes });
+    }
+
+    /// A delivery on `path`: its strikes and any cooldown are dropped.
+    fn on_delivery(&mut self, path: PathId) {
+        self.penalties.remove(path.index());
+    }
+
+    /// The counters for `Router::observability`, in a fixed order: the
+    /// cache's, then the backoff table's — absent until a fault, so
+    /// fault-free output is unchanged by the backoff machinery.
+    pub fn observability(&self) -> RouterObs {
+        let backoff = [
+            ("backoff_faults_seen", self.faults),
+            ("backoff_cooldowns_started", self.faults),
             ("backoff_paths_skipped", self.paths_skipped),
-        ]
-        .into_iter()
-        .filter(move |_| !quiet)
+        ];
+        let backoff = backoff.into_iter().filter(|_| self.faults > 0);
+        let counters = self.cache.counters().into_iter().chain(backoff);
+        RouterObs {
+            counters: counters.map(|(k, v)| (k.to_string(), v)).collect(),
+            ..RouterObs::default()
+        }
     }
 }
 
@@ -261,7 +322,7 @@ impl ChannelBreakers {
     /// accumulates toward its threshold, a half-open breaker's failed
     /// probe re-opens it, an open breaker's cooldown is refreshed
     /// (sustained shedding keeps it open).
-    pub fn on_strike(&mut self, channel: ChannelId, now: SimTime) {
+    fn on_strike(&mut self, channel: ChannelId, now: SimTime) {
         self.strikes_seen += 1;
         let open = BreakerState::Open {
             until: now + OPEN_COOLDOWN,
@@ -284,14 +345,14 @@ impl ChannelBreakers {
 
     /// Records a successful delivery over `channel`: the breaker closes
     /// and its strikes are forgotten, whatever state it was in.
-    pub fn on_success(&mut self, channel: ChannelId) {
+    fn on_success(&mut self, channel: ChannelId) {
         self.entries.remove(channel.index());
     }
 
     /// The routing-time gate: may a unit cross `channel` at `now`?
     /// An open breaker whose cooldown elapsed transitions to half-open
     /// here and starts handing out its probe allowance.
-    pub fn allow(&mut self, channel: ChannelId, now: SimTime) -> bool {
+    fn allow(&mut self, channel: ChannelId, now: SimTime) -> bool {
         let Some(state) = self.entries.get_mut(channel.index()) else {
             return true;
         };
@@ -305,6 +366,32 @@ impl ChannelBreakers {
         *state = BreakerState::HalfOpen { left: left - 1 };
         self.probes_allowed += 1;
         true
+    }
+
+    /// The intake: a shed ack strikes the channel that shed it, and a
+    /// delivered ack closes the breaker of every hop of its path.
+    pub fn on_ack(&mut self, ack: &UnitAck, view: &NetworkView<'_>) {
+        if ack.drop_reason == Some(DropReason::Shed) {
+            if let Some(c) = ack.drop_channel {
+                self.on_strike(c, view.now);
+            }
+        } else if ack.delivered && !self.is_empty() {
+            for hop in view.path(ack.path).hops() {
+                self.on_success(hop.channel());
+            }
+        }
+    }
+
+    /// The routing-time gate for a whole path: may a unit cross every hop
+    /// of `path` at `view.now`? (Short-circuits on the empty table.)
+    #[inline]
+    pub fn allow_path(&mut self, path: PathId, view: &NetworkView<'_>) -> bool {
+        self.is_empty()
+            || view
+                .path(path)
+                .hops()
+                .iter()
+                .all(|hop| self.allow(hop.channel(), view.now))
     }
 
     /// Breaker counters for `Router::observability`, in a fixed order.
@@ -334,7 +421,7 @@ mod tests {
 
     #[test]
     fn fault_cools_and_expires() {
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         assert!(!p.is_cooled(PathId(0), T0));
         p.on_fault(PathId(0), T0);
         assert!(p.is_cooled(PathId(0), T0));
@@ -345,7 +432,7 @@ mod tests {
 
     #[test]
     fn strikes_double_the_cooldown_up_to_the_cap() {
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         p.on_fault(PathId(3), T0); // strike 0 → 250 ms
         assert!(!p.is_cooled(PathId(3), at(250)));
         p.on_fault(PathId(3), at(250)); // strike 1 → 500 ms
@@ -366,7 +453,7 @@ mod tests {
 
     #[test]
     fn delivery_clears_the_strikes() {
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         p.on_fault(PathId(7), T0);
         p.on_delivery(PathId(7));
         assert!(!p.is_cooled(PathId(7), T0));
@@ -375,22 +462,22 @@ mod tests {
         assert!(!p.is_cooled(PathId(7), at(1_250)));
     }
 
-    /// `ShortestPath::pins_single_path` reads `is_empty()`: it must turn
+    /// `ShortestPath::pins_single_path` reads `struck()`: it must turn
     /// true again once the last entry clears, and stay false while any
     /// other entry (at a lower or higher id) is live.
     #[test]
     fn tables_read_empty_again_after_the_last_entry_clears() {
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         p.on_fault(PathId(9), T0);
         p.on_fault(PathId(2), T0);
         p.on_fault(PathId(9), T0);
         p.on_delivery(PathId(9));
-        assert!(!p.is_empty(), "path 2 is still penalized");
+        assert!(p.struck(), "path 2 is still penalized");
         p.on_delivery(PathId(9));
         p.on_delivery(PathId(40));
-        assert!(!p.is_empty(), "clearing absent entries changes nothing");
+        assert!(p.struck(), "clearing absent entries changes nothing");
         p.on_delivery(PathId(2));
-        assert!(p.is_empty());
+        assert!(!p.struck());
 
         let mut b = ChannelBreakers::default();
         b.on_strike(ChannelId(5), T0);
@@ -407,19 +494,34 @@ mod tests {
 
     #[test]
     fn ack_reacts_only_to_fault_reasons() {
-        let mut p = PathPenalties::default();
-        p.on_ack(PathId(1), false, Some(DropReason::QueueTimeout), T0);
-        p.on_ack(PathId(1), false, Some(DropReason::Expired), T0);
-        assert!(p.is_empty(), "congestion drops never penalize");
-        p.on_ack(PathId(1), false, Some(DropReason::MessageLost), T0);
-        assert!(p.is_cooled(PathId(1), T0));
-        p.on_ack(PathId(1), true, None, at(10));
-        assert!(!p.is_cooled(PathId(1), at(10)), "delivery heals");
+        let mut c = Candidates::new(PathPolicy::EdgeDisjoint(2));
+        let mut ack = |reason: Option<DropReason>, now: SimTime| {
+            let ack = UnitAck {
+                payment: spider_types::PaymentId(0),
+                path: PathId(1),
+                amount: spider_types::Amount::DROP,
+                delivered: reason.is_none(),
+                stamp: spider_types::MarkStamp::CLEAR,
+                drop_reason: reason,
+                drop_channel: None,
+                rtt: SimDuration::from_millis(1),
+            };
+            c.on_ack(&ack, now);
+            (c.struck(), c.is_cooled(PathId(1), now))
+        };
+        assert_eq!(ack(Some(DropReason::QueueTimeout), T0), (false, false));
+        assert_eq!(
+            ack(Some(DropReason::Expired), T0),
+            (false, false),
+            "congestion drops never penalize"
+        );
+        assert_eq!(ack(Some(DropReason::MessageLost), T0), (true, true));
+        assert_eq!(ack(None, at(10)), (false, false), "delivery heals");
     }
 
     #[test]
     fn retain_keeps_the_slate_when_everything_is_cooled() {
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         p.on_fault(PathId(0), T0);
         p.on_fault(PathId(1), T0);
         let mut both = vec![PathId(0), PathId(1)];
@@ -432,7 +534,7 @@ mod tests {
 
     #[test]
     fn choose_fails_over_then_falls_back() {
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         let slate = [PathId(0), PathId(1)];
         assert_eq!(p.choose(&slate, T0), Some(PathId(0)));
         p.on_fault(PathId(0), T0);
@@ -444,15 +546,16 @@ mod tests {
 
     #[test]
     fn counters_stay_silent_without_faults() {
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         let mut slate = vec![PathId(0)];
         p.retain_usable(&mut slate, T0);
         p.choose(&slate, T0);
-        assert_eq!(p.counters().count(), 0, "fault-free output unchanged");
+        let backoff = |p: &Candidates| p.observability().counters.split_off(4);
+        assert!(backoff(&p).is_empty(), "fault-free output unchanged");
         p.on_fault(PathId(0), T0);
-        let counters: Vec<_> = p.counters().collect();
-        assert_eq!(counters[0], ("backoff_faults_seen", 1));
-        assert_eq!(counters[1], ("backoff_cooldowns_started", 1));
+        let counters = backoff(&p);
+        assert_eq!(counters[0], ("backoff_faults_seen".to_string(), 1));
+        assert_eq!(counters[1], ("backoff_cooldowns_started".to_string(), 1));
     }
 
     /// Regression pin for the cooldown cap: `base · 2^6` with a 250 ms
@@ -463,7 +566,7 @@ mod tests {
     fn default_cooldown_cap_pins_base_times_two_pow_six() {
         assert_eq!(BASE_COOLDOWN, SimDuration::from_millis(250));
         assert_eq!(MAX_EXPONENT, 6);
-        let mut p = PathPenalties::default();
+        let mut p = Candidates::new(PathPolicy::Shortest);
         // Strike far past the cap, each strike after the previous
         // cooldown fully expired.
         for k in 0..20u64 {

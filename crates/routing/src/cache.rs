@@ -326,7 +326,7 @@ impl PathCache {
     /// Empty cache with the given policy that starts from `other`'s
     /// channel-liveness mask — for a cache created mid-run, which would
     /// otherwise only hear about topology changes made after its creation.
-    pub fn with_mask_of(policy: PathPolicy, other: &PathCache) -> Self {
+    pub(crate) fn with_mask_of(policy: PathPolicy, other: &PathCache) -> Self {
         PathCache {
             closed: other.closed.clone(),
             ..PathCache::new(policy)
@@ -349,7 +349,7 @@ impl PathCache {
 
     /// [`Self::get`], answered with the pair's slot: what
     /// [`Self::candidates`] reads its candidates by.
-    pub fn get_slot(
+    pub(crate) fn get_slot(
         &mut self,
         topo: &Topology,
         paths: &PathTable,
@@ -819,7 +819,8 @@ impl PathCache {
     }
 
     /// True when `channel` is currently closed in this cache's mask.
-    pub fn channel_closed(&self, channel: ChannelId) -> bool {
+    #[cfg(test)]
+    fn channel_closed(&self, channel: ChannelId) -> bool {
         self.closed.get(channel.index()).copied().unwrap_or(false)
     }
 

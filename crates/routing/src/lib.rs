@@ -32,7 +32,7 @@ pub mod silentwhispers;
 pub mod speedymurmurs;
 pub mod waterfilling;
 
-pub use backoff::{ChannelBreakers, PathPenalties};
+pub use backoff::{Candidates, ChannelBreakers};
 pub use cache::{PathCache, PathPolicy};
 pub use lp_router::SpiderLp;
 pub use maxflow_router::MaxFlow;

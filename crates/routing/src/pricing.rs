@@ -20,10 +20,10 @@
 //! imbalanced channel — the paper's "imbalance-aware routing" in its most
 //! direct online form.
 
-use crate::backoff::PathPenalties;
-use crate::cache::{PathCache, PathPolicy};
+use crate::backoff::Candidates;
+use crate::cache::PathPolicy;
 use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router};
-use spider_types::{Amount, ChannelId, Direction, IdHashMap};
+use spider_types::{Amount, ChannelId, Direction, IdHashMap, NodeId};
 
 /// Weight of the imbalance term of a hop's price (µ analogue).
 const IMBALANCE_WEIGHT: f64 = 1.0;
@@ -50,18 +50,14 @@ fn hop_price(capacity: Amount, avail_dir: Amount, avail_rev: Amount) -> f64 {
 /// Online price-based imbalance-aware routing (non-atomic).
 #[derive(Debug)]
 pub struct SpiderPricing {
-    cache: PathCache,
-    /// Fault cooldowns (empty for the whole run unless faults fire).
-    penalties: PathPenalties,
+    candidates: Candidates,
 }
 
 impl SpiderPricing {
     /// Creates the router with `k` edge-disjoint candidate paths.
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "need at least one path");
         SpiderPricing {
-            cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
-            penalties: PathPenalties::default(),
+            candidates: Candidates::new(PathPolicy::EdgeDisjoint(k)),
         }
     }
 }
@@ -75,54 +71,34 @@ impl Router for SpiderPricing {
         true
     }
 
-    fn prewarm(
-        &mut self,
-        pairs: &[(spider_types::NodeId, spider_types::NodeId)],
-        view: &NetworkView<'_>,
-    ) {
-        self.cache.prefill(view.topo, view.paths, pairs);
+    fn prewarm(&mut self, pairs: &[(NodeId, NodeId)], view: &NetworkView<'_>) {
+        self.candidates.prewarm(pairs, view);
     }
 
     fn on_topology_change(&mut self, update: &spider_sim::TopologyUpdate, view: &NetworkView<'_>) {
-        self.cache.on_topology_change(view.topo, view.paths, update);
+        self.candidates.repair(update, view);
     }
 
-    /// Only fault outcomes act: ordinary lock outcomes leave the path
-    /// penalties as they are.
     fn on_unit_outcome(&mut self, outcome: &spider_sim::UnitOutcome, view: &NetworkView<'_>) {
-        if outcome.fault.is_some() {
-            self.penalties.on_fault(outcome.path, view.now);
-        }
+        self.candidates.on_outcome(outcome, view.now);
     }
 
     fn on_unit_ack(&mut self, ack: &spider_sim::UnitAck, view: &NetworkView<'_>) {
-        self.penalties
-            .on_ack(ack.path, ack.delivered, ack.drop_reason, view.now);
+        self.candidates.on_ack(ack, view.now);
     }
 
     fn observability(&self) -> spider_sim::RouterObs {
-        let mut obs = spider_sim::RouterObs::default();
-        obs.counters
-            .extend(self.cache.counters().map(|(k, v)| (k.to_string(), v)));
-        obs.counters
-            .extend(self.penalties.counters().map(|(k, v)| (k.to_string(), v)));
-        obs
+        self.candidates.observability()
     }
 
     fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
-        // Copy the (small) candidate id set so the cache borrow ends
-        // before pricing, which borrows `self` immutably.
-        let mut paths: Vec<spider_types::PathId> = self
-            .cache
-            .get(view.topo, view.paths, req.src, req.dst)
-            .to_vec();
+        // Candidates inside a fault cooldown sit this round out (no-op in
+        // fault-free runs; an all-cooled slate is kept whole).
+        let mut paths = Vec::new();
+        self.candidates.usable(req, view, &mut paths);
         if paths.is_empty() {
             return Vec::new();
         }
-        // Candidates inside a fault cooldown sit this round out (no-op in
-        // fault-free runs; an all-cooled slate is kept whole).
-        self.penalties.retain_usable(&mut paths, view.now);
-        let paths = paths;
         // Virtual balances: shared across paths so channel overlap is
         // priced consistently within this request.
         fn avail(

@@ -9,17 +9,16 @@
 //! (the topology is static, so BFS per request was pure waste) and handed
 //! to the engine as an interned [`PathId`].
 
-use crate::backoff::{ChannelBreakers, PathPenalties};
+use crate::backoff::{Candidates, ChannelBreakers};
 use crate::cache::{PathCache, PathPolicy};
 use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate};
-use spider_types::{DropReason, PathId};
+use spider_types::{NodeId, PathId};
 
 /// Non-atomic single-shortest-path routing.
 #[derive(Debug)]
 pub struct ShortestPath {
-    cache: PathCache,
-    /// Fault cooldowns (empty for the whole run unless faults fire).
-    penalties: PathPenalties,
+    /// The one shortest path per pair and its fault cooldowns.
+    candidates: Candidates,
     /// Per-channel shed breakers (empty for the whole run unless
     /// overload shedding fires).
     breakers: ChannelBreakers,
@@ -40,8 +39,7 @@ impl ShortestPath {
     /// Creates the baseline router.
     pub fn new() -> Self {
         ShortestPath {
-            cache: PathCache::new(PathPolicy::Shortest),
-            penalties: PathPenalties::default(),
+            candidates: Candidates::new(PathPolicy::Shortest),
             breakers: ChannelBreakers::default(),
             alt: None,
         }
@@ -49,24 +47,11 @@ impl ShortestPath {
 
     /// The pair's edge-disjoint failover candidates.
     fn alternates(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<PathId> {
-        let primary = &self.cache;
+        let primary = self.candidates.cache();
         self.alt
             .get_or_insert_with(|| PathCache::with_mask_of(PathPolicy::EdgeDisjoint(2), primary))
             .get(view.topo, view.paths, req.src, req.dst)
             .to_vec()
-    }
-
-    /// True when every hop of `path` may be crossed at `view.now`
-    /// (short-circuits on the empty breaker table).
-    fn breakers_allow(
-        breakers: &mut ChannelBreakers,
-        path: PathId,
-        view: &NetworkView<'_>,
-    ) -> bool {
-        view.path(path)
-            .hops()
-            .iter()
-            .all(|hop| breakers.allow(hop.channel(), view.now))
     }
 }
 
@@ -79,7 +64,7 @@ impl Router for ShortestPath {
     /// and leaves a table non-empty, after which failover may pick a
     /// different path from poll to poll: no promise from then on.
     fn pins_single_path(&self) -> bool {
-        self.penalties.is_empty() && self.breakers.is_empty()
+        !self.candidates.struck() && self.breakers.is_empty()
     }
 
     fn name(&self) -> &'static str {
@@ -90,47 +75,40 @@ impl Router for ShortestPath {
         true
     }
 
-    fn prewarm(
-        &mut self,
-        pairs: &[(spider_types::NodeId, spider_types::NodeId)],
-        view: &NetworkView<'_>,
-    ) {
-        self.cache.prefill(view.topo, view.paths, pairs);
+    fn prewarm(&mut self, pairs: &[(NodeId, NodeId)], view: &NetworkView<'_>) {
+        self.candidates.prewarm(pairs, view);
     }
 
     fn on_topology_change(&mut self, update: &TopologyUpdate, view: &NetworkView<'_>) {
-        self.cache.on_topology_change(view.topo, view.paths, update);
+        self.candidates.repair(update, view);
         if let Some(alt) = self.alt.as_mut() {
             alt.on_topology_change(view.topo, view.paths, update);
         }
     }
 
     fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
-        let Some(&primary) = self
-            .cache
-            .get(view.topo, view.paths, req.src, req.dst)
-            .first()
-        else {
+        let slot = self.candidates.get_slot(req.src, req.dst, view);
+        let Some(&primary) = self.candidates.cache().candidates(slot).first() else {
             return Vec::new();
         };
         let mut path = primary;
-        if self.penalties.is_cooled(primary, view.now) {
+        if self.candidates.is_cooled(primary, view.now) {
             // Fail over to an edge-disjoint alternate while the shortest
             // path cools down; all-cooled falls back to the primary.
-            let candidates = self.alternates(req, view);
+            let alternates = self.alternates(req, view);
             path = self
-                .penalties
-                .choose(&candidates, view.now)
+                .candidates
+                .choose(&alternates, view.now)
                 .unwrap_or(primary);
         }
-        if !self.breakers.is_empty() && !Self::breakers_allow(&mut self.breakers, path, view) {
+        if !self.breakers.allow_path(path, view) {
             // The chosen path crosses a tripped channel: fail over to an
             // edge-disjoint alternate whose breakers all allow traffic.
-            let candidates = self.alternates(req, view);
-            match candidates
+            let alternates = self.alternates(req, view);
+            match alternates
                 .into_iter()
                 .filter(|&p| p != path)
-                .find(|&p| Self::breakers_allow(&mut self.breakers, p, view))
+                .find(|&p| self.breakers.allow_path(p, view))
             {
                 Some(p) => path = p,
                 // Every candidate is blocked: fail fast and let the next
@@ -144,42 +122,24 @@ impl Router for ShortestPath {
         }]
     }
 
-    /// Only fault outcomes act: ordinary lock outcomes leave the path
-    /// penalties as they are.
     fn on_unit_outcome(&mut self, outcome: &spider_sim::UnitOutcome, view: &NetworkView<'_>) {
-        if let Some(reason) = outcome.fault {
-            debug_assert!(reason.is_fault());
-            self.penalties.on_fault(outcome.path, view.now);
-        }
+        self.candidates.on_outcome(outcome, view.now);
     }
 
     fn on_unit_ack(&mut self, ack: &spider_sim::UnitAck, view: &NetworkView<'_>) {
-        self.penalties
-            .on_ack(ack.path, ack.delivered, ack.drop_reason, view.now);
-        if ack.drop_reason == Some(DropReason::Shed) {
-            if let Some(c) = ack.drop_channel {
-                self.breakers.on_strike(c, view.now);
-            }
-        } else if ack.delivered && !self.breakers.is_empty() {
-            for c in view.path(ack.path).hops().iter().map(|hop| hop.channel()) {
-                self.breakers.on_success(c);
-            }
-        }
+        self.candidates.on_ack(ack, view.now);
+        self.breakers.on_ack(ack, view);
     }
 
     fn observability(&self) -> spider_sim::RouterObs {
-        let mut obs = spider_sim::RouterObs::default();
+        let mut obs = self.candidates.observability();
         // One set of cache counters: the failover cache's work is added
-        // to the primary's.
-        let mut cache = self.cache.counters();
+        // to the primary's (the cache's counters come first).
         if let Some(alt) = &self.alt {
-            for (total, (_, n)) in cache.iter_mut().zip(alt.counters()) {
+            for (total, (_, n)) in obs.counters.iter_mut().zip(alt.counters()) {
                 total.1 += n;
             }
         }
-        obs.counters.extend(cache.map(|(k, v)| (k.to_string(), v)));
-        obs.counters
-            .extend(self.penalties.counters().map(|(k, v)| (k.to_string(), v)));
         obs.counters
             .extend(self.breakers.counters().map(|(k, v)| (k.to_string(), v)));
         obs
@@ -301,7 +261,15 @@ mod tests {
         let primary = r.route(&req, &view)[0].path;
         r.on_topology_change(&update, &view);
         assert_eq!(r.route(&req, &view)[0].path, primary, "primary untouched");
-        r.penalties.on_fault(primary, view.now);
+        let fault = spider_sim::UnitOutcome {
+            payment: PaymentId(0),
+            path: primary,
+            amount: Amount::from_xrp(1),
+            units: 1,
+            locked: true,
+            fault: Some(spider_types::DropReason::MessageLost),
+        };
+        r.on_unit_outcome(&fault, &view);
         let failover = r.route(&req, &view)[0].path;
         assert_ne!(failover, primary, "cooled primary must fail over");
         let alternates = r.alternates(&req, &view);

@@ -14,10 +14,10 @@
 //! the identical allocation in closed form by binary-searching the water
 //! level over the k residual progressions — O(k log max-residual).
 
-use crate::backoff::PathPenalties;
-use crate::cache::{PathCache, PathPolicy};
+use crate::backoff::Candidates;
+use crate::cache::PathPolicy;
 use spider_sim::{NetworkView, RouteProposal, RouteRequest, Router, TopologyUpdate};
-use spider_types::Amount;
+use spider_types::{Amount, NodeId};
 
 /// The exact fixed point of the discrete waterfilling loop.
 ///
@@ -171,9 +171,7 @@ pub fn waterfill_into(
 /// Spider's waterfilling router (non-atomic).
 #[derive(Debug)]
 pub struct SpiderWaterfilling {
-    cache: PathCache,
-    /// Fault cooldowns (empty for the whole run unless faults fire).
-    penalties: PathPenalties,
+    candidates: Candidates,
     /// Recycled per-call buffers (candidate ids, residuals, allocation,
     /// reference-loop scratch) — the route hot path allocates only its
     /// returned proposals.
@@ -187,10 +185,8 @@ impl SpiderWaterfilling {
     /// Creates the router with `k` edge-disjoint candidate paths per pair
     /// (the paper uses 4).
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "need at least one path");
         SpiderWaterfilling {
-            cache: PathCache::new(PathPolicy::EdgeDisjoint(k)),
-            penalties: PathPenalties::default(),
+            candidates: Candidates::new(PathPolicy::EdgeDisjoint(k)),
             path_ids: Vec::new(),
             residuals: Vec::new(),
             alloc: Vec::new(),
@@ -208,58 +204,40 @@ impl Router for SpiderWaterfilling {
         true
     }
 
-    fn prewarm(
-        &mut self,
-        pairs: &[(spider_types::NodeId, spider_types::NodeId)],
-        view: &NetworkView<'_>,
-    ) {
-        self.cache.prefill(view.topo, view.paths, pairs);
+    fn prewarm(&mut self, pairs: &[(NodeId, NodeId)], view: &NetworkView<'_>) {
+        self.candidates.prewarm(pairs, view);
     }
 
     fn on_topology_change(&mut self, update: &TopologyUpdate, view: &NetworkView<'_>) {
-        self.cache.on_topology_change(view.topo, view.paths, update);
+        self.candidates.repair(update, view);
     }
 
-    /// Only fault outcomes act: ordinary lock outcomes leave the path
-    /// penalties as they are.
     fn on_unit_outcome(&mut self, outcome: &spider_sim::UnitOutcome, view: &NetworkView<'_>) {
-        if outcome.fault.is_some() {
-            self.penalties.on_fault(outcome.path, view.now);
-        }
+        self.candidates.on_outcome(outcome, view.now);
     }
 
     fn on_unit_ack(&mut self, ack: &spider_sim::UnitAck, view: &NetworkView<'_>) {
-        self.penalties
-            .on_ack(ack.path, ack.delivered, ack.drop_reason, view.now);
+        self.candidates.on_ack(ack, view.now);
     }
 
     fn observability(&self) -> spider_sim::RouterObs {
-        let mut obs = spider_sim::RouterObs::default();
-        obs.counters
-            .extend(self.cache.counters().map(|(k, v)| (k.to_string(), v)));
-        obs.counters
-            .extend(self.penalties.counters().map(|(k, v)| (k.to_string(), v)));
-        obs
+        self.candidates.observability()
     }
 
     fn route(&mut self, req: &RouteRequest, view: &NetworkView<'_>) -> Vec<RouteProposal> {
         let SpiderWaterfilling {
-            cache,
-            penalties,
+            candidates,
             path_ids,
             residuals,
             alloc,
             scratch,
         } = self;
-        let paths = cache.get(view.topo, view.paths, req.src, req.dst);
-        if paths.is_empty() {
-            return Vec::new();
-        }
-        path_ids.clear();
-        path_ids.extend_from_slice(paths);
         // Candidates inside a fault cooldown sit this round out (no-op in
         // fault-free runs; an all-cooled slate is kept whole).
-        penalties.retain_usable(path_ids, view.now);
+        candidates.usable(req, view, path_ids);
+        if path_ids.is_empty() {
+            return Vec::new();
+        }
         // Current bottleneck per candidate path, over pre-resolved hops.
         residuals.clear();
         residuals.extend(path_ids.iter().map(|&id| view.bottleneck(id)));

@@ -184,6 +184,12 @@ pub struct ObsConfig {
     pub invariants_every: u64,
 }
 
+/// The most MTU units one payment may need, ⌈size / MTU⌉: the engine's
+/// handlers walk a payment unit by unit, so this bounds the work of one.
+/// [`Simulation::new`](crate::Simulation::new) refuses a source whose
+/// largest payment needs more.
+pub const MAX_UNITS_PER_PAYMENT: u64 = 1_000_000;
+
 /// Engine parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {

@@ -113,7 +113,7 @@ pub use self::perturb::Perturbation;
 use self::perturb::{AdmissionState, Faults, Overload};
 use self::queueing::Queueing;
 use crate::channel::ChannelState;
-use crate::config::{QueueingMode, SimConfig};
+use crate::config::{QueueingMode, SimConfig, MAX_UNITS_PER_PAYMENT};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::paths::{PathEntry, PathTable};
 use crate::router::{Router, TopologyUpdate};
@@ -399,7 +399,14 @@ impl Simulation {
         config: SimConfig,
     ) -> spider_types::Result<Self> {
         config.validate()?;
-        let arrivals = ArrivalCursor::new(workload.into());
+        let source = workload.into();
+        let units = source.largest().drops().div_ceil(config.mtu.drops());
+        if units > MAX_UNITS_PER_PAYMENT {
+            return Err(spider_types::SpiderError::InvalidConfig(format!(
+                "a payment of {units} MTU units exceeds {MAX_UNITS_PER_PAYMENT}"
+            )));
+        }
+        let arrivals = ArrivalCursor::new(source);
         let channels: Vec<ChannelState> = topo
             .channels()
             .map(|(_, c)| ChannelState::split_equally(c.capacity))

@@ -38,6 +38,7 @@ pub use calendar::CalendarQueue;
 pub use channel::ChannelState;
 pub use config::{
     AdmissionConfig, ObsConfig, QueueConfig, QueueingMode, SchedulingPolicy, SimConfig,
+    MAX_UNITS_PER_PAYMENT,
 };
 pub use engine::{Perturbation, Simulation, SlabStats};
 pub use metrics::{DropBreakdown, SimReport};

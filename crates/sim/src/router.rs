@@ -133,7 +133,7 @@ pub struct UnitOutcome {
     /// Set when the unit was lost to an injected transport fault *after*
     /// locking (message loss, hop timeout, node crash): `locked` reports
     /// the lock result, `fault` reports the post-lock fate. Routers use
-    /// this to cool down the failed path (`spider_routing::PathPenalties`)
+    /// this to cool down the failed path (`spider_routing::Candidates`)
     /// without reacting to ordinary lock contention. Always `None` in
     /// fault-free runs.
     pub fault: Option<DropReason>,

@@ -317,6 +317,14 @@ impl ArrivalSource {
         }
     }
 
+    /// The largest payment the source yields, or for a stream can draw.
+    pub(crate) fn largest(&self) -> Amount {
+        match self {
+            ArrivalSource::Fixed(w) => w.txns.iter().map(|t| t.amount).max().unwrap_or_default(),
+            ArrivalSource::Streaming(s) => s.cfg.size.largest(),
+        }
+    }
+
     /// Total transactions the source will yield (payment-slab pre-sizing).
     pub fn count(&self) -> usize {
         match self {

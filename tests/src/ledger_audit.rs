@@ -18,7 +18,8 @@
 //! checks held and that every [`SimReport`] field in [`WITNESSED`] is
 //! what the trace re-derives, floats bit for bit; [`audited_run`] adds
 //! the engine's final funds and what its forensics and attribution
-//! recorded. Every other field is in [`NOT_DERIVED`], with the reason the
+//! recorded, the attribution's integrals within the bounds the
+//! [`crate::timeline`] of the replay gives. Every other field is in [`NOT_DERIVED`], with the reason the
 //! ledger does not give it: the list is closed, and a new report field
 //! must join one side (`tests/tests/ledger_audit.rs` fails on a field in
 //! neither).
@@ -65,9 +66,10 @@
 //! `0`, is made on arrival), so `retries` is at least the sum over
 //! payments of the highest ordinal routed.
 
+use crate::timeline::{self, Timeline};
 use spider_core::{ExperimentConfig, RunOutput};
 use spider_obs::trace::{reason_str, TraceEventKind};
-use spider_obs::{DropRecord, Fact, FlightRecorder, LedgerReplay};
+use spider_obs::{DropRecord, Fact, FlightRecorder, LedgerReplay, HOTSPOT_K};
 use spider_sim::{ChannelState, DropBreakdown, Histogram, QueueingMode, SimReport, Simulation};
 use spider_topology::Topology;
 use spider_types::{
@@ -168,9 +170,14 @@ pub const NOT_DERIVED: &[(&str, &str)] = &[
     (
         "hotspots",
         "`audited_run` witnesses each row's drops, bottlenecks and queue \
-         residency, but the utilization, zero-liquidity and imbalance \
-         integrals and the score that ranks the rows are not re-derived: \
-         the replay does not integrate channel state over time",
+         residency bit for bit, but not where the sampler's read falls \
+         among the records stamped with its instant: that is the calendar's \
+         order of same-instant events, and only the poll's own retries show \
+         it had read. So the utilization, zero-liquidity and imbalance \
+         integrals and the score are asserted within the bounds every such \
+         place gives (`timeline::Timeline::hotspot_bounds`), which meet \
+         wherever no record shares a sampler instant, and no channel left \
+         out may outscore the rows",
     ),
 ];
 
@@ -478,6 +485,8 @@ pub struct LedgerAudit {
     pub per_channel: Vec<(u64, u64, f64)>,
     /// Ledger checks that failed, in record order.
     pub violations: Vec<String>,
+    /// Every channel's funds at the sampler's instants.
+    pub timeline: Timeline,
     /// Every path's hops, by id.
     hops: Vec<Vec<Hop>>,
     /// Units that locked their whole path, per hop count of that path.
@@ -531,6 +540,7 @@ impl LedgerAudit {
             drop_records: Vec::new(),
             per_channel: vec![(0, 0, 0.0); topo.channel_count()],
             violations: Vec::new(),
+            timeline: Timeline::new(topo.channel_count()),
             hops,
             locked_by_hops: Vec::new(),
             units: BTreeMap::new(),
@@ -613,7 +623,15 @@ impl LedgerAudit {
                 _ => {}
             }
             let touched = audit.touched(kind);
+            let settled = match *kind {
+                TraceEventKind::UnitSettled { path, .. } => Some(path),
+                TraceEventKind::UnitDelivered { unit } => audit.units.get(&unit).map(|u| u.0),
+                _ => None,
+            };
             audit.check_record(t_us, kind);
+            let retry =
+                matches!(*kind, TraceEventKind::RouteProposal { attempt, .. } if attempt > 0);
+            audit.timeline.before(t_us, audit.replay.channels(), retry);
             let hops = &audit.hops;
             let fact = audit
                 .replay
@@ -647,6 +665,8 @@ impl LedgerAudit {
                         TraceEventKind::UnitDelivered { unit } => units[unit as usize],
                         _ => unreachable!("only settles and deliveries deliver"),
                     };
+                    let path = settled.expect("a delivery names its path");
+                    audit.timeline.settle(&audit.hops[path.index()], amount);
                     audit.delivered += amount;
                     let bucket = SimTime::from_micros(t_us).as_secs_f64() as usize;
                     if audit.throughput.len() <= bucket {
@@ -668,7 +688,9 @@ impl LedgerAudit {
                 (_, TraceEventKind::TopologyChanged { .. }) => audit.check_failbacks(t_us),
                 _ => {}
             }
+            audit.timeline.after(t_us, audit.replay.channels());
         }
+        audit.timeline.finish(audit.replay.channels());
         audit.retries_seen = attempts.iter().map(|&a| u64::from(a)).sum();
         let failed = churn_hit.iter().filter(|&&p| !done[p as usize]);
         audit.payments_failed_churn = failed.count() as u64;
@@ -1038,10 +1060,68 @@ impl LedgerAudit {
                 h.channel
             );
         }
+        if !report.hotspots.is_empty() {
+            self.check_hotspot_integrals(name, report);
+        }
     }
 
-    /// Asserts the replay ends holding exactly the engine's funds.
+    /// Asserts that each hotspot row's integrals and score lie within the
+    /// bounds the timeline gives (see [`crate::timeline`]), and that no
+    /// channel left out of the table has a score its rows' bounds exclude.
+    fn check_hotspot_integrals(&self, name: &str, report: &SimReport) {
+        let (elapsed, bounds) = self.timeline.hotspot_bounds(report.horizon);
+        let totals = (
+            self.per_channel.iter().map(|c| c.0).sum::<u64>(),
+            self.per_channel.iter().map(|c| c.1).sum::<u64>(),
+            self.per_channel.iter().map(|c| c.2).sum::<f64>(),
+        );
+        let score = |c: usize, i| timeline::score(self.per_channel[c], totals, i, elapsed);
+        let within = |v: f64, lo: f64, hi: f64| lo <= v && v <= hi;
+        for h in &report.hotspots {
+            let c = h.channel as usize;
+            let (lo, hi) = (&bounds[c].lo, &bounds[c].hi);
+            assert!(
+                within(h.util_frac, lo.util_frac, hi.util_frac)
+                    && within(h.zero_liquidity_s, lo.zero_liquidity_s, hi.zero_liquidity_s)
+                    && within(h.imbalance_frac, lo.imbalance_frac, hi.imbalance_frac)
+                    && within(h.score, score(c, lo), score(c, hi)),
+                "{name}: hotspot {h:?} is outside the timeline's {:?}",
+                bounds[c]
+            );
+        }
+        let full = report.hotspots.len() == HOTSPOT_K;
+        let floor = report
+            .hotspots
+            .iter()
+            .map(|h| score(h.channel as usize, &bounds[h.channel as usize].hi));
+        let floor = if full {
+            floor.fold(f64::INFINITY, f64::min)
+        } else {
+            0.0
+        };
+        for (c, span) in bounds.iter().enumerate() {
+            let listed = report.hotspots.iter().any(|h| h.channel as usize == c);
+            assert!(
+                listed || score(c, &span.lo) <= floor,
+                "{name}: channel {c} scores at least {} but is not a hotspot",
+                score(c, &span.lo)
+            );
+        }
+    }
+
+    /// Asserts the replay ends holding exactly the engine's funds, and,
+    /// where no deposit or resize moved a channel's escrow, that the
+    /// timeline's drift is what its funds moved: the backward side's
+    /// balance and outgoing locks less its opening half.
     pub fn check_funds(&self, name: &str, engine: &[ChannelState]) {
+        if self.deposits.0 == 0 && self.churn_channels[2] == 0 {
+            let funds = self.replay.channels().iter().zip(&self.timeline.end);
+            for (c, (f, end)) in funds.enumerate() {
+                let owned = (f.balance[1] + f.locked[1]).drops() as i64;
+                let opening = (f.capacity / 2).drops() as i64;
+                assert_eq!(end.drift.lo, owned - opening, "{name}: channel {c}'s drift");
+            }
+        }
         for (i, (ch, funds)) in engine.iter().zip(self.replay.channels()).enumerate() {
             let dirs = [Direction::Forward, Direction::Backward];
             let engine_side = (

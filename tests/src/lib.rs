@@ -10,6 +10,7 @@ pub mod ledger_audit;
 pub mod perturbation;
 pub mod reference;
 pub mod stationary;
+pub mod timeline;
 
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_paygraph::{decompose::decompose, PaymentGraph};
