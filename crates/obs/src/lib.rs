@@ -7,8 +7,11 @@
 //!   [`TraceSink`] records a structured event for every payment
 //!   transition (arrival → route decision → per-hop lock/queue/forward →
 //!   settle/fail) and every change to a channel's funds, ordered by a
-//!   deterministic event sequence number so traces are golden-testable,
-//!   and emitted as JSONL.
+//!   deterministic event sequence number so traces are golden-testable.
+//!   A render worker thread writes the JSONL while the run records, so a
+//!   sealed [`Trace`] is that text; [`trace::parse_line`] reads it back.
+//!   The worker is the crate's one thread, and it never outlives its
+//!   sink.
 //! * [`ledger`] — the balance replay: [`LedgerReplay`] rebuilds every
 //!   channel's balances and locks from the event stream alone and turns
 //!   each record into a [`Fact`] — a drop with its balances, a delivery

@@ -13,28 +13,52 @@
 //! Emission format: **JSONL** ([`Trace::to_jsonl`]) — one event per
 //! line, hand-written with a fixed field order (stable across serde-shim
 //! changes), plus trailing `"ev":"path"` lines resolving every referenced
-//! [`PathId`] to its node list. It consumes the trace: a trace grows with
-//! unit-hops and its text runs to nearly twice its events, so each
-//! storage chunk is freed as soon as it is written and the two are never
-//! both held in full. It is written byte by byte — fixed fragments
-//! copied in, integers through a two-digit table — never through
-//! `core::fmt`.
+//! [`PathId`] to its node list. It is written from ASCII fragments —
+//! fixed text copied in, integers through a two-digit table — never
+//! through `core::fmt`. [`parse_line`] reads any line back, so the wire
+//! format has its writer and its reader here, side by side.
 //!
-//! Storage is chunked (4096 events per slab) so long traces never
-//! reallocate-and-copy the whole buffer.
+//! The sink is a pipeline. A trace grows with unit-hops, so the engine
+//! records into a chunk of 4096 events; a full chunk goes to a render
+//! worker thread, which writes its lines into the growing text, notes
+//! every path the events name, and hands the emptied chunk back for
+//! reuse. The engine's per-record cost is a push, and the rendering runs
+//! beside the run rather than after it. Sealing ([`TraceSink::finish`],
+//! [`TraceSink::finish_named`]) joins the worker and renders the last,
+//! partly filled chunk; a worker panic surfaces there. A sink dropped
+//! unsealed closes the hand-off and joins the worker too, so no thread
+//! outlives its sink. A [`Trace`] is that text, its event count and its
+//! path table: what it holds is the text plus the few chunks in flight,
+//! never every event at once.
 
 use spider_types::{Amount, ChannelId, Direction, DropReason, NodeId, PathId, PaymentId};
+use std::collections::BTreeSet;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
-/// Events per storage chunk.
+/// Events per hand-off chunk.
 const CHUNK: usize = 4096;
+
+/// Full chunks the hand-off queues before [`TraceSink::record`] waits for
+/// the worker. A worker that falls behind holds the trace's events to at
+/// most `IN_FLIGHT + 3` chunks (the queue, the one it renders, the one
+/// being filled and the one about to be), instead of every event at once.
+/// The worker renders faster than an engine records, so the queue fills
+/// only in a burst of records; each chunk it may hold is 192 KiB of peak
+/// heap, and 4 queued made the engine wait far more often than 8.
+const IN_FLIGHT: usize = 8;
 
 /// Upper bound on one event's JSONL line: the longest record (`channel`)
 /// with every integer at its type's maximum is 212 bytes.
 const MAX_LINE: usize = 216;
 
-/// The smallest step [`Trace::to_jsonl`] grows its output by while more
-/// than that is left to write.
+/// The smallest step the rendered text grows by.
 const MIN_GROWTH: usize = 64 << 10;
+
+/// The text grows by this fraction of itself (at least [`MIN_GROWTH`]):
+/// small enough that the slack left at the end stays within about 1.6 %
+/// of the text, large enough that the worker reallocates it rarely.
+const GROWTH_DIVISOR: usize = 64;
 
 /// What happened, with the identities involved.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,31 +253,59 @@ pub struct TraceEvent {
 // variant's, not widen the event.
 const _: () = assert!(std::mem::size_of::<TraceEvent>() == 48);
 
-/// Chunked buffer the engine records into.
-#[derive(Debug, Clone, Default)]
+/// The buffer the engine records into: the chunk being filled, with the
+/// full ones handed to a render worker.
+#[derive(Debug)]
 pub struct TraceSink {
-    chunks: Vec<Vec<TraceEvent>>,
+    /// The chunk being filled; it holds at most [`CHUNK`] events.
+    open: Vec<TraceEvent>,
     len: u64,
+    /// Started by the first full chunk, so a short trace starts none.
+    worker: Option<Worker>,
+}
+
+impl Default for TraceSink {
+    fn default() -> Self {
+        TraceSink::new()
+    }
 }
 
 impl TraceSink {
     /// An empty sink.
     pub fn new() -> Self {
-        TraceSink::default()
+        TraceSink {
+            open: Vec::with_capacity(CHUNK),
+            len: 0,
+            worker: None,
+        }
     }
 
     /// Appends one event, assigning it the next sequence number.
     #[inline]
     pub fn record(&mut self, t_us: u64, kind: TraceEventKind) {
-        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
-            self.chunks.push(Vec::with_capacity(CHUNK));
-        }
         let seq = self.len;
         self.len += 1;
-        self.chunks
-            .last_mut()
-            .expect("chunk")
-            .push(TraceEvent { seq, t_us, kind });
+        self.open.push(TraceEvent { seq, t_us, kind });
+        if self.open.len() == CHUNK {
+            self.hand_off();
+        }
+    }
+
+    /// Sends the full chunk to the worker and carries on in one it has
+    /// emptied, or in a new one while it has none to give back. The
+    /// engine waits only when [`IN_FLIGHT`] chunks are already queued.
+    #[cold]
+    fn hand_off(&mut self) {
+        let worker = self
+            .worker
+            .get_or_insert_with(|| Worker::spawn(Rendered::take));
+        let spare = worker
+            .emptied
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(CHUNK));
+        let full = std::mem::replace(&mut self.open, spare);
+        // A worker that stopped taking chunks panicked; sealing says so.
+        let _ = worker.full.send(full);
     }
 
     /// Events recorded so far.
@@ -266,26 +318,161 @@ impl TraceSink {
         self.len == 0
     }
 
-    /// Iterates events in sequence order.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.chunks.iter().flatten()
+    /// Seals the sink into a [`Trace`] whose path lines are `paths`:
+    /// `(path_id, node_ids)`, sorted by id.
+    pub fn finish(self, paths: Vec<(u64, Vec<u32>)>) -> Trace {
+        let len = self.len as usize;
+        Trace {
+            text: self.seal().text.0,
+            len,
+            paths,
+        }
     }
 
-    /// Seals the sink into a [`Trace`]; `paths` resolves every
-    /// [`PathId`] referenced by the events to its node list (the engine
-    /// supplies this from its path interner).
-    pub fn finish(self, paths: Vec<(u64, Vec<u32>)>) -> Trace {
+    /// Seals the sink into a [`Trace`] that resolves every [`PathId`] its
+    /// events name, in id order, to the node list `nodes` gives (the
+    /// engine supplies it from its path interner).
+    pub fn finish_named(self, mut nodes: impl FnMut(PathId) -> Vec<u32>) -> Trace {
+        let len = self.len as usize;
+        let out = self.seal();
+        let mut paths = Vec::new();
+        for (word, &bits) in out.named.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let id = PathId::from_index(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                paths.push((u64::from(id.0), nodes(id)));
+            }
+        }
+        paths.extend(out.far.iter().map(|&id| (u64::from(id), nodes(PathId(id)))));
         Trace {
-            chunks: self.chunks,
+            text: out.text.0,
+            len,
             paths,
+        }
+    }
+
+    /// Joins the worker and renders the open chunk after what it wrote.
+    /// A worker panic resumes here.
+    fn seal(mut self) -> Rendered {
+        let mut out = match self.worker.take() {
+            Some(worker) => worker.join(),
+            None => Rendered::default(),
+        };
+        out.take(&self.open);
+        out
+    }
+}
+
+impl Drop for TraceSink {
+    /// An unsealed sink closes the hand-off and joins its worker; what
+    /// the worker rendered is dropped with it.
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            drop(worker.full);
+            let _ = worker.thread.join();
         }
     }
 }
 
-/// A sealed trace: the event stream plus the path-id resolution table.
+/// The render worker: full chunks in, emptied chunks back, and the
+/// rendered text when the hand-off closes.
+#[derive(Debug)]
+struct Worker {
+    full: SyncSender<Vec<TraceEvent>>,
+    emptied: Receiver<Vec<TraceEvent>>,
+    thread: JoinHandle<Rendered>,
+}
+
+impl Worker {
+    /// Starts a thread that runs `render` on every chunk handed to it, in
+    /// order.
+    fn spawn(render: fn(&mut Rendered, &[TraceEvent])) -> Self {
+        let (full, chunks) = mpsc::sync_channel::<Vec<TraceEvent>>(IN_FLIGHT);
+        let (give_back, emptied) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("trace-render".into())
+            .spawn(move || {
+                let mut out = Rendered::default();
+                for mut chunk in chunks {
+                    render(&mut out, &chunk);
+                    chunk.clear();
+                    // The sink stops taking chunks back once it seals.
+                    let _ = give_back.send(chunk);
+                }
+                out
+            })
+            .expect("the trace render worker starts");
+        Worker {
+            full,
+            emptied,
+            thread,
+        }
+    }
+
+    /// Closes the hand-off and waits for the worker to render what it
+    /// was handed; its panic, if it had one, resumes on this thread.
+    fn join(self) -> Rendered {
+        drop(self.full);
+        self.thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+/// Path ids below this many are noted in a bitset; an engine interns
+/// ids densely from 0, so only a hand-built trace names any above.
+const NAMED_BITS: usize = 1 << 20;
+
+/// What the worker builds: the event lines, and the paths they name.
+#[derive(Debug, Default)]
+struct Rendered {
+    text: Writer,
+    /// One bit per path id below [`NAMED_BITS`] that an event names.
+    named: Vec<u64>,
+    /// The named ids from [`NAMED_BITS`] up.
+    far: BTreeSet<u32>,
+}
+
+impl Rendered {
+    /// Renders `chunk` after the lines already written and notes the
+    /// paths it names.
+    fn take(&mut self, chunk: &[TraceEvent]) {
+        for e in chunk {
+            if let TraceEventKind::RouteProposal { path, .. }
+            | TraceEventKind::LockOutcome { path, .. }
+            | TraceEventKind::UnitInjected { path, .. } = &e.kind
+            {
+                self.name(*path);
+            }
+            if self.text.0.capacity() - self.text.0.len() < MAX_LINE {
+                self.text.grow();
+            }
+            self.text.event(e);
+        }
+    }
+
+    fn name(&mut self, path: PathId) {
+        let i = path.index();
+        if i >= NAMED_BITS {
+            self.far.insert(path.0);
+            return;
+        }
+        if self.named.len() <= i / 64 {
+            self.named.resize(i / 64 + 1, 0);
+        }
+        self.named[i / 64] |= 1 << (i % 64);
+    }
+}
+
+/// A sealed trace: the rendered event lines plus the path-id resolution
+/// table.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    chunks: Vec<Vec<TraceEvent>>,
+    /// One JSONL line per event, in sequence order.
+    text: String,
+    /// Events in `text`.
+    len: usize,
     /// `(path_id, node_ids)` for every path referenced by the events,
     /// sorted by id.
     pub paths: Vec<(u64, Vec<u32>)>,
@@ -308,113 +495,117 @@ pub fn reason_str(r: DropReason) -> &'static str {
     }
 }
 
+/// Every drop reason, in declaration order, for reading spellings back.
+const REASONS: [DropReason; 9] = [
+    DropReason::QueueTimeout,
+    DropReason::QueueOverflow,
+    DropReason::Expired,
+    DropReason::ChannelClosed,
+    DropReason::MessageLost,
+    DropReason::HopTimeout,
+    DropReason::NodeCrashed,
+    DropReason::Shed,
+    DropReason::AdmissionRejected,
+];
+
 impl Trace {
-    /// Iterates events in sequence order.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.chunks.iter().flatten()
+    /// The events in sequence order, read back from their rendered lines
+    /// (for tests and audits; the engine never reads a trace).
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.text
+            .lines()
+            .map(|line| parse_event(line).expect("the writer's own line parses"))
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum()
+        self.len
     }
 
     /// True when the trace holds no events.
     pub fn is_empty(&self) -> bool {
-        self.chunks.iter().all(|c| c.is_empty())
+        self.len == 0
     }
 
-    /// Renders the JSONL form: one `{"seq":…}` object per line in
-    /// sequence order, then one `{"ev":"path",…}` line per referenced
-    /// path. Field order is fixed, so equal traces render byte-equal.
+    /// The JSONL form: one `{"seq":…}` object per line in sequence
+    /// order, then one `{"ev":"path",…}` line per referenced path. Field
+    /// order is fixed, so equal traces render byte-equal.
     ///
-    /// Consumes the trace (clone it to render twice): each storage chunk
-    /// is freed once its lines are written, and the output grows by at
-    /// most an eighth at a time, so the text and the events still held
-    /// stay within about the larger of the two in full. Growth never
-    /// passes an estimate of what is left — the mean line so far times
-    /// the events to come, plus the path lines — so the output ends a
-    /// little over its length, not doubled past it.
+    /// The event lines were rendered while the run recorded them; this
+    /// appends the path lines to that text, growing it by exactly what
+    /// they need when its slack is short.
     pub fn to_jsonl(self) -> String {
-        let Trace { chunks, paths } = self;
+        let Trace {
+            mut text, paths, ..
+        } = self;
         let mut tail = Writer::default();
         for (id, nodes) in paths {
             tail.path(id, &nodes);
         }
-        let total: usize = chunks.iter().map(Vec::len).sum();
-        let mut out = Writer::default();
-        let mut written = 0;
-        for chunk in chunks {
-            for e in &chunk {
-                if out.0.capacity() - out.0.len() < MAX_LINE {
-                    out.grow(written, total - written, tail.0.len());
-                }
-                out.event(e);
-                written += 1;
-            }
-        }
-        out.0.reserve_exact(tail.0.len());
-        out.put(&tail.0);
-        out.into_string()
+        text.reserve_exact(tail.0.len());
+        text.push_str(&tail.0);
+        text
     }
 }
 
 /// The two decimal digits of every value below 100, back to back.
-const DIGIT_PAIRS: &[u8; 200] = b"\
+const DIGIT_PAIRS: &str = "\
     0001020304050607080910111213141516171819\
     2021222324252627282930313233343536373839\
     4041424344454647484950515253545556575859\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
-/// Text under construction, byte by byte: fixed fragments are copied in
+/// Text under construction from ASCII fragments: fixed text is copied in
 /// and integers written through [`DIGIT_PAIRS`].
-#[derive(Default)]
-struct Writer(Vec<u8>);
+#[derive(Debug, Default)]
+struct Writer(String);
 
 impl Writer {
-    fn put(&mut self, bytes: &[u8]) -> &mut Self {
-        self.0.extend_from_slice(bytes);
+    fn put(&mut self, s: &str) -> &mut Self {
+        self.0.push_str(s);
         self
     }
 
-    /// Appends `n` in decimal, two digits per step from the right (ten
-    /// pairs hold `u64::MAX`).
+    /// Appends `n` in decimal: its two-digit pairs are found from the
+    /// right (ten hold `u64::MAX`) and written from the left.
     fn num(&mut self, n: impl Into<u64>) -> &mut Self {
         let mut n = n.into();
-        let mut digits = [0; 20];
-        let mut start = digits.len();
-        for slot in digits.rchunks_exact_mut(2) {
-            let pair = (n % 100) as usize * 2;
-            slot.copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-            start -= 2;
+        let mut pairs = [0; 10];
+        let mut count = 0;
+        loop {
+            pairs[count] = (n % 100) as usize * 2;
+            count += 1;
             n /= 100;
             if n == 0 {
-                // A leading pair below 10 starts with a zero to skip.
-                start += usize::from(pair < 20);
                 break;
             }
         }
-        self.put(digits.split_at(start).1)
+        let lead = pairs[count - 1];
+        // A leading pair below 10 starts with a zero to skip.
+        self.put(&DIGIT_PAIRS[lead + usize::from(lead < 20)..lead + 2]);
+        for &pair in pairs[..count - 1].iter().rev() {
+            self.put(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        self
     }
 
     fn flag(&mut self, b: bool) -> &mut Self {
-        self.put(if b { b"true" } else { b"false" })
+        self.put(if b { "true" } else { "false" })
     }
 
     /// A reason's quoted spelling, or `null`.
     fn reason(&mut self, r: Option<DropReason>) -> &mut Self {
         match r {
-            Some(r) => self.put(b"\"").put(reason_str(r).as_bytes()).put(b"\""),
-            None => self.put(b"null"),
+            Some(r) => self.put("\"").put(reason_str(r)).put("\""),
+            None => self.put("null"),
         }
     }
-
     /// One event's JSONL line.
     fn event(&mut self, e: &TraceEvent) {
-        self.put(b"{\"seq\":")
+        self.put("{\"seq\":")
             .num(e.seq)
-            .put(b",\"t_us\":")
+            .put(",\"t_us\":")
             .num(e.t_us);
         match &e.kind {
             TraceEventKind::PaymentArrival {
@@ -423,13 +614,13 @@ impl Writer {
                 dst,
                 amount,
             } => self
-                .put(b",\"ev\":\"arrival\",\"payment\":")
+                .put(",\"ev\":\"arrival\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"src\":")
+                .put(",\"src\":")
                 .num(src.0)
-                .put(b",\"dst\":")
+                .put(",\"dst\":")
                 .num(dst.0)
-                .put(b",\"amount_drops\":")
+                .put(",\"amount_drops\":")
                 .num(amount.drops()),
             TraceEventKind::RouteProposal {
                 payment,
@@ -437,13 +628,13 @@ impl Writer {
                 path,
                 amount,
             } => self
-                .put(b",\"ev\":\"route\",\"payment\":")
+                .put(",\"ev\":\"route\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"attempt\":")
+                .put(",\"attempt\":")
                 .num(*attempt)
-                .put(b",\"path\":")
+                .put(",\"path\":")
                 .num(path.0)
-                .put(b",\"amount_drops\":")
+                .put(",\"amount_drops\":")
                 .num(amount.drops()),
             TraceEventKind::LockOutcome {
                 payment,
@@ -451,13 +642,13 @@ impl Writer {
                 amount,
                 ok,
             } => self
-                .put(b",\"ev\":\"lock\",\"payment\":")
+                .put(",\"ev\":\"lock\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"path\":")
+                .put(",\"path\":")
                 .num(path.0)
-                .put(b",\"amount_drops\":")
+                .put(",\"amount_drops\":")
                 .num(amount.drops())
-                .put(b",\"ok\":")
+                .put(",\"ok\":")
                 .flag(*ok),
             TraceEventKind::UnitInjected {
                 payment,
@@ -465,56 +656,56 @@ impl Writer {
                 path,
                 amount,
             } => self
-                .put(b",\"ev\":\"inject\",\"payment\":")
+                .put(",\"ev\":\"inject\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"unit\":")
+                .put(",\"unit\":")
                 .num(*unit)
-                .put(b",\"path\":")
+                .put(",\"path\":")
                 .num(path.0)
-                .put(b",\"amount_drops\":")
+                .put(",\"amount_drops\":")
                 .num(amount.drops()),
             TraceEventKind::UnitEnqueued {
                 unit,
                 channel,
                 qlen,
             } => self
-                .put(b",\"ev\":\"enqueue\",\"unit\":")
+                .put(",\"ev\":\"enqueue\",\"unit\":")
                 .num(*unit)
-                .put(b",\"channel\":")
+                .put(",\"channel\":")
                 .num(channel.0)
-                .put(b",\"qlen\":")
+                .put(",\"qlen\":")
                 .num(*qlen),
             TraceEventKind::UnitForwarded { unit, channel, hop } => self
-                .put(b",\"ev\":\"forward\",\"unit\":")
+                .put(",\"ev\":\"forward\",\"unit\":")
                 .num(*unit)
-                .put(b",\"channel\":")
+                .put(",\"channel\":")
                 .num(channel.0)
-                .put(b",\"hop\":")
+                .put(",\"hop\":")
                 .num(*hop),
             TraceEventKind::UnitDelivered { unit } => {
-                self.put(b",\"ev\":\"deliver\",\"unit\":").num(*unit)
+                self.put(",\"ev\":\"deliver\",\"unit\":").num(*unit)
             }
             TraceEventKind::UnitSettled {
                 payment,
                 amount,
                 path,
             } => self
-                .put(b",\"ev\":\"settle\",\"payment\":")
+                .put(",\"ev\":\"settle\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"amount_drops\":")
+                .put(",\"amount_drops\":")
                 .num(amount.drops())
-                .put(b",\"path\":")
+                .put(",\"path\":")
                 .num(path.0),
             TraceEventKind::UnitDropped {
                 unit,
                 reason,
                 attempts,
             } => self
-                .put(b",\"ev\":\"drop\",\"unit\":")
+                .put(",\"ev\":\"drop\",\"unit\":")
                 .num(*unit)
-                .put(b",\"reason\":\"")
-                .put(reason_str(*reason).as_bytes())
-                .put(b"\",\"attempts\":")
+                .put(",\"reason\":\"")
+                .put(reason_str(*reason))
+                .put("\",\"attempts\":")
                 .num(*attempts),
             TraceEventKind::UnitAcked {
                 payment,
@@ -522,48 +713,48 @@ impl Writer {
                 delivered,
                 marked,
             } => self
-                .put(b",\"ev\":\"ack\",\"payment\":")
+                .put(",\"ev\":\"ack\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"unit\":")
+                .put(",\"unit\":")
                 .num(*unit)
-                .put(b",\"delivered\":")
+                .put(",\"delivered\":")
                 .flag(*delivered)
-                .put(b",\"marked\":")
+                .put(",\"marked\":")
                 .flag(*marked),
             TraceEventKind::PaymentCompleted {
                 payment,
                 latency_us,
             } => self
-                .put(b",\"ev\":\"complete\",\"payment\":")
+                .put(",\"ev\":\"complete\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"latency_us\":")
+                .put(",\"latency_us\":")
                 .num(*latency_us),
             TraceEventKind::PaymentExpired {
                 payment,
                 remaining,
                 rejected,
             } => self
-                .put(b",\"ev\":\"expire\",\"payment\":")
+                .put(",\"ev\":\"expire\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"remaining_drops\":")
+                .put(",\"remaining_drops\":")
                 .num(remaining.drops())
-                .put(b",\"rejected\":")
+                .put(",\"rejected\":")
                 .flag(*rejected),
             TraceEventKind::TopologyChanged {
                 closed,
                 opened,
                 resized,
             } => self
-                .put(b",\"ev\":\"topology\",\"closed\":")
+                .put(",\"ev\":\"topology\",\"closed\":")
                 .num(*closed)
-                .put(b",\"opened\":")
+                .put(",\"opened\":")
                 .num(*opened)
-                .put(b",\"resized\":")
+                .put(",\"resized\":")
                 .num(*resized),
             TraceEventKind::FaultApplied { node, crashed } => self
-                .put(b",\"ev\":\"fault\",\"node\":")
+                .put(",\"ev\":\"fault\",\"node\":")
                 .num(node.0)
-                .put(b",\"crashed\":")
+                .put(",\"crashed\":")
                 .flag(*crashed),
             TraceEventKind::UnitRefunded {
                 payment,
@@ -572,15 +763,15 @@ impl Writer {
                 attempts,
                 reason,
             } => self
-                .put(b",\"ev\":\"refund\",\"payment\":")
+                .put(",\"ev\":\"refund\",\"payment\":")
                 .num(payment.0)
-                .put(b",\"amount_drops\":")
+                .put(",\"amount_drops\":")
                 .num(amount.drops())
-                .put(b",\"reason\":")
+                .put(",\"reason\":")
                 .reason(*reason)
-                .put(b",\"path\":")
+                .put(",\"path\":")
                 .num(path.0)
-                .put(b",\"attempts\":")
+                .put(",\"attempts\":")
                 .num(*attempts),
             TraceEventKind::ChannelUpdated {
                 channel,
@@ -589,86 +780,302 @@ impl Writer {
                 fwd,
                 bwd,
             } => self
-                .put(b",\"ev\":\"channel\",\"channel\":")
+                .put(",\"ev\":\"channel\",\"channel\":")
                 .num(channel.0)
-                .put(b",\"closed\":")
+                .put(",\"closed\":")
                 .flag(*closed)
-                .put(b",\"capacity_drops\":")
+                .put(",\"capacity_drops\":")
                 .num(capacity.drops())
-                .put(b",\"fwd_drops\":")
+                .put(",\"fwd_drops\":")
                 .num(fwd.drops())
-                .put(b",\"bwd_drops\":")
+                .put(",\"bwd_drops\":")
                 .num(bwd.drops()),
             TraceEventKind::Deposit {
                 channel,
                 dir,
                 amount,
             } => self
-                .put(b",\"ev\":\"deposit\",\"channel\":")
+                .put(",\"ev\":\"deposit\",\"channel\":")
                 .num(channel.0)
-                .put(b",\"dir\":")
+                .put(",\"dir\":")
                 .num(dir.index() as u32)
-                .put(b",\"amount_drops\":")
+                .put(",\"amount_drops\":")
                 .num(amount.drops()),
         };
-        self.put(b"}\n");
+        self.put("}\n");
     }
 
     /// One `{"ev":"path",…}` line.
     fn path(&mut self, id: u64, nodes: &[u32]) {
-        self.put(b"{\"ev\":\"path\",\"path\":")
+        self.put("{\"ev\":\"path\",\"path\":")
             .num(id)
-            .put(b",\"nodes\":[");
+            .put(",\"nodes\":[");
         for (i, &n) in nodes.iter().enumerate() {
             if i > 0 {
-                self.put(b",");
+                self.put(",");
             }
             self.num(n);
         }
-        self.put(b"]}\n");
+        self.put("]}\n");
     }
 
-    /// Makes room for at least one more line without doubling. The step
-    /// is an eighth of what is written, cut to what keeps the text plus
-    /// the `left` events still held within the larger of the whole trace
-    /// and the whole text, but at least [`MIN_GROWTH`] — and never past
-    /// what the rest is estimated to need: `left` events at the mean line
-    /// so far (the [`MAX_LINE`] bound before the first), `tail` bytes of
-    /// path lines, and one line of slack.
-    fn grow(&mut self, written: usize, left: usize, tail: usize) {
-        let (len, event) = (self.0.len(), std::mem::size_of::<TraceEvent>());
-        let line = match written {
-            0 => MAX_LINE,
-            n => len.div_ceil(n),
-        };
-        let rest = line * left + tail + MAX_LINE;
-        let budget = ((written + left) * event).max(len + rest);
-        let room = budget.saturating_sub(len + left * event);
-        let step = (len / 8).min(room).max(MIN_GROWTH).min(rest);
+    /// Makes room for at least one more line: a [`GROWTH_DIVISOR`]th of
+    /// what is written, but at least [`MIN_GROWTH`]. The run's length is
+    /// unknown while it records, so the slack this leaves at the end is
+    /// at most that last step.
+    fn grow(&mut self) {
+        let step = (self.0.len() / GROWTH_DIVISOR).max(MIN_GROWTH);
         self.0.reserve_exact(step);
-    }
-
-    fn into_string(self) -> String {
-        String::from_utf8(self.0).expect("the writer emits ASCII")
     }
 }
 
+/// One JSONL line of a trace, read back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Line {
+    /// An event line.
+    Event(TraceEvent),
+    /// A `{"ev":"path",…}` line: the path's id and its nodes.
+    Path(u64, Vec<u32>),
+}
+
+/// Reads one line of [`Trace::to_jsonl`]'s output back, or says why it
+/// is not one.
+pub fn parse_line(line: &str) -> Result<Line, String> {
+    match line.strip_prefix("{\"ev\":\"path\",\"path\":") {
+        Some(rest) => {
+            let (id, nodes) = rest
+                .strip_suffix("]}")
+                .and_then(|r| r.split_once(",\"nodes\":["))
+                .ok_or_else(|| format!("not a path line: {line}"))?;
+            let id = int(id, line)?;
+            let nodes = match nodes {
+                "" => Vec::new(),
+                nodes => nodes
+                    .split(',')
+                    .map(|n| int32(n, line))
+                    .collect::<Result<_, _>>()?,
+            };
+            Ok(Line::Path(id, nodes))
+        }
+        None => parse_event(line).map(Line::Event),
+    }
+}
+
+/// An integer field's value.
+fn int(text: &str, line: &str) -> Result<u64, String> {
+    text.parse().map_err(|e| format!("{text} in {line}: {e}"))
+}
+
+/// A `u32` field's value.
+fn int32(text: &str, line: &str) -> Result<u32, String> {
+    text.parse().map_err(|e| format!("{text} in {line}: {e}"))
+}
+
+/// One flat JSONL object's fields, split once: (key, raw value).
+struct Fields<'a> {
+    line: &'a str,
+    pairs: [(&'a str, &'a str); 10],
+    len: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// Splits an event line (no nested values).
+    fn of(line: &'a str) -> Result<Self, String> {
+        let mut f = Fields {
+            line,
+            pairs: [("", ""); 10],
+            len: 0,
+        };
+        let body = line
+            .strip_prefix('{')
+            .and_then(|b| b.strip_suffix('}'))
+            .ok_or_else(|| format!("not an object: {line}"))?;
+        for pair in body.split(',') {
+            let (key, value) = pair
+                .split_once(':')
+                .ok_or_else(|| format!("a field without a value in {line}"))?;
+            let slot = f
+                .pairs
+                .get_mut(f.len)
+                .ok_or_else(|| format!("too many fields in {line}"))?;
+            *slot = (key.trim_matches('"'), value);
+            f.len += 1;
+        }
+        Ok(f)
+    }
+
+    fn raw(&self, key: &str) -> Result<&'a str, String> {
+        let found = self.pairs[..self.len].iter().find(|p| p.0 == key);
+        found
+            .map(|p| p.1)
+            .ok_or_else(|| format!("no {key} in {}", self.line))
+    }
+
+    fn int(&self, key: &str) -> Result<u64, String> {
+        int(self.raw(key)?, self.line)
+    }
+
+    fn int32(&self, key: &str) -> Result<u32, String> {
+        int32(self.raw(key)?, self.line)
+    }
+
+    fn amount(&self, key: &str) -> Result<Amount, String> {
+        self.int(key).map(Amount::from_drops)
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        match self.raw(key)? {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            other => Err(format!("{key} is {other} in {}", self.line)),
+        }
+    }
+
+    fn reason(&self) -> Result<Option<DropReason>, String> {
+        match self.raw("reason")? {
+            "null" => Ok(None),
+            text => {
+                let name = text.trim_matches('"');
+                let found = REASONS.iter().find(|&&r| reason_str(r) == name);
+                found
+                    .map(|&r| Some(r))
+                    .ok_or_else(|| format!("unknown reason in {}", self.line))
+            }
+        }
+    }
+}
+
+/// Reads one event line back into its record.
+pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
+    let f = Fields::of(line)?;
+    let payment = || f.int("payment").map(PaymentId);
+    let path = || f.int32("path").map(PathId);
+    let channel = || f.int32("channel").map(ChannelId);
+    let unit = || f.int("unit");
+    let amount = || f.amount("amount_drops");
+    let kind = match f.raw("ev")?.trim_matches('"') {
+        "arrival" => TraceEventKind::PaymentArrival {
+            payment: payment()?,
+            src: NodeId(f.int32("src")?),
+            dst: NodeId(f.int32("dst")?),
+            amount: amount()?,
+        },
+        "route" => TraceEventKind::RouteProposal {
+            payment: payment()?,
+            attempt: f.int32("attempt")?,
+            path: path()?,
+            amount: amount()?,
+        },
+        "lock" => TraceEventKind::LockOutcome {
+            payment: payment()?,
+            path: path()?,
+            amount: amount()?,
+            ok: f.flag("ok")?,
+        },
+        "inject" => TraceEventKind::UnitInjected {
+            payment: payment()?,
+            unit: unit()?,
+            path: path()?,
+            amount: amount()?,
+        },
+        "enqueue" => TraceEventKind::UnitEnqueued {
+            unit: unit()?,
+            channel: channel()?,
+            qlen: f.int32("qlen")?,
+        },
+        "forward" => TraceEventKind::UnitForwarded {
+            unit: unit()?,
+            channel: channel()?,
+            hop: f.int32("hop")?,
+        },
+        "deliver" => TraceEventKind::UnitDelivered { unit: unit()? },
+        "settle" => TraceEventKind::UnitSettled {
+            payment: payment()?,
+            amount: amount()?,
+            path: path()?,
+        },
+        "drop" => TraceEventKind::UnitDropped {
+            unit: unit()?,
+            reason: f
+                .reason()?
+                .ok_or_else(|| format!("a drop without a reason: {line}"))?,
+            attempts: f.int32("attempts")?,
+        },
+        "ack" => TraceEventKind::UnitAcked {
+            payment: payment()?,
+            unit: unit()?,
+            delivered: f.flag("delivered")?,
+            marked: f.flag("marked")?,
+        },
+        "complete" => TraceEventKind::PaymentCompleted {
+            payment: payment()?,
+            latency_us: f.int("latency_us")?,
+        },
+        "expire" => TraceEventKind::PaymentExpired {
+            payment: payment()?,
+            remaining: f.amount("remaining_drops")?,
+            rejected: f.flag("rejected")?,
+        },
+        "topology" => TraceEventKind::TopologyChanged {
+            closed: f.int32("closed")?,
+            opened: f.int32("opened")?,
+            resized: f.int32("resized")?,
+        },
+        "fault" => TraceEventKind::FaultApplied {
+            node: NodeId(f.int32("node")?),
+            crashed: f.flag("crashed")?,
+        },
+        "refund" => TraceEventKind::UnitRefunded {
+            payment: payment()?,
+            amount: amount()?,
+            path: path()?,
+            attempts: f.int32("attempts")?,
+            reason: f.reason()?,
+        },
+        "channel" => TraceEventKind::ChannelUpdated {
+            channel: channel()?,
+            closed: f.flag("closed")?,
+            capacity: f.amount("capacity_drops")?,
+            fwd: f.amount("fwd_drops")?,
+            bwd: f.amount("bwd_drops")?,
+        },
+        "deposit" => TraceEventKind::Deposit {
+            channel: channel()?,
+            dir: match f.int("dir")? {
+                0 => Direction::Forward,
+                1 => Direction::Backward,
+                other => return Err(format!("dir {other} in {line}")),
+            },
+            amount: amount()?,
+        },
+        other => return Err(format!("unknown record {other}: {line}")),
+    };
+    Ok(TraceEvent {
+        seq: f.int("seq")?,
+        t_us: f.int("t_us")?,
+        kind,
+    })
+}
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::fmt::Write as _;
 
-    /// The `core::fmt` renderer [`Trace::to_jsonl`] replaced, kept as the
+    /// The `core::fmt` renderer the writer replaced, kept as the
     /// reference the writer must equal byte for byte.
-    fn reference_jsonl(t: &Trace) -> String {
+    fn reference_jsonl(events: &[TraceEvent], paths: &[(u64, Vec<u32>)]) -> String {
         let mut out = String::new();
-        write_reference(&mut out, t).expect("string write");
+        write_reference(&mut out, events, paths).expect("string write");
         out
     }
 
-    fn write_reference(out: &mut String, t: &Trace) -> std::fmt::Result {
-        for e in t.events() {
+    fn write_reference(
+        out: &mut String,
+        events: &[TraceEvent],
+        paths: &[(u64, Vec<u32>)],
+    ) -> std::fmt::Result {
+        for e in events {
             write!(out, "{{\"seq\":{},\"t_us\":{},", e.seq, e.t_us)?;
             match &e.kind {
                 TraceEventKind::PaymentArrival {
@@ -848,7 +1255,7 @@ mod tests {
             }?;
             out.push_str("}\n");
         }
-        for (id, nodes) in &t.paths {
+        for (id, nodes) in paths {
             write!(out, "{{\"ev\":\"path\",\"path\":{id},\"nodes\":[")?;
             for (i, n) in nodes.iter().enumerate() {
                 if i > 0 {
@@ -1026,24 +1433,37 @@ mod tests {
             }
         }
 
-        /// `events` events cycling through all 17 variants, then `paths`
-        /// path lines of up to five nodes.
-        fn trace(&mut self, events: usize, paths: usize) -> Trace {
-            let mut sink = TraceSink::new();
-            for i in 0..events as u64 {
-                let t_us = self.int();
-                let kind = self.kind(i);
-                sink.record(t_us, kind);
-            }
-            let paths = (0..paths)
+        /// `events` events cycling through all 17 variants, numbered in
+        /// order.
+        fn events(&mut self, events: usize) -> Vec<TraceEvent> {
+            (0..events as u64)
+                .map(|seq| TraceEvent {
+                    seq,
+                    t_us: self.int(),
+                    kind: self.kind(seq),
+                })
+                .collect()
+        }
+
+        /// `paths` path lines of up to five nodes.
+        fn paths(&mut self, paths: usize) -> Vec<(u64, Vec<u32>)> {
+            (0..paths)
                 .map(|_| {
                     let id = self.int();
                     let len = self.rng.below(6);
                     (id, (0..len).map(|_| self.int32()).collect())
                 })
-                .collect();
-            sink.finish(paths)
+                .collect()
         }
+    }
+
+    /// A sink that recorded `events`, in order.
+    fn recorded(events: &[TraceEvent]) -> TraceSink {
+        let mut sink = TraceSink::new();
+        for e in events {
+            sink.record(e.t_us, e.kind.clone());
+        }
+        sink
     }
 
     fn sample_sink() -> TraceSink {
@@ -1088,12 +1508,14 @@ mod tests {
     fn sequence_numbers_follow_record_order() {
         let s = sample_sink();
         assert_eq!(s.len(), 4);
-        let seqs: Vec<u64> = s.events().map(|e| e.seq).collect();
+        let t = s.finish(Vec::new());
+        assert_eq!(t.len(), 4);
+        let seqs: Vec<u64> = t.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 
-    /// Record order survives the storage chunks, and the render that
-    /// frees them chunk by chunk writes every line, in order.
+    /// Record order survives the hand-off chunks: the worker renders
+    /// every line, in order, and the seal adds the open chunk's after.
     #[test]
     fn chunking_preserves_order_across_boundaries() {
         let mut s = TraceSink::new();
@@ -1134,8 +1556,10 @@ mod tests {
         }
     }
 
-    /// The output grows toward an estimate of its own length: whatever
-    /// the mix of long and short lines, it ends a little over what it
+    /// The worker grows the text a step at a time and the path lines are
+    /// appended into its slack or exactly past it: whatever the mix of
+    /// long and short lines, the output ends at most one step
+    /// (a [`GROWTH_DIVISOR`]th of itself, or [`MIN_GROWTH`]) over what it
     /// holds — never doubled on the way.
     #[test]
     fn jsonl_is_allocated_once_whatever_the_record_mix() {
@@ -1157,8 +1581,9 @@ mod tests {
             let paths = (0..3_000).map(|id| (id, vec![1, 20, 300, 4_000])).collect();
             let out = s.finish(paths).to_jsonl();
             assert_eq!(out.lines().count(), 53_000);
+            let step = (out.len() / GROWTH_DIVISOR).max(MIN_GROWTH);
             assert!(
-                out.capacity() <= out.len() + out.len() / 16,
+                out.capacity() <= out.len() + step,
                 "long every {long_every}: {} bytes in {} of capacity",
                 out.len(),
                 out.capacity()
@@ -1189,57 +1614,171 @@ mod tests {
         for n in edge_ints() {
             let mut w = Writer::default();
             w.num(n);
-            assert_eq!(w.into_string(), n.to_string());
+            assert_eq!(w.0, n.to_string());
         }
     }
 
     /// Traces of 0, 1, 4095, 4096, 4097 and 3·4096+7 events of every
-    /// variant: the writer equals the reference across chunk boundaries.
+    /// variant: the worker's text equals the reference across chunk
+    /// boundaries.
     #[test]
     fn writer_matches_reference_across_chunk_boundaries() {
         for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
-            let t = Gen::new(n as u64).trace(n, 3);
-            let want = reference_jsonl(&t);
-            assert!(t.to_jsonl() == want, "{n} events: writer != reference");
+            let mut g = Gen::new(n as u64);
+            let (events, paths) = (g.events(n), g.paths(3));
+            let want = reference_jsonl(&events, &paths);
+            let got = recorded(&events).finish(paths).to_jsonl();
+            assert!(got == want, "{n} events: writer != reference");
         }
     }
 
     /// Every variant, reason and flag with every integer (the sequence
-    /// number too) at its maximum fits in [`MAX_LINE`], the room
-    /// `to_jsonl` keeps for a line.
+    /// number too) at its maximum fits in [`MAX_LINE`], the room the
+    /// worker keeps for a line.
     #[test]
     fn max_line_bounds_every_event() {
         let mut g = Gen::widest(1);
-        let events = (0..17 * 64)
+        let events: Vec<TraceEvent> = (0..17 * 64)
             .map(|i| TraceEvent {
                 seq: u64::MAX,
                 t_us: u64::MAX,
                 kind: g.kind(i),
             })
             .collect();
-        let t = Trace {
-            chunks: vec![events],
-            paths: Vec::new(),
-        };
-        let want = reference_jsonl(&t);
+        let want = reference_jsonl(&events, &[]);
         let longest = want.lines().map(|l| l.len() + 1).max();
         assert_eq!(longest, Some(212), "the longest is `channel`");
         assert!(longest <= Some(MAX_LINE));
-        assert_eq!(t.to_jsonl(), want);
+        let mut rendered = Rendered::default();
+        rendered.take(&events);
+        assert_eq!(rendered.text.0, want);
+    }
+
+    /// The paths a `route`, `lock` or `inject` record names, across
+    /// chunks, are resolved once each and in id order; a `settle` or
+    /// `refund` path was named by its unit's `route` and adds none.
+    #[test]
+    fn finish_named_resolves_each_named_path_once_in_id_order() {
+        let named = [5u32, 3, 5, 130, 64, 3, 0, u32::MAX, 1 << 20];
+        let mut s = TraceSink::new();
+        for i in 0..(CHUNK as u64 * 2 + 10) {
+            let path = PathId(named[i as usize % named.len()]);
+            let (payment, amount) = (PaymentId(i), Amount::from_drops(1));
+            let kind = match i % 5 {
+                0 => TraceEventKind::RouteProposal {
+                    payment,
+                    attempt: 0,
+                    path,
+                    amount,
+                },
+                1 => TraceEventKind::LockOutcome {
+                    payment,
+                    path,
+                    amount,
+                    ok: true,
+                },
+                2 => TraceEventKind::UnitInjected {
+                    payment,
+                    unit: i,
+                    path,
+                    amount,
+                },
+                3 => TraceEventKind::UnitSettled {
+                    payment,
+                    amount,
+                    path: PathId(900),
+                },
+                _ => TraceEventKind::UnitDelivered { unit: i },
+            };
+            s.record(i, kind);
+        }
+        let t = s.finish_named(|id| vec![id.0, id.0.wrapping_add(1)]);
+        let ids: Vec<(u64, Vec<u32>)> = [0, 3, 5, 64, 130, 1 << 20, u32::MAX]
+            .into_iter()
+            .map(|id| (u64::from(id), vec![id, id.wrapping_add(1)]))
+            .collect();
+        assert_eq!(t.paths, ids);
+    }
+
+    /// Dropping an unsealed sink waits for its worker: by the time `drop`
+    /// returns, a slow worker has rendered every chunk handed to it and
+    /// ended, rather than running on past its sink. The sleep only makes
+    /// a drop that did not join fail; a joining drop passes however the
+    /// threads interleave.
+    #[test]
+    fn an_unsealed_sink_joins_its_worker_on_drop() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        static RENDERED: AtomicUsize = AtomicUsize::new(0);
+        let mut s = TraceSink::new();
+        s.worker = Some(Worker::spawn(|_, chunk| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            RENDERED.fetch_add(chunk.len(), SeqCst);
+        }));
+        for i in 0..(3 * CHUNK as u64 + 1) {
+            s.record(i, TraceEventKind::UnitDelivered { unit: i });
+        }
+        drop(s);
+        assert_eq!(RENDERED.load(SeqCst), 3 * CHUNK);
+    }
+
+    /// A render worker that panics does not leave a short trace: its
+    /// panic resumes where the sink is sealed.
+    #[test]
+    fn a_worker_panic_surfaces_at_seal() {
+        let mut s = TraceSink::new();
+        s.worker = Some(Worker::spawn(|_, _| panic!("planted render fault")));
+        for i in 0..(CHUNK as u64 + 1) {
+            s.record(i, TraceEventKind::UnitDelivered { unit: i });
+        }
+        let sealed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.finish(Vec::new())));
+        let panic = sealed.expect_err("the worker's panic reaches the seal");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"planted render fault"));
     }
 
     proptest! {
         /// Random traces of every variant with integers on digit-count
-        /// edges, and their path lines: the writer equals the reference.
+        /// edges, and their path lines: the worker's text equals the
+        /// reference.
         #[test]
         fn writer_matches_reference_renderer(
             seed in 0u64..u64::MAX,
             events in 0usize..200,
             paths in 0usize..8
         ) {
-            let t = Gen::new(seed).trace(events, paths);
-            let want = reference_jsonl(&t);
-            prop_assert_eq!(t.to_jsonl(), want);
+            let mut g = Gen::new(seed);
+            let (events, paths) = (g.events(events), g.paths(paths));
+            let want = reference_jsonl(&events, &paths);
+            prop_assert_eq!(recorded(&events).finish(paths).to_jsonl(), want);
+        }
+
+        /// The reader inverts the writer: every event and path line of a
+        /// trace — its integers on digit-count edges or all at their
+        /// maxima, its length on and beside chunk boundaries — parses
+        /// back to what was recorded, through [`Trace::events`] and
+        /// [`parse_line`] alike.
+        #[test]
+        fn decode_inverts_render(
+            seed in 0u64..u64::MAX,
+            size in 0usize..6,
+            widest in 0u8..2
+        ) {
+            let n = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK][size];
+            let mut g = if widest == 1 { Gen::widest(seed) } else { Gen::new(seed) };
+            let (events, paths) = (g.events(n), g.paths(4));
+            let t = recorded(&events).finish(paths.clone());
+            prop_assert!(t.events().eq(events.iter().cloned()), "{n} events");
+            let lines: Vec<Line> = t
+                .to_jsonl()
+                .lines()
+                .map(|l| parse_line(l).expect("a rendered line parses"))
+                .collect();
+            let want: Vec<Line> = events
+                .into_iter()
+                .map(Line::Event)
+                .chain(paths.into_iter().map(|(id, nodes)| Line::Path(id, nodes)))
+                .collect();
+            prop_assert!(lines == want, "{n} events");
         }
     }
 }

@@ -1,8 +1,9 @@
-//! `Trace::to_jsonl` never holds a trace's events and their JSONL in
-//! full at once: it frees each storage chunk once the chunk is written,
-//! and grows its output without doubling it. Measured by a live-bytes
-//! high-water allocator; this binary holds a single test, so no other
-//! test thread allocates while it measures.
+//! A traced run never holds its events in full: while a `TraceSink`
+//! records, seals and renders, the live heap stays within the rendered
+//! text, the text's growth slack and a fixed number of hand-off chunks.
+//! Measured by a live-bytes high-water allocator; this binary holds a
+//! single test, so no other test thread allocates while it measures (the
+//! sink's render worker is part of what it measures).
 
 use spider_obs::trace::TraceEventKind;
 use spider_obs::TraceSink;
@@ -170,33 +171,45 @@ fn event(i: u64) -> TraceEventKind {
     }
 }
 
+/// Bytes of one hand-off chunk: 4096 events of 48 bytes.
+const CHUNK_BYTES: usize = 4096 * 48;
+
+/// Chunks a sink holds at most: 8 queued for the worker, the one it
+/// renders, the one being filled and the one about to be.
+const CHUNKS_HELD: usize = 8 + 3;
+
+/// What the sink's worker thread, its two channels and the path table
+/// allocate besides the text and the chunks.
+const BOOKKEEPING: usize = 256 << 10;
+
 #[test]
-fn render_holds_the_events_or_their_text_never_both() {
+fn recording_holds_the_text_and_a_few_chunks_never_every_event() {
     let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let n = 400_000;
     let mut sink = TraceSink::new();
-    for i in 0..200_000 {
+    for i in 0..n {
         sink.record(i * 1_000, event(i));
     }
     let paths = (0..500).map(|id| (id, vec![1, 7, 19, 30])).collect();
-    let trace = sink.finish(paths);
-    let events = LIVE.load(Relaxed) - base;
-
-    PEAK.store(LIVE.load(Relaxed), Relaxed);
-    let out = trace.to_jsonl();
+    let out = sink.finish(paths).to_jsonl();
     let high_water = PEAK.load(Relaxed) - base;
 
-    assert_eq!(out.lines().count(), 200_500);
-    let bound = 1.15 * events.max(out.len()) as f64;
+    assert_eq!(out.lines().count(), n as usize + 500);
+    // The text grows by a 64th of itself, or by 64 KiB while that is more.
+    let slack = (out.len() / 64).max(64 << 10);
+    let bound = out.len() + slack + CHUNKS_HELD * CHUNK_BYTES + BOOKKEEPING;
     assert!(
-        high_water as f64 <= bound,
-        "{high_water} bytes live at the peak for {events} of events and {} of text",
+        high_water <= bound,
+        "{high_water} bytes live at the peak for {} of text (bound {bound})",
         out.len()
     );
-    // Holding both in full — what a render that keeps the events until
-    // it returns costs — would break the bound.
-    assert!((events + out.len()) as f64 > bound);
+    // Holding every event until the render — what rendering after the
+    // run costs — would break the bound.
+    let events = n as usize * std::mem::size_of::<spider_obs::TraceEvent>();
+    assert!(out.len() + events > bound);
     assert!(
-        out.capacity() <= out.len() + out.len() / 16,
+        out.capacity() <= out.len() + slack,
         "{} bytes in {} of capacity",
         out.len(),
         out.capacity()

@@ -279,31 +279,12 @@ impl Simulation {
     /// `None`.
     pub fn take_trace(&mut self) -> Option<Trace> {
         let sink = self.obs.trace.take()?;
-        // One bit per interned path, set for every path an event names and
-        // read back in id order: the sorted, deduplicated table without
-        // sorting one reference per routed unit.
-        let mut named = vec![0u64; self.net.paths.len().div_ceil(64)];
-        for e in sink.events() {
-            if let TraceEventKind::RouteProposal { path, .. }
-            | TraceEventKind::LockOutcome { path, .. }
-            | TraceEventKind::UnitInjected { path, .. } = &e.kind
-            {
-                named[path.index() / 64] |= 1 << (path.index() % 64);
-            }
-        }
-        let mut paths = Vec::new();
-        for (word, mut bits) in named.into_iter().enumerate() {
-            while bits != 0 {
-                let id = PathId::from_index(word * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                let nodes = self
-                    .net
-                    .paths
-                    .map_entry(id, |e| e.nodes().iter().map(|n| n.0).collect());
-                paths.push((u64::from(id.0), nodes));
-            }
-        }
-        Some(sink.finish(paths))
+        let paths = &self.net.paths;
+        Some(
+            sink.finish_named(|id| {
+                paths.map_entry(id, |e| e.nodes().iter().map(|n| n.0).collect())
+            }),
+        )
     }
 
     /// Takes the drop-forensics flight recorder (when

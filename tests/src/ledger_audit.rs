@@ -68,7 +68,7 @@
 
 use crate::timeline::{self, Timeline};
 use spider_core::{ExperimentConfig, RunOutput};
-use spider_obs::trace::{reason_str, TraceEventKind};
+use spider_obs::trace::{parse_line, Line, TraceEvent, TraceEventKind};
 use spider_obs::{DropRecord, Fact, FlightRecorder, LedgerReplay, HOTSPOT_K};
 use spider_sim::{ChannelState, DropBreakdown, Histogram, QueueingMode, SimReport, Simulation};
 use spider_topology::Topology;
@@ -76,19 +76,6 @@ use spider_types::{
     Amount, ChannelId, Direction, DropReason, Hop, NodeId, PathId, PaymentId, SimDuration, SimTime,
 };
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Every drop reason, for parsing their spellings back.
-const REASONS: [DropReason; 9] = [
-    DropReason::QueueTimeout,
-    DropReason::QueueOverflow,
-    DropReason::Expired,
-    DropReason::ChannelClosed,
-    DropReason::MessageLost,
-    DropReason::HopTimeout,
-    DropReason::NodeCrashed,
-    DropReason::Shed,
-    DropReason::AdmissionRejected,
-];
 
 /// The [`SimReport`] fields [`LedgerAudit::check`] re-derives from the
 /// trace and asserts equal.
@@ -180,195 +167,6 @@ pub const NOT_DERIVED: &[(&str, &str)] = &[
          out may outscore the rows",
     ),
 ];
-
-/// One flat JSONL object's fields, split once: (key, raw value).
-struct Fields<'a> {
-    line: &'a str,
-    pairs: [(&'a str, &'a str); 10],
-    len: usize,
-}
-
-impl<'a> Fields<'a> {
-    /// Splits an event line (no nested values).
-    fn of(line: &'a str) -> Self {
-        let mut f = Fields {
-            line,
-            pairs: [("", ""); 10],
-            len: 0,
-        };
-        let body = line.trim_start_matches('{').trim_end_matches('}');
-        for pair in body.split(',') {
-            let (key, value) = pair.split_once(':').expect("a key and a value");
-            f.pairs[f.len] = (key.trim_matches('"'), value);
-            f.len += 1;
-        }
-        f
-    }
-
-    fn raw(&self, key: &str) -> &'a str {
-        let found = self.pairs[..self.len].iter().find(|p| p.0 == key);
-        found
-            .unwrap_or_else(|| panic!("no {key} in {}", self.line))
-            .1
-    }
-
-    fn int(&self, key: &str) -> u64 {
-        let text = self.raw(key);
-        text.parse()
-            .unwrap_or_else(|e| panic!("{key} in {}: {e}", self.line))
-    }
-
-    fn int32(&self, key: &str) -> u32 {
-        u32::try_from(self.int(key)).expect("fits u32")
-    }
-
-    fn amount(&self, key: &str) -> Amount {
-        Amount::from_drops(self.int(key))
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        match self.raw(key) {
-            "true" => true,
-            "false" => false,
-            other => panic!("{key} is {other} in {}", self.line),
-        }
-    }
-
-    fn reason(&self) -> Option<DropReason> {
-        let text = self.raw("reason");
-        (text != "null").then(|| {
-            let name = text.trim_matches('"');
-            *REASONS
-                .iter()
-                .find(|&&r| reason_str(r) == name)
-                .unwrap_or_else(|| panic!("unknown reason in {}", self.line))
-        })
-    }
-}
-
-/// One trace event line back into its record: `(seq, t_us, kind)`.
-pub fn parse_event(line: &str) -> (u64, u64, TraceEventKind) {
-    let f = Fields::of(line);
-    let payment = || PaymentId(f.int("payment"));
-    let path = || PathId(f.int32("path"));
-    let channel = || ChannelId(f.int32("channel"));
-    let unit = || f.int("unit");
-    let amount = || f.amount("amount_drops");
-    let kind = match f.raw("ev").trim_matches('"') {
-        "arrival" => TraceEventKind::PaymentArrival {
-            payment: payment(),
-            src: NodeId(f.int32("src")),
-            dst: NodeId(f.int32("dst")),
-            amount: amount(),
-        },
-        "route" => TraceEventKind::RouteProposal {
-            payment: payment(),
-            attempt: f.int32("attempt"),
-            path: path(),
-            amount: amount(),
-        },
-        "lock" => TraceEventKind::LockOutcome {
-            payment: payment(),
-            path: path(),
-            amount: amount(),
-            ok: f.flag("ok"),
-        },
-        "inject" => TraceEventKind::UnitInjected {
-            payment: payment(),
-            unit: unit(),
-            path: path(),
-            amount: amount(),
-        },
-        "enqueue" => TraceEventKind::UnitEnqueued {
-            unit: unit(),
-            channel: channel(),
-            qlen: f.int32("qlen"),
-        },
-        "forward" => TraceEventKind::UnitForwarded {
-            unit: unit(),
-            channel: channel(),
-            hop: f.int32("hop"),
-        },
-        "deliver" => TraceEventKind::UnitDelivered { unit: unit() },
-        "settle" => TraceEventKind::UnitSettled {
-            payment: payment(),
-            amount: amount(),
-            path: path(),
-        },
-        "drop" => TraceEventKind::UnitDropped {
-            unit: unit(),
-            reason: f.reason().expect("a drop has a reason"),
-            attempts: f.int32("attempts"),
-        },
-        "ack" => TraceEventKind::UnitAcked {
-            payment: payment(),
-            unit: unit(),
-            delivered: f.flag("delivered"),
-            marked: f.flag("marked"),
-        },
-        "complete" => TraceEventKind::PaymentCompleted {
-            payment: payment(),
-            latency_us: f.int("latency_us"),
-        },
-        "expire" => TraceEventKind::PaymentExpired {
-            payment: payment(),
-            remaining: f.amount("remaining_drops"),
-            rejected: f.flag("rejected"),
-        },
-        "topology" => TraceEventKind::TopologyChanged {
-            closed: f.int32("closed"),
-            opened: f.int32("opened"),
-            resized: f.int32("resized"),
-        },
-        "fault" => TraceEventKind::FaultApplied {
-            node: NodeId(f.int32("node")),
-            crashed: f.flag("crashed"),
-        },
-        "refund" => TraceEventKind::UnitRefunded {
-            payment: payment(),
-            amount: amount(),
-            path: path(),
-            attempts: f.int32("attempts"),
-            reason: f.reason(),
-        },
-        "channel" => TraceEventKind::ChannelUpdated {
-            channel: channel(),
-            closed: f.flag("closed"),
-            capacity: f.amount("capacity_drops"),
-            fwd: f.amount("fwd_drops"),
-            bwd: f.amount("bwd_drops"),
-        },
-        "deposit" => TraceEventKind::Deposit {
-            channel: channel(),
-            dir: if f.int("dir") == 1 {
-                Direction::Backward
-            } else {
-                Direction::Forward
-            },
-            amount: amount(),
-        },
-        other => panic!("unknown record {other}: {line}"),
-    };
-    (f.int("seq"), f.int("t_us"), kind)
-}
-
-/// A `path` line's id and nodes.
-fn parse_path(line: &str) -> (usize, Vec<NodeId>) {
-    let (head, nodes) = line.split_once(",\"nodes\":[").expect("a path line");
-    let id = head
-        .rsplit(':')
-        .next()
-        .expect("an id")
-        .parse()
-        .expect("a path id");
-    let nodes = nodes.trim_end_matches("]}").split(',');
-    (
-        id,
-        nodes
-            .map(|n| NodeId(n.parse().expect("a node id")))
-            .collect(),
-    )
-}
 
 /// The longest a unit's or lock's next record can be due after its
 /// previous one in a run, by what it waits for.
@@ -507,14 +305,16 @@ impl LedgerAudit {
         let mut hops: Vec<Vec<Hop>> = Vec::new();
         let mut events = Vec::new();
         for line in jsonl.lines() {
-            if line.starts_with("{\"ev\":\"path\"") {
-                let (id, nodes) = parse_path(line);
-                if hops.len() <= id {
-                    hops.resize(id + 1, Vec::new());
+            match parse_line(line).unwrap_or_else(|e| panic!("{e}")) {
+                Line::Path(id, nodes) => {
+                    let id = id as usize;
+                    if hops.len() <= id {
+                        hops.resize(id + 1, Vec::new());
+                    }
+                    let nodes: Vec<NodeId> = nodes.into_iter().map(NodeId).collect();
+                    hops[id] = topo.path_channels(&nodes).expect("a path of the topology");
                 }
-                hops[id] = topo.path_channels(&nodes).expect("a path of the topology");
-            } else {
-                events.push(parse_event(line));
+                Line::Event(e) => events.push(e),
             }
         }
         let opening = topo.channels().map(|(_, c)| {
@@ -555,8 +355,8 @@ impl LedgerAudit {
         // Payments that lost a unit to a channel close.
         let mut churn_hit = BTreeSet::new();
         let mut last_t = 0;
-        for (i, (seq, t_us, kind)) in events.iter().enumerate() {
-            let (t_us, kind) = (*t_us, kind);
+        for (i, TraceEvent { seq, t_us, kind }) in events.iter().enumerate() {
+            let t_us = *t_us;
             if *seq != i as u64 || t_us < last_t {
                 audit.violate(
                     t_us,

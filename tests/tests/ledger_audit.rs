@@ -1,7 +1,9 @@
 //! The ledger auditor beyond the goldens: a proptest over small
 //! topologies × scheme × {lockstep, FIFO} × {churn, faults, overload,
-//! on-chain rebalancing}, and a short run at the repo benchmark's
-//! `isp-stress-observed` configuration. Each run's rendered trace must
+//! on-chain rebalancing}, and each of the repo benchmark's four workloads
+//! rebuilt at a short horizon: `isp-stress-observed` over two seconds,
+//! and the three Ripple workloads at their `--smoke` shapes. Each run's
+//! rendered trace must
 //! replay to a ledger that never breaks, that ends holding the engine's
 //! funds, that accounts for the report's outcome counts, and whose drop,
 //! delivery and queue-wait facts rebuild the engine's forensics and
@@ -299,4 +301,123 @@ fn isp_stress_observed_passes_the_ledger_audit() {
     assert!(!r.hotspots.is_empty(), "attribution found no hotspots");
     let invariants = out.invariants.expect("the monitor is on");
     assert!(invariants.violations.is_empty(), "{invariants:?}");
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The two-second stress run's JSONL, pinned whole: its line count and
+/// FNV-1a-64 hash, as the trace rendered after the run wrote them. The
+/// render worker takes hundreds of hand-offs here with every sink on, so
+/// a chunk rendered out of order, twice or not at all moves the pin.
+#[test]
+fn isp_stress_trace_is_pinned() {
+    let cfg = isp_stress(2.0);
+    let (_, jsonl) = audited_run(
+        "isp-stress",
+        max_silence(&cfg),
+        cfg.simulation(None).expect("builds"),
+    );
+    assert!(
+        jsonl.lines().count() > 30 * 4096,
+        "too few hand-offs to pin"
+    );
+    assert_eq!(
+        (jsonl.lines().count(), fnv1a64(jsonl.as_bytes())),
+        (145_539, 0xb60c_2fbd_4e11_5693)
+    );
+}
+
+/// The Ripple workloads' experiment (the repo benchmark's `ripple`) at
+/// their `--smoke` shape: 120 Ripple-like nodes, one second of the
+/// paper's Ripple arrival rate, traced for the audit.
+fn ripple_smoke(capacity_xrp: u64, scheme: SchemeConfig) -> ExperimentConfig {
+    let rate = 75_000.0 / 85.0;
+    let count = rate as usize;
+    let mut sim = SimConfig {
+        horizon: SimDuration::from_secs_f64(count as f64 / rate + 1.0),
+        mtu: Amount::from_xrp(20),
+        ..SimConfig::default()
+    };
+    // Traced for the audit, with the forensics it checks against; no
+    // attribution, whose integrals the auditor bounds only over a horizon
+    // of whole polls, which this one is not.
+    sim.obs.trace = true;
+    sim.obs.forensics_capacity = 4_096;
+    ExperimentConfig {
+        topology: TopologyConfig::RippleLike {
+            nodes: 120,
+            capacity_xrp,
+        },
+        workload: WorkloadConfig {
+            count,
+            rate_per_sec: rate,
+            size: SizeDistribution::RippleFull,
+            sender_skew_scale: 120.0 / 8.0,
+        },
+        sim,
+        scheme,
+        dynamics: None,
+        faults: None,
+        overload: None,
+        seed: 42,
+    }
+}
+
+/// `ripple-lockstep-shortest`, `ripple-fifo-protocol` and
+/// `ripple1k-churn-waterfilling` at their `--smoke` shapes (the churn
+/// workload's schedule at 1× over its horizon) pass the audit: the
+/// report's success and latency figures are what their traces re-derive,
+/// on lockstep refunds, FIFO hops and churn alike.
+#[test]
+fn ripple_workloads_pass_the_ledger_audit() {
+    let lockstep = ripple_smoke(30_000, SchemeConfig::ShortestPath);
+    let mut fifo = ripple_smoke(30_000, SchemeConfig::spider_protocol(4));
+    fifo.sim.queueing = QueueingMode::PerChannelFifo(QueueConfig::default());
+    let mut churn = ripple_smoke(4_000, SchemeConfig::SpiderWaterfilling { paths: 4 });
+    let horizon = churn.sim.horizon.as_secs_f64();
+    churn.dynamics = Some(
+        DynamicsConfig {
+            close_rate_per_sec: 0.4,
+            reopen_mean_secs: Some(3.0),
+            resize_rate_per_sec: 0.2,
+            resize_factor_range: [0.5, 2.0],
+            node_leave_rate_per_sec: 0.04,
+            spawn_fraction: 0.04,
+            flap_channels: 2,
+            flap_period_secs: 5.0,
+            horizon_secs: horizon,
+        }
+        .scaled(1.0),
+    );
+    // Each run leaves the records of the path it stands for: lockstep
+    // settles, FIFO hops and acks, churn's topology records and the
+    // lockstep refunds its closes cause.
+    for (name, cfg, records) in [
+        ("ripple-lockstep-shortest", lockstep, &["settle"][..]),
+        ("ripple-fifo-protocol", fifo, &["forward", "ack"]),
+        (
+            "ripple1k-churn-waterfilling",
+            churn,
+            &["topology", "channel", "refund"],
+        ),
+    ] {
+        let (out, jsonl) = audited_run(
+            name,
+            max_silence(&cfg),
+            cfg.simulation(None).expect("builds"),
+        );
+        let r = &out.report;
+        assert!(r.completed_payments > 0, "{name}: nothing completed");
+        for ev in records {
+            let n = jsonl.matches(&format!("\"ev\":\"{ev}\"")).count();
+            assert!(n > 0, "{name}: no {ev} record");
+        }
+        let trace = out.trace.expect("traced");
+        assert!(trace.len() > 4096, "{name}: {} records", trace.len());
+    }
 }

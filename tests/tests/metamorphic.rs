@@ -4,14 +4,19 @@
 
 use spider_core::experiment::demand_graph;
 use spider_core::{ExperimentConfig, SchemeConfig};
-use spider_obs::trace::TraceEventKind;
+use spider_obs::trace::{parse_event, TraceEvent, TraceEventKind};
 use spider_sim::{
     QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, SizeDistribution, Workload,
     WorkloadConfig,
 };
-use spider_tests::ledger_audit::{audited_run, max_silence, parse_event};
+use spider_tests::ledger_audit::{audited_run, max_silence};
 use spider_topology::{gen, Topology};
 use spider_types::{Amount, DetRng, NodeId, SimDuration};
+
+/// One event line of a rendered trace, read back.
+fn event(line: &str) -> TraceEvent {
+    parse_event(line).unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// Runs `scheme` on a 2,000-XRP ISP graph under a 3,000-payment workload,
 /// with every capacity, payment amount and the MTU multiplied by `k`.
@@ -193,9 +198,9 @@ fn shifting_every_arrival_changes_no_outcome() {
                     assert_eq!(a, b, "{label}: path line");
                     continue;
                 }
-                let ((seq_a, t_a, kind_a), (seq_b, t_b, kind_b)) = (parse_event(a), parse_event(b));
-                assert_eq!(t_b, t_a + SHIFT_US, "{label}: {a} vs {b}");
-                assert_eq!((seq_a, kind_a), (seq_b, kind_b), "{label}: {a} vs {b}");
+                let (ea, eb) = (event(a), event(b));
+                assert_eq!(eb.t_us, ea.t_us + SHIFT_US, "{label}: {a} vs {b}");
+                assert_eq!((ea.seq, ea.kind), (eb.seq, eb.kind), "{label}: {a} vs {b}");
             }
         }
     }
@@ -333,11 +338,11 @@ fn relabelling_nodes_in_order_changes_no_outcome() {
                     assert_eq!(a, unodd_path_line(b), "{label}: path line");
                     continue;
                 }
-                let (seq, t_us, mut kind) = parse_event(b);
-                if let TraceEventKind::PaymentArrival { src, dst, .. } = &mut kind {
+                let mut want = event(b);
+                if let TraceEventKind::PaymentArrival { src, dst, .. } = &mut want.kind {
                     (*src, *dst) = (unodd(*src), unodd(*dst));
                 }
-                assert_eq!(parse_event(a), (seq, t_us, kind), "{label}: {a} vs {b}");
+                assert_eq!(event(a), want, "{label}: {a} vs {b}");
             }
         }
     }
